@@ -7,16 +7,12 @@ program (DSL file), a runtime configuration (JSON), and a traffic trace
 Commands:
 
 * ``compile PROGRAM`` — stage map / fit report for a target.
-* ``profile PROGRAM --config CFG --trace PCAP [--no-cache]
-  [--fastpath/--no-fastpath] [--workers N]`` — phase 1 on its own;
-  prints the profiling engine's perf counters (packets/s, flow-cache
-  hit rate).  ``--no-cache`` forces the uncached reference
-  interpreter; ``--fastpath`` opts into the exec-compiled fast path
-  (default: ``$P2GO_FASTPATH``); ``--workers`` shards the trace by
-  flow across profiling processes.
+* ``profile PROGRAM --config CFG --trace PCAP [--no-cache]`` —
+  phase 1 on its own; prints the profiling engine's perf counters
+  (packets/s, flow-cache hit rate).  ``--no-cache`` forces the
+  uncached reference interpreter.
 * ``optimize PROGRAM --config CFG --trace PCAP [--no-memo]
-  [--workers N] [--store PATH | --no-store]
-  [--fastpath/--no-fastpath]`` — the full pipeline;
+  [--workers N] [--store PATH | --no-store]`` — the full pipeline;
   writes the optimized program (DSL) and the observation report (which
   includes the session's compile/profile invocation counters and a
   memo/disk/executed provenance line).  ``--no-memo`` disables the
@@ -63,8 +59,7 @@ Commands:
 * ``fuzz [--seed N] [--iterations N] [--time-budget S] [--axes a,b]
   [--shrink/--no-shrink] [--repro-dir DIR]`` — seeded differential
   fuzzing of the optimizer: random well-formed programs + traces, each
-  checked on the behaviour/cache/fastpath/workers/store/order oracle
-  axes;
+  checked on the behaviour/cache/workers/store/order oracle axes;
   failures are shrunk to minimal replayable repro files.  Exit code 1
   when any axis disagrees.  ``--replay FILE`` re-runs a repro file
   instead; ``--break-optimizer`` sabotages the optimized program on
@@ -172,11 +167,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.no_cache:
         config.enable_flow_cache = False
         config.enable_compiled_tables = False
-    config.enable_fastpath = args.fastpath  # None defers to $P2GO_FASTPATH
     trace = load_trace(args.trace)
-    profile, perf = Profiler(program, config).profile_trace(
-        trace, workers=args.workers
-    )
+    profile, perf = Profiler(program, config).profile_trace(trace)
     print(f"profiled {profile.total_packets} packets")
     print(perf.render())
     print()
@@ -216,7 +208,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         memoize=not args.no_memo,
         workers=args.workers,
         store=store,
-        fastpath=args.fastpath,
     ).run()
     print(render_report(result))
     if args.output:
@@ -552,12 +543,25 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz import (
         ALL_AXES,
         break_optimizer,
-        replay_repro,
+        load_repro,
+        run_axes,
         run_campaign,
+        unknown_axes,
     )
 
     if args.replay:
-        failures = replay_repro(args.replay)
+        case, axes = load_repro(args.replay)
+    elif args.axes:
+        axes = tuple(a.strip() for a in args.axes.split(",") if a.strip())
+    else:
+        axes = ALL_AXES
+    complaint = unknown_axes(axes)
+    if complaint:
+        print(f"error: {complaint}", file=sys.stderr)
+        return 2
+
+    if args.replay:
+        failures = run_axes(case, axes)
         if not failures:
             print(f"{args.replay}: no longer fails")
             return 0
@@ -565,18 +569,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"{args.replay}: {failure}")
         return 1
 
-    if args.axes:
-        axes = tuple(a.strip() for a in args.axes.split(",") if a.strip())
-        unknown = set(axes) - set(ALL_AXES)
-        if unknown:
-            print(
-                f"error: unknown axes {sorted(unknown)}; known: "
-                + ", ".join(ALL_AXES),
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        axes = ALL_AXES
     result = run_campaign(
         base_seed=args.seed,
         iterations=args.iterations,
@@ -618,22 +610,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="disable the flow-result cache and compiled match "
         "structures (uncached reference interpreter)",
     )
-    p_profile.add_argument(
-        "--fastpath",
-        default=None,
-        action=argparse.BooleanOptionalAction,
-        help="replay through the exec-compiled whole-pipeline fast "
-        "path (default: $P2GO_FASTPATH, then off; results are "
-        "bit-identical either way — this only changes replay speed)",
-    )
-    p_profile.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard the trace by flow across this many profiling "
-        "processes (register-free programs only; the merged profile is "
-        "identical to the serial one)",
-    )
     p_profile.set_defaults(func=cmd_profile)
 
     p_opt = sub.add_parser("optimize", help="run the P2GO pipeline")
@@ -672,14 +648,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--no-store",
         action="store_true",
         help="memory-only run even when $P2GO_STORE is set",
-    )
-    p_opt.add_argument(
-        "--fastpath",
-        default=None,
-        action=argparse.BooleanOptionalAction,
-        help="run every profiling replay through the exec-compiled "
-        "fast path (default: $P2GO_FASTPATH, then off; the "
-        "optimization result is identical either way)",
     )
     p_opt.add_argument("-o", "--output", help="write optimized DSL here")
     p_opt.add_argument("--report", help="write the report here")
@@ -959,7 +927,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--axes", default=None,
         help="comma-separated oracle axes (default: all of "
-        "behavior,cache,fastpath,workers,store,order)",
+        "behavior,cache,workers,store,order)",
     )
     p_fuzz.add_argument(
         "--shrink", default=True, action=argparse.BooleanOptionalAction,

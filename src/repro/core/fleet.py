@@ -85,7 +85,6 @@ class SwitchSpec:
     trace: List[TracePacket]
     target: TargetModel
     phases: Tuple[int, ...] = (2, 3, 4)
-    fastpath: Optional[bool] = None
 
     def build_run(self, lease_probes: bool = False) -> SwitchRun:
         """This spec as an executable :class:`SwitchRun` (serial
@@ -98,7 +97,6 @@ class SwitchSpec:
             name=self.name,
             phases=self.phases,
             workers=1,
-            fastpath=self.fastpath,
             lease_probes=lease_probes,
         )
 
@@ -312,9 +310,7 @@ def run_fleet(
             for spec in specs
         ]
     else:
-        pool = OptimizationContext._make_pool(
-            min(workers, len(specs)), use_processes=True
-        )
+        pool = OptimizationContext._make_pool(min(workers, len(specs)))
         try:
             futures = [
                 pool.submit(

@@ -65,7 +65,6 @@ class InstrumentedProgram:
             enable_flow_cache=config.enable_flow_cache,
             enable_compiled_tables=config.enable_compiled_tables,
             flow_cache_capacity=config.flow_cache_capacity,
-            enable_fastpath=config.enable_fastpath,
         )
         for table_name, entries in config.entries.items():
             if table_name not in self.original.tables:

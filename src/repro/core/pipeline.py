@@ -106,15 +106,6 @@ class P2GOResult:
     #: Metadata only: the optimization outcome is identical with or
     #: without a store (``tests/test_store.py`` pins that).
     store_stats: Optional[dict] = None
-    #: Whether the profiling replays ran on the exec-compiled fast path
-    #: (:mod:`repro.sim.fastpath`).  Metadata only: fast-path results are
-    #: bit-identical to the cached engine's, so the optimization outcome
-    #: is the same either way (``tests/test_fastpath.py`` pins that).
-    fastpath: bool = False
-    #: Why the fast path did not engage (None when ``fastpath`` is True):
-    #: "disabled" when the knob/env left it off, otherwise the
-    #: specializer's refusal reason for this program.
-    fastpath_reason: Optional[str] = None
 
     @property
     def stages_before(self) -> int:
@@ -164,7 +155,6 @@ class SwitchRun:
         review_hook: Optional[ReviewHook] = None,
         memoize: bool = True,
         workers: Optional[int] = None,
-        fastpath: Optional[bool] = None,
         lease_probes: bool = False,
         candidate_policy: Optional[str] = None,
     ):
@@ -173,10 +163,6 @@ class SwitchRun:
         resolve_candidate_policy(candidate_policy)
         program.validate()
         config.validate(program)
-        if fastpath is not None:
-            # Don't mutate the caller's config object.
-            config = config.clone()
-            config.enable_fastpath = fastpath
         self.name = name if name is not None else program.name
         self.program = program
         self.config = config
@@ -347,14 +333,6 @@ class SwitchRun:
         manager = PassManager(ctx, review_hook=self.review_hook, log=log)
         outcomes.extend(manager.run(passes))
 
-        from repro.sim.fastpath import can_specialize, resolve_fastpath
-
-        if resolve_fastpath(self.config.enable_fastpath):
-            fastpath_reason = can_specialize(self.program, self.config)
-            fastpath_on = fastpath_reason is None
-        else:
-            fastpath_on, fastpath_reason = False, "disabled"
-
         return P2GOResult(
             original_program=self.program,
             optimized_program=ctx.program,
@@ -371,8 +349,6 @@ class SwitchRun:
             profiling_perf=profiling_perf,
             session_counters=ctx.counters,
             workers=ctx.workers,
-            fastpath=fastpath_on,
-            fastpath_reason=fastpath_reason,
         )
 
 
@@ -408,14 +384,6 @@ class P2GO:
     with concurrent runs in *other processes* through store-level
     leases (the fleet coordinator's dedup mechanism; it changes who
     pays for a probe, never the result).
-
-    ``fastpath`` opts the profiling replays into the exec-compiled
-    whole-pipeline fast path (:mod:`repro.sim.fastpath`): ``True``/
-    ``False`` force it, ``None`` (the default) defers to
-    ``$P2GO_FASTPATH``.  Fast-path results are bit-identical to the
-    cached engine's, so this only changes replay speed; whether it
-    engaged (and why not) rides along on ``P2GOResult.fastpath`` /
-    ``fastpath_reason``.
     """
 
     def __init__(
@@ -434,7 +402,6 @@ class P2GO:
         memoize: bool = True,
         workers: Optional[int] = None,
         store=None,
-        fastpath: Optional[bool] = None,
         lease_probes: bool = False,
         candidate_policy: Optional[str] = None,
     ):
@@ -451,12 +418,10 @@ class P2GO:
             review_hook=review_hook,
             memoize=memoize,
             workers=workers,
-            fastpath=fastpath,
             lease_probes=lease_probes,
             candidate_policy=candidate_policy,
         )
-        # Mirror the normalized inputs (the fastpath knob may have
-        # cloned the config) so callers keep seeing the familiar
+        # Mirror the run's inputs so callers keep seeing the familiar
         # attributes.
         self.program = self.switch_run.program
         self.config = self.switch_run.config

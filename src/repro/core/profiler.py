@@ -5,7 +5,7 @@ match-action rules, replays the traffic trace, and infers from the marked
 packets: (i) each table's hit rate, and (ii) the sets of actions applied
 to the same packet (non-exclusive actions, Table 1).
 
-Replay goes through the simulator's batched fast path
+Replay goes through the simulator's batched entry point
 (:meth:`~repro.sim.switch.BehavioralSwitch.process_many`): match
 structures compile once per run, stateless traversals are served from
 the flow-result cache, and the run's :class:`~repro.sim.perf.PerfCounters`
@@ -21,7 +21,7 @@ interpreter; ``tests/test_profiling_engine.py`` pins the equivalence).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.core.instrument import InstrumentedProgram, instrument
 from repro.p4.program import Program
@@ -258,120 +258,11 @@ class Profiler:
         return self.run(trace).profile
 
     def profile_trace(
-        self,
-        trace: Sequence[TracePacket],
-        workers: Optional[int] = None,
+        self, trace: Sequence[TracePacket]
     ) -> Tuple[Profile, PerfCounters]:
-        """Batched profiling plus the engine's perf counters.
-
-        ``workers`` > 1 shards the trace by flow key across a process
-        pool (:func:`repro.sim.fastpath.shard_trace_by_flow`) and merges
-        the per-shard profiles deterministically — counts sum, action
-        sets and hit pairs union, per-packet decisions scatter back by
-        original index.  Only register-free programs qualify (per-flow
-        order is preserved inside a shard, but cross-flow order is not,
-        so any register interaction could diverge); everything else
-        falls back to the serial replay, as does a trace the key
-        generator cannot shard.  The merged result is identical to the
-        serial profile — ``tests/test_fastpath.py`` pins it.
-        """
-        if workers is not None and workers > 1:
-            sharded = self._profile_sharded(trace, workers)
-            if sharded is not None:
-                return sharded
+        """Batched profiling plus the engine's perf counters."""
         run = self.run(trace)
         return run.profile, run.perf
-
-    def _profile_sharded(
-        self, trace: Sequence[TracePacket], workers: int
-    ) -> Optional[Tuple[Profile, PerfCounters]]:
-        from repro.sim.fastpath import shard_trace_by_flow
-
-        if self.program.registers:
-            return None  # stateful: cross-flow order must be preserved
-        packets = list(trace)
-        shard_indices = shard_trace_by_flow(self.program, packets, workers)
-        if shard_indices is None:
-            return None
-        shard_indices = [s for s in shard_indices if s]
-        if len(shard_indices) < 2:
-            run = self.run(packets)
-            return run.profile, run.perf
-
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(shard_indices)) as pool:
-            futures = [
-                pool.submit(
-                    _profile_shard_task,
-                    self.program,
-                    self.config,
-                    [packets[i] for i in indices],
-                )
-                for indices in shard_indices
-            ]
-            parts = [f.result() for f in futures]
-
-        merged = Profile(
-            program_name=self.program.name,
-            total_packets=len(packets),
-            apply_counts={},
-            hit_counts={},
-            action_counts={},
-            nonexclusive_sets=set(),
-            decisions=(),
-        )
-        decisions: List[Optional[Tuple[int, bool, bool]]] = (
-            [None] * len(packets)
-        )
-        perf = PerfCounters()
-        for indices, (profile, shard_perf) in zip(shard_indices, parts):
-            for table, n in profile.apply_counts.items():
-                merged.apply_counts[table] = (
-                    merged.apply_counts.get(table, 0) + n
-                )
-            for table, n in profile.hit_counts.items():
-                merged.hit_counts[table] = (
-                    merged.hit_counts.get(table, 0) + n
-                )
-            for pair, n in profile.action_counts.items():
-                merged.action_counts[pair] = (
-                    merged.action_counts.get(pair, 0) + n
-                )
-            merged.nonexclusive_sets |= profile.nonexclusive_sets
-            merged._hit_pairs |= profile._hit_pairs
-            for applied, n in profile.apply_sets.items():
-                merged.apply_sets[applied] = (
-                    merged.apply_sets.get(applied, 0) + n
-                )
-            for local_i, original_i in enumerate(indices):
-                decisions[original_i] = profile.decisions[local_i]
-            perf.packets += shard_perf.packets
-            perf.cache_hits += shard_perf.cache_hits
-            perf.cache_misses += shard_perf.cache_misses
-            perf.cache_invalidations += shard_perf.cache_invalidations
-            perf.cache_evictions += shard_perf.cache_evictions
-            for table, n in shard_perf.table_lookups.items():
-                perf.table_lookups[table] = (
-                    perf.table_lookups.get(table, 0) + n
-                )
-            perf.timed_packets += shard_perf.timed_packets
-            # Wall clock, not CPU time: shards replay concurrently.
-            perf.elapsed_seconds = max(
-                perf.elapsed_seconds, shard_perf.elapsed_seconds
-            )
-        merged.decisions = tuple(decisions)
-        return merged, perf
-
-
-def _profile_shard_task(
-    program: Program,
-    config: RuntimeConfig,
-    packets: Sequence[TracePacket],
-) -> Tuple[Profile, PerfCounters]:
-    """Worker-side shard replay (module-level so it pickles)."""
-    run = Profiler(program, config).run(packets)
-    return run.profile, run.perf
 
 
 def profile_program(

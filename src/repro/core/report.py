@@ -71,13 +71,6 @@ def render_report(result: P2GOResult) -> str:
             "  " + perf_line
             for perf_line in result.profiling_perf.render().splitlines()
         )
-        if result.fastpath:
-            lines.append("  fast path:            engaged (exec-compiled)")
-        elif result.fastpath_reason not in (None, "disabled"):
-            lines.append(
-                "  fast path:            "
-                f"fell back to cached engine ({result.fastpath_reason})"
-            )
         lines.append("")
     phase_perf = [
         o for o in result.outcomes[1:] if o.profiling_perf is not None

@@ -74,9 +74,8 @@ batch probes next to the serial ones:
   are pure CPU and pickle cleanly);
 * :meth:`OptimizationContext.profile_many` /
   :meth:`~OptimizationContext.profile_many_with_perf` — replay a batch
-  of (program, config) variants concurrently (processes by default,
-  threads via ``P2GO_REPLAY_EXECUTOR=thread`` or
-  ``replay_executor="thread"``);
+  of (program, config) variants concurrently (a process pool as
+  well; threads only on platforms without multiprocessing primitives);
 * :meth:`OptimizationContext.probe_many` — one mixed wave of both.
 
 Persistent store (disk tier)
@@ -163,9 +162,6 @@ from repro.traffic.generators import TracePacket
 
 #: Environment variable consulted when no ``workers=`` knob is given.
 WORKERS_ENV = "P2GO_WORKERS"
-#: Environment variable selecting the replay executor kind
-#: ("process", the default, or "thread").
-REPLAY_EXECUTOR_ENV = "P2GO_REPLAY_EXECUTOR"
 #: Bound on the per-object program-digest cache (satellite of ISSUE 4:
 #: an unbounded cache kept every rejected candidate AST alive).
 DEFAULT_PROGRAM_KEY_CACHE = 256
@@ -233,18 +229,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
-
-
-def resolve_replay_executor(kind: Optional[str] = None) -> str:
-    """Replay pool kind: explicit knob > ``P2GO_REPLAY_EXECUTOR`` >
-    ``"process"``."""
-    if kind is None:
-        kind = os.environ.get(REPLAY_EXECUTOR_ENV, "").strip() or "process"
-    if kind not in ("process", "thread"):
-        raise ValueError(
-            f"replay executor must be 'process' or 'thread', got {kind!r}"
-        )
-    return kind
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +372,6 @@ class OptimizationContext:
         target: TargetModel = DEFAULT_TARGET,
         memoize: bool = True,
         workers: Optional[int] = None,
-        replay_executor: Optional[str] = None,
         program_key_cache_size: int = DEFAULT_PROGRAM_KEY_CACHE,
         store: Optional[SessionStore] = None,
         lease_probes: bool = False,
@@ -426,7 +409,6 @@ class OptimizationContext:
         #: (an execution that raised between claim and write).
         self._held_leases: Dict[Tuple[str, Tuple], ProbeLease] = {}
         self.workers = resolve_workers(workers)
-        self.replay_executor = resolve_replay_executor(replay_executor)
         self.counters = SessionCounters()
 
         #: id(program) -> (strong ref, digest), bounded LRU.  The strong
@@ -767,8 +749,7 @@ class OptimizationContext:
     ) -> Tuple[List[CompileResult], List[Tuple[Profile, PerfCounters]]]:
         """One mixed wave of compile and replay probes.
 
-        Compiles run on the process pool, replays on the replay pool
-        (processes by default, threads via ``replay_executor``), all
+        Compiles and replays each run on their own process pool, all
         concurrently.  With one worker — or a single probe — this *is*
         the serial path: the same :meth:`compile` /
         :meth:`profile_with_perf` calls, in order.
@@ -933,23 +914,20 @@ class OptimizationContext:
                 return pool
             pool.shutdown(wait=True)
             del self._pools[kind]
-        use_processes = kind == "compile" or self.replay_executor == "process"
-        pool = self._make_pool(workers, use_processes)
+        pool = self._make_pool(workers)
         self._pools[kind] = (workers, pool)
         return pool
 
     @staticmethod
-    def _make_pool(workers: int, use_processes: bool) -> Executor:
-        if use_processes:
-            try:
-                return ProcessPoolExecutor(max_workers=workers)
-            except (ImportError, NotImplementedError, OSError):
-                # No multiprocessing primitives on this platform (e.g. a
-                # sandbox without sem_open); threads still overlap the
-                # pure-Python probes' I/O-free work correctly, just
-                # without bypassing the GIL.
-                pass
-        return ThreadPoolExecutor(max_workers=workers)
+    def _make_pool(workers: int) -> Executor:
+        try:
+            return ProcessPoolExecutor(max_workers=workers)
+        except (ImportError, NotImplementedError, OSError):
+            # No multiprocessing primitives on this platform (e.g. a
+            # sandbox without sem_open); threads still overlap the
+            # pure-Python probes' I/O-free work correctly, just
+            # without bypassing the GIL.
+            return ThreadPoolExecutor(max_workers=workers)
 
     def close(self) -> None:
         """Flush pending store write-backs, release any still-held

@@ -411,9 +411,7 @@ class Explorer:
                 for spec in specs
             ]
         else:
-            pool = OptimizationContext._make_pool(
-                min(workers, len(specs)), use_processes=True
-            )
+            pool = OptimizationContext._make_pool(min(workers, len(specs)))
             try:
                 futures = [
                     pool.submit(

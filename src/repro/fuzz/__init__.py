@@ -13,6 +13,7 @@ from repro.fuzz.differential import (
     AxisFailure,
     canonical,
     run_axes,
+    unknown_axes,
 )
 from repro.fuzz.generator import GeneratedCase, generate_case
 from repro.fuzz.harness import (
@@ -48,5 +49,6 @@ __all__ = [
     "run_campaign",
     "run_one",
     "shrink_case",
+    "unknown_axes",
     "write_repro",
 ]

@@ -1,4 +1,4 @@
-"""The six differential oracle axes.
+"""The five differential oracle axes.
 
 Each axis runs a generated case two different ways through machinery
 that *must not* change observable behaviour, and reports the first
@@ -14,15 +14,6 @@ disagreement:
     The flow-result cache + compiled match structures vs the uncached
     reference interpreter, on both the original and the optimized
     program.
-``fastpath``
-    The exec-compiled whole-pipeline fast path
-    (:mod:`repro.sim.fastpath`) vs the cached engine, on both the
-    original and the optimized program — compared on the *full*
-    per-packet :class:`~repro.sim.switch.SwitchResult` (bytes out,
-    headers, steps, forwarding) plus the controller queues, i.e. the
-    bit-identity contract the specializer promises.  Programs the
-    specializer refuses still run (the fast path must fall back, not
-    diverge).
 ``workers``
     ``workers=1`` vs ``workers=4`` pipeline runs must produce
     byte-identical results (program, config, counters, observations).
@@ -52,7 +43,7 @@ from repro.fuzz.generator import GeneratedCase
 from repro.p4.program import Program
 
 #: All oracle axes, in the order they run.
-ALL_AXES = ("behavior", "cache", "fastpath", "workers", "store", "order")
+ALL_AXES = ("behavior", "cache", "workers", "store", "order")
 
 #: Optional hook that corrupts the optimized program before the
 #: behaviour comparison — the mutation-testing entry point used to prove
@@ -210,39 +201,6 @@ def _check_cache(case: GeneratedCase) -> Optional[AxisFailure]:
     return None
 
 
-def _check_fastpath(case: GeneratedCase) -> Optional[AxisFailure]:
-    from repro.sim.switch import BehavioralSwitch
-
-    result = _run_pipeline(case, phases=(2, 3))
-    for label, program, config in (
-        ("original", case.program, case.config),
-        ("optimized", result.optimized_program, result.final_config),
-    ):
-        on = config.clone()
-        on.enable_fastpath = True
-        off = config.clone()
-        off.enable_fastpath = False
-        fast = BehavioralSwitch(program, on)
-        cached = BehavioralSwitch(program, off)
-        fast_results = fast.process_many(case.trace)
-        cached_results = cached.process_many(case.trace)
-        for i, (a, b) in enumerate(zip(fast_results, cached_results)):
-            if a != b:
-                engaged = fast.fastpath_reason or "engaged"
-                return AxisFailure(
-                    "fastpath",
-                    f"fast path ({engaged}) and cached engine disagree "
-                    f"on the {label} program at packet {i}",
-                )
-        if fast.controller_queue != cached.controller_queue:
-            return AxisFailure(
-                "fastpath",
-                f"fast path and cached engine produced different "
-                f"controller queues on the {label} program",
-            )
-    return None
-
-
 def _check_workers(case: GeneratedCase) -> Optional[AxisFailure]:
     serial = _run_pipeline(case, workers=1)
     parallel = _run_pipeline(case, workers=4)
@@ -295,6 +253,16 @@ def _check_order(case: GeneratedCase) -> Optional[AxisFailure]:
     return None
 
 
+def unknown_axes(axes: Sequence[str]) -> Optional[str]:
+    """One line naming the entries of ``axes`` that are not oracle axes
+    (a typo, or an axis retired since a repro file was written), or
+    None when every name is known."""
+    unknown = set(axes) - set(ALL_AXES)
+    if not unknown:
+        return None
+    return f"unknown axes {sorted(unknown)}; known: {', '.join(ALL_AXES)}"
+
+
 def run_axes(
     case: GeneratedCase,
     axes: Sequence[str] = ALL_AXES,
@@ -307,11 +275,9 @@ def run_axes(
     Returns the failures found (empty list = full agreement).  Unknown
     axis names raise ``ValueError`` up front.
     """
-    unknown = set(axes) - set(ALL_AXES)
-    if unknown:
-        raise ValueError(
-            f"unknown axes {sorted(unknown)}; known: {list(ALL_AXES)}"
-        )
+    complaint = unknown_axes(axes)
+    if complaint:
+        raise ValueError(complaint)
     failures: List[AxisFailure] = []
     for axis in ALL_AXES:
         if axis not in axes:
@@ -321,8 +287,6 @@ def run_axes(
                 failure = _check_behavior(case, mutator)
             elif axis == "cache":
                 failure = _check_cache(case)
-            elif axis == "fastpath":
-                failure = _check_fastpath(case)
             elif axis == "workers":
                 failure = _check_workers(case)
             elif axis == "store":

@@ -2,8 +2,8 @@
 
 One :func:`run_campaign` call is one campaign: ``iterations`` seeded
 cases (case ``i`` uses seed ``base_seed + i``), each run through the
-requested oracle axes (behaviour, cache, fastpath, workers, store,
-order — see :mod:`repro.fuzz.differential`).  Failures do not stop the
+requested oracle axes (behaviour, cache, workers, store, order — see
+:mod:`repro.fuzz.differential`).  Failures do not stop the
 campaign — each one is (optionally) shrunk, written as a replayable
 repro file, and the sweep continues, so a single run reports every
 distinct disagreement it can find within its iteration/time budget.

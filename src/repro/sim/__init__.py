@@ -1,25 +1,16 @@
 """Behavioural switch simulator (bmv2/Tofino-model substitute).
 
-Besides the reference interpreter this package houses the fast profiling
-engine: the flow-result cache (:mod:`repro.sim.flowcache`), precompiled
-match structures (:class:`repro.sim.match.CompiledTable`), the
-exec-compiled whole-pipeline fast path (:mod:`repro.sim.fastpath`,
-opt-in via ``$P2GO_FASTPATH``), and the perf counters
-(:mod:`repro.sim.perf`) that make trace replay cheap enough to run
-inside every optimization phase.  See ``ARCHITECTURE.md`` for how the
-layers stack.
+Three tiers, each bit-identical to the one before: the reference
+interpreter (the oracle: ``enable_flow_cache`` and
+``enable_compiled_tables`` both off), precompiled header codecs and
+match structures (:class:`repro.sim.match.CompiledTable`), and the
+flow-result cache (:mod:`repro.sim.flowcache`) on top.  The perf
+counters (:mod:`repro.sim.perf`) report what each replay cost.  See
+``ARCHITECTURE.md`` for the per-tier throughput and why there is no
+fourth tier.
 """
 
 from repro.sim.events import ControllerPacket, ExecutionStep
-from repro.sim.fastpath import (
-    FASTPATH_ENV,
-    FastPathEngine,
-    build_engine,
-    can_specialize,
-    compile_key_of,
-    resolve_fastpath,
-    shard_trace_by_flow,
-)
 from repro.sim.flowcache import (
     FlowAnalysis,
     FlowCache,
@@ -40,8 +31,6 @@ __all__ = [
     "CompiledTable",
     "ControllerPacket",
     "ExecutionStep",
-    "FASTPATH_ENV",
-    "FastPathEngine",
     "FlowAnalysis",
     "FlowCache",
     "FlowVerdict",
@@ -52,13 +41,8 @@ __all__ = [
     "SwitchState",
     "TableEntry",
     "analyze_program",
-    "build_engine",
-    "can_specialize",
-    "compile_key_of",
     "compile_table",
     "compute_hash",
     "deparse_packet",
     "parse_packet",
-    "resolve_fastpath",
-    "shard_trace_by_flow",
 ]

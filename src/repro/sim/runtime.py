@@ -19,7 +19,7 @@ directly must call ``BehavioralSwitch.invalidate_caches`` themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.exceptions import RuntimeConfigError
 from repro.p4.program import Program
@@ -78,11 +78,6 @@ class RuntimeConfig:
     #: Flow-cache capacity bound (entries); the cache flushes wholesale
     #: when full.
     flow_cache_capacity: int = 65536
-    #: Exec-compiled whole-pipeline fast path (:mod:`repro.sim.fastpath`).
-    #: ``None`` defers to ``$P2GO_FASTPATH``; ``True``/``False`` force it.
-    #: Behaviour-invariant by contract (bit-identical to the reference
-    #: interpreter, fuzz-pinned), so session fingerprints ignore it.
-    enable_fastpath: Optional[bool] = None
     #: Bumped by every mutator so live switches drop their compiled
     #: tables and flow cache.  Mutating ``entries`` dicts directly
     #: bypasses this — construct a new switch (or call its
@@ -254,7 +249,6 @@ class RuntimeConfig:
             enable_flow_cache=self.enable_flow_cache,
             enable_compiled_tables=self.enable_compiled_tables,
             flow_cache_capacity=self.flow_cache_capacity,
-            enable_fastpath=self.enable_fastpath,
         )
 
     def restricted_to(self, tables: Sequence[str]) -> "RuntimeConfig":
@@ -276,5 +270,4 @@ class RuntimeConfig:
             enable_flow_cache=self.enable_flow_cache,
             enable_compiled_tables=self.enable_compiled_tables,
             flow_cache_capacity=self.flow_cache_capacity,
-            enable_fastpath=self.enable_fastpath,
         )

@@ -306,6 +306,36 @@ class TestFuzz:
         assert main(["fuzz", "--axes", "bogus"]) == 2
         assert "unknown axes" in capsys.readouterr().err
 
+    def test_replay_of_retired_axis_rejected(self, toy_files, tmp_path,
+                                             capsys):
+        """A repro recorded before an axis was retired names an axis
+        ``run_axes`` no longer knows: a one-line error and exit 2, like
+        ``--axes``, not a ``ValueError`` traceback."""
+        prog_path, _config, _trace = toy_files
+        repro = tmp_path / "repro-0-retired_axis.json"
+        repro.write_text(
+            json.dumps(
+                {
+                    "seed": 0,
+                    "axes": ["behavior", "retired_axis"],
+                    "failure": {"axis": "retired_axis", "detail": "old"},
+                    "program": prog_path.read_text(),
+                    "config": {
+                        "entries": {
+                            "acl": [{"match": [53], "action": "deny"}]
+                        }
+                    },
+                    "trace": [{"data": "00" * 64, "port": None}],
+                    "target": {"name": "tiny", "num_stages": 4},
+                }
+            )
+        )
+        assert main(["fuzz", "--replay", str(repro)]) == 2
+        captured = capsys.readouterr()
+        assert "error: unknown axes ['retired_axis']; known: " in captured.err
+        assert "behavior, cache, workers, store, order" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
 
 class TestFleet:
     """``p2go fleet``: a built-in fabric over one shared store."""

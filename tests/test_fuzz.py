@@ -4,7 +4,7 @@ Three layers of assurance:
 
 * the generator's programs are well-formed (round-trip the DSL, compile
   on the default target) and seeded generation is deterministic;
-* one full seeded iteration across all six oracle axes passes — the
+* one full seeded iteration across all five oracle axes passes — the
   tier-1 smoke the CI quick leg extends to 25 seeds;
 * mutation testing: a deliberately broken "pass" is caught by the
   behaviour axis, shrunk to a minimal case, and the written repro file
@@ -108,7 +108,7 @@ def test_different_seeds_differ():
 
 
 def test_one_seed_all_axes_smoke(tmp_path):
-    """Tier-1 smoke: one seeded iteration passes all six axes."""
+    """Tier-1 smoke: one seeded iteration passes all five axes."""
     failures = run_one(0, store_root=str(tmp_path))
     assert failures == []
 

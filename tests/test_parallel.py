@@ -254,13 +254,41 @@ class TestBatchSemantics:
         assert len(compiled) == 3
         assert ctx.counters.compile_executions == 3
 
-    def test_thread_replay_executor_knob(self):
-        ctx = make_ctx(workers=2, replay_executor="thread")
-        with ctx:
-            profiles = ctx.profile_many([(None, None), (None, None)])
-        assert profiles[0] is profiles[1]
-        with pytest.raises(ValueError):
-            make_ctx(replay_executor="fiber")
+    def test_thread_fallback_without_process_pools(self, monkeypatch):
+        """On a platform without multiprocessing primitives (no
+        ``sem_open``) ``_make_pool`` falls back to threads; the batch
+        must complete with the results and counters of the process-pool
+        run."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.core import session
+
+        def probe():
+            ctx = make_ctx(workers=2)
+            with ctx:
+                compiled, profiled = ctx.probe_many(
+                    programs=toy_variants(ctx.program),
+                    variants=[
+                        (None, None),
+                        (None, ctx.config.restricted_to(["fib"])),
+                    ],
+                )
+                pools = {type(pool) for _size, pool in ctx._pools.values()}
+            return (
+                [c.stages_used for c in compiled],
+                [profile for profile, _perf in profiled],
+                ctx.counters.as_dict(),
+            ), pools
+
+        def no_processes(*_args, **_kwargs):
+            raise OSError("sem_open is not implemented")
+
+        expected, process_pools = probe()
+        monkeypatch.setattr(session, "ProcessPoolExecutor", no_processes)
+        fallback, thread_pools = probe()
+        assert fallback == expected
+        assert process_pools and ThreadPoolExecutor not in process_pools
+        assert thread_pools == {ThreadPoolExecutor}
 
 
 class TestPipelineDeterminism:

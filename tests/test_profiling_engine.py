@@ -25,6 +25,7 @@ import random
 import pytest
 
 from repro.core.profiler import Profiler
+from repro.p4 import Apply, ModifyField, ParamRef, ProgramBuilder, Seq
 from repro.p4.expressions import FieldRef
 from repro.p4.tables import MatchKind, Table, TableKey
 from repro.programs import (
@@ -37,7 +38,7 @@ from repro.programs import (
 )
 from repro.sim import BehavioralSwitch
 from repro.sim.match import compile_table, lookup
-from repro.sim.runtime import TableEntry
+from repro.sim.runtime import RuntimeConfig, TableEntry
 from repro.traffic.generators import dns_stream, udp_background
 
 #: Every bundled program module (build_program / runtime_config /
@@ -70,6 +71,55 @@ def _uncached(config):
     return config
 
 
+class ghost_write:
+    """Fuzz find (seed 29), shaped like a program module: an action
+    writes a field of a header that is *invalid* on the taken parse
+    path.  The interpreter creates that header's field dict in the PHV
+    (the header stays invalid and is never deparsed), so a replayed
+    verdict must materialize it on ``result.headers`` too."""
+
+    @staticmethod
+    def build_program():
+        b = ProgramBuilder("ghost_write")
+        b.header_type("h0_t", [("nxt", 8), ("f0", 32)])
+        b.header("h0", "h0_t")
+        b.header_type("h2_t", [("f0", 16)])
+        b.header("h2", "h2_t")
+        b.parser_state(
+            "start", extracts=["h0"], select="h0.nxt",
+            transitions={20: "parse_h2"},
+        )
+        b.parser_state("parse_h2", extracts=["h2"])
+        b.parser_start("start")
+        b.action(
+            "ghost",
+            [ModifyField(FieldRef("h2", "f0"), ParamRef("value"))],
+            parameters=["value"],
+        )
+        b.table(
+            "t0",
+            keys=[(FieldRef("h0", "f0"), "exact")],
+            actions=["ghost"],
+            default_action="ghost",
+            default_action_args=(49,),
+            size=16,
+        )
+        b.ingress(Seq([Apply("t0")]))
+        return b.build()
+
+    @staticmethod
+    def runtime_config():
+        return RuntimeConfig()
+
+    @staticmethod
+    def make_trace(_packets):
+        # Two packets of one flow (same key bytes; h0.nxt != 20, so h2
+        # is never extracted) with different payload lengths: the first
+        # misses and caches the verdict, the second replays it.
+        head = bytes([0xFF]) + (0x11223344).to_bytes(4, "big")
+        return [head, head + b"\xaa\xbb"]
+
+
 def _result_fingerprint(result):
     return (
         result.output_bytes,
@@ -100,11 +150,14 @@ def test_cached_profile_same_behavior_as_uncached(name):
     assert uncached.same_behavior_as(cached)
 
 
-@pytest.mark.parametrize("name", sorted(PROGRAM_MODULES))
+BIT_IDENTITY_INPUTS = {**PROGRAM_MODULES, "ghost_write": ghost_write}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_IDENTITY_INPUTS))
 def test_cached_results_bit_identical_to_uncached(name):
     """Stronger than profile equality: the full per-packet observable
     stream (bytes out, steps, headers, forwarding) matches."""
-    module = PROGRAM_MODULES[name]
+    module = BIT_IDENTITY_INPUTS[name]
     program = module.build_program()
     trace = module.make_trace(600)
 
@@ -156,16 +209,9 @@ def test_stateful_flows_never_served_from_cache():
 
 def test_stateful_traversal_flushes_cached_verdicts():
     """Stateless verdicts are memoized; one register-touching packet
-    flushes them, so the next stateless packet re-executes.
-
-    Pinned to the cached engine: the fast path's closures deliberately
-    survive conservative flushes (see ``repro/sim/fastpath.py``), so its
-    hit counters differ here — covered by ``test_fastpath.py``.
-    """
+    flushes them, so the next stateless packet re-executes."""
     program = example_firewall.build_program()
-    config = example_firewall.runtime_config()
-    config.enable_fastpath = False
-    switch = BehavioralSwitch(program, config)
+    switch = BehavioralSwitch(program, example_firewall.runtime_config())
     rng = random.Random(3)
     stateless = udp_background(1, rng, dst_ports=(4000,))[0]
     dns = dns_stream(0x0A000001, 0xC0A80001, 1)[0]
