@@ -89,8 +89,7 @@ def measure_fleet(
     specs = build_fabric(size, **kwargs)
 
     t0 = time.perf_counter()
-    independent = run_fleet(specs, store=False, workers=1,
-                            lease_probes=False)
+    independent = run_fleet(specs, store=False, workers=1)
     independent_seconds = time.perf_counter() - t0
 
     with tempfile.TemporaryDirectory(prefix="p2go-bench-fleet-") as tmp:

@@ -37,7 +37,6 @@ _EXPORTS = {
     "PassManager": "repro.core",
     "P2GOResult": "repro.core",
     "SwitchRun": "repro.core",
-    "SwitchSpec": "repro.core",
     "build_fabric": "repro.core",
     "render_fleet_report": "repro.core",
     "run_fleet": "repro.core",

@@ -27,8 +27,8 @@ Commands:
   ``~/.cache/p2go``); ``stats`` breaks entries and bytes down per
   kind (compile / profile) with human-readable sizes.
 * ``fleet [--size N] [--families a,b] [--seed N] [--packets N]
-  [--workers N] [--store PATH | --no-store] [--no-lease]
-  [--report FILE] [--json FILE]`` — optimize a fabric of built-in
+  [--workers N] [--store PATH | --no-store] [--report FILE]
+  [--json FILE]`` — optimize a fabric of built-in
   program variants against one shared store (the run-orchestration
   layer: per-switch results identical to independent ``optimize``
   runs, cross-switch probes answered from the shared store, in-flight
@@ -291,7 +291,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         specs,
         store=store,  # None defers to $P2GO_STORE
         workers=args.workers,
-        lease_probes=not args.no_lease,
     )
     report = render_fleet_report(fleet)
     print(report)
@@ -327,23 +326,20 @@ def cmd_explore(args: argparse.Namespace) -> int:
         if args.programs
         else None
     )
-    try:
-        if args.grid:
-            from repro.programs.common import EXAMPLE_TARGET
+    # A malformed --grid raises ValueError: main() reports it, exit 2.
+    if args.grid:
+        from repro.programs.common import EXAMPLE_TARGET
 
-            base = load_target(args.target) if args.target else EXAMPLE_TARGET
-            space = DesignSpace(
-                programs=programs if programs else ("example_firewall",),
-                shapes=parse_grid(args.grid, base),
-            )
-        else:
-            space = seed_space(
-                programs,
-                base=load_target(args.target) if args.target else None,
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        base = load_target(args.target) if args.target else EXAMPLE_TARGET
+        space = DesignSpace(
+            programs=programs if programs else ("example_firewall",),
+            shapes=parse_grid(args.grid, base),
+        )
+    else:
+        space = seed_space(
+            programs,
+            base=load_target(args.target) if args.target else None,
+        )
 
     def sweep(store) -> int:
         explorer = Explorer(
@@ -717,11 +713,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="run the fabric without a shared store (no cross-switch "
         "reuse) even when $P2GO_STORE is set",
     )
-    p_fleet.add_argument(
-        "--no-lease", action="store_true",
-        help="skip the store's cross-process probe leases (concurrent "
-        "switches may duplicate in-flight probes)",
-    )
     p_fleet.add_argument("--report", help="write the fleet report here")
     p_fleet.add_argument(
         "--json", metavar="FILE",
@@ -960,12 +951,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as exc:
+    except (ReproError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except ValueError as exc:
+        # A bad argument value argparse cannot see: a fabric size, a
+        # worker count, $P2GO_WORKERS, a --grid clause.
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -35,7 +35,6 @@ _EXPORTS = {
     "SwitchRun": "pipeline",
     "FleetResult": "fleet",
     "FleetSwitch": "fleet",
-    "SwitchSpec": "fleet",
     "build_fabric": "fleet",
     "run_fleet": "fleet",
     "render_fleet_report": "report",
@@ -64,7 +63,8 @@ _EXPORTS = {
     "StoreCounters": "store",
     "resolve_store": "store",
     "default_store_root": "store",
-    "resolve_workers": "session",
+    "resolve_workers": "fanout",
+    "run_many": "fanout",
     "trace_fingerprint": "session",
     "instrument": "instrument",
     "optimize": "pipeline",

@@ -1,0 +1,164 @@
+"""The one fan-out: many :class:`~repro.core.pipeline.SwitchRun`\\ s
+through one task function, against one shared store.
+
+The fleet coordinator (:mod:`repro.core.fleet`) and the design-space
+explorer (:mod:`repro.explore.explorer`) are two views over this core:
+each hands :func:`run_many` its runs plus a ``task(run, session)`` and
+gets the task's return values back in **submission order**.  Everything
+the two verbs used to spell separately lives here once:
+
+* worker-count resolution (:func:`resolve_workers`: knob >
+  ``$P2GO_WORKERS`` > 1) and store-root resolution
+  (:func:`~repro.core.store.resolve_store` semantics; only the *root*
+  crosses the process boundary, every task opens its own handle);
+* the pool factory (:func:`make_pool`) with its thread fallback — the
+  only place under ``repro`` that constructs a probe/fan-out executor
+  (the session's batch probes use it too);
+* probe leases on exactly when a store is shared: the store is then the
+  only channel between workers, and its leases are what keeps two of
+  them from executing the same fingerprinted probe;
+* always-close of the task's session, so buffered write-backs flush and
+  held leases release even when the task raises;
+* cancel-on-first-error shutdown: a failed task surfaces at once
+  instead of after every still-queued run has been executed.
+"""
+
+from __future__ import annotations
+
+import os
+import time
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.core.store import SessionStore, resolve_store
+
+__all__ = [
+    "FanOut",
+    "WORKERS_ENV",
+    "make_pool",
+    "probe_provenance",
+    "resolve_workers",
+    "run_many",
+]
+
+#: Environment variable consulted when no ``workers=`` knob is given.
+WORKERS_ENV = "P2GO_WORKERS"
+
+
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """The effective worker count: explicit knob > ``P2GO_WORKERS`` > 1."""
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV, "").strip()
+        if not raw:
+            return 1
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{WORKERS_ENV} must be an integer, got {raw!r}"
+            ) from None
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
+def make_pool(workers: int) -> Executor:
+    """A process pool of ``workers``, or a thread pool on platforms
+    without multiprocessing primitives (e.g. a sandbox without
+    ``sem_open``): threads still run the pure tasks correctly, just
+    without bypassing the GIL."""
+    try:
+        return ProcessPoolExecutor(max_workers=workers)
+    except (ImportError, NotImplementedError, OSError):
+        return ThreadPoolExecutor(max_workers=workers)
+
+
+@dataclass
+class FanOut:
+    """What one :func:`run_many` call produced, in submission order."""
+
+    #: Per run: (the task's return value, the run's wall clock from
+    #: store open to session closed).
+    results: List[Tuple[object, float]]
+    workers: int
+    store_root: Optional[str]
+    wall_seconds: float
+
+
+def _run_one(task: Callable, run, store_root: Optional[str]):
+    """One run end to end (inside a pool worker, or inline when
+    serial): open this worker's handle on the shared store, give the
+    task a fresh session, close it whatever the task did."""
+    t0 = time.perf_counter()
+    store = SessionStore(store_root) if store_root is not None else None
+    session = run.create_session(store=store)
+    session.lease_probes = store is not None
+    try:
+        value = task(run, session)
+    finally:
+        session.close()
+    return value, time.perf_counter() - t0
+
+
+def run_many(
+    runs: Sequence,
+    task: Callable,
+    workers: Optional[int] = None,
+    store=None,
+) -> FanOut:
+    """Execute ``task(run, session)`` for every run; results merge in
+    submission order, so they are independent of the worker count.
+
+    ``workers`` sizes the pool (None → ``$P2GO_WORKERS``, then 1 — the
+    serial path, no pool at all).  ``store`` follows
+    :func:`~repro.core.store.resolve_store` (instance / path / None →
+    ``$P2GO_STORE`` / False → off).  ``task`` must be a module-level
+    function (it is pickled by import path) and its return value must
+    pickle.  The first task to raise cancels every run still queued and
+    re-raises here once the runs already in flight have closed their
+    sessions.
+    """
+    runs = list(runs)
+    workers = resolve_workers(workers)
+    resolved = resolve_store(store)
+    store_root = None if resolved is None else str(resolved.root)
+    t0 = time.perf_counter()
+    if workers == 1 or len(runs) <= 1:
+        results = [_run_one(task, run, store_root) for run in runs]
+    else:
+        pool = make_pool(min(workers, len(runs)))
+        try:
+            futures = [
+                pool.submit(_run_one, task, run, store_root) for run in runs
+            ]
+            results = [future.result() for future in futures]
+        finally:
+            # A no-op after a clean merge; on the error path it drops
+            # the runs nobody will read.
+            pool.shutdown(wait=True, cancel_futures=True)
+    return FanOut(
+        results=results,
+        workers=workers,
+        store_root=store_root,
+        wall_seconds=time.perf_counter() - t0,
+    )
+
+
+def probe_provenance(counters: Iterable) -> Dict:
+    """Sum a fan-out's :class:`~repro.core.session.SessionCounters`
+    (None entries skipped) into who-paid totals: probes asked, probes
+    executed, probes the shared store answered, and the reuse rate."""
+    calls = executions = disk_hits = 0
+    for each in counters:
+        if each is None:
+            continue
+        calls += each.compile_calls + each.profile_calls
+        executions += each.compile_executions + each.profile_executions
+        disk_hits += each.compile_disk_hits + each.profile_disk_hits
+    return {
+        "probe_calls": calls,
+        "probe_executions": executions,
+        "probe_disk_hits": disk_hits,
+        "disk_reuse_rate": disk_hits / calls if calls else 0.0,
+    }

@@ -3,8 +3,9 @@
 P2GO optimizes one switch at a time; a datacenter fabric runs dozens of
 pipeline variants that share most of their programs.  The coordinator
 drives N per-switch :class:`~repro.core.pipeline.SwitchRun` units —
-variants of the evaluation programs with per-switch traffic — on a
-process pool against **one shared persistent store**
+variants of the evaluation programs with per-switch traffic — through
+:func:`~repro.core.fanout.run_many` (a process pool) against **one
+shared persistent store**
 (:class:`~repro.core.store.SessionStore`), so a probe any switch has
 paid for answers every other switch's identical probe from disk, and
 the store's probe leases dedupe probes that are *in flight* in two
@@ -18,7 +19,8 @@ Contract, mirroring PR 4's parallel-probing contract:
   worker count, with or without the shared store — sharing changes who
   pays for a probe (``session_counters`` provenance), never the
   optimization outcome.  Results merge in submission order.
-* **Exactly-once probing.**  With leases on, two processes never both
+* **Exactly-once probing.**  With a shared store (leases are on
+  exactly then), two processes never both
   execute the same fingerprinted probe (one claims, the other waits
   and gets a disk hit), so the fleet-wide execution count equals the
   number of *distinct* probes the fabric asks — the number the fleet
@@ -27,7 +29,7 @@ Contract, mirroring PR 4's parallel-probing contract:
 
 The per-switch sessions run serial probes (``workers=1``): fleet
 parallelism is at switch granularity, which avoids nested process
-pools and keeps every child process a pure function of its spec.
+pools and keeps every child process a pure function of its run.
 
 ``tests/test_fleet.py`` pins the contract; ``benchmarks/bench_fleet.py``
 measures fleet-vs-independent wall clock and cross-switch reuse and
@@ -37,18 +39,18 @@ gates both in CI via the committed ``BENCH_fleet.json``.
 from __future__ import annotations
 
 import importlib
-import time
+import inspect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.fanout import probe_provenance, run_many
 from repro.core.pipeline import P2GOResult, SwitchRun
 from repro.core.session import (
     OptimizationContext,
     config_fingerprint,
     program_fingerprint,
-    resolve_workers,
 )
-from repro.core.store import DEFAULT_LEASE_TTL, SessionStore, resolve_store
+from repro.core.store import SessionStore
 from repro.p4.program import Program
 from repro.sim.runtime import RuntimeConfig
 from repro.target.model import TargetModel
@@ -58,7 +60,6 @@ __all__ = [
     "DEFAULT_FAMILIES",
     "FleetResult",
     "FleetSwitch",
-    "SwitchSpec",
     "build_fabric",
     "family_inputs",
     "run_fleet",
@@ -68,37 +69,6 @@ __all__ = [
 #: Program families a default fabric cycles through — the §4 evaluation
 #: scenarios the ROADMAP names for the fleet story.
 DEFAULT_FAMILIES = ("enterprise", "nat_gre", "sourceguard", "cgnat")
-
-
-@dataclass
-class SwitchSpec:
-    """One switch of a fabric: concrete, picklable pipeline inputs.
-
-    Fully self-contained on purpose: a spec crosses a process boundary,
-    and "bit-identical to a standalone run" is only checkable when the
-    spec *is* the standalone run's inputs.
-    """
-
-    name: str
-    program: Program
-    config: RuntimeConfig
-    trace: List[TracePacket]
-    target: TargetModel
-    phases: Tuple[int, ...] = (2, 3, 4)
-
-    def build_run(self, lease_probes: bool = False) -> SwitchRun:
-        """This spec as an executable :class:`SwitchRun` (serial
-        probes — fleet parallelism is at switch granularity)."""
-        return SwitchRun(
-            self.program,
-            self.config,
-            self.trace,
-            self.target,
-            name=self.name,
-            phases=self.phases,
-            workers=1,
-            lease_probes=lease_probes,
-        )
 
 
 def family_inputs(
@@ -111,9 +81,11 @@ def family_inputs(
     explorer so both sweep the same program corpus."""
     module = importlib.import_module(f"repro.programs.{family}")
     program = module.build_program()
-    try:
+    # Two families derive their entries from the program; ask the
+    # signature, so a TypeError raised *inside* runtime_config surfaces.
+    if inspect.signature(module.runtime_config).parameters:
         config = module.runtime_config(program)
-    except TypeError:
+    else:
         config = module.runtime_config()
     if packets is None:
         trace = module.make_trace(seed=trace_seed)
@@ -127,8 +99,10 @@ def build_fabric(
     families: Sequence[str] = DEFAULT_FAMILIES,
     seed: int = 0,
     packets: Optional[int] = None,
-) -> List[SwitchSpec]:
-    """A fabric of ``size`` switches cycling through ``families``.
+) -> List[SwitchRun]:
+    """A fabric of ``size`` switches cycling through ``families``, each
+    a self-contained :class:`~repro.core.pipeline.SwitchRun` (serial
+    probes — fleet parallelism is at switch granularity).
 
     Switch ``i`` runs family ``families[i % len(families)]`` with a
     per-switch trace (``seed + i`` feeds the family's traffic
@@ -143,22 +117,17 @@ def build_fabric(
         raise ValueError("fabric size must be >= 1")
     if not families:
         raise ValueError("need at least one program family")
-    specs = []
+    runs = []
     for index in range(size):
         family = families[index % len(families)]
-        program, config, trace, target = family_inputs(
-            family, packets, seed + index
-        )
-        specs.append(
-            SwitchSpec(
+        runs.append(
+            SwitchRun(
+                *family_inputs(family, packets, seed + index),
                 name=f"sw{index:02d}-{family}",
-                program=program,
-                config=config,
-                trace=trace,
-                target=target,
+                workers=1,
             )
         )
-    return specs
+    return runs
 
 
 @dataclass
@@ -178,16 +147,20 @@ class FleetResult:
     wall_seconds: float
     workers: int
     store_root: Optional[str]
-    lease_probes: bool
     #: Aggregate cache (computed once by :meth:`aggregate`).
     _aggregate: Optional[Dict] = field(default=None, repr=False)
+
+    @property
+    def lease_probes(self) -> bool:
+        """Whether the switches coordinated probes through store
+        leases: exactly when they shared a store."""
+        return self.store_root is not None
 
     def aggregate(self) -> Dict:
         """Fleet-wide totals: stages reclaimed, probe provenance,
         cross-switch disk reuse, lease contention, wall clock."""
         if self._aggregate is not None:
             return self._aggregate
-        calls = executions = disk_hits = 0
         lease = {
             "lease_claims": 0,
             "lease_waits": 0,
@@ -199,15 +172,6 @@ class FleetResult:
             result = switch.result
             stages_before += result.stages_before
             stages_after += result.stages_after
-            counters = result.session_counters
-            if counters is not None:
-                calls += counters.compile_calls + counters.profile_calls
-                executions += (
-                    counters.compile_executions + counters.profile_executions
-                )
-                disk_hits += (
-                    counters.compile_disk_hits + counters.profile_disk_hits
-                )
             if result.store_stats is not None:
                 store_counters = result.store_stats["counters"]
                 for key in lease:
@@ -220,10 +184,9 @@ class FleetResult:
             "stages_before": stages_before,
             "stages_after": stages_after,
             "stages_reclaimed": stages_before - stages_after,
-            "probe_calls": calls,
-            "probe_executions": executions,
-            "probe_disk_hits": disk_hits,
-            "disk_reuse_rate": disk_hits / calls if calls else 0.0,
+            **probe_provenance(
+                switch.result.session_counters for switch in self.switches
+            ),
             "switch_seconds": round(
                 sum(switch.seconds for switch in self.switches), 3
             ),
@@ -245,86 +208,36 @@ def switch_fingerprint(result: P2GOResult) -> Tuple:
     )
 
 
-def _resolve_fleet_store(
-    store: Union[SessionStore, str, bool, None],
-) -> Optional[str]:
-    """The shared store *root* (a path crosses process boundaries; each
-    worker opens its own :class:`SessionStore` on it) — semantics match
-    :func:`~repro.core.store.resolve_store`."""
-    resolved = resolve_store(store)
-    return None if resolved is None else str(resolved.root)
-
-
-def _fleet_task(
-    spec: SwitchSpec,
-    store_root: Optional[str],
-    lease_probes: bool,
-    lease_ttl: float,
-) -> FleetSwitch:
-    """One switch end to end (runs inside a pool worker): open this
-    process's handle on the shared store, execute, time it."""
-    t0 = time.perf_counter()
-    store = (
-        SessionStore(store_root, lease_ttl=lease_ttl)
-        if store_root is not None
-        else None
-    )
-    run = spec.build_run(lease_probes=lease_probes and store is not None)
-    result = run.execute(store=store)
-    return FleetSwitch(
-        name=spec.name,
-        result=result,
-        seconds=time.perf_counter() - t0,
-    )
+def _fleet_task(run: SwitchRun, session: OptimizationContext) -> P2GOResult:
+    """One switch end to end (runs inside a pool worker)."""
+    return run.execute(session=session)
 
 
 def run_fleet(
-    specs: Sequence[SwitchSpec],
+    runs: Sequence[SwitchRun],
     store: Union[SessionStore, str, bool, None] = None,
     workers: Optional[int] = None,
-    lease_probes: bool = True,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
 ) -> FleetResult:
     """Optimize a fabric of switches against one shared store.
 
-    ``specs`` run on a process pool of ``workers`` (None defers to
-    ``$P2GO_WORKERS``, then 1 — the serial path; platforms without
-    multiprocessing fall back to threads exactly like the session's
-    batch probes).  Results are merged in **submission order**, so the
+    ``runs`` go through :func:`~repro.core.fanout.run_many`: a process
+    pool of ``workers`` (None defers to ``$P2GO_WORKERS``, then 1 — the
+    serial path), results merged in **submission order**, so the
     returned per-switch results are independent of the worker count.
 
     ``store`` follows :func:`~repro.core.store.resolve_store` semantics
     (instance / path / ``None`` → ``$P2GO_STORE`` / ``False`` → off);
-    every worker process opens its own handle on the same root.
-    ``lease_probes`` (default on) dedupes in-flight probes across those
-    processes through store-level leases; it is meaningless — and
-    disabled — without a store.
+    every worker process opens its own handle on the same root, and
+    store-level leases dedupe the probes in flight across them.
     """
-    specs = list(specs)
-    workers = resolve_workers(workers)
-    store_root = _resolve_fleet_store(store)
-    t0 = time.perf_counter()
-    if workers == 1 or len(specs) <= 1:
-        switches = [
-            _fleet_task(spec, store_root, lease_probes, lease_ttl)
-            for spec in specs
-        ]
-    else:
-        pool = OptimizationContext._make_pool(min(workers, len(specs)))
-        try:
-            futures = [
-                pool.submit(
-                    _fleet_task, spec, store_root, lease_probes, lease_ttl
-                )
-                for spec in specs
-            ]
-            switches = [future.result() for future in futures]
-        finally:
-            pool.shutdown(wait=True)
+    runs = list(runs)
+    fan = run_many(runs, _fleet_task, workers=workers, store=store)
     return FleetResult(
-        switches=switches,
-        wall_seconds=time.perf_counter() - t0,
-        workers=workers,
-        store_root=store_root,
-        lease_probes=lease_probes and store_root is not None,
+        switches=[
+            FleetSwitch(name=run.name, result=result, seconds=seconds)
+            for run, (result, seconds) in zip(runs, fan.results)
+        ],
+        wall_seconds=fan.wall_seconds,
+        workers=fan.workers,
+        store_root=fan.store_root,
     )

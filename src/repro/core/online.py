@@ -217,21 +217,20 @@ class OnlineProfiler:
 
         trace = list(trace)
         if self.session is not None:
-            # Re-keys the profile memo + disk hydration on the drifted
-            # traffic before any probe runs.  The guard restores the
-            # prior trace if the re-run raises: a shared session must
-            # not stay keyed on the drifted traffic for subsequent
-            # callers when no re-optimization actually landed.
-            with self.session.state_guard():
-                self.session.trace = trace
-                return P2GO(
-                    self.program,
-                    self.config,
-                    trace,
-                    self.session.target,
-                    session=self.session,
-                    **p2go_kwargs,
-                ).run()
+            # Adopting the session re-keys the profile memo + disk
+            # hydration on the drifted traffic before any probe runs,
+            # under a guard that restores the prior trace if the re-run
+            # raises (SwitchRun.execute): a shared session must not
+            # stay keyed on the drifted traffic for subsequent callers
+            # when no re-optimization actually landed.
+            return P2GO(
+                self.program,
+                self.config,
+                trace,
+                self.session.target,
+                session=self.session,
+                **p2go_kwargs,
+            ).run()
         return P2GO(
             self.program,
             self.config,

@@ -18,12 +18,13 @@ cache absorbed).  ``tests/test_passes.py`` pins result equivalence with
 the seed ``if/elif`` orchestrator, which is kept verbatim in
 :mod:`repro.core.seed_pipeline` as the reference.
 
-The run *lifecycle* — build the passes, create or adopt a session, wire
-its trace/store, run the phases, flush and close — is its own unit:
-:class:`SwitchRun`.  :class:`P2GO` is the single-switch convenience
-wrapper on top of it; the fleet coordinator
-(:mod:`repro.core.fleet`) drives many :class:`SwitchRun`\\ s, one per
-switch of a fabric, against one shared persistent store.
+One run — its inputs, its knobs and its lifecycle (build the passes,
+create or adopt a session, wire its trace/store, run the phases, flush
+and close) — is :class:`SwitchRun`.  :class:`P2GO` is the same run with
+the single-switch ``session=``/``store=`` conveniences; the fleet
+coordinator (:mod:`repro.core.fleet`) and the design-space explorer
+(:mod:`repro.explore`) hand many :class:`SwitchRun`\\ s to
+:func:`~repro.core.fanout.run_many` against one shared persistent store.
 """
 
 from __future__ import annotations
@@ -50,11 +51,8 @@ from repro.core.phase_memory import (
 )
 from repro.core.phase_offload import DEFAULT_MAX_REDIRECT, OffloadPass
 from repro.core.profiler import Profile
-from repro.core.session import (
-    OptimizationContext,
-    SessionCounters,
-    resolve_workers,
-)
+from repro.core.fanout import resolve_workers
+from repro.core.session import OptimizationContext, SessionCounters
 from repro.core.store import SessionStore, resolve_store
 from repro.p4.program import Program
 from repro.sim.perf import PerfCounters
@@ -120,24 +118,35 @@ class P2GOResult:
 
 
 class SwitchRun:
-    """One switch's optimization lifecycle as a reusable unit.
+    """One switch's optimization run: its inputs, its knobs, and its
+    lifecycle — the one picklable run unit.
 
-    This is the run lifecycle that used to be embedded in
-    ``P2GO.run()``: build the requested passes, create (or adopt and
-    re-wire) an :class:`~repro.core.session.OptimizationContext`, run
-    the phases, flush the store, close what it owns.  Extracting it
-    breaks the one-run-per-object assumption: a single process — or a
-    fleet coordinator's worker pool (:mod:`repro.core.fleet`) — can
-    hold many :class:`SwitchRun` units, execute each against its own
-    fresh session or a shared one, and point them all at one persistent
-    store.
+    The inputs are the paper's (Fig. 2): program, runtime config,
+    traffic trace, target.  The knobs mirror the ones the paper
+    describes: which ``phases`` run (and in which order), how many
+    dependencies to remove, how many resizes to accept, the minimum
+    stage savings and controller-load ceiling for offloading, phase 3's
+    ``candidate_policy``, and the ``review_hook`` through which a
+    programmer can veto changes.  ``memoize=False`` disables the
+    session cache (every probe recompiles and re-replays — the
+    benchmark's reference mode).  ``workers`` sets how many candidates
+    the phases probe concurrently (None defers to ``$P2GO_WORKERS``,
+    then to 1 — the serial path; the result is identical either way).
+    ``lease_probes=True`` coordinates probe executions with concurrent
+    runs in *other processes* through store-level leases (see
+    :meth:`~repro.core.store.SessionStore.claim_probe`; it changes who
+    pays for a probe, never the result).  ``name`` labels the switch in
+    fleet reports (defaults to the program name).
 
-    ``name`` labels the switch in fleet reports (defaults to the
-    program name).  ``lease_probes=True`` opts the run's session into
-    the store's cross-process probe leases, so concurrent runs in other
-    processes never execute the same fingerprinted probe twice (see
-    :meth:`~repro.core.store.SessionStore.claim_probe`).  All other
-    parameters mean exactly what they mean on :class:`P2GO`.
+    The lifecycle is :meth:`execute`: build the requested passes,
+    create (or adopt and re-wire) an
+    :class:`~repro.core.session.OptimizationContext`, run the phases,
+    flush the store, close what it owns.  A run is also the *spec* of
+    itself: it holds nothing but its inputs, so it pickles across a
+    process boundary and executes there to the same result — which is
+    how :func:`~repro.core.fanout.run_many` fans a fleet's or a
+    sweep's runs over a pool (a ``review_hook`` must then be a
+    module-level function).
     """
 
     def __init__(
@@ -352,25 +361,14 @@ class SwitchRun:
         )
 
 
-class P2GO:
-    """Profile-guided optimizer for P4 programs.
-
-    Parameters mirror the knobs the paper describes: which phases run, how
-    many dependencies to remove, how many resizes to accept, the minimum
-    stage savings and controller-load ceiling for offloading, and the
-    review hook through which a programmer can veto changes.  The run
-    lifecycle itself lives in :class:`SwitchRun`; this class is the
-    single-switch wrapper that resolves the ``session``/``store`` knobs
-    the way library callers expect.
+class P2GO(SwitchRun):
+    """Profile-guided optimizer for P4 programs: a :class:`SwitchRun`
+    (every run parameter is documented there) plus the
+    ``session``/``store`` resolution library callers expect.
 
     ``session`` lets several runs (or a run plus baselines/online
     monitoring) share one compile/profile cache; by default each run gets
     a fresh :class:`~repro.core.session.OptimizationContext`.
-    ``memoize=False`` disables the cache (every probe recompiles and
-    re-replays — the benchmark's reference mode).  ``workers`` sets how
-    many candidates the phases probe concurrently (None defers to the
-    ``P2GO_WORKERS`` environment variable, then to 1 — the serial path;
-    the result is identical either way).
 
     ``store`` warm-starts the run from a persistent cross-run cache
     (:class:`~repro.core.store.SessionStore`): pass a store instance or
@@ -380,10 +378,6 @@ class P2GO:
     program + config + trace is served entirely from disk — zero
     compiles, zero replays.  When a ``session`` is injected its own
     store (or lack of one) is respected and ``store`` is ignored.
-    ``lease_probes=True`` additionally coordinates probe executions
-    with concurrent runs in *other processes* through store-level
-    leases (the fleet coordinator's dedup mechanism; it changes who
-    pays for a probe, never the result).
     """
 
     def __init__(
@@ -392,61 +386,19 @@ class P2GO:
         config: RuntimeConfig,
         trace: Sequence[TracePacket],
         target: TargetModel = DEFAULT_TARGET,
-        phases: Sequence[int] = (2, 3, 4),
-        max_dependency_removals: int = 8,
-        max_memory_reductions: int = 1,
-        offload_min_stage_savings: int = 1,
-        max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
-        review_hook: Optional[ReviewHook] = None,
+        *,
         session: Optional[OptimizationContext] = None,
-        memoize: bool = True,
-        workers: Optional[int] = None,
         store=None,
-        lease_probes: bool = False,
-        candidate_policy: Optional[str] = None,
+        **run_kwargs,
     ):
-        self.switch_run = SwitchRun(
-            program,
-            config,
-            trace,
-            target,
-            phases=phases,
-            max_dependency_removals=max_dependency_removals,
-            max_memory_reductions=max_memory_reductions,
-            offload_min_stage_savings=offload_min_stage_savings,
-            max_redirect_fraction=max_redirect_fraction,
-            review_hook=review_hook,
-            memoize=memoize,
-            workers=workers,
-            lease_probes=lease_probes,
-            candidate_policy=candidate_policy,
-        )
-        # Mirror the run's inputs so callers keep seeing the familiar
-        # attributes.
-        self.program = self.switch_run.program
-        self.config = self.switch_run.config
-        self.trace = self.switch_run.trace
-        self.target = self.switch_run.target
-        self.phases = self.switch_run.phases
-        self.max_dependency_removals = max_dependency_removals
-        self.max_memory_reductions = max_memory_reductions
-        self.offload_min_stage_savings = offload_min_stage_savings
-        self.max_redirect_fraction = max_redirect_fraction
-        self.review_hook = review_hook
+        super().__init__(program, config, trace, target, **run_kwargs)
         self.session = session
-        self.memoize = memoize
-        self.workers = workers
         self.store = store
-
-    # ------------------------------------------------------------------
-    def build_passes(self) -> List[OptimizationPass]:
-        """The requested phase order as configured pass instances."""
-        return self.switch_run.build_passes()
 
     def run(self) -> P2GOResult:
         if self.session is not None:
-            return self.switch_run.execute(session=self.session)
-        return self.switch_run.execute(store=resolve_store(self.store))
+            return self.execute(session=self.session)
+        return self.execute(store=resolve_store(self.store))
 
 
 def optimize(

@@ -274,14 +274,13 @@ def render_fleet_report(fleet: "FleetResult") -> str:
         f"{agg['probe_disk_hits']} answered by the shared store "
         f"(cross-switch reuse {agg['disk_reuse_rate']:.1%})"
     )
-    if fleet.lease_probes:
+    if fleet.store_root is not None:
         lines.append(
             f"leases: {agg['lease_claims']} claimed, "
             f"{agg['lease_waits']} contended waits, "
             f"{agg['lease_wait_hits']} resolved as disk hits, "
             f"{agg['leases_reaped']} stale leases reaped"
         )
-    if fleet.store_root is not None:
         lines.append(f"shared store: {fleet.store_root}")
     speedup = (
         agg["switch_seconds"] / agg["wall_seconds"]

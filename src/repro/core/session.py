@@ -70,13 +70,16 @@ compile + trace-replay per independent variant — so the session exposes
 batch probes next to the serial ones:
 
 * :meth:`OptimizationContext.compile_many` — compile a batch of
-  candidate programs concurrently (``ProcessPoolExecutor``; compiles
-  are pure CPU and pickle cleanly);
+  candidate programs concurrently (compiles are pure CPU and pickle
+  cleanly);
 * :meth:`OptimizationContext.profile_many` /
   :meth:`~OptimizationContext.profile_many_with_perf` — replay a batch
-  of (program, config) variants concurrently (a process pool as
-  well; threads only on platforms without multiprocessing primitives);
+  of (program, config) variants concurrently;
 * :meth:`OptimizationContext.probe_many` — one mixed wave of both.
+
+All three share the session's one lazily-created pool
+(:func:`~repro.core.fanout.make_pool`: processes; threads only on
+platforms without multiprocessing primitives).
 
 Persistent store (disk tier)
 ----------------------------
@@ -84,7 +87,8 @@ Persistent store (disk tier)
 ``store=`` attaches a :class:`~repro.core.store.SessionStore`: a
 disk-backed, content-addressed second tier behind the memo cache (the
 keys are the same fingerprints, so the two tiers can never disagree).
-The lookup order on every probe is **memo → disk → execute**:
+The lookup order on every probe — either kind, serial or batched; one
+``_lookup`` spells it — is **memo → disk → execute**:
 
 * a *memo hit* costs a dict lookup (counted in ``compile_hits`` /
   ``profile_hits``);
@@ -100,7 +104,7 @@ Serial write-back is buffered and flushed on :meth:`commit` and
 later trace swap cannot mis-key them); the :meth:`probe_many` merge
 wave flushes executed probes immediately so parallel waves persist even
 if the run is killed mid-phase.  Disk misses are remembered per key in
-a **bounded LRU** (``store_miss_cache_size``, default 4096) to avoid
+a **bounded LRU** (:data:`DEFAULT_STORE_MISS_CACHE` keys) to avoid
 re-statting the store in tight probe loops — when the bound is hit the
 single least-recently-asked key is evicted, so a long fleet run never
 forgets all of its negative-miss knowledge at once and re-stats the
@@ -132,8 +136,8 @@ results land in the shared memo cache exactly as if probed serially.
 Equal-fingerprint candidates within a batch are deduplicated in flight
 (one execution, both callers get the cached result — identical to what
 the serial loop's memo cache would do).  The worker count comes from the
-``workers=`` knob (constructor or per-call) or the ``P2GO_WORKERS``
-environment variable; ``workers=1`` falls back to today's serial path
+session's ``workers`` (constructor knob, else the ``P2GO_WORKERS``
+environment variable); ``workers=1`` falls back to the serial path
 bit-for-bit.  Batches refuse to run while a proposal is open, and the
 session supports one batch at a time (it is not itself a thread-safe
 object — the batch API *is* the concurrency mechanism).
@@ -142,14 +146,14 @@ object — the batch API *is* the concurrency mechanism).
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.fanout import make_pool, resolve_workers
 from repro.core.profiler import Profile, Profiler
 from repro.core.store import ProbeLease, SessionStore
 from repro.p4.dsl.printer import print_program
@@ -160,8 +164,6 @@ from repro.target.compiler import CompileResult, compile_program
 from repro.target.model import DEFAULT_TARGET, TargetModel
 from repro.traffic.generators import TracePacket
 
-#: Environment variable consulted when no ``workers=`` knob is given.
-WORKERS_ENV = "P2GO_WORKERS"
 #: Bound on the per-object program-digest cache (satellite of ISSUE 4:
 #: an unbounded cache kept every rejected candidate AST alive).
 DEFAULT_PROGRAM_KEY_CACHE = 256
@@ -212,23 +214,6 @@ def trace_fingerprint(trace: Sequence[TracePacket]) -> str:
         digest.update(len(data).to_bytes(4, "big"))
         digest.update(data)
     return digest.hexdigest()
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """The effective worker count: explicit knob > ``P2GO_WORKERS`` > 1."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{WORKERS_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +272,12 @@ class SessionCounters:
             - self.profile_disk_hits
         )
 
+    def bump(self, kind: str, what: str) -> None:
+        """Count one ``calls``/``executions``/``disk_hits`` event of a
+        probe ``kind`` ("compile"/"profile")."""
+        name = f"{kind}_{what}"
+        setattr(self, name, getattr(self, name) + 1)
+
     def as_dict(self) -> Dict[str, int]:
         return {
             "compile_calls": self.compile_calls,
@@ -336,6 +327,12 @@ def merge_perf(counters: Sequence[PerfCounters]) -> Optional[PerfCounters]:
 #: session's current state.
 ProfileVariant = Tuple[Optional[Program], Optional[RuntimeConfig]]
 
+#: One probe of either kind: ("compile"/"profile", content key, the
+#: pure worker task as ``(function, *arguments)``).  The stored value of
+#: a compile probe is its :class:`CompileResult`; of a profile probe,
+#: ``(Profile, PerfCounters)`` — the same value its store entry holds.
+Probe = Tuple[str, Tuple, Tuple]
+
 
 class OptimizationContext:
     """Current optimization state plus the memoizing compile/profile
@@ -345,12 +342,12 @@ class OptimizationContext:
     executes every call — the mode the seed-orchestrator reference and
     the pipeline benchmark use to measure what the memo cache saves.
 
-    ``workers`` sets the default parallelism of the batch probes
+    ``workers`` sets the parallelism of the batch probes
     (:meth:`compile_many`, :meth:`profile_many`, :meth:`probe_many`);
     None defers to the ``P2GO_WORKERS`` environment variable and, when
-    that is unset too, to 1 — the serial path.  Worker pools are created
-    lazily on the first parallel batch and released by :meth:`close`
-    (the session is also a context manager).
+    that is unset too, to 1 — the serial path.  The worker pool is
+    created lazily on the first parallel batch and released by
+    :meth:`close` (the session is also a context manager).
 
     ``store`` attaches a :class:`~repro.core.store.SessionStore` disk
     tier behind the memo cache (lookup order memo → disk → execute;
@@ -372,15 +369,9 @@ class OptimizationContext:
         target: TargetModel = DEFAULT_TARGET,
         memoize: bool = True,
         workers: Optional[int] = None,
-        program_key_cache_size: int = DEFAULT_PROGRAM_KEY_CACHE,
         store: Optional[SessionStore] = None,
         lease_probes: bool = False,
-        store_miss_cache_size: int = DEFAULT_STORE_MISS_CACHE,
     ):
-        if program_key_cache_size < 1:
-            raise ValueError("program_key_cache_size must be >= 1")
-        if store_miss_cache_size < 1:
-            raise ValueError("store_miss_cache_size must be >= 1")
         self.program = program
         self.config = config
         self.target = target
@@ -399,7 +390,6 @@ class OptimizationContext:
         self._store_misses: "OrderedDict[Tuple[str, Tuple], None]" = (
             OrderedDict()
         )
-        self._store_miss_cache_size = store_miss_cache_size
         #: Cross-process probe coordination (off by default; the fleet
         #: coordinator turns it on).
         self.lease_probes = lease_probes
@@ -417,19 +407,22 @@ class OptimizationContext:
         self._program_keys: "OrderedDict[int, Tuple[Program, str]]" = (
             OrderedDict()
         )
-        self._program_key_cache_size = program_key_cache_size
-        self._compile_cache: Dict[Tuple[str, str], CompileResult] = {}
-        self._profile_cache: Dict[Tuple[str, Tuple, str], Profile] = {}
-        #: Perf counters of the replay that produced each cached profile.
-        self._profile_perf: Dict[Tuple[str, Tuple, str], PerfCounters] = {}
+        #: The memo tier: kind -> content key -> stored value (see
+        #: :data:`Probe`; a profile's value carries the perf counters
+        #: of the replay that produced it).
+        self._memo: Dict[str, Dict[Tuple, object]] = {
+            "compile": {},
+            "profile": {},
+        }
 
         self._pending: Optional[Tuple[Program, RuntimeConfig]] = None
         #: Open perf window, or None when no window is active (replays
         #: outside a window are not attributed to any phase).
         self._window_perf: Optional[List[PerfCounters]] = None
 
-        #: kind -> (size, executor); created lazily, released by close().
-        self._pools: Dict[str, Tuple[int, Executor]] = {}
+        #: (size, executor) of the one worker pool both probe kinds
+        #: share; created lazily, released by close().
+        self._executor: Optional[Tuple[int, Executor]] = None
         self._batch_active = False
 
         self.trace = trace  # via the property: computes the trace key
@@ -498,9 +491,13 @@ class OptimizationContext:
         digest = program_fingerprint(program)
         self._program_keys[id(program)] = (program, digest)
         self._program_keys.move_to_end(id(program))
-        while len(self._program_keys) > self._program_key_cache_size:
+        while len(self._program_keys) > DEFAULT_PROGRAM_KEY_CACHE:
             self._program_keys.popitem(last=False)
         return digest
+
+    def _compile_probe(self, program: Program) -> Probe:
+        key = (self.program_key(program), self.target.fingerprint())
+        return "compile", key, (_compile_task, program, self.target)
 
     def _profile_key(
         self, program: Program, config: RuntimeConfig
@@ -511,34 +508,69 @@ class OptimizationContext:
             self._trace_key,
         )
 
+    def _profile_probe(
+        self, program: Program, config: RuntimeConfig
+    ) -> Probe:
+        return (
+            "profile",
+            self._profile_key(program, config),
+            (_replay_task, program, config, self._trace),
+        )
+
+    # ------------------------------------------------------------------
+    # One probe path: memo → disk → execute
+
+    def _lookup(self, kind: str, key: Tuple):
+        """Answer a probe without executing it, or return None.
+
+        Memo tier first; then — unless the key is a remembered disk
+        miss — the persistent store, coordinating through its leases
+        when they are on.  A disk hit hydrates the memo and is counted;
+        it is not an execution and is never attributed to a perf window
+        (the cost was paid by whichever run wrote the entry).
+        """
+        memo = self._memo[kind]
+        found = memo.get(key)
+        if found is not None:
+            return found
+        entry = (kind, key)
+        if self.store is None or self._store_miss_remembered(entry):
+            return None
+        found = getattr(self.store, f"load_{kind}")(key)
+        if found is None and self.lease_probes:
+            found = self._store_coordinate(kind, key)
+        if found is None:
+            self._remember_store_miss(entry)
+            return None
+        self.counters.bump(kind, "disk_hits")
+        memo[key] = found
+        return found
+
+    def _record(self, kind: str, key: Tuple, value):
+        """Land one executed probe: attribute a replay's perf to the
+        open window, memoize, queue the store write-back."""
+        if kind == "profile":
+            self._attribute_perf(value[1])
+        if self.memoize:
+            self._memo[kind][key] = value
+            self._queue_store_write(kind, key, value)
+        return value
+
+    def _probe(self, probe: Probe):
+        """The serial probe: count the call, look it up, else execute."""
+        kind, key, (task, *arguments) = probe
+        self.counters.bump(kind, "calls")
+        found = self._lookup(kind, key) if self.memoize else None
+        if found is not None:
+            return found
+        # Counted when handed to the compiler/replayer, not when it
+        # returns: a compile that raises (a program that cannot exist
+        # on the target) was still an execution.
+        self.counters.bump(kind, "executions")
+        return self._record(kind, key, task(*arguments))
+
     # ------------------------------------------------------------------
     # Persistent store (disk tier behind the memo cache)
-
-    def _store_load_compile(self, key: Tuple) -> Optional[CompileResult]:
-        if self.store is None or self._store_miss_remembered(
-            ("compile", key)
-        ):
-            return None
-        loaded = self.store.load_compile(key)
-        if loaded is None and self.lease_probes:
-            loaded = self._store_coordinate("compile", key)
-        if loaded is None:
-            self._remember_store_miss(("compile", key))
-        return loaded
-
-    def _store_load_profile(
-        self, key: Tuple
-    ) -> Optional[Tuple[Profile, PerfCounters]]:
-        if self.store is None or self._store_miss_remembered(
-            ("profile", key)
-        ):
-            return None
-        loaded = self.store.load_profile(key)
-        if loaded is None and self.lease_probes:
-            loaded = self._store_coordinate("profile", key)
-        if loaded is None:
-            self._remember_store_miss(("profile", key))
-        return loaded
 
     def _store_coordinate(self, kind: str, key: Tuple):
         """Cross-process probe dedup on a disk miss (leases enabled).
@@ -551,11 +583,7 @@ class OptimizationContext:
         a lease — duplicated work beats a wedged fleet.
         """
         deadline = time.monotonic() + self.store.lease_ttl
-        load = (
-            self.store.load_compile
-            if kind == "compile"
-            else self.store.load_profile
-        )
+        load = getattr(self.store, f"load_{kind}")
         while True:
             lease = self.store.claim_probe(kind, key)
             if lease is not None:
@@ -585,7 +613,7 @@ class OptimizationContext:
     def _remember_store_miss(self, entry: Tuple[str, Tuple]) -> None:
         self._store_misses[entry] = None
         self._store_misses.move_to_end(entry)
-        while len(self._store_misses) > self._store_miss_cache_size:
+        while len(self._store_misses) > DEFAULT_STORE_MISS_CACHE:
             self._store_misses.popitem(last=False)
 
     def flush_store(self) -> int:
@@ -603,8 +631,7 @@ class OptimizationContext:
         if kind == "compile":
             self.store.store_compile(key, value)
         else:
-            profile, perf = value
-            self.store.store_profile(key, profile, perf)
+            self.store.store_profile(key, *value)
         self._store_misses.pop((kind, key), None)
 
     def _queue_store_write(self, kind: str, key: Tuple, value) -> None:
@@ -634,23 +661,7 @@ class OptimizationContext:
         then the persistent store, then a real compile)."""
         if program is None:
             program = self.program
-        self.counters.compile_calls += 1
-        key = (self.program_key(program), self.target.fingerprint())
-        if self.memoize:
-            cached = self._compile_cache.get(key)
-            if cached is not None:
-                return cached
-            loaded = self._store_load_compile(key)
-            if loaded is not None:
-                self.counters.compile_disk_hits += 1
-                self._compile_cache[key] = loaded
-                return loaded
-        self.counters.compile_executions += 1
-        result = compile_program(program, self.target)
-        if self.memoize:
-            self._compile_cache[key] = result
-            self._queue_store_write("compile", key, result)
-        return result
+        return self._probe(self._compile_probe(program))
 
     def profile(
         self,
@@ -675,81 +686,49 @@ class OptimizationContext:
             program = self.program
         if config is None:
             config = self.config
-        self.counters.profile_calls += 1
-        key = self._profile_key(program, config)
-        if self.memoize:
-            cached = self._profile_cache.get(key)
-            if cached is not None:
-                return cached, self._profile_perf[key]
-            loaded = self._store_load_profile(key)
-            if loaded is not None:
-                # Disk hit: hydrate the memo tier.  Not an execution,
-                # and never attributed to a perf window — the replay
-                # cost was paid by the run that wrote the entry.
-                profile, perf = loaded
-                self.counters.profile_disk_hits += 1
-                self._profile_cache[key] = profile
-                self._profile_perf[key] = perf
-                return profile, perf
-        self.counters.profile_executions += 1
-        profile, perf = _replay_task(program, config, self._trace)
-        self._attribute_perf(perf)
-        if self.memoize:
-            self._profile_cache[key] = profile
-            self._profile_perf[key] = perf
-            self._queue_store_write("profile", key, (profile, perf))
-        return profile, perf
+        return self._probe(self._profile_probe(program, config))
 
     # ------------------------------------------------------------------
     # Batch (parallel) probing
 
     def compile_many(
-        self,
-        programs: Sequence[Program],
-        workers: Optional[int] = None,
+        self, programs: Sequence[Program]
     ) -> List[CompileResult]:
         """Compile a batch of candidate programs, concurrently when the
-        session (or the ``workers`` override) allows more than one
-        worker.  Results, counters, and memo state are identical to
-        calling :meth:`compile` on each program in order."""
-        results, _ = self.probe_many(programs=programs, workers=workers)
+        session has more than one worker.  Results, counters, and memo
+        state are identical to calling :meth:`compile` on each program
+        in order."""
+        results, _ = self.probe_many(programs=programs)
         return results
 
     def profile_many(
-        self,
-        variants: Sequence[ProfileVariant],
-        workers: Optional[int] = None,
+        self, variants: Sequence[ProfileVariant]
     ) -> List[Profile]:
         """Profile a batch of (program, config) variants on the session
         trace; see :meth:`profile_many_with_perf`."""
         return [
             profile
-            for profile, _perf in self.profile_many_with_perf(
-                variants, workers=workers
-            )
+            for profile, _perf in self.profile_many_with_perf(variants)
         ]
 
     def profile_many_with_perf(
-        self,
-        variants: Sequence[ProfileVariant],
-        workers: Optional[int] = None,
+        self, variants: Sequence[ProfileVariant]
     ) -> List[Tuple[Profile, PerfCounters]]:
         """Batch :meth:`profile_with_perf`: replay independent variants
         concurrently.  Results, counters, memo state, and perf-window
         attribution are identical to the serial loop (merged in
         submission order, not completion order)."""
-        _, results = self.probe_many(variants=variants, workers=workers)
+        _, results = self.probe_many(variants=variants)
         return results
 
     def probe_many(
         self,
         programs: Sequence[Program] = (),
         variants: Sequence[ProfileVariant] = (),
-        workers: Optional[int] = None,
     ) -> Tuple[List[CompileResult], List[Tuple[Profile, PerfCounters]]]:
         """One mixed wave of compile and replay probes.
 
-        Compiles and replays each run on their own process pool, all
+        Compiles and replays share the session's one process pool, all
         concurrently.  With one worker — or a single probe — this *is*
         the serial path: the same :meth:`compile` /
         :meth:`profile_with_perf` calls, in order.
@@ -775,10 +754,7 @@ class OptimizationContext:
                 "re-entrant batch probe; the session runs one batch at a "
                 "time"
             )
-        workers = (
-            self.workers if workers is None else resolve_workers(workers)
-        )
-        if workers == 1 or len(programs) + len(variants) <= 1:
+        if self.workers == 1 or len(programs) + len(variants) <= 1:
             return (
                 [self.compile(program) for program in programs],
                 [
@@ -788,158 +764,80 @@ class OptimizationContext:
             )
         self._batch_active = True
         try:
-            return self._probe_parallel(programs, variants, workers)
+            results = self._probe_parallel(
+                [self._compile_probe(program) for program in programs]
+                + [
+                    self._profile_probe(program, config)
+                    for program, config in variants
+                ]
+            )
         finally:
             self._batch_active = False
+        return results[: len(programs)], results[len(programs) :]
 
-    def _probe_parallel(
-        self,
-        programs: List[Program],
-        variants: List[Tuple[Program, RuntimeConfig]],
-        workers: int,
-    ) -> Tuple[List[CompileResult], List[Tuple[Profile, PerfCounters]]]:
-        compile_keys = [
-            (self.program_key(program), self.target.fingerprint())
-            for program in programs
-        ]
-        profile_keys = [
-            self._profile_key(program, config)
-            for program, config in variants
-        ]
-        self.counters.compile_calls += len(programs)
-        self.counters.profile_calls += len(variants)
+    def _probe_parallel(self, probes: List[Probe]) -> List:
+        for kind, _key, _task in probes:
+            self.counters.bump(kind, "calls")
 
-        # Submission wave: one future per key that needs an execution,
-        # deduplicating in-flight keys (and, under memoize, keys already
-        # answered by the memo cache or hydrated from the disk store).
-        # Without memoization every call executes — exactly like the
+        # Submission wave: one future per probe that needs an
+        # execution.  Under memoize, probes the memo or the disk store
+        # answers are skipped, and equal keys are deduplicated in
+        # flight; without it every call executes — exactly like the
         # serial path.
-        compile_futures: "OrderedDict" = OrderedDict()
-        profile_futures: "OrderedDict" = OrderedDict()
-        compile_pool = replay_pool = None
-        for (program, key) in zip(programs, compile_keys):
-            if self.memoize and key in self._compile_cache:
-                continue
-            if key in compile_futures:
-                if self.memoize:
+        futures: List[Tuple[str, Tuple, object]] = []
+        in_flight = set()
+        for kind, key, task in probes:
+            if self.memoize:
+                if (kind, key) in in_flight:
                     continue
-            elif self.memoize:
-                loaded = self._store_load_compile(key)
-                if loaded is not None:
-                    self.counters.compile_disk_hits += 1
-                    self._compile_cache[key] = loaded
+                if self._lookup(kind, key) is not None:
                     continue
-            if compile_pool is None:
-                compile_pool = self._pool("compile", workers)
-            future = compile_pool.submit(_compile_task, program, self.target)
-            compile_futures.setdefault(key, []).append(future)
-        for (program, config), key in zip(variants, profile_keys):
-            if self.memoize and key in self._profile_cache:
-                continue
-            if key in profile_futures:
-                if self.memoize:
-                    continue
-            elif self.memoize:
-                loaded = self._store_load_profile(key)
-                if loaded is not None:
-                    profile, perf = loaded
-                    self.counters.profile_disk_hits += 1
-                    self._profile_cache[key] = profile
-                    self._profile_perf[key] = perf
-                    continue
-            if replay_pool is None:
-                replay_pool = self._pool("replay", workers)
-            future = replay_pool.submit(
-                _replay_task, program, config, self._trace
-            )
-            profile_futures.setdefault(key, []).append(future)
+                in_flight.add((kind, key))
+            self.counters.bump(kind, "executions")
+            futures.append((kind, key, self._pool().submit(*task)))
 
         # Merge wave, in the caller's thread, in submission order.
         # Executed probes are flushed to the disk store here (not
         # buffered like the serial path) so each parallel wave persists
         # as soon as it lands, even if the run dies mid-phase.
-        compile_results: Dict[Tuple, CompileResult] = {}
-        executed = 0
-        for key, futures in compile_futures.items():
-            for future in futures:
-                compile_results.setdefault(key, future.result())
-                executed += 1
-                if self.memoize:
-                    self._compile_cache[key] = compile_results[key]
-                    self._queue_store_write(
-                        "compile", key, compile_results[key]
-                    )
-        self.counters.compile_executions += executed
-
-        profile_results: Dict[Tuple, Tuple[Profile, PerfCounters]] = {}
-        executed = 0
-        for key, futures in profile_futures.items():
-            for future in futures:
-                profile, perf = future.result()
-                profile_results.setdefault(key, (profile, perf))
-                executed += 1
-                self._attribute_perf(perf)
-                if self.memoize:
-                    self._profile_cache[key] = profile
-                    self._profile_perf[key] = perf
-                    self._queue_store_write("profile", key, (profile, perf))
-        self.counters.profile_executions += executed
+        executed: Dict[Tuple[str, Tuple], object] = {}
+        for kind, key, future in futures:
+            value = self._record(kind, key, future.result())
+            executed.setdefault((kind, key), value)
         self.flush_store()
 
-        def compiled(key: Tuple) -> CompileResult:
-            if key in compile_results:
-                return compile_results[key]
-            return self._compile_cache[key]
-
-        def profiled(key: Tuple) -> Tuple[Profile, PerfCounters]:
-            if key in profile_results:
-                return profile_results[key]
-            return self._profile_cache[key], self._profile_perf[key]
-
-        return (
-            [compiled(key) for key in compile_keys],
-            [profiled(key) for key in profile_keys],
-        )
+        return [
+            executed[kind, key]
+            if (kind, key) in executed
+            else self._memo[kind][key]
+            for kind, key, _task in probes
+        ]
 
     # ------------------------------------------------------------------
-    # Worker pools
+    # Worker pool
 
-    def _pool(self, kind: str, workers: int) -> Executor:
-        """The lazily-created pool for ``kind`` ("compile"/"replay"),
-        grown (recreated) when a batch asks for more workers."""
-        existing = self._pools.get(kind)
-        if existing is not None:
-            size, pool = existing
-            if size >= workers:
+    def _pool(self) -> Executor:
+        """The session's lazily-created worker pool, grown (recreated)
+        when ``workers`` was raised since the last batch."""
+        if self._executor is not None:
+            size, pool = self._executor
+            if size >= self.workers:
                 return pool
             pool.shutdown(wait=True)
-            del self._pools[kind]
-        pool = self._make_pool(workers)
-        self._pools[kind] = (workers, pool)
+        pool = make_pool(self.workers)
+        self._executor = (self.workers, pool)
         return pool
-
-    @staticmethod
-    def _make_pool(workers: int) -> Executor:
-        try:
-            return ProcessPoolExecutor(max_workers=workers)
-        except (ImportError, NotImplementedError, OSError):
-            # No multiprocessing primitives on this platform (e.g. a
-            # sandbox without sem_open); threads still overlap the
-            # pure-Python probes' I/O-free work correctly, just
-            # without bypassing the GIL.
-            return ThreadPoolExecutor(max_workers=workers)
 
     def close(self) -> None:
         """Flush pending store write-backs, release any still-held
-        probe leases, and release the worker pools (memo caches and
-        counters survive; pools are recreated lazily if the session
+        probe leases, and release the worker pool (memo caches and
+        counters survive; the pool is recreated lazily if the session
         batches again)."""
         self.flush_store()
         self._release_leases()
-        pools = list(self._pools.values())
-        self._pools.clear()
-        for _size, pool in pools:
-            pool.shutdown(wait=True)
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor[1].shutdown(wait=True)
 
     def __enter__(self) -> "OptimizationContext":
         return self

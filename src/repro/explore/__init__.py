@@ -12,7 +12,6 @@ from repro.explore.explorer import (
     Explorer,
     ExploreResult,
     PointOutcome,
-    PointSpec,
     profile_coverage,
 )
 from repro.explore.frontier import (
@@ -37,7 +36,6 @@ __all__ = [
     "Explorer",
     "ExploreResult",
     "PointOutcome",
-    "PointSpec",
     "TargetShape",
     "dominates",
     "fit_breakpoints",

@@ -1,10 +1,11 @@
 """The design-space explorer: every point through the full pipeline.
 
 :class:`Explorer.run` fans a :class:`~repro.explore.space.DesignSpace`'s
-points out through the existing run machinery — each point is one
+points out through the fleet's run machinery — each point is one
 :class:`~repro.core.pipeline.SwitchRun` (serial probes, exactly like a
-fleet switch) on a process pool against **one shared persistent store**,
-so probes that overlap across design points are paid for once.  The big
+fleet switch) handed to :func:`~repro.core.fanout.run_many` against
+**one shared persistent store**, so probes that overlap across design
+points are paid for once.  The big
 overlap is profiling: profile entries are keyed by (program, config,
 trace) with *no target in the key*, so every shape of a program answers
 its profiling probes from the first shape's replays; compile entries are
@@ -33,31 +34,22 @@ Determinism contract (the fleet coordinator's, inherited):
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.fanout import probe_provenance, run_many
 from repro.core.fleet import family_inputs
 from repro.core.pipeline import P2GOResult, SwitchRun
-from repro.core.session import (
-    OptimizationContext,
-    SessionCounters,
-    resolve_workers,
-)
-from repro.core.store import DEFAULT_LEASE_TTL, SessionStore, resolve_store
+from repro.core.session import OptimizationContext, SessionCounters
+from repro.core.store import SessionStore
 from repro.exceptions import ReproError
 from repro.explore.frontier import fit_breakpoints, pareto_front
 from repro.explore.space import DesignPoint, DesignSpace
-from repro.p4.program import Program
-from repro.sim.runtime import RuntimeConfig
-from repro.target.model import TargetModel
-from repro.traffic.generators import TracePacket
 
 __all__ = [
     "Explorer",
     "ExploreResult",
     "PointOutcome",
-    "PointSpec",
     "profile_coverage",
 ]
 
@@ -81,32 +73,6 @@ def profile_coverage(result: P2GOResult) -> float:
         if table in surviving
     )
     return kept / total
-
-
-@dataclass
-class PointSpec:
-    """One design point resolved to concrete, picklable pipeline
-    inputs (the point's program family loaded, its shape applied to
-    the family's base target)."""
-
-    point: DesignPoint
-    program: Program
-    config: RuntimeConfig
-    trace: List[TracePacket]
-    target: TargetModel
-
-    def build_run(self, lease_probes: bool = False) -> SwitchRun:
-        return SwitchRun(
-            self.program,
-            self.config,
-            self.trace,
-            self.target,
-            name=self.point.point_id,
-            phases=self.point.order,
-            workers=1,
-            lease_probes=lease_probes,
-            candidate_policy=self.point.policy,
-        )
 
 
 @dataclass
@@ -167,54 +133,33 @@ class PointOutcome:
 
 
 def _point_task(
-    spec: PointSpec,
-    store_root: Optional[str],
-    lease_probes: bool,
-    lease_ttl: float,
-) -> PointOutcome:
-    """One design point end to end (runs inside a pool worker): open
-    this process's handle on the shared store, execute, score.  A
-    :class:`~repro.exceptions.ReproError` (the program cannot exist on
-    this shape) becomes an infeasible outcome; the session is closed —
-    and any held probe leases released — either way."""
-    t0 = time.perf_counter()
-    store = (
-        SessionStore(store_root, lease_ttl=lease_ttl)
-        if store_root is not None
-        else None
-    )
-    run = spec.build_run(lease_probes=lease_probes and store is not None)
-    ctx = run.create_session(store=store)
+    run: SwitchRun, session: OptimizationContext
+) -> Tuple[str, Optional[str], Dict, SessionCounters, Optional[dict]]:
+    """One design point end to end (runs inside a pool worker):
+    execute, score.  Returns :class:`PointOutcome`'s fields between
+    ``point`` and ``seconds``.  A :class:`~repro.exceptions.ReproError`
+    (the program cannot exist on this shape) becomes an infeasible
+    outcome; the fan-out closes the session — and releases any held
+    probe leases — either way."""
     status, reason, metrics = "ok", None, {}
-    store_stats = None
     try:
-        result = run.execute(session=ctx)
+        result = run.execute(session=session)
         metrics = {
             "stages_before": result.stages_before,
             "stages_used": result.stages_after,
             "controller_load": float(result.controller_load),
             "profile_coverage": profile_coverage(result),
-            "compile_count": ctx.counters.compile_calls,
+            "compile_count": session.counters.compile_calls,
             "offloaded_tables": len(result.offloaded_tables),
-            "fits": result.stages_after <= spec.target.num_stages,
+            "fits": result.stages_after <= run.target.num_stages,
         }
     except ReproError as exc:
         status = "infeasible"
         reason = f"{type(exc).__name__}: {exc}"
-    finally:
-        counters = ctx.counters
-        if ctx.store is not None:
-            store_stats = ctx.store.stats()
-        ctx.close()
-    return PointOutcome(
-        point=spec.point,
-        status=status,
-        reason=reason,
-        metrics=metrics,
-        counters=counters,
-        store_stats=store_stats,
-        seconds=time.perf_counter() - t0,
+    store_stats = (
+        session.store.stats() if session.store is not None else None
     )
+    return status, reason, metrics, session.counters, store_stats
 
 
 @dataclass
@@ -227,7 +172,6 @@ class ExploreResult:
     seed: int
     workers: int
     store_root: Optional[str]
-    lease_probes: bool
     wall_seconds: float
     _aggregate: Optional[Dict] = field(default=None, repr=False)
 
@@ -271,19 +215,12 @@ class ExploreResult:
         cross-point reuse rate the shared store bought."""
         if self._aggregate is not None:
             return self._aggregate
-        calls = executions = disk_hits = 0
-        for outcome in self.outcomes:
-            counters = outcome.counters
-            if counters is not None:
-                calls += counters.compile_calls + counters.profile_calls
-                executions += (
-                    counters.compile_executions
-                    + counters.profile_executions
-                )
-                disk_hits += (
-                    counters.compile_disk_hits
-                    + counters.profile_disk_hits
-                )
+        provenance = probe_provenance(
+            outcome.counters for outcome in self.outcomes
+        )
+        provenance["disk_reuse_rate"] = round(
+            provenance["disk_reuse_rate"], 4
+        )
         frontier = self.frontier()
         self._aggregate = {
             "points": len(self.outcomes),
@@ -297,12 +234,7 @@ class ExploreResult:
             "frontier_points": sum(
                 len(front) for front in frontier.values()
             ),
-            "probe_calls": calls,
-            "probe_executions": executions,
-            "probe_disk_hits": disk_hits,
-            "disk_reuse_rate": round(
-                disk_hits / calls if calls else 0.0, 4
-            ),
+            **provenance,
         }
         return self._aggregate
 
@@ -354,8 +286,6 @@ class Explorer:
         seed: int = 0,
         workers: Optional[int] = None,
         store: Union[SessionStore, str, bool, None] = None,
-        lease_probes: bool = True,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
     ):
         self.space = space
         self.packets = packets
@@ -364,75 +294,59 @@ class Explorer:
         self.seed = seed
         self.workers = workers
         self.store = store
-        self.lease_probes = lease_probes
-        self.lease_ttl = lease_ttl
 
     def points(self) -> List[DesignPoint]:
         if self.sample is not None:
             return self.space.sample(self.sample, self.seed)
         return self.space.points()
 
-    def build_specs(self) -> List[PointSpec]:
-        """The sweep's points resolved to concrete inputs, in
-        submission order.  Family inputs are loaded once per program
-        (one trace per program — see the class docstring)."""
+    def runs_for(self, points: Sequence[DesignPoint]) -> List[SwitchRun]:
+        """One :class:`~repro.core.pipeline.SwitchRun` per point, in
+        order: the point's program family on its shape, with the
+        point's phase order and candidate policy.  Family inputs are
+        loaded once per program (one trace per program — see the class
+        docstring)."""
         inputs = {
             program: family_inputs(
                 program, packets=self.packets, trace_seed=self.trace_seed
             )
             for program in self.space.programs
         }
-        specs = []
-        for point in self.points():
+        runs = []
+        for point in points:
             program, config, trace, base_target = inputs[point.program]
-            specs.append(
-                PointSpec(
-                    point=point,
-                    program=program,
-                    config=config,
-                    trace=trace,
-                    target=point.shape.apply(base_target),
+            runs.append(
+                SwitchRun(
+                    program,
+                    config,
+                    trace,
+                    point.shape.apply(base_target),
+                    name=point.point_id,
+                    phases=point.order,
+                    workers=1,
+                    candidate_policy=point.policy,
                 )
             )
-        return specs
+        return runs
 
     def run(self) -> ExploreResult:
         """Execute the sweep; outcomes merge in submission order."""
-        specs = self.build_specs()
-        workers = resolve_workers(self.workers)
-        resolved = resolve_store(self.store)
-        store_root = None if resolved is None else str(resolved.root)
-        t0 = time.perf_counter()
-        if workers == 1 or len(specs) <= 1:
-            outcomes = [
-                _point_task(
-                    spec, store_root, self.lease_probes, self.lease_ttl
-                )
-                for spec in specs
-            ]
-        else:
-            pool = OptimizationContext._make_pool(min(workers, len(specs)))
-            try:
-                futures = [
-                    pool.submit(
-                        _point_task,
-                        spec,
-                        store_root,
-                        self.lease_probes,
-                        self.lease_ttl,
-                    )
-                    for spec in specs
-                ]
-                outcomes = [future.result() for future in futures]
-            finally:
-                pool.shutdown(wait=True)
+        points = self.points()
+        fan = run_many(
+            self.runs_for(points),
+            _point_task,
+            workers=self.workers,
+            store=self.store,
+        )
         return ExploreResult(
-            outcomes=outcomes,
+            outcomes=[
+                PointOutcome(point, *fields, seconds)
+                for point, (fields, seconds) in zip(points, fan.results)
+            ],
             space=self.space,
             sample=self.sample,
             seed=self.seed,
-            workers=workers,
-            store_root=store_root,
-            lease_probes=self.lease_probes and store_root is not None,
-            wall_seconds=time.perf_counter() - t0,
+            workers=fan.workers,
+            store_root=fan.store_root,
+            wall_seconds=fan.wall_seconds,
         )

@@ -393,6 +393,34 @@ class TestFleet:
         ) == 2
         assert "unknown program family" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, env_workers, complaint",
+        [
+            (["fleet", "--size", "0"], None, "fabric size"),
+            (["fleet", "--families", ","], None, "program family"),
+            (["fleet", *FAST, "--workers", "0"], None, "workers must be"),
+            (["explore", "--grid", "stages=6", "--packets", "120",
+              "--workers", "0"], None, "workers must be"),
+            (["optimize", "--workers", "0"], None, "workers must be"),
+            (["fleet", *FAST], "abc", "P2GO_WORKERS must be an integer"),
+        ],
+    )
+    def test_bad_fanout_argument_exits_with_usage_error(
+        self, argv, env_workers, complaint, toy_files, capsys, monkeypatch
+    ):
+        """Regression: these died with an uncaught ValueError."""
+        if env_workers is not None:
+            monkeypatch.setenv("P2GO_WORKERS", env_workers)
+        if argv[0] == "optimize":
+            prog_path, config_path, trace_path = toy_files
+            argv = [argv[0], str(prog_path), "--config", str(config_path),
+                    "--trace", str(trace_path), *argv[1:]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert complaint in captured.err
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestExplore:
     """``p2go explore``: a design-space sweep with a Pareto frontier."""

@@ -13,6 +13,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.pipeline import SwitchRun
 from repro.core.report import render_explore_report
 from repro.exceptions import CompilationError
 from repro.explore import (
@@ -471,10 +472,22 @@ class TestSweep:
             )
         assert serialized[0] == serialized[1]
 
-    def test_infeasible_shapes_are_recorded_not_raised(self, tmp_path):
+    def test_infeasible_shapes_are_recorded_not_raised(
+        self, tmp_path, monkeypatch
+    ):
         """A shape whose SRAM cannot hold the program's register array
         at all becomes an infeasible outcome, and an all-infeasible
         grid yields an empty frontier."""
+        # Keep every session alive past the sweep, so the lease check
+        # below sees the fan-out's close(), not a finalizer's.
+        sessions = []
+        create_session = SwitchRun.create_session
+
+        def keep(run, store=None):
+            sessions.append(create_session(run, store=store))
+            return sessions[-1]
+
+        monkeypatch.setattr(SwitchRun, "create_session", keep)
         space = DesignSpace(
             programs=("example_firewall",),
             shapes=parse_grid("stages=12;sram=1", EXAMPLE_TARGET),
@@ -488,6 +501,12 @@ class TestSweep:
         assert outcome.status == "infeasible"
         assert "AllocationError" in outcome.reason
         assert outcome.metrics == {}
+        # The compile that raised was still an execution, not a memo hit.
+        assert outcome.counters.compile_executions == 1
+        assert outcome.counters.compile_hits == 0
+        # The fan-out closed the point's session: the lease claimed for
+        # the compile that raised was released, not left to go stale.
+        assert not list((tmp_path / "s").rglob("*.lease"))
         assert result.frontier() == {"example_firewall": []}
         assert result.aggregate()["frontier_points"] == 0
         assert (

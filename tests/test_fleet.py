@@ -8,12 +8,19 @@ fabric whose families repeat), and a warm second fleet that executes
 nothing at all.
 """
 
+import copy
+import functools
+import pickle
+import time
+
 import pytest
 
+from repro.core.fanout import run_many
 from repro.core.fleet import (
     DEFAULT_FAMILIES,
     FleetResult,
     build_fabric,
+    family_inputs,
     run_fleet,
     switch_fingerprint,
 )
@@ -79,6 +86,25 @@ class TestBuildFabric:
             second.trace
         )
 
+    def test_type_error_inside_runtime_config_propagates(
+        self, monkeypatch
+    ):
+        """Regression: a TypeError raised *by* a family's
+        ``runtime_config(program)`` was mistaken for "takes no program"
+        and silently retried without one."""
+        from repro.programs import enterprise
+
+        real = enterprise.runtime_config
+
+        def broken(program=None):
+            if program is not None:
+                raise TypeError("bad entry")
+            return real()
+
+        monkeypatch.setattr(enterprise, "runtime_config", broken)
+        with pytest.raises(TypeError, match="bad entry"):
+            family_inputs("enterprise", packets=8)
+
     def test_fabric_is_seed_deterministic(self, fabric):
         again = build_fabric(FABRIC_SIZE, seed=5, packets=PACKETS)
         assert [trace_fingerprint(s.trace) for s in again] == [
@@ -120,6 +146,18 @@ class TestEquivalence:
         assert [s.name for s in fleet_parallel.switches] == [
             spec.name for spec in fabric
         ]
+
+    def test_pickled_run_executes_to_the_same_result(
+        self, fabric, independent
+    ):
+        """The spec *is* the run: what crosses the pool boundary is the
+        SwitchRun itself, and it executes there to the standalone
+        result."""
+        run = pickle.loads(pickle.dumps(fabric[1]))
+        assert run.name == fabric[1].name
+        assert switch_fingerprint(run.execute()) == switch_fingerprint(
+            independent[1]
+        )
 
 
 class TestSharedStoreReuse:
@@ -217,3 +255,38 @@ class TestFleetResultShape:
         assert isinstance(fleet_parallel, FleetResult)
         assert fleet_parallel.workers == 3
         assert fleet_parallel.lease_probes is True
+
+
+def _marking_task(marks, run, session):
+    """Fan-out task: the first run fails at once; every other one
+    leaves a mark, then holds its worker long enough for the failure to
+    reach the coordinator."""
+    if run.name == "run00":
+        raise RuntimeError("run00 failed")
+    (marks / run.name).touch()
+    time.sleep(0.5)
+
+
+class TestFanOutFailure:
+    """``run_many`` (so both ``fleet`` and ``explore``): a failing task
+    surfaces without the still-queued runs being executed first."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failure_cancels_queued_runs(
+        self, fabric, tmp_path, workers
+    ):
+        runs = [copy.copy(run) for run in fabric * 3]
+        for index, run in enumerate(runs):
+            run.name = f"run{index:02d}"
+        with pytest.raises(RuntimeError, match="run00 failed"):
+            run_many(
+                runs,
+                functools.partial(_marking_task, tmp_path),
+                workers=workers,
+                store=False,
+            )
+        ran = sorted(mark.name for mark in tmp_path.iterdir())
+        # Only runs already handed to a worker when the failure
+        # surfaced (pool size + the pool's short prefetch queue) may
+        # have run; the tail of the fabric was cancelled.
+        assert not set(ran) & {run.name for run in runs[9:]}, ran

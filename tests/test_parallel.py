@@ -201,7 +201,16 @@ class TestBatchSemantics:
         assert ctx.counters.compile_executions == 2
         assert ctx.counters.profile_executions == 2
 
-    def test_probe_many_mixed_wave(self):
+    def test_probe_many_mixed_wave(self, monkeypatch):
+        from repro.core import session
+
+        pools = []
+        make_pool = session.make_pool
+        monkeypatch.setattr(
+            session,
+            "make_pool",
+            lambda workers: pools.append(workers) or make_pool(workers),
+        )
         ctx = make_ctx(workers=4)
         ctx.start_perf_window()
         with ctx:
@@ -210,6 +219,7 @@ class TestBatchSemantics:
                 variants=[(None, None)],
             )
         assert len(compiled) == 3 and len(profiled) == 1
+        assert pools == [4]  # both probe kinds share the one pool
         assert ctx.counters.compile_executions == 3
         assert ctx.counters.profile_executions == 1
         window = ctx.take_perf_window()
@@ -233,9 +243,9 @@ class TestBatchSemantics:
     def test_close_releases_pools_and_allows_reuse(self):
         ctx = make_ctx(workers=2)
         ctx.compile_many(toy_variants(ctx.program))
-        assert ctx._pools
+        assert ctx._executor is not None
         ctx.close()
-        assert not ctx._pools
+        assert ctx._executor is None
         # The session still works after close (pools recreate lazily).
         ctx.compile_many([ctx.program.with_table_size("fib", 16)])
         ctx.close()
@@ -256,12 +266,12 @@ class TestBatchSemantics:
 
     def test_thread_fallback_without_process_pools(self, monkeypatch):
         """On a platform without multiprocessing primitives (no
-        ``sem_open``) ``_make_pool`` falls back to threads; the batch
+        ``sem_open``) ``make_pool`` falls back to threads; the batch
         must complete with the results and counters of the process-pool
         run."""
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.core import session
+        from repro.core import fanout
 
         def probe():
             ctx = make_ctx(workers=2)
@@ -273,22 +283,22 @@ class TestBatchSemantics:
                         (None, ctx.config.restricted_to(["fib"])),
                     ],
                 )
-                pools = {type(pool) for _size, pool in ctx._pools.values()}
+                pool = type(ctx._executor[1])
             return (
                 [c.stages_used for c in compiled],
                 [profile for profile, _perf in profiled],
                 ctx.counters.as_dict(),
-            ), pools
+            ), pool
 
         def no_processes(*_args, **_kwargs):
             raise OSError("sem_open is not implemented")
 
-        expected, process_pools = probe()
-        monkeypatch.setattr(session, "ProcessPoolExecutor", no_processes)
-        fallback, thread_pools = probe()
+        expected, process_pool = probe()
+        monkeypatch.setattr(fanout, "ProcessPoolExecutor", no_processes)
+        fallback, thread_pool = probe()
         assert fallback == expected
-        assert process_pools and ThreadPoolExecutor not in process_pools
-        assert thread_pools == {ThreadPoolExecutor}
+        assert process_pool is not ThreadPoolExecutor
+        assert thread_pool is ThreadPoolExecutor
 
 
 class TestPipelineDeterminism:

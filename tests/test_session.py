@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import session
 from repro.core.session import (
     OptimizationContext,
     config_fingerprint,
@@ -257,15 +258,9 @@ class TestProgramKeyCacheBound:
     """Regression: the per-object digest cache held a strong ref to every
     program ever probed, leaking each rejected candidate AST."""
 
-    def test_cache_is_bounded(self):
+    def test_cache_is_bounded(self, ctx, monkeypatch):
         bound = 16
-        ctx = OptimizationContext(
-            build_toy_program(),
-            toy_config(),
-            make_trace(),
-            DEFAULT_TARGET,
-            program_key_cache_size=bound,
-        )
+        monkeypatch.setattr(session, "DEFAULT_PROGRAM_KEY_CACHE", bound)
         programs = [
             ctx.program.with_table_size("fib", size)
             for size in range(2, 2 + 3 * bound)
@@ -274,24 +269,13 @@ class TestProgramKeyCacheBound:
         assert len(ctx._program_keys) <= bound
         assert len(set(keys)) == len(programs)
 
-    def test_evicted_program_rekeys_consistently(self):
-        ctx = OptimizationContext(
-            build_toy_program(),
-            toy_config(),
-            make_trace(),
-            DEFAULT_TARGET,
-            program_key_cache_size=2,
-        )
+    def test_evicted_program_rekeys_consistently(self, ctx, monkeypatch):
+        monkeypatch.setattr(session, "DEFAULT_PROGRAM_KEY_CACHE", 2)
         program = ctx.program
         first = ctx.program_key(program)
         for size in range(2, 8):  # evict `program` from the LRU
             ctx.program_key(program.with_table_size("fib", size))
         assert ctx.program_key(program) == first
-
-    def test_default_bound_exists(self, ctx):
-        from repro.core.session import DEFAULT_PROGRAM_KEY_CACHE
-
-        assert ctx._program_key_cache_size == DEFAULT_PROGRAM_KEY_CACHE
 
 
 class TestTransactions:
@@ -379,29 +363,29 @@ class TestStoreMissCache:
     that gets wholesale-cleared: eviction drops only the coldest
     entries while hot ones keep short-circuiting disk lookups."""
 
-    def make_ctx(self, tmp_path, size):
-        from repro.core.store import SessionStore
+    @pytest.fixture
+    def make_ctx(self, monkeypatch):
+        def make(tmp_path, size):
+            from repro.core.store import SessionStore
 
-        return OptimizationContext(
-            build_toy_program(), toy_config(), make_trace(),
-            DEFAULT_TARGET, store=SessionStore(tmp_path / "store"),
-            store_miss_cache_size=size,
-        )
+            monkeypatch.setattr(session, "DEFAULT_STORE_MISS_CACHE", size)
+            return OptimizationContext(
+                build_toy_program(), toy_config(), make_trace(),
+                DEFAULT_TARGET, store=SessionStore(tmp_path / "store"),
+            )
 
-    def test_rejects_nonpositive_size(self, tmp_path):
-        with pytest.raises(ValueError):
-            self.make_ctx(tmp_path, 0)
+        return make
 
-    def test_eviction_is_bounded_and_oldest_first(self, tmp_path):
-        ctx = self.make_ctx(tmp_path, 4)
+    def test_eviction_is_bounded_and_oldest_first(self, tmp_path, make_ctx):
+        ctx = make_ctx(tmp_path, 4)
         for index in range(10):
             ctx._remember_store_miss(("compile", (f"k{index}",)))
         assert list(ctx._store_misses) == [
             ("compile", (f"k{index}",)) for index in (6, 7, 8, 9)
         ]
 
-    def test_lookup_refreshes_recency(self, tmp_path):
-        ctx = self.make_ctx(tmp_path, 3)
+    def test_lookup_refreshes_recency(self, tmp_path, make_ctx):
+        ctx = make_ctx(tmp_path, 3)
         for name in ("a", "b", "c"):
             ctx._remember_store_miss(("compile", (name,)))
         # Touch the oldest entry, then overflow by one: the untouched
@@ -411,20 +395,22 @@ class TestStoreMissCache:
         assert ("compile", ("a",)) in ctx._store_misses
         assert ("compile", ("b",)) not in ctx._store_misses
 
-    def test_remembered_miss_skips_disk(self, tmp_path):
-        ctx = self.make_ctx(tmp_path, 8)
+    def test_remembered_miss_skips_disk(self, tmp_path, make_ctx):
+        ctx = make_ctx(tmp_path, 8)
         ctx.compile()  # cold: disk miss remembered, probe executed
         assert ctx.counters.compile_disk_hits == 0
         key = next(iter(ctx._store_misses))
         assert key[0] == "compile"
-        # A hot remembered miss answers without touching the store.
-        assert ctx._store_load_compile(key[1]) is None
+        # A hot remembered miss answers without touching the store
+        # (memo tier emptied so the lookup reaches the disk tier).
+        ctx._memo["compile"].clear()
+        assert ctx._lookup(*key) is None
         assert ctx.store.counters.misses == 1  # still just the cold one
 
-    def test_evicted_miss_falls_back_to_disk_probe(self, tmp_path):
-        ctx = self.make_ctx(tmp_path, 1)
+    def test_evicted_miss_falls_back_to_disk_probe(self, tmp_path, make_ctx):
+        ctx = make_ctx(tmp_path, 1)
         ctx._remember_store_miss(("compile", ("cold",)))
         ctx._remember_store_miss(("compile", ("hot",)))  # evicts "cold"
         before = ctx.store.counters.misses
-        assert ctx._store_load_compile(("cold",)) is None
+        assert ctx._lookup("compile", ("cold",)) is None
         assert ctx.store.counters.misses == before + 1  # disk re-asked
