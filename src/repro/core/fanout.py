@@ -14,11 +14,11 @@ the two verbs used to spell separately lives here once:
 * the pool factory (:func:`make_pool`) with its thread fallback — the
   only place under ``repro`` that constructs a probe/fan-out executor
   (the session's batch probes use it too);
-* probe leases on exactly when a store is shared: the store is then the
-  only channel between workers, and its leases are what keeps two of
-  them from executing the same fingerprinted probe;
-* always-close of the task's session, so buffered write-backs flush and
-  held leases release even when the task raises;
+* one shared store root as the only channel between workers — its
+  leases (DESIGN.md §13) are what keeps two of them from executing the
+  same fingerprinted probe;
+* always-close of the task's session, so its pool is released even
+  when the task raises;
 * cancel-on-first-error shutdown: a failed task surfaces at once
   instead of after every still-queued run has been executed.
 """
@@ -93,7 +93,6 @@ def _run_one(task: Callable, run, store_root: Optional[str]):
     t0 = time.perf_counter()
     store = SessionStore(store_root) if store_root is not None else None
     session = run.create_session(store=store)
-    session.lease_probes = store is not None
     try:
         value = task(run, session)
     finally:

@@ -19,9 +19,8 @@ Contract, mirroring PR 4's parallel-probing contract:
   worker count, with or without the shared store — sharing changes who
   pays for a probe (``session_counters`` provenance), never the
   optimization outcome.  Results merge in submission order.
-* **Exactly-once probing.**  With a shared store (leases are on
-  exactly then), two processes never both
-  execute the same fingerprinted probe (one claims, the other waits
+* **Exactly-once probing.**  With a shared store, two processes never
+  both execute the same fingerprinted probe (one claims, the other waits
   and gets a disk hit), so the fleet-wide execution count equals the
   number of *distinct* probes the fabric asks — the number the fleet
   benchmark gates on.  The only exception is a reaped lease (a holder
@@ -150,12 +149,6 @@ class FleetResult:
     #: Aggregate cache (computed once by :meth:`aggregate`).
     _aggregate: Optional[Dict] = field(default=None, repr=False)
 
-    @property
-    def lease_probes(self) -> bool:
-        """Whether the switches coordinated probes through store
-        leases: exactly when they shared a store."""
-        return self.store_root is not None
-
     def aggregate(self) -> Dict:
         """Fleet-wide totals: stages reclaimed, probe provenance,
         cross-switch disk reuse, lease contention, wall clock."""
@@ -180,7 +173,6 @@ class FleetResult:
             "switches": len(self.switches),
             "workers": self.workers,
             "store_root": self.store_root,
-            "lease_probes": self.lease_probes,
             "stages_before": stages_before,
             "stages_after": stages_after,
             "stages_reclaimed": stages_before - stages_after,

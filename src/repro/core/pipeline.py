@@ -132,16 +132,13 @@ class SwitchRun:
     benchmark's reference mode).  ``workers`` sets how many candidates
     the phases probe concurrently (None defers to ``$P2GO_WORKERS``,
     then to 1 — the serial path; the result is identical either way).
-    ``lease_probes=True`` coordinates probe executions with concurrent
-    runs in *other processes* through store-level leases (see
-    :meth:`~repro.core.store.SessionStore.claim_probe`; it changes who
-    pays for a probe, never the result).  ``name`` labels the switch in
-    fleet reports (defaults to the program name).
+    ``name`` labels the switch in fleet reports (defaults to the
+    program name).
 
     The lifecycle is :meth:`execute`: build the requested passes,
     create (or adopt and re-wire) an
     :class:`~repro.core.session.OptimizationContext`, run the phases,
-    flush the store, close what it owns.  A run is also the *spec* of
+    close what it owns.  A run is also the *spec* of
     itself: it holds nothing but its inputs, so it pickles across a
     process boundary and executes there to the same result — which is
     how :func:`~repro.core.fanout.run_many` fans a fleet's or a
@@ -164,7 +161,6 @@ class SwitchRun:
         review_hook: Optional[ReviewHook] = None,
         memoize: bool = True,
         workers: Optional[int] = None,
-        lease_probes: bool = False,
         candidate_policy: Optional[str] = None,
     ):
         # Fail on an unknown policy name at construction, not inside a
@@ -185,7 +181,6 @@ class SwitchRun:
         self.review_hook = review_hook
         self.memoize = memoize
         self.workers = workers
-        self.lease_probes = lease_probes
         self.candidate_policy = candidate_policy
 
     # ------------------------------------------------------------------
@@ -234,7 +229,6 @@ class SwitchRun:
             memoize=self.memoize,
             workers=self.workers,
             store=store,
-            lease_probes=self.lease_probes and store is not None,
         )
 
     def adopt_session(self, ctx: OptimizationContext) -> None:
@@ -242,8 +236,8 @@ class SwitchRun:
 
         The session keeps its memo cache, counters, and store; it
         starts this run from our inputs.  The trace assignment re-keys
-        the profile memo and any pending disk hydration: a shared
-        session previously replayed other traffic (e.g. before an
+        its profile lookups (memo and disk): a shared
+        session that previously replayed other traffic (e.g. before an
         OnlineProfiler drift alert) must not serve profiles recorded on
         it.  Equal-content traces hash to the same key, so this never
         costs a cached run anything.
@@ -263,9 +257,8 @@ class SwitchRun:
 
         With no ``session`` the run creates, drives, and closes its own
         (attaching ``store`` when given).  An injected session is
-        adopted instead — it stays open afterwards, with this run's
-        executed probes flushed so another process can warm-start —
-        and ``store`` is ignored in favour of the session's own.  If an
+        adopted instead — it stays open afterwards — and ``store`` is
+        ignored in favour of the session's own.  If an
         adopted run raises, the session's (program, config, trace) are
         restored to their pre-adoption state: a failed re-run (e.g. a
         drift-triggered ``reoptimize``) must not leave a shared session
@@ -277,20 +270,13 @@ class SwitchRun:
             try:
                 result = self._run_phases(ctx, passes)
             finally:
-                # Flush store write-backs and release worker pools; the
-                # result keeps the counters.
+                # Release worker pools; the result keeps the counters.
                 ctx.close()
         else:
             ctx = session
             with ctx.state_guard():
                 self.adopt_session(ctx)
-                try:
-                    result = self._run_phases(ctx, passes)
-                finally:
-                    # A shared session stays open, but this run's
-                    # executed probes persist now so another process
-                    # can warm-start.
-                    ctx.flush_store()
+                result = self._run_phases(ctx, passes)
         if ctx.store is not None:
             result.store_stats = ctx.store.stats()
         return result

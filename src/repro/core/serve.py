@@ -794,7 +794,6 @@ class ContinuousOptimizer:
             self.stats.elapsed_seconds = time.perf_counter() - t_start
             if self._ingest_error is not None:
                 raise self._ingest_error
-            session.flush_store()
             return ServeResult(
                 stats=self.stats,
                 initial=self.initial,

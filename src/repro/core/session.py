@@ -87,8 +87,8 @@ Persistent store (disk tier)
 ``store=`` attaches a :class:`~repro.core.store.SessionStore`: a
 disk-backed, content-addressed second tier behind the memo cache (the
 keys are the same fingerprints, so the two tiers can never disagree).
-The lookup order on every probe — either kind, serial or batched; one
-``_lookup`` spells it — is **memo → disk → execute**:
+Every probe — either kind, serial or batched; one ``_lookup`` spells it
+— goes **memo → disk → execute**:
 
 * a *memo hit* costs a dict lookup (counted in ``compile_hits`` /
   ``profile_hits``);
@@ -96,37 +96,16 @@ The lookup order on every probe — either kind, serial or batched; one
   counted separately (``compile_disk_hits`` / ``profile_disk_hits``) —
   it is **not** an execution and is never attributed to a perf window
   (the replay cost was paid by whichever run wrote the entry);
-* an *execution* runs the compiler / replays the trace and queues the
-  result for write-back.
+* an *execution* runs the compiler / replays the trace and writes the
+  result through to the store at once, under the key it was executed
+  with.
 
-Serial write-back is buffered and flushed on :meth:`commit` and
-:meth:`close` (the probes' keys are captured at execution time, so a
-later trace swap cannot mis-key them); the :meth:`probe_many` merge
-wave flushes executed probes immediately so parallel waves persist even
-if the run is killed mid-phase.  Disk misses are remembered per key in
-a **bounded LRU** (:data:`DEFAULT_STORE_MISS_CACHE` keys) to avoid
-re-statting the store in tight probe loops — when the bound is hit the
-single least-recently-asked key is evicted, so a long fleet run never
-forgets all of its negative-miss knowledge at once and re-stats the
-whole disk tier.  The trace setter drops the remembered *profile*
-misses (a drift-triggered re-run swaps the trace, and miss knowledge
-recorded under the old traffic — or before a concurrent writer
-persisted new entries — must not suppress re-keyed disk lookups;
-``tests/test_session.py`` pins this next to the PR 4 stale-profile
-regression).  With ``memoize=False`` the store is inert in both
-directions: that mode exists to measure real executions.
-
-``lease_probes=True`` opts the session into the store's cross-process
-probe leases (:meth:`~repro.core.store.SessionStore.claim_probe`): a
-disk miss first claims the probe's lease — losing the claim means
-another *process* is executing that exact fingerprinted probe, so the
-session waits for its entry instead of re-executing (the cross-process
-analogue of ``probe_many``'s in-flight dedup).  Probes executed under
-a held lease write through to the store immediately (like the parallel
-merge wave — waiters are blocked on the lease, so the buffered flush
-would stall them) and release the lease.  This is the fleet
-coordinator's dedup mechanism (:mod:`repro.core.fleet`); single-run
-sessions leave it off and keep the buffered write-back.
+The disk tier's policy — who executes a probe that several processes
+want, and when its entry becomes visible — lives behind
+:meth:`~repro.core.store.SessionStore.acquire` (DESIGN.md §10); the
+session only carries the lease that call may hand it until the probe is
+published or has raised.  With ``memoize=False`` the store is inert in
+both directions: that mode exists to measure real executions.
 
 Concurrency contract (also DESIGN.md §9): worker tasks are *pure* —
 they receive pickled/shared immutable inputs and return results; every
@@ -146,7 +125,6 @@ object — the batch API *is* the concurrency mechanism).
 from __future__ import annotations
 
 import hashlib
-import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from concurrent.futures import Executor
@@ -155,7 +133,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.fanout import make_pool, resolve_workers
 from repro.core.profiler import Profile, Profiler
-from repro.core.store import ProbeLease, SessionStore
+from repro.core.store import SessionStore
 from repro.p4.dsl.printer import print_program
 from repro.p4.program import Program
 from repro.sim.perf import PerfCounters
@@ -167,10 +145,6 @@ from repro.traffic.generators import TracePacket
 #: Bound on the per-object program-digest cache (satellite of ISSUE 4:
 #: an unbounded cache kept every rejected candidate AST alive).
 DEFAULT_PROGRAM_KEY_CACHE = 256
-#: Bound on the remembered disk-miss keys; past it the least-recently
-#: asked key is evicted (not the whole cache — a long fleet run must
-#: never forget all negative-miss knowledge at once).
-DEFAULT_STORE_MISS_CACHE = 4096
 
 
 def program_fingerprint(program: Program) -> str:
@@ -350,15 +324,9 @@ class OptimizationContext:
     :meth:`close` (the session is also a context manager).
 
     ``store`` attaches a :class:`~repro.core.store.SessionStore` disk
-    tier behind the memo cache (lookup order memo → disk → execute;
-    executed probes are written back on commit/close and after each
-    parallel wave).  Inert when ``memoize=False``.
-
-    ``lease_probes=True`` additionally coordinates executions across
-    *processes* through the store's probe leases: a disk miss claims
-    the probe before executing, and a lost claim waits for the holding
-    process's entry instead of re-executing (see the module docstring).
-    Requires a ``store``; inert without one or with ``memoize=False``.
+    tier behind the memo cache (memo → disk → execute; executed probes
+    are written through, and concurrent sessions on one root — in any
+    process — execute each probe once).  Inert when ``memoize=False``.
     """
 
     def __init__(
@@ -370,7 +338,6 @@ class OptimizationContext:
         memoize: bool = True,
         workers: Optional[int] = None,
         store: Optional[SessionStore] = None,
-        lease_probes: bool = False,
     ):
         self.program = program
         self.config = config
@@ -379,25 +346,6 @@ class OptimizationContext:
         #: Disk tier behind the memo cache (None = memory only).  Inert
         #: when ``memoize=False``.
         self.store = store
-        #: Executed probes awaiting write-back: (kind, key, value),
-        #: keys captured at execution time.  Flushed by
-        #: :meth:`flush_store` (called from commit/close and the batch
-        #: merge wave).
-        self._store_pending: List[Tuple[str, Tuple, object]] = []
-        #: Keys known to be absent on disk (avoids re-statting the
-        #: store per probe), bounded LRU; profile entries are dropped
-        #: on trace swap.
-        self._store_misses: "OrderedDict[Tuple[str, Tuple], None]" = (
-            OrderedDict()
-        )
-        #: Cross-process probe coordination (off by default; the fleet
-        #: coordinator turns it on).
-        self.lease_probes = lease_probes
-        #: Leases this session currently holds: (kind, key) -> lease.
-        #: Popped (and released) by the write-through in
-        #: :meth:`_queue_store_write`; :meth:`close` releases leftovers
-        #: (an execution that raised between claim and write).
-        self._held_leases: Dict[Tuple[str, Tuple], ProbeLease] = {}
         self.workers = resolve_workers(workers)
         self.counters = SessionCounters()
 
@@ -436,23 +384,11 @@ class OptimizationContext:
 
     @trace.setter
     def trace(self, trace: Sequence[TracePacket]) -> None:
-        """Swap the session trace; cached profiles are keyed on the old
-        trace's fingerprint and stop matching immediately.
-
-        Any pending disk hydration is re-keyed too: remembered *profile*
-        disk misses are dropped, so probes after the swap (or after a
-        swap back, once a concurrent writer may have persisted entries)
-        hit the store again under the new trace key instead of trusting
-        stale miss knowledge — the disk-tier mirror of the PR 4
-        stale-profile fix.
-        """
+        """Swap the session trace; cached profiles — memo and disk —
+        are keyed on the old trace's fingerprint and stop matching
+        immediately."""
         self._trace = list(trace)
         self._trace_key = trace_fingerprint(self._trace)
-        self._store_misses = OrderedDict(
-            (entry, None)
-            for entry in self._store_misses
-            if entry[0] != "profile"
-        )
 
     @property
     def trace_key(self) -> str:
@@ -469,8 +405,7 @@ class OptimizationContext:
         SwitchRun`) swaps the trace before probing, and a run that dies
         mid-phase must not leave the session keyed on the new traffic
         for subsequent callers.  On success the new state stays — that
-        *is* the re-key.  Trace restoration goes through the setter, so
-        miss-cache re-keying applies on the way back too.
+        *is* the re-key.
         """
         prior = (self.program, self.config, self._trace)
         try:
@@ -521,136 +456,57 @@ class OptimizationContext:
     # One probe path: memo → disk → execute
 
     def _lookup(self, kind: str, key: Tuple):
-        """Answer a probe without executing it, or return None.
+        """Answer a probe without executing it: ``(value, None)``; or
+        ``(None, lease)`` — the caller executes, and ``lease`` is the
+        store's cross-process claim on the probe when it granted one.
 
-        Memo tier first; then — unless the key is a remembered disk
-        miss — the persistent store, coordinating through its leases
-        when they are on.  A disk hit hydrates the memo and is counted;
-        it is not an execution and is never attributed to a perf window
-        (the cost was paid by whichever run wrote the entry).
+        Memo tier first, then the persistent store's one door.  A disk
+        hit hydrates the memo and is counted; it is not an execution
+        and is never attributed to a perf window (the cost was paid by
+        whichever run wrote the entry).
         """
         memo = self._memo[kind]
         found = memo.get(key)
+        if found is not None or self.store is None:
+            return found, None
+        found, lease = self.store.acquire(kind, key)
         if found is not None:
-            return found
-        entry = (kind, key)
-        if self.store is None or self._store_miss_remembered(entry):
-            return None
-        found = getattr(self.store, f"load_{kind}")(key)
-        if found is None and self.lease_probes:
-            found = self._store_coordinate(kind, key)
-        if found is None:
-            self._remember_store_miss(entry)
-            return None
-        self.counters.bump(kind, "disk_hits")
-        memo[key] = found
-        return found
+            self.counters.bump(kind, "disk_hits")
+            memo[key] = found
+        return found, lease
 
-    def _record(self, kind: str, key: Tuple, value):
+    def _record(self, kind: str, key: Tuple, value, lease=None):
         """Land one executed probe: attribute a replay's perf to the
-        open window, memoize, queue the store write-back."""
+        open window, memoize, write through to the store (releasing
+        ``lease``, so waiters in other processes wake on the entry)."""
         if kind == "profile":
             self._attribute_perf(value[1])
         if self.memoize:
             self._memo[kind][key] = value
-            self._queue_store_write(kind, key, value)
+            if lease is not None:
+                lease.publish(value)
+            elif self.store is not None:
+                self.store.publish(kind, key, value)
         return value
 
     def _probe(self, probe: Probe):
         """The serial probe: count the call, look it up, else execute."""
         kind, key, (task, *arguments) = probe
         self.counters.bump(kind, "calls")
-        found = self._lookup(kind, key) if self.memoize else None
+        found, lease = (
+            self._lookup(kind, key) if self.memoize else (None, None)
+        )
         if found is not None:
             return found
         # Counted when handed to the compiler/replayer, not when it
         # returns: a compile that raises (a program that cannot exist
         # on the target) was still an execution.
         self.counters.bump(kind, "executions")
-        return self._record(kind, key, task(*arguments))
-
-    # ------------------------------------------------------------------
-    # Persistent store (disk tier behind the memo cache)
-
-    def _store_coordinate(self, kind: str, key: Tuple):
-        """Cross-process probe dedup on a disk miss (leases enabled).
-
-        Either wins the probe's lease (returns None — the caller
-        executes, and the write-through in :meth:`_queue_store_write`
-        releases it) or waits out the process that holds it and returns
-        that process's entry (a disk hit to the caller).  Bounded by
-        the store's ``lease_ttl``: past it the session executes without
-        a lease — duplicated work beats a wedged fleet.
-        """
-        deadline = time.monotonic() + self.store.lease_ttl
-        load = getattr(self.store, f"load_{kind}")
-        while True:
-            lease = self.store.claim_probe(kind, key)
+        try:
+            return self._record(kind, key, task(*arguments), lease)
+        finally:
             if lease is not None:
-                # Re-check under the lease: the entry may have landed
-                # between our disk miss and this claim (the writer
-                # released its lease just before we won the race).
-                # Executing here would break the exactly-once guarantee
-                # the fleet bench's deterministic counters rest on.
-                value = load(key)
-                if value is not None:
-                    lease.release()
-                    return value
-                self._held_leases[(kind, key)] = lease
-                return None
-            value = self.store.wait_for_probe(kind, key, deadline=deadline)
-            if value is not None:
-                return value
-            if time.monotonic() >= deadline:
-                return None
-
-    def _store_miss_remembered(self, entry: Tuple[str, Tuple]) -> bool:
-        if entry not in self._store_misses:
-            return False
-        self._store_misses.move_to_end(entry)
-        return True
-
-    def _remember_store_miss(self, entry: Tuple[str, Tuple]) -> None:
-        self._store_misses[entry] = None
-        self._store_misses.move_to_end(entry)
-        while len(self._store_misses) > DEFAULT_STORE_MISS_CACHE:
-            self._store_misses.popitem(last=False)
-
-    def flush_store(self) -> int:
-        """Write every executed-but-unflushed probe to the disk store
-        (no-op without one).  Called on :meth:`commit`, :meth:`close`,
-        and by the batch merge wave; returns how many entries flushed."""
-        pending, self._store_pending = self._store_pending, []
-        if self.store is None:
-            return 0
-        for kind, key, value in pending:
-            self._store_write(kind, key, value)
-        return len(pending)
-
-    def _store_write(self, kind: str, key: Tuple, value) -> None:
-        if kind == "compile":
-            self.store.store_compile(key, value)
-        else:
-            self.store.store_profile(key, *value)
-        self._store_misses.pop((kind, key), None)
-
-    def _queue_store_write(self, kind: str, key: Tuple, value) -> None:
-        if self.store is None:
-            return
-        lease = self._held_leases.pop((kind, key), None)
-        if lease is not None:
-            # Write through immediately: waiters in other processes are
-            # blocked on this lease, so the buffered flush would stall
-            # them until commit/close.
-            self._store_write(kind, key, value)
-            lease.release()
-            return
-        self._store_pending.append((kind, key, value))
-
-    def _release_leases(self) -> None:
-        leases, self._held_leases = list(self._held_leases.values()), {}
-        for lease in leases:
-            lease.release()
+                lease.release()  # a no-op once published
 
     # ------------------------------------------------------------------
     # Memoized compile / profile (serial)
@@ -783,28 +639,34 @@ class OptimizationContext:
         # execution.  Under memoize, probes the memo or the disk store
         # answers are skipped, and equal keys are deduplicated in
         # flight; without it every call executes — exactly like the
-        # serial path.
-        futures: List[Tuple[str, Tuple, object]] = []
+        # serial path.  Merge wave: in the caller's thread, in
+        # submission order; each probe is written through as it lands.
+        futures: List[Tuple[str, Tuple, object, object]] = []
         in_flight = set()
-        for kind, key, task in probes:
-            if self.memoize:
-                if (kind, key) in in_flight:
-                    continue
-                if self._lookup(kind, key) is not None:
-                    continue
-                in_flight.add((kind, key))
-            self.counters.bump(kind, "executions")
-            futures.append((kind, key, self._pool().submit(*task)))
-
-        # Merge wave, in the caller's thread, in submission order.
-        # Executed probes are flushed to the disk store here (not
-        # buffered like the serial path) so each parallel wave persists
-        # as soon as it lands, even if the run dies mid-phase.
         executed: Dict[Tuple[str, Tuple], object] = {}
-        for kind, key, future in futures:
-            value = self._record(kind, key, future.result())
-            executed.setdefault((kind, key), value)
-        self.flush_store()
+        leases = []
+        try:
+            for kind, key, task in probes:
+                lease = None
+                if self.memoize:
+                    if (kind, key) in in_flight:
+                        continue
+                    found, lease = self._lookup(kind, key)
+                    if found is not None:
+                        continue
+                    in_flight.add((kind, key))
+                    if lease is not None:
+                        leases.append(lease)
+                self.counters.bump(kind, "executions")
+                futures.append(
+                    (kind, key, lease, self._pool().submit(*task))
+                )
+            for kind, key, lease, future in futures:
+                value = self._record(kind, key, future.result(), lease)
+                executed.setdefault((kind, key), value)
+        finally:
+            for lease in leases:
+                lease.release()  # a no-op once published
 
         return [
             executed[kind, key]
@@ -829,12 +691,8 @@ class OptimizationContext:
         return pool
 
     def close(self) -> None:
-        """Flush pending store write-backs, release any still-held
-        probe leases, and release the worker pool (memo caches and
-        counters survive; the pool is recreated lazily if the session
-        batches again)."""
-        self.flush_store()
-        self._release_leases()
+        """Release the worker pool (memo caches and counters survive;
+        the pool is recreated lazily if the session batches again)."""
         executor, self._executor = self._executor, None
         if executor is not None:
             executor[1].shutdown(wait=True)
@@ -900,14 +758,11 @@ class OptimizationContext:
         )
 
     def commit(self) -> Tuple[Program, RuntimeConfig]:
-        """Make the pending proposal the session's current state and
-        flush executed probes to the persistent store (every accepted
-        change is a durable checkpoint)."""
+        """Make the pending proposal the session's current state."""
         if self._pending is None:
             raise RuntimeError("no pending proposal to commit")
         self.program, self.config = self._pending
         self._pending = None
-        self.flush_store()
         return self.program, self.config
 
     def rollback(self) -> Tuple[Program, RuntimeConfig]:

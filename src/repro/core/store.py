@@ -40,26 +40,18 @@ Durability and safety contract (DESIGN.md §10):
   exceeds ``max_bytes`` after a write, the least-recently-used entries
   are evicted (oldest mtime first, name as the deterministic
   tie-break).
-* **Probe leases.**  ``probe_many`` already dedupes equal-fingerprint
-  probes *in-process*; the lease protocol extends that across
-  processes (the fleet coordinator's whole point).  A process about to
-  execute a probe first tries :meth:`SessionStore.claim_probe`: an
-  ``O_EXCL``-created ``<entry>.lease`` claim file beside the entry.
-  Losing the claim means another process is already executing that
-  exact fingerprinted probe — :meth:`SessionStore.wait_for_probe`
-  polls until the entry lands (a cross-process disk hit) or the lease
-  goes stale.  Leases carry a TTL (``lease_ttl``): a holder that died
-  mid-execution is reaped by the next claimant instead of wedging the
-  fleet, and a wait never outlives the TTL — at worst two processes
-  re-pay one probe, they never produce different content.  Lease
-  telemetry (claims, waits, wait hits, reaps) rides on
-  :class:`StoreCounters`.  Lease files are invisible to the census,
-  the LRU sweep, and ``clear()``.
+* **Probe leases.**  An ``O_EXCL``-created ``<entry>.lease`` file
+  beside the entry marks a probe some process is executing (DESIGN.md
+  §13: exactly-once across processes).  It records the holder's host
+  and pid: a lease is *stale* — reaped by the next claimant — once it
+  is older than ``lease_ttl`` or its holder, on this host, no longer
+  exists, and no wait outlives the TTL.  At worst two processes re-pay
+  one probe; they never produce different content.  Lease telemetry
+  rides on :class:`StoreCounters`; lease files are invisible to the
+  census, the LRU sweep, and ``clear()``.
 
-The session hydrates from the store on memo miss and flushes executed
-probes back on ``commit()`` / ``close()`` (serial path) and in the
-``probe_many`` merge wave (parallel path) — see
-:class:`~repro.core.session.OptimizationContext`.
+One policy for every session with a store attached (DESIGN.md §10):
+:meth:`SessionStore.acquire` → execute → publish.
 """
 
 from __future__ import annotations
@@ -68,6 +60,7 @@ import hashlib
 import json
 import os
 import pickle
+import socket
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -224,6 +217,11 @@ class StoreCounters:
     def hits(self) -> int:
         return self.compile_hits + self.profile_hits
 
+    @property
+    def leases_held(self) -> int:
+        """Leases this handle has won and not yet released."""
+        return self.lease_claims - self.lease_releases
+
     def as_dict(self) -> Dict[str, int]:
         return {
             "compile_hits": self.compile_hits,
@@ -246,11 +244,11 @@ class StoreCounters:
 class ProbeLease:
     """An exclusive cross-process claim on one in-flight probe.
 
-    Won via :meth:`SessionStore.claim_probe`; the holder executes the
-    probe, writes the entry, then calls :meth:`release` so waiters in
-    other processes see the entry instead of re-executing.  A lease
-    whose holder dies is reaped by the next claimant once it is older
-    than the store's ``lease_ttl``.
+    Won via :meth:`SessionStore.acquire`; the holder executes the
+    probe, then calls :meth:`publish` (write + release) so waiters in
+    other processes see the entry instead of re-executing — or just
+    :meth:`release` when the execution raised.  A lease whose holder
+    dies is reaped by the next claimant.
     """
 
     store: "SessionStore"
@@ -258,6 +256,11 @@ class ProbeLease:
     key: Tuple
     path: Path
     released: bool = False
+
+    def publish(self, value) -> None:
+        """Write the executed probe's entry, then release the claim."""
+        self.store.publish(self.kind, self.key, value)
+        self.release()
 
     def release(self) -> None:
         if self.released:
@@ -511,38 +514,59 @@ class SessionStore:
     def _lease_path(self, kind: str, key: Tuple) -> Path:
         return self._dir(kind) / (self._entry_name(kind, key) + ".lease")
 
-    def _lease_age(self, path: Path) -> Optional[float]:
-        """Seconds since the lease was taken, or None when it is gone."""
+    def _loader(self, kind: str):
+        return self.load_compile if kind == "compile" else self.load_profile
+
+    def _lease_stale(self, path: Path) -> Optional[bool]:
+        """Whether the lease's holder is presumed dead (None: the lease
+        is gone).  Dead means older than ``lease_ttl``, or written on
+        this host by a pid that no longer exists; a lease whose record
+        is missing, unreadable or from another host has only the TTL.
+        """
         try:
-            return max(0.0, time.time() - path.stat().st_mtime)
-        except OSError:
+            if time.time() - path.stat().st_mtime > self.lease_ttl:
+                return True
+            holder = json.loads(path.read_text())
+            if holder["host"] != socket.gethostname():
+                return False
+            os.kill(holder["pid"], 0)
+        except FileNotFoundError:
             return None
+        except ProcessLookupError:
+            return True
+        except (OSError, ValueError, KeyError, TypeError, OverflowError):
+            return False  # no usable record: only the TTL applies
+        return False  # the holder is alive
 
     def claim_probe(self, kind: str, key: Tuple) -> Optional[ProbeLease]:
         """Try to claim exclusive execution of one probe.
 
-        Returns a :class:`ProbeLease` when this process won (it should
-        execute the probe, write the entry, then ``release()``), or
-        None when another process holds a fresh lease on the same
-        fingerprint — the caller should :meth:`wait_for_probe` instead
-        of executing.  A lease older than ``lease_ttl`` is reaped (its
-        holder is presumed dead) and re-claimed.
+        Returns a held :class:`ProbeLease` when this process won (it
+        executes, then publishes the value or just releases), or None
+        when another process holds a live lease on the same fingerprint
+        — :meth:`wait_for_probe` instead of executing.  A stale lease
+        (:meth:`_lease_stale`) is reaped and re-claimed.  When no lease
+        file can be created at all (ENOSPC, a read-only or unready
+        root) there is nothing to hold and nobody to wait for: the
+        failure is counted in ``errors`` and the returned lease is
+        already released — the caller executes unleased.
         """
-        if not self._ensure_ready():
-            return None
         path = self._lease_path(kind, key)
+        unleased = ProbeLease(self, kind, key, path, released=True)
+        if not self._ensure_ready():
+            return unleased
         for _attempt in (0, 1):
             try:
                 fd = os.open(
                     path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644
                 )
             except FileExistsError:
-                age = self._lease_age(path)
-                if age is not None and age <= self.lease_ttl:
+                stale = self._lease_stale(path)
+                if stale is False:
                     return None
-                if age is not None:
-                    # Holder dead past the TTL: break the lease and
-                    # retry the O_EXCL create (one racer wins it).
+                if stale:
+                    # Holder dead: break the lease and retry the
+                    # O_EXCL create (one racer wins it).
                     try:
                         os.unlink(path)
                         self.counters.leases_reaped += 1
@@ -551,10 +575,14 @@ class SessionStore:
                 continue
             except OSError:
                 self.counters.errors += 1
-                return None
+                return unleased
             try:
                 with os.fdopen(fd, "w") as handle:
-                    handle.write(json.dumps({"pid": os.getpid()}))
+                    handle.write(
+                        json.dumps(
+                            {"host": socket.gethostname(), "pid": os.getpid()}
+                        )
+                    )
             except OSError:
                 self.counters.errors += 1
             self.counters.lease_claims += 1
@@ -570,7 +598,7 @@ class SessionStore:
     ):
         """Wait for another process's in-flight probe to land.
 
-        Polls while the lease stays fresh.  Returns the loaded entry
+        Polls while the lease stays live.  Returns the loaded entry
         value (a cross-process dedup hit), or None when the lease
         vanished or went stale without producing an entry — the caller
         should retry :meth:`claim_probe` — or when ``deadline``
@@ -580,7 +608,7 @@ class SessionStore:
         """
         if deadline is None:
             deadline = time.monotonic() + self.lease_ttl
-        load = self.load_compile if kind == "compile" else self.load_profile
+        load = self._loader(kind)
         entry = self._entry_path(kind, key)
         lease = self._lease_path(kind, key)
         self.counters.lease_waits += 1
@@ -592,8 +620,8 @@ class SessionStore:
                     return value
                 # The entry was corrupt (now quarantined) — fall
                 # through to the lease check.
-            age = self._lease_age(lease)
-            if age is None:
+            stale = self._lease_stale(lease)
+            if stale is None:
                 # Lease released: one final look for the entry.
                 if entry.exists():
                     value = load(key)
@@ -601,9 +629,55 @@ class SessionStore:
                         self.counters.lease_wait_hits += 1
                         return value
                 return None
-            if age > self.lease_ttl or time.monotonic() >= deadline:
+            if stale or time.monotonic() >= deadline:
                 return None
             time.sleep(poll)
+
+    def acquire(
+        self, kind: str, key: Tuple
+    ) -> Tuple[Optional[object], Optional[ProbeLease]]:
+        """The one door to a stored probe: load it, or settle across
+        processes who executes it.
+
+        * ``(value, None)`` — a disk hit, or another process's entry
+          that landed while we waited on its lease;
+        * ``(None, lease)`` — this process holds the probe's lease and
+          must execute, then ``lease.publish(value)`` (or ``release()``
+          if the execution raised);
+        * ``(None, None)`` — execute unleased and :meth:`publish`:
+          leasing is impossible here, ``lease_ttl`` passed while
+          waiting, or waiting could deadlock — this handle already
+          holds leases (a parallel wave claims several before it
+          executes any), and two such holders waiting on each other
+          would both sit out the TTL.  Duplicated work beats a wedged
+          run.
+        """
+        load = self._loader(kind)
+        value = load(key)
+        if value is not None:
+            return value, None
+        deadline = time.monotonic() + self.lease_ttl
+        while True:
+            lease = self.claim_probe(kind, key)
+            if lease is None:
+                if self.counters.leases_held:
+                    return None, None
+                value = self.wait_for_probe(kind, key, deadline=deadline)
+                if value is not None:
+                    return value, None
+                if time.monotonic() >= deadline:
+                    return None, None
+                continue
+            if lease.released:
+                return None, None
+            # Re-check under the lease: the entry may have landed
+            # between our miss and this claim (its writer released just
+            # before we won).  Executing here would break exactly-once.
+            value = load(key)
+            if value is not None:
+                lease.release()
+                return value, None
+            return None, lease
 
     # ------------------------------------------------------------------
     # Public API
@@ -631,6 +705,14 @@ class SessionStore:
         self, key: Tuple, profile: "Profile", perf: "PerfCounters"
     ) -> None:
         self._store("profile", key, (profile, perf))
+
+    def publish(self, kind: str, key: Tuple, value) -> None:
+        """Write one executed probe's stored value (a compile's result;
+        a profile's ``(profile, perf)`` pair)."""
+        if kind == "compile":
+            self.store_compile(key, value)
+        else:
+            self.store_profile(key, *value)
 
     # ------------------------------------------------------------------
     # Eviction / maintenance

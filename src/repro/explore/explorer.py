@@ -139,8 +139,8 @@ def _point_task(
     execute, score.  Returns :class:`PointOutcome`'s fields between
     ``point`` and ``seconds``.  A :class:`~repro.exceptions.ReproError`
     (the program cannot exist on this shape) becomes an infeasible
-    outcome; the fan-out closes the session — and releases any held
-    probe leases — either way."""
+    outcome; the raising probe released its own lease, and the fan-out
+    closes the session either way."""
     status, reason, metrics = "ok", None, {}
     try:
         result = run.execute(session=session)

@@ -195,7 +195,6 @@ class TestSharedStoreReuse:
     def test_storeless_fleet_has_no_reuse_and_no_leases(self, fabric):
         fleet = run_fleet(fabric[:2], store=False, workers=1)
         assert fleet.store_root is None
-        assert fleet.lease_probes is False
         agg = fleet.aggregate()
         assert agg["probe_disk_hits"] == 0
         assert agg["lease_claims"] == 0
@@ -254,7 +253,7 @@ class TestFleetResultShape:
     def test_is_fleet_result(self, fleet_parallel):
         assert isinstance(fleet_parallel, FleetResult)
         assert fleet_parallel.workers == 3
-        assert fleet_parallel.lease_probes is True
+        assert fleet_parallel.store_root is not None
 
 
 def _marking_task(marks, run, session):

@@ -162,11 +162,10 @@ class TestTraceIdentity:
         assert again is first
 
     def test_trace_swap_rekeys_disk_hydration(self, tmp_path):
-        """ISSUE 5 satellite: assigning a new trace must re-key pending
-        disk hydration.  A remembered store miss recorded before a
-        concurrent writer persisted the entry (simulated below) must not
-        suppress the re-keyed lookup after the swap — the disk-tier
-        mirror of the stale-profile regression above."""
+        """Assigning a new trace re-keys disk lookups too: a swapped
+        trace finds the entry another session persisted for that
+        traffic — the disk-tier mirror of the stale-profile regression
+        above."""
         from repro.core.store import SessionStore
         from repro.packets.craft import udp_packet
 
@@ -188,57 +187,31 @@ class TestTraceIdentity:
         )
         ctx.profile()  # original traffic: disk miss, real replay
         assert ctx.counters.profile_executions == 1
-        # The race the trace setter guards against: this session probed
-        # the drifted trace's key before the other session's write
-        # landed, and remembered the miss.
-        drifted_key = (
-            ctx.program_key(ctx.program),
-            config_fingerprint(ctx.config),
-            trace_fingerprint(drifted),
-        )
-        ctx._remember_store_miss(("profile", drifted_key))
-        ctx.trace = drifted  # the swap must drop that stale knowledge
+        ctx.trace = drifted
         ctx.profile()
         assert ctx.counters.profile_executions == 1  # no re-replay
         assert ctx.counters.profile_disk_hits == 1
 
-    def test_trace_swap_keeps_compile_miss_knowledge(self, tmp_path):
-        """Compile entries are not trace-keyed, so the swap only drops
-        the profile-tagged misses."""
+    def test_serial_entry_is_on_disk_under_its_execution_time_key(
+        self, tmp_path
+    ):
+        """A serial probe is written through: another handle on the
+        root loads it before any commit()/close(), and it sits under
+        the key it was executed with — a later trace swap cannot
+        mis-key it."""
         from repro.core.store import SessionStore
 
         ctx = OptimizationContext(
             build_toy_program(), toy_config(), make_trace(),
             DEFAULT_TARGET, store=SessionStore(tmp_path / "store"),
         )
-        ctx.compile()
-        assert ("compile", (ctx.program_key(ctx.program),
-                            ctx.target.fingerprint())) in ctx._store_misses
-        ctx.trace = list(ctx.trace)[:4]
-        assert any(
-            entry[0] == "compile" for entry in ctx._store_misses
-        )
-        assert not any(
-            entry[0] == "profile" for entry in ctx._store_misses
-        )
-
-    def test_pending_writes_keep_execution_time_keys(self, tmp_path):
-        """Probes executed before a trace swap flush under the keys they
-        were executed with, never the session's current trace."""
-        from repro.core.store import SessionStore
-
-        store = SessionStore(tmp_path / "store")
-        ctx = OptimizationContext(
-            build_toy_program(), toy_config(), make_trace(),
-            DEFAULT_TARGET, store=store,
-        )
         old_key = ctx._profile_key(ctx.program, ctx.config)
         ctx.profile()
         ctx.trace = list(ctx.trace)[:4]
         new_key = ctx._profile_key(ctx.program, ctx.config)
-        assert ctx.flush_store() == 1
-        assert store.load_profile(old_key) is not None
-        assert store.load_profile(new_key) is None
+        other = SessionStore(tmp_path / "store")
+        assert other.load_profile(old_key) is not None
+        assert other.load_profile(new_key) is None
 
     def test_trace_fingerprint_sees_ingress_port(self):
         from repro.core.session import trace_fingerprint
@@ -356,61 +329,3 @@ class TestPerfWindows:
         assert merged.table_lookups == {"t": 5, "u": 1}
         assert merged.packets_per_second() == pytest.approx(6.0)
         assert merge_perf([]) is None
-
-
-class TestStoreMissCache:
-    """The negative disk cache is a bounded LRU (ISSUE 8), not a set
-    that gets wholesale-cleared: eviction drops only the coldest
-    entries while hot ones keep short-circuiting disk lookups."""
-
-    @pytest.fixture
-    def make_ctx(self, monkeypatch):
-        def make(tmp_path, size):
-            from repro.core.store import SessionStore
-
-            monkeypatch.setattr(session, "DEFAULT_STORE_MISS_CACHE", size)
-            return OptimizationContext(
-                build_toy_program(), toy_config(), make_trace(),
-                DEFAULT_TARGET, store=SessionStore(tmp_path / "store"),
-            )
-
-        return make
-
-    def test_eviction_is_bounded_and_oldest_first(self, tmp_path, make_ctx):
-        ctx = make_ctx(tmp_path, 4)
-        for index in range(10):
-            ctx._remember_store_miss(("compile", (f"k{index}",)))
-        assert list(ctx._store_misses) == [
-            ("compile", (f"k{index}",)) for index in (6, 7, 8, 9)
-        ]
-
-    def test_lookup_refreshes_recency(self, tmp_path, make_ctx):
-        ctx = make_ctx(tmp_path, 3)
-        for name in ("a", "b", "c"):
-            ctx._remember_store_miss(("compile", (name,)))
-        # Touch the oldest entry, then overflow by one: the untouched
-        # runner-up ("b") must be the one evicted.
-        assert ctx._store_miss_remembered(("compile", ("a",)))
-        ctx._remember_store_miss(("compile", ("d",)))
-        assert ("compile", ("a",)) in ctx._store_misses
-        assert ("compile", ("b",)) not in ctx._store_misses
-
-    def test_remembered_miss_skips_disk(self, tmp_path, make_ctx):
-        ctx = make_ctx(tmp_path, 8)
-        ctx.compile()  # cold: disk miss remembered, probe executed
-        assert ctx.counters.compile_disk_hits == 0
-        key = next(iter(ctx._store_misses))
-        assert key[0] == "compile"
-        # A hot remembered miss answers without touching the store
-        # (memo tier emptied so the lookup reaches the disk tier).
-        ctx._memo["compile"].clear()
-        assert ctx._lookup(*key) is None
-        assert ctx.store.counters.misses == 1  # still just the cold one
-
-    def test_evicted_miss_falls_back_to_disk_probe(self, tmp_path, make_ctx):
-        ctx = make_ctx(tmp_path, 1)
-        ctx._remember_store_miss(("compile", ("cold",)))
-        ctx._remember_store_miss(("compile", ("hot",)))  # evicts "cold"
-        before = ctx.store.counters.misses
-        assert ctx._lookup("compile", ("cold",)) is None
-        assert ctx.store.counters.misses == before + 1  # disk re-asked

@@ -4,22 +4,27 @@ Covers the durability contract of :class:`~repro.core.store.SessionStore`
 (round trips, versioned layout, LRU eviction, corruption quarantine,
 lock-free multi-process sharing), its wiring into
 :class:`~repro.core.session.OptimizationContext` (memo → disk → execute,
-disk hits never attributed to perf windows, flush on commit/close and
-after parallel waves), and the acceptance bars: a warm second run
+disk hits never attributed to perf windows, every executed probe leased
+and written through), and the acceptance bars: a warm second run
 performs **zero compiles and zero replays**, and a store-enabled
 pipeline is canonically identical to a store-less one for every phase
 order — serially and under four workers.
 """
 
+import errno
 import json
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
-from repro.core.pipeline import P2GO
+from repro.core import session as session_module
+from repro.core.pipeline import P2GO, SwitchRun
 from repro.core.report import render_report
 from repro.core.session import OptimizationContext
 from repro.core.store import (
@@ -29,6 +34,7 @@ from repro.core.store import (
     default_store_root,
     resolve_store,
 )
+from repro.exceptions import AllocationError
 from repro.programs import example_firewall as fw
 from repro.target.model import DEFAULT_TARGET
 
@@ -56,6 +62,18 @@ def make_ctx(store, **kwargs):
         build_toy_program(), toy_config(), make_trace(), DEFAULT_TARGET,
         store=store, **kwargs,
     )
+
+
+#: Child process for the dead-holder test: claim one probe, say so,
+#: then hang until killed.
+_CLAIM_AND_HANG = """
+import ast, sys, time
+from repro.core.store import SessionStore
+store = SessionStore(sys.argv[1])
+assert store.claim_probe("compile", ast.literal_eval(sys.argv[2]))
+print("claimed", flush=True)
+time.sleep(300)
+"""
 
 
 def entry_paths(store, kind):
@@ -416,7 +434,7 @@ class TestSessionTiering:
         writer = make_ctx(SessionStore(tmp_path / "store"))
         writer.profile()
         writer.compile()
-        writer.close()  # flush
+        writer.close()
 
         reader = make_ctx(SessionStore(tmp_path / "store"))
         reader.profile()
@@ -451,14 +469,17 @@ class TestSessionTiering:
         assert ctx.counters.compile_executions == 1
 
     def test_flush_on_commit(self, tmp_path):
+        """commit() has nothing left to flush: the probe's entry was
+        written through when it executed, and commit() writes nothing."""
         store = SessionStore(tmp_path / "store")
         ctx = make_ctx(store)
         key = ctx._profile_key(ctx.program, ctx.config)
         ctx.profile()
-        assert store.load_profile(key) is None  # buffered
+        assert store.load_profile(key) is not None  # not buffered
+        writes = store.counters.writes
         ctx.propose(program=ctx.program)
         ctx.commit()
-        assert store.load_profile(key) is not None
+        assert store.counters.writes == writes
 
     def test_parallel_wave_flushes_immediately(self, tmp_path):
         store = SessionStore(tmp_path / "store")
@@ -467,7 +488,7 @@ class TestSessionTiering:
             ctx.compile_many(
                 [ctx.program, ctx.program.with_table_size("fib", 32)]
             )
-            # Flushed by the merge wave — visible before close().
+            # Written through by the merge wave — visible before close().
             assert store.stats()["compile_entries"] == 2
 
         warm = make_ctx(SessionStore(tmp_path / "store"), workers=4)
@@ -614,37 +635,38 @@ class TestProbeLeases:
         assert store.claim_probe("compile", ("b",)) is not None
         assert store.claim_probe("profile", ("a",)) is not None
 
-    def test_claim_rechecks_entry_written_after_miss(self, tmp_path):
+    def test_claim_rechecks_entry_written_after_miss(
+        self, tmp_path, monkeypatch
+    ):
         """TOCTOU regression: an entry that lands between a session's
         disk miss and its winning lease claim must be served as a disk
         hit (lease released), never re-executed — the exactly-once
         guarantee the fleet bench's deterministic counters rest on."""
         root = tmp_path / "store"
-        writer = OptimizationContext(
-            build_toy_program(), toy_config(), make_trace(),
-            DEFAULT_TARGET,
-            store=SessionStore(root), lease_probes=True,
-        )
-        writer.compile()  # executes, writes through, releases its lease
+        writer = make_ctx(SessionStore(root))
+        writer.compile()  # executes, publishes, releases its lease
         assert writer.counters.compile_executions == 1
-        writer.close()
 
-        reader = OptimizationContext(
-            build_toy_program(), toy_config(), make_trace(),
-            DEFAULT_TARGET,
-            store=SessionStore(root), lease_probes=True,
-        )
-        key = (reader.program_key(reader.program),
-               reader.target.fingerprint())
-        # The race's leftover state, reproduced directly: this session
-        # missed on disk *before* the writer's entry landed, then won
-        # the (now free) lease.  The claim must re-check the entry.
-        value = reader._store_coordinate("compile", key)
+        reader = SessionStore(root)
+        key = (writer.program_key(writer.program),
+               writer.target.fingerprint())
+        # The race, reproduced directly: the reader's first look misses
+        # (it ran *before* the writer's entry landed), then it wins the
+        # now-free lease.  acquire must re-check the entry under it.
+        load, looks = reader.load_compile, []
+
+        def miss_once(key):
+            looks.append(key)
+            return None if len(looks) == 1 else load(key)
+
+        monkeypatch.setattr(reader, "load_compile", miss_once)
+        value, lease = reader.acquire("compile", key)
         assert value is not None  # a hit, not an execute-yourself signal
-        assert reader._held_leases == {}
+        assert lease is None
         # ... and the lease was released, not left to go stale.
-        assert reader.store.claim_probe("compile", key) is not None
-        reader.close()
+        assert reader.counters.lease_claims == 1
+        assert reader.counters.lease_releases == 1
+        assert reader.claim_probe("compile", key) is not None
 
     def test_stale_lease_is_reaped(self, tmp_path):
         dead = SessionStore(tmp_path / "store", lease_ttl=0.05)
@@ -653,6 +675,108 @@ class TestProbeLeases:
         survivor = SessionStore(tmp_path / "store", lease_ttl=0.05)
         assert survivor.claim_probe("compile", ("k",)) is not None
         assert survivor.counters.leases_reaped == 1
+
+    def test_killed_holders_lease_is_reaped_at_once(self, tmp_path):
+        """A SIGKILLed holder (same host, pid gone) must not make the
+        next run wait out the TTL: its lease is stale immediately."""
+        root = tmp_path / "store"
+        ctx = make_ctx(SessionStore(root))  # default lease_ttl: 120 s
+        key = (ctx.program_key(ctx.program), ctx.target.fingerprint())
+        holder = subprocess.Popen(
+            [sys.executable, "-c", _CLAIM_AND_HANG, str(root), repr(key)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert holder.stdout.readline().strip() == "claimed"
+            assert ctx.store.claim_probe("compile", key) is None  # alive
+        finally:
+            holder.kill()
+            holder.wait(timeout=30)
+            holder.stdout.close()
+        start = time.monotonic()
+        result = ctx.compile()
+        assert time.monotonic() - start < 5.0
+        assert ctx.counters.compile_executions == 1
+        assert result.stages_used == make_ctx(None).compile().stages_used
+        counters = ctx.store.counters
+        assert counters.leases_reaped == 1
+        assert counters.lease_waits == 0
+        assert not list(root.rglob("*.lease"))
+
+    def test_foreign_or_unreadable_lease_has_only_the_ttl(self, tmp_path):
+        holder = SessionStore(tmp_path / "store")
+        rival = SessionStore(tmp_path / "store")
+        lease = holder.claim_probe("compile", ("k",))
+        for record in ('{"host": "elsewhere", "pid": 1}', "", "[1]"):
+            lease.path.write_text(record)
+            assert rival.claim_probe("compile", ("k",)) is None
+        assert rival.counters.leases_reaped == 0
+
+    def test_lease_creation_failure_does_not_spin(
+        self, tmp_path, monkeypatch
+    ):
+        """ENOSPC / read-only root: "cannot lease" is not "someone else
+        holds it" — execute unleased at once, never poll out the TTL."""
+        ctx = make_ctx(SessionStore(tmp_path / "store"))  # lease_ttl 120
+        real_open, attempts = os.open, []
+
+        def no_space_for_leases(path, *args, **kwargs):
+            if str(path).endswith(".lease"):
+                attempts.append(path)
+                assert len(attempts) < 10, "spinning on a failed claim"
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", no_space_for_leases)
+        monkeypatch.setattr(
+            time, "sleep", lambda _s: pytest.fail("slept on a failed claim")
+        )
+        result = ctx.compile()
+        assert result.stages_used == make_ctx(None).compile().stages_used
+        assert len(attempts) == 1
+        assert ctx.counters.compile_executions == 1
+        assert ctx.store.counters.errors == 1
+        assert ctx.store.counters.lease_waits == 0
+        # Unleased is still written through.
+        assert ctx.store.counters.writes == 1
+        assert ctx.store.acquire("profile", ("k",)) == (None, None)
+
+    def test_a_handle_holding_leases_never_waits(self, tmp_path, monkeypatch):
+        """Two parallel waves wanting each other's probes must not sit
+        out the TTL: whoever already holds a lease executes the lost
+        probe unleased instead of waiting."""
+        a = SessionStore(tmp_path / "store")
+        b = SessionStore(tmp_path / "store")
+        monkeypatch.setattr(
+            time, "sleep", lambda _s: pytest.fail("waited while holding")
+        )
+        _, held_by_a = a.acquire("compile", ("k1",))
+        _, held_by_b = b.acquire("compile", ("k2",))
+        assert held_by_a is not None and held_by_b is not None
+        assert a.acquire("compile", ("k2",)) == (None, None)
+        assert b.acquire("compile", ("k1",)) == (None, None)
+        assert a.counters.lease_waits == b.counters.lease_waits == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_probe_releases_its_lease(self, tmp_path, workers):
+        """An infeasible compile propagates — serially and out of a
+        parallel wave — with no lease left for others to wait on."""
+        program = fw.build_program()
+        ctx = OptimizationContext(
+            program, fw.runtime_config(), fw.make_trace(50),
+            replace(fw.TARGET, sram_blocks_per_stage=1),
+            workers=workers, store=SessionStore(tmp_path / "store"),
+        )
+        with ctx:
+            with pytest.raises(AllocationError):
+                ctx.compile_many(
+                    [program, program.with_table_size("IPv4", 8)]
+                )
+            assert not list((tmp_path / "store").rglob("*.lease"))
+        counters = ctx.store.counters
+        assert counters.lease_claims == counters.lease_releases >= 1
 
     def test_wait_returns_entry_written_by_holder(self, tmp_path):
         holder = SessionStore(tmp_path / "store")
@@ -733,12 +857,12 @@ def _hammer_process(root, worker):
     return store.counters.errors
 
 
-def _leased_toy_run(root):
-    """Pool worker: one lease-coordinated toy pipeline against the
-    shared root.  Returns this process's execution/hit counters."""
+def _toy_run(root):
+    """Pool worker: one plain toy pipeline against the shared root.
+    Returns this process's execution/hit counters."""
     result = P2GO(
         build_toy_program(), toy_config(), make_trace(), DEFAULT_TARGET,
-        store=SessionStore(root), lease_probes=True,
+        store=SessionStore(root),
     ).run()
     counters = result.session_counters
     return {
@@ -752,7 +876,7 @@ def _leased_toy_run(root):
 
 class TestMultiProcessStore:
     """N genuine processes against one root: no lost or corrupt
-    entries, and (with leases) no probe executed twice fleet-wide."""
+    entries, and no probe executed twice across plain runs."""
 
     def _pool(self, workers):
         from concurrent.futures import ProcessPoolExecutor
@@ -778,8 +902,8 @@ class TestMultiProcessStore:
         assert survivor.stats()["quarantine_entries"] == 0
 
     def test_two_processes_never_both_execute_a_probe(self, tmp_path):
-        # The lease acceptance bar: across two concurrent processes
-        # optimizing the same program, every fingerprinted probe is
+        # The lease acceptance bar: across two concurrent plain runs
+        # of the same program, every fingerprinted probe is
         # executed by exactly one of them — the fleet-wide execution
         # total equals the distinct-probe count a single storeless run
         # pays, and every probe the loser skipped came back as a disk
@@ -791,7 +915,7 @@ class TestMultiProcessStore:
         root = str(tmp_path / "store")
         with self._pool(2) as pool:
             outcomes = list(
-                pool.map(_leased_toy_run, [root, root])
+                pool.map(_toy_run, [root, root])
             )
         assert (
             sum(o["compile_executions"] for o in outcomes)
@@ -808,7 +932,7 @@ class TestMultiProcessStore:
     def test_no_leases_left_behind_after_runs(self, tmp_path):
         root = str(tmp_path / "store")
         with self._pool(2) as pool:
-            list(pool.map(_leased_toy_run, [root, root]))
+            list(pool.map(_toy_run, [root, root]))
         store = SessionStore(root)
         leftovers = [
             path
@@ -817,3 +941,16 @@ class TestMultiProcessStore:
             if path.name.endswith(".lease")
         ]
         assert leftovers == []
+
+
+def test_removed_store_knobs_stay_removed():
+    """The disk tier's policy lives in the store: none of the session's
+    old write-back / leasing / miss-cache surface may drift back, not
+    even as a compatibility shim."""
+    for name in ("flush_store", "lease_probes", "DEFAULT_STORE_MISS_CACHE"):
+        for owner in (OptimizationContext, SwitchRun, session_module):
+            assert not hasattr(owner, name), (owner, name)
+    ctx = make_ctx(None)
+    run = SwitchRun(build_toy_program(), toy_config(), make_trace())
+    assert not hasattr(ctx, "lease_probes")
+    assert not hasattr(run, "lease_probes")
