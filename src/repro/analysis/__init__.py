@@ -16,6 +16,7 @@ from repro.analysis.dependencies import (
     figure_edges,
 )
 from repro.analysis.graph import CycleError, Digraph
+from repro.analysis.structure import ProgramAnalysis, analyse, structure_key
 
 __all__ = [
     "ApplyEvent",
@@ -29,6 +30,9 @@ __all__ = [
     "Digraph",
     "ExecutionPath",
     "FigureEdge",
+    "ProgramAnalysis",
+    "analyse",
     "build_dependency_graph",
     "figure_edges",
+    "structure_key",
 ]

@@ -111,17 +111,30 @@ def _literals_when_true(expr: Expr) -> Tuple[Tuple[str, bool], ...]:
 
 class ControlGraph:
     """Enumerated, parser-feasible execution paths of one control
-    pipeline (the ingress by default)."""
+    pipeline (the ingress by default).
+
+    A value: it keeps what enumeration read of the program (the control
+    tree, the parser's header sets, which tables are keyless), never
+    the program, so one graph serves every program of the same
+    structure (:func:`repro.analysis.structure.structure_key`)."""
 
     def __init__(self, program: Program, control: Optional[ControlNode] = None):
-        self.program = program
         self.control = control if control is not None else program.ingress
         self._valid_sets = (
             program.parser.valid_header_sets() if program.parser else []
         )
+        # A keyless table can never hold entries, so it always misses.
+        self._keyless = {
+            name for name, table in program.tables.items() if not table.keys
+        }
         self.paths: List[ExecutionPath] = []
         self._count = 0
         self._enumerate()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ControlGraph):
+            return NotImplemented
+        return self.control == other.control and self.paths == other.paths
 
     # ------------------------------------------------------------------
     def _feasible(self, validity: Dict[str, bool]) -> bool:
@@ -216,9 +229,8 @@ class ControlGraph:
                     out.append(branch)
             return out
         if isinstance(node, Apply):
-            table = self.program.tables[node.table]
-            # A keyless table can never hold entries, so it always misses.
-            outcomes = (False,) if not table.keys else (True, False)
+            keyless = node.table in self._keyless
+            outcomes = (False,) if keyless else (True, False)
             out: List[ExecutionPath] = []
             for hit in outcomes:
                 branch = path.fork()

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.control_graph import CondEvent, ControlGraph
 from repro.analysis.graph import Digraph
@@ -98,16 +98,30 @@ class Dependency:
 
 
 class DependencyGraph:
-    """The TDG plus the query API the compiler and optimizer use."""
+    """The TDG plus the query API the compiler and optimizer use.
 
-    def __init__(self, program: Program, dependencies: Dict[Tuple[str, str], Dependency]):
-        self.program = program
+    A value over table *names*: it holds no program, so one graph
+    serves every program of the same structure."""
+
+    def __init__(
+        self,
+        tables: Iterable[str],
+        dependencies: Dict[Tuple[str, str], Dependency],
+    ):
         self.dependencies = dependencies
         self.digraph: Digraph[str] = Digraph()
-        for table in program.tables:
+        for table in tables:
             self.digraph.add_node(table)
         for (src, dst), dep in dependencies.items():
             self.digraph.add_edge(src, dst, weight=dep.min_stage_separation)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DependencyGraph):
+            return NotImplemented
+        return (
+            self.dependencies == other.dependencies
+            and self.digraph.nodes() == other.digraph.nodes()
+        )
 
     def edges(self) -> List[Dependency]:
         return list(self.dependencies.values())
@@ -278,7 +292,7 @@ def build_dependency_graph(
         dependencies[(src, dst)] = Dependency(
             src=src, dst=dst, kind=dominant, causes=ordered
         )
-    return DependencyGraph(program, dependencies)
+    return DependencyGraph(program.tables, dependencies)
 
 
 @dataclass(frozen=True)
@@ -298,7 +312,8 @@ def figure_edges(program: Program) -> List[FigureEdge]:
     condition reads yields ``table -> cond`` (blue dashed in the paper), and
     the condition points at the tables it guards (black arrows).
     """
-    graph = build_dependency_graph(program)
+    cg = ControlGraph(program)
+    graph = build_dependency_graph(program, control_graph=cg)
     edges: List[FigureEdge] = []
     seen: Set[Tuple[str, str, str]] = set()
 
@@ -310,7 +325,6 @@ def figure_edges(program: Program) -> List[FigureEdge]:
 
     # Condition nodes: guards that read table-written fields.
     cond_nodes: Dict[str, str] = {}
-    cg = ControlGraph(program)
     for path in cg.paths:
         for i, ev in path.apply_events():
             for pos in ev.guard_positions:

@@ -228,20 +228,17 @@ def _open_store(path: Optional[str]):
 
 
 def cmd_store_stats(args: argparse.Namespace) -> int:
-    from repro.core.store import human_bytes
+    from repro.core.store import KINDS, human_bytes
 
     store = _open_store(args.store)
     stats = store.stats()
     print(f"store root:        {stats['root']}")
     print(f"schema / code:     v{stats['schema']} / {stats['code'][:12]}")
-    print(
-        f"compile entries:   {stats['compile_entries']} "
-        f"({human_bytes(stats['compile_bytes'])})"
-    )
-    print(
-        f"profile entries:   {stats['profile_entries']} "
-        f"({human_bytes(stats['profile_bytes'])})"
-    )
+    for kind in KINDS:
+        print(
+            f"{kind + ' entries:':<18} {stats[kind + '_entries']} "
+            f"({human_bytes(stats[kind + '_bytes'])})"
+        )
     print(f"quarantined:       {stats['quarantine_entries']}")
     print(
         f"size:              {human_bytes(stats['total_bytes'])} "

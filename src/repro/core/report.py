@@ -106,6 +106,11 @@ def render_report(result: P2GOResult) -> str:
             f"disk {counters.profile_disk_hits} / "
             f"executed {counters.profile_executions}"
         )
+        lines.append(
+            f"static analysis: {counters.compile_executions} compiles, "
+            f"{counters.analysis_executions} structures analysed "
+            f"({counters.analysis_disk_hits} more from disk)"
+        )
         lines.append("")
     if result.store_stats is not None:
         stats = result.store_stats
@@ -113,7 +118,8 @@ def render_report(result: P2GOResult) -> str:
         lines.append(
             f"persistent store: {stats['root']} — "
             f"{stats['compile_entries']} compile + "
-            f"{stats['profile_entries']} profile entries, "
+            f"{stats['profile_entries']} profile + "
+            f"{stats['analysis_entries']} analysis entries, "
             f"{stats['total_bytes']:,} bytes "
             f"({store_counters['writes']} writes, "
             f"{store_counters['evictions']} evictions this run)"

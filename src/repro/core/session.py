@@ -30,6 +30,16 @@ Keying:
   ``rmt-default`` name, or a design-space sweep's generated shapes)
   therefore never share a compile entry, in the memo tier or in the
   persistent store.
+* **Analyses** — the control graph and TDGs a compile is built from —
+  are keyed by :func:`~repro.analysis.structure.structure_key`:
+  everything the analyses read (parser valid-header sets, control trees
+  and conditions, each table's keys and actions, each action's
+  read/write sets) and nothing else — no size, entry, default-action
+  argument or target — so every phase-3 memory candidate and every
+  shape of a design-space sweep shares one.  The lookup is lazy: only
+  a compile that *executes* computes the key and asks (a third probe
+  kind on the same memo → disk → execute path); a compile the memo or
+  the store answered costs neither.
 * **Configs** are keyed by their canonical content (sorted entries,
   default overrides, register inits, engine switches) — *not* by the
   ``mutations`` stamp, so two ``restricted_to`` results with equal
@@ -44,9 +54,10 @@ Keying:
 The session also carries:
 
 * **Invocation counters** (:class:`SessionCounters`): every
-  ``compile()`` / ``profile()`` call is counted, split into memo hits
-  and actual executions — the numbers ``P2GOResult`` and the pipeline
-  benchmark report.
+  ``compile()`` / ``profile()`` call — and every analysis an executed
+  compile asked for — is counted, split into memo hits and actual
+  executions — the numbers ``P2GOResult`` and the pipeline benchmark
+  report.
 * **Per-window profiling perf**: while a window is open
   (:meth:`OptimizationContext.start_perf_window` …
   :meth:`~OptimizationContext.take_perf_window`), each actual profiling
@@ -87,7 +98,7 @@ Persistent store (disk tier)
 ``store=`` attaches a :class:`~repro.core.store.SessionStore`: a
 disk-backed, content-addressed second tier behind the memo cache (the
 keys are the same fingerprints, so the two tiers can never disagree).
-Every probe — either kind, serial or batched; one ``_lookup`` spells it
+Every probe — any kind, serial or batched; one ``_lookup`` spells it
 — goes **memo → disk → execute**:
 
 * a *memo hit* costs a dict lookup (counted in ``compile_hits`` /
@@ -112,6 +123,9 @@ they receive pickled/shared immutable inputs and return results; every
 cache insert, counter increment, and perf-window append happens in the
 caller's thread after the futures resolve, in **submission order**, so
 results land in the shared memo cache exactly as if probed serially.
+An executing compile's analysis is resolved in the caller, too, before
+the task is submitted with it attached: the same analysis counters as
+the serial path.
 Equal-fingerprint candidates within a batch are deduplicated in flight
 (one execution, both callers get the cached result — identical to what
 the serial loop's memo cache would do).  The worker count comes from the
@@ -131,9 +145,10 @@ from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.structure import ProgramAnalysis, analyse, structure_key
 from repro.core.fanout import make_pool, resolve_workers
 from repro.core.profiler import Profile, Profiler
-from repro.core.store import SessionStore
+from repro.core.store import KINDS, SessionStore
 from repro.p4.dsl.printer import print_program
 from repro.p4.program import Program
 from repro.sim.perf import PerfCounters
@@ -196,8 +211,11 @@ def trace_fingerprint(trace: Sequence[TracePacket]) -> str:
 # after the futures resolve, never touched from a worker.
 
 
-def _compile_task(program: Program, target: TargetModel) -> CompileResult:
-    return compile_program(program, target)
+def _analysis_task(program: Program) -> ProgramAnalysis:
+    # Validate first: the analyses assume a well-formed program, and a
+    # malformed candidate must fail as compile_program fails it.
+    program.validate()
+    return analyse(program)
 
 
 def _replay_task(
@@ -211,8 +229,8 @@ def _replay_task(
 
 @dataclass
 class SessionCounters:
-    """How often the session compiled and profiled, and how often the
-    memo cache answered instead."""
+    """How often the session compiled, profiled and analysed, and how
+    often the memo cache or the store answered instead."""
 
     #: ``compile()`` calls, total.
     compile_calls: int = 0
@@ -227,53 +245,55 @@ class SessionCounters:
     profile_executions: int = 0
     #: Calls answered by the persistent disk store.
     profile_disk_hits: int = 0
+    #: Analyses asked for: one per *executed* compile, none otherwise.
+    analysis_calls: int = 0
+    #: Requests that actually built the graphs (distinct structures).
+    analysis_executions: int = 0
+    #: Requests answered by the persistent disk store.
+    analysis_disk_hits: int = 0
+
+    def _memo_hits(self, kind: str) -> int:
+        return (
+            getattr(self, f"{kind}_calls")
+            - getattr(self, f"{kind}_executions")
+            - getattr(self, f"{kind}_disk_hits")
+        )
 
     @property
     def compile_hits(self) -> int:
         """In-memory memo hits (disk hits are counted separately)."""
-        return (
-            self.compile_calls
-            - self.compile_executions
-            - self.compile_disk_hits
-        )
+        return self._memo_hits("compile")
 
     @property
     def profile_hits(self) -> int:
         """In-memory memo hits (disk hits are counted separately)."""
-        return (
-            self.profile_calls
-            - self.profile_executions
-            - self.profile_disk_hits
-        )
+        return self._memo_hits("profile")
+
+    @property
+    def analysis_hits(self) -> int:
+        """In-memory memo hits (disk hits are counted separately)."""
+        return self._memo_hits("analysis")
 
     def bump(self, kind: str, what: str) -> None:
         """Count one ``calls``/``executions``/``disk_hits`` event of a
-        probe ``kind`` ("compile"/"profile")."""
+        probe ``kind`` (one of :data:`~repro.core.store.KINDS`)."""
         name = f"{kind}_{what}"
         setattr(self, name, getattr(self, name) + 1)
 
     def as_dict(self) -> Dict[str, int]:
         return {
-            "compile_calls": self.compile_calls,
-            "compile_executions": self.compile_executions,
-            "compile_hits": self.compile_hits,
-            "compile_disk_hits": self.compile_disk_hits,
-            "profile_calls": self.profile_calls,
-            "profile_executions": self.profile_executions,
-            "profile_hits": self.profile_hits,
-            "profile_disk_hits": self.profile_disk_hits,
+            f"{kind}_{what}": getattr(self, f"{kind}_{what}")
+            for kind in KINDS
+            for what in ("calls", "executions", "hits", "disk_hits")
         }
 
     def render(self) -> str:
-        return (
-            f"compile: {self.compile_calls} calls, "
-            f"{self.compile_executions} executed "
-            f"({self.compile_hits} memo hits, "
-            f"{self.compile_disk_hits} disk hits); "
-            f"profile: {self.profile_calls} calls, "
-            f"{self.profile_executions} executed "
-            f"({self.profile_hits} memo hits, "
-            f"{self.profile_disk_hits} disk hits)"
+        return "; ".join(
+            f"{kind}: {getattr(self, kind + '_calls')} calls, "
+            f"{getattr(self, kind + '_executions')} executed "
+            f"({self._memo_hits(kind)} memo hits, "
+            f"{getattr(self, kind + '_disk_hits')} disk hits)"
+            for kind in KINDS
         )
 
 
@@ -301,10 +321,13 @@ def merge_perf(counters: Sequence[PerfCounters]) -> Optional[PerfCounters]:
 #: session's current state.
 ProfileVariant = Tuple[Optional[Program], Optional[RuntimeConfig]]
 
-#: One probe of either kind: ("compile"/"profile", content key, the
-#: pure worker task as ``(function, *arguments)``).  The stored value of
-#: a compile probe is its :class:`CompileResult`; of a profile probe,
-#: ``(Profile, PerfCounters)`` — the same value its store entry holds.
+#: One probe: (a kind of :data:`~repro.core.store.KINDS`, content key,
+#: the pure worker task as ``(function, *arguments)``).  The stored
+#: value of a compile probe is its :class:`CompileResult`; of a profile
+#: probe, ``(Profile, PerfCounters)``; of an analysis probe, its
+#: :class:`ProgramAnalysis` — the same value its store entry holds.  A
+#: compile probe's task gains the analysis as its last argument when
+#: (and only when) the probe executes.
 Probe = Tuple[str, Tuple, Tuple]
 
 
@@ -359,8 +382,7 @@ class OptimizationContext:
         #: :data:`Probe`; a profile's value carries the perf counters
         #: of the replay that produced it).
         self._memo: Dict[str, Dict[Tuple, object]] = {
-            "compile": {},
-            "profile": {},
+            kind: {} for kind in KINDS
         }
 
         self._pending: Optional[Tuple[Program, RuntimeConfig]] = None
@@ -432,7 +454,7 @@ class OptimizationContext:
 
     def _compile_probe(self, program: Program) -> Probe:
         key = (self.program_key(program), self.target.fingerprint())
-        return "compile", key, (_compile_task, program, self.target)
+        return "compile", key, (compile_program, program, self.target)
 
     def _profile_key(
         self, program: Program, config: RuntimeConfig
@@ -489,9 +511,24 @@ class OptimizationContext:
                 self.store.publish(kind, key, value)
         return value
 
+    def _executable(self, probe: Probe) -> Tuple:
+        """The task of a probe that is about to execute.  A compile's
+        gains its program's analysis — itself a probe, issued here and
+        nowhere else: a compile the memo or the store answered computes
+        no structure key and asks the store nothing.  (The compile's
+        lease is held by now, so ``SessionStore.acquire`` never makes
+        this lookup wait on another process.)"""
+        kind, _key, task = probe
+        if kind != "compile":
+            return task
+        program = task[1]
+        key = (structure_key(program),)
+        analysis = self._probe(("analysis", key, (_analysis_task, program)))
+        return (*task, analysis)
+
     def _probe(self, probe: Probe):
         """The serial probe: count the call, look it up, else execute."""
-        kind, key, (task, *arguments) = probe
+        kind, key, _task = probe
         self.counters.bump(kind, "calls")
         found, lease = (
             self._lookup(kind, key) if self.memoize else (None, None)
@@ -503,6 +540,7 @@ class OptimizationContext:
         # on the target) was still an execution.
         self.counters.bump(kind, "executions")
         try:
+            task, *arguments = self._executable(probe)
             return self._record(kind, key, task(*arguments), lease)
         finally:
             if lease is not None:
@@ -646,7 +684,8 @@ class OptimizationContext:
         executed: Dict[Tuple[str, Tuple], object] = {}
         leases = []
         try:
-            for kind, key, task in probes:
+            for probe in probes:
+                kind, key, _task = probe
                 lease = None
                 if self.memoize:
                     if (kind, key) in in_flight:
@@ -658,6 +697,8 @@ class OptimizationContext:
                     if lease is not None:
                         leases.append(lease)
                 self.counters.bump(kind, "executions")
+                # (A compile's analysis is resolved here, in the caller.)
+                task = self._executable(probe)
                 futures.append(
                     (kind, key, lease, self._pool().submit(*task))
                 )

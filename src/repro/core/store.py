@@ -8,15 +8,20 @@ for.  :class:`SessionStore` is the disk tier behind that memo cache:
 keys are the session's already-content-addressed fingerprints
 (``(program_fingerprint, target)`` for compiles,
 ``(program_fingerprint, config_fingerprint, trace_fingerprint)`` for
-profiles), values are pickled :class:`~repro.target.compiler.CompileResult`
-objects and ``(Profile, PerfCounters)`` pairs.  A second run over an
-unchanged program + trace is served entirely from disk: zero compiles,
-zero replays (``benchmarks/bench_store.py`` gates that in CI).
+profiles, ``(structure_key,)`` for analyses), values are pickled
+:class:`~repro.target.compiler.CompileResult` objects,
+``(Profile, PerfCounters)`` pairs and
+:class:`~repro.analysis.structure.ProgramAnalysis` objects — one per
+program *structure*, shared by every stored compile of that structure
+(a compile entry holds program + allocation + TDG, no control graph).
+A second run over an unchanged program + trace is served entirely from
+disk: zero compiles, zero replays (``benchmarks/bench_store.py`` gates
+that in CI).
 
 Durability and safety contract (DESIGN.md §10):
 
 * **Versioned layout.**  Entries live under ``<root>/v<SCHEMA_VERSION>/
-  {compile,profile}/<sha1-of-key>.pkl``; ``<root>`` defaults to
+  {compile,profile,analysis}/<sha1-of-key>.pkl``; ``<root>`` defaults to
   ``$P2GO_STORE`` and then ``~/.cache/p2go``.  A ``manifest.json``
   carries the schema version and a **code fingerprint** (a hash over
   the source of every module whose classes end up inside an entry
@@ -62,16 +67,18 @@ import os
 import pickle
 import socket
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover — typing-only imports, no cycle
+    from repro.analysis.structure import ProgramAnalysis
     from repro.core.profiler import Profile
     from repro.sim.perf import PerfCounters
     from repro.target.compiler import CompileResult
 
 __all__ = [
+    "KINDS",
     "SCHEMA_VERSION",
     "ProbeLease",
     "SessionStore",
@@ -98,6 +105,10 @@ DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 #: time (a compile or a trace replay — seconds), so an expiry almost
 #: always means the holder crashed, not that it is slow.
 DEFAULT_LEASE_TTL = 120.0
+
+#: The probe kinds: one entry directory, ``load_<kind>`` /
+#: ``store_<kind>`` pair, ``<kind>_hits`` counter and census row each.
+KINDS = ("compile", "profile", "analysis")
 
 #: Suffixes of files in the entry directories that are not entries.
 _NON_ENTRY_SUFFIXES = (".tmp", ".lease")
@@ -127,7 +138,15 @@ _FINGERPRINTED_MODULES = (
     "repro.target.model",
     "repro.analysis.dependencies",
     "repro.analysis.control_graph",
+    "repro.analysis.graph",
+    "repro.analysis.structure",
     "repro.p4.program",
+    "repro.p4.tables",
+    "repro.p4.actions",
+    "repro.p4.control",
+    "repro.p4.expressions",
+    "repro.p4.registers",
+    "repro.p4.parser_spec",
 )
 
 _code_fingerprint_cache: Optional[str] = None
@@ -186,6 +205,7 @@ class StoreCounters:
     #: Loads answered from disk, per kind.
     compile_hits: int = 0
     profile_hits: int = 0
+    analysis_hits: int = 0
     #: Loads that found no (usable) entry.
     misses: int = 0
     #: Entries written (after executions).
@@ -215,7 +235,7 @@ class StoreCounters:
 
     @property
     def hits(self) -> int:
-        return self.compile_hits + self.profile_hits
+        return sum(getattr(self, f"{kind}_hits") for kind in KINDS)
 
     @property
     def leases_held(self) -> int:
@@ -223,21 +243,7 @@ class StoreCounters:
         return self.lease_claims - self.lease_releases
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "compile_hits": self.compile_hits,
-            "profile_hits": self.profile_hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "evictions": self.evictions,
-            "quarantined": self.quarantined,
-            "resets": self.resets,
-            "errors": self.errors,
-            "lease_claims": self.lease_claims,
-            "lease_releases": self.lease_releases,
-            "lease_waits": self.lease_waits,
-            "lease_wait_hits": self.lease_wait_hits,
-            "leases_reaped": self.leases_reaped,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -336,7 +342,7 @@ class SessionStore:
         if self._ready:
             return True
         try:
-            for kind in ("compile", "profile", "quarantine"):
+            for kind in (*KINDS, "quarantine"):
                 self._dir(kind).mkdir(parents=True, exist_ok=True)
             expected = {"schema": SCHEMA_VERSION, "code": self.code_fp}
             manifest = self._read_manifest()
@@ -384,20 +390,13 @@ class SessionStore:
         return not name.endswith(_NON_ENTRY_SUFFIXES)
 
     def _has_entries(self) -> bool:
-        for kind in ("compile", "profile"):
-            try:
-                for path in self._dir(kind).iterdir():
-                    if self._is_entry_name(path.name):
-                        return True
-            except OSError:
-                continue
-        return False
+        return bool(self._entry_files())
 
     def _invalidate(self) -> None:
         """Sideline every existing entry: the on-disk format does not
         match this code.  Cold start, never an exception."""
         self.counters.resets += 1
-        for kind in ("compile", "profile"):
+        for kind in KINDS:
             directory = self._dir(kind)
             try:
                 names = sorted(p.name for p in directory.iterdir())
@@ -491,6 +490,8 @@ class SessionStore:
             os.utime(path)  # refresh LRU recency
         except OSError:
             pass
+        hits = f"{kind}_hits"
+        setattr(self.counters, hits, getattr(self.counters, hits) + 1)
         return value
 
     def _store(self, kind: str, key: Tuple, value) -> None:
@@ -515,7 +516,7 @@ class SessionStore:
         return self._dir(kind) / (self._entry_name(kind, key) + ".lease")
 
     def _loader(self, kind: str):
-        return self.load_compile if kind == "compile" else self.load_profile
+        return getattr(self, f"load_{kind}")
 
     def _lease_stale(self, path: Path) -> Optional[bool]:
         """Whether the lease's holder is presumed dead (None: the lease
@@ -682,12 +683,12 @@ class SessionStore:
     # ------------------------------------------------------------------
     # Public API
 
+    # One ``load_<kind>`` / ``store_<kind>`` pair per kind of KINDS;
+    # ``acquire`` and ``publish`` go through them by name.
+
     def load_compile(self, key: Tuple) -> Optional["CompileResult"]:
         """The stored compile result for ``key``, or None (miss)."""
-        value = self._load("compile", key)
-        if value is not None:
-            self.counters.compile_hits += 1
-        return value
+        return self._load("compile", key)
 
     def store_compile(self, key: Tuple, result: "CompileResult") -> None:
         self._store("compile", key, result)
@@ -696,23 +697,27 @@ class SessionStore:
         self, key: Tuple
     ) -> Optional[Tuple["Profile", "PerfCounters"]]:
         """The stored ``(profile, perf)`` pair for ``key``, or None."""
-        value = self._load("profile", key)
-        if value is not None:
-            self.counters.profile_hits += 1
-        return value
+        return self._load("profile", key)
 
     def store_profile(
         self, key: Tuple, profile: "Profile", perf: "PerfCounters"
     ) -> None:
         self._store("profile", key, (profile, perf))
 
+    def load_analysis(self, key: Tuple) -> Optional["ProgramAnalysis"]:
+        """The stored analysis of the structure ``key``, or None."""
+        return self._load("analysis", key)
+
+    def store_analysis(self, key: Tuple, analysis: "ProgramAnalysis") -> None:
+        self._store("analysis", key, analysis)
+
     def publish(self, kind: str, key: Tuple, value) -> None:
         """Write one executed probe's stored value (a compile's result;
-        a profile's ``(profile, perf)`` pair)."""
-        if kind == "compile":
-            self.store_compile(key, value)
-        else:
+        a profile's ``(profile, perf)`` pair; an analysis)."""
+        if kind == "profile":
             self.store_profile(key, *value)
+        else:
+            getattr(self, f"store_{kind}")(key, value)
 
     # ------------------------------------------------------------------
     # Eviction / maintenance
@@ -721,7 +726,7 @@ class SessionStore:
         """(mtime, name, size, path) for every entry file, oldest first
         (name is the deterministic tie-break for equal mtimes)."""
         records = []
-        for kind in ("compile", "profile"):
+        for kind in KINDS:
             directory = self._dir(kind)
             try:
                 names = list(directory.iterdir())
@@ -763,7 +768,7 @@ class SessionStore:
         if not self._ensure_ready():
             return 0
         removed = 0
-        for kind in ("compile", "profile", "quarantine"):
+        for kind in (*KINDS, "quarantine"):
             directory = self._dir(kind)
             try:
                 paths = list(directory.iterdir())
@@ -780,42 +785,28 @@ class SessionStore:
 
     def stats(self) -> Dict:
         """Census + this process's counters, JSON-ready."""
-        entries = {"compile": 0, "profile": 0}
-        entry_bytes = {"compile": 0, "profile": 0}
+        entries = dict.fromkeys(KINDS, 0)
+        entry_bytes = dict.fromkeys(KINDS, 0)
+        quarantine = 0
         if self._ensure_ready():
-            for kind in entries:
-                directory = self._dir(kind)
-                try:
-                    paths = list(directory.iterdir())
-                except OSError:
-                    continue
-                for path in paths:
-                    if not self._is_entry_name(path.name):
-                        continue
-                    try:
-                        entry_bytes[kind] += path.stat().st_size
-                    except OSError:
-                        continue
-                    entries[kind] += 1
+            for _mtime, _name, size, path in self._entry_files():
+                entries[path.parent.name] += 1
+                entry_bytes[path.parent.name] += size
             try:
                 quarantine = sum(
                     1 for _ in self._dir("quarantine").iterdir()
                 )
             except OSError:
-                quarantine = 0
-        else:
-            quarantine = 0
+                pass
         return {
             "root": str(self.root),
             "schema": SCHEMA_VERSION,
             "code": self.code_fp,
             "max_bytes": self.max_bytes,
-            "compile_entries": entries["compile"],
-            "profile_entries": entries["profile"],
-            "compile_bytes": entry_bytes["compile"],
-            "profile_bytes": entry_bytes["profile"],
+            **{f"{kind}_entries": entries[kind] for kind in KINDS},
+            **{f"{kind}_bytes": entry_bytes[kind] for kind in KINDS},
             "quarantine_entries": quarantine,
-            "total_bytes": entry_bytes["compile"] + entry_bytes["profile"],
+            "total_bytes": sum(entry_bytes.values()),
             "counters": self.counters.as_dict(),
         }
 

@@ -34,11 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.dependencies import (
-    Dependency,
-    DependencyGraph,
-    build_dependency_graph,
-)
+from repro.analysis.dependencies import Dependency, DependencyGraph
+from repro.analysis.structure import ProgramAnalysis
 from repro.exceptions import AllocationError
 from repro.p4.program import Program
 from repro.target.model import TargetModel
@@ -347,24 +344,14 @@ class _Allocator:
 
 
 def allocate(
-    program: Program,
-    dependency_graph: DependencyGraph,
-    target: TargetModel,
-    egress_dependency_graph: Optional[DependencyGraph] = None,
+    program: Program, analysis: ProgramAnalysis, target: TargetModel
 ) -> Allocation:
     """Allocate every applied table of ``program`` to pipeline stages.
 
-    ``dependency_graph`` is the ingress TDG (from
-    :func:`repro.analysis.dependencies.build_dependency_graph`); an egress
-    TDG is built on demand when the program has egress tables and none was
-    supplied.  Raises :class:`~repro.exceptions.AllocationError` for
-    programs no number of stages could hold (an unsplittable register
-    array larger than a stage's SRAM).
+    ``analysis`` (:func:`repro.analysis.structure.analyse`) carries the
+    ingress TDG and, for a program with egress tables, the egress one.
+    Raises :class:`~repro.exceptions.AllocationError` for programs no
+    number of stages could hold (an unsplittable register array larger
+    than a stage's SRAM).
     """
-    if egress_dependency_graph is None and program.egress_tables():
-        egress_dependency_graph = build_dependency_graph(
-            program, control=program.egress
-        )
-    return _Allocator(program, target).run(
-        dependency_graph, egress_dependency_graph
-    )
+    return _Allocator(program, target).run(analysis.ingress, analysis.egress)

@@ -1,10 +1,11 @@
 """The compiler facade: program + target → stage mapping.
 
 This is the stand-in for the vendor P4 compiler P2GO drives: it
-validates the program, builds the table dependency graphs for both
-pipelines, runs stage allocation, and packages everything the
-optimization phases query — stage count, stage map, per-stage usage,
-and the TDG whose critical path phase 2 attacks.
+validates the program, analyses it (control graph and the table
+dependency graphs of both pipelines — or takes the analysis of an
+equal-structure program from the caller), runs stage allocation, and
+packages everything the optimization phases query — stage count, stage
+map, per-stage usage, and the TDG whose critical path phase 2 attacks.
 """
 
 from __future__ import annotations
@@ -12,11 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.analysis.control_graph import ControlGraph
-from repro.analysis.dependencies import (
-    DependencyGraph,
-    build_dependency_graph,
-)
+from repro.analysis.dependencies import DependencyGraph
+from repro.analysis.structure import ProgramAnalysis, analyse
 from repro.p4.program import Program
 from repro.target.allocation import Allocation, allocate
 from repro.target.model import DEFAULT_TARGET, TargetModel
@@ -32,8 +30,6 @@ class CompileResult:
     #: Ingress TDG, merged with the egress TDG when the program has an
     #: egress pipeline (the two share no tables, so merging is safe).
     dependency_graph: DependencyGraph
-    #: Feasible execution paths of the ingress pipeline.
-    control_graph: ControlGraph
     egress_dependency_graph: Optional[DependencyGraph] = None
 
     @property
@@ -66,9 +62,17 @@ class CompileResult:
 
 
 def compile_program(
-    program: Program, target: TargetModel = DEFAULT_TARGET
+    program: Program,
+    target: TargetModel = DEFAULT_TARGET,
+    analysis: Optional[ProgramAnalysis] = None,
 ) -> CompileResult:
     """Compile ``program`` for ``target``.
+
+    ``analysis`` is the :func:`~repro.analysis.structure.analyse` result
+    of a program with the same
+    :func:`~repro.analysis.structure.structure_key` (the session hands
+    one in so size-only candidates are not re-analysed); validation and
+    allocation run on every call regardless.
 
     Raises :class:`~repro.exceptions.P4ValidationError` for malformed
     programs, :class:`~repro.exceptions.CompilationError` for resource
@@ -78,25 +82,12 @@ def compile_program(
     has.
     """
     program.validate()
-    control_graph = ControlGraph(program)
-    ingress_graph = build_dependency_graph(program, control_graph=control_graph)
-    egress_graph: Optional[DependencyGraph] = None
-    if program.egress_tables():
-        egress_graph = build_dependency_graph(program, control=program.egress)
-    allocation = allocate(
-        program, ingress_graph, target, egress_dependency_graph=egress_graph
-    )
-    merged = ingress_graph
-    if egress_graph is not None:
-        merged = DependencyGraph(
-            program,
-            {**ingress_graph.dependencies, **egress_graph.dependencies},
-        )
+    if analysis is None:
+        analysis = analyse(program)
     return CompileResult(
         program=program,
         target=target,
-        allocation=allocation,
-        dependency_graph=merged,
-        control_graph=control_graph,
-        egress_dependency_graph=egress_graph,
+        allocation=allocate(program, analysis, target),
+        dependency_graph=analysis.merged(),
+        egress_dependency_graph=analysis.egress,
     )

@@ -11,7 +11,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.dependencies import build_dependency_graph
+from repro.analysis import analyse
 from repro.p4 import (
     Apply,
     Const,
@@ -270,8 +270,7 @@ def test_registers_colocated_at_owner_first_stage(program):
     """Every owned array lands whole in the stage where its table
     executes (one stateful ALU per array), and per-stage SRAM accounting
     covers at least the recomputed match + register blocks."""
-    dep_graph = build_dependency_graph(program)
-    allocation = allocate(program, dep_graph, TARGET)
+    allocation = allocate(program, analyse(program), TARGET)
     footprints = compute_footprints(program)
     recomputed = defaultdict(int)
     for table, placement in allocation.placements.items():

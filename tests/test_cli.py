@@ -215,9 +215,11 @@ class TestStore:
         assert self.optimize(toy_files, ["--store", str(store)]) == 0
         out = capsys.readouterr().out
         assert "persistent store:" in out
-        # Warm run: both the compile and the profile line report zero
-        # executions — everything hydrated from disk.
-        assert out.count(" 0 executed (") == 2
+        # Warm run: the compile and the profile line report zero
+        # executions — everything hydrated from disk — and with no
+        # compile executed, no analysis was even asked for.
+        assert out.count(" 0 executed (") == 3
+        assert "analysis: 0 calls" in out
 
     def test_store_stats_and_clear(self, toy_files, tmp_path, capsys):
         store = tmp_path / "store"

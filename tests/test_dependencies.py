@@ -240,3 +240,16 @@ class TestFigureEdges:
         assert ("Sketch_Min", cond, "match") in kinds
         assert (cond, "DNS_Drop", "control") in kinds
         assert ("IPv4", "ACL_UDP", "action") in kinds
+
+    def test_paths_are_enumerated_once(self, firewall_program, monkeypatch):
+        from repro.analysis.control_graph import ControlGraph
+
+        built, init = [], ControlGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ControlGraph, "__init__", counting)
+        figure_edges(firewall_program)
+        assert len(built) == 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import analyse
 from repro.core import P2GO
 from repro.programs import enterprise
 from repro.sim import BehavioralSwitch
@@ -27,10 +28,11 @@ class TestOversubscription:
     def test_compiler_still_produces_full_analysis(self, program):
         """§2.2: compile in simulation regardless of resources — the stage
         map, dependency graph and control graph are all available."""
-        result = compile_program(program, enterprise.TARGET)
+        analysis = analyse(program)
+        result = compile_program(program, enterprise.TARGET, analysis)
         assert len(result.stage_map()) == 11
         assert result.dependency_graph.edges()
-        assert result.control_graph.path_count() > 0
+        assert analysis.control_graph.path_count() > 0
 
     def test_config_validates(self, program, config):
         config.validate(program)

@@ -15,11 +15,13 @@ import errno
 import json
 import os
 import pickle
+import pickletools
 import subprocess
 import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,10 @@ from repro.core import session as session_module
 from repro.core.pipeline import P2GO, SwitchRun
 from repro.core.report import render_report
 from repro.core.session import OptimizationContext
+from repro.analysis import analyse, structure_key
 from repro.core.store import (
+    _FINGERPRINTED_MODULES,
+    KINDS,
     SCHEMA_VERSION,
     SessionStore,
     code_fingerprint,
@@ -74,6 +79,32 @@ assert store.claim_probe("compile", ast.literal_eval(sys.argv[2]))
 print("claimed", flush=True)
 time.sleep(300)
 """
+
+
+def pickled_modules(data):
+    """Modules of every class a pickle names, read off its
+    ``GLOBAL`` / ``STACK_GLOBAL`` opcodes (the latter takes module and
+    qualified name from the stack: the last two strings pushed, directly
+    or out of the memo)."""
+    memo, strings, modules, top = {}, [], set(), None
+    for opcode, argument, _position in pickletools.genops(data):
+        if "UNICODE" in opcode.name:
+            top = argument
+            strings.append(top)
+        elif opcode.name in ("BINGET", "LONG_BINGET"):
+            top = memo.get(argument)
+            strings.append(top)
+        elif opcode.name == "MEMOIZE":
+            memo[len(memo)] = top
+        elif opcode.name == "STACK_GLOBAL":
+            modules.add(strings[-2])
+            top = None
+        elif opcode.name == "GLOBAL":
+            modules.add(argument.split()[0])
+            top = None
+        elif opcode.name != "FRAME":
+            top = None
+    return modules
 
 
 def entry_paths(store, kind):
@@ -308,6 +339,24 @@ class TestFaultInjection:
         assert fresh.load_compile(("k",)) is None
         assert fresh.counters.resets == 1
 
+    def test_code_fingerprint_covers_every_pickled_module(self, tmp_path):
+        """A class pickled into an entry whose module is not
+        fingerprinted would unpickle a stale layout into new code
+        instead of quarantining the store."""
+        store = SessionStore(tmp_path / "store")
+        P2GO(
+            fw.build_program(), fw.runtime_config(), fw.make_trace(300),
+            fw.TARGET, store=store,
+        ).run()
+        for kind in KINDS:
+            entries = entry_paths(store, kind)
+            assert entries, kind
+            named = set().union(
+                *(pickled_modules(path.read_bytes()) for path in entries)
+            )
+            ours = {name for name in named if name.startswith("repro.")}
+            assert ours and ours <= set(_FINGERPRINTED_MODULES), kind
+
     def test_garbage_manifest_forces_cold_start(self, tmp_path):
         store = SessionStore(tmp_path / "store")
         store.store_compile(("k",), 1)
@@ -520,6 +569,11 @@ class TestWarmSecondRun:
         assert counters.compile_disk_hits > 0
         assert counters.profile_disk_hits > 0
         assert counters.compile_calls == cold.session_counters.compile_calls
+        # No compile executed, so no structure key was computed and the
+        # store was asked for no analysis.
+        assert cold.session_counters.analysis_calls > 0
+        assert counters.analysis_calls == 0
+        assert warm.store_stats["counters"]["analysis_hits"] == 0
 
     def test_report_carries_provenance_and_store_lines(self, tmp_path):
         self.run(tmp_path / "store")
@@ -735,12 +789,16 @@ class TestProbeLeases:
         )
         result = ctx.compile()
         assert result.stages_used == make_ctx(None).compile().stages_used
-        assert len(attempts) == 1
+        # One attempt per executed probe: the compile and its analysis.
+        assert [Path(path).parent.name for path in attempts] == [
+            "compile",
+            "analysis",
+        ]
         assert ctx.counters.compile_executions == 1
-        assert ctx.store.counters.errors == 1
+        assert ctx.store.counters.errors == 2
         assert ctx.store.counters.lease_waits == 0
         # Unleased is still written through.
-        assert ctx.store.counters.writes == 1
+        assert ctx.store.counters.writes == 2
         assert ctx.store.acquire("profile", ("k",)) == (None, None)
 
     def test_a_handle_holding_leases_never_waits(self, tmp_path, monkeypatch):
@@ -758,6 +816,31 @@ class TestProbeLeases:
         assert a.acquire("compile", ("k2",)) == (None, None)
         assert b.acquire("compile", ("k1",)) == (None, None)
         assert a.counters.lease_waits == b.counters.lease_waits == 0
+
+    def test_analysis_is_never_waited_on_under_a_compile_lease(
+        self, tmp_path, monkeypatch
+    ):
+        """Another process is analysing the same structure for a
+        different compile: this one holds its compile lease, so it
+        builds the analysis itself, unleased, rather than wait — and
+        the entry is written identically twice."""
+        ctx = make_ctx(SessionStore(tmp_path / "store"))
+        rival = SessionStore(tmp_path / "store")
+        key = (structure_key(ctx.program),)
+        rival_lease = rival.claim_probe("analysis", key)
+        monkeypatch.setattr(
+            time, "sleep", lambda _s: pytest.fail("waited while holding")
+        )
+        ctx.compile()
+        assert ctx.counters.analysis_executions == 1
+        assert ctx.store.counters.lease_waits == 0
+        assert ctx.store.counters.lease_claims == 1  # the compile's
+        assert rival_lease.path.exists()  # not reaped, not stolen
+        assert rival.load_analysis(key) == analyse(ctx.program)
+        rival_lease.publish(analyse(ctx.program))
+        assert rival.load_analysis(key) == analyse(ctx.program)
+        assert len(entry_paths(rival, "analysis")) == 1
+        assert not list((tmp_path / "store").rglob("*.lease"))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_raising_probe_releases_its_lease(self, tmp_path, workers):
@@ -868,6 +951,7 @@ def _toy_run(root):
     return {
         "compile_executions": counters.compile_executions,
         "profile_executions": counters.profile_executions,
+        "analysis_executions": counters.analysis_executions,
         "disk_hits": (
             counters.compile_disk_hits + counters.profile_disk_hits
         ),
@@ -928,6 +1012,18 @@ class TestMultiProcessStore:
         assert sum(o["disk_hits"] for o in outcomes) == (
             solo.compile_executions + solo.profile_executions
         )
+        # Analyses ride under a compile lease and are never waited on,
+        # so a structure may be built by both — once or identically
+        # twice, one entry either way.
+        assert (
+            solo.analysis_executions
+            <= sum(o["analysis_executions"] for o in outcomes)
+            <= 2 * solo.analysis_executions
+        )
+        assert (
+            SessionStore(root).stats()["analysis_entries"]
+            == solo.analysis_executions
+        )
 
     def test_no_leases_left_behind_after_runs(self, tmp_path):
         root = str(tmp_path / "store")
@@ -936,7 +1032,7 @@ class TestMultiProcessStore:
         store = SessionStore(root)
         leftovers = [
             path
-            for kind in ("compile", "profile")
+            for kind in KINDS
             for path in store._dir(kind).iterdir()
             if path.name.endswith(".lease")
         ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.dependencies import build_dependency_graph
+from repro.analysis import analyse
 from repro.exceptions import AllocationError
 from repro.p4 import (
     Apply,
@@ -137,9 +137,8 @@ class TestPacking:
 
     def test_register_must_fit_one_stage(self):
         program = self._register_program(1024)  # 1KB > 256B/stage
-        dep_graph = build_dependency_graph(program)
         with pytest.raises(AllocationError):
-            allocate(program, dep_graph, SMALL)
+            allocate(program, analyse(program), SMALL)
 
     def test_register_colocated_with_table(self):
         program = self._register_program(128)  # 2 blocks
