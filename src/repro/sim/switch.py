@@ -14,8 +14,12 @@ switch doubles as a *fast profiling engine*:
   that reads or writes a register bypasses the cache AND flushes it —
   stateful packets never serve, and never become, cached verdicts.
   Disable with ``RuntimeConfig.enable_flow_cache = False``.
-* **precompiled match structures** (:class:`repro.sim.match.CompiledTable`)
-  replace the per-packet linear entry scans; built lazily, once per run.
+* the **compiled program**: precompiled match structures
+  (:class:`repro.sim.match.CompiledTable`) replace the per-packet
+  linear entry scans, and a per-program execution plan
+  (:mod:`repro.sim.plan`: actions and control bound into closures once)
+  replaces the IR walk, whose deparser re-packs only the headers a
+  packet's writes touched.  Both built lazily, once per switch.
   Disable with ``RuntimeConfig.enable_compiled_tables = False``.
 * **perf counters** (:class:`repro.sim.perf.PerfCounters`) on
   ``BehavioralSwitch.perf``, timed by the batched
@@ -23,10 +27,13 @@ switch doubles as a *fast profiling engine*:
 
 Both optimizations are behaviour-preserving: with identical inputs the
 engine produces bit-identical :class:`SwitchResult` streams with the
-switches on or off (property-tested in ``tests/test_profiling_engine.py``;
-semantics argument in DESIGN.md, "Profiling engine").  With both off
-the switch *is* the reference interpreter the cached engine is checked
-against; there is no third engine (DESIGN.md §12 says why).
+switches on or off (property-tested in ``tests/test_profiling_engine.py``
+and ``tests/test_execution_plan.py``; semantics argument in DESIGN.md,
+"Profiling engine").  With both off the switch *is* the reference
+interpreter — ``_run_control`` / ``_apply_table`` over
+:mod:`repro.sim.action_interp`, which shares no traversal code with the
+plan — that the engine is checked against; there is no third engine
+(DESIGN.md §12 says why).
 """
 
 from __future__ import annotations
@@ -37,9 +44,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from dataclasses import dataclass
 
 from repro.exceptions import SimulationError
-from repro.p4.actions import STANDARD_METADATA
+from repro.p4.actions import (
+    DROP_FLAG,
+    INGRESS_PORT,
+    STANDARD_METADATA,
+    TO_CONTROLLER,
+)
 from repro.p4.control import Apply, ControlNode, If, Seq
-from repro.p4.expressions import FieldRef
 from repro.p4.parser_spec import ACCEPT
 from repro.p4.program import Program
 from repro.p4.types import mask
@@ -56,15 +67,10 @@ from repro.sim.flowcache import (
 )
 from repro.sim.match import CompiledTable, compile_table, lookup
 from repro.sim.perf import PerfCounters
+from repro.sim.plan import Frame, build_plan
 from repro.sim.runtime import RuntimeConfig
 from repro.sim.parser_engine import ParsedPacket, deparse_packet
 from repro.sim.state import SwitchState
-
-_INGRESS_PORT = FieldRef(STANDARD_METADATA, "ingress_port")
-_EGRESS_PORT = FieldRef(STANDARD_METADATA, "egress_port")
-_DROP_FLAG = FieldRef(STANDARD_METADATA, "drop_flag")
-_TO_CONTROLLER = FieldRef(STANDARD_METADATA, "to_controller")
-_CONTROLLER_REASON = FieldRef(STANDARD_METADATA, "controller_reason")
 
 
 @dataclass
@@ -118,16 +124,14 @@ class BehavioralSwitch:
         self._key_extract = compile_key_extractor(self._analysis.key_fields)
         self._flow_cache = FlowCache(self.config.flow_cache_capacity)
         self._compiled_tables: Dict[str, CompiledTable] = {}
-        self._key_widths: Dict[str, List[int]] = {}
         self._config_mutations = self.config.mutations
-        self._packet_touched_register = False
         # Per-program plans precompiled once: parser states with their
         # header codecs, deparse order, metadata names, and the
         # ingress_port width mask.
         self._metadata_names = tuple(
             inst.name for inst in program.metadata_headers()
         )
-        self._ingress_mask = mask(program.field_width(_INGRESS_PORT))
+        self._ingress_mask = mask(program.field_width(INGRESS_PORT))
         self._deparse_plan = tuple(
             (inst.name, get_codec(program.header_types[inst.header_type]))
             for inst in program.packet_headers()
@@ -160,6 +164,9 @@ class BehavioralSwitch:
                 )
                 for name, state in program.parser.states.items()
             }
+        # Tier 2's execution plan (repro.sim.plan), bound once by the
+        # first packet that runs with the tier on; never with it off.
+        self._plan = None
         self._apply_register_inits()
 
     # ------------------------------------------------------------------
@@ -190,17 +197,13 @@ class BehavioralSwitch:
         Called automatically when the config was mutated through its API
         (``add_entry`` / ``set_default``); callers that poke
         ``config.entries`` dicts directly must invoke this themselves.
+        Re-validates the config, so a bad rule installed mid-run fails
+        as :class:`RuntimeConfigError` before any packet is touched.
         """
+        self.config.validate(self.program)
         self._flow_cache.clear()
         self._compiled_tables.clear()
         self._config_mutations = self.config.mutations
-
-    def warm_caches(self) -> None:
-        """Precompile every table's match structure up front (batch runs)."""
-        if not self.config.enable_compiled_tables:
-            return
-        for table_name in self.program.tables:
-            self._compiled_table(table_name)
 
     # ------------------------------------------------------------------
     def process(self, data: bytes, ingress_port: int = 0) -> SwitchResult:
@@ -231,16 +234,14 @@ class BehavioralSwitch:
     def process_many(
         self, packets: Sequence, ingress_port: int = 0
     ) -> List[SwitchResult]:
-        """Batched processing: compile once, replay the whole trace, time it.
+        """Batched processing: replay the whole trace, time it.
 
         Entries are raw ``bytes`` (using ``ingress_port``) or
         ``(bytes, port)`` tuples for per-packet ingress ports.  State
         accumulates across the batch exactly as in per-packet
-        :meth:`process` calls; only the per-run setup (match-structure
-        compilation) and the wall-clock accounting differ.
+        :meth:`process` calls; only the wall-clock accounting differs.
         """
         started = perf_counter()
-        self.warm_caches()
         process = self._process_packet
         results = []
         for entry in packets:
@@ -321,6 +322,71 @@ class BehavioralSwitch:
             frozenset(parsed.valid),
         )
 
+    def _install_metadata(
+        self, parsed: ParsedPacket, ingress_port: int
+    ) -> Dict[str, int]:
+        """Metadata headers onto a fresh parse (which never contains
+        them): always valid, zeroed — dicts filled by writes — and
+        ``ingress_port`` set.  Returns ``standard_metadata``'s fields."""
+        for name in self._metadata_names:
+            parsed.valid.add(name)
+            parsed.headers[name] = {}
+        standard = parsed.headers[STANDARD_METADATA]
+        standard["ingress_port"] = ingress_port & self._ingress_mask
+        return standard
+
+    def _deparse(
+        self, parsed: ParsedPacket, data: bytes, dirty, trusted: bool
+    ) -> bytes:
+        """Valid packet headers in declaration order, plus payload.
+
+        A valid header outside ``dirty`` (written / added / removed) is
+        bit-identical to its slice of the incoming packet (pack∘unpack
+        is the identity for byte-aligned headers), so emit the slice;
+        only dirty, padded, or parser-less headers are re-packed — by
+        the validating ``pack`` unless ``trusted`` (a verdict's values,
+        validated when it was recorded).
+        """
+        headers, valid, spans = parsed.headers, parsed.valid, parsed.spans
+        chunks: List[bytes] = []
+        for name, codec in self._deparse_plan:
+            if name in valid:
+                span = spans.get(name)
+                if span is None or name in dirty or codec.pad:
+                    pack = codec.pack_trusted if trusted else codec.pack
+                    chunks.append(pack(headers[name]))
+                else:
+                    chunks.append(data[span[0]:span[1]])
+        chunks.append(parsed.payload)
+        return b"".join(chunks)
+
+    def _emit(
+        self, parsed: ParsedPacket, data: bytes, output: bytes,
+        steps: List[ExecutionStep], egress_port: int, dropped: bool,
+        to_controller: bool, controller_reason: int,
+    ) -> SwitchResult:
+        """Count the packet, queue it if punted, report the traversal."""
+        index = self._packet_count
+        self._packet_count += 1
+        if to_controller:
+            self.controller_queue.append(
+                ControllerPacket(
+                    index=index, reason=controller_reason, data=output
+                )
+            )
+        return SwitchResult(
+            index=index,
+            input_bytes=data,
+            output_bytes=output,
+            headers=parsed.headers,
+            valid=parsed.valid,
+            steps=steps,
+            egress_port=egress_port,
+            dropped=dropped,
+            to_controller=to_controller,
+            controller_reason=controller_reason,
+        )
+
     def _replay_verdict(
         self,
         verdict: FlowVerdict,
@@ -331,14 +397,7 @@ class BehavioralSwitch:
         """Apply a cached delta to a fresh packet's own parsed headers."""
         headers = parsed.headers
         valid = parsed.valid
-        # A fresh parse never contains metadata headers, so install them
-        # unconditionally (always valid, zeroed — dicts filled by writes).
-        for name in self._metadata_names:
-            valid.add(name)
-            headers[name] = {}
-        headers[STANDARD_METADATA]["ingress_port"] = (
-            ingress_port & self._ingress_mask
-        )
+        self._install_metadata(parsed, ingress_port)
         for header in verdict.removed:
             valid.discard(header)
             headers.pop(header, None)
@@ -349,44 +408,15 @@ class BehavioralSwitch:
             if fields is None:
                 fields = headers[header] = {}
             fields[field_name] = value
-        # Deparse fast path: a valid header the delta never touched is
-        # bit-identical to its slice of the incoming packet (pack∘unpack
-        # is the identity for byte-aligned headers), so emit the slice;
-        # only dirty, padded, or parser-less headers are re-packed.
-        dirty = verdict.dirty
-        spans = parsed.spans
-        chunks: List[bytes] = []
-        for name, codec in self._deparse_plan:
-            if name in valid:
-                if name not in dirty and codec.pad == 0:
-                    span = spans.get(name)
-                    if span is not None:
-                        chunks.append(data[span[0]:span[1]])
-                        continue
-                chunks.append(codec.pack_trusted(headers[name]))
-        chunks.append(parsed.payload)
-        output = b"".join(chunks)
-        index = self._packet_count
-        self._packet_count += 1
-        if verdict.to_controller:
-            self.controller_queue.append(
-                ControllerPacket(
-                    index=index,
-                    reason=verdict.controller_reason,
-                    data=output,
-                )
-            )
-        return SwitchResult(
-            index=index,
-            input_bytes=data,
-            output_bytes=output,
-            headers=headers,
-            valid=valid,
-            steps=list(verdict.steps),
-            egress_port=verdict.egress_port,
-            dropped=verdict.dropped,
-            to_controller=verdict.to_controller,
-            controller_reason=verdict.controller_reason,
+        return self._emit(
+            parsed,
+            data,
+            self._deparse(parsed, data, verdict.dirty, trusted=True),
+            list(verdict.steps),
+            verdict.egress_port,
+            verdict.dropped,
+            verdict.to_controller,
+            verdict.controller_reason,
         )
 
     def _execute(
@@ -396,48 +426,42 @@ class BehavioralSwitch:
         ingress_port: int,
         key: Optional[FlowKey],
     ) -> SwitchResult:
-        """The full interpreter path (also the flow-cache fill path)."""
-        phv = Phv(self.program, parsed.headers, parsed.valid)
-        phv.write(_INGRESS_PORT, ingress_port)
-        initial_valid: Optional[frozenset] = None
-        write_log: Optional[Set[Tuple[str, str]]] = None
-        if key is not None:
-            initial_valid = frozenset(phv.valid)
-            write_log = set()
-            phv.write_log = write_log
-        self._packet_touched_register = False
-
+        """The full traversal (also the flow-cache fill path): the
+        execution plan when tier 2 is on, else the reference walk."""
+        headers, valid = parsed.headers, parsed.valid
+        standard = self._install_metadata(parsed, ingress_port)
+        initial_valid = frozenset(valid) if key is not None else None
         steps: List[ExecutionStep] = []
-        self._run_control(self.program.ingress, phv, steps)
-
-        # The egress pipeline runs for packets the traffic manager
-        # actually emits: neither dropped nor punted to the controller.
-        if not (
-            phv.read(_DROP_FLAG)
-            or phv.read(_TO_CONTROLLER)
-        ):
-            self._run_control(self.program.egress, phv, steps)
-
-        egress = phv.read(_EGRESS_PORT)
-        dropped = bool(phv.read(_DROP_FLAG))
-        to_ctrl = bool(phv.read(_TO_CONTROLLER))
-        reason = phv.read(_CONTROLLER_REASON)
-
-        packet_valid = {
-            h for h in phv.valid if not self.program.headers[h].metadata
-        }
-        output = deparse_packet(
-            self.program, phv.headers, packet_valid, parsed.payload
-        )
-        index = self._packet_count
-        self._packet_count += 1
-        if to_ctrl:
-            self.controller_queue.append(
-                ControllerPacket(index=index, reason=reason, data=output)
+        if self.config.enable_compiled_tables:
+            if self._plan is None:
+                self._plan = build_plan(self)
+            write_log: Optional[Set[Tuple[str, str]]] = set()
+            self._plan(Frame(headers, valid, write_log, steps))
+            output = self._deparse(
+                parsed, data, {h for h, _f in write_log}, trusted=False
+            )
+        else:
+            phv = Phv(self.program, headers, valid)
+            write_log = phv.write_log = set() if key is not None else None
+            self._run_control(self.program.ingress, phv, steps)
+            # The egress pipeline runs for packets the traffic manager
+            # actually emits: neither dropped nor punted to the controller.
+            if not (phv.read(DROP_FLAG) or phv.read(TO_CONTROLLER)):
+                self._run_control(self.program.egress, phv, steps)
+            packet_valid = {
+                h for h in valid if not self.program.headers[h].metadata
+            }
+            output = deparse_packet(
+                self.program, headers, packet_valid, parsed.payload
             )
 
+        egress = standard.get("egress_port", 0)
+        dropped = bool(standard.get("drop_flag", 0))
+        to_ctrl = bool(standard.get("to_controller", 0))
+        reason = standard.get("controller_reason", 0)
         if key is not None:
-            if self._packet_touched_register:
+            stateful = self._analysis.stateful_actions
+            if any(step.action in stateful for step in steps):
                 # The register-invalidation rule: a stateful traversal is
                 # never memoized, and conservatively flushes prior
                 # verdicts as well.
@@ -448,8 +472,8 @@ class BehavioralSwitch:
                     steps=steps,
                     write_log=write_log,
                     initial_valid=initial_valid,
-                    final_valid=phv.valid,
-                    final_headers=phv.headers,
+                    final_valid=valid,
+                    final_headers=headers,
                     egress_port=egress,
                     dropped=dropped,
                     to_controller=to_ctrl,
@@ -457,18 +481,8 @@ class BehavioralSwitch:
                 )
                 if self._flow_cache.put(key, verdict):
                     self.perf.cache_evictions += 1
-
-        return SwitchResult(
-            index=index,
-            input_bytes=data,
-            output_bytes=output,
-            headers=phv.headers,
-            valid=phv.valid,
-            steps=steps,
-            egress_port=egress,
-            dropped=dropped,
-            to_controller=to_ctrl,
-            controller_reason=reason,
+        return self._emit(
+            parsed, data, output, steps, egress, dropped, to_ctrl, reason
         )
 
     # ------------------------------------------------------------------
@@ -500,7 +514,6 @@ class BehavioralSwitch:
         if compiled is None:
             table = self.program.tables[table_name]
             widths = [self.program.field_width(k.field) for k in table.keys]
-            self._key_widths[table_name] = widths
             compiled = compile_table(
                 table, widths, self.config.entries_for(table_name)
             )
@@ -518,26 +531,21 @@ class BehavioralSwitch:
         keys_valid = all(phv.is_valid(k.field.header) for k in table.keys)
         if table.keys and keys_valid:
             key_values = [phv.read(k.field) for k in table.keys]
-            if self.config.enable_compiled_tables:
-                entry = self._compiled_table(table_name).lookup(key_values)
-            else:
-                key_widths = [
-                    self.program.field_width(k.field) for k in table.keys
-                ]
-                entry = lookup(
-                    table,
-                    key_widths,
-                    key_values,
-                    self.config.entries_for(table_name),
-                )
+            key_widths = [
+                self.program.field_width(k.field) for k in table.keys
+            ]
+            entry = lookup(
+                table,
+                key_widths,
+                key_values,
+                self.config.entries_for(table_name),
+            )
         if entry is not None:
             action_name, action_args = entry.action, entry.action_args
             hit = True
         else:
             action_name, action_args = self.config.default_for(table)
             hit = False
-        if action_name in self._analysis.stateful_actions:
-            self._packet_touched_register = True
         action = self.program.actions[action_name]
         execute_action(self.program, action, action_args, phv, self.state)
         steps.append(

@@ -6,7 +6,10 @@ Pins the guarantees the engine's docstrings promise:
 * For every bundled program, profiling with the cache + compiled tables
   on yields a :class:`~repro.core.profiler.Profile` with
   ``same_behavior_as`` the uncached reference run — and the per-packet
-  :class:`~repro.sim.switch.SwitchResult` stream is bit-identical.
+  :class:`~repro.sim.switch.SwitchResult` stream is bit-identical, as
+  are registers, controller queue and lookup counts afterwards, in all
+  three configurations: both tiers on, tier 2 (compiled tables and the
+  execution plan, :mod:`repro.sim.plan`) alone, both off.
 * Stateful traversals (anything that reads or writes a register) are
   never served from the cache, and executing one flushes it (the
   conservative register-invalidation rule).
@@ -25,6 +28,7 @@ import random
 import pytest
 
 from repro.core.profiler import Profiler
+from repro.fuzz.generator import generate_case
 from repro.p4 import Apply, ModifyField, ParamRef, ProgramBuilder, Seq
 from repro.p4.expressions import FieldRef
 from repro.p4.tables import MatchKind, Table, TableKey
@@ -120,6 +124,12 @@ class ghost_write:
         return [head, head + b"\xaa\xbb"]
 
 
+def _compiled_only(config):
+    """Tier 2 without tier 3: every packet runs the execution plan."""
+    config.enable_flow_cache = False
+    return config
+
+
 def _result_fingerprint(result):
     return (
         result.output_bytes,
@@ -153,24 +163,45 @@ def test_cached_profile_same_behavior_as_uncached(name):
 BIT_IDENTITY_INPUTS = {**PROGRAM_MODULES, "ghost_write": ghost_write}
 
 
+def _assert_tiers_bit_identical(program, fresh_config, trace):
+    """Both tiers on, tier 2 alone and the reference agree on the full
+    per-packet observable stream (bytes out, steps, headers,
+    forwarding) and on what the replay leaves behind in the switch."""
+    reference = BehavioralSwitch(program, _uncached(fresh_config()))
+    expected = reference.process_many(trace)
+    for tier in (lambda config: config, _compiled_only):
+        engine = BehavioralSwitch(program, tier(fresh_config()))
+        results = engine.process_many(trace)
+        assert len(results) == len(expected)
+        for got, want in zip(results, expected):
+            assert _result_fingerprint(got) == _result_fingerprint(want)
+        assert engine.state.snapshot() == reference.state.snapshot()
+        assert engine.controller_queue == reference.controller_queue
+        if not engine.config.enable_flow_cache:
+            # A cached verdict replays without looking anything up.
+            assert (
+                engine.perf.table_lookups == reference.perf.table_lookups
+            )
+
+
 @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_INPUTS))
 def test_cached_results_bit_identical_to_uncached(name):
-    """Stronger than profile equality: the full per-packet observable
-    stream (bytes out, steps, headers, forwarding) matches."""
     module = BIT_IDENTITY_INPUTS[name]
     program = module.build_program()
-    trace = module.make_trace(600)
-
-    engine = BehavioralSwitch(program, _fresh_config(module, program))
-    reference = BehavioralSwitch(
-        program, _uncached(_fresh_config(module, program))
+    _assert_tiers_bit_identical(
+        program,
+        lambda: _fresh_config(module, program),
+        module.make_trace(600),
     )
-    engine_results = engine.process_many(trace)
-    reference_results = reference.process_many(trace)
 
-    assert len(engine_results) == len(reference_results)
-    for eng, ref in zip(engine_results, reference_results):
-        assert _result_fingerprint(eng) == _result_fingerprint(ref)
+
+@pytest.mark.parametrize("seed", range(25))
+def test_generated_programs_bit_identical_across_tiers(seed):
+    """The same three-way check over the fuzz generator's programs,
+    which reach corners (ghost writes, added/removed headers, egress
+    tables) the bundled ones do not."""
+    case = generate_case(seed)
+    _assert_tiers_bit_identical(case.program, case.config.clone, case.trace)
 
 
 # ----------------------------------------------------------------------
