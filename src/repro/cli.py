@@ -10,7 +10,7 @@ Commands:
 * ``profile PROGRAM --config CFG --trace PCAP [--no-cache]`` —
   phase 1 on its own; prints the profiling engine's perf counters
   (packets/s, flow-cache hit rate).  ``--no-cache`` forces the
-  uncached reference interpreter.
+  uncached reference interpreter (the oracle, not a speed setting).
 * ``optimize PROGRAM --config CFG --trace PCAP [--no-memo]
   [--workers N] [--store PATH | --no-store]`` — the full pipeline;
   writes the optimized program (DSL) and the observation report (which
@@ -578,6 +578,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         f"{len(result.failures)} failure(s) in "
         f"{result.elapsed_seconds:.1f}s"
     )
+    if "cache" in result.axes:
+        print(
+            f"cache axis replayed {result.exercised['cache_replays']} "
+            "verdict(s)"
+        )
     return 0 if result.ok else 1
 
 
@@ -601,7 +606,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the flow-result cache and compiled match "
-        "structures (uncached reference interpreter)",
+        "structures: the reference oracle the engine is checked "
+        "against, not a speed setting",
     )
     p_profile.set_defaults(func=cmd_profile)
 

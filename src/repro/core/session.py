@@ -306,7 +306,6 @@ def merge_perf(counters: Sequence[PerfCounters]) -> Optional[PerfCounters]:
         merged.packets += perf.packets
         merged.cache_hits += perf.cache_hits
         merged.cache_misses += perf.cache_misses
-        merged.cache_invalidations += perf.cache_invalidations
         merged.cache_evictions += perf.cache_evictions
         merged.elapsed_seconds += perf.elapsed_seconds
         merged.timed_packets += perf.timed_packets

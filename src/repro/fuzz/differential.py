@@ -13,7 +13,7 @@ disagreement:
 ``cache``
     The flow-result cache + compiled match structures vs the uncached
     reference interpreter, on both the original and the optimized
-    program.
+    program, over the trace twice (the second pass replays).
 ``workers``
     ``workers=1`` vs ``workers=4`` pipeline runs must produce
     byte-identical results (program, config, counters, observations).
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 import traceback
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -180,7 +181,11 @@ def _check_behavior(
     return None
 
 
-def _check_cache(case: GeneratedCase) -> Optional[AxisFailure]:
+def _check_cache(
+    case: GeneratedCase, exercised: Counter[str]
+) -> Optional[AxisFailure]:
+    """Over the trace twice: verdicts are admitted on a second sighting,
+    so on the second pass every stateless flow replays."""
     result = _run_pipeline(case, phases=(2, 3))
     for label, program, config in (
         ("original", case.program, case.config),
@@ -188,8 +193,9 @@ def _check_cache(case: GeneratedCase) -> Optional[AxisFailure]:
     ):
         cached, uncached = _cache_configs(config)
         report = compare_behavior(
-            program, cached, program, uncached, case.trace
+            program, cached, program, uncached, list(case.trace) * 2
         )
+        exercised["cache_replays"] += report.replayed
         if not report.equivalent:
             return AxisFailure(
                 "cache",
@@ -269,11 +275,13 @@ def run_axes(
     mutator: Optional[Mutator] = None,
     store_root: Optional[str] = None,
     stop_on_first: bool = True,
+    exercised: Optional[Counter[str]] = None,
 ) -> List[AxisFailure]:
     """Run the requested oracle axes on one case.
 
     Returns the failures found (empty list = full agreement).  Unknown
-    axis names raise ``ValueError`` up front.
+    axis names raise ``ValueError`` up front.  ``exercised`` tallies
+    ``cache_replays``, the verdicts the cache axis replayed.
     """
     complaint = unknown_axes(axes)
     if complaint:
@@ -286,7 +294,9 @@ def run_axes(
             if axis == "behavior":
                 failure = _check_behavior(case, mutator)
             elif axis == "cache":
-                failure = _check_cache(case)
+                failure = _check_cache(
+                    case, Counter() if exercised is None else exercised
+                )
             elif axis == "workers":
                 failure = _check_workers(case)
             elif axis == "store":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
@@ -91,6 +92,8 @@ class CampaignResult:
     axes: List[str]
     failures: List[FailureRecord] = dc_field(default_factory=list)
     elapsed_seconds: float = 0.0
+    #: ``cache_replays``: 0 means the cache axis compared no cache.
+    exercised: Counter[str] = dc_field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
@@ -133,7 +136,8 @@ def run_campaign(
         seed = base_seed + i
         case = generate_case(seed, trace_packets=trace_packets)
         failures = run_axes(
-            case, axes, mutator=mutator, store_root=store_root
+            case, axes, mutator=mutator, store_root=store_root,
+            exercised=result.exercised,
         )
         result.iterations += 1
         if not failures:

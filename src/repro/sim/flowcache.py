@@ -24,24 +24,30 @@ What may be memoized: traversals whose executed actions perform no
 ``register_read``/``register_write``.  Their outcome is a pure function
 of the key (written values can only depend on read fields, which the key
 covers, and on entry action data, which is constant between config
-mutations).  What may never be memoized: any traversal that touched a
-register — those depend on or mutate cross-packet state, so the switch
-both skips insertion *and* flushes the cache (the conservative
-invalidation rule; see DESIGN.md "Profiling engine").
+mutations), so no register write can change it and only a config
+mutation drops it.  A verdict is built on a key's **second** sighting:
+the first leaves :data:`SEEN` and runs the plain traversal; a second
+that touched a register leaves :data:`STATEFUL` instead, and that key
+skips verdict work from then on — sound because every decision before a
+traversal's first register access is a function of the key, so an equal
+key reaches that same access (DESIGN.md §5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Set, Tuple, Union
 
-from repro.p4.control import Apply, ControlNode, If, Seq
+from repro.p4.control import Apply, If, iter_nodes
 from repro.p4.expressions import FieldRef, fields_read
 from repro.p4.program import Program
 from repro.sim.events import ExecutionStep
 
 #: A cache key: (ingress_port, read-field values, valid packet headers).
 FlowKey = Tuple[int, Tuple[int, ...], FrozenSet[str]]
+
+#: Marks: key sighted once; key whose traversal touches a register.
+SEEN, STATEFUL = "seen", "stateful"
 
 
 @dataclass(frozen=True)
@@ -65,27 +71,12 @@ def analyze_program(program: Program) -> FlowAnalysis:
     the key sound without tracking per-packet control paths.
     """
     reads: Set[FieldRef] = set()
-
-    def walk(node: ControlNode) -> None:
-        if isinstance(node, Seq):
-            for child in node.nodes:
-                walk(child)
-        elif isinstance(node, If):
-            reads.update(fields_read(node.condition))
-            walk(node.then_node)
-            if node.else_node is not None:
-                walk(node.else_node)
-        elif isinstance(node, Apply):
-            table = program.tables[node.table]
-            for key in table.keys:
-                reads.add(key.field)
-            if node.on_hit is not None:
-                walk(node.on_hit)
-            if node.on_miss is not None:
-                walk(node.on_miss)
-
-    walk(program.ingress)
-    walk(program.egress)
+    for root in (program.ingress, program.egress):
+        for node in iter_nodes(root):
+            if isinstance(node, If):
+                reads.update(fields_read(node.condition))
+            elif isinstance(node, Apply):
+                reads.update(k.field for k in program.tables[node.table].keys)
 
     stateful: Set[str] = set()
     for action in program.actions.values():
@@ -170,7 +161,8 @@ class FlowVerdict:
 
 
 class FlowCache:
-    """A bounded mapping from :data:`FlowKey` to :class:`FlowVerdict`.
+    """A bounded mapping from :data:`FlowKey` to :data:`SEEN`,
+    :data:`STATEFUL` or a :class:`FlowVerdict`; marks take a slot each.
 
     Capacity is enforced by flushing wholesale when full — cheap, and the
     next window of flows re-warms immediately.  The switch reports the
@@ -181,18 +173,18 @@ class FlowCache:
         if capacity <= 0:
             raise ValueError("flow cache capacity must be positive")
         self.capacity = capacity
-        self._entries: Dict[FlowKey, FlowVerdict] = {}
+        self._entries: Dict[FlowKey, Union[str, FlowVerdict]] = {}
 
-    def get(self, key: FlowKey) -> Optional[FlowVerdict]:
+    def get(self, key: FlowKey) -> Union[None, str, FlowVerdict]:
         return self._entries.get(key)
 
-    def put(self, key: FlowKey, verdict: FlowVerdict) -> bool:
+    def put(self, key: FlowKey, entry: Union[str, FlowVerdict]) -> bool:
         """Insert; returns True if a capacity flush was needed first."""
         flushed = False
         if len(self._entries) >= self.capacity and key not in self._entries:
             self._entries.clear()
             flushed = True
-        self._entries[key] = verdict
+        self._entries[key] = entry
         return flushed
 
     def clear(self) -> None:
@@ -203,35 +195,28 @@ class FlowCache:
 
 
 def build_verdict(
-    steps: List[ExecutionStep],
-    write_log: Set[Tuple[str, str]],
-    initial_valid: FrozenSet[str],
-    final_valid: Set[str],
-    final_headers: Dict[str, Dict[str, int]],
-    egress_port: int,
-    dropped: bool,
-    to_controller: bool,
-    controller_reason: int,
+    result, write_log: Set[Tuple[str, str]], initial_valid: FrozenSet[str]
 ) -> FlowVerdict:
-    """Condense one executed traversal into a replayable delta."""
+    """Condense one executed traversal (its ``SwitchResult``, the fields
+    it wrote, the headers valid before it ran) into a replayable delta."""
+    headers, valid = result.headers, result.valid
     writes = tuple(
-        (header, field, final_headers[header][field])
+        (header, field, headers[header][field])
         for header, field in sorted(write_log)
-        if header in final_headers and field in final_headers[header]
+        if header in headers and field in headers[header]
     )
-    added = tuple(sorted(set(final_valid) - set(initial_valid)))
-    removed = tuple(sorted(set(initial_valid) - set(final_valid)))
-    dirty = frozenset(
-        {header for header, _field in write_log} | set(added) | set(removed)
-    )
+    added = tuple(sorted(valid - initial_valid))
+    removed = tuple(sorted(initial_valid - valid))
     return FlowVerdict(
-        steps=tuple(steps),
+        steps=tuple(result.steps),
         writes=writes,
         added=added,
         removed=removed,
-        egress_port=egress_port,
-        dropped=dropped,
-        to_controller=to_controller,
-        controller_reason=controller_reason,
-        dirty=dirty,
+        egress_port=result.egress_port,
+        dropped=result.dropped,
+        to_controller=result.to_controller,
+        controller_reason=result.controller_reason,
+        dirty=frozenset(
+            {header for header, _field in write_log}.union(added, removed)
+        ),
     )

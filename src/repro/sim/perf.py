@@ -3,7 +3,7 @@
 Profiling a trace is the dominant cost of every P2GO run (the PGO survey's
 "profile collection overhead" adoption barrier), so the behavioural switch
 accounts for its own speed: packets processed, flow-cache hits/misses/
-invalidations, per-table lookup counts, and the wall-clock time spent in
+evictions, per-table lookup counts, and the wall-clock time spent in
 batched runs.  The counters are *observability only* — nothing in the
 simulator reads them back, so they can never influence packet semantics
 and are always safe to reset (:meth:`PerfCounters.reset`, done by
@@ -30,9 +30,6 @@ class PerfCounters:
     cache_hits: int = 0
     #: Packets that consulted the cache and had to execute the pipeline.
     cache_misses: int = 0
-    #: Times the whole cache was flushed because an executed action
-    #: touched a register (the conservative invalidation rule).
-    cache_invalidations: int = 0
     #: Times the cache was flushed for reaching its capacity bound.
     cache_evictions: int = 0
     #: Table applications (hit or miss), per table.
@@ -61,7 +58,6 @@ class PerfCounters:
         self.packets = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_invalidations = 0
         self.cache_evictions = 0
         self.table_lookups = {}
         self.elapsed_seconds = 0.0
@@ -74,7 +70,6 @@ class PerfCounters:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": round(self.cache_hit_rate(), 4),
-            "cache_invalidations": self.cache_invalidations,
             "cache_evictions": self.cache_evictions,
             "table_lookups": dict(self.table_lookups),
             "elapsed_seconds": round(self.elapsed_seconds, 6),
@@ -87,7 +82,6 @@ class PerfCounters:
             f"packets processed:    {self.packets}",
             f"cache hit rate:       {self.cache_hit_rate():.1%} "
             f"({self.cache_hits} hits / {self.cache_misses} misses)",
-            f"cache invalidations:  {self.cache_invalidations}",
         ]
         if self.elapsed_seconds > 0.0:
             lines.append(

@@ -8,7 +8,7 @@ program variants and needs each replay to start from pristine state.
 Cache contract: register contents are the one per-packet input the
 flow-result cache's key (:mod:`repro.sim.flowcache`) does NOT cover.
 Any traversal that reads or writes this state is therefore never
-memoized, and executing one flushes the cache — keeping everything
+memoized (its key is marked stateful instead) — keeping everything
 behind :meth:`SwitchState.read` / :meth:`SwitchState.write` is what
 makes that rule enforceable.
 """

@@ -10,9 +10,10 @@ switch doubles as a *fast profiling engine*:
 
 * a **flow-result cache** (:mod:`repro.sim.flowcache`) memoizes the
   table-walk verdict of packets whose executed actions touch no
-  registers, keyed on the match-relevant header bytes.  Any traversal
-  that reads or writes a register bypasses the cache AND flushes it —
-  stateful packets never serve, and never become, cached verdicts.
+  registers, keyed on the match-relevant header bytes, from a key's
+  second sighting on.  A traversal that reads or writes a register
+  never serves, and never becomes, a cached verdict; its key is marked
+  so the flow's later packets skip verdict work.
   Disable with ``RuntimeConfig.enable_flow_cache = False``.
 * the **compiled program**: precompiled match structures
   (:class:`repro.sim.match.CompiledTable`) replace the per-packet
@@ -61,6 +62,8 @@ from repro.sim.flowcache import (
     FlowCache,
     FlowKey,
     FlowVerdict,
+    SEEN,
+    STATEFUL,
     analyze_program,
     build_verdict,
     compile_key_extractor,
@@ -209,7 +212,7 @@ class BehavioralSwitch:
     def process(self, data: bytes, ingress_port: int = 0) -> SwitchResult:
         """Push one packet through parse → ingress → deparse: a
         flow-cache replay when the verdict is memoized, else the full
-        interpreter."""
+        interpreter (tracked on its key's second sighting only)."""
         if self._config_mutations != self.config.mutations:
             self.invalidate_caches()
         self.perf.packets += 1
@@ -217,12 +220,16 @@ class BehavioralSwitch:
         key: Optional[FlowKey] = None
         if self.config.enable_flow_cache:
             key = self._flow_key(parsed, ingress_port)
-            verdict = self._flow_cache.get(key)
-            if verdict is not None:
+            entry = self._flow_cache.get(key)
+            if entry.__class__ is FlowVerdict:
                 self.perf.cache_hits += 1
-                return self._replay_verdict(verdict, parsed, data,
+                return self._replay_verdict(entry, parsed, data,
                                             ingress_port)
             self.perf.cache_misses += 1
+            if entry is None and self._flow_cache.put(key, SEEN):
+                self.perf.cache_evictions += 1
+            if entry is not SEEN:
+                key = None
         return self._execute(parsed, data, ingress_port, key)
 
     #: ``process_many`` loops over the same function under this name, so
@@ -335,17 +342,15 @@ class BehavioralSwitch:
         standard["ingress_port"] = ingress_port & self._ingress_mask
         return standard
 
-    def _deparse(
-        self, parsed: ParsedPacket, data: bytes, dirty, trusted: bool
-    ) -> bytes:
+    def _deparse(self, parsed: ParsedPacket, data: bytes, dirty) -> bytes:
         """Valid packet headers in declaration order, plus payload.
 
         A valid header outside ``dirty`` (written / added / removed) is
         bit-identical to its slice of the incoming packet (pack∘unpack
         is the identity for byte-aligned headers), so emit the slice;
         only dirty, padded, or parser-less headers are re-packed — by
-        the validating ``pack`` unless ``trusted`` (a verdict's values,
-        validated when it was recorded).
+        ``pack_trusted``: every value was masked when written and every
+        field named passed validation (DESIGN.md §5).
         """
         headers, valid, spans = parsed.headers, parsed.valid, parsed.spans
         chunks: List[bytes] = []
@@ -353,8 +358,7 @@ class BehavioralSwitch:
             if name in valid:
                 span = spans.get(name)
                 if span is None or name in dirty or codec.pad:
-                    pack = codec.pack_trusted if trusted else codec.pack
-                    chunks.append(pack(headers[name]))
+                    chunks.append(codec.pack_trusted(headers[name]))
                 else:
                     chunks.append(data[span[0]:span[1]])
         chunks.append(parsed.payload)
@@ -411,7 +415,7 @@ class BehavioralSwitch:
         return self._emit(
             parsed,
             data,
-            self._deparse(parsed, data, verdict.dirty, trusted=True),
+            self._deparse(parsed, data, verdict.dirty),
             list(verdict.steps),
             verdict.egress_port,
             verdict.dropped,
@@ -426,8 +430,9 @@ class BehavioralSwitch:
         ingress_port: int,
         key: Optional[FlowKey],
     ) -> SwitchResult:
-        """The full traversal (also the flow-cache fill path): the
-        execution plan when tier 2 is on, else the reference walk."""
+        """The full traversal: the execution plan when tier 2 is on,
+        else the reference walk; with a ``key`` (its second sighting),
+        tracked, and leaves it a verdict or the stateful mark."""
         headers, valid = parsed.headers, parsed.valid
         standard = self._install_metadata(parsed, ingress_port)
         initial_valid = frozenset(valid) if key is not None else None
@@ -437,9 +442,7 @@ class BehavioralSwitch:
                 self._plan = build_plan(self)
             write_log: Optional[Set[Tuple[str, str]]] = set()
             self._plan(Frame(headers, valid, write_log, steps))
-            output = self._deparse(
-                parsed, data, {h for h, _f in write_log}, trusted=False
-            )
+            output = self._deparse(parsed, data, {h for h, _f in write_log})
         else:
             phv = Phv(self.program, headers, valid)
             write_log = phv.write_log = set() if key is not None else None
@@ -459,31 +462,19 @@ class BehavioralSwitch:
         dropped = bool(standard.get("drop_flag", 0))
         to_ctrl = bool(standard.get("to_controller", 0))
         reason = standard.get("controller_reason", 0)
-        if key is not None:
-            stateful = self._analysis.stateful_actions
-            if any(step.action in stateful for step in steps):
-                # The register-invalidation rule: a stateful traversal is
-                # never memoized, and conservatively flushes prior
-                # verdicts as well.
-                self._flow_cache.clear()
-                self.perf.cache_invalidations += 1
-            else:
-                verdict = build_verdict(
-                    steps=steps,
-                    write_log=write_log,
-                    initial_valid=initial_valid,
-                    final_valid=valid,
-                    final_headers=headers,
-                    egress_port=egress,
-                    dropped=dropped,
-                    to_controller=to_ctrl,
-                    controller_reason=reason,
-                )
-                if self._flow_cache.put(key, verdict):
-                    self.perf.cache_evictions += 1
-        return self._emit(
+        result = self._emit(
             parsed, data, output, steps, egress, dropped, to_ctrl, reason
         )
+        if key is not None:
+            stateful = self._analysis.stateful_actions
+            # Replaces the key's SEEN mark, so never a capacity flush.
+            self._flow_cache.put(
+                key,
+                STATEFUL
+                if any(step.action in stateful for step in steps)
+                else build_verdict(result, write_log, initial_valid),
+            )
+        return result
 
     # ------------------------------------------------------------------
     def _run_control(

@@ -282,7 +282,9 @@ class TestDemo:
 class TestFuzz:
     def test_healthy_iteration_exits_zero(self, capsys):
         assert main(["fuzz", "--seed", "0", "--iterations", "1"]) == 0
-        assert "0 failure(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0 failure(s)" in out
+        assert "cache axis replayed" in out
 
     def test_broken_optimizer_exits_nonzero(self, tmp_path, capsys):
         code = main(

@@ -11,7 +11,9 @@ The bit-identity of whole replays lives in
 * errors only a packet can trigger surface as the same
   ``SimulationError`` at the same packet index on both paths;
 * the two paths are really separate: with the tier on the walker's
-  ``execute_action`` is never reached, with it off no plan is built.
+  ``execute_action`` is never reached, with it off no plan is built;
+* the plan's deparser may skip ``pack``'s validation: on every header
+  it re-packs, ``pack_trusted`` and the validating ``pack`` agree.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ from repro.p4 import (
     RegisterRead,
     Seq,
 )
+from repro.core.instrument import instrument
+from repro.fuzz.generator import generate_case
 from repro.packets.craft import udp_packet
-from repro.programs import example_firewall
+from repro.programs import enterprise, example_firewall, nat_gre
 from repro.sim import BehavioralSwitch
 from repro.sim.runtime import RuntimeConfig, TableEntry
-from tests.test_profiling_engine import _result_fingerprint
+from tests.test_profiling_engine import _fresh_config, _result_fingerprint
 
 #: A UDP packet the bundled firewall config forwards.
 PACKET = udp_packet("10.0.0.1", "10.0.0.2", 1234, 4000)
@@ -246,3 +250,69 @@ def test_tier_on_never_reaches_the_walker_and_tier_off_builds_no_plan(
         switch = _firewall("reference")
         assert len(switch.process_many(trace)) == len(trace)
         assert switch._plan is None
+
+
+# ----------------------------------------------------------------------
+# The trusted deparse (DESIGN.md §5): the plan masks every value it
+# writes and names only validated fields, so nothing it re-packs can
+# fail ``pack``'s checks.
+
+
+class _CheckedCodec:
+    """Stands in for a codec in a switch's deparse plan: every header
+    the fast path packs is packed both ways."""
+
+    def __init__(self, codec, packed):
+        self.pad, self._codec, self._packed = codec.pad, codec, packed
+
+    def pack_trusted(self, values):
+        validated = self._codec.pack(values)  # PacketError = trust misplaced
+        assert self._codec.pack_trusted(values) == validated
+        self._packed.append(self._codec.name)
+        return validated
+
+
+def _assert_deparse_trust_holds(program, fresh_config, trace):
+    packed = []
+    for tier in ("both", "compiled"):
+        switch = BehavioralSwitch(program, _tiered(fresh_config(), tier))
+        switch._deparse_plan = tuple(
+            (name, _CheckedCodec(codec, packed))
+            for name, codec in switch._deparse_plan
+        )
+        switch.process_many(trace)
+    # Tier 1 validates every header of every packet and rejects none.
+    reference = BehavioralSwitch(
+        program, _tiered(fresh_config(), "reference")
+    )
+    assert len(reference.process_many(trace)) == len(trace)
+    return packed
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_trusted_pack_equals_validating_pack_on_generated_programs(seed):
+    """Plain and instrumented: the profiling header is the one every
+    packet of a profiling replay re-packs."""
+    case = generate_case(seed)
+    _assert_deparse_trust_holds(case.program, case.config.clone, case.trace)
+    instrumented = instrument(case.program)
+    packed = _assert_deparse_trust_holds(
+        instrumented.program,
+        lambda: instrumented.adapt_config(case.config.clone()),
+        case.trace,
+    )
+    assert packed  # at least the profiling header, on every packet
+
+
+@pytest.mark.parametrize(
+    "module", [example_firewall, nat_gre, enterprise],
+    ids=lambda module: module.__name__.rsplit(".", 1)[-1],
+)
+def test_trusted_pack_equals_validating_pack_on_bundled_programs(module):
+    program = module.build_program()
+    instrumented = instrument(program)
+    assert _assert_deparse_trust_holds(
+        instrumented.program,
+        lambda: instrumented.adapt_config(_fresh_config(module, program)),
+        module.make_trace(300),
+    )

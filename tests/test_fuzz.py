@@ -185,6 +185,15 @@ def test_campaign_reports_and_continues(tmp_path):
         assert record.shrunk_tables >= 1
 
 
+def test_campaign_reports_replays_the_cache_axis_exercised():
+    """The cache axis runs each trace twice, so flows past admission
+    replay; a campaign whose cache axis replayed nothing compared two
+    interpreters and no cache — the count makes that visible."""
+    result = run_campaign(base_seed=2, iterations=3, axes=("cache",))
+    assert result.ok
+    assert result.exercised["cache_replays"] > 0
+
+
 def test_campaign_time_budget_stops_early():
     result = run_campaign(
         base_seed=0,

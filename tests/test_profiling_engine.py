@@ -10,12 +10,14 @@ Pins the guarantees the engine's docstrings promise:
   are registers, controller queue and lookup counts afterwards, in all
   three configurations: both tiers on, tier 2 (compiled tables and the
   execution plan, :mod:`repro.sim.plan`) alone, both off.
-* Stateful traversals (anything that reads or writes a register) are
-  never served from the cache, and executing one flushes it (the
-  conservative register-invalidation rule).
-* ``reset_state`` clears the cache and the perf counters along with the
-  registers; config mutations through the ``RuntimeConfig`` API
-  invalidate cached verdicts; the capacity bound actually evicts.
+* Admission: a verdict is built on a key's second sighting and replayed
+  from the third; stateful traversals (anything that reads or writes a
+  register) are never served from the cache, mark their key so it never
+  builds again, and drop nobody else's verdict.
+* ``reset_state`` clears the cache — marks included — and the perf
+  counters along with the registers; config mutations through the
+  ``RuntimeConfig`` API invalidate cached verdicts and marks; the
+  capacity bound counts marks and actually evicts.
 * :class:`~repro.sim.match.CompiledTable` reproduces the reference
   :func:`~repro.sim.match.lookup` ranking bit-for-bit on randomized
   tables of every strategy shape (exact / single-LPM / ternary / mixed).
@@ -24,6 +26,7 @@ Pins the guarantees the engine's docstrings promise:
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,6 +44,8 @@ from repro.programs import (
     telemetry,
 )
 from repro.sim import BehavioralSwitch
+from repro.sim import switch as switch_module
+from repro.sim.flowcache import SEEN, STATEFUL, FlowVerdict
 from repro.sim.match import compile_table, lookup
 from repro.sim.runtime import RuntimeConfig, TableEntry
 from repro.traffic.generators import dns_stream, udp_background
@@ -205,28 +210,106 @@ def test_generated_programs_bit_identical_across_tiers(seed):
 
 
 # ----------------------------------------------------------------------
-# The register-invalidation rule.
+# Admission and the stateful mark.
 
 
-def test_stateful_flows_never_served_from_cache():
+@pytest.fixture
+def verdicts_built(monkeypatch):
+    """Every ``build_verdict`` call the switch makes, as its arguments."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    build = switch_module.build_verdict
+    monkeypatch.setattr(switch_module, "build_verdict", counting)
+    return built
+
+
+def _firewall_switch():
+    return BehavioralSwitch(
+        example_firewall.build_program(), example_firewall.runtime_config()
+    )
+
+
+def _stateless_packets(count, seed=3):
+    """Distinct stateless flows (the source address is random)."""
+    return udp_background(count, random.Random(seed), dst_ports=(4000,))
+
+
+def _entry(switch, packet, port=0):
+    return switch._flow_cache.get(switch._flow_key(switch._parse(packet), port))
+
+
+def test_verdicts_built_at_most_once_per_key_sighted_twice(verdicts_built):
+    """The deterministic pin of the gain: on the paper's firewall trace
+    almost no key repeats, so almost no verdict is built — one per key
+    that came back, never one per miss."""
+    switch = _firewall_switch()
+    trace = example_firewall.make_trace(4000)
+    sightings = Counter(
+        switch._flow_key(switch._parse(data), port)
+        for data, port in (
+            entry if isinstance(entry, tuple) else (entry, 0)
+            for entry in trace
+        )
+    )
+    repeated = sum(1 for count in sightings.values() if count >= 2)
+
+    switch.process_many(trace)
+    assert switch.perf.cache_misses > 10 * len(verdicts_built)
+    assert len(verdicts_built) <= repeated
+    # Every replay is a sighting past the second of a stateless key.
+    assert switch.perf.cache_hits <= sum(
+        count - 2 for count in sightings.values() if count > 2
+    )
+
+def test_stateless_flow_is_admitted_on_second_sighting(verdicts_built):
+    """1st / 2nd / 3rd packet of a flow: miss, miss + admit, replay."""
+    switch = _firewall_switch()
+    packet = _stateless_packets(1)[0]
+
+    switch.process(packet)
+    assert _entry(switch, packet) is SEEN
+    assert (switch.perf.cache_hits, switch.perf.cache_misses) == (0, 1)
+    assert len(verdicts_built) == 0
+
+    switch.process(packet)
+    assert isinstance(_entry(switch, packet), FlowVerdict)
+    assert (switch.perf.cache_hits, switch.perf.cache_misses) == (0, 2)
+    assert len(verdicts_built) == 1
+
+    switch.process(packet)
+    assert (switch.perf.cache_hits, switch.perf.cache_misses) == (1, 2)
+    assert len(verdicts_built) == 1
+
+
+def test_stateful_flows_never_served_from_cache(verdicts_built):
     """A pure-DNS trace walks the Count-Min Sketch on every packet; the
-    cache must sit out entirely, yet the threshold drops stay exact."""
+    key is marked stateful on its second sighting and the cache sits
+    out entirely, yet the threshold drops stay exact."""
     program = example_firewall.build_program()
     src = example_firewall.HEAVY_DNS_SRC
     dst = example_firewall.HEAVY_DNS_DST
     trace = dns_stream(src, dst, example_firewall.DNS_QUERY_THRESHOLD + 72)
 
     engine = BehavioralSwitch(program, example_firewall.runtime_config())
-    engine_results = engine.process_many(trace)
+    engine_results = engine.process_many(trace[:1])
+    assert _entry(engine, trace[0]) is SEEN
+    engine_results += engine.process_many(trace[1:])
     reference = BehavioralSwitch(
         program, _uncached(example_firewall.runtime_config())
     )
     reference_results = reference.process_many(trace)
 
-    # Every packet executed; nothing was memoized, nothing replayed.
+    # Every packet executed; nothing was memoized, nothing replayed,
+    # and no verdict was ever built for the flow.
     assert engine.perf.cache_hits == 0
     assert engine.perf.cache_misses == len(trace)
-    assert engine.perf.cache_invalidations == len(trace)
+    assert {_entry(engine, packet) for packet in trace} == {STATEFUL}
+    assert len(engine._flow_cache) == 1
+    assert verdicts_built == []
 
     # State still advanced exactly: early queries pass, the flow is
     # dropped once its sketch estimate reaches the threshold, and the
@@ -238,25 +321,25 @@ def test_stateful_flows_never_served_from_cache():
     ]
 
 
-def test_stateful_traversal_flushes_cached_verdicts():
-    """Stateless verdicts are memoized; one register-touching packet
-    flushes them, so the next stateless packet re-executes."""
-    program = example_firewall.build_program()
-    switch = BehavioralSwitch(program, example_firewall.runtime_config())
-    rng = random.Random(3)
-    stateless = udp_background(1, rng, dst_ports=(4000,))[0]
+def test_stateful_traversal_keeps_cached_verdicts():
+    """A register-touching packet between two stateless ones of a cached
+    flow no longer costs them their verdict: no register write can
+    change a traversal that reads no register."""
+    switch = _firewall_switch()
+    stateless = _stateless_packets(1)[0]
     dns = dns_stream(0x0A000001, 0xC0A80001, 1)[0]
 
-    switch.process(stateless)
-    switch.process(stateless)
-    assert switch.perf.cache_hits == 1  # second packet replayed
+    for _ in range(3):
+        switch.process(stateless)
+    assert switch.perf.cache_hits == 1  # admitted on the second, replayed
 
     switch.process(dns)
-    assert switch.perf.cache_invalidations == 1
+    switch.process(dns)
+    assert _entry(switch, dns) is STATEFUL
 
     switch.process(stateless)
-    assert switch.perf.cache_hits == 1  # flush forced a re-execution
-    assert switch.perf.cache_misses == 3
+    assert switch.perf.cache_hits == 2  # the verdict survived
+    assert switch.perf.cache_misses == 4
 
 
 def test_cache_disabled_never_engages():
@@ -289,11 +372,14 @@ def test_reset_state_clears_flow_cache_and_perf_counters():
     assert switch.perf.elapsed_seconds == 0.0
     assert len(switch._flow_cache) == 0
 
-    # First packet after reset must miss — no verdict survived.
-    first = trace[0] if isinstance(trace[0], bytes) else trace[0][0]
-    switch.process(first)
+    # The first two packets of a flow after reset must miss — neither a
+    # verdict nor a first-sighting mark survived.
+    first, port = trace[0] if isinstance(trace[0], tuple) else (trace[0], 0)
+    switch.process(first, port)
+    assert _entry(switch, first, port) is SEEN
+    switch.process(first, port)
     assert switch.perf.cache_hits == 0
-    assert switch.perf.cache_misses == 1
+    assert switch.perf.cache_misses == 2
 
 
 def test_config_mutation_invalidates_cached_verdicts():
@@ -308,11 +394,18 @@ def test_config_mutation_invalidates_cached_verdicts():
     before = switch.process(packet)
     assert not before.dropped
     switch.process(packet)
+    switch.process(packet)
     assert switch.perf.cache_hits == 1  # verdict is cached
+    other = _stateless_packets(1, seed=6)[0]
+    switch.process(other)
+    assert _entry(switch, other) is SEEN
 
     config.add_entry("ACL_UDP", [4000], "acl_udp_drop")
     after = switch.process(packet)
     assert after.dropped  # a stale cached verdict would forward it
+    # Marks went with the verdicts: both flows start over.
+    assert _entry(switch, packet) is SEEN
+    assert _entry(switch, other) is None
 
 
 def test_flow_cache_capacity_bound_evicts():
@@ -324,6 +417,26 @@ def test_flow_cache_capacity_bound_evicts():
     switch.process_many(example_firewall.make_stateless_trace(400, flows=64))
     assert switch.perf.cache_evictions > 0
     assert len(switch._flow_cache) <= 4
+
+
+def test_marks_count_toward_capacity_and_evictions():
+    """Five distinct first sightings against a capacity of four: the
+    fifth mark flushes the other four and is counted as an eviction."""
+    config = example_firewall.runtime_config()
+    config.flow_cache_capacity = 4
+    switch = BehavioralSwitch(example_firewall.build_program(), config)
+    packets = _stateless_packets(5)
+
+    for packet in packets[:4]:
+        switch.process(packet)
+    assert len(switch._flow_cache) == 4
+    assert switch.perf.cache_evictions == 0
+
+    switch.process(packets[4])
+    assert switch.perf.cache_evictions == 1
+    assert len(switch._flow_cache) == 1
+    assert _entry(switch, packets[4]) is SEEN
+    assert _entry(switch, packets[0]) is None
 
 
 # ----------------------------------------------------------------------
