@@ -4,122 +4,16 @@ excluding compilation time) is in the order of tens of seconds."
 The bench times the profiling pass across trace sizes and the analysis
 (dependency graph + candidate search) separately from compilation, then
 checks the total stays within tens of seconds at the paper-scale trace.
-
-It also owns the profiling-engine baseline: ``test_flow_cache_speedup``
-measures the batched flow-cache engine against the uncached reference
-interpreter on the stateless firewall trace (asserting the >=3x
-acceptance bar) and, under ``P2GO_WRITE_BASELINE=1``, refreshes the
-committed ``BENCH_profiling.json`` at the repo root.  CI runs the
-dependency-free quick mode instead::
-
-    PYTHONPATH=src python benchmarks/bench_runtime.py --quick
-
-which re-checks engine/reference equivalence and fails if packets/s
-regressed more than 30% against the committed baseline.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
-try:
-    import pytest
-except ImportError:  # pragma: no cover — quick mode runs without pytest
-    pytest = None
+import pytest
 
-from repro.analysis.dependencies import build_dependency_graph
 from repro.core.phase_dependencies import find_removal_candidates
 from repro.core.profiler import Profiler
 from repro.programs import example_firewall as fw
-from repro.sim import BehavioralSwitch
 from repro.target import compile_program
-
-BASELINE_PATH = Path(__file__).resolve().parent.parent / (
-    "BENCH_profiling.json"
-)
-#: Quick mode fails when engine packets/s falls below this fraction of
-#: the committed baseline (>30% regression).
-REGRESSION_FLOOR = 0.7
-#: The acceptance bar: cached profiling must beat the uncached reference
-#: interpreter by at least this factor on the stateless firewall trace.
-SPEEDUP_FLOOR = 3.0
-#: Trace sizes for the committed baseline; quick mode compares only
-#: against the size it reruns (throughput scales with the trace length
-#: via the cache hit rate, so sizes must match).
-FULL_PACKETS = 4000
-QUICK_PACKETS = 2000
-
-
-def measure_flow_cache_speedup(total_packets: int = 4000, rounds: int = 3):
-    """Replay the stateless firewall trace uncached and cached.
-
-    Each configuration replays ``rounds`` times on a fresh switch and
-    reports the fastest round (interpreter warm-up and CPU frequency
-    scaling otherwise dominate short runs).  Returns a JSON-ready dict
-    with both throughputs, the speedup, the cache stats, and the count
-    of per-packet result mismatches (always 0 unless the engine is
-    broken).
-    """
-    program = fw.build_program()
-    trace = fw.make_stateless_trace(total_packets)
-
-    def replay(engine_on: bool):
-        best_perf = None
-        results = None
-        for _round in range(rounds):
-            config = fw.runtime_config()
-            config.enable_flow_cache = engine_on
-            config.enable_compiled_tables = engine_on
-            switch = BehavioralSwitch(program, config)
-            round_results = switch.process_many(trace)
-            if results is None:
-                results = round_results
-            if (
-                best_perf is None
-                or switch.perf.packets_per_second()
-                > best_perf.packets_per_second()
-            ):
-                best_perf = switch.perf
-        return results, best_perf
-
-    reference_results, reference_perf = replay(False)
-    engine_results, engine_perf = replay(True)
-
-    mismatches = sum(
-        1
-        for ref, eng in zip(reference_results, engine_results)
-        if ref.output_bytes != eng.output_bytes
-        or ref.steps != eng.steps
-        or ref.forwarding_decision() != eng.forwarding_decision()
-        or ref.headers != eng.headers
-        or ref.valid != eng.valid
-    )
-    reference_pps = reference_perf.packets_per_second()
-    engine_pps = engine_perf.packets_per_second()
-    return {
-        "program": program.name,
-        "trace": f"stateless firewall x{total_packets}",
-        "packets": total_packets,
-        "mismatches": mismatches,
-        "reference_pps": round(reference_pps, 1),
-        "engine_pps": round(engine_pps, 1),
-        "speedup": round(engine_pps / reference_pps, 2),
-        "cache_hit_rate": round(engine_perf.cache_hit_rate(), 4),
-        "engine_counters": engine_perf.as_dict(),
-    }
-
-
-def render_speedup(measured: dict) -> str:
-    return "\n".join([
-        "Profiling engine vs uncached reference interpreter "
-        f"({measured['trace']})",
-        f"  reference:      {measured['reference_pps']:>12,.0f} packets/s",
-        f"  engine:         {measured['engine_pps']:>12,.0f} packets/s",
-        f"  speedup:        {measured['speedup']:>12.2f}x",
-        f"  cache hit rate: {measured['cache_hit_rate']:>12.1%}",
-        f"  mismatches:     {measured['mismatches']:>12d}",
-    ])
 
 
 def test_simulator_throughput(benchmark, firewall_inputs, record):
@@ -191,98 +85,3 @@ def test_profiling_and_analysis_tens_of_seconds(
 
     assert profiling_seconds + analysis_seconds < 60.0
     assert candidates
-
-
-def write_baseline() -> dict:
-    """Measure both trace sizes and refresh BENCH_profiling.json."""
-    baseline = {
-        "full": measure_flow_cache_speedup(FULL_PACKETS),
-        "quick": measure_flow_cache_speedup(QUICK_PACKETS),
-    }
-    BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
-    return baseline
-
-
-def test_flow_cache_speedup(record):
-    """The profiling-engine acceptance bar: >=3x packets/s on the
-    stateless firewall trace with the cache on, bit-identical results."""
-    measured = measure_flow_cache_speedup(FULL_PACKETS)
-    record("flow_cache_speedup", render_speedup(measured))
-
-    assert measured["mismatches"] == 0
-    assert measured["cache_hit_rate"] > 0.9
-    assert measured["speedup"] >= SPEEDUP_FLOOR
-
-    if os.environ.get("P2GO_WRITE_BASELINE") == "1":
-        write_baseline()
-
-
-# ----------------------------------------------------------------------
-# Quick mode: dependency-free CI gate (no pytest / pytest-benchmark).
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Profiling-engine benchmark (see module docstring)"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small trace; fail on >30%% packets/s regression vs the "
-        "committed BENCH_profiling.json",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="refresh BENCH_profiling.json with this run's numbers",
-    )
-    args = parser.parse_args(argv)
-
-    if args.write_baseline:
-        baseline = write_baseline()
-        print(render_speedup(baseline["full"]))
-        print(f"baseline written to {BASELINE_PATH}")
-        return 0
-
-    measured = measure_flow_cache_speedup(
-        QUICK_PACKETS if args.quick else FULL_PACKETS
-    )
-    print(render_speedup(measured))
-
-    if measured["mismatches"]:
-        print(
-            f"FAIL: {measured['mismatches']} packets differ between the "
-            "engine and the uncached reference interpreter"
-        )
-        return 1
-
-    if args.quick:
-        if not BASELINE_PATH.exists():
-            print(f"FAIL: committed baseline {BASELINE_PATH} is missing")
-            return 1
-        baseline = json.loads(BASELINE_PATH.read_text())["quick"]
-        floor = REGRESSION_FLOOR * baseline["engine_pps"]
-        print(
-            f"  baseline:       {baseline['engine_pps']:>12,.0f} packets/s "
-            f"(floor {floor:,.0f})"
-        )
-        if measured["engine_pps"] < floor:
-            print(
-                "FAIL: engine throughput regressed more than 30% vs the "
-                "committed baseline"
-            )
-            return 1
-        print("OK: within 30% of the committed baseline")
-        return 0
-
-    if measured["speedup"] < SPEEDUP_FLOOR:
-        print(f"FAIL: speedup below the {SPEEDUP_FLOOR}x acceptance bar")
-        return 1
-    print(f"OK: speedup >= {SPEEDUP_FLOOR}x")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -7,10 +7,10 @@ program (DSL file), a runtime configuration (JSON), and a traffic trace
 Commands:
 
 * ``compile PROGRAM`` — stage map / fit report for a target.
-* ``profile PROGRAM --config CFG --trace PCAP [--no-cache]`` —
+* ``profile PROGRAM --config CFG --trace PCAP [--reference]`` —
   phase 1 on its own; prints the profiling engine's perf counters
-  (packets/s, flow-cache hit rate).  ``--no-cache`` forces the
-  uncached reference interpreter (the oracle, not a speed setting).
+  (packets/s, per-table lookups).  ``--reference`` replays on the
+  reference interpreter (the oracle, not a speed setting).
 * ``optimize PROGRAM --config CFG --trace PCAP [--no-memo]
   [--workers N] [--store PATH | --no-store]`` — the full pipeline;
   writes the optimized program (DSL) and the observation report (which
@@ -59,7 +59,7 @@ Commands:
 * ``fuzz [--seed N] [--iterations N] [--time-budget S] [--axes a,b]
   [--shrink/--no-shrink] [--repro-dir DIR]`` — seeded differential
   fuzzing of the optimizer: random well-formed programs + traces, each
-  checked on the behaviour/cache/workers/store/order oracle axes;
+  checked on the behaviour/engine/workers/store/order oracle axes;
   failures are shrunk to minimal replayable repro files.  Exit code 1
   when any axis disagrees.  ``--replay FILE`` re-runs a repro file
   instead; ``--break-optimizer`` sabotages the optimized program on
@@ -164,8 +164,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     program = load_program(args.program)
     config = load_config(args.config)
-    if args.no_cache:
-        config.enable_flow_cache = False
+    if args.reference:
         config.enable_compiled_tables = False
     trace = load_trace(args.trace)
     profile, perf = Profiler(program, config).profile_trace(trace)
@@ -578,10 +577,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         f"{len(result.failures)} failure(s) in "
         f"{result.elapsed_seconds:.1f}s"
     )
-    if "cache" in result.axes:
+    if "behavior" in result.axes:
+        unchecked = result.exercised["offload_unchecked"]
         print(
-            f"cache axis replayed {result.exercised['cache_replays']} "
-            "verdict(s)"
+            f"behavior axis checked {result.exercised['offload_checked']} "
+            "offloading case(s)"
+            + (f", left {unchecked} unchecked" if unchecked else "")
         )
     return 0 if result.ok else 1
 
@@ -603,11 +604,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--config", help="runtime config JSON")
     p_profile.add_argument("--trace", required=True, help="pcap trace")
     p_profile.add_argument(
-        "--no-cache",
+        "--reference",
         action="store_true",
-        help="disable the flow-result cache and compiled match "
-        "structures: the reference oracle the engine is checked "
-        "against, not a speed setting",
+        help="replay on the reference interpreter (no compiled match "
+        "structures, no execution plan): the oracle the engine is "
+        "checked against, not a speed setting",
     )
     p_profile.set_defaults(func=cmd_profile)
 
@@ -921,7 +922,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--axes", default=None,
         help="comma-separated oracle axes (default: all of "
-        "behavior,cache,workers,store,order)",
+        "behavior,engine,workers,store,order)",
     )
     p_fuzz.add_argument(
         "--shrink", default=True, action=argparse.BooleanOptionalAction,

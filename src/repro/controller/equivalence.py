@@ -30,8 +30,6 @@ class EquivalenceReport:
     total: int
     mismatches: List[int] = dc_field(default_factory=list)
     redirected: int = 0
-    #: Packets either switch answered by replaying a flow-cache verdict.
-    replayed: int = 0
 
     @property
     def equivalent(self) -> bool:
@@ -50,10 +48,7 @@ def compare_behavior(
     switch_b = BehavioralSwitch(program_b, config_b)
     results_a = switch_a.process_trace(trace)
     results_b = switch_b.process_trace(trace)
-    report = EquivalenceReport(
-        total=len(results_a),
-        replayed=switch_a.perf.cache_hits + switch_b.perf.cache_hits,
-    )
+    report = EquivalenceReport(total=len(results_a))
     for ra, rb in zip(results_a, results_b):
         if ra.forwarding_decision() != rb.forwarding_decision():
             report.mismatches.append(ra.index)

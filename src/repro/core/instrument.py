@@ -56,15 +56,13 @@ class InstrumentedProgram:
     def adapt_config(self, config: RuntimeConfig) -> RuntimeConfig:
         """Rewrite entry/default action names to their per-table clones.
 
-        Profiling-engine switches carry over unchanged, so a caller that
-        disabled the flow cache profiles uncached too.
+        The profiling-engine switch carries over unchanged, so a caller
+        that asked for the reference interpreter profiles on it too.
         """
         adapted = RuntimeConfig(
             register_inits=list(config.register_inits),
             hashed_inits=list(config.hashed_inits),
-            enable_flow_cache=config.enable_flow_cache,
             enable_compiled_tables=config.enable_compiled_tables,
-            flow_cache_capacity=config.flow_cache_capacity,
         )
         for table_name, entries in config.entries.items():
             if table_name not in self.original.tables:

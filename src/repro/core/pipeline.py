@@ -87,8 +87,8 @@ class P2GOResult:
     #: design-space explorer's Pareto objectives
     #: (:mod:`repro.explore.frontier`).
     controller_load: float = 0.0
-    #: Perf counters of the initial profiling replay (packets/s, flow-cache
-    #: hit rate, per-table lookups) — the engine cost every later phase
+    #: Perf counters of the initial profiling replay (packets/s,
+    #: per-table lookups) — the engine cost every later phase
     #: re-pays on each re-profile (per-phase re-pay shows up on each
     #: outcome's ``profiling_perf``).
     profiling_perf: Optional[PerfCounters] = None
@@ -286,8 +286,8 @@ class SwitchRun:
     ) -> P2GOResult:
         log = ObservationLog()
 
-        # Phase 1: profiling (batched replay through the flow-cache
-        # engine; perf counters ride along on the result).
+        # Phase 1: profiling (batched replay through the engine; perf
+        # counters ride along on the result).
         ctx.start_perf_window()
         initial_profile, profiling_perf = ctx.profile_with_perf()
         log.add(
@@ -301,9 +301,7 @@ class SwitchRun:
                 ),
                 details=(
                     f"replayed at {profiling_perf.packets_per_second():,.0f} "
-                    f"packets/s (flow-cache hit rate "
-                    f"{profiling_perf.cache_hit_rate():.1%}); "
-                    "per-table hit rates: "
+                    "packets/s; per-table hit rates: "
                     + ", ".join(
                         f"{t}={initial_profile.hit_rate(t):.1%}"
                         for t in self.program.tables_in_control_order()

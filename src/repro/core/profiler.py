@@ -7,15 +7,14 @@ to the same packet (non-exclusive actions, Table 1).
 
 Replay goes through the simulator's batched entry point
 (:meth:`~repro.sim.switch.BehavioralSwitch.process_many`): match
-structures compile once per run, stateless traversals are served from
-the flow-result cache, and the run's :class:`~repro.sim.perf.PerfCounters`
-ride along on :class:`ProfilingRun` / :meth:`Profiler.profile_trace`.
-The cache memoizes only what the profile can tolerate: verdicts replay
-onto each packet's own parsed headers, so the per-packet profiling bits,
-execution steps, and forwarding decisions the profile is built from are
-bit-identical with the cache on or off (``enable_flow_cache=False`` on
-the :class:`~repro.sim.runtime.RuntimeConfig` forces the uncached
-interpreter; ``tests/test_profiling_engine.py`` pins the equivalence).
+structures and the execution plan compile once per run, and the run's
+:class:`~repro.sim.perf.PerfCounters` ride along on
+:class:`ProfilingRun` / :meth:`Profiler.profile_trace`.  The per-packet
+profiling bits, execution steps, and forwarding decisions the profile
+is built from are bit-identical on the engine and on the reference
+interpreter (``enable_compiled_tables=False`` on the
+:class:`~repro.sim.runtime.RuntimeConfig` selects the latter;
+``tests/test_profiling_engine.py`` pins the equivalence).
 """
 
 from __future__ import annotations
@@ -191,7 +190,7 @@ class ProfilingRun:
 
     @property
     def perf(self) -> PerfCounters:
-        """The replay's perf counters (packets/s, cache hit rate, …)."""
+        """The replay's perf counters (packets/s, per-table lookups, …)."""
         return self.switch.perf
 
 

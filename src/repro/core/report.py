@@ -82,8 +82,7 @@ def render_report(result: P2GOResult) -> str:
             lines.append(
                 f"  {outcome.phase.name.lower():<20} "
                 f"{perf.packets} packets replayed at "
-                f"{perf.packets_per_second():,.0f} packets/s "
-                f"(cache hit rate {perf.cache_hit_rate():.1%})"
+                f"{perf.packets_per_second():,.0f} packets/s"
             )
         lines.append("")
     if result.session_counters is not None:

@@ -98,9 +98,7 @@ def run_seed(
             ),
             details=(
                 f"replayed at {profiling_perf.packets_per_second():,.0f} "
-                f"packets/s (flow-cache hit rate "
-                f"{profiling_perf.cache_hit_rate():.1%}); "
-                "per-table hit rates: "
+                "packets/s; per-table hit rates: "
                 + ", ".join(
                     f"{t}={initial_profile.hit_rate(t):.1%}"
                     for t in program.tables_in_control_order()

@@ -185,9 +185,7 @@ def config_fingerprint(config: RuntimeConfig) -> Tuple:
         tuple(sorted(config.default_overrides.items())),
         tuple(config.register_inits),
         tuple(config.hashed_inits),
-        config.enable_flow_cache,
         config.enable_compiled_tables,
-        config.flow_cache_capacity,
     )
 
 
@@ -304,9 +302,6 @@ def merge_perf(counters: Sequence[PerfCounters]) -> Optional[PerfCounters]:
     merged = PerfCounters()
     for perf in counters:
         merged.packets += perf.packets
-        merged.cache_hits += perf.cache_hits
-        merged.cache_misses += perf.cache_misses
-        merged.cache_evictions += perf.cache_evictions
         merged.elapsed_seconds += perf.elapsed_seconds
         merged.timed_packets += perf.timed_packets
         for table, count in perf.table_lookups.items():

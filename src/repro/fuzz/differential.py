@@ -9,11 +9,13 @@ disagreement:
     packet-for-packet with
     :func:`repro.controller.equivalence.compare_behavior` (the paper's
     behaviour-preservation contract).  When the full (2, 3, 4) run
-    offloads nothing, its output is held to the same strict standard.
-``cache``
-    The flow-result cache + compiled match structures vs the uncached
+    offloads nothing, its output is held to the same strict standard;
+    when it offloads, switch + controller are held to the original with
+    :func:`repro.controller.equivalence.compare_with_offload`.
+``engine``
+    The engine (compiled match structures + execution plan) vs the
     reference interpreter, on both the original and the optimized
-    program, over the trace twice (the second pass replays).
+    program.
 ``workers``
     ``workers=1`` vs ``workers=4`` pipeline runs must produce
     byte-identical results (program, config, counters, observations).
@@ -36,7 +38,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.controller.equivalence import compare_behavior
+from repro.controller.equivalence import (
+    compare_behavior,
+    compare_with_offload,
+)
+from repro.core.phase_offload import enumerate_candidates
 from repro.core.pipeline import P2GO, P2GOResult
 from repro.core.seed_pipeline import run_seed
 from repro.core.session import config_fingerprint, program_fingerprint
@@ -44,7 +50,7 @@ from repro.fuzz.generator import GeneratedCase
 from repro.p4.program import Program
 
 #: All oracle axes, in the order they run.
-ALL_AXES = ("behavior", "cache", "workers", "store", "order")
+ALL_AXES = ("behavior", "engine", "workers", "store", "order")
 
 #: Optional hook that corrupts the optimized program before the
 #: behaviour comparison — the mutation-testing entry point used to prove
@@ -94,9 +100,6 @@ def canonical(result: P2GOResult, decisions_only: bool = False) -> bytes:
             if outcome.profiling_perf is None
             else (
                 outcome.profiling_perf.packets,
-                outcome.profiling_perf.cache_hits,
-                outcome.profiling_perf.cache_misses,
-                outcome.profiling_perf.cache_evictions,
                 sorted(outcome.profiling_perf.table_lookups.items()),
             ),
         )
@@ -128,22 +131,14 @@ def _run_pipeline(
     ).run()
 
 
-def _cache_configs(config):
-    on = config.clone()
-    on.enable_flow_cache = True
-    on.enable_compiled_tables = True
-    off = config.clone()
-    off.enable_flow_cache = False
-    off.enable_compiled_tables = False
-    return on, off
-
-
 # ----------------------------------------------------------------------
 # Axis implementations.  Each returns None (agreement) or an AxisFailure.
 
 
 def _check_behavior(
-    case: GeneratedCase, mutator: Optional[Mutator]
+    case: GeneratedCase,
+    mutator: Optional[Mutator],
+    exercised: Counter[str],
 ) -> Optional[AxisFailure]:
     result = _run_pipeline(case, phases=(2, 3))
     optimized = result.optimized_program
@@ -163,43 +158,61 @@ def _check_behavior(
             f"{len(report.mismatches)}/{report.total} packets "
             f"(first at index {report.mismatches[0]})",
         )
+    if mutator is not None:
+        return None
     full = _run_pipeline(case)
-    if not full.offloaded_tables and mutator is None:
-        report = compare_behavior(
-            case.program,
-            case.config.clone(),
-            full.optimized_program,
-            full.final_config.clone(),
-            case.trace,
+    ours = (
+        case.program,
+        case.config.clone(),
+        full.optimized_program,
+        full.final_config.clone(),
+    )
+    if not full.offloaded_tables:
+        report = compare_behavior(*ours, case.trace)
+        label = "(no offload)"
+    else:
+        # The offloaded segment as the original program spells it: the
+        # controller runs the original's tables, not the rewritten ones.
+        offloaded = set(full.offloaded_tables)
+        segment = next(
+            (
+                candidate
+                for candidate in enumerate_candidates(case.program)
+                if set(candidate.tables) == offloaded
+            ),
+            None,
         )
-        if not report.equivalent:
-            return AxisFailure(
-                "behavior",
-                f"phases (2,3,4) output (no offload) disagrees on "
-                f"{len(report.mismatches)}/{report.total} packets",
-            )
+        if segment is None:
+            exercised["offload_unchecked"] += 1
+            return None
+        exercised["offload_checked"] += 1
+        report = compare_with_offload(*ours, segment, case.trace)
+        label = f"(offloading {sorted(offloaded)})"
+    if not report.equivalent:
+        return AxisFailure(
+            "behavior",
+            f"phases (2,3,4) output {label} disagrees on "
+            f"{len(report.mismatches)}/{report.total} packets",
+        )
     return None
 
 
-def _check_cache(
-    case: GeneratedCase, exercised: Counter[str]
-) -> Optional[AxisFailure]:
-    """Over the trace twice: verdicts are admitted on a second sighting,
-    so on the second pass every stateless flow replays."""
+def _check_engine(case: GeneratedCase) -> Optional[AxisFailure]:
     result = _run_pipeline(case, phases=(2, 3))
     for label, program, config in (
         ("original", case.program, case.config),
         ("optimized", result.optimized_program, result.final_config),
     ):
-        cached, uncached = _cache_configs(config)
+        engine, reference = config.clone(), config.clone()
+        engine.enable_compiled_tables = True
+        reference.enable_compiled_tables = False
         report = compare_behavior(
-            program, cached, program, uncached, list(case.trace) * 2
+            program, engine, program, reference, case.trace
         )
-        exercised["cache_replays"] += report.replayed
         if not report.equivalent:
             return AxisFailure(
-                "cache",
-                f"cached vs uncached interpreter disagree on the "
+                "engine",
+                f"engine and reference interpreter disagree on the "
                 f"{label} program: {len(report.mismatches)}/"
                 f"{report.total} packets (first at index "
                 f"{report.mismatches[0]})",
@@ -281,7 +294,9 @@ def run_axes(
 
     Returns the failures found (empty list = full agreement).  Unknown
     axis names raise ``ValueError`` up front.  ``exercised`` tallies
-    ``cache_replays``, the verdicts the cache axis replayed.
+    the offloading cases the behavior axis met: ``offload_checked``
+    (held to the original with the controller in the loop) and
+    ``offload_unchecked`` (segment not found in the original program).
     """
     complaint = unknown_axes(axes)
     if complaint:
@@ -292,11 +307,13 @@ def run_axes(
             continue
         try:
             if axis == "behavior":
-                failure = _check_behavior(case, mutator)
-            elif axis == "cache":
-                failure = _check_cache(
-                    case, Counter() if exercised is None else exercised
+                failure = _check_behavior(
+                    case,
+                    mutator,
+                    Counter() if exercised is None else exercised,
                 )
+            elif axis == "engine":
+                failure = _check_engine(case)
             elif axis == "workers":
                 failure = _check_workers(case)
             elif axis == "store":

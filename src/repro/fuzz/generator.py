@@ -1,8 +1,8 @@
 """Seeded generation of random well-formed (program, config, trace) cases.
 
 Random programs stress every optimizer subsystem at once — passes,
-session memoization, parallel probing, the store, and the flow cache —
-on shapes the six hand-written examples never take.  Generation is
+session memoization, parallel probing, the store, and the engine — on
+shapes the six hand-written examples never take.  Generation is
 constrained just enough that every case is *legal* input:
 
 * header chains are byte-aligned and linear (``h0 → h1 → …``), each

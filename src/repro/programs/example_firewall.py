@@ -289,59 +289,3 @@ def make_trace(
         rng, blocked, dhcp_bad, dhcp_good, dns_heavy, dns_light, benign
     )
     return body + tail
-
-
-def make_stateless_trace(
-    total: int = 4_000, flows: int = 64, seed: int = 7
-) -> List[TracePacket]:
-    """A flow-repetitive, DNS-free trace for benchmarking the flow cache.
-
-    Real enterprise traffic clusters into flows; this trace models that
-    with ``flows`` distinct 5-tuples replayed for ``total`` packets — no
-    DNS, so no packet ever reaches the Count-Min-Sketch registers and
-    every table-walk verdict is memoizable.  Per-packet variety survives
-    where the pipeline never looks: TCP sequence numbers and DHCP
-    transaction ids differ on every packet, which keeps the benchmark
-    honest about pass-through bytes (a cache that replayed stale packet
-    images instead of deltas would corrupt them).
-    """
-    from repro.packets.craft import dhcp_packet, tcp_packet, udp_packet
-
-    rng = random.Random(seed)
-    pool: List = []
-    for i in range(flows):
-        src = 0x0A000000 | rng.randrange(1, 1 << 16)  # 10.0.x.x
-        dst = 0xC0A80000 | rng.randrange(1, 1 << 16)  # 192.168.x.x
-        sport = rng.randrange(1024, 65535)
-        roll = rng.random()
-        if roll < 0.10:
-            dport = rng.choice(BLOCKED_UDP_PORTS)
-            pool.append(("udp", src, dst, sport, dport))
-        elif roll < 0.20:
-            server = 0xAC100000 | rng.randrange(1, 1 << 12)  # 172.16.x.x
-            port = rng.choice(
-                UNTRUSTED_INGRESS_PORTS + (TRUSTED_INGRESS_PORT,)
-            )
-            pool.append(("dhcp", server, port))
-        else:
-            dport = rng.choice((80, 443, 22))
-            pool.append(("tcp", src, dst, sport, dport))
-
-    packets: List[TracePacket] = []
-    for _ in range(total):
-        flow = rng.choice(pool)
-        if flow[0] == "udp":
-            _, src, dst, sport, dport = flow
-            packets.append(udp_packet(src, dst, sport, dport))
-        elif flow[0] == "dhcp":
-            _, server, port = flow
-            packets.append(
-                (dhcp_packet(server, xid=rng.randrange(1 << 32)), port)
-            )
-        else:
-            _, src, dst, sport, dport = flow
-            packets.append(
-                tcp_packet(src, dst, sport, dport,
-                           seq=rng.randrange(1 << 32))
-            )
-    return packets

@@ -1,22 +1,16 @@
 """Behavioural switch simulator (bmv2/Tofino-model substitute).
 
-Three tiers, each bit-identical to the one before: the reference
-interpreter (the oracle: ``enable_flow_cache`` and
-``enable_compiled_tables`` both off), precompiled header codecs and
-match structures (:class:`repro.sim.match.CompiledTable`), and the
-flow-result cache (:mod:`repro.sim.flowcache`) on top.  The perf
+One engine and the reference it is checked against, bit-identical on
+identical inputs: the reference interpreter (the oracle:
+``enable_compiled_tables`` off) and the compiled program — precompiled
+header codecs, match structures (:class:`repro.sim.match.CompiledTable`)
+and a per-program execution plan (:mod:`repro.sim.plan`).  The perf
 counters (:mod:`repro.sim.perf`) report what each replay cost.  See
-``ARCHITECTURE.md`` for the per-tier throughput and why there is no
-fourth tier.
+``ARCHITECTURE.md`` for the throughput of each and DESIGN.md §12 for
+the tiers that were measured and retired.
 """
 
 from repro.sim.events import ControllerPacket, ExecutionStep
-from repro.sim.flowcache import (
-    FlowAnalysis,
-    FlowCache,
-    FlowVerdict,
-    analyze_program,
-)
 from repro.sim.hashing import ALGORITHMS, compute_hash
 from repro.sim.match import CompiledTable, compile_table
 from repro.sim.parser_engine import ParsedPacket, deparse_packet, parse_packet
@@ -31,16 +25,12 @@ __all__ = [
     "CompiledTable",
     "ControllerPacket",
     "ExecutionStep",
-    "FlowAnalysis",
-    "FlowCache",
-    "FlowVerdict",
     "ParsedPacket",
     "PerfCounters",
     "RuntimeConfig",
     "SwitchResult",
     "SwitchState",
     "TableEntry",
-    "analyze_program",
     "compile_table",
     "compute_hash",
     "deparse_packet",

@@ -5,14 +5,11 @@ fields plus metadata.  Reads of invalid headers yield 0 (the bmv2
 convention); writes to fields truncate to the field width.
 
 The PHV optionally records every ``(header, field)`` it writes into a
-``write_log`` the flow-result cache supplies (see
-:mod:`repro.sim.flowcache`): a cached verdict replays exactly the logged
-writes, so anything that mutates fields MUST go through :meth:`Phv.write`
-/ :meth:`Phv.set_valid` / :meth:`Phv.set_invalid` — never poke
-``Phv.headers`` directly, or cached replays will silently miss the
-mutation.  Register state lives in :class:`~repro.sim.state.SwitchState`,
-outside the PHV, which is why register-touching packets are the one thing
-the cache refuses to memoize.
+``write_log`` a caller supplies (the switch's reference walk supplies
+none), so anything that mutates fields goes through :meth:`Phv.write` /
+:meth:`Phv.set_valid` / :meth:`Phv.set_invalid` — never poke
+``Phv.headers`` directly.  Register state lives in
+:class:`~repro.sim.state.SwitchState`, outside the PHV.
 """
 
 from __future__ import annotations
@@ -57,9 +54,8 @@ from repro.sim.state import SwitchState
 class Phv:
     """Per-packet header/metadata values and validity.
 
-    ``write_log``, when set to a mutable set by the flow-cache fill path,
-    accumulates every ``(header, field)`` written so the traversal can be
-    condensed into a replayable delta.
+    ``write_log``, when set to a mutable set, accumulates every
+    ``(header, field)`` written.
     """
 
     __slots__ = ("_program", "headers", "valid", "write_log")

@@ -1,10 +1,10 @@
 """Events emitted by the behavioural switch.
 
-Both event types are frozen dataclasses on purpose: cached
-:class:`~repro.sim.flowcache.FlowVerdict`\\ s hold the
-:class:`ExecutionStep` stream of the traversal they memoized and hand the
-*same* objects to every replayed packet, so a mutable step would let one
-packet's consumer corrupt another packet's recorded history.
+Both event types are frozen dataclasses on purpose: a
+:class:`~repro.sim.switch.SwitchResult`'s step stream and the
+controller queue are handed to profilers, monitors and equivalence
+checks alike, so a mutable event would let one consumer corrupt the
+history another one reads.
 """
 
 from __future__ import annotations

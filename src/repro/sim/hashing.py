@@ -6,12 +6,6 @@ byte-serialized input fields.  Determinism matters twice over: profiles must
 be reproducible run-to-run, and phase 3's verification (§3.3) relies on the
 *same* trace hashing the *same* way before and after a resize — only the
 modulus changes.
-
-Determinism also makes hashing safe under the flow-result cache: a hash
-is a pure function of its input fields, and
-:func:`~repro.sim.flowcache.analyze_program` puts every hash input into
-the cache key's read set, so two packets with equal keys hash
-identically and the memoized verdict stays exact.
 """
 
 from __future__ import annotations

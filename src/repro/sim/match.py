@@ -14,10 +14,9 @@ Two implementations of the same winner-selection semantics live here:
   per packet.
 
 Both paths are pure functions of ``(table, entries, key values)`` — they
-read no register state — so their results are safe inputs to the
-flow-result cache (:mod:`repro.sim.flowcache`).  Entry ranking is
-identical everywhere: highest ``(total LPM specificity, priority)``
-wins, ties broken by installation order.
+read no register state.  Entry ranking is identical everywhere: highest
+``(total LPM specificity, priority)`` wins, ties broken by installation
+order.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ class ParsedPacket:
     """Result of parsing one packet.
 
     ``spans`` maps each extracted header to its ``(start, end)`` byte
-    range in the original packet, letting the flow-cache replay path emit
+    range in the original packet, letting the engine's deparser emit
     untouched headers by slicing the input instead of re-packing them.
     """
 

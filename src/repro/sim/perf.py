@@ -2,9 +2,8 @@
 
 Profiling a trace is the dominant cost of every P2GO run (the PGO survey's
 "profile collection overhead" adoption barrier), so the behavioural switch
-accounts for its own speed: packets processed, flow-cache hits/misses/
-evictions, per-table lookup counts, and the wall-clock time spent in
-batched runs.  The counters are *observability only* — nothing in the
+accounts for its own speed: packets processed, per-table lookup counts,
+and the wall-clock time spent in batched runs.  The counters are *observability only* — nothing in the
 simulator reads them back, so they can never influence packet semantics
 and are always safe to reset (:meth:`PerfCounters.reset`, done by
 ``BehavioralSwitch.reset_state``).
@@ -24,14 +23,13 @@ from typing import Dict, List
 class PerfCounters:
     """Counters one :class:`~repro.sim.switch.BehavioralSwitch` maintains."""
 
-    #: Total packets pushed through the switch (cached or not).
+    #: Total packets pushed through the switch.
     packets: int = 0
-    #: Packets answered from the flow-result cache.
+    #: Never incremented: the flow-result cache they counted is gone
+    #: (DESIGN.md §12).  ``benchmarks/stack/workloads.py::replay_perf``
+    #: still reads both; they go when it stops (ROADMAP item 6 (a)).
     cache_hits: int = 0
-    #: Packets that consulted the cache and had to execute the pipeline.
     cache_misses: int = 0
-    #: Times the cache was flushed for reaching its capacity bound.
-    cache_evictions: int = 0
     #: Table applications (hit or miss), per table.
     table_lookups: Dict[str, int] = dc_field(default_factory=dict)
     #: Wall-clock seconds spent inside ``process_many`` batches.
@@ -40,13 +38,6 @@ class PerfCounters:
     timed_packets: int = 0
 
     # ------------------------------------------------------------------
-    def cache_hit_rate(self) -> float:
-        """Hits over cache lookups (0.0 when the cache never engaged)."""
-        attempts = self.cache_hits + self.cache_misses
-        if attempts == 0:
-            return 0.0
-        return self.cache_hits / attempts
-
     def packets_per_second(self) -> float:
         """Throughput over the timed (batched) packets."""
         if self.elapsed_seconds <= 0.0:
@@ -56,9 +47,6 @@ class PerfCounters:
     def reset(self) -> None:
         """Zero every counter (fresh profiling run)."""
         self.packets = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
         self.table_lookups = {}
         self.elapsed_seconds = 0.0
         self.timed_packets = 0
@@ -67,10 +55,6 @@ class PerfCounters:
         """JSON-ready snapshot (benchmark baselines, reports)."""
         return {
             "packets": self.packets,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate(), 4),
-            "cache_evictions": self.cache_evictions,
             "table_lookups": dict(self.table_lookups),
             "elapsed_seconds": round(self.elapsed_seconds, 6),
             "packets_per_second": round(self.packets_per_second(), 1),
@@ -80,8 +64,6 @@ class PerfCounters:
         """Human-readable counter block (CLI / report output)."""
         lines: List[str] = [
             f"packets processed:    {self.packets}",
-            f"cache hit rate:       {self.cache_hit_rate():.1%} "
-            f"({self.cache_hits} hits / {self.cache_misses} misses)",
         ]
         if self.elapsed_seconds > 0.0:
             lines.append(

@@ -1,4 +1,4 @@
-"""Per-program execution plan: tier 2's bound actions and control.
+"""Per-program execution plan: the engine's bound actions and control.
 
 :func:`build_plan` turns every action into a tuple of closures
 (primitive kind dispatched once, ``FieldRef`` -> header, field and mask,
@@ -26,8 +26,8 @@ from repro.sim.events import ExecutionStep
 from repro.sim.hashing import compute_hash
 
 #: One packet's working set; every closure takes it as ``p``.  ``log``
-#: holds each ``(header, field)`` written, always: the flow cache
-#: condenses it into a verdict, the deparser re-packs what it names.
+#: holds each ``(header, field)`` written: the deparser re-packs the
+#: headers it names.
 Frame = namedtuple("Frame", "headers valid log steps")
 
 _BINOPS = {
@@ -159,8 +159,7 @@ def build_plan(switch) -> Callable[[Frame], None]:
             logged = [(header, name) for name in names]
 
             def add_header(p, args):
-                # Zero-fill, and log every field: a replayed verdict
-                # must reproduce the reset.
+                # Zero-fill, and log every field like any other write.
                 p.valid.add(header)
                 p.headers[header] = dict.fromkeys(names, 0)
                 p.log.update(logged)

@@ -4,16 +4,14 @@ This is the second input P2GO needs besides the traffic trace (§2.2: "the
 initial runtime configuration of the program, i.e. the match-action rules
 installed in the tables").
 
-The config also carries the profiling-engine switches
-(``enable_flow_cache``, ``enable_compiled_tables``,
-``flow_cache_capacity``) and a ``mutations`` stamp bumped by every
+The config also carries the profiling-engine switch
+(``enable_compiled_tables``) and a ``mutations`` stamp bumped by every
 entry-mutating call (``add_entry`` / ``set_default``; register inits
-only apply at switch construction/reset and cached verdicts never read
-registers, so they need no stamp).  The
-behavioural switch compares the stamp per packet and drops its flow
-cache and compiled tables when it changed, so rules installed mid-run
-take effect on the very next packet; callers that poke ``entries``
-directly must call ``BehavioralSwitch.invalidate_caches`` themselves.
+only apply at switch construction/reset, so they need no stamp).  The
+behavioural switch compares the stamp per packet and drops its compiled
+tables when it changed, so rules installed mid-run take effect on the
+very next packet; callers that poke ``entries`` directly must call
+``BehavioralSwitch.invalidate_caches`` themselves.
 """
 
 from __future__ import annotations
@@ -67,19 +65,14 @@ class RuntimeConfig:
     hashed_inits: List[Tuple[str, str, Tuple[Tuple[int, int], ...], int]] = (
         dc_field(default_factory=list)
     )
-    #: Profiling-engine switches.  ``enable_flow_cache`` memoizes
-    #: table-walk verdicts for packets that touch no registers;
-    #: ``enable_compiled_tables`` precompiles per-table match structures
-    #: once per run.  Both default on; turning both off restores the
-    #: legacy per-packet interpreter bit-for-bit (the benchmark
-    #: baseline and the oracle for equivalence tests).
-    enable_flow_cache: bool = True
+    #: The profiling-engine switch: on (the default), packets run on
+    #: the compiled program — per-table match structures and the
+    #: execution plan, built once per switch; off, on the reference
+    #: interpreter the engine is checked against bit-for-bit (the
+    #: benchmark baseline and the oracle for equivalence tests).
     enable_compiled_tables: bool = True
-    #: Flow-cache capacity bound (entries); the cache flushes wholesale
-    #: when full.
-    flow_cache_capacity: int = 65536
     #: Bumped by every mutator so live switches drop their compiled
-    #: tables and flow cache.  Mutating ``entries`` dicts directly
+    #: tables.  Mutating ``entries`` dicts directly
     #: bypasses this — construct a new switch (or call its
     #: ``invalidate_caches()``) after doing so.
     mutations: int = dc_field(default=0, compare=False, repr=False)
@@ -246,9 +239,7 @@ class RuntimeConfig:
             default_overrides=dict(self.default_overrides),
             register_inits=list(self.register_inits),
             hashed_inits=list(self.hashed_inits),
-            enable_flow_cache=self.enable_flow_cache,
             enable_compiled_tables=self.enable_compiled_tables,
-            flow_cache_capacity=self.flow_cache_capacity,
         )
 
     def restricted_to(self, tables: Sequence[str]) -> "RuntimeConfig":
@@ -267,7 +258,5 @@ class RuntimeConfig:
             },
             register_inits=list(self.register_inits),
             hashed_inits=list(self.hashed_inits),
-            enable_flow_cache=self.enable_flow_cache,
             enable_compiled_tables=self.enable_compiled_tables,
-            flow_cache_capacity=self.flow_cache_capacity,
         )

@@ -4,13 +4,8 @@ State lives outside the per-packet pipeline so that it persists across
 packets (sketches and Bloom filters accumulate) but can be snapshotted and
 reset between profiling runs — P2GO replays the same trace against multiple
 program variants and needs each replay to start from pristine state.
-
-Cache contract: register contents are the one per-packet input the
-flow-result cache's key (:mod:`repro.sim.flowcache`) does NOT cover.
-Any traversal that reads or writes this state is therefore never
-memoized (its key is marked stateful instead) — keeping everything
-behind :meth:`SwitchState.read` / :meth:`SwitchState.write` is what
-makes that rule enforceable.
+Both the execution plan and the reference interpreter touch it only
+through :meth:`SwitchState.read` / :meth:`SwitchState.write`.
 """
 
 from __future__ import annotations

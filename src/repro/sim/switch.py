@@ -6,35 +6,26 @@ everything except realistic resource allocation, which lives in
 :mod:`repro.target` instead).
 
 Because profiling a trace is the dominant cost of every P2GO run, the
-switch doubles as a *fast profiling engine*:
+switch is a *profiling engine* with one switch and one reference:
 
-* a **flow-result cache** (:mod:`repro.sim.flowcache`) memoizes the
-  table-walk verdict of packets whose executed actions touch no
-  registers, keyed on the match-relevant header bytes, from a key's
-  second sighting on.  A traversal that reads or writes a register
-  never serves, and never becomes, a cached verdict; its key is marked
-  so the flow's later packets skip verdict work.
-  Disable with ``RuntimeConfig.enable_flow_cache = False``.
-* the **compiled program**: precompiled match structures
+* the **compiled program** (``RuntimeConfig.enable_compiled_tables``,
+  on by default): precompiled match structures
   (:class:`repro.sim.match.CompiledTable`) replace the per-packet
   linear entry scans, and a per-program execution plan
   (:mod:`repro.sim.plan`: actions and control bound into closures once)
   replaces the IR walk, whose deparser re-packs only the headers a
   packet's writes touched.  Both built lazily, once per switch.
-  Disable with ``RuntimeConfig.enable_compiled_tables = False``.
+* the **reference interpreter** (the switch off): ``_run_control`` /
+  ``_apply_table`` over :mod:`repro.sim.action_interp`, which shares no
+  traversal code with the plan.  The engine is checked against it —
+  bit-identical :class:`SwitchResult` streams on identical inputs
+  (property-tested in ``tests/test_profiling_engine.py`` and
+  ``tests/test_execution_plan.py``; semantics argument in DESIGN.md,
+  "Profiling engine").  There is no other engine (DESIGN.md §12 says
+  why).
 * **perf counters** (:class:`repro.sim.perf.PerfCounters`) on
   ``BehavioralSwitch.perf``, timed by the batched
   :meth:`BehavioralSwitch.process_many` entry point.
-
-Both optimizations are behaviour-preserving: with identical inputs the
-engine produces bit-identical :class:`SwitchResult` streams with the
-switches on or off (property-tested in ``tests/test_profiling_engine.py``
-and ``tests/test_execution_plan.py``; semantics argument in DESIGN.md,
-"Profiling engine").  With both off the switch *is* the reference
-interpreter — ``_run_control`` / ``_apply_table`` over
-:mod:`repro.sim.action_interp`, which shares no traversal code with the
-plan — that the engine is checked against; there is no third engine
-(DESIGN.md §12 says why).
 """
 
 from __future__ import annotations
@@ -58,16 +49,6 @@ from repro.p4.types import mask
 from repro.packets.packet import get_codec
 from repro.sim.action_interp import Phv, eval_expr, execute_action
 from repro.sim.events import ControllerPacket, ExecutionStep
-from repro.sim.flowcache import (
-    FlowCache,
-    FlowKey,
-    FlowVerdict,
-    SEEN,
-    STATEFUL,
-    analyze_program,
-    build_verdict,
-    compile_key_extractor,
-)
 from repro.sim.match import CompiledTable, compile_table, lookup
 from repro.sim.perf import PerfCounters
 from repro.sim.plan import Frame, build_plan
@@ -107,8 +88,7 @@ class BehavioralSwitch:
     """A software switch running one program with one runtime config.
 
     Register state persists across packets; call :meth:`reset_state` to
-    start a fresh profiling run (this also clears the flow cache and the
-    perf counters).
+    start a fresh profiling run (this also clears the perf counters).
     """
 
     def __init__(self, program: Program, config: Optional[RuntimeConfig] = None):
@@ -120,12 +100,8 @@ class BehavioralSwitch:
         self.controller_queue: List[ControllerPacket] = []
         self.perf = PerfCounters()
         self._packet_count = 0
-        # Profiling-engine state: static key/statefulness analysis, the
-        # flow-result cache, lazily compiled per-table match structures,
-        # and the config-mutation stamp they were built against.
-        self._analysis = analyze_program(program)
-        self._key_extract = compile_key_extractor(self._analysis.key_fields)
-        self._flow_cache = FlowCache(self.config.flow_cache_capacity)
+        # Lazily compiled per-table match structures and the
+        # config-mutation stamp they were built against.
         self._compiled_tables: Dict[str, CompiledTable] = {}
         self._config_mutations = self.config.mutations
         # Per-program plans precompiled once: parser states with their
@@ -167,8 +143,8 @@ class BehavioralSwitch:
                 )
                 for name, state in program.parser.states.items()
             }
-        # Tier 2's execution plan (repro.sim.plan), bound once by the
-        # first packet that runs with the tier on; never with it off.
+        # The execution plan (repro.sim.plan), bound once by the first
+        # packet that runs on the engine; never on the reference walk.
         self._plan = None
         self._apply_register_inits()
 
@@ -186,16 +162,15 @@ class BehavioralSwitch:
 
     def reset_state(self) -> None:
         """Reset registers to their configured initial contents, clear the
-        controller queue, the flow-result cache, and the perf counters."""
+        controller queue and the perf counters."""
         self.state.reset()
         self.controller_queue.clear()
         self._packet_count = 0
-        self._flow_cache.clear()
         self.perf.reset()
         self._apply_register_inits()
 
     def invalidate_caches(self) -> None:
-        """Drop the flow cache and compiled tables (after config edits).
+        """Drop the compiled tables (after config edits).
 
         Called automatically when the config was mutated through its API
         (``add_entry`` / ``set_default``); callers that poke
@@ -204,33 +179,16 @@ class BehavioralSwitch:
         as :class:`RuntimeConfigError` before any packet is touched.
         """
         self.config.validate(self.program)
-        self._flow_cache.clear()
         self._compiled_tables.clear()
         self._config_mutations = self.config.mutations
 
     # ------------------------------------------------------------------
     def process(self, data: bytes, ingress_port: int = 0) -> SwitchResult:
-        """Push one packet through parse → ingress → deparse: a
-        flow-cache replay when the verdict is memoized, else the full
-        interpreter (tracked on its key's second sighting only)."""
+        """Push one packet through parse → ingress → deparse."""
         if self._config_mutations != self.config.mutations:
             self.invalidate_caches()
         self.perf.packets += 1
-        parsed = self._parse(data)
-        key: Optional[FlowKey] = None
-        if self.config.enable_flow_cache:
-            key = self._flow_key(parsed, ingress_port)
-            entry = self._flow_cache.get(key)
-            if entry.__class__ is FlowVerdict:
-                self.perf.cache_hits += 1
-                return self._replay_verdict(entry, parsed, data,
-                                            ingress_port)
-            self.perf.cache_misses += 1
-            if entry is None and self._flow_cache.put(key, SEEN):
-                self.perf.cache_evictions += 1
-            if entry is not SEEN:
-                key = None
-        return self._execute(parsed, data, ingress_port, key)
+        return self._execute(self._parse(data), data, ingress_port)
 
     #: ``process_many`` loops over the same function under this name, so
     #: a timing wrapper patched over the public per-packet entry point
@@ -319,28 +277,18 @@ class BehavioralSwitch:
             headers=headers, valid=valid, payload=data[offset:], spans=spans
         )
 
-    def _flow_key(
-        self, parsed: ParsedPacket, ingress_port: int
-    ) -> FlowKey:
-        """(port, match-relevant field values, valid set) for one packet."""
-        return (
-            ingress_port,
-            self._key_extract(parsed.headers),
-            frozenset(parsed.valid),
-        )
-
     def _install_metadata(
         self, parsed: ParsedPacket, ingress_port: int
-    ) -> Dict[str, int]:
+    ) -> None:
         """Metadata headers onto a fresh parse (which never contains
         them): always valid, zeroed — dicts filled by writes — and
-        ``ingress_port`` set.  Returns ``standard_metadata``'s fields."""
+        ``ingress_port`` set."""
         for name in self._metadata_names:
             parsed.valid.add(name)
             parsed.headers[name] = {}
-        standard = parsed.headers[STANDARD_METADATA]
-        standard["ingress_port"] = ingress_port & self._ingress_mask
-        return standard
+        parsed.headers[STANDARD_METADATA]["ingress_port"] = (
+            ingress_port & self._ingress_mask
+        )
 
     def _deparse(self, parsed: ParsedPacket, data: bytes, dirty) -> bytes:
         """Valid packet headers in declaration order, plus payload.
@@ -366,10 +314,13 @@ class BehavioralSwitch:
 
     def _emit(
         self, parsed: ParsedPacket, data: bytes, output: bytes,
-        steps: List[ExecutionStep], egress_port: int, dropped: bool,
-        to_controller: bool, controller_reason: int,
+        steps: List[ExecutionStep],
     ) -> SwitchResult:
-        """Count the packet, queue it if punted, report the traversal."""
+        """Read the forwarding decision out of ``standard_metadata``,
+        count the packet, queue it if punted, report the traversal."""
+        standard = parsed.headers[STANDARD_METADATA]
+        to_controller = bool(standard.get("to_controller", 0))
+        controller_reason = standard.get("controller_reason", 0)
         index = self._packet_count
         self._packet_count += 1
         if to_controller:
@@ -385,67 +336,28 @@ class BehavioralSwitch:
             headers=parsed.headers,
             valid=parsed.valid,
             steps=steps,
-            egress_port=egress_port,
-            dropped=dropped,
+            egress_port=standard.get("egress_port", 0),
+            dropped=bool(standard.get("drop_flag", 0)),
             to_controller=to_controller,
             controller_reason=controller_reason,
         )
 
-    def _replay_verdict(
-        self,
-        verdict: FlowVerdict,
-        parsed: ParsedPacket,
-        data: bytes,
-        ingress_port: int,
-    ) -> SwitchResult:
-        """Apply a cached delta to a fresh packet's own parsed headers."""
-        headers = parsed.headers
-        valid = parsed.valid
-        self._install_metadata(parsed, ingress_port)
-        for header in verdict.removed:
-            valid.discard(header)
-            headers.pop(header, None)
-        for header in verdict.added:
-            valid.add(header)
-        for header, field_name, value in verdict.writes:
-            fields = headers.get(header)
-            if fields is None:
-                fields = headers[header] = {}
-            fields[field_name] = value
-        return self._emit(
-            parsed,
-            data,
-            self._deparse(parsed, data, verdict.dirty),
-            list(verdict.steps),
-            verdict.egress_port,
-            verdict.dropped,
-            verdict.to_controller,
-            verdict.controller_reason,
-        )
-
     def _execute(
-        self,
-        parsed: ParsedPacket,
-        data: bytes,
-        ingress_port: int,
-        key: Optional[FlowKey],
+        self, parsed: ParsedPacket, data: bytes, ingress_port: int
     ) -> SwitchResult:
-        """The full traversal: the execution plan when tier 2 is on,
-        else the reference walk; with a ``key`` (its second sighting),
-        tracked, and leaves it a verdict or the stateful mark."""
+        """The traversal: the execution plan when
+        ``enable_compiled_tables`` is on, else the reference walk."""
         headers, valid = parsed.headers, parsed.valid
-        standard = self._install_metadata(parsed, ingress_port)
-        initial_valid = frozenset(valid) if key is not None else None
+        self._install_metadata(parsed, ingress_port)
         steps: List[ExecutionStep] = []
         if self.config.enable_compiled_tables:
             if self._plan is None:
                 self._plan = build_plan(self)
-            write_log: Optional[Set[Tuple[str, str]]] = set()
+            write_log: Set[Tuple[str, str]] = set()
             self._plan(Frame(headers, valid, write_log, steps))
             output = self._deparse(parsed, data, {h for h, _f in write_log})
         else:
             phv = Phv(self.program, headers, valid)
-            write_log = phv.write_log = set() if key is not None else None
             self._run_control(self.program.ingress, phv, steps)
             # The egress pipeline runs for packets the traffic manager
             # actually emits: neither dropped nor punted to the controller.
@@ -457,24 +369,7 @@ class BehavioralSwitch:
             output = deparse_packet(
                 self.program, headers, packet_valid, parsed.payload
             )
-
-        egress = standard.get("egress_port", 0)
-        dropped = bool(standard.get("drop_flag", 0))
-        to_ctrl = bool(standard.get("to_controller", 0))
-        reason = standard.get("controller_reason", 0)
-        result = self._emit(
-            parsed, data, output, steps, egress, dropped, to_ctrl, reason
-        )
-        if key is not None:
-            stateful = self._analysis.stateful_actions
-            # Replaces the key's SEEN mark, so never a capacity flush.
-            self._flow_cache.put(
-                key,
-                STATEFUL
-                if any(step.action in stateful for step in steps)
-                else build_verdict(result, write_log, initial_valid),
-            )
-        return result
+        return self._emit(parsed, data, output, steps)
 
     # ------------------------------------------------------------------
     def _run_control(

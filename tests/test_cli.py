@@ -99,6 +99,24 @@ class TestProfile:
         assert "profiled 3 packets" in out
         assert "fib" in out and "100.00%" in out
 
+    def test_reference_flag_profiles_identically(self, toy_files, capsys):
+        """``--reference`` selects the oracle interpreter: the same
+        profile, only the throughput line may differ."""
+        prog_path, config_path, trace_path = toy_files
+        command = [
+            "profile", str(prog_path),
+            "--config", str(config_path), "--trace", str(trace_path),
+        ]
+        outputs = []
+        for flags in ([], ["--reference"]):
+            assert main(command + flags) == 0
+            outputs.append([
+                line
+                for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("throughput:")
+            ])
+        assert outputs[0] == outputs[1]
+
     def test_malformed_dsl_reports_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.p4"
         bad.write_text("table {")
@@ -284,7 +302,7 @@ class TestFuzz:
         assert main(["fuzz", "--seed", "0", "--iterations", "1"]) == 0
         out = capsys.readouterr().out
         assert "0 failure(s)" in out
-        assert "cache axis replayed" in out
+        assert "behavior axis checked 0 offloading case(s)" in out
 
     def test_broken_optimizer_exits_nonzero(self, tmp_path, capsys):
         code = main(
@@ -337,7 +355,7 @@ class TestFuzz:
         assert main(["fuzz", "--replay", str(repro)]) == 2
         captured = capsys.readouterr()
         assert "error: unknown axes ['retired_axis']; known: " in captured.err
-        assert "behavior, cache, workers, store, order" in captured.err
+        assert "behavior, engine, workers, store, order" in captured.err
         assert "Traceback" not in captured.err and not captured.out
 
 

@@ -1,4 +1,4 @@
-"""Tier 2's execution plan (:mod:`repro.sim.plan`) against the walker.
+"""The engine's execution plan (:mod:`repro.sim.plan`) against the walker.
 
 The bit-identity of whole replays lives in
 ``tests/test_profiling_engine.py``; this file pins what that cannot:
@@ -10,8 +10,8 @@ The bit-identity of whole replays lives in
   packet is touched, not a ``KeyError`` from inside the traversal;
 * errors only a packet can trigger surface as the same
   ``SimulationError`` at the same packet index on both paths;
-* the two paths are really separate: with the tier on the walker's
-  ``execute_action`` is never reached, with it off no plan is built;
+* the two paths are really separate: on the engine the walker's
+  ``execute_action`` is never reached, on the reference no plan is built;
 * the plan's deparser may skip ``pack``'s validation: on every header
   it re-packs, ``pack_trusted`` and the validating ``pack`` agree.
 """
@@ -46,17 +46,13 @@ from tests.test_profiling_engine import _fresh_config, _result_fingerprint
 #: A UDP packet the bundled firewall config forwards.
 PACKET = udp_packet("10.0.0.1", "10.0.0.2", 1234, 4000)
 
-#: (enable_flow_cache, enable_compiled_tables): both tiers on, tier 2
-#: alone (every packet runs the plan), and the reference walk.
-TIERS = {
-    "both": (True, True),
-    "compiled": (False, True),
-    "reference": (False, False),
-}
+#: ``enable_compiled_tables``: the engine (every packet runs the plan)
+#: and the reference walk.
+TIERS = {"compiled": True, "reference": False}
 
 
 def _tiered(config, tier):
-    config.enable_flow_cache, config.enable_compiled_tables = TIERS[tier]
+    config.enable_compiled_tables = TIERS[tier]
     return config
 
 
@@ -105,7 +101,7 @@ def test_replay_after_reset_equals_fresh_switch(tier):
     ids=["set_default", "add_entry"],
 )
 def test_rule_installed_mid_run_takes_effect_on_next_packet(install):
-    """…identically with the tier on and off."""
+    """…identically on the engine and on the reference."""
     outcomes = {}
     for tier in TIERS:
         switch = _firewall(tier)
@@ -115,7 +111,7 @@ def test_rule_installed_mid_run_takes_effect_on_next_packet(install):
         outcomes[tier] = _observed(switch, [before, after])
         assert not before.dropped
         assert after.dropped
-    assert outcomes["both"] == outcomes["compiled"] == outcomes["reference"]
+    assert outcomes["compiled"] == outcomes["reference"]
 
 
 @pytest.mark.parametrize("tier", sorted(TIERS))
@@ -226,7 +222,7 @@ def test_packet_triggered_errors_match_the_walker(case):
                 switch.process(packet)
         assert message in str(raised.value)
         failures[tier] = (switch.perf.packets, str(raised.value))
-    assert failures["both"] == failures["compiled"] == failures["reference"]
+    assert failures["compiled"] == failures["reference"]
 
 
 # ----------------------------------------------------------------------
@@ -243,8 +239,7 @@ def test_tier_on_never_reaches_the_walker_and_tier_off_builds_no_plan(
     with monkeypatch.context() as patch:
         patch.setattr("repro.sim.action_interp.execute_action", unreachable)
         patch.setattr("repro.sim.switch.execute_action", unreachable)
-        for tier in ("both", "compiled"):
-            assert len(_firewall(tier).process_many(trace)) == len(trace)
+        assert len(_firewall("compiled").process_many(trace)) == len(trace)
     with monkeypatch.context() as patch:
         patch.setattr("repro.sim.switch.build_plan", unreachable)
         switch = _firewall("reference")
@@ -274,14 +269,14 @@ class _CheckedCodec:
 
 def _assert_deparse_trust_holds(program, fresh_config, trace):
     packed = []
-    for tier in ("both", "compiled"):
-        switch = BehavioralSwitch(program, _tiered(fresh_config(), tier))
-        switch._deparse_plan = tuple(
-            (name, _CheckedCodec(codec, packed))
-            for name, codec in switch._deparse_plan
-        )
-        switch.process_many(trace)
-    # Tier 1 validates every header of every packet and rejects none.
+    switch = BehavioralSwitch(program, _tiered(fresh_config(), "compiled"))
+    switch._deparse_plan = tuple(
+        (name, _CheckedCodec(codec, packed))
+        for name, codec in switch._deparse_plan
+    )
+    switch.process_many(trace)
+    # The reference validates every header of every packet and rejects
+    # none.
     reference = BehavioralSwitch(
         program, _tiered(fresh_config(), "reference")
     )

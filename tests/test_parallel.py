@@ -23,7 +23,6 @@ from repro.core.session import (
     resolve_workers,
 )
 from repro.programs import example_firewall as fw
-from repro.sim.flowcache import FlowCache, FlowVerdict
 from repro.target.model import DEFAULT_TARGET
 
 from .conftest import build_toy_program, toy_config
@@ -77,9 +76,6 @@ def canonical(result):
             if outcome.profiling_perf is None
             else (
                 outcome.profiling_perf.packets,
-                outcome.profiling_perf.cache_hits,
-                outcome.profiling_perf.cache_misses,
-                outcome.profiling_perf.cache_evictions,
                 sorted(outcome.profiling_perf.table_lookups.items()),
             ),
         )
@@ -167,7 +163,6 @@ class TestBatchSemantics:
             assert ours.same_behavior_as(theirs)
         assert batch.counters.as_dict() == serial.counters.as_dict()
         assert batch_perf.packets == serial_perf.packets
-        assert batch_perf.cache_hits == serial_perf.cache_hits
         assert batch_perf.table_lookups == serial_perf.table_lookups
 
     def test_in_flight_dedup_one_execution(self):
@@ -349,68 +344,14 @@ class TestPipelineDeterminism:
         )
 
 
-class TestFlowCacheAccountingUnderWorkers:
-    """The flow cache's wholesale-flush eviction accounting must stay
-    correct when replays run in worker processes: each replay owns a
-    private cache, and the merged counters equal the serial run's."""
-
-    def test_put_flush_accounting(self):
-        verdict = FlowVerdict(
-            steps=(), writes=(), added=(), removed=(),
-            egress_port=1, dropped=False, to_controller=False,
-            controller_reason=0,
-        )
-        cache = FlowCache(capacity=2)
-        assert cache.put(("a",), verdict) is False
-        assert cache.put(("b",), verdict) is False
-        assert len(cache) == 2
-        # Re-inserting a resident key never flushes.
-        assert cache.put(("b",), verdict) is False
-        flushed = cache.put(("c",), verdict)
-        assert flushed is True
-        assert len(cache) == 1  # wholesale flush, then the new entry
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_eviction_counters_deterministic(self, workers):
-        program, config = build_toy_program(), toy_config()
-        config.flow_cache_capacity = 1  # force flush-evictions
-        trace = make_trace()
-        ctx = OptimizationContext(
-            program, config, trace, DEFAULT_TARGET, workers=workers,
-        )
-        ctx.start_perf_window()
-        with ctx:
-            ctx.profile_many(
-                [
-                    (None, None),
-                    (program.with_table_size("fib", 32), None),
-                ]
-            )
-        merged = ctx.take_perf_window()
-        assert merged.packets == 2 * len(trace)
-        assert merged.cache_evictions > 0
-        serial = OptimizationContext(
-            program, config, trace, DEFAULT_TARGET, workers=1
-        )
-        serial.start_perf_window()
-        serial.profile()
-        serial.profile(program.with_table_size("fib", 32))
-        expected = serial.take_perf_window()
-        assert merged.cache_evictions == expected.cache_evictions
-        assert merged.cache_hits == expected.cache_hits
-        assert merged.cache_misses == expected.cache_misses
-
-
 def test_merge_perf_submission_order_is_deterministic():
     """merge_perf sums; the session feeds it submission-ordered perfs, so
     equal multisets of replays merge to equal totals."""
     from repro.sim.perf import PerfCounters
 
-    a = PerfCounters(packets=5, cache_hits=3, cache_misses=2,
-                     timed_packets=5, elapsed_seconds=0.5)
-    b = PerfCounters(packets=7, cache_hits=1, cache_misses=6,
-                     timed_packets=7, elapsed_seconds=0.25)
+    a = PerfCounters(packets=5, timed_packets=5, elapsed_seconds=0.5,
+                     table_lookups={"t": 2})
+    b = PerfCounters(packets=7, timed_packets=7, elapsed_seconds=0.25,
+                     table_lookups={"t": 3, "u": 1})
     ab, ba = merge_perf([a, b]), merge_perf([b, a])
-    assert (ab.packets, ab.cache_hits, ab.cache_misses) == (
-        ba.packets, ba.cache_hits, ba.cache_misses
-    )
+    assert (ab.packets, ab.table_lookups) == (ba.packets, ba.table_lookups)

@@ -318,11 +318,9 @@ class TestPerfWindows:
         assert ctx.take_perf_window() is None
 
     def test_merge_perf(self):
-        a = PerfCounters(packets=5, cache_hits=3, cache_misses=2,
-                         elapsed_seconds=1.0, timed_packets=5,
+        a = PerfCounters(packets=5, elapsed_seconds=1.0, timed_packets=5,
                          table_lookups={"t": 2})
-        b = PerfCounters(packets=7, cache_hits=0, cache_misses=7,
-                         elapsed_seconds=1.0, timed_packets=7,
+        b = PerfCounters(packets=7, elapsed_seconds=1.0, timed_packets=7,
                          table_lookups={"t": 3, "u": 1})
         merged = merge_perf([a, b])
         assert merged.packets == 12
