@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.phase_offload import SegmentCandidate
 from repro.exceptions import ControllerError
-from repro.p4.control import ControlNode, clone
+from repro.p4.control import ControlNode, Seq
 from repro.p4.program import Program
 from repro.sim.runtime import RuntimeConfig
 from repro.sim.switch import BehavioralSwitch, SwitchResult
@@ -33,11 +33,9 @@ def segment_program(
     out = original.clone(
         new_name=name or f"{original.name}__controller_segment"
     )
-    out.ingress = clone(subtree)
+    out.ingress = subtree
     # Offloaded segments come from the ingress; the original egress stays
     # on the switch.
-    from repro.p4.control import Seq
-
     out.egress = Seq([])
     out.validate()
     return out

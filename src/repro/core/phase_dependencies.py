@@ -16,7 +16,7 @@ so no packet is orphaned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.dependencies import (
@@ -39,6 +39,8 @@ from repro.p4.control import (
     Seq,
     find_apply,
     iter_nodes,
+    remove_subtree,
+    replace_subtree,
 )
 from repro.p4.expressions import LNot, ValidExpr
 from repro.p4.program import Program
@@ -261,26 +263,19 @@ def remove_dependency(program: Program, dep: Dependency) -> Program:
         )
 
     # Build the rewritten tree: dst_unit moves into apply_src.on_miss and
-    # disappears from the sequence.
-    new_program = program.clone()
-    new_root = new_program.ingress
-    new_apply_src = find_apply(new_root, dep.src)
-    assert new_apply_src is not None
-    new_parents = _parents(new_root)
-    new_dst_apply = find_apply(new_root, dep.dst)
-    assert new_dst_apply is not None
-    new_dst_unit = _relocation_unit(new_root, new_dst_apply, new_parents)
-    new_seq = new_parents[id(_enclosing_unit(new_apply_src, new_parents))]
-    assert isinstance(new_seq, Seq)
-
-    remaining = [n for n in new_seq.nodes if n is not new_dst_unit]
-    new_seq.nodes = tuple(remaining)
-    if new_apply_src.on_miss is None:
-        new_apply_src.on_miss = new_dst_unit
+    # disappears from the sequence.  Removing it path-copies only its
+    # ancestors, so apply_src is still the node to replace afterwards.
+    if apply_src.on_miss is None:
+        on_miss = dst_unit
     else:
-        new_apply_src.on_miss = Seq(
-            [new_apply_src.on_miss, new_dst_unit]
+        on_miss = Seq([apply_src.on_miss, dst_unit])
+    new_program = program.with_ingress(
+        replace_subtree(
+            remove_subtree(root, dst_unit),
+            apply_src,
+            replace(apply_src, on_miss=on_miss),
         )
+    )
     new_program.validate()
     return new_program
 

@@ -16,12 +16,18 @@ unchanged; mitigation is future work, as the paper says).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 from repro.exceptions import OptimizationError
 from repro.p4.actions import Action, SendToController
-from repro.p4.control import Apply, Seq, find_apply
+from repro.p4.control import (
+    Apply,
+    Seq,
+    find_apply,
+    replace_subtree,
+    tables_applied,
+)
 from repro.p4.program import Program
 from repro.p4.tables import Table
 from repro.sim.runtime import RuntimeConfig
@@ -65,8 +71,6 @@ def add_dependency_guard(
             f"table {src!r} has no miss branch; expected the phase-2 "
             f"rewrite shape"
         )
-    from repro.p4.control import tables_applied
-
     if dst not in tables_applied(apply_src.on_miss):
         raise OptimizationError(
             f"table {dst!r} is not inside {src!r}'s miss branch"
@@ -84,7 +88,16 @@ def add_dependency_guard(
     if table in program.tables:
         raise OptimizationError(f"guard {table!r} already installed")
 
-    out = program.clone()
+    guard_apply = Apply(table)
+    if apply_src.on_hit is None:
+        on_hit = guard_apply
+    else:
+        on_hit = Seq([apply_src.on_hit, guard_apply])
+    out = program.with_ingress(
+        replace_subtree(
+            program.ingress, apply_src, replace(apply_src, on_hit=on_hit)
+        )
+    )
     out.actions[action] = Action(
         name=action, primitives=(SendToController(GUARD_REASON),)
     )
@@ -95,13 +108,6 @@ def add_dependency_guard(
         default_action="NoAction",
         size=dst_table.size,
     )
-    new_apply_src = find_apply(out.ingress, src)
-    assert new_apply_src is not None
-    guard_apply = Apply(table)
-    if new_apply_src.on_hit is None:
-        new_apply_src.on_hit = guard_apply
-    else:
-        new_apply_src.on_hit = Seq([new_apply_src.on_hit, guard_apply])
     out.validate()
     return out, DependencyGuard(src=src, dst=dst, table=table, action=action)
 

@@ -313,7 +313,7 @@ class NoOp(Primitive):
         return "no_op()"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Action:
     """A named action: parameter list + primitive sequence."""
 
@@ -322,8 +322,8 @@ class Action:
     primitives: Tuple[Primitive, ...] = ()
 
     def __post_init__(self) -> None:
-        self.parameters = tuple(self.parameters)
-        self.primitives = tuple(self.primitives)
+        object.__setattr__(self, "parameters", tuple(self.parameters))
+        object.__setattr__(self, "primitives", tuple(self.primitives))
         if len(set(self.parameters)) != len(self.parameters):
             raise P4SemanticsError(
                 f"action {self.name!r} has duplicate parameters"

@@ -8,20 +8,22 @@ A control body is a tree of three node kinds:
 
 P2GO's program rewrites (§3.2 dependency removal, §3.4 offloading) are tree
 transformations over this AST, so the module also provides traversal and
-surgical-replacement utilities.
+surgical-replacement utilities.  Nodes are frozen: a rewrite path-copies
+the ancestors of what changed (:func:`replace_subtree`,
+:func:`remove_subtree`) and shares every other subtree with the tree it
+was derived from (DESIGN.md §16).
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.exceptions import P4ValidationError
 from repro.p4.expressions import Expr
 
 
-@dataclass
+@dataclass(frozen=True)
 class Apply:
     """Apply a table; optionally branch on hit/miss."""
 
@@ -38,7 +40,7 @@ class Apply:
         return tuple(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class If:
     """Conditional execution."""
 
@@ -52,25 +54,20 @@ class If:
         return (self.then_node, self.else_node)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Seq:
     """Sequential composition of control nodes."""
 
     nodes: Tuple["ControlNode", ...] = ()
 
-    def __init__(self, nodes=()):
-        self.nodes = tuple(nodes)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", tuple(self.nodes))
 
     def children(self) -> Tuple["ControlNode", ...]:
         return self.nodes
 
 
 ControlNode = Union[Apply, If, Seq]
-
-
-def clone(node: ControlNode) -> ControlNode:
-    """Deep-copy a control subtree."""
-    return copy.deepcopy(node)
 
 
 def iter_nodes(node: ControlNode) -> Iterator[ControlNode]:
@@ -156,9 +153,7 @@ def _remove_by_identity(node, target):
                 continue
             result = _remove_by_identity(branch, target)
             if result is not _SENTINEL_NOT_FOUND:
-                new = Apply(node.table, node.on_hit, node.on_miss)
-                setattr(new, attr, result)
-                return new
+                return replace(node, **{attr: result})
         return _SENTINEL_NOT_FOUND
     raise P4ValidationError(f"unknown control node {node!r}")
 
@@ -200,9 +195,7 @@ def _replace_by_identity(node, target, replacement):
                 continue
             result = _replace_by_identity(branch, target, replacement)
             if result is not _SENTINEL_NOT_FOUND:
-                new = Apply(node.table, node.on_hit, node.on_miss)
-                setattr(new, attr, result)
-                return new
+                return replace(node, **{attr: result})
         return _SENTINEL_NOT_FOUND
     raise P4ValidationError(f"unknown control node {node!r}")
 

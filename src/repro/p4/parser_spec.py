@@ -19,7 +19,7 @@ from repro.p4.expressions import FieldRef
 ACCEPT = "accept"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParserState:
     """One parser state.
 
@@ -35,7 +35,7 @@ class ParserState:
     default: str = ACCEPT
 
     def __post_init__(self) -> None:
-        self.extracts = tuple(self.extracts)
+        object.__setattr__(self, "extracts", tuple(self.extracts))
         if self.select is None and self.transitions:
             raise P4ValidationError(
                 f"parser state {self.name!r} has transitions but no select"
@@ -47,7 +47,7 @@ class ParserState:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParserSpec:
     """The parse graph: states plus the start state name."""
 

@@ -2,15 +2,21 @@
 
 A :class:`Program` bundles header types, header/metadata instances, register
 arrays, actions, tables, a parser spec, and the ingress control AST, and
-validates that every cross-reference resolves.  Programs are value objects:
-P2GO's optimization phases never mutate a program in place — they build
-modified clones, mirroring how the real system rewrites P4 source and
-re-compiles it.
+validates that every cross-reference resolves.  Programs are persistent
+values: P2GO's optimization phases never mutate a program in place — they
+derive modified programs, mirroring how the real system rewrites P4 source
+and re-compiles it — and deriving one costs what changed, not the whole
+program.  The leaves (header types and instances, registers, tables,
+actions, parser states) and the control nodes are frozen; a
+:class:`Program` is the one mutable layer, and :meth:`Program.clone` /
+``with_*`` build a new one with fresh dicts over the *same* leaves and
+control trees.  ``copy.deepcopy`` and pickling still give an unshared
+copy.  DESIGN.md §16, "Programs are persistent values", has what is
+shared, where derived state lives and why this is sound.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -48,7 +54,7 @@ class HeaderField:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeaderType:
     """A named, ordered collection of bit fields."""
 
@@ -56,17 +62,26 @@ class HeaderType:
     fields: Tuple[HeaderField, ...]
 
     def __post_init__(self) -> None:
-        self.fields = tuple(self.fields)
+        object.__setattr__(self, "fields", tuple(self.fields))
         names = [f.name for f in self.fields]
         if len(set(names)) != len(names):
             raise P4ValidationError(
                 f"header type {self.name!r} has duplicate fields"
             )
         # Widths are cached because pack/unpack sits on the simulator's
-        # per-packet hot path; ``fields`` is treated as immutable after
-        # construction.
-        self._bit_width = sum(f.width for f in self.fields)
-        self._byte_width = bytes_for_bits(self._bit_width)
+        # per-packet hot path.
+        bit_width = sum(f.width for f in self.fields)
+        object.__setattr__(self, "_bit_width", bit_width)
+        object.__setattr__(self, "_byte_width", bytes_for_bits(bit_width))
+
+    def __getstate__(self):
+        # ``repro.packets.get_codec`` pins an exec-compiled codec here
+        # as ``_codec``.  Header types are shared by everything derived
+        # from a program, so a simulated sibling's codec must not travel
+        # into pickles (stored probes, worker specs) or deep copies.
+        state = self.__dict__.copy()
+        state.pop("_codec", None)
+        return state
 
     @property
     def bit_width(self) -> int:
@@ -91,7 +106,7 @@ class HeaderType:
         return any(f.name == name for f in self.fields)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeaderInstance:
     """An instance of a header type.
 
@@ -109,10 +124,14 @@ class HeaderInstance:
     auto_valid: bool = False
 
 
+#: Name of the intrinsic metadata header type.
+STANDARD_METADATA_TYPE = "standard_metadata_t"
+
+
 def standard_metadata_type() -> HeaderType:
     """The intrinsic metadata header type every program carries."""
     return HeaderType(
-        name="standard_metadata_t",
+        name=STANDARD_METADATA_TYPE,
         fields=(
             HeaderField("ingress_port", 16),
             HeaderField("egress_port", 16),
@@ -148,19 +167,21 @@ class Program:
     # Intrinsics
 
     def _ensure_intrinsics(self) -> None:
-        std_type = standard_metadata_type()
-        self.header_types.setdefault(std_type.name, std_type)
-        self.headers.setdefault(
-            STANDARD_METADATA,
-            HeaderInstance(
+        # Only when missing: a derived program arrives with its parent's.
+        if STANDARD_METADATA_TYPE not in self.header_types:
+            self.header_types[STANDARD_METADATA_TYPE] = (
+                standard_metadata_type()
+            )
+        if STANDARD_METADATA not in self.headers:
+            self.headers[STANDARD_METADATA] = HeaderInstance(
                 name=STANDARD_METADATA,
-                header_type=std_type.name,
+                header_type=STANDARD_METADATA_TYPE,
                 metadata=True,
-            ),
-        )
-        self.actions.setdefault(
-            "NoAction", Action(name="NoAction", primitives=(NoOp(),))
-        )
+            )
+        if "NoAction" not in self.actions:
+            self.actions["NoAction"] = Action(
+                name="NoAction", primitives=(NoOp(),)
+            )
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -319,11 +340,25 @@ class Program:
     # Cloning / derived programs
 
     def clone(self, new_name: Optional[str] = None) -> "Program":
-        """Deep copy (the optimizer always works on clones)."""
-        cloned = copy.deepcopy(self)
-        if new_name is not None:
-            cloned.name = new_name
-        return cloned
+        """A new program sharing every leaf and both control trees.
+
+        The six dicts (five here, the parser's states) are fresh: dict
+        writes and root swaps on the result never show on the original.
+        """
+        parser = self.parser
+        if parser is not None:
+            parser = ParserSpec(dict(parser.states), parser.start)
+        return Program(
+            name=self.name if new_name is None else new_name,
+            header_types=dict(self.header_types),
+            headers=dict(self.headers),
+            registers=dict(self.registers),
+            actions=dict(self.actions),
+            tables=dict(self.tables),
+            parser=parser,
+            ingress=self.ingress,
+            egress=self.egress,
+        )
 
     def with_table_size(self, table_name: str, new_size: int) -> "Program":
         """Clone with one table's entry capacity changed (§3.3)."""

@@ -14,7 +14,7 @@ from repro.exceptions import P4SemanticsError
 from repro.p4.types import bytes_for_bits
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegisterArray:
     """A register array of ``size`` cells, each ``width`` bits wide."""
 

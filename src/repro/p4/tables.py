@@ -41,7 +41,7 @@ class TableKey:
         return f"{self.field}: {self.kind.value}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Table:
     """A match-action table.
 
@@ -59,9 +59,11 @@ class Table:
     size: int = 1024
 
     def __post_init__(self) -> None:
-        self.keys = tuple(self.keys)
-        self.actions = tuple(self.actions)
-        self.default_action_args = tuple(self.default_action_args)
+        object.__setattr__(self, "keys", tuple(self.keys))
+        object.__setattr__(self, "actions", tuple(self.actions))
+        object.__setattr__(
+            self, "default_action_args", tuple(self.default_action_args)
+        )
         if self.size <= 0:
             raise P4SemanticsError(
                 f"table {self.name!r}: size must be positive"

@@ -7,14 +7,16 @@ so a crafted packet always parses back to the field values it was built
 from.
 
 Because pack/unpack dominate the simulator's per-packet cost, the bit
-arithmetic is precompiled once per header type into a
-:class:`HeaderCodec` (shift/mask tables), memoized on the
-:class:`HeaderType` instance via :func:`get_codec` — header types are
-value objects whose field tuple never changes after construction.
+arithmetic is precompiled once per field layout into a
+:class:`HeaderCodec` (shift/mask tables) and resolved through
+:func:`get_codec` — header types are frozen values, so a codec is a pure
+function of ``(name, fields)`` and one layout is compiled once per
+process, whichever program meets it first.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Sequence, Tuple
 
 from repro.exceptions import PacketError
@@ -72,15 +74,14 @@ class HeaderCodec:
 
     def __reduce__(self):
         # The exec-compiled routines cannot be pickled (they live in no
-        # importable module), and a codec memoized onto a header type
-        # would otherwise make every simulated Program unpicklable —
-        # worker-pool probes ship programs to subprocesses.  Rebuild
-        # from the field layout on the receiving side instead.
+        # importable module); resolve the layout through the receiving
+        # process's memo instead.  Header types drop their codec from
+        # their own state, so this only serves a codec pickled directly.
         fields = tuple(
             HeaderField(fname, width)
             for fname, width, _fmask in self._pack_spec
         )
-        return (HeaderCodec, (self.name, fields))
+        return (_layout_codec, (self.name, fields))
 
     def _compile_unpack(self):
         items = ", ".join(
@@ -146,18 +147,24 @@ class HeaderCodec:
         return ((accum << self.pad)).to_bytes(self.byte_width, "big")
 
 
+@functools.lru_cache(maxsize=1024)
+def _layout_codec(name: str, fields: Tuple[HeaderField, ...]) -> HeaderCodec:
+    """The process-wide memo: one codec per distinct field layout."""
+    return HeaderCodec(name, fields)
+
+
 def get_codec(header_type: HeaderType) -> HeaderCodec:
     """The memoized codec for a header type.
 
-    Cached on the instance itself (hashing the field tuple per packet is
-    slower than building the codec); program clones deep-copy the cached
-    codec along with the type, which stays correct because codecs are
-    derived purely from the immutable field tuple.
+    Resolved through the layout-keyed memo once per ``HeaderType`` object
+    and then pinned on the instance (hashing the field tuple per packet
+    would cost more than the lookup saves).  The pin is derived state:
+    ``HeaderType.__getstate__`` keeps it out of pickles and deep copies.
     """
     codec = getattr(header_type, "_codec", None)
     if codec is None:
-        codec = HeaderCodec(header_type.name, header_type.fields)
-        header_type._codec = codec
+        codec = _layout_codec(header_type.name, header_type.fields)
+        object.__setattr__(header_type, "_codec", codec)
     return codec
 
 

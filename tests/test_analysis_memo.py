@@ -151,22 +151,30 @@ def test_graphs_hold_no_program():
 # The mutation table
 
 
+def _retable(table, **changes):
+    """Leaves are frozen: a mutant table is a replaced dict entry."""
+
+    def mutate(program):
+        program.tables[table] = replace(program.tables[table], **changes)
+
+    return mutate
+
+
 def base_program():
     program = build_toy_program()
     program.registers["hits"] = RegisterArray("hits", width=8, size=64)
-    program.tables["fib"].default_action = "fwd"
-    program.tables["fib"].default_action_args = (3,)
+    _retable("fib", default_action="fwd", default_action_args=(3,))(program)
     return program
 
 
 def _set_keys(table, *fields):
-    def mutate(program):
-        program.tables[table].keys = tuple(
+    return _retable(
+        table,
+        keys=tuple(
             TableKey(FieldRef.parse(path), MatchKind.EXACT)
             for path in fields
-        )
-
-    return mutate
+        ),
+    )
 
 
 def _extend_action(action, primitive):
@@ -188,7 +196,10 @@ def _set_ingress(node):
 def _add_parser_transition(program):
     # Ethernet straight to UDP: a header set the parser could not
     # produce before.
-    program.parser.states["start"].transitions[0x9999] = "parse_udp"
+    start = program.parser.states["start"]
+    program.parser.states["start"] = replace(
+        start, transitions={**start.transitions, 0x9999: "parse_udp"}
+    )
 
 
 def _add_egress_table(program):
@@ -209,12 +220,8 @@ CHANGES_THE_KEY = {
     "add a table key": _set_keys("acl", "udp.dstPort", "udp.srcPort"),
     "remove a table key": _set_keys("acl"),
     "change a key's field": _set_keys("acl", "udp.srcPort"),
-    "swap a default action": lambda p: setattr(
-        p.tables["acl"], "default_action", "deny"
-    ),
-    "add a hit action": lambda p: setattr(
-        p.tables["fib"], "actions", ("fwd", "deny")
-    ),
+    "swap a default action": _retable("acl", default_action="deny"),
+    "add a hit action": _retable("fib", actions=("fwd", "deny")),
     "add a write to an action": _extend_action(
         "deny", ModifyField(FieldRef("ipv4", "ttl"), Const(1))
     ),
@@ -258,13 +265,12 @@ KEEPS_THE_KEY = {
     "resize a register": lambda p: p.registers.__setitem__(
         "hits", p.registers["hits"].resized(4)
     ),
-    "change default-action arguments": lambda p: setattr(
-        p.tables["fib"], "default_action_args", (7,)
+    "change default-action arguments": _retable(
+        "fib", default_action_args=(7,)
     ),
-    "change a match kind": lambda p: setattr(
-        p.tables["acl"],
-        "keys",
-        (TableKey(FieldRef("udp", "dstPort"), MatchKind.TERNARY),),
+    "change a match kind": _retable(
+        "acl",
+        keys=(TableKey(FieldRef("udp", "dstPort"), MatchKind.TERNARY),),
     ),
     "rename the program": lambda p: setattr(p, "name", "other"),
 }

@@ -1,5 +1,7 @@
 """Unit tests for the control AST and its surgery utilities."""
 
+import copy
+
 import pytest
 
 from repro.exceptions import P4ValidationError
@@ -7,7 +9,6 @@ from repro.p4.control import (
     Apply,
     If,
     Seq,
-    clone,
     control_equal,
     find_apply,
     iter_applies,
@@ -129,7 +130,7 @@ class TestControlEqual:
 
     def test_clone_is_equal_but_distinct(self):
         tree = sample_tree()
-        copied = clone(tree)
+        copied = copy.deepcopy(tree)
         assert control_equal(tree, copied)
         assert copied is not tree
         assert copied.nodes[0] is not tree.nodes[0]

@@ -98,10 +98,20 @@ class TestIntrinsics:
 
 
 class TestClone:
-    def test_clone_is_deep(self, toy_program):
+    def test_clone_is_independent(self, toy_program):
+        """Dict writes and rewrites on either side never show on the
+        other (leaves are shared, and frozen: tests/test_program_values)."""
         copied = toy_program.clone()
         copied.tables["fib"] = copied.tables["fib"].resized(8)
+        del copied.actions["fwd"]
+        copied.ingress = Seq([])
         assert toy_program.tables["fib"].size == 64
+        assert "fwd" in toy_program.actions
+        assert toy_program.ingress_tables() == ["fib", "acl"]
+        toy_program.tables["acl"] = toy_program.tables["acl"].resized(2)
+        toy_program.egress = Apply("acl")
+        assert copied.tables["acl"].size != 2
+        assert copied.egress_tables() == []
 
     def test_clone_rename(self, toy_program):
         assert toy_program.clone("other").name == "other"
