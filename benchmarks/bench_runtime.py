@@ -16,31 +16,37 @@ from repro.programs import example_firewall as fw
 from repro.target import compile_program
 
 
-def test_simulator_throughput(benchmark, firewall_inputs, record):
+def test_simulator_throughput(benchmark, firewall_inputs):
     """Raw behavioural-simulation speed (packets/second) — the substrate
-    cost under all profiling numbers."""
+    cost under all profiling numbers.  Printed, not recorded: a
+    wall-clock number in ``benchmarks/results/`` would differ on every
+    run, and CI diffs that directory."""
     from repro.sim import BehavioralSwitch
 
     program, config, trace, _target = firewall_inputs
     switch = BehavioralSwitch(program, config)
     chunk = trace[:2000]
 
+    seconds = []  # one per round; a single round under --benchmark-disable
+
     def replay():
         switch.reset_state()
-        switch.process_trace(chunk)
+        t0 = time.perf_counter()
+        results = switch.process_trace(chunk)
+        seconds.append(time.perf_counter() - t0)
+        return results
 
-    benchmark.pedantic(replay, rounds=3, iterations=1)
-    seconds = benchmark.stats.stats.mean
-    pps = len(chunk) / seconds
-    record(
-        "simulator_throughput",
-        f"Behavioural simulator: {pps:,.0f} packets/s on the Ex. 1 "
-        f"program ({len(program.tables)} tables)",
+    results = benchmark.pedantic(replay, rounds=3, iterations=1)
+    assert len(results) == len(chunk)
+    pps = len(chunk) * len(seconds) / sum(seconds)
+    print(
+        f"\nBehavioural simulator: {pps:,.0f} packets/s on the Ex. 1 "
+        f"program ({len(program.tables)} tables)"
     )
 
 
 @pytest.mark.parametrize("size", [1000, 5000, 10000])
-def test_profiling_runtime_scales_linearly(benchmark, size, record):
+def test_profiling_runtime_scales_linearly(benchmark, size):
     program = fw.build_program()
     config = fw.runtime_config()
     trace = fw.make_trace(size)
@@ -52,9 +58,7 @@ def test_profiling_runtime_scales_linearly(benchmark, size, record):
     assert profile.total_packets == len(trace)
 
 
-def test_profiling_and_analysis_tens_of_seconds(
-    benchmark, firewall_inputs, record
-):
+def test_profiling_and_analysis_tens_of_seconds(benchmark, firewall_inputs):
     program, config, trace, target = firewall_inputs
 
     t0 = time.perf_counter()
@@ -81,7 +85,7 @@ def test_profiling_and_analysis_tens_of_seconds(
         f"  (compilation:         {compile_seconds:6.2f} s)",
         f"  candidates found:     {len(candidates)}",
     ]
-    record("runtime_profile_analysis", "\n".join(lines))
+    print("\n" + "\n".join(lines))  # wall-clock numbers: not recorded
 
     assert profiling_seconds + analysis_seconds < 60.0
     assert candidates

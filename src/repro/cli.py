@@ -65,7 +65,7 @@ Commands:
   instead; ``--break-optimizer`` sabotages the optimized program on
   purpose (mutation self-test — the run *must* fail).
 
-Runtime-config JSON schema::
+Runtime-config JSON schema (``RuntimeConfig.from_json`` / ``to_json``)::
 
     {
       "entries": {
@@ -120,30 +120,7 @@ def load_target(path: Optional[str]) -> TargetModel:
 def load_config(path: Optional[str]) -> RuntimeConfig:
     if path is None:
         return RuntimeConfig()
-    data = json.loads(Path(path).read_text())
-    config = RuntimeConfig()
-    for table, entries in data.get("entries", {}).items():
-        for entry in entries:
-            match = [
-                tuple(m) if isinstance(m, list) else m
-                for m in entry["match"]
-            ]
-            config.add_entry(
-                table,
-                match,
-                entry["action"],
-                entry.get("args", []),
-                entry.get("priority", 0),
-            )
-    for table, default in data.get("defaults", {}).items():
-        config.set_default(table, default["action"], default.get("args", []))
-    for register, index, value in data.get("register_inits", []):
-        config.init_register(register, index, value)
-    for register, algo, key, value in data.get("hashed_inits", []):
-        config.init_register_hashed(
-            register, algo, [tuple(k) for k in key], value
-        )
-    return config
+    return RuntimeConfig.from_json(json.loads(Path(path).read_text()))
 
 
 def load_trace(path: str) -> List[bytes]:
@@ -489,41 +466,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from repro.programs import (
-        cgnat,
-        ddos_mitigation,
-        example_firewall,
-        failure_detection,
-        load_balancer,
-        nat_gre,
-        sourceguard,
-        telemetry,
-    )
+    import inspect
 
-    modules = {
-        "cgnat": cgnat,
-        "ddos_mitigation": ddos_mitigation,
-        "example_firewall": example_firewall,
-        "load_balancer": load_balancer,
-        "nat_gre": nat_gre,
-        "sourceguard": sourceguard,
-        "failure_detection": failure_detection,
-        "telemetry": telemetry,
-    }
-    if args.name not in modules:
+    from repro import programs
+    from repro.core.fleet import family_inputs
+
+    names = [
+        name
+        for name in programs.__all__
+        if inspect.ismodule(getattr(programs, name))
+    ]
+    if args.name not in names:
         print(f"unknown demo {args.name!r}; available: "
-              + ", ".join(sorted(modules)), file=sys.stderr)
+              + ", ".join(names), file=sys.stderr)
         return 2
-    module = modules[args.name]
-    program = module.build_program()
-    config = (
-        module.runtime_config(program)
-        if args.name == "sourceguard"
-        else module.runtime_config()
-    )
-    result = P2GO(
-        program, config, module.make_trace(), module.TARGET
-    ).run()
+    # trace_seed=None: each bundled program's own default trace.
+    result = P2GO(*family_inputs(args.name, trace_seed=None)).run()
     print(stage_table(result))
     print()
     for obs in result.observations.optimizations():

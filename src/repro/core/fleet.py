@@ -22,17 +22,18 @@ Contract, mirroring PR 4's parallel-probing contract:
 * **Exactly-once probing.**  With a shared store, two processes never
   both execute the same fingerprinted probe (one claims, the other waits
   and gets a disk hit), so the fleet-wide execution count equals the
-  number of *distinct* probes the fabric asks — the number the fleet
-  benchmark gates on.  The only exception is a reaped lease (a holder
-  dead past the TTL), where re-execution is the correct degradation.
+  number of *distinct* probes the fabric asks — the number
+  ``BENCH_stack.json`` pins for ``fleet_shared``.  The only exception
+  is a reaped lease (a holder dead past the TTL), where re-execution is
+  the correct degradation.
 
 The per-switch sessions run serial probes (``workers=1``): fleet
 parallelism is at switch granularity, which avoids nested process
 pools and keeps every child process a pure function of its run.
 
-``tests/test_fleet.py`` pins the contract; ``benchmarks/bench_fleet.py``
-measures fleet-vs-independent wall clock and cross-switch reuse and
-gates both in CI via the committed ``BENCH_fleet.json``.
+``tests/test_fleet.py`` pins the contract; the stack benchmark's
+``fleet_shared`` workload measures it and re-checks equivalence with
+standalone runs on every operation.
 """
 
 from __future__ import annotations
@@ -71,13 +72,16 @@ DEFAULT_FAMILIES = ("enterprise", "nat_gre", "sourceguard", "cgnat")
 
 
 def family_inputs(
-    family: str, packets: Optional[int] = None, trace_seed: int = 0
+    family: str,
+    packets: Optional[int] = None,
+    trace_seed: Optional[int] = 0,
 ) -> Tuple[Program, RuntimeConfig, List[TracePacket], TargetModel]:
     """Concrete pipeline inputs for one evaluation-program family:
     ``(program, config, trace, target)``.  ``packets`` overrides the
     family's default trace length; ``trace_seed`` feeds its traffic
-    generator.  Shared by the fleet builder and the design-space
-    explorer so both sweep the same program corpus."""
+    generator (``None``: the family's own default seed, what ``p2go
+    demo`` runs).  Shared by the fleet builder, the design-space
+    explorer and the demo so all three read one program corpus."""
     module = importlib.import_module(f"repro.programs.{family}")
     program = module.build_program()
     # Two families derive their entries from the program; ask the
@@ -86,11 +90,9 @@ def family_inputs(
         config = module.runtime_config(program)
     else:
         config = module.runtime_config()
-    if packets is None:
-        trace = module.make_trace(seed=trace_seed)
-    else:
-        trace = module.make_trace(packets, seed=trace_seed)
-    return program, config, trace, module.TARGET
+    size = () if packets is None else (packets,)
+    seed = {} if trace_seed is None else {"seed": trace_seed}
+    return program, config, module.make_trace(*size, **seed), module.TARGET
 
 
 def build_fabric(

@@ -5,15 +5,15 @@ memory, offload — was a hard-coded ``if/elif`` chain in ``P2GO.run()``
 with one accept/observe/recompile block copied per phase.  Here each
 phase is an :class:`OptimizationPass`: a named object that inspects the
 shared :class:`~repro.core.session.OptimizationContext`, may *propose* a
-single candidate change on it, and reports what it saw as observations.
+single candidate change to it, and reports what it saw as observations.
 The :class:`PassManager` owns the loop that used to be triplicated:
 
 1. run the pass (it proposes at most one change per round);
 2. log its observations, routing ``OPTIMIZATION`` ones through the
    review hook;
-3. commit the proposal when accepted, roll it back when the programmer
-   vetoes it (a real state rollback on the session, §2.2's "selectively
-   accept or reject");
+3. assign the proposed program/config to the session when accepted;
+   when the programmer vetoes it the session is simply never touched
+   (§2.2's "selectively accept or reject");
 4. repeat up to the pass's ``max_rounds``, then record the phase's
    :class:`PhaseOutcome` — stage count, stage map, and the profiling
    perf the phase's own replays cost (memo hits cost nothing and show up
@@ -44,7 +44,9 @@ from repro.core.observations import (
     Phase,
 )
 from repro.core.session import OptimizationContext
+from repro.p4.program import Program
 from repro.sim.perf import PerfCounters
+from repro.sim.runtime import RuntimeConfig
 
 #: Review hook: receives each optimization observation, returns True to
 #: accept.  The default accepts everything (batch mode).
@@ -71,16 +73,21 @@ class PhaseOutcome:
 class PassResult:
     """What one round of a pass did.
 
-    A pass that found an optimization proposes it on the session (via
-    :meth:`OptimizationContext.propose`) *before* returning, and sets
-    ``changed=True`` — the manager then commits or rolls the proposal
-    back depending on the review.  ``info`` carries pass-specific
-    extras (e.g. the offloaded table set).
+    A pass that found an optimization returns the rewritten
+    ``program`` and/or ``config``; it never touches the session's own.
+    The manager assigns them once the review accepted the change.
+    ``info`` carries pass-specific extras (e.g. the offloaded table
+    set).
     """
 
-    changed: bool
     observations: List[Observation] = dc_field(default_factory=list)
     info: Dict[str, Any] = dc_field(default_factory=dict)
+    program: Optional[Program] = None
+    config: Optional[RuntimeConfig] = None
+
+    @property
+    def changed(self) -> bool:
+        return self.program is not None or self.config is not None
 
 
 @runtime_checkable
@@ -104,9 +111,7 @@ class PassManager:
 
     Passes may evaluate independent candidates through the session's
     batch probes (``compile_many`` / ``profile_many`` / ``probe_many``);
-    the manager's own accept/commit/rollback loop stays strictly serial
-    — the session refuses to batch while a proposal is open, so a pass
-    must finish probing before it proposes.
+    the manager's own accept loop stays strictly serial.
     """
 
     def __init__(
@@ -156,14 +161,12 @@ class PassManager:
                         applied = True
                 else:
                     self.log.add(obs)
-            if not step.changed:
-                if self.ctx.in_transaction:  # defensive: nothing proposed
-                    self.ctx.rollback()
+            if not (step.changed and applied):
                 break
-            if not applied:
-                self.ctx.rollback()
-                break
-            self.ctx.commit()
+            if step.program is not None:
+                self.ctx.program = step.program
+            if step.config is not None:
+                self.ctx.config = step.config
             self.info.update(step.info)
         result = self.ctx.compile()
         return PhaseOutcome(

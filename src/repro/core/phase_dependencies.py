@@ -383,9 +383,7 @@ class DependencyRemovalPass:
             programs=[ctx.program], variants=[(None, None)]
         )
         step = run_phase(ctx.program, compiled[0], profiled[0][0])
-        if step.removed is not None:
-            ctx.propose(program=step.program)
         return PassResult(
-            changed=step.removed is not None,
             observations=step.observations,
+            program=step.program if step.removed is not None else None,
         )

@@ -414,9 +414,7 @@ class MemoryReductionPass:
             candidate_order=self.candidate_order,
             session=ctx,
         )
-        if step.accepted is not None:
-            ctx.propose(program=step.program)
         return PassResult(
-            changed=step.accepted is not None,
             observations=step.observations,
+            program=step.program if step.accepted is not None else None,
         )

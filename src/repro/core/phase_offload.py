@@ -631,17 +631,20 @@ class OffloadPass:
             allow_combination=self.allow_combination,
             session=ctx,
         )
-        changed = step.offloaded is not None
-        info: Dict[str, object] = {}
-        if changed:
-            ctx.propose(program=step.program, config=step.config)
-            info["offloaded_tables"] = step.offloaded.candidate.tables
-            # The controller-load cost of this offload: the fraction of
-            # the trace the redirect table(s) send to the controller
-            # (summed over the DP combination's disjoint segments).
-            info["controller_load"] = sum(
-                e.redirect_fraction for e in step.combination
-            )
+        if step.offloaded is None:
+            return PassResult(observations=step.observations)
         return PassResult(
-            changed=changed, observations=step.observations, info=info
+            observations=step.observations,
+            info={
+                "offloaded_tables": step.offloaded.candidate.tables,
+                # The controller-load cost of this offload: the fraction
+                # of the trace the redirect table(s) send to the
+                # controller (summed over the DP combination's disjoint
+                # segments).
+                "controller_load": sum(
+                    e.redirect_fraction for e in step.combination
+                ),
+            },
+            program=step.program,
+            config=step.config,
         )

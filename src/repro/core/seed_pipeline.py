@@ -9,8 +9,8 @@ profiled).  It is kept verbatim for two consumers:
 * ``tests/test_passes.py`` pins that the pass-framework orchestrator
   produces an equivalent :class:`~repro.core.pipeline.P2GOResult` for
   the paper's default phase order and the ablation reorderings;
-* ``benchmarks/bench_pipeline.py`` measures what the memoizing session
-  saves against it.
+* the fuzzer's ``order`` axis (:mod:`repro.fuzz.differential`) holds
+  random programs to the same equivalence.
 
 Every compile/profile goes through a *non-memoizing*
 :class:`~repro.core.session.OptimizationContext`, so the run is
@@ -56,7 +56,7 @@ def run_seed(
     config.validate(program)
     trace = list(trace)
     # Counting executor only: memoize=False replays the seed's every
-    # invocation; propose/commit are never used.
+    # invocation.
     session = OptimizationContext(
         program, config, trace, target, memoize=False
     )

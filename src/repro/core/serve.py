@@ -483,10 +483,6 @@ class ContinuousOptimizer:
         hit_rate_tolerance: float = 0.10,
         store=False,
         workers: int = 0,
-        trigger_kinds: Sequence[AlertKind] = (
-            AlertKind.HIT_RATE_DRIFT,
-            AlertKind.NEW_ACTION_COMBINATION,
-        ),
         log: Optional[Log] = None,
         **p2go_kwargs,
     ):
@@ -501,7 +497,6 @@ class ContinuousOptimizer:
         self.hit_rate_tolerance = hit_rate_tolerance
         self.store = store
         self.workers = workers
-        self.trigger_kinds = frozenset(trigger_kinds)
         self.log = log
         self.p2go_kwargs = dict(p2go_kwargs)
 
@@ -541,8 +536,6 @@ class ContinuousOptimizer:
             self.stats.drift_alerts += 1
         else:
             self.stats.combination_alerts += 1
-        if alert.kind not in self.trigger_kinds:
-            return
         if self._reopt_pending or self._reopt_inflight:
             self.stats.alerts_coalesced += 1
             return

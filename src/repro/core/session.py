@@ -66,12 +66,11 @@ The session also carries:
   Replays outside any window (e.g. during pipeline setup or by a
   co-resident :class:`~repro.core.online.OnlineProfiler`) are
   deliberately *not* attributed anywhere.
-* **Transactional state**: ``propose(program, config)`` stages a
-  candidate optimization, ``commit()`` makes it the session's current
-  state, ``rollback()`` discards it — so a review-hook rejection is a
-  real rollback of proposed state, not a change that was silently never
-  applied.  Transactions are serial-only: opening a proposal and then
-  batch-probing is an error (see below).
+* **Current state**: ``program`` / ``config`` are what the optimization
+  has accepted so far.  Passes never assign them: a pass returns its
+  candidate in a :class:`~repro.core.passes.PassResult` and the pass
+  manager assigns it once the review accepted it, so a vetoed change is
+  never applied.
 
 Parallel candidate probing
 --------------------------
@@ -131,9 +130,9 @@ Equal-fingerprint candidates within a batch are deduplicated in flight
 the serial loop's memo cache would do).  The worker count comes from the
 session's ``workers`` (constructor knob, else the ``P2GO_WORKERS``
 environment variable); ``workers=1`` falls back to the serial path
-bit-for-bit.  Batches refuse to run while a proposal is open, and the
-session supports one batch at a time (it is not itself a thread-safe
-object — the batch API *is* the concurrency mechanism).
+bit-for-bit.  The session supports one batch at a time (it is not
+itself a thread-safe object — the batch API *is* the concurrency
+mechanism).
 """
 
 from __future__ import annotations
@@ -379,7 +378,6 @@ class OptimizationContext:
             kind: {} for kind in KINDS
         }
 
-        self._pending: Optional[Tuple[Program, RuntimeConfig]] = None
         #: Open perf window, or None when no window is active (replays
         #: outside a window are not attributed to any phase).
         self._window_perf: Optional[List[PerfCounters]] = None
@@ -621,8 +619,7 @@ class OptimizationContext:
         the serial path: the same :meth:`compile` /
         :meth:`profile_with_perf` calls, in order.
 
-        Raises :class:`RuntimeError` while a proposal is open
-        (transactions are serial-only) and on re-entrant batches.
+        Raises :class:`RuntimeError` on re-entrant batches.
         """
         programs = list(programs)
         variants = [
@@ -632,11 +629,6 @@ class OptimizationContext:
             )
             for program, config in variants
         ]
-        if self._pending is not None:
-            raise RuntimeError(
-                "batch probing is not allowed while a proposal is open; "
-                "commit or roll back first (transactions are serial-only)"
-            )
         if self._batch_active:
             raise RuntimeError(
                 "re-entrant batch probe; the session runs one batch at a "
@@ -764,45 +756,3 @@ class OptimizationContext:
         merged = merge_perf(self._window_perf or [])
         self._window_perf = None
         return merged
-
-    # ------------------------------------------------------------------
-    # Transactional state
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._pending is not None
-
-    def propose(
-        self,
-        program: Optional[Program] = None,
-        config: Optional[RuntimeConfig] = None,
-    ) -> None:
-        """Stage a candidate optimization (program and/or config).
-
-        The session's current state is untouched until :meth:`commit`;
-        :meth:`rollback` discards the proposal.  Only one proposal may be
-        open at a time, and batch probes refuse to run while one is.
-        """
-        if self._pending is not None:
-            raise RuntimeError(
-                "a proposal is already pending; commit or roll back first"
-            )
-        self._pending = (
-            program if program is not None else self.program,
-            config if config is not None else self.config,
-        )
-
-    def commit(self) -> Tuple[Program, RuntimeConfig]:
-        """Make the pending proposal the session's current state."""
-        if self._pending is None:
-            raise RuntimeError("no pending proposal to commit")
-        self.program, self.config = self._pending
-        self._pending = None
-        return self.program, self.config
-
-    def rollback(self) -> Tuple[Program, RuntimeConfig]:
-        """Discard the pending proposal; current state is unchanged."""
-        if self._pending is None:
-            raise RuntimeError("no pending proposal to roll back")
-        self._pending = None
-        return self.program, self.config

@@ -15,8 +15,8 @@ profiles, ``(structure_key,)`` for analyses), values are pickled
 program *structure*, shared by every stored compile of that structure
 (a compile entry holds program + allocation + TDG, no control graph).
 A second run over an unchanged program + trace is served entirely from
-disk: zero compiles, zero replays (``benchmarks/bench_store.py`` gates
-that in CI).
+disk: zero compiles, zero replays (the stack benchmark's ``opt_warm``
+workload fails an operation that executes either).
 
 Durability and safety contract (DESIGN.md §10):
 

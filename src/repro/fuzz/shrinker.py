@@ -261,65 +261,6 @@ def shrink_case(
 # Repro files
 
 
-def _config_to_json(config: RuntimeConfig) -> dict:
-    """The CLI's runtime-config JSON schema (cli.load_config reads it)."""
-    return {
-        "entries": {
-            table: [
-                {
-                    "match": [
-                        list(m) if isinstance(m, tuple) else m
-                        for m in entry.match
-                    ],
-                    "action": entry.action,
-                    "args": list(entry.action_args),
-                    "priority": entry.priority,
-                }
-                for entry in entries
-            ]
-            for table, entries in config.entries.items()
-        },
-        "defaults": {
-            table: {"action": action, "args": list(args)}
-            for table, (action, args) in config.default_overrides.items()
-        },
-        "register_inits": [
-            [reg, index, value]
-            for reg, index, value in config.register_inits
-        ],
-        "hashed_inits": [
-            [reg, algo, [list(k) for k in key], value]
-            for reg, algo, key, value in config.hashed_inits
-        ],
-    }
-
-
-def _config_from_json(data: dict) -> RuntimeConfig:
-    config = RuntimeConfig()
-    for table, entries in data.get("entries", {}).items():
-        for entry in entries:
-            match = [
-                tuple(m) if isinstance(m, list) else m
-                for m in entry["match"]
-            ]
-            config.add_entry(
-                table,
-                match,
-                entry["action"],
-                entry.get("args", []),
-                entry.get("priority", 0),
-            )
-    for table, default in data.get("defaults", {}).items():
-        config.set_default(table, default["action"], default.get("args", []))
-    for reg, index, value in data.get("register_inits", []):
-        config.init_register(reg, index, value)
-    for reg, algo, key, value in data.get("hashed_inits", []):
-        config.init_register_hashed(
-            reg, algo, [tuple(k) for k in key], value
-        )
-    return config
-
-
 def write_repro(
     path: Path,
     case: GeneratedCase,
@@ -336,7 +277,7 @@ def write_repro(
         "axes": list(axes),
         "failure": {"axis": failure.axis, "detail": failure.detail},
         "program": print_program(case.program),
-        "config": _config_to_json(case.config),
+        "config": case.config.to_json(),
         "trace": packets,
         "target": dataclasses.asdict(case.target),
     }
@@ -360,7 +301,7 @@ def load_repro(path: Path) -> Tuple[GeneratedCase, List[str]]:
     case = GeneratedCase(
         seed=payload["seed"],
         program=program,
-        config=_config_from_json(payload["config"]),
+        config=RuntimeConfig.from_json(payload["config"]),
         trace=trace,
         target=TargetModel(**payload["target"]),
     )

@@ -233,6 +233,68 @@ class RuntimeConfig:
                 f"{len(action.parameters)} args, got {len(args)}"
             )
 
+    # ------------------------------------------------------------------
+    def to_json(self) -> dict:
+        """The JSON form ``p2go --config`` reads and fuzz repro files
+        carry (schema: :mod:`repro.cli` docstring).  Match-spec and
+        hash-key tuples travel as lists; the engine switch does not
+        travel."""
+        return {
+            "entries": {
+                table: [
+                    {
+                        "match": [
+                            list(m) if isinstance(m, tuple) else m
+                            for m in entry.match
+                        ],
+                        "action": entry.action,
+                        "args": list(entry.action_args),
+                        "priority": entry.priority,
+                    }
+                    for entry in entries
+                ]
+                for table, entries in self.entries.items()
+            },
+            "defaults": {
+                table: {"action": action, "args": list(args)}
+                for table, (action, args) in self.default_overrides.items()
+            },
+            "register_inits": [list(init) for init in self.register_inits],
+            "hashed_inits": [
+                [reg, algo, [list(k) for k in key], value]
+                for reg, algo, key, value in self.hashed_inits
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "RuntimeConfig":
+        """Inverse of :meth:`to_json`; every key is optional."""
+        config = cls()
+        for table, entries in data.get("entries", {}).items():
+            for entry in entries:
+                match = [
+                    tuple(m) if isinstance(m, list) else m
+                    for m in entry["match"]
+                ]
+                config.add_entry(
+                    table,
+                    match,
+                    entry["action"],
+                    entry.get("args", []),
+                    entry.get("priority", 0),
+                )
+        for table, default in data.get("defaults", {}).items():
+            config.set_default(
+                table, default["action"], default.get("args", [])
+            )
+        for register, index, value in data.get("register_inits", []):
+            config.init_register(register, index, value)
+        for register, algo, key, value in data.get("hashed_inits", []):
+            config.init_register_hashed(
+                register, algo, [tuple(k) for k in key], value
+            )
+        return config
+
     def clone(self) -> "RuntimeConfig":
         return RuntimeConfig(
             entries={t: list(es) for t, es in self.entries.items()},

@@ -471,6 +471,15 @@ class TestSweep:
                 json.dumps(result.as_dict(), sort_keys=True)
             )
         assert serialized[0] == serialized[1]
+        # A storeless serial sweep decides the same: per-point metrics,
+        # frontier and breakpoints; only who paid for a probe differs.
+        storeless = Explorer(
+            space, packets=PACKETS, workers=1, sample=6, seed=3,
+            store=False,
+        ).run().as_dict()
+        shared = result.as_dict()
+        storeless.pop("aggregate"), shared.pop("aggregate")
+        assert storeless == shared
 
     def test_infeasible_shapes_are_recorded_not_raised(
         self, tmp_path, monkeypatch

@@ -12,7 +12,8 @@ import re
 
 import pytest
 
-from repro.core.passes import PassManager, PhaseOutcome
+from repro.core.observations import Observation, ObservationKind, Phase
+from repro.core.passes import PassManager, PassResult, PhaseOutcome
 from repro.core.phase_dependencies import DependencyRemovalPass
 from repro.core.phase_memory import MemoryReductionPass
 from repro.core.phase_offload import OffloadPass
@@ -120,13 +121,31 @@ class TestPassManager:
         ctx = OptimizationContext(program, config, trace, target)
         manager = PassManager(ctx, review_hook=lambda obs: False)
         outcome = manager.run_pass(DependencyRemovalPass(max_rounds=8))
-        # The veto rolled the proposal back: session state unchanged.
+        # The vetoed change was never applied: session state unchanged.
         assert ctx.program is program
-        assert not ctx.in_transaction
+        assert ctx.config is config
         assert outcome.stages == ctx.compile().stages_used
         assert any(
             "programmer rejected" in o.title for o in manager.log.items
         )
+
+    def test_config_only_change_keeps_program(self, inputs):
+        program, config, trace, target = inputs
+        restricted = config.restricted_to(["IPv4"])
+
+        class ConfigOnly:
+            name, phase, max_rounds = "stub", Phase.OFFLOAD_CODE, 1
+
+            def run(self, ctx):
+                obs = Observation(
+                    self.phase, ObservationKind.OPTIMIZATION, "prune rules", ""
+                )
+                return PassResult(observations=[obs], config=restricted)
+
+        ctx = OptimizationContext(program, config, trace, target)
+        PassManager(ctx).run_pass(ConfigOnly())
+        assert ctx.program is program
+        assert ctx.config is restricted
 
     def test_pass_sequence_shares_one_cache(self, inputs):
         program, config, trace, target = inputs

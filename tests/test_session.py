@@ -251,43 +251,6 @@ class TestProgramKeyCacheBound:
         assert ctx.program_key(program) == first
 
 
-class TestTransactions:
-    def test_commit_applies_proposal(self, ctx):
-        resized = ctx.program.with_table_size("fib", 32)
-        ctx.propose(program=resized)
-        assert ctx.in_transaction
-        ctx.commit()
-        assert ctx.program is resized
-        assert not ctx.in_transaction
-
-    def test_rollback_restores_state(self, ctx):
-        original = ctx.program
-        ctx.propose(program=ctx.program.with_table_size("fib", 32))
-        ctx.rollback()
-        assert ctx.program is original
-        assert not ctx.in_transaction
-
-    def test_nested_propose_rejected(self, ctx):
-        ctx.propose(program=ctx.program)
-        with pytest.raises(RuntimeError):
-            ctx.propose(program=ctx.program)
-        ctx.rollback()
-
-    def test_commit_without_proposal_rejected(self, ctx):
-        with pytest.raises(RuntimeError):
-            ctx.commit()
-        with pytest.raises(RuntimeError):
-            ctx.rollback()
-
-    def test_propose_config_only_keeps_program(self, ctx):
-        original = ctx.program
-        restricted = ctx.config.restricted_to(["fib"])
-        ctx.propose(config=restricted)
-        ctx.commit()
-        assert ctx.program is original
-        assert ctx.config is restricted
-
-
 class TestPerfWindows:
     def test_window_collects_actual_replays_only(self, ctx):
         ctx.start_perf_window()
