@@ -11,8 +11,7 @@ Run:
 """
 
 from repro import P2GO
-from repro.controller import OffloadController, compare_with_offload
-from repro.core.phase_offload import enumerate_candidates
+from repro.controller import OffloadController, check_result
 from repro.core.report import stage_table
 from repro.programs import failure_detection as fd
 
@@ -32,19 +31,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print()
     print("Running the offloaded segment on the software controller...")
-    candidate = next(
-        c
-        for c in enumerate_candidates(program)
-        if set(c.tables) == set(result.offloaded_tables)
-    )
-    report = compare_with_offload(
-        program,
-        config,
-        result.optimized_program,
-        result.final_config,
-        candidate,
-        trace,
-    )
+    report = check_result(result, config, trace)
     print(f"  packets replayed:        {report.total}")
     print(f"  redirected to controller: {report.redirected} "
           f"({report.redirected / report.total:.2%})")
@@ -55,7 +42,7 @@ def main() -> None:
     print()
     print("Controller-side statistics for the redirected traffic:")
     controller = OffloadController(
-        program, candidate, config,
+        program, result.offloaded[0].segment, config,
         notification_reason=fd.ALARM_REASON,
     )
     redirected = 0

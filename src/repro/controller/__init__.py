@@ -2,6 +2,7 @@
 
 from repro.controller.equivalence import (
     EquivalenceReport,
+    check_result,
     compare_behavior,
     compare_with_offload,
 )
@@ -15,6 +16,7 @@ __all__ = [
     "ControllerStats",
     "EquivalenceReport",
     "OffloadController",
+    "check_result",
     "compare_behavior",
     "compare_with_offload",
     "segment_program",

@@ -3,24 +3,25 @@ plus controller.
 
 The paper's phases 2 and 3 must preserve behaviour exactly on the trace;
 phase 4 changes *where* packets are processed, not *how*: a redirected
-packet must receive the same verdict from the controller that the original
-data plane would have given it.  These checkers turn that contract into a
-testable predicate.
+packet must receive the same verdict from the optimized switch and the
+controller together that the original data plane would have given it.
+:func:`check_result` is that contract as one predicate over a run's
+result; the two ``compare_*`` functions are its halves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.controller.offload_runtime import OffloadController
 from repro.core.phase_offload import SegmentCandidate
+from repro.core.pipeline import P2GOResult
+from repro.exceptions import ControllerError
 from repro.p4.program import Program
 from repro.sim.runtime import RuntimeConfig
 from repro.sim.switch import BehavioralSwitch
 from repro.traffic.generators import TracePacket
-
-Decision = Tuple[int, bool, bool]  # (egress_port, dropped, to_controller)
 
 
 @dataclass
@@ -66,9 +67,11 @@ def compare_with_offload(
     """Phase-4 contract: the optimized switch + controller combination
     gives every packet the verdict the original switch gave it.
 
-    For each packet: if the optimized switch redirects it, the
-    controller's verdict (drop / notify) must match the original data
-    plane's; otherwise the optimized switch's own decision must match.
+    For each packet the optimized switch redirects, the pair's verdict
+    must match the original's: dropped when *either* side drops it —
+    tables outside the segment still run on the switch, and a drop there
+    is part of the pair's verdict — and notified when the controller
+    notifies.  Otherwise the switch's own decision must match.
     """
     switch_orig = BehavioralSwitch(original, original_config)
     switch_opt = BehavioralSwitch(optimized, optimized_config)
@@ -85,14 +88,40 @@ def compare_with_offload(
         if r_opt.to_controller:
             report.redirected += 1
             r_ctl = controller.handle_packet(data, port)
-            # The original's verdict on this packet must be reproduced by
-            # the controller: same drop decision, same notification.
-            if r_ctl.dropped != r_orig.dropped:
-                report.mismatches.append(r_orig.index)
-                continue
-            if r_ctl.to_controller != r_orig.to_controller:
+            if (
+                (r_opt.dropped or r_ctl.dropped) != r_orig.dropped
+                or r_ctl.to_controller != r_orig.to_controller
+            ):
                 report.mismatches.append(r_orig.index)
         else:
             if r_opt.forwarding_decision() != r_orig.forwarding_decision():
                 report.mismatches.append(r_orig.index)
     return report
+
+
+def check_result(
+    result: P2GOResult,
+    config: RuntimeConfig,
+    trace: Sequence[TracePacket],
+) -> EquivalenceReport:
+    """The one oracle for a run: does ``result`` behave, over ``trace``,
+    like its original program under the original ``config``?
+
+    Strict :func:`compare_behavior` when phase 4 offloaded nothing;
+    otherwise :func:`compare_with_offload`, the controller running the
+    recorded segment against ``result.original_program``.
+    """
+    sides = (
+        result.original_program,
+        config,
+        result.optimized_program,
+        result.final_config,
+    )
+    if not result.offloaded:
+        return compare_behavior(*sides, trace)
+    if len(result.offloaded) > 1:
+        raise ControllerError(
+            f"check_result judges one offloaded segment; this result "
+            f"records {len(result.offloaded)}"
+        )
+    return compare_with_offload(*sides, result.offloaded[0].segment, trace)

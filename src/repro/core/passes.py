@@ -27,13 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from typing import (
-    Any,
+    TYPE_CHECKING,
     Callable,
-    Dict,
     List,
     Optional,
     Protocol,
     Sequence,
+    Tuple,
     runtime_checkable,
 )
 
@@ -47,6 +47,9 @@ from repro.core.session import OptimizationContext
 from repro.p4.program import Program
 from repro.sim.perf import PerfCounters
 from repro.sim.runtime import RuntimeConfig
+
+if TYPE_CHECKING:
+    from repro.core.phase_offload import Offload
 
 #: Review hook: receives each optimization observation, returns True to
 #: accept.  The default accepts everything (batch mode).
@@ -75,13 +78,13 @@ class PassResult:
 
     A pass that found an optimization returns the rewritten
     ``program`` and/or ``config``; it never touches the session's own.
-    The manager assigns them once the review accepted the change.
-    ``info`` carries pass-specific extras (e.g. the offloaded table
-    set).
+    The manager assigns them once the review accepted the change, and
+    keeps ``offloaded`` — phase 4's record of the segments the rewrite
+    moves to the controller — with them.
     """
 
     observations: List[Observation] = dc_field(default_factory=list)
-    info: Dict[str, Any] = dc_field(default_factory=dict)
+    offloaded: Tuple["Offload", ...] = ()
     program: Optional[Program] = None
     config: Optional[RuntimeConfig] = None
 
@@ -123,8 +126,8 @@ class PassManager:
         self.ctx = ctx
         self.review_hook = review_hook
         self.log = log if log is not None else ObservationLog()
-        #: Merged ``info`` of every pass round (later rounds win ties).
-        self.info: Dict[str, Any] = {}
+        #: The offload records of every accepted round, in order.
+        self.offloaded: List["Offload"] = []
 
     # ------------------------------------------------------------------
     def _accepted(self, obs: Observation) -> bool:
@@ -167,7 +170,7 @@ class PassManager:
                 self.ctx.program = step.program
             if step.config is not None:
                 self.ctx.config = step.config
-            self.info.update(step.info)
+            self.offloaded.extend(step.offloaded)
         result = self.ctx.compile()
         return PhaseOutcome(
             phase=pass_.phase,

@@ -11,7 +11,7 @@ a controller-load budget so the data plane never drowns the controller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.observations import Observation, ObservationKind, Phase
@@ -35,7 +35,6 @@ from repro.p4.expressions import FieldRef, fields_read
 from repro.p4.program import Program
 from repro.p4.tables import Table
 from repro.sim.runtime import RuntimeConfig
-from repro.target.compiler import compile_program
 from repro.target.model import TargetModel
 from repro.traffic.generators import TracePacket
 
@@ -61,6 +60,18 @@ class SegmentCandidate:
     @property
     def key(self) -> FrozenSet[str]:
         return frozenset(self.tables)
+
+
+@dataclass(frozen=True)
+class Offload:
+    """One segment phase 4 moved to the controller, as a run's result
+    keeps it (``P2GOResult.offloaded``): without the variant
+    :class:`Program` of an :class:`EvaluatedCandidate`, so it pickles small.
+    """
+
+    segment: SegmentCandidate
+    redirect_table: str
+    redirect_fraction: float
 
 
 @dataclass
@@ -445,18 +456,24 @@ class OffloadResult:
     #: All offloaded segments (len > 1 only in combination mode).
     combination: Tuple[EvaluatedCandidate, ...] = ()
 
+    @property
+    def record(self) -> Tuple[Offload, ...]:
+        """The offloaded segments as a run's result keeps them."""
+        return tuple(
+            Offload(e.candidate, e.redirect_table, e.redirect_fraction)
+            for e in self.combination
+        )
+
 
 def _try_combination(
     program: Program,
     config: RuntimeConfig,
-    trace: Sequence[TracePacket],
-    target: TargetModel,
     evaluated: Sequence[EvaluatedCandidate],
     min_stage_savings: int,
     max_redirect_fraction: float,
     baseline_stages: int,
     observations: List[Observation],
-    session: Optional[OptimizationContext] = None,
+    session: OptimizationContext,
 ) -> Optional[OffloadResult]:
     """§3.4's DP: combine disjoint segments when no single one suffices."""
     combo = select_combination(
@@ -468,10 +485,7 @@ def _try_combination(
         return None
     segments = [e.candidate for e in combo]
     combined = make_combined_offloaded_program(program, segments)
-    if session is not None:
-        stages = session.compile(combined).stages_used
-    else:
-        stages = compile_program(combined, target).stages_used
+    stages = session.compile(combined).stages_used
     if baseline_stages - stages < min_stage_savings:
         return None  # additive estimate was optimistic; reject
     offloaded_tables = [t for c in segments for t in c.tables]
@@ -479,6 +493,11 @@ def _try_combination(
         t for t in combined.tables if t not in offloaded_tables
     ]
     new_config = config.restricted_to(remaining)
+    # Each segment got its own redirect table, added in segment order.
+    redirects = [t for t in combined.tables if t not in program.tables]
+    combo = [
+        replace(e, redirect_table=name) for e, name in zip(combo, redirects)
+    ]
     total_load = sum(e.redirect_fraction for e in combo)
     observations.append(
         Observation(
@@ -542,10 +561,9 @@ def run_phase(
     if chosen is None:
         if allow_combination:
             combined = _try_combination(
-                program, config, trace, target, evaluated,
+                program, config, evaluated,
                 min_stage_savings, max_redirect_fraction,
-                baseline_stages, observations,
-                session=session,
+                baseline_stages, observations, session,
             )
             if combined is not None:
                 return combined
@@ -635,16 +653,7 @@ class OffloadPass:
             return PassResult(observations=step.observations)
         return PassResult(
             observations=step.observations,
-            info={
-                "offloaded_tables": step.offloaded.candidate.tables,
-                # The controller-load cost of this offload: the fraction
-                # of the trace the redirect table(s) send to the
-                # controller (summed over the DP combination's disjoint
-                # segments).
-                "controller_load": sum(
-                    e.redirect_fraction for e in step.combination
-                ),
-            },
+            offloaded=step.record,
             program=step.program,
             config=step.config,
         )

@@ -49,7 +49,7 @@ from repro.core.phase_memory import (
     MemoryReductionPass,
     resolve_candidate_policy,
 )
-from repro.core.phase_offload import DEFAULT_MAX_REDIRECT, OffloadPass
+from repro.core.phase_offload import DEFAULT_MAX_REDIRECT, Offload, OffloadPass
 from repro.core.profiler import Profile
 from repro.core.fanout import resolve_workers
 from repro.core.session import OptimizationContext, SessionCounters
@@ -80,13 +80,9 @@ class P2GOResult:
     observations: ObservationLog
     initial_profile: Profile
     outcomes: List[PhaseOutcome]
-    offloaded_tables: Tuple[str, ...] = ()
-    #: Fraction of the trace the optimized program redirects to the
-    #: controller (summed over every offloaded segment's redirect
-    #: table; 0.0 when phase 4 offloaded nothing).  One of the
-    #: design-space explorer's Pareto objectives
-    #: (:mod:`repro.explore.frontier`).
-    controller_load: float = 0.0
+    #: What phase 4 moved to the controller, one record per segment —
+    #: :func:`repro.controller.equivalence.check_result` judges the run by it.
+    offloaded: Tuple[Offload, ...] = ()
     #: Perf counters of the initial profiling replay (packets/s,
     #: per-table lookups) — the engine cost every later phase
     #: re-pays on each re-profile (per-phase re-pay shows up on each
@@ -104,6 +100,17 @@ class P2GOResult:
     #: Metadata only: the optimization outcome is identical with or
     #: without a store (``tests/test_store.py`` pins that).
     store_stats: Optional[dict] = None
+
+    @property
+    def offloaded_tables(self) -> Tuple[str, ...]:
+        """The tables the controller must now implement."""
+        return tuple(t for o in self.offloaded for t in o.segment.tables)
+
+    @property
+    def controller_load(self) -> float:
+        """Fraction of the trace the redirect tables send to the controller
+        (a Pareto objective of :mod:`repro.explore.frontier`)."""
+        return float(sum(o.redirect_fraction for o in self.offloaded))
 
     @property
     def stages_before(self) -> int:
@@ -333,12 +340,7 @@ class SwitchRun:
             observations=log,
             initial_profile=initial_profile,
             outcomes=outcomes,
-            offloaded_tables=tuple(
-                manager.info.get("offloaded_tables", ())
-            ),
-            controller_load=float(
-                manager.info.get("controller_load", 0.0)
-            ),
+            offloaded=tuple(manager.offloaded),
             profiling_perf=profiling_perf,
             session_counters=ctx.counters,
             workers=ctx.workers,

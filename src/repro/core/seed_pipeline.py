@@ -117,7 +117,7 @@ def run_seed(
         )
     )
 
-    offloaded_tables: Tuple[str, ...] = ()
+    offloaded: Tuple[phase_offload.Offload, ...] = ()
     for phase_number in phases:
         if phase_number == 2:
             for _round in range(max_dependency_removals):
@@ -191,7 +191,7 @@ def run_seed(
             if step.offloaded is not None and applied:
                 current = step.program
                 config = step.config
-                offloaded_tables = step.offloaded.candidate.tables
+                offloaded = step.record
                 result = session.compile(current)
                 profile = session.profile(current, config)
             else:
@@ -216,7 +216,7 @@ def run_seed(
         observations=log,
         initial_profile=initial_profile,
         outcomes=outcomes,
-        offloaded_tables=offloaded_tables,
+        offloaded=offloaded,
         profiling_perf=profiling_perf,
         session_counters=session.counters,
     )

@@ -5,13 +5,12 @@ that *must not* change observable behaviour, and reports the first
 disagreement:
 
 ``behavior``
-    Original program vs the phases-(2, 3) optimized program, compared
-    packet-for-packet with
-    :func:`repro.controller.equivalence.compare_behavior` (the paper's
-    behaviour-preservation contract).  When the full (2, 3, 4) run
-    offloads nothing, its output is held to the same strict standard;
-    when it offloads, switch + controller are held to the original with
-    :func:`repro.controller.equivalence.compare_with_offload`.
+    The phases-(2, 3) run, then the full (2, 3, 4) run, each judged
+    against the original program by
+    :func:`repro.controller.equivalence.check_result` (the paper's
+    behaviour-preservation contract): packet-for-packet when nothing
+    was offloaded, switch + controller held to the original when phase
+    4 moved a segment out.
 ``engine``
     The engine (compiled match structures + execution plan) vs the
     reference interpreter, on both the original and the optimized
@@ -35,14 +34,10 @@ from __future__ import annotations
 import re
 import traceback
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.controller.equivalence import (
-    compare_behavior,
-    compare_with_offload,
-)
-from repro.core.phase_offload import enumerate_candidates
+from repro.controller.equivalence import check_result, compare_behavior
 from repro.core.pipeline import P2GO, P2GOResult
 from repro.core.seed_pipeline import run_seed
 from repro.core.session import config_fingerprint, program_fingerprint
@@ -140,60 +135,22 @@ def _check_behavior(
     mutator: Optional[Mutator],
     exercised: Counter[str],
 ) -> Optional[AxisFailure]:
-    result = _run_pipeline(case, phases=(2, 3))
-    optimized = result.optimized_program
-    if mutator is not None:
-        optimized = mutator(optimized)
-    report = compare_behavior(
-        case.program,
-        case.config.clone(),
-        optimized,
-        result.final_config.clone(),
-        case.trace,
-    )
-    if not report.equivalent:
-        return AxisFailure(
-            "behavior",
-            f"phases (2,3) output disagrees on "
-            f"{len(report.mismatches)}/{report.total} packets "
-            f"(first at index {report.mismatches[0]})",
-        )
-    if mutator is not None:
-        return None
-    full = _run_pipeline(case)
-    ours = (
-        case.program,
-        case.config.clone(),
-        full.optimized_program,
-        full.final_config.clone(),
-    )
-    if not full.offloaded_tables:
-        report = compare_behavior(*ours, case.trace)
-        label = "(no offload)"
-    else:
-        # The offloaded segment as the original program spells it: the
-        # controller runs the original's tables, not the rewritten ones.
-        offloaded = set(full.offloaded_tables)
-        segment = next(
-            (
-                candidate
-                for candidate in enumerate_candidates(case.program)
-                if set(candidate.tables) == offloaded
-            ),
-            None,
-        )
-        if segment is None:
-            exercised["offload_unchecked"] += 1
-            return None
-        exercised["offload_checked"] += 1
-        report = compare_with_offload(*ours, segment, case.trace)
-        label = f"(offloading {sorted(offloaded)})"
-    if not report.equivalent:
-        return AxisFailure(
-            "behavior",
-            f"phases (2,3,4) output {label} disagrees on "
-            f"{len(report.mismatches)}/{report.total} packets",
-        )
+    for phases in ((2, 3), (2, 3, 4)):
+        result = _run_pipeline(case, phases=phases)
+        if mutator is not None:
+            result = replace(
+                result, optimized_program=mutator(result.optimized_program)
+            )
+        exercised["offload_checked"] += bool(result.offloaded)
+        report = check_result(result, case.config.clone(), case.trace)
+        if not report.equivalent:
+            return AxisFailure(
+                "behavior",
+                f"phases {phases} output (offloading "
+                f"{', '.join(result.offloaded_tables) or 'nothing'}) "
+                f"disagrees on {len(report.mismatches)}/{report.total} "
+                f"packets (first at index {report.mismatches[0]})",
+            )
     return None
 
 
@@ -293,10 +250,9 @@ def run_axes(
     """Run the requested oracle axes on one case.
 
     Returns the failures found (empty list = full agreement).  Unknown
-    axis names raise ``ValueError`` up front.  ``exercised`` tallies
-    the offloading cases the behavior axis met: ``offload_checked``
-    (held to the original with the controller in the loop) and
-    ``offload_unchecked`` (segment not found in the original program).
+    axis names raise ``ValueError`` up front.  ``exercised`` tallies,
+    as ``offload_checked``, the offloading cases the behavior axis held
+    to the original with the controller in the loop.
     """
     complaint = unknown_axes(axes)
     if complaint:

@@ -92,8 +92,8 @@ class CampaignResult:
     axes: List[str]
     failures: List[FailureRecord] = dc_field(default_factory=list)
     elapsed_seconds: float = 0.0
-    #: ``offload_checked`` / ``offload_unchecked``: offloading cases the
-    #: behavior axis met; 0 checked means no offload was ever compared.
+    #: ``offload_checked``: offloading cases the behavior axis met; 0
+    #: means no offload was ever compared.
     exercised: Counter[str] = dc_field(default_factory=Counter)
 
     @property

@@ -4,6 +4,7 @@
 benchmark runs here; the gate is fed literal JSON lines.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -21,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "BENCH_stack.json"
 
 sys.path.insert(0, str(ROOT / "benchmarks" / "stack"))
-from metrics import EXACT_COUNTS  # noqa: E402
+from metrics import EXACT_COUNTS, TARGETS  # noqa: E402
 
 sys.path.pop(0)
 
@@ -76,6 +77,19 @@ def test_check_counts_fails_on_a_missing_count():
     done = check_counts(counts)
     assert done.returncode != 0
     assert "explore_grid.stages_saved" in done.stdout
+
+
+@pytest.mark.parametrize(
+    "module, path", sorted({(module, path) for _span, module, path in TARGETS})
+)
+def test_every_wrap_target_resolves(module, path):
+    """The traced run patches ``vars(owner)[attribute]``: a rename under
+    ``src/`` must fail here, not only in the benchmark."""
+    *owners, attribute = path.split(".")
+    owner = importlib.import_module(module)
+    for name in owners:
+        owner = getattr(owner, name)
+    assert attribute in vars(owner)
 
 
 def test_retired_quick_benches_stay_retired():

@@ -1,9 +1,13 @@
 """Tests for the software controller and end-to-end offload equivalence."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.controller import (
     OffloadController,
+    check_result,
     compare_behavior,
     compare_with_offload,
     segment_program,
@@ -12,7 +16,35 @@ from repro.core.phase_offload import (
     enumerate_candidates,
     make_offloaded_program,
 )
+from repro.core.pipeline import P2GO
+from repro.p4 import (
+    AddToField,
+    Apply,
+    BinOp,
+    Const,
+    Drop,
+    FieldRef,
+    HashFields,
+    If,
+    ParamRef,
+    ProgramBuilder,
+    RegisterRead,
+    RegisterSize,
+    RegisterWrite,
+    Seq,
+    SetEgressPort,
+    ValidExpr,
+)
+from repro.packets.craft import dns_query
+from repro.packets.headers import ip_to_int
 from repro.programs import example_firewall, failure_detection
+from repro.programs.common import (
+    EXAMPLE_TARGET,
+    add_ethernet_ipv4_parser,
+    register_standard_headers,
+)
+from repro.sim import BehavioralSwitch, RuntimeConfig
+from repro.traffic.generators import tcp_background
 
 
 def dns_candidate(program):
@@ -59,8 +91,6 @@ class TestOffloadControllerFirewall:
         assert report.redirected > 0
 
     def test_controller_stats(self, firewall_program, firewall_config):
-        from repro.packets.craft import dns_query
-
         candidate = dns_candidate(firewall_program)
         controller = OffloadController(
             firewall_program, candidate, firewall_config
@@ -74,8 +104,6 @@ class TestOffloadControllerFirewall:
         assert controller.stats.packets_dropped == 200 - 127
 
     def test_controller_reset(self, firewall_program, firewall_config):
-        from repro.packets.craft import dns_query
-
         candidate = dns_candidate(firewall_program)
         controller = OffloadController(
             firewall_program, candidate, firewall_config
@@ -142,3 +170,163 @@ class TestCompareBehavior:
             firewall_trace[:500],
         )
         assert not report.equivalent
+
+
+# ----------------------------------------------------------------------
+# check_result on a hand-built case: a drop upstream of the segment.
+
+BLOCKED_SRC, HEAVY_SRC, LIGHT_SRC = "10.9.0.9", "10.1.0.1", "10.2.0.2"
+DNS_LIMIT = 4
+
+
+def guarded_limiter_program():
+    """Four tables: a FIB, a source blocklist that drops, and — behind
+    them, on DNS only — a stateful per-source query counter whose limit
+    table drops from the ``DNS_LIMIT``-th query on."""
+    b = ProgramBuilder("guarded_limiter")
+    register_standard_headers(b, ["ethernet", "ipv4", "udp", "tcp", "dns"])
+    add_ethernet_ipv4_parser(b, l4=("udp", "tcp"), udp_apps=("dns",))
+    b.metadata("lim", [("idx", 32), ("count", 32)])
+    b.register("dns_seen", width=32, size=960)
+    idx, count = FieldRef("lim", "idx"), FieldRef("lim", "count")
+    b.action("fwd", [SetEgressPort(ParamRef("port"))], parameters=["port"])
+    b.action("block", [Drop()])
+    b.action("over_limit", [Drop()])
+    b.action(
+        "count_query",
+        [
+            HashFields(
+                idx, "crc32_a", (FieldRef("ipv4", "srcAddr"),),
+                RegisterSize("dns_seen"),
+            ),
+            RegisterRead(count, "dns_seen", idx),
+            AddToField(count, Const(1)),
+            RegisterWrite("dns_seen", idx, count),
+        ],
+    )
+    b.table("fib", keys=[("ipv4.dstAddr", "lpm")], actions=["fwd"], size=64)
+    b.table(
+        "blocklist", keys=[("ipv4.srcAddr", "exact")], actions=["block"],
+        size=64,
+    )
+    b.table("dns_count", keys=[], actions=[], default_action="count_query")
+    b.table("dns_limit", keys=[], actions=[], default_action="over_limit")
+    b.ingress(
+        Seq(
+            [
+                If(ValidExpr("ipv4"), Seq([Apply("fib"), Apply("blocklist")])),
+                If(
+                    ValidExpr("dns"),
+                    Seq(
+                        [
+                            Apply("dns_count"),
+                            If(
+                                BinOp(">=", count, Const(DNS_LIMIT)),
+                                Apply("dns_limit"),
+                            ),
+                        ]
+                    ),
+                ),
+            ]
+        )
+    )
+    return b.build()
+
+
+class TestCheckResultWithAnUpstreamDrop:
+    """ROADMAP item 1 (c), by hand: the enterprise mismatch reduced to
+    a drop upstream of a self-contained stateful segment, with traffic
+    that crosses both."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        program = guarded_limiter_program()
+        config = RuntimeConfig()
+        config.add_entry("fib", [(0, 0)], "fwd", [1])
+        config.add_entry("blocklist", [ip_to_int(BLOCKED_SRC)], "block")
+        dns = (
+            [dns_query(BLOCKED_SRC, "192.168.0.53", i) for i in range(3)]
+            + [dns_query(HEAVY_SRC, "192.168.0.53", i) for i in range(9)]
+            + [dns_query(LIGHT_SRC, "192.168.0.53", i) for i in range(2)]
+        )
+        rng = random.Random(5)
+        trace = dns + tcp_background(200 - len(dns), rng)
+        rng.shuffle(trace)
+        result = P2GO(
+            program, config, trace, EXAMPLE_TARGET, phases=(4,), store=False
+        ).run()
+        blocked_dns = {i for i, p in enumerate(trace) if p in dns[:3]}
+        return config, trace, result, blocked_dns
+
+    def test_the_run_offloads_the_limiter(self, case):
+        _config, _trace, result, _blocked = case
+        (offload,) = result.offloaded
+        assert offload.segment.tables == ("dns_count", "dns_limit")
+        assert offload.redirect_table == "To_Ctl"
+        assert result.controller_load == pytest.approx(14 / 200)
+
+    def test_switch_plus_controller_reproduce_the_original(self, case):
+        config, trace, result, _blocked = case
+        report = check_result(result, config, trace)
+        assert report.equivalent
+        assert (report.total, report.redirected) == (200, 14)
+
+    def test_a_controller_that_drops_nothing_is_caught(self, case):
+        """Orig drops, neither side drops: the heavy source's queries
+        from the limit on."""
+        config, trace, result, _blocked = case
+        (offload,) = result.offloaded
+        lenient = replace(
+            offload.segment, subtree=Apply("dns_count"), tables=("dns_count",)
+        )
+        broken = replace(
+            result, offloaded=(replace(offload, segment=lenient),)
+        )
+        report = check_result(broken, config, trace)
+        assert len(report.mismatches) == 9 - (DNS_LIMIT - 1)
+
+    def test_a_controller_that_drops_everything_is_caught(self, case):
+        """Orig forwards, the controller drops: every query under the
+        limit from a source that is not blocked."""
+        config, trace, result, _blocked = case
+        (offload,) = result.offloaded
+        harsh = replace(
+            offload.segment, subtree=Apply("dns_limit"), tables=("dns_limit",)
+        )
+        broken = replace(result, offloaded=(replace(offload, segment=harsh),))
+        report = check_result(broken, config, trace)
+        assert len(report.mismatches) == (DNS_LIMIT - 1) + 2
+
+    def test_a_switch_that_lost_its_drop_is_caught(self, case):
+        """Orig drops, neither side drops: the blocked source's queries
+        once the switch's blocklist is empty."""
+        config, trace, result, blocked_dns = case
+        emptied = result.final_config.restricted_to(["fib", "To_Ctl"])
+        report = check_result(
+            replace(result, final_config=emptied), config, trace
+        )
+        assert set(report.mismatches) == blocked_dns
+
+    def test_the_controller_only_verdict_flagged_the_upstream_drops(
+        self, case
+    ):
+        """What ``compare_with_offload`` judged until the pair's verdict
+        became ``switch or controller``: the controller's drop bit alone
+        differs from the original's on exactly the redirected packets
+        the blocklist drops."""
+        config, trace, result, blocked_dns = case
+        original = BehavioralSwitch(result.original_program, config)
+        switch = BehavioralSwitch(
+            result.optimized_program, result.final_config
+        )
+        controller = OffloadController(
+            result.original_program, result.offloaded[0].segment, config
+        )
+        flagged = set()
+        for index, data in enumerate(trace):
+            r_orig = original.process(data, 0)
+            if switch.process(data, 0).to_controller:
+                r_ctl = controller.handle_packet(data, 0)
+                if r_ctl.dropped != r_orig.dropped:
+                    flagged.add(index)
+        assert flagged == blocked_dns and len(blocked_dns) == 3

@@ -129,6 +129,14 @@ class TestPassManager:
             "programmer rejected" in o.title for o in manager.log.items
         )
 
+    def test_vetoed_offload_leaves_no_record(self, inputs):
+        program, config, trace, target = inputs
+        ctx = OptimizationContext(program, config, trace, target)
+        manager = PassManager(ctx, review_hook=lambda obs: False)
+        manager.run_pass(OffloadPass())
+        assert ctx.program is program
+        assert manager.offloaded == []
+
     def test_config_only_change_keeps_program(self, inputs):
         program, config, trace, target = inputs
         restricted = config.restricted_to(["IPv4"])
@@ -162,9 +170,11 @@ class TestPassManager:
         assert all(isinstance(o, PhaseOutcome) for o in outcomes)
         assert ctx.counters.compile_hits > 0
         assert ctx.counters.profile_hits > 0
-        assert manager.info["offloaded_tables"] == (
+        (offload,) = manager.offloaded
+        assert offload.segment.tables == (
             "Sketch_1", "Sketch_2", "Sketch_Min", "DNS_Drop",
         )
+        assert offload.redirect_table == "To_Ctl"
 
     def test_phase_perf_attributed_per_outcome(self, inputs):
         program, config, trace, target = inputs

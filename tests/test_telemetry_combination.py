@@ -3,14 +3,19 @@ telemetry program."""
 
 import pytest
 
+from repro.controller import check_result
+from repro.core.passes import PassManager
 from repro.core.phase_offload import (
+    OffloadPass,
     enumerate_candidates,
     evaluate_candidates,
     make_combined_offloaded_program,
     run_phase,
     select_combination,
 )
-from repro.exceptions import OffloadError
+from repro.core.pipeline import P2GOResult
+from repro.core.session import OptimizationContext
+from repro.exceptions import ControllerError, OffloadError
 from repro.programs import telemetry
 from repro.target import compile_program
 
@@ -153,3 +158,34 @@ class TestCombination:
                     == r_orig.forwarding_decision()
                 )
         assert 0 < redirected < len(trace) * 0.05
+
+    def test_result_records_every_segment_of_the_combination(self, setup):
+        """Through the pass framework the run's record is the union, in
+        segment order, each segment with its own redirect table — and
+        the one-segment oracle says so instead of guessing."""
+        program, config, trace = setup
+        ctx = OptimizationContext(program, config, trace, telemetry.TARGET)
+        manager = PassManager(ctx)
+        outcomes = manager.run(
+            [OffloadPass(allow_combination=True, min_stage_savings=2)]
+        )
+        result = P2GOResult(
+            original_program=program,
+            optimized_program=ctx.program,
+            final_config=ctx.config,
+            observations=manager.log,
+            initial_profile=ctx.profile(program, config),
+            outcomes=outcomes,
+            offloaded=tuple(manager.offloaded),
+        )
+        assert result.offloaded_tables == ("dns_hh", "ttl_probe")
+        assert [o.redirect_table for o in result.offloaded] == [
+            "To_Ctl", "To_Ctl_2",
+        ]
+        profile = ctx.profile()
+        assert [o.redirect_fraction for o in result.offloaded] == [
+            profile.apply_rate("To_Ctl"), profile.apply_rate("To_Ctl_2"),
+        ]
+        assert result.controller_load == pytest.approx(0.034, abs=0.004)
+        with pytest.raises(ControllerError, match="one offloaded segment"):
+            check_result(result, config, trace)
