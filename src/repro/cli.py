@@ -144,7 +144,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.reference:
         config.enable_compiled_tables = False
     trace = load_trace(args.trace)
-    profile, perf = Profiler(program, config).profile_trace(trace)
+    profile, perf = Profiler(program, config).run(trace)
     print(f"profiled {profile.total_packets} packets")
     print(perf.render())
     print()

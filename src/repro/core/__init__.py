@@ -57,7 +57,6 @@ _EXPORTS = {
     "PhaseOutcome": "passes",
     "Profile": "profiler",
     "Profiler": "profiler",
-    "ProfilingRun": "profiler",
     "SessionCounters": "session",
     "SessionStore": "store",
     "StoreCounters": "store",

@@ -19,19 +19,27 @@ Faithfully reproduced here:
 
 ``InstrumentedProgram.adapt_config`` rewrites a runtime configuration so
 installed entries reference the cloned action names.
+
+No verb replays the instrumented program: our simulator hands back each
+packet's step log, so :class:`~repro.core.profiler.Profiler` folds that
+instead.  :func:`reference_profile` is the paper's way kept as the
+reference the fold is held to — it shares no code with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence, Set, Tuple
 
+from repro.core.profiler import ActionPair, Profile
 from repro.exceptions import ProfilingError
 from repro.p4.actions import ModifyField
 from repro.p4.expressions import Const, FieldRef
 from repro.p4.program import HeaderField, HeaderInstance, HeaderType, Program
-from repro.p4.tables import Table
 from repro.sim.runtime import RuntimeConfig, TableEntry
+from repro.sim.switch import BehavioralSwitch
+from repro.traffic.generators import TracePacket
 
 PROFILE_HEADER = "p2go_profile"
 PROFILE_HEADER_TYPE = "p2go_profile_t"
@@ -89,12 +97,7 @@ class InstrumentedProgram:
         self, headers: Dict[str, Dict[str, int]]
     ) -> List[Tuple[str, str]]:
         """(table, action) pairs whose bit is set in a final PHV."""
-        profile_fields = headers.get(PROFILE_HEADER, {})
-        executed = []
-        for pair, field_name in self.bit_fields.items():
-            if profile_fields.get(field_name):
-                executed.append(pair)
-        return executed
+        return self._set_pairs(headers.get(PROFILE_HEADER, {}))
 
     def decode_packet_bits(self, output: bytes) -> List[Tuple[str, str]]:
         """Decode the profiling header straight off an emitted packet.
@@ -116,12 +119,13 @@ class InstrumentedProgram:
             raise ProfilingError(
                 "output packet too short to carry the profiling header"
             )
-        values = unpack_fields(profile_type, blob)
-        executed = []
-        for pair, field_name in self.bit_fields.items():
-            if values.get(field_name):
-                executed.append(pair)
-        return executed
+        return self._set_pairs(unpack_fields(profile_type, blob))
+
+    def _set_pairs(self, values: Dict[str, int]) -> List[Tuple[str, str]]:
+        return [
+            pair for pair, field_name in self.bit_fields.items()
+            if values.get(field_name)
+        ]
 
 
 def instrument(program: Program) -> InstrumentedProgram:
@@ -153,52 +157,68 @@ def instrument(program: Program) -> InstrumentedProgram:
     )
 
     # Clone every action per table, appending the bit-set primitive.
-    for table_name in list(out.tables):
-        table = out.tables[table_name]
-        new_actions = []
-        for action_name in table.actions:
-            clone_name = _cloned_action_name(table_name, action_name)
-            base = out.actions[action_name]
-            out.actions[clone_name] = base.with_extra_primitives(
-                [
-                    ModifyField(
-                        FieldRef(
-                            PROFILE_HEADER,
-                            _bit_field_name(table_name, action_name),
-                        ),
-                        Const(1),
-                    )
-                ],
-                new_name=clone_name,
-            )
-            new_actions.append(clone_name)
-        default_clone = _cloned_action_name(table_name, table.default_action)
-        if default_clone not in out.actions:
-            base = out.actions[table.default_action]
-            out.actions[default_clone] = base.with_extra_primitives(
-                [
-                    ModifyField(
-                        FieldRef(
-                            PROFILE_HEADER,
-                            _bit_field_name(
-                                table_name, table.default_action
-                            ),
-                        ),
-                        Const(1),
-                    )
-                ],
-                new_name=default_clone,
-            )
-        out.tables[table_name] = Table(
-            name=table.name,
-            keys=table.keys,
-            actions=tuple(new_actions),
-            default_action=default_clone,
-            default_action_args=table.default_action_args,
-            size=table.size,
+    for (table_name, action_name), field_name in bit_fields.items():
+        clone_name = _cloned_action_name(table_name, action_name)
+        base = out.actions[action_name]
+        out.actions[clone_name] = base.with_extra_primitives(
+            [ModifyField(FieldRef(PROFILE_HEADER, field_name), Const(1))],
+            new_name=clone_name,
+        )
+    for table_name, table in list(out.tables.items()):
+        out.tables[table_name] = replace(
+            table,
+            actions=tuple(
+                _cloned_action_name(table_name, action)
+                for action in table.actions
+            ),
+            default_action=_cloned_action_name(
+                table_name, table.default_action
+            ),
         )
 
     out.validate()
     return InstrumentedProgram(
         program=out, original=program, bit_fields=bit_fields
+    )
+
+
+def reference_profile(
+    program: Program,
+    config: RuntimeConfig,
+    trace: Sequence[TracePacket],
+) -> Profile:
+    """The §3.1 profile, built the paper's way: replay
+    ``instrument(program)`` and read each packet's executed
+    ``(table, action)`` pairs off its profiling bits.  The bits cannot
+    tell a hit from a miss's default action, so hits, applied tables
+    and forwarding decisions are read off the result."""
+    instrumented = instrument(program)
+    switch = BehavioralSwitch(
+        instrumented.program, instrumented.adapt_config(config)
+    )
+    results = switch.process_many(trace)
+    bits = [
+        frozenset(instrumented.decode_result_bits(r.headers)) for r in results
+    ]
+    steps = [step for result in results for step in result.steps]
+    hit_pairs: Set[ActionPair] = set()
+    for pairs, result in zip(bits, results):
+        hits = {step.table for step in result.steps if step.hit}
+        hit_pairs.update(pair for pair in pairs if pair[0] in hits)
+    return Profile(
+        program_name=program.name,
+        total_packets=len(results),
+        apply_counts=dict(Counter(step.table for step in steps)),
+        hit_counts=dict(Counter(step.table for step in steps if step.hit)),
+        action_counts=dict(Counter(pair for pairs in bits for pair in pairs)),
+        nonexclusive_sets={pairs for pairs in bits if pairs},
+        decisions=tuple(r.forwarding_decision() for r in results),
+        apply_sets=dict(
+            Counter(
+                frozenset(step.table for step in r.steps)
+                for r in results
+                if r.steps
+            )
+        ),
+        hit_pairs=frozenset(hit_pairs),
     )

@@ -5,11 +5,13 @@ instrument the program with monitoring instructions that update the
 profile at runtime ... enables real-time adaptation of programs".
 
 This module implements the monitoring half: an :class:`OnlineProfiler`
-runs the *instrumented* program (the same §3.1 instrumentation the
-offline profiler uses — the "monitoring instructions") and maintains
-streaming statistics over a sliding window.  Against a baseline profile
-it raises alerts the moment live traffic invalidates an optimization-time
-observation:
+runs the original program and reads each packet's step log through the
+same per-packet fold the offline profiler uses
+(:func:`~repro.core.profiler.packet_facts` — our simulator reports what
+the paper's "monitoring instructions" would record, so nothing is
+instrumented), maintaining streaming statistics over a sliding window.
+Against a baseline profile it raises alerts the moment live traffic
+invalidates an optimization-time observation:
 
 * a **new non-exclusive action combination** appears (e.g. the two ACL
   drops fire on one packet — a removed dependency just manifested),
@@ -38,19 +40,15 @@ from typing import (
     List,
     Optional,
     Set,
-    Tuple,
 )
 
-from repro.core.instrument import instrument
-from repro.core.profiler import Profile
+from repro.core.profiler import ActionPair, Profile, packet_facts
 
 if TYPE_CHECKING:  # pragma: no cover — typing-only import, no cycle
     from repro.core.session import OptimizationContext
 from repro.p4.program import Program
 from repro.sim.runtime import RuntimeConfig
 from repro.sim.switch import BehavioralSwitch, SwitchResult
-
-ActionPair = Tuple[str, str]
 
 
 class AlertKind(enum.Enum):
@@ -90,11 +88,7 @@ class OnlineProfiler:
             # on the session's trace — free when P2GO already computed
             # it, replayed once and cached otherwise.
             baseline = session.profile(program, config)
-        self._instrumented = instrument(program)
-        self._switch = BehavioralSwitch(
-            self._instrumented.program,
-            self._instrumented.adapt_config(config),
-        )
+        self._switch = BehavioralSwitch(program, config)
         self.program = program
         self.config = config
         #: The shared optimization session, when one was provided —
@@ -128,12 +122,7 @@ class OnlineProfiler:
         index = self._packets_seen
         self._packets_seen += 1
 
-        pairs = frozenset(
-            self._instrumented.decode_result_bits(result.headers)
-        )
-        hit_tables = frozenset(
-            step.table for step in result.steps if step.hit
-        )
+        pairs, hit_tables, _applied, _decision = packet_facts(result)
 
         # Maintain the sliding window of hit sets.
         if len(self._window_hits) == self.window:

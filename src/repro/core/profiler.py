@@ -1,32 +1,40 @@
 """Phase 1 — building the program profile (§3.1).
 
-P2GO loads the instrumented program into the simulator, installs the
-match-action rules, replays the traffic trace, and infers from the marked
-packets: (i) each table's hit rate, and (ii) the sets of actions applied
-to the same packet (non-exclusive actions, Table 1).
+P2GO replays the traffic trace through the program with its
+match-action rules installed and infers (i) each table's hit rate and
+(ii) the sets of actions applied to the same packet (non-exclusive
+actions, Table 1).  The paper instruments the program to learn which
+actions ran, because the Tofino simulator hands back only packets; our
+simulator also hands back each packet's step log
+(:attr:`~repro.sim.switch.SwitchResult.steps`, one ``(table, action,
+hit)`` per table application), so the profile is a fold over those
+steps of the program *as written* — :func:`packet_facts` is the one
+per-packet fold.  The §3.1 instrumented replay is kept as the reference
+this fold is held to (:func:`repro.core.instrument.reference_profile`;
+``tests/test_profiling_engine.py`` and the fuzz ``engine`` axis compare
+every field).
 
 Replay goes through the simulator's batched entry point
 (:meth:`~repro.sim.switch.BehavioralSwitch.process_many`): match
-structures and the execution plan compile once per run, and the run's
-:class:`~repro.sim.perf.PerfCounters` ride along on
-:class:`ProfilingRun` / :meth:`Profiler.profile_trace`.  The per-packet
-profiling bits, execution steps, and forwarding decisions the profile
-is built from are bit-identical on the engine and on the reference
-interpreter (``enable_compiled_tables=False`` on the
-:class:`~repro.sim.runtime.RuntimeConfig` selects the latter;
-``tests/test_profiling_engine.py`` pins the equivalence).
+structures and the execution plan compile once per run, and
+:meth:`Profiler.run` returns the run's
+:class:`~repro.sim.perf.PerfCounters` beside the profile.  The step logs
+and forwarding decisions a profile is built from are bit-identical on
+the engine and on the reference interpreter
+(``enable_compiled_tables=False`` on the
+:class:`~repro.sim.runtime.RuntimeConfig` selects the latter).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Set, Tuple
 
-from repro.core.instrument import InstrumentedProgram, instrument
 from repro.p4.program import Program
 from repro.sim.perf import PerfCounters
 from repro.sim.runtime import RuntimeConfig
-from repro.sim.switch import BehavioralSwitch
+from repro.sim.switch import BehavioralSwitch, SwitchResult
 from repro.traffic.generators import TracePacket
 
 ActionPair = Tuple[str, str]  # (table, action)
@@ -53,6 +61,9 @@ class Profile:
     #: profiler keeps the set-valued aggregate (bounded by the number of
     #: distinct table combinations the control flow can produce).
     apply_sets: Dict[FrozenSet[str], int] = dc_field(default_factory=dict)
+    #: Pairs applied on some packet where their table *hit* (the rest
+    #: only ever ran as a miss's default action).
+    hit_pairs: FrozenSet[ActionPair] = frozenset()
 
     def hit_rate(self, table: str) -> float:
         """Fraction of all packets that *matched* the table."""
@@ -106,7 +117,7 @@ class Profile:
         """
         for group in self.nonexclusive_sets:
             if not any(
-                pair[0] == src and pair in self._hit_pairs
+                pair[0] == src and pair in self.hit_pairs
                 for pair in group
             ):
                 continue
@@ -116,152 +127,114 @@ class Profile:
 
     def hit_action_sets(self) -> List[FrozenSet[ActionPair]]:
         """Observed sets restricted to *hit* actions (Table 1's view)."""
-        hits = {
-            pair for pair, count in self.action_counts.items()
-            if count > 0 and self._is_hit_pair(pair)
-        }
-        filtered: Set[FrozenSet[ActionPair]] = set()
-        for group in self.nonexclusive_sets:
-            reduced = frozenset(pair for pair in group if pair in hits)
-            if reduced:
-                filtered.add(reduced)
+        filtered = {
+            group & self.hit_pairs for group in self.nonexclusive_sets
+        } - {frozenset()}
         return sorted(filtered, key=lambda g: (len(g), sorted(g)))
-
-    def _is_hit_pair(self, pair: ActionPair) -> bool:
-        # Hit pairs are recorded with hit=True during profiling; we keep a
-        # side index of pairs seen as hits.
-        return pair in self._hit_pairs
-
-    _hit_pairs: Set[ActionPair] = dc_field(default_factory=set)
 
     def same_behavior_as(self, other: "Profile") -> bool:
         """Profile equality as §3.3's verification defines it: identical
-        hit rates, action applications, non-exclusive sets, and per-packet
-        forwarding decisions."""
-        return (
-            self.total_packets == other.total_packets
-            and self.hit_counts == other.hit_counts
-            and self.apply_counts == other.apply_counts
-            and self.action_counts == other.action_counts
-            and self.nonexclusive_sets == other.nonexclusive_sets
-            and self.decisions == other.decisions
-        )
+        hit rates, table and action applications, non-exclusive sets,
+        and per-packet forwarding decisions."""
+        return not self.behavior_diff(other)
 
     def behavior_diff(self, other: "Profile") -> List[str]:
-        """Human-readable reasons two profiles differ (for observations)."""
+        """Human-readable reasons two profiles differ: every field
+        :meth:`same_behavior_as` compares gives one when it differs, so
+        the list is empty exactly when the profiles count as the same."""
         reasons: List[str] = []
         if self.total_packets != other.total_packets:
             reasons.append(
                 f"packet counts differ ({self.total_packets} vs "
                 f"{other.total_packets})"
             )
-        tables = set(self.hit_counts) | set(other.hit_counts)
-        for table in sorted(tables):
-            a = self.hit_counts.get(table, 0)
-            b = other.hit_counts.get(table, 0)
-            if a != b:
-                reasons.append(
-                    f"hit count of {table} changed: {a} -> {b}"
-                )
-        if self.nonexclusive_sets != other.nonexclusive_sets:
-            gained = other.nonexclusive_sets - self.nonexclusive_sets
-            if gained:
-                reasons.append(
-                    f"{len(gained)} new non-exclusive action set(s) appeared"
-                )
-        if self.decisions != other.decisions:
-            changed = sum(
-                1 for x, y in zip(self.decisions, other.decisions) if x != y
+        for what, mine, theirs in (
+            ("hit", self.hit_counts, other.hit_counts),
+            ("apply", self.apply_counts, other.apply_counts),
+            ("action", self.action_counts, other.action_counts),
+        ):
+            for key in sorted(set(mine) | set(theirs)):
+                a, b = mine.get(key, 0), theirs.get(key, 0)
+                if a != b:
+                    name = key if isinstance(key, str) else ".".join(key)
+                    reasons.append(
+                        f"{what} count of {name} changed: {a} -> {b}"
+                    )
+        gained = other.nonexclusive_sets - self.nonexclusive_sets
+        if gained:
+            reasons.append(
+                f"{len(gained)} new non-exclusive action set(s) appeared"
             )
-            if changed:
-                reasons.append(
-                    f"forwarding decisions changed for {changed} packet(s)"
-                )
+        lost = self.nonexclusive_sets - other.nonexclusive_sets
+        if lost:
+            reasons.append(
+                f"{len(lost)} non-exclusive action set(s) no longer observed"
+            )
+        changed = abs(len(self.decisions) - len(other.decisions)) + sum(
+            x != y for x, y in zip(self.decisions, other.decisions)
+        )
+        if changed:
+            reasons.append(
+                f"forwarding decisions changed for {changed} packet(s)"
+            )
         return reasons
 
 
-@dataclass
-class ProfilingRun:
-    """A profile plus the artifacts that produced it."""
+class PacketFacts(NamedTuple):
+    """What one packet's step log says — the unit a profile folds."""
 
-    profile: Profile
-    instrumented: InstrumentedProgram
-    switch: BehavioralSwitch
+    #: ``(table, action)`` of every table application.
+    pairs: FrozenSet[ActionPair]
+    #: Tables whose lookup hit.
+    hit_tables: FrozenSet[str]
+    #: Tables applied, hit or miss.
+    applied: FrozenSet[str]
+    #: ``(egress_port, dropped, to_controller)``.
+    decision: Tuple[int, bool, bool]
 
-    @property
-    def perf(self) -> PerfCounters:
-        """The replay's perf counters (packets/s, per-table lookups, …)."""
-        return self.switch.perf
+
+def packet_facts(result: SwitchResult) -> PacketFacts:
+    """Fold one packet's :attr:`~repro.sim.switch.SwitchResult.steps`."""
+    steps = result.steps
+    return PacketFacts(
+        pairs=frozenset((step.table, step.action) for step in steps),
+        hit_tables=frozenset(step.table for step in steps if step.hit),
+        applied=frozenset(step.table for step in steps),
+        decision=result.forwarding_decision(),
+    )
 
 
 class Profiler:
-    """Profiles a program by instrumented trace replay."""
+    """Profiles a program by replaying a trace and folding step logs."""
 
     def __init__(self, program: Program, config: RuntimeConfig):
         self.program = program
         self.config = config
 
-    def run(self, trace: Sequence[TracePacket]) -> ProfilingRun:
-        instrumented = instrument(self.program)
-        adapted = instrumented.adapt_config(self.config)
-        switch = BehavioralSwitch(instrumented.program, adapted)
-        results = switch.process_trace(trace)
-
-        apply_counts: Dict[str, int] = {}
-        hit_counts: Dict[str, int] = {}
-        action_counts: Dict[ActionPair, int] = {}
-        groups: Set[FrozenSet[ActionPair]] = set()
-        hit_pairs: Set[ActionPair] = set()
-        decisions: List[Tuple[int, bool, bool]] = []
-        apply_sets: Dict[FrozenSet[str], int] = {}
-
-        for result in results:
-            pairs = instrumented.decode_result_bits(result.headers)
-            per_packet: Set[ActionPair] = set(pairs)
-            if per_packet:
-                groups.add(frozenset(per_packet))
-            # Hit/miss resolution comes from the execution steps (a bit
-            # tells *that* the action ran; the step log tells us whether it
-            # was the default).
-            hit_tables = set()
-            for step in result.steps:
-                apply_counts[step.table] = apply_counts.get(step.table, 0) + 1
-                if step.hit:
-                    hit_tables.add(step.table)
-                    hit_counts[step.table] = hit_counts.get(step.table, 0) + 1
-            for pair in per_packet:
-                action_counts[pair] = action_counts.get(pair, 0) + 1
-                if pair[0] in hit_tables:
-                    hit_pairs.add(pair)
-            if result.steps:
-                applied = frozenset(step.table for step in result.steps)
-                apply_sets[applied] = apply_sets.get(applied, 0) + 1
-            decisions.append(result.forwarding_decision())
-
-        profile = Profile(
-            program_name=self.program.name,
-            total_packets=len(results),
-            apply_counts=apply_counts,
-            hit_counts=hit_counts,
-            action_counts=action_counts,
-            nonexclusive_sets=groups,
-            decisions=tuple(decisions),
-            apply_sets=apply_sets,
-        )
-        profile._hit_pairs = hit_pairs
-        return ProfilingRun(
-            profile=profile, instrumented=instrumented, switch=switch
-        )
-
-    def profile(self, trace: Sequence[TracePacket]) -> Profile:
-        return self.run(trace).profile
-
-    def profile_trace(
+    def run(
         self, trace: Sequence[TracePacket]
     ) -> Tuple[Profile, PerfCounters]:
-        """Batched profiling plus the engine's perf counters."""
-        run = self.run(trace)
-        return run.profile, run.perf
+        """The profile of ``trace`` plus the replay's perf counters
+        (packets/s, per-table lookups, …)."""
+        switch = BehavioralSwitch(self.program, self.config)
+        packets = [packet_facts(r) for r in switch.process_many(trace)]
+        profile = Profile(
+            program_name=self.program.name,
+            total_packets=len(packets),
+            apply_counts=dict(Counter(t for p in packets for t in p.applied)),
+            hit_counts=dict(Counter(t for p in packets for t in p.hit_tables)),
+            action_counts=dict(Counter(a for p in packets for a in p.pairs)),
+            nonexclusive_sets={p.pairs for p in packets if p.pairs},
+            decisions=tuple(p.decision for p in packets),
+            apply_sets=dict(Counter(p.applied for p in packets if p.applied)),
+            hit_pairs=frozenset(
+                a for p in packets for a in p.pairs if a[0] in p.hit_tables
+            ),
+        )
+        return profile, switch.perf
+
+    def profile(self, trace: Sequence[TracePacket]) -> Profile:
+        return self.run(trace)[0]
 
 
 def profile_program(

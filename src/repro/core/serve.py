@@ -10,9 +10,9 @@ loop as a daemon:
   forwards every packet through *two* switches in lockstep: the
   **serving** switch (the currently promoted optimized program) and the
   **monitor** (an :class:`~repro.core.online.OnlineProfiler` running the
-  instrumented *original* program — the semantic reference).  A
-  forwarding-decision disagreement between the two is a *misprocessed*
-  packet; the counter must stay at zero.
+  *original* program — the semantic reference — and reading its step
+  log).  A forwarding-decision disagreement between the two is a
+  *misprocessed* packet; the counter must stay at zero.
 * **React** — a drift alert from the monitor triggers a warm
   :meth:`~repro.core.online.OnlineProfiler.reoptimize` over the recent
   packet window, through the shared
@@ -32,9 +32,9 @@ loop as a daemon:
   contract: only transformations invisible to the data plane are
   promotable while packets are in flight.
 * **Swap** — promotion is an atomic swap under the packet lock: the new
-  serving switch *and* a re-instrumented monitor are built off to the
-  side first (switch construction, baseline profile, window reset), so
-  the lock is held only for the pointer flip.  The new monitor's
+  serving switch *and* a fresh monitor are built off to the side first
+  (switch construction, baseline profile, window reset), so the lock is
+  held only for the pointer flip.  The new monitor's
   baseline is the original program's profile on the reoptimize window —
   a session memo hit — so post-swap alerts compare live traffic against
   the *new* optimization-time observations, not the stale ones.

@@ -220,8 +220,7 @@ def _replay_task(
     config: RuntimeConfig,
     trace: Sequence[TracePacket],
 ) -> Tuple[Profile, PerfCounters]:
-    run = Profiler(program, config).run(trace)
-    return run.profile, run.perf
+    return Profiler(program, config).run(trace)
 
 
 @dataclass

@@ -13,8 +13,10 @@ disagreement:
     4 moved a segment out.
 ``engine``
     The engine (compiled match structures + execution plan) vs the
-    reference interpreter, on both the original and the optimized
-    program.
+    reference interpreter, and the step-log profile
+    (:class:`~repro.core.profiler.Profiler`) vs the §3.1 instrumented
+    replay (:func:`~repro.core.instrument.reference_profile`) on every
+    profile field, on both the original and the optimized program.
 ``workers``
     ``workers=1`` vs ``workers=4`` pipeline runs must produce
     byte-identical results (program, config, counters, observations).
@@ -34,11 +36,13 @@ from __future__ import annotations
 import re
 import traceback
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.controller.equivalence import check_result, compare_behavior
+from repro.core.instrument import reference_profile
 from repro.core.pipeline import P2GO, P2GOResult
+from repro.core.profiler import Profile, Profiler
 from repro.core.seed_pipeline import run_seed
 from repro.core.session import config_fingerprint, program_fingerprint
 from repro.fuzz.generator import GeneratedCase
@@ -173,6 +177,19 @@ def _check_engine(case: GeneratedCase) -> Optional[AxisFailure]:
                 f"{label} program: {len(report.mismatches)}/"
                 f"{report.total} packets (first at index "
                 f"{report.mismatches[0]})",
+            )
+        folded = Profiler(program, config.clone()).profile(case.trace)
+        reference = reference_profile(program, config.clone(), case.trace)
+        differing = [
+            f.name for f in fields(Profile)
+            if getattr(folded, f.name) != getattr(reference, f.name)
+        ]
+        if differing:
+            return AxisFailure(
+                "engine",
+                f"the step-log profile of the {label} program differs "
+                f"from the instrumented reference in "
+                f"{', '.join(differing)}",
             )
     return None
 

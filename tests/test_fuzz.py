@@ -321,8 +321,8 @@ def test_hit_coapplied_with_table_unit():
             frozenset({("a", "hit_act"), ("b", "dflt")}),
             frozenset({("b", "dflt")}),
         },
+        hit_pairs=frozenset({("a", "hit_act")}),
     )
-    profile._hit_pairs = {("a", "hit_act")}
     assert profile.hit_coapplied_with_table("a", "b")
     assert not profile.hit_coapplied_with_table("b", "a")
     assert not profile.hit_coapplied_with_table("a", "missing")

@@ -1,10 +1,16 @@
 """Tests for phase 1 — profile construction (§3.1, Ex. 1 annotations,
 Table 1)."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.profiler import Profiler, profile_program
+from repro.core.instrument import InstrumentedProgram
+from repro.core.pipeline import P2GO
+from repro.core.profiler import Profile, Profiler, profile_program
+from repro.core.serve import ContinuousOptimizer, GeneratorFeed
 from repro.packets.craft import udp_packet
+from repro.programs import example_firewall as fw
 from tests.conftest import TRACE_SIZE, build_toy_program, toy_config
 
 
@@ -151,3 +157,76 @@ class TestProfileComparison:
         assert not pa.same_behavior_as(pb)
         reasons = pa.behavior_diff(pb)
         assert any("acl" in r for r in reasons)
+
+
+BASE_PROFILE = Profile(
+    program_name="p",
+    total_packets=2,
+    apply_counts={"a": 2, "b": 1},
+    hit_counts={"a": 1},
+    action_counts={("a", "fwd"): 1, ("a", "dflt"): 1, ("b", "dflt"): 1},
+    nonexclusive_sets={
+        frozenset({("a", "fwd"), ("b", "dflt")}),
+        frozenset({("a", "dflt")}),
+    },
+    decisions=((1, False, False), (0, True, False)),
+)
+
+#: One change per field ``same_behavior_as`` compares (both directions
+#: of a non-exclusive set change).
+ONE_FIELD_CHANGES = {
+    "total_packets": {"total_packets": 3},
+    "hit_counts": {"hit_counts": {"a": 2}},
+    "apply_counts": {"apply_counts": {"a": 2, "b": 2}},
+    "action_counts": {
+        "action_counts": {("a", "fwd"): 2, ("b", "dflt"): 1},
+    },
+    "nonexclusive_sets_gained": {
+        "nonexclusive_sets": BASE_PROFILE.nonexclusive_sets
+        | {frozenset({("b", "dflt")})},
+    },
+    "nonexclusive_sets_lost": {
+        "nonexclusive_sets": {frozenset({("a", "dflt")})},
+    },
+    "decisions": {"decisions": ((1, False, False), (0, False, False))},
+}
+
+
+@pytest.mark.parametrize("change", sorted(ONE_FIELD_CHANGES))
+def test_every_compared_field_gives_a_reason(change):
+    """A profile pair differing in one compared field is not the same
+    behaviour, and says why — either way round (phase 3's rejection
+    used to read "changed the program's behaviour on the trace: " with
+    nothing after it)."""
+    changed = dataclasses.replace(BASE_PROFILE, **ONE_FIELD_CHANGES[change])
+    for a, b in ((BASE_PROFILE, changed), (changed, BASE_PROFILE)):
+        assert not a.same_behavior_as(b)
+        assert a.behavior_diff(b)
+    assert BASE_PROFILE.behavior_diff(BASE_PROFILE) == []
+
+
+def test_no_verb_instruments_the_program(monkeypatch):
+    """Optimize and serve profile from the step log; ``instrument()`` is
+    only the reference the fold is held to.  Counted without a clock:
+    every instrumented clone is an ``InstrumentedProgram``."""
+    built = []
+    real_init = InstrumentedProgram.__init__
+
+    def counting_init(self, **kwargs):
+        built.append(kwargs["original"].name)
+        real_init(self, **kwargs)
+
+    monkeypatch.setattr(InstrumentedProgram, "__init__", counting_init)
+    result = P2GO(
+        fw.build_program(), fw.runtime_config(), fw.make_trace(300),
+        fw.TARGET, workers=1,
+    ).run()
+    assert result.session_counters.profile_executions > 0
+    served = ContinuousOptimizer(
+        fw.build_program(), fw.runtime_config(),
+        fw.make_trace(2000, seed=0), fw.TARGET,
+        window=300, hit_rate_tolerance=0.15, workers=0,
+    ).run(GeneratorFeed.firewall_drift(total=1200, seed=0, shift_at=0.5))
+    assert served.stats.packets_processed == 1200
+    assert served.stats.misprocessed == 0
+    assert built == []

@@ -12,6 +12,10 @@ Pins the guarantees the engine's docstrings promise:
   afterwards.
 * Register state advances exactly: a sketch threshold trips on the same
   packet on both.
+* The profile every verb builds — a fold over each packet's step log
+  — equals the §3.1 instrumented replay
+  (:func:`~repro.core.instrument.reference_profile`) on every field,
+  on the same inputs as the bit-identity tests.
 * ``reset_state`` clears the perf counters along with the registers.
 * :class:`~repro.sim.match.CompiledTable` reproduces the reference
   :func:`~repro.sim.match.lookup` ranking bit-for-bit on randomized
@@ -31,6 +35,7 @@ import random
 import pytest
 
 from repro import cli, sim
+from repro.core.instrument import reference_profile
 from repro.core.profiler import Profiler
 from repro.fuzz.generator import generate_case
 from repro.p4 import Apply, ModifyField, ParamRef, ProgramBuilder, Seq
@@ -194,6 +199,37 @@ def test_generated_programs_bit_identical_across_tiers(seed):
     bundled ones do not."""
     case = generate_case(seed)
     _assert_tiers_bit_identical(case.program, case.config.clone, case.trace)
+
+
+# ----------------------------------------------------------------------
+# The step-log fold == the §3.1 instrumented replay, on the same inputs.
+
+
+def _assert_fold_matches_reference(program, fresh_config, trace):
+    """Every ``Profile`` field — hit pairs and applied-table sets
+    included — equals the instrumented reference's."""
+    folded, perf = Profiler(program, fresh_config()).run(trace)
+    assert perf.packets == len(trace)
+    assert folded == reference_profile(program, fresh_config(), trace)
+
+
+@pytest.mark.parametrize("name", sorted(BIT_IDENTITY_INPUTS))
+def test_step_log_profile_equals_instrumented_reference(name):
+    module = BIT_IDENTITY_INPUTS[name]
+    program = module.build_program()
+    _assert_fold_matches_reference(
+        program,
+        lambda: _fresh_config(module, program),
+        module.make_trace(600),
+    )
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_generated_step_log_profile_equals_instrumented_reference(seed):
+    case = generate_case(seed)
+    _assert_fold_matches_reference(
+        case.program, case.config.clone, case.trace
+    )
 
 
 def test_sketch_threshold_drops_match_the_reference():
