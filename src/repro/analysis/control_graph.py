@@ -3,9 +3,10 @@
 The compiler output the paper relies on includes "the control graph,
 containing all possible execution paths packets may take through the
 program" (§2.1).  This module enumerates those paths with *table outcomes*
-(hit/miss) attached, filters out paths the parser makes impossible (e.g. a
-packet that is simultaneously DNS and DHCP), and answers the exclusivity
-queries dependency analysis and phase 2 need.
+(hit/miss) attached, pruning each branch the parser makes impossible (e.g.
+a packet that is simultaneously DNS and DHCP) the moment its validity
+literal is added, and answers the exclusivity queries dependency analysis
+and phase 2 need.
 
 Paths are exponential in branch count, which is fine at the scale of real
 pipeline programs (tens of tables); a safety cap guards against pathological
@@ -28,7 +29,9 @@ from repro.p4.expressions import (
 )
 from repro.p4.program import Program
 
-#: Hard cap on enumerated paths (programs here have < a dozen branches).
+#: Hard cap on the events the walk appends to parser-feasible partial
+#: paths (programs here have < a dozen branches).  Pruned branches are
+#: never walked, so they do not count.
 MAX_PATHS = 200_000
 
 
@@ -127,14 +130,10 @@ class ControlGraph:
         self._keyless = {
             name for name, table in program.tables.items() if not table.keys
         }
-        self.paths: List[ExecutionPath] = []
         self._count = 0
-        self._enumerate()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ControlGraph):
-            return NotImplemented
-        return self.control == other.control and self.paths == other.paths
+        self.paths: List[ExecutionPath] = self._walk(
+            self.control, ExecutionPath(), ()
+        )
 
     # ------------------------------------------------------------------
     def _feasible(self, validity: Dict[str, bool]) -> bool:
@@ -152,16 +151,25 @@ class ControlGraph:
                 return True
         return False
 
-    def _enumerate(self) -> None:
-        frontier = self._walk(self.control, ExecutionPath(), ())
-        self.paths = [p for p in frontier if self._feasible(p.validity)]
+    def _constrain(
+        self,
+        validity: Dict[str, bool],
+        literals: Tuple[Tuple[str, bool], ...],
+    ) -> bool:
+        """Add ``literals`` to ``validity``; False when the result is
+        contradictory or not producible by the parser."""
+        for header, required in literals:
+            if validity.setdefault(header, required) != required:
+                return False
+        return self._feasible(validity)
 
     def _bump(self) -> None:
         self._count += 1
         if self._count > MAX_PATHS:
             raise ReproError(
-                f"control graph exceeds {MAX_PATHS} paths; "
-                "program too branchy for exhaustive analysis"
+                f"control graph walk exceeds {MAX_PATHS} events on "
+                "parser-feasible paths; program too branchy for "
+                "exhaustive analysis"
             )
 
     def _walk(
@@ -172,10 +180,12 @@ class ControlGraph:
     ) -> List[ExecutionPath]:
         """Extend one partial path through ``node``; returns completions.
 
-        ``guards`` holds indices into *this path's* event list for the
-        conditions currently enclosing the walk position.  Sequencing after
-        a fork re-walks each completion independently, so indices stay
-        consistent per path.
+        ``path`` is parser-feasible: a branch whose validity literal the
+        parser cannot produce is dropped where the literal is added, since
+        no later constraint can make it feasible again.  ``guards`` holds
+        indices into *this path's* event list for the conditions currently
+        enclosing the walk position.  Sequencing after a fork re-walks each
+        completion independently, so indices stay consistent per path.
         """
         if isinstance(node, Seq):
             paths = [path]
@@ -187,27 +197,17 @@ class ControlGraph:
             return paths
         if isinstance(node, If):
             literal = _validity_literal(node.condition)
-            taken_literals = _literals_when_true(node.condition)
+            untaken_literals = (
+                () if literal is None else ((literal[0], not literal[1]),)
+            )
             out: List[ExecutionPath] = []
-            for taken in (True, False):
+            for taken, literals in (
+                (True, _literals_when_true(node.condition)),
+                (False, untaken_literals),
+            ):
                 branch = path.fork()
-                if taken and taken_literals:
-                    contradiction = False
-                    for header, required in taken_literals:
-                        prior = branch.validity.get(header)
-                        if prior is not None and prior != required:
-                            contradiction = True
-                            break
-                        branch.validity[header] = required
-                    if contradiction:
-                        continue  # contradictory branch, prune
-                elif not taken and literal is not None:
-                    header, polarity = literal
-                    required = not polarity
-                    prior = branch.validity.get(header)
-                    if prior is not None and prior != required:
-                        continue  # contradictory branch, prune
-                    branch.validity[header] = required
+                if literals and not self._constrain(branch.validity, literals):
+                    continue  # the parser cannot produce this branch
                 branch.events.append(
                     CondEvent(expr=node.condition, taken=taken)
                 )

@@ -26,13 +26,14 @@ that's the property phase 2's rewrite exploits.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.control_graph import CondEvent, ControlGraph
 from repro.analysis.graph import Digraph
 from repro.p4.control import iter_applies
-from repro.p4.expressions import FieldRef
+from repro.p4.expressions import FieldRef, fields_read
 from repro.p4.program import Program
 
 
@@ -180,84 +181,112 @@ def build_dependency_graph(
         action_writes[name] = action.writes()
         action_reads[name] = action.reads()
         action_regs[name] = action.registers_read() | action.registers_written()
+    match_fields = {
+        name: frozenset(table.match_fields)
+        for name, table in program.tables.items()
+    }
+    # What each guard condition reads, keyed by the identity of its
+    # expression: every path through the same ``If`` shares that object,
+    # and the control tree keeps it alive for the whole call.
+    guard_reads: Dict[int, FrozenSet[FieldRef]] = {}
 
+    def guard_suffixes(path, ev) -> List[Tuple[int, ...]]:
+        """Entry k: the guards of ``ev`` from its k-th on, by identity."""
+        ids = []
+        for pos in ev.guard_positions:
+            expr = path.events[pos].expr
+            if id(expr) not in guard_reads:
+                guard_reads[id(expr)] = fields_read(expr)
+            ids.append(id(expr))
+        return [tuple(ids[k:]) for k in range(len(ids) + 1)]
+
+    def fold(
+        a_table: str,
+        a_hit: bool,
+        b_table: str,
+        b_hit: bool,
+        guards: Tuple[int, ...],
+    ) -> None:
+        """Record the causes of one (A outcome, B outcome, guards) pair."""
+        # Fields B's match phase consumes: its keys plus any guard
+        # condition evaluated after A.
+        match_reads = match_fields[b_table].union(
+            *(guard_reads[guard] for guard in guards)
+        )
+        a_match_reads = match_fields[a_table]
+        b_actions = _actions_for_outcome(program, b_table, b_hit)
+        for a_name in _actions_for_outcome(program, a_table, a_hit):
+            w_a = action_writes[a_name]
+            overlap_match = w_a & match_reads
+            if overlap_match:
+                record(
+                    a_table,
+                    b_table,
+                    DependencyCause(
+                        kind=DependencyKind.MATCH,
+                        src_action=a_name,
+                        dst_action=None,
+                        fields=frozenset(f.path for f in overlap_match),
+                    ),
+                )
+            for b_name in b_actions:
+                overlap_fields = w_a & (
+                    action_writes[b_name] | action_reads[b_name]
+                )
+                overlap_regs = action_regs[a_name] & action_regs[b_name]
+                if overlap_fields or overlap_regs:
+                    record(
+                        a_table,
+                        b_table,
+                        DependencyCause(
+                            kind=DependencyKind.ACTION,
+                            src_action=a_name,
+                            dst_action=b_name,
+                            fields=frozenset(f.path for f in overlap_fields),
+                            registers=frozenset(overlap_regs),
+                        ),
+                    )
+                # Anti-dependency: the later table writes what the
+                # earlier one matches on or reads; the writer must not
+                # land in an earlier stage.
+                overlap_anti = action_writes[b_name] & (
+                    a_match_reads | action_reads[a_name]
+                )
+                if overlap_anti:
+                    record(
+                        a_table,
+                        b_table,
+                        DependencyCause(
+                            kind=DependencyKind.REVERSE,
+                            src_action=a_name,
+                            dst_action=b_name,
+                            fields=frozenset(f.path for f in overlap_anti),
+                        ),
+                    )
+
+    # A pair's causes depend only on the two tables, their outcomes and
+    # B's guards evaluated after A: paths repeat those keys many times
+    # over, and each distinct one is folded once.
+    seen: Set[Tuple[str, bool, str, bool, Tuple[int, ...]]] = set()
     for path in cg.paths:
-        applies = path.apply_events()
-        for ai in range(len(applies)):
-            i, ev_a = applies[ai]
-            a_actions = _actions_for_outcome(program, ev_a.table, ev_a.hit)
-            for bi in range(ai + 1, len(applies)):
-                j, ev_b = applies[bi]
+        applies = [
+            (i, ev, guard_suffixes(path, ev))
+            for i, ev in path.apply_events()
+        ]
+        for ai, (i, ev_a, _suffixes) in enumerate(applies):
+            for _j, ev_b, suffixes in applies[ai + 1 :]:
                 if ev_a.table == ev_b.table:
                     continue
-                b_table = program.tables[ev_b.table]
-                b_actions = _actions_for_outcome(
-                    program, ev_b.table, ev_b.hit
+                key = (
+                    ev_a.table,
+                    ev_a.hit,
+                    ev_b.table,
+                    ev_b.hit,
+                    suffixes[bisect_right(ev_b.guard_positions, i)],
                 )
-                # Fields B's match phase consumes: its keys plus any guard
-                # condition evaluated after A on this path.
-                match_reads: Set[FieldRef] = set(b_table.match_fields)
-                for pos in ev_b.guard_positions:
-                    if pos > i:
-                        cond = path.events[pos]
-                        assert isinstance(cond, CondEvent)
-                        match_reads.update(cond.reads)
-                a_table = program.tables[ev_a.table]
-                a_match_reads = set(a_table.match_fields)
-                for a_name in a_actions:
-                    w_a = action_writes[a_name]
-                    overlap_match = w_a & match_reads
-                    if overlap_match:
-                        record(
-                            ev_a.table,
-                            ev_b.table,
-                            DependencyCause(
-                                kind=DependencyKind.MATCH,
-                                src_action=a_name,
-                                dst_action=None,
-                                fields=frozenset(
-                                    f.path for f in overlap_match
-                                ),
-                            ),
-                        )
-                    for b_name in b_actions:
-                        overlap_fields = w_a & (
-                            action_writes[b_name] | action_reads[b_name]
-                        )
-                        overlap_regs = action_regs[a_name] & action_regs[b_name]
-                        if overlap_fields or overlap_regs:
-                            record(
-                                ev_a.table,
-                                ev_b.table,
-                                DependencyCause(
-                                    kind=DependencyKind.ACTION,
-                                    src_action=a_name,
-                                    dst_action=b_name,
-                                    fields=frozenset(
-                                        f.path for f in overlap_fields
-                                    ),
-                                    registers=frozenset(overlap_regs),
-                                ),
-                            )
-                        # Anti-dependency: the later table writes what
-                        # the earlier one matches on or reads; the writer
-                        # must not land in an earlier stage.
-                        overlap_anti = action_writes[b_name] & (
-                            a_match_reads | action_reads[a_name]
-                        )
-                        if overlap_anti:
-                            record(
-                                ev_a.table,
-                                ev_b.table,
-                                DependencyCause(
-                                    kind=DependencyKind.REVERSE,
-                                    src_action=a_name,
-                                    dst_action=b_name,
-                                    fields=frozenset(
-                                        f.path for f in overlap_anti
-                                    ),
-                                ),
-                            )
+                if key not in seen:
+                    seen.add(key)
+                    fold(*key)
 
     # Structural successor dependencies: applied inside a hit/miss branch.
     for apply_node in iter_applies(cg.control):

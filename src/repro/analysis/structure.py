@@ -15,7 +15,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.control_graph import ControlGraph
 from repro.analysis.dependencies import (
     DependencyGraph,
     build_dependency_graph,
@@ -25,10 +24,13 @@ from repro.p4.program import Program
 
 @dataclass(frozen=True)
 class ProgramAnalysis:
-    """What the static analyses produce for one program structure."""
+    """What the static analyses produce for one program structure.
 
-    #: Feasible execution paths of the ingress pipeline.
-    control_graph: ControlGraph
+    Only the dependency graphs: the control graph's path list is an
+    intermediate of building them, read by nothing downstream, and would
+    dominate every stored entry and every compile task sent to a pool
+    worker."""
+
     ingress: DependencyGraph
     #: None when the program applies no egress table.
     egress: Optional[DependencyGraph] = None
@@ -46,14 +48,11 @@ class ProgramAnalysis:
 
 def analyse(program: Program) -> ProgramAnalysis:
     """Run the analyses on ``program`` (assumed valid)."""
-    control_graph = ControlGraph(program)
     egress = None
     if program.egress_tables():
         egress = build_dependency_graph(program, control=program.egress)
     return ProgramAnalysis(
-        control_graph=control_graph,
-        ingress=build_dependency_graph(program, control_graph=control_graph),
-        egress=egress,
+        ingress=build_dependency_graph(program), egress=egress
     )
 
 

@@ -30,7 +30,7 @@ Keying:
   ``rmt-default`` name, or a design-space sweep's generated shapes)
   therefore never share a compile entry, in the memo tier or in the
   persistent store.
-* **Analyses** — the control graph and TDGs a compile is built from —
+* **Analyses** — the ingress and egress TDGs a compile is built from —
   are keyed by :func:`~repro.analysis.structure.structure_key`:
   everything the analyses read (parser valid-header sets, control trees
   and conditions, each table's keys and actions, each action's

@@ -128,14 +128,18 @@ def test_an_analysis_survives_pickling():
     analysis = analyse(fw.build_program())
     clone = pickle.loads(pickle.dumps(analysis))
     assert clone == analysis
-    # ``==`` is by value, down to paths, validity maps, dependency
-    # kinds and causes: it tells one lost cause apart.
+    # ``==`` is by value, down to dependency kinds and causes: it tells
+    # one lost cause, or one cause's changed field, apart.
     edge, dep = next(iter(clone.ingress.dependencies.items()))
     clone.ingress.dependencies[edge] = replace(dep, causes=dep.causes[1:])
     assert clone != analysis
-    clone.ingress.dependencies[edge] = dep
-    clone.control_graph.paths[0].validity["ghost"] = True
+    ghost = replace(dep.causes[0], fields=dep.causes[0].fields | {"ghost.f"})
+    clone.ingress.dependencies[edge] = replace(
+        dep, causes=(ghost,) + dep.causes[1:]
+    )
     assert clone != analysis
+    clone.ingress.dependencies[edge] = dep
+    assert clone == analysis
 
 
 def test_graphs_hold_no_program():

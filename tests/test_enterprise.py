@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import analyse
+from repro.analysis import ControlGraph, analyse
 from repro.core import P2GO
 from repro.programs import enterprise
 from repro.sim import BehavioralSwitch
@@ -32,7 +32,7 @@ class TestOversubscription:
         result = compile_program(program, enterprise.TARGET, analysis)
         assert len(result.stage_map()) == 11
         assert result.dependency_graph.edges()
-        assert analysis.control_graph.path_count() > 0
+        assert ControlGraph(program).path_count() > 0
 
     def test_config_validates(self, program, config):
         config.validate(program)
