@@ -6,12 +6,15 @@ profile at runtime ... enables real-time adaptation of programs".
 
 This module implements the monitoring half: an :class:`OnlineProfiler`
 runs the original program and reads each packet's step log through the
-same per-packet fold the offline profiler uses
-(:func:`~repro.core.profiler.packet_facts` — our simulator reports what
+same fold the offline profiler uses
+(:func:`~repro.core.profiler.path_facts` — our simulator reports what
 the paper's "monitoring instructions" would record, so nothing is
 instrumented), maintaining streaming statistics over a sliding window.
-Against a baseline profile it raises alerts the moment live traffic
-invalidates an optimization-time observation:
+Like the offline profiler it folds each distinct step log once: a memo
+on the monitor, bounded by the program's control paths, answers every
+later packet that takes the same path.  Against a baseline profile it
+raises alerts the moment live traffic invalidates an optimization-time
+observation:
 
 * a **new non-exclusive action combination** appears (e.g. the two ACL
   drops fire on one packet — a removed dependency just manifested),
@@ -40,13 +43,15 @@ from typing import (
     List,
     Optional,
     Set,
+    Tuple,
 )
 
-from repro.core.profiler import ActionPair, Profile, packet_facts
+from repro.core.profiler import ActionPair, PathFacts, Profile, path_facts
 
 if TYPE_CHECKING:  # pragma: no cover — typing-only import, no cycle
     from repro.core.session import OptimizationContext
 from repro.p4.program import Program
+from repro.sim.events import ExecutionStep
 from repro.sim.runtime import RuntimeConfig
 from repro.sim.switch import BehavioralSwitch, SwitchResult
 
@@ -107,7 +112,13 @@ class OnlineProfiler:
         self._seen_combinations: Set[FrozenSet[ActionPair]] = set(
             baseline.nonexclusive_sets
         ) if baseline is not None else set()
+        #: Baseline hit rate of every table, in ``program.tables`` order.
+        self._baseline_rates: Dict[str, float] = {
+            table: baseline.hit_rate(table) for table in program.tables
+        } if baseline is not None else {}
         self._drifting: Set[str] = set()
+        #: Step log -> its fold, one entry per control path taken.
+        self._paths: Dict[Tuple[ExecutionStep, ...], PathFacts] = {}
         self.alerts: List[OnlineAlert] = []
 
     # ------------------------------------------------------------------
@@ -122,7 +133,11 @@ class OnlineProfiler:
         index = self._packets_seen
         self._packets_seen += 1
 
-        pairs, hit_tables, _applied, _decision = packet_facts(result)
+        steps = tuple(result.steps)
+        facts = self._paths.get(steps)
+        if facts is None:
+            facts = self._paths[steps] = path_facts(steps)
+        pairs, hit_tables, _applied = facts
 
         # Maintain the sliding window of hit sets.
         if len(self._window_hits) == self.window:
@@ -162,9 +177,8 @@ class OnlineProfiler:
             self.baseline is not None
             and len(self._window_hits) == self.window
         ):
-            for table in self.program.tables:
-                live = self.window_hit_rate(table)
-                base = self.baseline.hit_rate(table)
+            for table, base in self._baseline_rates.items():
+                live = self._hit_counts.get(table, 0) / self.window
                 if abs(live - base) > self.hit_rate_tolerance:
                     if table not in self._drifting:
                         self._drifting.add(table)
@@ -192,10 +206,10 @@ class OnlineProfiler:
 
         With a shared ``session`` (the recommended setup: pass the
         optimization run's session to this profiler), the re-run starts
-        warm — assigning the new trace re-keys the profile memo and any
-        pending disk hydration, so every candidate whose behaviour is
-        unchanged under the new traffic is served from the session memo
-        or the persistent store instead of being recompiled/replayed.
+        warm — assigning the new trace re-keys the profile memo, so
+        every candidate whose behaviour is unchanged under the new
+        traffic is served from the session memo or the persistent store
+        instead of being recompiled/replayed.
         Without one, a fresh session is created; ``store`` (path,
         :class:`~repro.core.store.SessionStore`, or None for
         ``$P2GO_STORE``) lets that cold session still warm-start from
@@ -206,10 +220,10 @@ class OnlineProfiler:
 
         trace = list(trace)
         if self.session is not None:
-            # Adopting the session re-keys the profile memo + disk
-            # hydration on the drifted traffic before any probe runs,
-            # under a guard that restores the prior trace if the re-run
-            # raises (SwitchRun.execute): a shared session must not
+            # Adopting the session re-keys the profile memo on the
+            # drifted traffic before any probe runs, under a guard that
+            # restores the prior trace if the re-run raises
+            # (SwitchRun.execute): a shared session must not
             # stay keyed on the drifted traffic for subsequent callers
             # when no re-optimization actually landed.
             return P2GO(

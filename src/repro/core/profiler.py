@@ -8,8 +8,11 @@ actions ran, because the Tofino simulator hands back only packets; our
 simulator also hands back each packet's step log
 (:attr:`~repro.sim.switch.SwitchResult.steps`, one ``(table, action,
 hit)`` per table application), so the profile is a fold over those
-steps of the program *as written* — :func:`packet_facts` is the one
-per-packet fold.  The §3.1 instrumented replay is kept as the reference
+steps of the program *as written* — :func:`path_facts` is the one
+fold.  A trace takes only as many distinct step logs as the program has
+control paths (tens, against thousands of packets), so
+:meth:`Profiler.run` folds each distinct step log once and weights it
+by its packet count.  The §3.1 instrumented replay is kept as the reference
 this fold is held to (:func:`repro.core.instrument.reference_profile`;
 ``tests/test_profiling_engine.py`` and the fuzz ``engine`` axis compare
 every field).
@@ -32,9 +35,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.p4.program import Program
+from repro.sim.events import ExecutionStep
 from repro.sim.perf import PerfCounters
 from repro.sim.runtime import RuntimeConfig
-from repro.sim.switch import BehavioralSwitch, SwitchResult
+from repro.sim.switch import BehavioralSwitch
 from repro.traffic.generators import TracePacket
 
 ActionPair = Tuple[str, str]  # (table, action)
@@ -180,8 +184,8 @@ class Profile:
         return reasons
 
 
-class PacketFacts(NamedTuple):
-    """What one packet's step log says — the unit a profile folds."""
+class PathFacts(NamedTuple):
+    """What one step log says — the unit a profile folds."""
 
     #: ``(table, action)`` of every table application.
     pairs: FrozenSet[ActionPair]
@@ -189,18 +193,15 @@ class PacketFacts(NamedTuple):
     hit_tables: FrozenSet[str]
     #: Tables applied, hit or miss.
     applied: FrozenSet[str]
-    #: ``(egress_port, dropped, to_controller)``.
-    decision: Tuple[int, bool, bool]
 
 
-def packet_facts(result: SwitchResult) -> PacketFacts:
-    """Fold one packet's :attr:`~repro.sim.switch.SwitchResult.steps`."""
-    steps = result.steps
-    return PacketFacts(
+def path_facts(steps: Tuple[ExecutionStep, ...]) -> PathFacts:
+    """Fold one step log (a :attr:`~repro.sim.switch.SwitchResult.steps`
+    as a tuple, so that callers can key on it)."""
+    return PathFacts(
         pairs=frozenset((step.table, step.action) for step in steps),
         hit_tables=frozenset(step.table for step in steps if step.hit),
         applied=frozenset(step.table for step in steps),
-        decision=result.forwarding_decision(),
     )
 
 
@@ -217,19 +218,38 @@ class Profiler:
         """The profile of ``trace`` plus the replay's perf counters
         (packets/s, per-table lookups, …)."""
         switch = BehavioralSwitch(self.program, self.config)
-        packets = [packet_facts(r) for r in switch.process_many(trace)]
+        results = switch.process_many(trace)
+        # Paths in first-seen order, so every dict below gets its keys
+        # in the order a per-packet fold would have added them.
+        paths = Counter(tuple(r.steps) for r in results)
+        apply_counts: Counter = Counter()
+        hit_counts: Counter = Counter()
+        action_counts: Counter = Counter()
+        apply_sets: Counter = Counter()
+        nonexclusive_sets: Set[FrozenSet[ActionPair]] = set()
+        hit_pairs: List[ActionPair] = []
+        for steps, count in paths.items():
+            pairs, hit_tables, applied = path_facts(steps)
+            for table in applied:
+                apply_counts[table] += count
+            for table in hit_tables:
+                hit_counts[table] += count
+            for pair in pairs:
+                action_counts[pair] += count
+            if pairs:
+                nonexclusive_sets.add(pairs)
+                apply_sets[applied] += count
+            hit_pairs.extend(a for a in pairs if a[0] in hit_tables)
         profile = Profile(
             program_name=self.program.name,
-            total_packets=len(packets),
-            apply_counts=dict(Counter(t for p in packets for t in p.applied)),
-            hit_counts=dict(Counter(t for p in packets for t in p.hit_tables)),
-            action_counts=dict(Counter(a for p in packets for a in p.pairs)),
-            nonexclusive_sets={p.pairs for p in packets if p.pairs},
-            decisions=tuple(p.decision for p in packets),
-            apply_sets=dict(Counter(p.applied for p in packets if p.applied)),
-            hit_pairs=frozenset(
-                a for p in packets for a in p.pairs if a[0] in p.hit_tables
-            ),
+            total_packets=len(results),
+            apply_counts=dict(apply_counts),
+            hit_counts=dict(hit_counts),
+            action_counts=dict(action_counts),
+            nonexclusive_sets=nonexclusive_sets,
+            decisions=tuple(r.forwarding_decision() for r in results),
+            apply_sets=dict(apply_sets),
+            hit_pairs=frozenset(hit_pairs),
         )
         return profile, switch.perf
 

@@ -434,7 +434,5 @@ class BehavioralSwitch:
             hit = False
         action = self.program.actions[action_name]
         execute_action(self.program, action, action_args, phv, self.state)
-        steps.append(
-            ExecutionStep(table=table_name, action=action_name, hit=hit)
-        )
+        steps.append(ExecutionStep(table_name, action_name, hit))
         return hit

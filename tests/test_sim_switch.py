@@ -1,5 +1,7 @@
 """Behavioural tests for the switch simulator."""
 
+import pickle
+
 import pytest
 
 from repro.exceptions import SimulationError
@@ -26,7 +28,7 @@ from repro.p4 import (
 from repro.p4.types import CPU_PORT, DROP_PORT
 from repro.packets import headers as hdr
 from repro.packets.craft import dns_query, plain_ipv4_packet, udp_packet
-from repro.sim import BehavioralSwitch, RuntimeConfig
+from repro.sim import BehavioralSwitch, ExecutionStep, RuntimeConfig
 from repro.sim.parser_engine import deparse_packet, parse_packet
 from tests.conftest import build_toy_program, toy_config
 
@@ -239,3 +241,17 @@ class TestDeparsing:
     def test_too_short_packet_rejected(self, switch):
         with pytest.raises(SimulationError):
             switch.process(b"\x00" * 4)
+
+
+class TestExecutionStep:
+    """The step log is shared by every consumer and keyed on by the
+    profilers, so a step is an immutable, picklable named tuple."""
+
+    def test_contract(self, switch):
+        result = switch.process(udp_packet("1.1.1.1", "10.2.3.4", 10, 20))
+        step = result.steps[0]
+        assert isinstance(step, ExecutionStep)
+        assert ExecutionStep._fields == ("table", "action", "hit")
+        with pytest.raises(AttributeError):
+            step.hit = not step.hit
+        assert pickle.loads(pickle.dumps(step)) == step
