@@ -14,6 +14,7 @@ import pytest
 from repro.core.phase_dependencies import run_phase as dep_phase
 from repro.core.phase_memory import run_phase as mem_phase
 from repro.core.profiler import Profiler
+from repro.core.session import OptimizationContext
 from repro.target import compile_program
 
 
@@ -25,23 +26,23 @@ def phase3_state(firewall_inputs):
     step = dep_phase(program, result, profile)
     program2 = step.program
     profile2 = Profiler(program2, config).profile(trace)
-    return program2, config, trace, target, profile2
+    with OptimizationContext(program2, config, trace, target) as ctx:
+        yield ctx, program2, config, profile2
 
 
 def test_candidate_order_policies(benchmark, phase3_state, record):
-    program, config, trace, target, profile = phase3_state
+    ctx, program, config, profile = phase3_state
 
     lowest_first = benchmark.pedantic(
         mem_phase,
-        args=(program, config, trace, target, profile),
+        args=(ctx, program, config, profile),
         rounds=1,
         iterations=1,
     )
     highest_first = mem_phase(
+        ctx,
         program,
         config,
-        trace,
-        target,
         profile,
         candidate_order=lambda cs: sorted(cs, key=lambda c: -c.hit_rate),
     )

@@ -15,6 +15,7 @@ from repro.core.phase_memory import (
     minimal_reduction,
 )
 from repro.core.profiler import Profiler
+from repro.core.session import OptimizationContext
 from repro.target import compile_program
 
 
@@ -27,18 +28,19 @@ def phase3_input(firewall_inputs):
     program2 = step.program
     profile2 = Profiler(program2, config).profile(trace)
     baseline = compile_program(program2, target).stages_used
-    candidates = find_candidates(program2, target, profile2)
-    row0 = next(c for c in candidates if c.name == "dns_cms_row0")
-    return program2, target, row0, baseline
+    with OptimizationContext(program2, config, trace, target) as ctx:
+        candidates = find_candidates(ctx, program2, profile2)
+        row0 = next(c for c in candidates if c.name == "dns_cms_row0")
+        yield ctx, program2, row0, baseline
 
 
 def test_binary_vs_linear_probe_count(benchmark, phase3_input, record):
-    program, target, candidate, baseline = phase3_input
+    ctx, program, candidate, baseline = phase3_input
 
     binary_probes = []
     binary_answer = benchmark.pedantic(
         minimal_reduction,
-        args=(program, target, candidate, baseline),
+        args=(ctx, program, candidate, baseline),
         kwargs={"probe_counter": binary_probes},
         rounds=1,
         iterations=1,
@@ -46,8 +48,8 @@ def test_binary_vs_linear_probe_count(benchmark, phase3_input, record):
 
     linear_probes = []
     linear_answer = linear_minimal_reduction(
+        ctx,
         program,
-        target,
         candidate,
         baseline,
         step=4,

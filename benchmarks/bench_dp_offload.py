@@ -15,25 +15,27 @@ from repro.core.phase_offload import (
     run_phase,
     select_combination,
 )
+from repro.core.session import OptimizationContext
 from repro.programs import telemetry
 from repro.target import compile_program
 
 
 @pytest.fixture(scope="module")
 def inputs():
-    return (
-        telemetry.build_program(),
-        telemetry.runtime_config(),
-        telemetry.make_trace(3000),
-    )
+    program = telemetry.build_program()
+    config = telemetry.runtime_config()
+    trace = telemetry.make_trace(3000)
+    with OptimizationContext(
+        program, config, trace, telemetry.TARGET
+    ) as ctx:
+        yield ctx, program, config
 
 
 def test_dp_combination_selection(benchmark, inputs, record):
-    program, config, trace = inputs
+    ctx, program, config = inputs
 
     evaluated = evaluate_candidates(
-        program, config, trace, telemetry.TARGET,
-        enumerate_candidates(program),
+        ctx, program, config, enumerate_candidates(program)
     )
     combo = benchmark.pedantic(
         select_combination,
@@ -65,10 +67,10 @@ def test_dp_combination_selection(benchmark, inputs, record):
 
 
 def test_dp_combination_end_to_end(benchmark, inputs, record):
-    program, config, trace = inputs
+    ctx, program, config = inputs
     outcome = benchmark.pedantic(
         run_phase,
-        args=(program, config, trace, telemetry.TARGET),
+        args=(ctx, program, config),
         kwargs={"min_stage_savings": 2, "allow_combination": True},
         rounds=1,
         iterations=1,

@@ -3,18 +3,14 @@
 
 Builds Ex. 1 (the stateful firewall), profiles it on an enterprise-style
 trace, runs all four P2GO phases, and prints the optimization report —
-reproducing the paper's Table 2 progression 8 -> 7 -> 6 -> 3 stages.
-
-All compiles and trace replays go through one memoizing
-:class:`~repro.core.session.OptimizationContext`; sharing it afterwards
-makes the static-baseline comparison free (the original program's
-compile is already cached).
+reproducing the paper's Table 2 progression 8 -> 7 -> 6 -> 3 stages,
+then compares the result against the profile-blind static compiler.
 
 Run:
     python examples/quickstart.py
 """
 
-from repro import P2GO, OptimizationContext, render_report
+from repro import P2GO, render_report
 from repro.baselines.static_only import compile_static
 from repro.programs import example_firewall as fw
 
@@ -30,15 +26,10 @@ def main() -> None:
     print(f"trace:   {len(trace)} packets")
     print()
 
-    session = OptimizationContext(program, config, trace, fw.TARGET)
-    result = P2GO(
-        program, config, trace, fw.TARGET, session=session
-    ).run()
+    result = P2GO(program, config, trace, fw.TARGET).run()
     print(render_report(result))
 
-    # The baseline comparison reuses the session's compile cache — no
-    # extra compile is executed for it.
-    static = compile_static(program, fw.TARGET, session=session)
+    static = compile_static(program, fw.TARGET)
     print()
     print(f"static baseline (no profile guidance): {static.stages} stages "
           f"vs {result.stages_after} optimized")

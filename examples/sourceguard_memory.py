@@ -10,7 +10,7 @@ Run:
     python examples/sourceguard_memory.py
 """
 
-from repro import Profiler, compile_program
+from repro import OptimizationContext, Profiler, compile_program
 from repro.core.phase_memory import (
     find_candidates,
     minimal_reduction,
@@ -37,8 +37,10 @@ def main() -> None:
     print()
 
     # ------------------------------------------------------------------
+    # Every phase-3 probe compiles and replays through one session.
+    ctx = OptimizationContext(program, config, trace, target)
     print("Phase 3, step 1 — probe a 50% cut of every resource:")
-    candidates = find_candidates(program, target, profile)
+    candidates = find_candidates(ctx, program, profile)
     for c in candidates:
         print(f"  {c.kind.value:8s} {c.name:12s} "
               f"(hit rate {c.hit_rate:6.1%}): halving -> "
@@ -50,7 +52,7 @@ def main() -> None:
           f"(lowest hit rate first):")
     probes = []
     minimal = minimal_reduction(
-        program, target, chosen, before.stages_used, probe_counter=probes
+        ctx, program, chosen, before.stages_used, probe_counter=probes
     )
     for size in probes:
         stages = compile_program(
@@ -67,7 +69,8 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     print("\nPhase 3, step 3 — verify on the trace and apply:")
-    outcome = run_phase(program, config, trace, target, profile)
+    outcome = run_phase(ctx, program, config, profile)
+    ctx.close()
     assert outcome.accepted is not None
     accepted = outcome.accepted
     print(f"  accepted: {accepted.candidate.name} -> {accepted.new_size} "

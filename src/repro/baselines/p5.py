@@ -12,9 +12,8 @@ of tables); P5 deactivates those code blocks wholesale and recompiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
-from repro.core.session import OptimizationContext
 from repro.exceptions import OptimizationError
 from repro.p4.control import (
     Seq,
@@ -87,22 +86,11 @@ def optimize_with_policy(
     program: Program,
     policy: Policy,
     target: TargetModel = DEFAULT_TARGET,
-    session: Optional[OptimizationContext] = None,
 ) -> P5Result:
-    """Deactivate policy-unused blocks and recompile.
-
-    With a ``session`` (e.g. the one a P2GO run used), both compiles go
-    through the shared memo cache, so baseline comparisons against an
-    already-optimized program are free.
-    """
-    if session is not None:
-        before = session.compile(program).stages_used
-        reduced = deactivate_feature_blocks(program, policy)
-        after = session.compile(reduced).stages_used
-    else:
-        before = compile_program(program, target).stages_used
-        reduced = deactivate_feature_blocks(program, policy)
-        after = compile_program(reduced, target).stages_used
+    """Deactivate policy-unused blocks and recompile."""
+    before = compile_program(program, target).stages_used
+    reduced = deactivate_feature_blocks(program, policy)
+    after = compile_program(reduced, target).stages_used
     removed = tuple(
         sorted(set(program.tables) - set(reduced.tables))
     )

@@ -8,9 +8,8 @@ P2GO's gains in the benches are measured against this baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.core.session import OptimizationContext
 from repro.p4.program import Program
 from repro.target.compiler import compile_program
 from repro.target.model import DEFAULT_TARGET, TargetModel
@@ -27,20 +26,10 @@ class StaticResult:
 
 
 def compile_static(
-    program: Program,
-    target: TargetModel = DEFAULT_TARGET,
-    session: Optional[OptimizationContext] = None,
+    program: Program, target: TargetModel = DEFAULT_TARGET
 ) -> StaticResult:
-    """Compile with no profile guidance.
-
-    Pass the :class:`~repro.core.session.OptimizationContext` of a P2GO
-    run to share its compile cache — comparing the baseline against an
-    optimized run then costs no extra compile.
-    """
-    if session is not None:
-        result = session.compile(program)
-    else:
-        result = compile_program(program, target)
+    """Compile with no profile guidance."""
+    result = compile_program(program, target)
     return StaticResult(
         program=program,
         stages=result.stages_used,

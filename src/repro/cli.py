@@ -11,17 +11,16 @@ Commands:
   phase 1 on its own; prints the profiling engine's perf counters
   (packets/s, per-table lookups).  ``--reference`` replays on the
   reference interpreter (the oracle, not a speed setting).
-* ``optimize PROGRAM --config CFG --trace PCAP [--no-memo]
-  [--workers N] [--store PATH | --no-store]`` — the full pipeline;
-  writes the optimized program (DSL) and the observation report (which
-  includes the session's compile/profile invocation counters and a
-  memo/disk/executed provenance line).  ``--no-memo`` disables the
-  session memo cache; ``--workers`` probes independent candidates
-  concurrently (default: the ``P2GO_WORKERS`` environment variable,
-  then 1 — the result is identical for any worker count); ``--store``
-  warm-starts from (and persists to) a cross-run disk cache (default:
-  the ``P2GO_STORE`` environment variable, then no store;
-  ``--no-store`` forces a memory-only run).
+* ``optimize PROGRAM --config CFG --trace PCAP [--workers N]
+  [--store PATH | --no-store]`` — the full pipeline; writes the
+  optimized program (DSL) and the observation report (which includes
+  the session's compile/profile invocation counters and a
+  memo/disk/executed provenance line).  ``--workers`` probes
+  independent candidates concurrently (default: the ``P2GO_WORKERS``
+  environment variable, then 1 — the result is identical for any
+  worker count); ``--store`` warm-starts from (and persists to) a
+  cross-run disk cache (default: the ``P2GO_STORE`` environment
+  variable, then no store; ``--no-store`` forces a memory-only run).
 * ``store stats|clear [--store PATH]`` — inspect or empty the
   persistent store (default root: ``$P2GO_STORE``, then
   ``~/.cache/p2go``); ``stats`` breaks entries and bytes down per
@@ -181,7 +180,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         target,
         phases=phases,
         max_redirect_fraction=args.max_redirect,
-        memoize=not args.no_memo,
         workers=args.workers,
         store=store,
     ).run()
@@ -577,12 +575,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="comma-separated phase order (default 2,3,4)")
     p_opt.add_argument("--max-redirect", type=float, default=0.10,
                        help="controller-load budget (default 0.10)")
-    p_opt.add_argument(
-        "--no-memo",
-        action="store_true",
-        help="disable the session's compile/profile memo cache (every "
-        "candidate probe recompiles and re-replays the trace)",
-    )
     p_opt.add_argument(
         "--workers",
         type=int,

@@ -198,48 +198,36 @@ class OnlineProfiler:
         return result
 
     # ------------------------------------------------------------------
-    def reoptimize(self, trace, *, store=None, target=None, **p2go_kwargs):
+    def reoptimize(self, trace, **p2go_kwargs):
         """Re-run P2GO on drifted traffic (§6's dynamic-compilation
         loop: a drift alert means the optimization-time profile no
         longer matches reality, so the program is re-optimized against
         a trace of the *new* traffic).
 
-        With a shared ``session`` (the recommended setup: pass the
-        optimization run's session to this profiler), the re-run starts
-        warm — assigning the new trace re-keys the profile memo, so
-        every candidate whose behaviour is unchanged under the new
-        traffic is served from the session memo or the persistent store
-        instead of being recompiled/replayed.
-        Without one, a fresh session is created; ``store`` (path,
-        :class:`~repro.core.store.SessionStore`, or None for
-        ``$P2GO_STORE``) lets that cold session still warm-start from
-        disk.  Returns the new :class:`~repro.core.pipeline.P2GOResult`.
+        The re-run goes through the monitor's ``session`` and starts
+        warm: adopting the session re-keys the profile memo on the
+        drifted traffic before any probe runs, so every candidate whose
+        behaviour is unchanged under the new traffic is served from the
+        session memo or the persistent store instead of being
+        recompiled/replayed.  The adoption runs under a guard that
+        restores the prior trace if the re-run raises
+        (:meth:`~repro.core.pipeline.SwitchRun.execute`).  Raises
+        :class:`ValueError` when the monitor has no session.  Returns
+        the new :class:`~repro.core.pipeline.P2GOResult`.
         """
         from repro.core.pipeline import P2GO
-        from repro.target.model import DEFAULT_TARGET
 
-        trace = list(trace)
-        if self.session is not None:
-            # Adopting the session re-keys the profile memo on the
-            # drifted traffic before any probe runs, under a guard that
-            # restores the prior trace if the re-run raises
-            # (SwitchRun.execute): a shared session must not
-            # stay keyed on the drifted traffic for subsequent callers
-            # when no re-optimization actually landed.
-            return P2GO(
-                self.program,
-                self.config,
-                trace,
-                self.session.target,
-                session=self.session,
-                **p2go_kwargs,
-            ).run()
+        if self.session is None:
+            raise ValueError(
+                "reoptimize runs through the monitor's session; build the "
+                "OnlineProfiler with session="
+            )
         return P2GO(
             self.program,
             self.config,
             trace,
-            target if target is not None else DEFAULT_TARGET,
-            store=store,
+            self.session.target,
+            session=self.session,
             **p2go_kwargs,
         ).run()
 

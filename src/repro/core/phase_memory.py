@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.observations import Observation, ObservationKind, Phase
 from repro.core.passes import PassResult
@@ -20,9 +20,6 @@ from repro.core.profiler import Profile
 from repro.core.session import OptimizationContext
 from repro.p4.program import Program
 from repro.sim.runtime import RuntimeConfig
-from repro.target.compiler import compile_program
-from repro.target.model import TargetModel
-from repro.traffic.generators import TracePacket
 
 
 class ResourceKind(enum.Enum):
@@ -114,33 +111,22 @@ def _resized(program: Program, kind: ResourceKind, name: str, size: int) -> Prog
     return program.with_register_size(name, size)
 
 
-def _stages(
-    program: Program,
-    target: TargetModel,
-    session: Optional[OptimizationContext] = None,
-) -> int:
-    if session is not None:
-        return session.compile(program).stages_used
-    return compile_program(program, target).stages_used
-
-
 def find_candidates(
+    ctx: OptimizationContext,
     program: Program,
-    target: TargetModel,
     profile: Profile,
     baseline_stages: Optional[int] = None,
-    session: Optional[OptimizationContext] = None,
 ) -> List[MemoryCandidate]:
     """Probe a 50% cut of every resource; keep the stage-saving ones,
     ordered lowest hit rate first (ties broken by control order).
 
-    The halving probes are independent per resource, so with a session
-    they go through one :meth:`~repro.core.session.OptimizationContext.
-    compile_many` batch — compiled concurrently when the session has
-    workers, with results and counters identical to the serial loop.
+    The halving probes are independent per resource, so they go through
+    one :meth:`~repro.core.session.OptimizationContext.compile_many`
+    batch — compiled concurrently when the session has workers, with
+    results and counters identical to the serial loop.
     """
     if baseline_stages is None:
-        baseline_stages = _stages(program, target, session)
+        baseline_stages = ctx.compile(program).stages_used
     order = {
         name: i for i, name in enumerate(program.tables_in_control_order())
     }
@@ -178,18 +164,10 @@ def find_candidates(
                 ),
             )
         )
-    if session is not None:
-        probed_stages = [
-            result.stages_used
-            for result in session.compile_many(
-                [variant for *_rest, variant in probes]
-            )
-        ]
-    else:
-        probed_stages = [
-            compile_program(variant, target).stages_used
-            for *_rest, variant in probes
-        ]
+    probed_stages = [
+        result.stages_used
+        for result in ctx.compile_many([variant for *_rest, variant in probes])
+    ]
 
     candidates: List[MemoryCandidate] = []
     for (kind, name, size, rate_table, _variant), stages in zip(
@@ -213,12 +191,11 @@ def find_candidates(
 
 
 def minimal_reduction(
+    ctx: OptimizationContext,
     program: Program,
-    target: TargetModel,
     candidate: MemoryCandidate,
     baseline_stages: int,
     probe_counter: Optional[List[int]] = None,
-    session: Optional[OptimizationContext] = None,
 ) -> int:
     """Binary-search the largest size that still saves a stage (§3.3:
     "binary search allows P2GO to find the minimum reduction without a
@@ -227,11 +204,9 @@ def minimal_reduction(
     hi = candidate.original_size  # known not to save
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        stages = _stages(
-            _resized(program, candidate.kind, candidate.name, mid),
-            target,
-            session,
-        )
+        stages = ctx.compile(
+            _resized(program, candidate.kind, candidate.name, mid)
+        ).stages_used
         if probe_counter is not None:
             probe_counter.append(mid)
         if stages < baseline_stages:
@@ -242,23 +217,20 @@ def minimal_reduction(
 
 
 def linear_minimal_reduction(
+    ctx: OptimizationContext,
     program: Program,
-    target: TargetModel,
     candidate: MemoryCandidate,
     baseline_stages: int,
     step: int = 1,
     probe_counter: Optional[List[int]] = None,
-    session: Optional[OptimizationContext] = None,
 ) -> int:
     """Linear-scan baseline for the ablation bench: walk down from the
     original size until a stage is saved."""
     size = candidate.original_size - step
     while size > candidate.original_size // 2:
-        stages = _stages(
-            _resized(program, candidate.kind, candidate.name, size),
-            target,
-            session,
-        )
+        stages = ctx.compile(
+            _resized(program, candidate.kind, candidate.name, size)
+        ).stages_used
         if probe_counter is not None:
             probe_counter.append(size)
         if stages < baseline_stages:
@@ -278,31 +250,25 @@ class MemoryReductionResult:
 
 
 def run_phase(
+    ctx: OptimizationContext,
     program: Program,
     config: RuntimeConfig,
-    trace: Sequence[TracePacket],
-    target: TargetModel,
     profile: Profile,
-    candidate_order: Optional[Callable[[List[MemoryCandidate]], List[MemoryCandidate]]] = None,
-    session: Optional[OptimizationContext] = None,
+    candidate_order: Optional[CandidateOrder] = None,
 ) -> MemoryReductionResult:
     """Try candidates until one resize passes verification.
 
     ``candidate_order`` lets the ablation bench override the paper's
     lowest-hit-rate-first policy.  All candidate probing (the halving
     probes, the binary search, the verification re-profiles) goes
-    through ``session`` when one is given; standalone calls get a
-    private memoizing session so repeated probes of the same size are
-    compiled once.
+    through ``ctx``, so repeated probes of the same size are compiled
+    once and replays run on the session's trace.
     """
-    if session is None:
-        session = OptimizationContext(program, config, trace, target)
     observations: List[Observation] = []
     rejected: List[MemoryReduction] = []
-    baseline_stages = _stages(program, target, session)
+    baseline_stages = ctx.compile(program).stages_used
     candidates = find_candidates(
-        program, target, profile, baseline_stages=baseline_stages,
-        session=session,
+        ctx, program, profile, baseline_stages=baseline_stages
     )
     if candidate_order is not None:
         candidates = candidate_order(list(candidates))
@@ -324,15 +290,15 @@ def run_phase(
 
     for candidate in candidates:
         new_size = minimal_reduction(
-            program, target, candidate, baseline_stages, session=session
+            ctx, program, candidate, baseline_stages
         )
         resized = _resized(program, candidate.kind, candidate.name, new_size)
-        new_profile = session.profile(resized, config)
+        new_profile = ctx.profile(resized, config)
         reduction = MemoryReduction(
             candidate=candidate,
             new_size=new_size,
             stages_before=baseline_stages,
-            stages_after=_stages(resized, target, session),
+            stages_after=ctx.compile(resized).stages_used,
         )
         if profile.same_behavior_as(new_profile):
             observations.append(
@@ -398,21 +364,14 @@ class MemoryReductionPass:
     """
 
     max_rounds: int = 1
-    candidate_order: Optional[
-        Callable[[List[MemoryCandidate]], List[MemoryCandidate]]
-    ] = None
+    candidate_order: Optional[CandidateOrder] = None
     name: str = dc_field(default="reduce-memory", init=False)
     phase: Phase = dc_field(default=Phase.REDUCE_MEMORY, init=False)
 
     def run(self, ctx: OptimizationContext) -> PassResult:
         step = run_phase(
-            ctx.program,
-            ctx.config,
-            ctx.trace,
-            ctx.target,
-            ctx.profile(),
+            ctx, ctx.program, ctx.config, ctx.profile(),
             candidate_order=self.candidate_order,
-            session=ctx,
         )
         return PassResult(
             observations=step.observations,

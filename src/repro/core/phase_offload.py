@@ -35,8 +35,6 @@ from repro.p4.expressions import FieldRef, fields_read
 from repro.p4.program import Program
 from repro.p4.tables import Table
 from repro.sim.runtime import RuntimeConfig
-from repro.target.model import TargetModel
-from repro.traffic.generators import TracePacket
 
 #: Default ceiling on the fraction of traffic a segment may redirect
 #: (§3.4: offloading must not overload the controller).
@@ -308,30 +306,26 @@ def make_combined_offloaded_program(
 
 
 def evaluate_candidates(
+    ctx: OptimizationContext,
     program: Program,
     config: RuntimeConfig,
-    trace: Sequence[TracePacket],
-    target: TargetModel,
     candidates: Sequence[SegmentCandidate],
     baseline_stages: Optional[int] = None,
-    session: Optional[OptimizationContext] = None,
 ) -> List[EvaluatedCandidate]:
     """Compile + profile the redirect variant of every candidate (§3.4:
     "P2GO compiles and profiles a modified program for each candidate").
 
-    With a ``session``, every variant compile/profile is memoized — the
-    accepted variant's later re-profile by the orchestrator (and repeat
-    evaluations across re-runs on the same session) cost nothing.  The
-    variants are independent, so they are evaluated as one mixed
+    Every variant compile/profile goes through ``ctx`` and is memoized —
+    the accepted variant's later re-profile by the orchestrator (and
+    repeat evaluations across re-runs on the same session) cost nothing.
+    The variants are independent, so they are evaluated as one mixed
     :meth:`~repro.core.session.OptimizationContext.probe_many` batch:
     compiles and trace replays of all candidates run concurrently when
     the session has workers, with results and counters identical to the
     serial loop.
     """
-    if session is None:
-        session = OptimizationContext(program, config, trace, target)
     if baseline_stages is None:
-        baseline_stages = session.compile(program).stages_used
+        baseline_stages = ctx.compile(program).stages_used
 
     # Build every redirect variant up front (pure rewriting), then
     # batch-probe: one compile and one replay per candidate.
@@ -346,7 +340,7 @@ def evaluate_candidates(
         ]
         variants.append((modified, config.restricted_to(remaining)))
 
-    compiled, profiled = session.probe_many(
+    compiled, profiled = ctx.probe_many(
         programs=[modified for modified, _adapted in variants],
         variants=variants,
     )
@@ -473,7 +467,7 @@ def _try_combination(
     max_redirect_fraction: float,
     baseline_stages: int,
     observations: List[Observation],
-    session: OptimizationContext,
+    ctx: OptimizationContext,
 ) -> Optional[OffloadResult]:
     """§3.4's DP: combine disjoint segments when no single one suffices."""
     combo = select_combination(
@@ -485,7 +479,7 @@ def _try_combination(
         return None
     segments = [e.candidate for e in combo]
     combined = make_combined_offloaded_program(program, segments)
-    stages = session.compile(combined).stages_used
+    stages = ctx.compile(combined).stages_used
     if baseline_stages - stages < min_stage_savings:
         return None  # additive estimate was optimistic; reject
     offloaded_tables = [t for c in segments for t in c.tables]
@@ -532,26 +526,20 @@ def _try_combination(
 
 
 def run_phase(
+    ctx: OptimizationContext,
     program: Program,
     config: RuntimeConfig,
-    trace: Sequence[TracePacket],
-    target: TargetModel,
     min_stage_savings: int = 1,
     max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
     allow_combination: bool = False,
-    session: Optional[OptimizationContext] = None,
 ) -> OffloadResult:
     """Offload the best segment (or, with ``allow_combination``, the best
     DP combination of disjoint segments) if any qualifies."""
-    if session is None:
-        session = OptimizationContext(program, config, trace, target)
     observations: List[Observation] = []
     candidates = enumerate_candidates(program)
-    baseline_stages = session.compile(program).stages_used
+    baseline_stages = ctx.compile(program).stages_used
     evaluated = evaluate_candidates(
-        program, config, trace, target, candidates,
-        baseline_stages=baseline_stages,
-        session=session,
+        ctx, program, config, candidates, baseline_stages=baseline_stages
     )
     chosen = select_candidate(
         evaluated,
@@ -563,7 +551,7 @@ def run_phase(
             combined = _try_combination(
                 program, config, evaluated,
                 min_stage_savings, max_redirect_fraction,
-                baseline_stages, observations, session,
+                baseline_stages, observations, ctx,
             )
             if combined is not None:
                 return combined
@@ -640,14 +628,10 @@ class OffloadPass:
 
     def run(self, ctx: OptimizationContext) -> PassResult:
         step = run_phase(
-            ctx.program,
-            ctx.config,
-            ctx.trace,
-            ctx.target,
+            ctx, ctx.program, ctx.config,
             min_stage_savings=self.min_stage_savings,
             max_redirect_fraction=self.max_redirect_fraction,
             allow_combination=self.allow_combination,
-            session=ctx,
         )
         if step.offloaded is None:
             return PassResult(observations=step.observations)

@@ -134,9 +134,7 @@ class SwitchRun:
     dependencies to remove, how many resizes to accept, the minimum
     stage savings and controller-load ceiling for offloading, phase 3's
     ``candidate_policy``, and the ``review_hook`` through which a
-    programmer can veto changes.  ``memoize=False`` disables the
-    session cache (every probe recompiles and re-replays — the
-    benchmark's reference mode).  ``workers`` sets how many candidates
+    programmer can veto changes.  ``workers`` sets how many candidates
     the phases probe concurrently (None defers to ``$P2GO_WORKERS``,
     then to 1 — the serial path; the result is identical either way).
     ``name`` labels the switch in fleet reports (defaults to the
@@ -166,7 +164,6 @@ class SwitchRun:
         offload_min_stage_savings: int = 1,
         max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
         review_hook: Optional[ReviewHook] = None,
-        memoize: bool = True,
         workers: Optional[int] = None,
         candidate_policy: Optional[str] = None,
     ):
@@ -186,7 +183,6 @@ class SwitchRun:
         self.offload_min_stage_savings = offload_min_stage_savings
         self.max_redirect_fraction = max_redirect_fraction
         self.review_hook = review_hook
-        self.memoize = memoize
         self.workers = workers
         self.candidate_policy = candidate_policy
 
@@ -233,7 +229,6 @@ class SwitchRun:
             self.config,
             self.trace,
             self.target,
-            memoize=self.memoize,
             workers=self.workers,
             store=store,
         )
@@ -241,14 +236,22 @@ class SwitchRun:
     def adopt_session(self, ctx: OptimizationContext) -> None:
         """Re-wire an injected (possibly shared) session to this run.
 
-        The session keeps its memo cache, counters, and store; it
+        The session keeps its memo cache, counters, store and target; it
         starts this run from our inputs.  The trace assignment re-keys
         its profile lookups (memo and disk): a shared
         session that previously replayed other traffic (e.g. before an
         OnlineProfiler drift alert) must not serve profiles recorded on
         it.  Equal-content traces hash to the same key, so this never
-        costs a cached run anything.
+        costs a cached run anything.  The target is not re-wired: a
+        session compiles for the one target it was built with, so a run
+        for another target raises :class:`ValueError`.
         """
+        if self.target.fingerprint() != ctx.target.fingerprint():
+            raise ValueError(
+                f"this run's target {self.target.name!r} is not the "
+                "session's (their fingerprints differ); a session compiles "
+                "for the one target it was built with"
+            )
         ctx.program = self.program
         ctx.config = self.config
         ctx.trace = self.trace
@@ -352,7 +355,7 @@ class P2GO(SwitchRun):
     (every run parameter is documented there) plus the
     ``session``/``store`` resolution library callers expect.
 
-    ``session`` lets several runs (or a run plus baselines/online
+    ``session`` lets several runs on one target (or a run plus online
     monitoring) share one compile/profile cache; by default each run gets
     a fresh :class:`~repro.core.session.OptimizationContext`.
 

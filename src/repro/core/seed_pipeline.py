@@ -146,8 +146,7 @@ def run_seed(
         elif phase_number == 3:
             for _round in range(max_memory_reductions):
                 step = phase_memory.run_phase(
-                    current, config, trace, target, profile,
-                    session=session,
+                    session, current, config, profile
                 )
                 applied = False
                 for obs in step.observations:
@@ -173,13 +172,11 @@ def run_seed(
             )
         elif phase_number == 4:
             step = phase_offload.run_phase(
+                session,
                 current,
                 config,
-                trace,
-                target,
                 min_stage_savings=offload_min_stage_savings,
                 max_redirect_fraction=max_redirect_fraction,
-                session=session,
             )
             applied = False
             for obs in step.observations:

@@ -327,9 +327,9 @@ class OptimizationContext:
     """Current optimization state plus the memoizing compile/profile
     session every phase shares.
 
-    ``memoize=False`` keeps the counters and the transactional state but
-    executes every call — the mode the seed-orchestrator reference and
-    the pipeline benchmark use to measure what the memo cache saves.
+    ``memoize=False`` keeps the counters and the current state but
+    executes every call — the mode the seed-orchestrator reference uses
+    to count the seed's real invocations.
 
     ``workers`` sets the parallelism of the batch probes
     (:meth:`compile_many`, :meth:`profile_many`, :meth:`probe_many`);

@@ -228,6 +228,13 @@ class TestReoptimizeStateGuard:
         # On success the new state stays — that *is* the re-key.
         assert session.trace == drifted
 
+    def test_refuses_without_a_session(
+        self, firewall_program, firewall_config
+    ):
+        online = OnlineProfiler(firewall_program, firewall_config)
+        with pytest.raises(ValueError, match="monitor's session"):
+            online.reoptimize(fw.make_trace(50, seed=3), phases=(2,))
+
 
 class _ToyTraffic:
     """Packet kinds with known per-packet hit sets on the toy program."""

@@ -8,6 +8,7 @@ runs — while its session executes strictly fewer compiles and trace
 replays (ISSUE 3's acceptance bar).
 """
 
+import dataclasses
 import re
 
 import pytest
@@ -226,3 +227,21 @@ class TestResultExtras:
         assert ctx.counters.compile_executions == executions_after_first
         assert ctx.counters.profile_executions == replays_after_first
         assert second.stages_after == second.outcomes[-1].stages
+
+    def test_session_for_another_target_is_refused(self, inputs):
+        """A session compiles for the one target it was built with.  A
+        run on a same-named but roomier target used to adopt it anyway
+        and report the session target's stages (8 -> 6) instead of its
+        own (3 -> 3); now it raises and leaves the session untouched."""
+        program, config, trace, target = inputs
+        trace = trace[:600]
+        roomy = dataclasses.replace(
+            target, sram_blocks_per_stage=64, tcam_blocks_per_stage=64
+        )
+        own = P2GO(program, config, trace, roomy, store=False).run()
+        assert (own.stages_before, own.stages_after) == (3, 3)
+        with OptimizationContext(program, config, trace, target) as ctx:
+            with pytest.raises(ValueError, match="fingerprints differ"):
+                P2GO(program, config, trace, roomy, session=ctx).run()
+            assert ctx.counters.compile_calls == 0
+            assert ctx.counters.profile_calls == 0

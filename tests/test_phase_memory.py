@@ -17,6 +17,7 @@ from repro.core.phase_memory import (
     run_phase,
 )
 from repro.core.profiler import Profiler
+from repro.core.session import OptimizationContext
 from repro.programs import example_firewall, sourceguard
 from repro.target import compile_program
 
@@ -34,67 +35,65 @@ def after_phase2(firewall_program, firewall_config, firewall_trace):
     return program, profile2
 
 
+@pytest.fixture(scope="module")
+def ctx(after_phase2, firewall_config, firewall_trace):
+    """The session every phase-3 probe goes through."""
+    program, _profile = after_phase2
+    with OptimizationContext(
+        program, firewall_config, firewall_trace, example_firewall.TARGET
+    ) as session:
+        yield session
+
+
 class TestCandidates:
-    def test_candidates_found(self, after_phase2):
+    def test_candidates_found(self, ctx, after_phase2):
         program, profile = after_phase2
-        candidates = find_candidates(
-            program, example_firewall.TARGET, profile
-        )
+        candidates = find_candidates(ctx, program, profile)
         names = {(c.kind.value, c.name) for c in candidates}
         assert ("register", "dns_cms_row0") in names
         assert ("register", "dns_cms_row1") in names
         assert ("table", "IPv4") in names
 
-    def test_lowest_hit_rate_first(self, after_phase2):
+    def test_lowest_hit_rate_first(self, ctx, after_phase2):
         """§3.3: P2GO selects the candidate with the lowest hit rate to
         minimize behavioural risk — the sketch rows (2%) before the FIB
         (100%)."""
         program, profile = after_phase2
-        candidates = find_candidates(
-            program, example_firewall.TARGET, profile
-        )
+        candidates = find_candidates(ctx, program, profile)
         assert candidates[0].name == "dns_cms_row0"
         assert candidates[-1].name == "IPv4"
 
-    def test_small_tables_not_candidates(self, after_phase2):
+    def test_small_tables_not_candidates(self, ctx, after_phase2):
         program, profile = after_phase2
-        candidates = find_candidates(
-            program, example_firewall.TARGET, profile
-        )
+        candidates = find_candidates(ctx, program, profile)
         names = {c.name for c in candidates}
         assert "ACL_UDP" not in names
         assert "DNS_Drop" not in names
 
 
 class TestBinarySearch:
-    def test_minimal_reduction_matches_pinned_constant(self, after_phase2):
+    def test_minimal_reduction_matches_pinned_constant(
+        self, ctx, after_phase2
+    ):
         """Regression pin: the engineered collision flows assume the
         binary search lands at REDUCED_SKETCH_CELLS."""
         program, profile = after_phase2
         baseline = compile_program(
             program, example_firewall.TARGET
         ).stages_used
-        candidates = find_candidates(
-            program, example_firewall.TARGET, profile
-        )
+        candidates = find_candidates(ctx, program, profile)
         row0 = next(c for c in candidates if c.name == "dns_cms_row0")
-        minimal = minimal_reduction(
-            program, example_firewall.TARGET, row0, baseline
-        )
+        minimal = minimal_reduction(ctx, program, row0, baseline)
         assert minimal == example_firewall.REDUCED_SKETCH_CELLS
 
-    def test_minimal_reduction_really_is_minimal(self, after_phase2):
+    def test_minimal_reduction_really_is_minimal(self, ctx, after_phase2):
         program, profile = after_phase2
         baseline = compile_program(
             program, example_firewall.TARGET
         ).stages_used
-        candidates = find_candidates(
-            program, example_firewall.TARGET, profile
-        )
+        candidates = find_candidates(ctx, program, profile)
         row0 = next(c for c in candidates if c.name == "dns_cms_row0")
-        minimal = minimal_reduction(
-            program, example_firewall.TARGET, row0, baseline
-        )
+        minimal = minimal_reduction(ctx, program, row0, baseline)
         # One more cell and the saving disappears.
         bigger = program.with_register_size("dns_cms_row0", minimal + 1)
         assert (
@@ -107,24 +106,21 @@ class TestBinarySearch:
             < baseline
         )
 
-    def test_linear_scan_agrees_with_binary_search(self, after_phase2):
+    def test_linear_scan_agrees_with_binary_search(self, ctx, after_phase2):
         """Ablation grounding: both search strategies find the same
         answer; binary search just needs fewer compiles."""
         program, profile = after_phase2
         baseline = compile_program(
             program, example_firewall.TARGET
         ).stages_used
-        candidates = find_candidates(
-            program, example_firewall.TARGET, profile
-        )
+        candidates = find_candidates(ctx, program, profile)
         row0 = next(c for c in candidates if c.name == "dns_cms_row0")
         binary_probes, linear_probes = [], []
         b = minimal_reduction(
-            program, example_firewall.TARGET, row0, baseline,
-            probe_counter=binary_probes,
+            ctx, program, row0, baseline, probe_counter=binary_probes
         )
         l = linear_minimal_reduction(
-            program, example_firewall.TARGET, row0, baseline,
+            ctx, program, row0, baseline,
             step=4, probe_counter=linear_probes,
         )
         assert b == l
@@ -133,19 +129,13 @@ class TestBinarySearch:
 
 class TestVerification:
     def test_sketch_resize_rejected_fib_accepted(
-        self, after_phase2, firewall_config, firewall_trace
+        self, ctx, after_phase2, firewall_config
     ):
         """The paper's exact narrative: Sketch_1's resize changes
         DNS_Drop's hit rate (CMS collision) and is discarded; the IPv4
         resize verifies clean and is applied."""
         program, profile = after_phase2
-        outcome = run_phase(
-            program,
-            firewall_config,
-            firewall_trace,
-            example_firewall.TARGET,
-            profile,
-        )
+        outcome = run_phase(ctx, program, firewall_config, profile)
         assert outcome.accepted is not None
         assert outcome.accepted.candidate.name == "IPv4"
         assert outcome.accepted.candidate.kind is ResourceKind.TABLE
@@ -154,43 +144,32 @@ class TestVerification:
         assert "dns_cms_row1" in rejected_names
 
     def test_rejection_reason_mentions_dns_drop(
-        self, after_phase2, firewall_config, firewall_trace
+        self, ctx, after_phase2, firewall_config
     ):
         program, profile = after_phase2
-        outcome = run_phase(
-            program,
-            firewall_config,
-            firewall_trace,
-            example_firewall.TARGET,
-            profile,
-        )
+        outcome = run_phase(ctx, program, firewall_config, profile)
         rejections = [
             o for o in outcome.observations if o.kind.value == "rejected"
         ]
         assert any("DNS_Drop" in o.details for o in rejections)
 
-    def test_stage_saved(self, after_phase2, firewall_config,
-                         firewall_trace):
+    def test_stage_saved(self, ctx, after_phase2, firewall_config):
         program, profile = after_phase2
-        outcome = run_phase(
-            program, firewall_config, firewall_trace,
-            example_firewall.TARGET, profile,
-        )
+        outcome = run_phase(ctx, program, firewall_config, profile)
         assert outcome.accepted.stages_after == (
             outcome.accepted.stages_before - 1
         )
 
     def test_candidate_order_override(
-        self, after_phase2, firewall_config, firewall_trace
+        self, ctx, after_phase2, firewall_config
     ):
         """Ablation hook: forcing the FIB first skips the rejected sketch
         probes entirely."""
         program, profile = after_phase2
         outcome = run_phase(
+            ctx,
             program,
             firewall_config,
-            firewall_trace,
-            example_firewall.TARGET,
             profile,
             candidate_order=lambda cs: sorted(
                 cs, key=lambda c: -c.hit_rate
@@ -208,9 +187,10 @@ class TestSourceguard:
         config = sourceguard.runtime_config(program)
         trace = sourceguard.make_trace(2000)
         profile = Profiler(program, config).profile(trace)
-        outcome = run_phase(
-            program, config, trace, sourceguard.TARGET, profile
-        )
+        with OptimizationContext(
+            program, config, trace, sourceguard.TARGET
+        ) as ctx:
+            outcome = run_phase(ctx, program, config, profile)
         assert outcome.accepted is not None
         assert outcome.accepted.candidate.kind is ResourceKind.REGISTER
         assert outcome.accepted.candidate.name in (

@@ -16,6 +16,7 @@ from repro.core.phase_offload import (
     select_combination,
 )
 from repro.core.profiler import Profiler
+from repro.core.session import OptimizationContext
 from repro.exceptions import OffloadError
 from repro.p4 import (
     Apply,
@@ -249,9 +250,10 @@ class TestRunPhaseOnFailureDetection:
         program = failure_detection.build_program()
         config = failure_detection.runtime_config()
         trace = failure_detection.make_trace(2000)
-        outcome = run_phase(
+        with OptimizationContext(
             program, config, trace, failure_detection.TARGET
-        )
+        ) as ctx:
+            outcome = run_phase(ctx, program, config)
         assert outcome.offloaded is not None
         assert set(outcome.offloaded.candidate.tables) == {
             "cms_0", "cms_1", "FailureAlarm",
@@ -263,9 +265,10 @@ class TestRunPhaseOnFailureDetection:
         program = failure_detection.build_program()
         config = failure_detection.runtime_config()
         trace = failure_detection.make_trace(1000)
-        outcome = run_phase(
+        with OptimizationContext(
             program, config, trace, failure_detection.TARGET
-        )
+        ) as ctx:
+            outcome = run_phase(ctx, program, config)
         assert outcome.config.entry_count("FailureAlarm") == 0
 
 

@@ -290,3 +290,44 @@ class TestPerfWindows:
         assert merged.table_lookups == {"t": 5, "u": 1}
         assert merged.packets_per_second() == pytest.approx(6.0)
         assert merge_perf([]) is None
+
+
+def test_removed_session_pieces_stay_removed(tmp_path):
+    """One door to the session: phases 3 and 4 probe only through the
+    session they are handed (never a ``trace``/``target`` of their own,
+    never a private session), the baselines never take one,
+    ``reoptimize`` always uses the monitor's, and the run layer has no
+    memo switch."""
+    import inspect
+
+    from repro.baselines import compile_static, optimize_with_policy
+    from repro.cli import main
+    from repro.core import phase_memory, phase_offload
+    from repro.core.online import OnlineProfiler
+    from repro.core.pipeline import SwitchRun
+
+    removed = [
+        (phase_memory.find_candidates, ("trace", "target", "session")),
+        (phase_memory.minimal_reduction, ("trace", "target", "session")),
+        (
+            phase_memory.linear_minimal_reduction,
+            ("trace", "target", "session"),
+        ),
+        (phase_memory.run_phase, ("trace", "target", "session")),
+        (phase_offload.run_phase, ("trace", "target", "session")),
+        (phase_offload.evaluate_candidates, ("trace", "target", "session")),
+        (compile_static, ("session",)),
+        (optimize_with_policy, ("session",)),
+        (OnlineProfiler.reoptimize, ("store", "target")),
+        (SwitchRun, ("memoize",)),
+    ]
+    for function, names in removed:
+        parameters = inspect.signature(function).parameters
+        for name in names:
+            assert name not in parameters, (function, name)
+    with pytest.raises(SystemExit) as exited:
+        main([
+            "optimize", str(tmp_path / "p.p4"),
+            "--trace", str(tmp_path / "t.pcap"), "--no-memo",
+        ])
+    assert exited.value.code == 2

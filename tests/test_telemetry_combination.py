@@ -28,6 +28,16 @@ def setup():
     return program, config, trace
 
 
+@pytest.fixture
+def ctx(setup):
+    """A fresh session on the telemetry inputs, for the phase-4 probes."""
+    program, config, trace = setup
+    with OptimizationContext(
+        program, config, trace, telemetry.TARGET
+    ) as session:
+        yield session
+
+
 class TestTelemetryProgram:
     def test_five_stages(self, setup):
         program, _config, _trace = setup
@@ -48,22 +58,20 @@ class TestTelemetryProgram:
 
 
 class TestCombination:
-    def test_no_single_candidate_saves_two(self, setup):
-        program, config, trace = setup
+    def test_no_single_candidate_saves_two(self, ctx, setup):
+        program, config, _trace = setup
         evaluated = evaluate_candidates(
-            program, config, trace, telemetry.TARGET,
-            enumerate_candidates(program),
+            ctx, program, config, enumerate_candidates(program)
         )
         affordable = [
             e for e in evaluated if e.redirect_fraction <= 0.10
         ]
         assert all(e.stages_saved < 2 for e in affordable)
 
-    def test_dp_picks_cheapest_pair(self, setup):
-        program, config, trace = setup
+    def test_dp_picks_cheapest_pair(self, ctx, setup):
+        program, config, _trace = setup
         evaluated = evaluate_candidates(
-            program, config, trace, telemetry.TARGET,
-            enumerate_candidates(program),
+            ctx, program, config, enumerate_candidates(program)
         )
         combo = select_combination(
             evaluated, min_stage_savings=2, max_redirect_fraction=0.10
@@ -71,11 +79,10 @@ class TestCombination:
         tables = {t for e in combo for t in e.candidate.tables}
         assert tables == {"dns_hh", "ttl_probe"}
 
-    def test_combined_program_saves_two_stages(self, setup):
-        program, config, trace = setup
+    def test_combined_program_saves_two_stages(self, ctx, setup):
+        program, config, _trace = setup
         evaluated = evaluate_candidates(
-            program, config, trace, telemetry.TARGET,
-            enumerate_candidates(program),
+            ctx, program, config, enumerate_candidates(program)
         )
         combo = select_combination(
             evaluated, min_stage_savings=2, max_redirect_fraction=0.10
@@ -95,13 +102,12 @@ class TestCombination:
         with pytest.raises(OffloadError):
             make_combined_offloaded_program(program, [dns, dns])
 
-    def test_run_phase_with_combination(self, setup):
-        program, config, trace = setup
+    def test_run_phase_with_combination(self, ctx, setup):
+        program, config, _trace = setup
         outcome = run_phase(
+            ctx,
             program,
             config,
-            trace,
-            telemetry.TARGET,
             min_stage_savings=2,
             allow_combination=True,
         )
@@ -117,25 +123,23 @@ class TestCombination:
         titles = [o.title for o in outcome.observations]
         assert any("combination" in t for t in titles)
 
-    def test_run_phase_without_combination_flag(self, setup):
-        program, config, trace = setup
+    def test_run_phase_without_combination_flag(self, ctx, setup):
+        program, config, _trace = setup
         outcome = run_phase(
+            ctx,
             program,
             config,
-            trace,
-            telemetry.TARGET,
             min_stage_savings=2,
             allow_combination=False,
         )
         assert outcome.offloaded is None
 
-    def test_combined_behavior_preserved(self, setup):
+    def test_combined_behavior_preserved(self, ctx, setup):
         """Each redirected packet gets its original verdict from the
         matching controller segment."""
         program, config, trace = setup
         outcome = run_phase(
-            program, config, trace, telemetry.TARGET,
-            min_stage_savings=2, allow_combination=True,
+            ctx, program, config, min_stage_savings=2, allow_combination=True
         )
         from repro.sim import BehavioralSwitch
 
