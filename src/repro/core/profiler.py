@@ -19,7 +19,10 @@ every field).
 
 Replay goes through the simulator's batched entry point
 (:meth:`~repro.sim.switch.BehavioralSwitch.process_many`): match
-structures and the execution plan compile once per run, and
+structures and the execution plan compile once per run, each result is
+folded as the replay produces it (no result list outlives the replay),
+a session's trace is parsed once for all its replays
+(:class:`~repro.sim.switch.ReplayTrace`), and
 :meth:`Profiler.run` returns the run's
 :class:`~repro.sim.perf.PerfCounters` beside the profile.  The step logs
 and forwarding decisions a profile is built from are bit-identical on
@@ -205,6 +208,22 @@ def path_facts(steps: Tuple[ExecutionStep, ...]) -> PathFacts:
     )
 
 
+class _ReplaySink:
+    """What :meth:`Profiler.run` keeps of each result as the replay
+    produces it: packets per step log, in first-seen order, and the
+    forwarding decision.  The result itself is dropped at once."""
+
+    __slots__ = ("paths", "decisions")
+
+    def __init__(self):
+        self.paths: Counter = Counter()
+        self.decisions: List[Tuple[int, bool, bool]] = []
+
+    def append(self, result) -> None:
+        self.paths[tuple(result.steps)] += 1
+        self.decisions.append(result.forwarding_decision())
+
+
 class Profiler:
     """Profiles a program by replaying a trace and folding step logs."""
 
@@ -218,10 +237,10 @@ class Profiler:
         """The profile of ``trace`` plus the replay's perf counters
         (packets/s, per-table lookups, …)."""
         switch = BehavioralSwitch(self.program, self.config)
-        results = switch.process_many(trace)
+        sink = switch.process_many(trace, into=_ReplaySink())
         # Paths in first-seen order, so every dict below gets its keys
         # in the order a per-packet fold would have added them.
-        paths = Counter(tuple(r.steps) for r in results)
+        paths = sink.paths
         apply_counts: Counter = Counter()
         hit_counts: Counter = Counter()
         action_counts: Counter = Counter()
@@ -242,12 +261,12 @@ class Profiler:
             hit_pairs.extend(a for a in pairs if a[0] in hit_tables)
         profile = Profile(
             program_name=self.program.name,
-            total_packets=len(results),
+            total_packets=len(sink.decisions),
             apply_counts=dict(apply_counts),
             hit_counts=dict(hit_counts),
             action_counts=dict(action_counts),
             nonexclusive_sets=nonexclusive_sets,
-            decisions=tuple(r.forwarding_decision() for r in results),
+            decisions=tuple(sink.decisions),
             apply_sets=dict(apply_sets),
             hit_pairs=frozenset(hit_pairs),
         )

@@ -95,13 +95,19 @@ def format_packet_line(packet: TracePacket) -> str:
 
 
 def parse_packet_line(line: str) -> Optional[TracePacket]:
-    """Parse one feed line; None for blanks and ``#`` comments."""
+    """Parse one feed line; None for blanks and ``#`` comments.
+
+    An ingress port outside ``[0, 2**32)`` — the range a trace
+    fingerprint encodes — is a :class:`ValueError`, like malformed hex.
+    """
     line = line.strip()
     if not line or line.startswith("#"):
         return None
     parts = line.split()
     data = bytes.fromhex(parts[0])
     port = int(parts[1]) if len(parts) > 1 else 0
+    if not 0 <= port < 2**32:
+        raise ValueError(f"ingress port {port} is outside [0, 2**32)")
     return (data, port) if port else data
 
 

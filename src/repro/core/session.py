@@ -49,7 +49,10 @@ Keying:
   session whose trace is swapped (e.g. after an
   :class:`~repro.core.online.OnlineProfiler` drift alert) never serves
   profiles recorded on the old traffic.  In-place mutation of the trace
-  list bypasses the setter — assign a new trace instead.
+  list bypasses the setter — assign a new trace instead.  The setter
+  also makes the trace a :class:`~repro.sim.switch.ReplayTrace`, so the
+  session's replays parse each packet once per parser, not once per
+  replay; swapping the trace or closing the session drops the parses.
 
 The session also carries:
 
@@ -152,6 +155,7 @@ from repro.p4.dsl.printer import print_program
 from repro.p4.program import Program
 from repro.sim.perf import PerfCounters
 from repro.sim.runtime import RuntimeConfig
+from repro.sim.switch import ReplayTrace
 from repro.target.compiler import CompileResult, compile_program
 from repro.target.model import DEFAULT_TARGET, TargetModel
 from repro.traffic.generators import TracePacket
@@ -399,8 +403,10 @@ class OptimizationContext:
     def trace(self, trace: Sequence[TracePacket]) -> None:
         """Swap the session trace; cached profiles — memo and disk —
         are keyed on the old trace's fingerprint and stop matching
-        immediately."""
-        self._trace = list(trace)
+        immediately.  Every replay of the new trace shares its parses
+        (:class:`~repro.sim.switch.ReplayTrace`); the old trace's go
+        with it."""
+        self._trace = ReplayTrace(trace)
         self._trace_key = trace_fingerprint(self._trace)
 
     @property
@@ -717,8 +723,10 @@ class OptimizationContext:
         return pool
 
     def close(self) -> None:
-        """Release the worker pool (memo caches and counters survive;
-        the pool is recreated lazily if the session batches again)."""
+        """Release the worker pool and the trace's parses (memo caches
+        and counters survive; the pool is recreated and the trace
+        re-parsed lazily if the session probes again)."""
+        self._trace.parses.clear()
         executor, self._executor = self._executor, None
         if executor is not None:
             executor[1].shutdown(wait=True)

@@ -26,8 +26,7 @@ from repro.sim.events import ExecutionStep
 from repro.sim.hashing import compute_hash
 
 #: One packet's working set; every closure takes it as ``p``.  ``log``
-#: holds each ``(header, field)`` written: the deparser re-packs the
-#: headers it names.
+#: holds the name of each header written: the deparser re-packs those.
 Frame = namedtuple("Frame", "headers valid log steps")
 
 _BINOPS = {
@@ -46,6 +45,20 @@ def _fail(message: str) -> Callable:
         raise SimulationError(message)
 
     return fail
+
+
+class _Steps(dict):
+    """One table's :class:`ExecutionStep` per action for one outcome,
+    built on first use: steps are immutable, so every packet that
+    takes the same (table, action, hit) appends the same one."""
+
+    def __init__(self, table: str, hit: bool):
+        super().__init__()
+        self.table, self.hit = table, hit
+
+    def __missing__(self, action: str) -> ExecutionStep:
+        step = self[action] = ExecutionStep(self.table, action, self.hit)
+        return step
 
 
 def build_plan(switch) -> Callable[[Frame], None]:
@@ -93,7 +106,7 @@ def build_plan(switch) -> Callable[[Frame], None]:
         """Truncating, logged write of ``source(p, args)``; on an
         invalid header it creates the field dict but not validity."""
         header, name = ref.header, ref.field
-        width_mask, logged = mask(program.field_width(ref)), (header, name)
+        width_mask = mask(program.field_width(ref))
 
         def write(p, args):
             result = source(p, args) & width_mask
@@ -101,7 +114,7 @@ def build_plan(switch) -> Callable[[Frame], None]:
             if fields is None:
                 fields = p.headers[header] = {}
             fields[name] = result
-            p.log.add(logged)
+            p.log.add(header)
 
         return write
 
@@ -156,13 +169,12 @@ def build_plan(switch) -> Callable[[Frame], None]:
         if isinstance(prim, act.AddHeader):
             header = prim.header
             names = program.header_type_of(header).field_names()
-            logged = [(header, name) for name in names]
 
             def add_header(p, args):
-                # Zero-fill, and log every field like any other write.
+                # Zero-fill, and log the header like any other write.
                 p.valid.add(header)
                 p.headers[header] = dict.fromkeys(names, 0)
-                p.log.update(logged)
+                p.log.add(header)
 
             return [add_header]
         if isinstance(prim, act.RemoveHeader):
@@ -217,8 +229,10 @@ def build_plan(switch) -> Callable[[Frame], None]:
         table_name = table.name
         keys = [(k.field.header, k.field.field) for k in table.keys]
         key_headers = frozenset(header for header, _name in keys)
-        on_hit = control(node.on_hit or Seq())
-        on_miss = control(node.on_miss or Seq())
+        on_hit = None if node.on_hit is None else control(node.on_hit)
+        on_miss = None if node.on_miss is None else control(node.on_miss)
+        hit_steps = _Steps(table_name, True)
+        miss_steps = _Steps(table_name, False)
 
         def apply(p):
             lookups = perf.table_lookups
@@ -230,14 +244,17 @@ def build_plan(switch) -> Callable[[Frame], None]:
                 entry = switch._compiled_table(table_name).lookup(
                     [headers[header].get(name, 0) for header, name in keys]
                 )
-            hit = entry is not None
-            action_name, action_args = (
-                (entry.action, entry.action_args) if hit
-                else config.default_for(table)
-            )
-            actions[action_name](p, action_args)
-            p.steps.append(ExecutionStep(table_name, action_name, hit))
-            (on_hit if hit else on_miss)(p)
+            if entry is not None:
+                actions[entry.action](p, entry.action_args)
+                p.steps.append(hit_steps[entry.action])
+                if on_hit is not None:
+                    on_hit(p)
+            else:
+                action_name, action_args = config.default_for(table)
+                actions[action_name](p, action_args)
+                p.steps.append(miss_steps[action_name])
+                if on_miss is not None:
+                    on_miss(p)
 
         return apply
 

@@ -26,12 +26,28 @@ switch is a *profiling engine* with one switch and one reference:
 * **perf counters** (:class:`repro.sim.perf.PerfCounters`) on
   ``BehavioralSwitch.perf``, timed by the batched
   :meth:`BehavioralSwitch.process_many` entry point.
+* **shared parses** (:class:`ReplayTrace`): a trace replayed many times
+  keeps what each parser made of its packets, and every replay starts
+  from private copies of that one parse (DESIGN.md §5, "What replays
+  share").  Nothing executed is shared.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from dataclasses import dataclass
 
@@ -84,6 +100,73 @@ class SwitchResult:
         return (self.egress_port, self.dropped, self.to_controller)
 
 
+class ParseTemplate(NamedTuple):
+    """What a parser made of one packet, shared by every replay of a
+    :class:`ReplayTrace`.  Never handed to a replay: :meth:`fresh`
+    copies every header dict and the valid set, so no replay's writes
+    reach the next one.  ``spans`` is shared; nothing writes it."""
+
+    headers: Dict[str, Dict[str, int]]
+    valid: FrozenSet[str]
+    payload: bytes
+    spans: Dict[str, Tuple[int, int]]
+
+    def fresh(self) -> ParsedPacket:
+        return ParsedPacket(
+            {name: fields.copy() for name, fields in self.headers.items()},
+            set(self.valid),
+            self.payload,
+            self.spans,
+        )
+
+
+def _template(
+    parse: Callable[[bytes], ParsedPacket], entry
+) -> Optional[ParseTemplate]:
+    """One packet's template; None when it fails to parse, so every
+    replay parses it again and fails at the same index."""
+    data = entry[0] if isinstance(entry, tuple) else entry
+    try:
+        parsed = parse(data)
+    except SimulationError:
+        return None
+    return ParseTemplate(
+        parsed.headers, frozenset(parsed.valid), parsed.payload, parsed.spans
+    )
+
+
+class ReplayTrace(list):
+    """A trace that is replayed many times, and its parses.
+
+    ``parses`` maps a switch's parse key — everything its parser reads —
+    to one :class:`ParseTemplate` per packet, filled by the first replay
+    of the trace with that key; switches with equal keys parse every
+    packet identically.  The parses live and die with the trace object:
+    a pickle (a pool task, a fleet spec, a store entry) carries a plain
+    list, and so does a slice.  The list must not be mutated in place.
+    """
+
+    def __init__(self, packets: Sequence = ()):
+        super().__init__(packets)
+        self.parses: Dict[Hashable, List[Optional[ParseTemplate]]] = {}
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+    def templates(
+        self, key: Hashable, parse: Callable[[bytes], ParsedPacket]
+    ) -> List[Optional[ParseTemplate]]:
+        """The templates for ``key``, parsed with ``parse`` on the first
+        ask.  Two threads may build one key at once; templates are never
+        mutated, so whichever list lands is as good as the other."""
+        found = self.parses.get(key)
+        if found is None:
+            found = self.parses[key] = [
+                _template(parse, entry) for entry in self
+            ]
+        return found
+
+
 class BehavioralSwitch:
     """A software switch running one program with one runtime config.
 
@@ -125,6 +208,9 @@ class BehavioralSwitch:
         )
         self._parse_states = None
         self._parse_start = ""
+        #: Everything ``_parse`` reads, as content: the key of this
+        #: switch's templates in a :class:`ReplayTrace`.
+        self._parse_key: Hashable = None
         if program.parser is not None:
             self._parse_start = program.parser.start
             self._parse_states = {
@@ -143,6 +229,23 @@ class BehavioralSwitch:
                 )
                 for name, state in program.parser.states.items()
             }
+            self._parse_key = (
+                self._parse_start,
+                tuple(
+                    (
+                        name,
+                        tuple(
+                            (h, program.header_type_of(h))
+                            for h in state.extracts
+                        ),
+                        state.select,
+                        tuple(state.transitions.items()),
+                        state.default,
+                    )
+                    for name, state in program.parser.states.items()
+                ),
+                self._auto_valid,
+            )
         # The execution plan (repro.sim.plan), bound once by the first
         # packet that runs on the engine; never on the reference walk.
         self._plan = None
@@ -185,19 +288,27 @@ class BehavioralSwitch:
     # ------------------------------------------------------------------
     def process(self, data: bytes, ingress_port: int = 0) -> SwitchResult:
         """Push one packet through parse → ingress → deparse."""
+        return self._process(data, ingress_port, None)
+
+    def _process(
+        self,
+        data: bytes,
+        ingress_port: int,
+        template: Optional[ParseTemplate],
+    ) -> SwitchResult:
+        """The one per-packet body, under a name a timing wrapper
+        patched over :meth:`process` (``benchmarks/stack`` traces it)
+        does not reach: it fires for per-packet callers only, not once
+        per packet of a batch.  The parse is a fresh copy of
+        ``template`` when there is one, else parsed here."""
         if self._config_mutations != self.config.mutations:
             self.invalidate_caches()
         self.perf.packets += 1
-        return self._execute(self._parse(data), data, ingress_port)
-
-    #: ``process_many`` loops over the same function under this name, so
-    #: a timing wrapper patched over the public per-packet entry point
-    #: (``benchmarks/stack`` traces ``process``) fires for per-packet
-    #: callers only, not once per packet of a batch.
-    _process_packet = process
+        parsed = self._parse(data) if template is None else template.fresh()
+        return self._execute(parsed, data, ingress_port)
 
     def process_many(
-        self, packets: Sequence, ingress_port: int = 0
+        self, packets: Sequence, ingress_port: int = 0, into=None
     ) -> List[SwitchResult]:
         """Batched processing: replay the whole trace, time it.
 
@@ -205,18 +316,28 @@ class BehavioralSwitch:
         ``(bytes, port)`` tuples for per-packet ingress ports.  State
         accumulates across the batch exactly as in per-packet
         :meth:`process` calls; only the wall-clock accounting differs.
+        Each result is appended to ``into`` as it is produced — a fresh
+        list by default — and ``into`` is returned, so a caller that
+        folds results passes a sink and holds none of them.  A
+        :class:`ReplayTrace` is parsed once per parse key; a plain
+        sequence is parsed packet by packet and leaves nothing behind.
         """
         started = perf_counter()
-        process = self._process_packet
-        results = []
-        for entry in packets:
+        results = [] if into is None else into
+        append, process = results.append, self._process
+        templates = (
+            packets.templates(self._parse_key, self._parse)
+            if isinstance(packets, ReplayTrace)
+            else repeat(None)
+        )
+        for entry, template in zip(packets, templates):
             if isinstance(entry, tuple):
                 data, port = entry
             else:
                 data, port = entry, ingress_port
-            results.append(process(data, port))
+            append(process(data, port, template))
         self.perf.elapsed_seconds += perf_counter() - started
-        self.perf.timed_packets += len(results)
+        self.perf.timed_packets += len(packets)
         return results
 
     def process_trace(
@@ -353,9 +474,9 @@ class BehavioralSwitch:
         if self.config.enable_compiled_tables:
             if self._plan is None:
                 self._plan = build_plan(self)
-            write_log: Set[Tuple[str, str]] = set()
-            self._plan(Frame(headers, valid, write_log, steps))
-            output = self._deparse(parsed, data, {h for h, _f in write_log})
+            written: Set[str] = set()
+            self._plan(Frame(headers, valid, written, steps))
+            output = self._deparse(parsed, data, written)
         else:
             phv = Phv(self.program, headers, valid)
             self._run_control(self.program.ingress, phv, steps)

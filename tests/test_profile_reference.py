@@ -11,12 +11,14 @@ the :class:`~repro.core.profiler.Profile` field names; it calls no
 ``repro.core.profiler`` code.
 
 The last test counts work without a clock: a cold optimize calls the
-fold at most once per distinct step log of each replay it executes.
+fold at most once per distinct step log of each replay it executes, and
+keeps no replay's results alive past the packet that produced them.
 """
 
 from __future__ import annotations
 
 import pickle
+import weakref
 from collections import Counter
 
 import pytest
@@ -103,9 +105,13 @@ def test_generated_profile_pickles_as_per_packet_fold(seed):
 
 def test_cold_optimize_folds_each_distinct_step_log_once(monkeypatch):
     """Per-packet folding made 40 000 fold calls on this run (ten
-    replays of 4000 packets); the bound is the distinct step logs."""
+    replays of 4000 packets); the bound is the distinct step logs.  The
+    fold also takes each result as the replay produces it: no more than
+    one ``SwitchResult`` is ever alive at once, where holding the
+    replay's results keeps all 4000."""
     folds = []
     distinct_paths = []
+    peak_live = []
     real_fold = profiler_module.path_facts
 
     def counting_fold(steps):
@@ -113,10 +119,28 @@ def test_cold_optimize_folds_each_distinct_step_log_once(monkeypatch):
         return real_fold(steps)
 
     class CountingSwitch(BehavioralSwitch):
-        def process_many(self, trace):
-            results = super().process_many(trace)
-            distinct_paths.append(len({tuple(r.steps) for r in results}))
-            return results
+        def process_many(self, trace, ingress_port=0, into=None):
+            sink = [] if into is None else into
+            paths = set()
+            live = peak = 0
+
+            def dead():
+                nonlocal live
+                live -= 1
+
+            class Spy:
+                def append(self, result):
+                    nonlocal live, peak
+                    live += 1
+                    weakref.finalize(result, dead)
+                    peak = max(peak, live)
+                    paths.add(tuple(result.steps))
+                    sink.append(result)
+
+            super().process_many(trace, ingress_port, Spy())
+            distinct_paths.append(len(paths))
+            peak_live.append(peak)
+            return sink
 
     monkeypatch.setattr(profiler_module, "path_facts", counting_fold)
     monkeypatch.setattr(profiler_module, "BehavioralSwitch", CountingSwitch)
@@ -131,3 +155,4 @@ def test_cold_optimize_folds_each_distinct_step_log_once(monkeypatch):
     replays = result.session_counters.profile_executions
     assert replays == len(distinct_paths) >= 2
     assert len(folds) <= sum(distinct_paths) < 4000
+    assert max(peak_live) == 1

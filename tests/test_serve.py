@@ -244,6 +244,39 @@ class TestFeeds:
         assert parse_packet_line("   ") is None
         assert parse_packet_line("# comment") is None
 
+    def test_ingress_port_must_fit_the_trace_fingerprint(self):
+        data = udp_packet("10.0.0.1", "192.168.1.1", 1, 80)
+        for port in (-1, 2**32):
+            with pytest.raises(ValueError, match=f"ingress port {port} "):
+                parse_packet_line(f"{data.hex()} {port}")
+        assert parse_packet_line(f"{data.hex()} {2**32 - 1}") == (
+            data, 2**32 - 1
+        )
+
+    def test_out_of_range_port_fails_the_feed_not_a_reoptimize(self):
+        """Such a line used to be accepted and, once a reoptimize window
+        held it, crash the daemon with an OverflowError from the trace
+        fingerprint."""
+        packets = list(
+            GeneratorFeed.firewall_drift(total=1200, seed=0).packets()
+        )
+        lines = []
+        for index, packet in enumerate(packets):
+            line = format_packet_line(packet)
+            if index >= 600 and index % 50 == 0:
+                line = line.split()[0] + " -1"
+            lines.append(line + "\n")
+        optimizer = ContinuousOptimizer(
+            fw.build_program(),
+            fw.runtime_config(),
+            fw.make_trace(2000, seed=0),
+            fw.TARGET,
+            window=300,
+            workers=0,
+        )
+        with pytest.raises(ValueError, match="ingress port -1 "):
+            optimizer.run(LineFeed(iter(lines)))
+
     def test_trace_feed_repeats(self):
         trace = [udp_packet("10.0.0.1", "192.168.1.1", 1, 80)] * 3
         feed = TraceFeed(trace, repeat=2)
