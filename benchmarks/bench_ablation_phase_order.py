@@ -39,18 +39,6 @@ def run_with_order(inputs, phases, program=None, config=None):
     ).run()
 
 
-def controller_load(result):
-    import re
-
-    for obs in result.observations.optimizations():
-        if "offloaded segment" in obs.title:
-            match = re.search(
-                r"(\d+\.\d+)% of the trace is redirected", obs.details
-            )
-            return float(match.group(1))
-    return 0.0
-
-
 def test_offload_last_vs_first(benchmark, firewall_inputs, record):
     paper_order = benchmark.pedantic(
         run_with_order,
@@ -81,7 +69,7 @@ def test_offload_last_vs_first(benchmark, firewall_inputs, record):
             f"{label:<22} "
             f"{'->'.join(str(o.stages) for o in result.outcomes):<22} "
             f"{result.stages_after:>6} "
-            f"{controller_load(result):>8.2f}%"
+            f"{result.controller_load:>9.2%}"
         )
     lines.append("")
     lines.append(
@@ -96,6 +84,6 @@ def test_offload_last_vs_first(benchmark, firewall_inputs, record):
     # Table 2 is the single-run paper-order result.
     assert [o.stages for o in paper_order.outcomes] == [8, 7, 6, 3]
     # Neither ordering redirects more traffic than the other.
-    assert controller_load(paper_order) == controller_load(offload_first)
+    assert paper_order.controller_load == offload_first.controller_load
     # The orderings share a fixed point.
     assert rerun.stages_after == offload_first.stages_after == 2

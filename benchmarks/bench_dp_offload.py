@@ -76,12 +76,13 @@ def test_dp_combination_end_to_end(benchmark, inputs, record):
         iterations=1,
     )
     stages = compile_program(outcome.program, telemetry.TARGET).stages_used
+    offloads = outcome.accepted.candidate
     record(
         "dp_offload_end_to_end",
         "Telemetry: 5 stages -> "
         f"{stages} by offloading "
-        f"{len(outcome.combination)} segments "
-        f"({', '.join(t for e in outcome.combination for t in e.candidate.tables)})",
+        f"{len(offloads)} segments "
+        f"({', '.join(t for o in offloads for t in o.segment.tables)})",
     )
     assert stages == 3
-    assert len(outcome.combination) == 2
+    assert len(offloads) == 2

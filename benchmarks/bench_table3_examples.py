@@ -91,20 +91,17 @@ def test_table3_sourceguard_reduction_fraction(benchmark, all_results,
         lambda: all_results["sourceguard"], rounds=1, iterations=1
     )
     resize = next(
-        o
-        for o in result.observations.optimizations()
-        if "resized register" in o.title
+        d.candidate
+        for d in result.applied
+        if d.phase is Phase.REDUCE_MEMORY
     )
-    import re
-
-    match = re.search(r"-(\d+\.\d+)%", resize.title)
-    fraction = float(match.group(1))
+    fraction = resize.reduction_fraction
     record(
         "table3_sourceguard_reduction",
         "Sourceguard single-array reduction: paper -8.4%, measured "
-        f"-{fraction:.1f}%",
+        f"-{fraction:.1%}",
     )
-    assert 0.0 < fraction < 10.0
+    assert 0.0 < fraction < 0.10
 
 
 def test_table3_failure_detection_controller_load(benchmark, all_results,
@@ -114,19 +111,10 @@ def test_table3_failure_detection_controller_load(benchmark, all_results,
     result = benchmark.pedantic(
         lambda: all_results["failure_detection"], rounds=1, iterations=1
     )
-    offload = next(
-        o
-        for o in result.observations.optimizations()
-        if "offloaded segment" in o.title
-    )
-    import re
-
-    match = re.search(r"(\d+\.\d+)% of the trace is redirected",
-                      offload.details)
-    load = float(match.group(1))
+    load = result.controller_load
     record(
         "table3_failure_detection_load",
-        f"Failure-detection controller load: {load:.2f}% of trace "
+        f"Failure-detection controller load: {load:.2%} of trace "
         "redirected (paper: 'the tables are rarely matched')",
     )
-    assert load < 5.0
+    assert load < 0.05

@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 from repro import P2GO, RuntimeConfig
-from repro.core.report import stage_table
+from repro.core.report import render_decision, stage_table
 from repro.p4.dsl import parse_program
 from repro.packets import read_packet_bytes, write_pcap
 from repro.packets.craft import plain_ipv4_packet, udp_packet
@@ -132,9 +132,8 @@ def main() -> None:
     print()
     print(stage_table(result))
     print()
-    for obs in result.observations.optimizations():
-        print(f"* {obs.title}")
-        print(f"  {obs.details}")
+    for decision in result.applied:
+        print(render_decision(decision))
 
 
 if __name__ == "__main__":

@@ -17,9 +17,11 @@ Run:
     python examples/firewall_optimization.py
 """
 
+from textwrap import indent
+
 from repro import P2GO, Profiler
-from repro.core.observations import Observation, Phase
-from repro.core.report import stage_table
+from repro.core.observations import Decision, Phase
+from repro.core.report import render_decision, stage_table
 from repro.p4.dsl import print_program
 from repro.programs import example_firewall as fw
 
@@ -52,15 +54,15 @@ def main() -> None:
     print("Phases 2-4 with a programmer in the loop")
     print("=" * 70)
 
-    def review(observation: Observation) -> bool:
+    def review(decision: Decision) -> bool:
         """The programmer vets each change (§2.2)."""
-        if observation.phase is Phase.OFFLOAD_CODE:
-            print(f"  [review] REJECT: {observation.title}")
-            print("           (operator policy: DNS limiting stays in "
-                  "the data plane)")
-            return False
-        print(f"  [review] accept: {observation.title}")
-        return True
+        keep = decision.phase is not Phase.OFFLOAD_CODE
+        print(f"  [review] {'accept' if keep else 'REJECT'}:")
+        print(indent(render_decision(decision), "    "))
+        if not keep:
+            print("    (operator policy: DNS limiting stays in the data "
+                  "plane)")
+        return keep
 
     result = P2GO(
         program, config, trace, fw.TARGET, review_hook=review

@@ -40,18 +40,18 @@ def main() -> None:
     compiled = compile_program(program, fw.TARGET)
     profile = Profiler(program, config).profile(trace)
     step = remove_dependencies(program, compiled, profile)
-    assert step.removed is not None
-    print(f"  removed: {step.removed.src} -> {step.removed.dst}")
+    removed = step.accepted.candidate.dependency
+    print(f"  removed: {removed.src} -> {removed.dst}")
 
     # ------------------------------------------------------------------
     print("\nStep 2: arm the runtime guard (§3.2's alternative) ...")
     guarded, guard = add_dependency_guard(
-        step.program, step.removed.src, step.removed.dst
+        step.program, removed.src, removed.dst
     )
     guard_config = mirror_guard_entries(config, guard)
     print(f"  guard table {guard.table!r} mirrors "
-          f"{step.removed.dst!r}'s match keys in "
-          f"{step.removed.src!r}'s hit branch")
+          f"{removed.dst!r}'s match keys in "
+          f"{removed.src!r}'s hit branch")
     stages = compile_program(guarded, fw.TARGET).stages_used
     print(f"  pipeline with guard: {stages} stages "
           "(the guard shares the ACLs' stage)")
@@ -80,7 +80,7 @@ def main() -> None:
         program,
         config,
         profile,
-        removed_dependencies=[step.removed],
+        removed_dependencies=[removed],
         offload_tables=("Sketch_1", "Sketch_2", "Sketch_Min", "DNS_Drop"),
         offload_budget=0.10,
     )

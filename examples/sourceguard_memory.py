@@ -71,8 +71,7 @@ def main() -> None:
     print("\nPhase 3, step 3 — verify on the trace and apply:")
     outcome = run_phase(ctx, program, config, profile)
     ctx.close()
-    assert outcome.accepted is not None
-    accepted = outcome.accepted
+    accepted = outcome.accepted.candidate
     print(f"  accepted: {accepted.candidate.name} -> {accepted.new_size} "
           f"cells (-{accepted.reduction_fraction:.1%}), profile unchanged")
     after = compile_program(outcome.program, target)

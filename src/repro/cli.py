@@ -95,7 +95,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.pipeline import P2GO
 from repro.core.profiler import Profiler
-from repro.core.report import render_report, stage_table
+from repro.core.report import render_decision, render_report, stage_table
 from repro.exceptions import ReproError
 from repro.p4.dsl import parse_program, print_program
 from repro.packets.pcap import read_pcap
@@ -482,8 +482,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
     result = P2GO(*family_inputs(args.name, trace_seed=None)).run()
     print(stage_table(result))
     print()
-    for obs in result.observations.optimizations():
-        print(f"* {obs.title}")
+    for decision in result.applied:
+        print(render_decision(decision))
     return 0
 
 

@@ -22,9 +22,8 @@ _EXPORTS = {
     "add_dependency_guard": "runtime_guard",
     "guard_notifications": "runtime_guard",
     "mirror_guard_entries": "runtime_guard",
-    "Observation": "observations",
-    "ObservationKind": "observations",
-    "ObservationLog": "observations",
+    "Decision": "observations",
+    "Verdict": "observations",
     "DependencyRemovalPass": "phase_dependencies",
     "MemoryReductionPass": "phase_memory",
     "OffloadPass": "phase_offload",
@@ -68,6 +67,7 @@ _EXPORTS = {
     "instrument": "instrument",
     "optimize": "pipeline",
     "profile_program": "profiler",
+    "render_decision": "report",
     "render_report": "report",
     "run_seed": "seed_pipeline",
     "stage_table": "report",

@@ -1,17 +1,24 @@
-"""Observations: the evidence P2GO reports alongside each optimization.
+"""Decisions: what P2GO did with each candidate, and why.
 
 P2GO "returns the adaptations it made to the original program together
 with the profile-based observations that guided each individual change"
 (§1).  The programmer reviews these and accepts or rejects each change —
-so every phase produces :class:`Observation` records, and the pipeline
-exposes a review hook.
+so every phase returns typed :class:`Decision` records, the pipeline
+routes each accepted one through a review hook, and
+:func:`repro.core.report.render_decision` is the one place a decision
+becomes text.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dc_field
-from typing import Any, Dict, List
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Tuple, Union
+
+if TYPE_CHECKING:  # pragma: no cover - the phases import this module
+    from repro.core.phase_dependencies import RemovableDependency
+    from repro.core.phase_memory import MemoryReduction
+    from repro.core.phase_offload import Offload
 
 
 class Phase(enum.Enum):
@@ -21,55 +28,42 @@ class Phase(enum.Enum):
     OFFLOAD_CODE = 4
 
 
-class ObservationKind(enum.Enum):
-    #: Profiling evidence (hit rates, non-exclusive sets).
-    PROFILE = "profile"
-    #: A change applied to the program.
-    OPTIMIZATION = "optimization"
-    #: A change considered but discarded, with the reason.
+class Verdict(enum.Enum):
+    #: The change was applied.
+    ACCEPTED = "accepted"
+    #: The phase considered the candidate and turned it down.
     REJECTED = "rejected"
-    #: Informational (no change implied).
-    NOTE = "note"
+    #: The phase accepted the change; the programmer's review did not.
+    VETOED = "vetoed"
+    #: The phase found no candidate to decide on.
+    NONE = "none"
 
 
-@dataclass
-class Observation:
-    """One reviewable fact: what P2GO saw and what it did about it."""
+#: What a decision is about: a removable dependency (phase 2), a resize
+#: (phase 3), the segments moved to the controller (phase 4), or None
+#: when the phase found no candidate.
+Candidate = Union[
+    "RemovableDependency", "MemoryReduction", Tuple["Offload", ...], None
+]
+
+
+@dataclass(frozen=True)
+class Decision:
+    """One reviewable fact: what a phase considered, what it decided,
+    and the numbers that decided it.  It holds no program, so a run's
+    decisions pickle small and compare with ``==``."""
 
     phase: Phase
-    kind: ObservationKind
-    title: str
-    details: str
-    evidence: Dict[str, Any] = dc_field(default_factory=dict)
-
-    def render(self) -> str:
-        lines = [
-            f"[phase {self.phase.value}:{self.phase.name.lower()}] "
-            f"{self.kind.value.upper()}: {self.title}",
-            f"  {self.details}",
-        ]
-        for key in sorted(self.evidence):
-            lines.append(f"  - {key}: {self.evidence[key]}")
-        return "\n".join(lines)
-
-
-class ObservationLog:
-    """Append-only log shared by the pipeline's phases."""
-
-    def __init__(self) -> None:
-        self.items: List[Observation] = []
-
-    def add(self, observation: Observation) -> Observation:
-        self.items.append(observation)
-        return observation
-
-    def by_phase(self, phase: Phase) -> List[Observation]:
-        return [o for o in self.items if o.phase is phase]
-
-    def optimizations(self) -> List[Observation]:
-        return [
-            o for o in self.items if o.kind is ObservationKind.OPTIMIZATION
-        ]
-
-    def render(self) -> str:
-        return "\n\n".join(o.render() for o in self.items)
+    verdict: Verdict
+    candidate: Candidate = None
+    #: Why a candidate was turned down: the rewrite's refusal (phase 2)
+    #: or how the behaviour changed on the trace (phase 3).
+    reason: str = ""
+    #: Stages before and after the change, when the phase compiled it.
+    stages_before: Optional[int] = None
+    stages_after: Optional[int] = None
+    #: Phase 4's bar: the segments it evaluated, the stages one must
+    #: save and the controller-load ceiling it must fit.
+    evaluated: int = 0
+    min_stage_savings: int = 0
+    max_redirect_fraction: float = 0.0

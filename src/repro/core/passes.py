@@ -5,15 +5,17 @@ memory, offload — was a hard-coded ``if/elif`` chain in ``P2GO.run()``
 with one accept/observe/recompile block copied per phase.  Here each
 phase is an :class:`OptimizationPass`: a named object that inspects the
 shared :class:`~repro.core.session.OptimizationContext`, may *propose* a
-single candidate change to it, and reports what it saw as observations.
+single candidate change to it, and returns a typed
+:class:`~repro.core.observations.Decision` for what it considered.
 The :class:`PassManager` owns the loop that used to be triplicated:
 
-1. run the pass (it proposes at most one change per round);
-2. log its observations, routing ``OPTIMIZATION`` ones through the
-   review hook;
-3. assign the proposed program/config to the session when accepted;
-   when the programmer vetoes it the session is simply never touched
-   (§2.2's "selectively accept or reject");
+1. run the pass (it proposes at most one change per round, with exactly
+   one accepted decision);
+2. route that decision through the review hook (:func:`review`);
+3. assign the proposed program/config to the session when the review
+   lets it through; on a veto the decision is kept as ``VETOED`` and the
+   session is simply never touched (§2.2's "selectively accept or
+   reject");
 4. repeat up to the pass's ``max_rounds``, then record the phase's
    :class:`PhaseOutcome` — stage count, stage map, and the profiling
    perf the phase's own replays cost (memo hits cost nothing and show up
@@ -25,9 +27,8 @@ Phase ordering stays a plain sequence of passes, so the paper's default
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from typing import (
-    TYPE_CHECKING,
     Callable,
     List,
     Optional,
@@ -37,23 +38,15 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.core.observations import (
-    Observation,
-    ObservationKind,
-    ObservationLog,
-    Phase,
-)
+from repro.core.observations import Decision, Phase, Verdict
 from repro.core.session import OptimizationContext
 from repro.p4.program import Program
 from repro.sim.perf import PerfCounters
 from repro.sim.runtime import RuntimeConfig
 
-if TYPE_CHECKING:
-    from repro.core.phase_offload import Offload
-
-#: Review hook: receives each optimization observation, returns True to
-#: accept.  The default accepts everything (batch mode).
-ReviewHook = Callable[[Observation], bool]
+#: Review hook: receives each accepted decision, returns True to keep
+#: it.  The default keeps everything (batch mode).
+ReviewHook = Callable[[Decision], bool]
 
 
 @dataclass
@@ -72,25 +65,55 @@ class PhaseOutcome:
     profiling_perf: Optional[PerfCounters] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class PassResult:
-    """What one round of a pass did.
+    """What one round of a pass decided.
 
-    A pass that found an optimization returns the rewritten
-    ``program`` and/or ``config``; it never touches the session's own.
-    The manager assigns them once the review accepted the change, and
-    keeps ``offloaded`` — phase 4's record of the segments the rewrite
-    moves to the controller — with them.
+    A round that changes anything returns the rewritten ``program``
+    and/or ``config`` — never the session's own — and exactly one
+    accepted decision among its ``decisions``; a round that changes
+    nothing returns none.  The manager assigns the change once the
+    review let that decision through.
     """
 
-    observations: List[Observation] = dc_field(default_factory=list)
-    offloaded: Tuple["Offload", ...] = ()
+    decisions: Tuple[Decision, ...] = ()
     program: Optional[Program] = None
     config: Optional[RuntimeConfig] = None
+
+    def __post_init__(self) -> None:
+        accepted = sum(
+            d.verdict is Verdict.ACCEPTED for d in self.decisions
+        )
+        if accepted != int(self.changed):
+            raise ValueError(
+                f"a pass result that {'changes' if self.changed else 'keeps'}"
+                f" the program needs {int(self.changed)} accepted "
+                f"decision(s), not {accepted}"
+            )
 
     @property
     def changed(self) -> bool:
         return self.program is not None or self.config is not None
+
+    @property
+    def accepted(self) -> Optional[Decision]:
+        """The one accepted decision, when the round changed something."""
+        return next(
+            (d for d in self.decisions if d.verdict is Verdict.ACCEPTED),
+            None,
+        )
+
+
+def review(
+    step: PassResult, review_hook: Optional[ReviewHook]
+) -> Tuple[Tuple[Decision, ...], bool]:
+    """``step``'s decisions after the programmer's review, and whether
+    its change stands.  A vetoed decision is kept as ``VETOED``."""
+    accepted = step.accepted
+    if accepted is None or review_hook is None or review_hook(accepted):
+        return step.decisions, accepted is not None
+    vetoed = replace(accepted, verdict=Verdict.VETOED)
+    return tuple(vetoed if d is accepted else d for d in step.decisions), False
 
 
 @runtime_checkable
@@ -121,35 +144,11 @@ class PassManager:
         self,
         ctx: OptimizationContext,
         review_hook: Optional[ReviewHook] = None,
-        log: Optional[ObservationLog] = None,
     ):
         self.ctx = ctx
         self.review_hook = review_hook
-        self.log = log if log is not None else ObservationLog()
-        #: The offload records of every accepted round, in order.
-        self.offloaded: List["Offload"] = []
-
-    # ------------------------------------------------------------------
-    def _accepted(self, obs: Observation) -> bool:
-        """Log one observation; route optimizations through the review
-        hook, recording a rejection observation on veto."""
-        self.log.add(obs)
-        if (
-            obs.kind is ObservationKind.OPTIMIZATION
-            and self.review_hook is not None
-        ):
-            accepted = self.review_hook(obs)
-            if not accepted:
-                self.log.add(
-                    Observation(
-                        phase=obs.phase,
-                        kind=ObservationKind.REJECTED,
-                        title=f"programmer rejected: {obs.title}",
-                        details="change rolled back at review",
-                    )
-                )
-            return accepted
-        return True
+        #: Every decision of every round, in order.
+        self.decisions: List[Decision] = []
 
     def run_pass(self, pass_: OptimizationPass) -> PhaseOutcome:
         """Run one pass to quiescence (its ``max_rounds`` bound) and
@@ -157,20 +156,14 @@ class PassManager:
         self.ctx.start_perf_window()
         for _round in range(max(1, pass_.max_rounds)):
             step = pass_.run(self.ctx)
-            applied = False
-            for obs in step.observations:
-                if obs.kind is ObservationKind.OPTIMIZATION:
-                    if self._accepted(obs):
-                        applied = True
-                else:
-                    self.log.add(obs)
-            if not (step.changed and applied):
+            decisions, applied = review(step, self.review_hook)
+            self.decisions.extend(decisions)
+            if not applied:
                 break
             if step.program is not None:
                 self.ctx.program = step.program
             if step.config is not None:
                 self.ctx.config = step.config
-            self.offloaded.extend(step.offloaded)
         result = self.ctx.compile()
         return PhaseOutcome(
             phase=pass_.phase,

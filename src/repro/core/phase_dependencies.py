@@ -23,11 +23,7 @@ from repro.analysis.dependencies import (
     Dependency,
     DependencyKind,
 )
-from repro.core.observations import (
-    Observation,
-    ObservationKind,
-    Phase,
-)
+from repro.core.observations import Decision, Phase, Verdict
 from repro.core.passes import PassResult
 from repro.core.profiler import Profile
 from repro.core.session import OptimizationContext
@@ -68,12 +64,12 @@ def dependency_manifests(dep: Dependency, profile: Profile) -> bool:
     return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class RemovableDependency:
-    """A phase-2 candidate with the evidence that justifies removing it."""
+    """A phase-2 candidate: a dependency on the TDG's longest path none
+    of whose causes (``dependency.causes``) the profile exercised."""
 
     dependency: Dependency
-    evidence: str
 
 
 def find_removal_candidates(
@@ -95,22 +91,7 @@ def find_removal_candidates(
         # the hand-written examples never exercise.
         if profile.hit_coapplied_with_table(dep.src, dep.dst):
             continue
-        causes = ", ".join(
-            f"{c.src_action}/{c.dst_action or '<match>'} on "
-            f"{{{', '.join(sorted(c.fields)) or ', '.join(sorted(c.registers))}}}"
-            for c in dep.causes
-            if c.kind
-            not in (DependencyKind.SUCCESSOR, DependencyKind.REVERSE)
-        )
-        candidates.append(
-            RemovableDependency(
-                dependency=dep,
-                evidence=(
-                    f"no packet in the trace exercised the conflicting "
-                    f"action pairs ({causes})"
-                ),
-            )
-        )
+        candidates.append(RemovableDependency(dependency=dep))
     candidates.sort(key=lambda c: (c.dependency.src, c.dependency.dst))
     return candidates
 
@@ -287,79 +268,32 @@ def _index_of(seq: Seq, node: ControlNode) -> int:
     raise OptimizationError("node not found in its sequence")
 
 
-@dataclass
-class DependencyRemovalResult:
-    """Outcome of one phase-2 pass."""
-
-    program: Program
-    removed: Optional[Dependency]
-    observations: List[Observation]
-
-
 def run_phase(
     program: Program,
     compile_result: CompileResult,
     profile: Profile,
-) -> DependencyRemovalResult:
+) -> PassResult:
     """Remove a single unmanifested dependency (the paper removes one at a
     time to keep changes tractable for the programmer)."""
-    observations: List[Observation] = []
-    candidates = find_removal_candidates(compile_result, profile)
-    if not candidates:
-        observations.append(
-            Observation(
-                phase=Phase.REMOVE_DEPENDENCIES,
-                kind=ObservationKind.NOTE,
-                title="no removable dependencies",
-                details=(
-                    "every dependency on the critical path manifests in "
-                    "the profile"
-                ),
-            )
-        )
-        return DependencyRemovalResult(
-            program=program, removed=None, observations=observations
-        )
-    for candidate in candidates:
-        dep = candidate.dependency
+    decisions: List[Decision] = []
+    for candidate in find_removal_candidates(compile_result, profile):
         try:
-            rewritten = remove_dependency(program, dep)
+            rewritten = remove_dependency(program, candidate.dependency)
         except OptimizationError as exc:
-            observations.append(
-                Observation(
-                    phase=Phase.REMOVE_DEPENDENCIES,
-                    kind=ObservationKind.REJECTED,
-                    title=(
-                        f"dependency {dep.src} -> {dep.dst} unmanifested "
-                        "but not removable"
-                    ),
-                    details=str(exc),
+            decisions.append(
+                Decision(
+                    Phase.REMOVE_DEPENDENCIES, Verdict.REJECTED, candidate,
+                    reason=str(exc),
                 )
             )
             continue
-        observations.append(
-            Observation(
-                phase=Phase.REMOVE_DEPENDENCIES,
-                kind=ObservationKind.OPTIMIZATION,
-                title=f"removed dependency {dep.src} -> {dep.dst}",
-                details=(
-                    f"{dep.dst} is now applied only if {dep.src} misses; "
-                    f"verify that no real packet can match both. "
-                    f"Evidence: {candidate.evidence}"
-                ),
-                evidence={
-                    "kind": dep.kind.value,
-                    "src": dep.src,
-                    "dst": dep.dst,
-                },
-            )
+        decisions.append(
+            Decision(Phase.REMOVE_DEPENDENCIES, Verdict.ACCEPTED, candidate)
         )
-        return DependencyRemovalResult(
-            program=rewritten, removed=dep, observations=observations
-        )
-    return DependencyRemovalResult(
-        program=program, removed=None, observations=observations
-    )
+        return PassResult(tuple(decisions), program=rewritten)
+    if not decisions:
+        decisions.append(Decision(Phase.REMOVE_DEPENDENCIES, Verdict.NONE))
+    return PassResult(tuple(decisions))
 
 
 @dataclass
@@ -382,8 +316,4 @@ class DependencyRemovalPass:
         compiled, profiled = ctx.probe_many(
             programs=[ctx.program], variants=[(None, None)]
         )
-        step = run_phase(ctx.program, compiled[0], profiled[0][0])
-        return PassResult(
-            observations=step.observations,
-            program=step.program if step.removed is not None else None,
-        )
+        return run_phase(ctx.program, compiled[0], profiled[0][0])

@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, List, Optional, Tuple
 
-from repro.core.observations import Observation, ObservationKind, Phase
+from repro.core.observations import Decision, Phase, Verdict
 from repro.core.passes import PassResult
 from repro.core.profiler import Profile
 from repro.core.session import OptimizationContext
@@ -41,7 +41,7 @@ class MemoryCandidate:
     rate_table: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryReduction:
     """An accepted (or attempted) resize."""
 
@@ -239,23 +239,13 @@ def linear_minimal_reduction(
     return candidate.original_size // 2
 
 
-@dataclass
-class MemoryReductionResult:
-    """Outcome of one phase-3 pass."""
-
-    program: Program
-    accepted: Optional[MemoryReduction]
-    rejected: List[MemoryReduction]
-    observations: List[Observation]
-
-
 def run_phase(
     ctx: OptimizationContext,
     program: Program,
     config: RuntimeConfig,
     profile: Profile,
     candidate_order: Optional[CandidateOrder] = None,
-) -> MemoryReductionResult:
+) -> PassResult:
     """Try candidates until one resize passes verification.
 
     ``candidate_order`` lets the ablation bench override the paper's
@@ -264,8 +254,6 @@ def run_phase(
     through ``ctx``, so repeated probes of the same size are compiled
     once and replays run on the session's trace.
     """
-    observations: List[Observation] = []
-    rejected: List[MemoryReduction] = []
     baseline_stages = ctx.compile(program).stages_used
     candidates = find_candidates(
         ctx, program, profile, baseline_stages=baseline_stages
@@ -273,21 +261,9 @@ def run_phase(
     if candidate_order is not None:
         candidates = candidate_order(list(candidates))
     if not candidates:
-        observations.append(
-            Observation(
-                phase=Phase.REDUCE_MEMORY,
-                kind=ObservationKind.NOTE,
-                title="no memory-reduction candidates",
-                details="halving no table or register saves a stage",
-            )
-        )
-        return MemoryReductionResult(
-            program=program,
-            accepted=None,
-            rejected=[],
-            observations=observations,
-        )
+        return PassResult((Decision(Phase.REDUCE_MEMORY, Verdict.NONE),))
 
+    decisions: List[Decision] = []
     for candidate in candidates:
         new_size = minimal_reduction(
             ctx, program, candidate, baseline_stages
@@ -300,59 +276,22 @@ def run_phase(
             stages_before=baseline_stages,
             stages_after=ctx.compile(resized).stages_used,
         )
-        if profile.same_behavior_as(new_profile):
-            observations.append(
-                Observation(
-                    phase=Phase.REDUCE_MEMORY,
-                    kind=ObservationKind.OPTIMIZATION,
-                    title=(
-                        f"resized {candidate.kind.value} "
-                        f"{candidate.name}: {candidate.original_size} -> "
-                        f"{new_size} "
-                        f"(-{reduction.reduction_fraction:.1%})"
-                    ),
-                    details=(
-                        "the reduced program's profile is identical on the "
-                        "input trace; verify that future rules/state still "
-                        "fit the smaller allocation"
-                    ),
-                    evidence={
-                        "stages_before": baseline_stages,
-                        "stages_after": reduction.stages_after,
-                        "hit_rate": f"{candidate.hit_rate:.2%}",
-                    },
-                )
-            )
-            return MemoryReductionResult(
-                program=resized,
-                accepted=reduction,
-                rejected=rejected,
-                observations=observations,
-            )
-        reasons = profile.behavior_diff(new_profile)
-        rejected.append(reduction)
-        observations.append(
-            Observation(
-                phase=Phase.REDUCE_MEMORY,
-                kind=ObservationKind.REJECTED,
-                title=(
-                    f"discarded resize of {candidate.kind.value} "
-                    f"{candidate.name} ({candidate.original_size} -> "
-                    f"{new_size})"
+        same = profile.same_behavior_as(new_profile)
+        decisions.append(
+            Decision(
+                Phase.REDUCE_MEMORY,
+                Verdict.ACCEPTED if same else Verdict.REJECTED,
+                reduction,
+                reason="" if same else "; ".join(
+                    profile.behavior_diff(new_profile)
                 ),
-                details=(
-                    "the reduction changed the program's behaviour on the "
-                    "trace: " + "; ".join(reasons)
-                ),
-                evidence={"hit_rate": f"{candidate.hit_rate:.2%}"},
+                stages_before=reduction.stages_before,
+                stages_after=reduction.stages_after,
             )
         )
-    return MemoryReductionResult(
-        program=program,
-        accepted=None,
-        rejected=rejected,
-        observations=observations,
-    )
+        if same:
+            return PassResult(tuple(decisions), program=resized)
+    return PassResult(tuple(decisions))
 
 
 @dataclass
@@ -369,11 +308,7 @@ class MemoryReductionPass:
     phase: Phase = dc_field(default=Phase.REDUCE_MEMORY, init=False)
 
     def run(self, ctx: OptimizationContext) -> PassResult:
-        step = run_phase(
+        return run_phase(
             ctx, ctx.program, ctx.config, ctx.profile(),
             candidate_order=self.candidate_order,
-        )
-        return PassResult(
-            observations=step.observations,
-            program=step.program if step.accepted is not None else None,
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.core.observations import Observation, ObservationKind, Phase
+from repro.core.observations import Decision, Phase, Verdict
 from repro.core.passes import PassResult
 from repro.core.session import OptimizationContext
 from repro.exceptions import OffloadError
@@ -62,7 +62,7 @@ class SegmentCandidate:
 
 @dataclass(frozen=True)
 class Offload:
-    """One segment phase 4 moved to the controller, as a run's result
+    """One segment phase 4 moved to the controller, as its decision
     keeps it (``P2GOResult.offloaded``): without the variant
     :class:`Program` of an :class:`EvaluatedCandidate`, so it pickles small.
     """
@@ -438,38 +438,19 @@ def select_combination(
     return [items[i] for i in chosen]
 
 
-@dataclass
-class OffloadResult:
-    """Outcome of one phase-4 pass."""
-
-    program: Program
-    config: RuntimeConfig
-    offloaded: Optional[EvaluatedCandidate]
-    evaluated: List[EvaluatedCandidate]
-    observations: List[Observation]
-    #: All offloaded segments (len > 1 only in combination mode).
-    combination: Tuple[EvaluatedCandidate, ...] = ()
-
-    @property
-    def record(self) -> Tuple[Offload, ...]:
-        """The offloaded segments as a run's result keeps them."""
-        return tuple(
-            Offload(e.candidate, e.redirect_table, e.redirect_fraction)
-            for e in self.combination
-        )
-
-
 def _try_combination(
+    ctx: OptimizationContext,
     program: Program,
-    config: RuntimeConfig,
     evaluated: Sequence[EvaluatedCandidate],
     min_stage_savings: int,
     max_redirect_fraction: float,
     baseline_stages: int,
-    observations: List[Observation],
-    ctx: OptimizationContext,
-) -> Optional[OffloadResult]:
-    """§3.4's DP: combine disjoint segments when no single one suffices."""
+) -> Optional[Tuple[List[EvaluatedCandidate], Program, int]]:
+    """§3.4's DP: combine disjoint segments when no single one suffices.
+
+    Returns the combination (each segment with its own redirect table),
+    the combined program and its stage count.
+    """
     combo = select_combination(
         evaluated,
         min_stage_savings=min_stage_savings,
@@ -477,52 +458,18 @@ def _try_combination(
     )
     if not combo:
         return None
-    segments = [e.candidate for e in combo]
-    combined = make_combined_offloaded_program(program, segments)
+    combined = make_combined_offloaded_program(
+        program, [e.candidate for e in combo]
+    )
     stages = ctx.compile(combined).stages_used
     if baseline_stages - stages < min_stage_savings:
         return None  # additive estimate was optimistic; reject
-    offloaded_tables = [t for c in segments for t in c.tables]
-    remaining = [
-        t for t in combined.tables if t not in offloaded_tables
-    ]
-    new_config = config.restricted_to(remaining)
     # Each segment got its own redirect table, added in segment order.
     redirects = [t for t in combined.tables if t not in program.tables]
     combo = [
         replace(e, redirect_table=name) for e, name in zip(combo, redirects)
     ]
-    total_load = sum(e.redirect_fraction for e in combo)
-    observations.append(
-        Observation(
-            phase=Phase.OFFLOAD_CODE,
-            kind=ObservationKind.OPTIMIZATION,
-            title=(
-                "offloaded combination of segments {"
-                + "} + {".join(
-                    ", ".join(c.tables) for c in segments
-                )
-                + "} to the controller"
-            ),
-            details=(
-                f"no single segment saves {min_stage_savings} stage(s); "
-                f"the DP-selected combination does, redirecting "
-                f"~{total_load:.2%} of the trace in total"
-            ),
-            evidence={
-                "stages_before": baseline_stages,
-                "stages_after": stages,
-            },
-        )
-    )
-    return OffloadResult(
-        program=combined,
-        config=new_config,
-        offloaded=combo[0],
-        evaluated=list(evaluated),
-        observations=observations,
-        combination=tuple(combo),
-    )
+    return combo, combined, stages
 
 
 def run_phase(
@@ -532,10 +479,9 @@ def run_phase(
     min_stage_savings: int = 1,
     max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
     allow_combination: bool = False,
-) -> OffloadResult:
+) -> PassResult:
     """Offload the best segment (or, with ``allow_combination``, the best
     DP combination of disjoint segments) if any qualifies."""
-    observations: List[Observation] = []
     candidates = enumerate_candidates(program)
     baseline_stages = ctx.compile(program).stages_used
     evaluated = evaluate_candidates(
@@ -546,67 +492,39 @@ def run_phase(
         min_stage_savings=min_stage_savings,
         max_redirect_fraction=max_redirect_fraction,
     )
-    if chosen is None:
-        if allow_combination:
-            combined = _try_combination(
-                program, config, evaluated,
-                min_stage_savings, max_redirect_fraction,
-                baseline_stages, observations, ctx,
-            )
-            if combined is not None:
-                return combined
-        observations.append(
-            Observation(
-                phase=Phase.OFFLOAD_CODE,
-                kind=ObservationKind.NOTE,
-                title="no offloadable segment qualifies",
-                details=(
-                    f"{len(evaluated)} self-contained segment(s) evaluated; "
-                    f"none saves >= {min_stage_savings} stage(s) within the "
-                    f"{max_redirect_fraction:.0%} controller-load budget"
-                ),
-            )
+    if chosen is not None:
+        found = [chosen], chosen.program, chosen.stages_after
+    elif allow_combination:
+        found = _try_combination(
+            ctx, program, evaluated,
+            min_stage_savings, max_redirect_fraction, baseline_stages,
         )
-        return OffloadResult(
-            program=program,
-            config=config,
-            offloaded=None,
-            evaluated=evaluated,
-            observations=observations,
-        )
-    remaining = [
-        t for t in chosen.program.tables if t not in chosen.candidate.tables
-    ]
-    observations.append(
-        Observation(
-            phase=Phase.OFFLOAD_CODE,
-            kind=ObservationKind.OPTIMIZATION,
-            title=(
-                "offloaded segment {"
-                + ", ".join(chosen.candidate.tables)
-                + "} to the controller"
-            ),
-            details=(
-                f"these tables must now be implemented at the controller; "
-                f"{chosen.redirect_fraction:.2%} of the trace is redirected "
-                f"and {chosen.stages_saved} stage(s) are freed. Keep the "
-                f"segment in the data plane if it matters in critical "
-                f"situations the trace does not cover."
-            ),
-            evidence={
-                "boundary_guard": chosen.candidate.boundary_guard or "none",
-                "stages_before": chosen.stages_before,
-                "stages_after": chosen.stages_after,
-            },
-        )
+    else:
+        found = None
+    decision = Decision(
+        Phase.OFFLOAD_CODE, Verdict.NONE,
+        evaluated=len(evaluated),
+        min_stage_savings=min_stage_savings,
+        max_redirect_fraction=max_redirect_fraction,
     )
-    return OffloadResult(
-        program=chosen.program,
-        config=config.restricted_to(remaining),
-        offloaded=chosen,
-        evaluated=evaluated,
-        observations=observations,
-        combination=(chosen,),
+    if found is None:
+        return PassResult((decision,))
+    segments, offloaded_program, stages = found
+    offloaded = tuple(
+        Offload(e.candidate, e.redirect_table, e.redirect_fraction)
+        for e in segments
+    )
+    moved = {t for o in offloaded for t in o.segment.tables}
+    decision = replace(
+        decision, verdict=Verdict.ACCEPTED, candidate=offloaded,
+        stages_before=baseline_stages, stages_after=stages,
+    )
+    return PassResult(
+        (decision,),
+        program=offloaded_program,
+        config=config.restricted_to(
+            [t for t in offloaded_program.tables if t not in moved]
+        ),
     )
 
 
@@ -627,17 +545,9 @@ class OffloadPass:
     phase: Phase = dc_field(default=Phase.OFFLOAD_CODE, init=False)
 
     def run(self, ctx: OptimizationContext) -> PassResult:
-        step = run_phase(
+        return run_phase(
             ctx, ctx.program, ctx.config,
             min_stage_savings=self.min_stage_savings,
             max_redirect_fraction=self.max_redirect_fraction,
             allow_combination=self.allow_combination,
-        )
-        if step.offloaded is None:
-            return PassResult(observations=step.observations)
-        return PassResult(
-            observations=step.observations,
-            offloaded=step.record,
-            program=step.program,
-            config=step.config,
         )

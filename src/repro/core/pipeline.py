@@ -1,8 +1,9 @@
 """The P2GO orchestrator (Fig. 2).
 
 Runs the four phases in order: profile, remove dependencies, reduce
-memory, offload code.  Every modification is recorded as an observation;
-an optional review hook lets the programmer accept or reject each change
+memory, offload code.  Every candidate a phase decides on is recorded as
+a typed :class:`~repro.core.observations.Decision`; an optional review
+hook lets the programmer accept or reject each change
 (§2.2: "the programmer can then choose to selectively accept or reject
 them based on her knowledge of the general traffic").
 
@@ -32,12 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.observations import (
-    Observation,
-    ObservationKind,
-    ObservationLog,
-    Phase,
-)
+from repro.core.observations import Decision, Phase, Verdict
 from repro.core.passes import (
     OptimizationPass,
     PassManager,
@@ -77,12 +73,10 @@ class P2GOResult:
     original_program: Program
     optimized_program: Program
     final_config: RuntimeConfig
-    observations: ObservationLog
+    #: Every phase's decisions, in the order they were made.
+    decisions: Tuple[Decision, ...]
     initial_profile: Profile
     outcomes: List[PhaseOutcome]
-    #: What phase 4 moved to the controller, one record per segment —
-    #: :func:`repro.controller.equivalence.check_result` judges the run by it.
-    offloaded: Tuple[Offload, ...] = ()
     #: Perf counters of the initial profiling replay (packets/s,
     #: per-table lookups) — the engine cost every later phase
     #: re-pays on each re-profile (per-phase re-pay shows up on each
@@ -100,6 +94,25 @@ class P2GOResult:
     #: Metadata only: the optimization outcome is identical with or
     #: without a store (``tests/test_store.py`` pins that).
     store_stats: Optional[dict] = None
+
+    @property
+    def applied(self) -> Tuple[Decision, ...]:
+        """The accepted decisions: the changes the run applied."""
+        return tuple(
+            d for d in self.decisions if d.verdict is Verdict.ACCEPTED
+        )
+
+    @property
+    def offloaded(self) -> Tuple[Offload, ...]:
+        """What phase 4 moved to the controller, one record per segment —
+        :func:`repro.controller.equivalence.check_result` judges the run
+        by it."""
+        return tuple(
+            offload
+            for d in self.applied
+            if d.phase is Phase.OFFLOAD_CODE
+            for offload in d.candidate
+        )
 
     @property
     def offloaded_tables(self) -> Tuple[str, ...]:
@@ -294,31 +307,10 @@ class SwitchRun:
     def _run_phases(
         self, ctx: OptimizationContext, passes: List[OptimizationPass]
     ) -> P2GOResult:
-        log = ObservationLog()
-
         # Phase 1: profiling (batched replay through the engine; perf
         # counters ride along on the result).
         ctx.start_perf_window()
         initial_profile, profiling_perf = ctx.profile_with_perf()
-        log.add(
-            Observation(
-                phase=Phase.PROFILING,
-                kind=ObservationKind.PROFILE,
-                title=(
-                    f"profiled {initial_profile.total_packets} packets, "
-                    f"{len(initial_profile.nonexclusive_sets)} distinct "
-                    f"non-exclusive action sets"
-                ),
-                details=(
-                    f"replayed at {profiling_perf.packets_per_second():,.0f} "
-                    "packets/s; per-table hit rates: "
-                    + ", ".join(
-                        f"{t}={initial_profile.hit_rate(t):.1%}"
-                        for t in self.program.tables_in_control_order()
-                    )
-                ),
-            )
-        )
         result = ctx.compile()
         outcomes: List[PhaseOutcome] = [
             PhaseOutcome(
@@ -333,17 +325,16 @@ class SwitchRun:
         # default runs offloading last so the data plane is optimized
         # first (§2.2 explains why offloading earlier can waste work);
         # the ablation bench deliberately reorders.
-        manager = PassManager(ctx, review_hook=self.review_hook, log=log)
+        manager = PassManager(ctx, review_hook=self.review_hook)
         outcomes.extend(manager.run(passes))
 
         return P2GOResult(
             original_program=self.program,
             optimized_program=ctx.program,
             final_config=ctx.config,
-            observations=log,
+            decisions=tuple(manager.decisions),
             initial_profile=initial_profile,
             outcomes=outcomes,
-            offloaded=tuple(manager.offloaded),
             profiling_perf=profiling_perf,
             session_counters=ctx.counters,
             workers=ctx.workers,

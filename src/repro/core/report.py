@@ -2,7 +2,8 @@
 
 Renders a :class:`~repro.core.pipeline.P2GOResult` the way the paper's
 workflow expects: the stage progression per phase (Table 2's shape), every
-observation with its evidence, and the changes awaiting the programmer's
+decision with its evidence (:func:`render_decision`, the one place a
+decision becomes text), and the changes awaiting the programmer's
 judgement.  :func:`render_fleet_report` does the same for a fleet run
 (:mod:`repro.core.fleet`): the per-switch roll-up plus the fabric-level
 numbers — stages reclaimed, cross-switch probe reuse, lease contention,
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
+from repro.core.observations import Decision, Phase, Verdict
 from repro.core.pipeline import P2GOResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet -> report)
@@ -27,9 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet -> report)
 def stage_table(result: P2GOResult) -> str:
     """Render the per-phase stage map (the paper's Table 2)."""
     lines: List[str] = []
-    width = max(
-        (len(o.phase.name) for o in result.outcomes), default=8
-    )
     for outcome in result.outcomes:
         cells = []
         for stage_tables in outcome.stage_map:
@@ -47,12 +46,118 @@ def stage_table(result: P2GOResult) -> str:
     return "\n".join(lines)
 
 
+#: What a phase that found no candidate reports: a headline and why.
+_NO_CANDIDATE = {
+    Phase.REMOVE_DEPENDENCIES: (
+        "no removable dependencies",
+        "every dependency on the critical path manifests in the profile",
+    ),
+    Phase.REDUCE_MEMORY: (
+        "no memory-reduction candidates",
+        "halving no table or register saves a stage",
+    ),
+    Phase.OFFLOAD_CODE: (
+        "no offloadable segment qualifies",
+        "{evaluated} self-contained segment(s) evaluated; none saves >= "
+        "{min_stage_savings} stage(s) within the {max_redirect_fraction:.0%} "
+        "controller-load budget",
+    ),
+}
+
+
+def render_decision(decision: Decision) -> str:
+    """One decision as the report prints it: a headline, what it asks
+    the programmer to verify, and the numbers behind it."""
+    phase, verdict, candidate = (
+        decision.phase, decision.verdict, decision.candidate
+    )
+    evidence: List[str] = []
+    if candidate is None:
+        title, template = _NO_CANDIDATE[phase]
+        details = template.format(**vars(decision))
+    elif phase is Phase.REMOVE_DEPENDENCIES:
+        dep = candidate.dependency
+        if verdict is Verdict.REJECTED:
+            title = (
+                f"dependency {dep.src} -> {dep.dst} unmanifested but not "
+                "removable"
+            )
+            details = decision.reason
+        else:
+            causes = ", ".join(
+                f"{c.src_action}/{c.dst_action or '<match>'} on "
+                f"{{{', '.join(sorted(c.fields or c.registers))}}}"
+                for c in dep.causes
+                if c.kind.min_stage_separation
+            )
+            title = f"removed dependency {dep.src} -> {dep.dst}"
+            details = (
+                f"{dep.dst} is now applied only if {dep.src} misses; "
+                "verify that no real packet can match both. Evidence: no "
+                "packet in the trace exercised the conflicting action "
+                f"pairs ({causes})"
+            )
+            evidence.append(f"kind: {dep.kind.value}")
+    elif phase is Phase.REDUCE_MEMORY:
+        resource = candidate.candidate
+        sizes = f"{resource.original_size} -> {candidate.new_size}"
+        name = f"{resource.kind.value} {resource.name}"
+        if verdict is Verdict.REJECTED:
+            title = f"discarded resize of {name} ({sizes})"
+            details = (
+                "the reduction changed the program's behaviour on the "
+                "trace: " + decision.reason
+            )
+        else:
+            title = (
+                f"resized {name}: {sizes} "
+                f"(-{candidate.reduction_fraction:.1%})"
+            )
+            details = (
+                "the reduced program's profile is identical on the input "
+                "trace; verify that future rules/state still fit the "
+                "smaller allocation"
+            )
+        evidence.append(f"hit_rate: {resource.hit_rate:.2%}")
+    else:
+        title = (
+            f"offloaded segment{'s' if len(candidate) > 1 else ''} "
+            + " + ".join(
+                "{" + ", ".join(o.segment.tables) + "}" for o in candidate
+            )
+            + " to the controller"
+        )
+        details = (
+            "these tables must now be implemented at the controller; "
+            f"{sum(o.redirect_fraction for o in candidate):.2%} of the "
+            "trace is redirected and "
+            f"{decision.stages_before - decision.stages_after} stage(s) "
+            "are freed. Keep the segment in the data plane if it matters "
+            "in critical situations the trace does not cover."
+        )
+        evidence.append(
+            "boundary_guard: "
+            + "; ".join(o.segment.boundary_guard or "none" for o in candidate)
+        )
+    if decision.stages_before is not None:
+        evidence.append(f"stages_before: {decision.stages_before}")
+        evidence.append(f"stages_after: {decision.stages_after}")
+    lines = [
+        f"[phase {phase.value}:{phase.name.lower()}] "
+        f"{verdict.value.upper()}: {title}",
+        f"  {details}",
+    ]
+    lines.extend(f"  - {item}" for item in sorted(evidence))
+    return "\n".join(lines)
+
+
 def render_report(result: P2GOResult) -> str:
     """The full optimization report."""
     from repro.target.phv import compute_phv_usage
 
     phv_before = compute_phv_usage(result.original_program)
     phv_after = compute_phv_usage(result.optimized_program)
+    profile = result.initial_profile
     lines: List[str] = [
         "=" * 72,
         f"P2GO optimization report — {result.original_program.name}",
@@ -63,6 +168,14 @@ def render_report(result: P2GOResult) -> str:
         f"(of {phv_after.budget_bits})",
         "",
         stage_table(result),
+        "",
+        f"profiled {profile.total_packets} packets, "
+        f"{len(profile.nonexclusive_sets)} distinct non-exclusive action "
+        "sets; per-table hit rates: "
+        + ", ".join(
+            f"{t}={profile.hit_rate(t):.1%}"
+            for t in result.original_program.tables_in_control_order()
+        ),
         "",
     ]
     if result.profiling_perf is not None:
@@ -140,18 +253,17 @@ def render_report(result: P2GOResult) -> str:
                 "ignored (the store degrades, it never fails a run)"
             )
         lines.append("")
-    optimizations = result.observations.optimizations()
-    lines.append(f"applied optimizations: {len(optimizations)}")
+    lines.append(f"applied optimizations: {len(result.applied)}")
     if result.offloaded_tables:
         lines.append(
             "controller must now implement: "
             + ", ".join(result.offloaded_tables)
         )
     lines.append("")
-    lines.append("observations for review:")
+    lines.append("decisions for review:")
     lines.append("-" * 72)
-    for obs in result.observations.items:
-        lines.append(obs.render())
+    for decision in result.decisions:
+        lines.append(render_decision(decision))
         lines.append("")
     return "\n".join(lines)
 
@@ -161,7 +273,7 @@ def summary_line(result: P2GOResult) -> str:
     path = " -> ".join(str(o.stages) for o in result.outcomes)
     return (
         f"{result.original_program.name}: stages {path} "
-        f"({len(result.observations.optimizations())} optimizations)"
+        f"({len(result.applied)} optimizations)"
     )
 
 

@@ -4,11 +4,14 @@ This is the pre-pass-framework ``P2GO.run()`` — the hard-coded
 ``if/elif`` chain with one accept/observe/recompile block per phase,
 including its redundant invocations (the back-to-back duplicate compile
 after phase 3's round loop, the re-profiles of programs a phase just
-profiled).  It is kept verbatim for two consumers:
+profiled).  Its probes and accept logic are kept verbatim; each phase's
+decisions go through the same :func:`~repro.core.passes.review` as the
+pass manager's.  Two consumers:
 
 * ``tests/test_passes.py`` pins that the pass-framework orchestrator
-  produces an equivalent :class:`~repro.core.pipeline.P2GOResult` for
-  the paper's default phase order and the ablation reorderings;
+  produces an equivalent :class:`~repro.core.pipeline.P2GOResult` —
+  the same decisions included — for the paper's default phase order
+  and the ablation reorderings;
 * the fuzzer's ``order`` axis (:mod:`repro.fuzz.differential`) holds
   random programs to the same equivalence.
 
@@ -21,16 +24,11 @@ the pass framework.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core import phase_dependencies, phase_memory, phase_offload
-from repro.core.observations import (
-    Observation,
-    ObservationKind,
-    ObservationLog,
-    Phase,
-)
-from repro.core.passes import PhaseOutcome, ReviewHook
+from repro.core.observations import Decision, Phase
+from repro.core.passes import PhaseOutcome, ReviewHook, review
 from repro.core.pipeline import P2GOResult
 from repro.core.session import OptimizationContext
 from repro.p4.program import Program
@@ -61,50 +59,12 @@ def run_seed(
         program, config, trace, target, memoize=False
     )
 
-    log = ObservationLog()
+    decisions: List[Decision] = []
     outcomes: List[PhaseOutcome] = []
-
-    def accepted(obs: Observation) -> bool:
-        log.add(obs)
-        if (
-            obs.kind is ObservationKind.OPTIMIZATION
-            and review_hook is not None
-        ):
-            ok = review_hook(obs)
-            if not ok:
-                log.add(
-                    Observation(
-                        phase=obs.phase,
-                        kind=ObservationKind.REJECTED,
-                        title=f"programmer rejected: {obs.title}",
-                        details="change rolled back at review",
-                    )
-                )
-            return ok
-        return True
 
     # Phase 1: profiling.
     initial_profile, profiling_perf = session.profile_with_perf(
         program, config
-    )
-    log.add(
-        Observation(
-            phase=Phase.PROFILING,
-            kind=ObservationKind.PROFILE,
-            title=(
-                f"profiled {initial_profile.total_packets} packets, "
-                f"{len(initial_profile.nonexclusive_sets)} distinct "
-                f"non-exclusive action sets"
-            ),
-            details=(
-                f"replayed at {profiling_perf.packets_per_second():,.0f} "
-                "packets/s; per-table hit rates: "
-                + ", ".join(
-                    f"{t}={initial_profile.hit_rate(t):.1%}"
-                    for t in program.tables_in_control_order()
-                )
-            ),
-        )
     )
     current = program
     profile = initial_profile
@@ -117,21 +77,15 @@ def run_seed(
         )
     )
 
-    offloaded: Tuple[phase_offload.Offload, ...] = ()
     for phase_number in phases:
         if phase_number == 2:
             for _round in range(max_dependency_removals):
                 step = phase_dependencies.run_phase(
                     current, result, profile
                 )
-                applied = False
-                for obs in step.observations:
-                    if obs.kind is ObservationKind.OPTIMIZATION:
-                        if accepted(obs):
-                            applied = True
-                    else:
-                        log.add(obs)
-                if step.removed is None or not applied:
+                logged, applied = review(step, review_hook)
+                decisions.extend(logged)
+                if not applied:
                     break
                 current = step.program
                 result = session.compile(current)
@@ -148,14 +102,9 @@ def run_seed(
                 step = phase_memory.run_phase(
                     session, current, config, profile
                 )
-                applied = False
-                for obs in step.observations:
-                    if obs.kind is ObservationKind.OPTIMIZATION:
-                        if accepted(obs):
-                            applied = True
-                    else:
-                        log.add(obs)
-                if step.accepted is None or not applied:
+                logged, applied = review(step, review_hook)
+                decisions.extend(logged)
+                if not applied:
                     break
                 current = step.program
                 result = session.compile(current)
@@ -178,17 +127,11 @@ def run_seed(
                 min_stage_savings=offload_min_stage_savings,
                 max_redirect_fraction=max_redirect_fraction,
             )
-            applied = False
-            for obs in step.observations:
-                if obs.kind is ObservationKind.OPTIMIZATION:
-                    if accepted(obs):
-                        applied = True
-                else:
-                    log.add(obs)
-            if step.offloaded is not None and applied:
+            logged, applied = review(step, review_hook)
+            decisions.extend(logged)
+            if applied:
                 current = step.program
                 config = step.config
-                offloaded = step.record
                 result = session.compile(current)
                 profile = session.profile(current, config)
             else:
@@ -210,10 +153,9 @@ def run_seed(
         original_program=program,
         optimized_program=current,
         final_config=config,
-        observations=log,
+        decisions=tuple(decisions),
         initial_profile=initial_profile,
         outcomes=outcomes,
-        offloaded=offloaded,
         profiling_perf=profiling_perf,
         session_counters=session.counters,
     )

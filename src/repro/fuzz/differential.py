@@ -19,7 +19,7 @@ disagreement:
     profile field, on both the original and the optimized program.
 ``workers``
     ``workers=1`` vs ``workers=4`` pipeline runs must produce
-    byte-identical results (program, config, counters, observations).
+    byte-identical results (program, config, counters, decisions).
 ``store``
     A store-backed run (cold, then warm-started from its own probes)
     must decide exactly what the memory-only run decides.
@@ -33,7 +33,6 @@ crashes are findings too, and the shrinker minimizes them the same way.
 
 from __future__ import annotations
 
-import re
 import traceback
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -56,8 +55,6 @@ ALL_AXES = ("behavior", "engine", "workers", "store", "order")
 #: the harness actually catches broken passes.
 Mutator = Callable[[Program], Program]
 
-_TIMING = re.compile(r"[\d,.]+ packets/s")
-
 
 @dataclass
 class AxisFailure:
@@ -70,17 +67,14 @@ class AxisFailure:
         return f"[{self.axis}] {self.detail}"
 
 
-def _scrub(text: str) -> str:
-    return _TIMING.sub("<rate> packets/s", text)
+def canonical(result: P2GOResult, decisions_only: bool = False) -> tuple:
+    """Everything a run decides, as one value two runs compare with
+    ``==`` (its decision log holds sets, so it is compared, not printed).
 
-
-def canonical(result: P2GOResult, decisions_only: bool = False) -> bytes:
-    """Canonical byte serialization of everything a run decides.
-
-    With ``decisions_only`` the session counters, per-phase perf and
-    observation text are excluded: store-backed runs legitimately skip
-    executions (different counters, extra provenance lines) while still
-    having to make identical *decisions*.
+    With ``decisions_only`` the session counters and per-phase perf are
+    excluded: store-backed runs legitimately skip executions (different
+    counters) while still having to make identical *decisions* — the
+    decision log included.
     """
     decisions = (
         program_fingerprint(result.optimized_program),
@@ -88,9 +82,10 @@ def canonical(result: P2GOResult, decisions_only: bool = False) -> bytes:
         result.offloaded_tables,
         result.stage_history(),
         [o.stage_map for o in result.outcomes],
+        result.decisions,
     )
     if decisions_only:
-        return repr(decisions).encode()
+        return decisions
     perfs = [
         (
             outcome.phase.name,
@@ -104,13 +99,7 @@ def canonical(result: P2GOResult, decisions_only: bool = False) -> bytes:
         )
         for outcome in result.outcomes
     ]
-    observations = [
-        (obs.phase.name, obs.kind.name, obs.title, _scrub(obs.details))
-        for obs in result.observations.items
-    ]
-    return repr(
-        (decisions, result.session_counters.as_dict(), perfs, observations)
-    ).encode()
+    return decisions, result.session_counters.as_dict(), perfs
 
 
 def _run_pipeline(

@@ -16,6 +16,7 @@ from repro.core.phase_offload import (
     enumerate_candidates,
     make_offloaded_program,
 )
+from repro.core.observations import Phase, Verdict
 from repro.core.pipeline import P2GO
 from repro.p4 import (
     AddToField,
@@ -233,6 +234,20 @@ def guarded_limiter_program():
     return b.build()
 
 
+def with_offload(result, offload):
+    """``result`` with its accepted phase-4 decision moving ``offload``
+    to the controller instead."""
+    return replace(
+        result,
+        decisions=tuple(
+            replace(d, candidate=(offload,))
+            if d.phase is Phase.OFFLOAD_CODE and d.verdict is Verdict.ACCEPTED
+            else d
+            for d in result.decisions
+        ),
+    )
+
+
 class TestCheckResultWithAnUpstreamDrop:
     """ROADMAP item 1 (c), by hand: the enterprise mismatch reduced to
     a drop upstream of a self-contained stateful segment, with traffic
@@ -279,9 +294,7 @@ class TestCheckResultWithAnUpstreamDrop:
         lenient = replace(
             offload.segment, subtree=Apply("dns_count"), tables=("dns_count",)
         )
-        broken = replace(
-            result, offloaded=(replace(offload, segment=lenient),)
-        )
+        broken = with_offload(result, replace(offload, segment=lenient))
         report = check_result(broken, config, trace)
         assert len(report.mismatches) == 9 - (DNS_LIMIT - 1)
 
@@ -293,7 +306,7 @@ class TestCheckResultWithAnUpstreamDrop:
         harsh = replace(
             offload.segment, subtree=Apply("dns_limit"), tables=("dns_limit",)
         )
-        broken = replace(result, offloaded=(replace(offload, segment=harsh),))
+        broken = with_offload(result, replace(offload, segment=harsh))
         report = check_result(broken, config, trace)
         assert len(report.mismatches) == (DNS_LIMIT - 1) + 2
 

@@ -29,8 +29,8 @@ def rewritten(firewall_program, firewall_config, firewall_trace):
         firewall_trace
     )
     step = dep_phase(firewall_program, result, profile)
-    assert step.removed is not None
-    return step.program, step.removed
+    assert step.changed
+    return step.program, step.accepted.candidate.dependency
 
 
 class TestRuntimeGuard:

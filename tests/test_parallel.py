@@ -10,8 +10,6 @@ and ``workers=4``.
 
 from __future__ import annotations
 
-import re
-
 import pytest
 
 from repro.core.pipeline import P2GO
@@ -57,16 +55,10 @@ def toy_variants(program):
     ]
 
 
-def scrub_timing(text):
-    """Mask wall-clock-derived throughput figures: they differ between
-    any two runs (serial or not) and are not part of the result."""
-    return re.sub(r"[\d,.]+ packets/s", "<rate> packets/s", text)
-
-
 def canonical(result):
-    """Canonical byte serialization of everything a P2GO run decides:
-    program, config, counters, phase outcomes, observations.  Wall-clock
-    throughput is masked; everything else must match byte for byte."""
+    """Everything a P2GO run decides, as one value compared with ``==``:
+    program, config, counters, phase outcomes, decisions.  Nothing in it
+    depends on the wall clock, so nothing is masked."""
     perfs = [
         (
             outcome.phase.name,
@@ -81,24 +73,14 @@ def canonical(result):
         )
         for outcome in result.outcomes
     ]
-    return repr(
-        (
-            program_fingerprint(result.optimized_program),
-            config_fingerprint(result.final_config),
-            result.session_counters.as_dict(),
-            result.offloaded_tables,
-            perfs,
-            [
-                (
-                    obs.phase.name,
-                    obs.kind.name,
-                    obs.title,
-                    scrub_timing(obs.details),
-                )
-                for obs in result.observations.items
-            ],
-        )
-    ).encode()
+    return (
+        program_fingerprint(result.optimized_program),
+        config_fingerprint(result.final_config),
+        result.session_counters.as_dict(),
+        result.offloaded_tables,
+        perfs,
+        result.decisions,
+    )
 
 
 class TestWorkerResolution:

@@ -9,11 +9,10 @@ replays (ISSUE 3's acceptance bar).
 """
 
 import dataclasses
-import re
 
 import pytest
 
-from repro.core.observations import Observation, ObservationKind, Phase
+from repro.core.observations import Decision, Phase, Verdict
 from repro.core.passes import PassManager, PassResult, PhaseOutcome
 from repro.core.phase_dependencies import DependencyRemovalPass
 from repro.core.phase_memory import MemoryReductionPass
@@ -46,11 +45,6 @@ def inputs():
     )
 
 
-def _stable(details):
-    """Blank out the one wall-clock-dependent figure in observation text."""
-    return re.sub(r"[\d,.]+ packets/s", "<pps> packets/s", details)
-
-
 def assert_equivalent(new, seed):
     """P2GOResult equivalence modulo the new perf/counter fields."""
     assert program_fingerprint(new.optimized_program) == (
@@ -60,11 +54,7 @@ def assert_equivalent(new, seed):
     assert [o.stage_map for o in new.outcomes] == [
         o.stage_map for o in seed.outcomes
     ]
-    assert [(o.phase, o.kind, o.title, _stable(o.details), o.evidence)
-            for o in new.observations.items] == [
-        (o.phase, o.kind, o.title, _stable(o.details), o.evidence)
-        for o in seed.observations.items
-    ]
+    assert new.decisions == seed.decisions
     assert new.offloaded_tables == seed.offloaded_tables
     assert config_fingerprint(new.final_config) == (
         config_fingerprint(seed.final_config)
@@ -120,23 +110,25 @@ class TestPassManager:
     def test_review_hook_veto_is_a_rollback(self, inputs):
         program, config, trace, target = inputs
         ctx = OptimizationContext(program, config, trace, target)
-        manager = PassManager(ctx, review_hook=lambda obs: False)
+        manager = PassManager(ctx, review_hook=lambda decision: False)
         outcome = manager.run_pass(DependencyRemovalPass(max_rounds=8))
         # The vetoed change was never applied: session state unchanged.
         assert ctx.program is program
         assert ctx.config is config
         assert outcome.stages == ctx.compile().stages_used
-        assert any(
-            "programmer rejected" in o.title for o in manager.log.items
-        )
+        (vetoed,) = [
+            d for d in manager.decisions if d.verdict is Verdict.VETOED
+        ]
+        assert vetoed.candidate.dependency.src == "ACL_UDP"
+        assert Verdict.ACCEPTED not in {d.verdict for d in manager.decisions}
 
     def test_vetoed_offload_leaves_no_record(self, inputs):
         program, config, trace, target = inputs
         ctx = OptimizationContext(program, config, trace, target)
-        manager = PassManager(ctx, review_hook=lambda obs: False)
+        manager = PassManager(ctx, review_hook=lambda decision: False)
         manager.run_pass(OffloadPass())
         assert ctx.program is program
-        assert manager.offloaded == []
+        assert [d.verdict for d in manager.decisions] == [Verdict.VETOED]
 
     def test_config_only_change_keeps_program(self, inputs):
         program, config, trace, target = inputs
@@ -146,10 +138,8 @@ class TestPassManager:
             name, phase, max_rounds = "stub", Phase.OFFLOAD_CODE, 1
 
             def run(self, ctx):
-                obs = Observation(
-                    self.phase, ObservationKind.OPTIMIZATION, "prune rules", ""
-                )
-                return PassResult(observations=[obs], config=restricted)
+                decision = Decision(self.phase, Verdict.ACCEPTED)
+                return PassResult((decision,), config=restricted)
 
         ctx = OptimizationContext(program, config, trace, target)
         PassManager(ctx).run_pass(ConfigOnly())
@@ -171,7 +161,7 @@ class TestPassManager:
         assert all(isinstance(o, PhaseOutcome) for o in outcomes)
         assert ctx.counters.compile_hits > 0
         assert ctx.counters.profile_hits > 0
-        (offload,) = manager.offloaded
+        (offload,) = manager.decisions[-1].candidate
         assert offload.segment.tables == (
             "Sketch_1", "Sketch_2", "Sketch_Min", "DNS_Drop",
         )

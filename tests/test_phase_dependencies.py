@@ -10,6 +10,7 @@ from repro.core.phase_dependencies import (
     remove_dependency,
     run_phase,
 )
+from repro.core.observations import Verdict
 from repro.core.profiler import Profiler
 from repro.exceptions import OptimizationError
 from repro.p4.control import find_apply
@@ -58,10 +59,14 @@ class TestCandidates:
         assert ("Sketch_Min", "DNS_Drop") not in pairs
 
     def test_candidates_carry_evidence(self, firewall_setup):
+        """A candidate's evidence is its dependency's causes, none of
+        which the profile exercised."""
         _program, result, profile = firewall_setup
         candidates = find_removal_candidates(result, profile)
+        assert candidates
         for c in candidates:
-            assert "no packet" in c.evidence
+            assert c.dependency.causes
+            assert not dependency_manifests(c.dependency, profile)
 
 
 class TestRewrite:
@@ -126,10 +131,10 @@ class TestRunPhase:
     def test_single_removal_per_pass(self, firewall_setup):
         program, result, profile = firewall_setup
         outcome = run_phase(program, result, profile)
-        assert outcome.removed is not None
-        assert (outcome.removed.src, outcome.removed.dst) == (
-            "ACL_UDP", "ACL_DHCP",
-        )
+        removed = outcome.accepted.candidate.dependency
+        assert (removed.src, removed.dst) == ("ACL_UDP", "ACL_DHCP")
+        # One removal per pass: the accepted decision is the last one.
+        assert outcome.decisions[-1] is outcome.accepted
 
     def test_no_candidates_is_a_note(self, toy_program, toy_runtime):
         from repro.packets.craft import udp_packet
@@ -139,11 +144,8 @@ class TestRunPhase:
         profile = Profiler(toy_program, toy_runtime).profile(trace)
         outcome = run_phase(toy_program, result, profile)
         # fib->acl manifests on this trace (both hit packet 1).
-        assert outcome.removed is None
-        assert any(
-            o.kind.value == "note" or o.kind.value == "rejected"
-            for o in outcome.observations
-        )
+        assert not outcome.changed
+        assert [d.verdict for d in outcome.decisions] == [Verdict.NONE]
 
 
 class TestNatGre:
@@ -156,10 +158,8 @@ class TestNatGre:
         result = compile_program(program, nat_gre.TARGET)
         profile = Profiler(program, config).profile(trace)
         outcome = run_phase(program, result, profile)
-        assert outcome.removed is not None
-        assert (outcome.removed.src, outcome.removed.dst) == (
-            "nat", "gre_term",
-        )
+        removed = outcome.accepted.candidate.dependency
+        assert (removed.src, removed.dst) == ("nat", "gre_term")
         assert (
             compile_program(outcome.program, nat_gre.TARGET).stages_used == 3
         )

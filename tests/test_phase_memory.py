@@ -8,6 +8,7 @@ collision) is rejected.
 
 import pytest
 
+from repro.core.observations import Verdict
 from repro.core.phase_dependencies import run_phase as dep_phase
 from repro.core.phase_memory import (
     ResourceKind,
@@ -20,6 +21,11 @@ from repro.core.profiler import Profiler
 from repro.core.session import OptimizationContext
 from repro.programs import example_firewall, sourceguard
 from repro.target import compile_program
+
+
+def rejected(outcome):
+    """The resizes a phase-3 round tried and turned down."""
+    return [d for d in outcome.decisions if d.verdict is Verdict.REJECTED]
 
 
 @pytest.fixture(scope="module")
@@ -136,10 +142,12 @@ class TestVerification:
         resize verifies clean and is applied."""
         program, profile = after_phase2
         outcome = run_phase(ctx, program, firewall_config, profile)
-        assert outcome.accepted is not None
-        assert outcome.accepted.candidate.name == "IPv4"
-        assert outcome.accepted.candidate.kind is ResourceKind.TABLE
-        rejected_names = {r.candidate.name for r in outcome.rejected}
+        accepted = outcome.accepted.candidate
+        assert accepted.candidate.name == "IPv4"
+        assert accepted.candidate.kind is ResourceKind.TABLE
+        rejected_names = {
+            d.candidate.candidate.name for d in rejected(outcome)
+        }
         assert "dns_cms_row0" in rejected_names
         assert "dns_cms_row1" in rejected_names
 
@@ -148,17 +156,13 @@ class TestVerification:
     ):
         program, profile = after_phase2
         outcome = run_phase(ctx, program, firewall_config, profile)
-        rejections = [
-            o for o in outcome.observations if o.kind.value == "rejected"
-        ]
-        assert any("DNS_Drop" in o.details for o in rejections)
+        assert any("DNS_Drop" in d.reason for d in rejected(outcome))
 
     def test_stage_saved(self, ctx, after_phase2, firewall_config):
         program, profile = after_phase2
         outcome = run_phase(ctx, program, firewall_config, profile)
-        assert outcome.accepted.stages_after == (
-            outcome.accepted.stages_before - 1
-        )
+        accepted = outcome.accepted.candidate
+        assert accepted.stages_after == accepted.stages_before - 1
 
     def test_candidate_order_override(
         self, ctx, after_phase2, firewall_config
@@ -175,8 +179,8 @@ class TestVerification:
                 cs, key=lambda c: -c.hit_rate
             ),
         )
-        assert outcome.accepted.candidate.name == "IPv4"
-        assert outcome.rejected == []
+        assert outcome.accepted.candidate.candidate.name == "IPv4"
+        assert rejected(outcome) == []
 
 
 class TestSourceguard:
@@ -191,10 +195,8 @@ class TestSourceguard:
             program, config, trace, sourceguard.TARGET
         ) as ctx:
             outcome = run_phase(ctx, program, config, profile)
-        assert outcome.accepted is not None
-        assert outcome.accepted.candidate.kind is ResourceKind.REGISTER
-        assert outcome.accepted.candidate.name in (
-            "sg_array0", "sg_array1",
-        )
-        assert 0.0 < outcome.accepted.reduction_fraction < 0.10
-        assert outcome.accepted.stages_after == 4
+        accepted = outcome.accepted.candidate
+        assert accepted.candidate.kind is ResourceKind.REGISTER
+        assert accepted.candidate.name in ("sg_array0", "sg_array1")
+        assert 0.0 < accepted.reduction_fraction < 0.10
+        assert accepted.stages_after == 4

@@ -254,12 +254,13 @@ class TestRunPhaseOnFailureDetection:
             program, config, trace, failure_detection.TARGET
         ) as ctx:
             outcome = run_phase(ctx, program, config)
-        assert outcome.offloaded is not None
-        assert set(outcome.offloaded.candidate.tables) == {
+        decision = outcome.accepted
+        (offload,) = decision.candidate
+        assert set(offload.segment.tables) == {
             "cms_0", "cms_1", "FailureAlarm",
         }
-        assert outcome.offloaded.stages_saved == 2
-        assert outcome.offloaded.redirect_fraction < 0.05
+        assert decision.stages_before - decision.stages_after == 2
+        assert offload.redirect_fraction < 0.05
 
     def test_offloaded_config_drops_segment_entries(self):
         program = failure_detection.build_program()

@@ -4,7 +4,7 @@ Table 3 headline results."""
 import pytest
 
 from repro.core import P2GO
-from repro.core.observations import ObservationKind, Phase
+from repro.core.observations import Phase, Verdict
 from repro.programs import example_firewall
 
 
@@ -36,15 +36,19 @@ class TestTable2:
 
     def test_sketch_resizes_rejected(self, firewall_result):
         rejected = [
-            o for o in firewall_result.observations.items
-            if o.kind is ObservationKind.REJECTED
+            d.candidate.candidate.name for d in firewall_result.decisions
+            if d.phase is Phase.REDUCE_MEMORY
+            and d.verdict is Verdict.REJECTED
         ]
-        assert any("dns_cms_row0" in o.title for o in rejected)
+        assert "dns_cms_row0" in rejected
 
     def test_ipv4_resize_accepted(self, firewall_result):
-        optimizations = firewall_result.observations.optimizations()
-        assert any("IPv4" in o.title and "resized" in o.title
-                   for o in optimizations)
+        (resize,) = [
+            d.candidate for d in firewall_result.applied
+            if d.phase is Phase.REDUCE_MEMORY
+        ]
+        assert resize.candidate.name == "IPv4"
+        assert resize.new_size < resize.candidate.original_size
 
     def test_phase_names_in_order(self, firewall_result):
         phases = [o.phase for o in firewall_result.outcomes]
@@ -70,18 +74,24 @@ class TestTable3:
     def test_nat_gre(self, natgre_result):
         assert natgre_result.stages_before == 4
         assert natgre_result.stages_after == 3
-        titles = [
-            o.title for o in natgre_result.observations.optimizations()
+        removed = [
+            (d.candidate.dependency.src, d.candidate.dependency.dst)
+            for d in natgre_result.applied
+            if d.phase is Phase.REMOVE_DEPENDENCIES
         ]
-        assert any("removed dependency nat -> gre_term" in t for t in titles)
+        assert ("nat", "gre_term") in removed
 
     def test_sourceguard(self, sourceguard_result):
         assert sourceguard_result.stages_before == 5
         assert sourceguard_result.stages_after == 4
-        titles = [
-            o.title for o in sourceguard_result.observations.optimizations()
+        resized = [
+            d.candidate.candidate for d in sourceguard_result.applied
+            if d.phase is Phase.REDUCE_MEMORY
         ]
-        assert any("resized register sg_array" in t for t in titles)
+        assert any(
+            r.kind.value == "register" and r.name.startswith("sg_array")
+            for r in resized
+        )
 
     def test_failure_detection(self, failure_result):
         assert failure_result.stages_before == 4
@@ -111,15 +121,12 @@ class TestKnobs:
             firewall_trace,
             example_firewall.TARGET,
             phases=(2,),
-            review_hook=lambda obs: False,
+            review_hook=lambda decision: False,
         ).run()
         # The veto rolls every change back: stages unchanged.
         assert result.stages_after == result.stages_before
-        assert any(
-            o.kind is ObservationKind.REJECTED
-            and "programmer rejected" in o.title
-            for o in result.observations.items
-        )
+        assert any(d.verdict is Verdict.VETOED for d in result.decisions)
+        assert result.applied == ()
 
     def test_stage_history_shape(self, firewall_result):
         history = firewall_result.stage_history()

@@ -1,42 +1,136 @@
-"""Tests for observations and report rendering."""
+"""Tests for decisions and report rendering."""
+
+import importlib
 
 import pytest
 
-from repro.core.observations import (
-    Observation,
-    ObservationKind,
-    ObservationLog,
-    Phase,
+from repro.analysis.dependencies import (
+    Dependency,
+    DependencyCause,
+    DependencyKind,
 )
-from repro.core.report import render_report, stage_table, summary_line
+from repro.core import P2GO
+from repro.core import passes, phase_dependencies, phase_memory, phase_offload
+from repro.core.observations import Decision, Phase, Verdict
+from repro.core.phase_dependencies import RemovableDependency
+from repro.core.pipeline import P2GOResult
+from repro.core.report import (
+    render_decision,
+    render_report,
+    stage_table,
+    summary_line,
+)
+from repro.programs import example_firewall
 
 
-class TestObservationLog:
-    def _obs(self, phase=Phase.PROFILING, kind=ObservationKind.NOTE,
-             title="t"):
-        return Observation(phase=phase, kind=kind, title=title, details="d")
+def removed_a_to_b():
+    cause = DependencyCause(
+        DependencyKind.ACTION, "a_drop", "b_drop", frozenset({"meta.x"})
+    )
+    return Decision(
+        Phase.REMOVE_DEPENDENCIES,
+        Verdict.ACCEPTED,
+        RemovableDependency(
+            Dependency("A", "B", DependencyKind.ACTION, (cause,))
+        ),
+    )
 
-    def test_append_and_query(self):
-        log = ObservationLog()
-        log.add(self._obs())
-        log.add(self._obs(phase=Phase.REDUCE_MEMORY,
-                          kind=ObservationKind.OPTIMIZATION))
-        assert len(log.items) == 2
-        assert len(log.by_phase(Phase.REDUCE_MEMORY)) == 1
-        assert len(log.optimizations()) == 1
 
+class TestDecisionRendering:
     def test_render_includes_evidence(self):
-        obs = Observation(
-            phase=Phase.REMOVE_DEPENDENCIES,
-            kind=ObservationKind.OPTIMIZATION,
-            title="removed dependency A -> B",
-            details="apply B only if A misses",
-            evidence={"kind": "action"},
-        )
-        text = obs.render()
+        text = render_decision(removed_a_to_b())
         assert "phase 2" in text
-        assert "OPTIMIZATION" in text
+        assert "ACCEPTED: removed dependency A -> B" in text
+        assert "a_drop/b_drop on {meta.x}" in text
         assert "kind: action" in text
+
+    def test_no_candidate_renders_the_phase_bar(self):
+        text = render_decision(
+            Decision(
+                Phase.OFFLOAD_CODE, Verdict.NONE, evaluated=3,
+                min_stage_savings=2, max_redirect_fraction=0.1,
+            )
+        )
+        assert "NONE: no offloadable segment qualifies" in text
+        assert "3 self-contained segment(s)" in text
+        assert ">= 2 stage(s) within the 10% controller-load budget" in text
+
+
+class TestDecisionLog:
+    def test_applied_is_the_accepted_decisions(self, firewall_result):
+        verdicts = [d.verdict for d in firewall_result.decisions]
+        assert verdicts.count(Verdict.ACCEPTED) == 3
+        assert Verdict.REJECTED in verdicts
+        assert all(
+            d.verdict is Verdict.ACCEPTED for d in firewall_result.applied
+        )
+        assert [d.phase for d in firewall_result.applied] == [
+            Phase.REMOVE_DEPENDENCIES,
+            Phase.REDUCE_MEMORY,
+            Phase.OFFLOAD_CODE,
+        ]
+
+    def test_the_log_holds_no_wall_clock(self, firewall_result):
+        """Phase 1 logs nothing: its summary is rendered from the
+        initial profile, its throughput under "profiling engine:"."""
+        assert Phase.PROFILING not in {
+            d.phase for d in firewall_result.decisions
+        }
+        assert "packets/s" not in "\n".join(
+            render_decision(d) for d in firewall_result.decisions
+        )
+
+    def test_two_runs_decide_equal_logs(
+        self, firewall_program, firewall_config, firewall_trace,
+        firewall_result,
+    ):
+        again = P2GO(
+            firewall_program, firewall_config, firewall_trace,
+            example_firewall.TARGET,
+        ).run()
+        assert again.decisions == firewall_result.decisions
+
+
+class TestPassResultContract:
+    def test_a_change_needs_an_accepted_decision(self, firewall_config):
+        with pytest.raises(ValueError, match="needs 1 accepted"):
+            passes.PassResult(config=firewall_config)
+
+    def test_a_change_takes_only_one_accepted_decision(
+        self, firewall_config
+    ):
+        with pytest.raises(ValueError, match="not 2"):
+            passes.PassResult(
+                (removed_a_to_b(), removed_a_to_b()), config=firewall_config
+            )
+
+    def test_no_change_takes_no_accepted_decision(self):
+        with pytest.raises(ValueError, match="needs 0 accepted"):
+            passes.PassResult((removed_a_to_b(),))
+        nothing = Decision(Phase.REDUCE_MEMORY, Verdict.NONE)
+        assert passes.PassResult((nothing,)).accepted is None
+
+
+def test_removed_observation_api_stays_removed():
+    """Decisions replaced the prose observation log; neither it nor the
+    per-phase result classes may drift back."""
+    observations = importlib.import_module("repro.core.observations")
+    for name in ("Observation", "ObservationKind", "ObservationLog"):
+        assert not hasattr(observations, name)
+    with pytest.raises(ImportError):
+        from repro.core.observations import ObservationLog  # noqa: F401
+    for module, name in (
+        (phase_dependencies, "DependencyRemovalResult"),
+        (phase_memory, "MemoryReductionResult"),
+        (phase_offload, "OffloadResult"),
+    ):
+        assert not hasattr(module, name)
+    result = passes.PassResult()
+    for name in ("observations", "offloaded"):
+        assert not hasattr(result, name)
+    for name in ("log", "offloaded", "_accepted"):
+        assert not hasattr(passes.PassManager, name)
+    assert "observations" not in P2GOResult.__dataclass_fields__
 
 
 class TestReportRendering:
@@ -54,9 +148,37 @@ class TestReportRendering:
         assert "stages: 8 -> 3" in text
         assert "controller must now implement" in text
         assert "Sketch_1" in text
-        assert "observations for review" in text
+        assert "decisions for review" in text
+        assert "applied optimizations: 3" in text
+        # Phase 1's summary comes from the initial profile; its
+        # throughput stays under the profiling engine's lines.
+        total = firewall_result.initial_profile.total_packets
+        assert f"profiled {total} packets" in text
+        assert "IPv4=100.0%" in text
+        engine = text.split("profiling engine:")[1]
+        assert "packets/s" in engine.split("decisions for review")[0]
 
     def test_summary_line(self, firewall_result):
         line = summary_line(firewall_result)
         assert "example_firewall" in line
         assert "8 -> 7 -> 6 -> 3" in line
+        assert "(3 optimizations)" in line
+
+    def test_vetoed_change_is_not_counted_as_applied(self):
+        """A vetoed offload used to count as applied: the report said
+        three optimizations over the path 8 -> 7 -> 6 -> 6."""
+        vetoed = P2GO(
+            example_firewall.build_program(),
+            example_firewall.runtime_config(),
+            example_firewall.make_trace(2000),
+            example_firewall.TARGET,
+            review_hook=lambda d: d.phase is not Phase.OFFLOAD_CODE,
+        ).run()
+        line = summary_line(vetoed)
+        assert "8 -> 7 -> 6 -> 6 (2 optimizations)" in line
+        assert "applied optimizations: 2" in render_report(vetoed)
+        (offload,) = [
+            d for d in vetoed.decisions if d.phase is Phase.OFFLOAD_CODE
+        ]
+        assert offload.verdict is Verdict.VETOED
+        assert vetoed.offloaded == ()

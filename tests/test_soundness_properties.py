@@ -72,7 +72,7 @@ def rewritten_program(firewall_program, firewall_config, firewall_trace):
         firewall_trace
     )
     step = dep_phase(firewall_program, compiled, profile)
-    assert step.removed is not None
+    assert step.changed
     return step.program
 
 

@@ -4,6 +4,7 @@ telemetry program."""
 import pytest
 
 from repro.controller import check_result
+from repro.core.observations import Verdict
 from repro.core.passes import PassManager
 from repro.core.phase_offload import (
     OffloadPass,
@@ -111,17 +112,15 @@ class TestCombination:
             min_stage_savings=2,
             allow_combination=True,
         )
-        assert len(outcome.combination) == 2
-        offloaded = {
-            t for e in outcome.combination for t in e.candidate.tables
-        }
+        combination = outcome.accepted.candidate
+        assert len(combination) == 2
+        offloaded = {t for o in combination for t in o.segment.tables}
         assert offloaded == {"dns_hh", "ttl_probe"}
         assert (
             compile_program(outcome.program, telemetry.TARGET).stages_used
+            == outcome.accepted.stages_after
             == 3
         )
-        titles = [o.title for o in outcome.observations]
-        assert any("combination" in t for t in titles)
 
     def test_run_phase_without_combination_flag(self, ctx, setup):
         program, config, _trace = setup
@@ -132,7 +131,10 @@ class TestCombination:
             min_stage_savings=2,
             allow_combination=False,
         )
-        assert outcome.offloaded is None
+        assert not outcome.changed
+        (decision,) = outcome.decisions
+        assert decision.verdict is Verdict.NONE
+        assert decision.min_stage_savings == 2
 
     def test_combined_behavior_preserved(self, ctx, setup):
         """Each redirected packet gets its original verdict from the
@@ -177,10 +179,9 @@ class TestCombination:
             original_program=program,
             optimized_program=ctx.program,
             final_config=ctx.config,
-            observations=manager.log,
+            decisions=tuple(manager.decisions),
             initial_profile=ctx.profile(program, config),
             outcomes=outcomes,
-            offloaded=tuple(manager.offloaded),
         )
         assert result.offloaded_tables == ("dns_hh", "ttl_probe")
         assert [o.redirect_table for o in result.offloaded] == [
