@@ -11,7 +11,7 @@ resizes per policy.
 
 import pytest
 
-from repro.core.observations import Verdict
+from repro.core.observations import Reason
 from repro.core.phase_dependencies import run_phase as dep_phase
 from repro.core.phase_memory import run_phase as mem_phase
 from repro.core.profiler import Profiler
@@ -49,10 +49,12 @@ def test_candidate_order_policies(benchmark, phase3_state, record):
     )
 
     def accepted(outcome):
-        return outcome.accepted.candidate.candidate.name
+        return outcome.accepted.candidate.name
 
     def rejected_tries(outcome):
-        return sum(d.verdict is Verdict.REJECTED for d in outcome.decisions)
+        return sum(
+            d.reason is Reason.BEHAVIOUR_CHANGED for d in outcome.decisions
+        )
 
     lines = [
         "Ablation: phase-3 candidate order",

@@ -37,34 +37,30 @@ def phase3_input(firewall_inputs):
 def test_binary_vs_linear_probe_count(benchmark, phase3_input, record):
     ctx, program, candidate, baseline = phase3_input
 
-    binary_probes = []
+    before = ctx.counters.compile_calls
     binary_answer = benchmark.pedantic(
         minimal_reduction,
         args=(ctx, program, candidate, baseline),
-        kwargs={"probe_counter": binary_probes},
         rounds=1,
         iterations=1,
     )
+    binary_probes = ctx.counters.compile_calls - before
 
-    linear_probes = []
+    before = ctx.counters.compile_calls
     linear_answer = linear_minimal_reduction(
-        ctx,
-        program,
-        candidate,
-        baseline,
-        step=4,
-        probe_counter=linear_probes,
+        ctx, program, candidate, baseline, step=4
     )
+    linear_probes = ctx.counters.compile_calls - before
 
     lines = [
         "Ablation: phase-3 search strategy (each probe = one recompile)",
         f"{'strategy':<16} {'answer (cells)':>15} {'compiles':>9}",
         f"{'binary search':<16} {binary_answer:>15} "
-        f"{len(binary_probes):>9}",
+        f"{binary_probes:>9}",
         f"{'linear (step 4)':<16} {linear_answer:>15} "
-        f"{len(linear_probes):>9}",
+        f"{linear_probes:>9}",
     ]
     record("ablation_memory_search", "\n".join(lines))
 
     assert binary_answer == linear_answer
-    assert len(binary_probes) < len(linear_probes)
+    assert binary_probes < linear_probes

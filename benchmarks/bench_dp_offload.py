@@ -49,13 +49,17 @@ def test_dp_combination_selection(benchmark, inputs, record):
         "DP offload combination on the telemetry program",
         f"{'segment':<14} {'saves':>6} {'redirect':>9}",
     ]
-    for e in sorted(evaluated, key=lambda e: e.candidate.tables):
+    offloads = sorted(
+        (d.candidate[0].segment.tables, d.stages_before - d.stages_after,
+         d.candidate[0].redirect_fraction)
+        for d in evaluated
+    )
+    for tables, saved, redirect in offloads:
         lines.append(
-            f"{'+'.join(e.candidate.tables):<14} {e.stages_saved:>6} "
-            f"{e.redirect_fraction:>8.2%}"
+            f"{'+'.join(tables):<14} {saved:>6} {redirect:>8.2%}"
         )
-    chosen = {t for e in combo for t in e.candidate.tables}
-    total = sum(e.redirect_fraction for e in combo)
+    chosen = {t for d in combo for t in d.candidate[0].segment.tables}
+    total = sum(d.candidate[0].redirect_fraction for d in combo)
     lines.append("")
     lines.append(
         f"DP pick for >=2 saved stages: {{{', '.join(sorted(chosen))}}} "

@@ -40,7 +40,7 @@ def main() -> None:
     compiled = compile_program(program, fw.TARGET)
     profile = Profiler(program, config).profile(trace)
     step = remove_dependencies(program, compiled, profile)
-    removed = step.accepted.candidate.dependency
+    removed = step.accepted.candidate
     print(f"  removed: {removed.src} -> {removed.dst}")
 
     # ------------------------------------------------------------------

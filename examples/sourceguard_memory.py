@@ -40,29 +40,21 @@ def main() -> None:
     # Every phase-3 probe compiles and replays through one session.
     ctx = OptimizationContext(program, config, trace, target)
     print("Phase 3, step 1 — probe a 50% cut of every resource:")
-    candidates = find_candidates(ctx, program, profile)
-    for c in candidates:
+    halved = find_candidates(ctx, program, profile)
+    for c, stages in halved.items():
         print(f"  {c.kind.value:8s} {c.name:12s} "
-              f"(hit rate {c.hit_rate:6.1%}): halving -> "
-              f"{c.halved_stages} stages")
+              f"(hit rate {c.hit_rate:6.1%}): halving -> {stages} stages")
 
     # ------------------------------------------------------------------
-    chosen = candidates[0]
-    print(f"\nPhase 3, step 2 — binary search on {chosen.name} "
-          f"(lowest hit rate first):")
-    probes = []
-    minimal = minimal_reduction(
-        ctx, program, chosen, before.stages_used, probe_counter=probes
+    chosen = next(
+        c for c, stages in halved.items() if stages < before.stages_used
     )
-    for size in probes:
-        stages = compile_program(
-            program.with_register_size(chosen.name, size)
-            if chosen.kind.value == "register"
-            else program.with_table_size(chosen.name, size),
-            target,
-        ).stages_used
-        verdict = "saves a stage" if stages < before.stages_used else "no saving"
-        print(f"  try {size:5d} cells -> {stages} stages ({verdict})")
+    print(f"\nPhase 3, step 2 — binary search on {chosen.name} "
+          f"(lowest hit rate first of those saving a stage):")
+    probes = ctx.counters.compile_calls
+    minimal = minimal_reduction(ctx, program, chosen, before.stages_used)
+    print(f"  {ctx.counters.compile_calls - probes} compiles between "
+          f"{chosen.original_size // 2} and {chosen.original_size} cells")
     reduction = 1 - minimal / chosen.original_size
     print(f"  minimum sufficient reduction: {chosen.original_size} -> "
           f"{minimal} cells (-{reduction:.1%})")
@@ -72,7 +64,7 @@ def main() -> None:
     outcome = run_phase(ctx, program, config, profile)
     ctx.close()
     accepted = outcome.accepted.candidate
-    print(f"  accepted: {accepted.candidate.name} -> {accepted.new_size} "
+    print(f"  accepted: {accepted.name} -> {accepted.new_size} "
           f"cells (-{accepted.reduction_fraction:.1%}), profile unchanged")
     after = compile_program(outcome.program, target)
     print()

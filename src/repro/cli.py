@@ -62,7 +62,9 @@ Commands:
   failures are shrunk to minimal replayable repro files.  Exit code 1
   when any axis disagrees.  ``--replay FILE`` re-runs a repro file
   instead; ``--break-optimizer`` sabotages the optimized program on
-  purpose (mutation self-test — the run *must* fail).
+  purpose (mutation self-test — the run *must* fail).  When the
+  behaviour axis ran, one ``phase N:`` line per phase tallies its
+  (2, 3, 4) runs: accepted, rejected (by reason), or nothing enumerated.
 
 Runtime-config JSON schema (``RuntimeConfig.from_json`` / ``to_json``)::
 
@@ -488,6 +490,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    from repro.core.observations import Reason
     from repro.fuzz import (
         ALL_AXES,
         break_optimizer,
@@ -534,6 +537,20 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         f"{result.elapsed_seconds:.1f}s"
     )
     if "behavior" in result.axes:
+        tally = result.exercised
+        for phase in (2, 3, 4):
+            key = f"phase {phase}"
+            reasons = ", ".join(
+                f"{reason.value} {tally[f'{key} rejected {reason.value}']}"
+                for reason in Reason
+                if tally[f"{key} rejected {reason.value}"]
+            )
+            print(
+                f"{key}: {tally[f'{key} accepted']} accepted, "
+                f"{tally[f'{key} rejected']} rejected"
+                + (f" ({reasons})" if reasons else "")
+                + f", {tally[f'{key} nothing enumerated']} nothing enumerated"
+            )
         print(
             f"behavior axis checked {result.exercised['offload_checked']} "
             "offloading case(s)"

@@ -24,6 +24,7 @@ _EXPORTS = {
     "mirror_guard_entries": "runtime_guard",
     "Decision": "observations",
     "Verdict": "observations",
+    "Reason": "observations",
     "DependencyRemovalPass": "phase_dependencies",
     "MemoryReductionPass": "phase_memory",
     "OffloadPass": "phase_offload",

@@ -3,7 +3,9 @@
 P2GO "returns the adaptations it made to the original program together
 with the profile-based observations that guided each individual change"
 (§1).  The programmer reviews these and accepts or rejects each change —
-so every phase returns typed :class:`Decision` records, the pipeline
+so every round of phases 2–4 returns one typed :class:`Decision` per
+candidate it enumerated (up to and including the one it accepted), each
+rejection naming a :class:`Reason` from one closed set, the pipeline
 routes each accepted one through a review hook, and
 :func:`repro.core.report.render_decision` is the one place a decision
 becomes text.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - the phases import this module
-    from repro.core.phase_dependencies import RemovableDependency
+    from repro.analysis.dependencies import Dependency
     from repro.core.phase_memory import MemoryReduction
     from repro.core.phase_offload import Offload
 
@@ -35,16 +37,38 @@ class Verdict(enum.Enum):
     REJECTED = "rejected"
     #: The phase accepted the change; the programmer's review did not.
     VETOED = "vetoed"
-    #: The phase found no candidate to decide on.
-    NONE = "none"
 
 
-#: What a decision is about: a removable dependency (phase 2), a resize
-#: (phase 3), the segments moved to the controller (phase 4), or None
-#: when the phase found no candidate.
-Candidate = Union[
-    "RemovableDependency", "MemoryReduction", Tuple["Offload", ...], None
-]
+class Reason(enum.Enum):
+    """Why a phase turned a candidate down — the closed set."""
+
+    # Phase 2: the profile shows the dependency ...
+    #: ... a conflicting action pair co-applied on some packet.
+    MANIFESTS = "manifests"
+    #: ... some packet hit the source while the consumer was applied.
+    HIT_COAPPLIED = "hit_coapplied"
+    # Phase 2: the apply-on-miss rewrite refuses (remove_dependency).
+    TABLES_NOT_FOUND = "tables_not_found"
+    NOT_SIBLINGS = "not_siblings"
+    NOT_RELOCATABLE = "not_relocatable"
+    NOT_ADJACENT = "not_adjacent"
+    GUARDS_NOT_VALIDITY = "guards_not_validity"
+    GUARD_NOT_IMPLIED = "guard_not_implied"
+    # Phases 3 and 4.
+    #: The change saves fewer stages than the phase asks for.
+    NO_STAGE_SAVED = "no_stage_saved"
+    #: Phase 3: the resized program's re-profile differs.
+    BEHAVIOUR_CHANGED = "behaviour_changed"
+    #: Phase 4: the segment redirects more than the controller budget.
+    OVER_BUDGET = "over_budget"
+    #: Phase 4: another qualifying segment redirects less traffic.
+    OUTRANKED = "outranked"
+
+
+#: What a decision is about: a dependency on the TDG's longest path
+#: (phase 2), a resize (phase 3), or the segments moved to the
+#: controller (phase 4: one per segment, several for a combination).
+Candidate = Union["Dependency", "MemoryReduction", Tuple["Offload", ...]]
 
 
 @dataclass(frozen=True)
@@ -55,15 +79,12 @@ class Decision:
 
     phase: Phase
     verdict: Verdict
-    candidate: Candidate = None
-    #: Why a candidate was turned down: the rewrite's refusal (phase 2)
-    #: or how the behaviour changed on the trace (phase 3).
-    reason: str = ""
+    candidate: Optional[Candidate] = None
+    #: Why the candidate was turned down (None when it was not).
+    reason: Optional[Reason] = None
     #: Stages before and after the change, when the phase compiled it.
     stages_before: Optional[int] = None
     stages_after: Optional[int] = None
-    #: Phase 4's bar: the segments it evaluated, the stages one must
-    #: save and the controller-load ceiling it must fit.
-    evaluated: int = 0
-    min_stage_savings: int = 0
-    max_redirect_fraction: float = 0.0
+    #: What the profile showed: ``behavior_diff``'s lines for a resize
+    #: rejected as :attr:`Reason.BEHAVIOUR_CHANGED`.
+    evidence: Tuple[str, ...] = ()

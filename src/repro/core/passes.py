@@ -5,8 +5,8 @@ memory, offload — was a hard-coded ``if/elif`` chain in ``P2GO.run()``
 with one accept/observe/recompile block copied per phase.  Here each
 phase is an :class:`OptimizationPass`: a named object that inspects the
 shared :class:`~repro.core.session.OptimizationContext`, may *propose* a
-single candidate change to it, and returns a typed
-:class:`~repro.core.observations.Decision` for what it considered.
+single candidate change to it, and returns one typed
+:class:`~repro.core.observations.Decision` per candidate it considered.
 The :class:`PassManager` owns the loop that used to be triplicated:
 
 1. run the pass (it proposes at most one change per round, with exactly
@@ -136,8 +136,8 @@ class PassManager:
     """Runs a sequence of passes over one optimization session.
 
     Passes may evaluate independent candidates through the session's
-    batch probes (``compile_many`` / ``profile_many`` / ``probe_many``);
-    the manager's own accept loop stays strictly serial.
+    batch probe (``probe_many``); the manager's own accept loop stays
+    strictly serial.
     """
 
     def __init__(

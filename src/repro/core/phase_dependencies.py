@@ -23,7 +23,7 @@ from repro.analysis.dependencies import (
     Dependency,
     DependencyKind,
 )
-from repro.core.observations import Decision, Phase, Verdict
+from repro.core.observations import Decision, Phase, Reason, Verdict
 from repro.core.passes import PassResult
 from repro.core.profiler import Profile
 from repro.core.session import OptimizationContext
@@ -64,36 +64,44 @@ def dependency_manifests(dep: Dependency, profile: Profile) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class RemovableDependency:
-    """A phase-2 candidate: a dependency on the TDG's longest path none
-    of whose causes (``dependency.causes``) the profile exercised."""
+def critical_candidates(compile_result: CompileResult) -> List[Dependency]:
+    """Phase 2's candidates: the dependencies on the TDG's longest path
+    that separate their tables by a stage, ordered by ``(src, dst)``."""
+    return sorted(
+        (
+            dep
+            for dep in compile_result.dependency_graph.critical_dependencies()
+            if dep.min_stage_separation  # successor/reverse: 0 already
+        ),
+        key=lambda dep: (dep.src, dep.dst),
+    )
 
-    dependency: Dependency
+
+def _profile_refusal(dep: Dependency, profile: Profile) -> Optional[Reason]:
+    """Why the profile forbids removing ``dep`` (None: it allows it)."""
+    if dependency_manifests(dep, profile):
+        return Reason.MANIFESTS
+    # The rewrite makes dst run only when src misses, i.e. it
+    # suppresses dst on every src-hit packet.  Unmanifested causes
+    # are not enough: if any profiled packet hit src while dst was
+    # applied (even just its default action), relocation would
+    # change that packet's traversal — found by differential
+    # fuzzing, where generated tables hit and apply in combinations
+    # the hand-written examples never exercise.
+    if profile.hit_coapplied_with_table(dep.src, dep.dst):
+        return Reason.HIT_COAPPLIED
+    return None
 
 
 def find_removal_candidates(
     compile_result: CompileResult, profile: Profile
-) -> List[RemovableDependency]:
-    """Unmanifested dependencies on the TDG's longest path."""
-    candidates = []
-    for dep in compile_result.dependency_graph.critical_dependencies():
-        if dep.min_stage_separation == 0:
-            continue  # zero stage separation already (successor/reverse)
-        if dependency_manifests(dep, profile):
-            continue
-        # The rewrite makes dst run only when src misses, i.e. it
-        # suppresses dst on every src-hit packet.  Unmanifested causes
-        # are not enough: if any profiled packet hit src while dst was
-        # applied (even just its default action), relocation would
-        # change that packet's traversal — found by differential
-        # fuzzing, where generated tables hit and apply in combinations
-        # the hand-written examples never exercise.
-        if profile.hit_coapplied_with_table(dep.src, dep.dst):
-            continue
-        candidates.append(RemovableDependency(dependency=dep))
-    candidates.sort(key=lambda c: (c.dependency.src, c.dependency.dst))
-    return candidates
+) -> List[Dependency]:
+    """The critical candidates the profile allows removing."""
+    return [
+        dep
+        for dep in critical_candidates(compile_result)
+        if _profile_refusal(dep, profile) is None
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -195,17 +203,15 @@ def _implies(
 def remove_dependency(program: Program, dep: Dependency) -> Program:
     """Apply the §3.2 rewrite: ``dep.dst`` runs only if ``dep.src`` misses.
 
-    Raises :class:`OptimizationError` when the rewrite cannot be proven
-    safe (non-adjacent sites, non-validity guards, or the consumer's guard
-    not implying the source's).
+    Raises :class:`OptimizationError` carrying the :class:`Reason` when
+    the rewrite cannot be proven safe (non-adjacent sites, non-validity
+    guards, or the consumer's guard not implying the source's).
     """
     root = program.ingress
     apply_src = find_apply(root, dep.src)
     apply_dst = find_apply(root, dep.dst)
     if apply_src is None or apply_dst is None:
-        raise OptimizationError(
-            f"tables {dep.src!r}/{dep.dst!r} not found in the control flow"
-        )
+        raise OptimizationError(Reason.TABLES_NOT_FOUND)
     parents = _parents(root)
 
     dst_unit = _relocation_unit(root, apply_dst, parents)
@@ -214,34 +220,19 @@ def remove_dependency(program: Program, dep: Dependency) -> Program:
 
     seq = parents.get(id(src_unit))
     if not isinstance(seq, Seq) or parents.get(id(dst_outer)) is not seq:
-        raise OptimizationError(
-            f"tables {dep.src!r} and {dep.dst!r} are not siblings in the "
-            "same control sequence; relocation unsupported"
-        )
+        raise OptimizationError(Reason.NOT_SIBLINGS)
     if dst_outer is not dst_unit:
-        raise OptimizationError(
-            f"the apply of {dep.dst!r} is not a relocatable guarded unit"
-        )
-    src_index = _index_of(seq, src_unit)
-    dst_index = _index_of(seq, dst_unit)
-    if dst_index != src_index + 1:
-        raise OptimizationError(
-            f"tables {dep.src!r} and {dep.dst!r} are not adjacent in the "
-            "control flow; relocating would reorder other logic"
-        )
+        raise OptimizationError(Reason.NOT_RELOCATABLE)
+    positions = [id(node) for node in seq.nodes]
+    if positions.index(id(dst_unit)) != positions.index(id(src_unit)) + 1:
+        raise OptimizationError(Reason.NOT_ADJACENT)
 
     src_guard = _guard_validity(apply_src, parents)
     dst_guard = _guard_validity(apply_dst, parents)
     if src_guard is None or dst_guard is None:
-        raise OptimizationError(
-            "guards are not plain validity tests; relocation safety "
-            "cannot be established"
-        )
+        raise OptimizationError(Reason.GUARDS_NOT_VALIDITY)
     if not _implies(program, dst_guard, src_guard):
-        raise OptimizationError(
-            f"guard of {dep.dst!r} does not imply guard of {dep.src!r}; "
-            f"relocating into the miss branch could orphan packets"
-        )
+        raise OptimizationError(Reason.GUARD_NOT_IMPLIED)
 
     # Build the rewritten tree: dst_unit moves into apply_src.on_miss and
     # disappears from the sequence.  Removing it path-copies only its
@@ -261,38 +252,28 @@ def remove_dependency(program: Program, dep: Dependency) -> Program:
     return new_program
 
 
-def _index_of(seq: Seq, node: ControlNode) -> int:
-    for i, child in enumerate(seq.nodes):
-        if child is node:
-            return i
-    raise OptimizationError("node not found in its sequence")
-
-
 def run_phase(
     program: Program,
     compile_result: CompileResult,
     profile: Profile,
 ) -> PassResult:
     """Remove a single unmanifested dependency (the paper removes one at a
-    time to keep changes tractable for the programmer)."""
+    time to keep changes tractable for the programmer): one decision per
+    critical candidate, up to the one removed."""
     decisions: List[Decision] = []
-    for candidate in find_removal_candidates(compile_result, profile):
-        try:
-            rewritten = remove_dependency(program, candidate.dependency)
-        except OptimizationError as exc:
-            decisions.append(
-                Decision(
-                    Phase.REMOVE_DEPENDENCIES, Verdict.REJECTED, candidate,
-                    reason=str(exc),
-                )
-            )
-            continue
+    for dep in critical_candidates(compile_result):
+        reason = _profile_refusal(dep, profile)
+        if reason is None:
+            try:
+                rewritten = remove_dependency(program, dep)
+            except OptimizationError as exc:
+                reason = exc.args[0]
+        verdict = Verdict.ACCEPTED if reason is None else Verdict.REJECTED
         decisions.append(
-            Decision(Phase.REMOVE_DEPENDENCIES, Verdict.ACCEPTED, candidate)
+            Decision(Phase.REMOVE_DEPENDENCIES, verdict, dep, reason)
         )
-        return PassResult(tuple(decisions), program=rewritten)
-    if not decisions:
-        decisions.append(Decision(Phase.REMOVE_DEPENDENCIES, Verdict.NONE))
+        if reason is None:
+            return PassResult(tuple(decisions), program=rewritten)
     return PassResult(tuple(decisions))
 
 

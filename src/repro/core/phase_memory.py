@@ -1,8 +1,8 @@
 """Phase 3 — reducing memory to shorten the pipeline (§3.3).
 
 For every resizable resource (table capacities and register arrays) P2GO
-probes a 50% reduction; resources whose halving saves at least one stage
-are candidates.  Candidates are tried lowest-hit-rate-first (to minimize
+probes a 50% reduction; a resource whose halving saves no stage is
+rejected at once.  Candidates are tried lowest-hit-rate-first (to minimize
 behavioural risk), the minimum sufficient reduction is found by binary
 search (no target memory map needed), and the resize is kept only if a
 re-profile of the resized program is identical to the original profile.
@@ -11,10 +11,10 @@ re-profile of the resized program is identical to the original profile.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, field as dc_field, replace
+from typing import Callable, Dict, List, Optional
 
-from repro.core.observations import Decision, Phase, Verdict
+from repro.core.observations import Decision, Phase, Reason, Verdict
 from repro.core.passes import PassResult
 from repro.core.profiler import Profile
 from repro.core.session import OptimizationContext
@@ -28,48 +28,38 @@ class ResourceKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class MemoryCandidate:
-    """A resource whose halving saves at least one stage."""
+class MemoryReduction:
+    """A resize of one table or register: the halving phase 3 probes,
+    then the smallest cut that still saves a stage."""
 
     kind: ResourceKind
     name: str
     original_size: int
-    halved_stages: int
-    hit_rate: float
-    #: Table whose hit rate stands in for this resource (the owner for
-    #: registers, itself for tables).
-    rate_table: str
-
-
-@dataclass(frozen=True)
-class MemoryReduction:
-    """An accepted (or attempted) resize."""
-
-    candidate: MemoryCandidate
     new_size: int
-    stages_before: int
-    stages_after: int
+    #: Hit rate of the table standing in for this resource (the owner
+    #: for registers, itself for tables): the candidate order's key.
+    hit_rate: float
 
     @property
     def reduction_fraction(self) -> float:
-        return 1.0 - self.new_size / self.candidate.original_size
+        return 1.0 - self.new_size / self.original_size
 
 
 #: A candidate-selection policy: reorders phase 3's candidate list.
-CandidateOrder = Callable[[List[MemoryCandidate]], List[MemoryCandidate]]
+CandidateOrder = Callable[[List[MemoryReduction]], List[MemoryReduction]]
 
 
 def _policy_highest_hit_rate(
-    candidates: List[MemoryCandidate],
-) -> List[MemoryCandidate]:
+    candidates: List[MemoryReduction],
+) -> List[MemoryReduction]:
     """The anti-paper order the candidate-choice ablation measures:
     riskiest (highest hit rate) resources first."""
     return sorted(candidates, key=lambda c: -c.hit_rate)
 
 
 def _policy_largest_memory_first(
-    candidates: List[MemoryCandidate],
-) -> List[MemoryCandidate]:
+    candidates: List[MemoryReduction],
+) -> List[MemoryReduction]:
     """Greedy-capacity order: try the biggest allocations first."""
     return sorted(candidates, key=lambda c: -c.original_size)
 
@@ -105,97 +95,66 @@ def resolve_candidate_policy(
         ) from None
 
 
-def _resized(program: Program, kind: ResourceKind, name: str, size: int) -> Program:
-    if kind is ResourceKind.TABLE:
-        return program.with_table_size(name, size)
-    return program.with_register_size(name, size)
+def _resized(program: Program, resize: MemoryReduction, size: int) -> Program:
+    if resize.kind is ResourceKind.TABLE:
+        return program.with_table_size(resize.name, size)
+    return program.with_register_size(resize.name, size)
 
 
 def find_candidates(
     ctx: OptimizationContext,
     program: Program,
     profile: Profile,
-    baseline_stages: Optional[int] = None,
-) -> List[MemoryCandidate]:
-    """Probe a 50% cut of every resource; keep the stage-saving ones,
-    ordered lowest hit rate first (ties broken by control order).
+) -> Dict[MemoryReduction, int]:
+    """Probe a 50% cut of every halvable resource: each halving with the
+    stages it compiles to, lowest hit rate first (ties broken by control
+    order).
 
     The halving probes are independent per resource, so they go through
-    one :meth:`~repro.core.session.OptimizationContext.compile_many`
+    one :meth:`~repro.core.session.OptimizationContext.probe_many`
     batch — compiled concurrently when the session has workers, with
     results and counters identical to the serial loop.
     """
-    if baseline_stages is None:
-        baseline_stages = ctx.compile(program).stages_used
     order = {
         name: i for i, name in enumerate(program.tables_in_control_order())
     }
-
-    # Enumerate every resizable resource with its halved variant first
-    # (tables in declaration order, then owned registers — the serial
-    # probe order), then batch-compile all variants in one wave.
-    probes: List[Tuple[ResourceKind, str, int, str, Program]] = []
-    for table in program.tables.values():
-        if table.size < 2 or not table.keys:
-            continue
-        probes.append(
-            (
-                ResourceKind.TABLE,
-                table.name,
-                table.size,
-                table.name,
-                program.with_table_size(table.name, table.size // 2),
-            )
-        )
-    for register in program.registers.values():
-        if register.size < 2:
-            continue
-        owners = program.tables_accessing_register(register.name)
-        if not owners:
-            continue
-        probes.append(
-            (
-                ResourceKind.REGISTER,
-                register.name,
-                register.size,
-                owners[0],
-                program.with_register_size(
-                    register.name, register.size // 2
-                ),
-            )
-        )
-    probed_stages = [
-        result.stages_used
-        for result in ctx.compile_many([variant for *_rest, variant in probes])
+    # Tables in declaration order, then owned registers (the serial
+    # probe order), each with the table whose hit rate stands in for it.
+    resources = [
+        (ResourceKind.TABLE, table, table.name)
+        for table in program.tables.values()
+        if table.size >= 2 and table.keys
     ]
-
-    candidates: List[MemoryCandidate] = []
-    for (kind, name, size, rate_table, _variant), stages in zip(
-        probes, probed_stages
-    ):
-        if stages < baseline_stages:
-            candidates.append(
-                MemoryCandidate(
-                    kind=kind,
-                    name=name,
-                    original_size=size,
-                    halved_stages=stages,
-                    hit_rate=profile.hit_rate(rate_table),
-                    rate_table=rate_table,
-                )
-            )
-    candidates.sort(
-        key=lambda c: (c.hit_rate, order.get(c.rate_table, 1 << 30), c.name)
+    for register in program.registers.values():
+        owners = program.tables_accessing_register(register.name)
+        if register.size >= 2 and owners:
+            resources.append((ResourceKind.REGISTER, register, owners[0]))
+    halvings = [
+        MemoryReduction(
+            kind, resource.name, resource.size, resource.size // 2,
+            profile.hit_rate(rate_table),
+        )
+        for kind, resource, rate_table in resources
+    ]
+    compiled, _ = ctx.probe_many(
+        programs=[_resized(program, h, h.new_size) for h in halvings]
     )
-    return candidates
+    ranked = sorted(
+        range(len(halvings)),
+        key=lambda i: (
+            halvings[i].hit_rate,
+            order.get(resources[i][2], 1 << 30),
+            halvings[i].name,
+        ),
+    )
+    return {halvings[i]: compiled[i].stages_used for i in ranked}
 
 
 def minimal_reduction(
     ctx: OptimizationContext,
     program: Program,
-    candidate: MemoryCandidate,
+    candidate: MemoryReduction,
     baseline_stages: int,
-    probe_counter: Optional[List[int]] = None,
 ) -> int:
     """Binary-search the largest size that still saves a stage (§3.3:
     "binary search allows P2GO to find the minimum reduction without a
@@ -204,11 +163,7 @@ def minimal_reduction(
     hi = candidate.original_size  # known not to save
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        stages = ctx.compile(
-            _resized(program, candidate.kind, candidate.name, mid)
-        ).stages_used
-        if probe_counter is not None:
-            probe_counter.append(mid)
+        stages = ctx.compile(_resized(program, candidate, mid)).stages_used
         if stages < baseline_stages:
             lo = mid
         else:
@@ -219,20 +174,15 @@ def minimal_reduction(
 def linear_minimal_reduction(
     ctx: OptimizationContext,
     program: Program,
-    candidate: MemoryCandidate,
+    candidate: MemoryReduction,
     baseline_stages: int,
     step: int = 1,
-    probe_counter: Optional[List[int]] = None,
 ) -> int:
     """Linear-scan baseline for the ablation bench: walk down from the
     original size until a stage is saved."""
     size = candidate.original_size - step
     while size > candidate.original_size // 2:
-        stages = ctx.compile(
-            _resized(program, candidate.kind, candidate.name, size)
-        ).stages_used
-        if probe_counter is not None:
-            probe_counter.append(size)
+        stages = ctx.compile(_resized(program, candidate, size)).stages_used
         if stages < baseline_stages:
             return size
         size -= step
@@ -246,7 +196,8 @@ def run_phase(
     profile: Profile,
     candidate_order: Optional[CandidateOrder] = None,
 ) -> PassResult:
-    """Try candidates until one resize passes verification.
+    """Try candidates until one resize passes verification: one decision
+    per halvable resource, up to the one resized.
 
     ``candidate_order`` lets the ablation bench override the paper's
     lowest-hit-rate-first policy.  All candidate probing (the halving
@@ -255,41 +206,43 @@ def run_phase(
     once and replays run on the session's trace.
     """
     baseline_stages = ctx.compile(program).stages_used
-    candidates = find_candidates(
-        ctx, program, profile, baseline_stages=baseline_stages
-    )
+    halved = find_candidates(ctx, program, profile)
+    candidates = list(halved)
     if candidate_order is not None:
-        candidates = candidate_order(list(candidates))
-    if not candidates:
-        return PassResult((Decision(Phase.REDUCE_MEMORY, Verdict.NONE),))
+        candidates = candidate_order(candidates)
 
     decisions: List[Decision] = []
-    for candidate in candidates:
-        new_size = minimal_reduction(
-            ctx, program, candidate, baseline_stages
+    for halving in candidates:
+        if halved[halving] >= baseline_stages:
+            decisions.append(
+                Decision(
+                    Phase.REDUCE_MEMORY, Verdict.REJECTED, halving,
+                    Reason.NO_STAGE_SAVED,
+                    stages_before=baseline_stages,
+                    stages_after=halved[halving],
+                )
+            )
+            continue
+        resize = replace(
+            halving,
+            new_size=minimal_reduction(
+                ctx, program, halving, baseline_stages
+            ),
         )
-        resized = _resized(program, candidate.kind, candidate.name, new_size)
-        new_profile = ctx.profile(resized, config)
-        reduction = MemoryReduction(
-            candidate=candidate,
-            new_size=new_size,
-            stages_before=baseline_stages,
-            stages_after=ctx.compile(resized).stages_used,
-        )
-        same = profile.same_behavior_as(new_profile)
+        resized = _resized(program, resize, resize.new_size)
+        diff = tuple(profile.behavior_diff(ctx.profile(resized, config)))
         decisions.append(
             Decision(
                 Phase.REDUCE_MEMORY,
-                Verdict.ACCEPTED if same else Verdict.REJECTED,
-                reduction,
-                reason="" if same else "; ".join(
-                    profile.behavior_diff(new_profile)
-                ),
-                stages_before=reduction.stages_before,
-                stages_after=reduction.stages_after,
+                Verdict.REJECTED if diff else Verdict.ACCEPTED,
+                resize,
+                Reason.BEHAVIOUR_CHANGED if diff else None,
+                stages_before=baseline_stages,
+                stages_after=ctx.compile(resized).stages_used,
+                evidence=diff,
             )
         )
-        if same:
+        if not diff:
             return PassResult(tuple(decisions), program=resized)
     return PassResult(tuple(decisions))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.core.observations import Decision, Phase, Verdict
+from repro.core.observations import Decision, Phase, Reason, Verdict
 from repro.core.passes import PassResult
 from repro.core.session import OptimizationContext
 from repro.exceptions import OffloadError
@@ -55,37 +55,40 @@ class SegmentCandidate:
     tables: Tuple[str, ...]
     boundary_guard: Optional[str]  # printable condition kept in data plane
 
-    @property
-    def key(self) -> FrozenSet[str]:
-        return frozenset(self.tables)
-
 
 @dataclass(frozen=True)
 class Offload:
-    """One segment phase 4 moved to the controller, as its decision
-    keeps it (``P2GOResult.offloaded``): without the variant
-    :class:`Program` of an :class:`EvaluatedCandidate`, so it pickles small.
-    """
+    """One segment moved (or proposed to move) to the controller, as its
+    decision keeps it (``P2GOResult.offloaded``): without the variant
+    :class:`Program`, so it pickles small."""
 
     segment: SegmentCandidate
     redirect_table: str
     redirect_fraction: float
 
 
-@dataclass
-class EvaluatedCandidate:
-    """A candidate after compile + profile of its redirect variant."""
+def _saved(decision: Decision) -> int:
+    return decision.stages_before - decision.stages_after
 
-    candidate: SegmentCandidate
-    program: Program
-    stages_before: int
-    stages_after: int
-    redirect_fraction: float
-    redirect_table: str = TO_CTL_TABLE
 
-    @property
-    def stages_saved(self) -> int:
-        return self.stages_before - self.stages_after
+def _load(decision: Decision) -> float:
+    return sum(o.redirect_fraction for o in decision.candidate)
+
+
+def _tables(decision: Decision) -> List[str]:
+    return [t for o in decision.candidate for t in o.segment.tables]
+
+
+def _refusal(
+    saved: int, load: float, min_stage_savings: int,
+    max_redirect_fraction: float,
+) -> Reason:
+    """Why a segment loses when it does; OUTRANKED means it qualifies."""
+    if saved < min_stage_savings:
+        return Reason.NO_STAGE_SAVED
+    if load > max_redirect_fraction:
+        return Reason.OVER_BUDGET
+    return Reason.OUTRANKED
 
 
 def _is_standard(ref: FieldRef) -> bool:
@@ -311,9 +314,13 @@ def evaluate_candidates(
     config: RuntimeConfig,
     candidates: Sequence[SegmentCandidate],
     baseline_stages: Optional[int] = None,
-) -> List[EvaluatedCandidate]:
+    min_stage_savings: int = 1,
+    max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
+) -> List[Decision]:
     """Compile + profile the redirect variant of every candidate (§3.4:
-    "P2GO compiles and profiles a modified program for each candidate").
+    "P2GO compiles and profiles a modified program for each candidate"):
+    one rejected decision per segment, its reason what keeps it from
+    qualifying (OUTRANKED when nothing does).
 
     Every variant compile/profile goes through ``ctx`` and is memoized —
     the accepted variant's later re-profile by the orchestrator (and
@@ -344,67 +351,68 @@ def evaluate_candidates(
         programs=[modified for modified, _adapted in variants],
         variants=variants,
     )
-    evaluated: List[EvaluatedCandidate] = []
-    for candidate, (modified, _adapted), result, (profile, _perf) in zip(
-        candidates, variants, compiled, profiled
+    evaluated: List[Decision] = []
+    for candidate, result, (profile, _perf) in zip(
+        candidates, compiled, profiled
     ):
+        load = profile.apply_rate(redirect_table)
         evaluated.append(
-            EvaluatedCandidate(
-                candidate=candidate,
-                program=modified,
+            Decision(
+                Phase.OFFLOAD_CODE, Verdict.REJECTED,
+                (Offload(candidate, redirect_table, load),),
+                _refusal(
+                    baseline_stages - result.stages_used, load,
+                    min_stage_savings, max_redirect_fraction,
+                ),
                 stages_before=baseline_stages,
                 stages_after=result.stages_used,
-                redirect_fraction=profile.apply_rate(redirect_table),
-                redirect_table=redirect_table,
             )
         )
     return evaluated
 
 
 def select_candidate(
-    evaluated: Sequence[EvaluatedCandidate],
+    evaluated: Sequence[Decision],
     min_stage_savings: int = 1,
     max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
-) -> Optional[EvaluatedCandidate]:
-    """Least redirected traffic among candidates saving enough stages."""
+) -> Optional[Decision]:
+    """Least redirected traffic among segments saving enough stages."""
     eligible = [
-        e
-        for e in evaluated
-        if e.stages_saved >= min_stage_savings
-        and e.redirect_fraction <= max_redirect_fraction
+        d
+        for d in evaluated
+        if _refusal(
+            _saved(d), _load(d), min_stage_savings, max_redirect_fraction
+        ) is Reason.OUTRANKED
     ]
     if not eligible:
         return None
     return min(
         eligible,
-        key=lambda e: (
-            e.redirect_fraction,
-            -e.stages_saved,
-            len(e.candidate.tables),
-            sorted(e.candidate.tables),
+        key=lambda d: (
+            _load(d), -_saved(d), len(_tables(d)), sorted(_tables(d))
         ),
     )
 
 
 def select_combination(
-    evaluated: Sequence[EvaluatedCandidate],
+    evaluated: Sequence[Decision],
     min_stage_savings: int,
     max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
-) -> List[EvaluatedCandidate]:
-    """Dynamic program over disjoint candidates: minimize total redirected
+) -> List[Decision]:
+    """Dynamic program over disjoint segments: minimize total redirected
     traffic subject to a total stage-savings target.
 
-    States are (candidates considered, stages saved so far); the load of a
+    States are (segments considered, stages saved so far); the load of a
     combination is estimated additively (disjoint segments redirect
     disjoint guard events) and the winning combination should be re-verified
     by compiling the combined program.
     """
     items = [
-        e
-        for e in evaluated
-        if e.stages_saved > 0 and e.redirect_fraction <= max_redirect_fraction
+        d
+        for d in evaluated
+        if _saved(d) > 0 and _load(d) <= max_redirect_fraction
     ]
-    items.sort(key=lambda e: sorted(e.candidate.tables))
+    items.sort(key=lambda d: sorted(_tables(d)))
 
     # dp[(savings, used_tables)] = (load, chosen indices); savings capped.
     cap = max(min_stage_savings, 0)
@@ -412,13 +420,14 @@ def select_combination(
         (0, frozenset()): (0.0, ())
     }
     for i, item in enumerate(items):
+        tables = frozenset(_tables(item))
         additions = []
         for (savings, used), (load, chosen) in dp.items():
-            if item.candidate.key & used:
+            if tables & used:
                 continue
-            new_savings = min(savings + item.stages_saved, cap)
-            new_used = used | item.candidate.key
-            new_load = load + item.redirect_fraction
+            new_savings = min(savings + _saved(item), cap)
+            new_used = used | tables
+            new_load = load + _load(item)
             if new_load > max_redirect_fraction:
                 continue
             key = (new_savings, new_used)
@@ -434,22 +443,22 @@ def select_combination(
     ]
     if not winners:
         return []
-    _load, chosen = min(winners, key=lambda w: (w[0], len(w[1])))
+    _total, chosen = min(winners, key=lambda w: (w[0], len(w[1])))
     return [items[i] for i in chosen]
 
 
 def _try_combination(
     ctx: OptimizationContext,
     program: Program,
-    evaluated: Sequence[EvaluatedCandidate],
+    evaluated: Sequence[Decision],
     min_stage_savings: int,
     max_redirect_fraction: float,
-    baseline_stages: int,
-) -> Optional[Tuple[List[EvaluatedCandidate], Program, int]]:
+) -> Optional[Tuple[Decision, Program]]:
     """§3.4's DP: combine disjoint segments when no single one suffices.
 
-    Returns the combination (each segment with its own redirect table),
-    the combined program and its stage count.
+    Returns the combination's decision (each segment with its own
+    redirect table) and the combined program, or None when the DP finds
+    no combination.
     """
     combo = select_combination(
         evaluated,
@@ -459,17 +468,25 @@ def _try_combination(
     if not combo:
         return None
     combined = make_combined_offloaded_program(
-        program, [e.candidate for e in combo]
+        program, [d.candidate[0].segment for d in combo]
     )
-    stages = ctx.compile(combined).stages_used
-    if baseline_stages - stages < min_stage_savings:
-        return None  # additive estimate was optimistic; reject
     # Each segment got its own redirect table, added in segment order.
     redirects = [t for t in combined.tables if t not in program.tables]
-    combo = [
-        replace(e, redirect_table=name) for e, name in zip(combo, redirects)
-    ]
-    return combo, combined, stages
+    decision = Decision(
+        Phase.OFFLOAD_CODE, Verdict.ACCEPTED,
+        tuple(
+            replace(d.candidate[0], redirect_table=name)
+            for d, name in zip(combo, redirects)
+        ),
+        stages_before=combo[0].stages_before,
+        stages_after=ctx.compile(combined).stages_used,
+    )
+    if _saved(decision) < min_stage_savings:
+        # The additive estimate was optimistic.
+        decision = replace(
+            decision, verdict=Verdict.REJECTED, reason=Reason.NO_STAGE_SAVED
+        )
+    return decision, combined
 
 
 def run_phase(
@@ -481,46 +498,41 @@ def run_phase(
     allow_combination: bool = False,
 ) -> PassResult:
     """Offload the best segment (or, with ``allow_combination``, the best
-    DP combination of disjoint segments) if any qualifies."""
+    DP combination of disjoint segments) if any qualifies: one decision
+    per self-contained segment, plus one for the combination."""
     candidates = enumerate_candidates(program)
     baseline_stages = ctx.compile(program).stages_used
-    evaluated = evaluate_candidates(
-        ctx, program, config, candidates, baseline_stages=baseline_stages
+    decisions = evaluate_candidates(
+        ctx, program, config, candidates, baseline_stages,
+        min_stage_savings, max_redirect_fraction,
     )
     chosen = select_candidate(
-        evaluated,
+        decisions,
         min_stage_savings=min_stage_savings,
         max_redirect_fraction=max_redirect_fraction,
     )
     if chosen is not None:
-        found = [chosen], chosen.program, chosen.stages_after
+        accepted = replace(chosen, verdict=Verdict.ACCEPTED, reason=None)
+        decisions = [accepted if d is chosen else d for d in decisions]
+        (offload,) = chosen.candidate
+        offloaded_program = make_offloaded_program(
+            program, offload.segment, table_name=offload.redirect_table
+        )
     elif allow_combination:
         found = _try_combination(
-            ctx, program, evaluated,
-            min_stage_savings, max_redirect_fraction, baseline_stages,
+            ctx, program, decisions, min_stage_savings, max_redirect_fraction
         )
+        if found is None:
+            return PassResult(tuple(decisions))
+        accepted, offloaded_program = found
+        decisions.append(accepted)
+        if accepted.verdict is Verdict.REJECTED:
+            return PassResult(tuple(decisions))
     else:
-        found = None
-    decision = Decision(
-        Phase.OFFLOAD_CODE, Verdict.NONE,
-        evaluated=len(evaluated),
-        min_stage_savings=min_stage_savings,
-        max_redirect_fraction=max_redirect_fraction,
-    )
-    if found is None:
-        return PassResult((decision,))
-    segments, offloaded_program, stages = found
-    offloaded = tuple(
-        Offload(e.candidate, e.redirect_table, e.redirect_fraction)
-        for e in segments
-    )
-    moved = {t for o in offloaded for t in o.segment.tables}
-    decision = replace(
-        decision, verdict=Verdict.ACCEPTED, candidate=offloaded,
-        stages_before=baseline_stages, stages_after=stages,
-    )
+        return PassResult(tuple(decisions))
+    moved = set(_tables(accepted))
     return PassResult(
-        (decision,),
+        tuple(decisions),
         program=offloaded_program,
         config=config.restricted_to(
             [t for t in offloaded_program.tables if t not in moved]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from repro.core.observations import Decision, Phase, Verdict
+from repro.core.observations import Decision, Phase, Reason, Verdict
 from repro.core.pipeline import P2GOResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet -> report)
@@ -46,87 +46,81 @@ def stage_table(result: P2GOResult) -> str:
     return "\n".join(lines)
 
 
-#: What a phase that found no candidate reports: a headline and why.
-_NO_CANDIDATE = {
-    Phase.REMOVE_DEPENDENCIES: (
-        "no removable dependencies",
-        "every dependency on the critical path manifests in the profile",
-    ),
-    Phase.REDUCE_MEMORY: (
-        "no memory-reduction candidates",
-        "halving no table or register saves a stage",
-    ),
-    Phase.OFFLOAD_CODE: (
-        "no offloadable segment qualifies",
-        "{evaluated} self-contained segment(s) evaluated; none saves >= "
-        "{min_stage_savings} stage(s) within the {max_redirect_fraction:.0%} "
-        "controller-load budget",
-    ),
+#: The report's text for each reason a candidate was turned down.
+_REASON_TEXT = {
+    Reason.MANIFESTS:
+        "a conflicting action pair co-applied on a packet of the trace",
+    Reason.HIT_COAPPLIED:
+        "a packet hit the source table while the consumer was applied",
+    Reason.TABLES_NOT_FOUND:
+        "the two tables are not both applied in the ingress",
+    Reason.NOT_SIBLINGS:
+        "the two tables are not siblings in one control sequence",
+    Reason.NOT_RELOCATABLE:
+        "the consumer's apply is not a relocatable guarded unit",
+    Reason.NOT_ADJACENT:
+        "the two tables are not adjacent; relocating would reorder logic",
+    Reason.GUARDS_NOT_VALIDITY:
+        "a guard is not a plain validity test; safety is unprovable",
+    Reason.GUARD_NOT_IMPLIED:
+        "the consumer's guard does not imply the source's",
+    Reason.NO_STAGE_SAVED: "the change saves fewer stages than asked for",
+    Reason.BEHAVIOUR_CHANGED:
+        "the reduction changed the program's behaviour on the trace",
+    Reason.OVER_BUDGET:
+        "the segment redirects more than the controller-load budget",
+    Reason.OUTRANKED: "another qualifying segment redirects less traffic",
 }
 
 
 def render_decision(decision: Decision) -> str:
     """One decision as the report prints it: a headline, what it asks
-    the programmer to verify, and the numbers behind it."""
-    phase, verdict, candidate = (
-        decision.phase, decision.verdict, decision.candidate
-    )
+    the programmer to verify (or why it was turned down), and the
+    numbers behind it."""
+    phase, candidate = decision.phase, decision.candidate
+    rejected = decision.verdict is Verdict.REJECTED
     evidence: List[str] = []
-    if candidate is None:
-        title, template = _NO_CANDIDATE[phase]
-        details = template.format(**vars(decision))
-    elif phase is Phase.REMOVE_DEPENDENCIES:
-        dep = candidate.dependency
-        if verdict is Verdict.REJECTED:
-            title = (
-                f"dependency {dep.src} -> {dep.dst} unmanifested but not "
-                "removable"
-            )
-            details = decision.reason
-        else:
-            causes = ", ".join(
-                f"{c.src_action}/{c.dst_action or '<match>'} on "
-                f"{{{', '.join(sorted(c.fields or c.registers))}}}"
-                for c in dep.causes
-                if c.kind.min_stage_separation
-            )
-            title = f"removed dependency {dep.src} -> {dep.dst}"
-            details = (
-                f"{dep.dst} is now applied only if {dep.src} misses; "
-                "verify that no real packet can match both. Evidence: no "
-                "packet in the trace exercised the conflicting action "
-                f"pairs ({causes})"
-            )
-            evidence.append(f"kind: {dep.kind.value}")
+    if phase is Phase.REMOVE_DEPENDENCIES:
+        pair = f"dependency {candidate.src} -> {candidate.dst}"
+        title = f"kept {pair}" if rejected else f"removed {pair}"
+        causes = ", ".join(
+            f"{c.src_action}/{c.dst_action or '<match>'} on "
+            f"{{{', '.join(sorted(c.fields or c.registers))}}}"
+            for c in candidate.causes
+            if c.kind.min_stage_separation
+        )
+        details = (
+            f"{candidate.dst} is now applied only if {candidate.src} "
+            "misses; verify that no real packet can match both. Evidence: "
+            "no packet in the trace exercised the conflicting action "
+            f"pairs ({causes})"
+        )
+        evidence.append(f"kind: {candidate.kind.value}")
     elif phase is Phase.REDUCE_MEMORY:
-        resource = candidate.candidate
-        sizes = f"{resource.original_size} -> {candidate.new_size}"
-        name = f"{resource.kind.value} {resource.name}"
-        if verdict is Verdict.REJECTED:
+        sizes = f"{candidate.original_size} -> {candidate.new_size}"
+        name = f"{candidate.kind.value} {candidate.name}"
+        if rejected:
             title = f"discarded resize of {name} ({sizes})"
-            details = (
-                "the reduction changed the program's behaviour on the "
-                "trace: " + decision.reason
-            )
         else:
             title = (
                 f"resized {name}: {sizes} "
                 f"(-{candidate.reduction_fraction:.1%})"
             )
-            details = (
-                "the reduced program's profile is identical on the input "
-                "trace; verify that future rules/state still fit the "
-                "smaller allocation"
-            )
-        evidence.append(f"hit_rate: {resource.hit_rate:.2%}")
-    else:
-        title = (
-            f"offloaded segment{'s' if len(candidate) > 1 else ''} "
-            + " + ".join(
-                "{" + ", ".join(o.segment.tables) + "}" for o in candidate
-            )
-            + " to the controller"
+        details = (
+            "the reduced program's profile is identical on the input "
+            "trace; verify that future rules/state still fit the "
+            "smaller allocation"
         )
+        evidence.append(f"hit_rate: {candidate.hit_rate:.2%}")
+    else:
+        segments = " + ".join(
+            "{" + ", ".join(o.segment.tables) + "}" for o in candidate
+        )
+        plural = "s" if len(candidate) > 1 else ""
+        if rejected:
+            title = f"kept segment{plural} {segments} in the data plane"
+        else:
+            title = f"offloaded segment{plural} {segments} to the controller"
         details = (
             "these tables must now be implemented at the controller; "
             f"{sum(o.redirect_fraction for o in candidate):.2%} of the "
@@ -139,12 +133,20 @@ def render_decision(decision: Decision) -> str:
             "boundary_guard: "
             + "; ".join(o.segment.boundary_guard or "none" for o in candidate)
         )
+        evidence.append(
+            "redirect_fraction: "
+            + "; ".join(f"{o.redirect_fraction:.2%}" for o in candidate)
+        )
+    if rejected:  # a rejection is explained by its reason instead
+        details = "; ".join(
+            (_REASON_TEXT[decision.reason],) + decision.evidence
+        )
     if decision.stages_before is not None:
         evidence.append(f"stages_before: {decision.stages_before}")
         evidence.append(f"stages_after: {decision.stages_after}")
     lines = [
         f"[phase {phase.value}:{phase.name.lower()}] "
-        f"{verdict.value.upper()}: {title}",
+        f"{decision.verdict.value.upper()}: {title}",
         f"  {details}",
     ]
     lines.extend(f"  - {item}" for item in sorted(evidence))

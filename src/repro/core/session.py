@@ -79,18 +79,10 @@ Parallel candidate probing
 --------------------------
 
 Phase 3/4 candidate evaluation is an embarrassingly parallel map —
-compile + trace-replay per independent variant — so the session exposes
-batch probes next to the serial ones:
-
-* :meth:`OptimizationContext.compile_many` — compile a batch of
-  candidate programs concurrently (compiles are pure CPU and pickle
-  cleanly);
-* :meth:`OptimizationContext.profile_many` /
-  :meth:`~OptimizationContext.profile_many_with_perf` — replay a batch
-  of (program, config) variants concurrently;
-* :meth:`OptimizationContext.probe_many` — one mixed wave of both.
-
-All three share the session's one lazily-created pool
+compile + trace-replay per independent variant — so next to the serial
+probes the session has one batch door, :meth:`OptimizationContext.probe_many`:
+it compiles candidate programs and replays (program, config) variants in
+one mixed wave on the session's one lazily-created pool
 (:func:`~repro.core.fanout.make_pool`: processes; threads only on
 platforms without multiprocessing primitives).
 
@@ -335,8 +327,8 @@ class OptimizationContext:
     executes every call — the mode the seed-orchestrator reference uses
     to count the seed's real invocations.
 
-    ``workers`` sets the parallelism of the batch probes
-    (:meth:`compile_many`, :meth:`profile_many`, :meth:`probe_many`);
+    ``workers`` sets the parallelism of the batch probe
+    (:meth:`probe_many`);
     None defers to the ``P2GO_WORKERS`` environment variable and, when
     that is unset too, to 1 — the serial path.  The worker pool is
     created lazily on the first parallel batch and released by
@@ -581,36 +573,6 @@ class OptimizationContext:
 
     # ------------------------------------------------------------------
     # Batch (parallel) probing
-
-    def compile_many(
-        self, programs: Sequence[Program]
-    ) -> List[CompileResult]:
-        """Compile a batch of candidate programs, concurrently when the
-        session has more than one worker.  Results, counters, and memo
-        state are identical to calling :meth:`compile` on each program
-        in order."""
-        results, _ = self.probe_many(programs=programs)
-        return results
-
-    def profile_many(
-        self, variants: Sequence[ProfileVariant]
-    ) -> List[Profile]:
-        """Profile a batch of (program, config) variants on the session
-        trace; see :meth:`profile_many_with_perf`."""
-        return [
-            profile
-            for profile, _perf in self.profile_many_with_perf(variants)
-        ]
-
-    def profile_many_with_perf(
-        self, variants: Sequence[ProfileVariant]
-    ) -> List[Tuple[Profile, PerfCounters]]:
-        """Batch :meth:`profile_with_perf`: replay independent variants
-        concurrently.  Results, counters, memo state, and perf-window
-        attribution are identical to the serial loop (merged in
-        submission order, not completion order)."""
-        _, results = self.probe_many(variants=variants)
-        return results
 
     def probe_many(
         self,

@@ -10,7 +10,8 @@ disagreement:
     :func:`repro.controller.equivalence.check_result` (the paper's
     behaviour-preservation contract): packet-for-packet when nothing
     was offloaded, switch + controller held to the original when phase
-    4 moved a segment out.
+    4 moved a segment out.  The (2, 3, 4) run's decisions are tallied
+    per phase (:func:`tally_decisions`).
 ``engine``
     The engine (compiled match structures + execution plan) vs the
     reference interpreter, and the step-log profile
@@ -40,6 +41,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.controller.equivalence import check_result, compare_behavior
 from repro.core.instrument import reference_profile
+from repro.core.observations import Verdict
 from repro.core.pipeline import P2GO, P2GOResult
 from repro.core.profiler import Profile, Profiler
 from repro.core.seed_pipeline import run_seed
@@ -119,6 +121,24 @@ def _run_pipeline(
     ).run()
 
 
+def tally_decisions(result: P2GOResult, tally: Counter[str]) -> None:
+    """Count what each of phases 2–4 did in one run: accepted a rewrite,
+    only rejected candidates (also counted once per reason), or
+    enumerated nothing.  Keys read ``phase N accepted``, ``phase N
+    rejected``, ``phase N rejected <reason>`` and ``phase N nothing
+    enumerated``."""
+    for phase in (2, 3, 4):
+        logged = [d for d in result.decisions if d.phase.value == phase]
+        if any(d.verdict is Verdict.ACCEPTED for d in logged):
+            tally[f"phase {phase} accepted"] += 1
+        elif logged:
+            tally[f"phase {phase} rejected"] += 1
+            for reason in {d.reason.value for d in logged}:
+                tally[f"phase {phase} rejected {reason}"] += 1
+        else:
+            tally[f"phase {phase} nothing enumerated"] += 1
+
+
 # ----------------------------------------------------------------------
 # Axis implementations.  Each returns None (agreement) or an AxisFailure.
 
@@ -135,6 +155,8 @@ def _check_behavior(
                 result, optimized_program=mutator(result.optimized_program)
             )
         exercised["offload_checked"] += bool(result.offloaded)
+        if phases == (2, 3, 4):
+            tally_decisions(result, exercised)
         report = check_result(result, case.config.clone(), case.trace)
         if not report.equivalent:
             return AxisFailure(
@@ -258,7 +280,8 @@ def run_axes(
     Returns the failures found (empty list = full agreement).  Unknown
     axis names raise ``ValueError`` up front.  ``exercised`` tallies,
     as ``offload_checked``, the offloading cases the behavior axis held
-    to the original with the controller in the loop.
+    to the original with the controller in the loop, and what each
+    phase of its (2, 3, 4) run decided (:func:`tally_decisions`).
     """
     complaint = unknown_axes(axes)
     if complaint:

@@ -30,7 +30,7 @@ def rewritten(firewall_program, firewall_config, firewall_trace):
     )
     step = dep_phase(firewall_program, result, profile)
     assert step.changed
-    return step.program, step.accepted.candidate.dependency
+    return step.program, step.accepted.candidate
 
 
 class TestRuntimeGuard:

@@ -295,7 +295,7 @@ def test_phase2_relocation_respects_hit_coapplication():
     compiled = compile_program(program, DEFAULT_TARGET)
     candidates = find_removal_candidates(compiled, profile)
     assert not any(
-        c.dependency.src == "t_src" and c.dependency.dst == "t_dst"
+        c.src == "t_src" and c.dst == "t_dst"
         for c in candidates
     )
 

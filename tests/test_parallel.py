@@ -115,7 +115,7 @@ class TestBatchSemantics:
         programs = toy_variants(serial.program)
         expected = [serial.compile(p) for p in programs]
         with batch:
-            got = batch.compile_many(toy_variants(batch.program))
+            got, _ = batch.probe_many(programs=toy_variants(batch.program))
         assert [r.stages_used for r in got] == [
             r.stages_used for r in expected
         ]
@@ -137,11 +137,13 @@ class TestBatchSemantics:
         serial_perf = serial.take_perf_window()
         batch.start_perf_window()
         with batch:
-            got = batch.profile_many(
-                [(None, None), (None, batch.config.restricted_to(["fib"]))]
+            _, got = batch.probe_many(
+                variants=[
+                    (None, None), (None, batch.config.restricted_to(["fib"]))
+                ]
             )
         batch_perf = batch.take_perf_window()
-        for ours, theirs in zip(got, expected):
+        for (ours, _perf), theirs in zip(got, expected):
             assert ours.same_behavior_as(theirs)
         assert batch.counters.as_dict() == serial.counters.as_dict()
         assert batch_perf.packets == serial_perf.packets
@@ -150,8 +152,8 @@ class TestBatchSemantics:
     def test_in_flight_dedup_one_execution(self):
         ctx = make_ctx(workers=4)
         with ctx:
-            a, b = ctx.compile_many(
-                [build_toy_program(), build_toy_program()]
+            (a, b), _ = ctx.probe_many(
+                programs=[build_toy_program(), build_toy_program()]
             )
         assert a is b
         assert ctx.counters.compile_calls == 2
@@ -161,20 +163,20 @@ class TestBatchSemantics:
     def test_profile_dedup_and_memo_reuse(self):
         ctx = make_ctx(workers=4)
         with ctx:
-            first = ctx.profile_many([(None, None), (None, None)])
+            _, first = ctx.probe_many(variants=[(None, None), (None, None)])
             assert ctx.counters.profile_executions == 1
             # A later batch is answered from the memo cache entirely.
-            again = ctx.profile_many([(None, None)])
-        assert first[0] is first[1]
-        assert again[0] is first[0]
+            _, again = ctx.probe_many(variants=[(None, None)])
+        assert first[0][0] is first[1][0]
+        assert again[0][0] is first[0][0]
         assert ctx.counters.profile_calls == 3
         assert ctx.counters.profile_executions == 1
 
     def test_unmemoized_batch_executes_every_probe(self):
         ctx = make_ctx(workers=4, memoize=False)
         with ctx:
-            ctx.compile_many([ctx.program, build_toy_program()])
-            ctx.profile_many([(None, None), (None, None)])
+            ctx.probe_many(programs=[ctx.program, build_toy_program()])
+            ctx.probe_many(variants=[(None, None), (None, None)])
         assert ctx.counters.compile_executions == 2
         assert ctx.counters.profile_executions == 2
 
@@ -205,12 +207,12 @@ class TestBatchSemantics:
 
     def test_close_releases_pools_and_allows_reuse(self):
         ctx = make_ctx(workers=2)
-        ctx.compile_many(toy_variants(ctx.program))
+        ctx.probe_many(programs=toy_variants(ctx.program))
         assert ctx._executor is not None
         ctx.close()
         assert ctx._executor is None
         # The session still works after close (pools recreate lazily).
-        ctx.compile_many([ctx.program.with_table_size("fib", 16)])
+        ctx.probe_many(programs=[ctx.program.with_table_size("fib", 16)])
         ctx.close()
 
     def test_batch_after_serial_profile(self):
@@ -223,7 +225,7 @@ class TestBatchSemantics:
         ctx.profile()  # populates the per-header-type codec caches
         assert pickle.loads(pickle.dumps(ctx.program)) is not None
         with ctx:
-            compiled = ctx.compile_many(toy_variants(ctx.program))
+            compiled, _ = ctx.probe_many(programs=toy_variants(ctx.program))
         assert len(compiled) == 3
         assert ctx.counters.compile_executions == 3
 

@@ -10,7 +10,7 @@ from repro.core.phase_dependencies import (
     remove_dependency,
     run_phase,
 )
-from repro.core.observations import Verdict
+from repro.core.observations import Reason, Verdict
 from repro.core.profiler import Profiler
 from repro.exceptions import OptimizationError
 from repro.p4.control import find_apply
@@ -48,13 +48,13 @@ class TestCandidates:
     def test_acl_pair_is_candidate(self, firewall_setup):
         _program, result, profile = firewall_setup
         candidates = find_removal_candidates(result, profile)
-        pairs = {(c.dependency.src, c.dependency.dst) for c in candidates}
+        pairs = {(c.src, c.dst) for c in candidates}
         assert ("ACL_UDP", "ACL_DHCP") in pairs
 
     def test_manifesting_deps_not_candidates(self, firewall_setup):
         _program, result, profile = firewall_setup
         candidates = find_removal_candidates(result, profile)
-        pairs = {(c.dependency.src, c.dependency.dst) for c in candidates}
+        pairs = {(c.src, c.dst) for c in candidates}
         assert ("IPv4", "ACL_UDP") not in pairs
         assert ("Sketch_Min", "DNS_Drop") not in pairs
 
@@ -65,8 +65,8 @@ class TestCandidates:
         candidates = find_removal_candidates(result, profile)
         assert candidates
         for c in candidates:
-            assert c.dependency.causes
-            assert not dependency_manifests(c.dependency, profile)
+            assert c.causes
+            assert not dependency_manifests(c, profile)
 
 
 class TestRewrite:
@@ -116,8 +116,9 @@ class TestRewrite:
         program, result, _profile = firewall_setup
         dep = result.dependency_graph.between("ACL_UDP", "DNS_Drop")
         assert dep is not None
-        with pytest.raises(OptimizationError):
+        with pytest.raises(OptimizationError) as refused:
             remove_dependency(program, dep)
+        assert refused.value.args == (Reason.NOT_SIBLINGS,)
 
     def test_original_program_untouched(self, firewall_setup):
         program, result, _profile = firewall_setup
@@ -131,7 +132,7 @@ class TestRunPhase:
     def test_single_removal_per_pass(self, firewall_setup):
         program, result, profile = firewall_setup
         outcome = run_phase(program, result, profile)
-        removed = outcome.accepted.candidate.dependency
+        removed = outcome.accepted.candidate
         assert (removed.src, removed.dst) == ("ACL_UDP", "ACL_DHCP")
         # One removal per pass: the accepted decision is the last one.
         assert outcome.decisions[-1] is outcome.accepted
@@ -145,7 +146,9 @@ class TestRunPhase:
         outcome = run_phase(toy_program, result, profile)
         # fib->acl manifests on this trace (both hit packet 1).
         assert not outcome.changed
-        assert [d.verdict for d in outcome.decisions] == [Verdict.NONE]
+        assert [(d.verdict, d.reason) for d in outcome.decisions] == [
+            (Verdict.REJECTED, Reason.MANIFESTS)
+        ]
 
 
 class TestNatGre:
@@ -158,7 +161,7 @@ class TestNatGre:
         result = compile_program(program, nat_gre.TARGET)
         profile = Profiler(program, config).profile(trace)
         outcome = run_phase(program, result, profile)
-        removed = outcome.accepted.candidate.dependency
+        removed = outcome.accepted.candidate
         assert (removed.src, removed.dst) == ("nat", "gre_term")
         assert (
             compile_program(outcome.program, nat_gre.TARGET).stages_used == 3

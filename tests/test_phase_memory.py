@@ -8,7 +8,7 @@ collision) is rejected.
 
 import pytest
 
-from repro.core.observations import Verdict
+from repro.core.observations import Reason
 from repro.core.phase_dependencies import run_phase as dep_phase
 from repro.core.phase_memory import (
     ResourceKind,
@@ -24,8 +24,17 @@ from repro.target import compile_program
 
 
 def rejected(outcome):
-    """The resizes a phase-3 round tried and turned down."""
-    return [d for d in outcome.decisions if d.verdict is Verdict.REJECTED]
+    """The resizes a phase-3 round verified and turned down."""
+    return [
+        d for d in outcome.decisions if d.reason is Reason.BEHAVIOUR_CHANGED
+    ]
+
+
+def saving(ctx, program, profile):
+    """The halvings that save a stage, lowest hit rate first."""
+    baseline = ctx.compile(program).stages_used
+    halved = find_candidates(ctx, program, profile)
+    return [c for c, stages in halved.items() if stages < baseline]
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +63,7 @@ def ctx(after_phase2, firewall_config, firewall_trace):
 class TestCandidates:
     def test_candidates_found(self, ctx, after_phase2):
         program, profile = after_phase2
-        candidates = find_candidates(ctx, program, profile)
+        candidates = saving(ctx, program, profile)
         names = {(c.kind.value, c.name) for c in candidates}
         assert ("register", "dns_cms_row0") in names
         assert ("register", "dns_cms_row1") in names
@@ -65,13 +74,13 @@ class TestCandidates:
         minimize behavioural risk — the sketch rows (2%) before the FIB
         (100%)."""
         program, profile = after_phase2
-        candidates = find_candidates(ctx, program, profile)
+        candidates = saving(ctx, program, profile)
         assert candidates[0].name == "dns_cms_row0"
         assert candidates[-1].name == "IPv4"
 
     def test_small_tables_not_candidates(self, ctx, after_phase2):
         program, profile = after_phase2
-        candidates = find_candidates(ctx, program, profile)
+        candidates = saving(ctx, program, profile)
         names = {c.name for c in candidates}
         assert "ACL_UDP" not in names
         assert "DNS_Drop" not in names
@@ -121,16 +130,14 @@ class TestBinarySearch:
         ).stages_used
         candidates = find_candidates(ctx, program, profile)
         row0 = next(c for c in candidates if c.name == "dns_cms_row0")
-        binary_probes, linear_probes = [], []
-        b = minimal_reduction(
-            ctx, program, row0, baseline, probe_counter=binary_probes
-        )
-        l = linear_minimal_reduction(
-            ctx, program, row0, baseline,
-            step=4, probe_counter=linear_probes,
-        )
+        before = ctx.counters.compile_calls
+        b = minimal_reduction(ctx, program, row0, baseline)
+        binary_probes = ctx.counters.compile_calls - before
+        before = ctx.counters.compile_calls
+        l = linear_minimal_reduction(ctx, program, row0, baseline, step=4)
+        linear_probes = ctx.counters.compile_calls - before
         assert b == l
-        assert len(binary_probes) < len(linear_probes)
+        assert binary_probes < linear_probes
 
 
 class TestVerification:
@@ -143,11 +150,9 @@ class TestVerification:
         program, profile = after_phase2
         outcome = run_phase(ctx, program, firewall_config, profile)
         accepted = outcome.accepted.candidate
-        assert accepted.candidate.name == "IPv4"
-        assert accepted.candidate.kind is ResourceKind.TABLE
-        rejected_names = {
-            d.candidate.candidate.name for d in rejected(outcome)
-        }
+        assert accepted.name == "IPv4"
+        assert accepted.kind is ResourceKind.TABLE
+        rejected_names = {d.candidate.name for d in rejected(outcome)}
         assert "dns_cms_row0" in rejected_names
         assert "dns_cms_row1" in rejected_names
 
@@ -156,12 +161,16 @@ class TestVerification:
     ):
         program, profile = after_phase2
         outcome = run_phase(ctx, program, firewall_config, profile)
-        assert any("DNS_Drop" in d.reason for d in rejected(outcome))
+        assert any(
+            "DNS_Drop" in line
+            for d in rejected(outcome)
+            for line in d.evidence
+        )
 
     def test_stage_saved(self, ctx, after_phase2, firewall_config):
         program, profile = after_phase2
         outcome = run_phase(ctx, program, firewall_config, profile)
-        accepted = outcome.accepted.candidate
+        accepted = outcome.accepted
         assert accepted.stages_after == accepted.stages_before - 1
 
     def test_candidate_order_override(
@@ -179,7 +188,7 @@ class TestVerification:
                 cs, key=lambda c: -c.hit_rate
             ),
         )
-        assert outcome.accepted.candidate.candidate.name == "IPv4"
+        assert outcome.accepted.candidate.name == "IPv4"
         assert rejected(outcome) == []
 
 
@@ -196,7 +205,7 @@ class TestSourceguard:
         ) as ctx:
             outcome = run_phase(ctx, program, config, profile)
         accepted = outcome.accepted.candidate
-        assert accepted.candidate.kind is ResourceKind.REGISTER
-        assert accepted.candidate.name in ("sg_array0", "sg_array1")
+        assert accepted.kind is ResourceKind.REGISTER
+        assert accepted.name in ("sg_array0", "sg_array1")
         assert 0.0 < accepted.reduction_fraction < 0.10
-        assert accepted.stages_after == 4
+        assert outcome.accepted.stages_after == 4

@@ -5,7 +5,7 @@ import pytest
 from repro.core.phase_offload import (
     DEFAULT_MAX_REDIRECT,
     TO_CTL_TABLE,
-    EvaluatedCandidate,
+    Offload,
     SegmentCandidate,
     enumerate_candidates,
     evaluate_candidates,
@@ -15,6 +15,7 @@ from repro.core.phase_offload import (
     select_candidate,
     select_combination,
 )
+from repro.core.observations import Decision, Phase, Verdict
 from repro.core.profiler import Profiler
 from repro.core.session import OptimizationContext
 from repro.exceptions import OffloadError
@@ -157,75 +158,71 @@ class TestProgramGeneration:
             )
 
 
-class TestSelection:
-    def _ev(self, tables, saved, redirect):
-        return EvaluatedCandidate(
-            candidate=SegmentCandidate(
-                subtree=Seq([]), tables=tuple(tables), boundary_guard=None
-            ),
-            program=None,
-            stages_before=8,
-            stages_after=8 - saved,
-            redirect_fraction=redirect,
-        )
+def evaluated(tables, saved, redirect):
+    """A segment's decision as evaluate_candidates logs it."""
+    segment = SegmentCandidate(
+        subtree=Seq([]), tables=tuple(tables), boundary_guard=None
+    )
+    return Decision(
+        Phase.OFFLOAD_CODE,
+        Verdict.REJECTED,
+        (Offload(segment, TO_CTL_TABLE, redirect),),
+        stages_before=8,
+        stages_after=8 - saved,
+    )
 
+
+def tables_of(decision):
+    return tuple(t for o in decision.candidate for t in o.segment.tables)
+
+
+class TestSelection:
     def test_least_redirect_wins(self):
         chosen = select_candidate(
-            [self._ev(["a"], 1, 0.05), self._ev(["b"], 2, 0.02)]
+            [evaluated(["a"], 1, 0.05), evaluated(["b"], 2, 0.02)]
         )
-        assert chosen.candidate.tables == ("b",)
+        assert tables_of(chosen) == ("b",)
 
     def test_savings_threshold_filters(self):
         chosen = select_candidate(
-            [self._ev(["a"], 0, 0.01), self._ev(["b"], 1, 0.05)]
+            [evaluated(["a"], 0, 0.01), evaluated(["b"], 1, 0.05)]
         )
-        assert chosen.candidate.tables == ("b",)
+        assert tables_of(chosen) == ("b",)
 
     def test_load_budget_filters(self):
         chosen = select_candidate(
-            [self._ev(["a"], 3, 0.90), self._ev(["b"], 1, 0.05)]
+            [evaluated(["a"], 3, 0.90), evaluated(["b"], 1, 0.05)]
         )
-        assert chosen.candidate.tables == ("b",)
+        assert tables_of(chosen) == ("b",)
 
     def test_nothing_qualifies(self):
-        assert select_candidate([self._ev(["a"], 0, 0.9)]) is None
+        assert select_candidate([evaluated(["a"], 0, 0.9)]) is None
 
     def test_tie_broken_by_more_savings(self):
         chosen = select_candidate(
-            [self._ev(["a"], 1, 0.02), self._ev(["b"], 3, 0.02)]
+            [evaluated(["a"], 1, 0.02), evaluated(["b"], 3, 0.02)]
         )
-        assert chosen.candidate.tables == ("b",)
+        assert tables_of(chosen) == ("b",)
 
 
 class TestCombination:
-    def _ev(self, tables, saved, redirect):
-        return EvaluatedCandidate(
-            candidate=SegmentCandidate(
-                subtree=Seq([]), tables=tuple(tables), boundary_guard=None
-            ),
-            program=None,
-            stages_before=8,
-            stages_after=8 - saved,
-            redirect_fraction=redirect,
-        )
-
     def test_combines_disjoint_segments(self):
         chosen = select_combination(
             [
-                self._ev(["a"], 1, 0.01),
-                self._ev(["b"], 1, 0.02),
-                self._ev(["c"], 2, 0.08),
+                evaluated(["a"], 1, 0.01),
+                evaluated(["b"], 1, 0.02),
+                evaluated(["c"], 2, 0.08),
             ],
             min_stage_savings=2,
         )
-        tables = {t for e in chosen for t in e.candidate.tables}
+        tables = {t for e in chosen for t in tables_of(e)}
         assert tables == {"a", "b"}  # 0.03 beats 0.08
 
     def test_overlapping_segments_never_combined(self):
         chosen = select_combination(
             [
-                self._ev(["a", "b"], 1, 0.01),
-                self._ev(["b", "c"], 1, 0.01),
+                evaluated(["a", "b"], 1, 0.01),
+                evaluated(["b", "c"], 1, 0.01),
             ],
             min_stage_savings=2,
         )
@@ -233,7 +230,7 @@ class TestCombination:
 
     def test_respects_load_budget(self):
         chosen = select_combination(
-            [self._ev(["a"], 1, 0.08), self._ev(["b"], 1, 0.08)],
+            [evaluated(["a"], 1, 0.08), evaluated(["b"], 1, 0.08)],
             min_stage_savings=2,
             max_redirect_fraction=0.10,
         )

@@ -4,7 +4,7 @@ Table 3 headline results."""
 import pytest
 
 from repro.core import P2GO
-from repro.core.observations import Phase, Verdict
+from repro.core.observations import Phase, Reason, Verdict
 from repro.programs import example_firewall
 
 
@@ -36,9 +36,9 @@ class TestTable2:
 
     def test_sketch_resizes_rejected(self, firewall_result):
         rejected = [
-            d.candidate.candidate.name for d in firewall_result.decisions
+            d.candidate.name for d in firewall_result.decisions
             if d.phase is Phase.REDUCE_MEMORY
-            and d.verdict is Verdict.REJECTED
+            and d.reason is Reason.BEHAVIOUR_CHANGED
         ]
         assert "dns_cms_row0" in rejected
 
@@ -47,8 +47,8 @@ class TestTable2:
             d.candidate for d in firewall_result.applied
             if d.phase is Phase.REDUCE_MEMORY
         ]
-        assert resize.candidate.name == "IPv4"
-        assert resize.new_size < resize.candidate.original_size
+        assert resize.name == "IPv4"
+        assert resize.new_size < resize.original_size
 
     def test_phase_names_in_order(self, firewall_result):
         phases = [o.phase for o in firewall_result.outcomes]
@@ -75,7 +75,7 @@ class TestTable3:
         assert natgre_result.stages_before == 4
         assert natgre_result.stages_after == 3
         removed = [
-            (d.candidate.dependency.src, d.candidate.dependency.dst)
+            (d.candidate.src, d.candidate.dst)
             for d in natgre_result.applied
             if d.phase is Phase.REMOVE_DEPENDENCIES
         ]
@@ -85,7 +85,7 @@ class TestTable3:
         assert sourceguard_result.stages_before == 5
         assert sourceguard_result.stages_after == 4
         resized = [
-            d.candidate.candidate for d in sourceguard_result.applied
+            d.candidate for d in sourceguard_result.applied
             if d.phase is Phase.REDUCE_MEMORY
         ]
         assert any(

@@ -1,6 +1,7 @@
 """Tests for decisions and report rendering."""
 
 import importlib
+from dataclasses import replace
 
 import pytest
 
@@ -11,8 +12,8 @@ from repro.analysis.dependencies import (
 )
 from repro.core import P2GO
 from repro.core import passes, phase_dependencies, phase_memory, phase_offload
-from repro.core.observations import Decision, Phase, Verdict
-from repro.core.phase_dependencies import RemovableDependency
+from repro.core import report
+from repro.core.observations import Decision, Phase, Reason, Verdict
 from repro.core.pipeline import P2GOResult
 from repro.core.report import (
     render_decision,
@@ -30,9 +31,7 @@ def removed_a_to_b():
     return Decision(
         Phase.REMOVE_DEPENDENCIES,
         Verdict.ACCEPTED,
-        RemovableDependency(
-            Dependency("A", "B", DependencyKind.ACTION, (cause,))
-        ),
+        Dependency("A", "B", DependencyKind.ACTION, (cause,)),
     )
 
 
@@ -44,16 +43,24 @@ class TestDecisionRendering:
         assert "a_drop/b_drop on {meta.x}" in text
         assert "kind: action" in text
 
-    def test_no_candidate_renders_the_phase_bar(self):
+    def test_rejected_segment_renders_its_reason(self):
+        segment = phase_offload.SegmentCandidate(
+            subtree=None, tables=("A", "B"), boundary_guard="valid(udp)"
+        )
         text = render_decision(
             Decision(
-                Phase.OFFLOAD_CODE, Verdict.NONE, evaluated=3,
-                min_stage_savings=2, max_redirect_fraction=0.1,
+                Phase.OFFLOAD_CODE, Verdict.REJECTED,
+                (phase_offload.Offload(segment, "To_Ctl", 0.25),),
+                Reason.OVER_BUDGET, stages_before=6, stages_after=5,
             )
         )
-        assert "NONE: no offloadable segment qualifies" in text
-        assert "3 self-contained segment(s)" in text
-        assert ">= 2 stage(s) within the 10% controller-load budget" in text
+        assert "REJECTED: kept segment {A, B} in the data plane" in text
+        assert "redirects more than the controller-load budget" in text
+        assert "redirect_fraction: 25.00%" in text
+        assert "stages_after: 5" in text
+
+    def test_every_reason_has_its_text(self):
+        assert set(report._REASON_TEXT) == set(Reason)
 
 
 class TestDecisionLog:
@@ -107,8 +114,8 @@ class TestPassResultContract:
     def test_no_change_takes_no_accepted_decision(self):
         with pytest.raises(ValueError, match="needs 0 accepted"):
             passes.PassResult((removed_a_to_b(),))
-        nothing = Decision(Phase.REDUCE_MEMORY, Verdict.NONE)
-        assert passes.PassResult((nothing,)).accepted is None
+        kept = replace(removed_a_to_b(), verdict=Verdict.REJECTED)
+        assert passes.PassResult((kept,)).accepted is None
 
 
 def test_removed_observation_api_stays_removed():
@@ -131,6 +138,11 @@ def test_removed_observation_api_stays_removed():
     for name in ("log", "offloaded", "_accepted"):
         assert not hasattr(passes.PassManager, name)
     assert "observations" not in P2GOResult.__dataclass_fields__
+    # A round with nothing to enumerate logs nothing; a decision's
+    # numbers are its own, not its phase's bar.
+    assert [v.name for v in Verdict] == ["ACCEPTED", "REJECTED", "VETOED"]
+    for name in ("evaluated", "min_stage_savings", "max_redirect_fraction"):
+        assert name not in Decision.__dataclass_fields__
 
 
 class TestReportRendering:
@@ -178,7 +190,9 @@ class TestReportRendering:
         assert "8 -> 7 -> 6 -> 6 (2 optimizations)" in line
         assert "applied optimizations: 2" in render_report(vetoed)
         (offload,) = [
-            d for d in vetoed.decisions if d.phase is Phase.OFFLOAD_CODE
+            d for d in vetoed.decisions
+            if d.phase is Phase.OFFLOAD_CODE
+            and d.verdict is not Verdict.REJECTED
         ]
         assert offload.verdict is Verdict.VETOED
         assert vetoed.offloaded == ()

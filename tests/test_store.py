@@ -531,16 +531,18 @@ class TestSessionTiering:
         store = SessionStore(tmp_path / "store")
         ctx = make_ctx(store, workers=4)
         with ctx:
-            ctx.compile_many(
-                [ctx.program, ctx.program.with_table_size("fib", 32)]
+            ctx.probe_many(
+                programs=[ctx.program, ctx.program.with_table_size("fib", 32)]
             )
             # Written through by the merge wave — visible before close().
             assert store.stats()["compile_entries"] == 2
 
         warm = make_ctx(SessionStore(tmp_path / "store"), workers=4)
         with warm:
-            warm.compile_many(
-                [warm.program, warm.program.with_table_size("fib", 32)]
+            warm.probe_many(
+                programs=[
+                    warm.program, warm.program.with_table_size("fib", 32)
+                ]
             )
         assert warm.counters.compile_executions == 0
         assert warm.counters.compile_disk_hits == 2
@@ -851,8 +853,8 @@ class TestProbeLeases:
         )
         with ctx:
             with pytest.raises(AllocationError):
-                ctx.compile_many(
-                    [program, program.with_table_size("IPv4", 8)]
+                ctx.probe_many(
+                    programs=[program, program.with_table_size("IPv4", 8)]
                 )
             assert not list((tmp_path / "store").rglob("*.lease"))
         counters = ctx.store.counters

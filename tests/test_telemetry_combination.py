@@ -4,7 +4,7 @@ telemetry program."""
 import pytest
 
 from repro.controller import check_result
-from repro.core.observations import Verdict
+from repro.core.observations import Reason, Verdict
 from repro.core.passes import PassManager
 from repro.core.phase_offload import (
     OffloadPass,
@@ -65,9 +65,11 @@ class TestCombination:
             ctx, program, config, enumerate_candidates(program)
         )
         affordable = [
-            e for e in evaluated if e.redirect_fraction <= 0.10
+            e for e in evaluated if e.candidate[0].redirect_fraction <= 0.10
         ]
-        assert all(e.stages_saved < 2 for e in affordable)
+        assert all(
+            e.stages_before - e.stages_after < 2 for e in affordable
+        )
 
     def test_dp_picks_cheapest_pair(self, ctx, setup):
         program, config, _trace = setup
@@ -77,7 +79,9 @@ class TestCombination:
         combo = select_combination(
             evaluated, min_stage_savings=2, max_redirect_fraction=0.10
         )
-        tables = {t for e in combo for t in e.candidate.tables}
+        tables = {
+            t for e in combo for o in e.candidate for t in o.segment.tables
+        }
         assert tables == {"dns_hh", "ttl_probe"}
 
     def test_combined_program_saves_two_stages(self, ctx, setup):
@@ -89,7 +93,7 @@ class TestCombination:
             evaluated, min_stage_savings=2, max_redirect_fraction=0.10
         )
         combined = make_combined_offloaded_program(
-            program, [e.candidate for e in combo]
+            program, [e.candidate[0].segment for e in combo]
         )
         assert compile_program(combined, telemetry.TARGET).stages_used == 3
         # Each segment has its own redirect table.
@@ -132,9 +136,11 @@ class TestCombination:
             allow_combination=False,
         )
         assert not outcome.changed
-        (decision,) = outcome.decisions
-        assert decision.verdict is Verdict.NONE
-        assert decision.min_stage_savings == 2
+        assert {d.verdict for d in outcome.decisions} == {Verdict.REJECTED}
+        assert {d.reason for d in outcome.decisions} <= {
+            Reason.NO_STAGE_SAVED, Reason.OVER_BUDGET,
+        }
+        assert len(outcome.decisions) == len(enumerate_candidates(program))
 
     def test_combined_behavior_preserved(self, ctx, setup):
         """Each redirected packet gets its original verdict from the
