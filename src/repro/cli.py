@@ -14,8 +14,8 @@ Commands:
 * ``optimize PROGRAM --config CFG --trace PCAP [--workers N]
   [--store PATH | --no-store]`` — the full pipeline; writes the
   optimized program (DSL) and the observation report (which includes
-  the session's compile/profile invocation counters and a
-  memo/disk/executed provenance line).  ``--workers`` probes
+  the session line: per probe kind, how many calls the memo, the disk
+  store or an execution answered).  ``--workers`` probes
   independent candidates concurrently (default: the ``P2GO_WORKERS``
   environment variable, then 1 — the result is identical for any
   worker count); ``--store`` warm-starts from (and persists to) a

@@ -60,7 +60,7 @@ class PhaseOutcome:
     #: Merged perf counters of the trace replays this phase triggered,
     #: merged in submission order (parallel batches included).  None
     #: when the phase ran no new replay — every profile it asked for was
-    #: a session memo hit.  Replays outside the phase's perf window
+    #: a memo or disk hit.  Replays logged before the phase began
     #: (pipeline setup, online monitoring) are never attributed here.
     profiling_perf: Optional[PerfCounters] = None
 
@@ -153,7 +153,7 @@ class PassManager:
     def run_pass(self, pass_: OptimizationPass) -> PhaseOutcome:
         """Run one pass to quiescence (its ``max_rounds`` bound) and
         record its outcome."""
-        self.ctx.start_perf_window()
+        start = len(self.ctx.probes)
         for _round in range(max(1, pass_.max_rounds)):
             step = pass_.run(self.ctx)
             decisions, applied = review(step, self.review_hook)
@@ -169,7 +169,7 @@ class PassManager:
             phase=pass_.phase,
             stages=result.stages_used,
             stage_map=result.stage_map(),
-            profiling_perf=self.ctx.take_perf_window(),
+            profiling_perf=self.ctx.replay_perf(start),
         )
 
     def run(self, passes: Sequence[OptimizationPass]) -> List[PhaseOutcome]:

@@ -12,7 +12,16 @@ a controller-load budget so the data plane never drowns the controller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.observations import Decision, Phase, Reason, Verdict
 from repro.core.passes import PassResult
@@ -95,21 +104,18 @@ def _is_standard(ref: FieldRef) -> bool:
     return ref.header == STANDARD_METADATA
 
 
-def _segment_reads_writes(
-    program: Program, subtree: ControlNode
+def _reads_writes(
+    program: Program, nodes: Iterable[ControlNode]
 ) -> Tuple[Set[FieldRef], Set[FieldRef], Set[str]]:
-    """(reads, writes, registers) of the segment's tables/actions/guards.
-
-    When the subtree root is an If, its own condition is the *boundary
-    guard*: it stays in the data plane, so its reads are excluded.
-    """
+    """(reads, writes, registers) of ``nodes``: each If's condition and
+    each applied table's keys and actions."""
     reads: Set[FieldRef] = set()
     writes: Set[FieldRef] = set()
     registers: Set[str] = set()
-    for node in iter_nodes(subtree):
-        if isinstance(node, If) and node is not subtree:
+    for node in nodes:
+        if isinstance(node, If):
             reads.update(fields_read(node.condition))
-        if isinstance(node, Apply):
+        elif isinstance(node, Apply):
             table = program.tables[node.table]
             reads.update(k.field for k in table.keys)
             for action_name in table.all_action_names():
@@ -118,31 +124,6 @@ def _segment_reads_writes(
                 writes.update(action.writes())
                 registers.update(action.registers_read())
                 registers.update(action.registers_written())
-    return reads, writes, registers
-
-
-def _outside_reads_writes(
-    program: Program, subtree: ControlNode, inside_tables: Set[str]
-) -> Tuple[Set[FieldRef], Set[FieldRef], Set[str]]:
-    reads: Set[FieldRef] = set()
-    writes: Set[FieldRef] = set()
-    registers: Set[str] = set()
-    inside_nodes = {id(n) for n in iter_nodes(subtree)}
-    for control in (program.ingress, program.egress):
-        for node in iter_nodes(control):
-            if id(node) in inside_nodes:
-                continue
-            if isinstance(node, If):
-                reads.update(fields_read(node.condition))
-            if isinstance(node, Apply) and node.table not in inside_tables:
-                table = program.tables[node.table]
-                reads.update(k.field for k in table.keys)
-                for action_name in table.all_action_names():
-                    action = program.actions[action_name]
-                    reads.update(action.reads())
-                    writes.update(action.writes())
-                    registers.update(action.registers_read())
-                    registers.update(action.registers_written())
     return reads, writes, registers
 
 
@@ -164,9 +145,23 @@ def is_self_contained(program: Program, subtree: ControlNode) -> bool:
     inside_tables = set(tables_applied(subtree))
     if not inside_tables:
         return False
-    reads, writes, registers = _segment_reads_writes(program, subtree)
-    out_reads, out_writes, out_registers = _outside_reads_writes(
-        program, subtree, inside_tables
+    inside_nodes = list(iter_nodes(subtree))
+    # A root If is the *boundary guard*: it stays in the data plane, so
+    # its condition's reads are nobody's.
+    reads, writes, registers = _reads_writes(
+        program,
+        (n for n in inside_nodes if not (n is subtree and isinstance(n, If))),
+    )
+    inside_ids = {id(n) for n in inside_nodes}
+    out_reads, out_writes, out_registers = _reads_writes(
+        program,
+        (
+            node
+            for control in (program.ingress, program.egress)
+            for node in iter_nodes(control)
+            if id(node) not in inside_ids
+            and not (isinstance(node, Apply) and node.table in inside_tables)
+        ),
     )
 
     if registers & out_registers:

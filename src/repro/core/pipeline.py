@@ -82,8 +82,9 @@ class P2GOResult:
     #: re-pays on each re-profile (per-phase re-pay shows up on each
     #: outcome's ``profiling_perf``).
     profiling_perf: Optional[PerfCounters] = None
-    #: Compile/profile invocation counters of the run's session: how many
-    #: times the phases asked, how many times the memo cache answered.
+    #: This run's probes, tallied: how many times the phases asked and
+    #: what answered — the memo, the store or an execution.  A run on a
+    #: shared session counts only its own probes.
     session_counters: Optional[SessionCounters] = None
     #: Worker count the run's session probed candidates with (1 = serial).
     #: Metadata only: the optimization outcome is identical for any value
@@ -249,7 +250,7 @@ class SwitchRun:
     def adopt_session(self, ctx: OptimizationContext) -> None:
         """Re-wire an injected (possibly shared) session to this run.
 
-        The session keeps its memo cache, counters, store and target; it
+        The session keeps its memo cache, probe log, store and target; it
         starts this run from our inputs.  The trace assignment re-keys
         its profile lookups (memo and disk): a shared
         session that previously replayed other traffic (e.g. before an
@@ -308,8 +309,9 @@ class SwitchRun:
         self, ctx: OptimizationContext, passes: List[OptimizationPass]
     ) -> P2GOResult:
         # Phase 1: profiling (batched replay through the engine; perf
-        # counters ride along on the result).
-        ctx.start_perf_window()
+        # counters ride along on the result).  The run's own probes are
+        # the session's from ``start`` on.
+        start = len(ctx.probes)
         initial_profile, profiling_perf = ctx.profile_with_perf()
         result = ctx.compile()
         outcomes: List[PhaseOutcome] = [
@@ -317,7 +319,7 @@ class SwitchRun:
                 phase=Phase.PROFILING,
                 stages=result.stages_used,
                 stage_map=result.stage_map(),
-                profiling_perf=ctx.take_perf_window(),
+                profiling_perf=ctx.replay_perf(start),
             )
         ]
 
@@ -336,7 +338,7 @@ class SwitchRun:
             initial_profile=initial_profile,
             outcomes=outcomes,
             profiling_perf=profiling_perf,
-            session_counters=ctx.counters,
+            session_counters=SessionCounters.of(ctx.probes[start:]),
             workers=ctx.workers,
         )
 

@@ -210,21 +210,6 @@ def render_report(result: P2GOResult) -> str:
             + ": "
             + result.session_counters.render()
         )
-        counters = result.session_counters
-        lines.append(
-            "result provenance: "
-            f"compile memo {counters.compile_hits} / "
-            f"disk {counters.compile_disk_hits} / "
-            f"executed {counters.compile_executions}; "
-            f"profile memo {counters.profile_hits} / "
-            f"disk {counters.profile_disk_hits} / "
-            f"executed {counters.profile_executions}"
-        )
-        lines.append(
-            f"static analysis: {counters.compile_executions} compiles, "
-            f"{counters.analysis_executions} structures analysed "
-            f"({counters.analysis_disk_hits} more from disk)"
-        )
         lines.append("")
     if result.store_stats is not None:
         stats = result.store_stats

@@ -15,9 +15,9 @@ pass manager's.  Two consumers:
 * the fuzzer's ``order`` axis (:mod:`repro.fuzz.differential`) holds
   random programs to the same equivalence.
 
-Every compile/profile goes through a *non-memoizing*
-:class:`~repro.core.session.OptimizationContext`, so the run is
-bit-identical to the seed and its counters record the seed's true
+Every compile/profile goes through an ordinary
+:class:`~repro.core.session.OptimizationContext`: memo hits change no
+decision, and the counters' ``*_calls`` record the seed's true
 invocation counts.  Do not extend this module; new behaviour belongs in
 the pass framework.
 """
@@ -53,11 +53,7 @@ def run_seed(
     program.validate()
     config.validate(program)
     trace = list(trace)
-    # Counting executor only: memoize=False replays the seed's every
-    # invocation.
-    session = OptimizationContext(
-        program, config, trace, target, memoize=False
-    )
+    session = OptimizationContext(program, config, trace, target)
 
     decisions: List[Decision] = []
     outcomes: List[PhaseOutcome] = []

@@ -69,7 +69,7 @@ from typing import (
 from repro.controller.equivalence import compare_behavior
 from repro.core.online import AlertKind, OnlineAlert, OnlineProfiler
 from repro.core.pipeline import P2GO, P2GOResult
-from repro.core.session import OptimizationContext
+from repro.core.session import OptimizationContext, SessionCounters
 from repro.core.store import resolve_store
 from repro.exceptions import ReproError
 from repro.p4.program import Program
@@ -452,7 +452,9 @@ class ServeResult:
     #: The run that produced the final serving program (== ``initial``
     #: when nothing was ever promoted).
     current: P2GOResult
-    session_counters: Optional[object] = None
+    #: Every probe of the daemon's one session, tallied (each run's own
+    #: share is on its result).
+    session_counters: Optional[SessionCounters] = None
     store_stats: Optional[dict] = None
 
 

@@ -56,19 +56,19 @@ Keying:
 
 The session also carries:
 
-* **Invocation counters** (:class:`SessionCounters`): every
-  ``compile()`` / ``profile()`` call — and every analysis an executed
-  compile asked for — is counted, split into memo hits and actual
-  executions — the numbers ``P2GOResult`` and the pipeline benchmark
-  report.
-* **Per-window profiling perf**: while a window is open
-  (:meth:`OptimizationContext.start_perf_window` …
-  :meth:`~OptimizationContext.take_perf_window`), each actual profiling
-  replay's :class:`~repro.sim.perf.PerfCounters` are recorded, letting
-  the pass manager attribute replay cost to the phase that paid it.
-  Replays outside any window (e.g. during pipeline setup or by a
-  co-resident :class:`~repro.core.online.OnlineProfiler`) are
-  deliberately *not* attributed anywhere.
+* **The probe log** (:attr:`OptimizationContext.probes`): one
+  :class:`ProbeRecord` per ``compile()`` / ``profile()`` call — and per
+  analysis an executed compile asked for — naming the :class:`Source`
+  that answered it: the memo, the disk store, or an execution.  It is
+  the one record of what the session did; everything else is a view of
+  it.  :class:`SessionCounters` (``ctx.counters``, and each
+  ``P2GOResult``'s counters over its own run's slice) tallies it, and
+  :meth:`~OptimizationContext.replay_perf` merges the
+  :class:`~repro.sim.perf.PerfCounters` of the replays it executed from
+  a given record on — how the pass manager attributes replay cost to
+  the phase that paid it.  Replays before that record (pipeline setup,
+  a co-resident :class:`~repro.core.online.OnlineProfiler`) are not
+  attributed to the phase.
 * **Current state**: ``program`` / ``config`` are what the optimization
   has accepted so far.  Passes never assign them: a pass returns its
   candidate in a :class:`~repro.core.passes.PassResult` and the pass
@@ -95,34 +95,34 @@ keys are the same fingerprints, so the two tiers can never disagree).
 Every probe — any kind, serial or batched; one ``_lookup`` spells it
 — goes **memo → disk → execute**:
 
-* a *memo hit* costs a dict lookup (counted in ``compile_hits`` /
-  ``profile_hits``);
+* a *memo hit* costs a dict lookup (logged :attr:`Source.MEMO`);
 * a *disk hit* unpickles the entry, hydrates the memo cache, and is
-  counted separately (``compile_disk_hits`` / ``profile_disk_hits``) —
-  it is **not** an execution and is never attributed to a perf window
-  (the replay cost was paid by whichever run wrote the entry);
+  logged :attr:`Source.DISK` — it is **not** an execution and its
+  replay perf is never attributed to a phase (the cost was paid by
+  whichever run wrote the entry);
 * an *execution* runs the compiler / replays the trace and writes the
   result through to the store at once, under the key it was executed
-  with.
+  with (logged :attr:`Source.EXECUTED` when it is handed off, so a
+  compile that raises still counts).
 
 The disk tier's policy — who executes a probe that several processes
 want, and when its entry becomes visible — lives behind
 :meth:`~repro.core.store.SessionStore.acquire` (DESIGN.md §10); the
 session only carries the lease that call may hand it until the probe is
-published or has raised.  With ``memoize=False`` the store is inert in
-both directions: that mode exists to measure real executions.
+published or has raised.
 
 Concurrency contract (also DESIGN.md §9): worker tasks are *pure* —
 they receive pickled/shared immutable inputs and return results; every
-cache insert, counter increment, and perf-window append happens in the
-caller's thread after the futures resolve, in **submission order**, so
-results land in the shared memo cache exactly as if probed serially.
+log append happens in the caller's thread at submission and every
+cache insert after the futures resolve, both in **submission order**,
+so a batch logs and memoizes exactly what the serial loop would.
 An executing compile's analysis is resolved in the caller, too, before
-the task is submitted with it attached: the same analysis counters as
+the task is submitted with it attached: the same analysis records as
 the serial path.
 Equal-fingerprint candidates within a batch are deduplicated in flight
-(one execution, both callers get the cached result — identical to what
-the serial loop's memo cache would do).  The worker count comes from the
+(one execution, both callers get the cached result and the duplicate is
+logged a memo hit — identical to what the serial loop's memo cache
+would do).  The worker count comes from the
 session's ``workers`` (constructor knob, else the ``P2GO_WORKERS``
 environment variable); ``workers=1`` falls back to the serial path
 bit-for-bit.  The session supports one batch at a time (it is not
@@ -133,11 +133,20 @@ mechanism).
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from concurrent.futures import Executor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from enum import Enum
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.analysis.structure import ProgramAnalysis, analyse, structure_key
 from repro.core.fanout import make_pool, resolve_workers
@@ -200,8 +209,8 @@ def trace_fingerprint(trace: Sequence[TracePacket]) -> str:
 
 # ----------------------------------------------------------------------
 # Worker tasks.  Module-level and pure so they pickle for process pools:
-# all session state (caches, counters, windows) is merged by the caller
-# after the futures resolve, never touched from a worker.
+# all session state (memo, probe log) is updated by the caller, never
+# touched from a worker.
 
 
 def _analysis_task(program: Program) -> ProgramAnalysis:
@@ -219,71 +228,64 @@ def _replay_task(
     return Profiler(program, config).run(trace)
 
 
-@dataclass
-class SessionCounters:
-    """How often the session compiled, profiled and analysed, and how
-    often the memo cache or the store answered instead."""
+class Source(Enum):
+    """What answered a probe.  The value names the
+    :class:`SessionCounters` field (``<kind>_<value>``) it tallies in."""
 
-    #: ``compile()`` calls, total.
+    #: The session's in-memory memo (an in-flight batch duplicate too).
+    MEMO = "hits"
+    #: The persistent store: not an execution — the cost was paid by
+    #: whichever run wrote the entry.
+    DISK = "disk_hits"
+    #: The compiler, the replayer or the analyses actually ran.
+    EXECUTED = "executions"
+
+
+class ProbeRecord(NamedTuple):
+    """One probe the session answered: its kind (one of
+    :data:`~repro.core.store.KINDS`), content key and :class:`Source`."""
+
+    kind: str
+    key: Tuple
+    source: Source
+
+
+@dataclass(frozen=True)
+class SessionCounters:
+    """How often a stretch of probes compiled, profiled and analysed,
+    and what answered each: a tally of :class:`ProbeRecord` entries,
+    built by :meth:`of`.  An analysis is asked for once per *executed*
+    compile and by nothing else."""
+
     compile_calls: int = 0
-    #: Calls that actually ran :func:`compile_program`.
     compile_executions: int = 0
-    #: Calls answered by the persistent disk store (not executions; the
-    #: cost was paid by whichever run wrote the entry).
+    compile_hits: int = 0
     compile_disk_hits: int = 0
-    #: ``profile()`` calls, total.
     profile_calls: int = 0
-    #: Calls that actually replayed the trace.
     profile_executions: int = 0
-    #: Calls answered by the persistent disk store.
+    profile_hits: int = 0
     profile_disk_hits: int = 0
-    #: Analyses asked for: one per *executed* compile, none otherwise.
     analysis_calls: int = 0
-    #: Requests that actually built the graphs (distinct structures).
     analysis_executions: int = 0
-    #: Requests answered by the persistent disk store.
+    analysis_hits: int = 0
     analysis_disk_hits: int = 0
 
-    def _memo_hits(self, kind: str) -> int:
-        return (
-            getattr(self, f"{kind}_calls")
-            - getattr(self, f"{kind}_executions")
-            - getattr(self, f"{kind}_disk_hits")
-        )
-
-    @property
-    def compile_hits(self) -> int:
-        """In-memory memo hits (disk hits are counted separately)."""
-        return self._memo_hits("compile")
-
-    @property
-    def profile_hits(self) -> int:
-        """In-memory memo hits (disk hits are counted separately)."""
-        return self._memo_hits("profile")
-
-    @property
-    def analysis_hits(self) -> int:
-        """In-memory memo hits (disk hits are counted separately)."""
-        return self._memo_hits("analysis")
-
-    def bump(self, kind: str, what: str) -> None:
-        """Count one ``calls``/``executions``/``disk_hits`` event of a
-        probe ``kind`` (one of :data:`~repro.core.store.KINDS`)."""
-        name = f"{kind}_{what}"
-        setattr(self, name, getattr(self, name) + 1)
+    @classmethod
+    def of(cls, records: Iterable[ProbeRecord]) -> "SessionCounters":
+        counts: Counter = Counter()
+        for kind, _key, source in records:
+            counts[f"{kind}_calls"] += 1
+            counts[f"{kind}_{source.value}"] += 1
+        return cls(**counts)
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            f"{kind}_{what}": getattr(self, f"{kind}_{what}")
-            for kind in KINDS
-            for what in ("calls", "executions", "hits", "disk_hits")
-        }
+        return asdict(self)
 
     def render(self) -> str:
         return "; ".join(
             f"{kind}: {getattr(self, kind + '_calls')} calls, "
             f"{getattr(self, kind + '_executions')} executed "
-            f"({self._memo_hits(kind)} memo hits, "
+            f"({getattr(self, kind + '_hits')} memo hits, "
             f"{getattr(self, kind + '_disk_hits')} disk hits)"
             for kind in KINDS
         )
@@ -323,10 +325,6 @@ class OptimizationContext:
     """Current optimization state plus the memoizing compile/profile
     session every phase shares.
 
-    ``memoize=False`` keeps the counters and the current state but
-    executes every call — the mode the seed-orchestrator reference uses
-    to count the seed's real invocations.
-
     ``workers`` sets the parallelism of the batch probe
     (:meth:`probe_many`);
     None defers to the ``P2GO_WORKERS`` environment variable and, when
@@ -337,7 +335,7 @@ class OptimizationContext:
     ``store`` attaches a :class:`~repro.core.store.SessionStore` disk
     tier behind the memo cache (memo → disk → execute; executed probes
     are written through, and concurrent sessions on one root — in any
-    process — execute each probe once).  Inert when ``memoize=False``.
+    process — execute each probe once).
     """
 
     def __init__(
@@ -346,19 +344,17 @@ class OptimizationContext:
         config: RuntimeConfig,
         trace: Sequence[TracePacket],
         target: TargetModel = DEFAULT_TARGET,
-        memoize: bool = True,
         workers: Optional[int] = None,
         store: Optional[SessionStore] = None,
     ):
         self.program = program
         self.config = config
         self.target = target
-        self.memoize = memoize
-        #: Disk tier behind the memo cache (None = memory only).  Inert
-        #: when ``memoize=False``.
+        #: Disk tier behind the memo cache (None = memory only).
         self.store = store
         self.workers = resolve_workers(workers)
-        self.counters = SessionCounters()
+        #: Append-only: one record per probe, in the order asked.
+        self.probes: List[ProbeRecord] = []
 
         #: id(program) -> (strong ref, digest), bounded LRU.  The strong
         #: ref keeps the object alive while cached so ids cannot be
@@ -372,10 +368,6 @@ class OptimizationContext:
         self._memo: Dict[str, Dict[Tuple, object]] = {
             kind: {} for kind in KINDS
         }
-
-        #: Open perf window, or None when no window is active (replays
-        #: outside a window are not attributed to any phase).
-        self._window_perf: Optional[List[PerfCounters]] = None
 
         #: (size, executor) of the one worker pool both probe kinds
         #: share; created lazily, released by close().
@@ -471,43 +463,46 @@ class OptimizationContext:
         ``(None, lease)`` — the caller executes, and ``lease`` is the
         store's cross-process claim on the probe when it granted one.
 
-        Memo tier first, then the persistent store's one door.  A disk
-        hit hydrates the memo and is counted; it is not an execution
-        and is never attributed to a perf window (the cost was paid by
-        whichever run wrote the entry).
+        Memo tier first, then the persistent store's one door; an
+        answer is logged with the tier that gave it.  A disk hit
+        hydrates the memo; it is not an execution.
         """
         memo = self._memo[kind]
         found = memo.get(key)
-        if found is not None or self.store is None:
+        if found is not None:
+            self.probes.append(ProbeRecord(kind, key, Source.MEMO))
             return found, None
+        if self.store is None:
+            return None, None
         found, lease = self.store.acquire(kind, key)
         if found is not None:
-            self.counters.bump(kind, "disk_hits")
+            self.probes.append(ProbeRecord(kind, key, Source.DISK))
             memo[key] = found
         return found, lease
 
     def _record(self, kind: str, key: Tuple, value, lease=None):
-        """Land one executed probe: attribute a replay's perf to the
-        open window, memoize, write through to the store (releasing
-        ``lease``, so waiters in other processes wake on the entry)."""
-        if kind == "profile":
-            self._attribute_perf(value[1])
-        if self.memoize:
-            self._memo[kind][key] = value
-            if lease is not None:
-                lease.publish(value)
-            elif self.store is not None:
-                self.store.publish(kind, key, value)
+        """Land one executed probe: memoize, write through to the store
+        (releasing ``lease``, so waiters in other processes wake on the
+        entry)."""
+        self._memo[kind][key] = value
+        if lease is not None:
+            lease.publish(value)
+        elif self.store is not None:
+            self.store.publish(kind, key, value)
         return value
 
     def _executable(self, probe: Probe) -> Tuple:
-        """The task of a probe that is about to execute.  A compile's
-        gains its program's analysis — itself a probe, issued here and
-        nowhere else: a compile the memo or the store answered computes
-        no structure key and asks the store nothing.  (The compile's
-        lease is held by now, so ``SessionStore.acquire`` never makes
-        this lookup wait on another process.)"""
-        kind, _key, task = probe
+        """Log a probe executed and return its task.  Logged when handed
+        to the compiler/replayer, not when it returns: a compile that
+        raises (a program that cannot exist on the target) was still an
+        execution.  A compile's task gains its program's analysis —
+        itself a probe, issued here and nowhere else: a compile the memo
+        or the store answered computes no structure key and asks the
+        store nothing.  (The compile's lease is held by now, so
+        ``SessionStore.acquire`` never makes this lookup wait on another
+        process.)"""
+        kind, key, task = probe
+        self.probes.append(ProbeRecord(kind, key, Source.EXECUTED))
         if kind != "compile":
             return task
         program = task[1]
@@ -516,18 +511,11 @@ class OptimizationContext:
         return (*task, analysis)
 
     def _probe(self, probe: Probe):
-        """The serial probe: count the call, look it up, else execute."""
+        """The serial probe: look it up, else execute."""
         kind, key, _task = probe
-        self.counters.bump(kind, "calls")
-        found, lease = (
-            self._lookup(kind, key) if self.memoize else (None, None)
-        )
+        found, lease = self._lookup(kind, key)
         if found is not None:
             return found
-        # Counted when handed to the compiler/replayer, not when it
-        # returns: a compile that raises (a program that cannot exist
-        # on the target) was still an execution.
-        self.counters.bump(kind, "executions")
         try:
             task, *arguments = self._executable(probe)
             return self._record(kind, key, task(*arguments), lease)
@@ -623,51 +611,39 @@ class OptimizationContext:
         return results[: len(programs)], results[len(programs) :]
 
     def _probe_parallel(self, probes: List[Probe]) -> List:
-        for kind, _key, _task in probes:
-            self.counters.bump(kind, "calls")
-
         # Submission wave: one future per probe that needs an
-        # execution.  Under memoize, probes the memo or the disk store
-        # answers are skipped, and equal keys are deduplicated in
-        # flight; without it every call executes — exactly like the
-        # serial path.  Merge wave: in the caller's thread, in
-        # submission order; each probe is written through as it lands.
+        # execution.  Probes the memo or the disk store answers are
+        # skipped, and equal keys are deduplicated in flight (logged as
+        # the memo hits their serial twins would be).  Merge wave: in
+        # the caller's thread, in submission order; each probe is
+        # written through as it lands.
         futures: List[Tuple[str, Tuple, object, object]] = []
         in_flight = set()
-        executed: Dict[Tuple[str, Tuple], object] = {}
         leases = []
         try:
             for probe in probes:
                 kind, key, _task = probe
-                lease = None
-                if self.memoize:
-                    if (kind, key) in in_flight:
-                        continue
-                    found, lease = self._lookup(kind, key)
-                    if found is not None:
-                        continue
-                    in_flight.add((kind, key))
-                    if lease is not None:
-                        leases.append(lease)
-                self.counters.bump(kind, "executions")
+                if (kind, key) in in_flight:
+                    self.probes.append(ProbeRecord(kind, key, Source.MEMO))
+                    continue
+                found, lease = self._lookup(kind, key)
+                if found is not None:
+                    continue
+                in_flight.add((kind, key))
+                if lease is not None:
+                    leases.append(lease)
                 # (A compile's analysis is resolved here, in the caller.)
                 task = self._executable(probe)
                 futures.append(
                     (kind, key, lease, self._pool().submit(*task))
                 )
             for kind, key, lease, future in futures:
-                value = self._record(kind, key, future.result(), lease)
-                executed.setdefault((kind, key), value)
+                self._record(kind, key, future.result(), lease)
         finally:
             for lease in leases:
                 lease.release()  # a no-op once published
 
-        return [
-            executed[kind, key]
-            if (kind, key) in executed
-            else self._memo[kind][key]
-            for kind, key, _task in probes
-        ]
+        return [self._memo[kind][key] for kind, key, _task in probes]
 
     # ------------------------------------------------------------------
     # Worker pool
@@ -686,7 +662,7 @@ class OptimizationContext:
 
     def close(self) -> None:
         """Release the worker pool and the trace's parses (memo caches
-        and counters survive; the pool is recreated and the trace
+        and the probe log survive; the pool is recreated and the trace
         re-parsed lazily if the session probes again)."""
         self._trace.parses.clear()
         executor, self._executor = self._executor, None
@@ -706,22 +682,26 @@ class OptimizationContext:
             pass
 
     # ------------------------------------------------------------------
-    # Per-phase perf attribution
+    # Views of the probe log
 
-    def _attribute_perf(self, perf: PerfCounters) -> None:
-        if self._window_perf is not None:
-            self._window_perf.append(perf)
+    @property
+    def counters(self) -> SessionCounters:
+        """The tally of every probe the session answered."""
+        return SessionCounters.of(self.probes)
 
-    def start_perf_window(self) -> None:
-        """Begin attributing replay perf to a new window (one phase).
-        Replays before the first window (pipeline setup, online
-        monitoring) are not attributed anywhere."""
-        self._window_perf = []
-
-    def take_perf_window(self) -> Optional[PerfCounters]:
-        """Merged perf of every actual replay since the window started
-        (None when every profile in the window was a memo hit, or when
-        no window was open), and close the window."""
-        merged = merge_perf(self._window_perf or [])
-        self._window_perf = None
-        return merged
+    def replay_perf(self, since: int = 0) -> Optional[PerfCounters]:
+        """Merged perf of the replays the session executed from probe
+        record ``since`` on, in log order (None when it executed none
+        there): memo and disk hits cost this session nothing, and
+        replays before ``since`` (pipeline setup, online monitoring) are
+        not counted."""
+        profiles = self._memo["profile"]
+        return merge_perf(
+            [
+                profiles[key][1]
+                for kind, key, source in self.probes[since:]
+                if kind == "profile"
+                and source is Source.EXECUTED
+                and key in profiles  # not a replay that raised
+            ]
+        )

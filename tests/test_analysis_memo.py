@@ -321,14 +321,3 @@ def test_entries_and_target_are_not_in_the_key(tmp_path):
     assert second.counters.compile_executions == 1
     assert second.counters.analysis_executions == 0
     assert second.counters.analysis_disk_hits == 1
-
-
-def test_memoize_false_executes_every_analysis():
-    program = build_toy_program()
-    ctx = OptimizationContext(
-        program, toy_config(), make_trace(), fw.TARGET, memoize=False
-    )
-    ctx.compile()
-    ctx.compile(program.with_table_size("fib", 8))
-    assert ctx.counters.analysis_calls == 2
-    assert ctx.counters.analysis_executions == 2

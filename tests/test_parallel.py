@@ -2,8 +2,9 @@
 
 The concurrency contract (DESIGN.md §9): batch probes must land in the
 shared memo cache *exactly* as if probed serially — same results, same
-``SessionCounters``, same perf-window attribution (merged in submission
-order) and in-flight dedup of equal-fingerprint candidates.  On top of
+probe log (so the same ``SessionCounters`` and per-phase replay perf,
+merged in submission order) and in-flight dedup of equal-fingerprint
+candidates.  On top of
 that, a full P2GO run must be canonically identical for ``workers=1``
 and ``workers=4``.
 """
@@ -15,6 +16,8 @@ import pytest
 from repro.core.pipeline import P2GO
 from repro.core.session import (
     OptimizationContext,
+    SessionCounters,
+    Source,
     config_fingerprint,
     merge_perf,
     program_fingerprint,
@@ -129,20 +132,18 @@ class TestBatchSemantics:
         serial = make_ctx(workers=1)
         batch = make_ctx(workers=workers)
         restricted = serial.config.restricted_to(["fib"])
-        serial.start_perf_window()
         expected = [
             serial.profile(),
             serial.profile(config=restricted),
         ]
-        serial_perf = serial.take_perf_window()
-        batch.start_perf_window()
+        serial_perf = serial.replay_perf(0)
         with batch:
             _, got = batch.probe_many(
                 variants=[
                     (None, None), (None, batch.config.restricted_to(["fib"]))
                 ]
             )
-        batch_perf = batch.take_perf_window()
+        batch_perf = batch.replay_perf(0)
         for (ours, _perf), theirs in zip(got, expected):
             assert ours.same_behavior_as(theirs)
         assert batch.counters.as_dict() == serial.counters.as_dict()
@@ -172,13 +173,33 @@ class TestBatchSemantics:
         assert ctx.counters.profile_calls == 3
         assert ctx.counters.profile_executions == 1
 
-    def test_unmemoized_batch_executes_every_probe(self):
-        ctx = make_ctx(workers=4, memoize=False)
-        with ctx:
-            ctx.probe_many(programs=[ctx.program, build_toy_program()])
-            ctx.probe_many(variants=[(None, None), (None, None)])
-        assert ctx.counters.compile_executions == 2
-        assert ctx.counters.profile_executions == 2
+    def test_mixed_batch_logs_what_the_serial_loop_logs(self):
+        """The probe log of a mixed batch — in-flight duplicates, memo
+        hits and executions — is identical for 1 and 4 workers."""
+
+        def probe(workers):
+            ctx = make_ctx(workers=workers)
+            with ctx:
+                ctx.compile(ctx.program)  # a later memo hit
+                ctx.probe_many(
+                    programs=[
+                        *toy_variants(ctx.program),
+                        build_toy_program().with_table_size("fib", 32),
+                    ],
+                    variants=[
+                        (None, None),
+                        (None, ctx.config.restricted_to(["fib"])),
+                        (None, None),
+                    ],
+                )
+            return ctx.probes
+
+        serial, parallel = probe(1), probe(4)
+        assert parallel == serial
+        assert {source for _kind, _key, source in serial} == {
+            Source.MEMO, Source.EXECUTED,
+        }
+        assert SessionCounters.of(parallel) == SessionCounters.of(serial)
 
     def test_probe_many_mixed_wave(self, monkeypatch):
         from repro.core import session
@@ -191,7 +212,6 @@ class TestBatchSemantics:
             lambda workers: pools.append(workers) or make_pool(workers),
         )
         ctx = make_ctx(workers=4)
-        ctx.start_perf_window()
         with ctx:
             compiled, profiled = ctx.probe_many(
                 programs=toy_variants(ctx.program),
@@ -201,7 +221,7 @@ class TestBatchSemantics:
         assert pools == [4]  # both probe kinds share the one pool
         assert ctx.counters.compile_executions == 3
         assert ctx.counters.profile_executions == 1
-        window = ctx.take_perf_window()
+        window = ctx.replay_perf(0)
         assert window is not None
         assert window.packets == len(ctx.trace)
 

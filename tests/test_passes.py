@@ -21,6 +21,7 @@ from repro.core.pipeline import P2GO
 from repro.core.seed_pipeline import run_seed
 from repro.core.session import (
     OptimizationContext,
+    SessionCounters,
     config_fingerprint,
     program_fingerprint,
 )
@@ -68,14 +69,15 @@ def test_order_equivalent_to_seed_with_fewer_invocations(inputs, order):
     new = P2GO(program, config, trace, target, phases=order).run()
     seed = run_seed(program, config, trace, target, phases=order)
     assert_equivalent(new, seed)
-    # The memo cache never makes a run more expensive...
+    # The seed's calls are its true invocation counts (every one ran in
+    # the seed).  The pass framework never executes more...
     assert (
         new.session_counters.compile_executions
-        <= seed.session_counters.compile_executions
+        <= seed.session_counters.compile_calls
     )
     assert (
         new.session_counters.profile_executions
-        <= seed.session_counters.profile_executions
+        <= seed.session_counters.profile_calls
     )
     # ...and makes every multi-phase order strictly cheaper.  (A
     # phase-2-only run is already minimal in the seed: one compile and
@@ -85,8 +87,8 @@ def test_order_equivalent_to_seed_with_fewer_invocations(inputs, order):
             new.session_counters.profile_executions
             + new.session_counters.compile_executions
         ) < (
-            seed.session_counters.profile_executions
-            + seed.session_counters.compile_executions
+            seed.session_counters.profile_calls
+            + seed.session_counters.compile_calls
         )
 
 
@@ -98,11 +100,11 @@ def test_default_order_profile_strictly_fewer(inputs):
     seed = run_seed(program, config, trace, target)
     assert (
         new.session_counters.compile_executions
-        < seed.session_counters.compile_executions
+        < seed.session_counters.compile_calls
     )
     assert (
         new.session_counters.profile_executions
-        < seed.session_counters.profile_executions
+        < seed.session_counters.profile_calls
     )
 
 
@@ -224,6 +226,24 @@ class TestResultExtras:
         assert ctx.counters.compile_executions == executions_after_first
         assert ctx.counters.profile_executions == replays_after_first
         assert second.stages_after == second.outcomes[-1].stages
+
+    def test_shared_session_results_count_their_own_run(self, inputs):
+        """Regression: a result on a shared session held the session's
+        live counters, so a second run moved the first result's counts
+        (50 -> 100 compile calls on the firewall)."""
+        program, config, trace, target = inputs
+        ctx = OptimizationContext(program, config, trace, target)
+        first = P2GO(program, config, trace, target, session=ctx).run()
+        own = first.session_counters.as_dict()
+        second = P2GO(program, config, trace, target, session=ctx).run()
+        assert first.session_counters.as_dict() == own
+        assert first.session_counters is not second.session_counters
+        # The second run asks the same questions; the memo answers all.
+        assert second.session_counters.compile_calls == own["compile_calls"]
+        assert second.session_counters.compile_executions == 0
+        assert second.session_counters.profile_executions == 0
+        assert ctx.counters.compile_calls == 2 * own["compile_calls"]
+        assert ctx.counters == SessionCounters.of(ctx.probes)
 
     def test_session_for_another_target_is_refused(self, inputs):
         """A session compiles for the one target it was built with.  A

@@ -1,10 +1,15 @@
 """Unit tests for the memoizing compile/profile session."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import session
 from repro.core.session import (
     OptimizationContext,
+    ProbeRecord,
+    SessionCounters,
+    Source,
     config_fingerprint,
     merge_perf,
     program_fingerprint,
@@ -112,22 +117,67 @@ class TestMemoization:
         direct = Profiler(ctx.program, ctx.config).profile(ctx.trace)
         assert cached.same_behavior_as(direct)
 
-    def test_memoize_false_executes_every_call(self):
-        ctx = OptimizationContext(
-            build_toy_program(),
-            toy_config(),
-            make_trace(),
-            DEFAULT_TARGET,
-            memoize=False,
+
+class TestProbeLog:
+    """One record per probe: what answered it, in the order asked; the
+    counters are a tally of it."""
+
+    def test_log_names_what_answered(self, ctx):
+        ctx.compile()
+        ctx.compile()
+        ctx.profile()
+        assert [(r.kind, r.source) for r in ctx.probes] == [
+            ("compile", Source.EXECUTED),
+            ("analysis", Source.EXECUTED),
+            ("compile", Source.MEMO),
+            ("profile", Source.EXECUTED),
+        ]
+        assert ctx.probes[0] == ProbeRecord(
+            "compile", ctx._compile_probe(ctx.program)[1], Source.EXECUTED
         )
-        ctx.compile()
+
+    def test_counters_are_a_tally_of_the_log(self, ctx):
         ctx.compile()
         ctx.profile()
         ctx.profile()
-        assert ctx.counters.compile_executions == 2
-        assert ctx.counters.profile_executions == 2
-        assert ctx.counters.compile_hits == 0
-        assert ctx.counters.profile_hits == 0
+        assert SessionCounters.of(ctx.probes) == ctx.counters
+        assert ctx.counters.as_dict() == {
+            "compile_calls": 1,
+            "compile_executions": 1,
+            "compile_hits": 0,
+            "compile_disk_hits": 0,
+            "profile_calls": 2,
+            "profile_executions": 1,
+            "profile_hits": 1,
+            "profile_disk_hits": 0,
+            "analysis_calls": 1,
+            "analysis_executions": 1,
+            "analysis_hits": 0,
+            "analysis_disk_hits": 0,
+        }
+        assert SessionCounters.of(ctx.probes[3:]).profile_hits == 1
+        assert SessionCounters.of([]) == SessionCounters()
+
+    def test_counters_are_a_frozen_snapshot(self, ctx):
+        before = ctx.counters
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            before.compile_calls = 7
+        ctx.compile()
+        assert before.compile_calls == 0
+        assert ctx.counters.compile_calls == 1
+
+    def test_compile_that_raises_is_logged_executed(self):
+        from repro.exceptions import AllocationError
+        from repro.programs import example_firewall as fw
+
+        ctx = OptimizationContext(
+            fw.build_program(), fw.runtime_config(), make_trace(),
+            dataclasses.replace(fw.TARGET, sram_blocks_per_stage=1),
+        )
+        with pytest.raises(AllocationError):
+            ctx.compile()
+        assert ctx.probes[0].source is Source.EXECUTED
+        assert ctx.counters.compile_executions == 1
 
 
 class TestTraceIdentity:
@@ -252,33 +302,41 @@ class TestProgramKeyCacheBound:
 
 
 class TestPerfWindows:
+    """``replay_perf(since)``: the replays executed from a log position
+    on — the window a phase opens by noting ``len(ctx.probes)``."""
+
     def test_window_collects_actual_replays_only(self, ctx):
-        ctx.start_perf_window()
+        start = len(ctx.probes)
         ctx.profile()
-        perf = ctx.take_perf_window()
+        perf = ctx.replay_perf(start)
         assert perf is not None
         assert perf.packets == len(ctx.trace)
         # A memo hit pays nothing: the next window is empty.
-        ctx.start_perf_window()
+        start = len(ctx.probes)
         ctx.profile()
-        assert ctx.take_perf_window() is None
+        assert ctx.replay_perf(start) is None
 
     def test_replay_before_first_window_is_not_attributed(self, ctx):
-        """Regression: replays during pipeline setup (before the first
-        ``start_perf_window``) must not leak into any phase's window."""
-        ctx.profile()  # setup replay, no window open
-        assert ctx.take_perf_window() is None
+        """Regression: replays during pipeline setup (before a phase
+        notes its start) must not leak into any phase's window."""
+        ctx.profile()  # setup replay
+        start = len(ctx.probes)
+        ctx.compile()
+        assert ctx.replay_perf(start) is None
 
     def test_replay_between_windows_is_not_attributed(self, ctx):
-        ctx.start_perf_window()
+        start = len(ctx.probes)
         ctx.profile()
-        assert ctx.take_perf_window() is not None
-        # The window is closed now; a fresh replay on a new trace must
-        # not show up when the (never reopened) window is drained again.
+        end = len(ctx.probes)
+        assert ctx.replay_perf(start) is not None
+        # A fresh replay on a new trace after the window closed must
+        # not show up in that window, only in one opened before it.
         ctx.trace = list(ctx.trace)[:4]
         ctx.profile()
         assert ctx.counters.profile_executions == 2
-        assert ctx.take_perf_window() is None
+        assert ctx.replay_perf(start).packets == len(make_trace()) + 4
+        assert ctx.replay_perf(end).packets == 4
+        assert ctx.replay_perf(len(ctx.probes)) is None
 
     def test_merge_perf(self):
         a = PerfCounters(packets=5, elapsed_seconds=1.0, timed_packets=5,
@@ -296,8 +354,8 @@ def test_removed_session_pieces_stay_removed(tmp_path):
     """One door to the session: phases 3 and 4 probe only through the
     session they are handed (never a ``trace``/``target`` of their own,
     never a private session), the baselines never take one,
-    ``reoptimize`` always uses the monitor's, and the run layer has no
-    memo switch."""
+    ``reoptimize`` always uses the monitor's, and neither the run layer
+    nor the session has a memo switch."""
     import inspect
 
     from repro.baselines import compile_static, optimize_with_policy
@@ -320,11 +378,20 @@ def test_removed_session_pieces_stay_removed(tmp_path):
         (optimize_with_policy, ("session",)),
         (OnlineProfiler.reoptimize, ("store", "target")),
         (SwitchRun, ("memoize",)),
+        (OptimizationContext, ("memoize",)),
     ]
     for function, names in removed:
         parameters = inspect.signature(function).parameters
         for name in names:
             assert name not in parameters, (function, name)
+    # The probe log is the one record: no hand-bumped counters, no
+    # perf-window side channel.
+    for owner, name in (
+        (SessionCounters, "bump"),
+        (OptimizationContext, "start_perf_window"),
+        (OptimizationContext, "take_perf_window"),
+    ):
+        assert not hasattr(owner, name), name
     with pytest.raises(SystemExit) as exited:
         main([
             "optimize", str(tmp_path / "p.p4"),

@@ -28,7 +28,7 @@ import pytest
 from repro.core import session as session_module
 from repro.core.pipeline import P2GO, SwitchRun
 from repro.core.report import render_report
-from repro.core.session import OptimizationContext
+from repro.core.session import OptimizationContext, Source
 from repro.analysis import analyse, structure_key
 from repro.core.store import (
     _FINGERPRINTED_MODULES,
@@ -503,20 +503,9 @@ class TestSessionTiering:
         writer.profile()
         writer.close()
         reader = make_ctx(SessionStore(tmp_path / "store"))
-        reader.start_perf_window()
         reader.profile()  # disk hit — the writer paid the replay
-        assert reader.take_perf_window() is None
-
-    def test_memoize_false_keeps_store_inert(self, tmp_path):
-        store = SessionStore(tmp_path / "store")
-        ctx = make_ctx(store, memoize=False)
-        ctx.profile()
-        ctx.compile()
-        ctx.close()
-        assert store.stats()["compile_entries"] == 0
-        assert store.stats()["profile_entries"] == 0
-        assert ctx.counters.profile_executions == 1
-        assert ctx.counters.compile_executions == 1
+        assert [r.source for r in reader.probes] == [Source.DISK]
+        assert reader.replay_perf(0) is None
 
     def test_probe_written_through_when_executed(self, tmp_path):
         """Nothing is buffered until the session closes: the probe's
@@ -574,12 +563,32 @@ class TestWarmSecondRun:
         assert counters.analysis_calls == 0
         assert warm.store_stats["counters"]["analysis_hits"] == 0
 
+    def test_warm_run_logs_no_execution(self, tmp_path):
+        self.run(tmp_path / "store")
+        with OptimizationContext(
+            build_toy_program(), toy_config(), make_trace(),
+            DEFAULT_TARGET, store=SessionStore(tmp_path / "store"),
+        ) as ctx:
+            P2GO(
+                build_toy_program(), toy_config(), make_trace(),
+                DEFAULT_TARGET, session=ctx,
+            ).run()
+        assert ctx.probes
+        assert Source.EXECUTED not in {r.source for r in ctx.probes}
+        assert Source.DISK in {r.source for r in ctx.probes}
+
     def test_report_carries_provenance_and_store_lines(self, tmp_path):
         self.run(tmp_path / "store")
         report = render_report(self.run(tmp_path / "store"))
-        assert "result provenance:" in report
+        (session_line,) = [
+            line for line in report.splitlines()
+            if line.startswith("compile/profile session")
+        ]
+        assert "compile: " in session_line
+        assert session_line.count(" 0 executed") == 3
+        assert "result provenance:" not in report
+        assert "static analysis:" not in report
         assert "persistent store:" in report
-        assert "executed 0" in report
 
     def test_storeless_run_has_no_store_line(self):
         result = P2GO(
