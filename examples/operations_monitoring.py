@@ -3,31 +3,32 @@
 
 P2GO's optimizations hold only while the profile stays representative
 (§3.2's caveat, §6's dynamic-compilation agenda).  This example runs the
-two safety nets this reproduction implements on top of the paper's core:
+full optimizer on the firewall, then the two safety nets this
+reproduction implements on top of the paper's core, both driven by the
+decisions the run applied:
 
-1. the **runtime dependency guard** (§3.2's "alternative approach"): after
-   the ACL_UDP -> ACL_DHCP dependency is removed, a shadow table in
-   ACL_UDP's hit branch watches for packets that would have matched both
-   ACLs and notifies the controller the instant one appears;
-2. the **drift detector** (§6): given a fresh trace, re-check every
-   optimization-time observation offline and report the violated ones.
+1. the **runtime dependency guard** (§3.2's "alternative approach"): for
+   the dependency phase 2 removed, a shadow table in the source table's
+   hit branch watches for packets that would have matched both tables
+   and notifies the controller the instant one appears;
+2. the **offline re-check** (§6): given a fresh trace, re-run the
+   licence of every applied rewrite with its phase's own predicate and
+   report the ones the new traffic breaks.
 
 Run:
     python examples/operations_monitoring.py
 """
 
-from repro.core import Profiler
-from repro.core.drift import DriftDetector
-from repro.core.phase_dependencies import run_phase as remove_dependencies
-from repro.core.runtime_guard import (
-    add_dependency_guard,
-    guard_notifications,
-    mirror_guard_entries,
-)
+from repro import P2GO
+from repro.core.drift import recheck
+from repro.core.observations import Phase
+from repro.core.report import render_decision
+from repro.core.runtime_guard import add_dependency_guard, guard_notifications
 from repro.packets.craft import udp_packet
 from repro.programs import example_firewall as fw
 from repro.sim import BehavioralSwitch
 from repro.target import compile_program
+from repro.traffic.generators import dns_stream
 
 
 def main() -> None:
@@ -36,25 +37,27 @@ def main() -> None:
     trace = fw.make_trace(6_000)
 
     # ------------------------------------------------------------------
-    print("Step 1: remove the ACL dependency (phase 2) ...")
-    compiled = compile_program(program, fw.TARGET)
-    profile = Profiler(program, config).profile(trace)
-    step = remove_dependencies(program, compiled, profile)
-    removed = step.accepted.candidate
-    print(f"  removed: {removed.src} -> {removed.dst}")
+    print("Step 1: optimize the firewall (phases 2-4) ...")
+    result = P2GO(program, config, trace, fw.TARGET).run()
+    print(f"  stages: {result.stages_before} -> {result.stages_after}")
+    for decision in result.applied:
+        print(f"  {render_decision(decision).splitlines()[0]}")
+    (removed,) = [
+        d.candidate for d in result.applied
+        if d.phase is Phase.REMOVE_DEPENDENCIES
+    ]
 
     # ------------------------------------------------------------------
     print("\nStep 2: arm the runtime guard (§3.2's alternative) ...")
-    guarded, guard = add_dependency_guard(
-        step.program, removed.src, removed.dst
+    guarded, guard_config, guard = add_dependency_guard(
+        result.optimized_program, result.final_config,
+        removed.src, removed.dst,
     )
-    guard_config = mirror_guard_entries(config, guard)
     print(f"  guard table {guard.table!r} mirrors "
           f"{removed.dst!r}'s match keys in "
           f"{removed.src!r}'s hit branch")
     stages = compile_program(guarded, fw.TARGET).stages_used
-    print(f"  pipeline with guard: {stages} stages "
-          "(the guard shares the ACLs' stage)")
+    print(f"  pipeline with guard: {stages} stages")
 
     switch = BehavioralSwitch(guarded, guard_config)
     print("  replaying the optimization-time trace ...")
@@ -75,29 +78,18 @@ def main() -> None:
           "the removed dependency just manifested")
 
     # ------------------------------------------------------------------
-    print("\nStep 3: offline drift detection (§6) on fresh traffic ...")
-    detector = DriftDetector(
-        program,
-        config,
-        profile,
-        removed_dependencies=[removed],
-        offload_tables=("Sketch_1", "Sketch_2", "Sketch_Min", "DNS_Drop"),
-        offload_budget=0.10,
-    )
-
+    print("\nStep 3: re-check every applied rewrite on fresh traffic (§6) ...")
     calm = fw.make_trace(3_000, seed=77)
-    report = detector.check(calm)
-    print(f"  normal day:  {report.render()}")
-
-    from repro.traffic.generators import dns_stream
-
     flood = calm[:1500] + dns_stream(
         fw.HEAVY_DNS_SRC, fw.HEAVY_DNS_DST, 1500
     )
-    report = detector.check(flood)
-    print("  DNS flood:")
-    for line in report.render().splitlines():
-        print(f"    {line}")
+    for label, fresh in (("normal day", calm), ("DNS flood", flood)):
+        violated = recheck(result, config, fresh)
+        print(f"  {label}: {len(violated)} of {len(result.applied)} "
+              "licence(s) broken")
+        for decision in violated:
+            for line in render_decision(decision).splitlines():
+                print(f"    {line}")
     print("\n  -> time to re-run P2GO with a fresh trace (Fig. 2's loop).")
 
 

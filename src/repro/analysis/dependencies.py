@@ -130,9 +130,6 @@ class DependencyGraph:
     def between(self, src: str, dst: str) -> Optional[Dependency]:
         return self.dependencies.get((src, dst))
 
-    def predecessors_of(self, table: str) -> List[Dependency]:
-        return [d for d in self.dependencies.values() if d.dst == table]
-
     def longest_path(self) -> Tuple[int, List[str]]:
         return self.digraph.longest_path()
 

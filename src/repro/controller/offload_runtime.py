@@ -12,7 +12,7 @@ behaviour end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.phase_offload import SegmentCandidate
 from repro.exceptions import ControllerError
@@ -90,11 +90,6 @@ class OffloadController:
         ):
             self.stats.notifications += 1
         return result
-
-    def handle_trace(
-        self, packets: Sequence[bytes]
-    ) -> List[SwitchResult]:
-        return [self.handle_packet(p) for p in packets]
 
     def reset(self) -> None:
         self._switch.reset_state()

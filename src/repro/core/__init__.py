@@ -14,14 +14,9 @@ _EXPORTS = {
     "DependencyGuard": "runtime_guard",
     "OnlineAlert": "online",
     "OnlineProfiler": "online",
-    "DriftDetector": "drift",
-    "DriftFinding": "drift",
-    "DriftKind": "drift",
-    "DriftReport": "drift",
     "InstrumentedProgram": "instrument",
     "add_dependency_guard": "runtime_guard",
     "guard_notifications": "runtime_guard",
-    "mirror_guard_entries": "runtime_guard",
     "Decision": "observations",
     "Verdict": "observations",
     "Reason": "observations",
@@ -68,6 +63,7 @@ _EXPORTS = {
     "instrument": "instrument",
     "optimize": "pipeline",
     "profile_program": "profiler",
+    "recheck": "drift",
     "render_decision": "report",
     "render_report": "report",
     "run_seed": "seed_pipeline",

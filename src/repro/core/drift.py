@@ -1,137 +1,71 @@
-"""Profile drift detection (§6, "dynamic compilation").
+"""Offline re-check of a run's rewrites on fresh traffic (§6).
 
 P2GO's optimizations hold "for as long as the computed profile remains
-representative".  This module implements the first step of the paper's
-future-work agenda: given the profile the optimizations were derived from
-and a *fresh* trace, re-check every profile-based observation and flag
-the ones the new traffic violates — the trigger for re-running P2GO.
+representative".  Every rewrite a run applied is an accepted
+:class:`~repro.core.observations.Decision`, licensed by a fact of the
+profile it was derived from; :func:`recheck` profiles the original
+program on a *fresh* trace and re-runs each licence with the predicate
+its phase used.  The decisions whose licence breaks are the trigger for
+re-running P2GO.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence
+from dataclasses import replace
+from typing import List, Sequence, Tuple
 
-from repro.analysis.dependencies import Dependency
-from repro.core.phase_dependencies import dependency_manifests
-from repro.core.profiler import Profile, Profiler
-from repro.p4.program import Program
+from repro.core.observations import Decision, Phase, Reason, Verdict
+from repro.core.phase_dependencies import _profile_refusal
+from repro.core.phase_memory import _resized
+from repro.core.phase_offload import DEFAULT_MAX_REDIRECT, _tables
+from repro.core.pipeline import P2GOResult
+from repro.core.profiler import Profiler
 from repro.sim.runtime import RuntimeConfig
 from repro.traffic.generators import TracePacket
 
 
-class DriftKind(enum.Enum):
-    #: A removed dependency now manifests in live traffic.
-    DEPENDENCY_MANIFESTS = "dependency_manifests"
-    #: An offloaded segment redirects more traffic than budgeted.
-    CONTROLLER_OVERLOAD = "controller_overload"
-    #: A table's hit rate moved beyond tolerance.
-    HIT_RATE_SHIFT = "hit_rate_shift"
+def recheck(
+    result: P2GOResult,
+    config: RuntimeConfig,
+    trace: Sequence[TracePacket],
+    max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
+) -> Tuple[Decision, ...]:
+    """The applied decisions of ``result`` whose licence ``trace``
+    breaks, each as ``Verdict.VIOLATED`` with the refusal its phase
+    would now give (vetoed decisions applied nothing and are skipped).
 
-
-@dataclass(frozen=True)
-class DriftFinding:
-    """One violated observation."""
-
-    kind: DriftKind
-    subject: str
-    details: str
-
-
-@dataclass
-class DriftReport:
-    """Outcome of re-checking a profile against fresh traffic."""
-
-    findings: List[DriftFinding] = dc_field(default_factory=list)
-
-    @property
-    def drifted(self) -> bool:
-        return bool(self.findings)
-
-    def render(self) -> str:
-        if not self.findings:
-            return "no drift: every optimization-time observation holds"
-        lines = [f"{len(self.findings)} observation(s) violated:"]
-        for f in self.findings:
-            lines.append(f"  [{f.kind.value}] {f.subject}: {f.details}")
-        return "\n".join(lines)
-
-
-class DriftDetector:
-    """Re-validates optimization-time observations on fresh traffic.
-
-    Construct it with the *original* program and config (profiling runs
-    against the unoptimized semantics, which define correctness), the
-    baseline profile, and the evidence to watch: removed dependencies and
-    the offloaded redirect budget.
+    Like :func:`repro.controller.equivalence.check_result`, it profiles
+    ``result.original_program`` under the original ``config``: the
+    original semantics define what each rewrite must preserve.
     """
-
-    def __init__(
-        self,
-        program: Program,
-        config: RuntimeConfig,
-        baseline: Profile,
-        removed_dependencies: Sequence[Dependency] = (),
-        offload_tables: Sequence[str] = (),
-        offload_budget: Optional[float] = None,
-        hit_rate_tolerance: float = 0.05,
-    ):
-        self.program = program
-        self.config = config
-        self.baseline = baseline
-        self.removed_dependencies = tuple(removed_dependencies)
-        self.offload_tables = tuple(offload_tables)
-        self.offload_budget = offload_budget
-        self.hit_rate_tolerance = hit_rate_tolerance
-
-    def check(self, fresh_trace: Sequence[TracePacket]) -> DriftReport:
-        fresh = Profiler(self.program, self.config).profile(fresh_trace)
-        report = DriftReport()
-
-        for dep in self.removed_dependencies:
-            if dependency_manifests(dep, fresh):
-                report.findings.append(
-                    DriftFinding(
-                        kind=DriftKind.DEPENDENCY_MANIFESTS,
-                        subject=f"{dep.src} -> {dep.dst}",
-                        details=(
-                            "the fresh trace contains packets exercising "
-                            "both tables' conflicting actions; the phase-2 "
-                            "rewrite now changes behaviour for them"
-                        ),
-                    )
+    original = result.original_program
+    fresh = Profiler(original, config).profile(trace)
+    violated: List[Decision] = []
+    for decision in result.applied:
+        evidence: Tuple[str, ...] = ()
+        if decision.phase is Phase.REMOVE_DEPENDENCIES:
+            reason = _profile_refusal(decision.candidate, fresh)
+        elif decision.phase is Phase.REDUCE_MEMORY:
+            resize = decision.candidate
+            resized = _resized(original, resize, resize.new_size)
+            evidence = tuple(
+                fresh.behavior_diff(Profiler(resized, config).profile(trace))
+            )
+            reason = Reason.BEHAVIOUR_CHANGED if evidence else None
+        else:
+            rate = fresh.traversal_rate(_tables(decision))
+            reason = (
+                Reason.OVER_BUDGET if rate > max_redirect_fraction else None
+            )
+            evidence = (
+                f"fresh traffic reaches the segment at {rate:.1%} "
+                f"(budget {max_redirect_fraction:.1%})",
+            )
+        if reason is not None:
+            violated.append(
+                replace(
+                    decision, verdict=Verdict.VIOLATED, reason=reason,
+                    evidence=evidence,
                 )
-
-        if self.offload_tables and self.offload_budget is not None:
-            # Redirected traffic = packets that traverse any offloaded
-            # table in the original semantics — the union over packets.
-            # A per-table max undercounts when offloaded tables are
-            # reached by disjoint packet sets (two tables each seeing
-            # 30% disjoint traffic redirect 60%, not 30%).
-            redirect = fresh.traversal_rate(self.offload_tables)
-            if redirect > self.offload_budget:
-                report.findings.append(
-                    DriftFinding(
-                        kind=DriftKind.CONTROLLER_OVERLOAD,
-                        subject=", ".join(self.offload_tables),
-                        details=(
-                            f"fresh traffic reaches the offloaded segment "
-                            f"at {redirect:.1%}, above the "
-                            f"{self.offload_budget:.1%} budget"
-                        ),
-                    )
-                )
-
-        for table in self.program.tables:
-            old = self.baseline.hit_rate(table)
-            new = fresh.hit_rate(table)
-            if abs(new - old) > self.hit_rate_tolerance:
-                report.findings.append(
-                    DriftFinding(
-                        kind=DriftKind.HIT_RATE_SHIFT,
-                        subject=table,
-                        details=f"hit rate {old:.1%} -> {new:.1%}",
-                    )
-                )
-        return report
+            )
+    return tuple(violated)

@@ -37,10 +37,14 @@ class Verdict(enum.Enum):
     REJECTED = "rejected"
     #: The phase accepted the change; the programmer's review did not.
     VETOED = "vetoed"
+    #: The change was applied, and a fresh trace breaks the profile fact
+    #: that licensed it (:func:`repro.core.drift.recheck`).
+    VIOLATED = "violated"
 
 
 class Reason(enum.Enum):
-    """Why a phase turned a candidate down — the closed set."""
+    """Why a phase turned a candidate down, or why a fresh trace breaks
+    an applied one — the closed set."""
 
     # Phase 2: the profile shows the dependency ...
     #: ... a conflicting action pair co-applied on some packet.
@@ -80,11 +84,14 @@ class Decision:
     phase: Phase
     verdict: Verdict
     candidate: Optional[Candidate] = None
-    #: Why the candidate was turned down (None when it was not).
+    #: Why the candidate was turned down, or why its licence no longer
+    #: holds (None when neither).
     reason: Optional[Reason] = None
     #: Stages before and after the change, when the phase compiled it.
     stages_before: Optional[int] = None
     stages_after: Optional[int] = None
     #: What the profile showed: ``behavior_diff``'s lines for a resize
-    #: rejected as :attr:`Reason.BEHAVIOUR_CHANGED`.
+    #: rejected or violated as :attr:`Reason.BEHAVIOUR_CHANGED`, the
+    #: measured redirect rate of an offload violated as
+    #: :attr:`Reason.OVER_BUDGET`.
     evidence: Tuple[str, ...] = ()

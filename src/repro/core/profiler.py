@@ -63,8 +63,8 @@ class Profile:
     #: Distinct per-packet applied-table sets -> packet counts.  Per-table
     #: apply/hit counts cannot answer "how many packets traversed *any* of
     #: these tables" when the tables are reached by disjoint packet sets
-    #: (summing double-counts, taking the max undercounts); the drift
-    #: detector's controller-load re-check needs the true union, so the
+    #: (summing double-counts, taking the max undercounts); the offline
+    #: re-check of an offload's budget needs the true union, so the
     #: profiler keeps the set-valued aggregate (bounded by the number of
     #: distinct table combinations the control flow can produce).
     apply_sets: Dict[FrozenSet[str], int] = dc_field(default_factory=dict)

@@ -75,8 +75,8 @@ _REASON_TEXT = {
 
 def render_decision(decision: Decision) -> str:
     """One decision as the report prints it: a headline, what it asks
-    the programmer to verify (or why it was turned down), and the
-    numbers behind it."""
+    the programmer to verify (or why it was turned down, or why its
+    licence broke), and the numbers behind it."""
     phase, candidate = decision.phase, decision.candidate
     rejected = decision.verdict is Verdict.REJECTED
     evidence: List[str] = []
@@ -137,7 +137,7 @@ def render_decision(decision: Decision) -> str:
             "redirect_fraction: "
             + "; ".join(f"{o.redirect_fraction:.2%}" for o in candidate)
         )
-    if rejected:  # a rejection is explained by its reason instead
+    if decision.reason is not None:  # a rejection or violation says why
         details = "; ".join(
             (_REASON_TEXT[decision.reason],) + decision.evidence
         )

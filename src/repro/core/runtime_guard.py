@@ -44,7 +44,7 @@ def guard_action_name(src: str, dst: str) -> str:
     return f"p2go_guard_notify__{src}__{dst}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DependencyGuard:
     """Handle to an installed guard."""
 
@@ -55,13 +55,16 @@ class DependencyGuard:
 
 
 def add_dependency_guard(
-    program: Program, src: str, dst: str
-) -> Tuple[Program, DependencyGuard]:
+    program: Program, config: RuntimeConfig, src: str, dst: str
+) -> Tuple[Program, RuntimeConfig, DependencyGuard]:
     """Install a guard for the removed dependency ``src -> dst``.
 
     Requires the phase-2 shape: ``dst`` applied inside ``src``'s miss
     branch.  The guard table copies ``dst``'s match keys, sits in
-    ``src``'s hit branch, and notifies the controller on a hit.
+    ``src``'s hit branch, and notifies the controller on a hit.  The
+    returned config is ``config`` plus ``dst``'s entries mirrored into
+    the guard with the notify action, so the guard matches exactly when
+    ``dst`` would have.
     """
     apply_src = find_apply(program.ingress, src)
     if apply_src is None:
@@ -109,27 +112,17 @@ def add_dependency_guard(
         size=dst_table.size,
     )
     out.validate()
-    return out, DependencyGuard(src=src, dst=dst, table=table, action=action)
-
-
-def mirror_guard_entries(
-    config: RuntimeConfig, guard: DependencyGuard
-) -> RuntimeConfig:
-    """Clone the guarded table's entries into the guard table.
-
-    The guard matches exactly when ``dst`` would have matched, so its
-    rule set is ``dst``'s rule set with the notify action substituted.
-    """
-    out = config.clone()
-    for entry in config.entries_for(guard.dst):
-        out.add_entry(
-            guard.table,
-            entry.match,
-            guard.action,
-            action_args=(),
+    guarded_config = config.clone()
+    for entry in config.entries_for(dst):
+        guarded_config.add_entry(
+            table, entry.match, action, action_args=(),
             priority=entry.priority,
         )
-    return out
+    return (
+        out,
+        guarded_config,
+        DependencyGuard(src=src, dst=dst, table=table, action=action),
+    )
 
 
 def guard_notifications(results: Sequence) -> List[int]:

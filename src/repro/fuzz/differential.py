@@ -11,7 +11,9 @@ disagreement:
     behaviour-preservation contract): packet-for-packet when nothing
     was offloaded, switch + controller held to the original when phase
     4 moved a segment out.  The (2, 3, 4) run's decisions are tallied
-    per phase (:func:`tally_decisions`).
+    per phase (:func:`tally_decisions`), and each applied one's licence
+    must hold on the trace it was derived from
+    (:func:`repro.core.drift.recheck` returns nothing).
 ``engine``
     The engine (compiled match structures + execution plan) vs the
     reference interpreter, and the step-log profile
@@ -40,6 +42,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.controller.equivalence import check_result, compare_behavior
+from repro.core.drift import recheck
 from repro.core.instrument import reference_profile
 from repro.core.observations import Verdict
 from repro.core.pipeline import P2GO, P2GOResult
@@ -166,6 +169,20 @@ def _check_behavior(
                 f"disagrees on {len(report.mismatches)}/{report.total} "
                 f"packets (first at index {report.mismatches[0]})",
             )
+        if phases == (2, 3, 4):
+            violated = recheck(result, case.config.clone(), case.trace)
+            if violated:
+                return AxisFailure(
+                    "behavior",
+                    f"phases {phases}: {len(violated)} applied rewrite(s) "
+                    "break their licence on the trace they were derived "
+                    "from ("
+                    + ", ".join(
+                        f"phase {d.phase.value} {d.reason.value}"
+                        for d in violated
+                    )
+                    + ")",
+                )
     return None
 
 

@@ -398,11 +398,3 @@ class Program:
                     out.append(table.name)
                     break
         return out
-
-    def action_for(self, table_name: str, action_name: str) -> Action:
-        table = self.tables[table_name]
-        if action_name not in table.all_action_names():
-            raise P4ValidationError(
-                f"table {table_name!r} does not use action {action_name!r}"
-            )
-        return self.actions[action_name]

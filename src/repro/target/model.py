@@ -72,14 +72,6 @@ class TargetModel:
     def tcam_bytes_per_stage(self) -> int:
         return self.tcam_blocks_per_stage * self.tcam_block_bytes
 
-    @property
-    def total_sram_bytes(self) -> int:
-        return self.num_stages * self.sram_bytes_per_stage
-
-    @property
-    def total_tcam_bytes(self) -> int:
-        return self.num_stages * self.tcam_bytes_per_stage
-
     # ------------------------------------------------------------------
     # Block rounding
 

@@ -125,11 +125,6 @@ class TableFootprint:
             return target.tcam_blocks_for(self.match_bytes)
         return target.sram_blocks_for(self.match_bytes)
 
-    def overhead_blocks(self, target: TargetModel) -> int:
-        if self.overhead_bytes == 0:
-            return 0
-        return target.sram_blocks_for(self.overhead_bytes)
-
     def register_blocks(self, target: TargetModel) -> List[Tuple[str, int]]:
         """``(register name, SRAM blocks)`` per owned array."""
         return [

@@ -66,6 +66,7 @@ from repro.p4.registers import RegisterArray
 from repro.p4.tables import Table
 from repro.packets.packet import HeaderCodec, get_codec
 from repro.programs import example_firewall as fw
+from repro.sim.runtime import RuntimeConfig
 
 from .test_store import entry_paths, pickled_modules
 
@@ -147,7 +148,9 @@ def removable_pairs(program: Program) -> Iterator[Derivation]:
             )
         ]
         try:
-            guarded, _guard = add_dependency_guard(rewritten, src, dst)
+            guarded, _config, _guard = add_dependency_guard(
+                rewritten, RuntimeConfig(), src, dst
+            )
         except OptimizationError:
             pass
         else:

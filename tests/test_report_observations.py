@@ -138,9 +138,12 @@ def test_removed_observation_api_stays_removed():
     for name in ("log", "offloaded", "_accepted"):
         assert not hasattr(passes.PassManager, name)
     assert "observations" not in P2GOResult.__dataclass_fields__
-    # A round with nothing to enumerate logs nothing; a decision's
-    # numbers are its own, not its phase's bar.
-    assert [v.name for v in Verdict] == ["ACCEPTED", "REJECTED", "VETOED"]
+    # A round with nothing to enumerate logs nothing (there is no
+    # "none" verdict); a decision's numbers are its own, not its
+    # phase's bar.
+    assert [v.name for v in Verdict] == [
+        "ACCEPTED", "REJECTED", "VETOED", "VIOLATED",
+    ]
     for name in ("evaluated", "min_stage_savings", "max_redirect_fraction"):
         assert name not in Decision.__dataclass_fields__
 
