@@ -135,6 +135,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     program = load_program(args.program)
     target = load_target(args.target)
     result = compile_program(program, target)
+    print(f"compile {program.name!r} -> {target}")
     print(result.summary())
     return 0 if result.fits else 2
 

@@ -211,17 +211,22 @@ def path_facts(steps: Tuple[ExecutionStep, ...]) -> PathFacts:
 class _ReplaySink:
     """What :meth:`Profiler.run` keeps of each result as the replay
     produces it: packets per step log, in first-seen order, and the
-    forwarding decision.  The result itself is dropped at once."""
+    forwarding decision.  The result itself is dropped at once.
 
-    __slots__ = ("paths", "decisions")
+    Equal decisions share one tuple, so a stored profile pickles each
+    distinct decision once and every repeat as a memo reference."""
+
+    __slots__ = ("paths", "decisions", "_seen")
 
     def __init__(self):
         self.paths: Counter = Counter()
         self.decisions: List[Tuple[int, bool, bool]] = []
+        self._seen: Dict[Tuple[int, bool, bool], Tuple[int, bool, bool]] = {}
 
     def append(self, result) -> None:
         self.paths[tuple(result.steps)] += 1
-        self.decisions.append(result.forwarding_decision())
+        decision = result.forwarding_decision()
+        self.decisions.append(self._seen.setdefault(decision, decision))
 
 
 class Profiler:

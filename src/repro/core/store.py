@@ -13,7 +13,8 @@ profiles, ``(structure_key,)`` for analyses), values are pickled
 ``(Profile, PerfCounters)`` pairs and
 :class:`~repro.analysis.structure.ProgramAnalysis` objects — one per
 program *structure*, shared by every stored compile of that structure
-(a compile entry holds program + allocation + TDG, no control graph).
+(a compile entry holds allocation + TDG: no program, which is the
+entry's key, and no control graph).
 A second run over an unchanged program + trace is served entirely from
 disk: zero compiles, zero replays (the stack benchmark's ``opt_warm``
 workload fails an operation that executes either).
@@ -24,9 +25,10 @@ Durability and safety contract (DESIGN.md §10):
   {compile,profile,analysis}/<sha1-of-key>.pkl``; ``<root>`` defaults to
   ``$P2GO_STORE`` and then ``~/.cache/p2go``.  A ``manifest.json``
   carries the schema version and a **code fingerprint** (a hash over
-  the source of every module whose classes end up inside an entry
-  pickle).  A manifest that is missing-but-entries-exist, unreadable,
-  or mismatched means the on-disk format can no longer be trusted: the
+  the source of every module the probe tasks import: the classes
+  inside an entry pickle and the code that computed them).  A
+  manifest that is missing-but-entries-exist, unreadable, or
+  mismatched means the on-disk format can no longer be trusted: the
   existing entries are sidelined into ``quarantine/`` and the store
   starts cold — never an exception, never a wrong result.
 * **Atomic writes.**  Every entry is written to a uniquely-named
@@ -125,36 +127,59 @@ def human_bytes(count: int) -> str:
         size /= 1024
     raise AssertionError("unreachable")  # pragma: no cover
 
-#: Modules whose pickled classes appear inside store entries.  Their
-#: source bytes feed the manifest's code fingerprint: touching any of
-#: them invalidates (quarantines) existing stores instead of risking an
-#: unpickle of a stale layout into current code.
+#: Every module the three probe tasks — ``compile_program``,
+#: ``Profiler.run`` and ``analyse`` — import, directly or through one
+#: another (their static import closure).  That covers both the classes
+#: pickled into entries and the code that computes their content: a
+#: simulator fix changes what a replay produces, so it must retire the
+#: profiles the old code stored.  Their source bytes feed the manifest's
+#: code fingerprint: touching any of them invalidates (quarantines)
+#: existing stores instead of serving what the old code computed.
 _FINGERPRINTED_MODULES = (
+    "repro.exceptions",
     "repro.core.profiler",
+    "repro.sim.action_interp",
+    "repro.sim.events",
+    "repro.sim.hashing",
+    "repro.sim.match",
+    "repro.sim.parser_engine",
     "repro.sim.perf",
+    "repro.sim.plan",
     "repro.sim.runtime",
+    "repro.sim.state",
+    "repro.sim.switch",
     "repro.target.compiler",
     "repro.target.allocation",
     "repro.target.model",
+    "repro.target.resources",
     "repro.analysis.dependencies",
     "repro.analysis.control_graph",
     "repro.analysis.graph",
     "repro.analysis.structure",
+    "repro.p4",
     "repro.p4.program",
+    "repro.p4.builder",
     "repro.p4.tables",
     "repro.p4.actions",
     "repro.p4.control",
     "repro.p4.expressions",
     "repro.p4.registers",
     "repro.p4.parser_spec",
+    "repro.p4.types",
+    "repro.packets",
+    "repro.packets.craft",
+    "repro.packets.headers",
+    "repro.packets.packet",
+    "repro.packets.pcap",
+    "repro.traffic.generators",
 )
 
 _code_fingerprint_cache: Optional[str] = None
 
 
 def code_fingerprint() -> str:
-    """SHA-1 over the source of every module whose instances are
-    pickled into store entries (computed once per process)."""
+    """SHA-1 over the source of every module a probe task runs or
+    pickles (computed once per process)."""
     global _code_fingerprint_cache
     if _code_fingerprint_cache is None:
         import importlib

@@ -22,9 +22,12 @@ from repro.target.model import DEFAULT_TARGET, TargetModel
 
 @dataclass
 class CompileResult:
-    """Everything one compile of a program against a target produced."""
+    """Everything one compile of a program against a target produced.
 
-    program: Program
+    It does not hold the program: the caller already has it (it is the
+    probe's key), and a stored compile entry would otherwise pickle the
+    whole program beside its allocation."""
+
     target: TargetModel
     allocation: Allocation
     #: Ingress TDG, merged with the egress TDG when the program has an
@@ -44,8 +47,8 @@ class CompileResult:
         return self.allocation.stage_map()
 
     def summary(self) -> str:
+        """Stage count and, per stage, its tables and SRAM/TCAM use."""
         lines = [
-            f"compile {self.program.name!r} -> {self.target}",
             f"stages used: {self.stages_used} / {self.target.num_stages} "
             f"(fits: {'yes' if self.fits else 'NO'})",
         ]
@@ -85,7 +88,6 @@ def compile_program(
     if analysis is None:
         analysis = analyse(program)
     return CompileResult(
-        program=program,
         target=target,
         allocation=allocate(program, analysis, target),
         dependency_graph=analysis.merged(),

@@ -11,7 +11,9 @@ pipeline is canonically identical to a store-less one for every phase
 order — serially and under four workers.
 """
 
+import ast
 import errno
+import importlib.util
 import json
 import os
 import pickle
@@ -202,6 +204,42 @@ class TestRoundTrip:
             SessionStore(tmp_path, max_bytes=0)
 
 
+class TestEntrySize:
+    """A warm run pays for what an entry holds: it holds the answer to
+    its probe and nothing the caller already has."""
+
+    def test_compile_entry_holds_no_program(self):
+        from repro.target.compiler import compile_program
+
+        program = fw.build_program()
+        payload = pickle.dumps(
+            compile_program(program, fw.TARGET),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        assert not {
+            name for name in pickled_modules(payload)
+            if name.startswith("repro.p4")
+        }
+        assert program.name.encode() not in payload
+
+    def test_profile_shares_one_tuple_per_distinct_decision(self, tmp_path):
+        from repro.core.profiler import Profiler
+
+        profile, perf = Profiler(fw.build_program(), fw.runtime_config()).run(
+            fw.make_trace(4000)
+        )
+        assert len(profile.decisions) == 4000
+        assert len({id(d) for d in profile.decisions}) == len(
+            set(profile.decisions)
+        )
+        store = SessionStore(tmp_path / "store")
+        store.store_profile(("p",), profile, perf)
+        (entry,) = entry_paths(store, "profile")
+        # 25 637 B when every packet pickled its own decision tuple.
+        assert entry.stat().st_size < 10_000
+        assert store.load_profile(("p",))[0] == profile
+
+
 class TestEviction:
     def write_sized(self, store, key, payload_bytes):
         store.store_compile(key, b"x" * payload_bytes)
@@ -357,6 +395,37 @@ class TestFaultInjection:
             )
             ours = {name for name in named if name.startswith("repro.")}
             assert ours and ours <= set(_FINGERPRINTED_MODULES), kind
+
+    def test_code_fingerprint_covers_the_probe_tasks_imports(self):
+        """What a probe answers is computed by its task and everything
+        the task imports: a simulator fix must retire the profiles the
+        old simulator stored, not only a change to a pickled class."""
+        from repro.analysis.structure import analyse
+        from repro.core.profiler import Profiler
+        from repro.target.compiler import compile_program
+
+        roots = [compile_program.__module__, Profiler.run.__module__,
+                 analyse.__module__]
+        closure, pending = set(), list(roots)
+        while pending:
+            name = pending.pop()
+            if name in closure:
+                continue
+            closure.add(name)
+            source = importlib.util.find_spec(name).origin
+            for node in ast.walk(ast.parse(Path(source).read_text())):
+                if isinstance(node, ast.Import):
+                    named = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    named = [node.module]
+                else:
+                    continue
+                pending.extend(
+                    n for n in named
+                    if n == "repro" or n.startswith("repro.")
+                )
+        assert "repro.sim.plan" in closure
+        assert sorted(closure - set(_FINGERPRINTED_MODULES)) == []
 
     def test_garbage_manifest_forces_cold_start(self, tmp_path):
         store = SessionStore(tmp_path / "store")
