@@ -16,7 +16,7 @@ inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.exceptions import ReproError
 from repro.p4.control import Apply, ControlNode, If, Seq
@@ -259,26 +259,3 @@ class ControlGraph:
             if table_a in tables and table_b in tables:
                 return True
         return False
-
-    def statically_exclusive(self, table_a: str, table_b: str) -> bool:
-        """No feasible path applies both tables."""
-        return not self.may_coexecute(table_a, table_b)
-
-    def tables_reached(self) -> Set[str]:
-        out: Set[str] = set()
-        for path in self.paths:
-            out.update(path.tables())
-        return out
-
-    def path_count(self) -> int:
-        return len(self.paths)
-
-    def table_pairs_in_order(self) -> Set[Tuple[str, str]]:
-        """(A, B) pairs where A is applied before B on some feasible path."""
-        out: Set[Tuple[str, str]] = set()
-        for path in self.paths:
-            tables = path.tables()
-            for i, a in enumerate(tables):
-                for b in tables[i + 1 :]:
-                    out.add((a, b))
-        return out

@@ -53,12 +53,6 @@ class Digraph(Generic[N]):
     def successors(self, node: N) -> Dict[N, int]:
         return dict(self._succ.get(node, {}))
 
-    def predecessors(self, node: N) -> Set[N]:
-        return set(self._pred.get(node, set()))
-
-    def has_edge(self, src: N, dst: N) -> bool:
-        return dst in self._succ.get(src, {})
-
     def weight(self, src: N, dst: N) -> int:
         try:
             return self._succ[src][dst]

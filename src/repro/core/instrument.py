@@ -30,9 +30,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.profiler import ActionPair, Profile
 from repro.exceptions import ProfilingError
 from repro.p4.actions import ModifyField
 from repro.p4.expressions import Const, FieldRef
@@ -97,31 +96,7 @@ class InstrumentedProgram:
         self, headers: Dict[str, Dict[str, int]]
     ) -> List[Tuple[str, str]]:
         """(table, action) pairs whose bit is set in a final PHV."""
-        return self._set_pairs(headers.get(PROFILE_HEADER, {}))
-
-    def decode_packet_bits(self, output: bytes) -> List[Tuple[str, str]]:
-        """Decode the profiling header straight off an emitted packet.
-
-        The profiling header sits between the (original) parsed headers and
-        the payload; we locate it by re-parsing the packet with the
-        original program's parser.  Only valid for programs that do not
-        add/remove packet headers during processing — the PHV-based decode
-        above has no such restriction.
-        """
-        from repro.sim.parser_engine import parse_packet
-        from repro.packets.packet import unpack_fields
-
-        parsed = parse_packet(self.original, output)
-        header_bytes = len(output) - len(parsed.payload)
-        profile_type = self.program.header_types[PROFILE_HEADER_TYPE]
-        blob = output[header_bytes : header_bytes + profile_type.byte_width]
-        if len(blob) < profile_type.byte_width:
-            raise ProfilingError(
-                "output packet too short to carry the profiling header"
-            )
-        return self._set_pairs(unpack_fields(profile_type, blob))
-
-    def _set_pairs(self, values: Dict[str, int]) -> List[Tuple[str, str]]:
+        values = headers.get(PROFILE_HEADER, {})
         return [
             pair for pair, field_name in self.bit_fields.items()
             if values.get(field_name)
@@ -186,12 +161,14 @@ def reference_profile(
     program: Program,
     config: RuntimeConfig,
     trace: Sequence[TracePacket],
-) -> Profile:
-    """The §3.1 profile, built the paper's way: replay
+) -> Dict[str, object]:
+    """The §3.1 aggregates, built the paper's way: replay
     ``instrument(program)`` and read each packet's executed
     ``(table, action)`` pairs off its profiling bits.  The bits cannot
     tell a hit from a miss's default action, so hits, applied tables
-    and forwarding decisions are read off the result."""
+    and forwarding decisions are read off the result.  Keyed by the
+    name of the :class:`~repro.core.profiler.Profile` view each value
+    must equal."""
     instrumented = instrument(program)
     switch = BehavioralSwitch(
         instrumented.program, instrumented.adapt_config(config)
@@ -201,24 +178,13 @@ def reference_profile(
         frozenset(instrumented.decode_result_bits(r.headers)) for r in results
     ]
     steps = [step for result in results for step in result.steps]
-    hit_pairs: Set[ActionPair] = set()
-    for pairs, result in zip(bits, results):
-        hits = {step.table for step in result.steps if step.hit}
-        hit_pairs.update(pair for pair in pairs if pair[0] in hits)
-    return Profile(
-        program_name=program.name,
-        total_packets=len(results),
-        apply_counts=dict(Counter(step.table for step in steps)),
-        hit_counts=dict(Counter(step.table for step in steps if step.hit)),
-        action_counts=dict(Counter(pair for pairs in bits for pair in pairs)),
-        nonexclusive_sets={pairs for pairs in bits if pairs},
-        decisions=tuple(r.forwarding_decision() for r in results),
-        apply_sets=dict(
-            Counter(
-                frozenset(step.table for step in r.steps)
-                for r in results
-                if r.steps
-            )
+    return {
+        "total_packets": len(results),
+        "apply_counts": dict(Counter(step.table for step in steps)),
+        "hit_counts": dict(Counter(step.table for step in steps if step.hit)),
+        "action_counts": dict(
+            Counter(pair for pairs in bits for pair in pairs)
         ),
-        hit_pairs=frozenset(hit_pairs),
-    )
+        "nonexclusive_sets": {pairs for pairs in bits if pairs},
+        "decisions": tuple(r.forwarding_decision() for r in results),
+    }

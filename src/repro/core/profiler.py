@@ -10,17 +10,19 @@ simulator also hands back each packet's step log
 hit)`` per table application), so the profile is a fold over those
 steps of the program *as written* — :func:`path_facts` is the one
 fold.  A trace takes only as many distinct step logs as the program has
-control paths (tens, against thousands of packets), so
-:meth:`Profiler.run` folds each distinct step log once and weights it
-by its packet count.  The §3.1 instrumented replay is kept as the reference
-this fold is held to (:func:`repro.core.instrument.reference_profile`;
+control paths (tens, against thousands of packets), so a
+:class:`Profile` stores what the replay saw — packets per distinct step
+log, plus each packet's forwarding decision — and every aggregate is a
+view that folds each path once, weighted by its packet count.  The §3.1
+instrumented replay is kept as the reference those views are held to
+(:func:`repro.core.instrument.reference_profile`;
 ``tests/test_profiling_engine.py`` and the fuzz ``engine`` axis compare
-every field).
+them one by one).
 
 Replay goes through the simulator's batched entry point
 (:meth:`~repro.sim.switch.BehavioralSwitch.process_many`): match
 structures and the execution plan compile once per run, each result is
-folded as the replay produces it (no result list outlives the replay),
+counted as the replay produces it (no result list outlives the replay),
 a session's trace is parsed once for all its replays
 (:class:`~repro.sim.switch.ReplayTrace`), and
 :meth:`Profiler.run` returns the run's
@@ -34,7 +36,7 @@ the engine and on the reference interpreter
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, fields
 from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.p4.program import Program
@@ -47,30 +49,112 @@ from repro.traffic.generators import TracePacket
 ActionPair = Tuple[str, str]  # (table, action)
 
 
-@dataclass
-class Profile:
-    """The execution profile of one program on one trace."""
+class PathFacts(NamedTuple):
+    """What one step log says — the unit a profile folds."""
 
-    program_name: str
+    #: ``(table, action)`` of every table application.
+    pairs: FrozenSet[ActionPair]
+    #: Tables whose lookup hit.
+    hit_tables: FrozenSet[str]
+    #: Tables applied, hit or miss.
+    applied: FrozenSet[str]
+
+
+def path_facts(steps: Tuple[ExecutionStep, ...]) -> PathFacts:
+    """Fold one step log (a :attr:`~repro.sim.switch.SwitchResult.steps`
+    as a tuple, so that callers can key on it)."""
+    return PathFacts(
+        pairs=frozenset((step.table, step.action) for step in steps),
+        hit_tables=frozenset(step.table for step in steps if step.hit),
+        applied=frozenset(step.table for step in steps),
+    )
+
+
+class _Views(NamedTuple):
+    """A profile's paths folded once: each path's facts with its packet
+    count, and the §3.1 aggregates summed over them (dict keys in
+    first-seen order, as a per-packet fold would add them)."""
+
+    facts: Tuple[Tuple[PathFacts, int], ...]
     total_packets: int
     apply_counts: Dict[str, int]
     hit_counts: Dict[str, int]
     action_counts: Dict[ActionPair, int]
     nonexclusive_sets: Set[FrozenSet[ActionPair]]
+
+    @classmethod
+    def fold(cls, paths: Dict[Tuple[ExecutionStep, ...], int]) -> "_Views":
+        facts = tuple((path_facts(steps), n) for steps, n in paths.items())
+        apply_counts: Counter = Counter()
+        hit_counts: Counter = Counter()
+        action_counts: Counter = Counter()
+        for (pairs, hit_tables, applied), count in facts:
+            for table in applied:
+                apply_counts[table] += count
+            for table in hit_tables:
+                hit_counts[table] += count
+            for pair in pairs:
+                action_counts[pair] += count
+        return cls(
+            facts=facts,
+            total_packets=sum(paths.values()),
+            apply_counts=dict(apply_counts),
+            hit_counts=dict(hit_counts),
+            action_counts=dict(action_counts),
+            nonexclusive_sets={
+                pairs for (pairs, _h, _a), _n in facts if pairs
+            },
+        )
+
+
+@dataclass
+class Profile:
+    """The execution profile of one program on one trace: what its
+    replay saw.  Every §3.1 aggregate is a read-only view of ``paths``,
+    folded through :func:`path_facts` once per profile on first read;
+    that fold is never pickled or compared."""
+
+    program_name: str
+    #: Packets per distinct step log, in first-seen order.
+    paths: Dict[Tuple[ExecutionStep, ...], int]
     #: Per-packet forwarding decisions (egress, dropped, to_controller) —
-    #: used by behaviour-preservation checks.
-    decisions: Tuple[Tuple[int, bool, bool], ...] = ()
-    #: Distinct per-packet applied-table sets -> packet counts.  Per-table
-    #: apply/hit counts cannot answer "how many packets traversed *any* of
-    #: these tables" when the tables are reached by disjoint packet sets
-    #: (summing double-counts, taking the max undercounts); the offline
-    #: re-check of an offload's budget needs the true union, so the
-    #: profiler keeps the set-valued aggregate (bounded by the number of
-    #: distinct table combinations the control flow can produce).
-    apply_sets: Dict[FrozenSet[str], int] = dc_field(default_factory=dict)
-    #: Pairs applied on some packet where their table *hit* (the rest
-    #: only ever ran as a miss's default action).
-    hit_pairs: FrozenSet[ActionPair] = frozenset()
+    #: used by behaviour-preservation checks.  Equal decisions share one
+    #: tuple, so a stored profile pickles each distinct one once.
+    decisions: Tuple[Tuple[int, bool, bool], ...]
+
+    def _fold(self) -> _Views:
+        views = self.__dict__.get("_folded")
+        if views is None:
+            views = self.__dict__["_folded"] = _Views.fold(self.paths)
+        return views
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @property
+    def total_packets(self) -> int:
+        """Packets replayed."""
+        return self._fold().total_packets
+
+    @property
+    def apply_counts(self) -> Dict[str, int]:
+        """Packets each table was applied to (hit or miss)."""
+        return self._fold().apply_counts
+
+    @property
+    def hit_counts(self) -> Dict[str, int]:
+        """Packets whose lookup in each table hit."""
+        return self._fold().hit_counts
+
+    @property
+    def action_counts(self) -> Dict[ActionPair, int]:
+        """Packets each ``(table, action)`` was applied to."""
+        return self._fold().action_counts
+
+    @property
+    def nonexclusive_sets(self) -> Set[FrozenSet[ActionPair]]:
+        """The distinct per-packet sets of applied actions (Table 1)."""
+        return self._fold().nonexclusive_sets
 
     def hit_rate(self, table: str) -> float:
         """Fraction of all packets that *matched* the table."""
@@ -93,8 +177,8 @@ class Profile:
         wanted = frozenset(tables)
         covered = sum(
             count
-            for applied, count in self.apply_sets.items()
-            if applied & wanted
+            for facts, count in self._fold().facts
+            if facts.applied & wanted
         )
         return covered / self.total_packets
 
@@ -122,20 +206,17 @@ class Profile:
         the packets where ``src`` hits, so any such packet proves the
         rewrite would change behaviour on this trace.
         """
-        for group in self.nonexclusive_sets:
-            if not any(
-                pair[0] == src and pair in self.hit_pairs
-                for pair in group
-            ):
-                continue
-            if any(pair[0] == table for pair in group):
-                return True
-        return False
+        return any(
+            src in facts.hit_tables and table in facts.applied
+            for facts, _count in self._fold().facts
+        )
 
     def hit_action_sets(self) -> List[FrozenSet[ActionPair]]:
-        """Observed sets restricted to *hit* actions (Table 1's view)."""
+        """Each packet's applied actions restricted to the tables it
+        *hit* (Table 1's view), distinct and non-empty."""
         filtered = {
-            group & self.hit_pairs for group in self.nonexclusive_sets
+            frozenset(p for p in facts.pairs if p[0] in facts.hit_tables)
+            for facts, _count in self._fold().facts
         } - {frozenset()}
         return sorted(filtered, key=lambda g: (len(g), sorted(g)))
 
@@ -187,27 +268,6 @@ class Profile:
         return reasons
 
 
-class PathFacts(NamedTuple):
-    """What one step log says — the unit a profile folds."""
-
-    #: ``(table, action)`` of every table application.
-    pairs: FrozenSet[ActionPair]
-    #: Tables whose lookup hit.
-    hit_tables: FrozenSet[str]
-    #: Tables applied, hit or miss.
-    applied: FrozenSet[str]
-
-
-def path_facts(steps: Tuple[ExecutionStep, ...]) -> PathFacts:
-    """Fold one step log (a :attr:`~repro.sim.switch.SwitchResult.steps`
-    as a tuple, so that callers can key on it)."""
-    return PathFacts(
-        pairs=frozenset((step.table, step.action) for step in steps),
-        hit_tables=frozenset(step.table for step in steps if step.hit),
-        applied=frozenset(step.table for step in steps),
-    )
-
-
 class _ReplaySink:
     """What :meth:`Profiler.run` keeps of each result as the replay
     produces it: packets per step log, in first-seen order, and the
@@ -219,12 +279,13 @@ class _ReplaySink:
     __slots__ = ("paths", "decisions", "_seen")
 
     def __init__(self):
-        self.paths: Counter = Counter()
+        self.paths: Dict[Tuple[ExecutionStep, ...], int] = {}
         self.decisions: List[Tuple[int, bool, bool]] = []
         self._seen: Dict[Tuple[int, bool, bool], Tuple[int, bool, bool]] = {}
 
     def append(self, result) -> None:
-        self.paths[tuple(result.steps)] += 1
+        steps = tuple(result.steps)
+        self.paths[steps] = self.paths.get(steps, 0) + 1
         decision = result.forwarding_decision()
         self.decisions.append(self._seen.setdefault(decision, decision))
 
@@ -243,37 +304,10 @@ class Profiler:
         (packets/s, per-table lookups, …)."""
         switch = BehavioralSwitch(self.program, self.config)
         sink = switch.process_many(trace, into=_ReplaySink())
-        # Paths in first-seen order, so every dict below gets its keys
-        # in the order a per-packet fold would have added them.
-        paths = sink.paths
-        apply_counts: Counter = Counter()
-        hit_counts: Counter = Counter()
-        action_counts: Counter = Counter()
-        apply_sets: Counter = Counter()
-        nonexclusive_sets: Set[FrozenSet[ActionPair]] = set()
-        hit_pairs: List[ActionPair] = []
-        for steps, count in paths.items():
-            pairs, hit_tables, applied = path_facts(steps)
-            for table in applied:
-                apply_counts[table] += count
-            for table in hit_tables:
-                hit_counts[table] += count
-            for pair in pairs:
-                action_counts[pair] += count
-            if pairs:
-                nonexclusive_sets.add(pairs)
-                apply_sets[applied] += count
-            hit_pairs.extend(a for a in pairs if a[0] in hit_tables)
         profile = Profile(
             program_name=self.program.name,
-            total_packets=len(sink.decisions),
-            apply_counts=dict(apply_counts),
-            hit_counts=dict(hit_counts),
-            action_counts=dict(action_counts),
-            nonexclusive_sets=nonexclusive_sets,
+            paths=sink.paths,
             decisions=tuple(sink.decisions),
-            apply_sets=dict(apply_sets),
-            hit_pairs=frozenset(hit_pairs),
         )
         return profile, switch.perf
 

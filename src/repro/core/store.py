@@ -115,6 +115,10 @@ KINDS = ("compile", "profile", "analysis")
 #: Suffixes of files in the entry directories that are not entries.
 _NON_ENTRY_SUFFIXES = (".tmp", ".lease")
 
+#: A manifest that can never equal the expected one: a garbage file, or
+#: entries found with no manifest at all.
+_UNTRUSTED = {"schema": None, "code": None}
+
 
 def human_bytes(count: int) -> str:
     """``1234567`` → ``"1.2 MiB"`` (exact bytes below 1 KiB)."""
@@ -371,11 +375,14 @@ class SessionStore:
                 self._dir(kind).mkdir(parents=True, exist_ok=True)
             expected = {"schema": SCHEMA_VERSION, "code": self.code_fp}
             manifest = self._read_manifest()
+            if manifest is None and self._has_entries():
+                # Entries but no manifest.  A writer writes its manifest
+                # before its first entry, so either a peer started on
+                # this fresh root since the read (its manifest is there
+                # now) or the manifest was lost while entries survived,
+                # which is untrustworthy.
+                manifest = self._read_manifest() or _UNTRUSTED
             if manifest is None:
-                # Fresh directory — or one whose manifest was lost while
-                # entries survived, which is just as untrustworthy.
-                if self._has_entries():
-                    self._invalidate()
                 self._write_manifest(expected)
             elif manifest != expected:
                 self._invalidate()
@@ -400,9 +407,8 @@ class SessionStore:
             }
         except (ValueError, KeyError, TypeError):
             # Unreadable/garbage manifest: report it as a mismatch (the
-            # caller quarantines and rewrites) by returning a value that
-            # can never equal the expected manifest.
-            return {"schema": None, "code": None}
+            # caller quarantines and rewrites).
+            return _UNTRUSTED
 
     def _write_manifest(self, manifest: Dict) -> None:
         self._atomic_write(

@@ -19,7 +19,8 @@ disagreement:
     reference interpreter, and the step-log profile
     (:class:`~repro.core.profiler.Profiler`) vs the §3.1 instrumented
     replay (:func:`~repro.core.instrument.reference_profile`) on every
-    profile field, on both the original and the optimized program.
+    aggregate it reads off the profiling bits, view by view, on both the
+    original and the optimized program.
 ``workers``
     ``workers=1`` vs ``workers=4`` pipeline runs must produce
     byte-identical results (program, config, counters, decisions).
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import traceback
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.controller.equivalence import check_result, compare_behavior
@@ -46,7 +47,7 @@ from repro.core.drift import recheck
 from repro.core.instrument import reference_profile
 from repro.core.observations import Verdict
 from repro.core.pipeline import P2GO, P2GOResult
-from repro.core.profiler import Profile, Profiler
+from repro.core.profiler import Profiler
 from repro.core.seed_pipeline import run_seed
 from repro.core.session import config_fingerprint, program_fingerprint
 from repro.fuzz.generator import GeneratedCase
@@ -209,8 +210,8 @@ def _check_engine(case: GeneratedCase) -> Optional[AxisFailure]:
         folded = Profiler(program, config.clone()).profile(case.trace)
         reference = reference_profile(program, config.clone(), case.trace)
         differing = [
-            f.name for f in fields(Profile)
-            if getattr(folded, f.name) != getattr(reference, f.name)
+            name for name, value in reference.items()
+            if getattr(folded, name) != value
         ]
         if differing:
             return AxisFailure(

@@ -88,17 +88,6 @@ class ParserSpec:
 
         visit(self.start)
 
-    def reachable_states(self) -> Set[str]:
-        seen: Set[str] = set()
-        stack = [self.start]
-        while stack:
-            name = stack.pop()
-            if name in seen or name == ACCEPT:
-                continue
-            seen.add(name)
-            stack.extend(self.states[name].next_states())
-        return seen
-
     def valid_header_sets(self) -> List[FrozenSet[str]]:
         """Enumerate all header-validity sets the parser can produce.
 
@@ -126,28 +115,3 @@ class ParserSpec:
                 seen.add(s)
                 unique.append(s)
         return unique
-
-    def headers_extracted(self) -> Set[str]:
-        out: Set[str] = set()
-        for state in self.states.values():
-            out.update(state.extracts)
-        return out
-
-    def may_both_be_valid(self, a: str, b: str) -> bool:
-        """Can headers ``a`` and ``b`` both be valid on some parsed packet?"""
-        if a == b:
-            return True
-        return any(
-            a in s and b in s for s in self.valid_header_sets()
-        )
-
-    def implies_valid(self, a: str, b: str) -> bool:
-        """Does ``valid(a)`` imply ``valid(b)`` for every parsed packet?
-
-        Used by the dependency-removal rewrite (§3.2) to prove that moving a
-        guarded apply into another table's miss branch cannot orphan it —
-        e.g. every DHCP packet is also a UDP packet.
-        """
-        return all(
-            b in s for s in self.valid_header_sets() if a in s
-        )

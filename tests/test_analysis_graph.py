@@ -18,8 +18,8 @@ class TestBasics:
         g = chain("a", "b", "c")
         assert g.nodes() == {"a", "b", "c"}
         assert ("a", "b", 1) in g.edges()
-        assert g.has_edge("a", "b")
-        assert not g.has_edge("b", "a")
+        assert "b" in g.successors("a")
+        assert "a" not in g.successors("b")
 
     def test_parallel_edges_keep_heaviest(self):
         g = Digraph()
@@ -30,7 +30,7 @@ class TestBasics:
 
     def test_predecessors_successors(self):
         g = chain("a", "b", "c")
-        assert g.predecessors("c") == {"b"}
+        assert {src for src, dst, _w in g.edges() if dst == "c"} == {"b"}
         assert g.successors("a") == {"b": 1}
 
     def test_missing_weight_raises(self):
@@ -134,4 +134,4 @@ def test_longest_path_consistency(edge_pairs):
     assert len(path) >= 1
     # The returned path is genuinely a path.
     for src, dst in zip(path, path[1:]):
-        assert g.has_edge(src, dst)
+        assert dst in g.successors(src)

@@ -15,13 +15,17 @@ from repro.p4 import (
 from tests.conftest import build_toy_program
 
 
+def _tables_reached(cg):
+    return {table for path in cg.paths for table in path.tables()}
+
+
 class TestPathEnumeration:
     def test_toy_program_paths(self, toy_program):
         cg = ControlGraph(toy_program)
         # Feasible validity combos: none/ipv4/ipv4+udp, times hit/miss
         # outcomes of the applied tables.
-        assert cg.path_count() > 0
-        assert cg.tables_reached() == {"fib", "acl"}
+        assert cg.paths
+        assert _tables_reached(cg) == {"fib", "acl"}
 
     def test_keyless_table_always_misses(self):
         b = ProgramBuilder("p")
@@ -77,7 +81,7 @@ class TestParserFeasibility:
 
     def test_parser_exclusive_tables(self):
         cg = ControlGraph(self.build_branching())
-        assert cg.statically_exclusive("t_dns", "t_dhcp")
+        assert not cg.may_coexecute("t_dns", "t_dhcp")
 
     def test_contradictory_validity_paths_pruned(self):
         cg = ControlGraph(self.build_branching())
@@ -101,7 +105,7 @@ class TestParserFeasibility:
             )
         )
         cg = ControlGraph(b.build())
-        assert cg.statically_exclusive("t1", "t2")
+        assert not cg.may_coexecute("t1", "t2")
 
 
 class TestFirewallExclusivity:
@@ -110,17 +114,22 @@ class TestFirewallExclusivity:
         cg = ControlGraph(firewall_program)
         for sketch_table in ("Sketch_1", "Sketch_2", "Sketch_Min",
                              "DNS_Drop"):
-            assert cg.statically_exclusive("ACL_DHCP", sketch_table)
+            assert not cg.may_coexecute("ACL_DHCP", sketch_table)
 
     def test_acl_udp_not_exclusive_with_dhcp(self, firewall_program):
         """Statically, a packet can be both UDP and DHCP — the 'fake'
         dependency only profiling can dismiss (§3.2)."""
         cg = ControlGraph(firewall_program)
-        assert not cg.statically_exclusive("ACL_UDP", "ACL_DHCP")
+        assert cg.may_coexecute("ACL_UDP", "ACL_DHCP")
 
     def test_ordered_pairs(self, firewall_program):
         cg = ControlGraph(firewall_program)
-        pairs = cg.table_pairs_in_order()
+        pairs = {
+            (a, b)
+            for path in cg.paths
+            for i, a in enumerate(path.tables())
+            for b in path.tables()[i + 1:]
+        }
         assert ("IPv4", "ACL_UDP") in pairs
         assert ("ACL_UDP", "IPv4") not in pairs
 
@@ -166,15 +175,15 @@ class TestConjunctionGuards:
         the two features statically exclusive — the property the
         telemetry program's redirect tables rely on to share a stage."""
         cg = ControlGraph(self.build())
-        assert cg.statically_exclusive("t_udp", "t_probe")
+        assert not cg.may_coexecute("t_udp", "t_probe")
 
     def test_untaken_conjunction_implies_nothing(self):
         """Not taking a conjunction doesn't pin either conjunct, so no
         path is spuriously pruned: t_udp is still reachable both with
         and without the probe guard."""
         cg = ControlGraph(self.build())
-        assert "t_udp" in cg.tables_reached()
-        assert "t_probe" in cg.tables_reached()
+        assert "t_udp" in _tables_reached(cg)
+        assert "t_probe" in _tables_reached(cg)
 
 
 class TestMissBranchExclusivity:

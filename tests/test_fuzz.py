@@ -48,6 +48,7 @@ from repro.p4 import (
     Seq,
 )
 from repro.packets.craft import udp_packet
+from repro.sim.events import ExecutionStep
 from repro.sim.runtime import RuntimeConfig
 from repro.target.compiler import compile_program
 from repro.target.model import DEFAULT_TARGET
@@ -313,15 +314,14 @@ def test_phase2_relocation_respects_hit_coapplication():
 def test_hit_coapplied_with_table_unit():
     profile = Profile(
         program_name="p",
-        total_packets=2,
-        apply_counts={"a": 2, "b": 2},
-        hit_counts={"a": 1},
-        action_counts={("a", "hit_act"): 1, ("b", "dflt"): 2},
-        nonexclusive_sets={
-            frozenset({("a", "hit_act"), ("b", "dflt")}),
-            frozenset({("b", "dflt")}),
+        paths={
+            (
+                ExecutionStep("a", "hit_act", True),
+                ExecutionStep("b", "dflt", False),
+            ): 1,
+            (ExecutionStep("b", "dflt", False),): 1,
         },
-        hit_pairs=frozenset({("a", "hit_act")}),
+        decisions=((0, False, False),) * 2,
     )
     assert profile.hit_coapplied_with_table("a", "b")
     assert not profile.hit_coapplied_with_table("b", "a")

@@ -11,13 +11,16 @@ import pytest
 from repro.analysis.dependencies import build_dependency_graph
 from repro.core.instrument import (
     PROFILE_HEADER,
+    PROFILE_HEADER_TYPE,
     instrument,
 )
 from repro.exceptions import ProfilingError
 from repro.p4 import ProgramBuilder
 from repro.packets.craft import dns_query, udp_packet
+from repro.packets.packet import unpack_fields
 from repro.programs import example_firewall
 from repro.sim import BehavioralSwitch
+from repro.sim.parser_engine import parse_packet
 from repro.target import compile_program
 from tests.conftest import build_toy_program, toy_config
 
@@ -164,9 +167,23 @@ class TestDecoding:
         ):
             result = switch.process(pkt)
             from_phv = set(instrumented.decode_result_bits(result.headers))
-            from_bytes = set(
-                instrumented.decode_packet_bits(result.output_bytes)
+            # The profiling header sits between the original headers and
+            # the payload: re-parse with the original parser to find it.
+            output = result.output_bytes
+            start = len(output) - len(
+                parse_packet(program, output).payload
             )
+            profile_type = instrumented.program.header_types[
+                PROFILE_HEADER_TYPE
+            ]
+            values = unpack_fields(
+                profile_type,
+                output[start:start + profile_type.byte_width],
+            )
+            from_bytes = {
+                pair for pair, name in instrumented.bit_fields.items()
+                if values[name]
+            }
             assert from_bytes == from_phv
 
     def test_adapt_config_rejects_unknown_table(self):

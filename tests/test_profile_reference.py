@@ -1,15 +1,15 @@
-"""The profile fold against a naive per-packet reference, and its work
-bound.
+"""The profile's views against a naive per-packet reference, and the
+fold's work bound.
 
-:meth:`~repro.core.profiler.Profiler.run` folds each *distinct* step log
-once and weights it by its packet count.  That must be invisible in the
-output, down to the bytes a stored profile pickles to (its decisions
-by value: the profile shares one tuple per distinct decision), so over
-every bit-identity input and the fuzz generator's CI corpus the profile
-is held to :func:`reference_fields`: every packet's step log folded on
-its own, in trace order.  The reference replays with the switch and
-shares only the :class:`~repro.core.profiler.Profile` field names; it
-calls no ``repro.core.profiler`` code.
+A :class:`~repro.core.profiler.Profile` stores packets per distinct step
+log and folds each path once, weighted by its packet count, when a view
+is first read.  That must be invisible in every view, before and after
+the profile goes through pickle (a stored profile is its three fields),
+so over every bit-identity input and the fuzz generator's CI corpus the
+profile is held to :func:`reference_views`: every packet's step log
+folded on its own, in trace order.  The reference replays with the
+switch and shares only the view names; it calls no
+``repro.core.profiler`` code.
 
 The last test counts work without a clock: a cold optimize calls the
 fold at most once per distinct step log of each replay it executes, and
@@ -31,14 +31,26 @@ from repro.programs import example_firewall as fw
 from repro.sim import BehavioralSwitch
 from tests.test_profiling_engine import BIT_IDENTITY_INPUTS, _fresh_config
 
+#: The views compared by value; the dicts among them also by key order.
+VIEWS = (
+    "paths",
+    "total_packets",
+    "apply_counts",
+    "hit_counts",
+    "action_counts",
+    "nonexclusive_sets",
+    "decisions",
+)
 
-def reference_fields(program, config, trace):
-    """The profile of ``trace`` as a per-packet fold, field by field in
-    ``Profile``'s order: dict keys in first-seen order, set members
-    inserted packet by packet."""
+
+def reference_views(program, config, trace):
+    """The profile of ``trace`` as a per-packet fold, view by view: dict
+    keys in first-seen order; each hit query answered packet by packet
+    for every ordered table pair."""
     results = BehavioralSwitch(program, config).process_many(trace)
     packets = [
         (
+            tuple(r.steps),
             frozenset((step.table, step.action) for step in r.steps),
             frozenset(step.table for step in r.steps if step.hit),
             frozenset(step.table for step in r.steps),
@@ -46,47 +58,64 @@ def reference_fields(program, config, trace):
         )
         for r in results
     ]
+    tables = list(program.tables)
     return {
-        "program_name": program.name,
+        "paths": dict(Counter(steps for steps, *_rest in packets)),
         "total_packets": len(packets),
         "apply_counts": dict(
-            Counter(t for _p, _h, applied, _d in packets for t in applied)
+            Counter(t for _s, _p, _h, applied, _d in packets for t in applied)
         ),
         "hit_counts": dict(
-            Counter(t for _p, hits, _a, _d in packets for t in hits)
+            Counter(t for _s, _p, hits, _a, _d in packets for t in hits)
         ),
         "action_counts": dict(
-            Counter(a for pairs, _h, _a, _d in packets for a in pairs)
+            Counter(a for _s, pairs, _h, _a, _d in packets for a in pairs)
         ),
         "nonexclusive_sets": {
-            pairs for pairs, _h, _a, _d in packets if pairs
+            pairs for _s, pairs, _h, _a, _d in packets if pairs
         },
         "decisions": tuple(decision for *_facts, decision in packets),
-        "apply_sets": dict(
-            Counter(applied for _p, _h, applied, _d in packets if applied)
-        ),
-        "hit_pairs": frozenset(
-            a
-            for pairs, hits, _a, _d in packets
-            for a in pairs
-            if a[0] in hits
-        ),
+        "hit_coapplied_with_table": {
+            (src, dst): any(
+                src in hits and dst in applied
+                for _s, _p, hits, applied, _d in packets
+            )
+            for src in tables
+            for dst in tables
+        },
+        "hit_action_sets": {
+            frozenset(a for a in pairs if a[0] in hits)
+            for _s, pairs, hits, _a, _d in packets
+        } - {frozenset()},
     }
 
 
+def _assert_views_equal(profile, expected):
+    for name in VIEWS:
+        got, want = getattr(profile, name), expected[name]
+        assert got == want, name
+        if isinstance(want, dict):
+            assert list(got) == list(want), name
+    for (src, dst), want in expected["hit_coapplied_with_table"].items():
+        assert profile.hit_coapplied_with_table(src, dst) == want, (src, dst)
+    sets = profile.hit_action_sets()
+    assert len(sets) == len(expected["hit_action_sets"])
+    assert set(sets) == expected["hit_action_sets"]
+
+
 def _assert_profile_pickles_as_reference(program, fresh_config, trace):
+    """The fresh profile and its pickled round trip both read as the
+    per-packet fold; the round trip carries the three fields and none
+    of the fold the views cached."""
     profile, _perf = profiler_module.Profiler(program, fresh_config()).run(
         trace
     )
-    expected = reference_fields(program, fresh_config(), trace)
-    fields = dict(vars(profile))
-    assert list(fields) == list(expected)
-    # The profile shares one tuple per distinct decision, which pickles
-    # each repeat as a memo reference; the per-packet reference makes a
-    # fresh tuple per packet.  So decisions compare by value, and every
-    # other field byte for byte (a dataclass pickles its __dict__).
-    assert fields.pop("decisions") == expected.pop("decisions")
-    assert pickle.dumps(fields) == pickle.dumps(expected)
+    expected = reference_views(program, fresh_config(), trace)
+    _assert_views_equal(profile, expected)
+    stored = pickle.loads(pickle.dumps(profile))
+    assert list(vars(stored)) == ["program_name", "paths", "decisions"]
+    assert stored == profile
+    _assert_views_equal(stored, expected)
 
 
 @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_INPUTS))

@@ -9,8 +9,21 @@ from repro.core.instrument import InstrumentedProgram
 from repro.core.pipeline import P2GO
 from repro.core.profiler import Profile, Profiler, profile_program
 from repro.core.serve import ContinuousOptimizer, GeneratorFeed
+from repro.p4 import (
+    Apply,
+    BinOp,
+    Const,
+    FieldRef,
+    If,
+    ModifyField,
+    ProgramBuilder,
+    Seq,
+)
 from repro.packets.craft import udp_packet
+from repro.packets.packet import pack_fields
 from repro.programs import example_firewall as fw
+from repro.sim.events import ExecutionStep
+from repro.sim.runtime import RuntimeConfig
 from tests.conftest import TRACE_SIZE, build_toy_program, toy_config
 
 
@@ -57,9 +70,13 @@ class TestToyProfile:
         assert profile.traversal_rate(["ghost"]) == 0.0
 
     def test_apply_sets_partition_the_trace(self, profile):
-        # Every packet lands in exactly one applied-table set.
-        assert sum(profile.apply_sets.values()) == profile.total_packets
-        assert profile.apply_sets[frozenset({"fib", "acl"})] == 4
+        # Every packet lands in exactly one path; all four apply both
+        # tables.
+        assert sum(profile.paths.values()) == profile.total_packets
+        assert all(
+            {step.table for step in steps} == {"fib", "acl"}
+            for steps in profile.paths
+        )
 
     def test_traversal_rate_is_union_over_packets(self, profile):
         assert profile.traversal_rate(["fib"]) == 1.0
@@ -133,6 +150,69 @@ class TestFirewallProfile:
         assert len(firewall_profile.decisions) == TRACE_SIZE
 
 
+class TestExactHitQueries:
+    """The hit queries answer packet by packet.  ``t_src``'s one action
+    is both an entry action and its default: one packet hits ``t_src``
+    and never reaches ``t_dst``; another misses ``t_src`` into the same
+    action, reaches ``t_dst`` and hits it.  No packet both hits
+    ``t_src`` and traverses ``t_dst``, and no packet hits both."""
+
+    @pytest.fixture(scope="class")
+    def profile(self):
+        b = ProgramBuilder("exact_hits")
+        b.header_type(
+            "ipv4_t", [("dscp", 8), ("srcAddr", 32), ("dstAddr", 32)]
+        )
+        b.header("ipv4", "ipv4_t")
+        b.parser_state("start", extracts=["ipv4"])
+        b.parser_start("start")
+        b.action("mark_a", [ModifyField(FieldRef("ipv4", "dscp"), Const(7))])
+        b.action("mark_b", [ModifyField(FieldRef("ipv4", "dscp"), Const(9))])
+        b.table(
+            "t_src", keys=[("ipv4.dstAddr", "exact")], actions=["mark_a"],
+            default_action="mark_a", size=8,
+        )
+        b.table(
+            "t_dst", keys=[("ipv4.srcAddr", "exact")], actions=["mark_b"],
+            size=8,
+        )
+        b.ingress(Seq([
+            Apply("t_src"),
+            If(
+                BinOp("==", FieldRef("ipv4", "srcAddr"), Const(0x0A000002)),
+                Apply("t_dst"),
+            ),
+        ]))
+        program = b.build()
+        config = RuntimeConfig()
+        config.add_entry("t_src", [0xC0A80001], "mark_a")
+        config.add_entry("t_dst", [0x0A000002], "mark_b")
+        ipv4 = program.header_types["ipv4_t"]
+        trace = [
+            # Hits t_src; t_dst is not applied.
+            pack_fields(ipv4, {"dscp": 0, "srcAddr": 0x0A000001,
+                               "dstAddr": 0xC0A80001}),
+            # Misses t_src into mark_a; t_dst is applied and hits.
+            pack_fields(ipv4, {"dscp": 0, "srcAddr": 0x0A000002,
+                               "dstAddr": 0xC0A80009}),
+        ]
+        return profile_program(program, config, trace)
+
+    def test_the_trace_takes_both_paths(self, profile):
+        assert profile.hit_counts == {"t_src": 1, "t_dst": 1}
+        assert profile.action_counts[("t_src", "mark_a")] == 2
+
+    def test_hit_coapplied_with_table_is_per_packet(self, profile):
+        assert not profile.hit_coapplied_with_table("t_src", "t_dst")
+        assert profile.hit_coapplied_with_table("t_dst", "t_src")
+
+    def test_hit_action_sets_are_per_packet(self, profile):
+        assert profile.hit_action_sets() == [
+            frozenset({("t_dst", "mark_b")}),
+            frozenset({("t_src", "mark_a")}),
+        ]
+
+
 class TestProfileComparison:
     def test_profile_equals_itself_across_runs(
         self, firewall_program, firewall_config, firewall_trace
@@ -159,36 +239,52 @@ class TestProfileComparison:
         assert any("acl" in r for r in reasons)
 
 
+def _step_log(*steps):
+    return tuple(ExecutionStep(*step) for step in steps)
+
+
+FWD_HIT = _step_log(("a", "fwd", True), ("b", "dflt", False))
+A_MISS = _step_log(("a", "dflt", False))
+
 BASE_PROFILE = Profile(
     program_name="p",
-    total_packets=2,
-    apply_counts={"a": 2, "b": 1},
-    hit_counts={"a": 1},
-    action_counts={("a", "fwd"): 1, ("a", "dflt"): 1, ("b", "dflt"): 1},
-    nonexclusive_sets={
-        frozenset({("a", "fwd"), ("b", "dflt")}),
-        frozenset({("a", "dflt")}),
-    },
+    paths={FWD_HIT: 1, A_MISS: 1},
     decisions=((1, False, False), (0, True, False)),
 )
 
-#: One change per field ``same_behavior_as`` compares (both directions
-#: of a non-exclusive set change).
+#: One change per view ``same_behavior_as`` compares, each made on
+#: ``paths`` (both directions of a non-exclusive set change).  A packet
+#: that applies no table changes the packet count alone.
 ONE_FIELD_CHANGES = {
-    "total_packets": {"total_packets": 3},
-    "hit_counts": {"hit_counts": {"a": 2}},
-    "apply_counts": {"apply_counts": {"a": 2, "b": 2}},
+    "total_packets": {"paths": {FWD_HIT: 1, A_MISS: 1, (): 1}},
+    "hit_counts": {
+        "paths": {FWD_HIT: 1, _step_log(("a", "dflt", True)): 1},
+    },
+    "apply_counts": {
+        "paths": {
+            FWD_HIT: 1,
+            _step_log(("a", "dflt", False), ("c", "dflt", False)): 1,
+        },
+    },
     "action_counts": {
-        "action_counts": {("a", "fwd"): 2, ("b", "dflt"): 1},
+        "paths": {FWD_HIT: 1, _step_log(("a", "fwd", False)): 1},
     },
     "nonexclusive_sets_gained": {
-        "nonexclusive_sets": BASE_PROFILE.nonexclusive_sets
-        | {frozenset({("b", "dflt")})},
+        "paths": {FWD_HIT: 1, A_MISS: 1, _step_log(("b", "dflt", False)): 1},
     },
-    "nonexclusive_sets_lost": {
-        "nonexclusive_sets": {frozenset({("a", "dflt")})},
-    },
+    "nonexclusive_sets_lost": {"paths": {FWD_HIT: 2}},
     "decisions": {"decisions": ((1, False, False), (0, False, False))},
+}
+
+#: What the ``behavior_diff`` line each change must produce says.
+EXPECTED_LINE = {
+    "total_packets": "packet counts differ",
+    "hit_counts": "hit count of a changed",
+    "apply_counts": "apply count of c changed",
+    "action_counts": "action count of a.fwd changed",
+    "nonexclusive_sets_gained": "non-exclusive action set",
+    "nonexclusive_sets_lost": "non-exclusive action set",
+    "decisions": "forwarding decisions changed",
 }
 
 
@@ -201,8 +297,22 @@ def test_every_compared_field_gives_a_reason(change):
     changed = dataclasses.replace(BASE_PROFILE, **ONE_FIELD_CHANGES[change])
     for a, b in ((BASE_PROFILE, changed), (changed, BASE_PROFILE)):
         assert not a.same_behavior_as(b)
-        assert a.behavior_diff(b)
+        reasons = a.behavior_diff(b)
+        assert any(EXPECTED_LINE[change] in line for line in reasons)
     assert BASE_PROFILE.behavior_diff(BASE_PROFILE) == []
+
+
+def test_a_profile_stores_only_what_its_replay_saw():
+    """Three fields; every aggregate is a read-only view of them
+    (``tests/test_profile_reference.py`` holds the views, and what a
+    pickled profile carries, to a per-packet fold)."""
+    assert [f.name for f in dataclasses.fields(Profile)] == [
+        "program_name", "paths", "decisions",
+    ]
+    for view in ("total_packets", "apply_counts", "hit_counts",
+                 "action_counts", "nonexclusive_sets"):
+        with pytest.raises(AttributeError):
+            setattr(BASE_PROFILE, view, None)
 
 
 def test_no_verb_instruments_the_program(monkeypatch):

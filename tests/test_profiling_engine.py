@@ -14,7 +14,7 @@ Pins the guarantees the engine's docstrings promise:
   packet on both.
 * The profile every verb builds — a fold over each packet's step log
   — equals the §3.1 instrumented replay
-  (:func:`~repro.core.instrument.reference_profile`) on every field,
+  (:func:`~repro.core.instrument.reference_profile`) view by view,
   on the same inputs as the bit-identity tests.
 * ``reset_state`` clears the perf counters along with the registers.
 * :class:`~repro.sim.match.CompiledTable` reproduces the reference
@@ -206,11 +206,17 @@ def test_generated_programs_bit_identical_across_tiers(seed):
 
 
 def _assert_fold_matches_reference(program, fresh_config, trace):
-    """Every ``Profile`` field — hit pairs and applied-table sets
-    included — equals the instrumented reference's."""
+    """Every aggregate the instrumented reference reads off its
+    profiling bits equals the ``Profile`` view of the same name."""
     folded, perf = Profiler(program, fresh_config()).run(trace)
     assert perf.packets == len(trace)
-    assert folded == reference_profile(program, fresh_config(), trace)
+    reference = reference_profile(program, fresh_config(), trace)
+    assert set(reference) >= {
+        "total_packets", "apply_counts", "hit_counts", "action_counts",
+        "nonexclusive_sets", "decisions",
+    }
+    for name, value in reference.items():
+        assert getattr(folded, name) == value, name
 
 
 @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_INPUTS))

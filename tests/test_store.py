@@ -445,6 +445,33 @@ class TestFaultInjection:
         assert fresh.load_compile(("k",)) is None
         assert fresh.counters.resets == 1
 
+    def test_peer_starting_on_a_fresh_root_keeps_its_entries(
+        self, tmp_path, monkeypatch
+    ):
+        """A fresh root, interleaved: this store reads no manifest, then
+        a peer writes its manifest, publishes an entry and claims a
+        probe, then this store scans and sees entries.  They are the
+        peer's, not survivors of a lost manifest: nothing is
+        quarantined and the peer's lease stands."""
+        root = tmp_path / "store"
+        late, peer = SessionStore(root), SessionStore(root)
+        leases = []
+        real_read = late._read_manifest
+
+        def read_then_peer_starts():
+            manifest = real_read()
+            if not leases:
+                peer.store_compile(("k",), 1)
+                leases.append(peer.claim_probe("compile", ("pending",)))
+            return manifest
+
+        monkeypatch.setattr(late, "_read_manifest", read_then_peer_starts)
+        assert late.load_compile(("k",)) == 1
+        assert late.counters.resets == 0
+        assert leases[0].path.exists()
+        assert late.claim_probe("compile", ("pending",)) is None
+        assert late.stats()["quarantine_entries"] == 0
+
     def test_unusable_root_makes_store_inert(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the store root should go")
