@@ -32,7 +32,7 @@ def test_simulator_throughput(benchmark, firewall_inputs):
     def replay():
         switch.reset_state()
         t0 = time.perf_counter()
-        results = switch.process_trace(chunk)
+        results = switch.process_many(chunk)
         seconds.append(time.perf_counter() - t0)
         return results
 

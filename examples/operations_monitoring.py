@@ -61,7 +61,7 @@ def main() -> None:
 
     switch = BehavioralSwitch(guarded, guard_config)
     print("  replaying the optimization-time trace ...")
-    results = switch.process_trace(trace)
+    results = switch.process_many(trace)
     print(f"  guard notifications: {len(guard_notifications(results))} "
           "(none — the profile's observation holds)")
 
@@ -72,7 +72,7 @@ def main() -> None:
                    fw.BLOCKED_UDP_PORTS[0]),
         fw.UNTRUSTED_INGRESS_PORTS[0],
     )
-    results = switch.process_trace([violating])
+    results = switch.process_many([violating])
     hits = guard_notifications(results)
     print(f"  guard notifications: {len(hits)} -> the controller learns "
           "the removed dependency just manifested")

@@ -47,8 +47,8 @@ def compare_behavior(
     """Strict per-packet forwarding-decision comparison (phases 2/3)."""
     switch_a = BehavioralSwitch(program_a, config_a)
     switch_b = BehavioralSwitch(program_b, config_b)
-    results_a = switch_a.process_trace(trace)
-    results_b = switch_b.process_trace(trace)
+    results_a = switch_a.process_many(trace)
+    results_b = switch_b.process_many(trace)
     report = EquivalenceReport(total=len(results_a))
     for ra, rb in zip(results_a, results_b):
         if ra.forwarding_decision() != rb.forwarding_decision():

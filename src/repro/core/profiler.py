@@ -21,9 +21,11 @@ them one by one).
 
 Replay goes through the simulator's batched entry point
 (:meth:`~repro.sim.switch.BehavioralSwitch.process_many`): match
-structures and the execution plan compile once per run, each result is
-counted as the replay produces it (no result list outlives the replay),
-a session's trace is parsed once for all its replays
+structures and the execution plan compile once per run, the sink is a
+:class:`~repro.sim.switch.StepSink`, so the replay hands it each
+packet's steps and forwarding decision and builds no result, no deparse
+and no controller queue, a session's trace is parsed once for all its
+replays
 (:class:`~repro.sim.switch.ReplayTrace`), and
 :meth:`Profiler.run` returns the run's
 :class:`~repro.sim.perf.PerfCounters` beside the profile.  The step logs
@@ -43,7 +45,7 @@ from repro.p4.program import Program
 from repro.sim.events import ExecutionStep
 from repro.sim.perf import PerfCounters
 from repro.sim.runtime import RuntimeConfig
-from repro.sim.switch import BehavioralSwitch
+from repro.sim.switch import BehavioralSwitch, Decision, StepSink
 from repro.traffic.generators import TracePacket
 
 ActionPair = Tuple[str, str]  # (table, action)
@@ -120,7 +122,7 @@ class Profile:
     #: Per-packet forwarding decisions (egress, dropped, to_controller) —
     #: used by behaviour-preservation checks.  Equal decisions share one
     #: tuple, so a stored profile pickles each distinct one once.
-    decisions: Tuple[Tuple[int, bool, bool], ...]
+    decisions: Tuple[Decision, ...]
 
     def _fold(self) -> _Views:
         views = self.__dict__.get("_folded")
@@ -268,28 +270,6 @@ class Profile:
         return reasons
 
 
-class _ReplaySink:
-    """What :meth:`Profiler.run` keeps of each result as the replay
-    produces it: packets per step log, in first-seen order, and the
-    forwarding decision.  The result itself is dropped at once.
-
-    Equal decisions share one tuple, so a stored profile pickles each
-    distinct decision once and every repeat as a memo reference."""
-
-    __slots__ = ("paths", "decisions", "_seen")
-
-    def __init__(self):
-        self.paths: Dict[Tuple[ExecutionStep, ...], int] = {}
-        self.decisions: List[Tuple[int, bool, bool]] = []
-        self._seen: Dict[Tuple[int, bool, bool], Tuple[int, bool, bool]] = {}
-
-    def append(self, result) -> None:
-        steps = tuple(result.steps)
-        self.paths[steps] = self.paths.get(steps, 0) + 1
-        decision = result.forwarding_decision()
-        self.decisions.append(self._seen.setdefault(decision, decision))
-
-
 class Profiler:
     """Profiles a program by replaying a trace and folding step logs."""
 
@@ -303,7 +283,7 @@ class Profiler:
         """The profile of ``trace`` plus the replay's perf counters
         (packets/s, per-table lookups, …)."""
         switch = BehavioralSwitch(self.program, self.config)
-        sink = switch.process_many(trace, into=_ReplaySink())
+        sink = switch.process_many(trace, into=StepSink())
         profile = Profile(
             program_name=self.program.name,
             paths=sink.paths,

@@ -3,10 +3,12 @@
 Profiling a trace is the dominant cost of every P2GO run (the PGO survey's
 "profile collection overhead" adoption barrier), so the behavioural switch
 accounts for its own speed: packets processed, per-table lookup counts,
-and the wall-clock time spent in batched runs.  The counters are *observability only* — nothing in the
-simulator reads them back, so they can never influence packet semantics
-and are always safe to reset (:meth:`PerfCounters.reset`, done by
-``BehavioralSwitch.reset_state``).
+and the wall-clock time spent in batched runs.  The counters are
+*observability only* — nothing in the simulator reads them back, and no
+traversal writes them: the switch adds them up around each packet or
+batch (the lookup counts from the step logs), so they can never
+influence packet semantics and are always safe to reset
+(:meth:`PerfCounters.reset`, done by ``BehavioralSwitch.reset_state``).
 
 ``packets_per_second`` is computed over the *batched* packets only
 (``process_many`` timing); single-packet ``process`` calls are counted in
@@ -30,7 +32,9 @@ class PerfCounters:
     #: still reads both; they go when it stops (ROADMAP item 6 (a)).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Table applications (hit or miss), per table.
+    #: Table applications (hit or miss), per table: the packet's steps
+    #: for that table, counted per result, or once per distinct step log
+    #: on a ``StepSink`` batch.
     table_lookups: Dict[str, int] = dc_field(default_factory=dict)
     #: Wall-clock seconds spent inside ``process_many`` batches.
     elapsed_seconds: float = 0.0

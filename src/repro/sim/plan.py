@@ -8,14 +8,15 @@
 ``_apply_table``, :mod:`repro.sim.action_interp`) never runs through
 this module and stays the oracle it is tested against.  What is bound
 here and what must be looked up per packet: DESIGN.md §5, "Execution
-plan".
+plan".  A plan binds the switch's config as it was at build:
+``BehavioralSwitch.invalidate_caches`` drops it.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from typing import Callable, List, Sequence
+from typing import Callable, FrozenSet, List, NamedTuple, Sequence
 
 from repro.exceptions import SimulationError
 from repro.p4 import actions as act
@@ -24,6 +25,7 @@ from repro.p4.control import Apply, If, Seq
 from repro.p4.types import CPU_PORT, DROP_PORT, mask
 from repro.sim.events import ExecutionStep
 from repro.sim.hashing import compute_hash
+from repro.sim.match import compile_table
 
 #: One packet's working set; every closure takes it as ``p``.  ``log``
 #: holds the name of each header written: the deparser re-packs those.
@@ -61,12 +63,24 @@ class _Steps(dict):
         return step
 
 
-def build_plan(switch) -> Callable[[Frame], None]:
-    """The traversal of ``switch.program``: ingress, then egress for
-    packets neither dropped nor punted."""
-    program, state, perf, config = (
-        switch.program, switch.state, switch.perf, switch.config
-    )
+class Plan(NamedTuple):
+    """A switch's bound traversal."""
+
+    #: ``run(frame)``: ingress, then egress for packets neither dropped
+    #: nor punted.
+    run: Callable[[Frame], None]
+    #: The packet headers some write modifies in place — the header
+    #: dicts a replay must not share with its parse template.  Adding a
+    #: header replaces its dict and removing one drops it, so neither
+    #: is a write in place.
+    writes: FrozenSet[str]
+
+
+def build_plan(switch) -> Plan:
+    """The traversal of ``switch.program`` with ``switch.config``'s
+    compiled tables and default actions bound."""
+    program, state, config = switch.program, switch.state, switch.config
+    written = set()
 
     def value(expr, params: Sequence[str] = ()) -> Callable:
         """``expr`` -> ``f(p, args) -> int``; booleans are 0/1."""
@@ -107,6 +121,7 @@ def build_plan(switch) -> Callable[[Frame], None]:
         invalid header it creates the field dict but not validity."""
         header, name = ref.header, ref.field
         width_mask = mask(program.field_width(ref))
+        written.add(header)
 
         def write(p, args):
             result = source(p, args) & width_mask
@@ -232,16 +247,22 @@ def build_plan(switch) -> Callable[[Frame], None]:
         on_hit = None if node.on_hit is None else control(node.on_hit)
         on_miss = None if node.on_miss is None else control(node.on_miss)
         hit_steps = _Steps(table_name, True)
-        miss_steps = _Steps(table_name, False)
+        lookup = None
+        if keys:
+            widths = [program.field_width(k.field) for k in table.keys]
+            lookup = compile_table(
+                table, widths, config.entries_for(table_name)
+            ).lookup
+        default_name, default_args = config.default_for(table)
+        default_action = actions[default_name]
+        default_step = ExecutionStep(table_name, default_name, False)
 
         def apply(p):
-            lookups = perf.table_lookups
-            lookups[table_name] = lookups.get(table_name, 0) + 1
             entry = None
             # A key whose header is invalid cannot match any entry.
-            if keys and key_headers <= p.valid:
+            if lookup is not None and key_headers <= p.valid:
                 headers = p.headers
-                entry = switch._compiled_table(table_name).lookup(
+                entry = lookup(
                     [headers[header].get(name, 0) for header, name in keys]
                 )
             if entry is not None:
@@ -250,9 +271,8 @@ def build_plan(switch) -> Callable[[Frame], None]:
                 if on_hit is not None:
                     on_hit(p)
             else:
-                action_name, action_args = config.default_for(table)
-                actions[action_name](p, action_args)
-                p.steps.append(miss_steps[action_name])
+                default_action(p, default_args)
+                p.steps.append(default_step)
                 if on_miss is not None:
                     on_miss(p)
 
@@ -266,4 +286,5 @@ def build_plan(switch) -> Callable[[Frame], None]:
         if not (drop_flag(p, ()) or to_controller(p, ())):
             egress(p)
 
-    return run
+    packet_headers = {inst.name for inst in program.packet_headers()}
+    return Plan(run, frozenset(written & packet_headers))

@@ -8,9 +8,11 @@ The config also carries the profiling-engine switch
 (``enable_compiled_tables``) and a ``mutations`` stamp bumped by every
 entry-mutating call (``add_entry`` / ``set_default``; register inits
 only apply at switch construction/reset, so they need no stamp).  The
-behavioural switch compares the stamp per packet and drops its compiled
-tables when it changed, so rules installed mid-run take effect on the
-very next packet; callers that poke ``entries`` directly must call
+behavioural switch compares the stamp per packet or batch and drops
+its execution plan, which binds the compiled tables and default
+actions, when it changed, so rules installed mid-run take effect on the
+very next packet; callers that poke ``entries`` or
+``default_overrides`` directly must call
 ``BehavioralSwitch.invalidate_caches`` themselves.
 """
 
@@ -71,8 +73,8 @@ class RuntimeConfig:
     #: interpreter the engine is checked against bit-for-bit (the
     #: benchmark baseline and the oracle for equivalence tests).
     enable_compiled_tables: bool = True
-    #: Bumped by every mutator so live switches drop their compiled
-    #: tables.  Mutating ``entries`` dicts directly
+    #: Bumped by every mutator so live switches drop their execution
+    #: plan.  Mutating ``entries`` or ``default_overrides`` directly
     #: bypasses this — construct a new switch (or call its
     #: ``invalidate_caches()``) after doing so.
     mutations: int = dc_field(default=0, compare=False, repr=False)

@@ -14,7 +14,8 @@ switch is a *profiling engine* with one switch and one reference:
   linear entry scans, and a per-program execution plan
   (:mod:`repro.sim.plan`: actions and control bound into closures once)
   replaces the IR walk, whose deparser re-packs only the headers a
-  packet's writes touched.  Both built lazily, once per switch.
+  packet's writes touched.  The plan compiles the tables it binds; it
+  is built lazily, once per switch and config state.
 * the **reference interpreter** (the switch off): ``_run_control`` /
   ``_apply_table`` over :mod:`repro.sim.action_interp`, which shares no
   traversal code with the plan.  The engine is checked against it —
@@ -30,6 +31,9 @@ switch is a *profiling engine* with one switch and one reference:
   keeps what each parser made of its packets, and every replay starts
   from private copies of that one parse (DESIGN.md §5, "What replays
   share").  Nothing executed is shared.
+* **step sinks** (:class:`StepSink`): a batch whose sink reads only
+  each packet's step log and forwarding decision builds nothing else —
+  no :class:`SwitchResult`, no deparse, no controller queue entry.
 """
 
 from __future__ import annotations
@@ -65,9 +69,9 @@ from repro.p4.types import mask
 from repro.packets.packet import get_codec
 from repro.sim.action_interp import Phv, eval_expr, execute_action
 from repro.sim.events import ControllerPacket, ExecutionStep
-from repro.sim.match import CompiledTable, compile_table, lookup
+from repro.sim.match import lookup
 from repro.sim.perf import PerfCounters
-from repro.sim.plan import Frame, build_plan
+from repro.sim.plan import Frame, Plan, build_plan
 from repro.sim.runtime import RuntimeConfig
 from repro.sim.parser_engine import ParsedPacket, deparse_packet
 from repro.sim.state import SwitchState
@@ -100,24 +104,60 @@ class SwitchResult:
         return (self.egress_port, self.dropped, self.to_controller)
 
 
+#: A packet's forwarding decision: (egress_port, dropped, to_controller).
+Decision = Tuple[int, bool, bool]
+
+
+class StepSink:
+    """A :meth:`BehavioralSwitch.process_many` sink that keeps each
+    packet's step log and forwarding decision, and nothing else: the
+    packets per distinct step log (``paths``, first-seen order) and one
+    decision per packet, read out of ``standard_metadata`` (equal
+    decisions share one tuple, so a pickle holds each distinct one
+    once).
+
+    The type is the declaration: for a ``StepSink`` the batch builds no
+    :class:`SwitchResult`, deparses nothing and queues nothing for the
+    controller, and on the execution plan a shared parse's header dicts
+    that the plan never writes are not copied
+    (:meth:`ParseTemplate.fresh`)."""
+
+    __slots__ = ("paths", "decisions", "_distinct")
+
+    def __init__(self):
+        self.paths: Dict[Tuple[ExecutionStep, ...], int] = {}
+        self.decisions: List[Decision] = []
+        self._distinct: Dict[Decision, Decision] = {}
+
+
 class ParseTemplate(NamedTuple):
     """What a parser made of one packet, shared by every replay of a
     :class:`ReplayTrace`.  Never handed to a replay: :meth:`fresh`
-    copies every header dict and the valid set, so no replay's writes
-    reach the next one.  ``spans`` is shared; nothing writes it."""
+    makes the private parse, so no replay's writes reach the next one.
+    ``spans`` is shared; nothing writes it."""
 
     headers: Dict[str, Dict[str, int]]
     valid: FrozenSet[str]
     payload: bytes
     spans: Dict[str, Tuple[int, int]]
 
-    def fresh(self) -> ParsedPacket:
-        return ParsedPacket(
-            {name: fields.copy() for name, fields in self.headers.items()},
-            set(self.valid),
-            self.payload,
-            self.spans,
-        )
+    def fresh(self, writes: Optional[FrozenSet[str]] = None) -> ParsedPacket:
+        """A new headers dict and valid set over copies of every header
+        dict — or, given ``writes``, of those it names only.  The rest
+        are the template's own, so ``writes`` must name every header
+        the traversal writes in place: the plan's write set, on a batch
+        whose sink lets no result escape (DESIGN.md §5)."""
+        if writes is None:
+            headers = {
+                name: fields.copy() for name, fields in self.headers.items()
+            }
+        else:
+            headers = self.headers.copy()
+            for name in writes:
+                fields = headers.get(name)
+                if fields is not None:
+                    headers[name] = fields.copy()
+        return ParsedPacket(headers, set(self.valid), self.payload, self.spans)
 
 
 def _template(
@@ -183,9 +223,7 @@ class BehavioralSwitch:
         self.controller_queue: List[ControllerPacket] = []
         self.perf = PerfCounters()
         self._packet_count = 0
-        # Lazily compiled per-table match structures and the
-        # config-mutation stamp they were built against.
-        self._compiled_tables: Dict[str, CompiledTable] = {}
+        # The config-mutation stamp the plan was built against.
         self._config_mutations = self.config.mutations
         # Per-program plans precompiled once: parser states with their
         # header codecs, deparse order, metadata names, and the
@@ -246,9 +284,10 @@ class BehavioralSwitch:
                 ),
                 self._auto_valid,
             )
-        # The execution plan (repro.sim.plan), bound once by the first
-        # packet that runs on the engine; never on the reference walk.
-        self._plan = None
+        # The execution plan (repro.sim.plan), bound by the first batch
+        # or packet that runs on the engine after the config last
+        # changed; never on the reference walk.
+        self._plan: Optional[Plan] = None
         self._apply_register_inits()
 
     # ------------------------------------------------------------------
@@ -273,39 +312,37 @@ class BehavioralSwitch:
         self._apply_register_inits()
 
     def invalidate_caches(self) -> None:
-        """Drop the compiled tables (after config edits).
+        """Drop the execution plan, which binds the compiled tables and
+        default actions (after config edits).
 
         Called automatically when the config was mutated through its API
         (``add_entry`` / ``set_default``); callers that poke
-        ``config.entries`` dicts directly must invoke this themselves.
+        ``config.entries`` or ``config.default_overrides`` directly must
+        invoke this themselves.
         Re-validates the config, so a bad rule installed mid-run fails
         as :class:`RuntimeConfigError` before any packet is touched.
         """
         self.config.validate(self.program)
-        self._compiled_tables.clear()
+        self._plan = None
         self._config_mutations = self.config.mutations
+
+    def _prepare(self) -> None:
+        """Before a packet or a batch: catch up with config edits, and
+        bind the plan if the engine runs and has none."""
+        if self._config_mutations != self.config.mutations:
+            self.invalidate_caches()
+        if self._plan is None and self.config.enable_compiled_tables:
+            self._plan = build_plan(self)
 
     # ------------------------------------------------------------------
     def process(self, data: bytes, ingress_port: int = 0) -> SwitchResult:
         """Push one packet through parse → ingress → deparse."""
-        return self._process(data, ingress_port, None)
-
-    def _process(
-        self,
-        data: bytes,
-        ingress_port: int,
-        template: Optional[ParseTemplate],
-    ) -> SwitchResult:
-        """The one per-packet body, under a name a timing wrapper
-        patched over :meth:`process` (``benchmarks/stack`` traces it)
-        does not reach: it fires for per-packet callers only, not once
-        per packet of a batch.  The parse is a fresh copy of
-        ``template`` when there is one, else parsed here."""
-        if self._config_mutations != self.config.mutations:
-            self.invalidate_caches()
+        self._prepare()
         self.perf.packets += 1
-        parsed = self._parse(data) if template is None else template.fresh()
-        return self._execute(parsed, data, ingress_port)
+        parsed = self._parse(data)
+        return self._result(
+            parsed, data, *self._traverse(parsed, ingress_port)
+        )
 
     def process_many(
         self, packets: Sequence, ingress_port: int = 0, into=None
@@ -319,12 +356,39 @@ class BehavioralSwitch:
         Each result is appended to ``into`` as it is produced — a fresh
         list by default — and ``into`` is returned, so a caller that
         folds results passes a sink and holds none of them.  A
-        :class:`ReplayTrace` is parsed once per parse key; a plain
-        sequence is parsed packet by packet and leaves nothing behind.
+        :class:`StepSink` keeps each packet's steps and decision instead,
+        and no result is built.  A :class:`ReplayTrace` is parsed once
+        per parse key; a plain sequence is parsed packet by packet and
+        leaves nothing behind.
         """
         started = perf_counter()
-        results = [] if into is None else into
-        append, process = results.append, self._process
+        self._prepare()
+        sink = [] if into is None else into
+        traverse = self._traverse
+        writes = None
+        if isinstance(sink, StepSink):
+            paths, counted = sink.paths, dict(sink.paths)
+            append, distinct = sink.decisions.append, sink._distinct
+            if self.config.enable_compiled_tables:
+                writes = self._plan.writes
+
+            def finish(parsed, data, steps, written):
+                steps = tuple(steps)
+                paths[steps] = paths.get(steps, 0) + 1
+                standard = parsed.headers[STANDARD_METADATA]
+                decision = (
+                    standard.get("egress_port", 0),
+                    bool(standard.get("drop_flag", 0)),
+                    bool(standard.get("to_controller", 0)),
+                )
+                append(distinct.setdefault(decision, decision))
+        else:
+            append, result = sink.append, self._result
+            paths = None
+
+            def finish(parsed, data, steps, written):
+                append(result(parsed, data, steps, written))
+
         templates = (
             packets.templates(self._parse_key, self._parse)
             if isinstance(packets, ReplayTrace)
@@ -335,16 +399,23 @@ class BehavioralSwitch:
                 data, port = entry
             else:
                 data, port = entry, ingress_port
-            append(process(data, port, template))
+            parsed = (
+                self._parse(data) if template is None
+                else template.fresh(writes)
+            )
+            finish(parsed, data, *traverse(parsed, port))
+        if paths is not None:
+            # What _result counts per result, counted here per path.
+            self._packet_count += len(packets)
+            lookups = self.perf.table_lookups
+            for steps, count in paths.items():
+                count -= counted.get(steps, 0)
+                for step in steps:
+                    lookups[step.table] = lookups.get(step.table, 0) + count
+        self.perf.packets += len(packets)
         self.perf.elapsed_seconds += perf_counter() - started
         self.perf.timed_packets += len(packets)
-        return results
-
-    def process_trace(
-        self, packets: Sequence, ingress_port: int = 0
-    ) -> List[SwitchResult]:
-        """Process a whole trace in order (alias of :meth:`process_many`)."""
-        return self.process_many(packets, ingress_port)
+        return sink
 
     # ------------------------------------------------------------------
     def _parse(self, data: bytes) -> ParsedPacket:
@@ -433,13 +504,49 @@ class BehavioralSwitch:
         chunks.append(parsed.payload)
         return b"".join(chunks)
 
-    def _emit(
-        self, parsed: ParsedPacket, data: bytes, output: bytes,
-        steps: List[ExecutionStep],
+    def _traverse(
+        self, parsed: ParsedPacket, ingress_port: int
+    ) -> Tuple[List[ExecutionStep], Optional[Set[str]]]:
+        """The traversal, shared by every kind of batch: metadata onto
+        ``parsed``, then the execution plan when
+        ``enable_compiled_tables`` is on, else the reference walk.
+        Returns the steps and the headers the plan wrote (None from the
+        walk, whose deparser re-packs every header)."""
+        self._install_metadata(parsed, ingress_port)
+        steps: List[ExecutionStep] = []
+        if self.config.enable_compiled_tables:
+            written: Set[str] = set()
+            self._plan.run(Frame(parsed.headers, parsed.valid, written, steps))
+            return steps, written
+        phv = Phv(self.program, parsed.headers, parsed.valid)
+        self._run_control(self.program.ingress, phv, steps)
+        # The egress pipeline runs for packets the traffic manager
+        # actually emits: neither dropped nor punted to the controller.
+        if not (phv.read(DROP_FLAG) or phv.read(TO_CONTROLLER)):
+            self._run_control(self.program.egress, phv, steps)
+        return steps, None
+
+    def _result(
+        self, parsed: ParsedPacket, data: bytes,
+        steps: List[ExecutionStep], written: Optional[Set[str]],
     ) -> SwitchResult:
-        """Read the forwarding decision out of ``standard_metadata``,
-        count the packet, queue it if punted, report the traversal."""
-        standard = parsed.headers[STANDARD_METADATA]
+        """The full-result tail: count the lookups, deparse, read the
+        forwarding decision out of ``standard_metadata``, queue the
+        packet if punted, report the traversal."""
+        lookups = self.perf.table_lookups
+        for step in steps:
+            lookups[step.table] = lookups.get(step.table, 0) + 1
+        headers = parsed.headers
+        if written is not None:
+            output = self._deparse(parsed, data, written)
+        else:
+            packet_valid = {
+                h for h in parsed.valid if not self.program.headers[h].metadata
+            }
+            output = deparse_packet(
+                self.program, headers, packet_valid, parsed.payload
+            )
+        standard = headers[STANDARD_METADATA]
         to_controller = bool(standard.get("to_controller", 0))
         controller_reason = standard.get("controller_reason", 0)
         index = self._packet_count
@@ -454,7 +561,7 @@ class BehavioralSwitch:
             index=index,
             input_bytes=data,
             output_bytes=output,
-            headers=parsed.headers,
+            headers=headers,
             valid=parsed.valid,
             steps=steps,
             egress_port=standard.get("egress_port", 0),
@@ -462,35 +569,6 @@ class BehavioralSwitch:
             to_controller=to_controller,
             controller_reason=controller_reason,
         )
-
-    def _execute(
-        self, parsed: ParsedPacket, data: bytes, ingress_port: int
-    ) -> SwitchResult:
-        """The traversal: the execution plan when
-        ``enable_compiled_tables`` is on, else the reference walk."""
-        headers, valid = parsed.headers, parsed.valid
-        self._install_metadata(parsed, ingress_port)
-        steps: List[ExecutionStep] = []
-        if self.config.enable_compiled_tables:
-            if self._plan is None:
-                self._plan = build_plan(self)
-            written: Set[str] = set()
-            self._plan(Frame(headers, valid, written, steps))
-            output = self._deparse(parsed, data, written)
-        else:
-            phv = Phv(self.program, headers, valid)
-            self._run_control(self.program.ingress, phv, steps)
-            # The egress pipeline runs for packets the traffic manager
-            # actually emits: neither dropped nor punted to the controller.
-            if not (phv.read(DROP_FLAG) or phv.read(TO_CONTROLLER)):
-                self._run_control(self.program.egress, phv, steps)
-            packet_valid = {
-                h for h in valid if not self.program.headers[h].metadata
-            }
-            output = deparse_packet(
-                self.program, headers, packet_valid, parsed.payload
-            )
-        return self._emit(parsed, data, output, steps)
 
     # ------------------------------------------------------------------
     def _run_control(
@@ -516,23 +594,10 @@ class BehavioralSwitch:
             return
         raise SimulationError(f"unknown control node {node!r}")
 
-    def _compiled_table(self, table_name: str) -> CompiledTable:
-        compiled = self._compiled_tables.get(table_name)
-        if compiled is None:
-            table = self.program.tables[table_name]
-            widths = [self.program.field_width(k.field) for k in table.keys]
-            compiled = compile_table(
-                table, widths, self.config.entries_for(table_name)
-            )
-            self._compiled_tables[table_name] = compiled
-        return compiled
-
     def _apply_table(
         self, table_name: str, phv: Phv, steps: List[ExecutionStep]
     ) -> bool:
         table = self.program.tables[table_name]
-        lookups = self.perf.table_lookups
-        lookups[table_name] = lookups.get(table_name, 0) + 1
         entry = None
         # A key whose header is invalid cannot match any entry.
         keys_valid = all(phv.is_valid(k.field.header) for k in table.keys)

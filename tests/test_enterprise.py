@@ -41,7 +41,7 @@ class TestOversubscription:
 class TestTrafficBehavior:
     def test_combined_features_work(self, program, config):
         switch = BehavioralSwitch(program, config)
-        results = switch.process_trace(enterprise.make_trace(2000))
+        results = switch.process_many(enterprise.make_trace(2000))
         dropped = sum(1 for r in results if r.dropped)
         # Spoofed sources + blocked ports + untrusted DHCP all drop.
         assert dropped > 0

@@ -4,8 +4,10 @@ The bit-identity of whole replays lives in
 ``tests/test_profiling_engine.py``; this file pins what that cannot:
 
 * the capture rules — what a run can change (perf counters, register
-  arrays, default actions, entries) is looked up per packet, so a reset
-  or a rule installed mid-run behaves exactly as on the reference walk;
+  arrays) is looked up per packet, and what the config fixes (default
+  actions, entries) is bound until the config changes, so a reset or a
+  rule installed mid-run or between batches behaves exactly as on the
+  reference walk;
 * a bad rule installed mid-run is a ``RuntimeConfigError`` before any
   packet is touched, not a ``KeyError`` from inside the traversal;
 * errors only a packet can trigger surface as the same
@@ -41,6 +43,7 @@ from repro.packets.craft import udp_packet
 from repro.programs import enterprise, example_firewall, nat_gre
 from repro.sim import BehavioralSwitch
 from repro.sim.runtime import RuntimeConfig, TableEntry
+from repro.sim.switch import StepSink
 from tests.test_profiling_engine import _fresh_config, _result_fingerprint
 
 #: A UDP packet the bundled firewall config forwards.
@@ -111,6 +114,47 @@ def test_rule_installed_mid_run_takes_effect_on_next_packet(install):
         outcomes[tier] = _observed(switch, [before, after])
         assert not before.dropped
         assert after.dropped
+    assert outcomes["compiled"] == outcomes["reference"]
+
+
+@pytest.mark.parametrize("sink", [list, StepSink], ids=["results", "steps"])
+@pytest.mark.parametrize(
+    "install",
+    [
+        lambda config: config.set_default("ACL_UDP", "acl_udp_drop"),
+        lambda config: config.add_entry("ACL_UDP", [4000], "acl_udp_drop"),
+    ],
+    ids=["set_default", "add_entry"],
+)
+def test_rule_installed_between_batches_takes_effect_on_next_batch(
+    install, sink
+):
+    """The plan binds the compiled tables and the default actions, so a
+    rule installed between two batches must rebuild it."""
+    batch = [PACKET] * 3
+    outcomes = {}
+    for tier in TIERS:
+        switch = _firewall(tier)
+        before = switch.process_many(batch, into=sink())
+        install(switch.config)
+        after = switch.process_many(batch, into=sink())
+        if sink is list:
+            assert not any(r.dropped for r in before)
+            assert all(r.dropped for r in after)
+            before, after = (
+                [(r.index, _result_fingerprint(r)) for r in results]
+                for results in (before, after)
+            )
+        else:
+            assert not any(dropped for _e, dropped, _c in before.decisions)
+            assert all(dropped for _e, dropped, _c in after.decisions)
+            before, after = (
+                (sink.paths, sink.decisions) for sink in (before, after)
+            )
+        outcomes[tier] = (
+            before, after, switch.state.snapshot(),
+            dict(switch.perf.table_lookups),
+        )
     assert outcomes["compiled"] == outcomes["reference"]
 
 

@@ -94,7 +94,7 @@ class TestRuntimeGuard:
             udp_packet("10.0.0.1", "10.0.0.2", 4000, 137),  # blocked port
             example_firewall.UNTRUSTED_INGRESS_PORTS[0],
         )
-        results = switch.process_trace([violating])
+        results = switch.process_many([violating])
         assert guard_notifications(results) == [0]
         assert results[0].controller_reason == GUARD_REASON
 
@@ -106,7 +106,7 @@ class TestRuntimeGuard:
             program, firewall_config, dep.src, dep.dst
         )
         switch = BehavioralSwitch(guarded, config)
-        results = switch.process_trace(firewall_trace[:800])
+        results = switch.process_many(firewall_trace[:800])
         assert guard_notifications(results) == []
 
     def test_guard_requires_rewrite_shape(self, firewall_program,

@@ -13,18 +13,18 @@ switch and shares only the view names; it calls no
 
 The last test counts work without a clock: a cold optimize calls the
 fold at most once per distinct step log of each replay it executes, and
-keeps no replay's results alive past the packet that produced them.
+its replays build no result and deparse no packet.
 """
 
 from __future__ import annotations
 
 import pickle
-import weakref
 from collections import Counter
 
 import pytest
 
 import repro.core.profiler as profiler_module
+import repro.sim.switch as switch_module
 from repro.core.pipeline import P2GO
 from repro.fuzz.generator import generate_case
 from repro.programs import example_firewall as fw
@@ -139,45 +139,43 @@ def test_generated_profile_pickles_as_per_packet_fold(seed):
 
 def test_cold_optimize_folds_each_distinct_step_log_once(monkeypatch):
     """Per-packet folding made 40 000 fold calls on this run (ten
-    replays of 4000 packets); the bound is the distinct step logs.  The
-    fold also takes each result as the replay produces it: no more than
-    one ``SwitchResult`` is ever alive at once, where holding the
-    replay's results keeps all 4000."""
+    replays of 4000 packets); the bound is the distinct step logs.  A
+    profiling replay hands its sink steps and decisions only: it builds
+    no ``SwitchResult`` and deparses nothing, where each replay used to
+    build and pack all 4000."""
     folds = []
     distinct_paths = []
-    peak_live = []
+    built = []
+    deparsed = []
+    replaying = [False]
     real_fold = profiler_module.path_facts
 
     def counting_fold(steps):
         folds.append(steps)
         return real_fold(steps)
 
+    class CountingResult(switch_module.SwitchResult):
+        def __init__(self, *args, **kwargs):
+            built.append(replaying[0])
+            super().__init__(*args, **kwargs)
+
     class CountingSwitch(BehavioralSwitch):
         def process_many(self, trace, ingress_port=0, into=None):
-            sink = [] if into is None else into
-            paths = set()
-            live = peak = 0
-
-            def dead():
-                nonlocal live
-                live -= 1
-
-            class Spy:
-                def append(self, result):
-                    nonlocal live, peak
-                    live += 1
-                    weakref.finalize(result, dead)
-                    peak = max(peak, live)
-                    paths.add(tuple(result.steps))
-                    sink.append(result)
-
-            super().process_many(trace, ingress_port, Spy())
-            distinct_paths.append(len(paths))
-            peak_live.append(peak)
+            replaying[0] = True
+            try:
+                sink = super().process_many(trace, ingress_port, into)
+            finally:
+                replaying[0] = False
+            distinct_paths.append(len(sink.paths))
             return sink
+
+        def _deparse(self, *args):
+            deparsed.append(replaying[0])
+            return super()._deparse(*args)
 
     monkeypatch.setattr(profiler_module, "path_facts", counting_fold)
     monkeypatch.setattr(profiler_module, "BehavioralSwitch", CountingSwitch)
+    monkeypatch.setattr(switch_module, "SwitchResult", CountingResult)
     result = P2GO(
         fw.build_program(),
         fw.runtime_config(),
@@ -189,4 +187,5 @@ def test_cold_optimize_folds_each_distinct_step_log_once(monkeypatch):
     replays = result.session_counters.profile_executions
     assert replays == len(distinct_paths) >= 2
     assert len(folds) <= sum(distinct_paths) < 4000
-    assert max(peak_live) == 1
+    assert True not in built
+    assert True not in deparsed

@@ -137,21 +137,21 @@ class TestNatGreTrace:
         """The trace property phase 2 exploits: no NAT'd tunnel packets."""
         program = nat_gre.build_program()
         switch = BehavioralSwitch(program, nat_gre.runtime_config())
-        for result in switch.process_trace(nat_gre.make_trace(1000)):
+        for result in switch.process_many(nat_gre.make_trace(1000)):
             hits = set(result.hit_tables())
             assert not ({"nat", "gre_term"} <= hits)
 
     def test_both_features_exercised(self):
         program = nat_gre.build_program()
         switch = BehavioralSwitch(program, nat_gre.runtime_config())
-        results = switch.process_trace(nat_gre.make_trace(1000))
+        results = switch.process_many(nat_gre.make_trace(1000))
         assert any("nat" in r.hit_tables() for r in results)
         assert any("gre_term" in r.hit_tables() for r in results)
 
     def test_gre_decap_removes_header(self):
         program = nat_gre.build_program()
         switch = BehavioralSwitch(program, nat_gre.runtime_config())
-        results = switch.process_trace(nat_gre.make_trace(500))
+        results = switch.process_many(nat_gre.make_trace(500))
         decapped = [
             r for r in results if "gre_term" in r.hit_tables()
         ]
@@ -168,7 +168,7 @@ class TestSourceguardTrace:
         program = sourceguard.build_program()
         config = sourceguard.runtime_config(program)
         switch = BehavioralSwitch(program, config)
-        results = switch.process_trace(sourceguard.make_trace(1000))
+        results = switch.process_many(sourceguard.make_trace(1000))
         dropped = sum(1 for r in results if r.dropped)
         # ~5% spoofed traffic (Bloom filters never false-negative, so
         # every legitimate client passes).
@@ -193,7 +193,7 @@ class TestFailureDetectionTrace:
         switch = BehavioralSwitch(
             program, failure_detection.runtime_config()
         )
-        results = switch.process_trace(failure_detection.make_trace(2000))
+        results = switch.process_many(failure_detection.make_trace(2000))
         cms = sum(1 for r in results if "cms_0" in r.executed_tables())
         assert cms == pytest.approx(0.03 * len(results), rel=0.25)
 
@@ -202,7 +202,7 @@ class TestFailureDetectionTrace:
         switch = BehavioralSwitch(
             program, failure_detection.runtime_config()
         )
-        results = switch.process_trace(failure_detection.make_trace(2000))
+        results = switch.process_many(failure_detection.make_trace(2000))
         cms = sum(1 for r in results if "cms_0" in r.executed_tables())
         alarms = sum(1 for r in results if r.to_controller)
         assert 0 < alarms < cms
@@ -212,7 +212,7 @@ class TestFailureDetectionTrace:
         switch = BehavioralSwitch(
             program, failure_detection.runtime_config()
         )
-        results = switch.process_trace(failure_detection.make_trace(2000))
+        results = switch.process_many(failure_detection.make_trace(2000))
         reasons = {
             r.controller_reason for r in results if r.to_controller
         }

@@ -10,7 +10,9 @@ them (DESIGN.md §5, "What replays share").  Pinned here:
   with the switch's ``_parse``, in headers, validity and payload;
 * **isolation** — replaying header-rewriting inputs twice through one
   session trace gives the results and register state of two plain-list
-  replays, output bytes included;
+  replays, output bytes included; a profiling replay, which copies only
+  the header dicts its plan writes, leaves every template as the parser
+  made it;
 * **parse errors** — a packet that fails to parse is not memoized and
   fails at the same index, with the same error, on every replay;
 * **work, without a clock** — a cold optimize parses each packet once,
@@ -21,6 +23,7 @@ them (DESIGN.md §5, "What replays share").  Pinned here:
 
 from __future__ import annotations
 
+import copy
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,11 +33,23 @@ import pytest
 from repro.controller.equivalence import compare_behavior
 from repro.core.instrument import instrument
 from repro.core.pipeline import P2GO
+from repro.core.profiler import Profiler
 from repro.core.session import OptimizationContext
 from repro.exceptions import SimulationError
 from repro.fuzz.generator import generate_case
+from repro import programs
+from repro.p4 import (
+    AddHeader,
+    Apply,
+    ModifyField,
+    ProgramBuilder,
+    RemoveHeader,
+    Seq,
+)
+from repro.p4.expressions import Const, FieldRef
 from repro.programs import cgnat, example_firewall, nat_gre
 from repro.sim import BehavioralSwitch
+from repro.sim.runtime import RuntimeConfig
 from repro.sim.parser_engine import parse_packet
 from repro.sim.switch import ReplayTrace
 from tests.test_profiling_engine import (
@@ -147,6 +162,105 @@ def test_concurrent_replays_of_one_trace_stay_isolated():
         sys.setswitchinterval(interval)
     assert all(results == want for results in got)
     assert len(shared.parses) == 1
+
+
+# ----------------------------------------------------------------------
+# A profiling replay shares every header dict its plan never writes.
+
+
+class header_ops:
+    """Shaped like a program module: ``h1`` is parsed on half the
+    packets, and ``t0`` (keyed on ``h0.f``) adds it, adds and then
+    writes it, removes it, or removes and then writes it.  Adding a
+    header replaces its dict and removing one drops it, so of these only
+    the plain writes need a private copy of the parse."""
+
+    @staticmethod
+    def build_program():
+        h1_g = FieldRef("h1", "g")
+        b = ProgramBuilder("header_ops")
+        b.header_type("h0_t", [("f", 8), ("nxt", 8)])
+        b.header("h0", "h0_t")
+        b.header_type("h1_t", [("g", 8), ("k", 8)])
+        b.header("h1", "h1_t")
+        b.parser_state(
+            "start", extracts=["h0"], select="h0.nxt",
+            transitions={1: "parse_h1"},
+        )
+        b.parser_state("parse_h1", extracts=["h1"])
+        b.parser_start("start")
+        b.action("add", [AddHeader("h1")])
+        b.action("add_write", [AddHeader("h1"), ModifyField(h1_g, Const(7))])
+        b.action("remove", [RemoveHeader("h1")])
+        b.action(
+            "remove_write", [RemoveHeader("h1"), ModifyField(h1_g, Const(5))]
+        )
+        b.table(
+            "t0",
+            keys=[(FieldRef("h0", "f"), "exact")],
+            actions=["add", "add_write", "remove", "remove_write"],
+            size=8,
+        )
+        b.ingress(Seq([Apply("t0")]))
+        return b.build()
+
+    @staticmethod
+    def runtime_config():
+        config = RuntimeConfig()
+        for f, action in enumerate(
+            ("add", "add_write", "remove", "remove_write"), start=1
+        ):
+            config.add_entry("t0", [f], action)
+        return config
+
+    @staticmethod
+    def make_trace(_packets):
+        return [
+            bytes([f, nxt, 0x11, 0x22]) for f in range(6) for nxt in (0, 1)
+        ]
+
+
+#: The nine bundled programs, the ghost write and the header operations.
+SINK_INPUTS = {
+    **{name: getattr(programs, name) for name in programs.__all__
+       if name != "EXAMPLE_TARGET"},
+    "ghost_write": ghost_write,
+    "header_ops": header_ops,
+}
+
+
+def _assert_profiling_leaves_templates_intact(program, fresh_config, trace):
+    """Two profiling replays of one session trace: the templates are
+    what the parser made, and both profiles are a plain list's."""
+    shared = ReplayTrace(trace)
+    parse = BehavioralSwitch(program, fresh_config())
+    templates = shared.templates(parse._parse_key, parse._parse)
+    before = copy.deepcopy(templates)
+    want = Profiler(program, fresh_config()).run(list(trace))
+    for _replay in range(2):
+        got = Profiler(program, fresh_config()).run(shared)
+        assert got[0] == want[0]
+        assert got[1].table_lookups == want[1].table_lookups
+        assert templates == before
+
+
+@pytest.mark.parametrize("name", sorted(SINK_INPUTS))
+def test_profiling_replays_leave_the_templates_intact(name):
+    module = SINK_INPUTS[name]
+    program = module.build_program()
+    _assert_profiling_leaves_templates_intact(
+        program,
+        lambda: _fresh_config(module, program),
+        module.make_trace(600),
+    )
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_generated_profiling_replays_leave_the_templates_intact(seed):
+    case = generate_case(seed)
+    _assert_profiling_leaves_templates_intact(
+        case.program, case.config.clone, case.trace
+    )
 
 
 # ----------------------------------------------------------------------

@@ -78,7 +78,7 @@ class TestForwarding:
 
     def test_trace_with_per_packet_ports(self, switch):
         pkt = udp_packet("1.1.1.1", "10.2.3.4", 10, 20)
-        results = switch.process_trace([pkt, (pkt, 9)])
+        results = switch.process_many([pkt, (pkt, 9)])
         assert results[0].headers["standard_metadata"]["ingress_port"] == 0
         assert results[1].headers["standard_metadata"]["ingress_port"] == 9
 
