@@ -23,10 +23,10 @@ from repro.target import compile_program
 def phase3_state(firewall_inputs):
     program, config, trace, target = firewall_inputs
     result = compile_program(program, target)
-    profile = Profiler(program, config).profile(trace)
+    profile = Profiler(program, config).run(trace)
     step = dep_phase(program, result, profile)
     program2 = step.program
-    profile2 = Profiler(program2, config).profile(trace)
+    profile2 = Profiler(program2, config).run(trace)
     with OptimizationContext(program2, config, trace, target) as ctx:
         yield ctx, program2, config, profile2
 

@@ -27,7 +27,7 @@ def test_example1_hit_rates(benchmark, firewall_inputs, record):
     profiler = Profiler(program, config)
 
     profile = benchmark.pedantic(
-        profiler.profile, args=(trace,), rounds=1, iterations=1
+        profiler.run, args=(trace,), rounds=1, iterations=1
     )
 
     lines = [

@@ -53,7 +53,7 @@ def test_profiling_runtime_scales_linearly(benchmark, size):
     profiler = Profiler(program, config)
 
     profile = benchmark.pedantic(
-        profiler.profile, args=(trace,), rounds=1, iterations=1
+        profiler.run, args=(trace,), rounds=1, iterations=1
     )
     assert profile.total_packets == len(trace)
 
@@ -63,7 +63,7 @@ def test_profiling_and_analysis_tens_of_seconds(benchmark, firewall_inputs):
 
     t0 = time.perf_counter()
     profile = benchmark.pedantic(
-        Profiler(program, config).profile, args=(trace,),
+        Profiler(program, config).run, args=(trace,),
         rounds=1, iterations=1,
     )
     profiling_seconds = time.perf_counter() - t0

@@ -26,7 +26,7 @@ def test_table1_nonexclusive_sets(benchmark, firewall_inputs, record):
     program, config, trace, _target = firewall_inputs
 
     profile = benchmark.pedantic(
-        Profiler(program, config).profile, args=(trace,),
+        Profiler(program, config).run, args=(trace,),
         rounds=1, iterations=1,
     )
 

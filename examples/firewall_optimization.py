@@ -35,7 +35,7 @@ def main() -> None:
     print("=" * 70)
     print("Phase 1: profiling (the Ex. 1 annotations)")
     print("=" * 70)
-    profile = Profiler(program, config).profile(trace)
+    profile = Profiler(program, config).run(trace)
     for table in program.tables_in_control_order():
         print(f"  apply({table})".ljust(30)
               + f"hit rate {profile.hit_rate(table):6.1%}")

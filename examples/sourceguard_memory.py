@@ -30,7 +30,7 @@ def main() -> None:
     print(before.summary())
     print()
 
-    profile = Profiler(program, config).profile(trace)
+    profile = Profiler(program, config).run(trace)
     print(f"profiled {profile.total_packets} packets; "
           f"{sum(1 for d in profile.decisions if d[1])} spoofed packets "
           "dropped by the source guard")

@@ -8,9 +8,10 @@ Commands:
 
 * ``compile PROGRAM`` — stage map / fit report for a target.
 * ``profile PROGRAM --config CFG --trace PCAP [--reference]`` —
-  phase 1 on its own; prints the profiling engine's perf counters
-  (packets/s, per-table lookups).  ``--reference`` replays on the
-  reference interpreter (the oracle, not a speed setting).
+  phase 1 on its own; prints the replay's throughput (packets/s, timed
+  here) and what it cost (packets, per-table lookups).  ``--reference``
+  replays on the reference interpreter (the oracle, not a speed
+  setting).
 * ``optimize PROGRAM --config CFG --trace PCAP [--workers N]
   [--store PATH | --no-store]`` — the full pipeline; writes the
   optimized program (DSL) and the observation report (which includes
@@ -92,11 +93,12 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.core.pipeline import P2GO
-from repro.core.profiler import Profiler
+from repro.core.profiler import PerfCounters, Profiler
 from repro.core.report import render_decision, render_report, stage_table
 from repro.exceptions import ReproError
 from repro.p4.dsl import parse_program, print_program
@@ -146,9 +148,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.reference:
         config.enable_compiled_tables = False
     trace = load_trace(args.trace)
-    profile, perf = Profiler(program, config).run(trace)
+    started = time.perf_counter()
+    profile = Profiler(program, config).run(trace)
+    elapsed = time.perf_counter() - started
+    lines = PerfCounters.of([profile]).render().splitlines()
+    lines.insert(
+        1,
+        f"throughput:           {len(trace) / elapsed:,.0f} packets/s "
+        f"({len(trace)} packets in {elapsed:.3f} s)",
+    )
     print(f"profiled {profile.total_packets} packets")
-    print(perf.render())
+    print("\n".join(lines))
     print()
     print(f"{'table':<24} {'hit rate':>9} {'apply rate':>11}")
     for table in program.tables_in_control_order():

@@ -39,7 +39,7 @@ def recheck(
     original semantics define what each rewrite must preserve.
     """
     original = result.original_program
-    fresh = Profiler(original, config).profile(trace)
+    fresh = Profiler(original, config).run(trace)
     violated: List[Decision] = []
     for decision in result.applied:
         evidence: Tuple[str, ...] = ()
@@ -49,7 +49,7 @@ def recheck(
             resize = decision.candidate
             resized = _resized(original, resize, resize.new_size)
             evidence = tuple(
-                fresh.behavior_diff(Profiler(resized, config).profile(trace))
+                fresh.behavior_diff(Profiler(resized, config).run(trace))
             )
             reason = Reason.BEHAVIOUR_CHANGED if evidence else None
         else:

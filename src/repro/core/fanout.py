@@ -9,8 +9,9 @@ the two verbs used to spell separately lives here once:
 
 * worker-count resolution (:func:`resolve_workers`: knob >
   ``$P2GO_WORKERS`` > 1) and store-root resolution
-  (:func:`~repro.core.store.resolve_store` semantics; only the *root*
-  crosses the process boundary, every task opens its own handle);
+  (:func:`~repro.core.store.resolve_store` semantics; only the root
+  and the handle's settings — size cap, lease TTL, code fingerprint —
+  cross the process boundary, every task opens its own handle);
 * the pool factory (:func:`make_pool`) with its thread fallback — the
   only place under ``repro`` that constructs a probe/fan-out executor
   (the session's batch probes use it too);
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -86,12 +88,12 @@ class FanOut:
     wall_seconds: float
 
 
-def _run_one(task: Callable, run, store_root: Optional[str]):
+def _run_one(task: Callable, run, open_store: Optional[Callable]):
     """One run end to end (inside a pool worker, or inline when
     serial): open this worker's handle on the shared store, give the
     task a fresh session, close it whatever the task did."""
     t0 = time.perf_counter()
-    store = SessionStore(store_root) if store_root is not None else None
+    store = open_store() if open_store is not None else None
     session = run.create_session(store=store)
     try:
         value = task(run, session)
@@ -121,15 +123,25 @@ def run_many(
     runs = list(runs)
     workers = resolve_workers(workers)
     resolved = resolve_store(store)
-    store_root = None if resolved is None else str(resolved.root)
+    store_root = open_store = None
+    if resolved is not None:
+        store_root = str(resolved.root)
+        # Every task's handle has the caller's settings, not defaults.
+        open_store = partial(
+            SessionStore,
+            store_root,
+            max_bytes=resolved.max_bytes,
+            code_fp=resolved.code_fp,
+            lease_ttl=resolved.lease_ttl,
+        )
     t0 = time.perf_counter()
     if workers == 1 or len(runs) <= 1:
-        results = [_run_one(task, run, store_root) for run in runs]
+        results = [_run_one(task, run, open_store) for run in runs]
     else:
         pool = make_pool(min(workers, len(runs)))
         try:
             futures = [
-                pool.submit(_run_one, task, run, store_root) for run in runs
+                pool.submit(_run_one, task, run, open_store) for run in runs
             ]
             results = [future.result() for future in futures]
         finally:

@@ -39,9 +39,9 @@ from typing import (
 )
 
 from repro.core.observations import Decision, Phase, Verdict
+from repro.core.profiler import PerfCounters
 from repro.core.session import OptimizationContext
 from repro.p4.program import Program
-from repro.sim.perf import PerfCounters
 from repro.sim.runtime import RuntimeConfig
 
 #: Review hook: receives each accepted decision, returns True to keep
@@ -57,8 +57,8 @@ class PhaseOutcome:
     phase: Phase
     stages: int
     stage_map: List[List[str]]
-    #: Merged perf counters of the trace replays this phase triggered,
-    #: merged in submission order (parallel batches included).  None
+    #: What the trace replays this phase executed cost, read off their
+    #: profiles (parallel batches included).  None
     #: when the phase ran no new replay — every profile it asked for was
     #: a memo or disk hit.  Replays logged before the phase began
     #: (pipeline setup, online monitoring) are never attributed here.

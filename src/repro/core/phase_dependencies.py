@@ -297,4 +297,4 @@ class DependencyRemovalPass:
         compiled, profiled = ctx.probe_many(
             programs=[ctx.program], variants=[(None, None)]
         )
-        return run_phase(ctx.program, compiled[0], profiled[0][0])
+        return run_phase(ctx.program, compiled[0], profiled[0])

@@ -347,7 +347,7 @@ def evaluate_candidates(
         variants=variants,
     )
     evaluated: List[Decision] = []
-    for candidate, result, (profile, _perf) in zip(
+    for candidate, result, profile in zip(
         candidates, compiled, profiled
     ):
         load = profile.apply_rate(redirect_table)

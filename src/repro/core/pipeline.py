@@ -46,12 +46,11 @@ from repro.core.phase_memory import (
     resolve_candidate_policy,
 )
 from repro.core.phase_offload import DEFAULT_MAX_REDIRECT, Offload, OffloadPass
-from repro.core.profiler import Profile
+from repro.core.profiler import PerfCounters, Profile
 from repro.core.fanout import resolve_workers
 from repro.core.session import OptimizationContext, SessionCounters
 from repro.core.store import SessionStore, resolve_store
 from repro.p4.program import Program
-from repro.sim.perf import PerfCounters
 from repro.sim.runtime import RuntimeConfig
 from repro.target.model import DEFAULT_TARGET, TargetModel
 from repro.traffic.generators import TracePacket
@@ -77,10 +76,10 @@ class P2GOResult:
     decisions: Tuple[Decision, ...]
     initial_profile: Profile
     outcomes: List[PhaseOutcome]
-    #: Perf counters of the initial profiling replay (packets/s,
-    #: per-table lookups) — the engine cost every later phase
-    #: re-pays on each re-profile (per-phase re-pay shows up on each
-    #: outcome's ``profiling_perf``).
+    #: What the initial profiling replay costs (packets, per-table
+    #: lookups), read off the initial profile — the engine cost every
+    #: later phase re-pays on each re-profile (per-phase re-pay shows
+    #: up on each outcome's ``profiling_perf``).
     profiling_perf: Optional[PerfCounters] = None
     #: This run's probes, tallied: how many times the phases asked and
     #: what answered — the memo, the store or an execution.  A run on a
@@ -144,12 +143,12 @@ class SwitchRun:
 
     The inputs are the paper's (Fig. 2): program, runtime config,
     traffic trace, target.  The knobs mirror the ones the paper
-    describes: which ``phases`` run (and in which order), how many
-    dependencies to remove, how many resizes to accept, the minimum
-    stage savings and controller-load ceiling for offloading, phase 3's
+    describes: which ``phases`` run (and in which order), the
+    controller-load ceiling for offloading, phase 3's
     ``candidate_policy``, and the ``review_hook`` through which a
-    programmer can veto changes.  ``workers`` sets how many candidates
-    the phases probe concurrently (None defers to ``$P2GO_WORKERS``,
+    programmer can veto changes (round limits and the minimum stage
+    savings are the passes' own defaults).  ``workers`` sets how many
+    candidates the phases probe concurrently (None defers to ``$P2GO_WORKERS``,
     then to 1 — the serial path; the result is identical either way).
     ``name`` labels the switch in fleet reports (defaults to the
     program name).
@@ -173,9 +172,6 @@ class SwitchRun:
         target: TargetModel = DEFAULT_TARGET,
         name: Optional[str] = None,
         phases: Sequence[int] = (2, 3, 4),
-        max_dependency_removals: int = 8,
-        max_memory_reductions: int = 1,
-        offload_min_stage_savings: int = 1,
         max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
         review_hook: Optional[ReviewHook] = None,
         workers: Optional[int] = None,
@@ -192,9 +188,6 @@ class SwitchRun:
         self.trace = list(trace)
         self.target = target
         self.phases = tuple(phases)
-        self.max_dependency_removals = max_dependency_removals
-        self.max_memory_reductions = max_memory_reductions
-        self.offload_min_stage_savings = offload_min_stage_savings
         self.max_redirect_fraction = max_redirect_fraction
         self.review_hook = review_hook
         self.workers = workers
@@ -206,15 +199,10 @@ class SwitchRun:
         passes: List[OptimizationPass] = []
         for phase_number in self.phases:
             if phase_number == 2:
-                passes.append(
-                    DependencyRemovalPass(
-                        max_rounds=self.max_dependency_removals
-                    )
-                )
+                passes.append(DependencyRemovalPass())
             elif phase_number == 3:
                 passes.append(
                     MemoryReductionPass(
-                        max_rounds=self.max_memory_reductions,
                         candidate_order=resolve_candidate_policy(
                             self.candidate_policy
                         ),
@@ -223,7 +211,6 @@ class SwitchRun:
             elif phase_number == 4:
                 passes.append(
                     OffloadPass(
-                        min_stage_savings=self.offload_min_stage_savings,
                         max_redirect_fraction=self.max_redirect_fraction,
                     )
                 )
@@ -308,9 +295,9 @@ class SwitchRun:
     def _run_phases(
         self, ctx: OptimizationContext, passes: List[OptimizationPass]
     ) -> P2GOResult:
-        # Phase 1: profiling (batched replay through the engine; perf
-        # counters ride along on the result).  The run's own probes are
-        # the session's from ``start`` on.
+        # Phase 1: profiling (batched replay through the engine; its
+        # cost, read off the profile, rides along on the result).  The
+        # run's own probes are the session's from ``start`` on.
         start = len(ctx.probes)
         initial_profile, profiling_perf = ctx.profile_with_perf()
         result = ctx.compile()

@@ -23,12 +23,11 @@ Replay goes through the simulator's batched entry point
 (:meth:`~repro.sim.switch.BehavioralSwitch.process_many`): match
 structures and the execution plan compile once per run, the sink is a
 :class:`~repro.sim.switch.StepSink`, so the replay hands it each
-packet's steps and forwarding decision and builds no result, no deparse
-and no controller queue, a session's trace is parsed once for all its
-replays
-(:class:`~repro.sim.switch.ReplayTrace`), and
-:meth:`Profiler.run` returns the run's
-:class:`~repro.sim.perf.PerfCounters` beside the profile.  The step logs
+packet's steps and forwarding decision and builds no result and no
+deparse, and a session's trace is parsed once for all its replays
+(:class:`~repro.sim.switch.ReplayTrace`).  What a replay cost in
+packets and table lookups is a view of its profile
+(:class:`PerfCounters`); the switch counts nothing.  The step logs
 and forwarding decisions a profile is built from are bit-identical on
 the engine and on the reference interpreter
 (``enable_compiled_tables=False`` on the
@@ -38,12 +37,20 @@ the engine and on the reference interpreter
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
-from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Set, Tuple
+from dataclasses import dataclass, field, fields
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.p4.program import Program
 from repro.sim.events import ExecutionStep
-from repro.sim.perf import PerfCounters
 from repro.sim.runtime import RuntimeConfig
 from repro.sim.switch import BehavioralSwitch, Decision, StepSink
 from repro.traffic.generators import TracePacket
@@ -270,6 +277,46 @@ class Profile:
         return reasons
 
 
+@dataclass(frozen=True)
+class PerfCounters:
+    """What a set of replays cost: packets and per-table lookups, read
+    off their profiles (built by :meth:`of`).  A lookup is one table
+    application, hit or miss, so a table applied twice to a packet
+    counts twice."""
+
+    packets: int = 0
+    table_lookups: Dict[str, int] = field(default_factory=dict)
+
+    #: Always 0: the flow-result cache they counted is gone (DESIGN.md
+    #: §12).  ``benchmarks/stack/workloads.py::replay_perf`` still reads
+    #: both; they go when it stops (ROADMAP item 6).
+    cache_hits = 0
+    cache_misses = 0
+
+    @classmethod
+    def of(cls, profiles: Iterable[Profile]) -> "PerfCounters":
+        packets = 0
+        lookups: Counter = Counter()
+        for profile in profiles:
+            for steps, count in profile.paths.items():
+                packets += count
+                for step in steps:
+                    lookups[step.table] += count
+        return cls(packets, dict(lookups))
+
+    def render(self) -> str:
+        """Human-readable counter block (CLI / report output)."""
+        lines = [f"packets processed:    {self.packets}"]
+        if self.table_lookups:
+            top = sorted(
+                self.table_lookups.items(), key=lambda kv: (-kv[1], kv[0])
+            )
+            lines.append("table lookups:        " + ", ".join(
+                f"{name}={count}" for name, count in top
+            ))
+        return "\n".join(lines)
+
+
 class Profiler:
     """Profiles a program by replaying a trace and folding step logs."""
 
@@ -277,22 +324,16 @@ class Profiler:
         self.program = program
         self.config = config
 
-    def run(
-        self, trace: Sequence[TracePacket]
-    ) -> Tuple[Profile, PerfCounters]:
-        """The profile of ``trace`` plus the replay's perf counters
-        (packets/s, per-table lookups, …)."""
-        switch = BehavioralSwitch(self.program, self.config)
-        sink = switch.process_many(trace, into=StepSink())
-        profile = Profile(
+    def run(self, trace: Sequence[TracePacket]) -> Profile:
+        """The profile of ``trace``."""
+        sink = BehavioralSwitch(self.program, self.config).process_many(
+            trace, into=StepSink()
+        )
+        return Profile(
             program_name=self.program.name,
             paths=sink.paths,
             decisions=tuple(sink.decisions),
         )
-        return profile, switch.perf
-
-    def profile(self, trace: Sequence[TracePacket]) -> Profile:
-        return self.run(trace)[0]
 
 
 def profile_program(
@@ -301,4 +342,4 @@ def profile_program(
     trace: Sequence[TracePacket],
 ) -> Profile:
     """One-call convenience wrapper."""
-    return Profiler(program, config).profile(trace)
+    return Profiler(program, config).run(trace)

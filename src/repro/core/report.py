@@ -192,13 +192,11 @@ def render_report(result: P2GOResult) -> str:
     ]
     if phase_perf:
         lines.append("per-phase re-profiling cost:")
-        for outcome in phase_perf:
-            perf = outcome.profiling_perf
-            lines.append(
-                f"  {outcome.phase.name.lower():<20} "
-                f"{perf.packets} packets replayed at "
-                f"{perf.packets_per_second():,.0f} packets/s"
-            )
+        lines.extend(
+            f"  {outcome.phase.name.lower():<20} "
+            f"{outcome.profiling_perf.packets} packets replayed"
+            for outcome in phase_perf
+        )
         lines.append("")
     if result.session_counters is not None:
         workers = (

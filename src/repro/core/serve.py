@@ -492,7 +492,6 @@ class ContinuousOptimizer:
         store=False,
         workers: int = 0,
         log: Optional[Log] = None,
-        **p2go_kwargs,
     ):
         if workers < 0:
             raise ValueError("workers must be >= 0")
@@ -506,7 +505,6 @@ class ContinuousOptimizer:
         self.store = store
         self.workers = workers
         self.log = log
-        self.p2go_kwargs = dict(p2go_kwargs)
 
         #: Guards the (serving, monitor) pair, the recent-packet ring,
         #: and every counter: per-packet processing holds it, and a
@@ -634,9 +632,7 @@ class ContinuousOptimizer:
         packets_before = stats.packets_processed
         t0 = time.perf_counter()
         try:
-            result = monitor.reoptimize(
-                window, phases=self.phases, **self.p2go_kwargs
-            )
+            result = monitor.reoptimize(window, phases=self.phases)
         except ReproError as exc:
             with self._lock:
                 stats.failed_reoptimizations += 1
@@ -756,7 +752,6 @@ class ContinuousOptimizer:
                 self.target,
                 session=session,
                 phases=self.phases,
-                **self.p2go_kwargs,
             ).run()
             self._current = self.initial
             self._serving = BehavioralSwitch(

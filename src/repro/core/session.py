@@ -63,12 +63,13 @@ The session also carries:
   the one record of what the session did; everything else is a view of
   it.  :class:`SessionCounters` (``ctx.counters``, and each
   ``P2GOResult``'s counters over its own run's slice) tallies it, and
-  :meth:`~OptimizationContext.replay_perf` merges the
-  :class:`~repro.sim.perf.PerfCounters` of the replays it executed from
-  a given record on — how the pass manager attributes replay cost to
-  the phase that paid it.  Replays before that record (pipeline setup,
-  a co-resident :class:`~repro.core.online.OnlineProfiler`) are not
-  attributed to the phase.
+  :meth:`~OptimizationContext.replay_perf` reads the
+  :class:`~repro.core.profiler.PerfCounters` off the profiles it
+  executed from a given record on — how the pass manager attributes
+  replay cost to the phase that paid it.  Replays before that record
+  (pipeline setup, a co-resident
+  :class:`~repro.core.online.OnlineProfiler`) are not attributed to the
+  phase.
 * **Current state**: ``program`` / ``config`` are what the optimization
   has accepted so far.  Passes never assign them: a pass returns its
   candidate in a :class:`~repro.core.passes.PassResult` and the pass
@@ -98,7 +99,7 @@ Every probe — any kind, serial or batched; one ``_lookup`` spells it
 * a *memo hit* costs a dict lookup (logged :attr:`Source.MEMO`);
 * a *disk hit* unpickles the entry, hydrates the memo cache, and is
   logged :attr:`Source.DISK` — it is **not** an execution and its
-  replay perf is never attributed to a phase (the cost was paid by
+  replay cost is never attributed to a phase (the cost was paid by
   whichever run wrote the entry);
 * an *execution* runs the compiler / replays the trace and writes the
   result through to the store at once, under the key it was executed
@@ -150,11 +151,10 @@ from typing import (
 
 from repro.analysis.structure import ProgramAnalysis, analyse, structure_key
 from repro.core.fanout import make_pool, resolve_workers
-from repro.core.profiler import Profile, Profiler
+from repro.core.profiler import PerfCounters, Profile, Profiler
 from repro.core.store import KINDS, SessionStore
 from repro.p4.dsl.printer import print_program
 from repro.p4.program import Program
-from repro.sim.perf import PerfCounters
 from repro.sim.runtime import RuntimeConfig
 from repro.sim.switch import ReplayTrace
 from repro.target.compiler import CompileResult, compile_program
@@ -224,7 +224,7 @@ def _replay_task(
     program: Program,
     config: RuntimeConfig,
     trace: Sequence[TracePacket],
-) -> Tuple[Profile, PerfCounters]:
+) -> Profile:
     return Profiler(program, config).run(trace)
 
 
@@ -291,22 +291,6 @@ class SessionCounters:
         )
 
 
-def merge_perf(counters: Sequence[PerfCounters]) -> Optional[PerfCounters]:
-    """Sum a sequence of replay counters into one (None when empty)."""
-    if not counters:
-        return None
-    merged = PerfCounters()
-    for perf in counters:
-        merged.packets += perf.packets
-        merged.elapsed_seconds += perf.elapsed_seconds
-        merged.timed_packets += perf.timed_packets
-        for table, count in perf.table_lookups.items():
-            merged.table_lookups[table] = (
-                merged.table_lookups.get(table, 0) + count
-            )
-    return merged
-
-
 #: A batch-probe variant: (program, config), either may be None for the
 #: session's current state.
 ProfileVariant = Tuple[Optional[Program], Optional[RuntimeConfig]]
@@ -314,7 +298,7 @@ ProfileVariant = Tuple[Optional[Program], Optional[RuntimeConfig]]
 #: One probe: (a kind of :data:`~repro.core.store.KINDS`, content key,
 #: the pure worker task as ``(function, *arguments)``).  The stored
 #: value of a compile probe is its :class:`CompileResult`; of a profile
-#: probe, ``(Profile, PerfCounters)``; of an analysis probe, its
+#: probe, its :class:`Profile`; of an analysis probe, its
 #: :class:`ProgramAnalysis` — the same value its store entry holds.  A
 #: compile probe's task gains the analysis as its last argument when
 #: (and only when) the probe executes.
@@ -363,8 +347,7 @@ class OptimizationContext:
             OrderedDict()
         )
         #: The memo tier: kind -> content key -> stored value (see
-        #: :data:`Probe`; a profile's value carries the perf counters
-        #: of the replay that produced it).
+        #: :data:`Probe`).
         self._memo: Dict[str, Dict[Tuple, object]] = {
             kind: {} for kind in KINDS
         }
@@ -542,22 +525,22 @@ class OptimizationContext:
         """Profile ``program`` under ``config`` (defaults: current state)
         on the session trace, memoized on (program, config, trace)
         content."""
-        profile, _perf = self.profile_with_perf(program, config)
-        return profile
+        return self.profile_with_perf(program, config)[0]
 
     def profile_with_perf(
         self,
         program: Optional[Program] = None,
         config: Optional[RuntimeConfig] = None,
     ) -> Tuple[Profile, PerfCounters]:
-        """Like :meth:`profile` but also returns the perf counters of the
-        replay that produced the profile (the cached replay's counters on
-        a memo hit — the cost was paid once)."""
+        """Like :meth:`profile` but also returns what the replay that
+        produced the profile cost, read off the profile (the same
+        whichever tier answered)."""
         if program is None:
             program = self.program
         if config is None:
             config = self.config
-        return self._probe(self._profile_probe(program, config))
+        profile = self._probe(self._profile_probe(program, config))
+        return profile, PerfCounters.of([profile])
 
     # ------------------------------------------------------------------
     # Batch (parallel) probing
@@ -566,13 +549,13 @@ class OptimizationContext:
         self,
         programs: Sequence[Program] = (),
         variants: Sequence[ProfileVariant] = (),
-    ) -> Tuple[List[CompileResult], List[Tuple[Profile, PerfCounters]]]:
+    ) -> Tuple[List[CompileResult], List[Profile]]:
         """One mixed wave of compile and replay probes.
 
         Compiles and replays share the session's one process pool, all
         concurrently.  With one worker — or a single probe — this *is*
-        the serial path: the same :meth:`compile` /
-        :meth:`profile_with_perf` calls, in order.
+        the serial path: the same :meth:`compile` / :meth:`profile`
+        calls, in order.
 
         Raises :class:`RuntimeError` on re-entrant batches.
         """
@@ -593,7 +576,7 @@ class OptimizationContext:
             return (
                 [self.compile(program) for program in programs],
                 [
-                    self.profile_with_perf(program, config)
+                    self.profile(program, config)
                     for program, config in variants
                 ],
             )
@@ -690,18 +673,17 @@ class OptimizationContext:
         return SessionCounters.of(self.probes)
 
     def replay_perf(self, since: int = 0) -> Optional[PerfCounters]:
-        """Merged perf of the replays the session executed from probe
-        record ``since`` on, in log order (None when it executed none
-        there): memo and disk hits cost this session nothing, and
-        replays before ``since`` (pipeline setup, online monitoring) are
-        not counted."""
+        """What the replays the session executed from probe record
+        ``since`` on cost, read off their profiles (None when it
+        executed none there): memo and disk hits cost this session
+        nothing, and replays before ``since`` (pipeline setup, online
+        monitoring) are not counted."""
         profiles = self._memo["profile"]
-        return merge_perf(
-            [
-                profiles[key][1]
-                for kind, key, source in self.probes[since:]
-                if kind == "profile"
-                and source is Source.EXECUTED
-                and key in profiles  # not a replay that raised
-            ]
-        )
+        executed = [
+            profiles[key]
+            for kind, key, source in self.probes[since:]
+            if kind == "profile"
+            and source is Source.EXECUTED
+            and key in profiles  # not a replay that raised
+        ]
+        return PerfCounters.of(executed) if executed else None

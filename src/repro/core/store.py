@@ -10,7 +10,7 @@ keys are the session's already-content-addressed fingerprints
 ``(program_fingerprint, config_fingerprint, trace_fingerprint)`` for
 profiles, ``(structure_key,)`` for analyses), values are pickled
 :class:`~repro.target.compiler.CompileResult` objects,
-``(Profile, PerfCounters)`` pairs and
+:class:`~repro.core.profiler.Profile` objects and
 :class:`~repro.analysis.structure.ProgramAnalysis` objects — one per
 program *structure*, shared by every stored compile of that structure
 (a compile entry holds allocation + TDG: no program, which is the
@@ -76,7 +76,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 if TYPE_CHECKING:  # pragma: no cover — typing-only imports, no cycle
     from repro.analysis.structure import ProgramAnalysis
     from repro.core.profiler import Profile
-    from repro.sim.perf import PerfCounters
     from repro.target.compiler import CompileResult
 
 __all__ = [
@@ -147,7 +146,6 @@ _FINGERPRINTED_MODULES = (
     "repro.sim.hashing",
     "repro.sim.match",
     "repro.sim.parser_engine",
-    "repro.sim.perf",
     "repro.sim.plan",
     "repro.sim.runtime",
     "repro.sim.state",
@@ -724,16 +722,12 @@ class SessionStore:
     def store_compile(self, key: Tuple, result: "CompileResult") -> None:
         self._store("compile", key, result)
 
-    def load_profile(
-        self, key: Tuple
-    ) -> Optional[Tuple["Profile", "PerfCounters"]]:
-        """The stored ``(profile, perf)`` pair for ``key``, or None."""
+    def load_profile(self, key: Tuple) -> Optional["Profile"]:
+        """The stored profile for ``key``, or None."""
         return self._load("profile", key)
 
-    def store_profile(
-        self, key: Tuple, profile: "Profile", perf: "PerfCounters"
-    ) -> None:
-        self._store("profile", key, (profile, perf))
+    def store_profile(self, key: Tuple, profile: "Profile") -> None:
+        self._store("profile", key, profile)
 
     def load_analysis(self, key: Tuple) -> Optional["ProgramAnalysis"]:
         """The stored analysis of the structure ``key``, or None."""
@@ -743,12 +737,9 @@ class SessionStore:
         self._store("analysis", key, analysis)
 
     def publish(self, kind: str, key: Tuple, value) -> None:
-        """Write one executed probe's stored value (a compile's result;
-        a profile's ``(profile, perf)`` pair; an analysis)."""
-        if kind == "profile":
-            self.store_profile(key, *value)
-        else:
-            getattr(self, f"store_{kind}")(key, value)
+        """Write one executed probe's stored value (a compile's result,
+        a profile, an analysis)."""
+        getattr(self, f"store_{kind}")(key, value)
 
     # ------------------------------------------------------------------
     # Eviction / maintenance

@@ -93,16 +93,7 @@ def canonical(result: P2GOResult, decisions_only: bool = False) -> tuple:
     if decisions_only:
         return decisions
     perfs = [
-        (
-            outcome.phase.name,
-            outcome.stages,
-            None
-            if outcome.profiling_perf is None
-            else (
-                outcome.profiling_perf.packets,
-                sorted(outcome.profiling_perf.table_lookups.items()),
-            ),
-        )
+        (outcome.phase.name, outcome.stages, outcome.profiling_perf)
         for outcome in result.outcomes
     ]
     return decisions, result.session_counters.as_dict(), perfs
@@ -207,7 +198,7 @@ def _check_engine(case: GeneratedCase) -> Optional[AxisFailure]:
                 f"{report.total} packets (first at index "
                 f"{report.mismatches[0]})",
             )
-        folded = Profiler(program, config.clone()).profile(case.trace)
+        folded = Profiler(program, config.clone()).run(case.trace)
         reference = reference_profile(program, config.clone(), case.trace)
         differing = [
             name for name, value in reference.items()

@@ -24,22 +24,22 @@ switch is a *profiling engine* with one switch and one reference:
   ``tests/test_execution_plan.py``; semantics argument in DESIGN.md,
   "Profiling engine").  There is no other engine (DESIGN.md §12 says
   why).
-* **perf counters** (:class:`repro.sim.perf.PerfCounters`) on
-  ``BehavioralSwitch.perf``, timed by the batched
-  :meth:`BehavioralSwitch.process_many` entry point.
 * **shared parses** (:class:`ReplayTrace`): a trace replayed many times
   keeps what each parser made of its packets, and every replay starts
   from private copies of that one parse (DESIGN.md §5, "What replays
   share").  Nothing executed is shared.
 * **step sinks** (:class:`StepSink`): a batch whose sink reads only
   each packet's step log and forwarding decision builds nothing else —
-  no :class:`SwitchResult`, no deparse, no controller queue entry.
+  no :class:`SwitchResult`, no deparse.
+
+The switch counts nothing and queues nothing: what a replay cost is a
+view of its profile (:class:`repro.core.profiler.PerfCounters`), and a
+punted packet's index, reason and bytes are on its :class:`SwitchResult`.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from time import perf_counter
 from typing import (
     Callable,
     Dict,
@@ -68,9 +68,8 @@ from repro.p4.program import Program
 from repro.p4.types import mask
 from repro.packets.packet import get_codec
 from repro.sim.action_interp import Phv, eval_expr, execute_action
-from repro.sim.events import ControllerPacket, ExecutionStep
+from repro.sim.events import ExecutionStep
 from repro.sim.match import lookup
-from repro.sim.perf import PerfCounters
 from repro.sim.plan import Frame, Plan, build_plan
 from repro.sim.runtime import RuntimeConfig
 from repro.sim.parser_engine import ParsedPacket, deparse_packet
@@ -117,10 +116,9 @@ class StepSink:
     once).
 
     The type is the declaration: for a ``StepSink`` the batch builds no
-    :class:`SwitchResult`, deparses nothing and queues nothing for the
-    controller, and on the execution plan a shared parse's header dicts
-    that the plan never writes are not copied
-    (:meth:`ParseTemplate.fresh`)."""
+    :class:`SwitchResult` and deparses nothing, and on the execution
+    plan a shared parse's header dicts that the plan never writes are
+    not copied (:meth:`ParseTemplate.fresh`)."""
 
     __slots__ = ("paths", "decisions", "_distinct")
 
@@ -211,7 +209,7 @@ class BehavioralSwitch:
     """A software switch running one program with one runtime config.
 
     Register state persists across packets; call :meth:`reset_state` to
-    start a fresh profiling run (this also clears the perf counters).
+    start a fresh profiling run.
     """
 
     def __init__(self, program: Program, config: Optional[RuntimeConfig] = None):
@@ -220,8 +218,6 @@ class BehavioralSwitch:
         self.config = config if config is not None else RuntimeConfig()
         self.config.validate(program)
         self.state = SwitchState(program)
-        self.controller_queue: List[ControllerPacket] = []
-        self.perf = PerfCounters()
         self._packet_count = 0
         # The config-mutation stamp the plan was built against.
         self._config_mutations = self.config.mutations
@@ -303,12 +299,10 @@ class BehavioralSwitch:
             )
 
     def reset_state(self) -> None:
-        """Reset registers to their configured initial contents, clear the
-        controller queue and the perf counters."""
+        """Reset registers to their configured initial contents and
+        restart the packet index."""
         self.state.reset()
-        self.controller_queue.clear()
         self._packet_count = 0
-        self.perf.reset()
         self._apply_register_inits()
 
     def invalidate_caches(self) -> None:
@@ -338,7 +332,6 @@ class BehavioralSwitch:
     def process(self, data: bytes, ingress_port: int = 0) -> SwitchResult:
         """Push one packet through parse → ingress → deparse."""
         self._prepare()
-        self.perf.packets += 1
         parsed = self._parse(data)
         return self._result(
             parsed, data, *self._traverse(parsed, ingress_port)
@@ -347,12 +340,12 @@ class BehavioralSwitch:
     def process_many(
         self, packets: Sequence, ingress_port: int = 0, into=None
     ) -> List[SwitchResult]:
-        """Batched processing: replay the whole trace, time it.
+        """Batched processing: replay the whole trace.
 
         Entries are raw ``bytes`` (using ``ingress_port``) or
         ``(bytes, port)`` tuples for per-packet ingress ports.  State
         accumulates across the batch exactly as in per-packet
-        :meth:`process` calls; only the wall-clock accounting differs.
+        :meth:`process` calls.
         Each result is appended to ``into`` as it is produced — a fresh
         list by default — and ``into`` is returned, so a caller that
         folds results passes a sink and holds none of them.  A
@@ -361,13 +354,12 @@ class BehavioralSwitch:
         per parse key; a plain sequence is parsed packet by packet and
         leaves nothing behind.
         """
-        started = perf_counter()
         self._prepare()
         sink = [] if into is None else into
         traverse = self._traverse
         writes = None
         if isinstance(sink, StepSink):
-            paths, counted = sink.paths, dict(sink.paths)
+            paths = sink.paths
             append, distinct = sink.decisions.append, sink._distinct
             if self.config.enable_compiled_tables:
                 writes = self._plan.writes
@@ -384,7 +376,6 @@ class BehavioralSwitch:
                 append(distinct.setdefault(decision, decision))
         else:
             append, result = sink.append, self._result
-            paths = None
 
             def finish(parsed, data, steps, written):
                 append(result(parsed, data, steps, written))
@@ -404,17 +395,9 @@ class BehavioralSwitch:
                 else template.fresh(writes)
             )
             finish(parsed, data, *traverse(parsed, port))
-        if paths is not None:
-            # What _result counts per result, counted here per path.
+        if isinstance(sink, StepSink):
+            # The indices _result would have handed out.
             self._packet_count += len(packets)
-            lookups = self.perf.table_lookups
-            for steps, count in paths.items():
-                count -= counted.get(steps, 0)
-                for step in steps:
-                    lookups[step.table] = lookups.get(step.table, 0) + count
-        self.perf.packets += len(packets)
-        self.perf.elapsed_seconds += perf_counter() - started
-        self.perf.timed_packets += len(packets)
         return sink
 
     # ------------------------------------------------------------------
@@ -530,12 +513,8 @@ class BehavioralSwitch:
         self, parsed: ParsedPacket, data: bytes,
         steps: List[ExecutionStep], written: Optional[Set[str]],
     ) -> SwitchResult:
-        """The full-result tail: count the lookups, deparse, read the
-        forwarding decision out of ``standard_metadata``, queue the
-        packet if punted, report the traversal."""
-        lookups = self.perf.table_lookups
-        for step in steps:
-            lookups[step.table] = lookups.get(step.table, 0) + 1
+        """The full-result tail: deparse, read the forwarding decision
+        out of ``standard_metadata``, report the traversal."""
         headers = parsed.headers
         if written is not None:
             output = self._deparse(parsed, data, written)
@@ -547,16 +526,8 @@ class BehavioralSwitch:
                 self.program, headers, packet_valid, parsed.payload
             )
         standard = headers[STANDARD_METADATA]
-        to_controller = bool(standard.get("to_controller", 0))
-        controller_reason = standard.get("controller_reason", 0)
         index = self._packet_count
         self._packet_count += 1
-        if to_controller:
-            self.controller_queue.append(
-                ControllerPacket(
-                    index=index, reason=controller_reason, data=output
-                )
-            )
         return SwitchResult(
             index=index,
             input_bytes=data,
@@ -566,8 +537,8 @@ class BehavioralSwitch:
             steps=steps,
             egress_port=standard.get("egress_port", 0),
             dropped=bool(standard.get("drop_flag", 0)),
-            to_controller=to_controller,
-            controller_reason=controller_reason,
+            to_controller=bool(standard.get("to_controller", 0)),
+            controller_reason=standard.get("controller_reason", 0),
         )
 
     # ------------------------------------------------------------------

@@ -152,7 +152,7 @@ def firewall_trace():
 
 @pytest.fixture(scope="session")
 def firewall_profile(firewall_program, firewall_config, firewall_trace):
-    return Profiler(firewall_program, firewall_config).profile(firewall_trace)
+    return Profiler(firewall_program, firewall_config).run(firewall_trace)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ benchmark runs here; the gate is fed literal JSON lines.
 """
 
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 from repro import programs
 from repro.cli import main
+from repro.core.pipeline import P2GO
 from repro.core.fleet import family_inputs
 from repro.core.session import config_fingerprint
 from repro.sim.runtime import RuntimeConfig
@@ -23,6 +25,7 @@ BASELINE = ROOT / "BENCH_stack.json"
 
 sys.path.insert(0, str(ROOT / "benchmarks" / "stack"))
 from metrics import EXACT_COUNTS, TARGETS  # noqa: E402
+from workloads import replay_perf  # noqa: E402
 
 sys.path.pop(0)
 
@@ -84,12 +87,28 @@ def test_check_counts_fails_on_a_missing_count():
 )
 def test_every_wrap_target_resolves(module, path):
     """The traced run patches ``vars(owner)[attribute]``: a rename under
-    ``src/`` must fail here, not only in the benchmark."""
+    ``src/`` must fail here, not only in the benchmark.  The patch is a
+    plain wrapper function, so the target must be one too (a
+    staticmethod or property would change meaning once wrapped)."""
     *owners, attribute = path.split(".")
     owner = importlib.import_module(module)
     for name in owners:
         owner = getattr(owner, name)
     assert attribute in vars(owner)
+    assert inspect.isfunction(vars(owner)[attribute])
+
+
+def test_replay_reader_sees_every_executed_replay():
+    """``workloads.replay_perf`` reads each outcome's ``profiling_perf``
+    (packets, and the retired cache counts as 0): its packets are the
+    executed replays times the trace, the CI gate's identity."""
+    program, config, trace, target = family_inputs(
+        "example_firewall", packets=200
+    )
+    result = P2GO(program, config, trace, target, store=False).run()
+    packets, hit_ratio = replay_perf([result])
+    assert packets == result.session_counters.profile_executions * len(trace)
+    assert hit_ratio == 0.0
 
 
 def test_retired_quick_benches_stay_retired():

@@ -50,7 +50,7 @@ DNS_FLOOD = CALM[:1500] + dns_stream(
 @pytest.fixture(scope="module")
 def rewritten(firewall_program, firewall_config, firewall_trace):
     result = compile_program(firewall_program, example_firewall.TARGET)
-    profile = Profiler(firewall_program, firewall_config).profile(
+    profile = Profiler(firewall_program, firewall_config).run(
         firewall_trace
     )
     step = dep_phase(firewall_program, result, profile)

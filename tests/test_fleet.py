@@ -27,6 +27,7 @@ from repro.core.fleet import (
 from repro.core.pipeline import P2GO
 from repro.core.report import render_fleet_report
 from repro.core.session import trace_fingerprint
+from repro.core.store import SessionStore
 
 #: Small per-switch traces: the fabric below runs ~15 pipeline phases.
 PACKETS = 160
@@ -213,6 +214,30 @@ class TestSharedStoreReuse:
         assert all(
             s.result.store_stats is None for s in fleet.switches
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_switches_keep_the_store_handles_size_cap(
+        self, fabric, tmp_path, workers
+    ):
+        """Every switch reopens the shared store with the caller's
+        settings: a two-switch fleet on a 20 kB cap ends under it (it
+        wrote ~188 kB and evicted nothing when each handle fell back to
+        the default cap)."""
+        cap = 20_000
+        store = SessionStore(tmp_path / "store", max_bytes=cap)
+        fleet = run_fleet(fabric[:2], store=store, workers=workers)
+        assert [s.result.store_stats["max_bytes"] for s in fleet.switches] == [
+            cap, cap,
+        ]
+        assert store.stats()["total_bytes"] <= cap
+
+    def test_switches_keep_the_store_handles_code_fingerprint(
+        self, fabric, tmp_path
+    ):
+        store = SessionStore(tmp_path / "store", code_fp="pinned")
+        fleet = run_fleet(fabric[:1], store=store, workers=1)
+        assert fleet.switches[0].result.store_stats["code"] == "pinned"
+        assert store.stats()["profile_entries"] > 0
 
 
 class TestAggregateAndReport:

@@ -19,7 +19,6 @@ from repro.core.session import (
     SessionCounters,
     Source,
     config_fingerprint,
-    merge_perf,
     program_fingerprint,
     resolve_workers,
 )
@@ -67,12 +66,7 @@ def canonical(result):
             outcome.phase.name,
             outcome.stages,
             outcome.stage_map,
-            None
-            if outcome.profiling_perf is None
-            else (
-                outcome.profiling_perf.packets,
-                sorted(outcome.profiling_perf.table_lookups.items()),
-            ),
+            outcome.profiling_perf,
         )
         for outcome in result.outcomes
     ]
@@ -144,11 +138,10 @@ class TestBatchSemantics:
                 ]
             )
         batch_perf = batch.replay_perf(0)
-        for (ours, _perf), theirs in zip(got, expected):
+        for ours, theirs in zip(got, expected):
             assert ours.same_behavior_as(theirs)
         assert batch.counters.as_dict() == serial.counters.as_dict()
-        assert batch_perf.packets == serial_perf.packets
-        assert batch_perf.table_lookups == serial_perf.table_lookups
+        assert batch_perf == serial_perf
 
     def test_in_flight_dedup_one_execution(self):
         ctx = make_ctx(workers=4)
@@ -168,8 +161,8 @@ class TestBatchSemantics:
             assert ctx.counters.profile_executions == 1
             # A later batch is answered from the memo cache entirely.
             _, again = ctx.probe_many(variants=[(None, None)])
-        assert first[0][0] is first[1][0]
-        assert again[0][0] is first[0][0]
+        assert first[0] is first[1]
+        assert again[0] is first[0]
         assert ctx.counters.profile_calls == 3
         assert ctx.counters.profile_executions == 1
 
@@ -271,7 +264,7 @@ class TestBatchSemantics:
                 pool = type(ctx._executor[1])
             return (
                 [c.stages_used for c in compiled],
-                [profile for profile, _perf in profiled],
+                profiled,
                 ctx.counters.as_dict(),
             ), pool
 
@@ -332,16 +325,3 @@ class TestPipelineDeterminism:
         assert "compile/profile session (4 workers):" in render_report(
             parallel
         )
-
-
-def test_merge_perf_submission_order_is_deterministic():
-    """merge_perf sums; the session feeds it submission-ordered perfs, so
-    equal multisets of replays merge to equal totals."""
-    from repro.sim.perf import PerfCounters
-
-    a = PerfCounters(packets=5, timed_packets=5, elapsed_seconds=0.5,
-                     table_lookups={"t": 2})
-    b = PerfCounters(packets=7, timed_packets=7, elapsed_seconds=0.25,
-                     table_lookups={"t": 3, "u": 1})
-    ab, ba = merge_perf([a, b]), merge_perf([b, a])
-    assert (ab.packets, ab.table_lookups) == (ba.packets, ba.table_lookups)

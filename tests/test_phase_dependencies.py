@@ -21,7 +21,7 @@ from repro.target import compile_program
 @pytest.fixture(scope="module")
 def firewall_setup(firewall_program, firewall_config, firewall_trace):
     result = compile_program(firewall_program, example_firewall.TARGET)
-    profile = Profiler(firewall_program, firewall_config).profile(
+    profile = Profiler(firewall_program, firewall_config).run(
         firewall_trace
     )
     return firewall_program, result, profile
@@ -142,7 +142,7 @@ class TestRunPhase:
 
         trace = [udp_packet("1.1.1.1", "10.0.0.9", 5, 53)]
         result = compile_program(toy_program, example_firewall.TARGET)
-        profile = Profiler(toy_program, toy_runtime).profile(trace)
+        profile = Profiler(toy_program, toy_runtime).run(trace)
         outcome = run_phase(toy_program, result, profile)
         # fib->acl manifests on this trace (both hit packet 1).
         assert not outcome.changed
@@ -159,7 +159,7 @@ class TestNatGre:
         config = nat_gre.runtime_config()
         trace = nat_gre.make_trace(2000)
         result = compile_program(program, nat_gre.TARGET)
-        profile = Profiler(program, config).profile(trace)
+        profile = Profiler(program, config).run(trace)
         outcome = run_phase(program, result, profile)
         removed = outcome.accepted.candidate
         assert (removed.src, removed.dst) == ("nat", "gre_term")
@@ -172,7 +172,7 @@ class TestNatGre:
         config = nat_gre.runtime_config()
         trace = nat_gre.make_trace(2000)
         result = compile_program(program, nat_gre.TARGET)
-        profile = Profiler(program, config).profile(trace)
+        profile = Profiler(program, config).run(trace)
         outcome = run_phase(program, result, profile)
         report = compare_behavior(
             program, config, outcome.program, config, trace

@@ -41,12 +41,12 @@ def saving(ctx, program, profile):
 def after_phase2(firewall_program, firewall_config, firewall_trace):
     """Ex. 1 after the ACL dependency removal (phase 3's actual input)."""
     result = compile_program(firewall_program, example_firewall.TARGET)
-    profile = Profiler(firewall_program, firewall_config).profile(
+    profile = Profiler(firewall_program, firewall_config).run(
         firewall_trace
     )
     outcome = dep_phase(firewall_program, result, profile)
     program = outcome.program
-    profile2 = Profiler(program, firewall_config).profile(firewall_trace)
+    profile2 = Profiler(program, firewall_config).run(firewall_trace)
     return program, profile2
 
 
@@ -199,7 +199,7 @@ class TestSourceguard:
         program = sourceguard.build_program()
         config = sourceguard.runtime_config(program)
         trace = sourceguard.make_trace(2000)
-        profile = Profiler(program, config).profile(trace)
+        profile = Profiler(program, config).run(trace)
         with OptimizationContext(
             program, config, trace, sourceguard.TARGET
         ) as ctx:

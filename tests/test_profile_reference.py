@@ -107,9 +107,7 @@ def _assert_profile_pickles_as_reference(program, fresh_config, trace):
     """The fresh profile and its pickled round trip both read as the
     per-packet fold; the round trip carries the three fields and none
     of the fold the views cached."""
-    profile, _perf = profiler_module.Profiler(program, fresh_config()).run(
-        trace
-    )
+    profile = profiler_module.Profiler(program, fresh_config()).run(trace)
     expected = reference_views(program, fresh_config(), trace)
     _assert_views_equal(profile, expected)
     stored = pickle.loads(pickle.dumps(profile))

@@ -2,12 +2,21 @@
 Table 1)."""
 
 import dataclasses
+import importlib.util
+from collections import Counter
 
 import pytest
 
+from repro import programs
+from repro.core.fleet import family_inputs
 from repro.core.instrument import InstrumentedProgram
 from repro.core.pipeline import P2GO
-from repro.core.profiler import Profile, Profiler, profile_program
+from repro.core.profiler import (
+    PerfCounters,
+    Profile,
+    Profiler,
+    profile_program,
+)
 from repro.core.serve import ContinuousOptimizer, GeneratorFeed
 from repro.p4 import (
     Apply,
@@ -24,6 +33,7 @@ from repro.packets.packet import pack_fields
 from repro.programs import example_firewall as fw
 from repro.sim.events import ExecutionStep
 from repro.sim.runtime import RuntimeConfig
+from repro.sim.switch import BehavioralSwitch
 from tests.conftest import TRACE_SIZE, build_toy_program, toy_config
 
 
@@ -219,10 +229,10 @@ class TestProfileComparison:
     ):
         """Profiling is deterministic: two runs produce identical
         profiles (the foundation of §3.3's verification)."""
-        p1 = Profiler(firewall_program, firewall_config).profile(
+        p1 = Profiler(firewall_program, firewall_config).run(
             firewall_trace
         )
-        p2 = Profiler(firewall_program, firewall_config).profile(
+        p2 = Profiler(firewall_program, firewall_config).run(
             firewall_trace
         )
         assert p1.same_behavior_as(p2)
@@ -313,6 +323,32 @@ def test_a_profile_stores_only_what_its_replay_saw():
                  "action_counts", "nonexclusive_sets"):
         with pytest.raises(AttributeError):
             setattr(BASE_PROFILE, view, None)
+
+
+def test_a_replay_answers_with_its_profile_only():
+    """``Profiler.run`` returns the ``Profile``, under one name, and no
+    simulator counters module sits beside it."""
+    empty = Profiler(build_toy_program(), toy_config()).run([])
+    assert isinstance(empty, Profile)
+    assert PerfCounters.of([empty]) == PerfCounters()
+    assert not hasattr(Profiler, "profile")
+    assert importlib.util.find_spec("repro.sim.perf") is None
+
+
+@pytest.mark.parametrize(
+    "family", [n for n in programs.__all__ if n != "EXAMPLE_TARGET"]
+)
+def test_perf_counts_the_steps_a_full_replay_takes(family):
+    """What a replay cost, read off its profile, is what a full-result
+    replay of the same trace shows: one packet per result, one lookup
+    per step (a table applied twice to a packet counts twice)."""
+    program, config, trace, _target = family_inputs(family, packets=300)
+    results = BehavioralSwitch(program, config).process_many(trace)
+    perf = PerfCounters.of([Profiler(program, config).run(trace)])
+    assert perf.packets == len(results) == len(trace)
+    assert perf.table_lookups == dict(
+        Counter(step.table for result in results for step in result.steps)
+    )
 
 
 def test_no_verb_instruments_the_program(monkeypatch):

@@ -36,7 +36,7 @@ import pytest
 
 from repro import cli, sim
 from repro.core.instrument import reference_profile
-from repro.core.profiler import Profiler
+from repro.core.profiler import PerfCounters, Profiler
 from repro.fuzz.generator import generate_case
 from repro.p4 import Apply, ModifyField, ParamRef, ProgramBuilder, Seq
 from repro.p4.expressions import FieldRef
@@ -50,6 +50,7 @@ from repro.programs import (
     telemetry,
 )
 from repro.sim import BehavioralSwitch
+from repro.sim.switch import StepSink
 from repro.sim.match import compile_table, lookup
 from repro.sim.runtime import RuntimeConfig, TableEntry
 from repro.traffic.generators import dns_stream
@@ -152,10 +153,10 @@ def test_cached_profile_same_behavior_as_uncached(name):
     program = module.build_program()
     trace = module.make_trace(EQUIVALENCE_TRACE_SIZE)
 
-    engine = Profiler(program, _fresh_config(module, program)).profile(trace)
+    engine = Profiler(program, _fresh_config(module, program)).run(trace)
     reference = Profiler(
         program, _reference(_fresh_config(module, program))
-    ).profile(trace)
+    ).run(trace)
 
     assert engine.same_behavior_as(reference), engine.behavior_diff(reference)
     assert reference.same_behavior_as(engine)
@@ -167,7 +168,7 @@ BIT_IDENTITY_INPUTS = {**PROGRAM_MODULES, "ghost_write": ghost_write}
 def _assert_tiers_bit_identical(program, fresh_config, trace):
     """The engine and the reference agree on the full per-packet
     observable stream (bytes out, steps, headers, forwarding) and on
-    what the replay leaves behind in the switch."""
+    the register state the replay leaves behind."""
     reference = BehavioralSwitch(program, _reference(fresh_config()))
     expected = reference.process_many(trace)
     engine = BehavioralSwitch(program, fresh_config())
@@ -177,8 +178,6 @@ def _assert_tiers_bit_identical(program, fresh_config, trace):
     for got, want in zip(results, expected):
         assert _result_fingerprint(got) == _result_fingerprint(want)
     assert engine.state.snapshot() == reference.state.snapshot()
-    assert engine.controller_queue == reference.controller_queue
-    assert engine.perf.table_lookups == reference.perf.table_lookups
 
 
 @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_INPUTS))
@@ -208,8 +207,8 @@ def test_generated_programs_bit_identical_across_tiers(seed):
 def _assert_fold_matches_reference(program, fresh_config, trace):
     """Every aggregate the instrumented reference reads off its
     profiling bits equals the ``Profile`` view of the same name."""
-    folded, perf = Profiler(program, fresh_config()).run(trace)
-    assert perf.packets == len(trace)
+    folded = Profiler(program, fresh_config()).run(trace)
+    assert PerfCounters.of([folded]).packets == len(trace)
     reference = reference_profile(program, fresh_config(), trace)
     assert set(reference) >= {
         "total_packets", "apply_counts", "hit_counts", "action_counts",
@@ -262,20 +261,18 @@ def test_sketch_threshold_drops_match_the_reference():
     ]
 
 
-def test_reset_state_clears_perf_counters():
+def test_reset_state_restarts_the_packet_index():
+    """A ``StepSink`` batch hands out the indices a result batch would;
+    ``reset_state`` starts them over, with the registers."""
     program = example_firewall.build_program()
     switch = BehavioralSwitch(program, example_firewall.runtime_config())
     trace = example_firewall.make_trace(100)
 
-    switch.process_many(trace)
-    assert switch.perf.packets == len(trace)
-    assert switch.perf.table_lookups
+    switch.process_many(trace, into=StepSink())
+    assert switch.process_many(trace[:1])[0].index == len(trace)
 
     switch.reset_state()
-    assert switch.perf.packets == 0
-    assert switch.perf.table_lookups == {}
-    assert switch.perf.elapsed_seconds == 0.0
-    assert switch.perf.timed_packets == 0
+    assert switch.process_many(trace[:1])[0].index == 0
 
 
 def test_removed_engine_knobs_stay_removed(capsys):

@@ -131,7 +131,6 @@ def test_replays_of_a_session_trace_equal_plain_replays(name):
             _result_fingerprint(r) for r in want
         ]
         assert got_switch.state.snapshot() == want_switch.state.snapshot()
-        assert got_switch.controller_queue == want_switch.controller_queue
     assert len(shared.parses) == 1
 
 
@@ -239,8 +238,7 @@ def _assert_profiling_leaves_templates_intact(program, fresh_config, trace):
     want = Profiler(program, fresh_config()).run(list(trace))
     for _replay in range(2):
         got = Profiler(program, fresh_config()).run(shared)
-        assert got[0] == want[0]
-        assert got[1].table_lookups == want[1].table_lookups
+        assert got == want
         assert templates == before
 
 

@@ -79,7 +79,7 @@ class TestDecisionLog:
 
     def test_the_log_holds_no_wall_clock(self, firewall_result):
         """Phase 1 logs nothing: its summary is rendered from the
-        initial profile, its throughput under "profiling engine:"."""
+        initial profile, its cost under "profiling engine:"."""
         assert Phase.PROFILING not in {
             d.phase for d in firewall_result.decisions
         }
@@ -96,6 +96,25 @@ class TestDecisionLog:
             example_firewall.TARGET,
         ).run()
         assert again.decisions == firewall_result.decisions
+
+    def test_two_cold_runs_render_identical_reports(
+        self, firewall_program, firewall_config, firewall_trace
+    ):
+        """Nothing in a report is a wall clock: two cold runs render
+        byte-identical text, and every phase's replay cost compares
+        equal."""
+        first, second = (
+            P2GO(
+                firewall_program, firewall_config, firewall_trace,
+                example_firewall.TARGET, store=False,
+            ).run()
+            for _run in range(2)
+        )
+        assert render_report(first) == render_report(second)
+        assert first.profiling_perf == second.profiling_perf
+        assert [o.profiling_perf for o in first.outcomes] == [
+            o.profiling_perf for o in second.outcomes
+        ]
 
 
 class TestPassResultContract:
@@ -165,13 +184,16 @@ class TestReportRendering:
         assert "Sketch_1" in text
         assert "decisions for review" in text
         assert "applied optimizations: 3" in text
-        # Phase 1's summary comes from the initial profile; its
-        # throughput stays under the profiling engine's lines.
+        # Phase 1's summary comes from the initial profile, and so do
+        # the profiling engine's lines: packets and lookups, no clock.
         total = firewall_result.initial_profile.total_packets
         assert f"profiled {total} packets" in text
         assert "IPv4=100.0%" in text
         engine = text.split("profiling engine:")[1]
-        assert "packets/s" in engine.split("decisions for review")[0]
+        engine = engine.split("decisions for review")[0]
+        assert f"packets processed:    {total}" in engine
+        assert "table lookups:        IPv4=" in engine
+        assert "packets/s" not in text
 
     def test_summary_line(self, firewall_result):
         line = summary_line(firewall_result)

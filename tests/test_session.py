@@ -11,11 +11,11 @@ from repro.core.session import (
     SessionCounters,
     Source,
     config_fingerprint,
-    merge_perf,
     program_fingerprint,
     trace_fingerprint,
 )
-from repro.sim.perf import PerfCounters
+from repro.core.profiler import PerfCounters, Profile
+from repro.sim.events import ExecutionStep
 from repro.target.model import DEFAULT_TARGET
 
 from .conftest import build_toy_program, toy_config
@@ -114,7 +114,7 @@ class TestMemoization:
         from repro.core.profiler import Profiler
 
         cached = ctx.profile()
-        direct = Profiler(ctx.program, ctx.config).profile(ctx.trace)
+        direct = Profiler(ctx.program, ctx.config).run(ctx.trace)
         assert cached.same_behavior_as(direct)
 
 
@@ -338,24 +338,35 @@ class TestPerfWindows:
         assert ctx.replay_perf(end).packets == 4
         assert ctx.replay_perf(len(ctx.probes)) is None
 
-    def test_merge_perf(self):
-        a = PerfCounters(packets=5, elapsed_seconds=1.0, timed_packets=5,
-                         table_lookups={"t": 2})
-        b = PerfCounters(packets=7, elapsed_seconds=1.0, timed_packets=7,
-                         table_lookups={"t": 3, "u": 1})
-        merged = merge_perf([a, b])
-        assert merged.packets == 12
-        assert merged.table_lookups == {"t": 5, "u": 1}
-        assert merged.packets_per_second() == pytest.approx(6.0)
-        assert merge_perf([]) is None
+    def test_perf_counters_of_profiles(self):
+        """Packets and per-step lookups summed over the profiles, in any
+        order: a table applied twice to a packet is looked up twice."""
+        t, u = ExecutionStep("t", "a", True), ExecutionStep("u", "b", False)
+        a = Profile("p", {(t,): 2, (t, u): 3}, ())
+        b = Profile("p", {(u, t, u): 7}, ())
+        merged = PerfCounters.of([a, b])
+        assert merged == PerfCounters(12, {"t": 12, "u": 17})
+        assert PerfCounters.of([b, a]) == merged
+        assert PerfCounters.of([]) == PerfCounters()
+        assert (merged.cache_hits, merged.cache_misses) == (0, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            merged.packets = 0
+
+    def test_window_equals_the_executed_profiles(self, ctx):
+        start = len(ctx.probes)
+        profile = ctx.profile()
+        ctx.profile(config=ctx.config.restricted_to(["fib"]))
+        other = ctx.profile(config=ctx.config.restricted_to(["fib"]))
+        assert ctx.replay_perf(start) == PerfCounters.of([profile, other])
 
 
 def test_removed_session_pieces_stay_removed(tmp_path):
     """One door to the session: phases 3 and 4 probe only through the
     session they are handed (never a ``trace``/``target`` of their own,
     never a private session), the baselines never take one,
-    ``reoptimize`` always uses the monitor's, and neither the run layer
-    nor the session has a memo switch."""
+    ``reoptimize`` always uses the monitor's, neither the run layer
+    nor the session has a memo switch, and the passes' round limits and
+    stage-savings floor live only on the passes."""
     import inspect
 
     from repro.baselines import compile_static, optimize_with_policy
@@ -377,19 +388,37 @@ def test_removed_session_pieces_stay_removed(tmp_path):
         (compile_static, ("session",)),
         (optimize_with_policy, ("session",)),
         (OnlineProfiler.reoptimize, ("store", "target")),
-        (SwitchRun, ("memoize",)),
+        (
+            SwitchRun,
+            (
+                "memoize",
+                "max_dependency_removals",
+                "max_memory_reductions",
+                "offload_min_stage_savings",
+            ),
+        ),
         (OptimizationContext, ("memoize",)),
     ]
     for function, names in removed:
         parameters = inspect.signature(function).parameters
         for name in names:
             assert name not in parameters, (function, name)
+    # The daemon passes no free-form run knobs through.
+    from repro.core.serve import ContinuousOptimizer
+
+    assert all(
+        parameter.kind is not parameter.VAR_KEYWORD
+        for parameter in inspect.signature(
+            ContinuousOptimizer
+        ).parameters.values()
+    )
     # The probe log is the one record: no hand-bumped counters, no
     # perf-window side channel.
     for owner, name in (
         (SessionCounters, "bump"),
         (OptimizationContext, "start_perf_window"),
         (OptimizationContext, "take_perf_window"),
+        (session, "merge_perf"),
     ):
         assert not hasattr(owner, name), name
     with pytest.raises(SystemExit) as exited:

@@ -68,7 +68,7 @@ def firewall_packets(draw):
 @pytest.fixture(scope="module")
 def rewritten_program(firewall_program, firewall_config, firewall_trace):
     compiled = compile_program(firewall_program, fw.TARGET)
-    profile = Profiler(firewall_program, firewall_config).profile(
+    profile = Profiler(firewall_program, firewall_config).run(
         firewall_trace
     )
     step = dep_phase(firewall_program, compiled, profile)

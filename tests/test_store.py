@@ -165,14 +165,12 @@ class TestRoundTrip:
         from repro.core.profiler import Profiler
 
         store = SessionStore(tmp_path / "store")
-        profiled, replay = Profiler(build_toy_program(), toy_config()).run(
+        profiled = Profiler(build_toy_program(), toy_config()).run(
             make_trace()
         )
         key = ("p", ("c",), "t")
-        store.store_profile(key, profiled, replay)
-        profile, perf = store.load_profile(key)
-        assert profile == profiled
-        assert perf.packets == replay.packets
+        store.store_profile(key, profiled)
+        assert store.load_profile(key) == profiled
 
     @pytest.mark.parametrize("size", [4, 8, 16, 32])
     def test_round_trip_across_program_variants(self, tmp_path, size):
@@ -225,7 +223,7 @@ class TestEntrySize:
     def test_profile_shares_one_tuple_per_distinct_decision(self, tmp_path):
         from repro.core.profiler import Profiler
 
-        profile, perf = Profiler(fw.build_program(), fw.runtime_config()).run(
+        profile = Profiler(fw.build_program(), fw.runtime_config()).run(
             fw.make_trace(4000)
         )
         assert len(profile.decisions) == 4000
@@ -233,11 +231,11 @@ class TestEntrySize:
             set(profile.decisions)
         )
         store = SessionStore(tmp_path / "store")
-        store.store_profile(("p",), profile, perf)
+        store.store_profile(("p",), profile)
         (entry,) = entry_paths(store, "profile")
         # 25 637 B when every packet pickled its own decision tuple.
         assert entry.stat().st_size < 10_000
-        assert store.load_profile(("p",))[0] == profile
+        assert store.load_profile(("p",)) == profile
 
 
 class TestEviction:
@@ -299,7 +297,7 @@ class TestEviction:
     def test_clear_removes_everything(self, tmp_path):
         store = SessionStore(tmp_path / "store")
         store.store_compile(("a",), 1)
-        store.store_profile(("b",), "profile", "perf")
+        store.store_profile(("b",), "profile")
         assert store.clear() == 2
         assert store.load_compile(("a",)) is None
         stats = store.stats()

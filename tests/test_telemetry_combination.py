@@ -48,7 +48,7 @@ class TestTelemetryProgram:
         program, config, trace = setup
         from repro.core.profiler import Profiler
 
-        profile = Profiler(program, config).profile(trace)
+        profile = Profiler(program, config).run(trace)
         assert profile.apply_rate("dns_hh") == pytest.approx(0.024, abs=0.003)
         assert profile.apply_rate("ttl_probe") == pytest.approx(
             0.01, abs=0.003
