@@ -325,3 +325,25 @@ class TestPipelineDeterminism:
         assert "compile/profile session (4 workers):" in render_report(
             parallel
         )
+
+
+def test_merge_perf_submission_order_is_deterministic():
+    """``PerfCounters.of`` sums; the session reads it off the executed
+    profiles in submission order, so equal multisets of replays merge to
+    equal totals whichever order a batch submits them in."""
+    from repro.core.profiler import PerfCounters
+
+    def window(order):
+        ctx = make_ctx(workers=2)
+        variants = [(None, None), (None, ctx.config.restricted_to(["fib"]))]
+        with ctx:
+            _, profiles = ctx.probe_many(
+                variants=[variants[i] for i in order]
+            )
+        return ctx.replay_perf(0), profiles
+
+    ab, (a, b) = window((0, 1))
+    ba, (b2, a2) = window((1, 0))
+    assert ab == ba == PerfCounters.of([a, b]) == PerfCounters.of([b, a])
+    assert ab.packets == 2 * len(make_trace())
+    assert a.same_behavior_as(a2) and b.same_behavior_as(b2)

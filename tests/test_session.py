@@ -338,9 +338,10 @@ class TestPerfWindows:
         assert ctx.replay_perf(end).packets == 4
         assert ctx.replay_perf(len(ctx.probes)) is None
 
-    def test_perf_counters_of_profiles(self):
-        """Packets and per-step lookups summed over the profiles, in any
-        order: a table applied twice to a packet is looked up twice."""
+    def test_merge_perf(self):
+        """Merging the perf of several replays is ``PerfCounters.of``:
+        packets and per-step lookups summed over the profiles, in any
+        order; a table applied twice to a packet is looked up twice."""
         t, u = ExecutionStep("t", "a", True), ExecutionStep("u", "b", False)
         a = Profile("p", {(t,): 2, (t, u): 3}, ())
         b = Profile("p", {(u, t, u): 7}, ())
