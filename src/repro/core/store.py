@@ -419,7 +419,7 @@ class SessionStore:
         return not name.endswith(_NON_ENTRY_SUFFIXES)
 
     def _has_entries(self) -> bool:
-        return bool(self._entry_files())
+        return any(self._entry_files(kind) for kind in KINDS)
 
     def _invalidate(self) -> None:
         """Sideline every existing entry: the on-disk format does not
@@ -744,33 +744,37 @@ class SessionStore:
     # ------------------------------------------------------------------
     # Eviction / maintenance
 
-    def _entry_files(self) -> List[Tuple[float, str, int, Path]]:
-        """(mtime, name, size, path) for every entry file, oldest first
-        (name is the deterministic tie-break for equal mtimes)."""
+    def _entry_files(self, kind: str) -> List[Tuple[float, str, int, str]]:
+        """(mtime, name, size, path) for every entry file of ``kind``,
+        in directory order."""
         records = []
-        for kind in KINDS:
-            directory = self._dir(kind)
-            try:
-                names = list(directory.iterdir())
-            except OSError:
-                continue
-            for path in names:
-                if not self._is_entry_name(path.name):
-                    continue
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                records.append(
-                    (stat.st_mtime, path.name, stat.st_size, path)
-                )
-        records.sort(key=lambda record: (record[0], record[1]))
+        try:
+            with os.scandir(self._dir(kind)) as scan:
+                for item in scan:
+                    if not self._is_entry_name(item.name):
+                        continue
+                    try:
+                        stat = item.stat()
+                    except OSError:
+                        continue
+                    records.append(
+                        (stat.st_mtime, item.name, stat.st_size, item.path)
+                    )
+        except OSError:
+            pass
         return records
 
     def _evict_over_cap(self) -> int:
         """Drop least-recently-used entries until under ``max_bytes``."""
-        records = self._entry_files()
+        records = [
+            record for kind in KINDS for record in self._entry_files(kind)
+        ]
         total = sum(size for _mtime, _name, size, _path in records)
+        if total <= self.max_bytes:
+            return 0
+        # Oldest first, by (mtime, name): every process evicts in the
+        # same order (name is the tie-break for equal mtimes).
+        records.sort(key=lambda record: (record[0], record[1]))
         evicted = 0
         for _mtime, _name, size, path in records:
             if total <= self.max_bytes:
@@ -811,9 +815,10 @@ class SessionStore:
         entry_bytes = dict.fromkeys(KINDS, 0)
         quarantine = 0
         if self._ensure_ready():
-            for _mtime, _name, size, path in self._entry_files():
-                entries[path.parent.name] += 1
-                entry_bytes[path.parent.name] += size
+            for kind in KINDS:
+                for _mtime, _name, size, _path in self._entry_files(kind):
+                    entries[kind] += 1
+                    entry_bytes[kind] += size
             try:
                 quarantine = sum(
                     1 for _ in self._dir("quarantine").iterdir()

@@ -4,9 +4,7 @@ The PHV (packet header vector) is the per-packet working set: parsed header
 fields plus metadata.  Reads of invalid headers yield 0 (the bmv2
 convention); writes to fields truncate to the field width.
 
-The PHV optionally records every ``(header, field)`` it writes into a
-``write_log`` a caller supplies (the switch's reference walk supplies
-none), so anything that mutates fields goes through :meth:`Phv.write` /
+Anything that mutates fields goes through :meth:`Phv.write` /
 :meth:`Phv.set_valid` / :meth:`Phv.set_invalid` — never poke
 ``Phv.headers`` directly.  Register state lives in
 :class:`~repro.sim.state.SwitchState`, outside the PHV.
@@ -14,7 +12,7 @@ none), so anything that mutates fields goes through :meth:`Phv.write` /
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Set, Tuple
+from typing import Dict, Mapping, Set, Tuple
 
 from repro.exceptions import SimulationError
 from repro.p4.actions import (
@@ -52,13 +50,9 @@ from repro.sim.state import SwitchState
 
 
 class Phv:
-    """Per-packet header/metadata values and validity.
+    """Per-packet header/metadata values and validity."""
 
-    ``write_log``, when set to a mutable set, accumulates every
-    ``(header, field)`` written.
-    """
-
-    __slots__ = ("_program", "headers", "valid", "write_log")
+    __slots__ = ("_program", "headers", "valid")
 
     def __init__(
         self,
@@ -69,7 +63,6 @@ class Phv:
         self._program = program
         self.headers = headers
         self.valid = valid
-        self.write_log: Optional[Set[Tuple[str, str]]] = None
         # Metadata instances are always valid and start zeroed.
         for inst in program.metadata_headers():
             self.valid.add(inst.name)
@@ -89,19 +82,11 @@ class Phv:
         self.headers.setdefault(ref.header, {})[ref.field] = truncate(
             value, width
         )
-        if self.write_log is not None:
-            self.write_log.add((ref.header, ref.field))
 
     def set_valid(self, header: str) -> None:
         self.valid.add(header)
         htype = self._program.header_type_of(header)
         self.headers[header] = {name: 0 for name in htype.field_names()}
-        if self.write_log is not None:
-            # Zero-filling counts as writing every field: a replay must
-            # reproduce the reset even where a value collides with the
-            # incoming packet's own bytes.
-            for name in htype.field_names():
-                self.write_log.add((header, name))
 
     def set_invalid(self, header: str) -> None:
         self.valid.discard(header)

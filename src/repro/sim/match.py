@@ -21,7 +21,7 @@ order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SimulationError
 from repro.p4.tables import MatchKind, Table
@@ -138,27 +138,29 @@ class CompiledTable:
 
     All three reproduce :func:`lookup`'s ranking bit-for-bit; a property
     test drives them against the reference scan with random entries.
+
+    ``match(key)`` is the probe: ``key`` is the key value itself on a
+    single-key table and the tuple of key values otherwise, and a hit
+    returns ``bind(entry)``, so a caller binds what a hit runs once per
+    entry instead of once per packet.
     """
 
-    __slots__ = ("table_name", "_exact", "_lpm_pos", "_lpm_buckets", "_scan")
+    __slots__ = ("table_name", "match")
 
     def __init__(
         self,
         table: Table,
         key_widths: Sequence[int],
         entries: Sequence[TableEntry],
+        bind: Callable[[TableEntry], Any],
     ):
         self.table_name = table.name
-        self._exact: Optional[Dict[Tuple[int, ...], TableEntry]] = None
-        self._lpm_pos: int = -1
-        self._lpm_buckets: Optional[
-            List[Tuple[int, Dict[Tuple[int, ...], TableEntry]]]
-        ] = None
-        self._scan: Optional[
-            List[Tuple[Tuple[Tuple[int, int], ...], TableEntry]]
-        ] = None
-
         kinds = [key.kind for key in table.keys]
+        single = len(kinds) == 1
+
+        def key_of(values: Tuple[int, ...]):
+            return values[0] if single else values
+
         # Rank entries once: highest (specificity, priority) first, ties
         # by installation order (stable sort) — lookup()'s exact order.
         ranked = sorted(
@@ -170,57 +172,82 @@ class CompiledTable:
         )
 
         if all(kind is MatchKind.EXACT for kind in kinds):
-            self._exact = {}
+            exact: Dict = {}
             for pairs, _spec, entry in ranked:
-                values = tuple(target for _mask, target in pairs)
-                self._exact.setdefault(values, entry)
+                values = key_of(tuple(target for _mask, target in pairs))
+                exact.setdefault(values, entry)
+            self.match = {
+                values: bind(entry) for values, entry in exact.items()
+            }.get
         elif kinds.count(MatchKind.LPM) == 1 and all(
             kind in (MatchKind.EXACT, MatchKind.LPM) for kind in kinds
         ):
-            self._lpm_pos = kinds.index(MatchKind.LPM)
-            lpm_width = key_widths[self._lpm_pos]
+            pos = kinds.index(MatchKind.LPM)
+            lpm_width = key_widths[pos]
             # With a single LPM key, an entry's specificity IS its prefix
             # length, so bucketing by specificity buckets by prefix.
-            buckets: Dict[int, Dict[Tuple[int, ...], TableEntry]] = {}
+            buckets: Dict[int, Dict] = {}
             for pairs, plen, entry in ranked:
-                masked = tuple(target for _mask, target in pairs)
+                masked = key_of(tuple(target for _mask, target in pairs))
                 buckets.setdefault(plen, {}).setdefault(masked, entry)
-            self._lpm_buckets = [
+            probes = [
                 (
                     (((1 << plen) - 1) << (lpm_width - plen)) if plen else 0,
-                    buckets[plen],
+                    {values: bind(entry) for values, entry in
+                     buckets[plen].items()},
                 )
                 for plen in sorted(buckets, reverse=True)
             ]
-        else:
-            self._scan = [(pairs, entry) for pairs, _spec, entry in ranked]
-
-    def lookup(self, key_values: Sequence[int]) -> Optional[TableEntry]:
-        """Find the winning entry, or None (miss)."""
-        if self._exact is not None:
-            return self._exact.get(tuple(key_values))
-        if self._lpm_buckets is not None:
-            pos = self._lpm_pos
-            probe = list(key_values)
-            for mask, bucket in self._lpm_buckets:
-                probe[pos] = key_values[pos] & mask
-                entry = bucket.get(tuple(probe))
-                if entry is not None:
-                    return entry
-            return None
-        for pairs, entry in self._scan:
-            for (mask, target), value in zip(pairs, key_values):
-                if value & mask != target:
-                    break
+            if single:
+                def match(value: int):
+                    for prefix, bucket in probes:
+                        found = bucket.get(value & prefix)
+                        if found is not None:
+                            return found
+                    return None
             else:
-                return entry
-        return None
+                def match(values: Tuple[int, ...]):
+                    probe = list(values)
+                    value = values[pos]
+                    for prefix, bucket in probes:
+                        probe[pos] = value & prefix
+                        found = bucket.get(tuple(probe))
+                        if found is not None:
+                            return found
+                    return None
+            self.match = match
+        elif single:
+            scan = [
+                (*pairs[0], bind(entry)) for pairs, _spec, entry in ranked
+            ]
+
+            def match(value: int):
+                for key_mask, target, found in scan:
+                    if value & key_mask == target:
+                        return found
+                return None
+
+            self.match = match
+        else:
+            scan = [(pairs, bind(entry)) for pairs, _spec, entry in ranked]
+
+            def match(values: Tuple[int, ...]):
+                for pairs, found in scan:
+                    for (key_mask, target), value in zip(pairs, values):
+                        if value & key_mask != target:
+                            break
+                    else:
+                        return found
+                return None
+
+            self.match = match
 
 
 def compile_table(
     table: Table,
     key_widths: Sequence[int],
     entries: Sequence[TableEntry],
+    bind: Callable[[TableEntry], Any],
 ) -> CompiledTable:
     """Build the precompiled match structure for one table."""
-    return CompiledTable(table, key_widths, entries)
+    return CompiledTable(table, key_widths, entries, bind)

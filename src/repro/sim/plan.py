@@ -1,35 +1,46 @@
 """Per-program execution plan: the engine's bound actions and control.
 
-:func:`build_plan` turns every action into a tuple of closures
-(primitive kind dispatched once, ``FieldRef`` -> header, field and mask,
-``ParamRef`` -> argument position) and both control trees into
-``Seq``/``If``/``Apply`` closures, once per switch — plain closures, no
-``exec`` (DESIGN.md §12).  The walk it stands in for (``_run_control``,
-``_apply_table``, :mod:`repro.sim.action_interp`) never runs through
-this module and stays the oracle it is tested against.  What is bound
-here and what must be looked up per packet: DESIGN.md §5, "Execution
-plan".  A plan binds the switch's config as it was at build:
-``BehavioralSwitch.invalidate_caches`` drops it.
+:func:`build_plan` turns every action into closures (primitive kind
+dispatched once, ``FieldRef`` -> header, field and mask, ``ParamRef`` ->
+argument position, a constant -> its value already masked to the field
+it is written to) and both control trees into closures, once per switch
+— plain closures, no ``exec`` (DESIGN.md §12).  It decides at build all
+that the program and config fix, so a packet pays only for what the
+packet decides: a validity test is a set test, a nested ``Seq`` is one
+flat loop, a branch or table outcome that does nothing is not called,
+metadata (always valid) is read and written without a validity test or
+a log entry, and each table entry's action closure, action data and hit
+step come back from the lookup itself.  The walk it stands in for
+(``_run_control``, ``_apply_table``, :mod:`repro.sim.action_interp`)
+never runs through this module and stays the oracle it is tested
+against.  What is bound here and what must be looked up per packet:
+DESIGN.md §5, "Execution plan".  A plan binds the switch's config as
+it was at build: ``BehavioralSwitch.invalidate_caches`` drops it.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import namedtuple
-from typing import Callable, FrozenSet, List, NamedTuple, Sequence
+from typing import Callable, FrozenSet, NamedTuple, Optional, Sequence
 
 from repro.exceptions import SimulationError
 from repro.p4 import actions as act
 from repro.p4 import expressions as ex
 from repro.p4.control import Apply, If, Seq
-from repro.p4.types import CPU_PORT, DROP_PORT, mask
+from repro.p4.types import CPU_PORT, DROP_PORT, bytes_for_bits, mask
 from repro.sim.events import ExecutionStep
-from repro.sim.hashing import compute_hash
+from repro.sim.hashing import ALGORITHMS, compute_hash
 from repro.sim.match import compile_table
 
-#: One packet's working set; every closure takes it as ``p``.  ``log``
-#: holds the name of each header written: the deparser re-packs those.
-Frame = namedtuple("Frame", "headers valid log steps")
+
+class Frame:
+    """One packet's working set; every closure takes it as ``p``.  A
+    batch re-points one frame at each packet's dicts in turn.  ``log``
+    holds the name of each packet header written: the deparser re-packs
+    those."""
+
+    __slots__ = ("headers", "valid", "log", "steps")
+
 
 _BINOPS = {
     "==": operator.eq, "!=": operator.ne, "<": operator.lt,
@@ -40,27 +51,13 @@ _BINOPS = {
 }
 
 
-def _fail(message: str) -> Callable:
-    """What the walker, too, only rejects when a packet reaches it."""
+def _fail(message: str, error: type = SimulationError) -> Callable:
+    """What the walker, too, only raises when a packet reaches it."""
 
     def fail(*_args):
-        raise SimulationError(message)
+        raise error(message)
 
     return fail
-
-
-class _Steps(dict):
-    """One table's :class:`ExecutionStep` per action for one outcome,
-    built on first use: steps are immutable, so every packet that
-    takes the same (table, action, hit) appends the same one."""
-
-    def __init__(self, table: str, hit: bool):
-        super().__init__()
-        self.table, self.hit = table, hit
-
-    def __missing__(self, action: str) -> ExecutionStep:
-        step = self[action] = ExecutionStep(self.table, action, self.hit)
-        return step
 
 
 class Plan(NamedTuple):
@@ -76,16 +73,30 @@ class Plan(NamedTuple):
     writes: FrozenSet[str]
 
 
+def _leaves(node):
+    """``node``'s children with every nested ``Seq`` spliced in."""
+    if isinstance(node, Seq):
+        for child in node.nodes:
+            yield from _leaves(child)
+    else:
+        yield node
+
+
 def build_plan(switch) -> Plan:
     """The traversal of ``switch.program`` with ``switch.config``'s
     compiled tables and default actions bound."""
     program, state, config = switch.program, switch.state, switch.config
+    # Always valid and installed per packet (``Program.validate``
+    # forbids adding, removing or extracting one), never deparsed.
+    metadata = frozenset(inst.name for inst in program.metadata_headers())
     written = set()
 
     def value(expr, params: Sequence[str] = ()) -> Callable:
         """``expr`` -> ``f(p, args) -> int``; booleans are 0/1."""
         if isinstance(expr, ex.FieldRef):
             header, name = expr.header, expr.field
+            if header in metadata:
+                return lambda p, args: p.headers[header].get(name, 0)
             # Invalid-header reads yield 0 (bmv2 convention).
             return lambda p, args: (
                 p.headers[header].get(name, 0) if header in p.valid else 0
@@ -116,15 +127,30 @@ def build_plan(switch) -> Plan:
             return lambda p, args: 1 if op(left(p, args), right(p, args)) else 0
         return lambda p, args: op(left(p, args), right(p, args))
 
-    def assign(ref: ex.FieldRef, source: Callable) -> Callable:
-        """Truncating, logged write of ``source(p, args)``; on an
-        invalid header it creates the field dict but not validity."""
+    def assign(ref: ex.FieldRef, source, params: Sequence[str] = ()):
+        """Truncating write of ``source`` — an expression, or a closure
+        ``f(p, args)`` — to ``ref``.  A packet-header write is logged,
+        and on an invalid header creates the field dict but not
+        validity."""
         header, name = ref.header, ref.field
         width_mask = mask(program.field_width(ref))
+        constant = isinstance(source, ex.Const)
+        if constant:
+            number = source.value & width_mask
+        elif not callable(source):
+            source = value(source, params)
+        if header in metadata:
+            if constant:
+                def write(p, args):
+                    p.headers[header][name] = number
+            else:
+                def write(p, args):
+                    p.headers[header][name] = source(p, args) & width_mask
+            return write
         written.add(header)
 
         def write(p, args):
-            result = source(p, args) & width_mask
+            result = number if constant else source(p, args) & width_mask
             fields = p.headers.get(header)
             if fields is None:
                 fields = p.headers[header] = {}
@@ -133,55 +159,43 @@ def build_plan(switch) -> Plan:
 
         return write
 
-    def primitive(prim, params: Sequence[str]) -> List[Callable]:
+    def primitive(prim, params: Sequence[str]):
         """``prim`` -> closures ``f(p, args)``."""
         if isinstance(prim, act.ModifyField):
-            return [assign(prim.dst, value(prim.src, params))]
-        if isinstance(prim, (act.AddToField, act.SubtractFromField)):
+            yield assign(prim.dst, prim.src, params)
+        elif isinstance(prim, (act.AddToField, act.SubtractFromField)):
             op = "+" if isinstance(prim, act.AddToField) else "-"
-            total = ex.BinOp(op, prim.dst, prim.src)
-            return [assign(prim.dst, value(total, params))]
-        if isinstance(prim, act.Drop):
-            return [
-                assign(act.EGRESS_PORT, value(ex.Const(DROP_PORT))),
-                assign(act.DROP_FLAG, value(ex.Const(1))),
-            ]
-        if isinstance(prim, act.SetEgressPort):
-            return [assign(act.EGRESS_PORT, value(prim.port, params))]
-        if isinstance(prim, act.SendToController):
-            return [
-                assign(act.EGRESS_PORT, value(ex.Const(CPU_PORT))),
-                assign(act.TO_CONTROLLER, value(ex.Const(1))),
-                assign(act.CONTROLLER_REASON, value(ex.Const(prim.reason))),
-            ]
-        if isinstance(prim, act.RegisterRead):
-            index = value(prim.index, params)
-            return [assign(
-                prim.dst,
-                lambda p, args: state.read(prim.register, index(p, args)),
-            )]
-        if isinstance(prim, act.RegisterWrite):
+            yield assign(prim.dst, ex.BinOp(op, prim.dst, prim.src), params)
+        elif isinstance(prim, act.Drop):
+            yield assign(act.EGRESS_PORT, ex.Const(DROP_PORT))
+            yield assign(act.DROP_FLAG, ex.Const(1))
+        elif isinstance(prim, act.SetEgressPort):
+            yield assign(act.EGRESS_PORT, prim.port, params)
+        elif isinstance(prim, act.SendToController):
+            yield assign(act.EGRESS_PORT, ex.Const(CPU_PORT))
+            yield assign(act.TO_CONTROLLER, ex.Const(1))
+            yield assign(act.CONTROLLER_REASON, ex.Const(prim.reason))
+        elif isinstance(prim, act.RegisterRead):
+            register, index = prim.register, value(prim.index, params)
+            read = state.read
+            yield assign(
+                prim.dst, lambda p, args: read(register, index(p, args))
+            )
+        elif isinstance(prim, act.RegisterWrite):
             index, cell = value(prim.index, params), value(prim.value, params)
+            register, store = prim.register, state.write
             # Index, then value: the order their errors surface in.
-            return [lambda p, args: state.write(
-                prim.register, index(p, args), cell(p, args)
-            )]
-        if isinstance(prim, act.MinOf):
+            yield lambda p, args: store(
+                register, index(p, args), cell(p, args)
+            )
+        elif isinstance(prim, act.MinOf):
             left, right = value(prim.left, params), value(prim.right, params)
-            return [assign(
+            yield assign(
                 prim.dst, lambda p, args: min(left(p, args), right(p, args))
-            )]
-        if isinstance(prim, act.HashFields):
-            modulo = value(prim.modulo, params)
-            inputs = [
-                (value(ref), program.field_width(ref)) for ref in prim.inputs
-            ]
-            return [assign(prim.dst, lambda p, args: compute_hash(
-                prim.algorithm,
-                [(read(p, args), width) for read, width in inputs],
-                modulo(p, args),
-            ))]
-        if isinstance(prim, act.AddHeader):
+            )
+        elif isinstance(prim, act.HashFields):
+            yield assign(prim.dst, digest(prim, params))
+        elif isinstance(prim, act.AddHeader):
             header = prim.header
             names = program.header_type_of(header).field_names()
 
@@ -191,30 +205,52 @@ def build_plan(switch) -> Plan:
                 p.headers[header] = dict.fromkeys(names, 0)
                 p.log.add(header)
 
-            return [add_header]
-        if isinstance(prim, act.RemoveHeader):
+            yield add_header
+        elif isinstance(prim, act.RemoveHeader):
             def remove_header(p, args):
                 p.valid.discard(prim.header)
                 p.headers.pop(prim.header, None)
 
-            return [remove_header]
-        if isinstance(prim, act.NoOp):
-            return []
-        return [_fail(f"unknown primitive {prim!r}")]
+            yield remove_header
+        elif not isinstance(prim, act.NoOp):
+            yield _fail(f"unknown primitive {prim!r}")
 
-    def action(definition: act.Action) -> Callable:
-        name, arity = definition.name, len(definition.parameters)
+    def digest(prim: act.HashFields, params: Sequence[str]) -> Callable:
+        """``compute_hash`` of ``prim`` with its algorithm and each
+        input's byte width bound; a packet it rejects gets
+        ``compute_hash``'s own error."""
+        algorithm, modulo = prim.algorithm, value(prim.modulo, params)
+        inputs = tuple(
+            (value(ref), bytes_for_bits(program.field_width(ref)))
+            for ref in prim.inputs
+        )
+        function = ALGORITHMS.get(algorithm)
+        if function is None:
+            return lambda p, args: compute_hash(algorithm, (), modulo(p, args))
+
+        def run(p, args):
+            # Every input is a field value, masked to its width.
+            data = b"".join([
+                read(p, args).to_bytes(size, "big") for read, size in inputs
+            ])
+            divisor = modulo(p, args)
+            if divisor <= 0:
+                return compute_hash(algorithm, (), divisor)
+            return function(data) % divisor
+
+        return run
+
+    def action(definition: act.Action) -> Optional[Callable]:
+        """``f(p, args)``, or None for an action that does nothing."""
         body = tuple(
             step
             for prim in definition.primitives
             for step in primitive(prim, definition.parameters)
         )
+        if len(body) <= 1:
+            return body[0] if body else None
 
         def run(p, args):
-            if len(args) != arity:
-                raise SimulationError(
-                    f"action {name!r} takes {arity} args, got {len(args)}"
-                )
             for step in body:
                 step(p, args)
 
@@ -222,9 +258,28 @@ def build_plan(switch) -> Plan:
 
     actions = {name: action(a) for name, a in program.actions.items()}
 
-    def control(node) -> Callable[[Frame], None]:
+    def bound(name: str, args) -> Optional[Callable]:
+        """Action ``name``'s closure for action data ``args``; an action
+        or arity the walker rejects when a packet reaches it binds a
+        closure that rejects the packet the same way."""
+        definition = program.actions.get(name)
+        if definition is None:
+            return _fail(name, KeyError)
+        arity = len(definition.parameters)
+        if len(args) != arity:
+            return _fail(
+                f"action {name!r} takes {arity} args, got {len(args)}"
+            )
+        return actions[name]
+
+    def control(node) -> Optional[Callable[[Frame], None]]:
+        """``f(p)``, or None for a node no packet can observe."""
         if isinstance(node, Seq):
-            children = tuple(control(child) for child in node.nodes)
+            children = tuple(
+                run for run in map(control, _leaves(node)) if run is not None
+            )
+            if len(children) <= 1:
+                return children[0] if children else None
 
             def seq(p):
                 for child in children:
@@ -232,59 +287,148 @@ def build_plan(switch) -> Plan:
 
             return seq
         if isinstance(node, If):
-            condition = value(node.condition)
-            then_node = control(node.then_node)
-            else_node = control(node.else_node or Seq())
-            return lambda p: (
-                then_node(p) if condition(p, ()) else else_node(p)
+            return branch(
+                node.condition,
+                control(node.then_node),
+                None if node.else_node is None else control(node.else_node),
             )
-        if not isinstance(node, Apply):
-            return _fail(f"unknown control node {node!r}")
+        if isinstance(node, Apply):
+            return apply(node)
+        return _fail(f"unknown control node {node!r}")
+
+    def branch(condition, then_run, else_run):
+        negated = isinstance(condition, ex.LNot)
+        test = condition.operand if negated else condition
+        if isinstance(test, ex.ValidExpr):
+            # A set test, which cannot fail: a branch with nothing to
+            # run is not taken at all.
+            header = test.header
+            if negated:
+                then_run, else_run = else_run, then_run
+            if then_run is None and else_run is None:
+                return None
+            if else_run is None:
+                def when_valid(p):
+                    if header in p.valid:
+                        then_run(p)
+
+                return when_valid
+            if then_run is None:
+                def unless_valid(p):
+                    if header not in p.valid:
+                        else_run(p)
+
+                return unless_valid
+
+            def if_valid(p):
+                if header in p.valid:
+                    then_run(p)
+                else:
+                    else_run(p)
+
+            return if_valid
+        # Any other condition is evaluated on every packet: it may be
+        # what rejects the packet (an unbound ``ParamRef``).
+        test = value(condition)
+        if then_run is None and else_run is None:
+            return lambda p: test(p, ())
+        if else_run is None:
+            def when(p):
+                if test(p, ()):
+                    then_run(p)
+
+            return when
+        if then_run is None:
+            def unless(p):
+                if not test(p, ()):
+                    else_run(p)
+
+            return unless
+
+        def if_else(p):
+            if test(p, ()):
+                then_run(p)
+            else:
+                else_run(p)
+
+        return if_else
+
+    def apply(node: Apply) -> Callable[[Frame], None]:
         table = program.tables[node.table]
         table_name = table.name
-        keys = [(k.field.header, k.field.field) for k in table.keys]
-        key_headers = frozenset(header for header, _name in keys)
         on_hit = None if node.on_hit is None else control(node.on_hit)
         on_miss = None if node.on_miss is None else control(node.on_miss)
-        hit_steps = _Steps(table_name, True)
-        lookup = None
-        if keys:
-            widths = [program.field_width(k.field) for k in table.keys]
-            lookup = compile_table(
-                table, widths, config.entries_for(table_name)
-            ).lookup
         default_name, default_args = config.default_for(table)
-        default_action = actions[default_name]
+        default_run = bound(default_name, default_args)
         default_step = ExecutionStep(table_name, default_name, False)
 
-        def apply(p):
-            entry = None
-            # A key whose header is invalid cannot match any entry.
-            if lookup is not None and key_headers <= p.valid:
-                headers = p.headers
-                entry = lookup(
-                    [headers[header].get(name, 0) for header, name in keys]
-                )
-            if entry is not None:
-                actions[entry.action](p, entry.action_args)
-                p.steps.append(hit_steps[entry.action])
-                if on_hit is not None:
-                    on_hit(p)
-            else:
-                default_action(p, default_args)
+        if not table.keys:
+            def miss(p):
+                if default_run is not None:
+                    default_run(p, default_args)
                 p.steps.append(default_step)
                 if on_miss is not None:
                     on_miss(p)
 
-        return apply
+            return miss
+        hit_steps = {}
+
+        def hit(entry):
+            """What a hit on ``entry`` runs: (closure, data, step)."""
+            name = entry.action
+            step = hit_steps.get(name)
+            if step is None:
+                step = hit_steps[name] = ExecutionStep(table_name, name, True)
+            return bound(name, entry.action_args), entry.action_args, step
+
+        widths = [program.field_width(k.field) for k in table.keys]
+        match = compile_table(
+            table, widths, config.entries_for(table_name), hit
+        ).match
+        keys = tuple((k.field.header, k.field.field) for k in table.keys)
+        key_headers = frozenset(header for header, _name in keys) - metadata
+        single = len(keys) == 1
+        key_header, key_name = keys[0]
+
+        def lookup(p):
+            found = None
+            # A key whose header is invalid cannot match any entry.
+            if single:
+                if key_header in p.valid:
+                    found = match(p.headers[key_header].get(key_name, 0))
+            elif key_headers <= p.valid:
+                headers = p.headers
+                found = match(
+                    tuple([headers[h].get(name, 0) for h, name in keys])
+                )
+            if found is None:
+                if default_run is not None:
+                    default_run(p, default_args)
+                p.steps.append(default_step)
+                if on_miss is not None:
+                    on_miss(p)
+            else:
+                run, args, step = found
+                if run is not None:
+                    run(p, args)
+                p.steps.append(step)
+                if on_hit is not None:
+                    on_hit(p)
+
+        return lookup
 
     ingress, egress = control(program.ingress), control(program.egress)
-    drop_flag, to_controller = value(act.DROP_FLAG), value(act.TO_CONTROLLER)
+    standard = act.DROP_FLAG.header
+    drop_flag, to_controller = act.DROP_FLAG.field, act.TO_CONTROLLER.field
 
     def run(p):
-        ingress(p)
-        if not (drop_flag(p, ()) or to_controller(p, ())):
+        if ingress is not None:
+            ingress(p)
+        flags = p.headers[standard]
+        if not (flags.get(drop_flag, 0) or flags.get(to_controller, 0)):
             egress(p)
 
+    if egress is None:
+        run = ingress or (lambda p: None)
     packet_headers = {inst.name for inst in program.packet_headers()}
     return Plan(run, frozenset(written & packet_headers))

@@ -331,11 +331,7 @@ class BehavioralSwitch:
     # ------------------------------------------------------------------
     def process(self, data: bytes, ingress_port: int = 0) -> SwitchResult:
         """Push one packet through parse → ingress → deparse."""
-        self._prepare()
-        parsed = self._parse(data)
-        return self._result(
-            parsed, data, *self._traverse(parsed, ingress_port)
-        )
+        return self._replay((data,), ingress_port, [])[0]
 
     def process_many(
         self, packets: Sequence, ingress_port: int = 0, into=None
@@ -354,48 +350,69 @@ class BehavioralSwitch:
         per parse key; a plain sequence is parsed packet by packet and
         leaves nothing behind.
         """
-        self._prepare()
-        sink = [] if into is None else into
-        traverse = self._traverse
-        writes = None
-        if isinstance(sink, StepSink):
-            paths = sink.paths
-            append, distinct = sink.decisions.append, sink._distinct
-            if self.config.enable_compiled_tables:
-                writes = self._plan.writes
+        return self._replay(
+            packets, ingress_port, [] if into is None else into
+        )
 
-            def finish(parsed, data, steps, written):
-                steps = tuple(steps)
-                paths[steps] = paths.get(steps, 0) + 1
-                standard = parsed.headers[STANDARD_METADATA]
-                decision = (
-                    standard.get("egress_port", 0),
-                    bool(standard.get("drop_flag", 0)),
-                    bool(standard.get("to_controller", 0)),
-                )
-                append(distinct.setdefault(decision, decision))
+    def _replay(self, packets: Sequence, ingress_port: int, sink):
+        """The one per-packet body, shared by :meth:`process` and every
+        kind of batch: parse (or copy the shared parse), metadata on,
+        the execution plan when ``enable_compiled_tables`` is on, else
+        the reference walk, then the sink's tail.  What differs between
+        kinds is decided here, once per batch."""
+        self._prepare()
+        steps_only = isinstance(sink, StepSink)
+        compiled = self.config.enable_compiled_tables
+        run = self._plan.run if compiled else self._walk
+        writes = log = None
+        if compiled and steps_only:
+            # Nothing reads a step sink's log: one set takes it all.
+            writes, log = self._plan.writes, set()
+        fresh_log = compiled and not steps_only
+        if steps_only:
+            paths, distinct = sink.paths, sink._distinct
+            append = sink.decisions.append
         else:
             append, result = sink.append, self._result
-
-            def finish(parsed, data, steps, written):
-                append(result(parsed, data, steps, written))
-
         templates = (
             packets.templates(self._parse_key, self._parse)
             if isinstance(packets, ReplayTrace)
             else repeat(None)
         )
+        parse, metadata = self._parse, self._metadata_names
+        ingress_mask = self._ingress_mask
+        frame = Frame()
         for entry, template in zip(packets, templates):
             if isinstance(entry, tuple):
                 data, port = entry
             else:
                 data, port = entry, ingress_port
             parsed = (
-                self._parse(data) if template is None
-                else template.fresh(writes)
+                parse(data) if template is None else template.fresh(writes)
             )
-            finish(parsed, data, *traverse(parsed, port))
-        if isinstance(sink, StepSink):
+            # Metadata: always valid, zeroed (dicts filled by writes).
+            headers, valid = parsed.headers, parsed.valid
+            for name in metadata:
+                headers[name] = {}
+            valid.update(metadata)
+            standard = headers[STANDARD_METADATA]
+            standard["ingress_port"] = port & ingress_mask
+            frame.headers, frame.valid = headers, valid
+            frame.steps = steps = []
+            frame.log = set() if fresh_log else log
+            run(frame)
+            if steps_only:
+                steps = tuple(steps)
+                paths[steps] = paths.get(steps, 0) + 1
+                decision = (
+                    standard.get("egress_port", 0),
+                    bool(standard.get("drop_flag", 0)),
+                    bool(standard.get("to_controller", 0)),
+                )
+                append(distinct.setdefault(decision, decision))
+            else:
+                append(result(parsed, data, steps, frame.log))
+        if steps_only:
             # The indices _result would have handed out.
             self._packet_count += len(packets)
         return sink
@@ -452,19 +469,6 @@ class BehavioralSwitch:
             headers=headers, valid=valid, payload=data[offset:], spans=spans
         )
 
-    def _install_metadata(
-        self, parsed: ParsedPacket, ingress_port: int
-    ) -> None:
-        """Metadata headers onto a fresh parse (which never contains
-        them): always valid, zeroed — dicts filled by writes — and
-        ``ingress_port`` set."""
-        for name in self._metadata_names:
-            parsed.valid.add(name)
-            parsed.headers[name] = {}
-        parsed.headers[STANDARD_METADATA]["ingress_port"] = (
-            ingress_port & self._ingress_mask
-        )
-
     def _deparse(self, parsed: ParsedPacket, data: bytes, dirty) -> bytes:
         """Valid packet headers in declaration order, plus payload.
 
@@ -487,27 +491,14 @@ class BehavioralSwitch:
         chunks.append(parsed.payload)
         return b"".join(chunks)
 
-    def _traverse(
-        self, parsed: ParsedPacket, ingress_port: int
-    ) -> Tuple[List[ExecutionStep], Optional[Set[str]]]:
-        """The traversal, shared by every kind of batch: metadata onto
-        ``parsed``, then the execution plan when
-        ``enable_compiled_tables`` is on, else the reference walk.
-        Returns the steps and the headers the plan wrote (None from the
-        walk, whose deparser re-packs every header)."""
-        self._install_metadata(parsed, ingress_port)
-        steps: List[ExecutionStep] = []
-        if self.config.enable_compiled_tables:
-            written: Set[str] = set()
-            self._plan.run(Frame(parsed.headers, parsed.valid, written, steps))
-            return steps, written
-        phv = Phv(self.program, parsed.headers, parsed.valid)
-        self._run_control(self.program.ingress, phv, steps)
-        # The egress pipeline runs for packets the traffic manager
-        # actually emits: neither dropped nor punted to the controller.
+    def _walk(self, frame: Frame) -> None:
+        """The reference walk over ``frame``: ingress, then egress for
+        packets the traffic manager actually emits — neither dropped
+        nor punted to the controller."""
+        phv = Phv(self.program, frame.headers, frame.valid)
+        self._run_control(self.program.ingress, phv, frame.steps)
         if not (phv.read(DROP_FLAG) or phv.read(TO_CONTROLLER)):
-            self._run_control(self.program.egress, phv, steps)
-        return steps, None
+            self._run_control(self.program.egress, phv, frame.steps)
 
     def _result(
         self, parsed: ParsedPacket, data: bytes,

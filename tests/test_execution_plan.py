@@ -12,6 +12,12 @@ The bit-identity of whole replays lives in
   packet is touched, not a ``KeyError`` from inside the traversal;
 * errors only a packet can trigger surface as the same
   ``SimulationError`` at the same packet index on both paths;
+* each shape the plan specialises at build — a validity test with and
+  without an ``else``, any other test without one, an empty and a
+  single-child ``Seq``, single- and multi-key tables, a constant wider
+  than the field it is written to (metadata and packet header), an
+  entry with action data of the wrong arity or an unknown action —
+  replays exactly as on the walker, on both kinds of sink;
 * the two paths are really separate: on the engine the walker's
   ``execute_action`` is never reached, on the reference no plan is built;
 * the plan's deparser may skip ``pack``'s validation: on every header
@@ -27,15 +33,19 @@ from repro.p4 import (
     Apply,
     BinOp,
     Const,
+    Drop,
     FieldRef,
     HashFields,
     If,
     LAnd,
+    LNot,
     ModifyField,
     ParamRef,
     ProgramBuilder,
     RegisterRead,
     Seq,
+    SetEgressPort,
+    ValidExpr,
 )
 from repro.core.instrument import instrument
 from repro.fuzz.generator import generate_case
@@ -43,7 +53,7 @@ from repro.packets.craft import udp_packet
 from repro.programs import enterprise, example_firewall, nat_gre
 from repro.sim import BehavioralSwitch
 from repro.sim.runtime import RuntimeConfig, TableEntry
-from repro.sim.switch import StepSink
+from repro.sim.switch import ReplayTrace, StepSink
 from tests.test_profiling_engine import _fresh_config, _result_fingerprint
 
 #: A UDP packet the bundled firewall config forwards.
@@ -265,6 +275,171 @@ def test_packet_triggered_errors_match_the_walker(case):
         assert message in str(raised.value)
         failures[tier] = (passed, str(raised.value))
     assert failures["compiled"] == failures["reference"]
+
+
+# ----------------------------------------------------------------------
+# Each specialisation the plan makes at build, against the walker.
+
+
+def _shape_program(ingress):
+    """Header ``h`` (``f``, ``g``: 8 bits each), then ``k`` (``x``: 8
+    bits) only when ``h.f == 1``; metadata ``m`` (``a``: 8 bits, ``b``:
+    16 bits).  Tables: ``tg`` keyed on ``h.g``, ``tfk`` on ``h.f`` and
+    ``k.x``, ``tk`` on ``k.x``, the keyless ``tn`` and ``tw``; egress
+    applies ``te``, keyed on the metadata field ``m.a``."""
+    b = ProgramBuilder("plan_shapes")
+    b.header_type("h_t", [("f", 8), ("g", 8)])
+    b.header_type("k_t", [("x", 8)])
+    b.header("h", "h_t")
+    b.header("k", "k_t")
+    b.metadata("m", [("a", 8), ("b", 16)])
+    b.parser_state("start", extracts=["h"], select="h.f",
+                   transitions={1: "parse_k"})
+    b.parser_state("parse_k", extracts=["k"])
+    b.action("mark", [ModifyField(M_A, ParamRef("v")),
+                      SetEgressPort(Const(2))], parameters=["v"])
+    b.action("drop", [Drop()])
+    b.action("nop", [])
+    # Every constant is wider than its field: the write must mask it.
+    b.action("wide", [ModifyField(M_A, Const(0x1FF)),
+                      ModifyField(FieldRef("m", "b"), Const(0x12345)),
+                      ModifyField(H_G, Const(0xABC)),
+                      SetEgressPort(Const(0x10005))])
+    b.table("tg", keys=[("h.g", "exact")], actions=["mark", "drop", "nop"],
+            default_action="nop")
+    b.table("tfk", keys=[("h.f", "exact"), ("k.x", "exact")],
+            actions=["mark", "nop"], default_action="nop")
+    b.table("tk", keys=[("k.x", "ternary")], actions=["mark", "nop"],
+            default_action="nop")
+    b.table("tn", actions=["mark"], default_action="mark",
+            default_action_args=(9,))
+    b.table("tw", actions=["wide"], default_action="wide")
+    b.table("te", keys=[("m.a", "exact")], actions=["mark", "nop"],
+            default_action="nop")
+    b.ingress(ingress)
+    b.egress(Apply("te"))
+    return b.build()
+
+
+M_A = FieldRef("m", "a")
+
+
+def _shape_config():
+    config = RuntimeConfig()
+    config.add_entry("tg", [7], "mark", [1])
+    config.add_entry("tg", [3], "drop")
+    config.add_entry("tfk", [1, 9], "mark", [4])
+    config.add_entry("tk", [(8, 0xF8)], "mark", [5])
+    config.add_entry("te", [1], "mark", [6])
+    config.add_entry("te", [0xFF], "mark", [7])
+    return config
+
+
+SHAPES = {
+    "valid_if_else": If(ValidExpr("k"), Apply("tk"), Apply("tn")),
+    "valid_if": If(ValidExpr("k"), Apply("tk")),
+    "not_valid_if": If(LNot(ValidExpr("k")), Apply("tn")),
+    "not_valid_if_else": If(LNot(ValidExpr("k")), Apply("tn"), Apply("tk")),
+    "test_if": Seq([Apply("tg"), If(BinOp("==", H_G, Const(7)),
+                                    Apply("tn"))]),
+    "empty_seq": Seq([]),
+    "empty_branches": Seq([Seq([]), If(ValidExpr("k"), Seq([]), Seq([])),
+                           If(BinOp("==", H_F, Const(1)), Seq([]))]),
+    "single_child_seq": Seq([Seq([Apply("tg")])]),
+    "single_key": Apply("tg"),
+    # Keyed on a header that is invalid on some packets: a miss.
+    "single_key_unguarded": Apply("tk"),
+    "multi_key": Apply("tfk"),
+    "wide_constant": Seq([Apply("tw"), Apply("tg")]),
+}
+
+#: ``h.f``, ``h.g`` (then ``k.x`` when ``h.f == 1``) per packet: every
+#: table hits and misses, ``k`` is valid and invalid, and ``tg`` drops.
+SHAPE_TRACE = [bytes([1, 7, 9]), bytes([0, 7]), bytes([1, 2, 12]),
+               bytes([2, 3]), bytes([1, 3, 9]), bytes([1, 0xBC, 4]),
+               bytes([5, 5])]
+
+
+def _shape_switch(shape, tier):
+    return BehavioralSwitch(
+        _shape_program(SHAPES[shape]), _tiered(_shape_config(), tier)
+    )
+
+
+def _full_replay(shape, tier):
+    switch = _shape_switch(shape, tier)
+    return _observed(switch, switch.process_many(SHAPE_TRACE))
+
+
+def _step_replay(shape, tier):
+    """Two step-sink replays of one shared parse, then one more packet:
+    paths (first-seen order), decisions, the index the batch left the
+    next packet and the registers."""
+    switch, trace = _shape_switch(shape, tier), ReplayTrace(SHAPE_TRACE)
+    sinks = [switch.process_many(trace, into=StepSink()) for _ in range(2)]
+    return (
+        [(list(sink.paths.items()), sink.decisions) for sink in sinks],
+        switch.process(SHAPE_TRACE[0]).index,
+        switch.state.snapshot(),
+    )
+
+
+@pytest.mark.parametrize("replay", [_full_replay, _step_replay],
+                         ids=["results", "steps"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_every_shape_replays_as_on_the_walker(shape, replay):
+    assert replay(shape, "compiled") == replay(shape, "reference")
+
+
+def test_wide_constants_are_masked_to_their_fields():
+    """Held to the walker above; here what it does, so the shapes are
+    known to reach the mask."""
+    switch = _shape_switch("wide_constant", "compiled")
+    result = switch.process(SHAPE_TRACE[1])
+    assert result.headers["h"]["g"] == 0xBC
+    assert result.output_bytes == bytes([0, 0xBC])
+    # Egress hit on the masked m.a (0xFF), whose entry then wrote 7 to
+    # it and port 2.
+    assert result.steps[-1] == ("te", "mark", True)
+    assert result.headers["m"] == {"a": 7, "b": 0x2345}
+    assert result.egress_port == 2
+
+
+#: A poked entry's action and data, and what the walker raises for it.
+POKES = {
+    "arity_mismatch": ("mark", (), SimulationError, "takes 1 args, got 0"),
+    "unknown_action": ("ghost", (), KeyError, "ghost"),
+}
+
+
+@pytest.mark.parametrize("sink", [list, StepSink], ids=["results", "steps"])
+@pytest.mark.parametrize("table", ["tg", "tfk"])
+@pytest.mark.parametrize("poke", sorted(POKES))
+def test_poked_entry_fails_at_the_same_packet(poke, table, sink):
+    """An entry poked in behind the config API (no validation, no
+    stamp) before the plan is built binds a closure that rejects the
+    packet that hits it, as the walker does — not the build, and not an
+    earlier packet."""
+    action, args, error, message = POKES[poke]
+    match = {"tg": (2,), "tfk": (1, 12)}[table]
+    outcomes = {}
+    for tier in TIERS:
+        switch = BehavioralSwitch(
+            _shape_program(Apply(table)), _tiered(_shape_config(), tier)
+        )
+        switch.config.entries[table].append(
+            TableEntry(match=match, action=action, action_args=args)
+        )
+        into = sink()
+        with pytest.raises(error, match=message):
+            switch.process_many(SHAPE_TRACE, into=into)
+        done = (
+            [_result_fingerprint(r) for r in into] if sink is list
+            else into.decisions
+        )
+        assert len(done) == 2  # packet 2 is the one that hits
+        outcomes[tier] = (done, switch.state.snapshot())
+    assert outcomes["compiled"] == outcomes["reference"]
 
 
 # ----------------------------------------------------------------------

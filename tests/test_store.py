@@ -273,6 +273,20 @@ class TestEviction:
         for key in by_name[1:]:
             assert store.load_compile(key) is not None
 
+    def test_lru_order_spans_kinds_and_the_cap_is_inclusive(self, tmp_path):
+        store = SessionStore(tmp_path / "store", max_bytes=10 ** 6)
+        store.store_profile(("p",), b"x" * 64)
+        self.write_sized(store, ("c",), 64)
+        os.utime(store._entry_path("profile", ("p",)), (100, 100))
+        os.utime(store._entry_path("compile", ("c",)), (200, 200))
+        paths = entry_paths(store, "compile") + entry_paths(store, "profile")
+        store.max_bytes = sum(p.stat().st_size for p in paths)
+        assert store._evict_over_cap() == 0  # at the cap: nothing goes
+        store.max_bytes -= 1
+        assert store._evict_over_cap() == 1
+        assert store.load_profile(("p",)) is None  # the older, other kind
+        assert store.load_compile(("c",)) is not None
+
     def test_load_refreshes_recency(self, tmp_path):
         store = SessionStore(tmp_path / "store", max_bytes=10 ** 6)
         self.write_sized(store, ("old",), 64)
