@@ -20,6 +20,7 @@ from repro.analysis.dependencies import (
     build_dependency_graph,
 )
 from repro.p4.program import Program
+from repro.p4.types import pinned
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,13 @@ def structure_key(program: Program) -> str:
     actions and default action, and each action's name with the fields
     and registers it reads and writes.  Sizes, entries, default-action
     arguments, match kinds and the program's name are not read by the
-    analyses and are not in the key.
+    analyses and are not in the key.  Computed once per value and pinned
+    on it; a resize or a rename inherits its parent's (DESIGN.md §16).
     """
+    return pinned(program, "_structure_key", _structure_digest)
+
+
+def _structure_digest(program: Program) -> str:
     parser = program.parser
     content = (
         None

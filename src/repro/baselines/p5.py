@@ -11,7 +11,7 @@ of tables); P5 deactivates those code blocks wholesale and recompiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Dict, Set, Tuple
 
 from repro.exceptions import OptimizationError
@@ -62,14 +62,20 @@ def deactivate_feature_blocks(program: Program, policy: Policy) -> Program:
         if applied and applied <= unused:
             continue
         kept.append(block)
-    out = program.with_ingress(Seq(kept))
+    ingress = Seq(kept)
     # Drop tables that are no longer applied anywhere.
-    still_applied = set(out.tables_in_control_order())
-    for table_name in list(out.tables):
-        if table_name not in still_applied:
-            del out.tables[table_name]
-    out.validate()
-    return out
+    still_applied = set(tables_applied(ingress)) | set(
+        tables_applied(program.egress)
+    )
+    return replace(
+        program,
+        ingress=ingress,
+        tables={
+            name: table
+            for name, table in program.tables.items()
+            if name in still_applied
+        },
+    )
 
 
 @dataclass

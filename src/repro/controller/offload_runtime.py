@@ -11,7 +11,7 @@ behaviour end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.core.phase_offload import SegmentCandidate
@@ -30,15 +30,14 @@ def segment_program(
     Keeps the full parser, header, action, register, and table space (the
     controller has the source program) but only executes the segment.
     """
-    out = original.clone(
-        new_name=name or f"{original.name}__controller_segment"
-    )
-    out.ingress = subtree
     # Offloaded segments come from the ingress; the original egress stays
     # on the switch.
-    out.egress = Seq([])
-    out.validate()
-    return out
+    return replace(
+        original,
+        name=name or f"{original.name}__controller_segment",
+        ingress=subtree,
+        egress=Seq([]),
+    )
 
 
 @dataclass

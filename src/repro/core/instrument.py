@@ -105,13 +105,10 @@ class InstrumentedProgram:
 
 def instrument(program: Program) -> InstrumentedProgram:
     """Produce the profiling variant of ``program``."""
-    out = program.clone(new_name=f"{program.name}__instrumented")
-
     # One bit per (table, action) pair, in deterministic order.
     bit_fields: Dict[Tuple[str, str], str] = {}
     fields: List[HeaderField] = []
-    for table_name in out.tables:
-        table = out.tables[table_name]
+    for table_name, table in program.tables.items():
         for action_name in table.all_action_names():
             field_name = _bit_field_name(table_name, action_name)
             bit_fields[(table_name, action_name)] = field_name
@@ -121,10 +118,12 @@ def instrument(program: Program) -> InstrumentedProgram:
             f"program {program.name!r} has no tables to profile"
         )
 
-    out.header_types[PROFILE_HEADER_TYPE] = HeaderType(
+    header_types = dict(program.header_types)
+    header_types[PROFILE_HEADER_TYPE] = HeaderType(
         name=PROFILE_HEADER_TYPE, fields=tuple(fields)
     )
-    out.headers[PROFILE_HEADER] = HeaderInstance(
+    headers = dict(program.headers)
+    headers[PROFILE_HEADER] = HeaderInstance(
         name=PROFILE_HEADER,
         header_type=PROFILE_HEADER_TYPE,
         metadata=False,
@@ -132,15 +131,17 @@ def instrument(program: Program) -> InstrumentedProgram:
     )
 
     # Clone every action per table, appending the bit-set primitive.
+    actions = dict(program.actions)
     for (table_name, action_name), field_name in bit_fields.items():
         clone_name = _cloned_action_name(table_name, action_name)
-        base = out.actions[action_name]
-        out.actions[clone_name] = base.with_extra_primitives(
+        base = program.actions[action_name]
+        actions[clone_name] = base.with_extra_primitives(
             [ModifyField(FieldRef(PROFILE_HEADER, field_name), Const(1))],
             new_name=clone_name,
         )
-    for table_name, table in list(out.tables.items()):
-        out.tables[table_name] = replace(
+    tables = {}
+    for table_name, table in program.tables.items():
+        tables[table_name] = replace(
             table,
             actions=tuple(
                 _cloned_action_name(table_name, action)
@@ -151,7 +152,14 @@ def instrument(program: Program) -> InstrumentedProgram:
             ),
         )
 
-    out.validate()
+    out = replace(
+        program,
+        name=f"{program.name}__instrumented",
+        header_types=header_types,
+        headers=headers,
+        actions=actions,
+        tables=tables,
+    )
     return InstrumentedProgram(
         program=out, original=program, bit_fields=bit_fields
     )

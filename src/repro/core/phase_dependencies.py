@@ -241,15 +241,13 @@ def remove_dependency(program: Program, dep: Dependency) -> Program:
         on_miss = dst_unit
     else:
         on_miss = Seq([apply_src.on_miss, dst_unit])
-    new_program = program.with_ingress(
+    return program.with_ingress(
         replace_subtree(
             remove_subtree(root, dst_unit),
             apply_src,
             replace(apply_src, on_miss=on_miss),
         )
     )
-    new_program.validate()
-    return new_program
 
 
 def run_phase(

@@ -253,22 +253,25 @@ def make_offloaded_program(
         )
     else:
         replacement = redirect
-    new_ingress = replace_subtree(program.ingress, subtree, replacement)
-    out = program.with_ingress(new_ingress)
-    action_name = TO_CTL_ACTION
-    if action_name not in out.actions:
-        out.actions[action_name] = Action(
-            name=action_name, primitives=(SendToController(reason),)
+    actions = dict(program.actions)
+    if TO_CTL_ACTION not in actions:
+        actions[TO_CTL_ACTION] = Action(
+            name=TO_CTL_ACTION, primitives=(SendToController(reason),)
         )
-    out.tables[table_name] = Table(
+    tables = dict(program.tables)
+    tables[table_name] = Table(
         name=table_name,
         keys=(),
         actions=(),
-        default_action=action_name,
+        default_action=TO_CTL_ACTION,
         size=1,
     )
-    out.validate()
-    return out
+    return replace(
+        program,
+        actions=actions,
+        tables=tables,
+        ingress=replace_subtree(program.ingress, subtree, replacement),
+    )
 
 
 def make_combined_offloaded_program(

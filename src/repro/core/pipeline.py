@@ -52,6 +52,7 @@ from repro.core.session import OptimizationContext, SessionCounters
 from repro.core.store import SessionStore, resolve_store
 from repro.p4.program import Program
 from repro.sim.runtime import RuntimeConfig
+from repro.sim.switch import ReplayTrace
 from repro.target.model import DEFAULT_TARGET, TargetModel
 from repro.traffic.generators import TracePacket
 
@@ -180,12 +181,15 @@ class SwitchRun:
         # Fail on an unknown policy name at construction, not inside a
         # pool worker mid-sweep.
         resolve_candidate_policy(candidate_policy)
-        program.validate()
         config.validate(program)
         self.name = name if name is not None else program.name
         self.program = program
         self.config = config
-        self.trace = list(trace)
+        # A ReplayTrace given is kept, so runs that share one share its
+        # fingerprint: the trace is hashed once, not once per session.
+        if not isinstance(trace, ReplayTrace):
+            trace = ReplayTrace(trace)
+        self.trace = trace
         self.target = target
         self.phases = tuple(phases)
         self.max_redirect_fraction = max_redirect_fraction
@@ -243,7 +247,8 @@ class SwitchRun:
         session that previously replayed other traffic (e.g. before an
         OnlineProfiler drift alert) must not serve profiles recorded on
         it.  Equal-content traces hash to the same key, so this never
-        costs a cached run anything.  The target is not re-wired: a
+        costs a cached run anything, and the run's trace is hashed once
+        however many sessions adopt it.  The target is not re-wired: a
         session compiles for the one target it was built with, so a run
         for another target raises :class:`ValueError`.
         """

@@ -96,22 +96,26 @@ def add_dependency_guard(
         on_hit = guard_apply
     else:
         on_hit = Seq([apply_src.on_hit, guard_apply])
-    out = program.with_ingress(
-        replace_subtree(
-            program.ingress, apply_src, replace(apply_src, on_hit=on_hit)
-        )
-    )
-    out.actions[action] = Action(
+    actions = dict(program.actions)
+    actions[action] = Action(
         name=action, primitives=(SendToController(GUARD_REASON),)
     )
-    out.tables[table] = Table(
+    tables = dict(program.tables)
+    tables[table] = Table(
         name=table,
         keys=dst_table.keys,
         actions=(action,),
         default_action="NoAction",
         size=dst_table.size,
     )
-    out.validate()
+    out = replace(
+        program,
+        actions=actions,
+        tables=tables,
+        ingress=replace_subtree(
+            program.ingress, apply_src, replace(apply_src, on_hit=on_hit)
+        ),
+    )
     guarded_config = config.clone()
     for entry in config.entries_for(dst):
         guarded_config.add_entry(

@@ -50,7 +50,6 @@ def run_seed(
     review_hook: Optional[ReviewHook] = None,
 ) -> P2GOResult:
     """The seed ``P2GO.run()``, verbatim (see module docstring)."""
-    program.validate()
     config.validate(program)
     trace = list(trace)
     session = OptimizationContext(program, config, trace, target)

@@ -18,11 +18,10 @@ Keying:
 
 * **Programs** are keyed by the SHA-1 of their printed DSL
   (:func:`~repro.p4.dsl.print_program` is a faithful round-trippable
-  serialization; ``tests/test_dsl_roundtrip.py`` pins that).  The digest
-  is cached per object in a bounded LRU (evicted programs are simply
-  re-printed on the next ask), so long runs do not retain every rejected
-  candidate AST; programs handed to the session are treated as
-  immutable, the contract every phase already honours (rewrites clone).
+  serialization; ``tests/test_dsl_roundtrip.py`` pins that).  A program
+  is a frozen value, so the digest is computed once per value and
+  pinned on it (DESIGN.md §16): the session holds no per-program cache,
+  and a rejected candidate dies with its last reference.
 * **Compiles** are keyed by (program key, *target content fingerprint*)
   — :meth:`~repro.target.model.TargetModel.fingerprint`, every field of
   the target, not just its name.  Two targets that share a name but
@@ -45,14 +44,16 @@ Keying:
   ``mutations`` stamp, so two ``restricted_to`` results with equal
   content share one cache line.
 * **Profiles** are keyed by (program key, config key, trace key).  The
-  trace key is recomputed whenever ``ctx.trace`` is assigned, so a
+  trace key is re-read whenever ``ctx.trace`` is assigned, so a
   session whose trace is swapped (e.g. after an
   :class:`~repro.core.online.OnlineProfiler` drift alert) never serves
   profiles recorded on the old traffic.  In-place mutation of the trace
   list bypasses the setter — assign a new trace instead.  The setter
-  also makes the trace a :class:`~repro.sim.switch.ReplayTrace`, so the
-  session's replays parse each packet once per parser, not once per
-  replay; swapping the trace or closing the session drops the parses.
+  keeps a :class:`~repro.sim.switch.ReplayTrace` it is given (its
+  fingerprint is hashed once per trace object, however many sessions
+  adopt it) and makes any other trace one, so the session's replays
+  parse each packet once per parser, not once per replay; swapping the
+  trace or closing the session drops the parses.
 
 The session also carries:
 
@@ -134,7 +135,7 @@ mechanism).
 from __future__ import annotations
 
 import hashlib
-from collections import Counter, OrderedDict
+from collections import Counter
 from contextlib import contextmanager
 from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
@@ -149,25 +150,37 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.structure import ProgramAnalysis, analyse, structure_key
+from repro.analysis.structure import analyse, structure_key
 from repro.core.fanout import make_pool, resolve_workers
 from repro.core.profiler import PerfCounters, Profile, Profiler
 from repro.core.store import KINDS, SessionStore
 from repro.p4.dsl.printer import print_program
 from repro.p4.program import Program
+from repro.p4.types import pinned
 from repro.sim.runtime import RuntimeConfig
-from repro.sim.switch import ReplayTrace
+from repro.sim.switch import ReplayTrace, trace_fingerprint
 from repro.target.compiler import CompileResult, compile_program
 from repro.target.model import DEFAULT_TARGET, TargetModel
 from repro.traffic.generators import TracePacket
 
-#: Bound on the per-object program-digest cache (satellite of ISSUE 4:
-#: an unbounded cache kept every rejected candidate AST alive).
-DEFAULT_PROGRAM_KEY_CACHE = 256
+__all__ = [
+    "OptimizationContext",
+    "ProbeRecord",
+    "SessionCounters",
+    "Source",
+    "config_fingerprint",
+    "program_fingerprint",
+    "trace_fingerprint",
+]
 
 
 def program_fingerprint(program: Program) -> str:
-    """Content key of a program: SHA-1 of its printed DSL."""
+    """Content key of a program: SHA-1 of its printed DSL, computed once
+    per value and pinned on it."""
+    return pinned(program, "_fingerprint", _print_digest)
+
+
+def _print_digest(program: Program) -> str:
     return hashlib.sha1(print_program(program).encode()).hexdigest()
 
 
@@ -193,31 +206,10 @@ def config_fingerprint(config: RuntimeConfig) -> Tuple:
     )
 
 
-def trace_fingerprint(trace: Sequence[TracePacket]) -> str:
-    """Content key of a trace: SHA-1 over packet bytes + ingress ports."""
-    digest = hashlib.sha1()
-    for packet in trace:
-        if isinstance(packet, tuple):
-            data, port = packet
-        else:
-            data, port = packet, 0
-        digest.update(port.to_bytes(4, "big"))
-        digest.update(len(data).to_bytes(4, "big"))
-        digest.update(data)
-    return digest.hexdigest()
-
-
 # ----------------------------------------------------------------------
 # Worker tasks.  Module-level and pure so they pickle for process pools:
 # all session state (memo, probe log) is updated by the caller, never
 # touched from a worker.
-
-
-def _analysis_task(program: Program) -> ProgramAnalysis:
-    # Validate first: the analyses assume a well-formed program, and a
-    # malformed candidate must fail as compile_program fails it.
-    program.validate()
-    return analyse(program)
 
 
 def _replay_task(
@@ -299,9 +291,9 @@ ProfileVariant = Tuple[Optional[Program], Optional[RuntimeConfig]]
 #: the pure worker task as ``(function, *arguments)``).  The stored
 #: value of a compile probe is its :class:`CompileResult`; of a profile
 #: probe, its :class:`Profile`; of an analysis probe, its
-#: :class:`ProgramAnalysis` — the same value its store entry holds.  A
-#: compile probe's task gains the analysis as its last argument when
-#: (and only when) the probe executes.
+#: :class:`~repro.analysis.structure.ProgramAnalysis` — the same value
+#: its store entry holds.  A compile probe's task gains the analysis as
+#: its last argument when (and only when) the probe executes.
 Probe = Tuple[str, Tuple, Tuple]
 
 
@@ -340,12 +332,6 @@ class OptimizationContext:
         #: Append-only: one record per probe, in the order asked.
         self.probes: List[ProbeRecord] = []
 
-        #: id(program) -> (strong ref, digest), bounded LRU.  The strong
-        #: ref keeps the object alive while cached so ids cannot be
-        #: recycled; eviction merely costs a re-print on the next ask.
-        self._program_keys: "OrderedDict[int, Tuple[Program, str]]" = (
-            OrderedDict()
-        )
         #: The memo tier: kind -> content key -> stored value (see
         #: :data:`Probe`).
         self._memo: Dict[str, Dict[Tuple, object]] = {
@@ -371,10 +357,12 @@ class OptimizationContext:
         """Swap the session trace; cached profiles — memo and disk —
         are keyed on the old trace's fingerprint and stop matching
         immediately.  Every replay of the new trace shares its parses
-        (:class:`~repro.sim.switch.ReplayTrace`); the old trace's go
-        with it."""
-        self._trace = ReplayTrace(trace)
-        self._trace_key = trace_fingerprint(self._trace)
+        (:class:`~repro.sim.switch.ReplayTrace`: one given is kept, with
+        its fingerprint; any other trace is copied into a new one)."""
+        if not isinstance(trace, ReplayTrace):
+            trace = ReplayTrace(trace)
+        self._trace = trace
+        self._trace_key = trace.fingerprint
 
     @property
     def trace_key(self) -> str:
@@ -405,16 +393,7 @@ class OptimizationContext:
     # Content keys
 
     def program_key(self, program: Program) -> str:
-        cached = self._program_keys.get(id(program))
-        if cached is not None and cached[0] is program:
-            self._program_keys.move_to_end(id(program))
-            return cached[1]
-        digest = program_fingerprint(program)
-        self._program_keys[id(program)] = (program, digest)
-        self._program_keys.move_to_end(id(program))
-        while len(self._program_keys) > DEFAULT_PROGRAM_KEY_CACHE:
-            self._program_keys.popitem(last=False)
-        return digest
+        return program_fingerprint(program)
 
     def _compile_probe(self, program: Program) -> Probe:
         key = (self.program_key(program), self.target.fingerprint())
@@ -490,7 +469,7 @@ class OptimizationContext:
             return task
         program = task[1]
         key = (structure_key(program),)
-        analysis = self._probe(("analysis", key, (_analysis_task, program)))
+        analysis = self._probe(("analysis", key, (analyse, program)))
         return (*task, analysis)
 
     def _probe(self, probe: Probe):

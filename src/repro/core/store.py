@@ -46,7 +46,11 @@ Durability and safety contract (DESIGN.md §10):
 * **LRU size cap.**  Loads refresh an entry's mtime; when the store
   exceeds ``max_bytes`` after a write, the least-recently-used entries
   are evicted (oldest mtime first, name as the deterministic
-  tie-break).
+  tie-break).  The census that finds the excess stats every entry, so
+  a handle takes it on its first write and then only once the bytes it
+  has written since reach half the headroom its last census saw: one
+  process never exceeds the cap, N concurrent ones by less than
+  ``(N - 1) / 2 * max_bytes`` (DESIGN.md §10).
 * **Probe leases.**  An ``O_EXCL``-created ``<entry>.lease`` file
   beside the entry marks a probe some process is executing (DESIGN.md
   §13: exactly-once across processes).  It records the holder's host
@@ -344,6 +348,10 @@ class SessionStore:
         self._code_fp = code_fp
         self._seq = 0
         self._ready = False
+        #: Bytes written since the last census, and how many may be
+        #: written before the next (None: census on the next write).
+        self._unscanned = 0
+        self._scan_after: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Layout / manifest
@@ -536,7 +544,9 @@ class SessionStore:
             self.counters.errors += 1
             return
         self.counters.writes += 1
-        self._evict_over_cap()
+        self._unscanned += len(data)
+        if self._scan_after is None or self._unscanned >= self._scan_after:
+            self._evict_over_cap()
 
     # ------------------------------------------------------------------
     # Probe leases (cross-process in-flight dedup)
@@ -765,27 +775,30 @@ class SessionStore:
         return records
 
     def _evict_over_cap(self) -> int:
-        """Drop least-recently-used entries until under ``max_bytes``."""
+        """Take the census and drop least-recently-used entries until
+        under ``max_bytes``.  The next census is due once this handle
+        has written half the headroom left."""
         records = [
             record for kind in KINDS for record in self._entry_files(kind)
         ]
         total = sum(size for _mtime, _name, size, _path in records)
-        if total <= self.max_bytes:
-            return 0
-        # Oldest first, by (mtime, name): every process evicts in the
-        # same order (name is the tie-break for equal mtimes).
-        records.sort(key=lambda record: (record[0], record[1]))
         evicted = 0
-        for _mtime, _name, size, path in records:
-            if total <= self.max_bytes:
-                break
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-        self.counters.evictions += evicted
+        if total > self.max_bytes:
+            # Oldest first, by (mtime, name): every process evicts in
+            # the same order (name is the tie-break for equal mtimes).
+            records.sort(key=lambda record: (record[0], record[1]))
+            for _mtime, _name, size, path in records:
+                if total <= self.max_bytes:
+                    break
+                try:
+                    os.unlink(path)
+                except OSError:
+                    continue
+                total -= size
+                evicted += 1
+            self.counters.evictions += evicted
+        self._unscanned = 0
+        self._scan_after = (self.max_bytes - total) / 2
         return evicted
 
     def clear(self) -> int:

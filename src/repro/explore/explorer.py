@@ -45,6 +45,7 @@ from repro.core.store import SessionStore
 from repro.exceptions import ReproError
 from repro.explore.frontier import fit_breakpoints, pareto_front
 from repro.explore.space import DesignPoint, DesignSpace
+from repro.sim.switch import ReplayTrace
 
 __all__ = [
     "Explorer",
@@ -140,10 +141,13 @@ def _point_task(
     ``point`` and ``seconds``.  A :class:`~repro.exceptions.ReproError`
     (the program cannot exist on this shape) becomes an infeasible
     outcome; the raising probe released its own lease, and the fan-out
-    closes the session either way."""
+    closes the session either way.  A feasible point's census is the one
+    its run took; only an infeasible one takes its own."""
     status, reason, metrics = "ok", None, {}
+    store_stats = None
     try:
         result = run.execute(session=session)
+        store_stats = result.store_stats
         metrics = {
             "stages_before": result.stages_before,
             "stages_used": result.stages_after,
@@ -156,9 +160,8 @@ def _point_task(
     except ReproError as exc:
         status = "infeasible"
         reason = f"{type(exc).__name__}: {exc}"
-    store_stats = (
-        session.store.stats() if session.store is not None else None
-    )
+        if session.store is not None:
+            store_stats = session.store.stats()
     return status, reason, metrics, session.counters, store_stats
 
 
@@ -305,13 +308,14 @@ class Explorer:
         order: the point's program family on its shape, with the
         point's phase order and candidate policy.  Family inputs are
         loaded once per program (one trace per program — see the class
-        docstring)."""
-        inputs = {
-            program: family_inputs(
-                program, packets=self.packets, trace_seed=self.trace_seed
+        docstring), and the runs of a program share one
+        :class:`~repro.sim.switch.ReplayTrace`, so it is hashed once."""
+        inputs = {}
+        for name in self.space.programs:
+            program, config, trace, target = family_inputs(
+                name, packets=self.packets, trace_seed=self.trace_seed
             )
-            for program in self.space.programs
-        }
+            inputs[name] = (program, config, ReplayTrace(trace), target)
         runs = []
         for point in points:
             program, config, trace, base_target = inputs[point.program]

@@ -53,23 +53,24 @@ def break_optimizer(program: Program) -> Program:
     any table miss leaves through a port the real program never uses
     (and packets the real default would have dropped sail through).
     """
-    mutated = program.clone()
-    if not mutated.tables:
-        return mutated
-    mutated.actions[BROKEN_ACTION] = Action(
+    if not program.tables:
+        return program
+    actions = dict(program.actions)
+    actions[BROKEN_ACTION] = Action(
         name=BROKEN_ACTION,
         parameters=(),
         primitives=(SetEgressPort(Const(BROKEN_PORT)),),
     )
-    for name, table in list(mutated.tables.items()):
-        mutated.tables[name] = dataclasses.replace(
+    tables = {
+        name: dataclasses.replace(
             table,
             actions=tuple(table.actions) + (BROKEN_ACTION,),
             default_action=BROKEN_ACTION,
             default_action_args=(),
         )
-    mutated.validate()
-    return mutated
+        for name, table in program.tables.items()
+    }
+    return dataclasses.replace(program, actions=actions, tables=tables)
 
 
 @dataclass

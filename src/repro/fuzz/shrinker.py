@@ -20,13 +20,16 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.fuzz.differential import ALL_AXES, AxisFailure, run_axes
 from repro.fuzz.generator import GeneratedCase
+from repro.p4.actions import Action
 from repro.p4.control import Apply, ControlNode, If, Seq
 from repro.p4.dsl import parse_program, print_program
 from repro.p4.program import Program
+from repro.p4.registers import RegisterArray
+from repro.p4.tables import Table
 from repro.sim.runtime import RuntimeConfig
 from repro.target.model import TargetModel
 from repro.traffic.generators import TracePacket
@@ -86,24 +89,29 @@ def _drop_apply(node: ControlNode, table: str) -> Optional[ControlNode]:
 def remove_table(case: GeneratedCase, table: str) -> Optional[GeneratedCase]:
     """``case`` without ``table`` (and its entries); None if the result
     does not validate."""
-    program = case.program.clone()
-    del program.tables[table]
-    program.ingress = _drop_apply(program.ingress, table) or Seq([])
-    program.egress = _drop_apply(program.egress, table) or Seq([])
-    _prune_unreferenced(program)
+    original = case.program
+    tables = {
+        name: kept for name, kept in original.tables.items() if name != table
+    }
+    actions, registers = _referenced(tables, original)
     config = case.config.clone()
     config.entries.pop(table, None)
     config.default_overrides.pop(table, None)
     config.register_inits = [
-        init for init in config.register_inits
-        if init[0] in program.registers
+        init for init in config.register_inits if init[0] in registers
     ]
     config.hashed_inits = [
-        init for init in config.hashed_inits
-        if init[0] in program.registers
+        init for init in config.hashed_inits if init[0] in registers
     ]
     try:
-        program.validate()
+        program = dataclasses.replace(
+            original,
+            tables=tables,
+            actions=actions,
+            registers=registers,
+            ingress=_drop_apply(original.ingress, table) or Seq([]),
+            egress=_drop_apply(original.egress, table) or Seq([]),
+        )
         config.validate(program)
     except Exception:
         return None
@@ -116,22 +124,30 @@ def remove_table(case: GeneratedCase, table: str) -> Optional[GeneratedCase]:
     )
 
 
-def _prune_unreferenced(program: Program) -> None:
-    """Drop actions no table references, then registers no action uses."""
+def _referenced(
+    tables: Dict[str, Table], program: Program
+) -> Tuple[Dict[str, Action], Dict[str, RegisterArray]]:
+    """``program``'s actions that ``tables`` reference, and the registers
+    those actions use."""
     referenced = {"NoAction"}
-    for table in program.tables.values():
+    for table in tables.values():
         referenced.update(table.actions)
         referenced.add(table.default_action)
-    for name in list(program.actions):
-        if name not in referenced:
-            del program.actions[name]
+    actions = {
+        name: action
+        for name, action in program.actions.items()
+        if name in referenced
+    }
     used_registers = set()
-    for action in program.actions.values():
+    for action in actions.values():
         used_registers.update(action.registers_read())
         used_registers.update(action.registers_written())
-    for name in list(program.registers):
-        if name not in used_registers:
-            del program.registers[name]
+    registers = {
+        name: register
+        for name, register in program.registers.items()
+        if name in used_registers
+    }
+    return actions, registers
 
 
 # ----------------------------------------------------------------------

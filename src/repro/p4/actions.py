@@ -20,6 +20,7 @@ from repro.p4.expressions import (
     params_used,
     registers_referenced,
 )
+from repro.p4.types import KeepsPinsLocal
 
 #: The intrinsic metadata header present in every program.
 STANDARD_METADATA = "standard_metadata"
@@ -314,7 +315,7 @@ class NoOp(Primitive):
 
 
 @dataclass(frozen=True)
-class Action:
+class Action(KeepsPinsLocal):
     """A named action: parameter list + primitive sequence."""
 
     name: str

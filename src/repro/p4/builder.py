@@ -170,7 +170,7 @@ class ProgramBuilder:
             parser = ParserSpec(
                 states=dict(self._parser_states), start=self._parser_start
             )
-        program = Program(
+        return Program(
             name=self._name,
             header_types=dict(self._header_types),
             headers=dict(self._headers),
@@ -181,5 +181,3 @@ class ProgramBuilder:
             ingress=self._ingress if self._ingress is not None else Seq([]),
             egress=self._egress if self._egress is not None else Seq([]),
         )
-        program.validate()
-        return program

@@ -21,10 +21,11 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.exceptions import P4ValidationError
 from repro.p4.expressions import Expr
+from repro.p4.types import KeepsPinsLocal
 
 
 @dataclass(frozen=True)
-class Apply:
+class Apply(KeepsPinsLocal):
     """Apply a table; optionally branch on hit/miss."""
 
     table: str
@@ -41,7 +42,7 @@ class Apply:
 
 
 @dataclass(frozen=True)
-class If:
+class If(KeepsPinsLocal):
     """Conditional execution."""
 
     condition: Expr
@@ -55,7 +56,7 @@ class If:
 
 
 @dataclass(frozen=True)
-class Seq:
+class Seq(KeepsPinsLocal):
     """Sequential composition of control nodes."""
 
     nodes: Tuple["ControlNode", ...] = ()

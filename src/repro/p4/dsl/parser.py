@@ -189,7 +189,7 @@ class _Parser:
             parser_spec = ParserSpec(
                 states=parser_states, start=parser_start or "start"
             )
-        program = Program(
+        return Program(
             name=name,
             header_types=header_types,
             headers=headers,
@@ -200,8 +200,6 @@ class _Parser:
             ingress=ingress,
             egress=egress,
         )
-        program.validate()
-        return program
 
     # ------------------------------------------------------------------
     # Declarations

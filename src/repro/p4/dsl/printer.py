@@ -7,10 +7,11 @@ reviews (§2.2), so every rewritten program can be rendered back to source.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List
 
 from repro.exceptions import ReproError
 from repro.p4.actions import (
+    Action,
     AddHeader,
     AddToField,
     Drop,
@@ -27,7 +28,7 @@ from repro.p4.actions import (
     SubtractFromField,
     STANDARD_METADATA,
 )
-from repro.p4.control import Apply, ControlNode, If, Seq
+from repro.p4.control import Apply, ControlNode, If, Seq, tables_applied
 from repro.p4.expressions import (
     BinOp,
     Const,
@@ -41,7 +42,10 @@ from repro.p4.expressions import (
     ValidExpr,
 )
 from repro.p4.parser_spec import ParserSpec
-from repro.p4.program import Program
+from repro.p4.program import HeaderInstance, HeaderType, Program
+from repro.p4.registers import RegisterArray
+from repro.p4.tables import Table
+from repro.p4.types import pinned
 
 _INTRINSIC_TYPES = {"standard_metadata_t"}
 _INTRINSIC_HEADERS = {STANDARD_METADATA}
@@ -171,84 +175,125 @@ def _print_parser(parser: ParserSpec, lines: List[str]) -> None:
         lines.append("")
 
 
-def print_program(program: Program) -> str:
-    """Render a program to DSL source (intrinsics are implicit)."""
-    lines: List[str] = [f"// program: {program.name}", ""]
+def _lines(render: Callable[[object, List[str]], None]):
+    """A text renderer from a renderer that appends lines."""
 
-    for htype in program.header_types.values():
-        if htype.name in _INTRINSIC_TYPES:
-            continue
-        lines.append(f"header_type {htype.name} {{")
-        lines.append("    fields {")
-        for field in htype.fields:
-            lines.append(f"        {field.name} : {field.width};")
-        lines.append("    }")
-        lines.append("}")
-        lines.append("")
+    def text(value) -> str:
+        lines: List[str] = []
+        render(value, lines)
+        return "\n".join(lines)
 
-    for inst in program.headers.values():
-        if inst.name in _INTRINSIC_HEADERS:
-            continue
-        keyword = "metadata" if inst.metadata else "header"
-        suffix = " auto" if (inst.auto_valid and not inst.metadata) else ""
-        lines.append(f"{keyword} {inst.header_type} {inst.name}{suffix};")
-    lines.append("")
+    return text
 
-    for register in program.registers.values():
-        lines.append(f"register {register.name} {{")
-        lines.append(f"    width : {register.width};")
-        lines.append(f"    instance_count : {register.size};")
-        lines.append("}")
-        lines.append("")
 
-    for action in program.actions.values():
-        if action.name in _INTRINSIC_ACTIONS:
-            continue
-        params = ", ".join(action.parameters)
-        lines.append(f"action {action.name}({params}) {{")
-        for prim in action.primitives:
-            lines.append(f"    {print_primitive(prim)}")
-        lines.append("}")
-        lines.append("")
-
-    for table in program.tables.values():
-        lines.append(f"table {table.name} {{")
-        if table.keys:
-            lines.append("    reads {")
-            for key in table.keys:
-                lines.append(
-                    f"        {key.field.path} : {key.kind.value};"
-                )
-            lines.append("    }")
-        if table.actions:
-            lines.append("    actions {")
-            for action_name in table.actions:
-                lines.append(f"        {action_name};")
-            lines.append("    }")
-        args = ""
-        if table.default_action_args:
-            args = (
-                "("
-                + ", ".join(str(a) for a in table.default_action_args)
-                + ")"
-            )
-        lines.append(f"    default_action : {table.default_action}{args};")
-        lines.append(f"    size : {table.size};")
-        lines.append("}")
-        lines.append("")
-
-    if program.parser is not None:
-        _print_parser(program.parser, lines)
-
-    lines.append("control ingress {")
-    _print_control(program.ingress, 1, lines)
+@_lines
+def _header_type_text(htype: HeaderType, lines: List[str]) -> None:
+    lines.append(f"header_type {htype.name} {{")
+    lines.append("    fields {")
+    for field in htype.fields:
+        lines.append(f"        {field.name} : {field.width};")
+    lines.append("    }")
     lines.append("}")
     lines.append("")
-    from repro.p4.control import tables_applied
 
+
+def _instance_text(inst: HeaderInstance) -> str:
+    keyword = "metadata" if inst.metadata else "header"
+    suffix = " auto" if (inst.auto_valid and not inst.metadata) else ""
+    return f"{keyword} {inst.header_type} {inst.name}{suffix};"
+
+
+@_lines
+def _register_text(register: RegisterArray, lines: List[str]) -> None:
+    lines.append(f"register {register.name} {{")
+    lines.append(f"    width : {register.width};")
+    lines.append(f"    instance_count : {register.size};")
+    lines.append("}")
+    lines.append("")
+
+
+@_lines
+def _action_text(action: Action, lines: List[str]) -> None:
+    params = ", ".join(action.parameters)
+    lines.append(f"action {action.name}({params}) {{")
+    for prim in action.primitives:
+        lines.append(f"    {print_primitive(prim)}")
+    lines.append("}")
+    lines.append("")
+
+
+@_lines
+def _table_text(table: Table, lines: List[str]) -> None:
+    lines.append(f"table {table.name} {{")
+    if table.keys:
+        lines.append("    reads {")
+        for key in table.keys:
+            lines.append(f"        {key.field.path} : {key.kind.value};")
+        lines.append("    }")
+    if table.actions:
+        lines.append("    actions {")
+        for action_name in table.actions:
+            lines.append(f"        {action_name};")
+        lines.append("    }")
+    args = ""
+    if table.default_action_args:
+        args = (
+            "("
+            + ", ".join(str(a) for a in table.default_action_args)
+            + ")"
+        )
+    lines.append(f"    default_action : {table.default_action}{args};")
+    lines.append(f"    size : {table.size};")
+    lines.append("}")
+    lines.append("")
+
+
+_parser_text = _lines(_print_parser)
+#: A control root's body, one level in; "" when it prints no line.
+_root_text = _lines(lambda root, lines: _print_control(root, 1, lines))
+
+
+def print_program(program: Program) -> str:
+    """Render a program to DSL source (intrinsics are implicit).
+
+    The text of each leaf and of each control root is rendered once and
+    pinned on it (DESIGN.md §16), so a program derived by replacing one
+    table renders one table.  Pins never travel in a pickle: an unpickled
+    program renders from scratch, to the same text."""
+    pieces: List[str] = [f"// program: {program.name}", ""]
+    pieces += [
+        pinned(htype, "_text", _header_type_text)
+        for htype in program.header_types.values()
+        if htype.name not in _INTRINSIC_TYPES
+    ]
+    pieces += [
+        pinned(inst, "_text", _instance_text)
+        for inst in program.headers.values()
+        if inst.name not in _INTRINSIC_HEADERS
+    ]
+    pieces.append("")
+    pieces += [
+        pinned(register, "_text", _register_text)
+        for register in program.registers.values()
+    ]
+    pieces += [
+        pinned(action, "_text", _action_text)
+        for action in program.actions.values()
+        if action.name not in _INTRINSIC_ACTIONS
+    ]
+    pieces += [
+        pinned(table, "_text", _table_text)
+        for table in program.tables.values()
+    ]
+    if program.parser is not None:
+        pieces.append(pinned(program.parser, "_text", _parser_text))
+    controls = [("ingress", program.ingress)]
     if tables_applied(program.egress):
-        lines.append("control egress {")
-        _print_control(program.egress, 1, lines)
-        lines.append("}")
-        lines.append("")
-    return "\n".join(lines)
+        controls.append(("egress", program.egress))
+    for kind, root in controls:
+        pieces.append(f"control {kind} {{")
+        body = pinned(root, "_text", _root_text)
+        if body:
+            pieces.append(body)
+        pieces += ["}", ""]
+    return "\n".join(pieces)

@@ -10,7 +10,8 @@ and a DHCP header because they live on different parser branches).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.exceptions import P4ValidationError
 from repro.p4.expressions import FieldRef
@@ -26,20 +27,31 @@ class ParserState:
     ``extracts`` lists header instances extracted in order.  If ``select``
     is set, the next state is chosen by matching the field's value against
     ``transitions`` (exact values); otherwise ``default`` is taken.
+    ``transitions`` is a read-only copy of the mapping it was built with.
     """
 
     name: str
     extracts: Tuple[str, ...] = ()
     select: Optional[FieldRef] = None
-    transitions: Dict[int, str] = dc_field(default_factory=dict)
+    transitions: Mapping[int, str] = dc_field(default_factory=dict)
     default: str = ACCEPT
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "extracts", tuple(self.extracts))
+        object.__setattr__(
+            self, "transitions", MappingProxyType(dict(self.transitions))
+        )
         if self.select is None and self.transitions:
             raise P4ValidationError(
                 f"parser state {self.name!r} has transitions but no select"
             )
+
+    def __reduce__(self):
+        # A read-only map does not pickle; it travels as a dict.
+        return ParserState, (
+            self.name, self.extracts, self.select,
+            dict(self.transitions), self.default,
+        )
 
     def next_states(self) -> Set[str]:
         out = set(self.transitions.values())
@@ -49,10 +61,21 @@ class ParserState:
 
 @dataclass(frozen=True)
 class ParserSpec:
-    """The parse graph: states plus the start state name."""
+    """The parse graph: states plus the start state name.  ``states`` is
+    a read-only copy of the mapping it was built with."""
 
-    states: Dict[str, ParserState]
+    states: Mapping[str, ParserState]
     start: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "states", MappingProxyType(dict(self.states))
+        )
+
+    def __reduce__(self):
+        # Rebuilt by the constructor: the map travels as a dict, and the
+        # printer's pinned text stays behind.
+        return ParserSpec, (dict(self.states), self.start)
 
     def validate(self) -> None:
         if self.start not in self.states:

@@ -6,19 +6,23 @@ validates that every cross-reference resolves.  Programs are persistent
 values: P2GO's optimization phases never mutate a program in place — they
 derive modified programs, mirroring how the real system rewrites P4 source
 and re-compiles it — and deriving one costs what changed, not the whole
-program.  The leaves (header types and instances, registers, tables,
-actions, parser states) and the control nodes are frozen; a
-:class:`Program` is the one mutable layer, and :meth:`Program.clone` /
-``with_*`` build a new one with fresh dicts over the *same* leaves and
-control trees.  ``copy.deepcopy`` and pickling still give an unshared
-copy.  DESIGN.md §16, "Programs are persistent values", has what is
-shared, where derived state lives and why this is sound.
+program.  Everything is frozen: the leaves (header types and instances,
+registers, tables, actions, parser states), the control nodes, and the
+:class:`Program` itself, whose name -> leaf maps are read-only.  A
+deriving function builds plain dicts over the *same* leaves and control
+trees and constructs a new program, which validates it; a resize or a
+rename skips that, since it changes nothing validation reads.
+``copy.deepcopy`` and pickling still give an unshared copy.  DESIGN.md
+§16, "Programs are persistent values", has what is shared, where
+derived state lives and why this is sound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from dataclasses import replace
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.exceptions import P4ValidationError
 from repro.p4.actions import (
@@ -37,7 +41,7 @@ from repro.p4.expressions import (
 from repro.p4.parser_spec import ParserSpec
 from repro.p4.registers import RegisterArray
 from repro.p4.tables import Table
-from repro.p4.types import bytes_for_bits
+from repro.p4.types import KeepsPinsLocal, bytes_for_bits
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ class HeaderField:
 
 
 @dataclass(frozen=True)
-class HeaderType:
+class HeaderType(KeepsPinsLocal):
     """A named, ordered collection of bit fields."""
 
     name: str
@@ -73,15 +77,6 @@ class HeaderType:
         bit_width = sum(f.width for f in self.fields)
         object.__setattr__(self, "_bit_width", bit_width)
         object.__setattr__(self, "_byte_width", bytes_for_bits(bit_width))
-
-    def __getstate__(self):
-        # ``repro.packets.get_codec`` pins an exec-compiled codec here
-        # as ``_codec``.  Header types are shared by everything derived
-        # from a program, so a simulated sibling's codec must not travel
-        # into pickles (stored probes, worker specs) or deep copies.
-        state = self.__dict__.copy()
-        state.pop("_codec", None)
-        return state
 
     @property
     def bit_width(self) -> int:
@@ -107,7 +102,7 @@ class HeaderType:
 
 
 @dataclass(frozen=True)
-class HeaderInstance:
+class HeaderInstance(KeepsPinsLocal):
     """An instance of a header type.
 
     ``metadata`` instances are always "valid", start zeroed, and are never
@@ -142,16 +137,35 @@ def standard_metadata_type() -> HeaderType:
     )
 
 
-@dataclass
+#: The name -> leaf maps of a :class:`Program`, read-only once built.
+LEAF_MAPS = ("header_types", "headers", "registers", "actions", "tables")
+
+#: Content keys pinned on a :class:`Program` (DESIGN.md §16): the
+#: printed DSL's SHA-1 (``repro.core.session.program_fingerprint``) and
+#: the analyses' key (``repro.analysis.structure.structure_key``).
+#: Unlike a leaf's pins they travel with the program in a pickle, so a
+#: pool worker does not print it again.
+PROGRAM_KEYS = ("_fingerprint", "_structure_key")
+
+
+@dataclass(frozen=True)
 class Program:
-    """A complete P4 program in IR form."""
+    """A complete P4 program in IR form: a frozen value, validated when
+    it is built.
+
+    The name -> leaf maps are read-only copies of the mappings the
+    constructor was given, so a deriving function builds plain dicts and
+    constructs (``dataclasses.replace`` does both).  A value that
+    constructs is well-formed: every cross-reference resolves
+    (:meth:`validate`).
+    """
 
     name: str
-    header_types: Dict[str, HeaderType] = dc_field(default_factory=dict)
-    headers: Dict[str, HeaderInstance] = dc_field(default_factory=dict)
-    registers: Dict[str, RegisterArray] = dc_field(default_factory=dict)
-    actions: Dict[str, Action] = dc_field(default_factory=dict)
-    tables: Dict[str, Table] = dc_field(default_factory=dict)
+    header_types: Mapping[str, HeaderType] = dc_field(default_factory=dict)
+    headers: Mapping[str, HeaderInstance] = dc_field(default_factory=dict)
+    registers: Mapping[str, RegisterArray] = dc_field(default_factory=dict)
+    actions: Mapping[str, Action] = dc_field(default_factory=dict)
+    tables: Mapping[str, Table] = dc_field(default_factory=dict)
     parser: Optional[ParserSpec] = None
     ingress: ControlNode = dc_field(default_factory=lambda: Seq([]))
     #: Egress pipeline (§2.1: "an ingress and egress pipeline").  Runs
@@ -160,28 +174,28 @@ class Program:
     #: ingress tables, as on RMT hardware.
     egress: ControlNode = dc_field(default_factory=lambda: Seq([]))
 
+    # Unhashable, as before it was frozen: equality compares the maps.
+    __hash__ = None
+
     def __post_init__(self) -> None:
-        self._ensure_intrinsics()
+        maps = {name: dict(getattr(self, name)) for name in LEAF_MAPS}
+        _add_intrinsics(maps)
+        for name, entries in maps.items():
+            object.__setattr__(self, name, MappingProxyType(entries))
+        self.validate()
 
-    # ------------------------------------------------------------------
-    # Intrinsics
-
-    def _ensure_intrinsics(self) -> None:
-        # Only when missing: a derived program arrives with its parent's.
-        if STANDARD_METADATA_TYPE not in self.header_types:
-            self.header_types[STANDARD_METADATA_TYPE] = (
-                standard_metadata_type()
-            )
-        if STANDARD_METADATA not in self.headers:
-            self.headers[STANDARD_METADATA] = HeaderInstance(
-                name=STANDARD_METADATA,
-                header_type=STANDARD_METADATA_TYPE,
-                metadata=True,
-            )
-        if "NoAction" not in self.actions:
-            self.actions["NoAction"] = Action(
-                name="NoAction", primitives=(NoOp(),)
-            )
+    def __reduce__(self):
+        # Read-only maps travel as dicts, the content keys with them;
+        # leaf pins stay behind (KeepsPinsLocal).
+        fields = {name: getattr(self, name) for name in _FIELDS}
+        for name in LEAF_MAPS:
+            fields[name] = dict(fields[name])
+        keys = {
+            name: self.__dict__[name]
+            for name in PROGRAM_KEYS
+            if name in self.__dict__
+        }
+        return _rebuild, (fields, keys)
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -337,52 +351,47 @@ class Program:
                     self._check_expr(node.condition, "control condition")
 
     # ------------------------------------------------------------------
-    # Cloning / derived programs
+    # Derived programs
 
     def clone(self, new_name: Optional[str] = None) -> "Program":
-        """A new program sharing every leaf and both control trees.
-
-        The six dicts (five here, the parser's states) are fresh: dict
-        writes and root swaps on the result never show on the original.
-        """
-        parser = self.parser
-        if parser is not None:
-            parser = ParserSpec(dict(parser.states), parser.start)
-        return Program(
-            name=self.name if new_name is None else new_name,
-            header_types=dict(self.header_types),
-            headers=dict(self.headers),
-            registers=dict(self.registers),
-            actions=dict(self.actions),
-            tables=dict(self.tables),
-            parser=parser,
-            ingress=self.ingress,
-            egress=self.egress,
+        """This program under ``new_name`` (default: its own), sharing
+        everything.  Not validated again: nothing it checks changed."""
+        return self._unchecked(
+            name=self.name if new_name is None else new_name
         )
 
     def with_table_size(self, table_name: str, new_size: int) -> "Program":
-        """Clone with one table's entry capacity changed (§3.3)."""
+        """This program with one table's entry capacity changed (§3.3)."""
         if table_name not in self.tables:
             raise P4ValidationError(f"unknown table {table_name!r}")
-        out = self.clone()
-        out.tables[table_name] = out.tables[table_name].resized(new_size)
-        return out
+        tables = dict(self.tables)
+        tables[table_name] = tables[table_name].resized(new_size)
+        return self._unchecked(tables=tables)
 
     def with_register_size(self, register_name: str, new_size: int) -> "Program":
-        """Clone with one register array's cell count changed (§3.3)."""
+        """This program with one register array's cell count changed
+        (§3.3)."""
         if register_name not in self.registers:
             raise P4ValidationError(f"unknown register {register_name!r}")
-        out = self.clone()
-        out.registers[register_name] = out.registers[register_name].resized(
-            new_size
-        )
-        return out
+        registers = dict(self.registers)
+        registers[register_name] = registers[register_name].resized(new_size)
+        return self._unchecked(registers=registers)
 
     def with_ingress(self, new_ingress: ControlNode) -> "Program":
-        """Clone with a replaced ingress control tree."""
-        out = self.clone()
-        out.ingress = new_ingress
-        return out
+        """This program with a replaced ingress control tree."""
+        return replace(self, ingress=new_ingress)
+
+    def _unchecked(self, **changes) -> "Program":
+        """A copy with ``changes`` and no validation: for a rename or a
+        resize, which change nothing :meth:`validate` or the structure
+        key reads.  So the parent's structure key carries over; its
+        fingerprint does not."""
+        fields = {name: getattr(self, name) for name in _FIELDS}
+        fields.update(changes)
+        keys = {}
+        if "_structure_key" in self.__dict__:
+            keys["_structure_key"] = self.__dict__["_structure_key"]
+        return _rebuild(fields, keys)
 
     # ------------------------------------------------------------------
     # Convenience queries used across the analysis layer
@@ -398,3 +407,38 @@ class Program:
                     out.append(table.name)
                     break
         return out
+
+
+_FIELDS = tuple(field.name for field in dc_fields(Program))
+
+
+def _rebuild(fields: Dict, keys: Dict) -> Program:
+    """A :class:`Program` from fields that already form a valid one
+    (an unpickled program, or a derivation that changes nothing
+    :meth:`Program.validate` reads), with its content keys.  A map
+    given as a dict is made read-only; one already read-only is shared."""
+    out = object.__new__(Program)
+    for name in LEAF_MAPS:
+        if type(fields[name]) is dict:
+            fields[name] = MappingProxyType(fields[name])
+    out.__dict__.update(fields, **keys)
+    return out
+
+
+def _add_intrinsics(maps: Dict[str, Dict]) -> None:
+    """Add the intrinsic metadata and ``NoAction`` to a program's maps,
+    only when missing: a derived program arrives with its parent's."""
+    if STANDARD_METADATA_TYPE not in maps["header_types"]:
+        maps["header_types"][STANDARD_METADATA_TYPE] = (
+            standard_metadata_type()
+        )
+    if STANDARD_METADATA not in maps["headers"]:
+        maps["headers"][STANDARD_METADATA] = HeaderInstance(
+            name=STANDARD_METADATA,
+            header_type=STANDARD_METADATA_TYPE,
+            metadata=True,
+        )
+    if "NoAction" not in maps["actions"]:
+        maps["actions"]["NoAction"] = Action(
+            name="NoAction", primitives=(NoOp(),)
+        )

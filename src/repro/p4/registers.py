@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import P4SemanticsError
-from repro.p4.types import bytes_for_bits
+from repro.p4.types import KeepsPinsLocal, bytes_for_bits
 
 
 @dataclass(frozen=True)
-class RegisterArray:
+class RegisterArray(KeepsPinsLocal):
     """A register array of ``size`` cells, each ``width`` bits wide."""
 
     name: str

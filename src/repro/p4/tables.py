@@ -13,6 +13,7 @@ from typing import Tuple
 
 from repro.exceptions import P4SemanticsError
 from repro.p4.expressions import FieldRef
+from repro.p4.types import KeepsPinsLocal
 
 
 class MatchKind(enum.Enum):
@@ -42,7 +43,7 @@ class TableKey:
 
 
 @dataclass(frozen=True)
-class Table:
+class Table(KeepsPinsLocal):
     """A match-action table.
 
     ``actions`` are names of actions declared in the program.  The

@@ -2,12 +2,18 @@
 
 P4 values are fixed-width unsigned integers.  This module provides the small
 amount of arithmetic the IR and the simulator need: masking to a bit width,
-wrap-around addition/subtraction, and pretty formatting.
+wrap-around addition/subtraction, and pretty formatting — plus the one
+way derived state is pinned on a frozen IR value.
 """
 
 from __future__ import annotations
 
+from typing import Callable, TypeVar
+
 from repro.exceptions import P4SemanticsError
+
+T = TypeVar("T")
+V = TypeVar("V")
 
 #: Egress port value that marks a packet for dropping.  Mirrors the Tofino
 #: convention of a reserved "drop" port; the paper's running example relies on
@@ -64,3 +70,38 @@ def format_value(value: int, width: int) -> str:
     if width > 16:
         return f"0x{value:x}"
     return str(value)
+
+
+# ----------------------------------------------------------------------
+# Derived state pinned on frozen IR values (DESIGN.md §16)
+
+#: Pins that stay with the object in this process — the packet codec
+#: ``repro.packets.get_codec`` pins on a header type, and the DSL text
+#: ``repro.p4.dsl.print_program`` pins on a leaf or a control root: a
+#: pickle or a deep copy of the value never carries them.
+LOCAL_PINS = ("_codec", "_text")
+
+
+def pinned(value, name: str, compute: Callable[[T], V]) -> V:
+    """``compute(value)``, computed on the first ask and pinned on the
+    frozen ``value`` as attribute ``name``.  A pin is derived state, not
+    part of the value: dataclass equality never sees it.  Two threads
+    may compute one pin at once; either result is as good as the other."""
+    found = value.__dict__.get(name)
+    if found is None:
+        found = compute(value)
+        object.__setattr__(value, name, found)
+    return found
+
+
+class KeepsPinsLocal:
+    """Mixin of the frozen IR values that may carry a :data:`LOCAL_PINS`
+    pin: pickles and deep copies drop it.  Values are shared between a
+    simulated original and every candidate derived from it, so a pin
+    that travelled would land in every worker spec."""
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        for name in LOCAL_PINS:
+            state.pop(name, None)
+        return state

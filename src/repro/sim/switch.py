@@ -39,6 +39,7 @@ punted packet's index, reason and bytes are on its :class:`SwitchResult`.
 
 from __future__ import annotations
 
+import hashlib
 from itertools import repeat
 from typing import (
     Callable,
@@ -173,23 +174,48 @@ def _template(
     )
 
 
+def trace_fingerprint(trace: Sequence) -> str:
+    """Content key of a trace: SHA-1 over packet bytes + ingress ports."""
+    digest = hashlib.sha1()
+    for packet in trace:
+        if isinstance(packet, tuple):
+            data, port = packet
+        else:
+            data, port = packet, 0
+        digest.update(port.to_bytes(4, "big"))
+        digest.update(len(data).to_bytes(4, "big"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
 class ReplayTrace(list):
-    """A trace that is replayed many times, and its parses.
+    """A trace that is replayed many times, its parses and its content
+    key.
 
     ``parses`` maps a switch's parse key — everything its parser reads —
     to one :class:`ParseTemplate` per packet, filled by the first replay
     of the trace with that key; switches with equal keys parse every
-    packet identically.  The parses live and die with the trace object:
-    a pickle (a pool task, a fleet spec, a store entry) carries a plain
-    list, and so does a slice.  The list must not be mutated in place.
+    packet identically.  The parses live and die with the trace object.
+    :attr:`fingerprint` is hashed on the first ask, once per trace
+    object.  A pickle (a pool task, a fleet or sweep spec) carries the
+    packets and the fingerprint, never the parses; a slice is a plain
+    list.  The list must not be mutated in place.
     """
 
-    def __init__(self, packets: Sequence = ()):
+    def __init__(self, packets: Sequence = (), fingerprint: Optional[str] = None):
         super().__init__(packets)
         self.parses: Dict[Hashable, List[Optional[ParseTemplate]]] = {}
+        self._fingerprint = fingerprint
+
+    @property
+    def fingerprint(self) -> str:
+        """:func:`trace_fingerprint` of the packets, hashed once."""
+        if self._fingerprint is None:
+            self._fingerprint = trace_fingerprint(self)
+        return self._fingerprint
 
     def __reduce__(self):
-        return list, (list(self),)
+        return ReplayTrace, (list(self), self.fingerprint)
 
     def templates(
         self, key: Hashable, parse: Callable[[bytes], ParsedPacket]
@@ -213,7 +239,6 @@ class BehavioralSwitch:
     """
 
     def __init__(self, program: Program, config: Optional[RuntimeConfig] = None):
-        program.validate()
         self.program = program
         self.config = config if config is not None else RuntimeConfig()
         self.config.validate(program)

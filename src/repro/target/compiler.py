@@ -1,11 +1,13 @@
 """The compiler facade: program + target → stage mapping.
 
 This is the stand-in for the vendor P4 compiler P2GO drives: it
-validates the program, analyses it (control graph and the table
+analyses the program (control graph and the table
 dependency graphs of both pipelines — or takes the analysis of an
 equal-structure program from the caller), runs stage allocation, and
 packages everything the optimization phases query — stage count, stage
 map, per-stage usage, and the TDG whose critical path phase 2 attacks.
+It does not validate: a :class:`~repro.p4.program.Program` is checked
+when it is built.
 """
 
 from __future__ import annotations
@@ -74,17 +76,15 @@ def compile_program(
     ``analysis`` is the :func:`~repro.analysis.structure.analyse` result
     of a program with the same
     :func:`~repro.analysis.structure.structure_key` (the session hands
-    one in so size-only candidates are not re-analysed); validation and
-    allocation run on every call regardless.
+    one in so size-only candidates are not re-analysed); allocation runs
+    on every call regardless.
 
-    Raises :class:`~repro.exceptions.P4ValidationError` for malformed
-    programs, :class:`~repro.exceptions.CompilationError` for resource
+    Raises :class:`~repro.exceptions.CompilationError` for resource
     models the program can never satisfy (shared registers, arrays larger
     than a stage), and returns a result with ``fits = False`` — not an
     exception — when the program merely needs more stages than the target
     has.
     """
-    program.validate()
     if analysis is None:
         analysis = analyse(program)
     return CompileResult(

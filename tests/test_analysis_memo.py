@@ -155,20 +155,30 @@ def test_graphs_hold_no_program():
 # The mutation table
 
 
-def _retable(table, **changes):
-    """Leaves are frozen: a mutant table is a replaced dict entry."""
+def _with(program, kind, name, value):
+    """Programs are frozen: a mutant is ``program`` with one map entry
+    replaced (or added)."""
+    return replace(program, **{kind: {**getattr(program, kind), name: value}})
 
+
+def _retable(table, **changes):
     def mutate(program):
-        program.tables[table] = replace(program.tables[table], **changes)
+        return _with(
+            program, "tables", table,
+            replace(program.tables[table], **changes),
+        )
 
     return mutate
 
 
 def base_program():
     program = build_toy_program()
-    program.registers["hits"] = RegisterArray("hits", width=8, size=64)
-    _retable("fib", default_action="fwd", default_action_args=(3,))(program)
-    return program
+    program = _with(
+        program, "registers", "hits", RegisterArray("hits", width=8, size=64)
+    )
+    return _retable("fib", default_action="fwd", default_action_args=(3,))(
+        program
+    )
 
 
 def _set_keys(table, *fields):
@@ -183,16 +193,17 @@ def _set_keys(table, *fields):
 
 def _extend_action(action, primitive):
     def mutate(program):
-        program.actions[action] = program.actions[
-            action
-        ].with_extra_primitives([primitive])
+        return _with(
+            program, "actions", action,
+            program.actions[action].with_extra_primitives([primitive]),
+        )
 
     return mutate
 
 
 def _set_ingress(node):
     def mutate(program):
-        program.ingress = node
+        return program.with_ingress(node)
 
     return mutate
 
@@ -200,23 +211,31 @@ def _set_ingress(node):
 def _add_parser_transition(program):
     # Ethernet straight to UDP: a header set the parser could not
     # produce before.
-    start = program.parser.states["start"]
-    program.parser.states["start"] = replace(
-        start, transitions={**start.transitions, 0x9999: "parse_udp"}
-    )
+    parser = program.parser
+    start = parser.states["start"]
+    states = {
+        **parser.states,
+        "start": replace(
+            start, transitions={**start.transitions, 0x9999: "parse_udp"}
+        ),
+    }
+    return replace(program, parser=replace(parser, states=states))
 
 
 def _add_egress_table(program):
-    program.tables["mark"] = Table(
-        "mark",
-        keys=(TableKey(FieldRef("udp", "srcPort"), MatchKind.EXACT),),
-        actions=("deny",),
+    program = _with(
+        program, "tables", "mark",
+        Table(
+            "mark",
+            keys=(TableKey(FieldRef("udp", "srcPort"), MatchKind.EXACT),),
+            actions=("deny",),
+        ),
     )
-    program.egress = Apply("mark")
+    return replace(program, egress=Apply("mark"))
 
 
 def _declare_unapplied_table(program):
-    program.tables["spare"] = Table("spare", actions=("deny",))
+    return _with(program, "tables", "spare", Table("spare", actions=("deny",)))
 
 
 FIB, ACL = Apply("fib"), Apply("acl")
@@ -263,11 +282,11 @@ CHANGES_THE_KEY = {
 }
 
 KEEPS_THE_KEY = {
-    "resize a table": lambda p: p.tables.__setitem__(
-        "fib", p.tables["fib"].resized(8)
+    "resize a table": lambda p: _with(
+        p, "tables", "fib", p.tables["fib"].resized(8)
     ),
-    "resize a register": lambda p: p.registers.__setitem__(
-        "hits", p.registers["hits"].resized(4)
+    "resize a register": lambda p: _with(
+        p, "registers", "hits", p.registers["hits"].resized(4)
     ),
     "change default-action arguments": _retable(
         "fib", default_action_args=(7,)
@@ -276,23 +295,21 @@ KEEPS_THE_KEY = {
         "acl",
         keys=(TableKey(FieldRef("udp", "dstPort"), MatchKind.TERNARY),),
     ),
-    "rename the program": lambda p: setattr(p, "name", "other"),
+    "rename the program": lambda p: replace(p, name="other"),
 }
 
 
 @pytest.mark.parametrize("row", CHANGES_THE_KEY)
 def test_what_the_analyses_read_is_in_the_key(row):
-    base, mutant = base_program(), base_program()
-    CHANGES_THE_KEY[row](mutant)
-    mutant.validate()
+    base = base_program()
+    mutant = CHANGES_THE_KEY[row](base_program())
     assert structure_key(mutant) != structure_key(base)
 
 
 @pytest.mark.parametrize("row", KEEPS_THE_KEY)
 def test_what_the_analyses_do_not_read_is_not_in_the_key(row):
-    base, mutant = base_program(), base_program()
-    KEEPS_THE_KEY[row](mutant)
-    mutant.validate()
+    base = base_program()
+    mutant = KEEPS_THE_KEY[row](base_program())
     assert structure_key(mutant) == structure_key(base)
     assert analyse(mutant) == analyse(base)
 

@@ -282,7 +282,8 @@ def _guarded_twice() -> Program:
 
     ``Program.validate`` allows one apply per table, which fixes the
     guards after A for each pair; the analyses take any control tree,
-    so the tree is swapped in past validation."""
+    so the tree is swapped into the built (frozen, validated) program
+    underneath its guard."""
     b = ProgramBuilder("guarded_twice")
     b.header_type("h_t", [("f", 16)]).header("h", "h_t")
     b.metadata("m", [("x", 8), ("y", 8)])
@@ -291,7 +292,10 @@ def _guarded_twice() -> Program:
     b.table("ta", keys=[("h.f", "exact")], actions=["bump"])
     b.table("tb", keys=[("h.f", "exact")], actions=["d"])
     b.ingress(Seq([Apply("ta"), Apply("tb")]))
-    return b.build().with_ingress(
+    program = b.build()
+    object.__setattr__(
+        program,
+        "ingress",
         Seq([
             Apply("ta"),
             If(
@@ -299,8 +303,9 @@ def _guarded_twice() -> Program:
                 Apply("tb"),
                 If(BinOp(">=", FieldRef("m", "x"), Const(1)), Apply("tb")),
             ),
-        ])
+        ]),
     )
+    return program
 
 
 def _misses_differ() -> Program:

@@ -522,3 +522,35 @@ class TestSweep:
             result.breakpoints()["example_firewall"]["smallest_fit"]
             is None
         )
+
+    def test_a_serial_sweep_hashes_its_trace_once(self, tmp_path, monkeypatch):
+        """Every point of a program replays its one trace, and every
+        session that adopts it — created, re-wired, and restored after
+        an infeasible point — reads the fingerprint the trace carries:
+        the sweep hashes the trace once, not once per session."""
+        import repro.core.session as session_module
+        import repro.sim.switch as switch_module
+
+        hashed = []
+        real = session_module.trace_fingerprint
+
+        def counting(trace):
+            hashed.append(len(trace))
+            return real(trace)
+
+        # Wherever the hash is computed: the session's name for it and
+        # the switch module's.
+        monkeypatch.setattr(session_module, "trace_fingerprint", counting)
+        monkeypatch.setattr(
+            switch_module, "trace_fingerprint", counting, raising=False
+        )
+        space = DesignSpace(
+            programs=("example_firewall",),
+            shapes=parse_grid("stages=12;sram=1,48", EXAMPLE_TARGET),
+        )
+        result = Explorer(
+            space, packets=PACKETS, workers=1, store=str(tmp_path / "s")
+        ).run()
+        statuses = {outcome.status for outcome in result.outcomes}
+        assert statuses == {"ok", "infeasible"}
+        assert len(hashed) == 1

@@ -1,5 +1,7 @@
 """Unit tests for Program validation, cloning, and derived programs."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.exceptions import P4ValidationError
@@ -99,19 +101,25 @@ class TestIntrinsics:
 
 class TestClone:
     def test_clone_is_independent(self, toy_program):
-        """Dict writes and rewrites on either side never show on the
-        other (leaves are shared, and frozen: tests/test_program_values)."""
+        """Neither side can be written (programs are frozen:
+        tests/test_program_values), and a program derived from either
+        never shows on the other."""
         copied = toy_program.clone()
-        copied.tables["fib"] = copied.tables["fib"].resized(8)
-        del copied.actions["fwd"]
-        copied.ingress = Seq([])
+        for program in (copied, toy_program):
+            with pytest.raises(TypeError):
+                program.tables["fib"] = program.tables["fib"].resized(8)
+            with pytest.raises(TypeError):
+                del program.actions["fwd"]
+            with pytest.raises(FrozenInstanceError):
+                program.ingress = Seq([])
+        derived = copied.with_table_size("fib", 8).with_ingress(Seq([]))
+        assert derived.tables["fib"].size == 8
         assert toy_program.tables["fib"].size == 64
-        assert "fwd" in toy_program.actions
         assert toy_program.ingress_tables() == ["fib", "acl"]
-        toy_program.tables["acl"] = toy_program.tables["acl"].resized(2)
-        toy_program.egress = Apply("acl")
+        toy_program.with_table_size("acl", 2).with_ingress(Apply("fib"))
         assert copied.tables["acl"].size != 2
-        assert copied.egress_tables() == []
+        assert copied.ingress_tables() == ["fib", "acl"]
+        assert copied == toy_program
 
     def test_clone_rename(self, toy_program):
         assert toy_program.clone("other").name == "other"

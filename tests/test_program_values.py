@@ -1,4 +1,4 @@
-"""Programs are persistent values (ISSUE 22).
+"""Programs are persistent values.
 
 Deriving a candidate shares every leaf and every control subtree the
 derivation did not touch, and that is only sound if nothing can write
@@ -7,17 +7,22 @@ every bundled program and the fuzz generator's CI corpus:
 
 * the original is unchanged afterwards (``program_fingerprint`` and deep
   equality with a ``copy.deepcopy`` taken before);
-* untouched leaves are ``is``-shared and the six dicts are not, so
-  emptying the derived program's dicts does not show on the original;
+* untouched leaves are ``is``-shared;
 * the derived program's trees hold none of the original's *rewritten*
   nodes (the ancestors of what changed were path-copied), while the
   moved or untouched subtrees are the original's own objects;
-* assigning to any field of any leaf or control node raises.
+* assigning to any field of any leaf or control node raises, and so
+  does any write to a program: its fields, its name -> leaf maps, its
+  parser's states and their transitions.
 
 A second group pins where derived state lives: the packet codec
 memoized on a ``HeaderType`` never travels into a pickle, a deep copy
-or a stored probe entry, and a layout is compiled once per process.
-The last test is the regression gate without a clock: a warm optimize
+or a stored probe entry, and a layout is compiled once per process;
+the text ``print_program`` pins on each leaf and control root renders
+what a from-scratch render does, for every derivation, so the program
+fingerprint and the structure key pinned on a program are its own.
+The last tests are regression gates without a clock: a resized
+candidate compiles without being validated again, and a warm optimize
 and a serve run deep-copy no IR object and build no more codecs than
 there are distinct field layouts.
 """
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import pickle
 import pkgutil
 from typing import Dict, Iterator, List, NamedTuple, Set
@@ -36,6 +42,7 @@ import repro.p4.program as program_module
 import repro.packets.packet as packet_module
 import repro.programs
 from repro.analysis.dependencies import Dependency, DependencyKind
+from repro.analysis.structure import structure_key
 from repro.controller.offload_runtime import segment_program
 from repro.core.fleet import family_inputs
 from repro.core.instrument import instrument
@@ -67,6 +74,7 @@ from repro.p4.tables import Table
 from repro.packets.packet import HeaderCodec, get_codec
 from repro.programs import example_firewall as fw
 from repro.sim.runtime import RuntimeConfig
+from repro.target.compiler import compile_program
 
 from .test_store import entry_paths, pickled_modules
 
@@ -238,6 +246,28 @@ def node_ids(program: Program) -> Set[int]:
     }
 
 
+def assert_every_write_raises(program: Program) -> None:
+    """Every way to write to ``program`` raises: its fields, its maps,
+    its parser's states and their transitions."""
+    for field in dataclasses.fields(program):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(program, field.name, getattr(program, field.name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        program.scratch = 1
+    maps = [getattr(program, name) for name in LEAF_DICTS]
+    if program.parser is not None:
+        maps.append(program.parser.states)
+        maps += [state.transitions for state in program.parser.states.values()]
+    for entries in maps:
+        key = next(iter(entries), "fresh")
+        with pytest.raises(TypeError):
+            entries[key] = None
+        with pytest.raises(TypeError):
+            del entries[key]
+        for method in ("clear", "pop", "popitem", "setdefault", "update"):
+            assert not hasattr(entries, method), method
+
+
 def check(step: Derivation, fingerprint: str, snapshot: Program) -> None:
     original, derived = step.original, step.derived
     derived.validate()
@@ -245,7 +275,6 @@ def check(step: Derivation, fingerprint: str, snapshot: Program) -> None:
     # Shared: every leaf the derivation did not replace.
     for name in LEAF_DICTS:
         ours, theirs = getattr(original, name), getattr(derived, name)
-        assert theirs is not ours, (step.label, name)
         replaced = step.replaced.get(name, set())
         for key in ours.keys() & theirs.keys():
             if key in replaced:
@@ -254,7 +283,6 @@ def check(step: Derivation, fingerprint: str, snapshot: Program) -> None:
                 assert theirs[key] is ours[key], (step.label, name, key)
     if original.parser is not None:
         ours, theirs = original.parser.states, derived.parser.states
-        assert theirs is not ours, step.label
         assert all(theirs[key] is ours[key] for key in ours), step.label
 
     # Path-copied: none of the original's rewritten nodes survives in
@@ -263,13 +291,9 @@ def check(step: Derivation, fingerprint: str, snapshot: Program) -> None:
     assert not [n for n in step.rewritten if id(n) in ids], step.label
     assert all(id(n) in ids for n in step.kept), step.label
 
-    # Not shared: the dicts.  Emptying the derived program's shows
-    # nowhere on the original.
-    for name in LEAF_DICTS:
-        getattr(derived, name).clear()
-    if derived.parser is not None:
-        derived.parser.states.clear()
-    derived.ingress = derived.egress = Seq()
+    # Nothing reaches what is shared: every write to the derived
+    # program raises, and the original is what it was.
+    assert_every_write_raises(derived)
     assert program_fingerprint(original) == fingerprint, step.label
     assert original == snapshot, step.label
 
@@ -324,6 +348,11 @@ def test_every_leaf_and_control_node_is_frozen(case_id):
             value.scratch = 1
 
 
+@pytest.mark.parametrize("case_id", CORPUS)
+def test_a_write_to_a_program_raises(case_id):
+    assert_every_write_raises(corpus_program(case_id))
+
+
 def test_deriving_builds_no_intrinsics(monkeypatch):
     """``Program(...)`` used to construct a ``standard_metadata_t`` and
     a ``NoAction`` on every call, then discard them in ``setdefault``."""
@@ -374,6 +403,57 @@ def test_a_simulated_program_pickles_without_its_codecs():
     assert "repro.packets.packet" not in pickled_modules(
         pickle.dumps(derived)
     )
+
+
+def fresh_render(program: Program) -> str:
+    """``print_program`` of an unshared copy, which carries no pin."""
+    unshared = copy.deepcopy(program)
+    leaves = [
+        leaf for name in LEAF_DICTS for leaf in getattr(unshared, name).values()
+    ]
+    for value in leaves + [unshared.parser, unshared.ingress, unshared.egress]:
+        assert "_text" not in vars(value)
+    return print_program(unshared)
+
+
+@pytest.mark.parametrize("case_id", CORPUS)
+def test_memoised_print_equals_a_fresh_render(case_id):
+    """Every leaf and root of the original carries its text and the
+    program its keys before anything is derived, so a derivation that
+    kept a stale pin (a resize that carried its table's text over, or
+    its parent's fingerprint) prints or keys the wrong program here."""
+    program = corpus_program(case_id)
+    assert print_program(program) == fresh_render(program)
+    program_fingerprint(program)
+    structure_key(program)
+    for step in derivations(program):
+        derived = step.derived
+        text = fresh_render(derived)
+        assert print_program(derived) == text, step.label
+        assert program_fingerprint(derived) == (
+            hashlib.sha1(text.encode()).hexdigest()
+        ), step.label
+        # replace() builds a new program, which has no pin of its own.
+        assert structure_key(derived) == structure_key(
+            dataclasses.replace(derived)
+        ), step.label
+
+
+def test_a_resized_candidate_compiles_without_validation(monkeypatch):
+    """Phase 3's candidates differ from their parent in one size, which
+    nothing ``validate()`` reads: deriving and compiling one checks the
+    program no further."""
+    program = fw.build_program()
+    calls = []
+    monkeypatch.setattr(
+        Program, "validate", lambda self: calls.append(self.name)
+    )
+    for candidate in (
+        program.with_table_size("IPv4", 8),
+        program.with_register_size(next(iter(program.registers)), 64),
+    ):
+        assert compile_program(candidate, fw.TARGET).stages_used > 0
+    assert calls == []
 
 
 def test_entries_stored_after_a_replay_name_no_codec(tmp_path):

@@ -34,7 +34,7 @@ from repro.controller.equivalence import compare_behavior
 from repro.core.instrument import instrument
 from repro.core.pipeline import P2GO
 from repro.core.profiler import Profiler
-from repro.core.session import OptimizationContext
+from repro.core.session import OptimizationContext, trace_fingerprint
 from repro.exceptions import SimulationError
 from repro.fuzz.generator import generate_case
 from repro import programs
@@ -352,15 +352,22 @@ def test_instrumentation_changes_the_parse_key():
 
 
 def test_a_pickled_replay_trace_is_a_plain_list():
+    """What the name has always guarded: no parse travels in a pickle.
+    The packets do, and the fingerprint with them, so the receiving side
+    does not hash the trace again."""
     trace = example_firewall.make_trace(50)
     shared = ReplayTrace(trace)
     BehavioralSwitch(
         example_firewall.build_program(), example_firewall.runtime_config()
     ).process_many(shared)
     assert shared.parses
-    restored = pickle.loads(pickle.dumps(shared))
-    assert type(restored) is list
+    payload = pickle.dumps(shared)
+    assert b"ParseTemplate" not in payload
+    assert b"repro.sim.parser_engine" not in payload
+    restored = pickle.loads(payload)
+    assert restored.parses == {}
     assert restored == trace
+    assert restored.fingerprint == trace_fingerprint(trace)
     assert type(shared[:10]) is list
 
 

@@ -278,27 +278,37 @@ class TestTraceIdentity:
 
 
 class TestProgramKeyCacheBound:
-    """Regression: the per-object digest cache held a strong ref to every
-    program ever probed, leaking each rejected candidate AST."""
+    """Regression: a per-object digest cache on the session held a
+    strong ref to every program ever probed, leaking each rejected
+    candidate AST.  The key is pinned on the program now, so the session
+    holds none."""
 
-    def test_cache_is_bounded(self, ctx, monkeypatch):
-        bound = 16
-        monkeypatch.setattr(session, "DEFAULT_PROGRAM_KEY_CACHE", bound)
+    def test_cache_is_bounded(self, ctx):
+        import gc
+        import weakref
+
         programs = [
-            ctx.program.with_table_size("fib", size)
-            for size in range(2, 2 + 3 * bound)
+            ctx.program.with_table_size("fib", size) for size in range(2, 50)
         ]
         keys = [ctx.program_key(program) for program in programs]
-        assert len(ctx._program_keys) <= bound
         assert len(set(keys)) == len(programs)
+        alive = [weakref.ref(program) for program in programs]
+        del programs
+        gc.collect()
+        assert [ref for ref in alive if ref() is not None] == []
+        assert not any(
+            isinstance(value, dict) and len(value) >= len(keys)
+            for value in vars(ctx).values()
+        )
 
-    def test_evicted_program_rekeys_consistently(self, ctx, monkeypatch):
-        monkeypatch.setattr(session, "DEFAULT_PROGRAM_KEY_CACHE", 2)
+    def test_evicted_program_rekeys_consistently(self, ctx):
         program = ctx.program
         first = ctx.program_key(program)
-        for size in range(2, 8):  # evict `program` from the LRU
+        for size in range(2, 8):
             ctx.program_key(program.with_table_size("fib", size))
         assert ctx.program_key(program) == first
+        # An equal program built afresh keys the same, printed anew.
+        assert ctx.program_key(dataclasses.replace(program)) == first
 
 
 class TestPerfWindows:
@@ -420,6 +430,8 @@ def test_removed_session_pieces_stay_removed(tmp_path):
         (OptimizationContext, "start_perf_window"),
         (OptimizationContext, "take_perf_window"),
         (session, "merge_perf"),
+        # Program keys are pinned on the program, not cached here.
+        (session, "DEFAULT_PROGRAM_KEY_CACHE"),
     ):
         assert not hasattr(owner, name), name
     with pytest.raises(SystemExit) as exited:

@@ -1,9 +1,12 @@
 """Unit + property tests for hashing and switch state."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import SimulationError
+from repro.p4.registers import RegisterArray
 from repro.sim.hashing import ALGORITHMS, compute_hash
 from repro.sim.state import SwitchState
 from tests.conftest import build_toy_program
@@ -64,9 +67,13 @@ class TestHashing:
 class TestSwitchState:
     def setup_method(self):
         program = build_toy_program()
-        program.registers["r"] = __import__(
-            "repro.p4.registers", fromlist=["RegisterArray"]
-        ).RegisterArray(name="r", width=8, size=4)
+        program = replace(
+            program,
+            registers={
+                **program.registers,
+                "r": RegisterArray(name="r", width=8, size=4),
+            },
+        )
         self.state = SwitchState(program)
 
     def test_read_write(self):

@@ -1,8 +1,11 @@
 """Unit tests for runtime configuration validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.exceptions import RuntimeConfigError
+from repro.p4.registers import RegisterArray
 from repro.sim.runtime import RuntimeConfig, TableEntry
 from tests.conftest import build_toy_program, toy_config
 
@@ -69,9 +72,13 @@ class TestValidation:
             cfg.validate(program)
 
     def test_register_init_bounds(self, program):
-        program.registers["r"] = __import__(
-            "repro.p4.registers", fromlist=["RegisterArray"]
-        ).RegisterArray(name="r", width=8, size=4)
+        program = replace(
+            program,
+            registers={
+                **program.registers,
+                "r": RegisterArray(name="r", width=8, size=4),
+            },
+        )
         cfg = RuntimeConfig().init_register("r", 3, 1)
         cfg.validate(program)
         bad = RuntimeConfig().init_register("r", 4, 1)

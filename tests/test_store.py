@@ -319,6 +319,69 @@ class TestEviction:
         assert stats["profile_entries"] == 0
 
 
+class TestCensusCadence:
+    """The census behind the cap stats every entry, so a handle takes it
+    on its first write and then once the bytes it wrote since reach half
+    the headroom its last census saw (DESIGN.md §10).  One handle never
+    ends a write over the cap; N interleaved handles end one less than
+    ``(N - 1) / 2 * max_bytes`` over it."""
+
+    CAP = 6_000
+
+    def on_disk(self, store):
+        return sum(
+            path.stat().st_size
+            for kind in KINDS
+            for path in entry_paths(store, kind)
+        )
+
+    def counting(self, store, monkeypatch):
+        scans = []
+        real = store._evict_over_cap
+        monkeypatch.setattr(
+            store, "_evict_over_cap", lambda: scans.append(1) or real()
+        )
+        return scans
+
+    def test_one_handle_never_exceeds_the_cap(self, tmp_path, monkeypatch):
+        store = SessionStore(tmp_path / "store", max_bytes=self.CAP)
+        scans = self.counting(store, monkeypatch)
+        for index in range(120):
+            store.store_compile((f"k{index}",), b"x" * (50 + 7 * index % 300))
+            if index == 0:
+                assert scans == [1]  # the first write takes the census
+            assert self.on_disk(store) <= self.CAP, index
+        assert store.counters.evictions > 0
+        assert len(scans) < 120
+        assert store.stats()["total_bytes"] == self.on_disk(store)
+
+    def test_two_interleaved_handles_stay_within_the_bound(self, tmp_path):
+        """The worst order: ``first`` takes its census on an empty store
+        and keeps that budget while ``second`` fills the store through
+        census after census; then ``first`` spends its budget."""
+        root = tmp_path / "store"
+        first = SessionStore(root, max_bytes=self.CAP)
+        second = SessionStore(root, max_bytes=self.CAP)
+        bound = self.CAP + self.CAP / 2
+        peak = 0
+        first.store_compile(("a0",), b"x" * 50)
+        for index in range(200):
+            second.store_compile((f"b{index}",), b"x" * 40)
+            peak = max(peak, self.on_disk(first))
+        for index in range(1, 200):
+            first.store_compile((f"a{index}",), b"x" * 40)
+            peak = max(peak, self.on_disk(first))
+            assert peak < bound, index
+        # Then any interleaving: still within the bound.
+        for index in range(300):
+            store = (first, second)[index * 7 % 3 == 0]
+            store.store_profile((f"c{index}",), b"x" * (20 + index % 90))
+            peak = max(peak, self.on_disk(first))
+            assert peak < bound, index
+        assert self.on_disk(first) <= bound
+        assert first.stats()["total_bytes"] == self.on_disk(first)
+
+
 class TestFaultInjection:
     """Corrupt, truncated, foreign, or version-mismatched stores must
     degrade to a clean cold start — quarantine + counter, never an
