@@ -712,10 +712,13 @@ class SessionStore:
                 return None, None
             # Re-check under the lease: the entry may have landed
             # between our miss and this claim (its writer released just
-            # before we won).  Executing here would break exactly-once.
+            # before we won).  Executing here would break exactly-once,
+            # and a claim that executes nothing is not counted as won.
             value = load(key)
             if value is not None:
                 lease.release()
+                self.counters.lease_claims -= 1
+                self.counters.lease_releases -= 1
                 return value, None
             return None, lease
 

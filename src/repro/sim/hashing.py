@@ -44,13 +44,21 @@ def _identity(data: bytes) -> int:
     return int.from_bytes(data[-8:], "big") if data else 0
 
 
+#: Each CRC32 variant's seed, hashed as four big-endian bytes before the data.
+CRC_SEEDS: Dict[str, int] = {
+    "crc32": 0, "crc32_a": 0xA5A5A5A5, "crc32_b": 0x5A5A5A5A,
+    "crc32_c": 0x3C3C3C3C, "crc32_d": 0xC3C3C3C3,
+}
+
+
+def crc_start(seed: int) -> int:
+    """``zlib.crc32(data, crc_start(seed))`` is that variant's hash."""
+    return zlib.crc32(seed.to_bytes(4, "big"))
+
+
 #: Hash algorithm registry, keyed by the name used in HashFields primitives.
 ALGORITHMS: Dict[str, Callable[[bytes], int]] = {
-    "crc32": _crc32_with_seed(0),
-    "crc32_a": _crc32_with_seed(0xA5A5A5A5),
-    "crc32_b": _crc32_with_seed(0x5A5A5A5A),
-    "crc32_c": _crc32_with_seed(0x3C3C3C3C),
-    "crc32_d": _crc32_with_seed(0xC3C3C3C3),
+    **{name: _crc32_with_seed(seed) for name, seed in CRC_SEEDS.items()},
     "fnv1a": _fnv1a,
     "identity": _identity,
 }

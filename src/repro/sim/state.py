@@ -4,8 +4,9 @@ State lives outside the per-packet pipeline so that it persists across
 packets (sketches and Bloom filters accumulate) but can be snapshotted and
 reset between profiling runs — P2GO replays the same trace against multiple
 program variants and needs each replay to start from pristine state.
-Both the execution plan and the reference interpreter touch it only
-through :meth:`SwitchState.read` / :meth:`SwitchState.write`.
+The execution plan binds each array once and leaves to
+:meth:`SwitchState.read` / :meth:`SwitchState.write` only the accesses
+they reject, so :meth:`reset` zeroes an array in place.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ class SwitchState:
         array[index] = truncate(value, self._widths[name])
 
     def reset(self) -> None:
-        """Zero every register array (fresh profiling run)."""
-        for name, array in self._arrays.items():
-            self._arrays[name] = [0] * len(array)
+        """Zero every register array in place (fresh profiling run)."""
+        for array in self._arrays.values():
+            array[:] = [0] * len(array)
 
     def snapshot(self) -> Dict[str, List[int]]:
         """Deep copy of all arrays (for equivalence testing)."""

@@ -12,7 +12,7 @@ switch is a *profiling engine* with one switch and one reference:
   on by default): precompiled match structures
   (:class:`repro.sim.match.CompiledTable`) replace the per-packet
   linear entry scans, and a per-program execution plan
-  (:mod:`repro.sim.plan`: actions and control bound into closures once)
+  (:mod:`repro.sim.plan`: one generated function per sink kind)
   replaces the IR walk, whose deparser re-packs only the headers a
   packet's writes touched.  The plan compiles the tables it binds; it
   is built lazily, once per switch and config state.
@@ -25,9 +25,9 @@ switch is a *profiling engine* with one switch and one reference:
   "Profiling engine").  There is no other engine (DESIGN.md §12 says
   why).
 * **shared parses** (:class:`ReplayTrace`): a trace replayed many times
-  keeps what each parser made of its packets, and every replay starts
-  from private copies of that one parse (DESIGN.md §5, "What replays
-  share").  Nothing executed is shared.
+  keeps what each parser made of its packets; no replay's writes reach
+  that parse (DESIGN.md §5, "What replays share").  Nothing executed
+  is shared.
 * **step sinks** (:class:`StepSink`): a batch whose sink reads only
   each packet's step log and forwarding decision builds nothing else —
   no :class:`SwitchResult`, no deparse.
@@ -71,7 +71,7 @@ from repro.packets.packet import get_codec
 from repro.sim.action_interp import Phv, eval_expr, execute_action
 from repro.sim.events import ExecutionStep
 from repro.sim.match import lookup
-from repro.sim.plan import Frame, Plan, build_plan
+from repro.sim.plan import Plan, build_plan
 from repro.sim.runtime import RuntimeConfig
 from repro.sim.parser_engine import ParsedPacket, deparse_packet
 from repro.sim.state import SwitchState
@@ -118,8 +118,8 @@ class StepSink:
 
     The type is the declaration: for a ``StepSink`` the batch builds no
     :class:`SwitchResult` and deparses nothing, and on the execution
-    plan a shared parse's header dicts that the plan never writes are
-    not copied (:meth:`ParseTemplate.fresh`)."""
+    plan a shared parse's header dicts that the program never writes in
+    place are not copied, and its metadata lives in locals."""
 
     __slots__ = ("paths", "decisions", "_distinct")
 
@@ -131,31 +131,21 @@ class StepSink:
 
 class ParseTemplate(NamedTuple):
     """What a parser made of one packet, shared by every replay of a
-    :class:`ReplayTrace`.  Never handed to a replay: :meth:`fresh`
-    makes the private parse, so no replay's writes reach the next one.
-    ``spans`` is shared; nothing writes it."""
+    :class:`ReplayTrace`.  No replay writes it: :meth:`fresh` makes a
+    private parse, and a step-sink replay on the plan copies each dict
+    it writes in place first.  ``spans`` is shared; nothing writes it."""
 
     headers: Dict[str, Dict[str, int]]
     valid: FrozenSet[str]
     payload: bytes
     spans: Dict[str, Tuple[int, int]]
 
-    def fresh(self, writes: Optional[FrozenSet[str]] = None) -> ParsedPacket:
+    def fresh(self) -> ParsedPacket:
         """A new headers dict and valid set over copies of every header
-        dict — or, given ``writes``, of those it names only.  The rest
-        are the template's own, so ``writes`` must name every header
-        the traversal writes in place: the plan's write set, on a batch
-        whose sink lets no result escape (DESIGN.md §5)."""
-        if writes is None:
-            headers = {
-                name: fields.copy() for name, fields in self.headers.items()
-            }
-        else:
-            headers = self.headers.copy()
-            for name in writes:
-                fields = headers.get(name)
-                if fields is not None:
-                    headers[name] = fields.copy()
+        dict (a step-sink replay on the plan copies less: DESIGN.md §5)."""
+        headers = {
+            name: fields.copy() for name, fields in self.headers.items()
+        }
         return ParsedPacket(headers, set(self.valid), self.payload, self.spans)
 
 
@@ -380,67 +370,66 @@ class BehavioralSwitch:
         )
 
     def _replay(self, packets: Sequence, ingress_port: int, sink):
-        """The one per-packet body, shared by :meth:`process` and every
-        kind of batch: parse (or copy the shared parse), metadata on,
-        the execution plan when ``enable_compiled_tables`` is on, else
-        the reference walk, then the sink's tail.  What differs between
-        kinds is decided here, once per batch."""
+        """The one entry behind :meth:`process` and every kind of batch:
+        the plan's emitted loop for the sink's kind when
+        ``enable_compiled_tables`` is on, else the reference loop —
+        parse (or copy the shared parse), metadata on, the reference
+        walk, then the sink's tail.  What differs between kinds is
+        decided here, once per batch."""
         self._prepare()
         steps_only = isinstance(sink, StepSink)
-        compiled = self.config.enable_compiled_tables
-        run = self._plan.run if compiled else self._walk
-        writes = log = None
-        if compiled and steps_only:
-            # Nothing reads a step sink's log: one set takes it all.
-            writes, log = self._plan.writes, set()
-        fresh_log = compiled and not steps_only
-        if steps_only:
-            paths, distinct = sink.paths, sink._distinct
-            append = sink.decisions.append
-        else:
-            append, result = sink.append, self._result
+        run = (
+            self._plan[steps_only] if self.config.enable_compiled_tables
+            else self._reference_replay
+        )
         templates = (
             packets.templates(self._parse_key, self._parse)
             if isinstance(packets, ReplayTrace)
             else repeat(None)
         )
+        run(packets, templates, ingress_port, sink)
+        if steps_only:
+            # The indices _result would have handed out.
+            self._packet_count += len(packets)
+        return sink
+
+    def _reference_replay(self, packets, templates, ingress_port, sink):
+        """The reference loop: the emitted loop's oracle."""
         parse, metadata = self._parse, self._metadata_names
-        ingress_mask = self._ingress_mask
-        frame = Frame()
+        steps_only = isinstance(sink, StepSink)
         for entry, template in zip(packets, templates):
             if isinstance(entry, tuple):
                 data, port = entry
             else:
                 data, port = entry, ingress_port
-            parsed = (
-                parse(data) if template is None else template.fresh(writes)
-            )
+            parsed = parse(data) if template is None else template.fresh()
             # Metadata: always valid, zeroed (dicts filled by writes).
             headers, valid = parsed.headers, parsed.valid
             for name in metadata:
                 headers[name] = {}
             valid.update(metadata)
             standard = headers[STANDARD_METADATA]
-            standard["ingress_port"] = port & ingress_mask
-            frame.headers, frame.valid = headers, valid
-            frame.steps = steps = []
-            frame.log = set() if fresh_log else log
-            run(frame)
+            standard["ingress_port"] = port & self._ingress_mask
+            steps: List[ExecutionStep] = []
+            # Ingress, then egress for packets the traffic manager
+            # emits: neither dropped nor punted to the controller.
+            phv = Phv(self.program, headers, valid)
+            self._run_control(self.program.ingress, phv, steps)
+            if not (phv.read(DROP_FLAG) or phv.read(TO_CONTROLLER)):
+                self._run_control(self.program.egress, phv, steps)
             if steps_only:
                 steps = tuple(steps)
-                paths[steps] = paths.get(steps, 0) + 1
+                sink.paths[steps] = sink.paths.get(steps, 0) + 1
                 decision = (
                     standard.get("egress_port", 0),
                     bool(standard.get("drop_flag", 0)),
                     bool(standard.get("to_controller", 0)),
                 )
-                append(distinct.setdefault(decision, decision))
+                sink.decisions.append(
+                    sink._distinct.setdefault(decision, decision)
+                )
             else:
-                append(result(parsed, data, steps, frame.log))
-        if steps_only:
-            # The indices _result would have handed out.
-            self._packet_count += len(packets)
-        return sink
+                sink.append(self._result(parsed, data, steps, None))
 
     # ------------------------------------------------------------------
     def _parse(self, data: bytes) -> ParsedPacket:
@@ -515,15 +504,6 @@ class BehavioralSwitch:
                     chunks.append(data[span[0]:span[1]])
         chunks.append(parsed.payload)
         return b"".join(chunks)
-
-    def _walk(self, frame: Frame) -> None:
-        """The reference walk over ``frame``: ingress, then egress for
-        packets the traffic manager actually emits — neither dropped
-        nor punted to the controller."""
-        phv = Phv(self.program, frame.headers, frame.valid)
-        self._run_control(self.program.ingress, phv, frame.steps)
-        if not (phv.read(DROP_FLAG) or phv.read(TO_CONTROLLER)):
-            self._run_control(self.program.egress, phv, frame.steps)
 
     def _result(
         self, parsed: ParsedPacket, data: bytes,

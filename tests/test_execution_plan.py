@@ -18,6 +18,10 @@ The bit-identity of whole replays lives in
   than the field it is written to (metadata and packet header), an
   entry with action data of the wrong arity or an unknown action —
   replays exactly as on the walker, on both kinds of sink;
+* control trees nested past what CPython compiles in one function, and
+  errors raised inside a batch on both kinds of sink, replay as on the
+  walker; a step-sink replay leaves the shared parse templates as the
+  parser made them, and a traceback shows the emitted line;
 * the two paths are really separate: on the engine the walker's
   ``execute_action`` is never reached, on the reference no plan is built;
 * the plan's deparser may skip ``pack``'s validation: on every header
@@ -25,6 +29,10 @@ The bit-identity of whole replays lives in
 """
 
 from __future__ import annotations
+
+import copy
+import linecache
+import traceback
 
 import pytest
 
@@ -35,6 +43,7 @@ from repro.p4 import (
     Const,
     Drop,
     FieldRef,
+    AddToField,
     HashFields,
     If,
     LAnd,
@@ -43,6 +52,7 @@ from repro.p4 import (
     ParamRef,
     ProgramBuilder,
     RegisterRead,
+    RegisterWrite,
     Seq,
     SetEgressPort,
     ValidExpr,
@@ -277,6 +287,189 @@ def test_packet_triggered_errors_match_the_walker(case):
     assert failures["compiled"] == failures["reference"]
 
 
+#: Every per-packet error, raised inside a batch.  ``unknown_register``
+#: drops ``r`` from the switch's state behind the program's back.
+BATCH_ERROR_CASES = {
+    **ERROR_CASES,
+    "register_write_out_of_range": lambda: (
+        _error_program([RegisterWrite("r", H_F, H_G)]),
+        None,
+        "out of range",
+    ),
+    "unknown_register": lambda: (
+        _error_program([RegisterRead(H_G, "r", H_F)]),
+        None,
+        "unknown register",
+    ),
+}
+
+
+@pytest.mark.parametrize("sink", [list, StepSink], ids=["results", "steps"])
+@pytest.mark.parametrize("case", sorted(BATCH_ERROR_CASES))
+def test_packet_triggered_errors_match_the_walker_in_a_batch(case, sink):
+    """The emitted loop raises the walker's error type and message at
+    the packet the walker raises it at, having folded every packet
+    before it."""
+    program, poked_entry, message = BATCH_ERROR_CASES[case]()
+    failures = {}
+    for tier in TIERS:
+        switch = BehavioralSwitch(program, _tiered(RuntimeConfig(), tier))
+        if poked_entry is not None:
+            switch.config.entries.setdefault("t", []).append(poked_entry)
+        if case == "unknown_register":
+            del switch.state._arrays["r"], switch.state._sizes["r"]
+        into = sink()
+        with pytest.raises(SimulationError) as raised:
+            switch.process_many(ReplayTrace(ERROR_TRACE), into=into)
+        assert message in str(raised.value)
+        done = (
+            [_result_fingerprint(r) for r in into] if sink is list
+            else (into.paths, into.decisions)
+        )
+        failures[tier] = (
+            type(raised.value), str(raised.value), done,
+            switch.state.snapshot(),
+        )
+    assert failures["compiled"] == failures["reference"]
+
+
+def test_a_plan_traceback_shows_the_emitted_line():
+    program, _entry, _message = ERROR_CASES["register_index_out_of_range"]()
+    switch = BehavioralSwitch(program, RuntimeConfig())
+    with pytest.raises(SimulationError) as raised:
+        switch.process_many(ERROR_TRACE, into=StepSink())
+    emitted = [
+        frame for frame in traceback.extract_tb(raised.value.__traceback__)
+        if frame.filename.startswith("<plan ")
+    ]
+    assert emitted
+    assert "read_register('r', " in emitted[-1].line
+
+
+# ----------------------------------------------------------------------
+# Shared templates and deep control trees.
+
+
+def test_metadata_only_program_leaves_shared_templates_untouched():
+    """A program that writes only metadata shares every header dict
+    and the valid set with the parse templates: two step-sink replays
+    leave them as the parser made them, and match the walker."""
+    b = ProgramBuilder("metadata_only")
+    b.header_type("h_t", [("f", 8), ("g", 8)])
+    b.header("h", "h_t")
+    b.metadata("m", [("a", 8)])
+    b.parser_state("start", extracts=["h"])
+    b.action("count", [AddToField(M_A, H_F), SetEgressPort(H_G)])
+    b.action("drop", [Drop()])
+    b.table("tc", actions=["count"], default_action="count")
+    b.table("td", keys=[("m.a", "exact")], actions=["drop", "count"],
+            default_action="count")
+    b.ingress(Seq([Apply("tc"), Apply("td")]))
+    program = b.build()
+    trace = ReplayTrace(SHAPE_TRACE)
+    outcomes = {}
+    for tier in TIERS:
+        config = _tiered(RuntimeConfig(), tier)
+        config.add_entry("td", [7], "drop")
+        switch = BehavioralSwitch(program, config)
+        templates = trace.templates(switch._parse_key, switch._parse)
+        parsed = copy.deepcopy(templates)
+        sinks = [switch.process_many(trace, into=StepSink()) for _ in "ab"]
+        assert templates == parsed
+        outcomes[tier] = [(sink.paths, sink.decisions) for sink in sinks]
+    assert outcomes["compiled"] == outcomes["reference"]
+
+
+def _deep_program(ingress, tables):
+    """Header ``h`` (``f``, ``g``: 8 bits each), metadata ``m`` (``a``);
+    each table of ``tables`` is keyed on ``h.g`` and hits on g < 40,
+    counting into ``m.a`` and bumping ``h.g``."""
+    b = ProgramBuilder("deep")
+    b.header_type("h_t", [("f", 8), ("g", 8)])
+    b.header("h", "h_t")
+    b.metadata("m", [("a", 8)])
+    b.parser_state("start", extracts=["h"])
+    b.action("bump", [AddToField(M_A, Const(1)),
+                      AddToField(H_G, Const(1)),
+                      SetEgressPort(M_A)])
+    b.action("nop", [])
+    config = RuntimeConfig()
+    for table in tables:
+        b.table(table, keys=[("h.g", "exact")], actions=["bump", "nop"],
+                default_action="nop", size=64)
+        for g in range(40):
+            config.add_entry(table, [g], "bump")
+    b.ingress(ingress)
+    return b.build(), config
+
+
+def _if_chain(depth):
+    """``depth`` nested ``If``s on ``h.f``, a table in every tenth
+    level's ``else``."""
+    node, tables = Apply("t_inner"), ["t_inner"]
+    for level in range(depth):
+        other = None
+        if level % 10 == 0:
+            tables.append(f"t{level}")
+            other = Apply(f"t{level}")
+        node = If(BinOp("!=", H_F, Const(level % 7)), node, other)
+    return node, tables
+
+
+def _on_hit_chain(depth):
+    """``depth`` tables, each applied in the one before's ``on_hit``."""
+    node = None
+    for level in reversed(range(depth)):
+        node = Apply(f"t{level}", on_hit=node)
+    return node, [f"t{level}" for level in range(depth)]
+
+
+#: ``h.f``, ``h.g`` per packet: every depth of both chains is reached.
+DEEP_TRACE = [bytes([f, g]) for f in range(8) for g in (0, 5, 21, 39, 40)]
+
+
+@pytest.mark.parametrize("sink", [list, StepSink], ids=["results", "steps"])
+@pytest.mark.parametrize(
+    "chain", [lambda: _if_chain(150), lambda: _on_hit_chain(60)],
+    ids=["if_150", "on_hit_60"],
+)
+def test_deep_control_trees_replay_as_on_the_walker(chain, sink):
+    """Nested past ``plan.MAX_DEPTH``, a subtree is emitted as a function
+    of its own; CPython refuses source nested about 100 levels deep.  The
+    ``f == 7`` packets run the whole ``If`` chain, the ``g == 0`` ones
+    40 tables down the ``on_hit`` chain."""
+    program, config = _deep_program(*chain())
+    outcomes = {}
+    for tier in TIERS:
+        switch = BehavioralSwitch(program, _tiered(config.clone(), tier))
+        into = switch.process_many(ReplayTrace(DEEP_TRACE), into=sink())
+        done = (
+            [(r.index, _result_fingerprint(r)) for r in into] if sink is list
+            else (list(into.paths.items()), into.decisions)
+        )
+        outcomes[tier] = (done, switch.state.snapshot())
+        if tier == "compiled":
+            replay = switch._plan[sink is StepSink]
+            source = linecache.getlines(replay.__code__.co_filename)
+            assert "def _f0(headers, valid, steps," in "".join(source)
+    assert outcomes["compiled"] == outcomes["reference"]
+
+
+def test_switches_differing_only_in_config_share_one_compiled_source():
+    program = example_firewall.build_program()
+    other = example_firewall.runtime_config()
+    other.set_default("ACL_UDP", "acl_udp_drop")
+    replays = [
+        BehavioralSwitch(program, config)
+        for config in (example_firewall.runtime_config(), other)
+    ]
+    for switch in replays:
+        switch.process_many([PACKET], into=StepSink())
+    first, second = (switch._plan[True] for switch in replays)
+    assert first is not second
+    assert first.__code__ is second.__code__
+
+
 # ----------------------------------------------------------------------
 # Each specialisation the plan makes at build, against the walker.
 
@@ -417,7 +610,7 @@ POKES = {
 @pytest.mark.parametrize("poke", sorted(POKES))
 def test_poked_entry_fails_at_the_same_packet(poke, table, sink):
     """An entry poked in behind the config API (no validation, no
-    stamp) before the plan is built binds a closure that rejects the
+    stamp) before the plan is built binds the error that rejects the
     packet that hits it, as the walker does — not the build, and not an
     earlier packet."""
     action, args, error, message = POKES[poke]

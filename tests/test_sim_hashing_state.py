@@ -1,5 +1,7 @@
 """Unit + property tests for hashing and switch state."""
 
+import random
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from repro.exceptions import SimulationError
 from repro.p4.registers import RegisterArray
-from repro.sim.hashing import ALGORITHMS, compute_hash
+from repro.sim.hashing import ALGORITHMS, CRC_SEEDS, compute_hash, crc_start
 from repro.sim.state import SwitchState
 from tests.conftest import build_toy_program
 
@@ -56,6 +58,18 @@ class TestHashing:
     def test_result_in_range(self, algo, key, modulo):
         assert 0 <= compute_hash(algo, key, modulo) < modulo
 
+    @pytest.mark.parametrize("algo", sorted(CRC_SEEDS))
+    def test_crc_start_resumes_the_seeded_crc(self, algo):
+        """The execution plan hashes as ``zlib.crc32(data, crc_start(seed))``
+        — one seed table, so it cannot drift from the registry."""
+        rng = random.Random(algo)
+        inputs = [b""] + [
+            rng.randbytes(rng.randrange(1, 40)) for _ in range(200)
+        ]
+        start = crc_start(CRC_SEEDS[algo])
+        for data in inputs:
+            assert zlib.crc32(data, start) == ALGORITHMS[algo](data)
+
     def test_width_affects_serialization(self):
         # The same value at different widths must hash differently in
         # general (byte-serialized input).
@@ -100,6 +114,16 @@ class TestSwitchState:
         self.state.write("r", 1, 9)
         self.state.reset()
         assert self.state.read("r", 1) == 0
+
+    def test_reset_keeps_each_array(self):
+        """The execution plan binds each array once per switch."""
+        arrays = dict(self.state._arrays)
+        self.state.write("r", 1, 9)
+        self.state.reset()
+        assert all(
+            self.state._arrays[name] is array
+            for name, array in arrays.items()
+        )
 
     def test_snapshot_is_copy(self):
         self.state.write("r", 1, 9)
