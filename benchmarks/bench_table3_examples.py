@@ -111,7 +111,7 @@ def test_table3_failure_detection_controller_load(benchmark, all_results,
     result = benchmark.pedantic(
         lambda: all_results["failure_detection"], rounds=1, iterations=1
     )
-    load = result.controller_load
+    load = result.offloaded.redirect_fraction
     record(
         "table3_failure_detection_load",
         f"Failure-detection controller load: {load:.2%} of trace "

@@ -42,7 +42,7 @@ def main() -> None:
     print()
     print("Controller-side statistics for the redirected traffic:")
     controller = OffloadController(
-        program, result.offloaded[0].segment, config,
+        program, result.offloaded.segment, config,
         notification_reason=fd.ALARM_REASON,
     )
     redirected = 0

@@ -84,7 +84,7 @@ class DependencyCause:
     registers: FrozenSet[str] = frozenset()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dependency:
     """An edge of the TDG: ``src`` must precede ``dst``."""
 

@@ -17,7 +17,6 @@ from typing import List, Sequence
 from repro.controller.offload_runtime import OffloadController
 from repro.core.phase_offload import SegmentCandidate
 from repro.core.pipeline import P2GOResult
-from repro.exceptions import ControllerError
 from repro.p4.program import Program
 from repro.sim.runtime import RuntimeConfig
 from repro.sim.switch import BehavioralSwitch
@@ -117,11 +116,6 @@ def check_result(
         result.optimized_program,
         result.final_config,
     )
-    if not result.offloaded:
+    if result.offloaded is None:
         return compare_behavior(*sides, trace)
-    if len(result.offloaded) > 1:
-        raise ControllerError(
-            f"check_result judges one offloaded segment; this result "
-            f"records {len(result.offloaded)}"
-        )
-    return compare_with_offload(*sides, result.offloaded[0].segment, trace)
+    return compare_with_offload(*sides, result.offloaded.segment, trace)

@@ -70,9 +70,9 @@ class Reason(enum.Enum):
 
 
 #: What a decision is about: a dependency on the TDG's longest path
-#: (phase 2), a resize (phase 3), or the segments moved to the
-#: controller (phase 4: one per segment, several for a combination).
-Candidate = Union["Dependency", "MemoryReduction", Tuple["Offload", ...]]
+#: (phase 2), a resize (phase 3), or the segment moved to the
+#: controller (phase 4).
+Candidate = Union["Dependency", "MemoryReduction", "Offload"]
 
 
 @dataclass(frozen=True)

@@ -3,25 +3,15 @@
 P2GO enumerates self-contained code segments, generates a variant of the
 program per candidate where the segment is replaced by a table that
 redirects matching traffic to the controller, compiles and profiles each
-variant, and selects the candidate (or, in multi-segment mode, the
-dynamic-programming combination of disjoint candidates) that saves at
-least the requested stages with the least traffic redirected — bounded by
-a controller-load budget so the data plane never drowns the controller.
+variant, and selects the one segment that saves at least one stage with
+the least traffic redirected — bounded by a controller-load budget so the
+data plane never drowns the controller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.observations import Decision, Phase, Reason, Verdict
 from repro.core.passes import PassResult
@@ -56,7 +46,7 @@ TO_CTL_ACTION = "to_controller"
 OFFLOAD_REASON = 0x0F
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentCandidate:
     """A self-contained subtree that could move to the controller."""
 
@@ -81,19 +71,16 @@ def _saved(decision: Decision) -> int:
 
 
 def _load(decision: Decision) -> float:
-    return sum(o.redirect_fraction for o in decision.candidate)
+    return decision.candidate.redirect_fraction
 
 
-def _tables(decision: Decision) -> List[str]:
-    return [t for o in decision.candidate for t in o.segment.tables]
+def _tables(decision: Decision) -> Tuple[str, ...]:
+    return decision.candidate.segment.tables
 
 
-def _refusal(
-    saved: int, load: float, min_stage_savings: int,
-    max_redirect_fraction: float,
-) -> Reason:
+def _refusal(saved: int, load: float, max_redirect_fraction: float) -> Reason:
     """Why a segment loses when it does; OUTRANKED means it qualifies."""
-    if saved < min_stage_savings:
+    if saved < 1:
         return Reason.NO_STAGE_SAVED
     if load > max_redirect_fraction:
         return Reason.OVER_BUDGET
@@ -230,7 +217,6 @@ def make_offloaded_program(
     program: Program,
     candidate: SegmentCandidate,
     table_name: Optional[str] = None,
-    reason: int = OFFLOAD_REASON,
 ) -> Program:
     """Replace the segment with a redirect table.
 
@@ -256,7 +242,7 @@ def make_offloaded_program(
     actions = dict(program.actions)
     if TO_CTL_ACTION not in actions:
         actions[TO_CTL_ACTION] = Action(
-            name=TO_CTL_ACTION, primitives=(SendToController(reason),)
+            name=TO_CTL_ACTION, primitives=(SendToController(OFFLOAD_REASON),)
         )
     tables = dict(program.tables)
     tables[table_name] = Table(
@@ -274,45 +260,12 @@ def make_offloaded_program(
     )
 
 
-def make_combined_offloaded_program(
-    program: Program,
-    candidates: Sequence[SegmentCandidate],
-    reason: int = OFFLOAD_REASON,
-) -> Program:
-    """Replace several *disjoint* segments with redirect tables.
-
-    Candidates must come from :func:`enumerate_candidates` on ``program``
-    (subtree identity matters) and must not overlap; each gets its own
-    uniquely-named redirect table.
-    """
-    seen: Set[str] = set()
-    for candidate in candidates:
-        overlap = seen & set(candidate.tables)
-        if overlap:
-            raise OffloadError(
-                f"segments overlap on tables {sorted(overlap)}"
-            )
-        seen.update(candidate.tables)
-
-    out = program
-    for candidate in candidates:
-        # replace_subtree shares unmodified branches, so later candidates'
-        # subtree nodes keep their identity as long as segments are
-        # disjoint subtrees.
-        out = make_offloaded_program(
-            out, candidate, table_name=unique_redirect_name(out),
-            reason=reason,
-        )
-    return out
-
-
 def evaluate_candidates(
     ctx: OptimizationContext,
     program: Program,
     config: RuntimeConfig,
     candidates: Sequence[SegmentCandidate],
     baseline_stages: Optional[int] = None,
-    min_stage_savings: int = 1,
     max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
 ) -> List[Decision]:
     """Compile + profile the redirect variant of every candidate (§3.4:
@@ -357,10 +310,10 @@ def evaluate_candidates(
         evaluated.append(
             Decision(
                 Phase.OFFLOAD_CODE, Verdict.REJECTED,
-                (Offload(candidate, redirect_table, load),),
+                Offload(candidate, redirect_table, load),
                 _refusal(
                     baseline_stages - result.stages_used, load,
-                    min_stage_savings, max_redirect_fraction,
+                    max_redirect_fraction,
                 ),
                 stages_before=baseline_stages,
                 stages_after=result.stages_used,
@@ -371,16 +324,15 @@ def evaluate_candidates(
 
 def select_candidate(
     evaluated: Sequence[Decision],
-    min_stage_savings: int = 1,
     max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
 ) -> Optional[Decision]:
-    """Least redirected traffic among segments saving enough stages."""
+    """§3.4's selection: the least redirected traffic among the segments
+    that save a stage within the controller budget."""
     eligible = [
         d
         for d in evaluated
-        if _refusal(
-            _saved(d), _load(d), min_stage_savings, max_redirect_fraction
-        ) is Reason.OUTRANKED
+        if _refusal(_saved(d), _load(d), max_redirect_fraction)
+        is Reason.OUTRANKED
     ]
     if not eligible:
         return None
@@ -392,148 +344,36 @@ def select_candidate(
     )
 
 
-def select_combination(
-    evaluated: Sequence[Decision],
-    min_stage_savings: int,
-    max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
-) -> List[Decision]:
-    """Dynamic program over disjoint segments: minimize total redirected
-    traffic subject to a total stage-savings target.
-
-    States are (segments considered, stages saved so far); the load of a
-    combination is estimated additively (disjoint segments redirect
-    disjoint guard events) and the winning combination should be re-verified
-    by compiling the combined program.
-    """
-    items = [
-        d
-        for d in evaluated
-        if _saved(d) > 0 and _load(d) <= max_redirect_fraction
-    ]
-    items.sort(key=lambda d: sorted(_tables(d)))
-
-    # dp[(savings, used_tables)] = (load, chosen indices); savings capped.
-    cap = max(min_stage_savings, 0)
-    dp: Dict[Tuple[int, FrozenSet[str]], Tuple[float, Tuple[int, ...]]] = {
-        (0, frozenset()): (0.0, ())
-    }
-    for i, item in enumerate(items):
-        tables = frozenset(_tables(item))
-        additions = []
-        for (savings, used), (load, chosen) in dp.items():
-            if tables & used:
-                continue
-            new_savings = min(savings + _saved(item), cap)
-            new_used = used | tables
-            new_load = load + _load(item)
-            if new_load > max_redirect_fraction:
-                continue
-            key = (new_savings, new_used)
-            if key not in dp or dp[key][0] > new_load:
-                additions.append((key, (new_load, chosen + (i,))))
-        for key, value in additions:
-            if key not in dp or dp[key][0] > value[0]:
-                dp[key] = value
-    winners = [
-        (load, chosen)
-        for (savings, _used), (load, chosen) in dp.items()
-        if savings >= min_stage_savings
-    ]
-    if not winners:
-        return []
-    _total, chosen = min(winners, key=lambda w: (w[0], len(w[1])))
-    return [items[i] for i in chosen]
-
-
-def _try_combination(
-    ctx: OptimizationContext,
-    program: Program,
-    evaluated: Sequence[Decision],
-    min_stage_savings: int,
-    max_redirect_fraction: float,
-) -> Optional[Tuple[Decision, Program]]:
-    """§3.4's DP: combine disjoint segments when no single one suffices.
-
-    Returns the combination's decision (each segment with its own
-    redirect table) and the combined program, or None when the DP finds
-    no combination.
-    """
-    combo = select_combination(
-        evaluated,
-        min_stage_savings=min_stage_savings,
-        max_redirect_fraction=max_redirect_fraction,
-    )
-    if not combo:
-        return None
-    combined = make_combined_offloaded_program(
-        program, [d.candidate[0].segment for d in combo]
-    )
-    # Each segment got its own redirect table, added in segment order.
-    redirects = [t for t in combined.tables if t not in program.tables]
-    decision = Decision(
-        Phase.OFFLOAD_CODE, Verdict.ACCEPTED,
-        tuple(
-            replace(d.candidate[0], redirect_table=name)
-            for d, name in zip(combo, redirects)
-        ),
-        stages_before=combo[0].stages_before,
-        stages_after=ctx.compile(combined).stages_used,
-    )
-    if _saved(decision) < min_stage_savings:
-        # The additive estimate was optimistic.
-        decision = replace(
-            decision, verdict=Verdict.REJECTED, reason=Reason.NO_STAGE_SAVED
-        )
-    return decision, combined
-
-
 def run_phase(
     ctx: OptimizationContext,
     program: Program,
     config: RuntimeConfig,
-    min_stage_savings: int = 1,
     max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
-    allow_combination: bool = False,
 ) -> PassResult:
-    """Offload the best segment (or, with ``allow_combination``, the best
-    DP combination of disjoint segments) if any qualifies: one decision
-    per self-contained segment, plus one for the combination."""
+    """Offload the best segment if any qualifies: one decision per
+    self-contained segment."""
     candidates = enumerate_candidates(program)
     baseline_stages = ctx.compile(program).stages_used
     decisions = evaluate_candidates(
         ctx, program, config, candidates, baseline_stages,
-        min_stage_savings, max_redirect_fraction,
+        max_redirect_fraction,
     )
-    chosen = select_candidate(
-        decisions,
-        min_stage_savings=min_stage_savings,
-        max_redirect_fraction=max_redirect_fraction,
-    )
-    if chosen is not None:
-        accepted = replace(chosen, verdict=Verdict.ACCEPTED, reason=None)
-        decisions = [accepted if d is chosen else d for d in decisions]
-        (offload,) = chosen.candidate
-        offloaded_program = make_offloaded_program(
-            program, offload.segment, table_name=offload.redirect_table
-        )
-    elif allow_combination:
-        found = _try_combination(
-            ctx, program, decisions, min_stage_savings, max_redirect_fraction
-        )
-        if found is None:
-            return PassResult(tuple(decisions))
-        accepted, offloaded_program = found
-        decisions.append(accepted)
-        if accepted.verdict is Verdict.REJECTED:
-            return PassResult(tuple(decisions))
-    else:
+    chosen = select_candidate(decisions, max_redirect_fraction)
+    if chosen is None:
         return PassResult(tuple(decisions))
-    moved = set(_tables(accepted))
+    accepted = replace(chosen, verdict=Verdict.ACCEPTED, reason=None)
+    offload = chosen.candidate
+    offloaded_program = make_offloaded_program(
+        program, offload.segment, table_name=offload.redirect_table
+    )
     return PassResult(
-        tuple(decisions),
+        tuple(accepted if d is chosen else d for d in decisions),
         program=offloaded_program,
         config=config.restricted_to(
-            [t for t in offloaded_program.tables if t not in moved]
+            [
+                t for t in offloaded_program.tables
+                if t not in offload.segment.tables
+            ]
         ),
     )
 
@@ -547,9 +387,7 @@ class OffloadPass:
     least traffic (program *and* config change together).
     """
 
-    min_stage_savings: int = 1
     max_redirect_fraction: float = DEFAULT_MAX_REDIRECT
-    allow_combination: bool = False
     max_rounds: int = 1
     name: str = dc_field(default="offload-code", init=False)
     phase: Phase = dc_field(default=Phase.OFFLOAD_CODE, init=False)
@@ -557,7 +395,5 @@ class OffloadPass:
     def run(self, ctx: OptimizationContext) -> PassResult:
         return run_phase(
             ctx, ctx.program, ctx.config,
-            min_stage_savings=self.min_stage_savings,
             max_redirect_fraction=self.max_redirect_fraction,
-            allow_combination=self.allow_combination,
         )

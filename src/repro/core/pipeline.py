@@ -104,27 +104,31 @@ class P2GOResult:
         )
 
     @property
-    def offloaded(self) -> Tuple[Offload, ...]:
-        """What phase 4 moved to the controller, one record per segment —
+    def offloaded(self) -> Optional[Offload]:
+        """The segment phase 4 moved to the controller, if any —
         :func:`repro.controller.equivalence.check_result` judges the run
         by it."""
-        return tuple(
-            offload
-            for d in self.applied
-            if d.phase is Phase.OFFLOAD_CODE
-            for offload in d.candidate
+        return next(
+            (
+                d.candidate
+                for d in self.applied
+                if d.phase is Phase.OFFLOAD_CODE
+            ),
+            None,
         )
 
     @property
     def offloaded_tables(self) -> Tuple[str, ...]:
         """The tables the controller must now implement."""
-        return tuple(t for o in self.offloaded for t in o.segment.tables)
+        offload = self.offloaded
+        return () if offload is None else offload.segment.tables
 
     @property
     def controller_load(self) -> float:
-        """Fraction of the trace the redirect tables send to the controller
+        """Fraction of the trace the redirect table sends to the controller
         (a Pareto objective of :mod:`repro.explore.frontier`)."""
-        return float(sum(o.redirect_fraction for o in self.offloaded))
+        offload = self.offloaded
+        return 0.0 if offload is None else float(offload.redirect_fraction)
 
     @property
     def stages_before(self) -> int:

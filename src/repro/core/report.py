@@ -113,29 +113,24 @@ def render_decision(decision: Decision) -> str:
         )
         evidence.append(f"hit_rate: {candidate.hit_rate:.2%}")
     else:
-        segments = " + ".join(
-            "{" + ", ".join(o.segment.tables) + "}" for o in candidate
-        )
-        plural = "s" if len(candidate) > 1 else ""
+        segment = "{" + ", ".join(candidate.segment.tables) + "}"
         if rejected:
-            title = f"kept segment{plural} {segments} in the data plane"
+            title = f"kept segment {segment} in the data plane"
         else:
-            title = f"offloaded segment{plural} {segments} to the controller"
+            title = f"offloaded segment {segment} to the controller"
         details = (
             "these tables must now be implemented at the controller; "
-            f"{sum(o.redirect_fraction for o in candidate):.2%} of the "
+            f"{candidate.redirect_fraction:.2%} of the "
             "trace is redirected and "
             f"{decision.stages_before - decision.stages_after} stage(s) "
             "are freed. Keep the segment in the data plane if it matters "
             "in critical situations the trace does not cover."
         )
         evidence.append(
-            "boundary_guard: "
-            + "; ".join(o.segment.boundary_guard or "none" for o in candidate)
+            f"boundary_guard: {candidate.segment.boundary_guard or 'none'}"
         )
         evidence.append(
-            "redirect_fraction: "
-            + "; ".join(f"{o.redirect_fraction:.2%}" for o in candidate)
+            f"redirect_fraction: {candidate.redirect_fraction:.2%}"
         )
     if decision.reason is not None:  # a rejection or violation says why
         details = "; ".join(

@@ -45,7 +45,6 @@ def run_seed(
     phases: Sequence[int] = (2, 3, 4),
     max_dependency_removals: int = 8,
     max_memory_reductions: int = 1,
-    offload_min_stage_savings: int = 1,
     max_redirect_fraction: float = phase_offload.DEFAULT_MAX_REDIRECT,
     review_hook: Optional[ReviewHook] = None,
 ) -> P2GOResult:
@@ -119,7 +118,6 @@ def run_seed(
                 session,
                 current,
                 config,
-                min_stage_savings=offload_min_stage_savings,
                 max_redirect_fraction=max_redirect_fraction,
             )
             logged, applied = review(step, review_hook)

@@ -149,7 +149,7 @@ def _check_behavior(
             result = replace(
                 result, optimized_program=mutator(result.optimized_program)
             )
-        exercised["offload_checked"] += bool(result.offloaded)
+        exercised["offload_checked"] += result.offloaded is not None
         if phases == (2, 3, 4):
             tally_decisions(result, exercised)
         report = check_result(result, case.config.clone(), case.trace)

@@ -1,5 +1,4 @@
-"""Telemetry switch — exercises §3.4's dynamic-programming segment
-combination.
+"""Telemetry switch — three rare features competing for one offload.
 
 An edge switch with a FIB + L2 rewrite and *three* independent, rarely
 used monitoring features, each occupying its own stage (a full-stage
@@ -9,10 +8,9 @@ register array):
 * ``ttl_probe`` — traceroute detection on TTL==1 packets (~1%),
 * ``syn_mon`` — SYN-rate monitoring (~5%).
 
-No single offload can free two stages, so asking P2GO for ≥2 saved stages
-forces the DP selection to combine the two cheapest disjoint segments
-(``ttl_probe`` + ``dns_hh`` at ~3.4% total controller load, beating any
-pair involving ``syn_mon``).
+Phase 3 trims one register array (5 -> 4 stages); phase 4 then offloads
+the segment that saves a stage with the least controller load,
+``ttl_probe`` (4 -> 3).
 """
 
 from __future__ import annotations
@@ -121,8 +119,7 @@ def build_program() -> Program:
                 If(ValidExpr("ipv4"), Seq([Apply("ipv4_fib"), Apply("l2")])),
                 If(ValidExpr("dns"), Apply("dns_hh")),
                 # Traceroute probes are ICMP/raw-IP; excluding UDP makes
-                # the guard provably exclusive with the DNS feature, so
-                # their redirect tables can share a stage once offloaded.
+                # the guard provably exclusive with the DNS feature.
                 If(
                     LAnd(
                         LNot(ValidExpr("udp")),

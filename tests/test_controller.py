@@ -240,7 +240,7 @@ def with_offload(result, offload):
     return replace(
         result,
         decisions=tuple(
-            replace(d, candidate=(offload,))
+            replace(d, candidate=offload)
             if d.phase is Phase.OFFLOAD_CODE and d.verdict is Verdict.ACCEPTED
             else d
             for d in result.decisions
@@ -275,7 +275,7 @@ class TestCheckResultWithAnUpstreamDrop:
 
     def test_the_run_offloads_the_limiter(self, case):
         _config, _trace, result, _blocked = case
-        (offload,) = result.offloaded
+        offload = result.offloaded
         assert offload.segment.tables == ("dns_count", "dns_limit")
         assert offload.redirect_table == "To_Ctl"
         assert result.controller_load == pytest.approx(14 / 200)
@@ -290,7 +290,7 @@ class TestCheckResultWithAnUpstreamDrop:
         """Orig drops, neither side drops: the heavy source's queries
         from the limit on."""
         config, trace, result, _blocked = case
-        (offload,) = result.offloaded
+        offload = result.offloaded
         lenient = replace(
             offload.segment, subtree=Apply("dns_count"), tables=("dns_count",)
         )
@@ -302,7 +302,7 @@ class TestCheckResultWithAnUpstreamDrop:
         """Orig forwards, the controller drops: every query under the
         limit from a source that is not blocked."""
         config, trace, result, _blocked = case
-        (offload,) = result.offloaded
+        offload = result.offloaded
         harsh = replace(
             offload.segment, subtree=Apply("dns_limit"), tables=("dns_limit",)
         )
@@ -333,7 +333,7 @@ class TestCheckResultWithAnUpstreamDrop:
             result.optimized_program, result.final_config
         )
         controller = OffloadController(
-            result.original_program, result.offloaded[0].segment, config
+            result.original_program, result.offloaded.segment, config
         )
         flagged = set()
         for index, data in enumerate(trace):

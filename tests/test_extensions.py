@@ -25,7 +25,7 @@ from repro.core.runtime_guard import (
     guard_notifications,
 )
 from repro.exceptions import OptimizationError
-from repro.p4.control import Apply
+from repro.p4.control import Apply, Seq
 from repro.packets.craft import dhcp_packet, udp_packet
 from repro.packets.headers import ip_to_int
 from repro.programs import example_firewall, sourceguard
@@ -184,7 +184,7 @@ class TestDriftDetection:
     def test_controller_overload_counts_union_of_disjoint_tables(
         self, firewall_result, firewall_config
     ):
-        """Two offloaded tables each traversed by 30% *disjoint*
+        """A segment of two tables each traversed by 30% *disjoint*
         traffic must trip a 50% budget: redirected traffic is the
         union of packets reaching any offloaded table (a per-table
         maximum sees 30% twice)."""
@@ -207,12 +207,12 @@ class TestDriftDetection:
         fresh = interleave(rng, dhcp, dns, tcp_background(120, rng))
 
         def offloading(*tables):
-            offloads = tuple(
-                Offload(SegmentCandidate(Apply(t), (t,), None), "To_Ctl", 0.0)
-                for t in tables
+            segment = SegmentCandidate(
+                Seq([Apply(t) for t in tables]), tables, None
             )
             decision = Decision(
-                Phase.OFFLOAD_CODE, Verdict.ACCEPTED, offloads
+                Phase.OFFLOAD_CODE, Verdict.ACCEPTED,
+                Offload(segment, "To_Ctl", 0.0),
             )
             return replace(firewall_result, decisions=(decision,))
 

@@ -170,7 +170,7 @@ class TestPassManager:
             d for d in manager.decisions if d.verdict is Verdict.ACCEPTED
             and d.phase is Phase.OFFLOAD_CODE
         ]
-        (offload,) = accepted.candidate
+        offload = accepted.candidate
         assert offload.segment.tables == (
             "Sketch_1", "Sketch_2", "Sketch_Min", "DNS_Drop",
         )

@@ -3,35 +3,34 @@
 import pytest
 
 from repro.core.phase_offload import (
-    DEFAULT_MAX_REDIRECT,
     TO_CTL_TABLE,
     Offload,
     SegmentCandidate,
     enumerate_candidates,
-    evaluate_candidates,
     is_self_contained,
     make_offloaded_program,
     run_phase,
     select_candidate,
-    select_combination,
 )
+from repro.controller.equivalence import check_result
+from repro.core.fleet import family_inputs
 from repro.core.observations import Decision, Phase, Verdict
+from repro.core.pipeline import P2GO
 from repro.core.profiler import Profiler
 from repro.core.session import OptimizationContext
 from repro.exceptions import OffloadError
 from repro.p4 import (
     Apply,
-    BinOp,
     Const,
     FieldRef,
     If,
     ModifyField,
     ProgramBuilder,
     Seq,
-    ValidExpr,
     iter_nodes,
 )
-from repro.programs import enterprise, example_firewall, failure_detection
+from repro import programs
+from repro.programs import enterprise, failure_detection, telemetry
 from repro.target import compile_program
 
 
@@ -166,14 +165,14 @@ def evaluated(tables, saved, redirect):
     return Decision(
         Phase.OFFLOAD_CODE,
         Verdict.REJECTED,
-        (Offload(segment, TO_CTL_TABLE, redirect),),
+        Offload(segment, TO_CTL_TABLE, redirect),
         stages_before=8,
         stages_after=8 - saved,
     )
 
 
 def tables_of(decision):
-    return tuple(t for o in decision.candidate for t in o.segment.tables)
+    return decision.candidate.segment.tables
 
 
 class TestSelection:
@@ -205,41 +204,6 @@ class TestSelection:
         assert tables_of(chosen) == ("b",)
 
 
-class TestCombination:
-    def test_combines_disjoint_segments(self):
-        chosen = select_combination(
-            [
-                evaluated(["a"], 1, 0.01),
-                evaluated(["b"], 1, 0.02),
-                evaluated(["c"], 2, 0.08),
-            ],
-            min_stage_savings=2,
-        )
-        tables = {t for e in chosen for t in tables_of(e)}
-        assert tables == {"a", "b"}  # 0.03 beats 0.08
-
-    def test_overlapping_segments_never_combined(self):
-        chosen = select_combination(
-            [
-                evaluated(["a", "b"], 1, 0.01),
-                evaluated(["b", "c"], 1, 0.01),
-            ],
-            min_stage_savings=2,
-        )
-        assert chosen == []
-
-    def test_respects_load_budget(self):
-        chosen = select_combination(
-            [evaluated(["a"], 1, 0.08), evaluated(["b"], 1, 0.08)],
-            min_stage_savings=2,
-            max_redirect_fraction=0.10,
-        )
-        assert chosen == []
-
-    def test_empty_when_unreachable(self):
-        assert select_combination([], min_stage_savings=1) == []
-
-
 class TestRunPhaseOnFailureDetection:
     def test_cms_segment_offloaded(self):
         """Table 3 row 3: the CMS + alarm move to the controller, freeing
@@ -252,7 +216,7 @@ class TestRunPhaseOnFailureDetection:
         ) as ctx:
             outcome = run_phase(ctx, program, config)
         decision = outcome.accepted
-        (offload,) = decision.candidate
+        offload = decision.candidate
         assert set(offload.segment.tables) == {
             "cms_0", "cms_1", "FailureAlarm",
         }
@@ -280,8 +244,6 @@ class TestEnterpriseOffload:
 
     @pytest.fixture(scope="class")
     def run(self):
-        from repro.core.pipeline import P2GO
-
         program = enterprise.build_program()
         config = enterprise.runtime_config(program)
         trace = enterprise.make_trace(1500, seed=1)
@@ -299,11 +261,63 @@ class TestEnterpriseOffload:
         assert (result.stages_before, result.stages_after) == (11, 7)
 
     def test_offload_preserves_behaviour_on_the_profiled_trace(self, run):
-        from repro.controller.equivalence import check_result
-
         config, trace, result = run
         report = check_result(result, config, trace)
         assert (report.total, report.redirected) == (1500, 150)
         assert report.equivalent, (
             f"{len(report.mismatches)} of {report.total} packets differ"
         )
+
+
+class TestTelemetryProgram:
+    """Three rare monitoring features, each in its own stage: ROADMAP
+    item 1's reproduction runs on this program."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        program = telemetry.build_program()
+        return program, telemetry.runtime_config(), telemetry.make_trace(3000)
+
+    def test_five_stages(self, setup):
+        program, _config, _trace = setup
+        assert compile_program(program, telemetry.TARGET).stages_used == 5
+
+    def test_feature_rates(self, setup):
+        program, config, trace = setup
+        profile = Profiler(program, config).run(trace)
+        assert profile.apply_rate("dns_hh") == pytest.approx(0.024, abs=0.003)
+        assert profile.apply_rate("ttl_probe") == pytest.approx(
+            0.01, abs=0.003
+        )
+        assert profile.apply_rate("syn_mon") == pytest.approx(
+            0.05, abs=0.005
+        )
+
+
+#: Packets each bundled program's optimized switch redirects on its
+#: ``make_trace(1500)``; the rest redirect none (ddos_mitigation
+#: offloads a segment no packet of its trace reaches).
+REDIRECTED = {"enterprise": 150, "failure_detection": 45, "telemetry": 15}
+
+
+@pytest.mark.parametrize(
+    "family", [n for n in programs.__all__ if n != "EXAMPLE_TARGET"]
+)
+def test_every_bundled_program_behaves_as_its_original(family):
+    """``check_result`` holds phases 2-4's output to the original:
+    strictly when nothing was offloaded, switch + controller
+    otherwise."""
+    program, config, trace, target = family_inputs(
+        family, packets=1500, trace_seed=None
+    )
+    result = P2GO(
+        program, config.clone(), trace, target, phases=(2, 3, 4),
+        store=False,
+    ).run()
+    report = check_result(result, config, trace)
+    assert report.equivalent, (
+        f"{len(report.mismatches)} of {report.total} packets differ"
+    )
+    assert (report.total, report.redirected) == (
+        1500, REDIRECTED.get(family, 0),
+    )

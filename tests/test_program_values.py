@@ -53,7 +53,6 @@ from repro.core.phase_dependencies import (
 )
 from repro.core.phase_offload import (
     enumerate_candidates,
-    make_combined_offloaded_program,
     make_offloaded_program,
 )
 from repro.core.pipeline import P2GO
@@ -176,9 +175,8 @@ def removable_pairs(program: Program) -> Iterator[Derivation]:
 
 
 def offloads(program: Program) -> Iterator[Derivation]:
-    candidates = enumerate_candidates(program)
     root = program.ingress
-    for candidate in candidates:
+    for candidate in enumerate_candidates(program):
         yield Derivation(
             "make_offloaded_program", program,
             make_offloaded_program(program, candidate), {},
@@ -188,20 +186,6 @@ def offloads(program: Program) -> Iterator[Derivation]:
             "segment_program", program,
             segment_program(program, candidate.subtree), {},
             rewritten=[], kept=[candidate.subtree],
-        )
-    disjoint, seen = [], set()
-    for candidate in candidates:
-        if not seen & set(candidate.tables):
-            disjoint.append(candidate)
-            seen.update(candidate.tables)
-    if len(disjoint) > 1:
-        yield Derivation(
-            "make_combined_offloaded_program", program,
-            make_combined_offloaded_program(program, disjoint), {},
-            rewritten=[
-                node for c in disjoint for node in path_to(root, c.subtree)
-            ],
-            kept=[],
         )
 
 
@@ -321,7 +305,7 @@ def test_deriving_shares_what_it_did_not_touch(case_id):
             "clone", "with_table_size", "with_register_size",
             "with_ingress", "instrument", "remove_dependency",
             "add_dependency_guard", "make_offloaded_program",
-            "make_combined_offloaded_program", "segment_program",
+            "segment_program",
         }
 
 

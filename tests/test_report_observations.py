@@ -50,7 +50,7 @@ class TestDecisionRendering:
         text = render_decision(
             Decision(
                 Phase.OFFLOAD_CODE, Verdict.REJECTED,
-                (phase_offload.Offload(segment, "To_Ctl", 0.25),),
+                phase_offload.Offload(segment, "To_Ctl", 0.25),
                 Reason.OVER_BUDGET, stages_before=6, stages_after=5,
             )
         )
@@ -86,6 +86,24 @@ class TestDecisionLog:
         assert "packets/s" not in "\n".join(
             render_decision(d) for d in firewall_result.decisions
         )
+
+    def test_every_decision_hashes(self):
+        """A decision is a frozen value down to its candidate, phase
+        4's segment included: the 3000-packet firewall run decides in
+        all three phases and offloads."""
+        result = P2GO(
+            example_firewall.build_program(),
+            example_firewall.runtime_config(),
+            example_firewall.make_trace(3000),
+            example_firewall.TARGET,
+            store=False,
+        ).run()
+        assert result.offloaded is not None
+        assert {d.phase for d in result.decisions} == {
+            Phase.REMOVE_DEPENDENCIES, Phase.REDUCE_MEMORY,
+            Phase.OFFLOAD_CODE,
+        }
+        assert len(set(result.decisions)) == len(result.decisions)
 
     def test_two_runs_decide_equal_logs(
         self, firewall_program, firewall_config, firewall_trace,
@@ -220,4 +238,4 @@ class TestReportRendering:
             and d.verdict is not Verdict.REJECTED
         ]
         assert offload.verdict is Verdict.VETOED
-        assert vetoed.offloaded == ()
+        assert vetoed.offloaded is None

@@ -376,8 +376,9 @@ def test_removed_session_pieces_stay_removed(tmp_path):
     session they are handed (never a ``trace``/``target`` of their own,
     never a private session), the baselines never take one,
     ``reoptimize`` always uses the monitor's, neither the run layer
-    nor the session has a memo switch, and the passes' round limits and
-    stage-savings floor live only on the passes."""
+    nor the session has a memo switch, the passes' round limits live
+    only on the passes, and phase 4 has neither a stage-savings floor
+    nor a multi-segment combination to switch on."""
     import inspect
 
     from repro.baselines import compile_static, optimize_with_policy
@@ -385,6 +386,7 @@ def test_removed_session_pieces_stay_removed(tmp_path):
     from repro.core import phase_memory, phase_offload
     from repro.core.online import OnlineProfiler
     from repro.core.pipeline import SwitchRun
+    from repro.core.seed_pipeline import run_seed
 
     removed = [
         (phase_memory.find_candidates, ("trace", "target", "session")),
@@ -394,8 +396,24 @@ def test_removed_session_pieces_stay_removed(tmp_path):
             ("trace", "target", "session"),
         ),
         (phase_memory.run_phase, ("trace", "target", "session")),
-        (phase_offload.run_phase, ("trace", "target", "session")),
-        (phase_offload.evaluate_candidates, ("trace", "target", "session")),
+        (
+            phase_offload.run_phase,
+            (
+                "trace", "target", "session", "min_stage_savings",
+                "allow_combination",
+            ),
+        ),
+        (
+            phase_offload.evaluate_candidates,
+            ("trace", "target", "session", "min_stage_savings"),
+        ),
+        (phase_offload.select_candidate, ("min_stage_savings",)),
+        (
+            phase_offload.OffloadPass,
+            ("min_stage_savings", "allow_combination"),
+        ),
+        (phase_offload.make_offloaded_program, ("reason",)),
+        (run_seed, ("offload_min_stage_savings",)),
         (compile_static, ("session",)),
         (optimize_with_policy, ("session",)),
         (OnlineProfiler.reoptimize, ("store", "target")),
@@ -432,6 +450,10 @@ def test_removed_session_pieces_stay_removed(tmp_path):
         (session, "merge_perf"),
         # Program keys are pinned on the program, not cached here.
         (session, "DEFAULT_PROGRAM_KEY_CACHE"),
+        # Phase 4 offloads one segment: no multi-segment combination.
+        (phase_offload, "select_combination"),
+        (phase_offload, "_try_combination"),
+        (phase_offload, "make_combined_offloaded_program"),
     ):
         assert not hasattr(owner, name), name
     with pytest.raises(SystemExit) as exited:
