@@ -6,12 +6,14 @@ behavioural simulator's parser/deparser are built on these two functions,
 so a crafted packet always parses back to the field values it was built
 from.
 
-Because pack/unpack dominate the simulator's per-packet cost, the bit
-arithmetic is precompiled once per field layout into a
+The bit arithmetic is precompiled once per field layout into a
 :class:`HeaderCodec` (shift/mask tables) and resolved through
 :func:`get_codec` — header types are frozen values, so a codec is a pure
 function of ``(name, fields)`` and one layout is compiled once per
-process, whichever program meets it first.
+process, whichever program meets it first.  The simulator's emitted
+parser reads fields out of header words by the codec's ``fields``,
+and its deparser packs with ``pack_trusted``; the reference parser and
+deparser (:mod:`repro.sim.parser_engine`) use neither.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from repro.p4.types import mask
 class HeaderCodec:
     """Precompiled pack/unpack tables for one header shape.
 
-    When every field name is a plain identifier the unpack and trusted
-    pack routines are exec-compiled into straight-line code (the same
-    trick :func:`collections.namedtuple` uses), eliminating the
-    per-field loop from the simulator's hottest functions; otherwise a
-    generic loop fallback is used.
+    When every field name is a plain identifier the trusted pack routine
+    is exec-compiled into straight-line code (the same trick
+    :func:`collections.namedtuple` uses), eliminating the per-field loop
+    from the simulator's deparser; otherwise a generic loop fallback is
+    used.
     """
 
     __slots__ = (
@@ -39,9 +41,8 @@ class HeaderCodec:
         "byte_width",
         "known",
         "_pack_spec",
-        "_unpack_spec",
+        "fields",
         "pad",
-        "unpack_at",
         "pack_trusted",
     )
 
@@ -55,21 +56,18 @@ class HeaderCodec:
         self._pack_spec: Tuple[Tuple[str, int, int], ...] = tuple(
             (f.name, f.width, mask(f.width)) for f in fields
         )
-        #: unpack order: (field name, right-shift from bit 0, value mask)
-        spec: List[Tuple[str, int, int]] = []
+        #: field name -> (right-shift from bit 0, value mask), in order
+        self.fields: Dict[str, Tuple[int, int]] = {}
         consumed = 0
         padded_bits = total_bits + self.pad
         for f in fields:
-            spec.append(
-                (f.name, padded_bits - consumed - f.width, mask(f.width))
+            self.fields[f.name] = (
+                padded_bits - consumed - f.width, mask(f.width)
             )
             consumed += f.width
-        self._unpack_spec = tuple(spec)
         if fields and all(f.name.isidentifier() for f in fields):
-            self.unpack_at = self._compile_unpack()
             self.pack_trusted = self._compile_pack_trusted()
         else:
-            self.unpack_at = self._unpack_at_generic
             self.pack_trusted = self._pack_trusted_generic
 
     def __reduce__(self):
@@ -82,21 +80,6 @@ class HeaderCodec:
             for fname, width, _fmask in self._pack_spec
         )
         return (_layout_codec, (self.name, fields))
-
-    def _compile_unpack(self):
-        items = ", ".join(
-            f"{fname!r}: (a >> {shift}) & {fmask}" if shift
-            else f"{fname!r}: a & {fmask}"
-            for fname, shift, fmask in self._unpack_spec
-        )
-        src = (
-            "def unpack_at(data, offset, _int=int.from_bytes):\n"
-            f"    a = _int(data[offset:offset + {self.byte_width}], 'big')\n"
-            f"    return {{{items}}}\n"
-        )
-        namespace: Dict[str, object] = {}
-        exec(src, namespace)  # noqa: S102 — generated from validated widths
-        return namespace["unpack_at"]
 
     def _compile_pack_trusted(self):
         expr = f"g({self._pack_spec[0][0]!r}, 0)"
@@ -113,11 +96,11 @@ class HeaderCodec:
         exec(src, namespace)  # noqa: S102 — generated from validated widths
         return namespace["pack_trusted"]
 
-    def _unpack_at_generic(self, data: bytes, offset: int) -> Dict[str, int]:
+    def unpack_at(self, data: bytes, offset: int) -> Dict[str, int]:
         accum = int.from_bytes(data[offset:offset + self.byte_width], "big")
         return {
             name: (accum >> shift) & fmask
-            for name, shift, fmask in self._unpack_spec
+            for name, (shift, fmask) in self.fields.items()
         }
 
     def _pack_trusted_generic(self, values: Dict[str, int]) -> bytes:

@@ -1,40 +1,48 @@
-"""Per-program execution plan: the engine's replay, emitted as Python.
+"""Per-program execution plan: the engine's parser and replay, emitted
+as Python.
 
+:func:`build_parser` emits a program's parser, whose template of a
+packet holds one integer (a *word*) per extracted header.
 :func:`build_plan` binds a switch to one generated function per sink
 kind (a *tail*), emitted on the kind's first batch: the batch loop with
 every table probe, action primitive, hash and register access of both
-control trees inside it.  The step-sink tail keeps each metadata field
-in a local and shares the parse template's header dicts but those the
-program writes in place; the full-result tail keeps metadata dicts, the
-write log and the deparse, because its results hand the headers out.
+control trees inside it.  The step-sink tail keeps each metadata field,
+and each packet field the program writes, in a local and reads the
+rest out of the words; the full-result tail expands the words into
+header dicts and keeps metadata dicts, the write log and the deparse,
+because its results hand the headers out.
 What the config fixes (compiled tables, default actions) and the
 registers are bound as constants, never spelled in the source, so each
 distinct source is compiled once per process (a bounded memo) and
 registered with :mod:`linecache` as ``<plan DIGEST>`` for tracebacks.
 Names from the program enter the source only as ``repr()`` literals.
 The reference walk (``_reference_replay``, :mod:`repro.sim.action_interp`)
-shares no code with it and stays its oracle.  What is bound and what is
-looked up per packet: DESIGN.md §5, "Execution plan".
+and ``parse_packet`` share no code with it and stay its oracles.  What is
+bound and what is looked up per packet: DESIGN.md §5, "Execution plan".
 ``BehavioralSwitch.invalidate_caches`` drops a plan.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import linecache
 import threading
 import zlib
 from collections import OrderedDict
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Hashable, List, NamedTuple
 
 from repro.exceptions import SimulationError
 from repro.p4 import actions as act
 from repro.p4 import expressions as ex
 from repro.p4.control import Apply, If, Seq
+from repro.p4.parser_spec import ACCEPT
 from repro.p4.types import CPU_PORT, DROP_PORT, bytes_for_bits, mask
+from repro.packets.packet import get_codec
 from repro.sim.events import ExecutionStep
 from repro.sim.hashing import ALGORITHMS, CRC_SEEDS, compute_hash, crc_start
 from repro.sim.match import compile_table
+from repro.sim.parser_engine import ParsedPacket
 
 #: Indentation past which a control subtree becomes a function of its
 #: own: CPython refuses source nested about 100 levels deep.
@@ -49,6 +57,13 @@ _memo_lock = threading.Lock()
 def _fail(error: type, message: str):
     """What the walker, too, only raises when a packet reaches it."""
     raise error(message)
+
+
+def _too_short(length: int, state: str, width: int, header: str, offset):
+    raise SimulationError(
+        f"packet too short: state {state!r} needs {width} bytes for "
+        f"{header!r}, {length - offset} remain"
+    )
 
 
 def _compiled(source: str):
@@ -91,51 +106,67 @@ def build_plan(switch) -> Plan:
     return Plan(switch)
 
 
-class _Emitter:
-    """One tail's source and its constants.  Generated names: ``_k<n>``
-    constants, ``_t<n>`` temporaries, ``_m<n>`` metadata fields (step
-    tail), ``_d<n>`` metadata dicts (full tail), ``_f<n>`` subtrees."""
+def _bits(slot: int, header_type, name: str) -> str:
+    """Field ``name`` out of the word ``_w<slot>``, by the engine's codec."""
+    shift, fmask = get_codec(header_type).fields[name]
+    return f"_w{slot} >> {shift} & {fmask}" if shift else f"_w{slot} & {fmask}"
 
-    def __init__(self, switch, steps_only: bool):
-        self.program, self.state = switch.program, switch.state
-        self.config, self.steps_only = switch.config, steps_only
-        self.namespace: Dict[str, object] = {
-            "parse": switch._parse, "result": switch._result, "fail": _fail,
-            "hash_error": compute_hash, "crc32": zlib.crc32,
-            "read_register": switch.state.read,
-            "write_register": switch.state.write,
-        }
-        self.metadata = {
-            inst.name: self.program.header_type_of(inst.name).field_names()
-            for inst in self.program.metadata_headers()
-        }
-        # Full tail: a dict per metadata header; step: a local per field.
-        self.dicts = {name: f"_d{i}" for i, name in enumerate(self.metadata)}
-        self.locals = {key: f"_m{i}" for i, key in enumerate(
-            (header, name)
-            for header, fields in self.metadata.items() for name in fields
-        )}
+
+class Parser(NamedTuple):
+    """``parse(data)`` is a packet's template (``ParseTemplate``) or
+    ``parse_packet``'s error; ``fresh(template, data)`` expands one into
+    a new :class:`ParsedPacket`.  ``slots``: each extracted header's
+    word index; ``key``: all the parser reads, as content."""
+
+    parse: Callable
+    fresh: Callable
+    slots: Dict[str, int]
+    key: Hashable
+
+
+def build_parser(program) -> Parser:
+    """``program``'s parser, emitted once per parse key per process."""
+    parser = program.parser
+    if parser is None:
+        return Parser(functools.partial(_fail, SimulationError, (
+            f"program {program.name!r} has no parser; cannot parse packets"
+        )), None, {}, None)
+    return _emitted_parser((parser.start, tuple(
+        (inst.name, program.header_types[inst.header_type])
+        for inst in program.packet_headers() if inst.auto_valid
+    ), tuple(
+        (name, tuple((h, program.header_type_of(h)) for h in state.extracts),
+         state.select, tuple(state.transitions.items()), state.default)
+        for name, state in parser.states.items()
+    )))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _emitted_parser(key) -> Parser:
+    return _ParserEmitter(key).parser()
+
+
+class _Source:
+    """Emitted lines, the functions split off them, and the constants
+    they bind (``_k<n>``)."""
+
+    def __init__(self, namespace: Dict[str, object]):
+        self.namespace = namespace
         self.lines: List[str] = []
-        self.depth = self.temps = self.constants = 0
         self.functions: List[List[str]] = []
-        #: Packet headers written in place, and whether any header is
-        #: added or removed: what a step tail must copy.
-        self.writes: Dict[str, None] = {}
-        self.reshapes = False
+        self.depth = self.constants = 0
 
-    # -- names ---------------------------------------------------------
     def bind(self, value) -> str:
         name = f"_k{self.constants}"
         self.constants += 1
         self.namespace[name] = value
         return name
 
-    def temp(self) -> str:
-        self.temps += 1
-        return f"_t{self.temps}"
-
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
+
+    def fail(self, message: str) -> str:
+        return f"fail(*{self.bind((SimulationError, message))})"
 
     def block(self, emit_body) -> List[str]:
         """The lines ``emit_body()`` emits one level deeper."""
@@ -146,8 +177,164 @@ class _Emitter:
         lines, self.lines = self.lines, outer
         return lines
 
-    def fail(self, message: str) -> str:
-        return f"fail(*{self.bind((SimulationError, message))})"
+    def nested(self, emit_body) -> List[str]:
+        """The lines ``emit_body()`` emits as the body of a function of
+        their own: CPython refuses source nested about 100 levels deep."""
+        outer, depth, self.lines, self.depth = self.lines, self.depth, [], 1
+        emit_body()
+        lines, self.lines, self.depth = self.lines, outer, depth
+        return lines
+
+    def load(self, *names: str) -> list:
+        source = "\n".join(
+            line for function in [self.lines, *self.functions]
+            for line in function
+        ) + "\n"
+        exec(_compiled(source), self.namespace)
+        return [self.namespace[name] for name in names]
+
+
+class _ParserEmitter(_Source):
+    """The parse graph as nested code, one ``return`` per root-to-accept
+    path: ``ParserSpec.validate`` rejects cycles and every header has a
+    fixed width, so each path's offsets, valid set and spans are
+    constants.  ``_w<n>`` holds slot ``n``'s word."""
+
+    def __init__(self, key):
+        super().__init__({"fail": _fail, "too_short": _too_short,
+                          "word": int.from_bytes, "Parsed": ParsedPacket})
+        self.key, (self.start, self.auto, states) = key, key
+        self.states = {state[0]: state[1:] for state in states}
+        self.types = dict(self.auto)
+        self.slots: Dict[str, int] = {}
+        for extracts, *_ in self.states.values():
+            for header, header_type in extracts:
+                self.types[header] = header_type
+                self.slots.setdefault(header, len(self.slots))
+
+    def words(self, spans=None) -> str:
+        """Every slot's word, or 0 where ``spans`` extracts none."""
+        return "".join(f", _w{n}" if spans is None or header in spans
+                       else ", 0" for header, n in self.slots.items())
+
+    def state(self, name: str, offset: int, spans: dict) -> None:
+        if self.depth > MAX_DEPTH:
+            self.split(name, offset, spans)
+            return
+        if name == ACCEPT:
+            valid = self.bind(frozenset(spans).union(dict(self.auto)))
+            self.emit(f"return ({valid}, {self.bind(spans)}, {offset}"
+                      f"{self.words(spans)})")
+            return
+        extracts, select, transitions, default = self.states[name]
+        for header, header_type in extracts:
+            width = header_type.byte_width
+            short = self.bind((name, width, header, offset))
+            end = offset + width
+            self.emit(f"if n < {end}: too_short(n, *{short})")
+            self.emit(f"_w{self.slots[header]} = word(data[{offset}:{end}], "
+                      "'big')")
+            spans, offset = {**spans, header: (offset, end)}, end
+        if select is not None and select.header not in spans:
+            self.emit(self.fail(f"parser state {name!r} selects on "
+                                f"{select.path!r} before extracting "
+                                f"{select.header!r}"))
+            return
+        if select is not None and transitions:
+            header = select.header
+            self.emit("v = " + _bits(self.slots[header], self.types[header],
+                                     select.field))
+            for value, target in transitions:
+                self.emit(f"if v == {value!r}:")
+                self.lines += self.block(
+                    lambda: self.state(target, offset, spans))
+        self.state(default, offset, spans)
+
+    def split(self, name: str, offset: int, spans: dict) -> None:
+        """The rest of the path as a function of its own."""
+        body = self.nested(lambda: self.state(name, offset, spans))
+        index = len(self.functions)
+        self.functions.append([f"def _s{index}(data, n{self.words()}):",
+                               *body])
+        self.emit(f"return _s{index}(data, n{self.words(spans)})")
+
+    def parser(self) -> Parser:
+        self.depth = 1
+        self.lines.append("def parse(data):")
+        self.emit("n = len(data)")
+        self.state(self.start, 0, {})
+        self.lines += ["def fresh(template, data):",
+                       f"    valid, spans, end{self.words()} = template",
+                       "    headers = {}"]
+        for header, n in self.slots.items():
+            items = ", ".join(f"{name!r}: {_bits(n, self.types[header], name)}"
+                              for name in self.types[header].field_names())
+            self.emit(f"if {header!r} in valid:")
+            self.emit(f"    headers[{header!r}] = {{{items}}}")
+        for header, header_type in self.auto:
+            if header not in self.slots:
+                zeros = dict.fromkeys(header_type.field_names(), 0)
+                self.emit(f"headers[{header!r}] = {zeros!r}")
+        self.emit("return Parsed(headers, set(valid), data[end:], spans)")
+        return Parser(*self.load("parse", "fresh"), self.slots, self.key)
+
+
+class _Emitter(_Source):
+    """One tail's source and its constants.  Generated names: ``_k<n>``
+    constants, ``_t<n>`` temporaries, ``_m<n>`` per-packet locals (step
+    tail: metadata fields, and packet fields the program writes),
+    ``_w<n>`` header words, ``_d<n>`` metadata dicts (full tail),
+    ``_f<n>`` subtrees."""
+
+    def __init__(self, switch, steps_only: bool):
+        parser = switch._parser
+        super().__init__({
+            "parse": parser.parse, "fresh": parser.fresh,
+            "result": switch._result, "fail": _fail,
+            "hash_error": compute_hash, "crc32": zlib.crc32,
+            "read_register": switch.state.read,
+            "write_register": switch.state.write,
+        })
+        program = self.program = switch.program
+        self.state, self.config = switch.state, switch.config
+        self.steps_only, self.slots = steps_only, parser.slots
+        self.temps = 0
+        self.metadata = {
+            inst.name: program.header_type_of(inst.name).field_names()
+            for inst in program.metadata_headers()
+        }
+        # What the program's actions may write: a header added or
+        # removed makes a step tail take the header dicts instead of
+        # reading the template's words, as the full tail does.
+        actions = program.actions.values()
+        self.words = steps_only and not any(
+            a.headers_added() or a.headers_removed() for a in actions)
+        # Full tail: a dict per metadata header; step: a local per field.
+        self.dicts = {name: f"_d{i}" for i, name in enumerate(self.metadata)}
+        keys = [(header, name) for header, fields in self.metadata.items()
+                for name in fields if steps_only]
+        if self.words:
+            keys += sorted({(ref.header, ref.field) for a in actions
+                            for ref in a.writes()
+                            if ref.header not in self.metadata})
+        self.locals = {key: f"_m{i}" for i, key in enumerate(keys)}
+        self.word_names = "".join(f", _w{n}" for n in self.slots.values())
+        self.shared = (f"valid, steps{self.word_names}" if self.words
+                       else "headers, valid, steps")
+
+    # -- names ---------------------------------------------------------
+    def word(self, header: str, name: str) -> str:
+        """A packet field out of its header's word; 0 where no path
+        extracts the header."""
+        slot, header_type = (self.slots.get(header),
+                             self.program.header_type_of(header))
+        if slot is None or not header_type.has_field(name):
+            return "0"
+        return _bits(slot, header_type, name)
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"_t{self.temps}"
 
     # -- expressions ---------------------------------------------------
     def field(self, ref: ex.FieldRef, guarded: bool = False) -> str:
@@ -156,7 +343,14 @@ class _Emitter:
             if self.steps_only:
                 return self.locals[ref.header, ref.field]
             return f"{self.dicts[ref.header]}.get({ref.field!r}, 0)"
-        read = f"headers[{ref.header!r}].get({ref.field!r}, 0)"
+        if self.words:
+            # A header's word is 0 on every path that leaves it invalid;
+            # a written field's local is not.
+            read = self.locals.get((ref.header, ref.field))
+            if read is None:
+                return f"({self.word(ref.header, ref.field)})"
+        else:
+            read = f"headers[{ref.header!r}].get({ref.field!r}, 0)"
         if guarded:
             return read
         return f"({read} if {ref.header!r} in valid else 0)"
@@ -210,7 +404,8 @@ class _Emitter:
     def assign(self, ref: ex.FieldRef, source, params=(), args="") -> None:
         """Truncating write of ``source`` — an expression, or the text
         of one — to ``ref``.  A packet-header write is logged, and on an
-        invalid header creates the field dict but not validity."""
+        invalid header creates the field dict (a step tail on words: sets
+        the field's local) but not validity."""
         width_mask = mask(self.program.field_width(ref))
         if isinstance(source, ex.Const):
             text = repr(source.value & width_mask)
@@ -218,13 +413,13 @@ class _Emitter:
             if not isinstance(source, str):
                 source = self.value(source, params, args)
             text = f"{source} & {width_mask}"
-        if ref.header in self.metadata:
-            if self.steps_only:
-                self.emit(f"{self.locals[ref.header, ref.field]} = {text}")
-            else:
-                self.emit(f"{self.dicts[ref.header]}[{ref.field!r}] = {text}")
+        local = self.locals.get((ref.header, ref.field))
+        if local is not None:
+            self.emit(f"{local} = {text}")
             return
-        self.writes[ref.header] = None
+        if ref.header in self.metadata:
+            self.emit(f"{self.dicts[ref.header]}[{ref.field!r}] = {text}")
+            return
         self.emit(f"headers.setdefault({ref.header!r}, {{}})"
                   f"[{ref.field!r}] = {text}")
         if not self.steps_only:
@@ -315,14 +510,12 @@ class _Emitter:
         elif isinstance(prim, act.AddHeader):
             # Zero-filled, and logged like any other write.
             names = self.program.header_type_of(prim.header).field_names()
-            self.reshapes = True
             self.emit(f"valid.add({prim.header!r})")
             self.emit(f"headers[{prim.header!r}] = "
                       f"{ {name: 0 for name in names}!r}")
             if not self.steps_only:
                 self.emit(f"log.add({prim.header!r})")
         elif isinstance(prim, act.RemoveHeader):
-            self.reshapes = True
             self.emit(f"valid.discard({prim.header!r})")
             self.emit(f"headers.pop({prim.header!r}, None)")
         elif not isinstance(prim, act.NoOp):
@@ -344,19 +537,16 @@ class _Emitter:
 
     def split(self, node) -> None:
         """``node`` as a function of its own, called with every local a
-        traversal reads or writes; a step tail's metadata locals come
+        traversal reads or writes; a step tail's per-packet locals come
         back as its result."""
-        outer, depth = self.lines, self.depth
-        self.lines, self.depth = [], 1
-        self.control(node)
-        body, self.lines, self.depth = self.lines, outer, depth
+        body = self.nested(lambda: self.control(node))
         if not body:
             return
         if self.steps_only:
             state = ", ".join(self.locals.values()) + ","
         else:
             state = ", ".join(["log", *self.dicts.values()])
-        call = f"_f{len(self.functions)}(headers, valid, steps, {state})"
+        call = f"_f{len(self.functions)}({self.shared}, {state})"
         self.functions.append([f"def {call}:", *body])
         if self.steps_only:
             self.functions[-1].append(f"    return {state}")
@@ -487,31 +677,28 @@ class _Emitter:
             "        else:",
             "            data, ingress = entry, port",
         ]
-        # The packet's parse: its own, or the template's — whole on a
-        # full tail or when a header is added or removed; else, on a
-        # step tail, the template's dicts but those written in place.
-        if not steps_only or self.reshapes:
-            self.emit("parsed = parse(data) if template is None "
-                      "else template.fresh()")
-            self.emit("headers, valid = parsed.headers, parsed.valid")
-        else:
+        # The packet's template: the trace's, or parsed now (a template
+        # of None re-raises its parse error).  A step tail reads the
+        # words; any other expands them into header dicts.
+        if self.words:
             self.emit("if template is None:")
-            self.emit("    parsed = parse(data)")
-            self.emit("    headers, valid = parsed.headers, parsed.valid")
-            self.emit("else:")
-            self.emit("    headers, valid = template.headers, template.valid")
-            if self.writes:
-                self.emit("    headers = headers.copy()")
-            for header in self.writes:
-                self.emit(f"    if {header!r} in headers:")
-                self.emit(f"        headers[{header!r}] = "
-                          f"headers[{header!r}].copy()")
+            self.emit("    template = parse(data)")
+            self.emit(f"valid, _, _{self.word_names} = template")
+        else:
+            self.emit("parsed = fresh(parse(data) if template is None "
+                      "else template, data)")
+            self.emit("headers, valid = parsed.headers, parsed.valid")
         ingress_port = (act.INGRESS_PORT.header, act.INGRESS_PORT.field)
         port = f"ingress & {mask(program.field_width(act.INGRESS_PORT))}"
         if steps_only:
-            zeroed = [name for key, name in self.locals.items()
-                      if key != ingress_port]
-            self.emit(f"{self.locals[ingress_port]} = {port}")
+            zeroed = []
+            for key, local in self.locals.items():
+                start = port if key == ingress_port else (
+                    "0" if key[0] in self.metadata else self.word(*key))
+                if start == "0":
+                    zeroed.append(local)
+                else:
+                    self.emit(f"{local} = {start}")
             self.emit(f"{' = '.join(zeroed)} = 0")
         else:
             for header, name in self.dicts.items():
@@ -537,9 +724,4 @@ class _Emitter:
             self.emit("decide(distinct.setdefault(decision, decision))")
         else:
             self.emit("append(result(parsed, data, steps, log))")
-        source = "\n".join(
-            line for function in [self.lines, *self.functions]
-            for line in function
-        ) + "\n"
-        exec(_compiled(source), self.namespace)
-        return self.namespace["replay"]
+        return self.load("replay")[0]

@@ -25,9 +25,9 @@ switch is a *profiling engine* with one switch and one reference:
   "Profiling engine").  There is no other engine (DESIGN.md §12 says
   why).
 * **shared parses** (:class:`ReplayTrace`): a trace replayed many times
-  keeps what each parser made of its packets; no replay's writes reach
-  that parse (DESIGN.md §5, "What replays share").  Nothing executed
-  is shared.
+  keeps what each parser made of its packets, as integers no replay
+  writes (DESIGN.md §5, "What replays share").  Nothing executed is
+  shared.
 * **step sinks** (:class:`StepSink`): a batch whose sink reads only
   each packet's step log and forwarding decision builds nothing else —
   no :class:`SwitchResult`, no deparse.
@@ -44,10 +44,8 @@ from itertools import repeat
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Hashable,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -64,14 +62,13 @@ from repro.p4.actions import (
     TO_CONTROLLER,
 )
 from repro.p4.control import Apply, ControlNode, If, Seq
-from repro.p4.parser_spec import ACCEPT
 from repro.p4.program import Program
 from repro.p4.types import mask
 from repro.packets.packet import get_codec
 from repro.sim.action_interp import Phv, eval_expr, execute_action
 from repro.sim.events import ExecutionStep
 from repro.sim.match import lookup
-from repro.sim.plan import Plan, build_plan
+from repro.sim.plan import Parser, Plan, build_parser, build_plan
 from repro.sim.runtime import RuntimeConfig
 from repro.sim.parser_engine import ParsedPacket, deparse_packet
 from repro.sim.state import SwitchState
@@ -118,8 +115,8 @@ class StepSink:
 
     The type is the declaration: for a ``StepSink`` the batch builds no
     :class:`SwitchResult` and deparses nothing, and on the execution
-    plan a shared parse's header dicts that the program never writes in
-    place are not copied, and its metadata lives in locals."""
+    plan it builds no header dict either: fields are read out of the
+    parse's header words, and metadata lives in locals."""
 
     __slots__ = ("paths", "decisions", "_distinct")
 
@@ -129,39 +126,20 @@ class StepSink:
         self._distinct: Dict[Decision, Decision] = {}
 
 
-class ParseTemplate(NamedTuple):
-    """What a parser made of one packet, shared by every replay of a
-    :class:`ReplayTrace`.  No replay writes it: :meth:`fresh` makes a
-    private parse, and a step-sink replay on the plan copies each dict
-    it writes in place first.  ``spans`` is shared; nothing writes it."""
-
-    headers: Dict[str, Dict[str, int]]
-    valid: FrozenSet[str]
-    payload: bytes
-    spans: Dict[str, Tuple[int, int]]
-
-    def fresh(self) -> ParsedPacket:
-        """A new headers dict and valid set over copies of every header
-        dict (a step-sink replay on the plan copies less: DESIGN.md §5)."""
-        headers = {
-            name: fields.copy() for name, fields in self.headers.items()
-        }
-        return ParsedPacket(headers, set(self.valid), self.payload, self.spans)
+#: What a parser made of one packet: ``(valid, spans, end, word, ...)``
+#: — its parse path's valid set and span map (one object each per path),
+#: the payload's offset, and one integer per header slot, 0 where the
+#: path extracts none (:class:`repro.sim.plan.Parser`).  Nothing writes it.
+ParseTemplate = tuple
 
 
-def _template(
-    parse: Callable[[bytes], ParsedPacket], entry
-) -> Optional[ParseTemplate]:
+def _template(parse: Callable[[bytes], ParseTemplate], entry):
     """One packet's template; None when it fails to parse, so every
     replay parses it again and fails at the same index."""
-    data = entry[0] if isinstance(entry, tuple) else entry
     try:
-        parsed = parse(data)
+        return parse(entry[0] if isinstance(entry, tuple) else entry)
     except SimulationError:
         return None
-    return ParseTemplate(
-        parsed.headers, frozenset(parsed.valid), parsed.payload, parsed.spans
-    )
 
 
 def trace_fingerprint(trace: Sequence) -> str:
@@ -208,7 +186,7 @@ class ReplayTrace(list):
         return ReplayTrace, (list(self), self.fingerprint)
 
     def templates(
-        self, key: Hashable, parse: Callable[[bytes], ParsedPacket]
+        self, key: Hashable, parse: Callable[[bytes], ParseTemplate]
     ) -> List[Optional[ParseTemplate]]:
         """The templates for ``key``, parsed with ``parse`` on the first
         ask.  Two threads may build one key at once; templates are never
@@ -236,9 +214,10 @@ class BehavioralSwitch:
         self._packet_count = 0
         # The config-mutation stamp the plan was built against.
         self._config_mutations = self.config.mutations
-        # Per-program plans precompiled once: parser states with their
-        # header codecs, deparse order, metadata names, and the
-        # ingress_port width mask.
+        # Precompiled once per program: the parser (emitted, and shared
+        # by every switch with its parse key), deparse order, metadata
+        # names, and the ingress_port width mask.
+        self._parser: Parser = build_parser(program)
         self._metadata_names = tuple(
             inst.name for inst in program.metadata_headers()
         )
@@ -247,54 +226,6 @@ class BehavioralSwitch:
             (inst.name, get_codec(program.header_types[inst.header_type]))
             for inst in program.packet_headers()
         )
-        self._auto_valid = tuple(
-            (
-                inst.name,
-                program.header_types[inst.header_type].field_names(),
-            )
-            for inst in program.packet_headers()
-            if inst.auto_valid
-        )
-        self._parse_states = None
-        self._parse_start = ""
-        #: Everything ``_parse`` reads, as content: the key of this
-        #: switch's templates in a :class:`ReplayTrace`.
-        self._parse_key: Hashable = None
-        if program.parser is not None:
-            self._parse_start = program.parser.start
-            self._parse_states = {
-                name: (
-                    tuple(
-                        (
-                            h,
-                            get_codec(program.header_type_of(h)),
-                            program.header_type_of(h).byte_width,
-                        )
-                        for h in state.extracts
-                    ),
-                    state.select,
-                    state.transitions,
-                    state.default,
-                )
-                for name, state in program.parser.states.items()
-            }
-            self._parse_key = (
-                self._parse_start,
-                tuple(
-                    (
-                        name,
-                        tuple(
-                            (h, program.header_type_of(h))
-                            for h in state.extracts
-                        ),
-                        state.select,
-                        tuple(state.transitions.items()),
-                        state.default,
-                    )
-                    for name, state in program.parser.states.items()
-                ),
-                self._auto_valid,
-            )
         # The execution plan (repro.sim.plan), bound by the first batch
         # or packet that runs on the engine after the config last
         # changed; never on the reference walk.
@@ -373,7 +304,7 @@ class BehavioralSwitch:
         """The one entry behind :meth:`process` and every kind of batch:
         the plan's emitted loop for the sink's kind when
         ``enable_compiled_tables`` is on, else the reference loop —
-        parse (or copy the shared parse), metadata on, the reference
+        parse (or expand the shared parse), metadata on, the reference
         walk, then the sink's tail.  What differs between kinds is
         decided here, once per batch."""
         self._prepare()
@@ -382,8 +313,9 @@ class BehavioralSwitch:
             self._plan[steps_only] if self.config.enable_compiled_tables
             else self._reference_replay
         )
+        parser = self._parser
         templates = (
-            packets.templates(self._parse_key, self._parse)
+            packets.templates(parser.key, parser.parse)
             if isinstance(packets, ReplayTrace)
             else repeat(None)
         )
@@ -395,14 +327,15 @@ class BehavioralSwitch:
 
     def _reference_replay(self, packets, templates, ingress_port, sink):
         """The reference loop: the emitted loop's oracle."""
-        parse, metadata = self._parse, self._metadata_names
+        parse, fresh = self._parser.parse, self._parser.fresh
+        metadata = self._metadata_names
         steps_only = isinstance(sink, StepSink)
         for entry, template in zip(packets, templates):
             if isinstance(entry, tuple):
                 data, port = entry
             else:
                 data, port = entry, ingress_port
-            parsed = parse(data) if template is None else template.fresh()
+            parsed = fresh(parse(data) if template is None else template, data)
             # Metadata: always valid, zeroed (dicts filled by writes).
             headers, valid = parsed.headers, parsed.valid
             for name in metadata:
@@ -432,57 +365,6 @@ class BehavioralSwitch:
                 sink.append(self._result(parsed, data, steps, None))
 
     # ------------------------------------------------------------------
-    def _parse(self, data: bytes) -> ParsedPacket:
-        """Plan-based :func:`~repro.sim.parser_engine.parse_packet`.
-
-        Identical semantics; the parse graph, header codecs, and byte
-        widths are resolved once in ``__init__`` instead of per packet.
-        """
-        states = self._parse_states
-        if states is None:
-            raise SimulationError(
-                f"program {self.program.name!r} has no parser; "
-                "cannot parse packets"
-            )
-        headers: Dict[str, Dict[str, int]] = {}
-        valid: Set[str] = set()
-        spans: Dict[str, Tuple[int, int]] = {}
-        offset = 0
-        length = len(data)
-        state_name = self._parse_start
-        while state_name != ACCEPT:
-            extracts, select, transitions, default = states[state_name]
-            for header_name, codec, byte_width in extracts:
-                end = offset + byte_width
-                if end > length:
-                    raise SimulationError(
-                        f"packet too short: state {state_name!r} needs "
-                        f"{byte_width} bytes for {header_name!r}, "
-                        f"{length - offset} remain"
-                    )
-                headers[header_name] = codec.unpack_at(data, offset)
-                valid.add(header_name)
-                spans[header_name] = (offset, end)
-                offset = end
-            if select is None:
-                state_name = default
-            else:
-                if select.header not in valid:
-                    raise SimulationError(
-                        f"parser state {state_name!r} selects on "
-                        f"{select.path!r} before extracting "
-                        f"{select.header!r}"
-                    )
-                value = headers[select.header][select.field]
-                state_name = transitions.get(value, default)
-        for name, field_names in self._auto_valid:
-            if name not in valid:
-                headers[name] = dict.fromkeys(field_names, 0)
-                valid.add(name)
-        return ParsedPacket(
-            headers=headers, valid=valid, payload=data[offset:], spans=spans
-        )
-
     def _deparse(self, parsed: ParsedPacket, data: bytes, dirty) -> bytes:
         """Valid packet headers in declaration order, plus payload.
 

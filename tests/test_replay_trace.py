@@ -2,12 +2,18 @@
 
 The session's trace is a :class:`~repro.sim.switch.ReplayTrace`, which
 keeps one :class:`~repro.sim.switch.ParseTemplate` per packet for each
-parser that replays it, and every replay starts from private copies of
-them (DESIGN.md §5, "What replays share").  Pinned here:
+parser that replays it — a tuple of header words, which no replay
+writes (DESIGN.md §5, "What replays share").  Pinned here:
 
-* **oracle** — every template equals the reference parser,
+* **oracle** — the emitted parser (:func:`repro.sim.plan.build_parser`)
+  equals the reference parser,
   :func:`repro.sim.parser_engine.parse_packet`, which shares no code
-  with the switch's ``_parse``, in headers, validity and payload;
+  with it, in headers, validity, payload and spans: on every template,
+  and on every prefix of the first packets of every bundled program and
+  generated case, where both raise the same error or neither does;
+* **words** — a profiling replay reads header fields out of the words:
+  no header dict, a local per written field, and the header dicts only
+  where the program adds or removes a header;
 * **isolation** — replaying header-rewriting inputs twice through one
   session trace gives the results and register state of two plain-list
   replays, output bytes included; a profiling replay, which copies only
@@ -48,10 +54,14 @@ from repro.p4 import (
 )
 from repro.p4.expressions import Const, FieldRef
 from repro.programs import cgnat, example_firewall, nat_gre
+import linecache
+
 from repro.sim import BehavioralSwitch
+from repro.sim import switch as switch_module
+from repro.sim.plan import build_parser
 from repro.sim.runtime import RuntimeConfig
 from repro.sim.parser_engine import parse_packet
-from repro.sim.switch import ReplayTrace
+from repro.sim.switch import ReplayTrace, StepSink
 from tests.test_profiling_engine import (
     BIT_IDENTITY_INPUTS,
     _fresh_config,
@@ -68,8 +78,18 @@ def _templates(program, config, trace):
     return templates
 
 
+def _assert_parses_alike(parser, expected, template, data):
+    """``template`` stands for the reference parse ``expected``."""
+    parsed = parser.fresh(template, data)
+    assert parsed.headers == expected.headers
+    assert parsed.valid == expected.valid
+    assert parsed.payload == expected.payload
+    assert parsed.spans == expected.spans
+
+
 def _assert_templates_match_reference_parser(program, config, trace):
     templates = _templates(program, config, trace)
+    parser = build_parser(program)
     assert len(templates) == len(trace)
     for entry, template in zip(trace, templates):
         data = entry[0] if isinstance(entry, tuple) else entry
@@ -78,9 +98,7 @@ def _assert_templates_match_reference_parser(program, config, trace):
         except SimulationError:
             assert template is None
             continue
-        assert template.headers == expected.headers
-        assert template.valid == expected.valid
-        assert template.payload == expected.payload
+        _assert_parses_alike(parser, expected, template, data)
 
 
 @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_INPUTS))
@@ -98,6 +116,68 @@ def test_generated_templates_equal_the_reference_parser(seed):
     _assert_templates_match_reference_parser(
         case.program, case.config.clone(), case.trace
     )
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data), None
+    except SimulationError as error:
+        return None, str(error)
+
+
+def _assert_parse_parity_at_every_truncation(program, trace):
+    """Every prefix of each packet: the same parse, or the same error."""
+    parser = build_parser(program)
+    for entry in trace[:60]:
+        entry = entry[0] if isinstance(entry, tuple) else entry
+        for k in range(len(entry) + 1):
+            data = entry[:k]
+            template, error = _outcome(parser.parse, data)
+            expected, expected_error = _outcome(
+                lambda d: parse_packet(program, d), data
+            )
+            assert error == expected_error, (k, data)
+            if template is not None:
+                _assert_parses_alike(parser, expected, template, data)
+
+
+#: The nine bundled programs.
+BUNDLED = {name: getattr(programs, name) for name in programs.__all__
+           if name != "EXAMPLE_TARGET"}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_parse_parity_at_every_truncation(name):
+    module = BUNDLED[name]
+    _assert_parse_parity_at_every_truncation(
+        module.build_program(), module.make_trace(60)
+    )
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_generated_parse_parity_at_every_truncation(seed):
+    case = generate_case(seed)
+    _assert_parse_parity_at_every_truncation(case.program, case.trace)
+
+
+def test_parse_parity_on_a_parse_graph_deeper_than_the_source_nests():
+    """A 60-state select chain nests one level per state: the emitter
+    splits the path into functions, as the plan does deep controls."""
+    b = ProgramBuilder("deep_parser")
+    b.header_type("h_t", [("f", 4), ("nxt", 4)])
+    for i in range(60):
+        b.header(f"h{i}", "h_t")
+        b.parser_state(
+            f"s{i}", extracts=[f"h{i}"], select=f"h{i}.nxt",
+            transitions={1: f"s{i + 1}"} if i < 59 else {},
+        )
+    b.parser_start("s0")
+    b.action("nop", [])
+    b.table("t", actions=["nop"], default_action="nop")
+    b.ingress(Seq([Apply("t")]))
+    program = b.build()
+    trace = [bytes([0x31] * n + [0x30, 0xAB]) for n in (0, 7, 45, 58, 59, 60)]
+    _assert_parse_parity_at_every_truncation(program, trace)
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +313,7 @@ def _assert_profiling_leaves_templates_intact(program, fresh_config, trace):
     what the parser made, and both profiles are a plain list's."""
     shared = ReplayTrace(trace)
     parse = BehavioralSwitch(program, fresh_config())
-    templates = shared.templates(parse._parse_key, parse._parse)
+    templates = shared.templates(parse._parser.key, parse._parser.parse)
     before = copy.deepcopy(templates)
     want = Profiler(program, fresh_config()).run(list(trace))
     for _replay in range(2):
@@ -259,6 +339,42 @@ def test_generated_profiling_replays_leave_the_templates_intact(seed):
     _assert_profiling_leaves_templates_intact(
         case.program, case.config.clone, case.trace
     )
+
+
+# ----------------------------------------------------------------------
+# A profiling replay reads fields out of the header words.
+
+
+def _step_tail_source(module):
+    switch = BehavioralSwitch(module.build_program(), module.runtime_config())
+    switch.process_many(ReplayTrace(module.make_trace(20)), into=StepSink())
+    tail = switch._plan[True]
+    return "".join(linecache.getlines(tail.__code__.co_filename))
+
+
+def test_the_firewall_step_tail_reads_words_and_builds_no_header_dict():
+    source = _step_tail_source(example_firewall)
+    assert "headers[" not in source and "fresh(" not in source
+    assert ">> 32 & 65535" in source  # udp.dstPort, out of its word
+
+
+def test_a_written_packet_field_is_a_local():
+    """telemetry writes ``ethernet.srcAddr``: its local starts as the
+    word's field, and the writes go to the local."""
+    source = _step_tail_source(programs.telemetry)
+    assert "headers" not in source
+    (start,) = [line.strip() for line in source.splitlines()
+                if "_w0 >> 16 & 281474976710655" in line and "=" in line
+                and not line.strip().startswith(("if", "_t"))]
+    local = start.split(" = ")[0]
+    assert local.startswith("_m")
+    assert sum(line.strip().startswith(f"{local} = ")
+               for line in source.splitlines()) >= 2
+
+
+def test_a_program_that_removes_a_header_expands_the_words():
+    source = _step_tail_source(nat_gre)
+    assert "fresh(" in source and "headers.pop('gre', None)" in source
 
 
 # ----------------------------------------------------------------------
@@ -290,14 +406,20 @@ def test_too_short_packet_fails_at_the_same_index_on_every_replay():
 
 
 def _count_parses(monkeypatch):
+    """Counts the packets the emitted parsers of switches built from
+    now on parse."""
     parses = []
-    real_parse = BehavioralSwitch._parse
 
-    def counting_parse(self, data):
-        parses.append(data)
-        return real_parse(self, data)
+    def counting_parser(program):
+        parser = build_parser(program)
 
-    monkeypatch.setattr(BehavioralSwitch, "_parse", counting_parse)
+        def parse(data):
+            parses.append(data)
+            return parser.parse(data)
+
+        return parser._replace(parse=parse)
+
+    monkeypatch.setattr(switch_module, "build_parser", counting_parser)
     return parses
 
 
@@ -338,13 +460,13 @@ def test_one_shot_replay_of_a_plain_list_builds_no_templates(monkeypatch):
 
 
 def test_instrumentation_changes_the_parse_key():
-    """The auto-valid profiling header is something ``_parse`` adds, so
+    """The auto-valid profiling header is something the parser adds, so
     an instrumented program may not share the plain program's parses;
     an equal-content clone may."""
     program = example_firewall.build_program()
-    key = BehavioralSwitch(program)._parse_key
-    assert BehavioralSwitch(program.clone())._parse_key == key
-    assert BehavioralSwitch(instrument(program).program)._parse_key != key
+    key = BehavioralSwitch(program)._parser.key
+    assert BehavioralSwitch(program.clone())._parser.key == key
+    assert BehavioralSwitch(instrument(program).program)._parser.key != key
 
 
 # ----------------------------------------------------------------------
