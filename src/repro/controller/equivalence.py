@@ -7,6 +7,11 @@ packet must receive the same verdict from the optimized switch and the
 controller together that the original data plane would have given it.
 :func:`check_result` is that contract as one predicate over a run's
 result; the two ``compare_*`` functions are its halves.
+
+Behaviour is bytes: a packet both sides forward (or punt) must also
+leave with the same bytes, so a rewrite that changes a value the
+program writes into a packet is a mismatch even when every forwarding
+decision holds (:func:`same_packet`).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from repro.core.phase_offload import SegmentCandidate
 from repro.core.pipeline import P2GOResult
 from repro.p4.program import Program
 from repro.sim.runtime import RuntimeConfig
-from repro.sim.switch import BehavioralSwitch
+from repro.sim.switch import BehavioralSwitch, SwitchResult
 from repro.traffic.generators import TracePacket
 
 
@@ -36,6 +41,14 @@ class EquivalenceReport:
         return not self.mismatches
 
 
+def same_packet(a: SwitchResult, b: SwitchResult) -> bool:
+    """The same forwarding decision and, unless both drop the packet,
+    the same output bytes."""
+    return a.forwarding_decision() == b.forwarding_decision() and (
+        a.dropped or a.output_bytes == b.output_bytes
+    )
+
+
 def compare_behavior(
     program_a: Program,
     config_a: RuntimeConfig,
@@ -43,14 +56,14 @@ def compare_behavior(
     config_b: RuntimeConfig,
     trace: Sequence[TracePacket],
 ) -> EquivalenceReport:
-    """Strict per-packet forwarding-decision comparison (phases 2/3)."""
+    """Strict per-packet comparison (phases 2/3): decision and bytes."""
     switch_a = BehavioralSwitch(program_a, config_a)
     switch_b = BehavioralSwitch(program_b, config_b)
     results_a = switch_a.process_many(trace)
     results_b = switch_b.process_many(trace)
     report = EquivalenceReport(total=len(results_a))
     for ra, rb in zip(results_a, results_b):
-        if ra.forwarding_decision() != rb.forwarding_decision():
+        if not same_packet(ra, rb):
             report.mismatches.append(ra.index)
     return report
 
@@ -70,7 +83,8 @@ def compare_with_offload(
     must match the original's: dropped when *either* side drops it —
     tables outside the segment still run on the switch, and a drop there
     is part of the pair's verdict — and notified when the controller
-    notifies.  Otherwise the switch's own decision must match.
+    notifies.  Otherwise the switch's own decision and bytes must
+    match.
     """
     switch_orig = BehavioralSwitch(original, original_config)
     switch_opt = BehavioralSwitch(optimized, optimized_config)
@@ -92,9 +106,8 @@ def compare_with_offload(
                 or r_ctl.to_controller != r_orig.to_controller
             ):
                 report.mismatches.append(r_orig.index)
-        else:
-            if r_opt.forwarding_decision() != r_orig.forwarding_decision():
-                report.mismatches.append(r_orig.index)
+        elif not same_packet(r_opt, r_orig):
+            report.mismatches.append(r_orig.index)
     return report
 
 

@@ -37,7 +37,7 @@ from repro.p4.actions import ModifyField
 from repro.p4.expressions import Const, FieldRef
 from repro.p4.program import HeaderField, HeaderInstance, HeaderType, Program
 from repro.sim.runtime import RuntimeConfig, TableEntry
-from repro.sim.switch import BehavioralSwitch
+from repro.sim.switch import BehavioralSwitch, decision_of
 from repro.traffic.generators import TracePacket
 
 PROFILE_HEADER = "p2go_profile"
@@ -170,29 +170,34 @@ def reference_profile(
     config: RuntimeConfig,
     trace: Sequence[TracePacket],
 ) -> Dict[str, object]:
-    """The §3.1 aggregates, built the paper's way: replay
-    ``instrument(program)`` and read each packet's executed
-    ``(table, action)`` pairs off its profiling bits.  The bits cannot
-    tell a hit from a miss's default action, so hits, applied tables
-    and forwarding decisions are read off the result.  Keyed by the
-    name of the :class:`~repro.core.profiler.Profile` view each value
-    must equal."""
+    """The §3.1 aggregates, built the paper's way: walk
+    ``instrument(program)`` on the reference interpreter and read each
+    packet's executed ``(table, action)`` pairs off the profiling bits
+    of its final headers.  The bits cannot tell a hit from a miss's
+    default action, so hits, applied tables and forwarding decisions
+    are read off the walk's step log and metadata.  Shares no code with
+    the engine.  Keyed by the name of the
+    :class:`~repro.core.profiler.Profile` view each value must equal."""
     instrumented = instrument(program)
     switch = BehavioralSwitch(
         instrumented.program, instrumented.adapt_config(config)
     )
-    results = switch.process_many(trace)
-    bits = [
-        frozenset(instrumented.decode_result_bits(r.headers)) for r in results
-    ]
-    steps = [step for result in results for step in result.steps]
+    bits, steps, decisions = [], [], []
+    for entry in trace:
+        data, port = entry if isinstance(entry, tuple) else (entry, 0)
+        parsed, walked = switch.walk(data, port)
+        bits.append(
+            frozenset(instrumented.decode_result_bits(parsed.headers))
+        )
+        steps += walked
+        decisions.append(decision_of(parsed.headers))
     return {
-        "total_packets": len(results),
+        "total_packets": len(decisions),
         "apply_counts": dict(Counter(step.table for step in steps)),
         "hit_counts": dict(Counter(step.table for step in steps if step.hit)),
         "action_counts": dict(
             Counter(pair for pairs in bits for pair in pairs)
         ),
         "nonexclusive_sets": {pairs for pairs in bits if pairs},
-        "decisions": tuple(r.forwarding_decision() for r in results),
+        "decisions": tuple(decisions),
     }

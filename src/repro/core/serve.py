@@ -11,8 +11,10 @@ loop as a daemon:
   **serving** switch (the currently promoted optimized program) and the
   **monitor** (an :class:`~repro.core.online.OnlineProfiler` running the
   *original* program — the semantic reference — and reading its step
-  log).  A forwarding-decision disagreement between the two is a
-  *misprocessed* packet; the counter must stay at zero.
+  log).  A packet the two give different forwarding decisions, or
+  forward with different bytes, is a *misprocessed* packet
+  (:func:`~repro.controller.equivalence.same_packet`); the counter must
+  stay at zero.
 * **React** — a drift alert from the monitor triggers a warm
   :meth:`~repro.core.online.OnlineProfiler.reoptimize` over the recent
   packet window, through the shared
@@ -25,8 +27,8 @@ loop as a daemon:
   equivalence checker (:func:`~repro.controller.equivalence.
   compare_behavior`) passes on a trace of the most recent window;
   otherwise the promotion is *rejected* and the current program keeps
-  serving.  Because the strict gate compares forwarding decisions
-  bit-for-bit, the serve loop defaults to ``phases=(2, 3)`` — a phase-4
+  serving.  Because the strict gate compares forwarding decisions and
+  output bytes bit-for-bit, the serve loop defaults to ``phases=(2, 3)`` — a phase-4
   offload intentionally changes ``to_controller`` for redirected
   packets and would (correctly) never pass this gate.  That is the swap
   contract: only transformations invisible to the data plane are
@@ -66,7 +68,7 @@ from typing import (
     Tuple,
 )
 
-from repro.controller.equivalence import compare_behavior
+from repro.controller.equivalence import compare_behavior, same_packet
 from repro.core.online import AlertKind, OnlineAlert, OnlineProfiler
 from repro.core.pipeline import P2GO, P2GOResult
 from repro.core.session import OptimizationContext, SessionCounters
@@ -584,10 +586,7 @@ class ContinuousOptimizer:
             self.stats.packets_processed += 1
             if served.dropped:
                 self.stats.packets_dropped += 1
-            if (
-                served.forwarding_decision()
-                != observed.forwarding_decision()
-            ):
+            if not same_packet(served, observed):
                 self.stats.misprocessed += 1
 
     def _ingest(

@@ -11,9 +11,9 @@ The bit arithmetic is precompiled once per field layout into a
 :func:`get_codec` — header types are frozen values, so a codec is a pure
 function of ``(name, fields)`` and one layout is compiled once per
 process, whichever program meets it first.  The simulator's emitted
-parser reads fields out of header words by the codec's ``fields``,
-and its deparser packs with ``pack_trusted``; the reference parser and
-deparser (:mod:`repro.sim.parser_engine`) use neither.
+parser reads fields out of header words by the codec's ``fields``, and
+its deparser rebuilds written words by the same table; the reference
+parser and deparser (:mod:`repro.sim.parser_engine`) use no codec.
 """
 
 from __future__ import annotations
@@ -27,24 +27,9 @@ from repro.p4.types import mask
 
 
 class HeaderCodec:
-    """Precompiled pack/unpack tables for one header shape.
+    """Precompiled pack/unpack tables for one header shape."""
 
-    When every field name is a plain identifier the trusted pack routine
-    is exec-compiled into straight-line code (the same trick
-    :func:`collections.namedtuple` uses), eliminating the per-field loop
-    from the simulator's deparser; otherwise a generic loop fallback is
-    used.
-    """
-
-    __slots__ = (
-        "name",
-        "byte_width",
-        "known",
-        "_pack_spec",
-        "fields",
-        "pad",
-        "pack_trusted",
-    )
+    __slots__ = ("name", "byte_width", "known", "_pack_spec", "fields", "pad")
 
     def __init__(self, name: str, fields: Tuple[HeaderField, ...]):
         self.name = name
@@ -65,36 +50,16 @@ class HeaderCodec:
                 padded_bits - consumed - f.width, mask(f.width)
             )
             consumed += f.width
-        if fields and all(f.name.isidentifier() for f in fields):
-            self.pack_trusted = self._compile_pack_trusted()
-        else:
-            self.pack_trusted = self._pack_trusted_generic
 
     def __reduce__(self):
-        # The exec-compiled routines cannot be pickled (they live in no
-        # importable module); resolve the layout through the receiving
-        # process's memo instead.  Header types drop their codec from
-        # their own state, so this only serves a codec pickled directly.
+        # Resolve the layout through the receiving process's memo.
+        # Header types drop their codec from their own state, so this
+        # only serves a codec pickled directly.
         fields = tuple(
             HeaderField(fname, width)
             for fname, width, _fmask in self._pack_spec
         )
         return (_layout_codec, (self.name, fields))
-
-    def _compile_pack_trusted(self):
-        expr = f"g({self._pack_spec[0][0]!r}, 0)"
-        for fname, width, _fmask in self._pack_spec[1:]:
-            expr = f"({expr}) << {width} | g({fname!r}, 0)"
-        if self.pad:
-            expr = f"({expr}) << {self.pad}"
-        src = (
-            "def pack_trusted(values):\n"
-            "    g = values.get\n"
-            f"    return ({expr}).to_bytes({self.byte_width}, 'big')\n"
-        )
-        namespace: Dict[str, object] = {}
-        exec(src, namespace)  # noqa: S102 — generated from validated widths
-        return namespace["pack_trusted"]
 
     def unpack_at(self, data: bytes, offset: int) -> Dict[str, int]:
         accum = int.from_bytes(data[offset:offset + self.byte_width], "big")
@@ -102,13 +67,6 @@ class HeaderCodec:
             name: (accum >> shift) & fmask
             for name, (shift, fmask) in self.fields.items()
         }
-
-    def _pack_trusted_generic(self, values: Dict[str, int]) -> bytes:
-        accum = 0
-        get = values.get
-        for name, width, _fmask in self._pack_spec:
-            accum = (accum << width) | get(name, 0)
-        return ((accum << self.pad)).to_bytes(self.byte_width, "big")
 
     def pack(self, values: Dict[str, int]) -> bytes:
         """Serialize field values; missing fields are zero."""

@@ -1,6 +1,6 @@
 """Packet parsing and deparsing against a program's parser spec: the
-reference the engine's emitted parser and trusted deparser are checked
-against.
+reference loop's own parser and deparser, which the engine's emitted
+parser and its deparse from header words are checked against.
 
 Parsing walks the parse graph, extracting header instances into field
 dictionaries and recording which headers became valid.  Deparsing emits
@@ -26,8 +26,7 @@ class ParsedPacket:
     """Result of parsing one packet.
 
     ``spans`` maps each extracted header to its ``(start, end)`` byte
-    range in the original packet, letting the engine's deparser emit
-    untouched headers by slicing the input instead of re-packing them.
+    range in the original packet.
     """
 
     headers: Dict[str, Dict[str, int]]

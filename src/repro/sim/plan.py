@@ -6,20 +6,22 @@ packet holds one integer (a *word*) per extracted header.
 :func:`build_plan` binds a switch to one generated function per sink
 kind (a *tail*), emitted on the kind's first batch: the batch loop with
 every table probe, action primitive, hash and register access of both
-control trees inside it.  The step-sink tail keeps each metadata field,
-and each packet field the program writes, in a local and reads the
-rest out of the words; the full-result tail expands the words into
-header dicts and keeps metadata dicts, the write log and the deparse,
-because its results hand the headers out.
+control trees inside it.  Both tails run one body over the words: each
+metadata field, each packet field the program writes and each field of
+a header it adds is a local, and every other field is read out of its
+word.  Only their last lines differ: the step tail keeps the step log
+and the decision, and the result tail also deparses, rebuilding each
+written header's word from its locals.
 What the config fixes (compiled tables, default actions) and the
 registers are bound as constants, never spelled in the source, so each
 distinct source is compiled once per process (a bounded memo) and
 registered with :mod:`linecache` as ``<plan DIGEST>`` for tracebacks.
 Names from the program enter the source only as ``repr()`` literals.
 The reference walk (``_reference_replay``, :mod:`repro.sim.action_interp`)
-and ``parse_packet`` share no code with it and stay its oracles.  What is
-bound and what is looked up per packet: DESIGN.md §5, "Execution plan".
-``BehavioralSwitch.invalidate_caches`` drops a plan.
+and ``parse_packet`` / ``deparse_packet`` share no code with it and stay
+its oracles.  What is bound and what is looked up per packet: DESIGN.md
+§5, "Execution plan".  ``BehavioralSwitch.invalidate_caches`` drops a
+plan.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from repro.packets.packet import get_codec
 from repro.sim.events import ExecutionStep
 from repro.sim.hashing import ALGORITHMS, CRC_SEEDS, compute_hash, crc_start
 from repro.sim.match import compile_table
-from repro.sim.parser_engine import ParsedPacket
 
 #: Indentation past which a control subtree becomes a function of its
 #: own: CPython refuses source nested about 100 levels deep.
@@ -97,7 +98,7 @@ class Plan(dict):
         self.switch = switch
 
     def __missing__(self, steps_only: bool) -> Callable:
-        tail = self[steps_only] = _Emitter(self.switch, steps_only).function()
+        tail = self[steps_only] = _Emitter(self.switch).function(steps_only)
         return tail
 
 
@@ -114,12 +115,11 @@ def _bits(slot: int, header_type, name: str) -> str:
 
 class Parser(NamedTuple):
     """``parse(data)`` is a packet's template (``ParseTemplate``) or
-    ``parse_packet``'s error; ``fresh(template, data)`` expands one into
-    a new :class:`ParsedPacket`.  ``slots``: each extracted header's
-    word index; ``key``: all the parser reads, as content."""
+    ``parse_packet``'s error.  ``slots``: each extracted header's word
+    index; ``key``: all the parser reads, and the packet header order
+    its templates' ``ident`` flags depend on, as content."""
 
     parse: Callable
-    fresh: Callable
     slots: Dict[str, int]
     key: Hashable
 
@@ -130,10 +130,13 @@ def build_parser(program) -> Parser:
     if parser is None:
         return Parser(functools.partial(_fail, SimulationError, (
             f"program {program.name!r} has no parser; cannot parse packets"
-        )), None, {}, None)
+        )), {}, None)
+    packet = program.packet_headers()
     return _emitted_parser((parser.start, tuple(
+        inst.name for inst in packet
+    ), tuple(
         (inst.name, program.header_types[inst.header_type])
-        for inst in program.packet_headers() if inst.auto_valid
+        for inst in packet if inst.auto_valid
     ), tuple(
         (name, tuple((h, program.header_type_of(h)) for h in state.extracts),
          state.select, tuple(state.transitions.items()), state.default)
@@ -197,13 +200,13 @@ class _Source:
 class _ParserEmitter(_Source):
     """The parse graph as nested code, one ``return`` per root-to-accept
     path: ``ParserSpec.validate`` rejects cycles and every header has a
-    fixed width, so each path's offsets, valid set and spans are
-    constants.  ``_w<n>`` holds slot ``n``'s word."""
+    fixed width, so each path's offsets, valid set and ``ident`` flag
+    are constants.  ``_w<n>`` holds slot ``n``'s word."""
 
     def __init__(self, key):
         super().__init__({"fail": _fail, "too_short": _too_short,
-                          "word": int.from_bytes, "Parsed": ParsedPacket})
-        self.key, (self.start, self.auto, states) = key, key
+                          "word": int.from_bytes})
+        self.key, (self.start, self.order, self.auto, states) = key, key
         self.states = {state[0]: state[1:] for state in states}
         self.types = dict(self.auto)
         self.slots: Dict[str, int] = {}
@@ -212,19 +215,29 @@ class _ParserEmitter(_Source):
                 self.types[header] = header_type
                 self.slots.setdefault(header, len(self.slots))
 
-    def words(self, spans=None) -> str:
-        """Every slot's word, or 0 where ``spans`` extracts none."""
-        return "".join(f", _w{n}" if spans is None or header in spans
+    def words(self, path=None) -> str:
+        """Every slot's word, or 0 where ``path`` extracts none."""
+        return "".join(f", _w{n}" if path is None or header in path
                        else ", 0" for header, n in self.slots.items())
 
-    def state(self, name: str, offset: int, spans: dict) -> None:
+    def ident(self, path: tuple) -> bool:
+        """Whether a path deparses as it parsed: its valid packet headers,
+        in program order, are the headers it extracted, each once, in
+        extraction order, and none is padded.  Then an unwritten packet's
+        output is its input."""
+        auto = dict(self.auto)
+        deparsed = tuple(h for h in self.order if h in path or h in auto)
+        return deparsed == path and not any(
+            self.types[h].bit_width % 8 for h in path)
+
+    def state(self, name: str, offset: int, path: tuple) -> None:
         if self.depth > MAX_DEPTH:
-            self.split(name, offset, spans)
+            self.split(name, offset, path)
             return
         if name == ACCEPT:
-            valid = self.bind(frozenset(spans).union(dict(self.auto)))
-            self.emit(f"return ({valid}, {self.bind(spans)}, {offset}"
-                      f"{self.words(spans)})")
+            valid = self.bind(frozenset(path).union(dict(self.auto)))
+            self.emit(f"return ({valid}, {self.ident(path)}, {offset}"
+                      f"{self.words(path)})")
             return
         extracts, select, transitions, default = self.states[name]
         for header, header_type in extracts:
@@ -234,8 +247,8 @@ class _ParserEmitter(_Source):
             self.emit(f"if n < {end}: too_short(n, *{short})")
             self.emit(f"_w{self.slots[header]} = word(data[{offset}:{end}], "
                       "'big')")
-            spans, offset = {**spans, header: (offset, end)}, end
-        if select is not None and select.header not in spans:
+            path, offset = (*path, header), end
+        if select is not None and select.header not in path:
             self.emit(self.fail(f"parser state {name!r} selects on "
                                 f"{select.path!r} before extracting "
                                 f"{select.header!r}"))
@@ -247,80 +260,65 @@ class _ParserEmitter(_Source):
             for value, target in transitions:
                 self.emit(f"if v == {value!r}:")
                 self.lines += self.block(
-                    lambda: self.state(target, offset, spans))
-        self.state(default, offset, spans)
+                    lambda: self.state(target, offset, path))
+        self.state(default, offset, path)
 
-    def split(self, name: str, offset: int, spans: dict) -> None:
+    def split(self, name: str, offset: int, path: tuple) -> None:
         """The rest of the path as a function of its own."""
-        body = self.nested(lambda: self.state(name, offset, spans))
+        body = self.nested(lambda: self.state(name, offset, path))
         index = len(self.functions)
         self.functions.append([f"def _s{index}(data, n{self.words()}):",
                                *body])
-        self.emit(f"return _s{index}(data, n{self.words(spans)})")
+        self.emit(f"return _s{index}(data, n{self.words(path)})")
 
     def parser(self) -> Parser:
         self.depth = 1
         self.lines.append("def parse(data):")
         self.emit("n = len(data)")
-        self.state(self.start, 0, {})
-        self.lines += ["def fresh(template, data):",
-                       f"    valid, spans, end{self.words()} = template",
-                       "    headers = {}"]
-        for header, n in self.slots.items():
-            items = ", ".join(f"{name!r}: {_bits(n, self.types[header], name)}"
-                              for name in self.types[header].field_names())
-            self.emit(f"if {header!r} in valid:")
-            self.emit(f"    headers[{header!r}] = {{{items}}}")
-        for header, header_type in self.auto:
-            if header not in self.slots:
-                zeros = dict.fromkeys(header_type.field_names(), 0)
-                self.emit(f"headers[{header!r}] = {zeros!r}")
-        self.emit("return Parsed(headers, set(valid), data[end:], spans)")
-        return Parser(*self.load("parse", "fresh"), self.slots, self.key)
+        self.state(self.start, 0, ())
+        return Parser(*self.load("parse"), self.slots, self.key)
 
 
 class _Emitter(_Source):
-    """One tail's source and its constants.  Generated names: ``_k<n>``
-    constants, ``_t<n>`` temporaries, ``_m<n>`` per-packet locals (step
-    tail: metadata fields, and packet fields the program writes),
-    ``_w<n>`` header words, ``_d<n>`` metadata dicts (full tail),
-    ``_f<n>`` subtrees."""
+    """One switch's tail source and its constants.  Generated names:
+    ``_k<n>`` constants, ``_t<n>`` temporaries, ``_m<n>`` per-packet
+    locals (metadata fields, packet fields the program writes, every
+    field of a header it adds), ``_w<n>`` header words, ``_o<n>`` a
+    written header's rebuilt word, ``_f<n>`` subtrees."""
 
-    def __init__(self, switch, steps_only: bool):
+    def __init__(self, switch):
         parser = switch._parser
         super().__init__({
-            "parse": parser.parse, "fresh": parser.fresh,
-            "result": switch._result, "fail": _fail,
+            "parse": parser.parse, "result": switch._result, "fail": _fail,
             "hash_error": compute_hash, "crc32": zlib.crc32,
             "read_register": switch.state.read,
-            "write_register": switch.state.write,
+            "write_register": switch.state.write, "join": b"".join,
         })
         program = self.program = switch.program
         self.state, self.config = switch.state, switch.config
-        self.steps_only, self.slots = steps_only, parser.slots
+        self.slots = parser.slots
         self.temps = 0
         self.metadata = {
             inst.name: program.header_type_of(inst.name).field_names()
             for inst in program.metadata_headers()
         }
-        # What the program's actions may write: a header added or
-        # removed makes a step tail take the header dicts instead of
-        # reading the template's words, as the full tail does.
+        # What the program's actions may write.  A program that adds or
+        # removes a header copies its valid set per packet, and an added
+        # header starts at 0 in locals of its own.
         actions = program.actions.values()
-        self.words = steps_only and not any(
-            a.headers_added() or a.headers_removed() for a in actions)
-        # Full tail: a dict per metadata header; step: a local per field.
-        self.dicts = {name: f"_d{i}" for i, name in enumerate(self.metadata)}
+        added = {h for a in actions for h in a.headers_added()}
+        self.removed = {h for a in actions for h in a.headers_removed()}
+        self.reshapes = bool(added or self.removed)
+        written = {(ref.header, ref.field) for a in actions
+                   for ref in a.writes() if ref.header not in self.metadata}
+        written.update((h, name) for h in added
+                       for name in program.header_type_of(h).field_names())
         keys = [(header, name) for header, fields in self.metadata.items()
-                for name in fields if steps_only]
-        if self.words:
-            keys += sorted({(ref.header, ref.field) for a in actions
-                            for ref in a.writes()
-                            if ref.header not in self.metadata})
+                for name in fields]
+        keys += sorted(written)
         self.locals = {key: f"_m{i}" for i, key in enumerate(keys)}
         self.word_names = "".join(f", _w{n}" for n in self.slots.values())
-        self.shared = (f"valid, steps{self.word_names}" if self.words
-                       else "headers, valid, steps")
+        self.shared = f"valid, steps{self.word_names}"
 
     # -- names ---------------------------------------------------------
     def word(self, header: str, name: str) -> str:
@@ -340,17 +338,15 @@ class _Emitter(_Source):
     def field(self, ref: ex.FieldRef, guarded: bool = False) -> str:
         """A read; invalid-header reads yield 0 (bmv2 convention)."""
         if ref.header in self.metadata:
-            if self.steps_only:
-                return self.locals[ref.header, ref.field]
-            return f"{self.dicts[ref.header]}.get({ref.field!r}, 0)"
-        if self.words:
-            # A header's word is 0 on every path that leaves it invalid;
-            # a written field's local is not.
-            read = self.locals.get((ref.header, ref.field))
-            if read is None:
-                return f"({self.word(ref.header, ref.field)})"
-        else:
-            read = f"headers[{ref.header!r}].get({ref.field!r}, 0)"
+            return self.locals[ref.header, ref.field]
+        read = self.locals.get((ref.header, ref.field))
+        if read is None:
+            read = f"({self.word(ref.header, ref.field)})"
+            if ref.header not in self.removed:
+                # A header's word is 0 on every path that leaves it
+                # invalid, unless the program removes it; a written
+                # field's local is not.
+                return read
         if guarded:
             return read
         return f"({read} if {ref.header!r} in valid else 0)"
@@ -403,9 +399,8 @@ class _Emitter(_Source):
     # -- actions -------------------------------------------------------
     def assign(self, ref: ex.FieldRef, source, params=(), args="") -> None:
         """Truncating write of ``source`` — an expression, or the text
-        of one — to ``ref``.  A packet-header write is logged, and on an
-        invalid header creates the field dict (a step tail on words: sets
-        the field's local) but not validity."""
+        of one — to ``ref``'s local; on an invalid header it does not
+        make the header valid."""
         width_mask = mask(self.program.field_width(ref))
         if isinstance(source, ex.Const):
             text = repr(source.value & width_mask)
@@ -413,17 +408,7 @@ class _Emitter(_Source):
             if not isinstance(source, str):
                 source = self.value(source, params, args)
             text = f"{source} & {width_mask}"
-        local = self.locals.get((ref.header, ref.field))
-        if local is not None:
-            self.emit(f"{local} = {text}")
-            return
-        if ref.header in self.metadata:
-            self.emit(f"{self.dicts[ref.header]}[{ref.field!r}] = {text}")
-            return
-        self.emit(f"headers.setdefault({ref.header!r}, {{}})"
-                  f"[{ref.field!r}] = {text}")
-        if not self.steps_only:
-            self.emit(f"log.add({ref.header!r})")
+        self.emit(f"{self.locals[ref.header, ref.field]} = {text}")
 
     def register(self, name: str, index: str, value: str = "") -> str:
         """Cell ``index`` (a temporary) of register ``name``; out of range,
@@ -508,16 +493,13 @@ class _Emitter(_Source):
             if reduced:
                 self.assign(prim.dst, reduced)
         elif isinstance(prim, act.AddHeader):
-            # Zero-filled, and logged like any other write.
+            # Zero-filled: every field of an added header is a local.
             names = self.program.header_type_of(prim.header).field_names()
             self.emit(f"valid.add({prim.header!r})")
-            self.emit(f"headers[{prim.header!r}] = "
-                      f"{ {name: 0 for name in names}!r}")
-            if not self.steps_only:
-                self.emit(f"log.add({prim.header!r})")
+            self.emit(" = ".join(self.locals[prim.header, name]
+                                 for name in names) + " = 0")
         elif isinstance(prim, act.RemoveHeader):
             self.emit(f"valid.discard({prim.header!r})")
-            self.emit(f"headers.pop({prim.header!r}, None)")
         elif not isinstance(prim, act.NoOp):
             self.emit(self.fail(f"unknown primitive {prim!r}"))
 
@@ -537,21 +519,16 @@ class _Emitter(_Source):
 
     def split(self, node) -> None:
         """``node`` as a function of its own, called with every local a
-        traversal reads or writes; a step tail's per-packet locals come
-        back as its result."""
+        traversal reads or writes; the per-packet locals come back as
+        its result."""
         body = self.nested(lambda: self.control(node))
         if not body:
             return
-        if self.steps_only:
-            state = ", ".join(self.locals.values()) + ","
-        else:
-            state = ", ".join(["log", *self.dicts.values()])
+        state = ", ".join(self.locals.values()) + ","
         call = f"_f{len(self.functions)}({self.shared}, {state})"
-        self.functions.append([f"def {call}:", *body])
-        if self.steps_only:
-            self.functions[-1].append(f"    return {state}")
-            call = f"{state} = {call}"
-        self.emit(call)
+        self.functions.append([f"def {call}:", *body,
+                               f"    return {state}"])
+        self.emit(f"{state} = {call}")
 
     def branch(self, node: If) -> None:
         then_lines = self.block(lambda: self.control(node.then_node))
@@ -661,8 +638,8 @@ class _Emitter(_Source):
             self.choose(f"{found} is not None", on_hit, on_miss)
 
     # -- the batch loop ------------------------------------------------
-    def function(self) -> Callable:
-        program, steps_only = self.program, self.steps_only
+    def function(self, steps_only: bool) -> Callable:
+        program = self.program
         self.depth = 2  # def, for
         self.control(program.ingress)
         egress = self.block(lambda: self.control(program.egress))
@@ -676,43 +653,32 @@ class _Emitter(_Source):
             "            data, ingress = entry",
             "        else:",
             "            data, ingress = entry, port",
+            # The trace's template, or parsed now (a template of None
+            # re-raises its parse error).
+            "        if template is None:",
+            "            template = parse(data)",
         ]
-        # The packet's template: the trace's, or parsed now (a template
-        # of None re-raises its parse error).  A step tail reads the
-        # words; any other expands them into header dicts.
-        if self.words:
-            self.emit("if template is None:")
-            self.emit("    template = parse(data)")
-            self.emit(f"valid, _, _{self.word_names} = template")
+        if self.reshapes:
+            self.emit(f"base, ident, end{self.word_names} = template")
+            self.emit("valid = set(base)")
         else:
-            self.emit("parsed = fresh(parse(data) if template is None "
-                      "else template, data)")
-            self.emit("headers, valid = parsed.headers, parsed.valid")
+            self.emit(f"valid, ident, end{self.word_names} = template")
         ingress_port = (act.INGRESS_PORT.header, act.INGRESS_PORT.field)
         port = f"ingress & {mask(program.field_width(act.INGRESS_PORT))}"
-        if steps_only:
-            zeroed = []
-            for key, local in self.locals.items():
-                start = port if key == ingress_port else (
-                    "0" if key[0] in self.metadata else self.word(*key))
-                if start == "0":
-                    zeroed.append(local)
-                else:
-                    self.emit(f"{local} = {start}")
-            self.emit(f"{' = '.join(zeroed)} = 0")
-        else:
-            for header, name in self.dicts.items():
-                fresh = "{}"
-                if header == ingress_port[0]:
-                    fresh = f"{{{ingress_port[1]!r}: {port}}}"
-                self.emit(f"{name} = headers[{header!r}] = {fresh}")
-            self.emit(f"valid.update({tuple(self.dicts)!r})")
-            self.emit("log = set()")
+        zeroed = []
+        for key, local in self.locals.items():
+            start = port if key == ingress_port else (
+                "0" if key[0] in self.metadata else self.word(*key))
+            if start == "0":
+                zeroed.append(local)
+            else:
+                self.emit(f"{local} = {start}")
+        self.emit(f"{' = '.join(zeroed)} = 0")
         self.emit("steps = []")
         self.lines.extend(body)
-        drop, punt, port = (
-            self.field(ref)
-            for ref in (act.DROP_FLAG, act.TO_CONTROLLER, act.EGRESS_PORT)
+        drop, punt, port, reason = (
+            self.field(ref) for ref in (act.DROP_FLAG, act.TO_CONTROLLER,
+                                        act.EGRESS_PORT, act.CONTROLLER_REASON)
         )
         if egress:
             self.emit(f"if not ({drop} or {punt}):")
@@ -723,5 +689,51 @@ class _Emitter(_Source):
             self.emit(f"decision = ({port}, {drop} != 0, {punt} != 0)")
             self.emit("decide(distinct.setdefault(decision, decision))")
         else:
-            self.emit("append(result(parsed, data, steps, log))")
+            self.deparse()
+            self.emit(f"append(result(data, output, steps, {port}, "
+                      f"{drop} != 0, {punt} != 0, {reason}))")
         return self.load("replay")[0]
+
+    def deparse(self) -> None:
+        """``output``: valid packet headers in program order, then the
+        payload, as an RMT deparser emits them from the words its
+        parser filled.  A written header's word is rebuilt from its
+        locals; a padded one's pad bits are zeroed.  A path that
+        deparses as it parsed (its template's ``ident``) with no
+        rebuilt word changed, and for a program that adds or removes a
+        header its valid set unchanged, outputs ``data`` itself."""
+        same, chunks = ["ident"], []
+        for i, inst in enumerate(self.program.packet_headers()):
+            header = inst.name
+            codec = get_codec(self.program.header_types[inst.header_type])
+            slot = self.slots.get(header)
+            # The word's unwritten field bits (not its pad), and the
+            # written locals shifted into place.
+            keep, terms = 0, []
+            for name, (shift, fmask) in codec.fields.items():
+                local = self.locals.get((header, name))
+                if local is None:
+                    keep |= fmask << shift
+                else:
+                    terms.append(f"{local} << {shift}" if shift else local)
+            if slot is None or not keep:
+                base = None
+            elif keep == mask(8 * codec.byte_width):
+                base = f"_w{slot}"
+            else:
+                base = f"(_w{slot} & {keep})"
+            word = base
+            if terms:
+                # Bound before the test, which compares it with the word.
+                self.emit(f"_o{i} = {' | '.join(filter(None, [base, *terms]))}")
+                word = f"_o{i}"
+                if slot is not None:
+                    same.append(f"_o{i} == _w{slot}")
+            chunk = (f"{word}.to_bytes({codec.byte_width}, 'big')" if word
+                     else repr(bytes(codec.byte_width)))
+            chunks.append(f"{chunk} if {header!r} in valid else b''")
+        if self.reshapes:
+            same.append("valid == base")
+        chunks.append("data[end:]")
+        self.emit(f"output = data if {' and '.join(same)} else "
+                  f"join(({', '.join(chunks)},))")

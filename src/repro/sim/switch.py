@@ -12,14 +12,17 @@ switch is a *profiling engine* with one switch and one reference:
   on by default): precompiled match structures
   (:class:`repro.sim.match.CompiledTable`) replace the per-packet
   linear entry scans, and a per-program execution plan
-  (:mod:`repro.sim.plan`: one generated function per sink kind)
-  replaces the IR walk, whose deparser re-packs only the headers a
-  packet's writes touched.  The plan compiles the tables it binds; it
-  is built lazily, once per switch and config state.
-* the **reference interpreter** (the switch off): ``_run_control`` /
-  ``_apply_table`` over :mod:`repro.sim.action_interp`, which shares no
-  traversal code with the plan.  The engine is checked against it —
-  bit-identical :class:`SwitchResult` streams on identical inputs
+  (:mod:`repro.sim.plan`: one generated function per sink kind, over
+  header words) replaces the IR walk and deparses from the words: a
+  packet none of whose words changed, on a parse path that deparses as
+  it parsed, is output as its input.  The plan compiles the tables it
+  binds; it is built lazily, once per switch and config state.
+* the **reference interpreter** (the switch off): :meth:`walk`, which
+  parses with ``parse_packet`` and runs ``_run_control`` /
+  ``_apply_table`` over :mod:`repro.sim.action_interp`, then
+  ``deparse_packet``: it shares no code with the plan.  The engine is
+  checked against it — bit-identical :class:`SwitchResult` streams on
+  identical inputs
   (property-tested in ``tests/test_profiling_engine.py`` and
   ``tests/test_execution_plan.py``; semantics argument in DESIGN.md,
   "Profiling engine").  There is no other engine (DESIGN.md §12 says
@@ -48,7 +51,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -64,13 +66,12 @@ from repro.p4.actions import (
 from repro.p4.control import Apply, ControlNode, If, Seq
 from repro.p4.program import Program
 from repro.p4.types import mask
-from repro.packets.packet import get_codec
 from repro.sim.action_interp import Phv, eval_expr, execute_action
 from repro.sim.events import ExecutionStep
 from repro.sim.match import lookup
 from repro.sim.plan import Parser, Plan, build_parser, build_plan
 from repro.sim.runtime import RuntimeConfig
-from repro.sim.parser_engine import ParsedPacket, deparse_packet
+from repro.sim.parser_engine import ParsedPacket, deparse_packet, parse_packet
 from repro.sim.state import SwitchState
 
 
@@ -81,8 +82,6 @@ class SwitchResult:
     index: int
     input_bytes: bytes
     output_bytes: bytes
-    headers: Dict[str, Dict[str, int]]
-    valid: Set[str]
     steps: List[ExecutionStep]
     egress_port: int
     dropped: bool
@@ -105,6 +104,17 @@ class SwitchResult:
 Decision = Tuple[int, bool, bool]
 
 
+def decision_of(headers: Dict[str, Dict[str, int]]) -> Decision:
+    """The forwarding decision in a walked packet's final
+    ``standard_metadata`` (:meth:`BehavioralSwitch.walk`)."""
+    standard = headers[STANDARD_METADATA]
+    return (
+        standard.get("egress_port", 0),
+        bool(standard.get("drop_flag", 0)),
+        bool(standard.get("to_controller", 0)),
+    )
+
+
 class StepSink:
     """A :meth:`BehavioralSwitch.process_many` sink that keeps each
     packet's step log and forwarding decision, and nothing else: the
@@ -114,9 +124,7 @@ class StepSink:
     once).
 
     The type is the declaration: for a ``StepSink`` the batch builds no
-    :class:`SwitchResult` and deparses nothing, and on the execution
-    plan it builds no header dict either: fields are read out of the
-    parse's header words, and metadata lives in locals."""
+    :class:`SwitchResult` and deparses nothing."""
 
     __slots__ = ("paths", "decisions", "_distinct")
 
@@ -126,10 +134,11 @@ class StepSink:
         self._distinct: Dict[Decision, Decision] = {}
 
 
-#: What a parser made of one packet: ``(valid, spans, end, word, ...)``
-#: — its parse path's valid set and span map (one object each per path),
-#: the payload's offset, and one integer per header slot, 0 where the
-#: path extracts none (:class:`repro.sim.plan.Parser`).  Nothing writes it.
+#: What a parser made of one packet: ``(valid, ident, end, word, ...)``
+#: — its parse path's valid set (one object per path) and whether the
+#: path deparses as it parsed, the payload's offset, and one integer per
+#: header slot, 0 where the path extracts none
+#: (:class:`repro.sim.plan.Parser`).  Nothing writes it.
 ParseTemplate = tuple
 
 
@@ -215,17 +224,13 @@ class BehavioralSwitch:
         # The config-mutation stamp the plan was built against.
         self._config_mutations = self.config.mutations
         # Precompiled once per program: the parser (emitted, and shared
-        # by every switch with its parse key), deparse order, metadata
-        # names, and the ingress_port width mask.
+        # by every switch with its parse key), metadata names, and the
+        # ingress_port width mask.
         self._parser: Parser = build_parser(program)
         self._metadata_names = tuple(
             inst.name for inst in program.metadata_headers()
         )
         self._ingress_mask = mask(program.field_width(INGRESS_PORT))
-        self._deparse_plan = tuple(
-            (inst.name, get_codec(program.header_types[inst.header_type]))
-            for inst in program.packet_headers()
-        )
         # The execution plan (repro.sim.plan), bound by the first batch
         # or packet that runs on the engine after the config last
         # changed; never on the reference walk.
@@ -302,121 +307,87 @@ class BehavioralSwitch:
 
     def _replay(self, packets: Sequence, ingress_port: int, sink):
         """The one entry behind :meth:`process` and every kind of batch:
-        the plan's emitted loop for the sink's kind when
-        ``enable_compiled_tables`` is on, else the reference loop —
-        parse (or expand the shared parse), metadata on, the reference
-        walk, then the sink's tail.  What differs between kinds is
-        decided here, once per batch."""
+        the plan's emitted loop for the sink's kind, over the trace's
+        shared parse when it is a :class:`ReplayTrace`, when
+        ``enable_compiled_tables`` is on; else the reference loop."""
         self._prepare()
         steps_only = isinstance(sink, StepSink)
-        run = (
-            self._plan[steps_only] if self.config.enable_compiled_tables
-            else self._reference_replay
-        )
-        parser = self._parser
-        templates = (
-            packets.templates(parser.key, parser.parse)
-            if isinstance(packets, ReplayTrace)
-            else repeat(None)
-        )
-        run(packets, templates, ingress_port, sink)
+        if self.config.enable_compiled_tables:
+            parser = self._parser
+            templates = (
+                packets.templates(parser.key, parser.parse)
+                if isinstance(packets, ReplayTrace)
+                else repeat(None)
+            )
+            self._plan[steps_only](packets, templates, ingress_port, sink)
+        else:
+            self._reference_replay(packets, ingress_port, sink)
         if steps_only:
             # The indices _result would have handed out.
             self._packet_count += len(packets)
         return sink
 
-    def _reference_replay(self, packets, templates, ingress_port, sink):
-        """The reference loop: the emitted loop's oracle."""
-        parse, fresh = self._parser.parse, self._parser.fresh
-        metadata = self._metadata_names
+    def _reference_replay(self, packets, ingress_port, sink):
+        """The reference loop: the emitted loop's oracle, which parses
+        every packet itself and shares nothing with it."""
         steps_only = isinstance(sink, StepSink)
-        for entry, template in zip(packets, templates):
+        for entry in packets:
             if isinstance(entry, tuple):
                 data, port = entry
             else:
                 data, port = entry, ingress_port
-            parsed = fresh(parse(data) if template is None else template, data)
-            # Metadata: always valid, zeroed (dicts filled by writes).
-            headers, valid = parsed.headers, parsed.valid
-            for name in metadata:
-                headers[name] = {}
-            valid.update(metadata)
-            standard = headers[STANDARD_METADATA]
-            standard["ingress_port"] = port & self._ingress_mask
-            steps: List[ExecutionStep] = []
-            # Ingress, then egress for packets the traffic manager
-            # emits: neither dropped nor punted to the controller.
-            phv = Phv(self.program, headers, valid)
-            self._run_control(self.program.ingress, phv, steps)
-            if not (phv.read(DROP_FLAG) or phv.read(TO_CONTROLLER)):
-                self._run_control(self.program.egress, phv, steps)
+            parsed, steps = self.walk(data, port)
+            decision = decision_of(parsed.headers)
             if steps_only:
                 steps = tuple(steps)
                 sink.paths[steps] = sink.paths.get(steps, 0) + 1
-                decision = (
-                    standard.get("egress_port", 0),
-                    bool(standard.get("drop_flag", 0)),
-                    bool(standard.get("to_controller", 0)),
-                )
                 sink.decisions.append(
                     sink._distinct.setdefault(decision, decision)
                 )
             else:
-                sink.append(self._result(parsed, data, steps, None))
+                output = deparse_packet(
+                    self.program, parsed.headers, parsed.valid, parsed.payload
+                )
+                reason = parsed.headers[STANDARD_METADATA].get(
+                    "controller_reason", 0
+                )
+                sink.append(
+                    self._result(data, output, steps, *decision, reason)
+                )
 
-    # ------------------------------------------------------------------
-    def _deparse(self, parsed: ParsedPacket, data: bytes, dirty) -> bytes:
-        """Valid packet headers in declaration order, plus payload.
-
-        A valid header outside ``dirty`` (written / added / removed) is
-        bit-identical to its slice of the incoming packet (pack∘unpack
-        is the identity for byte-aligned headers), so emit the slice;
-        only dirty, padded, or parser-less headers are re-packed — by
-        ``pack_trusted``: every value was masked when written and every
-        field named passed validation (DESIGN.md §5).
-        """
-        headers, valid, spans = parsed.headers, parsed.valid, parsed.spans
-        chunks: List[bytes] = []
-        for name, codec in self._deparse_plan:
-            if name in valid:
-                span = spans.get(name)
-                if span is None or name in dirty or codec.pad:
-                    chunks.append(codec.pack_trusted(headers[name]))
-                else:
-                    chunks.append(data[span[0]:span[1]])
-        chunks.append(parsed.payload)
-        return b"".join(chunks)
+    def walk(
+        self, data: bytes, ingress_port: int = 0
+    ) -> Tuple[ParsedPacket, List[ExecutionStep]]:
+        """The reference walk of one packet: ``parse_packet``, metadata
+        on and zeroed, the ingress control, then the egress control for
+        a packet neither dropped nor punted to the controller.  Returns
+        the packet with its final headers and valid set, and its step
+        log.  Registers advance; the packet index does not."""
+        parsed = parse_packet(self.program, data)
+        headers, valid = parsed.headers, parsed.valid
+        for name in self._metadata_names:
+            headers[name] = {}
+        valid.update(self._metadata_names)
+        headers[STANDARD_METADATA]["ingress_port"] = (
+            ingress_port & self._ingress_mask
+        )
+        steps: List[ExecutionStep] = []
+        phv = Phv(self.program, headers, valid)
+        self._run_control(self.program.ingress, phv, steps)
+        if not (phv.read(DROP_FLAG) or phv.read(TO_CONTROLLER)):
+            self._run_control(self.program.egress, phv, steps)
+        return parsed, steps
 
     def _result(
-        self, parsed: ParsedPacket, data: bytes,
-        steps: List[ExecutionStep], written: Optional[Set[str]],
+        self, data: bytes, output: bytes, steps: List[ExecutionStep],
+        egress_port: int, dropped: bool, to_controller: bool, reason: int,
     ) -> SwitchResult:
-        """The full-result tail: deparse, read the forwarding decision
-        out of ``standard_metadata``, report the traversal."""
-        headers = parsed.headers
-        if written is not None:
-            output = self._deparse(parsed, data, written)
-        else:
-            packet_valid = {
-                h for h in parsed.valid if not self.program.headers[h].metadata
-            }
-            output = deparse_packet(
-                self.program, headers, packet_valid, parsed.payload
-            )
-        standard = headers[STANDARD_METADATA]
+        """A result tail's packet, with the next packet index."""
         index = self._packet_count
         self._packet_count += 1
         return SwitchResult(
-            index=index,
-            input_bytes=data,
-            output_bytes=output,
-            headers=headers,
-            valid=parsed.valid,
-            steps=steps,
-            egress_port=standard.get("egress_port", 0),
-            dropped=bool(standard.get("drop_flag", 0)),
-            to_controller=bool(standard.get("to_controller", 0)),
-            controller_reason=standard.get("controller_reason", 0),
+            index, data, output, steps, egress_port, dropped,
+            to_controller, reason,
         )
 
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.controller import (
     compare_with_offload,
     segment_program,
 )
+from repro.controller.equivalence import same_packet
 from repro.core.phase_offload import (
     enumerate_candidates,
     make_offloaded_program,
@@ -27,6 +28,7 @@ from repro.p4 import (
     FieldRef,
     HashFields,
     If,
+    ModifyField,
     ParamRef,
     ProgramBuilder,
     RegisterRead,
@@ -38,7 +40,7 @@ from repro.p4 import (
 )
 from repro.packets.craft import dns_query
 from repro.packets.headers import ip_to_int
-from repro.programs import example_firewall, failure_detection
+from repro.programs import example_firewall, failure_detection, telemetry
 from repro.programs.common import (
     EXAMPLE_TARGET,
     add_ethernet_ipv4_parser,
@@ -343,3 +345,88 @@ class TestCheckResultWithAnUpstreamDrop:
                 if r_ctl.dropped != r_orig.dropped:
                     flagged.add(index)
         assert flagged == blocked_dns and len(blocked_dns) == 3
+
+
+# ----------------------------------------------------------------------
+# Behaviour is bytes: a value the program writes into the packet.
+
+
+def count_in_header(program):
+    """telemetry with ``dns_hh``'s count written into
+    ``ipv4.identification``, as INT writes a count into a header."""
+    bump = program.actions["dns_hh_bump"]
+    bump = replace(bump, primitives=(*bump.primitives, ModifyField(
+        FieldRef("ipv4", "identification"), FieldRef("dns_hh_meta", "count")
+    )))
+    return replace(program, actions={**program.actions, "dns_hh_bump": bump})
+
+
+def count_in_header_trace():
+    """telemetry's trace plus 600 queries to one resolver from 65 536
+    possible sources: enough flows that fewer cells collide more."""
+    sources = random.Random(7)
+    return telemetry.make_trace(4000) + [
+        dns_query(ip_to_int("10.8.0.0") + sources.randrange(1 << 16),
+                  "192.168.77.9")
+        for _ in range(600)
+    ]
+
+
+class TestOutputBytes:
+    def test_same_packet_compares_bytes_unless_both_drop(
+        self, firewall_program, firewall_config, firewall_trace
+    ):
+        switch = BehavioralSwitch(firewall_program, firewall_config)
+        results = switch.process_many(firewall_trace[:200])
+        forwarded = next(r for r in results if not r.dropped)
+        dropped = next(r for r in results if r.dropped)
+        assert same_packet(forwarded, forwarded)
+        assert not same_packet(
+            forwarded, replace(forwarded, output_bytes=b"other")
+        )
+        assert same_packet(dropped, replace(dropped, output_bytes=b"other"))
+
+    def test_compare_behavior_detects_a_rewritten_field(self):
+        """Every decision holds; the source MAC written on the way out
+        does not."""
+        program = telemetry.build_program()
+        config = telemetry.runtime_config()
+        other = config.clone()
+        other.entries["l2"] = [
+            replace(entry, action_args=(0x02AA00000001,))
+            for entry in other.entries["l2"]
+        ]
+        trace = telemetry.make_trace(300)
+        report = compare_behavior(program, config, program, other, trace)
+        forwarded = [
+            r.index
+            for r in BehavioralSwitch(program, config).process_many(trace)
+            if not r.dropped and "l2" in r.hit_tables()
+        ]
+        assert forwarded and report.mismatches == forwarded
+
+    def test_a_resize_that_changes_a_written_count_is_not_equivalent(self):
+        """Phase 3 shrinks ``dns_hh_reg`` 960 -> 896 (5 -> 4 stages):
+        every forwarding decision holds, but the extra collisions change
+        the counts written into 232 of the 4 600 packets.  Phase 3's
+        profile licence, which compares decisions only, still accepts
+        the resize; the oracle does not."""
+        program = count_in_header(telemetry.build_program())
+        trace = count_in_header_trace()
+        result = P2GO(
+            program, telemetry.runtime_config(), trace, telemetry.TARGET,
+            phases=(2, 3), store=False,
+        ).run()
+        (applied,) = result.applied
+        assert applied.candidate.name == "dns_hh_reg"
+        assert (applied.candidate.original_size,
+                applied.candidate.new_size) == (960, 896)
+        report = check_result(result, telemetry.runtime_config(), trace)
+        assert len(report.mismatches) == 232
+        decisions = [
+            [r.forwarding_decision() for r in
+             BehavioralSwitch(p, c).process_many(trace)]
+            for p, c in ((program, telemetry.runtime_config()),
+                         (result.optimized_program, result.final_config))
+        ]
+        assert decisions[0] == decisions[1]

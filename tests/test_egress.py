@@ -22,6 +22,7 @@ from repro.p4 import (
 from repro.packets import headers as hdr
 from repro.packets.craft import udp_packet
 from repro.sim import BehavioralSwitch, RuntimeConfig
+from repro.sim.parser_engine import parse_packet
 from repro.target import compile_program
 from repro.target.model import TargetModel
 
@@ -97,7 +98,8 @@ class TestSimulation:
         result = switch.process(udp_packet("1.1.1.1", "10.9.9.9", 5, 80))
         assert result.egress_port == 2
         assert "l2_out" in result.hit_tables()
-        assert result.headers["ethernet"]["srcAddr"] == 0x02CC00000002
+        out = parse_packet(program, result.output_bytes)
+        assert out.headers["ethernet"]["srcAddr"] == 0x02CC00000002
 
     def test_egress_skipped_for_dropped_packets(self):
         program = build_router()

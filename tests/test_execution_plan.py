@@ -24,20 +24,28 @@ The bit-identity of whole replays lives in
   parser made them, and a traceback shows the emitted line;
 * the two paths are really separate: on the engine the walker's
   ``execute_action`` is never reached, on the reference no plan is built;
-* the plan's deparser may skip ``pack``'s validation: on every header
-  it re-packs, ``pack_trusted`` and the validating ``pack`` agree.
+* the plan deparses from the header words: its output bytes equal the
+  reference's validating ``deparse_packet`` on the nine bundled programs
+  and the generated cases, plain and instrumented, and on crafted
+  programs with a padded header, an auto-valid header a path does not
+  extract, declarations out of extraction order, and headers added and
+  removed; a packet whose written words come out as they went in is
+  output as its input object; and no emitted tail touches a header dict.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import linecache
 import traceback
 
 import pytest
 
 from repro.exceptions import RuntimeConfigError, SimulationError
+from repro import programs
 from repro.p4 import (
+    AddHeader,
     Apply,
     BinOp,
     Const,
@@ -53,6 +61,7 @@ from repro.p4 import (
     ProgramBuilder,
     RegisterRead,
     RegisterWrite,
+    RemoveHeader,
     Seq,
     SetEgressPort,
     ValidExpr,
@@ -451,11 +460,8 @@ def test_deep_control_trees_replay_as_on_the_walker(chain, sink):
         if tier == "compiled":
             replay = switch._plan[sink is StepSink]
             source = linecache.getlines(replay.__code__.co_filename)
-            # A step tail hands the subtree the header words.
-            assert (
-                "def _f0(valid, steps, _w0," if sink is StepSink
-                else "def _f0(headers, valid, steps,"
-            ) in "".join(source)
+            # Either tail hands the subtree the header words.
+            assert "def _f0(valid, steps, _w0," in "".join(source)
     assert outcomes["compiled"] == outcomes["reference"]
 
 
@@ -478,12 +484,14 @@ def test_switches_differing_only_in_config_share_one_compiled_source():
 # Each specialisation the plan makes at build, against the walker.
 
 
-def _shape_program(ingress):
+def _shape_program(ingress, egress=None):
     """Header ``h`` (``f``, ``g``: 8 bits each), then ``k`` (``x``: 8
     bits) only when ``h.f == 1``; metadata ``m`` (``a``: 8 bits, ``b``:
     16 bits).  Tables: ``tg`` keyed on ``h.g``, ``tfk`` on ``h.f`` and
     ``k.x``, ``tk`` on ``k.x``, the keyless ``tn`` and ``tw``; egress
-    applies ``te``, keyed on the metadata field ``m.a``."""
+    applies ``te``, keyed on the metadata field ``m.a``, or ``egress``.
+    The keyless ``tx`` copies ``m`` into ``h``: ``m.a`` to ``h.f``, and
+    ``h.g`` is 1 where ``m.b == 0x2345``."""
     b = ProgramBuilder("plan_shapes")
     b.header_type("h_t", [("f", 8), ("g", 8)])
     b.header_type("k_t", [("x", 8)])
@@ -513,8 +521,13 @@ def _shape_program(ingress):
     b.table("tw", actions=["wide"], default_action="wide")
     b.table("te", keys=[("m.a", "exact")], actions=["mark", "nop"],
             default_action="nop")
+    b.action("expose", [
+        ModifyField(H_F, M_A),
+        ModifyField(H_G, BinOp("==", FieldRef("m", "b"), Const(0x2345))),
+    ])
+    b.table("tx", actions=["expose"], default_action="expose")
     b.ingress(ingress)
-    b.egress(Apply("te"))
+    b.egress(Apply("te") if egress is None else egress)
     return b.build()
 
 
@@ -593,13 +606,19 @@ def test_wide_constants_are_masked_to_their_fields():
     known to reach the mask."""
     switch = _shape_switch("wide_constant", "compiled")
     result = switch.process(SHAPE_TRACE[1])
-    assert result.headers["h"]["g"] == 0xBC
-    assert result.output_bytes == bytes([0, 0xBC])
+    assert result.output_bytes == bytes([0, 0xBC])  # h.g
     # Egress hit on the masked m.a (0xFF), whose entry then wrote 7 to
     # it and port 2.
     assert result.steps[-1] == ("te", "mark", True)
-    assert result.headers["m"] == {"a": 7, "b": 0x2345}
     assert result.egress_port == 2
+    # The metadata, copied into h after te: m.a == 7, m.b == 0x2345.
+    exposed = BehavioralSwitch(
+        _shape_program(SHAPES["wide_constant"],
+                       egress=Seq([Apply("te"), Apply("tx")])),
+        _tiered(_shape_config(), "compiled"),
+    ).process(SHAPE_TRACE[1])
+    assert exposed.steps[-2:] == [("te", "mark", True), ("tx", "expose", False)]
+    assert exposed.output_bytes == bytes([7, 1])
 
 
 #: A poked entry's action and data, and what the walker raises for it.
@@ -662,55 +681,44 @@ def test_tier_on_never_reaches_the_walker_and_tier_off_builds_no_plan(
 
 
 # ----------------------------------------------------------------------
-# The trusted deparse (DESIGN.md §5): the plan masks every value it
-# writes and names only validated fields, so nothing it re-packs can
-# fail ``pack``'s checks.
+# The deparse from words (DESIGN.md §5): the plan masks every value it
+# writes and rebuilds only the words of headers it writes, so its output
+# is what the reference's validating ``deparse_packet`` packs.
 
 
-class _CheckedCodec:
-    """Stands in for a codec in a switch's deparse plan: every header
-    the fast path packs is packed both ways."""
-
-    def __init__(self, codec, packed):
-        self.pad, self._codec, self._packed = codec.pad, codec, packed
-
-    def pack_trusted(self, values):
-        validated = self._codec.pack(values)  # PacketError = trust misplaced
-        assert self._codec.pack_trusted(values) == validated
-        self._packed.append(self._codec.name)
-        return validated
-
-
-def _assert_deparse_trust_holds(program, fresh_config, trace):
-    packed = []
-    switch = BehavioralSwitch(program, _tiered(fresh_config(), "compiled"))
-    switch._deparse_plan = tuple(
-        (name, _CheckedCodec(codec, packed))
-        for name, codec in switch._deparse_plan
-    )
-    switch.process_many(trace)
-    # The reference validates every header of every packet and rejects
-    # none.
-    reference = BehavioralSwitch(
-        program, _tiered(fresh_config(), "reference")
-    )
-    assert len(reference.process_many(trace)) == len(trace)
-    return packed
+def _assert_bytes_equal_the_reference(program, fresh_config, trace):
+    """Every packet's engine ``output_bytes``, on a plain list and on a
+    :class:`ReplayTrace`, equal the reference loop's ``deparse_packet``
+    (a ``PacketError`` there is a value the engine failed to mask).
+    Returns the engine's results on the plain list."""
+    reference = BehavioralSwitch(program, _tiered(fresh_config(), "reference"))
+    want = [r.output_bytes for r in reference.process_many(trace)]
+    assert len(want) == len(trace)
+    got = None
+    for packets in (list(trace), ReplayTrace(trace)):
+        engine = BehavioralSwitch(program, _tiered(fresh_config(), "compiled"))
+        results = engine.process_many(packets)
+        assert [r.output_bytes for r in results] == want
+        got = got or results
+    return got
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_trusted_pack_equals_validating_pack_on_generated_programs(seed):
-    """Plain and instrumented: the profiling header is the one every
-    packet of a profiling replay re-packs."""
+    """Plain and instrumented: the profiling header is valid on every
+    packet and extracted on none, so every packet of an instrumented
+    replay is rebuilt from its words."""
     case = generate_case(seed)
-    _assert_deparse_trust_holds(case.program, case.config.clone, case.trace)
+    _assert_bytes_equal_the_reference(
+        case.program, case.config.clone, case.trace
+    )
     instrumented = instrument(case.program)
-    packed = _assert_deparse_trust_holds(
+    results = _assert_bytes_equal_the_reference(
         instrumented.program,
         lambda: instrumented.adapt_config(case.config.clone()),
         case.trace,
     )
-    assert packed  # at least the profiling header, on every packet
+    assert all(r.output_bytes is not r.input_bytes for r in results)
 
 
 @pytest.mark.parametrize(
@@ -720,8 +728,180 @@ def test_trusted_pack_equals_validating_pack_on_generated_programs(seed):
 def test_trusted_pack_equals_validating_pack_on_bundled_programs(module):
     program = module.build_program()
     instrumented = instrument(program)
-    assert _assert_deparse_trust_holds(
+    results = _assert_bytes_equal_the_reference(
         instrumented.program,
         lambda: instrumented.adapt_config(_fresh_config(module, program)),
         module.make_trace(300),
     )
+    assert all(r.output_bytes is not r.input_bytes for r in results)
+
+
+#: The nine bundled programs.
+BUNDLED = {name: getattr(programs, name) for name in programs.__all__
+           if name != "EXAMPLE_TARGET"}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_output_bytes_equal_the_reference_deparse(name):
+    """A program that writes no packet field (the firewall) outputs
+    every packet it parses along a path that deparses as it parsed as
+    its input object, with no copy."""
+    module = BUNDLED[name]
+    program = module.build_program()
+    results = _assert_bytes_equal_the_reference(
+        program, lambda: _fresh_config(module, program),
+        module.make_trace(1500),
+    )
+    if module is example_firewall:
+        assert all(r.output_bytes is r.input_bytes for r in results)
+
+
+def _crafted(fields=(("f", 8), ("g", 8)), *, auto=(), order=None,
+             actions=(), entries=()):
+    """Headers ``a`` and ``b`` (``fields`` each) extracted in that order,
+    then ``c`` (one byte) when ``a.f == 1``; ``auto`` headers become
+    auto-valid, and ``order`` reorders the declarations.  Table ``t``,
+    keyed on ``a.f``, runs ``actions`` on ``entries`` (key, action)."""
+    b = ProgramBuilder("crafted")
+    b.header_type("ab_t", list(fields))
+    b.header_type("c_t", [("x", 8)])
+    for name in order or ("a", "b", "c"):
+        b.header(name, "c_t" if name == "c" else "ab_t")
+    b.parser_state("start", extracts=["a", "b"], select="a.f",
+                   transitions={1: "parse_c"})
+    b.parser_state("parse_c", extracts=["c"])
+    for name, primitives in actions:
+        b.action(name, list(primitives))
+    b.action("nop", [])
+    b.table("t", keys=[("a.f", "exact")],
+            actions=[name for name, _ in actions] + ["nop"],
+            default_action="nop")
+    b.ingress(Apply("t"))
+    program = b.build()
+    if auto:
+        program = dataclasses.replace(program, headers={
+            name: dataclasses.replace(inst, auto_valid=name in auto)
+            for name, inst in program.headers.items()
+        })
+
+    def config():
+        fresh = RuntimeConfig()
+        for key, action in entries:
+            fresh.add_entry("t", [key], action)
+        return fresh
+
+    return program, config
+
+
+#: ``a.f`` is 0, 1 (``c`` parsed), 2 and 3; every other byte is set.
+CRAFTED_TRACE = [bytes([0, 0xFF, 0xEE, 0xDD, 0xCC]),
+                 bytes([1, 0xAB, 0x12, 0x34, 0x56, 0x78]),
+                 bytes([2, 0x0F, 0xF0, 0x55]),
+                 bytes([3, 0x01, 0x02, 0x03, 0x04])]
+
+
+def test_a_padded_header_is_rebuilt_with_its_pad_zeroed():
+    """``a`` and ``b`` are 12 bits in 2 bytes: the low nibble of each is
+    pad, and the input's set pad bits do not reach the output."""
+    program, config = _crafted(fields=(("f", 8), ("g", 4)))
+    results = _assert_bytes_equal_the_reference(
+        program, config, CRAFTED_TRACE
+    )
+    assert results[0].output_bytes == bytes([0, 0xF0, 0xEE, 0xD0, 0xCC])
+
+
+def test_an_auto_valid_header_the_path_does_not_extract_is_zero_filled():
+    program, config = _crafted(auto=("c",))
+    results = _assert_bytes_equal_the_reference(
+        program, config, CRAFTED_TRACE
+    )
+    assert results[0].output_bytes == CRAFTED_TRACE[0][:4] + b"\0" + (
+        CRAFTED_TRACE[0][4:]
+    )
+    assert results[1].output_bytes == CRAFTED_TRACE[1]
+
+
+def test_the_deparse_follows_program_order_not_extraction_order():
+    program, config = _crafted(order=("b", "a", "c"))
+    results = _assert_bytes_equal_the_reference(
+        program, config, CRAFTED_TRACE
+    )
+    assert results[0].output_bytes == bytes([0xEE, 0xDD, 0, 0xFF, 0xCC])
+
+
+def test_headers_added_and_removed_are_word_operations():
+    """``c`` is added zero-filled (no word changes, only the valid set),
+    removed (likewise), or added and then written; on the last packet
+    ``c`` is removed and written while invalid, and ``b`` is written,
+    removed and added back."""
+    c_x, b_g = FieldRef("c", "x"), FieldRef("b", "g")
+    program, config = _crafted(actions=[
+        ("add", [AddHeader("c")]),
+        ("remove", [RemoveHeader("c")]),
+        ("add_write", [AddHeader("c"), ModifyField(c_x, Const(9))]),
+        ("reshape", [RemoveHeader("c"), ModifyField(c_x, Const(5)),
+                     ModifyField(b_g, Const(3)), RemoveHeader("b"),
+                     AddHeader("b")]),
+    ], entries=[(0, "add"), (1, "remove"), (2, "add_write"), (3, "reshape")])
+    results = _assert_bytes_equal_the_reference(
+        program, config, CRAFTED_TRACE
+    )
+    assert [r.output_bytes for r in results] == [
+        bytes([0, 0xFF, 0xEE, 0xDD, 0, 0xCC]),
+        bytes([1, 0xAB, 0x12, 0x34, 0x78]),
+        bytes([2, 0x0F, 0xF0, 0x55, 9]),
+        bytes([3, 0x01, 0, 0, 0x04]),
+    ]
+    _assert_bytes_equal_the_reference(
+        nat_gre.build_program(), nat_gre.runtime_config,
+        nat_gre.make_trace(600),
+    )
+
+
+def test_a_write_of_the_value_already_there_outputs_the_input():
+    """``a.g`` is written with what it holds on the first packet: the
+    rebuilt word equals the parsed one, so the output is the input
+    object itself.  On the second it changes."""
+    program, config = _crafted(actions=[
+        ("same", [ModifyField(FieldRef("a", "g"), Const(0xFF))]),
+    ], entries=[(0, "same"), (1, "same")])
+    results = _assert_bytes_equal_the_reference(
+        program, config, CRAFTED_TRACE
+    )
+    assert results[0].output_bytes is results[0].input_bytes
+    assert results[1].output_bytes == bytes([1, 0xFF, 0x12, 0x34, 0x56, 0x78])
+    assert results[2].output_bytes is results[2].input_bytes
+
+
+def _tail_sources(program, config, trace):
+    switch = BehavioralSwitch(program, config)
+    switch.process_many(trace)
+    switch.process_many(trace, into=StepSink())
+    return ["".join(linecache.getlines(switch._plan[kind].__code__.co_filename))
+            for kind in (False, True)]
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + ["generated"])
+def test_no_emitted_tail_touches_a_header_dict(name):
+    """Both tails of every bundled program, plain and instrumented (and
+    of the first five generated cases) run on words: no header dict, no
+    expanded parse, no write log."""
+    if name == "generated":
+        inputs = [(c.program, c.config.clone, c.trace)
+                  for c in map(generate_case, range(5))]
+    else:
+        module = BUNDLED[name]
+        program = module.build_program()
+        inputs = [(program, lambda: _fresh_config(module, program),
+                   module.make_trace(60))]
+    for program, config, trace in list(inputs):
+        instrumented = instrument(program)
+        inputs.append((
+            instrumented.program,
+            lambda i=instrumented, c=config: i.adapt_config(c()),
+            trace,
+        ))
+    for program, config, trace in inputs:
+        for source in _tail_sources(program, config(), trace):
+            for text in ("headers[", "fresh(", "log.add"):
+                assert text not in source

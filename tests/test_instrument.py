@@ -129,6 +129,21 @@ class TestBehaviorPreserved:
             assert a.forwarding_decision() == b.forwarding_decision()
 
 
+def bits_in_output(program, instrumented, output):
+    """§3.1's actual mechanism: the (table, action) pairs marked in the
+    emitted packet bytes.  The profiling header sits between the
+    original headers and the payload: re-parse with the original parser
+    to find it."""
+    start = len(output) - len(parse_packet(program, output).payload)
+    profile_type = instrumented.program.header_types[PROFILE_HEADER_TYPE]
+    values = unpack_fields(
+        profile_type, output[start:start + profile_type.byte_width]
+    )
+    return {
+        pair for pair, name in instrumented.bit_fields.items() if values[name]
+    }
+
+
 class TestDecoding:
     def test_bits_reflect_executed_actions(self):
         program = build_toy_program()
@@ -138,7 +153,7 @@ class TestDecoding:
             instrumented.program, instrumented.adapt_config(config)
         )
         result = switch.process(udp_packet("1.1.1.1", "10.0.0.9", 5, 53))
-        pairs = set(instrumented.decode_result_bits(result.headers))
+        pairs = bits_in_output(program, instrumented, result.output_bytes)
         assert pairs == {("fib", "fwd"), ("acl", "deny")}
 
     def test_miss_sets_default_bit(self):
@@ -149,16 +164,19 @@ class TestDecoding:
             instrumented.program, instrumented.adapt_config(config)
         )
         result = switch.process(udp_packet("1.1.1.1", "10.0.0.9", 5, 80))
-        pairs = set(instrumented.decode_result_bits(result.headers))
+        pairs = bits_in_output(program, instrumented, result.output_bytes)
         assert ("acl", "NoAction") in pairs
 
     def test_packet_level_decode_matches_phv_decode(self):
-        """§3.1's actual mechanism: read the marked bits off the emitted
-        packet bytes."""
+        """The bits in the engine's emitted bytes are the bits in the
+        reference walk's final PHV."""
         program = build_toy_program()
         config = toy_config()
         instrumented = instrument(program)
         switch = BehavioralSwitch(
+            instrumented.program, instrumented.adapt_config(config)
+        )
+        walker = BehavioralSwitch(
             instrumented.program, instrumented.adapt_config(config)
         )
         for pkt in (
@@ -166,24 +184,11 @@ class TestDecoding:
             dns_query("2.2.2.2", "8.8.8.8"),
         ):
             result = switch.process(pkt)
-            from_phv = set(instrumented.decode_result_bits(result.headers))
-            # The profiling header sits between the original headers and
-            # the payload: re-parse with the original parser to find it.
-            output = result.output_bytes
-            start = len(output) - len(
-                parse_packet(program, output).payload
+            parsed, _steps = walker.walk(pkt)
+            from_phv = set(instrumented.decode_result_bits(parsed.headers))
+            from_bytes = bits_in_output(
+                program, instrumented, result.output_bytes
             )
-            profile_type = instrumented.program.header_types[
-                PROFILE_HEADER_TYPE
-            ]
-            values = unpack_fields(
-                profile_type,
-                output[start:start + profile_type.byte_width],
-            )
-            from_bytes = {
-                pair for pair, name in instrumented.bit_fields.items()
-                if values[name]
-            }
             assert from_bytes == from_phv
 
     def test_adapt_config_rejects_unknown_table(self):

@@ -144,7 +144,6 @@ def test_cold_optimize_folds_each_distinct_step_log_once(monkeypatch):
     folds = []
     distinct_paths = []
     built = []
-    deparsed = []
     replaying = [False]
     real_fold = profiler_module.path_facts
 
@@ -167,10 +166,6 @@ def test_cold_optimize_folds_each_distinct_step_log_once(monkeypatch):
             distinct_paths.append(len(sink.paths))
             return sink
 
-        def _deparse(self, *args):
-            deparsed.append(replaying[0])
-            return super()._deparse(*args)
-
     monkeypatch.setattr(profiler_module, "path_facts", counting_fold)
     monkeypatch.setattr(profiler_module, "BehavioralSwitch", CountingSwitch)
     monkeypatch.setattr(switch_module, "SwitchResult", CountingResult)
@@ -186,4 +181,3 @@ def test_cold_optimize_folds_each_distinct_step_log_once(monkeypatch):
     assert replays == len(distinct_paths) >= 2
     assert len(folds) <= sum(distinct_paths) < 4000
     assert True not in built
-    assert True not in deparsed

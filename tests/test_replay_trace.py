@@ -8,16 +8,17 @@ writes (DESIGN.md §5, "What replays share").  Pinned here:
 * **oracle** — the emitted parser (:func:`repro.sim.plan.build_parser`)
   equals the reference parser,
   :func:`repro.sim.parser_engine.parse_packet`, which shares no code
-  with it, in headers, validity, payload and spans: on every template,
+  with it, in header values, validity and payload, and its ``ident``
+  flag says whether the path deparses as it parsed: on every template,
   and on every prefix of the first packets of every bundled program and
   generated case, where both raise the same error or neither does;
 * **words** — a profiling replay reads header fields out of the words:
-  no header dict, a local per written field, and the header dicts only
-  where the program adds or removes a header;
+  no header dict, a local per written field, and a program that adds or
+  removes a header copies only its valid set;
 * **isolation** — replaying header-rewriting inputs twice through one
   session trace gives the results and register state of two plain-list
-  replays, output bytes included; a profiling replay, which copies only
-  the header dicts its plan writes, leaves every template as the parser
+  replays, output bytes included; a profiling replay, which writes only
+  locals and its own valid set, leaves every template as the parser
   made it;
 * **parse errors** — a packet that fails to parse is not memoized and
   fails at the same index, with the same error, on every replay;
@@ -60,7 +61,8 @@ from repro.sim import BehavioralSwitch
 from repro.sim import switch as switch_module
 from repro.sim.plan import build_parser
 from repro.sim.runtime import RuntimeConfig
-from repro.sim.parser_engine import parse_packet
+from repro.packets.packet import unpack_fields
+from repro.sim.parser_engine import deparse_packet, parse_packet
 from repro.sim.switch import ReplayTrace, StepSink
 from tests.test_profiling_engine import (
     BIT_IDENTITY_INPUTS,
@@ -78,13 +80,35 @@ def _templates(program, config, trace):
     return templates
 
 
-def _assert_parses_alike(parser, expected, template, data):
-    """``template`` stands for the reference parse ``expected``."""
-    parsed = parser.fresh(template, data)
-    assert parsed.headers == expected.headers
-    assert parsed.valid == expected.valid
-    assert parsed.payload == expected.payload
-    assert parsed.spans == expected.spans
+def _assert_parses_alike(program, parser, expected, template, data):
+    """``template`` stands for the reference parse ``expected``: its
+    valid set, payload and each slot's word (0 where the path extracts
+    none), and ``ident`` is whether the valid packet headers, in program
+    order, are the extracted ones, each once, none padded."""
+    valid, ident, end, *words = template
+    assert valid == expected.valid
+    assert data[end:] == expected.payload
+    for header, slot in parser.slots.items():
+        header_type = program.header_type_of(header)
+        got = unpack_fields(
+            header_type, words[slot].to_bytes(header_type.byte_width, "big")
+        )
+        if header in expected.spans:
+            assert got == expected.headers[header]
+        else:
+            assert not any(got.values())
+    deparsed = [inst.name for inst in program.packet_headers()
+                if inst.name in expected.valid]
+    assert ident == (
+        deparsed == list(expected.spans)
+        and sum(e - s for s, e in expected.spans.values()) == end
+        and not any(program.header_type_of(h).bit_width % 8
+                    for h in deparsed)
+    )
+    if ident:
+        assert deparse_packet(
+            program, expected.headers, expected.valid, expected.payload
+        ) == data
 
 
 def _assert_templates_match_reference_parser(program, config, trace):
@@ -98,7 +122,7 @@ def _assert_templates_match_reference_parser(program, config, trace):
         except SimulationError:
             assert template is None
             continue
-        _assert_parses_alike(parser, expected, template, data)
+        _assert_parses_alike(program, parser, expected, template, data)
 
 
 @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_INPUTS))
@@ -138,7 +162,7 @@ def _assert_parse_parity_at_every_truncation(program, trace):
             )
             assert error == expected_error, (k, data)
             if template is not None:
-                _assert_parses_alike(parser, expected, template, data)
+                _assert_parses_alike(program, parser, expected, template, data)
 
 
 #: The nine bundled programs.
@@ -244,15 +268,14 @@ def test_concurrent_replays_of_one_trace_stay_isolated():
 
 
 # ----------------------------------------------------------------------
-# A profiling replay shares every header dict its plan never writes.
+# A profiling replay never writes the parse it shares.
 
 
 class header_ops:
     """Shaped like a program module: ``h1`` is parsed on half the
     packets, and ``t0`` (keyed on ``h0.f``) adds it, adds and then
-    writes it, removes it, or removes and then writes it.  Adding a
-    header replaces its dict and removing one drops it, so of these only
-    the plain writes need a private copy of the parse."""
+    writes it, removes it, or removes and then writes it: each is a
+    write to the replay's own locals and valid set."""
 
     @staticmethod
     def build_program():
@@ -372,9 +395,13 @@ def test_a_written_packet_field_is_a_local():
                for line in source.splitlines()) >= 2
 
 
-def test_a_program_that_removes_a_header_expands_the_words():
+def test_a_program_that_removes_a_header_runs_on_words():
+    """nat_gre removes ``gre``: its step tail copies the path's valid
+    set and discards from the copy, and builds no header dict."""
     source = _step_tail_source(nat_gre)
-    assert "fresh(" in source and "headers.pop('gre', None)" in source
+    assert "headers" not in source and "fresh(" not in source
+    assert "valid = set(base)" in source
+    assert "valid.discard('gre')" in source
 
 
 # ----------------------------------------------------------------------

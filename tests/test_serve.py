@@ -7,6 +7,7 @@ alerts must be keyed to the new baseline.
 """
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -21,8 +22,10 @@ from repro.core.serve import (
     parse_packet_line,
     serve_forever,
 )
+from repro.p4 import Const, FieldRef, ModifyField
 from repro.packets.craft import udp_packet
 from repro.programs import example_firewall as fw
+from repro.sim import BehavioralSwitch
 
 BASELINE_PACKETS = 3000
 SCENARIO_PACKETS = 1600
@@ -183,6 +186,40 @@ class TestPromotionGate:
         # Rejection never interrupts serving.
         assert stats.packets_processed == 1200
         assert stats.misprocessed == 0
+
+
+class TestMisprocessed:
+    def test_a_packet_forwarded_with_other_bytes_is_misprocessed(self):
+        """The monitor compares output bytes too: a serving program that
+        forwards as the original does but rewrites the TTL misprocesses
+        every packet it forwards."""
+        optimizer = ContinuousOptimizer(
+            fw.build_program(),
+            fw.runtime_config(),
+            fw.make_trace(600, seed=0),
+            fw.TARGET,
+            window=WINDOW,
+            workers=0,
+        )
+        packets = [
+            udp_packet("10.0.0.1", "10.0.0.2", 1234, port)
+            for port in range(4000, 4010)
+        ]
+        result = optimizer.run(TraceFeed(packets), max_packets=len(packets))
+        assert result.stats.misprocessed == 0
+        program = fw.build_program()
+        forward = program.actions["ipv4_forward"]
+        forward = replace(forward, primitives=(
+            *forward.primitives, ModifyField(FieldRef("ipv4", "ttl"), Const(1))
+        ))
+        rewriting = replace(
+            program, actions={**program.actions, "ipv4_forward": forward}
+        )
+        optimizer._serving = BehavioralSwitch(rewriting, fw.runtime_config())
+        for packet in packets:
+            optimizer._process_packet(packet)
+        assert result.stats.misprocessed == len(packets)
+        assert result.stats.packets_dropped == 0
 
 
 class TestAsyncMode:

@@ -28,6 +28,7 @@ from repro.p4 import (
 from repro.p4.types import CPU_PORT, DROP_PORT
 from repro.packets import headers as hdr
 from repro.packets.craft import dns_query, plain_ipv4_packet, udp_packet
+from repro.packets.packet import unpack_fields
 from repro.sim import BehavioralSwitch, ExecutionStep, RuntimeConfig
 from repro.sim.parser_engine import deparse_packet, parse_packet
 from tests.conftest import build_toy_program, toy_config
@@ -70,17 +71,41 @@ class TestForwarding:
         steps = {s.table: s.hit for s in result.steps}
         assert steps == {"fib": True, "acl": False}
 
-    def test_ingress_port_metadata(self, switch):
-        result = switch.process(
+    @staticmethod
+    def echo_port_switch():
+        """The toy program, with ``ingress_port`` copied into
+        ``udp.srcPort`` on the way out."""
+        b = ProgramBuilder("echo_port")
+        for t in (hdr.ETHERNET, hdr.IPV4, hdr.UDP):
+            b.header_type(t.name, [(f.name, f.width) for f in t.fields])
+        for name in ("ethernet", "ipv4", "udp"):
+            b.header(name, f"{name}_t")
+        b.parser_state("start", extracts=["ethernet", "ipv4", "udp"])
+        b.action("echo", [ModifyField(
+            FieldRef("udp", "srcPort"),
+            FieldRef("standard_metadata", "ingress_port"),
+        )])
+        b.table("t", keys=[], actions=[], default_action="echo")
+        b.ingress(Apply("t"))
+        return BehavioralSwitch(b.build())
+
+    @staticmethod
+    def echoed_port(result):
+        return parse_packet(
+            build_toy_program(), result.output_bytes
+        ).headers["udp"]["srcPort"]
+
+    def test_ingress_port_metadata(self):
+        result = self.echo_port_switch().process(
             udp_packet("1.1.1.1", "10.2.3.4", 10, 20), ingress_port=7
         )
-        assert result.headers["standard_metadata"]["ingress_port"] == 7
+        assert self.echoed_port(result) == 7
 
-    def test_trace_with_per_packet_ports(self, switch):
+    def test_trace_with_per_packet_ports(self):
         pkt = udp_packet("1.1.1.1", "10.2.3.4", 10, 20)
-        results = switch.process_many([pkt, (pkt, 9)])
-        assert results[0].headers["standard_metadata"]["ingress_port"] == 0
-        assert results[1].headers["standard_metadata"]["ingress_port"] == 9
+        results = self.echo_port_switch().process_many([pkt, (pkt, 9)])
+        assert self.echoed_port(results[0]) == 0
+        assert self.echoed_port(results[1]) == 9
 
 
 class TestHitMissBranches:
@@ -123,9 +148,17 @@ class TestHitMissBranches:
 
 
 class TestStatefulProcessing:
+    """The metadata a test reads is copied into ``h`` by ``bump``, so it
+    is observed in the output bytes."""
+
+    def out(self, result):
+        h_t = self.build_counter_program().header_types["h_t"]
+        return unpack_fields(h_t, result.output_bytes)
+
     def build_counter_program(self):
         b = ProgramBuilder("counter")
-        b.header_type("h_t", [("key", 16)]).header("h", "h_t")
+        b.header_type("h_t", [("key", 16), ("count", 32), ("low", 32)])
+        b.header("h", "h_t")
         b.parser_state("start", extracts=["h"])
         b.metadata("m", [("idx", 32), ("count", 32), ("low", 32)])
         b.register("reg", width=32, size=8)
@@ -140,6 +173,8 @@ class TestStatefulProcessing:
                 AddToField(FieldRef("m", "count"), Const(1)),
                 RegisterWrite("reg", FieldRef("m", "idx"), FieldRef("m", "count")),
                 MinOf(FieldRef("m", "low"), FieldRef("m", "count"), Const(3)),
+                ModifyField(FieldRef("h", "count"), FieldRef("m", "count")),
+                ModifyField(FieldRef("h", "low"), FieldRef("m", "low")),
             ],
         )
         b.table("counter", keys=[], actions=[], default_action="bump")
@@ -165,7 +200,7 @@ class TestStatefulProcessing:
         sw = BehavioralSwitch(program)
         pkt = pack_fields(program.header_types["h_t"], {"key": 42})
         counts = [
-            sw.process(pkt).headers["m"]["count"] for _ in range(4)
+            self.out(sw.process(pkt))["count"] for _ in range(4)
         ]
         assert counts == [1, 2, 3, 4]
 
@@ -193,10 +228,10 @@ class TestStatefulProcessing:
         program = self.build_counter_program()
         sw = BehavioralSwitch(program)
         pkt = pack_fields(program.header_types["h_t"], {"key": 1})
-        assert sw.process(pkt).headers["m"]["low"] == 1  # min(1, 3)
+        assert self.out(sw.process(pkt))["low"] == 1  # min(1, 3)
         sw.process(pkt)
         sw.process(pkt)
-        assert sw.process(pkt).headers["m"]["low"] == 3  # min(4, 3)
+        assert self.out(sw.process(pkt))["low"] == 3  # min(4, 3)
 
     def test_reset_state(self):
         from repro.packets.packet import pack_fields
@@ -208,7 +243,7 @@ class TestStatefulProcessing:
             sw.process(pkt)
         sw.reset_state()
         first = sw.process(pkt)
-        assert first.headers["m"]["count"] == 1
+        assert self.out(first)["count"] == 1
         assert first.index == 0
 
     def test_register_inits_applied_and_reapplied(self):
@@ -223,9 +258,9 @@ class TestStatefulProcessing:
         )
         sw = BehavioralSwitch(program, cfg)
         pkt = pack_fields(program.header_types["h_t"], {"key": 42})
-        assert sw.process(pkt).headers["m"]["count"] == 11
+        assert self.out(sw.process(pkt))["count"] == 11
         sw.reset_state()
-        assert sw.process(pkt).headers["m"]["count"] == 11
+        assert self.out(sw.process(pkt))["count"] == 11
 
 
 class TestDeparsing:

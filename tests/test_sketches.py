@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ReproError
+from repro.p4 import FieldRef, ModifyField
+from repro.packets.packet import unpack_fields
 from repro.sketches import BloomFilter, CountMinSketch
 from repro.sketches.dataplane import add_bloom_filter, add_count_min_sketch
 
@@ -115,13 +117,18 @@ class TestDataplaneEquivalence:
         from repro.p4 import ProgramBuilder, Apply, Seq
 
         b = ProgramBuilder("cmsprog")
-        b.header_type("k_t", [("a", 32), ("b", 32)])
+        # ``count`` carries the estimate out in the packet.
+        b.header_type("k_t", [("a", 32), ("b", 32), ("count", 32)])
         b.header("k", "k_t")
         b.parser_state("start", extracts=["k"])
         fragment = add_count_min_sketch(
             b, name="cms", key_fields=["k.a", "k.b"], cells=cells
         )
-        b.ingress(Seq([Apply(t) for t in fragment.tables]))
+        b.action("expose", [ModifyField(
+            FieldRef("k", "count"), FieldRef("cms_meta", "count")
+        )])
+        b.table("out", keys=[], actions=[], default_action="expose")
+        b.ingress(Seq([Apply(t) for t in (*fragment.tables, "out")]))
         return b.build(), fragment
 
     def test_counts_match_software(self):
@@ -139,7 +146,9 @@ class TestDataplaneEquivalence:
                 program.header_types["k_t"], {"a": a, "b": b_val}
             )
             result = switch.process(pkt)
-            hardware = result.headers["cms_meta"]["count"]
+            hardware = unpack_fields(
+                program.header_types["k_t"], result.output_bytes
+            )["count"]
             software_est = software.update(((a, 32), (b_val, 32)))
             assert hardware == software_est
             last_estimates[(a, b_val)] = hardware
@@ -152,13 +161,19 @@ class TestDataplaneEquivalence:
         from repro.sketches.dataplane import preload_bloom_filter
 
         b = ProgramBuilder("bfprog")
-        b.header_type("k_t", [("a", 32)])
+        # ``bit0`` / ``bit1`` carry the checks out in the packet.
+        b.header_type("k_t", [("a", 32), ("bit0", 8), ("bit1", 8)])
         b.header("k", "k_t")
         b.parser_state("start", extracts=["k"])
         fragment = add_bloom_filter(
             b, name="bf", key_fields=["k.a"], sizes=[64, 64]
         )
-        b.ingress(Seq([Apply(t) for t in fragment.check_tables]))
+        b.action("expose", [
+            ModifyField(FieldRef("k", bit), FieldRef("bf_meta", bit))
+            for bit in ("bit0", "bit1")
+        ])
+        b.table("out", keys=[], actions=[], default_action="expose")
+        b.ingress(Seq([Apply(t) for t in (*fragment.check_tables, "out")]))
         program = b.build()
 
         members = [((i, 32),) for i in (5, 9, 12)]
@@ -173,10 +188,8 @@ class TestDataplaneEquivalence:
         for value in range(20):
             pkt = pack_fields(program.header_types["k_t"], {"a": value})
             result = switch.process(pkt)
-            hardware_hit = (
-                result.headers["bf_meta"]["bit0"] == 1
-                and result.headers["bf_meta"]["bit1"] == 1
-            )
+            out = unpack_fields(program.header_types["k_t"], result.output_bytes)
+            hardware_hit = out["bit0"] == 1 and out["bit1"] == 1
             assert hardware_hit == software.contains(((value, 32),))
 
 
