@@ -10,13 +10,29 @@ import pytest
 
 from repro.core.phase_dependencies import run_phase as dep_phase
 from repro.core.phase_memory import (
+    ResourceKind,
     find_candidates,
-    linear_minimal_reduction,
     minimal_reduction,
 )
 from repro.core.profiler import Profiler
 from repro.core.session import OptimizationContext
 from repro.target import compile_program
+
+
+def linear_minimal_reduction(ctx, program, candidate, baseline_stages, step):
+    """The linear-scan baseline: walk down from the original size, one
+    compile per ``step``, until a stage is saved."""
+    if candidate.kind is ResourceKind.TABLE:
+        resize = program.with_table_size
+    else:
+        resize = program.with_register_size
+    size = candidate.original_size - step
+    while size > candidate.original_size // 2:
+        stages = ctx.compile(resize(candidate.name, size)).stages_used
+        if stages < baseline_stages:
+            return size
+        size -= step
+    return candidate.original_size // 2
 
 
 @pytest.fixture(scope="module")

@@ -12,16 +12,14 @@ Commands:
   here) and what it cost (packets, per-table lookups).  ``--reference``
   replays on the reference interpreter (the oracle, not a speed
   setting).
-* ``optimize PROGRAM --config CFG --trace PCAP [--workers N]
+* ``optimize PROGRAM --config CFG --trace PCAP
   [--store PATH | --no-store]`` — the full pipeline; writes the
   optimized program (DSL) and the observation report (which includes
   the session line: per probe kind, how many calls the memo, the disk
-  store or an execution answered).  ``--workers`` probes
-  independent candidates concurrently (default: the ``P2GO_WORKERS``
-  environment variable, then 1 — the result is identical for any
-  worker count); ``--store`` warm-starts from (and persists to) a
-  cross-run disk cache (default: the ``P2GO_STORE`` environment
-  variable, then no store; ``--no-store`` forces a memory-only run).
+  store or an execution answered).  ``--store`` warm-starts from (and
+  persists to) a cross-run disk cache (default: the ``P2GO_STORE``
+  environment variable, then no store; ``--no-store`` forces a
+  memory-only run).
 * ``store stats|clear [--store PATH]`` — inspect or empty the
   persistent store (default root: ``$P2GO_STORE``, then
   ``~/.cache/p2go``); ``stats`` breaks entries and bytes down per
@@ -59,7 +57,7 @@ Commands:
 * ``fuzz [--seed N] [--iterations N] [--time-budget S] [--axes a,b]
   [--shrink/--no-shrink] [--repro-dir DIR]`` — seeded differential
   fuzzing of the optimizer: random well-formed programs + traces, each
-  checked on the behaviour/engine/workers/store/order oracle axes;
+  checked on the behaviour/engine/store/order oracle axes;
   failures are shrunk to minimal replayable repro files.  Exit code 1
   when any axis disagrees.  ``--replay FILE`` re-runs a repro file
   instead; ``--break-optimizer`` sabotages the optimized program on
@@ -193,7 +191,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         target,
         phases=phases,
         max_redirect_fraction=args.max_redirect,
-        workers=args.workers,
         store=store,
     ).run()
     print(render_report(result))
@@ -604,14 +601,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--max-redirect", type=float, default=0.10,
                        help="controller-load budget (default 0.10)")
     p_opt.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="evaluate independent candidate probes with this many "
-        "workers (default: $P2GO_WORKERS, then 1; the optimization "
-        "result is identical for any value)",
-    )
-    p_opt.add_argument(
         "--store",
         metavar="PATH",
         default=None,
@@ -835,8 +824,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="0: re-optimize inline in the ingest loop (deterministic "
         "counters); N>=1: re-optimize in a worker thread while "
-        "traffic keeps flowing, probing candidates with N workers "
-        "(default 1)",
+        "traffic keeps flowing (default 1)",
     )
     p_serve.add_argument(
         "--seed", type=int, default=0,
@@ -898,7 +886,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--axes", default=None,
         help="comma-separated oracle axes (default: all of "
-        "behavior,engine,workers,store,order)",
+        "behavior,engine,store,order)",
     )
     p_fuzz.add_argument(
         "--shrink", default=True, action=argparse.BooleanOptionalAction,

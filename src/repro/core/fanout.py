@@ -13,13 +13,12 @@ the two verbs used to spell separately lives here once:
   and the handle's settings — size cap, lease TTL, code fingerprint —
   cross the process boundary, every task opens its own handle);
 * the pool factory (:func:`make_pool`) with its thread fallback — the
-  only place under ``repro`` that constructs a probe/fan-out executor
-  (the session's batch probes use it too);
+  only place under ``repro`` that constructs a process pool;
 * one shared store root as the only channel between workers — its
   leases (DESIGN.md §13) are what keeps two of them from executing the
   same fingerprinted probe;
-* always-close of the task's session, so its pool is released even
-  when the task raises;
+* always-close of the task's session, so its trace's parses are
+  dropped even when the task raises;
 * cancel-on-first-error shutdown: a failed task surfaces at once
   instead of after every still-queued run has been executed.
 """

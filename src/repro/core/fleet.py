@@ -9,10 +9,9 @@ shared persistent store**
 (:class:`~repro.core.store.SessionStore`), so a probe any switch has
 paid for answers every other switch's identical probe from disk, and
 the store's probe leases dedupe probes that are *in flight* in two
-processes at once (the cross-process analogue of ``probe_many``'s
-in-process dedup).
+processes at once.
 
-Contract, mirroring PR 4's parallel-probing contract:
+Contract:
 
 * **Determinism.**  Each switch's result is canonically identical to a
   standalone ``P2GO.run()`` over the same inputs, for any coordinator
@@ -27,9 +26,8 @@ Contract, mirroring PR 4's parallel-probing contract:
   is a reaped lease (a holder dead past the TTL), where re-execution is
   the correct degradation.
 
-The per-switch sessions run serial probes (``workers=1``): fleet
-parallelism is at switch granularity, which avoids nested process
-pools and keeps every child process a pure function of its run.
+Fleet parallelism is at switch granularity: every child process is a
+pure function of its run.
 
 ``tests/test_fleet.py`` pins the contract; the stack benchmark's
 ``fleet_shared`` workload measures it and re-checks equivalence with
@@ -102,8 +100,8 @@ def build_fabric(
     packets: Optional[int] = None,
 ) -> List[SwitchRun]:
     """A fabric of ``size`` switches cycling through ``families``, each
-    a self-contained :class:`~repro.core.pipeline.SwitchRun` (serial
-    probes — fleet parallelism is at switch granularity).
+    a self-contained :class:`~repro.core.pipeline.SwitchRun` (fleet
+    parallelism is at switch granularity).
 
     Switch ``i`` runs family ``families[i % len(families)]`` with a
     per-switch trace (``seed + i`` feeds the family's traffic
@@ -125,7 +123,6 @@ def build_fabric(
             SwitchRun(
                 *family_inputs(family, packets, seed + index),
                 name=f"sw{index:02d}-{family}",
-                workers=1,
             )
         )
     return runs

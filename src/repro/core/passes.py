@@ -133,12 +133,7 @@ class OptimizationPass(Protocol):
 
 
 class PassManager:
-    """Runs a sequence of passes over one optimization session.
-
-    Passes may evaluate independent candidates through the session's
-    batch probe (``probe_many``); the manager's own accept loop stays
-    strictly serial.
-    """
+    """Runs a sequence of passes over one optimization session."""
 
     def __init__(
         self,

@@ -289,10 +289,6 @@ class DependencyRemovalPass:
     phase: Phase = dc_field(default=Phase.REMOVE_DEPENDENCIES, init=False)
 
     def run(self, ctx: OptimizationContext) -> PassResult:
-        # The round's two probes — compile and trace replay of the
-        # current program — are independent; one mixed batch evaluates
-        # them concurrently (serially when the session has one worker).
-        compiled, profiled = ctx.probe_many(
-            programs=[ctx.program], variants=[(None, None)]
-        )
-        return run_phase(ctx.program, compiled[0], profiled[0])
+        # The round's two probes: compile, then replay, the current
+        # program.
+        return run_phase(ctx.program, ctx.compile(), ctx.profile())

@@ -109,11 +109,6 @@ def find_candidates(
     """Probe a 50% cut of every halvable resource: each halving with the
     stages it compiles to, lowest hit rate first (ties broken by control
     order).
-
-    The halving probes are independent per resource, so they go through
-    one :meth:`~repro.core.session.OptimizationContext.probe_many`
-    batch — compiled concurrently when the session has workers, with
-    results and counters identical to the serial loop.
     """
     order = {
         name: i for i, name in enumerate(program.tables_in_control_order())
@@ -136,9 +131,9 @@ def find_candidates(
         )
         for kind, resource, rate_table in resources
     ]
-    compiled, _ = ctx.probe_many(
-        programs=[_resized(program, h, h.new_size) for h in halvings]
-    )
+    compiled = [
+        ctx.compile(_resized(program, h, h.new_size)) for h in halvings
+    ]
     ranked = sorted(
         range(len(halvings)),
         key=lambda i: (
@@ -169,24 +164,6 @@ def minimal_reduction(
         else:
             hi = mid
     return lo
-
-
-def linear_minimal_reduction(
-    ctx: OptimizationContext,
-    program: Program,
-    candidate: MemoryReduction,
-    baseline_stages: int,
-    step: int = 1,
-) -> int:
-    """Linear-scan baseline for the ablation bench: walk down from the
-    original size until a stage is saved."""
-    size = candidate.original_size - step
-    while size > candidate.original_size // 2:
-        stages = ctx.compile(_resized(program, candidate, size)).stages_used
-        if stages < baseline_stages:
-            return size
-        size -= step
-    return candidate.original_size // 2
 
 
 def run_phase(

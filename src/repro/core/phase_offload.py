@@ -276,17 +276,12 @@ def evaluate_candidates(
     Every variant compile/profile goes through ``ctx`` and is memoized —
     the accepted variant's later re-profile by the orchestrator (and
     repeat evaluations across re-runs on the same session) cost nothing.
-    The variants are independent, so they are evaluated as one mixed
-    :meth:`~repro.core.session.OptimizationContext.probe_many` batch:
-    compiles and trace replays of all candidates run concurrently when
-    the session has workers, with results and counters identical to the
-    serial loop.
     """
     if baseline_stages is None:
         baseline_stages = ctx.compile(program).stages_used
 
     # Build every redirect variant up front (pure rewriting), then
-    # batch-probe: one compile and one replay per candidate.
+    # probe: every compile, then every replay.
     redirect_table = unique_redirect_name(program)
     variants: List[Tuple[Program, "RuntimeConfig"]] = []
     for candidate in candidates:
@@ -298,10 +293,8 @@ def evaluate_candidates(
         ]
         variants.append((modified, config.restricted_to(remaining)))
 
-    compiled, profiled = ctx.probe_many(
-        programs=[modified for modified, _adapted in variants],
-        variants=variants,
-    )
+    compiled = [ctx.compile(modified) for modified, _adapted in variants]
+    profiled = [ctx.profile(*variant) for variant in variants]
     evaluated: List[Decision] = []
     for candidate, result, profile in zip(
         candidates, compiled, profiled

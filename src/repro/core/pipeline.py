@@ -20,8 +20,8 @@ the seed ``if/elif`` orchestrator, which is kept verbatim in
 :mod:`repro.core.seed_pipeline` as the reference.
 
 One run — its inputs, its knobs and its lifecycle (build the passes,
-create or adopt a session, wire its trace/store, run the phases, flush
-and close) — is :class:`SwitchRun`.  :class:`P2GO` is the same run with
+create or adopt a session, wire its trace/store, run the phases and
+close) — is :class:`SwitchRun`.  :class:`P2GO` is the same run with
 the single-switch ``session=``/``store=`` conveniences; the fleet
 coordinator (:mod:`repro.core.fleet`) and the design-space explorer
 (:mod:`repro.explore`) hand many :class:`SwitchRun`\\ s to
@@ -47,7 +47,6 @@ from repro.core.phase_memory import (
 )
 from repro.core.phase_offload import DEFAULT_MAX_REDIRECT, Offload, OffloadPass
 from repro.core.profiler import PerfCounters, Profile
-from repro.core.fanout import resolve_workers
 from repro.core.session import OptimizationContext, SessionCounters
 from repro.core.store import SessionStore, resolve_store
 from repro.p4.program import Program
@@ -86,10 +85,6 @@ class P2GOResult:
     #: what answered — the memo, the store or an execution.  A run on a
     #: shared session counts only its own probes.
     session_counters: Optional[SessionCounters] = None
-    #: Worker count the run's session probed candidates with (1 = serial).
-    #: Metadata only: the optimization outcome is identical for any value
-    #: (``tests/test_parallel.py`` pins that).
-    workers: int = 1
     #: Census + counters of the persistent session store, when one was
     #: attached (``store=``/``$P2GO_STORE``); None for memory-only runs.
     #: Metadata only: the optimization outcome is identical with or
@@ -152,11 +147,8 @@ class SwitchRun:
     controller-load ceiling for offloading, phase 3's
     ``candidate_policy``, and the ``review_hook`` through which a
     programmer can veto changes (round limits and the minimum stage
-    savings are the passes' own defaults).  ``workers`` sets how many
-    candidates the phases probe concurrently (None defers to ``$P2GO_WORKERS``,
-    then to 1 — the serial path; the result is identical either way).
-    ``name`` labels the switch in fleet reports (defaults to the
-    program name).
+    savings are the passes' own defaults).  ``name`` labels the switch
+    in fleet reports (defaults to the program name).
 
     The lifecycle is :meth:`execute`: build the requested passes,
     create (or adopt and re-wire) an
@@ -179,7 +171,6 @@ class SwitchRun:
         phases: Sequence[int] = (2, 3, 4),
         max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
         review_hook: Optional[ReviewHook] = None,
-        workers: Optional[int] = None,
         candidate_policy: Optional[str] = None,
     ):
         # Fail on an unknown policy name at construction, not inside a
@@ -198,7 +189,6 @@ class SwitchRun:
         self.phases = tuple(phases)
         self.max_redirect_fraction = max_redirect_fraction
         self.review_hook = review_hook
-        self.workers = workers
         self.candidate_policy = candidate_policy
 
     # ------------------------------------------------------------------
@@ -238,7 +228,6 @@ class SwitchRun:
             self.config,
             self.trace,
             self.target,
-            workers=self.workers,
             store=store,
         )
 
@@ -265,8 +254,6 @@ class SwitchRun:
         ctx.program = self.program
         ctx.config = self.config
         ctx.trace = self.trace
-        if self.workers is not None:
-            ctx.workers = resolve_workers(self.workers)
 
     def execute(
         self,
@@ -290,7 +277,7 @@ class SwitchRun:
             try:
                 result = self._run_phases(ctx, passes)
             finally:
-                # Release worker pools; the result keeps the counters.
+                # Drop the trace's parses; the result keeps the counters.
                 ctx.close()
         else:
             ctx = session
@@ -335,7 +322,6 @@ class SwitchRun:
             outcomes=outcomes,
             profiling_perf=profiling_perf,
             session_counters=SessionCounters.of(ctx.probes[start:]),
-            workers=ctx.workers,
         )
 
 

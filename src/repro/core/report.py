@@ -194,14 +194,8 @@ def render_report(result: P2GOResult) -> str:
         )
         lines.append("")
     if result.session_counters is not None:
-        workers = (
-            f" ({result.workers} workers)" if result.workers > 1 else ""
-        )
         lines.append(
-            "compile/profile session"
-            + workers
-            + ": "
-            + result.session_counters.render()
+            "compile/profile session: " + result.session_counters.render()
         )
         lines.append("")
     if result.store_stats is not None:

@@ -473,8 +473,7 @@ class ContinuousOptimizer:
       pauses for it).  Every counter is deterministic; the CI gate and
       the regression tests run this mode.
     * ``>= 1`` — re-optimization runs in a worker thread while traffic
-      keeps flowing; the session additionally probes candidates with
-      ``workers`` parallel workers (1 = serial probing).
+      keeps flowing.
 
     ``phases`` defaults to ``(2, 3)``: the promotion gate is the strict
     equivalence checker, and a phase-4 offload (which redirects packets
@@ -735,7 +734,6 @@ class ContinuousOptimizer:
             self.config,
             self.baseline_trace,
             self.target,
-            workers=max(self.workers, 1),
             store=resolve_store(self.store),
         )
         self._session = session

@@ -77,25 +77,14 @@ The session also carries:
   manager assigns it once the review accepted it, so a vetoed change is
   never applied.
 
-Parallel candidate probing
---------------------------
-
-Phase 3/4 candidate evaluation is an embarrassingly parallel map —
-compile + trace-replay per independent variant — so next to the serial
-probes the session has one batch door, :meth:`OptimizationContext.probe_many`:
-it compiles candidate programs and replays (program, config) variants in
-one mixed wave on the session's one lazily-created pool
-(:func:`~repro.core.fanout.make_pool`: processes; threads only on
-platforms without multiprocessing primitives).
-
 Persistent store (disk tier)
 ----------------------------
 
 ``store=`` attaches a :class:`~repro.core.store.SessionStore`: a
 disk-backed, content-addressed second tier behind the memo cache (the
 keys are the same fingerprints, so the two tiers can never disagree).
-Every probe — any kind, serial or batched; one ``_lookup`` spells it
-— goes **memo → disk → execute**:
+Every probe — any kind; one ``_probe`` spells it — goes
+**memo → disk → execute**:
 
 * a *memo hit* costs a dict lookup (logged :attr:`Source.MEMO`);
 * a *disk hit* unpickles the entry, hydrates the memo cache, and is
@@ -112,24 +101,6 @@ want, and when its entry becomes visible — lives behind
 :meth:`~repro.core.store.SessionStore.acquire` (DESIGN.md §10); the
 session only carries the lease that call may hand it until the probe is
 published or has raised.
-
-Concurrency contract (also DESIGN.md §9): worker tasks are *pure* —
-they receive pickled/shared immutable inputs and return results; every
-log append happens in the caller's thread at submission and every
-cache insert after the futures resolve, both in **submission order**,
-so a batch logs and memoizes exactly what the serial loop would.
-An executing compile's analysis is resolved in the caller, too, before
-the task is submitted with it attached: the same analysis records as
-the serial path.
-Equal-fingerprint candidates within a batch are deduplicated in flight
-(one execution, both callers get the cached result and the duplicate is
-logged a memo hit — identical to what the serial loop's memo cache
-would do).  The worker count comes from the
-session's ``workers`` (constructor knob, else the ``P2GO_WORKERS``
-environment variable); ``workers=1`` falls back to the serial path
-bit-for-bit.  The session supports one batch at a time (it is not
-itself a thread-safe object — the batch API *is* the concurrency
-mechanism).
 """
 
 from __future__ import annotations
@@ -137,10 +108,10 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from contextlib import contextmanager
-from concurrent.futures import Executor
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import (
+    Callable,
     Dict,
     Iterable,
     List,
@@ -151,7 +122,6 @@ from typing import (
 )
 
 from repro.analysis.structure import analyse, structure_key
-from repro.core.fanout import make_pool, resolve_workers
 from repro.core.profiler import PerfCounters, Profile, Profiler
 from repro.core.store import KINDS, SessionStore
 from repro.p4.dsl.printer import print_program
@@ -206,25 +176,11 @@ def config_fingerprint(config: RuntimeConfig) -> Tuple:
     )
 
 
-# ----------------------------------------------------------------------
-# Worker tasks.  Module-level and pure so they pickle for process pools:
-# all session state (memo, probe log) is updated by the caller, never
-# touched from a worker.
-
-
-def _replay_task(
-    program: Program,
-    config: RuntimeConfig,
-    trace: Sequence[TracePacket],
-) -> Profile:
-    return Profiler(program, config).run(trace)
-
-
 class Source(Enum):
     """What answered a probe.  The value names the
     :class:`SessionCounters` field (``<kind>_<value>``) it tallies in."""
 
-    #: The session's in-memory memo (an in-flight batch duplicate too).
+    #: The session's in-memory memo.
     MEMO = "hits"
     #: The persistent store: not an execution — the cost was paid by
     #: whichever run wrote the entry.
@@ -283,30 +239,9 @@ class SessionCounters:
         )
 
 
-#: A batch-probe variant: (program, config), either may be None for the
-#: session's current state.
-ProfileVariant = Tuple[Optional[Program], Optional[RuntimeConfig]]
-
-#: One probe: (a kind of :data:`~repro.core.store.KINDS`, content key,
-#: the pure worker task as ``(function, *arguments)``).  The stored
-#: value of a compile probe is its :class:`CompileResult`; of a profile
-#: probe, its :class:`Profile`; of an analysis probe, its
-#: :class:`~repro.analysis.structure.ProgramAnalysis` — the same value
-#: its store entry holds.  A compile probe's task gains the analysis as
-#: its last argument when (and only when) the probe executes.
-Probe = Tuple[str, Tuple, Tuple]
-
-
 class OptimizationContext:
     """Current optimization state plus the memoizing compile/profile
     session every phase shares.
-
-    ``workers`` sets the parallelism of the batch probe
-    (:meth:`probe_many`);
-    None defers to the ``P2GO_WORKERS`` environment variable and, when
-    that is unset too, to 1 — the serial path.  The worker pool is
-    created lazily on the first parallel batch and released by
-    :meth:`close` (the session is also a context manager).
 
     ``store`` attaches a :class:`~repro.core.store.SessionStore` disk
     tier behind the memo cache (memo → disk → execute; executed probes
@@ -320,7 +255,6 @@ class OptimizationContext:
         config: RuntimeConfig,
         trace: Sequence[TracePacket],
         target: TargetModel = DEFAULT_TARGET,
-        workers: Optional[int] = None,
         store: Optional[SessionStore] = None,
     ):
         self.program = program
@@ -328,20 +262,16 @@ class OptimizationContext:
         self.target = target
         #: Disk tier behind the memo cache (None = memory only).
         self.store = store
-        self.workers = resolve_workers(workers)
         #: Append-only: one record per probe, in the order asked.
         self.probes: List[ProbeRecord] = []
 
-        #: The memo tier: kind -> content key -> stored value (see
-        #: :data:`Probe`).
+        #: The memo tier: kind -> content key -> stored value, the same
+        #: value the kind's store entry holds (a :class:`CompileResult`,
+        #: a :class:`Profile` or a
+        #: :class:`~repro.analysis.structure.ProgramAnalysis`).
         self._memo: Dict[str, Dict[Tuple, object]] = {
             kind: {} for kind in KINDS
         }
-
-        #: (size, executor) of the one worker pool both probe kinds
-        #: share; created lazily, released by close().
-        self._executor: Optional[Tuple[int, Executor]] = None
-        self._batch_active = False
 
         self.trace = trace  # via the property: computes the trace key
 
@@ -395,10 +325,6 @@ class OptimizationContext:
     def program_key(self, program: Program) -> str:
         return program_fingerprint(program)
 
-    def _compile_probe(self, program: Program) -> Probe:
-        key = (self.program_key(program), self.target.fingerprint())
-        return "compile", key, (compile_program, program, self.target)
-
     def _profile_key(
         self, program: Program, config: RuntimeConfig
     ) -> Tuple[str, Tuple, str]:
@@ -406,15 +332,6 @@ class OptimizationContext:
             self.program_key(program),
             config_fingerprint(config),
             self._trace_key,
-        )
-
-    def _profile_probe(
-        self, program: Program, config: RuntimeConfig
-    ) -> Probe:
-        return (
-            "profile",
-            self._profile_key(program, config),
-            (_replay_task, program, config, self._trace),
         )
 
     # ------------------------------------------------------------------
@@ -453,40 +370,34 @@ class OptimizationContext:
             self.store.publish(kind, key, value)
         return value
 
-    def _executable(self, probe: Probe) -> Tuple:
-        """Log a probe executed and return its task.  Logged when handed
-        to the compiler/replayer, not when it returns: a compile that
-        raises (a program that cannot exist on the target) was still an
-        execution.  A compile's task gains its program's analysis —
-        itself a probe, issued here and nowhere else: a compile the memo
-        or the store answered computes no structure key and asks the
-        store nothing.  (The compile's lease is held by now, so
-        ``SessionStore.acquire`` never makes this lookup wait on another
-        process.)"""
-        kind, key, task = probe
-        self.probes.append(ProbeRecord(kind, key, Source.EXECUTED))
-        if kind != "compile":
-            return task
-        program = task[1]
-        key = (structure_key(program),)
-        analysis = self._probe(("analysis", key, (analyse, program)))
-        return (*task, analysis)
-
-    def _probe(self, probe: Probe):
-        """The serial probe: look it up, else execute."""
-        kind, key, _task = probe
+    def _probe(self, kind: str, key: Tuple, execute: Callable[[], object]):
+        """The one probe path: look it up, else run ``execute()``.  An
+        execution is logged when handed off, not when it returns: a
+        compile that raises (a program that cannot exist on the target)
+        was still an execution."""
         found, lease = self._lookup(kind, key)
         if found is not None:
             return found
         try:
-            task, *arguments = self._executable(probe)
-            return self._record(kind, key, task(*arguments), lease)
+            self.probes.append(ProbeRecord(kind, key, Source.EXECUTED))
+            return self._record(kind, key, execute(), lease)
         finally:
             if lease is not None:
                 lease.release()  # a no-op once published
 
+    def _analysis(self, program: Program):
+        """The analysis an executing compile is built from — itself a
+        probe, asked for here and nowhere else: a compile the memo or
+        the store answered computes no structure key and asks the store
+        nothing.  (The compile's lease is held by now, so
+        ``SessionStore.acquire`` never makes this lookup wait on another
+        process.)"""
+        return self._probe(
+            "analysis", (structure_key(program),), lambda: analyse(program)
+        )
+
     # ------------------------------------------------------------------
-    # Memoized compile / profile (serial)
+    # Memoized compile / profile
 
     def compile(self, program: Optional[Program] = None) -> CompileResult:
         """Compile ``program`` (default: the current program) against the
@@ -494,7 +405,13 @@ class OptimizationContext:
         then the persistent store, then a real compile)."""
         if program is None:
             program = self.program
-        return self._probe(self._compile_probe(program))
+        return self._probe(
+            "compile",
+            (self.program_key(program), self.target.fingerprint()),
+            lambda: compile_program(
+                program, self.target, self._analysis(program)
+            ),
+        )
 
     def profile(
         self,
@@ -518,130 +435,27 @@ class OptimizationContext:
             program = self.program
         if config is None:
             config = self.config
-        profile = self._probe(self._profile_probe(program, config))
+        profile = self._probe(
+            "profile",
+            self._profile_key(program, config),
+            lambda: Profiler(program, config).run(self._trace),
+        )
         return profile, PerfCounters.of([profile])
 
     # ------------------------------------------------------------------
-    # Batch (parallel) probing
-
-    def probe_many(
-        self,
-        programs: Sequence[Program] = (),
-        variants: Sequence[ProfileVariant] = (),
-    ) -> Tuple[List[CompileResult], List[Profile]]:
-        """One mixed wave of compile and replay probes.
-
-        Compiles and replays share the session's one process pool, all
-        concurrently.  With one worker — or a single probe — this *is*
-        the serial path: the same :meth:`compile` / :meth:`profile`
-        calls, in order.
-
-        Raises :class:`RuntimeError` on re-entrant batches.
-        """
-        programs = list(programs)
-        variants = [
-            (
-                program if program is not None else self.program,
-                config if config is not None else self.config,
-            )
-            for program, config in variants
-        ]
-        if self._batch_active:
-            raise RuntimeError(
-                "re-entrant batch probe; the session runs one batch at a "
-                "time"
-            )
-        if self.workers == 1 or len(programs) + len(variants) <= 1:
-            return (
-                [self.compile(program) for program in programs],
-                [
-                    self.profile(program, config)
-                    for program, config in variants
-                ],
-            )
-        self._batch_active = True
-        try:
-            results = self._probe_parallel(
-                [self._compile_probe(program) for program in programs]
-                + [
-                    self._profile_probe(program, config)
-                    for program, config in variants
-                ]
-            )
-        finally:
-            self._batch_active = False
-        return results[: len(programs)], results[len(programs) :]
-
-    def _probe_parallel(self, probes: List[Probe]) -> List:
-        # Submission wave: one future per probe that needs an
-        # execution.  Probes the memo or the disk store answers are
-        # skipped, and equal keys are deduplicated in flight (logged as
-        # the memo hits their serial twins would be).  Merge wave: in
-        # the caller's thread, in submission order; each probe is
-        # written through as it lands.
-        futures: List[Tuple[str, Tuple, object, object]] = []
-        in_flight = set()
-        leases = []
-        try:
-            for probe in probes:
-                kind, key, _task = probe
-                if (kind, key) in in_flight:
-                    self.probes.append(ProbeRecord(kind, key, Source.MEMO))
-                    continue
-                found, lease = self._lookup(kind, key)
-                if found is not None:
-                    continue
-                in_flight.add((kind, key))
-                if lease is not None:
-                    leases.append(lease)
-                # (A compile's analysis is resolved here, in the caller.)
-                task = self._executable(probe)
-                futures.append(
-                    (kind, key, lease, self._pool().submit(*task))
-                )
-            for kind, key, lease, future in futures:
-                self._record(kind, key, future.result(), lease)
-        finally:
-            for lease in leases:
-                lease.release()  # a no-op once published
-
-        return [self._memo[kind][key] for kind, key, _task in probes]
-
-    # ------------------------------------------------------------------
-    # Worker pool
-
-    def _pool(self) -> Executor:
-        """The session's lazily-created worker pool, grown (recreated)
-        when ``workers`` was raised since the last batch."""
-        if self._executor is not None:
-            size, pool = self._executor
-            if size >= self.workers:
-                return pool
-            pool.shutdown(wait=True)
-        pool = make_pool(self.workers)
-        self._executor = (self.workers, pool)
-        return pool
+    # Lifecycle
 
     def close(self) -> None:
-        """Release the worker pool and the trace's parses (memo caches
-        and the probe log survive; the pool is recreated and the trace
-        re-parsed lazily if the session probes again)."""
+        """Drop the trace's parses (memo caches and the probe log
+        survive; the trace is re-parsed lazily if the session probes
+        again)."""
         self._trace.parses.clear()
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor[1].shutdown(wait=True)
 
     def __enter__(self) -> "OptimizationContext":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown ordering
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
     # Views of the probe log

@@ -686,11 +686,12 @@ class SessionStore:
           if the execution raised);
         * ``(None, None)`` — execute unleased and :meth:`publish`:
           leasing is impossible here, ``lease_ttl`` passed while
-          waiting, or waiting could deadlock — this handle already
-          holds leases (a parallel wave claims several before it
-          executes any), and two such holders waiting on each other
-          would both sit out the TTL.  Duplicated work beats a wedged
-          run.
+          waiting, or this handle already holds a lease.  A session
+          holds one only while an executing compile asks for its
+          analysis under the compile's lease; waiting then would chain
+          every process that waits on the compile behind the analysis's
+          holder (and behind its TTL, were it dead).  Duplicated work
+          beats a chained wait.
         """
         load = self._loader(kind)
         value = load(key)
@@ -701,6 +702,8 @@ class SessionStore:
             lease = self.claim_probe(kind, key)
             if lease is None:
                 if self.counters.leases_held:
+                    # An executing compile asking for its analysis:
+                    # never wait while holding the compile's lease.
                     return None, None
                 value = self.wait_for_probe(kind, key, deadline=deadline)
                 if value is not None:

@@ -2,8 +2,8 @@
 
 :class:`Explorer.run` fans a :class:`~repro.explore.space.DesignSpace`'s
 points out through the fleet's run machinery — each point is one
-:class:`~repro.core.pipeline.SwitchRun` (serial probes, exactly like a
-fleet switch) handed to :func:`~repro.core.fanout.run_many` against
+:class:`~repro.core.pipeline.SwitchRun`, exactly like a fleet switch,
+handed to :func:`~repro.core.fanout.run_many` against
 **one shared persistent store**, so probes that overlap across design
 points are paid for once.  The big
 overlap is profiling: profile entries are keyed by (program, config,
@@ -276,8 +276,7 @@ class Explorer:
     (instance / path / None → ``$P2GO_STORE`` / False → off); without
     one, points still run — there is just no cross-point reuse.
     ``workers`` sizes the coordinator pool (None → ``$P2GO_WORKERS``,
-    then 1); per-point sessions probe serially, exactly like fleet
-    switches, so parallelism lives at point granularity.
+    then 1): parallelism lives at point granularity.
     """
 
     def __init__(
@@ -327,7 +326,6 @@ class Explorer:
                     point.shape.apply(base_target),
                     name=point.point_id,
                     phases=point.order,
-                    workers=1,
                     candidate_policy=point.policy,
                 )
             )

@@ -1,7 +1,7 @@
 """Randomized program fuzzing with differential oracles.
 
 Seeded random well-formed IR programs + traces
-(:mod:`repro.fuzz.generator`), five differential oracle axes over the
+(:mod:`repro.fuzz.generator`), four differential oracle axes over the
 full pipeline (:mod:`repro.fuzz.differential`), failing-case
 minimization with replayable repro files (:mod:`repro.fuzz.shrinker`),
 and the campaign driver behind ``p2go fuzz``

@@ -1,4 +1,4 @@
-"""The five differential oracle axes.
+"""The four differential oracle axes.
 
 Each axis runs a generated case two different ways through machinery
 that *must not* change observable behaviour, and reports the first
@@ -21,9 +21,6 @@ disagreement:
     replay (:func:`~repro.core.instrument.reference_profile`) on every
     aggregate it reads off the profiling bits, view by view, on both the
     original and the optimized program.
-``workers``
-    ``workers=1`` vs ``workers=4`` pipeline runs must produce
-    byte-identical results (program, config, counters, decisions).
 ``store``
     A store-backed run (cold, then warm-started from its own probes)
     must decide exactly what the memory-only run decides.
@@ -54,7 +51,7 @@ from repro.fuzz.generator import GeneratedCase
 from repro.p4.program import Program
 
 #: All oracle axes, in the order they run.
-ALL_AXES = ("behavior", "engine", "workers", "store", "order")
+ALL_AXES = ("behavior", "engine", "store", "order")
 
 #: Optional hook that corrupts the optimized program before the
 #: behaviour comparison — the mutation-testing entry point used to prove
@@ -73,16 +70,15 @@ class AxisFailure:
         return f"[{self.axis}] {self.detail}"
 
 
-def canonical(result: P2GOResult, decisions_only: bool = False) -> tuple:
+def canonical(result: P2GOResult) -> tuple:
     """Everything a run decides, as one value two runs compare with
     ``==`` (its decision log holds sets, so it is compared, not printed).
 
-    With ``decisions_only`` the session counters and per-phase perf are
-    excluded: store-backed runs legitimately skip executions (different
-    counters) while still having to make identical *decisions* — the
-    decision log included.
+    The session counters and per-phase perf are excluded: store-backed
+    runs legitimately skip executions (different counters) while still
+    having to make identical *decisions* — the decision log included.
     """
-    decisions = (
+    return (
         program_fingerprint(result.optimized_program),
         config_fingerprint(result.final_config),
         result.offloaded_tables,
@@ -90,19 +86,11 @@ def canonical(result: P2GOResult, decisions_only: bool = False) -> tuple:
         [o.stage_map for o in result.outcomes],
         result.decisions,
     )
-    if decisions_only:
-        return decisions
-    perfs = [
-        (outcome.phase.name, outcome.stages, outcome.profiling_perf)
-        for outcome in result.outcomes
-    ]
-    return decisions, result.session_counters.as_dict(), perfs
 
 
 def _run_pipeline(
     case: GeneratedCase,
     phases: Tuple[int, ...] = (2, 3, 4),
-    workers: int = 1,
     store=False,
 ) -> P2GOResult:
     return P2GO(
@@ -111,7 +99,6 @@ def _run_pipeline(
         case.trace,
         case.target,
         phases=phases,
-        workers=workers,
         store=store,
     ).run()
 
@@ -214,17 +201,6 @@ def _check_engine(case: GeneratedCase) -> Optional[AxisFailure]:
     return None
 
 
-def _check_workers(case: GeneratedCase) -> Optional[AxisFailure]:
-    serial = _run_pipeline(case, workers=1)
-    parallel = _run_pipeline(case, workers=4)
-    if canonical(serial) != canonical(parallel):
-        return AxisFailure(
-            "workers",
-            "workers=1 and workers=4 runs are not byte-identical",
-        )
-    return None
-
-
 def _check_store(
     case: GeneratedCase, store_root: Optional[str]
 ) -> Optional[AxisFailure]:
@@ -235,9 +211,7 @@ def _check_store(
         cold = _run_pipeline(case, store=root)
         warm = _run_pipeline(case, store=root)
     for label, other in (("cold", cold), ("warm-started", warm)):
-        if canonical(memory_only, decisions_only=True) != canonical(
-            other, decisions_only=True
-        ):
+        if canonical(memory_only) != canonical(other):
             return AxisFailure(
                 "store",
                 f"store-off and {label} store-on runs decided "
@@ -255,9 +229,7 @@ def _check_order(case: GeneratedCase) -> Optional[AxisFailure]:
         case.target,
         phases=(2, 3, 4),
     )
-    if canonical(new, decisions_only=True) != canonical(
-        seed_result, decisions_only=True
-    ):
+    if canonical(new) != canonical(seed_result):
         return AxisFailure(
             "order",
             "pass-framework (2,3,4) run and the seed orchestrator "
@@ -308,8 +280,6 @@ def run_axes(
                 )
             elif axis == "engine":
                 failure = _check_engine(case)
-            elif axis == "workers":
-                failure = _check_workers(case)
             elif axis == "store":
                 failure = _check_store(case, store_root)
             else:

@@ -2,7 +2,7 @@
 
 One :func:`run_campaign` call is one campaign: ``iterations`` seeded
 cases (case ``i`` uses seed ``base_seed + i``), each run through the
-requested oracle axes (behaviour, cache, workers, store, order — see
+requested oracle axes (behaviour, engine, store, order — see
 :mod:`repro.fuzz.differential`).  Failures do not stop the
 campaign — each one is (optionally) shrunk, written as a replayable
 repro file, and the sweep continues, so a single run reports every

@@ -218,18 +218,3 @@ def registers_referenced(expr: Expr) -> FrozenSet[str]:
     if isinstance(expr, (LAnd, LOr)):
         return registers_referenced(expr.left) | registers_referenced(expr.right)
     return frozenset()
-
-
-def coerce_operand(value: Union[Expr, int, str]) -> Expr:
-    """Convenience coercion used by the builder API.
-
-    Integers become :class:`Const`; ``"header.field"`` strings become
-    :class:`FieldRef`; bare identifiers become :class:`ParamRef`.
-    """
-    if isinstance(value, int):
-        return Const(value)
-    if isinstance(value, str):
-        if "." in value:
-            return FieldRef.parse(value)
-        return ParamRef(value)
-    return value

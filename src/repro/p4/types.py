@@ -54,24 +54,6 @@ def bytes_for_bits(bits: int) -> int:
     return (bits + 7) // 8
 
 
-def check_fits(value: int, width: int, what: str = "value") -> int:
-    """Validate that ``value`` fits in ``width`` bits and return it."""
-    if value < 0:
-        raise P4SemanticsError(f"{what} must be non-negative, got {value}")
-    if value > mask(width):
-        raise P4SemanticsError(
-            f"{what} {value:#x} does not fit in {width} bits"
-        )
-    return value
-
-
-def format_value(value: int, width: int) -> str:
-    """Format a value for display, using hex for wide fields."""
-    if width > 16:
-        return f"0x{value:x}"
-    return str(value)
-
-
 # ----------------------------------------------------------------------
 # Derived state pinned on frozen IR values (DESIGN.md §16)
 

@@ -6,14 +6,14 @@ dependency graphs of *some* program with the same
 equal keys imply equal analyses, so:
 
 * every analysis a session attaches — executed, memo hit, disk hit — and
-  every TDG that comes back from a pool worker is compared with a direct
+  every TDG the compile built from it is compared with a direct
   :func:`~repro.analysis.structure.analyse` of the very program being
   compiled, over every program family, every candidate the phases
   propose on them, and the fuzz generator's CI corpus;
 * a mutation table pins what is in the key (one row per input the
   analyses read) and what is not (sizes, default-action arguments, match
   kinds, entries, the target);
-* worker count and the warm store do not change the analysis counters.
+* the warm store does not change the analysis counters.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.p4.tables import MatchKind, Table, TableKey
 from repro.programs import example_firewall as fw
 
 from .conftest import build_toy_program, toy_config
-from .test_parallel import canonical
 from .test_store import make_trace
 
 FAMILIES = sorted(
@@ -58,19 +57,17 @@ class CheckedSession(OptimizationContext):
 
     checked = 0
 
-    def _executable(self, probe):
-        task = super()._executable(probe)
-        if probe[0] == "compile":
-            _function, program, _target, analysis = task
-            self._oracles[probe[1]] = oracle = analyse(program)
-            assert analysis == oracle
-            self.checked += 1
-        return task
+    def _analysis(self, program):
+        analysis = super()._analysis(program)
+        key = (self.program_key(program), self.target.fingerprint())
+        self._oracles[key] = oracle = analyse(program)
+        assert analysis == oracle
+        self.checked += 1
+        return analysis
 
     def _record(self, kind, key, value, lease=None):
         if kind == "compile":
-            # ``value`` may have crossed a process boundary, built from
-            # an analysis that crossed it the other way.
+            # The compile was built from the analysis checked above.
             oracle = self._oracles.pop(key)
             assert value.dependency_graph == oracle.merged()
             assert value.egress_dependency_graph == oracle.egress
@@ -99,23 +96,17 @@ def test_session_analyses_equal_direct_ones_on_every_family(
     root = tmp_path / "store"
 
     # Executions and memo hits, every candidate of every phase.
-    cold, counters = optimize(inputs, store=SessionStore(root))
+    _, counters = optimize(inputs, store=SessionStore(root))
     assert 0 < counters.analysis_executions <= counters.compile_executions
     assert counters.analysis_disk_hits == 0
 
     # Disk hits: with the compile entries gone every compile executes
     # again, and every analysis it needs is already stored.
     shutil.rmtree(root / "v1" / "compile")
-    again, recompiled = optimize(inputs, store=SessionStore(root))
+    _, recompiled = optimize(inputs, store=SessionStore(root))
     assert recompiled.compile_executions == counters.compile_executions
     assert recompiled.analysis_executions == 0
     assert recompiled.analysis_disk_hits == counters.analysis_executions
-
-    # Shipped to a pool worker — and the submission-order contract
-    # (DESIGN.md §9): same results, same counters as one worker.
-    pooled, pooled_counters = optimize(inputs, workers=2)
-    assert pooled_counters.as_dict() == counters.as_dict()
-    assert canonical(pooled) == canonical(cold)
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)

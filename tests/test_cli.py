@@ -183,20 +183,26 @@ class TestOptimize:
         assert "removed dependency" in report_path.read_text()
 
     def test_optimize_workers_flag(self, toy_files, capsys):
+        """A session probes serially: ``optimize`` has no ``--workers``."""
         prog_path, config_path, trace_path = toy_files
-        code = main(
-            [
-                "optimize",
-                str(prog_path),
-                "--config", str(config_path),
-                "--trace", str(trace_path),
-                "--workers", "2",
-            ]
+        with pytest.raises(SystemExit) as exited:
+            main(
+                [
+                    "optimize",
+                    str(prog_path),
+                    "--config", str(config_path),
+                    "--trace", str(trace_path),
+                    "--workers", "2",
+                ]
+            )
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --workers 2" in (
+            capsys.readouterr().err
         )
-        assert code == 0
-        assert "(2 workers)" in capsys.readouterr().out
 
     def test_optimize_workers_env(self, toy_files, capsys, monkeypatch):
+        """``$P2GO_WORKERS`` sizes fan-out pools only: ``optimize``
+        prints the plain session line."""
         prog_path, config_path, trace_path = toy_files
         monkeypatch.setenv("P2GO_WORKERS", "2")
         code = main(
@@ -208,7 +214,9 @@ class TestOptimize:
             ]
         )
         assert code == 0
-        assert "(2 workers)" in capsys.readouterr().out
+        assert "compile/profile session: compile:" in (
+            capsys.readouterr().out
+        )
 
 
 class TestStore:
@@ -332,31 +340,36 @@ class TestFuzz:
                                              capsys):
         """A repro recorded before an axis was retired names an axis
         ``run_axes`` no longer knows: a one-line error and exit 2, like
-        ``--axes``, not a ``ValueError`` traceback."""
+        ``--axes``, not a ``ValueError`` traceback.  ``workers`` is such
+        an axis: sessions probe serially."""
         prog_path, _config, _trace = toy_files
-        repro = tmp_path / "repro-0-retired_axis.json"
-        repro.write_text(
-            json.dumps(
-                {
-                    "seed": 0,
-                    "axes": ["behavior", "retired_axis"],
-                    "failure": {"axis": "retired_axis", "detail": "old"},
-                    "program": prog_path.read_text(),
-                    "config": {
-                        "entries": {
-                            "acl": [{"match": [53], "action": "deny"}]
-                        }
-                    },
-                    "trace": [{"data": "00" * 64, "port": None}],
-                    "target": {"name": "tiny", "num_stages": 4},
-                }
+        for axis in ("retired_axis", "workers"):
+            repro = tmp_path / f"repro-0-{axis}.json"
+            repro.write_text(
+                json.dumps(
+                    {
+                        "seed": 0,
+                        "axes": ["behavior", axis],
+                        "failure": {"axis": axis, "detail": "old"},
+                        "program": prog_path.read_text(),
+                        "config": {
+                            "entries": {
+                                "acl": [{"match": [53], "action": "deny"}]
+                            }
+                        },
+                        "trace": [{"data": "00" * 64, "port": None}],
+                        "target": {"name": "tiny", "num_stages": 4},
+                    }
+                )
             )
-        )
-        assert main(["fuzz", "--replay", str(repro)]) == 2
-        captured = capsys.readouterr()
-        assert "error: unknown axes ['retired_axis']; known: " in captured.err
-        assert "behavior, engine, workers, store, order" in captured.err
-        assert "Traceback" not in captured.err and not captured.out
+            assert main(["fuzz", "--replay", str(repro)]) == 2
+            captured = capsys.readouterr()
+            assert (
+                f"error: unknown axes ['{axis}']; known: " in captured.err
+            )
+            assert "behavior, engine, store, order" in captured.err
+            assert len(captured.err.splitlines()) == 1
+            assert "Traceback" not in captured.err and not captured.out
 
 
 class TestFleet:
@@ -423,7 +436,8 @@ class TestFleet:
             (["fleet", *FAST, "--workers", "0"], None, "workers must be"),
             (["explore", "--grid", "stages=6", "--packets", "120",
               "--workers", "0"], None, "workers must be"),
-            (["optimize", "--workers", "0"], None, "workers must be"),
+            (["serve", "--max-packets", "1", "--workers", "-1"], None,
+             "workers must be"),
             (["fleet", *FAST], "abc", "P2GO_WORKERS must be an integer"),
         ],
     )

@@ -303,7 +303,7 @@ def test_own_trace_breaks_no_licence(family):
     from."""
     program, config, trace, target = family_inputs(family, packets=400)
     result = P2GO(
-        program, config.clone(), trace, target, workers=1, store=False
+        program, config.clone(), trace, target, store=False
     ).run()
     assert recheck(result, config, trace) == ()
 

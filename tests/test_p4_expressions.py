@@ -13,7 +13,6 @@ from repro.p4.expressions import (
     ParamRef,
     RegisterSize,
     ValidExpr,
-    coerce_operand,
     fields_read,
     headers_tested_valid,
     params_used,
@@ -111,18 +110,3 @@ class TestRegistersReferenced:
     def test_nested(self):
         expr = BinOp("&", RegisterSize("r1"), LNot(RegisterSize("r2")))
         assert registers_referenced(expr) == {"r1", "r2"}
-
-
-class TestCoerceOperand:
-    def test_int(self):
-        assert coerce_operand(5) == Const(5)
-
-    def test_dotted_string(self):
-        assert coerce_operand("ipv4.ttl") == FieldRef("ipv4", "ttl")
-
-    def test_bare_string(self):
-        assert coerce_operand("port") == ParamRef("port")
-
-    def test_passthrough(self):
-        expr = ValidExpr("udp")
-        assert coerce_operand(expr) is expr

@@ -81,26 +81,5 @@ class TestBytesForBits:
             types.bytes_for_bits(-1)
 
 
-class TestCheckFits:
-    def test_accepts_max(self):
-        assert types.check_fits(255, 8) == 255
-
-    def test_rejects_overflow(self):
-        with pytest.raises(P4SemanticsError):
-            types.check_fits(256, 8)
-
-    def test_rejects_negative(self):
-        with pytest.raises(P4SemanticsError):
-            types.check_fits(-1, 8)
-
-
-class TestFormatValue:
-    def test_narrow_decimal(self):
-        assert types.format_value(42, 16) == "42"
-
-    def test_wide_hex(self):
-        assert types.format_value(0xDEAD, 32) == "0xdead"
-
-
 def test_reserved_ports_distinct():
     assert types.DROP_PORT != types.CPU_PORT

@@ -1,26 +1,25 @@
-"""Parallel candidate probing: batch API semantics and determinism.
+"""Worker resolution for the one fan-out, and the session's serial
+probe path.
 
-The concurrency contract (DESIGN.md §9): batch probes must land in the
-shared memo cache *exactly* as if probed serially — same results, same
-probe log (so the same ``SessionCounters`` and per-phase replay perf,
-merged in submission order) and in-flight dedup of equal-fingerprint
-candidates.  On top of
-that, a full P2GO run must be canonically identical for ``workers=1``
-and ``workers=4``.
+``workers`` and ``$P2GO_WORKERS`` size only
+:func:`~repro.core.fanout.run_many`'s pool — one switch or design point
+per worker.  A session answers every probe one way (memo → disk →
+execute), in the order the phases ask.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
-from repro.core.pipeline import P2GO
+from repro.core import fanout
+from repro.core.fanout import resolve_workers, run_many
+from repro.core.pipeline import P2GO, SwitchRun
 from repro.core.session import (
     OptimizationContext,
-    SessionCounters,
-    Source,
     config_fingerprint,
     program_fingerprint,
-    resolve_workers,
 )
 from repro.programs import example_firewall as fw
 from repro.target.model import DEFAULT_TARGET
@@ -48,13 +47,30 @@ def make_ctx(**kwargs):
     )
 
 
-def toy_variants(program):
-    """Distinct probe programs: the toy program plus two resizes."""
+def toy_runs():
+    """Two runs for a fan-out: the toy program and a resize of it."""
+    program = build_toy_program()
     return [
-        program,
-        program.with_table_size("fib", 32),
-        program.with_table_size("acl", 8),
+        SwitchRun(program, toy_config(), make_trace(), DEFAULT_TARGET),
+        SwitchRun(
+            program.with_table_size("fib", 32), toy_config(), make_trace(),
+            DEFAULT_TARGET,
+        ),
     ]
+
+
+def probe_task(run, session):
+    """A fan-out task (module level, so it pickles): compile, then
+    profile, the run's program; return what the session decided and
+    counted."""
+    compiled = session.compile()
+    profile = session.profile()
+    return (
+        compiled.stages_used,
+        compiled.stage_map(),
+        dict(profile.apply_counts),
+        session.counters.as_dict(),
+    )
 
 
 def canonical(result):
@@ -80,266 +96,165 @@ def canonical(result):
     )
 
 
+def optimize_task(run, session):
+    """A fan-out task: the run's whole pipeline, as its canonical
+    value."""
+    return canonical(run.execute(session=session))
+
+
+def fan_out(**kwargs):
+    fan = run_many(toy_runs(), probe_task, store=False, **kwargs)
+    return fan.workers, [value for value, _seconds in fan.results]
+
+
 class TestWorkerResolution:
     def test_defaults_to_serial(self, monkeypatch):
         monkeypatch.delenv("P2GO_WORKERS", raising=False)
         assert resolve_workers() == 1
-        assert make_ctx().workers == 1
+        # The serial path builds no pool at all.
+        monkeypatch.setattr(
+            fanout, "make_pool", lambda workers: pytest.fail("pooled")
+        )
+        workers, results = fan_out()
+        assert workers == 1 and len(results) == 2
 
     def test_env_var(self, monkeypatch):
+        serial = fan_out(workers=1)[1]
         monkeypatch.setenv("P2GO_WORKERS", "3")
         assert resolve_workers() == 3
-        assert make_ctx().workers == 3
+        assert fan_out() == (3, serial)
 
     def test_knob_beats_env(self, monkeypatch):
         monkeypatch.setenv("P2GO_WORKERS", "3")
         assert resolve_workers(2) == 2
-        assert make_ctx(workers=2).workers == 2
+        assert fan_out(workers=2)[0] == 2
 
     def test_invalid_values_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
             resolve_workers(0)
+        with pytest.raises(ValueError, match="workers must be"):
+            fan_out(workers=0)
         monkeypatch.setenv("P2GO_WORKERS", "many")
         with pytest.raises(ValueError):
             resolve_workers()
+        with pytest.raises(ValueError, match="P2GO_WORKERS"):
+            fan_out()
 
 
 class TestBatchSemantics:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_compile_many_matches_serial(self, workers):
-        serial = make_ctx(workers=1)
-        batch = make_ctx(workers=workers)
-        programs = toy_variants(serial.program)
-        expected = [serial.compile(p) for p in programs]
-        with batch:
-            got, _ = batch.probe_many(programs=toy_variants(batch.program))
-        assert [r.stages_used for r in got] == [
-            r.stages_used for r in expected
-        ]
-        assert [r.stage_map() for r in got] == [
-            r.stage_map() for r in expected
-        ]
-        assert batch.counters.as_dict() == serial.counters.as_dict()
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_profile_many_matches_serial(self, workers):
-        serial = make_ctx(workers=1)
-        batch = make_ctx(workers=workers)
-        restricted = serial.config.restricted_to(["fib"])
-        expected = [
-            serial.profile(),
-            serial.profile(config=restricted),
-        ]
-        serial_perf = serial.replay_perf(0)
-        with batch:
-            _, got = batch.probe_many(
-                variants=[
-                    (None, None), (None, batch.config.restricted_to(["fib"]))
-                ]
-            )
-        batch_perf = batch.replay_perf(0)
-        for ours, theirs in zip(got, expected):
-            assert ours.same_behavior_as(theirs)
-        assert batch.counters.as_dict() == serial.counters.as_dict()
-        assert batch_perf == serial_perf
-
-    def test_in_flight_dedup_one_execution(self):
-        ctx = make_ctx(workers=4)
-        with ctx:
-            (a, b), _ = ctx.probe_many(
-                programs=[build_toy_program(), build_toy_program()]
-            )
-        assert a is b
-        assert ctx.counters.compile_calls == 2
-        assert ctx.counters.compile_executions == 1
-        assert ctx.counters.compile_hits == 1
-
     def test_profile_dedup_and_memo_reuse(self):
-        ctx = make_ctx(workers=4)
+        ctx = make_ctx()
         with ctx:
-            _, first = ctx.probe_many(variants=[(None, None), (None, None)])
-            assert ctx.counters.profile_executions == 1
-            # A later batch is answered from the memo cache entirely.
-            _, again = ctx.probe_many(variants=[(None, None)])
-        assert first[0] is first[1]
-        assert again[0] is first[0]
+            first = ctx.profile()
+            twin = ctx.profile(build_toy_program(), toy_config())
+            again = ctx.profile()
+        assert twin is first and again is first
         assert ctx.counters.profile_calls == 3
         assert ctx.counters.profile_executions == 1
-
-    def test_mixed_batch_logs_what_the_serial_loop_logs(self):
-        """The probe log of a mixed batch — in-flight duplicates, memo
-        hits and executions — is identical for 1 and 4 workers."""
-
-        def probe(workers):
-            ctx = make_ctx(workers=workers)
-            with ctx:
-                ctx.compile(ctx.program)  # a later memo hit
-                ctx.probe_many(
-                    programs=[
-                        *toy_variants(ctx.program),
-                        build_toy_program().with_table_size("fib", 32),
-                    ],
-                    variants=[
-                        (None, None),
-                        (None, ctx.config.restricted_to(["fib"])),
-                        (None, None),
-                    ],
-                )
-            return ctx.probes
-
-        serial, parallel = probe(1), probe(4)
-        assert parallel == serial
-        assert {source for _kind, _key, source in serial} == {
-            Source.MEMO, Source.EXECUTED,
-        }
-        assert SessionCounters.of(parallel) == SessionCounters.of(serial)
-
-    def test_probe_many_mixed_wave(self, monkeypatch):
-        from repro.core import session
-
-        pools = []
-        make_pool = session.make_pool
-        monkeypatch.setattr(
-            session,
-            "make_pool",
-            lambda workers: pools.append(workers) or make_pool(workers),
-        )
-        ctx = make_ctx(workers=4)
-        with ctx:
-            compiled, profiled = ctx.probe_many(
-                programs=toy_variants(ctx.program),
-                variants=[(None, None)],
-            )
-        assert len(compiled) == 3 and len(profiled) == 1
-        assert pools == [4]  # both probe kinds share the one pool
-        assert ctx.counters.compile_executions == 3
-        assert ctx.counters.profile_executions == 1
-        window = ctx.replay_perf(0)
-        assert window is not None
-        assert window.packets == len(ctx.trace)
+        assert ctx.counters.profile_hits == 2
 
     def test_close_releases_pools_and_allows_reuse(self):
-        ctx = make_ctx(workers=2)
-        ctx.probe_many(programs=toy_variants(ctx.program))
-        assert ctx._executor is not None
+        ctx = make_ctx()
+        ctx.profile()
+        assert ctx.trace.parses
         ctx.close()
-        assert ctx._executor is None
-        # The session still works after close (pools recreate lazily).
-        ctx.probe_many(programs=[ctx.program.with_table_size("fib", 16)])
+        assert not ctx.trace.parses
+        # The session still works after close (the trace re-parses
+        # lazily).
+        ctx.profile(config=ctx.config.restricted_to(["fib"]))
+        assert ctx.trace.parses
         ctx.close()
 
     def test_batch_after_serial_profile(self):
         """Regression: a serial profile memoizes exec-compiled header
         codecs onto the program's header types; the program must still
-        pickle into worker processes afterwards."""
-        import pickle
-
-        ctx = make_ctx(workers=4)
+        pickle into fan-out workers afterwards."""
+        ctx = make_ctx()
         ctx.profile()  # populates the per-header-type codec caches
         assert pickle.loads(pickle.dumps(ctx.program)) is not None
-        with ctx:
-            compiled, _ = ctx.probe_many(programs=toy_variants(ctx.program))
-        assert len(compiled) == 3
-        assert ctx.counters.compile_executions == 3
+        run = SwitchRun(ctx.program, ctx.config, ctx.trace, ctx.target)
+        fan = run_many([run, run], probe_task, workers=2, store=False)
+        assert fan.results[0][0] == fan.results[1][0]
+        assert fan.results[0][0][0] == ctx.compile().stages_used
 
     def test_thread_fallback_without_process_pools(self, monkeypatch):
         """On a platform without multiprocessing primitives (no
-        ``sem_open``) ``make_pool`` falls back to threads; the batch
-        must complete with the results and counters of the process-pool
-        run."""
+        ``sem_open``) ``make_pool`` falls back to threads; the fan-out
+        must complete with the results of the process-pool run."""
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.core import fanout
+        pools = []
+        make_pool = fanout.make_pool
 
-        def probe():
-            ctx = make_ctx(workers=2)
-            with ctx:
-                compiled, profiled = ctx.probe_many(
-                    programs=toy_variants(ctx.program),
-                    variants=[
-                        (None, None),
-                        (None, ctx.config.restricted_to(["fib"])),
-                    ],
-                )
-                pool = type(ctx._executor[1])
-            return (
-                [c.stages_used for c in compiled],
-                profiled,
-                ctx.counters.as_dict(),
-            ), pool
+        def recording(workers):
+            pool = make_pool(workers)
+            pools.append(type(pool))
+            return pool
 
         def no_processes(*_args, **_kwargs):
             raise OSError("sem_open is not implemented")
 
-        expected, process_pool = probe()
+        monkeypatch.setattr(fanout, "make_pool", recording)
+        expected = fan_out(workers=2)
         monkeypatch.setattr(fanout, "ProcessPoolExecutor", no_processes)
-        fallback, thread_pool = probe()
+        fallback = fan_out(workers=2)
         assert fallback == expected
-        assert process_pool is not ThreadPoolExecutor
-        assert thread_pool is ThreadPoolExecutor
+        assert pools[0] is not ThreadPoolExecutor
+        assert pools[1] is ThreadPoolExecutor
 
 
 class TestPipelineDeterminism:
-    """ISSUE 4 acceptance: P2GOResult is canonically identical for
-    workers=1 vs workers=4 across the example programs."""
+    """A run's result is canonically identical inline, in a fan-out's
+    serial loop and in a pool worker."""
 
-    @pytest.fixture(scope="class")
-    def firewall_inputs(self):
-        return (
-            fw.build_program(),
-            fw.runtime_config(),
-            fw.make_trace(TRACE_PACKETS),
-            fw.TARGET,
-        )
-
-    def run(self, inputs, workers):
-        program, config, trace, target = inputs
+    def check(self, run):
         # store=False: canonical() includes the session counters and
-        # per-phase perf, which are a store-less property — with
-        # $P2GO_STORE set the second run would warm-start from the
-        # first's disk entries (tests/test_store.py owns that axis).
-        return P2GO(
-            fw.build_program(), fw.runtime_config(), trace, target,
-            workers=workers, store=False,
-        ).run()
+        # per-phase perf, which are a store-less property.
+        inline = canonical(
+            P2GO(
+                run.program, run.config, run.trace, run.target, store=False
+            ).run()
+        )
+        for workers in (1, 2):
+            fan = run_many(
+                [run, run], optimize_task, workers=workers, store=False
+            )
+            assert [value for value, _s in fan.results] == [inline] * 2
 
-    def test_firewall_byte_identical(self, firewall_inputs):
-        serial = self.run(firewall_inputs, workers=1)
-        parallel = self.run(firewall_inputs, workers=4)
-        assert canonical(serial) == canonical(parallel)
-        assert serial.workers == 1 and parallel.workers == 4
+    def test_firewall_byte_identical(self):
+        self.check(
+            SwitchRun(
+                fw.build_program(), fw.runtime_config(),
+                fw.make_trace(TRACE_PACKETS), fw.TARGET,
+            )
+        )
 
     def test_toy_byte_identical(self):
-        def run(workers):
-            return P2GO(
-                build_toy_program(), toy_config(), make_trace(),
-                DEFAULT_TARGET, workers=workers, store=False,
-            ).run()
+        self.check(toy_runs()[0])
 
-        assert canonical(run(1)) == canonical(run(4))
+    def test_report_renders_worker_count(self):
+        from repro.core.fleet import build_fabric, run_fleet
+        from repro.core.report import render_fleet_report
 
-    def test_report_renders_worker_count(self, firewall_inputs):
-        from repro.core.report import render_report
-
-        parallel = self.run(firewall_inputs, workers=4)
-        assert "compile/profile session (4 workers):" in render_report(
-            parallel
+        fleet = run_fleet(
+            build_fabric(2, families=("example_firewall",), packets=300),
+            store=False,
+            workers=2,
         )
+        assert "2 switches, 2 workers" in render_fleet_report(fleet)
 
 
 def test_merge_perf_submission_order_is_deterministic():
     """``PerfCounters.of`` sums; the session reads it off the executed
-    profiles in submission order, so equal multisets of replays merge to
-    equal totals whichever order a batch submits them in."""
+    profiles in probe order, so equal multisets of replays merge to
+    equal totals whichever order the phases ask in."""
     from repro.core.profiler import PerfCounters
 
     def window(order):
-        ctx = make_ctx(workers=2)
+        ctx = make_ctx()
         variants = [(None, None), (None, ctx.config.restricted_to(["fib"]))]
         with ctx:
-            _, profiles = ctx.probe_many(
-                variants=[variants[i] for i in order]
-            )
+            profiles = [ctx.profile(*variants[i]) for i in order]
         return ctx.replay_perf(0), profiles
 
     ab, (a, b) = window((0, 1))

@@ -13,7 +13,6 @@ from repro.core.phase_dependencies import run_phase as dep_phase
 from repro.core.phase_memory import (
     ResourceKind,
     find_candidates,
-    linear_minimal_reduction,
     minimal_reduction,
     run_phase,
 )
@@ -133,8 +132,22 @@ class TestBinarySearch:
         before = ctx.counters.compile_calls
         b = minimal_reduction(ctx, program, row0, baseline)
         binary_probes = ctx.counters.compile_calls - before
+        # The oracle: a linear scan down from the original size.
+        assert row0.kind is ResourceKind.REGISTER
         before = ctx.counters.compile_calls
-        l = linear_minimal_reduction(ctx, program, row0, baseline, step=4)
+        l = next(
+            (
+                size
+                for size in range(
+                    row0.original_size - 4, row0.original_size // 2, -4
+                )
+                if ctx.compile(
+                    program.with_register_size(row0.name, size)
+                ).stages_used
+                < baseline
+            ),
+            row0.original_size // 2,
+        )
         linear_probes = ctx.counters.compile_calls - before
         assert b == l
         assert binary_probes < linear_probes

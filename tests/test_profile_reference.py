@@ -174,7 +174,6 @@ def test_cold_optimize_folds_each_distinct_step_log_once(monkeypatch):
         fw.runtime_config(),
         fw.make_trace(4000),
         fw.TARGET,
-        workers=1,
         store=False,
     ).run()
     replays = result.session_counters.profile_executions

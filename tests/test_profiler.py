@@ -365,7 +365,7 @@ def test_no_verb_instruments_the_program(monkeypatch):
     monkeypatch.setattr(InstrumentedProgram, "__init__", counting_init)
     result = P2GO(
         fw.build_program(), fw.runtime_config(), fw.make_trace(300),
-        fw.TARGET, workers=1,
+        fw.TARGET,
     ).run()
     assert result.session_counters.profile_executions > 0
     served = ContinuousOptimizer(

@@ -459,7 +459,6 @@ def test_cold_optimize_parses_each_packet_once(monkeypatch):
         example_firewall.runtime_config(),
         example_firewall.make_trace(4000),
         example_firewall.TARGET,
-        workers=1,
         store=False,
     ).run()
     assert result.session_counters.profile_executions >= 2

@@ -133,7 +133,9 @@ class TestProbeLog:
             ("profile", Source.EXECUTED),
         ]
         assert ctx.probes[0] == ProbeRecord(
-            "compile", ctx._compile_probe(ctx.program)[1], Source.EXECUTED
+            "compile",
+            (ctx.program_key(ctx.program), ctx.target.fingerprint()),
+            Source.EXECUTED,
         )
 
     def test_counters_are_a_tally_of_the_log(self, ctx):
@@ -377,24 +379,21 @@ def test_removed_session_pieces_stay_removed(tmp_path):
     never a private session), the baselines never take one,
     ``reoptimize`` always uses the monitor's, neither the run layer
     nor the session has a memo switch, the passes' round limits live
-    only on the passes, and phase 4 has neither a stage-savings floor
-    nor a multi-segment combination to switch on."""
+    only on the passes, phase 4 has neither a stage-savings floor
+    nor a multi-segment combination to switch on, and a session probes
+    serially: no worker count, no batch probe."""
     import inspect
 
     from repro.baselines import compile_static, optimize_with_policy
     from repro.cli import main
     from repro.core import phase_memory, phase_offload
     from repro.core.online import OnlineProfiler
-    from repro.core.pipeline import SwitchRun
+    from repro.core.pipeline import P2GO, P2GOResult, SwitchRun
     from repro.core.seed_pipeline import run_seed
 
     removed = [
         (phase_memory.find_candidates, ("trace", "target", "session")),
         (phase_memory.minimal_reduction, ("trace", "target", "session")),
-        (
-            phase_memory.linear_minimal_reduction,
-            ("trace", "target", "session"),
-        ),
         (phase_memory.run_phase, ("trace", "target", "session")),
         (
             phase_offload.run_phase,
@@ -424,9 +423,10 @@ def test_removed_session_pieces_stay_removed(tmp_path):
                 "max_dependency_removals",
                 "max_memory_reductions",
                 "offload_min_stage_savings",
+                "workers",
             ),
         ),
-        (OptimizationContext, ("memoize",)),
+        (OptimizationContext, ("memoize", "workers")),
     ]
     for function, names in removed:
         parameters = inspect.signature(function).parameters
@@ -454,8 +454,28 @@ def test_removed_session_pieces_stay_removed(tmp_path):
         (phase_offload, "select_combination"),
         (phase_offload, "_try_combination"),
         (phase_offload, "make_combined_offloaded_program"),
+        # A session probes serially: no batch door, no pool.
+        (OptimizationContext, "probe_many"),
+        (OptimizationContext, "_probe_parallel"),
+        (OptimizationContext, "_pool"),
+        # Reached only from the ablation bench, which now holds it.
+        (phase_memory, "linear_minimal_reduction"),
     ):
         assert not hasattr(owner, name), name
+    assert "workers" not in {
+        field.name for field in dataclasses.fields(P2GOResult)
+    }
+    with pytest.raises(TypeError, match="workers"):
+        P2GO(
+            build_toy_program(), toy_config(), make_trace(),
+            DEFAULT_TARGET, workers=2,
+        )
+    with pytest.raises(SystemExit) as exited:
+        main([
+            "optimize", str(tmp_path / "p.p4"),
+            "--trace", str(tmp_path / "t.pcap"), "--workers", "2",
+        ])
+    assert exited.value.code == 2
     with pytest.raises(SystemExit) as exited:
         main([
             "optimize", str(tmp_path / "p.p4"),

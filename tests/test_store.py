@@ -8,7 +8,7 @@ disk hits never attributed to perf windows, every executed probe leased
 and written through), and the acceptance bars: a warm second run
 performs **zero compiles and zero replays**, and a store-enabled
 pipeline is canonically identical to a store-less one for every phase
-order — serially and under four workers.
+order, whatever ``$P2GO_WORKERS`` says.
 """
 
 import ast
@@ -50,7 +50,7 @@ from .test_parallel import canonical
 from .test_passes import ORDERS, assert_equivalent
 
 #: Enough for every firewall phase to probe, fast enough to afford the
-#: order × workers × cold/warm matrix below.
+#: order × ``$P2GO_WORKERS`` × cold/warm matrix below.
 TRACE_PACKETS = 1200
 
 
@@ -687,26 +687,6 @@ class TestSessionTiering:
         ctx.profile()
         assert store.load_profile(key) is not None  # not buffered
 
-    def test_parallel_wave_flushes_immediately(self, tmp_path):
-        store = SessionStore(tmp_path / "store")
-        ctx = make_ctx(store, workers=4)
-        with ctx:
-            ctx.probe_many(
-                programs=[ctx.program, ctx.program.with_table_size("fib", 32)]
-            )
-            # Written through by the merge wave — visible before close().
-            assert store.stats()["compile_entries"] == 2
-
-        warm = make_ctx(SessionStore(tmp_path / "store"), workers=4)
-        with warm:
-            warm.probe_many(
-                programs=[
-                    warm.program, warm.program.with_table_size("fib", 32)
-                ]
-            )
-        assert warm.counters.compile_executions == 0
-        assert warm.counters.compile_disk_hits == 2
-
 
 class TestWarmSecondRun:
     """The tentpole acceptance bar: a second run over an unchanged
@@ -794,9 +774,8 @@ class TestSeedEquivalence:
 
     @pytest.fixture(scope="class")
     def storeless(self, inputs):
-        """Store-less baselines, computed lazily per phase order (the
-        workers legs share them: ISSUE 4 pinned that worker count does
-        not change the canonical result)."""
+        """Store-less baselines, computed lazily per phase order (both
+        ``$P2GO_WORKERS`` legs share them)."""
         cache = {}
 
         def baseline(order):
@@ -810,26 +789,28 @@ class TestSeedEquivalence:
 
         return baseline
 
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("workers", ["1", "4"])
     @pytest.mark.parametrize(
         "order", ORDERS, ids=lambda o: "-".join(map(str, o))
     )
     def test_cold_canonical_warm_equivalent(
-        self, inputs, storeless, tmp_path, order, workers
+        self, inputs, storeless, tmp_path, order, workers, monkeypatch
     ):
+        # $P2GO_WORKERS sizes fan-out pools only: no session reads it.
+        monkeypatch.setenv("P2GO_WORKERS", workers)
         program, config, trace, target = inputs
         baseline = storeless(order)
         store_root = tmp_path / "store"
         cold = P2GO(
             program, config, trace, target, phases=order,
-            workers=workers, store=SessionStore(store_root),
+            store=SessionStore(store_root),
         ).run()
         # Cold: nothing to hit, so counters, per-phase perf, and every
         # decision are byte-identical to the store-less run.
         assert canonical(cold) == canonical(baseline)
         warm = P2GO(
             program, config, trace, target, phases=order,
-            workers=workers, store=SessionStore(store_root),
+            store=SessionStore(store_root),
         ).run()
         assert_equivalent(warm, baseline)
         assert warm.session_counters.compile_executions == 0
@@ -982,9 +963,9 @@ class TestProbeLeases:
         assert ctx.store.acquire("profile", ("k",)) == (None, None)
 
     def test_a_handle_holding_leases_never_waits(self, tmp_path, monkeypatch):
-        """Two parallel waves wanting each other's probes must not sit
-        out the TTL: whoever already holds a lease executes the lost
-        probe unleased instead of waiting."""
+        """The store-level guard: a handle that already holds a lease
+        executes a probe it loses unleased instead of waiting, so two
+        holders wanting each other's probes never sit out the TTL."""
         a = SessionStore(tmp_path / "store")
         b = SessionStore(tmp_path / "store")
         monkeypatch.setattr(
@@ -1022,21 +1003,50 @@ class TestProbeLeases:
         assert len(entry_paths(rival, "analysis")) == 1
         assert not list((tmp_path / "store").rglob("*.lease"))
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_raising_probe_releases_its_lease(self, tmp_path, workers):
-        """An infeasible compile propagates — serially and out of a
-        parallel wave — with no lease left for others to wait on."""
+    def test_a_foreign_analysis_lease_changes_no_count(
+        self, tmp_path, monkeypatch
+    ):
+        """The guard's one case in a session: an executing compile asks
+        for its analysis while it holds the compile's lease.  With a
+        second handle holding that analysis's lease, a cold optimize
+        analyses unleased, never waits, and counts what a run without
+        the foreign lease counts."""
+        monkeypatch.setattr(
+            time, "sleep", lambda _s: pytest.fail("waited while holding")
+        )
+
+        def run(root, foreign_lease):
+            store = SessionStore(root)
+            if foreign_lease:
+                key = (structure_key(build_toy_program()),)
+                assert SessionStore(root).claim_probe("analysis", key)
+            result = P2GO(
+                build_toy_program(), toy_config(), make_trace(),
+                DEFAULT_TARGET, store=store,
+            ).run()
+            return result, store.counters
+
+        plain, plain_store = run(tmp_path / "plain", False)
+        held, held_store = run(tmp_path / "held", True)
+        assert held.session_counters == plain.session_counters
+        assert canonical(held) == canonical(plain)
+        assert held_store.lease_waits == plain_store.lease_waits == 0
+        assert held_store.writes == plain_store.writes
+        # Only the held analysis went unleased.
+        assert held_store.lease_claims == plain_store.lease_claims - 1
+
+    def test_raising_probe_releases_its_lease(self, tmp_path):
+        """An infeasible compile propagates with no lease left for
+        others to wait on."""
         program = fw.build_program()
         ctx = OptimizationContext(
             program, fw.runtime_config(), fw.make_trace(50),
             replace(fw.TARGET, sram_blocks_per_stage=1),
-            workers=workers, store=SessionStore(tmp_path / "store"),
+            store=SessionStore(tmp_path / "store"),
         )
         with ctx:
             with pytest.raises(AllocationError):
-                ctx.probe_many(
-                    programs=[program, program.with_table_size("IPv4", 8)]
-                )
+                ctx.compile()
             assert not list((tmp_path / "store").rglob("*.lease"))
         counters = ctx.store.counters
         assert counters.lease_claims == counters.lease_releases >= 1
