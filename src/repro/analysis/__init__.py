@@ -1,11 +1,6 @@
 """Static analysis: control graph, mutual exclusivity, dependency graph."""
 
-from repro.analysis.control_graph import (
-    ApplyEvent,
-    CondEvent,
-    ControlGraph,
-    ExecutionPath,
-)
+from repro.analysis.control_graph import ControlGraph
 from repro.analysis.dependencies import (
     Dependency,
     DependencyCause,
@@ -19,8 +14,6 @@ from repro.analysis.graph import CycleError, Digraph
 from repro.analysis.structure import ProgramAnalysis, analyse, structure_key
 
 __all__ = [
-    "ApplyEvent",
-    "CondEvent",
     "ControlGraph",
     "CycleError",
     "Dependency",
@@ -28,7 +21,6 @@ __all__ = [
     "DependencyGraph",
     "DependencyKind",
     "Digraph",
-    "ExecutionPath",
     "FigureEdge",
     "ProgramAnalysis",
     "analyse",

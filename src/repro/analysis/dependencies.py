@@ -26,14 +26,13 @@ that's the property phase 2's rewrite exploits.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.control_graph import CondEvent, ControlGraph
+from repro.analysis.control_graph import ControlGraph
 from repro.analysis.graph import Digraph
 from repro.p4.control import iter_applies
-from repro.p4.expressions import FieldRef, fields_read
+from repro.p4.expressions import Expr, FieldRef, fields_read
 from repro.p4.program import Program
 
 
@@ -156,7 +155,8 @@ def build_dependency_graph(
     control_graph: Optional[ControlGraph] = None,
     control=None,
 ) -> DependencyGraph:
-    """Construct the TDG from feasible paths (plus structural successors).
+    """Construct the TDG from the control graph's pair keys (plus
+    structural successors).
 
     Analyzes the ingress by default; pass ``control=program.egress`` (or
     a prebuilt ``control_graph``) for the egress pipeline's TDG.
@@ -183,32 +183,26 @@ def build_dependency_graph(
         for name, table in program.tables.items()
     }
     # What each guard condition reads, keyed by the identity of its
-    # expression: every path through the same ``If`` shares that object,
-    # and the control tree keeps it alive for the whole call.
+    # expression: the control tree keeps it alive for the whole call.
     guard_reads: Dict[int, FrozenSet[FieldRef]] = {}
 
-    def guard_suffixes(path, ev) -> List[Tuple[int, ...]]:
-        """Entry k: the guards of ``ev`` from its k-th on, by identity."""
-        ids = []
-        for pos in ev.guard_positions:
-            expr = path.events[pos].expr
-            if id(expr) not in guard_reads:
-                guard_reads[id(expr)] = fields_read(expr)
-            ids.append(id(expr))
-        return [tuple(ids[k:]) for k in range(len(ids) + 1)]
+    def reads(guard) -> FrozenSet[FieldRef]:
+        if id(guard) not in guard_reads:
+            guard_reads[id(guard)] = fields_read(guard)
+        return guard_reads[id(guard)]
 
     def fold(
         a_table: str,
         a_hit: bool,
         b_table: str,
         b_hit: bool,
-        guards: Tuple[int, ...],
+        guards: Tuple[Expr, ...],
     ) -> None:
         """Record the causes of one (A outcome, B outcome, guards) pair."""
         # Fields B's match phase consumes: its keys plus any guard
         # condition evaluated after A.
         match_reads = match_fields[b_table].union(
-            *(guard_reads[guard] for guard in guards)
+            *(reads(guard) for guard in guards)
         )
         a_match_reads = match_fields[a_table]
         b_actions = _actions_for_outcome(program, b_table, b_hit)
@@ -262,28 +256,10 @@ def build_dependency_graph(
                     )
 
     # A pair's causes depend only on the two tables, their outcomes and
-    # B's guards evaluated after A: paths repeat those keys many times
-    # over, and each distinct one is folded once.
-    seen: Set[Tuple[str, bool, str, bool, Tuple[int, ...]]] = set()
-    for path in cg.paths:
-        applies = [
-            (i, ev, guard_suffixes(path, ev))
-            for i, ev in path.apply_events()
-        ]
-        for ai, (i, ev_a, _suffixes) in enumerate(applies):
-            for _j, ev_b, suffixes in applies[ai + 1 :]:
-                if ev_a.table == ev_b.table:
-                    continue
-                key = (
-                    ev_a.table,
-                    ev_a.hit,
-                    ev_b.table,
-                    ev_b.hit,
-                    suffixes[bisect_right(ev_b.guard_positions, i)],
-                )
-                if key not in seen:
-                    seen.add(key)
-                    fold(*key)
+    # B's guards evaluated after A: the control graph yields each
+    # distinct key once, in the order the per-path loop first meets it.
+    for key in cg.keys:
+        fold(*key)
 
     # Structural successor dependencies: applied inside a hit/miss branch.
     for apply_node in iter_applies(cg.control):
@@ -350,17 +326,10 @@ def figure_edges(program: Program) -> List[FigureEdge]:
             edges.append(FigureEdge(src=src, dst=dst, kind=kind))
 
     # Condition nodes: guards that read table-written fields.
-    cond_nodes: Dict[str, str] = {}
-    for path in cg.paths:
-        for i, ev in path.apply_events():
-            for pos in ev.guard_positions:
-                cond = path.events[pos]
-                assert isinstance(cond, CondEvent)
-                if not cond.reads:
-                    continue  # validity guards are not data dependencies
-                label = str(cond.expr)
-                cond_nodes[label] = label
-                emit(label, ev.table, "control")
+    for (table, _ids), guards in cg.sites.items():
+        for cond in guards:
+            if fields_read(cond):  # validity guards are not data dependencies
+                emit(str(cond), table, "control")
 
     for dep in graph.edges():
         has_cond_route = False
@@ -368,19 +337,14 @@ def figure_edges(program: Program) -> List[FigureEdge]:
             # If the match dependency flows through a guarding condition,
             # draw src -> cond instead of src -> dst (Fig. 1 shows
             # Sketch_Min -> condition -> DNS_Drop).
-            for path in cg.paths:
-                for i, ev in path.apply_events():
-                    if ev.table != dep.dst:
-                        continue
-                    for pos in ev.guard_positions:
-                        cond = path.events[pos]
-                        assert isinstance(cond, CondEvent)
-                        reads = {f.path for f in cond.reads}
-                        if any(
-                            reads & cause.fields for cause in dep.causes
-                        ):
-                            emit(dep.src, str(cond.expr), "match")
-                            has_cond_route = True
+            for (table, _ids), guards in cg.sites.items():
+                if table != dep.dst:
+                    continue
+                for cond in guards:
+                    fields = {f.path for f in fields_read(cond)}
+                    if any(fields & cause.fields for cause in dep.causes):
+                        emit(dep.src, str(cond), "match")
+                        has_cond_route = True
             if not has_cond_route:
                 emit(dep.src, dep.dst, "match")
         elif dep.kind is DependencyKind.ACTION:

@@ -51,8 +51,8 @@ Commands:
   the built-in example firewall; ``--feed generator`` (the default)
   plays the scripted drift scenario (steady mix, then a DNS flood).
   ``--workers 0`` re-optimizes inline (deterministic counters — the
-  CI gate's mode); ``--workers N`` re-optimizes in the background
-  while traffic keeps flowing.
+  CI gate's mode); ``--workers 1`` re-optimizes in one background
+  thread while traffic keeps flowing; any other count is refused.
 * ``demo NAME`` — run a built-in evaluation scenario end to end.
 * ``fuzz [--seed N] [--iterations N] [--time-budget S] [--axes a,b]
   [--shrink/--no-shrink] [--repro-dir DIR]`` — seeded differential
@@ -822,9 +822,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=1,
-        help="0: re-optimize inline in the ingest loop (deterministic "
-        "counters); N>=1: re-optimize in a worker thread while "
-        "traffic keeps flowing (default 1)",
+        help="0 = inline, 1 = one background thread: re-optimize in "
+        "the ingest loop (deterministic counters) or while traffic "
+        "keeps flowing (default 1)",
     )
     p_serve.add_argument(
         "--seed", type=int, default=0,

@@ -19,7 +19,7 @@ loop as a daemon:
   :meth:`~repro.core.online.OnlineProfiler.reoptimize` over the recent
   packet window, through the shared
   :class:`~repro.core.session.OptimizationContext` (and its persistent
-  store, when attached).  With ``workers >= 1`` the re-run happens in a
+  store, when attached).  With ``workers == 1`` the re-run happens in a
   worker thread while traffic keeps flowing against the current
   program; ``workers == 0`` re-optimizes inline in the ingest loop
   (deterministic counts — what the CI gate pins).
@@ -472,8 +472,9 @@ class ContinuousOptimizer:
     * ``0`` — re-optimization runs inline in the ingest loop (traffic
       pauses for it).  Every counter is deterministic; the CI gate and
       the regression tests run this mode.
-    * ``>= 1`` — re-optimization runs in a worker thread while traffic
-      keeps flowing.
+    * ``1`` — re-optimization runs in one background thread while
+      traffic keeps flowing.  A session probes serially, so a second
+      thread would have nothing to do; larger counts are refused.
 
     ``phases`` defaults to ``(2, 3)``: the promotion gate is the strict
     equivalence checker, and a phase-4 offload (which redirects packets
@@ -494,8 +495,11 @@ class ContinuousOptimizer:
         workers: int = 0,
         log: Optional[Log] = None,
     ):
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
+        if workers not in (0, 1):
+            raise ValueError(
+                "workers must be 0 (inline) or 1 (one background "
+                f"thread), got {workers}"
+            )
         self.program = program
         self.config = config
         self.baseline_trace = list(baseline_trace)

@@ -1,38 +1,40 @@
 """The static analyses against naive references, and their work bounds.
 
-:class:`~repro.analysis.control_graph.ControlGraph` prunes a branch the
-parser cannot produce as soon as its validity literal is added, and
+:class:`~repro.analysis.control_graph.ControlGraph` walks the control
+tree once: it prunes a branch the parser cannot produce as soon as its
+validity literal is added, folds only the pairs a completed path adds
+past the prefix it shares with the previous one, and derives a
+branch-free table's miss from its hit's walk.  It yields each distinct
+(table A outcome, table B outcome, B's guards after A) key once, and
 :func:`~repro.analysis.dependencies.build_dependency_graph` folds each
-distinct (table A outcome, table B outcome, B's guards after A) key once
-instead of once per path.  Both must be invisible in the output, so over
-every bundled program and the fuzz generator's CI corpus, ingress and
-egress, they are held to the references below:
+of those once.  None of it may show in the output, so over every
+bundled program and the fuzz generator's CI corpus, ingress and egress,
+both are held to the references below:
 
 * :func:`reference_paths` enumerates every completion, contradictory or
   not, and only then filters by the parser;
-* :func:`reference_dependencies` is the per-path triple loop over every
-  ordered pair of applies on every path of the reference.
+* :func:`reference_keys` is the per-path loop over every ordered pair of
+  applies on every path of the reference, keeping each key the first
+  time it is met;
+* :func:`reference_dependencies` is the per-path triple loop, building
+  every pair's causes on every path of the reference.
 
-Neither calls into ``repro.analysis``; they share only its data types.
-The last group counts work without a clock: no infeasible path is ever
-completed, no key's causes are built twice, and the ``MAX_PATHS`` cap
-counts only what the walk actually visits.
+None of them calls into ``repro.analysis`` or shares its types.  The
+last group counts work without a clock: no infeasible path is ever
+completed, enterprise completes 12 of its 442 paths, no key's causes
+are built twice, and the ``MAX_PATHS`` cap counts only what the walk
+actually visits.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, NamedTuple, Set, Tuple
 
 import pytest
 
 import repro.analysis.control_graph as control_graph_module
 import repro.analysis.dependencies as dependencies_module
-from repro.analysis.control_graph import (
-    ApplyEvent,
-    CondEvent,
-    ControlGraph,
-    ExecutionPath,
-)
+from repro.analysis.control_graph import ControlGraph
 from repro.analysis.dependencies import (
     Dependency,
     DependencyCause,
@@ -60,12 +62,33 @@ from repro.p4.expressions import (
     RegisterSize,
 )
 from repro.p4.program import Program
-from repro.programs import enterprise
+from repro.programs import enterprise, example_firewall
 
 from .test_program_values import CORPUS, corpus_program
 
 # ----------------------------------------------------------------------
 # The references
+
+
+class CondEvent(NamedTuple):
+    """A condition evaluated along a path."""
+
+    expr: object
+    taken: bool
+
+
+class ApplyEvent(NamedTuple):
+    """A table applied along a path: its outcome, and the positions in
+    the path of the conditions whose branch encloses it."""
+
+    table: str
+    hit: bool
+    guard_positions: Tuple[int, ...]
+
+
+class ExecutionPath(NamedTuple):
+    events: List[object]
+    validity: Dict[str, bool]
 
 
 def _implied(condition, taken: bool) -> List[Tuple[str, bool]]:
@@ -244,6 +267,41 @@ def reference_dependencies(
     return graph
 
 
+def _pair_keys(path):
+    """Each (A, B) pair of one path in loop order, with its fold key: a
+    guard is keyed by its ``If`` condition node, which every path through
+    that ``If`` shares, and is "after A" by its position on the path."""
+    applies = [
+        (i, e) for i, e in enumerate(path.events) if isinstance(e, ApplyEvent)
+    ]
+    for n, (i, ev_a) in enumerate(applies):
+        for _j, ev_b in applies[n + 1 :]:
+            if ev_a.table == ev_b.table:
+                continue
+            guards = tuple(
+                id(path.events[pos].expr)
+                for pos in ev_b.guard_positions
+                if pos > i
+            )
+            yield i, ev_a, ev_b, (
+                ev_a.table, ev_a.hit, ev_b.table, ev_b.hit, guards
+            )
+
+
+def reference_keys(program: Program, control) -> List[tuple]:
+    """Every distinct fold key, in the order the per-path loop first
+    meets it."""
+    keys: Dict[tuple, None] = {}
+    for path in reference_paths(program, control):
+        for *_pair, key in _pair_keys(path):
+            keys.setdefault(key, None)
+    return list(keys)
+
+
+def _by_identity(keys) -> List[tuple]:
+    return [(a, ah, b, bh, tuple(map(id, g))) for a, ah, b, bh, g in keys]
+
+
 def pipelines(program: Program):
     yield program.ingress
     if program.egress is not None:
@@ -254,13 +312,63 @@ def pipelines(program: Program):
 # Equal to the references
 
 
+def _applies_by_identity(events) -> Tuple[tuple, ...]:
+    """A path's applies, each with its outcome and guard conditions."""
+    return tuple(
+        (
+            e.table,
+            e.hit,
+            tuple(id(events[pos].expr) for pos in e.guard_positions),
+        )
+        for e in events
+        if isinstance(e, ApplyEvent)
+    )
+
+
+def _walked_paths(monkeypatch) -> List[Tuple[tuple, ...]]:
+    """Record each path the walk completes, as :func:`_applies_by_identity`
+    would see it."""
+    walked: List[Tuple[tuple, ...]] = []
+    complete = ControlGraph._complete
+
+    def recording(self, path, *args):
+        walked.append(tuple(
+            (table, hit, tuple(map(id, guards)))
+            for table, hit, _positions, guards in (
+                e for e in path if type(e) is tuple
+            )
+        ))
+        return complete(self, path, *args)
+
+    monkeypatch.setattr(ControlGraph, "_complete", recording)
+    return walked
+
+
 @pytest.mark.parametrize("case_id", CORPUS)
-def test_paths_equal_the_enumerate_then_filter_reference(case_id):
+def test_paths_equal_the_enumerate_then_filter_reference(case_id, monkeypatch):
+    """Every path the walk completes is a parser-feasible path of the
+    reference, and the apply sites it reaches are the reference's."""
+    program = corpus_program(case_id)
+    walked = _walked_paths(monkeypatch)
+    for control in pipelines(program):
+        walked.clear()
+        cg = ControlGraph(program, control)
+        paths = {
+            _applies_by_identity(p.events)
+            for p in reference_paths(program, control)
+        }
+        assert walked and set(walked) <= paths
+        assert set(cg.sites) == {
+            (table, guards) for path in paths for table, _hit, guards in path
+        }
+
+
+@pytest.mark.parametrize("case_id", CORPUS)
+def test_keys_equal_the_reference_keys_in_first_met_order(case_id):
     program = corpus_program(case_id)
     for control in pipelines(program):
-        assert ControlGraph(program, control).paths == reference_paths(
-            program, control
-        )
+        keys = ControlGraph(program, control).keys
+        assert _by_identity(keys) == reference_keys(program, control)
 
 
 @pytest.mark.parametrize("case_id", CORPUS)
@@ -355,70 +463,57 @@ def test_every_term_of_the_fold_key_matters(make, src_action, dst_action):
 
 
 def test_the_references_see_infeasible_and_repeated_work():
-    """On enterprise the two references do the work the analyses skip,
-    so the equalities above are not vacuous."""
+    """On enterprise the per-path loop meets each key more than ten
+    times on average, so the equalities above are not vacuous."""
     program = enterprise.build_program()
     paths = reference_paths(program, program.ingress)
-    assert len(ControlGraph(program).paths) == len(paths) > 0
-    visits, keys = _pair_visits(program, paths)
-    assert len(keys) < visits
+    visits = sum(1 for path in paths for _pair in _pair_keys(path))
+    assert len(reference_keys(program, program.ingress)) * 10 < visits
 
 
 # ----------------------------------------------------------------------
 # Work bounds, without a clock
 
 
-def _pair_visits(program, paths):
-    """(pair visits, distinct fold keys) of the per-path loop.  A guard
-    is keyed by its ``If`` condition node, which every path through that
-    ``If`` shares."""
-    visits, keys = 0, {}
-    for path in paths:
-        applies = [
-            (i, e) for i, e in enumerate(path.events)
-            if isinstance(e, ApplyEvent)
-        ]
-        for n, (i, ev_a) in enumerate(applies):
-            for _j, ev_b in applies[n + 1 :]:
-                if ev_a.table == ev_b.table:
-                    continue
-                visits += 1
-                guards = tuple(
-                    id(path.events[pos].expr)
-                    for pos in ev_b.guard_positions
-                    if pos > i
-                )
-                key = (ev_a.table, ev_a.hit, ev_b.table, ev_b.hit, guards)
-                keys.setdefault(key, _pair_causes(program, path, i, ev_a, ev_b))
-    return visits, keys
-
-
 def test_no_infeasible_path_is_ever_completed(monkeypatch):
-    """Every path the walk finishes is one ``ControlGraph.paths`` keeps."""
-    completions: List[int] = []
-    depth = [0]
-    walk = ControlGraph._walk
+    """Every path the walk completes is a parser-feasible path of the
+    reference: a branch the parser cannot produce is never walked."""
+    program = enterprise.build_program()
+    walked = _walked_paths(monkeypatch)
+    ControlGraph(program)
+    feasible = {
+        _applies_by_identity(p.events)
+        for p in reference_paths(program, program.ingress)
+    }
+    assert walked and set(walked) <= feasible
 
-    def counting(self, *args):
-        depth[0] += 1
-        try:
-            done = walk(self, *args)
-        finally:
-            depth[0] -= 1
-        if depth[0] == 0:
-            completions.append(len(done))
-        return done
 
-    monkeypatch.setattr(ControlGraph, "_walk", counting)
-    cg = ControlGraph(enterprise.build_program())
-    assert completions == [len(cg.paths)]
+@pytest.mark.parametrize(
+    "module, walked, paths",
+    [(enterprise, 12, 442), (example_firewall, 6, 111)],
+)
+def test_the_walk_completes_a_fraction_of_the_paths(
+    module, walked, paths, monkeypatch
+):
+    """Only the hit of a branch-free table is walked, so enterprise
+    completes 12 paths where the reference enumerates 442."""
+    program = module.build_program()
+    completed = _walked_paths(monkeypatch)
+    ControlGraph(program)
+    assert len(completed) == walked
+    assert len(reference_paths(program, program.ingress)) == paths
 
 
 def test_each_distinct_pair_is_folded_once(monkeypatch):
     """Causes are built per distinct key, never per path visit."""
     program = enterprise.build_program()
-    cg = ControlGraph(program)
-    visits, keys = _pair_visits(program, cg.paths)
+    paths = reference_paths(program, program.ingress)
+    causes = {}
+    for path in paths:
+        for i, ev_a, ev_b, key in _pair_keys(path):
+            causes.setdefault(
+                key, _pair_causes(program, path, i, ev_a, ev_b)
+            )
     built: List[DependencyCause] = []
 
     def counting(*args, **kwargs):
@@ -428,15 +523,14 @@ def test_each_distinct_pair_is_folded_once(monkeypatch):
         return cause
 
     monkeypatch.setattr(dependencies_module, "DependencyCause", counting)
-    build_dependency_graph(program, control_graph=cg)
-    per_key = sum(len(causes) for causes in keys.values())
-    assert 0 < len(built) <= per_key
-    assert len(keys) * 10 < visits  # the bound is far from per-visit
+    build_dependency_graph(program)
+    assert 0 < len(built) <= sum(len(found) for found in causes.values())
 
 
-def _exclusive_features(extra_tables: int) -> Program:
+def _condition_chain(length: int) -> Program:
     """Two parser-exclusive headers, each guarding a keyed table, then
-    ``extra_tables`` keyed tables every packet applies."""
+    ``length`` keyed tables each under a condition that tests no
+    validity, so the walk takes both of its branches."""
     b = ProgramBuilder("caps")
     b.header_type("e_t", [("kind", 8)]).header("eth", "e_t")
     b.header_type("x_t", [("f", 8)]).header("a", "x_t").header("b", "x_t")
@@ -451,22 +545,27 @@ def _exclusive_features(extra_tables: int) -> Program:
     for header in ("a", "b"):
         b.table(f"t_{header}", keys=[(f"{header}.f", "exact")], actions=["d"])
         nodes.append(If(ValidExpr(header), Apply(f"t_{header}")))
-    for n in range(extra_tables):
+    for n in range(length):
         b.table(f"x{n}", keys=[("eth.kind", "exact")], actions=["d"])
-        nodes.append(Apply(f"x{n}"))
+        nodes.append(
+            If(BinOp("==", FieldRef("eth", "kind"), Const(n)), Apply(f"x{n}"))
+        )
     b.ingress(Seq(nodes))
     return b.build()
 
 
 def test_max_paths_counts_only_what_the_walk_visits(monkeypatch):
-    """The cap is on events appended to parser-feasible partial paths.
+    """The cap is on the events the walk pushes onto its path.
 
-    The two guards leave five feasible paths (t_a hit / miss, t_b hit /
-    miss, neither) over 10 events; each keyed table then doubles the
-    paths and adds two events per path: ``10 * 2**n`` events in all.
-    The branch with both headers valid is never walked, so it does not
-    count towards the cap."""
-    monkeypatch.setattr(control_graph_module, "MAX_PATHS", 10 * 2**3)
-    assert len(ControlGraph(_exclusive_features(3)).paths) == 5 * 2**3
-    with pytest.raises(ReproError, match="parser-feasible"):
-        ControlGraph(_exclusive_features(4))
+    The two validity guards leave three walked prefixes (a valid, b
+    valid, neither) over 7 events; the pair with both headers valid is
+    never walked, and neither is any table's miss.  Each condition of
+    the chain then doubles the prefixes and pushes three events per
+    prefix (taken: the condition and its table's hit; untaken: the
+    condition): ``7 + 9 * (2**n - 1)`` events in all."""
+    monkeypatch.setattr(control_graph_module, "MAX_PATHS", 7 + 9 * (2**3 - 1))
+    walked = _walked_paths(monkeypatch)
+    ControlGraph(_condition_chain(3))
+    assert len(walked) == 3 * 2**3
+    with pytest.raises(ReproError, match="pushes more than 70 events"):
+        ControlGraph(_condition_chain(4))

@@ -439,6 +439,9 @@ class TestFleet:
             (["serve", "--max-packets", "1", "--workers", "-1"], None,
              "workers must be"),
             (["fleet", *FAST], "abc", "P2GO_WORKERS must be an integer"),
+            # One background thread is all a serial session can use.
+            (["serve", "--max-packets", "1", "--workers", "2"], None,
+             "workers must be 0 (inline) or 1"),
         ],
     )
     def test_bad_fanout_argument_exits_with_usage_error(

@@ -1,4 +1,4 @@
-"""Tests for execution-path enumeration and static mutual exclusivity."""
+"""Tests for the control-tree walk and static mutual exclusivity."""
 
 import pytest
 
@@ -16,7 +16,16 @@ from tests.conftest import build_toy_program
 
 
 def _tables_reached(cg):
-    return {table for path in cg.paths for table in path.tables()}
+    return {table for table, _guards in cg.sites}
+
+
+def _outcomes(cg):
+    """Every (table, hit) the walk pairs with another apply."""
+    return {
+        outcome
+        for a, a_hit, b, b_hit, _guards in cg.keys
+        for outcome in ((a, a_hit), (b, b_hit))
+    }
 
 
 class TestPathEnumeration:
@@ -24,7 +33,7 @@ class TestPathEnumeration:
         cg = ControlGraph(toy_program)
         # Feasible validity combos: none/ipv4/ipv4+udp, times hit/miss
         # outcomes of the applied tables.
-        assert cg.paths
+        assert cg.keys
         assert _tables_reached(cg) == {"fib", "acl"}
 
     def test_keyless_table_always_misses(self):
@@ -33,18 +42,14 @@ class TestPathEnumeration:
         b.parser_state("start", extracts=["h"])
         b.action("noop2", [])
         b.table("k", keys=[], actions=[], default_action="noop2")
-        b.ingress(Apply("k"))
+        b.table("t", keys=[("h.f", "exact")], actions=["noop2"])
+        b.ingress(Seq([Apply("k"), Apply("t")]))
         cg = ControlGraph(b.build())
-        outcomes = {
-            e.hit for p in cg.paths for _i, e in p.apply_events()
-        }
-        assert outcomes == {False}
+        assert _outcomes(cg) == {("k", False), ("t", True), ("t", False)}
 
     def test_hit_and_miss_paths_for_keyed_table(self, toy_program):
         cg = ControlGraph(toy_program)
-        outcomes = {
-            (e.table, e.hit) for p in cg.paths for _i, e in p.apply_events()
-        }
+        outcomes = _outcomes(cg)
         assert ("fib", True) in outcomes
         assert ("fib", False) in outcomes
 
@@ -85,9 +90,10 @@ class TestParserFeasibility:
 
     def test_contradictory_validity_paths_pruned(self):
         cg = ControlGraph(self.build_branching())
-        for path in cg.paths:
-            tables = set(path.tables())
-            assert not ({"t_dns", "t_dhcp"} <= tables)
+        assert _tables_reached(cg) == {"t_dns", "t_dhcp"}
+        assert not any(
+            {a, b} == {"t_dns", "t_dhcp"} for a, _ah, b, _bh, _g in cg.keys
+        )
 
     def test_negated_validity_guard(self):
         b = ProgramBuilder("p")
@@ -124,12 +130,7 @@ class TestFirewallExclusivity:
 
     def test_ordered_pairs(self, firewall_program):
         cg = ControlGraph(firewall_program)
-        pairs = {
-            (a, b)
-            for path in cg.paths
-            for i, a in enumerate(path.tables())
-            for b in path.tables()[i + 1:]
-        }
+        pairs = {(a, b) for a, _ah, b, _bh, _guards in cg.keys}
         assert ("IPv4", "ACL_UDP") in pairs
         assert ("ACL_UDP", "IPv4") not in pairs
 
@@ -201,7 +202,6 @@ class TestMissBranchExclusivity:
         # They may co-execute (a missed, b applied)...
         assert cg.may_coexecute("a", "b")
         # ...but never with 'a' hitting.
-        for path in cg.paths:
-            events = {(e.table, e.hit) for _i, e in path.apply_events()}
-            if ("b", True) in events or ("b", False) in events:
-                assert ("a", True) not in events
+        assert {(a, a_hit) for a, a_hit, _b, _bh, _g in cg.keys} == {
+            ("a", False)
+        }

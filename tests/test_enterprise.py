@@ -32,7 +32,7 @@ class TestOversubscription:
         result = compile_program(program, enterprise.TARGET, analysis)
         assert len(result.stage_map()) == 11
         assert result.dependency_graph.edges()
-        assert ControlGraph(program).paths
+        assert ControlGraph(program).keys
 
     def test_config_validates(self, program, config):
         config.validate(program)

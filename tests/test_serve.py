@@ -404,3 +404,14 @@ class TestBounds:
                 fw.TARGET,
                 workers=-1,
             )
+
+    def test_more_than_one_worker_is_refused(self):
+        """Every count >= 1 used to run the same one background thread."""
+        with pytest.raises(ValueError, match="workers must be 0 .* or 1"):
+            ContinuousOptimizer(
+                fw.build_program(),
+                fw.runtime_config(),
+                fw.make_trace(100, seed=0),
+                fw.TARGET,
+                workers=2,
+            )
