@@ -17,6 +17,9 @@ the two verbs used to spell separately lives here once:
 * one shared store root as the only channel between workers — its
   leases (DESIGN.md §13) are what keeps two of them from executing the
   same fingerprinted probe;
+* blocks: consecutive runs with an equal ``key`` go to one worker as
+  one task and run back to back, so runs that ask the same compile
+  keys do not race each other for their leases;
 * always-close of the task's session, so its trace's parses are
   dropped even when the task raises;
 * cancel-on-first-error shutdown: a failed task surfaces at once
@@ -28,6 +31,7 @@ from __future__ import annotations
 import os
 import time
 from functools import partial
+from itertools import groupby
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -37,6 +41,7 @@ from repro.core.store import SessionStore, resolve_store
 __all__ = [
     "FanOut",
     "WORKERS_ENV",
+    "lease_contention",
     "make_pool",
     "probe_provenance",
     "resolve_workers",
@@ -101,11 +106,20 @@ def _run_one(task: Callable, run, open_store: Optional[Callable]):
     return value, time.perf_counter() - t0
 
 
+def _run_block(
+    task: Callable, block: Sequence, open_store: Optional[Callable]
+):
+    """One pool task: a block's runs in order, each through
+    :func:`_run_one`.  A raising run ends the block there."""
+    return [_run_one(task, run, open_store) for run in block]
+
+
 def run_many(
     runs: Sequence,
     task: Callable,
     workers: Optional[int] = None,
     store=None,
+    key: Optional[Callable] = None,
 ) -> FanOut:
     """Execute ``task(run, session)`` for every run; results merge in
     submission order, so they are independent of the worker count.
@@ -115,9 +129,16 @@ def run_many(
     :func:`~repro.core.store.resolve_store` (instance / path / None →
     ``$P2GO_STORE`` / False → off).  ``task`` must be a module-level
     function (it is pickled by import path) and its return value must
-    pickle.  The first task to raise cancels every run still queued and
-    re-raises here once the runs already in flight have closed their
-    sessions.
+    pickle.
+
+    ``key(run)`` (called here, never pickled) groups the runs: each
+    maximal block of consecutive runs with an equal key is one pool
+    task, whose runs execute in order in one worker, each still with
+    its own store handle, session and clock.  The pool has
+    ``min(workers, blocks)`` workers; a single block runs inline.  The
+    first run to raise skips the rest of its block, cancels every block
+    still queued and re-raises here once the blocks already in flight
+    have closed their sessions.
     """
     runs = list(runs)
     workers = resolve_workers(workers)
@@ -133,19 +154,26 @@ def run_many(
             code_fp=resolved.code_fp,
             lease_ttl=resolved.lease_ttl,
         )
-    t0 = time.perf_counter()
-    if workers == 1 or len(runs) <= 1:
-        results = [_run_one(task, run, open_store) for run in runs]
+    if key is None:
+        blocks = [[run] for run in runs]
     else:
-        pool = make_pool(min(workers, len(runs)))
+        blocks = [list(block) for _key, block in groupby(runs, key)]
+    t0 = time.perf_counter()
+    if workers == 1 or len(blocks) <= 1:
+        results = _run_block(task, runs, open_store)
+    else:
+        pool = make_pool(min(workers, len(blocks)))
         try:
             futures = [
-                pool.submit(_run_one, task, run, open_store) for run in runs
+                pool.submit(_run_block, task, block, open_store)
+                for block in blocks
             ]
-            results = [future.result() for future in futures]
+            results = [
+                each for future in futures for each in future.result()
+            ]
         finally:
             # A no-op after a clean merge; on the error path it drops
-            # the runs nobody will read.
+            # the blocks nobody will read.
             pool.shutdown(wait=True, cancel_futures=True)
     return FanOut(
         results=results,
@@ -153,6 +181,22 @@ def run_many(
         store_root=store_root,
         wall_seconds=time.perf_counter() - t0,
     )
+
+
+def lease_contention(stats: Iterable[Optional[dict]]) -> Dict[str, int]:
+    """Sum a fan-out's per-run store stats (None entries skipped) into
+    lease totals: claims won, contended waits, waits the holder's entry
+    answered, and stale leases reaped."""
+    lease = dict.fromkeys(
+        ("lease_claims", "lease_waits", "lease_wait_hits", "leases_reaped"),
+        0,
+    )
+    for each in stats:
+        if each is None:
+            continue
+        for name in lease:
+            lease[name] += each["counters"][name]
+    return lease
 
 
 def probe_provenance(counters: Iterable) -> Dict:

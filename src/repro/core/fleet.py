@@ -27,7 +27,10 @@ Contract:
   the correct degradation.
 
 Fleet parallelism is at switch granularity: every child process is a
-pure function of its run.
+pure function of its run.  The fleet hands
+:func:`~repro.core.fanout.run_many` no ``key``: a fabric cycles through
+its families, so adjacent switches share no compile key and there is no
+block worth keeping in one worker.
 
 ``tests/test_fleet.py`` pins the contract; the stack benchmark's
 ``fleet_shared`` workload measures it and re-checks equivalence with
@@ -41,7 +44,7 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.fanout import probe_provenance, run_many
+from repro.core.fanout import lease_contention, probe_provenance, run_many
 from repro.core.pipeline import P2GOResult, SwitchRun
 from repro.core.session import (
     OptimizationContext,
@@ -153,21 +156,8 @@ class FleetResult:
         cross-switch disk reuse, lease contention, wall clock."""
         if self._aggregate is not None:
             return self._aggregate
-        lease = {
-            "lease_claims": 0,
-            "lease_waits": 0,
-            "lease_wait_hits": 0,
-            "leases_reaped": 0,
-        }
-        stages_before = stages_after = 0
-        for switch in self.switches:
-            result = switch.result
-            stages_before += result.stages_before
-            stages_after += result.stages_after
-            if result.store_stats is not None:
-                store_counters = result.store_stats["counters"]
-                for key in lease:
-                    lease[key] += store_counters.get(key, 0)
+        stages_before = sum(s.result.stages_before for s in self.switches)
+        stages_after = sum(s.result.stages_after for s in self.switches)
         self._aggregate = {
             "switches": len(self.switches),
             "workers": self.workers,
@@ -182,7 +172,7 @@ class FleetResult:
                 sum(switch.seconds for switch in self.switches), 3
             ),
             "wall_seconds": round(self.wall_seconds, 3),
-            **lease,
+            **lease_contention(s.result.store_stats for s in self.switches),
         }
         return self._aggregate
 

@@ -85,8 +85,9 @@ class P2GOResult:
     #: what answered — the memo, the store or an execution.  A run on a
     #: shared session counts only its own probes.
     session_counters: Optional[SessionCounters] = None
-    #: Census + counters of the persistent session store, when one was
-    #: attached (``store=``/``$P2GO_STORE``); None for memory-only runs.
+    #: Settings + counters of the persistent session store's handle,
+    #: when one was attached (``store=``/``$P2GO_STORE``); None for
+    #: memory-only runs.  :meth:`P2GO.run` adds the store's census.
     #: Metadata only: the optimization outcome is identical with or
     #: without a store (``tests/test_store.py`` pins that).
     store_stats: Optional[dict] = None
@@ -285,7 +286,8 @@ class SwitchRun:
                 self.adopt_session(ctx)
                 result = self._run_phases(ctx, passes)
         if ctx.store is not None:
-            result.store_stats = ctx.store.stats()
+            # No census: a fan-out runs this once per switch or point.
+            result.store_stats = ctx.store.handle_stats()
         return result
 
     def _run_phases(
@@ -361,8 +363,15 @@ class P2GO(SwitchRun):
 
     def run(self) -> P2GOResult:
         if self.session is not None:
-            return self.execute(session=self.session)
-        return self.execute(store=resolve_store(self.store))
+            store = self.session.store
+            result = self.execute(session=self.session)
+        else:
+            store = resolve_store(self.store)
+            result = self.execute(store=store)
+        if store is not None:
+            # The census the report prints.
+            result.store_stats = store.stats()
+        return result
 
 
 def optimize(

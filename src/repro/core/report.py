@@ -10,13 +10,14 @@ numbers — stages reclaimed, cross-switch probe reuse, lease contention,
 wall clock against running the switches independently.
 :func:`render_explore_report` renders a design-space sweep
 (:mod:`repro.explore`): per-program Pareto frontiers, fit breakpoints,
-and the cross-point reuse the shared store bought.
+the cross-point reuse the shared store bought and lease contention.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
+from repro.core.fanout import lease_contention
 from repro.core.observations import Decision, Phase, Reason, Verdict
 from repro.core.pipeline import P2GOResult
 
@@ -317,6 +318,16 @@ def render_serve_report(serve: "ServeResult") -> str:
     return "\n".join(lines)
 
 
+def _lease_line(lease: dict) -> str:
+    """One fan-out's :func:`~repro.core.fanout.lease_contention`."""
+    return (
+        f"leases: {lease['lease_claims']} claimed, "
+        f"{lease['lease_waits']} contended waits, "
+        f"{lease['lease_wait_hits']} resolved as disk hits, "
+        f"{lease['leases_reaped']} stale leases reaped"
+    )
+
+
 def render_fleet_report(fleet: "FleetResult") -> str:
     """The fabric-level report for one fleet run.
 
@@ -366,12 +377,7 @@ def render_fleet_report(fleet: "FleetResult") -> str:
         f"(cross-switch reuse {agg['disk_reuse_rate']:.1%})"
     )
     if fleet.store_root is not None:
-        lines.append(
-            f"leases: {agg['lease_claims']} claimed, "
-            f"{agg['lease_waits']} contended waits, "
-            f"{agg['lease_wait_hits']} resolved as disk hits, "
-            f"{agg['leases_reaped']} stale leases reaped"
-        )
+        lines.append(_lease_line(agg))
         lines.append(f"shared store: {fleet.store_root}")
     speedup = (
         agg["switch_seconds"] / agg["wall_seconds"]
@@ -392,10 +398,11 @@ def render_explore_report(explore: "ExploreResult") -> str:
     Per program: the Pareto frontier (every non-dominated feasible,
     fitting point with its objective values) and the fit breakpoint
     (the smallest swept shape the optimized program still fits).  For
-    the sweep: the point census, probe provenance, and the cross-point
-    reuse rate the shared store bought.  Timings and worker counts live
-    here — and only here; the canonical JSON excludes them so its bytes
-    are worker-count-independent.
+    the sweep: the point census, probe provenance, the cross-point
+    reuse rate the shared store bought, and lease contention.  Timings,
+    lease counts and worker counts live here — and only here; the
+    canonical JSON excludes them so its bytes are
+    worker-count-independent.
     """
     agg = explore.aggregate()
     lines: List[str] = [
@@ -455,6 +462,13 @@ def render_explore_report(explore: "ExploreResult") -> str:
         f"(cross-point reuse {agg['disk_reuse_rate']:.1%})"
     )
     if explore.store_root is not None:
+        # Who waited on whom depends on the scheduling, so lease
+        # contention stays off the aggregate (and the canonical JSON).
+        lines.append(
+            _lease_line(
+                lease_contention(o.store_stats for o in explore.outcomes)
+            )
+        )
         lines.append(f"shared store: {explore.store_root}")
     point_seconds = sum(outcome.seconds for outcome in explore.outcomes)
     speedup = (

@@ -828,6 +828,18 @@ class SessionStore:
                     removed += 1
         return removed
 
+    def handle_stats(self) -> Dict:
+        """This handle's settings and counters, JSON-ready: what
+        :meth:`stats` reports without the census, so no directory is
+        scanned."""
+        return {
+            "root": str(self.root),
+            "schema": SCHEMA_VERSION,
+            "code": self.code_fp,
+            "max_bytes": self.max_bytes,
+            "counters": self.counters.as_dict(),
+        }
+
     def stats(self) -> Dict:
         """Census + this process's counters, JSON-ready."""
         entries = dict.fromkeys(KINDS, 0)
@@ -845,15 +857,11 @@ class SessionStore:
             except OSError:
                 pass
         return {
-            "root": str(self.root),
-            "schema": SCHEMA_VERSION,
-            "code": self.code_fp,
-            "max_bytes": self.max_bytes,
+            **self.handle_stats(),
             **{f"{kind}_entries": entries[kind] for kind in KINDS},
             **{f"{kind}_bytes": entry_bytes[kind] for kind in KINDS},
             "quarantine_entries": quarantine,
             "total_bytes": sum(entry_bytes.values()),
-            "counters": self.counters.as_dict(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover — debugging aid

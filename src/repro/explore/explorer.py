@@ -141,8 +141,8 @@ def _point_task(
     ``point`` and ``seconds``.  A :class:`~repro.exceptions.ReproError`
     (the program cannot exist on this shape) becomes an infeasible
     outcome; the raising probe released its own lease, and the fan-out
-    closes the session either way.  A feasible point's census is the one
-    its run took; only an infeasible one takes its own."""
+    closes the session either way.  Feasible or not, the point records
+    its store handle's settings and counters, never a census."""
     status, reason, metrics = "ok", None, {}
     store_stats = None
     try:
@@ -161,7 +161,7 @@ def _point_task(
         status = "infeasible"
         reason = f"{type(exc).__name__}: {exc}"
         if session.store is not None:
-            store_stats = session.store.stats()
+            store_stats = session.store.handle_stats()
     return status, reason, metrics, session.counters, store_stats
 
 
@@ -276,7 +276,8 @@ class Explorer:
     (instance / path / None → ``$P2GO_STORE`` / False → off); without
     one, points still run — there is just no cross-point reuse.
     ``workers`` sizes the coordinator pool (None → ``$P2GO_WORKERS``,
-    then 1): parallelism lives at point granularity.
+    then 1): parallelism lives at shape granularity, one block of
+    consecutive same-shape points per pool task (:meth:`run`).
     """
 
     def __init__(
@@ -332,13 +333,24 @@ class Explorer:
         return runs
 
     def run(self) -> ExploreResult:
-        """Execute the sweep; outcomes merge in submission order."""
+        """Execute the sweep; outcomes merge in submission order.
+
+        Consecutive points of one program on one shape ask the same
+        compile keys (the target's fingerprint is in every one), so
+        they form one fan-out block: one worker runs them back to back
+        instead of two racing each other for the same leases."""
         points = self.points()
+        runs = self.runs_for(points)
+        shape_of = {
+            id(run): (point.program, point.shape)
+            for point, run in zip(points, runs)
+        }
         fan = run_many(
-            self.runs_for(points),
+            runs,
             _point_task,
             workers=self.workers,
             store=self.store,
+            key=lambda run: shape_of[id(run)],
         )
         return ExploreResult(
             outcomes=[

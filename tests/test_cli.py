@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -240,7 +241,12 @@ class TestStore:
         capsys.readouterr()
         assert self.optimize(toy_files, ["--store", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "persistent store:" in out
+        # The report's census: a run outside a fan-out still takes it.
+        assert re.search(
+            r"^persistent store: .* analysis entries, [0-9,]+ bytes ",
+            out,
+            re.MULTILINE,
+        )
         # Warm run: the compile and the profile line report zero
         # executions — everything hydrated from disk — and with no
         # compile executed, no analysis was even asked for.
@@ -489,6 +495,8 @@ class TestExplore:
         assert "P2GO design-space exploration" in out
         assert "cross-point reuse" in out
         assert "smallest fitting shape" in out
+        assert re.search(r"^leases: [0-9]+ claimed, ", out, re.MULTILINE)
+        assert "lease" not in summary.read_text()
         payload = json.loads(summary.read_text())
         assert set(payload) == {
             "aggregate", "breakpoints", "frontier", "points", "space",

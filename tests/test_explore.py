@@ -8,13 +8,17 @@ loudly, and infeasible shapes recorded — not raised — so a sweep
 survives grids the program cannot exist on.
 """
 
+import itertools
 import json
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pipeline import SwitchRun
-from repro.core.report import render_explore_report
+from repro.core.pipeline import P2GO, SwitchRun
+from repro.core.report import render_explore_report, render_report
+from repro.core.store import SessionStore
 from repro.exceptions import CompilationError
 from repro.explore import (
     DesignPoint,
@@ -425,6 +429,90 @@ class TestSweep:
         assert "example_firewall" in report
         assert "cross-point reuse" in report
         assert "smallest fitting shape" in report
+        claims = sum(
+            outcome.store_stats["counters"]["lease_claims"]
+            for outcome in sweep.outcomes
+        )
+        assert claims > 0
+        # Serial: nobody else held a lease, so nothing waited.
+        assert (
+            f"leases: {claims} claimed, 0 contended waits, "
+            "0 resolved as disk hits, 0 stale leases reaped"
+        ) in report
+        assert "lease" not in json.dumps(sweep.as_dict())
+
+    def test_seed_space_runs_one_block_per_shape(self, monkeypatch):
+        """The seed sweep's 40 points reach the fan-out as 10 blocks of
+        4: each shape's orders and policies run in one task."""
+        import repro.explore.explorer as explorer_module
+
+        blocks = []
+
+        class Stop(Exception):
+            pass
+
+        def spy(runs, task, workers=None, store=None, key=None):
+            blocks.extend(
+                [run.name for run in block]
+                for _key, block in itertools.groupby(runs, key)
+            )
+            raise Stop
+
+        monkeypatch.setattr(explorer_module, "run_many", spy)
+        with pytest.raises(Stop):
+            Explorer(
+                seed_space(["example_firewall"]), packets=PACKETS
+            ).run()
+        assert [len(block) for block in blocks] == [4] * 10
+        for block in blocks:
+            shapes = {name.split("/")[1] for name in block}
+            assert len(shapes) == 1, block
+
+    def test_point_tasks_take_no_store_census(self, tmp_path, monkeypatch):
+        """A point records its store handle's settings and counters;
+        the census (every entry file scanned) is left to the reports
+        that print it, such as ``optimize --store``'s."""
+        censuses = []
+        entry_files = SessionStore._entry_files
+
+        def spy(store, kind):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code is SessionStore.stats.__code__:
+                    censuses.append(kind)
+                frame = frame.f_back
+            return entry_files(store, kind)
+
+        monkeypatch.setattr(SessionStore, "_entry_files", spy)
+        space = DesignSpace(
+            programs=("example_firewall",),
+            shapes=parse_grid("stages=12;sram=1,48", EXAMPLE_TARGET),
+        )
+        result = Explorer(
+            space, packets=PACKETS, workers=1, store=str(tmp_path / "s")
+        ).run()
+        assert {outcome.status for outcome in result.outcomes} == {
+            "ok", "infeasible",
+        }
+        assert censuses == []
+        for outcome in result.outcomes:
+            assert set(outcome.store_stats) == {
+                "root", "schema", "code", "max_bytes", "counters",
+            }
+        # A standalone run still reports the census.
+        run = Explorer(space, packets=PACKETS).runs_for(
+            [result.outcomes[-1].point]
+        )[0]
+        standalone = P2GO(
+            run.program, run.config, run.trace, run.target,
+            store=str(tmp_path / "s"),
+        ).run()
+        assert censuses
+        assert re.search(
+            r"^persistent store: .* analysis entries, ",
+            render_report(standalone),
+            re.MULTILINE,
+        )
 
     def test_warm_second_sweep_executes_nothing(
         self, small_space, store_root, sweep
@@ -446,19 +534,18 @@ class TestSweep:
             cold_payload, sort_keys=True
         )
 
-    def test_worker_counts_serialize_byte_identically(
-        self, tmp_path
-    ):
-        """Satellite 2: same seed/grid at workers 1 vs 4 yields
-        byte-identical canonical JSON (fresh store each, so the lease
-        protocol's exactly-once execution keeps even the aggregate
-        provenance deterministic)."""
+    @staticmethod
+    def check_worker_counts(tmp_path, grid):
+        """Same seed/grid at workers 1, 2 and 4 yields byte-identical
+        canonical JSON (fresh store each, so the lease protocol's
+        exactly-once execution keeps even the aggregate provenance
+        deterministic)."""
         space = DesignSpace(
             programs=("example_firewall",),
-            shapes=parse_grid("stages=3,6", EXAMPLE_TARGET),
+            shapes=parse_grid(grid, EXAMPLE_TARGET),
         )
         serialized = []
-        for workers in (1, 4):
+        for workers in (1, 2, 4):
             result = Explorer(
                 space,
                 packets=PACKETS,
@@ -470,7 +557,7 @@ class TestSweep:
             serialized.append(
                 json.dumps(result.as_dict(), sort_keys=True)
             )
-        assert serialized[0] == serialized[1]
+        assert serialized[0] == serialized[1] == serialized[2]
         # A storeless serial sweep decides the same: per-point metrics,
         # frontier and breakpoints; only who paid for a probe differs.
         storeless = Explorer(
@@ -480,6 +567,14 @@ class TestSweep:
         shared = result.as_dict()
         storeless.pop("aggregate"), shared.pop("aggregate")
         assert storeless == shared
+
+    def test_worker_counts_serialize_byte_identically(self, tmp_path):
+        self.check_worker_counts(tmp_path, "stages=3,6")
+
+    def test_one_shape_grid_serializes_byte_identically(self, tmp_path):
+        """One shape is one fan-out block, run inline at any worker
+        count."""
+        self.check_worker_counts(tmp_path, "stages=6")
 
     def test_infeasible_shapes_are_recorded_not_raised(
         self, tmp_path, monkeypatch

@@ -293,14 +293,21 @@ class TestFleetResultShape:
         assert fleet_parallel.store_root is not None
 
 
-def _marking_task(marks, run, session):
-    """Fan-out task: the first run fails at once; every other one
-    leaves a mark, then holds its worker long enough for the failure to
-    reach the coordinator."""
-    if run.name == "run00":
-        raise RuntimeError("run00 failed")
+def _marking_task(marks, run, session, fails="run00", hold=0.5):
+    """Fan-out task: the run named ``fails`` fails at once; every other
+    one leaves a mark, then holds its worker for ``hold`` seconds, long
+    enough for the failure to reach the coordinator."""
+    if run.name == fails:
+        raise RuntimeError(f"{fails} failed")
     (marks / run.name).touch()
-    time.sleep(0.5)
+    time.sleep(hold)
+
+
+def _named_runs(fabric, copies):
+    runs = [copy.copy(run) for run in fabric * copies]
+    for index, run in enumerate(runs):
+        run.name = f"run{index:02d}"
+    return runs
 
 
 class TestFanOutFailure:
@@ -311,9 +318,7 @@ class TestFanOutFailure:
     def test_first_failure_cancels_queued_runs(
         self, fabric, tmp_path, workers
     ):
-        runs = [copy.copy(run) for run in fabric * 3]
-        for index, run in enumerate(runs):
-            run.name = f"run{index:02d}"
+        runs = _named_runs(fabric, 3)
         with pytest.raises(RuntimeError, match="run00 failed"):
             run_many(
                 runs,
@@ -326,3 +331,30 @@ class TestFanOutFailure:
         # surfaced (pool size + the pool's short prefetch queue) may
         # have run; the tail of the fabric was cancelled.
         assert not set(ran) & {run.name for run in runs[9:]}, ran
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_mid_block_skips_its_block_and_cancels_the_queue(
+        self, fabric, tmp_path, workers
+    ):
+        """Blocks of three: the second run of the first block raises,
+        so the third never runs, and the blocks still queued are
+        cancelled."""
+        runs = _named_runs(fabric, 4)
+        with pytest.raises(RuntimeError, match="run01 failed"):
+            run_many(
+                runs,
+                functools.partial(
+                    _marking_task, tmp_path, fails="run01", hold=0.3
+                ),
+                workers=workers,
+                store=False,
+                key=lambda run: int(run.name[3:]) // 3,
+            )
+        ran = sorted(mark.name for mark in tmp_path.iterdir())
+        assert "run00" in ran and "run02" not in ran, ran
+        if workers == 1:
+            assert ran == ["run00"]
+        # Only blocks already handed to a worker when the failure
+        # surfaced (pool size + the pool's short prefetch queue) may
+        # have run; the last two of the eight blocks were cancelled.
+        assert not set(ran) & {run.name for run in runs[18:]}, ran

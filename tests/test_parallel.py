@@ -1,14 +1,17 @@
-"""Worker resolution for the one fan-out, and the session's serial
-probe path.
+"""Worker resolution and key blocks for the one fan-out, and the
+session's serial probe path.
 
 ``workers`` and ``$P2GO_WORKERS`` size only
-:func:`~repro.core.fanout.run_many`'s pool — one switch or design point
-per worker.  A session answers every probe one way (memo → disk →
-execute), in the order the phases ask.
+:func:`~repro.core.fanout.run_many`'s pool — one block of runs (a
+switch, or a shape's design points) per pool task.  A session answers
+every probe one way (memo → disk → execute), in the order the phases
+ask.
 """
 
 from __future__ import annotations
 
+import copy
+import os
 import pickle
 
 import pytest
@@ -102,6 +105,27 @@ def optimize_task(run, session):
     return canonical(run.execute(session=session))
 
 
+def pid_task(run, session):
+    """A fan-out task: which run ran where."""
+    return run.name, os.getpid()
+
+
+def store_task(run, session):
+    """A fan-out task: compile and profile, then the session's and its
+    store handle's counters."""
+    session.compile()
+    session.profile()
+    return session.counters.as_dict(), session.store.counters.as_dict()
+
+
+def named_runs(count):
+    """``count`` copies of the toy run, named ``run0``, ``run1``, ..."""
+    runs = [copy.copy(toy_runs()[0]) for _ in range(count)]
+    for index, run in enumerate(runs):
+        run.name = f"run{index}"
+    return runs
+
+
 def fan_out(**kwargs):
     fan = run_many(toy_runs(), probe_task, store=False, **kwargs)
     return fan.workers, [value for value, _seconds in fan.results]
@@ -139,6 +163,61 @@ class TestWorkerResolution:
             resolve_workers()
         with pytest.raises(ValueError, match="P2GO_WORKERS"):
             fan_out()
+
+
+class TestKeyBlocks:
+    """``run_many(key=)``: each maximal block of consecutive runs with
+    an equal key is one pool task."""
+
+    def test_a_block_runs_in_one_worker_in_submission_order(self):
+        keys = ["a", "a", "a", "b", "b", "a", "c"]
+        runs = named_runs(len(keys))
+        block_of = dict(zip((run.name for run in runs), keys))
+        fan = run_many(
+            runs, pid_task, workers=2, store=False,
+            key=lambda run: block_of[run.name],
+        )
+        assert fan.workers == 2
+        assert [name for (name, _pid), _s in fan.results] == [
+            run.name for run in runs
+        ]
+        pid = {name: pid for (name, pid), _s in fan.results}
+        assert pid["run0"] == pid["run1"] == pid["run2"]
+        assert pid["run3"] == pid["run4"]
+        # Every run keeps its own clock.
+        assert all(seconds > 0 for _value, seconds in fan.results)
+
+    def test_one_block_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(
+            fanout, "make_pool", lambda workers: pytest.fail("pooled")
+        )
+        fan = run_many(
+            named_runs(3), pid_task, workers=2, store=False,
+            key=lambda run: "one shape",
+        )
+        assert [value for value, _s in fan.results] == [
+            (f"run{index}", os.getpid()) for index in range(3)
+        ]
+
+    def test_each_run_keeps_its_own_session_and_store_handle(
+        self, tmp_path
+    ):
+        """A block's runs share a worker, not a session or a store
+        handle: each run's counters are its own."""
+        fan = run_many(
+            named_runs(3), store_task, workers=2, store=str(tmp_path),
+            key=lambda run: "one shape",
+        )
+        (first, first_store), second, third = [
+            value for value, _s in fan.results
+        ]
+        assert first["compile_executions"] == 1
+        assert first_store["writes"] > 0
+        session, store = second
+        assert session["compile_executions"] == 0
+        assert session["compile_disk_hits"] == 1
+        assert store["writes"] == 0 and store["compile_hits"] == 1
+        assert third == second
 
 
 class TestBatchSemantics:
