@@ -50,9 +50,10 @@ Commands:
   gate passes on the recent window.  Without ``PROGRAM`` it serves
   the built-in example firewall; ``--feed generator`` (the default)
   plays the scripted drift scenario (steady mix, then a DNS flood).
-  ``--workers 0`` re-optimizes inline (deterministic counters — the
-  CI gate's mode); ``--workers 1`` re-optimizes in one background
-  thread while traffic keeps flowing; any other count is refused.
+  Packets are served on the command's own thread.  ``--workers 0``
+  re-optimizes inline (deterministic counters — the CI gate's mode);
+  ``--workers 1`` re-optimizes on one worker thread while traffic
+  keeps flowing; any other count is refused.
 * ``demo NAME`` — run a built-in evaluation scenario end to end.
 * ``fuzz [--seed N] [--iterations N] [--time-budget S] [--axes a,b]
   [--shrink/--no-shrink] [--repro-dir DIR]`` — seeded differential
@@ -93,7 +94,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from repro.core.pipeline import P2GO
 from repro.core.profiler import PerfCounters, Profiler
@@ -129,6 +130,18 @@ def load_trace(path: str) -> List[bytes]:
 
 
 # ----------------------------------------------------------------------
+
+
+def store_choice(args: argparse.Namespace) -> Union[bool, str, None]:
+    """A verb's ``--store`` / ``--no-store``: False for ``--no-store``,
+    the ``--store`` path, or None (defer to ``$P2GO_STORE``)."""
+    return False if args.no_store else args.store or None
+
+
+def write_output(path: str, text: str, what: str) -> None:
+    """Write one output file and say where it went."""
+    Path(path).write_text(text)
+    print(f"{what} written to {path}")
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -180,10 +193,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     target = load_target(args.target)
     trace = load_trace(args.trace)
     phases = tuple(int(p) for p in args.phases.split(","))
-    if args.no_store:
-        store = False
-    else:
-        store = args.store  # None defers to $P2GO_STORE
     result = P2GO(
         program,
         config,
@@ -191,17 +200,17 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         target,
         phases=phases,
         max_redirect_fraction=args.max_redirect,
-        store=store,
+        store=store_choice(args),
     ).run()
     print(render_report(result))
     if args.output:
-        Path(args.output).write_text(
-            print_program(result.optimized_program)
+        write_output(
+            args.output,
+            print_program(result.optimized_program),
+            "optimized program",
         )
-        print(f"optimized program written to {args.output}")
     if args.report:
-        Path(args.report).write_text(render_report(result))
-        print(f"report written to {args.report}")
+        write_output(args.report, render_report(result), "report")
     return 0
 
 
@@ -267,32 +276,17 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    store = False if args.no_store else args.store
-    fleet = run_fleet(
-        specs,
-        store=store,  # None defers to $P2GO_STORE
-        workers=args.workers,
-    )
+    fleet = run_fleet(specs, store=store_choice(args), workers=args.workers)
     report = render_fleet_report(fleet)
     print(report)
     if args.report:
-        Path(args.report).write_text(report + "\n")
-        print(f"fleet report written to {args.report}")
+        write_output(args.report, report + "\n", "fleet report")
     if args.json:
-        payload = {
-            "aggregate": fleet.aggregate(),
-            "switches": [
-                {
-                    "name": switch.name,
-                    "seconds": round(switch.seconds, 3),
-                    "stages_before": switch.result.stages_before,
-                    "stages_after": switch.result.stages_after,
-                }
-                for switch in fleet.switches
-            ],
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"fleet summary written to {args.json}")
+        write_output(
+            args.json,
+            json.dumps(fleet.as_dict(), indent=2) + "\n",
+            "fleet summary",
+        )
     return 0
 
 
@@ -343,14 +337,14 @@ def cmd_explore(args: argparse.Namespace) -> int:
         report = render_explore_report(result)
         print(report)
         if args.report:
-            Path(args.report).write_text(report + "\n")
-            print(f"exploration report written to {args.report}")
+            write_output(args.report, report + "\n", "exploration report")
         if args.json:
-            Path(args.json).write_text(
+            write_output(
+                args.json,
                 json.dumps(result.as_dict(), indent=2, sort_keys=True)
-                + "\n"
+                + "\n",
+                "exploration summary",
             )
-            print(f"exploration summary written to {args.json}")
         if result.aggregate()["frontier_points"] == 0:
             print(
                 "error: empty frontier — no swept design point both "
@@ -360,12 +354,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
             return 1
         return 0
 
-    if args.no_store:
-        return sweep(False)
-    if args.store:
-        return sweep(args.store)
-    if os.environ.get("P2GO_STORE"):
-        return sweep(None)  # defer to $P2GO_STORE
+    store = store_choice(args)
+    if store is not None or os.environ.get("P2GO_STORE"):
+        return sweep(store)
     # No store requested anywhere: cross-point reuse is the sweep's
     # whole economy, so share an ephemeral store for this run.
     with tempfile.TemporaryDirectory(prefix="p2go-explore-") as tmp:
@@ -439,7 +430,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "[ingress_port]')".format(*feed.address)
         )
 
-    store = False if args.no_store else args.store
     optimizer = ContinuousOptimizer(
         program,
         config,
@@ -448,7 +438,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         phases=tuple(int(p) for p in args.phases.split(",")),
         window=args.window,
         hit_rate_tolerance=args.tolerance,
-        store=store,  # None defers to $P2GO_STORE
+        store=store_choice(args),
         workers=args.workers,
         log=print if not args.quiet else None,
     )
@@ -458,18 +448,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
     report = render_serve_report(result)
     print(report)
     if args.report:
-        Path(args.report).write_text(report + "\n")
-        print(f"serve report written to {args.report}")
+        write_output(args.report, report + "\n", "serve report")
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(result.stats.as_dict(), indent=2) + "\n"
+        write_output(
+            args.json,
+            json.dumps(result.stats.as_dict(), indent=2) + "\n",
+            "serve stats",
         )
-        print(f"serve stats written to {args.json}")
     if args.output:
-        from repro.p4.dsl import print_program as print_dsl
-
-        Path(args.output).write_text(print_dsl(result.program))
-        print(f"final serving program written to {args.output}")
+        write_output(
+            args.output,
+            print_program(result.program),
+            "final serving program",
+        )
     return 0 if result.stats.misprocessed == 0 else 1
 
 

@@ -44,7 +44,6 @@ _EXPORTS = {
     "TraceFeed": "serve",
     "format_packet_line": "serve",
     "parse_packet_line": "serve",
-    "serve_forever": "serve",
     "render_serve_report": "report",
     "PassManager": "passes",
     "PassResult": "passes",

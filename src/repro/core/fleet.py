@@ -176,6 +176,23 @@ class FleetResult:
         }
         return self._aggregate
 
+    def as_dict(self) -> Dict:
+        """The ``fleet --json`` payload: the aggregate, then each
+        switch's name, wall seconds and stage counts in submission
+        order."""
+        return {
+            "aggregate": self.aggregate(),
+            "switches": [
+                {
+                    "name": switch.name,
+                    "seconds": round(switch.seconds, 3),
+                    "stages_before": switch.result.stages_before,
+                    "stages_after": switch.result.stages_after,
+                }
+                for switch in self.switches
+            ],
+        }
+
 
 def switch_fingerprint(result: P2GOResult) -> Tuple:
     """Canonical identity of one switch's optimization outcome — what

@@ -289,7 +289,8 @@ class PerfCounters:
 
     #: Always 0: the flow-result cache they counted is gone (DESIGN.md
     #: §12).  ``benchmarks/stack/workloads.py::replay_perf`` still reads
-    #: both; they go when it stops (ROADMAP item 6).
+    #: both; they go when it stops (ROADMAP, "Waiting for a
+    #: ``benchmark``-archetype issue").
     cache_hits = 0
     cache_misses = 0
 

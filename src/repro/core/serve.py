@@ -4,7 +4,8 @@ The paper's dynamic-compilation vision stops at "online profiling ...
 enables real-time adaptation of programs".  This module closes that
 loop as a daemon:
 
-* **Ingest** — a background thread pulls packets from a pluggable
+* **Ingest** — the serve loop, on the thread that calls
+  :meth:`ContinuousOptimizer.run`, pulls packets from a pluggable
   :class:`FeedSource` (pcap/trace replay, the seeded drift-scenario
   generator, newline-framed hex lines from a file, or a TCP socket) and
   forwards every packet through *two* switches in lockstep: the
@@ -19,10 +20,11 @@ loop as a daemon:
   :meth:`~repro.core.online.OnlineProfiler.reoptimize` over the recent
   packet window, through the shared
   :class:`~repro.core.session.OptimizationContext` (and its persistent
-  store, when attached).  With ``workers == 1`` the re-run happens in a
-  worker thread while traffic keeps flowing against the current
-  program; ``workers == 0`` re-optimizes inline in the ingest loop
-  (deterministic counts — what the CI gate pins).
+  store, when attached).  With ``workers == 1`` the cycle runs on one
+  worker thread while the loop keeps serving traffic against the
+  current program, and the loop reaps it after a later packet;
+  ``workers == 0`` runs it inline in the loop (deterministic counts —
+  what the CI gate pins).
 * **Promote** — the re-optimized program is promoted only if the strict
   equivalence checker (:func:`~repro.controller.equivalence.
   compare_behavior`) passes on a trace of the most recent window;
@@ -41,7 +43,7 @@ loop as a daemon:
   a session memo hit — so post-swap alerts compare live traffic against
   the *new* optimization-time observations, not the stale ones.
 
-No packet is dropped or stalled by a swap: the ingest loop processes
+No packet is dropped or stalled by a swap: the serve loop processes
 each packet against whichever (serving, monitor) pair is installed when
 it acquires the lock, and both members of the pair always flip
 together, so their register state stays in lockstep.
@@ -118,7 +120,8 @@ class FeedSource:
 
     Implementations yield :data:`~repro.traffic.generators.TracePacket`
     items (bytes, or ``(bytes, ingress_port)``) and may block — the
-    daemon consumes them on a dedicated ingest thread.
+    daemon consumes them on the thread that calls
+    :meth:`ContinuousOptimizer.run`, between cycles in sync mode.
     """
 
     def packets(self) -> Iterator[TracePacket]:
@@ -367,7 +370,7 @@ class SwapEvent:
 class ServeStats:
     """Everything the daemon counts.  Counters (not timings) are
     deterministic in sync mode (``workers == 0``) — what the bench
-    gate pins."""
+    gate pins.  What the cycles did is read off :attr:`events`."""
 
     packets_in: int = 0
     packets_processed: int = 0
@@ -382,17 +385,35 @@ class ServeStats:
     #: Alerts that arrived while a re-optimization was already pending
     #: or in flight (the daemon runs one cycle at a time).
     alerts_coalesced: int = 0
-    reoptimizations: int = 0
     failed_reoptimizations: int = 0
-    swaps: int = 0
-    rejected_promotions: int = 0
     elapsed_seconds: float = 0.0
-    swap_seconds: List[float] = dc_field(default_factory=list)
-    reoptimize_seconds: List[float] = dc_field(default_factory=list)
     #: Ingest throughput measured while a re-optimization was in
     #: flight (async mode only) — the "traffic keeps flowing" number.
     under_reoptimize_pps: List[float] = dc_field(default_factory=list)
+    #: One record per completed cycle (a failed re-optimization makes
+    #: none), oldest first.
     events: List[SwapEvent] = dc_field(default_factory=list)
+
+    @property
+    def reoptimizations(self) -> int:
+        return len(self.events)
+
+    @property
+    def swaps(self) -> int:
+        return sum(event.promoted for event in self.events)
+
+    @property
+    def rejected_promotions(self) -> int:
+        return self.reoptimizations - self.swaps
+
+    @property
+    def swap_seconds(self) -> List[float]:
+        """Each promotion's build-and-flip time, oldest first."""
+        return [e.swap_seconds for e in self.events if e.promoted]
+
+    @property
+    def reoptimize_seconds(self) -> List[float]:
+        return [event.reoptimize_seconds for event in self.events]
 
     @property
     def packets_per_second(self) -> float:
@@ -403,9 +424,10 @@ class ServeStats:
     @property
     def swap_latency(self) -> float:
         """Mean seconds a promotion spent building + flipping."""
-        if not self.swap_seconds:
+        swap_seconds = self.swap_seconds
+        if not swap_seconds:
             return 0.0
-        return sum(self.swap_seconds) / len(self.swap_seconds)
+        return sum(swap_seconds) / len(swap_seconds)
 
     def counts(self) -> Dict[str, int]:
         """The deterministic (sync-mode) counters, for bench gating."""
@@ -448,9 +470,6 @@ class ServeResult:
     initial: P2GOResult
     #: Every gate-passing re-optimization, oldest first.
     promotions: List[P2GOResult]
-    #: The program/config serving when the daemon stopped.
-    program: Program
-    config: RuntimeConfig
     #: The run that produced the final serving program (== ``initial``
     #: when nothing was ever promoted).
     current: P2GOResult
@@ -458,6 +477,15 @@ class ServeResult:
     #: share is on its result).
     session_counters: Optional[SessionCounters] = None
     store_stats: Optional[dict] = None
+
+    @property
+    def program(self) -> Program:
+        """The program serving when the daemon stopped."""
+        return self.current.optimized_program
+
+    @property
+    def config(self) -> RuntimeConfig:
+        return self.current.final_config
 
 
 # ----------------------------------------------------------------------
@@ -467,14 +495,15 @@ class ServeResult:
 class ContinuousOptimizer:
     """Serve, monitor, re-optimize, and atomically swap — forever.
 
-    ``workers`` selects the reaction mode:
+    :meth:`run` serves on the thread that calls it.  ``workers``
+    selects where a re-optimization cycle runs:
 
-    * ``0`` — re-optimization runs inline in the ingest loop (traffic
-      pauses for it).  Every counter is deterministic; the CI gate and
-      the regression tests run this mode.
-    * ``1`` — re-optimization runs in one background thread while
-      traffic keeps flowing.  A session probes serially, so a second
-      thread would have nothing to do; larger counts are refused.
+    * ``0`` — inline in the serve loop (traffic pauses for it).  Every
+      counter is deterministic; the CI gate and the regression tests
+      run this mode.
+    * ``1`` — on one ``p2go-serve-reopt`` worker thread while the loop
+      keeps serving.  A session probes serially, so a second worker
+      would have nothing to do; larger counts are refused.
 
     ``phases`` defaults to ``(2, 3)``: the promotion gate is the strict
     equivalence checker, and a phase-4 offload (which redirects packets
@@ -512,8 +541,8 @@ class ContinuousOptimizer:
         self.log = log
 
         #: Guards the (serving, monitor) pair, the recent-packet ring,
-        #: and every counter: per-packet processing holds it, and a
-        #: swap flips both switch references under it.
+        #: and every counter the worker writes: per-packet processing
+        #: holds it, and a swap flips both switch references under it.
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._serving: Optional[BehavioralSwitch] = None
@@ -521,12 +550,12 @@ class ContinuousOptimizer:
         self._ring: Deque[TracePacket] = deque(maxlen=window)
         self._session: Optional[OptimizationContext] = None
         self._reopt_pending = False
-        self._reopt_inflight = False
-        self._ingest_error: Optional[BaseException] = None
+        #: The cycle on the worker (``workers == 1``), until the serve
+        #: loop reaps it; only the loop's thread reads or writes it.
+        self._inflight: Optional[Future] = None
         self.stats = ServeStats()
         self.initial: Optional[P2GOResult] = None
         self.promotions: List[P2GOResult] = []
-        self._current: Optional[P2GOResult] = None
 
     # ------------------------------------------------------------------
     def _note(self, message: str) -> None:
@@ -534,20 +563,20 @@ class ContinuousOptimizer:
             self.log(message)
 
     def stop(self) -> None:
-        """Ask the ingest loop to wind down after the current packet."""
+        """Ask the serve loop to wind down after the current packet."""
         self._stop.set()
 
     # ------------------------------------------------------------------
     # Alerts -> triggers
 
     def _on_alert(self, alert: OnlineAlert) -> None:
-        # Runs inside monitor.process(), i.e. on the ingest thread
-        # with the packet lock held.
+        # Runs inside monitor.process(), i.e. on the serve loop's
+        # thread with the packet lock held.
         if alert.kind is AlertKind.HIT_RATE_DRIFT:
             self.stats.drift_alerts += 1
         else:
             self.stats.combination_alerts += 1
-        if self._reopt_pending or self._reopt_inflight:
+        if self._reopt_pending or self._inflight is not None:
             self.stats.alerts_coalesced += 1
             return
         self._reopt_pending = True
@@ -567,21 +596,32 @@ class ContinuousOptimizer:
                 # re-optimizing on a stub trace would be garbage in.
                 return None
             self._reopt_pending = False
-            self._reopt_inflight = True
             return list(self._ring)
 
-    def _recent_window(self) -> List[TracePacket]:
-        with self._lock:
-            return list(self._ring)
+    def _react(
+        self, pool: Optional[ThreadPoolExecutor], wait: bool = False
+    ) -> None:
+        """Reap the cycle in flight once it is done (``wait``: block
+        until it is), then start the next one if a trigger's window is
+        full — inline without a ``pool``, else on its worker."""
+        if self._inflight is not None:
+            if not (wait or self._inflight.done()):
+                return
+            cycle, self._inflight = self._inflight, None
+            cycle.result()  # a cycle that raised ends the run
+        window = self._take_window()
+        if window is None:
+            return
+        if pool is None:
+            self._cycle(window)
+        else:
+            self._inflight = pool.submit(self._cycle, window)
 
     # ------------------------------------------------------------------
     # Packet path
 
     def _process_packet(self, packet: TracePacket) -> None:
-        if isinstance(packet, tuple):
-            data, port = packet
-        else:
-            data, port = packet, 0
+        data, port = packet if isinstance(packet, tuple) else (packet, 0)
         with self._lock:
             served = self._serving.process(data, port)
             observed = self._monitor.process(data, port)
@@ -591,36 +631,6 @@ class ContinuousOptimizer:
                 self.stats.packets_dropped += 1
             if not same_packet(served, observed):
                 self.stats.misprocessed += 1
-
-    def _ingest(
-        self,
-        feed: FeedSource,
-        max_packets: Optional[int],
-        deadline: Optional[float],
-    ) -> None:
-        try:
-            for packet in feed.packets():
-                if self._stop.is_set():
-                    break
-                if (
-                    max_packets is not None
-                    and self.stats.packets_in >= max_packets
-                ):
-                    break
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                with self._lock:
-                    self.stats.packets_in += 1
-                self._process_packet(packet)
-                if self.workers == 0:
-                    window = self._take_window()
-                    if window is not None:
-                        try:
-                            self._cycle(window)
-                        finally:
-                            self._reopt_inflight = False
-        except BaseException as exc:  # propagate to run()
-            self._ingest_error = exc
 
     # ------------------------------------------------------------------
     # Drift -> reoptimize -> gate -> swap
@@ -651,7 +661,8 @@ class ContinuousOptimizer:
         # to the original program on the *most recent* window — in
         # async mode traffic moved on while we re-optimized, so the
         # gate re-snapshots instead of reusing the optimization trace.
-        gate_trace = self._recent_window()
+        with self._lock:
+            gate_trace = list(self._ring)
         report = compare_behavior(
             self.program,
             self.config,
@@ -659,28 +670,20 @@ class ContinuousOptimizer:
             result.final_config,
             gate_trace,
         )
-        swap_seconds = 0.0
-        if report.equivalent:
-            swap_seconds = self._swap(result)
-        event = SwapEvent(
-            packet_index=stats.packets_processed,
-            promoted=report.equivalent,
-            reoptimize_seconds=reoptimize_seconds,
-            swap_seconds=swap_seconds,
-            gate_packets=report.total,
-            gate_mismatches=len(report.mismatches),
-            stages_before=result.stages_before,
-            stages_after=result.stages_after,
-        )
+        swap_seconds = self._swap(result) if report.equivalent else 0.0
         with self._lock:
-            stats.reoptimizations += 1
-            stats.reoptimize_seconds.append(reoptimize_seconds)
-            stats.events.append(event)
-            if report.equivalent:
-                stats.swaps += 1
-                stats.swap_seconds.append(swap_seconds)
-            else:
-                stats.rejected_promotions += 1
+            stats.events.append(
+                SwapEvent(
+                    packet_index=stats.packets_processed,
+                    promoted=report.equivalent,
+                    reoptimize_seconds=reoptimize_seconds,
+                    swap_seconds=swap_seconds,
+                    gate_packets=report.total,
+                    gate_mismatches=len(report.mismatches),
+                    stages_before=result.stages_before,
+                    stages_after=result.stages_after,
+                )
+            )
         if report.equivalent:
             self._note(
                 f"swapped in re-optimized program "
@@ -720,8 +723,7 @@ class ContinuousOptimizer:
             self._serving = serving
             self._monitor = monitor
             self._ring.clear()  # fresh drift window for the new baseline
-            self._current = result
-        self.promotions.append(result)
+            self.promotions.append(result)
         return time.perf_counter() - t0
 
     # ------------------------------------------------------------------
@@ -731,8 +733,10 @@ class ContinuousOptimizer:
         max_packets: Optional[int] = None,
         duration: Optional[float] = None,
     ) -> ServeResult:
-        """Optimize, then serve ``feed`` until it ends (or
-        ``max_packets`` / ``duration`` / :meth:`stop` intervenes)."""
+        """Optimize, then serve ``feed`` on the calling thread until it
+        ends (or ``max_packets`` / ``duration`` / :meth:`stop`
+        intervenes).  A cycle still in flight when the feed ends is
+        waited for."""
         session = OptimizationContext(
             self.program,
             self.config,
@@ -741,6 +745,9 @@ class ContinuousOptimizer:
             store=resolve_store(self.store),
         )
         self._session = session
+        pool = None
+        if self.workers:
+            pool = ThreadPoolExecutor(1, thread_name_prefix="p2go-serve-reopt")
         try:
             self._note(
                 f"initial optimization on "
@@ -754,7 +761,6 @@ class ContinuousOptimizer:
                 session=session,
                 phases=self.phases,
             ).run()
-            self._current = self.initial
             self._serving = BehavioralSwitch(
                 self.initial.optimized_program, self.initial.final_config
             )
@@ -776,28 +782,33 @@ class ContinuousOptimizer:
                 time.monotonic() + duration if duration is not None
                 else None
             )
-            ingest = threading.Thread(
-                target=self._ingest,
-                args=(feed, max_packets, deadline),
-                name="p2go-serve-ingest",
-                daemon=True,
-            )
             t_start = time.perf_counter()
-            ingest.start()
-            if self.workers == 0:
-                ingest.join()
-            else:
-                self._coordinate(ingest)
+            for packet in feed.packets():
+                if (
+                    self._stop.is_set()
+                    or (
+                        max_packets is not None
+                        and self.stats.packets_in >= max_packets
+                    )
+                    or (deadline is not None and time.monotonic() >= deadline)
+                ):
+                    break
+                self.stats.packets_in += 1
+                self._process_packet(packet)
+                self._react(pool)
+            # Drain: wait for the cycle in flight, which may be the one
+            # the feed's last packets armed.
+            while self._inflight is not None:
+                self._react(pool, wait=True)
             self.stats.elapsed_seconds = time.perf_counter() - t_start
-            if self._ingest_error is not None:
-                raise self._ingest_error
             return ServeResult(
                 stats=self.stats,
                 initial=self.initial,
                 promotions=list(self.promotions),
-                program=self._current.optimized_program,
-                config=self._current.final_config,
-                current=self._current,
+                current=(
+                    self.promotions[-1] if self.promotions
+                    else self.initial
+                ),
                 session_counters=session.counters,
                 store_stats=(
                     session.store.stats()
@@ -806,56 +817,7 @@ class ContinuousOptimizer:
                 ),
             )
         finally:
+            if pool is not None:
+                pool.shutdown(wait=True)
             self._session = None
             session.close()
-
-    def _coordinate(self, ingest: threading.Thread) -> None:
-        """Async mode: watch for triggers, run cycles on a worker
-        thread, and drain the in-flight cycle when the feed ends."""
-        executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="p2go-serve-reopt"
-        )
-        future: Optional[Future] = None
-        try:
-            while True:
-                if future is not None and future.done():
-                    try:
-                        future.result()
-                    finally:
-                        future = None
-                        self._reopt_inflight = False
-                if future is None:
-                    window = self._take_window()
-                    if window is not None:
-                        future = executor.submit(self._cycle, window)
-                if not ingest.is_alive() and future is None:
-                    # Drain: a trigger raised by the feed's last packets
-                    # still gets its cycle (the window is full — the
-                    # feed just ended); an unfillable one is dropped.
-                    window = self._take_window()
-                    if window is None:
-                        self._reopt_pending = False
-                        break
-                    future = executor.submit(self._cycle, window)
-                time.sleep(0.002)
-        finally:
-            self._stop.set()
-            executor.shutdown(wait=True)
-
-
-def serve_forever(
-    program: Program,
-    config: RuntimeConfig,
-    baseline_trace: Sequence[TracePacket],
-    feed: FeedSource,
-    **kwargs,
-) -> ServeResult:
-    """One-call convenience wrapper: build the daemon and run it."""
-    run_kwargs = {
-        key: kwargs.pop(key)
-        for key in ("max_packets", "duration")
-        if key in kwargs
-    }
-    return ContinuousOptimizer(
-        program, config, baseline_trace, **kwargs
-    ).run(feed, **run_kwargs)

@@ -400,8 +400,23 @@ class TestFleet:
         assert "cross-switch reuse" in out
         assert str(store) in out
         payload = json.loads(summary.read_text())
-        assert payload["aggregate"]["switches"] == 2
-        assert len(payload["switches"]) == 2
+        aggregate, switches = payload["aggregate"], payload["switches"]
+        assert list(payload) == ["aggregate", "switches"]
+        assert aggregate["switches"] == 2
+        assert [switch["name"] for switch in switches] == [
+            "sw00-nat_gre", "sw01-cgnat",
+        ]
+        for switch in switches:
+            assert list(switch) == [
+                "name", "seconds", "stages_before", "stages_after",
+            ]
+            assert 0 < switch["stages_after"] <= switch["stages_before"]
+        # Per-switch stages add up to the fleet's totals.
+        for key in ("stages_before", "stages_after"):
+            assert sum(switch[key] for switch in switches) == aggregate[key]
+        assert aggregate["stages_reclaimed"] == (
+            aggregate["stages_before"] - aggregate["stages_after"]
+        )
         assert (store / "v1").exists()
 
     def test_fleet_report_file(self, tmp_path, capsys):

@@ -14,13 +14,13 @@ import pytest
 from repro.core.report import render_serve_report
 from repro.core.serve import (
     ContinuousOptimizer,
+    FeedSource,
     GeneratorFeed,
     LineFeed,
     SocketFeed,
     TraceFeed,
     format_packet_line,
     parse_packet_line,
-    serve_forever,
 )
 from repro.p4 import Const, FieldRef, ModifyField
 from repro.packets.craft import udp_packet
@@ -65,6 +65,21 @@ class TestDriftScenario:
         assert result.promotions
         assert len(stats.swap_seconds) == stats.swaps
         assert all(s > 0 for s in stats.swap_seconds)
+
+    def test_cycle_counts_are_read_off_the_events(self, drift_serve):
+        """Each completed cycle is one SwapEvent, and the cycle counters
+        and timing lists agree with the events, in order."""
+        _optimizer, result = drift_serve
+        stats = result.stats
+        promoted = [event for event in stats.events if event.promoted]
+        assert stats.reoptimizations == len(stats.events)
+        assert stats.swaps == len(promoted)
+        assert stats.rejected_promotions == len(stats.events) - len(promoted)
+        assert stats.swap_seconds == [e.swap_seconds for e in promoted]
+        assert stats.reoptimize_seconds == [
+            event.reoptimize_seconds for event in stats.events
+        ]
+        assert result.promotions and len(result.promotions) == stats.swaps
 
     def test_no_dropped_or_misprocessed_packets(self, drift_serve):
         _optimizer, result = drift_serve
@@ -250,19 +265,74 @@ class TestAsyncMode:
         assert stats.packets_in == stats.packets_processed
 
 
-class TestServeStore:
-    def test_persistent_store_attaches(self, tmp_path):
-        result = serve_forever(
+class RecordingFeed(FeedSource):
+    """Replays packets and notes every thread they are pulled on."""
+
+    def __init__(self, packets):
+        self._packets = list(packets)
+        self.threads = set()
+
+    def packets(self):
+        for packet in self._packets:
+            self.threads.add(threading.current_thread())
+            yield packet
+
+
+class TestThreadPlacement:
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_the_loop_runs_on_the_callers_thread(self, workers, monkeypatch):
+        """The feed is consumed on the thread that calls run(), in both
+        modes; a cycle runs inline there (workers=0) or on the one
+        re-optimization worker (workers=1)."""
+        cycle_threads = []
+        real_cycle = ContinuousOptimizer._cycle
+
+        def recording_cycle(self, window):
+            cycle_threads.append(threading.current_thread())
+            return real_cycle(self, window)
+
+        monkeypatch.setattr(ContinuousOptimizer, "_cycle", recording_cycle)
+        feed = RecordingFeed(
+            GeneratorFeed.firewall_drift(
+                total=1200, seed=0, shift_at=0.5
+            ).packets()
+        )
+        result = ContinuousOptimizer(
             fw.build_program(),
             fw.runtime_config(),
             fw.make_trace(2000, seed=0),
-            TraceFeed(fw.make_trace(300, seed=5)),
+            fw.TARGET,
+            window=300,
+            hit_rate_tolerance=TOLERANCE,
+            workers=workers,
+        ).run(feed)
+        caller = threading.current_thread()
+        assert feed.threads == {caller}
+        assert result.stats.packets_processed == 1200
+        assert cycle_threads
+        assert len(cycle_threads) == (
+            result.stats.reoptimizations
+            + result.stats.failed_reoptimizations
+        )
+        for thread in cycle_threads:
+            if workers == 0:
+                assert thread is caller
+            else:
+                assert thread is not caller
+                assert thread.name.startswith("p2go-serve-reopt")
+
+
+class TestServeStore:
+    def test_persistent_store_attaches(self, tmp_path):
+        result = ContinuousOptimizer(
+            fw.build_program(),
+            fw.runtime_config(),
+            fw.make_trace(2000, seed=0),
             target=fw.TARGET,
             window=200,
             workers=0,
             store=tmp_path / "store",
-            max_packets=300,
-        )
+        ).run(TraceFeed(fw.make_trace(300, seed=5)), max_packets=300)
         assert result.store_stats is not None
         assert result.store_stats["compile_entries"] > 0
         assert result.stats.packets_processed == 300
