@@ -10,7 +10,7 @@ the two verbs used to spell separately lives here once:
 * worker-count resolution (:func:`resolve_workers`: knob >
   ``$P2GO_WORKERS`` > 1) and store-root resolution
   (:func:`~repro.core.store.resolve_store` semantics; only the root
-  and the handle's settings — size cap, lease TTL, code fingerprint —
+  and the handle's settings — size cap and code fingerprint —
   cross the process boundary, every task opens its own handle);
 * the pool factory (:func:`make_pool`) with its thread fallback — the
   only place under ``repro`` that constructs a process pool;
@@ -152,7 +152,6 @@ def run_many(
             store_root,
             max_bytes=resolved.max_bytes,
             code_fp=resolved.code_fp,
-            lease_ttl=resolved.lease_ttl,
         )
     if key is None:
         blocks = [[run] for run in runs]

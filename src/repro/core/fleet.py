@@ -23,7 +23,7 @@ Contract:
   and gets a disk hit), so the fleet-wide execution count equals the
   number of *distinct* probes the fabric asks — the number
   ``BENCH_stack.json`` pins for ``fleet_shared``.  The only exception
-  is a reaped lease (a holder dead past the TTL), where re-execution is
+  is a reaped lease (its holder died mid-probe), where re-execution is
   the correct degradation.
 
 Fleet parallelism is at switch granularity: every child process is a

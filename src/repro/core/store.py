@@ -38,11 +38,10 @@ Durability and safety contract (DESIGN.md §10):
 * **Corruption tolerance.**  A truncated, garbage, or wrong-key entry
   file is quarantined on load and counted; the caller sees a plain
   miss.
-* **Multi-process safety without locks.**  One file per entry plus
-  atomic rename means concurrent writers at worst both pay for the
-  same probe and the last rename wins — both files hold the identical
-  content-addressed value.  There is no global lock and no shared
-  mutable index.
+* **Lock-free entries.**  One file per entry plus atomic rename means
+  concurrent writers at worst both pay for the same probe and the last
+  rename wins — both files hold the identical content-addressed value.
+  There is no global lock and no shared mutable index.
 * **LRU size cap.**  Loads refresh an entry's mtime; when the store
   exceeds ``max_bytes`` after a write, the least-recently-used entries
   are evicted (oldest mtime first, name as the deterministic
@@ -51,15 +50,15 @@ Durability and safety contract (DESIGN.md §10):
   has written since reach half the headroom its last census saw: one
   process never exceeds the cap, N concurrent ones by less than
   ``(N - 1) / 2 * max_bytes`` (DESIGN.md §10).
-* **Probe leases.**  An ``O_EXCL``-created ``<entry>.lease`` file
-  beside the entry marks a probe some process is executing (DESIGN.md
-  §13: exactly-once across processes).  It records the holder's host
-  and pid: a lease is *stale* — reaped by the next claimant — once it
-  is older than ``lease_ttl`` or its holder, on this host, no longer
-  exists, and no wait outlives the TTL.  At worst two processes re-pay
-  one probe; they never produce different content.  Lease telemetry
-  rides on :class:`StoreCounters`; lease files are invisible to the
-  census, the LRU sweep, and ``clear()``.
+* **Probe leases.**  A ``<entry>.lease`` file beside the entry,
+  locked with ``flock``, marks a probe some process is executing
+  (DESIGN.md §13: exactly-once across processes).  The lock, not the
+  file, is the claim: the kernel drops it when its holder exits or
+  dies, which wakes every waiter at once, and a lease file nobody has
+  locked is reaped by the next claimant.  At worst two processes
+  re-pay one probe; they never produce different content.  Lease
+  telemetry rides on :class:`StoreCounters`; lease files are invisible
+  to the census, the LRU sweep, and ``clear()``.
 
 One policy for every session with a store attached (DESIGN.md §10):
 :meth:`SessionStore.acquire` → execute → publish.
@@ -67,12 +66,11 @@ One policy for every session with a store attached (DESIGN.md §10):
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import pickle
-import socket
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
@@ -104,12 +102,6 @@ STORE_ENV = "P2GO_STORE"
 
 #: Default size cap before LRU eviction kicks in.
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
-
-#: Default age after which another process's lease is considered dead
-#: and may be reaped.  Must comfortably exceed one probe's execution
-#: time (a compile or a trace replay — seconds), so an expiry almost
-#: always means the holder crashed, not that it is slow.
-DEFAULT_LEASE_TTL = 120.0
 
 #: The probe kinds: one entry directory, ``load_<kind>`` /
 #: ``store_<kind>`` pair, ``<kind>_hits`` counter and census row each.
@@ -261,7 +253,8 @@ class StoreCounters:
     #: Waits that ended with the other process's entry served (the
     #: cross-process analogue of an in-flight dedup hit).
     lease_wait_hits: int = 0
-    #: Stale leases (holder dead past the TTL) broken by this process.
+    #: Lease files found unlocked (their holder died) and taken over by
+    #: this process.
     leases_reaped: int = 0
 
     @property
@@ -284,8 +277,9 @@ class ProbeLease:
     Won via :meth:`SessionStore.acquire`; the holder executes the
     probe, then calls :meth:`publish` (write + release) so waiters in
     other processes see the entry instead of re-executing — or just
-    :meth:`release` when the execution raised.  A lease whose holder
-    dies is reaped by the next claimant.
+    :meth:`release` when the execution raised.  ``fd`` holds the lease
+    file's ``flock``; a lease whose holder dies loses it with the
+    process and is reaped by the next claimant.
     """
 
     store: "SessionStore"
@@ -293,6 +287,7 @@ class ProbeLease:
     key: Tuple
     path: Path
     released: bool = False
+    fd: Optional[int] = None
 
     def publish(self, value) -> None:
         """Write the executed probe's entry, then release the claim."""
@@ -303,10 +298,13 @@ class ProbeLease:
         if self.released:
             return
         self.released = True
+        # Unlink before unlocking: a claimant that wins the lock after
+        # the close finds the path gone or re-linked, never this file.
         try:
             os.unlink(self.path)
         except OSError:
             pass
+        os.close(self.fd)
         self.store.counters.lease_releases += 1
 
 
@@ -319,9 +317,7 @@ class SessionStore:
     layouts.  ``max_bytes`` caps the summed size of entry files; the
     least-recently-used entries are evicted past it.
     ``code_fp`` overrides the manifest code fingerprint (tests use this
-    to simulate a store written by different code).  ``lease_ttl`` is
-    the age past which another process's probe lease counts as dead
-    (and the longest a :meth:`wait_for_probe` can block).
+    to simulate a store written by different code).
 
     Every public method is exception-safe: I/O and pickling failures
     degrade to a miss (loads) or a dropped write (stores) and are
@@ -334,16 +330,12 @@ class SessionStore:
         root: Union[str, Path, None] = None,
         max_bytes: int = DEFAULT_MAX_BYTES,
         code_fp: Optional[str] = None,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
     ):
         if max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")
-        if lease_ttl <= 0:
-            raise ValueError("lease_ttl must be > 0")
         self.root = Path(root).expanduser() if root else default_store_root()
         self.base = self.root / f"v{SCHEMA_VERSION}"
         self.max_bytes = max_bytes
-        self.lease_ttl = lease_ttl
         self.counters = StoreCounters()
         self._code_fp = code_fp
         self._seq = 0
@@ -460,12 +452,15 @@ class SessionStore:
     def _entry_path(self, kind: str, key: Tuple) -> Path:
         return self._dir(kind) / self._entry_name(kind, key)
 
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        """Write-to-temp + rename; the temp name is unique per process
-        (pid + sequence) and opened ``O_EXCL`` so two processes never
-        share a temp file."""
+    def _temp_path(self, path: Path) -> Path:
+        """A temp name beside ``path``, unique per process (pid +
+        sequence); opened ``O_EXCL``, so two processes never share one."""
         self._seq += 1
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{self._seq}.tmp")
+        return path.with_name(f".{path.name}.{os.getpid()}.{self._seq}.tmp")
+
+    def _atomic_write(self, path: Path, data: bytes) -> None:
+        """Write-to-temp + rename (:meth:`_temp_path`)."""
+        tmp = self._temp_path(path)
         fd = os.open(
             tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_TRUNC, 0o644
         )
@@ -557,121 +552,114 @@ class SessionStore:
     def _loader(self, kind: str):
         return getattr(self, f"load_{kind}")
 
-    def _lease_stale(self, path: Path) -> Optional[bool]:
-        """Whether the lease's holder is presumed dead (None: the lease
-        is gone).  Dead means older than ``lease_ttl``, or written on
-        this host by a pid that no longer exists; a lease whose record
-        is missing, unreadable or from another host has only the TTL.
-        """
+    def _take_unlocked(self, path: Path) -> Tuple[Optional[int], bool]:
+        """Try the lock of an existing lease file: ``(fd, True)`` when
+        nobody held it and the file is still the lease (its holder
+        died: the lease is now ours), ``(None, True)`` when a live
+        holder has it, ``(None, False)`` when the file went away or
+        was replaced meanwhile (claim again)."""
         try:
-            if time.time() - path.stat().st_mtime > self.lease_ttl:
-                return True
-            holder = json.loads(path.read_text())
-            if holder["host"] != socket.gethostname():
-                return False
-            os.kill(holder["pid"], 0)
+            fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
         except FileNotFoundError:
-            return None
-        except ProcessLookupError:
-            return True
-        except (OSError, ValueError, KeyError, TypeError, OverflowError):
-            return False  # no usable record: only the TTL applies
-        return False  # the holder is alive
+            return None, False
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            return None, True
+        try:
+            current = os.stat(path).st_ino == os.fstat(fd).st_ino
+        except FileNotFoundError:
+            current = False
+        if current:
+            return fd, True
+        os.close(fd)
+        return None, False
 
     def claim_probe(self, kind: str, key: Tuple) -> Optional[ProbeLease]:
         """Try to claim exclusive execution of one probe.
 
         Returns a held :class:`ProbeLease` when this process won (it
         executes, then publishes the value or just releases), or None
-        when another process holds a live lease on the same fingerprint
-        — :meth:`wait_for_probe` instead of executing.  A stale lease
-        (:meth:`_lease_stale`) is reaped and re-claimed.  When no lease
-        file can be created at all (ENOSPC, a read-only or unready
-        root) there is nothing to hold and nobody to wait for: the
-        failure is counted in ``errors`` and the returned lease is
-        already released — the caller executes unleased.
+        when another process holds the lease's lock on the same
+        fingerprint — :meth:`wait_for_probe` instead of executing.  The
+        lease file is created locked (a locked temp file hard-linked
+        into place), so an unlocked one means its holder died: it is
+        taken over and counted in ``leases_reaped``.  When no lease can
+        be made at all (ENOSPC, a read-only or unready root, a file
+        system without hard links) there is nothing to hold and nobody
+        to wait for: the failure is counted in ``errors`` and the
+        returned lease is already released — the caller executes
+        unleased.
         """
         path = self._lease_path(kind, key)
         unleased = ProbeLease(self, kind, key, path, released=True)
         if not self._ensure_ready():
             return unleased
-        for _attempt in (0, 1):
-            try:
-                fd = os.open(
-                    path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644
-                )
-            except FileExistsError:
-                stale = self._lease_stale(path)
-                if stale is False:
+        tmp = self._temp_path(path)
+        try:
+            fd = os.open(
+                tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC,
+                0o644,
+            )
+        except OSError:
+            self.counters.errors += 1
+            return unleased
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # a new file: never blocks
+            while True:
+                try:
+                    os.link(tmp, path)
+                    break
+                except FileExistsError:
+                    pass
+                reaped, held = self._take_unlocked(path)
+                if reaped is not None:
+                    os.close(fd)
+                    fd = reaped
+                    self.counters.leases_reaped += 1
+                    break
+                if held:
+                    os.close(fd)
                     return None
-                if stale:
-                    # Holder dead: break the lease and retry the
-                    # O_EXCL create (one racer wins it).
-                    try:
-                        os.unlink(path)
-                        self.counters.leases_reaped += 1
-                    except OSError:
-                        pass
-                continue
-            except OSError:
-                self.counters.errors += 1
-                return unleased
+        except OSError:
+            self.counters.errors += 1
+            os.close(fd)
+            return unleased
+        finally:
             try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(
-                        json.dumps(
-                            {"host": socket.gethostname(), "pid": os.getpid()}
-                        )
-                    )
+                os.unlink(tmp)
             except OSError:
-                self.counters.errors += 1
-            self.counters.lease_claims += 1
-            return ProbeLease(self, kind, key, path)
-        return None
+                pass
+        self.counters.lease_claims += 1
+        return ProbeLease(self, kind, key, path, fd=fd)
 
-    def wait_for_probe(
-        self,
-        kind: str,
-        key: Tuple,
-        deadline: Optional[float] = None,
-        poll: float = 0.02,
-    ):
+    def wait_for_probe(self, kind: str, key: Tuple):
         """Wait for another process's in-flight probe to land.
 
-        Polls while the lease stays live.  Returns the loaded entry
-        value (a cross-process dedup hit), or None when the lease
-        vanished or went stale without producing an entry — the caller
-        should retry :meth:`claim_probe` — or when ``deadline``
-        (``time.monotonic()`` based; defaults to ``lease_ttl`` from
-        now) passes, in which case the caller should just execute:
-        duplicated work is always preferable to a wedged run.
+        Blocks in ``flock`` on the lease file until its holder releases
+        it (or dies), then loads the entry.  Returns the entry value (a
+        cross-process dedup hit), or None when the holder left no entry
+        — it raised or died — and the caller should retry
+        :meth:`claim_probe`.
         """
-        if deadline is None:
-            deadline = time.monotonic() + self.lease_ttl
-        load = self._loader(kind)
-        entry = self._entry_path(kind, key)
-        lease = self._lease_path(kind, key)
         self.counters.lease_waits += 1
-        while True:
-            if entry.exists():
-                value = load(key)
-                if value is not None:
-                    self.counters.lease_wait_hits += 1
-                    return value
-                # The entry was corrupt (now quarantined) — fall
-                # through to the lease check.
-            stale = self._lease_stale(lease)
-            if stale is None:
-                # Lease released: one final look for the entry.
-                if entry.exists():
-                    value = load(key)
-                    if value is not None:
-                        self.counters.lease_wait_hits += 1
-                        return value
-                return None
-            if stale or time.monotonic() >= deadline:
-                return None
-            time.sleep(poll)
+        lease = self._lease_path(kind, key)
+        try:
+            fd = os.open(lease, os.O_RDONLY | os.O_CLOEXEC)
+        except OSError:
+            pass  # released already
+        else:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_SH)
+            except OSError:
+                pass  # no lock to wait on: the load below decides
+            finally:
+                os.close(fd)
+        value = self._loader(kind)(key)
+        if value is not None:
+            self.counters.lease_wait_hits += 1
+        return value
 
     def acquire(
         self, kind: str, key: Tuple
@@ -685,19 +673,16 @@ class SessionStore:
           must execute, then ``lease.publish(value)`` (or ``release()``
           if the execution raised);
         * ``(None, None)`` — execute unleased and :meth:`publish`:
-          leasing is impossible here, ``lease_ttl`` passed while
-          waiting, or this handle already holds a lease.  A session
-          holds one only while an executing compile asks for its
-          analysis under the compile's lease; waiting then would chain
-          every process that waits on the compile behind the analysis's
-          holder (and behind its TTL, were it dead).  Duplicated work
-          beats a chained wait.
+          leasing is impossible here, or this handle already holds a
+          lease.  A session holds one only while an executing compile
+          asks for its analysis under the compile's lease; waiting then
+          would chain every process that waits on the compile behind
+          the analysis's holder.  Duplicated work beats a chained wait.
         """
         load = self._loader(kind)
         value = load(key)
         if value is not None:
             return value, None
-        deadline = time.monotonic() + self.lease_ttl
         while True:
             lease = self.claim_probe(kind, key)
             if lease is None:
@@ -705,11 +690,9 @@ class SessionStore:
                     # An executing compile asking for its analysis:
                     # never wait while holding the compile's lease.
                     return None, None
-                value = self.wait_for_probe(kind, key, deadline=deadline)
+                value = self.wait_for_probe(kind, key)
                 if value is not None:
                     return value, None
-                if time.monotonic() >= deadline:
-                    return None, None
                 continue
             if lease.released:
                 return None, None

@@ -14,10 +14,12 @@ order, whatever ``$P2GO_WORKERS`` says.
 import ast
 import errno
 import importlib.util
+import inspect
 import json
 import os
 import pickle
 import pickletools
+import socket
 import subprocess
 import sys
 import threading
@@ -28,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import session as session_module
+from repro.core import store as store_module
 from repro.core.pipeline import P2GO, SwitchRun
 from repro.core.report import render_report
 from repro.core.session import OptimizationContext, Source
@@ -821,6 +824,17 @@ class TestSeedEquivalence:
 # Probe leases (ISSUE 8): cross-process dedup of in-flight probes.
 
 
+@pytest.fixture
+def no_waiting(monkeypatch):
+    """Fail a test whose store would wait on a lease: a wait blocks
+    until the holder releases, and these holders never do."""
+    monkeypatch.setattr(
+        SessionStore,
+        "wait_for_probe",
+        lambda *_args: pytest.fail("waited on a lease"),
+    )
+
+
 class TestProbeLeases:
     """Claim / wait / release / reap on one shared root."""
 
@@ -883,19 +897,32 @@ class TestProbeLeases:
         assert reader.counters.leases_held == 0
         assert reader.claim_probe("compile", key) is not None
 
-    def test_stale_lease_is_reaped(self, tmp_path):
-        dead = SessionStore(tmp_path / "store", lease_ttl=0.05)
-        dead.claim_probe("compile", ("k",))  # never released
-        time.sleep(0.1)
-        survivor = SessionStore(tmp_path / "store", lease_ttl=0.05)
-        assert survivor.claim_probe("compile", ("k",)) is not None
-        assert survivor.counters.leases_reaped == 1
+    def test_unlocked_lease_of_a_live_pid_is_reaped_at_once(self, tmp_path):
+        """A lease file nobody has locked has no holder, whatever it
+        records.  Here it names this host and a live pid (a reused one,
+        in the host/pid record of an older store): a guess from the
+        record would wait on it; the lock says it is free."""
+        root = tmp_path / "store"
+        store = SessionStore(root)
+        assert store._ensure_ready()
+        path = store._lease_path("compile", ("k",))
+        path.write_text(
+            json.dumps({"host": socket.gethostname(), "pid": os.getpid()})
+        )
+        lease = store.claim_probe("compile", ("k",))
+        assert lease is not None and not lease.released
+        assert store.counters.leases_reaped == 1
+        assert store.counters.lease_claims == 1
+        # The file taken over is the lease now: it excludes a rival.
+        assert SessionStore(root).claim_probe("compile", ("k",)) is None
+        lease.release()
+        assert not path.exists()
 
     def test_killed_holders_lease_is_reaped_at_once(self, tmp_path):
-        """A SIGKILLed holder (same host, pid gone) must not make the
-        next run wait out the TTL: its lease is stale immediately."""
+        """A SIGKILLed holder must not make the next run wait: the
+        kernel dropped its lock, so its lease is reaped at once."""
         root = tmp_path / "store"
-        ctx = make_ctx(SessionStore(root))  # default lease_ttl: 120 s
+        ctx = make_ctx(SessionStore(root))
         key = (ctx.program_key(ctx.program), ctx.target.fingerprint())
         holder = subprocess.Popen(
             [sys.executable, "-c", _CLAIM_AND_HANG, str(root), repr(key)],
@@ -920,7 +947,9 @@ class TestProbeLeases:
         assert counters.lease_waits == 0
         assert not list(root.rglob("*.lease"))
 
-    def test_foreign_or_unreadable_lease_has_only_the_ttl(self, tmp_path):
+    def test_a_held_lock_excludes_whatever_the_lease_file_holds(
+        self, tmp_path
+    ):
         holder = SessionStore(tmp_path / "store")
         rival = SessionStore(tmp_path / "store")
         lease = holder.claim_probe("compile", ("k",))
@@ -928,26 +957,26 @@ class TestProbeLeases:
             lease.path.write_text(record)
             assert rival.claim_probe("compile", ("k",)) is None
         assert rival.counters.leases_reaped == 0
+        lease.release()
+        assert rival.claim_probe("compile", ("k",)) is not None
+        assert rival.counters.leases_reaped == 0
 
     def test_lease_creation_failure_does_not_spin(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, no_waiting
     ):
         """ENOSPC / read-only root: "cannot lease" is not "someone else
-        holds it" — execute unleased at once, never poll out the TTL."""
-        ctx = make_ctx(SessionStore(tmp_path / "store"))  # lease_ttl 120
+        holds it" — execute unleased at once, never wait."""
+        ctx = make_ctx(SessionStore(tmp_path / "store"))
         real_open, attempts = os.open, []
 
         def no_space_for_leases(path, *args, **kwargs):
-            if str(path).endswith(".lease"):
+            if ".lease." in Path(path).name:  # a lease's temp file
                 attempts.append(path)
                 assert len(attempts) < 10, "spinning on a failed claim"
                 raise OSError(errno.ENOSPC, "No space left on device")
             return real_open(path, *args, **kwargs)
 
         monkeypatch.setattr(os, "open", no_space_for_leases)
-        monkeypatch.setattr(
-            time, "sleep", lambda _s: pytest.fail("slept on a failed claim")
-        )
         result = ctx.compile()
         assert result.stages_used == make_ctx(None).compile().stages_used
         # One attempt per executed probe: the compile and its analysis.
@@ -962,15 +991,31 @@ class TestProbeLeases:
         assert ctx.store.counters.writes == 2
         assert ctx.store.acquire("profile", ("k",)) == (None, None)
 
-    def test_a_handle_holding_leases_never_waits(self, tmp_path, monkeypatch):
+    def test_a_root_without_hard_links_executes_unleased(
+        self, tmp_path, monkeypatch, no_waiting
+    ):
+        """A file system that cannot hard-link a lease into place makes
+        the probe execute unleased, counted in ``errors``, and leaves
+        no temp file behind."""
+        ctx = make_ctx(SessionStore(tmp_path / "store"))
+
+        def no_hard_links(_src, _dst):
+            raise OSError(errno.EPERM, "Operation not permitted")
+
+        monkeypatch.setattr(os, "link", no_hard_links)
+        result = ctx.compile()
+        assert result.stages_used == make_ctx(None).compile().stages_used
+        assert ctx.store.counters.errors == 2  # the compile, its analysis
+        assert ctx.store.counters.lease_claims == 0
+        assert ctx.store.counters.writes == 2
+        assert not list((tmp_path / "store").rglob("*.lease*"))
+
+    def test_a_handle_holding_leases_never_waits(self, tmp_path, no_waiting):
         """The store-level guard: a handle that already holds a lease
         executes a probe it loses unleased instead of waiting, so two
-        holders wanting each other's probes never sit out the TTL."""
+        holders wanting each other's probes never block each other."""
         a = SessionStore(tmp_path / "store")
         b = SessionStore(tmp_path / "store")
-        monkeypatch.setattr(
-            time, "sleep", lambda _s: pytest.fail("waited while holding")
-        )
         _, held_by_a = a.acquire("compile", ("k1",))
         _, held_by_b = b.acquire("compile", ("k2",))
         assert held_by_a is not None and held_by_b is not None
@@ -979,7 +1024,7 @@ class TestProbeLeases:
         assert a.counters.lease_waits == b.counters.lease_waits == 0
 
     def test_analysis_is_never_waited_on_under_a_compile_lease(
-        self, tmp_path, monkeypatch
+        self, tmp_path, no_waiting
     ):
         """Another process is analysing the same structure for a
         different compile: this one holds its compile lease, so it
@@ -989,9 +1034,6 @@ class TestProbeLeases:
         rival = SessionStore(tmp_path / "store")
         key = (structure_key(ctx.program),)
         rival_lease = rival.claim_probe("analysis", key)
-        monkeypatch.setattr(
-            time, "sleep", lambda _s: pytest.fail("waited while holding")
-        )
         ctx.compile()
         assert ctx.counters.analysis_executions == 1
         assert ctx.store.counters.lease_waits == 0
@@ -1004,16 +1046,13 @@ class TestProbeLeases:
         assert not list((tmp_path / "store").rglob("*.lease"))
 
     def test_a_foreign_analysis_lease_changes_no_count(
-        self, tmp_path, monkeypatch
+        self, tmp_path, no_waiting
     ):
         """The guard's one case in a session: an executing compile asks
         for its analysis while it holds the compile's lease.  With a
         second handle holding that analysis's lease, a cold optimize
         analyses unleased, never waits, and counts what a run without
         the foreign lease counts."""
-        monkeypatch.setattr(
-            time, "sleep", lambda _s: pytest.fail("waited while holding")
-        )
 
         def run(root, foreign_lease):
             store = SessionStore(root)
@@ -1070,6 +1109,34 @@ class TestProbeLeases:
         assert waiter.counters.lease_waits == 1
         assert waiter.counters.lease_wait_hits == 1
 
+    def test_wait_wakes_when_the_holder_publishes(
+        self, tmp_path, monkeypatch
+    ):
+        """A waiter blocks on the holder's lock and wakes when the
+        holder publishes: nothing sleeps or polls in between."""
+        holder = SessionStore(tmp_path / "store")
+        waiter = SessionStore(tmp_path / "store")
+        lease = holder.claim_probe("compile", ("k",))
+        monkeypatch.setattr(
+            time, "sleep", lambda _s: pytest.fail("the wait slept")
+        )
+        pause = threading.Event()
+
+        def publish_once_waited_on():
+            while not waiter.counters.lease_waits:
+                pause.wait(0.001)
+            pause.wait(0.05)  # let the waiter reach its wait
+            lease.publish("answer")
+
+        thread = threading.Thread(target=publish_once_waited_on)
+        thread.start()
+        try:
+            assert waiter.wait_for_probe("compile", ("k",)) == "answer"
+        finally:
+            thread.join()
+        assert waiter.counters.lease_wait_hits == 1
+        assert holder.counters.lease_releases == 1
+
     def test_wait_returns_none_when_lease_vanishes_empty(self, tmp_path):
         holder = SessionStore(tmp_path / "store")
         waiter = SessionStore(tmp_path / "store")
@@ -1077,17 +1144,6 @@ class TestProbeLeases:
         lease.release()  # holder gave up without writing
         assert waiter.wait_for_probe("profile", ("k",)) is None
         assert waiter.counters.lease_wait_hits == 0
-
-    def test_wait_respects_deadline(self, tmp_path):
-        holder = SessionStore(tmp_path / "store")
-        waiter = SessionStore(tmp_path / "store")
-        holder.claim_probe("compile", ("k",))  # held throughout
-        start = time.monotonic()
-        value = waiter.wait_for_probe(
-            "compile", ("k",), deadline=time.monotonic() + 0.1
-        )
-        assert value is None
-        assert time.monotonic() - start < 2.0
 
     def test_lease_files_invisible_to_census_and_clear(self, tmp_path):
         store = SessionStore(tmp_path / "store")
@@ -1229,10 +1285,11 @@ class TestMultiProcessStore:
         assert leftovers == []
 
 
-def test_removed_store_knobs_stay_removed():
+def test_removed_store_knobs_stay_removed(tmp_path):
     """The disk tier's policy lives in the store: none of the session's
     old write-back / leasing / miss-cache surface may drift back, not
-    even as a compatibility shim."""
+    even as a compatibility shim — nor the lease TTL and wait deadline
+    the kernel's lock made moot."""
     for name in ("flush_store", "lease_probes", "DEFAULT_STORE_MISS_CACHE"):
         for owner in (OptimizationContext, SwitchRun, session_module):
             assert not hasattr(owner, name), (owner, name)
@@ -1240,3 +1297,8 @@ def test_removed_store_knobs_stay_removed():
     run = SwitchRun(build_toy_program(), toy_config(), make_trace())
     assert not hasattr(ctx, "lease_probes")
     assert not hasattr(run, "lease_probes")
+    with pytest.raises(TypeError):
+        SessionStore(tmp_path / "store", lease_ttl=120.0)
+    assert not hasattr(store_module, "DEFAULT_LEASE_TTL")
+    wait = inspect.signature(SessionStore.wait_for_probe).parameters
+    assert "deadline" not in wait and "poll" not in wait
