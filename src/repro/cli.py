@@ -81,7 +81,8 @@ Runtime-config JSON schema (``RuntimeConfig.from_json`` / ``to_json``)::
                         [[<value>, <width>], ...], <value>], ...]
     }
 
-Target JSON (all fields optional, defaults = the generic RMT model)::
+Target JSON object (all fields optional, defaults = the generic RMT
+model; an unknown field is an error)::
 
     {"num_stages": 12, "sram_blocks_per_stage": 16, ...}
 """
@@ -93,6 +94,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
@@ -116,6 +118,18 @@ def load_target(path: Optional[str]) -> TargetModel:
     if path is None:
         return DEFAULT_TARGET
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"target file {path} must hold a JSON object, "
+            f"not a {type(data).__name__}"
+        )
+    known = [f.name for f in fields(TargetModel)]
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(
+            f"target file {path}: unknown field(s) {', '.join(unknown)}; "
+            f"known: {', '.join(known)}"
+        )
     return TargetModel(**data)
 
 

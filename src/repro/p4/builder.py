@@ -1,8 +1,9 @@
 """Fluent builder for P4 programs.
 
-The example programs in :mod:`repro.programs` use this API; it keeps them
-readable while producing fully validated :class:`~repro.p4.program.Program`
-objects.
+The fuzz generator and the tests build programs with this API; it keeps
+them readable while producing fully validated
+:class:`~repro.p4.program.Program` objects.  (The bundled programs in
+:mod:`repro.programs` are written in the DSL instead.)
 """
 
 from __future__ import annotations

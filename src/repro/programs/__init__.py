@@ -1,5 +1,6 @@
 """Example P4 programs: the paper's running example, §4's scenarios, and
-programs promoted from the fuzz corpus."""
+programs promoted from the fuzz corpus.  Each is defined by its ``.p4``
+source in this package; its module adds config, traffic and target."""
 
 from repro.programs import (
     cgnat,

@@ -15,40 +15,14 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Tuple
 
-from repro.p4 import (
-    AddToField,
-    Apply,
-    BinOp,
-    Const,
-    FieldRef,
-    HashFields,
-    If,
-    ModifyField,
-    ParamRef,
-    Program,
-    ProgramBuilder,
-    RegisterRead,
-    RegisterSize,
-    RegisterWrite,
-    Seq,
-    SetEgressPort,
-    ValidExpr,
-)
+from repro.p4 import Program
 from repro.packets.craft import udp_packet
 from repro.packets.headers import ip_to_int
-from repro.programs.common import (
-    EXAMPLE_TARGET,
-    add_ethernet_ipv4_parser,
-    register_standard_headers,
-)
+from repro.programs.common import EXAMPLE_TARGET, source_program
 from repro.sim.runtime import RuntimeConfig
 from repro.target.model import TargetModel
 
 TARGET: TargetModel = EXAMPLE_TARGET
-
-#: Ingress ports below this carry subscriber (inside) traffic; the rest
-#: face the internet.
-INSIDE_PORT_LIMIT = 8
 
 #: The uplink port used when no more specific route matches.
 UPLINK_PORT = 9
@@ -61,85 +35,10 @@ SUBSCRIBERS: Dict[str, Tuple[int, str]] = {
     "100.64.2.11": (3, "192.0.2.4"),
 }
 
-#: Cells in the per-subscriber translation counter.
-XLATE_CELLS = 64
-
 
 def build_program() -> Program:
-    b = ProgramBuilder("cgnat")
-    register_standard_headers(b, ["ethernet", "ipv4", "udp"])
-    add_ethernet_ipv4_parser(b, l4=("udp",))
-
-    b.metadata("cg_meta", [("idx", 32), ("xlations", 32)])
-    b.register("cg_xlate", width=32, size=XLATE_CELLS)
-
-    idx = FieldRef("cg_meta", "idx")
-    xlations = FieldRef("cg_meta", "xlations")
-    # SNAT: rewrite the source to the subscriber's pool address and count
-    # the translation.  The register lives only in this action, so
-    # nat_inside is its sole owner.
-    b.action(
-        "cg_snat",
-        [
-            HashFields(
-                idx,
-                "fnv1a",
-                (FieldRef("ipv4", "srcAddr"),),
-                RegisterSize("cg_xlate"),
-            ),
-            RegisterRead(xlations, "cg_xlate", idx),
-            AddToField(xlations, Const(1)),
-            RegisterWrite("cg_xlate", idx, xlations),
-            ModifyField(FieldRef("ipv4", "srcAddr"), ParamRef("public")),
-        ],
-        parameters=["public"],
-    )
-    b.action(
-        "cg_dnat",
-        [ModifyField(FieldRef("ipv4", "dstAddr"), ParamRef("inside"))],
-        parameters=["inside"],
-    )
-    b.action("fwd", [SetEgressPort(ParamRef("port"))], parameters=["port"])
-
-    b.table(
-        "nat_inside",
-        keys=[
-            ("standard_metadata.ingress_port", "exact"),
-            ("ipv4.srcAddr", "exact"),
-        ],
-        actions=["cg_snat"],
-        size=XLATE_CELLS,
-    )
-    b.table(
-        "nat_outside",
-        keys=[("ipv4.dstAddr", "exact")],
-        actions=["cg_dnat"],
-        size=XLATE_CELLS,
-    )
-    b.table(
-        "ipv4_fib",
-        keys=[("ipv4.dstAddr", "lpm")],
-        actions=["fwd"],
-        size=64,
-    )
-
-    ingress_port = FieldRef("standard_metadata", "ingress_port")
-    b.ingress(
-        If(
-            ValidExpr("ipv4"),
-            Seq(
-                [
-                    If(
-                        BinOp("<", ingress_port, Const(INSIDE_PORT_LIMIT)),
-                        Apply("nat_inside"),
-                        Apply("nat_outside"),
-                    ),
-                    Apply("ipv4_fib"),
-                ]
-            ),
-        )
-    )
-    return b.build()
+    """The carrier-grade NAT, parsed from ``cgnat.p4``."""
+    return source_program("cgnat")
 
 
 def runtime_config() -> RuntimeConfig:

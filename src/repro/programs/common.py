@@ -1,17 +1,17 @@
 """Shared scaffolding for the example programs.
 
-All four evaluation programs (§2.1 Ex. 1 and §4's NAT & GRE, Sourceguard,
-Failure Detection) parse standard Ethernet/IPv4 stacks; this module
-registers the shared header types and parser chains so each program module
-only describes what is unique to it.
+Each bundled program is defined once, by its DSL source beside its module
+(``cgnat.p4`` next to ``cgnat.py``); :func:`source_program` parses it.  The
+module adds what the source cannot say: the runtime configuration, the
+traffic, and the target the program is evaluated on.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from pathlib import Path
 
-from repro.p4.builder import ProgramBuilder
-from repro.packets import headers as hdr
+from repro.p4 import Program
+from repro.p4.dsl import parse_program
 from repro.target.model import TargetModel
 
 #: Small-block target used by the evaluation examples.  Scaled-down block
@@ -30,87 +30,7 @@ EXAMPLE_TARGET = TargetModel(
 )
 
 
-def register_standard_headers(
-    builder: ProgramBuilder, names: Iterable[str]
-) -> ProgramBuilder:
-    """Register standard header types and same-named instances.
-
-    ``names`` selects from ``ethernet``, ``ipv4``, ``udp``, ``tcp``,
-    ``gre``, ``dns``, ``dhcp``, ``vlan`` — instance name equals protocol
-    name, type comes from :mod:`repro.packets.headers`.
-    """
-    type_by_instance = {
-        "ethernet": hdr.ETHERNET,
-        "vlan": hdr.VLAN,
-        "ipv4": hdr.IPV4,
-        "gre": hdr.GRE,
-        "udp": hdr.UDP,
-        "tcp": hdr.TCP,
-        "dns": hdr.DNS,
-        "dhcp": hdr.DHCP,
-    }
-    registered_types = set()
-    for name in names:
-        htype = type_by_instance[name]
-        if htype.name not in registered_types:
-            builder.header_type(
-                htype.name, [(f.name, f.width) for f in htype.fields]
-            )
-            registered_types.add(htype.name)
-        builder.header(name, htype.name)
-    return builder
-
-
-def add_ethernet_ipv4_parser(
-    builder: ProgramBuilder,
-    l4: Sequence[str] = ("udp",),
-    udp_apps: Sequence[str] = (),
-) -> ProgramBuilder:
-    """Emit the common parse chain: ethernet → ipv4 → L4 (→ UDP app).
-
-    ``l4`` picks from ``udp``/``tcp``/``gre``; ``udp_apps`` from
-    ``dns``/``dhcp`` (selected by well-known UDP port).
-    """
-    ip_transitions = {}
-    if "udp" in l4:
-        ip_transitions[hdr.IPPROTO_UDP] = "parse_udp"
-    if "tcp" in l4:
-        ip_transitions[hdr.IPPROTO_TCP] = "parse_tcp"
-    if "gre" in l4:
-        ip_transitions[hdr.IPPROTO_GRE] = "parse_gre"
-
-    builder.parser_state(
-        "start",
-        extracts=["ethernet"],
-        select="ethernet.etherType",
-        transitions={hdr.ETHERTYPE_IPV4: "parse_ipv4"},
-    )
-    builder.parser_state(
-        "parse_ipv4",
-        extracts=["ipv4"],
-        select="ipv4.protocol" if ip_transitions else None,
-        transitions=ip_transitions or None,
-    )
-    if "tcp" in l4:
-        builder.parser_state("parse_tcp", extracts=["tcp"])
-    if "gre" in l4:
-        builder.parser_state("parse_gre", extracts=["gre"])
-    if "udp" in l4:
-        app_transitions = {}
-        if "dns" in udp_apps:
-            app_transitions[hdr.UDP_PORT_DNS] = "parse_dns"
-        if "dhcp" in udp_apps:
-            app_transitions[hdr.UDP_PORT_DHCP_CLIENT] = "parse_dhcp"
-            app_transitions[hdr.UDP_PORT_DHCP_SERVER] = "parse_dhcp"
-        builder.parser_state(
-            "parse_udp",
-            extracts=["udp"],
-            select="udp.dstPort" if app_transitions else None,
-            transitions=app_transitions or None,
-        )
-        if "dns" in udp_apps:
-            builder.parser_state("parse_dns", extracts=["dns"])
-        if "dhcp" in udp_apps:
-            builder.parser_state("parse_dhcp", extracts=["dhcp"])
-    builder.parser_start("start")
-    return builder
+def source_program(name: str) -> Program:
+    """Parse the bundled program ``name`` from its ``.p4`` source."""
+    source = Path(__file__).with_name(f"{name}.p4").read_text()
+    return parse_program(source, name)

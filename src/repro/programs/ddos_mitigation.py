@@ -15,34 +15,13 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
-from repro.p4 import (
-    Apply,
-    BinOp,
-    Const,
-    Drop,
-    If,
-    ParamRef,
-    Program,
-    ProgramBuilder,
-    Seq,
-    SetEgressPort,
-    ValidExpr,
-)
+from repro.p4 import Program
 from repro.packets import headers as hdr
 from repro.packets.craft import tcp_packet, udp_packet
 from repro.packets.headers import ip_to_int
-from repro.programs.common import (
-    EXAMPLE_TARGET,
-    add_ethernet_ipv4_parser,
-    register_standard_headers,
-)
+from repro.programs.common import EXAMPLE_TARGET, source_program
 from repro.sim.runtime import RuntimeConfig
-from repro.sketches.dataplane import (
-    BloomFragment,
-    add_bloom_filter,
-    add_count_min_sketch,
-    preload_bloom_filter,
-)
+from repro.sketches.dataplane import BloomFragment, preload_bloom_filter
 from repro.target.model import TargetModel
 
 TARGET: TargetModel = EXAMPLE_TARGET
@@ -70,80 +49,8 @@ def _bloom_key(src_ip: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def build_program() -> Program:
-    b = ProgramBuilder("ddos_mitigation")
-    register_standard_headers(b, ["ethernet", "ipv4", "tcp", "udp"])
-    add_ethernet_ipv4_parser(b, l4=("tcp", "udp"))
-
-    b.action("fwd", [SetEgressPort(ParamRef("port"))], parameters=["port"])
-    b.action("ddos_drop", [Drop()])
-
-    b.table(
-        "ipv4_fib",
-        keys=[("ipv4.dstAddr", "lpm")],
-        actions=["fwd"],
-        size=64,
-    )
-
-    syn = add_count_min_sketch(
-        b,
-        name="syn_cms",
-        key_fields=["ipv4.srcAddr"],
-        cells=SKETCH_CELLS,
-        match_key=("tcp.flags", "exact"),
-        table_names=["Syn_1", "Syn_2"],
-        min_table_name="Syn_Min",
-    )
-    allow = add_bloom_filter(
-        b,
-        name="allow",
-        key_fields=["ipv4.srcAddr"],
-        sizes=[BLOOM_CELLS, BLOOM_CELLS],
-        table_names=["allow_bf1", "allow_bf2"],
-    )
-
-    # Any clear bit -> not allowlisted -> drop.
-    b.table(
-        "ddos_verdict",
-        keys=[
-            (allow.bit_fields[0].path, "exact"),
-            (allow.bit_fields[1].path, "exact"),
-        ],
-        actions=["ddos_drop"],
-        size=8,
-    )
-
-    b.ingress(
-        Seq(
-            [
-                If(ValidExpr("ipv4"), Apply("ipv4_fib")),
-                If(
-                    ValidExpr("tcp"),
-                    Seq(
-                        [
-                            Apply("Syn_1"),
-                            Apply("Syn_2"),
-                            Apply("Syn_Min"),
-                            If(
-                                BinOp(
-                                    ">=",
-                                    syn.count_field,
-                                    Const(SYN_THRESHOLD),
-                                ),
-                                Seq(
-                                    [
-                                        Apply("allow_bf1"),
-                                        Apply("allow_bf2"),
-                                        Apply("ddos_verdict"),
-                                    ]
-                                ),
-                            ),
-                        ]
-                    ),
-                ),
-            ]
-        )
-    )
-    return b.build()
+    """The SYN-flood mitigation, parsed from ``ddos_mitigation.p4``."""
+    return source_program("ddos_mitigation")
 
 
 def allow_fragment_of() -> BloomFragment:

@@ -15,38 +15,13 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.p4 import (
-    AddToField,
-    Apply,
-    BinOp,
-    Const,
-    Drop,
-    FieldRef,
-    HashFields,
-    If,
-    ParamRef,
-    Program,
-    ProgramBuilder,
-    RegisterRead,
-    RegisterSize,
-    RegisterWrite,
-    Seq,
-    SetEgressPort,
-    ValidExpr,
-)
+from repro.p4 import Program
 from repro.packets import headers as hdr
 from repro.packets.headers import ip_to_int
 from repro.programs import example_firewall as fw
-from repro.programs.common import (
-    add_ethernet_ipv4_parser,
-    register_standard_headers,
-)
+from repro.programs.common import source_program
 from repro.sim.runtime import RuntimeConfig
-from repro.sketches.dataplane import (
-    add_bloom_filter,
-    add_count_min_sketch,
-    preload_bloom_filter,
-)
+from repro.sketches.dataplane import preload_bloom_filter
 from repro.target.model import TargetModel
 from repro.traffic.generators import (
     TracePacket,
@@ -75,114 +50,8 @@ SPOOFED_IPS = tuple(ip_to_int("172.31.9.0") + i for i in range(1, 9))
 
 
 def build_program() -> Program:
-    b = ProgramBuilder("enterprise")
-    register_standard_headers(
-        b, ["ethernet", "ipv4", "udp", "tcp", "dns", "dhcp"]
-    )
-    add_ethernet_ipv4_parser(
-        b, l4=("udp", "tcp"), udp_apps=("dns", "dhcp")
-    )
-
-    b.action("ipv4_forward", [SetEgressPort(ParamRef("port"))],
-             parameters=["port"])
-    b.action("acl_udp_drop", [Drop()])
-    b.action("acl_dhcp_drop", [Drop()])
-    b.action("dns_drop", [Drop()])
-    b.action("sg_drop", [Drop()])
-
-    b.table("IPv4", keys=[("ipv4.dstAddr", "lpm")],
-            actions=["ipv4_forward"], size=fw.IPV4_TABLE_SIZE)
-    b.table("ACL_UDP", keys=[("udp.dstPort", "exact")],
-            actions=["acl_udp_drop"], size=64)
-    b.table("ACL_DHCP", keys=[("standard_metadata.ingress_port", "exact")],
-            actions=["acl_dhcp_drop"], size=64)
-
-    cms = add_count_min_sketch(
-        b,
-        name="dns_cms",
-        key_fields=["ipv4.srcAddr", "ipv4.dstAddr"],
-        cells=fw.SKETCH_CELLS,
-        match_key=("udp.dstPort", "exact"),
-        table_names=["Sketch_1", "Sketch_2"],
-        min_table_name="Sketch_Min",
-    )
-    b.table("DNS_Drop", keys=[("udp.dstPort", "exact")],
-            actions=["dns_drop"], size=16)
-
-    bloom = add_bloom_filter(
-        b,
-        name="sg",
-        key_fields=["ipv4.srcAddr"],
-        sizes=[BLOOM_CELLS, BLOOM_CELLS],
-        table_names=["sg_bf1", "sg_bf2"],
-    )
-    b.table(
-        "sg_verdict",
-        keys=[
-            (bloom.bit_fields[0].path, "exact"),
-            (bloom.bit_fields[1].path, "exact"),
-        ],
-        actions=["sg_drop"],
-        size=8,
-    )
-
-    # SYN monitor: a full-stage counter over destination addresses.
-    b.metadata("syn_meta", [("idx", 32), ("count", 32)])
-    b.register("syn_reg", width=32, size=fw.SKETCH_CELLS)
-    b.action(
-        "syn_bump",
-        [
-            HashFields(FieldRef("syn_meta", "idx"), "crc32_d",
-                       (FieldRef("ipv4", "dstAddr"),),
-                       RegisterSize("syn_reg")),
-            RegisterRead(FieldRef("syn_meta", "count"), "syn_reg",
-                         FieldRef("syn_meta", "idx")),
-            AddToField(FieldRef("syn_meta", "count"), Const(1)),
-            RegisterWrite("syn_reg", FieldRef("syn_meta", "idx"),
-                          FieldRef("syn_meta", "count")),
-        ],
-    )
-    b.table("syn_mon", keys=[], actions=[], default_action="syn_bump")
-
-    b.ingress(
-        Seq(
-            [
-                If(ValidExpr("ipv4"), Apply("IPv4")),
-                If(ValidExpr("udp"), Apply("ACL_UDP")),
-                If(ValidExpr("dhcp"), Apply("ACL_DHCP")),
-                If(
-                    ValidExpr("ipv4"),
-                    Seq([Apply("sg_bf1"), Apply("sg_bf2"),
-                         Apply("sg_verdict")]),
-                ),
-                If(
-                    ValidExpr("dns"),
-                    Seq(
-                        [
-                            Apply("Sketch_1"),
-                            Apply("Sketch_2"),
-                            Apply("Sketch_Min"),
-                            If(
-                                BinOp(">=", cms.count_field,
-                                      Const(fw.DNS_QUERY_THRESHOLD)),
-                                Apply("DNS_Drop"),
-                            ),
-                        ]
-                    ),
-                ),
-                If(
-                    BinOp(
-                        "==",
-                        BinOp("&", FieldRef("tcp", "flags"),
-                              Const(hdr.TCP_FLAG_SYN)),
-                        Const(hdr.TCP_FLAG_SYN),
-                    ),
-                    Apply("syn_mon"),
-                ),
-            ]
-        )
-    )
-    return b.build()
+    """The enterprise edge switch, parsed from ``enterprise.p4``."""
+    return source_program("enterprise")
 
 
 def runtime_config(program: Program = None) -> RuntimeConfig:

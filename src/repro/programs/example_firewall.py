@@ -19,28 +19,11 @@ import random
 from functools import lru_cache
 from typing import List, Tuple
 
-from repro.p4 import (
-    Apply,
-    BinOp,
-    Const,
-    Drop,
-    If,
-    ParamRef,
-    Program,
-    ProgramBuilder,
-    Seq,
-    SetEgressPort,
-    ValidExpr,
-)
+from repro.p4 import Program
 from repro.packets import headers as hdr
 from repro.packets.headers import ip_to_int
-from repro.programs.common import (
-    EXAMPLE_TARGET,
-    add_ethernet_ipv4_parser,
-    register_standard_headers,
-)
+from repro.programs.common import EXAMPLE_TARGET, source_program
 from repro.sim.runtime import RuntimeConfig
-from repro.sketches.dataplane import add_count_min_sketch
 from repro.target.model import TargetModel
 from repro.traffic.generators import (
     TracePacket,
@@ -55,10 +38,6 @@ from repro.traffic.generators import (
 
 #: DNS query threshold after which packets are dropped (Ex. 1 line 12).
 DNS_QUERY_THRESHOLD = 128
-
-#: FIB capacity: 192 LPM entries -> 12 TCAM blocks -> spans two stages on
-#: the example target (Table 2's "IP IP").
-IPV4_TABLE_SIZE = 192
 
 #: Cells per sketch row: 960 x 32-bit = 15 SRAM blocks; with the row
 #: table's 1 match block each row exactly fills a 16-block stage, so the
@@ -91,84 +70,8 @@ TARGET: TargetModel = EXAMPLE_TARGET
 
 
 def build_program() -> Program:
-    """Construct Ex. 1 as a validated IR program."""
-    b = ProgramBuilder("example_firewall")
-    register_standard_headers(
-        b, ["ethernet", "ipv4", "udp", "dns", "dhcp"]
-    )
-    add_ethernet_ipv4_parser(b, l4=("udp",), udp_apps=("dns", "dhcp"))
-
-    b.action("ipv4_forward", [SetEgressPort(ParamRef("port"))],
-             parameters=["port"])
-    b.action("ipv4_drop", [Drop()])
-    b.action("acl_udp_drop", [Drop()])
-    b.action("acl_dhcp_drop", [Drop()])
-    b.action("dns_drop", [Drop()])
-
-    b.table(
-        "IPv4",
-        keys=[("ipv4.dstAddr", "lpm")],
-        actions=["ipv4_forward", "ipv4_drop"],
-        size=IPV4_TABLE_SIZE,
-    )
-    b.table(
-        "ACL_UDP",
-        keys=[("udp.dstPort", "exact")],
-        actions=["acl_udp_drop"],
-        size=64,
-    )
-    b.table(
-        "ACL_DHCP",
-        keys=[("standard_metadata.ingress_port", "exact")],
-        actions=["acl_dhcp_drop"],
-        size=64,
-    )
-
-    cms = add_count_min_sketch(
-        b,
-        name="dns_cms",
-        key_fields=["ipv4.srcAddr", "ipv4.dstAddr"],
-        cells=SKETCH_CELLS,
-        match_key=("udp.dstPort", "exact"),
-        table_names=["Sketch_1", "Sketch_2"],
-        min_table_name="Sketch_Min",
-    )
-
-    b.table(
-        "DNS_Drop",
-        keys=[("udp.dstPort", "exact")],
-        actions=["dns_drop"],
-        size=16,
-    )
-
-    b.ingress(
-        Seq(
-            [
-                If(ValidExpr("ipv4"), Apply("IPv4")),
-                If(ValidExpr("udp"), Apply("ACL_UDP")),
-                If(ValidExpr("dhcp"), Apply("ACL_DHCP")),
-                If(
-                    ValidExpr("dns"),
-                    Seq(
-                        [
-                            Apply("Sketch_1"),
-                            Apply("Sketch_2"),
-                            Apply("Sketch_Min"),
-                            If(
-                                BinOp(
-                                    ">=",
-                                    cms.count_field,
-                                    Const(DNS_QUERY_THRESHOLD),
-                                ),
-                                Apply("DNS_Drop"),
-                            ),
-                        ]
-                    ),
-                ),
-            ]
-        )
-    )
-    return b.build()
+    """Ex. 1, parsed from ``example_firewall.p4``."""
+    return source_program("example_firewall")
 
 
 def runtime_config() -> RuntimeConfig:

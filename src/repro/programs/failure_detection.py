@@ -16,49 +16,15 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.p4 import (
-    AddToField,
-    Apply,
-    BinOp,
-    Const,
-    FieldRef,
-    HashFields,
-    If,
-    MinOf,
-    ModifyField,
-    Program,
-    ProgramBuilder,
-    RegisterRead,
-    RegisterSize,
-    RegisterWrite,
-    SendToController,
-    Seq,
-    ValidExpr,
-)
+from repro.p4 import Program
 from repro.packets.headers import ip_to_int
-from repro.programs.common import (
-    EXAMPLE_TARGET,
-    add_ethernet_ipv4_parser,
-    register_standard_headers,
-)
+from repro.programs.common import EXAMPLE_TARGET, source_program
 from repro.sim.runtime import RuntimeConfig
 from repro.target.model import TargetModel
 from repro.traffic.generators import TracePacket, tcp_background
 from repro.packets.craft import tcp_packet
 
 TARGET: TargetModel = EXAMPLE_TARGET
-
-#: Retransmission filter: 960 x 32-bit = 15 blocks (keyless table, one
-#: full stage with its slot).  Each cell stores a 32-bit flow signature
-#: (Blink-style) instead of a single bit, so unrelated flows evict rather
-#: than alias — a fresh packet is flagged only on a full signature match.
-RETRANS_BLOOM_CELLS = 960
-
-#: CMS rows: 960 x 32-bit = 15 blocks each.
-CMS_CELLS = 960
-
-#: Retransmissions per prefix before the alarm fires.
-ALARM_THRESHOLD = 8
 
 #: The /16 prefix that fails during the trace.
 FAILING_PREFIX = ip_to_int("192.168.0.0")
@@ -68,124 +34,8 @@ ALARM_REASON = 0xFA
 
 
 def build_program() -> Program:
-    b = ProgramBuilder("failure_detection")
-    register_standard_headers(b, ["ethernet", "ipv4", "tcp"])
-    add_ethernet_ipv4_parser(b, l4=("tcp",))
-
-    b.metadata(
-        "fd_meta",
-        [
-            ("bf_idx", 32),
-            ("sig", 32),
-            ("old_sig", 32),
-            ("prefix", 32),
-            ("idx0", 32),
-            ("idx1", 32),
-            ("count0", 32),
-            ("count1", 32),
-            ("count", 32),
-        ],
-    )
-    b.register("retrans_bf", width=32, size=RETRANS_BLOOM_CELLS)
-    b.register("cms_row0", width=32, size=CMS_CELLS)
-    b.register("cms_row1", width=32, size=CMS_CELLS)
-
-    sig = FieldRef("fd_meta", "sig")
-    old_sig = FieldRef("fd_meta", "old_sig")
-    bf_idx = FieldRef("fd_meta", "bf_idx")
-    prefix = FieldRef("fd_meta", "prefix")
-    flow_key = (
-        FieldRef("ipv4", "srcAddr"),
-        FieldRef("ipv4", "dstAddr"),
-        FieldRef("tcp", "seqNo"),
-    )
-
-    # Retransmission detector: test-and-swap a flow signature keyed by
-    # (src, dst, seq).  A repeat of the same segment finds its own
-    # signature in the cell.
-    b.action(
-        "bf_test_and_set",
-        [
-            HashFields(bf_idx, "crc32_c", flow_key, RegisterSize("retrans_bf")),
-            HashFields(sig, "crc32_d", flow_key, Const(1 << 32)),
-            RegisterRead(old_sig, "retrans_bf", bf_idx),
-            RegisterWrite("retrans_bf", bf_idx, sig),
-        ],
-    )
-    b.table("retrans_check", keys=[], actions=[],
-            default_action="bf_test_and_set")
-
-    # CMS rows count retransmissions per destination /16.  The prefix is
-    # derived from packet fields *inside* the segment, keeping it
-    # self-contained for offloading.
-    for i, algo in enumerate(("crc32_a", "crc32_b")):
-        register = f"cms_row{i}"
-        idx = FieldRef("fd_meta", f"idx{i}")
-        count = FieldRef("fd_meta", f"count{i}")
-        primitives = [
-            ModifyField(
-                prefix,
-                BinOp("&", FieldRef("ipv4", "dstAddr"), Const(0xFFFF0000)),
-            ),
-            HashFields(idx, algo, (prefix,), RegisterSize(register)),
-            RegisterRead(count, register, idx),
-            AddToField(count, Const(1)),
-            RegisterWrite(register, idx, count),
-        ]
-        if i == 1:
-            # Fold the min into the second row's action (RMT SALUs
-            # provide min), so the alarm can follow one stage later.
-            primitives.append(
-                MinOf(
-                    FieldRef("fd_meta", "count"),
-                    FieldRef("fd_meta", "count0"),
-                    FieldRef("fd_meta", "count1"),
-                )
-            )
-        b.action(f"cms_update{i}", primitives)
-        b.table(f"cms_{i}", keys=[], actions=[],
-                default_action=f"cms_update{i}")
-
-    b.action("raise_alarm", [SendToController(ALARM_REASON)])
-    b.table(
-        "FailureAlarm",
-        keys=[("fd_meta.prefix", "exact")],
-        actions=["raise_alarm"],
-        size=32,
-    )
-
-    b.ingress(
-        Seq(
-            [
-                If(
-                    ValidExpr("tcp"),
-                    Seq(
-                        [
-                            Apply("retrans_check"),
-                            If(
-                                BinOp("==", old_sig, sig),
-                                Seq(
-                                    [
-                                        Apply("cms_0"),
-                                        Apply("cms_1"),
-                                        If(
-                                            BinOp(
-                                                ">=",
-                                                FieldRef("fd_meta", "count"),
-                                                Const(ALARM_THRESHOLD),
-                                            ),
-                                            Apply("FailureAlarm"),
-                                        ),
-                                    ]
-                                ),
-                            ),
-                        ]
-                    ),
-                ),
-            ]
-        )
-    )
-    return b.build()
+    """The failure detector, parsed from ``failure_detection.p4``."""
+    return source_program("failure_detection")
 
 
 def runtime_config() -> RuntimeConfig:

@@ -14,31 +14,10 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.p4 import (
-    AddToField,
-    Apply,
-    Const,
-    FieldRef,
-    HashFields,
-    If,
-    ModifyField,
-    ParamRef,
-    Program,
-    ProgramBuilder,
-    RegisterRead,
-    RegisterSize,
-    RegisterWrite,
-    Seq,
-    SetEgressPort,
-    ValidExpr,
-)
+from repro.p4 import Program
 from repro.packets.craft import tcp_packet, udp_packet
 from repro.packets.headers import ip_to_int
-from repro.programs.common import (
-    EXAMPLE_TARGET,
-    add_ethernet_ipv4_parser,
-    register_standard_headers,
-)
+from repro.programs.common import EXAMPLE_TARGET, source_program
 from repro.sim.runtime import RuntimeConfig
 from repro.target.model import TargetModel
 
@@ -55,81 +34,8 @@ BUCKETS = 16
 
 
 def build_program() -> Program:
-    b = ProgramBuilder("load_balancer")
-    register_standard_headers(b, ["ethernet", "ipv4", "udp"])
-    add_ethernet_ipv4_parser(b, l4=("udp",))
-
-    b.metadata("lb_meta", [("bucket", 32), ("conns", 32)])
-    b.register("lb_conns", width=32, size=BUCKETS)
-
-    bucket = FieldRef("lb_meta", "bucket")
-    conns = FieldRef("lb_meta", "conns")
-    # The VIP table's hit action: pick the bucket and count the
-    # connection.  The register is read and written here only, so the
-    # vip table is its sole owner.
-    b.action(
-        "lb_pick_bucket",
-        [
-            HashFields(
-                bucket,
-                "crc32_a",
-                (
-                    FieldRef("ipv4", "srcAddr"),
-                    FieldRef("ipv4", "dstAddr"),
-                    FieldRef("udp", "srcPort"),
-                    FieldRef("udp", "dstPort"),
-                ),
-                RegisterSize("lb_conns"),
-            ),
-            RegisterRead(conns, "lb_conns", bucket),
-            AddToField(conns, Const(1)),
-            RegisterWrite("lb_conns", bucket, conns),
-        ],
-    )
-    b.action(
-        "lb_to_backend",
-        [
-            ModifyField(FieldRef("ipv4", "dstAddr"), ParamRef("dip")),
-            SetEgressPort(ParamRef("port")),
-        ],
-        parameters=["dip", "port"],
-    )
-    b.action("fwd", [SetEgressPort(ParamRef("port"))], parameters=["port"])
-
-    b.table(
-        "vip",
-        keys=[("ipv4.dstAddr", "exact")],
-        actions=["lb_pick_bucket"],
-        size=16,
-    )
-    b.table(
-        "lb_backend",
-        keys=[("lb_meta.bucket", "exact")],
-        actions=["lb_to_backend"],
-        size=BUCKETS,
-    )
-    b.table(
-        "ipv4_fib",
-        keys=[("ipv4.dstAddr", "lpm")],
-        actions=["fwd"],
-        size=64,
-    )
-
-    # FIB first; the balancer overrides its verdict for VIP traffic
-    # (direct-server-return style: the DIP rewrite and the per-bucket
-    # egress pick happen after routing).
-    b.ingress(
-        Seq(
-            [
-                If(ValidExpr("ipv4"), Apply("ipv4_fib")),
-                If(
-                    ValidExpr("udp"),
-                    Apply("vip", on_hit=Apply("lb_backend")),
-                ),
-            ]
-        )
-    )
-    return b.build()
+    """The load balancer, parsed from ``load_balancer.p4``."""
+    return source_program("load_balancer")
 
 
 def runtime_config() -> RuntimeConfig:

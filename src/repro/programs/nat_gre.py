@@ -12,25 +12,9 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.p4 import (
-    Apply,
-    FieldRef,
-    If,
-    ModifyField,
-    ParamRef,
-    Program,
-    ProgramBuilder,
-    RemoveHeader,
-    Seq,
-    SetEgressPort,
-    ValidExpr,
-)
+from repro.p4 import Program
 from repro.packets.headers import ip_to_int
-from repro.programs.common import (
-    EXAMPLE_TARGET,
-    add_ethernet_ipv4_parser,
-    register_standard_headers,
-)
+from repro.programs.common import EXAMPLE_TARGET, source_program
 from repro.sim.runtime import RuntimeConfig
 from repro.target.model import TargetModel
 from repro.traffic.generators import TracePacket, tcp_background
@@ -53,65 +37,8 @@ GRE_TUNNELS = {
 
 
 def build_program() -> Program:
-    b = ProgramBuilder("nat_gre")
-    register_standard_headers(b, ["ethernet", "ipv4", "gre"])
-    add_ethernet_ipv4_parser(b, l4=("gre",))
-
-    b.action(
-        "nat_rewrite",
-        [ModifyField(FieldRef("ipv4", "dstAddr"), ParamRef("inside_addr"))],
-        parameters=["inside_addr"],
-    )
-    b.action(
-        "gre_decap",
-        [
-            RemoveHeader("gre"),
-            ModifyField(FieldRef("ipv4", "dstAddr"), ParamRef("inner_addr")),
-        ],
-        parameters=["inner_addr"],
-    )
-    b.action("fwd", [SetEgressPort(ParamRef("port"))], parameters=["port"])
-    b.action(
-        "l2_rewrite",
-        [ModifyField(FieldRef("ethernet", "srcAddr"), ParamRef("smac"))],
-        parameters=["smac"],
-    )
-
-    b.table(
-        "nat",
-        keys=[("ipv4.dstAddr", "exact")],
-        actions=["nat_rewrite"],
-        size=64,
-    )
-    b.table(
-        "gre_term",
-        keys=[("ipv4.dstAddr", "exact")],
-        actions=["gre_decap"],
-        size=64,
-    )
-    b.table(
-        "ipv4_fib",
-        keys=[("ipv4.dstAddr", "lpm")],
-        actions=["fwd"],
-        size=64,
-    )
-    b.table(
-        "l2",
-        keys=[("standard_metadata.egress_port", "exact")],
-        actions=["l2_rewrite"],
-        size=32,
-    )
-
-    b.ingress(
-        Seq(
-            [
-                If(ValidExpr("ipv4"), Apply("nat")),
-                If(ValidExpr("gre"), Apply("gre_term")),
-                If(ValidExpr("ipv4"), Seq([Apply("ipv4_fib"), Apply("l2")])),
-            ]
-        )
-    )
-    return b.build()
+    """NAT & GRE, parsed from ``nat_gre.p4``."""
+    return source_program("nat_gre")
 
 
 def runtime_config() -> RuntimeConfig:

@@ -17,29 +17,11 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
-from repro.p4 import (
-    Apply,
-    Drop,
-    If,
-    ParamRef,
-    Program,
-    ProgramBuilder,
-    Seq,
-    SetEgressPort,
-    ValidExpr,
-)
+from repro.p4 import Program
 from repro.packets.headers import ip_to_int
-from repro.programs.common import (
-    EXAMPLE_TARGET,
-    add_ethernet_ipv4_parser,
-    register_standard_headers,
-)
+from repro.programs.common import EXAMPLE_TARGET, source_program
 from repro.sim.runtime import RuntimeConfig
-from repro.sketches.dataplane import (
-    BloomFragment,
-    add_bloom_filter,
-    preload_bloom_filter,
-)
+from repro.sketches.dataplane import BloomFragment, preload_bloom_filter
 from repro.target.model import TargetModel
 from repro.traffic.generators import TracePacket
 
@@ -63,64 +45,13 @@ def _bloom_key(src_ip: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def build_program() -> Program:
-    b = ProgramBuilder("sourceguard")
-    register_standard_headers(b, ["ethernet", "ipv4", "udp"])
-    add_ethernet_ipv4_parser(b, l4=("udp",))
-
-    b.action("fwd", [SetEgressPort(ParamRef("port"))], parameters=["port"])
-    b.action("sg_drop", [Drop()])
-
-    # 160 LPM entries -> 10 TCAM blocks: spans stages 1-2 (8 + 2), leaving
-    # 15 free SRAM blocks in stage 2 — the hole a trimmed Bloom array can
-    # slide into during phase 3.
-    b.table(
-        "ipv4_fib",
-        keys=[("ipv4.dstAddr", "lpm")],
-        actions=["fwd"],
-        size=160,
-    )
-
-    bloom = add_bloom_filter(
-        b,
-        name="sg",
-        key_fields=["ipv4.srcAddr"],
-        sizes=[BLOOM_CELLS, BLOOM_CELLS],
-        table_names=["sg_bf1", "sg_bf2"],
-    )
-
-    # Verdict: a source absent from the snooping DB (any bit clear) drops.
-    b.table(
-        "sg_verdict",
-        keys=[
-            (bloom.bit_fields[0].path, "exact"),
-            (bloom.bit_fields[1].path, "exact"),
-        ],
-        actions=["sg_drop"],
-        size=8,
-    )
-
-    b.ingress(
-        Seq(
-            [
-                If(ValidExpr("ipv4"), Apply("ipv4_fib")),
-                If(
-                    ValidExpr("ipv4"),
-                    Seq(
-                        [
-                            Apply("sg_bf1"),
-                            Apply("sg_bf2"),
-                            Apply("sg_verdict"),
-                        ]
-                    ),
-                ),
-            ]
-        )
-    )
-    return b.build()
+    """Sourceguard, parsed from ``sourceguard.p4``."""
+    return source_program("sourceguard")
 
 
 def bloom_fragment_of(program: Program) -> BloomFragment:
-    """Reconstruct the fragment handle for an already-built program."""
+    """The Bloom filter's handle; every build of the program has the same
+    one, so ``program`` may be None."""
     from repro.p4.expressions import FieldRef
 
     return BloomFragment(
@@ -141,11 +72,10 @@ def runtime_config(program: Program = None) -> RuntimeConfig:
     cfg.add_entry("sg_verdict", [0, 0], "sg_drop")
     cfg.add_entry("sg_verdict", [0, 1], "sg_drop")
     cfg.add_entry("sg_verdict", [1, 0], "sg_drop")
-    fragment = bloom_fragment_of(program) if program else bloom_fragment_of(
-        build_program()
-    )
     preload_bloom_filter(
-        cfg, fragment, [_bloom_key(ip) for ip in ASSIGNED_CLIENT_IPS]
+        cfg,
+        bloom_fragment_of(program),
+        [_bloom_key(ip) for ip in ASSIGNED_CLIENT_IPS],
     )
     return cfg
 

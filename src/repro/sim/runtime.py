@@ -33,6 +33,18 @@ from repro.p4.types import mask
 MatchSpec = Union[int, Tuple[int, int]]
 
 
+def _required(item: object, key: str, where: str) -> object:
+    """``item[key]`` of one JSON entry, or a RuntimeConfigError saying
+    which entry lacks it."""
+    if not isinstance(item, dict):
+        raise RuntimeConfigError(
+            f"{where} must be a JSON object, not a {type(item).__name__}"
+        )
+    if key not in item:
+        raise RuntimeConfigError(f"{where} has no {key!r}")
+    return item[key]
+
+
 @dataclass(frozen=True)
 class TableEntry:
     """One installed rule: match specs, action, action data, priority.
@@ -270,24 +282,36 @@ class RuntimeConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "RuntimeConfig":
-        """Inverse of :meth:`to_json`; every key is optional."""
+        """Inverse of :meth:`to_json`; every top-level key is optional.
+
+        A malformed document raises :class:`RuntimeConfigError` naming
+        the table (and the entry's index) it could not read.
+        """
+        if not isinstance(data, dict):
+            raise RuntimeConfigError(
+                "runtime config must be a JSON object, "
+                f"not a {type(data).__name__}"
+            )
         config = cls()
         for table, entries in data.get("entries", {}).items():
-            for entry in entries:
+            for index, entry in enumerate(entries):
+                where = f"table {table!r} entry {index}"
                 match = [
                     tuple(m) if isinstance(m, list) else m
-                    for m in entry["match"]
+                    for m in _required(entry, "match", where)
                 ]
                 config.add_entry(
                     table,
                     match,
-                    entry["action"],
+                    _required(entry, "action", where),
                     entry.get("args", []),
                     entry.get("priority", 0),
                 )
         for table, default in data.get("defaults", {}).items():
             config.set_default(
-                table, default["action"], default.get("args", [])
+                table,
+                _required(default, "action", f"table {table!r} default"),
+                default.get("args", []),
             )
         for register, index, value in data.get("register_inits", []):
             config.init_register(register, index, value)

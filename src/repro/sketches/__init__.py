@@ -2,20 +2,11 @@
 
 from repro.sketches.bloom import BloomFilter
 from repro.sketches.countmin import CountMinSketch
-from repro.sketches.dataplane import (
-    BloomFragment,
-    CmsFragment,
-    add_bloom_filter,
-    add_count_min_sketch,
-    preload_bloom_filter,
-)
+from repro.sketches.dataplane import BloomFragment, preload_bloom_filter
 
 __all__ = [
     "BloomFilter",
     "BloomFragment",
-    "CmsFragment",
     "CountMinSketch",
-    "add_bloom_filter",
-    "add_count_min_sketch",
     "preload_bloom_filter",
 ]

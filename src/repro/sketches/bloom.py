@@ -1,9 +1,9 @@
 """Bloom filter — software implementation.
 
-Same hash family and indexing as the data-plane Bloom filter fragments in
-:mod:`repro.sketches.dataplane`, so that a DHCP-snooping database installed
-by the controller (Sourceguard, §4) sets exactly the bits the data plane
-later checks.
+Same hash family and indexing as the bundled programs' data-plane Bloom
+filters (``sourceguard.p4``'s ``sg_array*``), so that a DHCP-snooping
+database installed by the controller (Sourceguard, §4) sets exactly the
+bits the data plane later checks.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Count-Min Sketch — software implementation.
 
-Matches the data-plane CMS built by :mod:`repro.sketches.dataplane`
-cell-for-cell: same hash family (:mod:`repro.sim.hashing`), same modulus
-(the row size), so a controller running this class over the same packets
-reaches the same counts as the switch — the equivalence the offload phase
-(§3.4) relies on.
+Matches the bundled programs' data-plane CMS (``example_firewall.p4``'s
+``dns_cms_row*``) cell-for-cell: same hash family
+(:mod:`repro.sim.hashing`), same modulus (the row size), so a controller
+running this class over the same packets reaches the same counts as the
+switch — the equivalence the offload phase (§3.4) relies on.
 """
 
 from __future__ import annotations

@@ -1,156 +1,32 @@
-"""Data-plane sketch fragments: emit CMS / Bloom-filter IR into a program.
+"""Data-plane sketches: the controller's handle on an in-switch Bloom filter.
 
-These builders generate exactly the structure the paper's examples describe:
-one register array per hash function, one match-action table per array
-(``Sketch_1``, ``Sketch_2``), and a combining table (``Sketch_Min``).
-Row tables carry a real match key (e.g. ``udp.dstPort == 53``) so profiling
-sees meaningful hit rates, as in Ex. 1's annotations.
+The bundled programs declare their sketches in P4 source: one register
+array per hash function, one match-action table per array (``Sketch_1``,
+``Sketch_2``), and for a Count-Min Sketch a combining table
+(``Sketch_Min``).  Hash computations use ``RegisterSize`` as their
+modulus, so resizing an array during phase 3 automatically changes the
+index distribution — the mechanism behind the paper's observation that
+shrinking ``Sketch_1`` causes extra collisions and perturbs
+``DNS_Drop``'s hit rate (§2.2, phase 3).
 
-Hash computations use ``RegisterSize`` as their modulus, so resizing an
-array during phase 3 automatically changes the index distribution — the
-mechanism behind the paper's observation that shrinking ``Sketch_1`` causes
-extra collisions and perturbs ``DNS_Drop``'s hit rate (§2.2, phase 3).
+A data-plane Bloom filter only *checks* membership; the controller
+fills its arrays.  :class:`BloomFragment` names the arrays, hashes and
+key of one such filter, and :func:`preload_bloom_filter` installs a
+database into them through a runtime configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
-from repro.exceptions import ReproError
-from repro.p4.actions import (
-    AddToField,
-    HashFields,
-    MinOf,
-    RegisterRead,
-    RegisterWrite,
-)
-from repro.p4.builder import ProgramBuilder
-from repro.p4.expressions import Const, FieldRef, RegisterSize
+from repro.p4.expressions import FieldRef
 from repro.sim.runtime import RuntimeConfig
-from repro.sketches.bloom import DEFAULT_ALGORITHMS as BLOOM_ALGORITHMS
-from repro.sketches.countmin import DEFAULT_ALGORITHMS as CMS_ALGORITHMS
-
-KeySpec = Sequence[Union[str, FieldRef]]
-
-
-def _refs(fields: KeySpec) -> Tuple[FieldRef, ...]:
-    return tuple(
-        FieldRef.parse(f) if isinstance(f, str) else f for f in fields
-    )
-
-
-@dataclass(frozen=True)
-class CmsFragment:
-    """Handle to an emitted data-plane Count-Min Sketch."""
-
-    name: str
-    row_tables: Tuple[str, ...]
-    min_table: str
-    registers: Tuple[str, ...]
-    count_field: FieldRef  # metadata field holding the min estimate
-
-    @property
-    def tables(self) -> Tuple[str, ...]:
-        return self.row_tables + (self.min_table,)
-
-
-def add_count_min_sketch(
-    builder: ProgramBuilder,
-    name: str,
-    key_fields: KeySpec,
-    cells: int,
-    cell_bits: int = 32,
-    depth: int = 2,
-    algorithms: Sequence[str] = CMS_ALGORITHMS,
-    match_key: Optional[Tuple[str, str]] = None,
-    table_names: Optional[Sequence[str]] = None,
-    min_table_name: Optional[str] = None,
-) -> CmsFragment:
-    """Emit registers, metadata, actions, and tables for a CMS.
-
-    ``match_key`` is ``(field_path, match_kind)`` for the row/min tables'
-    key (entries are installed by the runtime config); omit it for keyless
-    tables that always run their update as the default action.
-    """
-    if depth < 2:
-        raise ReproError("data-plane CMS needs depth >= 2 (min combine)")
-    if depth > len(algorithms):
-        raise ReproError("not enough hash algorithms for CMS depth")
-    keys = _refs(key_fields)
-
-    meta_fields: List[Tuple[str, int]] = []
-    for i in range(depth):
-        meta_fields.append((f"idx{i}", 32))
-        meta_fields.append((f"count{i}", cell_bits))
-    meta_fields.append(("count", cell_bits))
-    meta = f"{name}_meta"
-    builder.metadata(meta, meta_fields)
-
-    registers = []
-    row_tables = []
-    for i in range(depth):
-        register = f"{name}_row{i}"
-        builder.register(register, width=cell_bits, size=cells)
-        registers.append(register)
-        idx = FieldRef(meta, f"idx{i}")
-        count = FieldRef(meta, f"count{i}")
-        action = f"{name}_update{i}"
-        builder.action(
-            action,
-            [
-                HashFields(idx, algorithms[i], keys, RegisterSize(register)),
-                RegisterRead(count, register, idx),
-                AddToField(count, Const(1)),
-                RegisterWrite(register, idx, count),
-            ],
-        )
-        table = (
-            table_names[i] if table_names is not None else f"{name}_sketch{i}"
-        )
-        if match_key is not None:
-            builder.table(
-                table, keys=[match_key], actions=[action], size=16
-            )
-        else:
-            builder.table(table, keys=[], actions=[], default_action=action)
-        row_tables.append(table)
-
-    count_field = FieldRef(meta, "count")
-    min_action = f"{name}_min_action"
-    min_expr: FieldRef = FieldRef(meta, "count0")
-    # Fold rows pairwise; depth 2 is a single MinOf, deeper sketches chain.
-    primitives = [
-        MinOf(count_field, FieldRef(meta, "count0"), FieldRef(meta, "count1"))
-    ]
-    for i in range(2, depth):
-        primitives.append(
-            MinOf(count_field, count_field, FieldRef(meta, f"count{i}"))
-        )
-    builder.action(min_action, primitives)
-    min_table = (
-        min_table_name if min_table_name is not None else f"{name}_min"
-    )
-    if match_key is not None:
-        builder.table(
-            min_table, keys=[match_key], actions=[min_action], size=16
-        )
-    else:
-        builder.table(
-            min_table, keys=[], actions=[], default_action=min_action
-        )
-    return CmsFragment(
-        name=name,
-        row_tables=tuple(row_tables),
-        min_table=min_table,
-        registers=tuple(registers),
-        count_field=count_field,
-    )
 
 
 @dataclass(frozen=True)
 class BloomFragment:
-    """Handle to an emitted data-plane Bloom filter (check-only)."""
+    """Handle to a data-plane Bloom filter (check-only)."""
 
     name: str
     check_tables: Tuple[str, ...]
@@ -158,72 +34,6 @@ class BloomFragment:
     bit_fields: Tuple[FieldRef, ...]
     algorithms: Tuple[str, ...]
     key_fields: Tuple[FieldRef, ...]
-
-
-def add_bloom_filter(
-    builder: ProgramBuilder,
-    name: str,
-    key_fields: KeySpec,
-    sizes: Sequence[int],
-    cell_bits: int = 8,
-    algorithms: Sequence[str] = BLOOM_ALGORITHMS,
-    match_key: Optional[Tuple[str, str]] = None,
-    table_names: Optional[Sequence[str]] = None,
-) -> BloomFragment:
-    """Emit registers, metadata, actions, and check tables for a BF.
-
-    The data plane only *checks* membership (reads the bit into metadata);
-    the controller populates the arrays via
-    :func:`preload_bloom_filter`.
-    """
-    if len(sizes) != len(algorithms):
-        raise ReproError(
-            f"got {len(sizes)} sizes for {len(algorithms)} hash algorithms"
-        )
-    keys = _refs(key_fields)
-    meta = f"{name}_meta"
-    meta_fields: List[Tuple[str, int]] = []
-    for i in range(len(sizes)):
-        meta_fields.append((f"idx{i}", 32))
-        meta_fields.append((f"bit{i}", cell_bits))
-    builder.metadata(meta, meta_fields)
-
-    registers = []
-    tables = []
-    bit_fields = []
-    for i, size in enumerate(sizes):
-        register = f"{name}_array{i}"
-        builder.register(register, width=cell_bits, size=size)
-        registers.append(register)
-        idx = FieldRef(meta, f"idx{i}")
-        bit = FieldRef(meta, f"bit{i}")
-        bit_fields.append(bit)
-        action = f"{name}_check{i}"
-        builder.action(
-            action,
-            [
-                HashFields(idx, algorithms[i], keys, RegisterSize(register)),
-                RegisterRead(bit, register, idx),
-            ],
-        )
-        table = (
-            table_names[i] if table_names is not None else f"{name}_bf{i}"
-        )
-        if match_key is not None:
-            builder.table(
-                table, keys=[match_key], actions=[action], size=16
-            )
-        else:
-            builder.table(table, keys=[], actions=[], default_action=action)
-        tables.append(table)
-    return BloomFragment(
-        name=name,
-        check_tables=tuple(tables),
-        registers=tuple(registers),
-        bit_fields=tuple(bit_fields),
-        algorithms=tuple(algorithms),
-        key_fields=keys,
-    )
 
 
 def preload_bloom_filter(

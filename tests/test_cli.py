@@ -79,6 +79,31 @@ class TestCompile:
         assert main(["compile", "no_such.p4"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            (
+                {"num_stages": 4, "bogus": 1},
+                "unknown field(s) bogus; known: name, num_stages",
+            ),
+            ([1, 2], "must hold a JSON object, not a list"),
+        ],
+        ids=["unknown-field", "not-an-object"],
+    )
+    def test_malformed_target_reports_error(
+        self, toy_files, tmp_path, capsys, target, message
+    ):
+        prog_path, _config, _trace = toy_files
+        target_path = tmp_path / "target.json"
+        target_path.write_text(json.dumps(target))
+        assert (
+            main(["compile", str(prog_path), "--target", str(target_path)])
+            == 2
+        )
+        err = capsys.readouterr().err
+        assert err.startswith("error: target file ")
+        assert message in err
+
 
 class TestProfile:
     def test_profile_outputs_rates(self, toy_files, capsys):
@@ -117,6 +142,18 @@ class TestProfile:
                 if not line.startswith("throughput:")
             ])
         assert outputs[0] == outputs[1]
+
+    def test_malformed_config_reports_error(self, toy_files, capsys):
+        prog_path, config_path, trace_path = toy_files
+        config_path.write_text(json.dumps({"defaults": {"acl": {}}}))
+        command = [
+            "profile", str(prog_path),
+            "--config", str(config_path), "--trace", str(trace_path),
+        ]
+        assert main(command) == 1
+        assert capsys.readouterr().err == (
+            "error: table 'acl' default has no 'action'\n"
+        )
 
     def test_malformed_dsl_reports_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.p4"

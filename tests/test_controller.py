@@ -19,33 +19,12 @@ from repro.core.phase_offload import (
 )
 from repro.core.observations import Phase, Verdict
 from repro.core.pipeline import P2GO
-from repro.p4 import (
-    AddToField,
-    Apply,
-    BinOp,
-    Const,
-    Drop,
-    FieldRef,
-    HashFields,
-    If,
-    ModifyField,
-    ParamRef,
-    ProgramBuilder,
-    RegisterRead,
-    RegisterSize,
-    RegisterWrite,
-    Seq,
-    SetEgressPort,
-    ValidExpr,
-)
+from repro.p4 import Apply, FieldRef, ModifyField
+from repro.p4.dsl import parse_program
 from repro.packets.craft import dns_query
 from repro.packets.headers import ip_to_int
 from repro.programs import example_firewall, failure_detection, telemetry
-from repro.programs.common import (
-    EXAMPLE_TARGET,
-    add_ethernet_ipv4_parser,
-    register_standard_headers,
-)
+from repro.programs.common import EXAMPLE_TARGET
 from repro.sim import BehavioralSwitch, RuntimeConfig
 from repro.traffic.generators import tcp_background
 
@@ -182,58 +161,104 @@ BLOCKED_SRC, HEAVY_SRC, LIGHT_SRC = "10.9.0.9", "10.1.0.1", "10.2.0.2"
 DNS_LIMIT = 4
 
 
+GUARDED_LIMITER = """
+header_type ethernet_t {
+    fields { dstAddr : 48; srcAddr : 48; etherType : 16; }
+}
+header_type ipv4_t {
+    fields {
+        version : 4; ihl : 4; dscp : 8; totalLen : 16; identification : 16;
+        flags : 3; fragOffset : 13; ttl : 8; protocol : 8;
+        hdrChecksum : 16; srcAddr : 32; dstAddr : 32;
+    }
+}
+header_type udp_t {
+    fields { srcPort : 16; dstPort : 16; length : 16; checksum : 16; }
+}
+header_type tcp_t {
+    fields {
+        srcPort : 16; dstPort : 16; seqNo : 32; ackNo : 32; dataOffset : 4;
+        res : 4; flags : 8; window : 16; checksum : 16; urgentPtr : 16;
+    }
+}
+header_type dns_t {
+    fields {
+        id : 16; flags : 16; qdcount : 16; ancount : 16; nscount : 16;
+        arcount : 16;
+    }
+}
+header_type lim_t { fields { idx : 32; count : 32; } }
+
+header ethernet_t ethernet;
+header ipv4_t ipv4;
+header udp_t udp;
+header tcp_t tcp;
+header dns_t dns;
+metadata lim_t lim;
+
+register dns_seen { width : 32; instance_count : 960; }
+
+action fwd(port) { set_egress_port(port); }
+action block() { drop(); }
+action over_limit() { drop(); }
+action count_query() {
+    hash(lim.idx, crc32_a, {ipv4.srcAddr}, size(dns_seen));
+    register_read(lim.count, dns_seen, lim.idx);
+    add_to_field(lim.count, 1);
+    register_write(dns_seen, lim.idx, lim.count);
+}
+
+table fib {
+    reads { ipv4.dstAddr : lpm; }
+    actions { fwd; }
+    size : 64;
+}
+table blocklist {
+    reads { ipv4.srcAddr : exact; }
+    actions { block; }
+    size : 64;
+}
+table dns_count { default_action : count_query; }
+table dns_limit { default_action : over_limit; }
+
+parser start {
+    extract(ethernet);
+    return select(ethernet.etherType) { 2048 : parse_ipv4; default : accept; }
+}
+parser parse_ipv4 {
+    extract(ipv4);
+    return select(ipv4.protocol) {
+        6 : parse_tcp; 17 : parse_udp; default : accept;
+    }
+}
+parser parse_tcp { extract(tcp); return accept; }
+parser parse_udp {
+    extract(udp);
+    return select(udp.dstPort) { 53 : parse_dns; default : accept; }
+}
+parser parse_dns { extract(dns); return accept; }
+
+control ingress {
+    if (valid(ipv4)) {
+        apply(fib);
+        apply(blocklist);
+    }
+    if (valid(dns)) {
+        apply(dns_count);
+        if (lim.count >= DNS_LIMIT) {
+            apply(dns_limit);
+        }
+    }
+}
+"""
+
+
 def guarded_limiter_program():
     """Four tables: a FIB, a source blocklist that drops, and — behind
     them, on DNS only — a stateful per-source query counter whose limit
     table drops from the ``DNS_LIMIT``-th query on."""
-    b = ProgramBuilder("guarded_limiter")
-    register_standard_headers(b, ["ethernet", "ipv4", "udp", "tcp", "dns"])
-    add_ethernet_ipv4_parser(b, l4=("udp", "tcp"), udp_apps=("dns",))
-    b.metadata("lim", [("idx", 32), ("count", 32)])
-    b.register("dns_seen", width=32, size=960)
-    idx, count = FieldRef("lim", "idx"), FieldRef("lim", "count")
-    b.action("fwd", [SetEgressPort(ParamRef("port"))], parameters=["port"])
-    b.action("block", [Drop()])
-    b.action("over_limit", [Drop()])
-    b.action(
-        "count_query",
-        [
-            HashFields(
-                idx, "crc32_a", (FieldRef("ipv4", "srcAddr"),),
-                RegisterSize("dns_seen"),
-            ),
-            RegisterRead(count, "dns_seen", idx),
-            AddToField(count, Const(1)),
-            RegisterWrite("dns_seen", idx, count),
-        ],
-    )
-    b.table("fib", keys=[("ipv4.dstAddr", "lpm")], actions=["fwd"], size=64)
-    b.table(
-        "blocklist", keys=[("ipv4.srcAddr", "exact")], actions=["block"],
-        size=64,
-    )
-    b.table("dns_count", keys=[], actions=[], default_action="count_query")
-    b.table("dns_limit", keys=[], actions=[], default_action="over_limit")
-    b.ingress(
-        Seq(
-            [
-                If(ValidExpr("ipv4"), Seq([Apply("fib"), Apply("blocklist")])),
-                If(
-                    ValidExpr("dns"),
-                    Seq(
-                        [
-                            Apply("dns_count"),
-                            If(
-                                BinOp(">=", count, Const(DNS_LIMIT)),
-                                Apply("dns_limit"),
-                            ),
-                        ]
-                    ),
-                ),
-            ]
-        )
-    )
-    return b.build()
+    source = GUARDED_LIMITER.replace("DNS_LIMIT", str(DNS_LIMIT))
+    return parse_program(source, "guarded_limiter")
 
 
 def with_offload(result, offload):

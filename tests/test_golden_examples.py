@@ -1,10 +1,11 @@
 """Golden compile outcomes for the bundled example programs.
 
-Every ``examples/programs/*.p4`` source is parsed by the DSL front end
-and compiled against two targets: the generous :data:`DEFAULT_TARGET`
-and a deliberately small 4-stage target with the example-scale per-stage
-geometry.  The pinned ``stages_used`` / ``fits`` pairs are the contract
-future allocator changes must either preserve or consciously re-pin.
+Every bundled ``src/repro/programs/*.p4`` source is parsed by the DSL
+front end and compiled against two targets: the generous
+:data:`DEFAULT_TARGET` and a deliberately small 4-stage target with the
+example-scale per-stage geometry.  The pinned ``stages_used`` /
+``fits`` pairs are the contract future allocator changes must either
+preserve or consciously re-pin.
 """
 
 from pathlib import Path
@@ -16,7 +17,7 @@ from repro.p4.dsl import parse_program
 from repro.programs import example_firewall
 from repro.target import DEFAULT_TARGET, TargetModel, compile_program
 
-SOURCES = Path(__file__).parent.parent / "examples" / "programs"
+SOURCES = Path(__file__).parent.parent / "src" / "repro" / "programs"
 
 #: Example-scale per-stage geometry (matches EXAMPLE_TARGET) but only 4
 #: physical stages, so the bigger programs overflow into virtual stages.
@@ -70,7 +71,7 @@ def test_small_target_outcome(name):
 def test_every_example_source_is_pinned():
     on_disk = {p.stem for p in SOURCES.glob("*.p4")}
     assert on_disk == set(GOLDEN), (
-        "examples/programs/ and GOLDEN drifted apart — add the new "
+        "src/repro/programs/ and GOLDEN drifted apart — add the new "
         "program's golden outcome"
     )
 

@@ -119,3 +119,33 @@ class TestAccessors:
         reduced = cfg.restricted_to(["acl"])
         assert reduced.entry_count("fib") == 0
         assert reduced.entry_count("acl") == 1
+
+
+class TestFromJson:
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                {"entries": {"xlate": [{"match": [1]}]}},
+                "table 'xlate' entry 0 has no 'action'",
+            ),
+            (
+                {"entries": {"xlate": [{"match": [1], "action": "a"}, {}]}},
+                "table 'xlate' entry 1 has no 'match'",
+            ),
+            (
+                {"entries": {"xlate": [7]}},
+                "table 'xlate' entry 0 must be a JSON object, not a int",
+            ),
+            (
+                {"defaults": {"xlate": {}}},
+                "table 'xlate' default has no 'action'",
+            ),
+            ([1, 2], "runtime config must be a JSON object, not a list"),
+        ],
+        ids=["no-action", "no-match", "not-object", "default", "list"],
+    )
+    def test_malformed_document_names_the_entry(self, data, message):
+        with pytest.raises(RuntimeConfigError) as info:
+            RuntimeConfig.from_json(data)
+        assert str(info.value) == message

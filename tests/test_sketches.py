@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ReproError
-from repro.p4 import FieldRef, ModifyField
 from repro.packets.packet import unpack_fields
 from repro.sketches import BloomFilter, CountMinSketch
-from repro.sketches.dataplane import add_bloom_filter, add_count_min_sketch
 
 
 def key(*values):
@@ -110,106 +108,48 @@ class TestBloomFilter:
 
 
 class TestDataplaneEquivalence:
-    """The data-plane CMS counts exactly like the software CMS — the
-    property that lets the controller take over an offloaded sketch."""
-
-    def build_cms_program(self, cells):
-        from repro.p4 import ProgramBuilder, Apply, Seq
-
-        b = ProgramBuilder("cmsprog")
-        # ``count`` carries the estimate out in the packet.
-        b.header_type("k_t", [("a", 32), ("b", 32), ("count", 32)])
-        b.header("k", "k_t")
-        b.parser_state("start", extracts=["k"])
-        fragment = add_count_min_sketch(
-            b, name="cms", key_fields=["k.a", "k.b"], cells=cells
-        )
-        b.action("expose", [ModifyField(
-            FieldRef("k", "count"), FieldRef("cms_meta", "count")
-        )])
-        b.table("out", keys=[], actions=[], default_action="expose")
-        b.ingress(Seq([Apply(t) for t in (*fragment.tables, "out")]))
-        return b.build(), fragment
+    """The shipped programs' data-plane sketches agree with the software
+    ones — the property that lets the controller take over an offloaded
+    sketch, and fill a data-plane Bloom filter it cannot read back."""
 
     def test_counts_match_software(self):
-        from repro.packets.packet import pack_fields
+        from repro.programs import example_firewall as fw
         from repro.sim import BehavioralSwitch
 
-        program, fragment = self.build_cms_program(cells=64)
-        switch = BehavioralSwitch(program)
-        software = CountMinSketch(width=64, depth=2)
-
-        stream = [(1, 2)] * 5 + [(3, 4)] * 3 + [(1, 2)] * 2
-        last_estimates = {}
-        for a, b_val in stream:
-            pkt = pack_fields(
-                program.header_types["k_t"], {"a": a, "b": b_val}
-            )
-            result = switch.process(pkt)
-            hardware = unpack_fields(
-                program.header_types["k_t"], result.output_bytes
-            )["count"]
-            software_est = software.update(((a, 32), (b_val, 32)))
-            assert hardware == software_est
-            last_estimates[(a, b_val)] = hardware
-        assert last_estimates[(1, 2)] == 7
+        program = fw.build_program()
+        switch = BehavioralSwitch(program, fw.runtime_config())
+        software = CountMinSketch(fw.SKETCH_CELLS)
+        ipv4_t = program.header_types["ipv4_t"]
+        udp_t = program.header_types["udp_t"]
+        queries = 0
+        for packet in fw.make_trace(2000):
+            data, port = packet if isinstance(packet, tuple) else (packet, 0)
+            switch.process(data, port)
+            ip = unpack_fields(ipv4_t, data[14:34])
+            udp = unpack_fields(udp_t, data[34:42])
+            if ip["protocol"] == 17 and udp["dstPort"] == 53:
+                software.update(((ip["srcAddr"], 32), (ip["dstAddr"], 32)))
+                queries += 1
+        assert queries > fw.DNS_QUERY_THRESHOLD
+        registers = switch.state.snapshot()
+        assert [
+            registers["dns_cms_row0"], registers["dns_cms_row1"]
+        ] == software.rows
 
     def test_bloom_fragment_checks_match_software(self):
-        from repro.p4 import ProgramBuilder, Apply, Seq
-        from repro.packets.packet import pack_fields
-        from repro.sim import BehavioralSwitch, RuntimeConfig
-        from repro.sketches.dataplane import preload_bloom_filter
+        from repro.packets.craft import udp_packet
+        from repro.programs import sourceguard as sg
+        from repro.sim import BehavioralSwitch
 
-        b = ProgramBuilder("bfprog")
-        # ``bit0`` / ``bit1`` carry the checks out in the packet.
-        b.header_type("k_t", [("a", 32), ("bit0", 8), ("bit1", 8)])
-        b.header("k", "k_t")
-        b.parser_state("start", extracts=["k"])
-        fragment = add_bloom_filter(
-            b, name="bf", key_fields=["k.a"], sizes=[64, 64]
-        )
-        b.action("expose", [
-            ModifyField(FieldRef("k", bit), FieldRef("bf_meta", bit))
-            for bit in ("bit0", "bit1")
-        ])
-        b.table("out", keys=[], actions=[], default_action="expose")
-        b.ingress(Seq([Apply(t) for t in (*fragment.check_tables, "out")]))
-        program = b.build()
+        switch = BehavioralSwitch(sg.build_program(), sg.runtime_config())
+        software = BloomFilter(sizes=[sg.BLOOM_CELLS, sg.BLOOM_CELLS])
+        for source in sg.ASSIGNED_CLIENT_IPS:
+            software.add(((source, 32),))
 
-        members = [((i, 32),) for i in (5, 9, 12)]
-        config = RuntimeConfig()
-        preload_bloom_filter(config, fragment, members)
-        switch = BehavioralSwitch(program, config)
-
-        software = BloomFilter(sizes=[64, 64])
-        for m in members:
-            software.add(m)
-
-        for value in range(20):
-            pkt = pack_fields(program.header_types["k_t"], {"a": value})
-            result = switch.process(pkt)
-            out = unpack_fields(program.header_types["k_t"], result.output_bytes)
-            hardware_hit = out["bit0"] == 1 and out["bit1"] == 1
-            assert hardware_hit == software.contains(((value, 32),))
-
-
-class TestFragmentValidation:
-    def test_cms_depth_validation(self):
-        from repro.p4 import ProgramBuilder
-
-        b = ProgramBuilder("p")
-        b.header_type("k_t", [("a", 32)]).header("k", "k_t")
-        with pytest.raises(ReproError):
-            add_count_min_sketch(
-                b, name="c", key_fields=["k.a"], cells=8, depth=1
-            )
-
-    def test_bloom_size_mismatch(self):
-        from repro.p4 import ProgramBuilder
-
-        b = ProgramBuilder("p")
-        b.header_type("k_t", [("a", 32)]).header("k", "k_t")
-        with pytest.raises(ReproError):
-            add_bloom_filter(
-                b, name="f", key_fields=["k.a"], sizes=[8, 8, 8]
-            )
+        verdicts = set()
+        for source in sg.ASSIGNED_CLIENT_IPS + sg.SPOOFED_IPS:
+            result = switch.process(udp_packet(source, "10.0.9.1", 4000, 9000))
+            member = software.contains(((source, 32),))
+            assert result.dropped is not member
+            verdicts.add(member)
+        assert verdicts == {True, False}
