@@ -22,8 +22,10 @@ Commands:
   memory-only run).
 * ``store stats|clear [--store PATH]`` — inspect or empty the
   persistent store (default root: ``$P2GO_STORE``, then
-  ``~/.cache/p2go``); ``stats`` breaks entries and bytes down per
-  kind (compile / profile) with human-readable sizes.
+  ``~/.cache/p2go``); ``stats`` breaks the running code's entries
+  and bytes down per kind (compile / profile / analysis) with
+  human-readable sizes and creates nothing; ``clear`` empties the
+  entries of every code version.
 * ``fleet [--size N] [--families a,b] [--seed N] [--packets N]
   [--workers N] [--store PATH | --no-store] [--report FILE]
   [--json FILE]`` — optimize a fabric of built-in
@@ -237,8 +239,7 @@ def _open_store(path: Optional[str]):
 def cmd_store_stats(args: argparse.Namespace) -> int:
     from repro.core.store import KINDS, human_bytes
 
-    store = _open_store(args.store)
-    stats = store.stats()
+    stats = _open_store(args.store).stats()
     print(f"store root:        {stats['root']}")
     print(f"schema / code:     v{stats['schema']} / {stats['code'][:12]}")
     for kind in KINDS:
@@ -251,11 +252,6 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
         f"size:              {human_bytes(stats['total_bytes'])} "
         f"of {human_bytes(stats['max_bytes'])} cap"
     )
-    if store.counters.resets:
-        print(
-            "note: store format mismatch — previous entries were "
-            "quarantined and the store restarted cold"
-        )
     return 0
 
 

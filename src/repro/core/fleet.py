@@ -40,7 +40,6 @@ standalone runs on every operation.
 from __future__ import annotations
 
 import importlib
-import inspect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -84,16 +83,14 @@ def family_inputs(
     demo`` runs).  Shared by the fleet builder, the design-space
     explorer and the demo so all three read one program corpus."""
     module = importlib.import_module(f"repro.programs.{family}")
-    program = module.build_program()
-    # Two families derive their entries from the program; ask the
-    # signature, so a TypeError raised *inside* runtime_config surfaces.
-    if inspect.signature(module.runtime_config).parameters:
-        config = module.runtime_config(program)
-    else:
-        config = module.runtime_config()
     size = () if packets is None else (packets,)
     seed = {} if trace_seed is None else {"seed": trace_seed}
-    return program, config, module.make_trace(*size, **seed), module.TARGET
+    return (
+        module.build_program(),
+        module.runtime_config(),
+        module.make_trace(*size, **seed),
+        module.TARGET,
+    )
 
 
 def build_fabric(

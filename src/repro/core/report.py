@@ -211,12 +211,6 @@ def render_report(result: P2GOResult) -> str:
             f"({store_counters['writes']} writes, "
             f"{store_counters['evictions']} evictions this run)"
         )
-        if store_counters["resets"]:
-            lines.append(
-                "  note: store format mismatch (schema or code "
-                "fingerprint) — previous entries quarantined, this run "
-                "started cold"
-            )
         if store_counters["quarantined"]:
             lines.append(
                 f"  note: {store_counters['quarantined']} corrupt "

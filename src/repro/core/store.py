@@ -21,16 +21,15 @@ workload fails an operation that executes either).
 
 Durability and safety contract (DESIGN.md §10):
 
-* **Versioned layout.**  Entries live under ``<root>/v<SCHEMA_VERSION>/
-  {compile,profile,analysis}/<sha1-of-key>.pkl``; ``<root>`` defaults to
-  ``$P2GO_STORE`` and then ``~/.cache/p2go``.  A ``manifest.json``
-  carries the schema version and a **code fingerprint** (a hash over
-  the source of every module the probe tasks import: the classes
-  inside an entry pickle and the code that computed them).  A
-  manifest that is missing-but-entries-exist, unreadable, or
-  mismatched means the on-disk format can no longer be trusted: the
-  existing entries are sidelined into ``quarantine/`` and the store
-  starts cold — never an exception, never a wrong result.
+* **The version is the path.**  Entries live under
+  ``<root>/v<SCHEMA_VERSION>/<code>/{compile,profile,analysis}/
+  <sha1-of-key>.pkl``; ``<root>`` defaults to ``$P2GO_STORE`` and then
+  ``~/.cache/p2go``.  ``<code>`` is the **code fingerprint**, a hash
+  over the source of every module the probe tasks import: the classes
+  inside an entry pickle and the code that computed them.  Code that
+  differs in schema or fingerprint never opens the other's files, so
+  it starts cold beside them — never an exception, never a wrong result — and two
+  code versions can share one root without resetting each other.
 * **Atomic writes.**  Every entry is written to a uniquely-named
   (``O_EXCL``) temp file in the same directory and ``os.replace``\\d
   into place, so readers — including concurrent ones in other
@@ -68,10 +67,10 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
-import json
 import os
 import pickle
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
@@ -110,10 +109,6 @@ KINDS = ("compile", "profile", "analysis")
 #: Suffixes of files in the entry directories that are not entries.
 _NON_ENTRY_SUFFIXES = (".tmp", ".lease")
 
-#: A manifest that can never equal the expected one: a garbage file, or
-#: entries found with no manifest at all.
-_UNTRUSTED = {"schema": None, "code": None}
-
 
 def human_bytes(count: int) -> str:
     """``1234567`` → ``"1.2 MiB"`` (exact bytes below 1 KiB)."""
@@ -131,9 +126,10 @@ def human_bytes(count: int) -> str:
 #: another (their static import closure).  That covers both the classes
 #: pickled into entries and the code that computes their content: a
 #: simulator fix changes what a replay produces, so it must retire the
-#: profiles the old code stored.  Their source bytes feed the manifest's
-#: code fingerprint: touching any of them invalidates (quarantines)
-#: existing stores instead of serving what the old code computed.
+#: profiles the old code stored.  Their source bytes feed the code
+#: fingerprint, which names the entry directory: touching any of them
+#: starts a fresh directory instead of serving what the old code
+#: computed.
 _FINGERPRINTED_MODULES = (
     "repro.exceptions",
     "repro.core.profiler",
@@ -237,9 +233,6 @@ class StoreCounters:
     evictions: int = 0
     #: Corrupt/foreign entry files sidelined into ``quarantine/``.
     quarantined: int = 0
-    #: Whole-store invalidations (schema or code-fingerprint mismatch,
-    #: unreadable manifest) — each one is a forced cold start.
-    resets: int = 0
     #: I/O or pickling failures that were swallowed (the store degrades
     #: to a miss / dropped write, never an exception).
     errors: int = 0
@@ -313,11 +306,12 @@ class SessionStore:
 
     ``root`` is the *unversioned* base directory (default:
     :func:`default_store_root`); entries live under its
-    ``v<SCHEMA_VERSION>/`` subdirectory so schema bumps never read old
-    layouts.  ``max_bytes`` caps the summed size of entry files; the
-    least-recently-used entries are evicted past it.
-    ``code_fp`` overrides the manifest code fingerprint (tests use this
-    to simulate a store written by different code).
+    ``v<SCHEMA_VERSION>/<code_fp>/`` subdirectory (:attr:`base`), so
+    another schema or other code never reads them.  ``max_bytes`` caps
+    the summed size of entry files; the least-recently-used entries are
+    evicted past it.  ``code_fp`` overrides the code fingerprint, and
+    with it the entry directory (tests use this to simulate a store
+    written by different code).
 
     Every public method is exception-safe: I/O and pickling failures
     degrade to a miss (loads) or a dropped write (stores) and are
@@ -334,7 +328,6 @@ class SessionStore:
         if max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")
         self.root = Path(root).expanduser() if root else default_store_root()
-        self.base = self.root / f"v{SCHEMA_VERSION}"
         self.max_bytes = max_bytes
         self.counters = StoreCounters()
         self._code_fp = code_fp
@@ -346,7 +339,7 @@ class SessionStore:
         self._scan_after: Optional[float] = None
 
     # ------------------------------------------------------------------
-    # Layout / manifest
+    # Layout
 
     @property
     def code_fp(self) -> str:
@@ -354,14 +347,17 @@ class SessionStore:
             self._code_fp = code_fingerprint()
         return self._code_fp
 
+    @cached_property
+    def base(self) -> Path:
+        """This code's entry directory: ``<root>/v<SCHEMA_VERSION>/
+        <code_fp>``."""
+        return self.root / f"v{SCHEMA_VERSION}" / self.code_fp
+
     def _dir(self, kind: str) -> Path:
         return self.base / kind
 
-    def _manifest_path(self) -> Path:
-        return self.base / "manifest.json"
-
     def _ensure_ready(self) -> bool:
-        """Create the layout and reconcile the manifest (idempotent).
+        """Create the layout (idempotent).
 
         Returns False when even the directory cannot be created — the
         store is then inert for this process.
@@ -371,76 +367,15 @@ class SessionStore:
         try:
             for kind in (*KINDS, "quarantine"):
                 self._dir(kind).mkdir(parents=True, exist_ok=True)
-            expected = {"schema": SCHEMA_VERSION, "code": self.code_fp}
-            manifest = self._read_manifest()
-            if manifest is None and self._has_entries():
-                # Entries but no manifest.  A writer writes its manifest
-                # before its first entry, so either a peer started on
-                # this fresh root since the read (its manifest is there
-                # now) or the manifest was lost while entries survived,
-                # which is untrustworthy.
-                manifest = self._read_manifest() or _UNTRUSTED
-            if manifest is None:
-                self._write_manifest(expected)
-            elif manifest != expected:
-                self._invalidate()
-                self._write_manifest(expected)
-            self._ready = True
-            return True
         except OSError:
             self.counters.errors += 1
             return False
-
-    def _read_manifest(self) -> Optional[Dict]:
-        path = self._manifest_path()
-        try:
-            raw = path.read_text()
-        except OSError:
-            return None
-        try:
-            manifest = json.loads(raw)
-            return {
-                "schema": manifest["schema"],
-                "code": manifest["code"],
-            }
-        except (ValueError, KeyError, TypeError):
-            # Unreadable/garbage manifest: report it as a mismatch (the
-            # caller quarantines and rewrites).
-            return _UNTRUSTED
-
-    def _write_manifest(self, manifest: Dict) -> None:
-        self._atomic_write(
-            self._manifest_path(),
-            (json.dumps(manifest, sort_keys=True) + "\n").encode(),
-        )
+        self._ready = True
+        return True
 
     @staticmethod
     def _is_entry_name(name: str) -> bool:
         return not name.endswith(_NON_ENTRY_SUFFIXES)
-
-    def _has_entries(self) -> bool:
-        return any(self._entry_files(kind) for kind in KINDS)
-
-    def _invalidate(self) -> None:
-        """Sideline every existing entry: the on-disk format does not
-        match this code.  Cold start, never an exception."""
-        self.counters.resets += 1
-        for kind in KINDS:
-            directory = self._dir(kind)
-            try:
-                names = sorted(p.name for p in directory.iterdir())
-            except OSError:
-                continue
-            for name in names:
-                if not self._is_entry_name(name):
-                    # Stale temp/lease files from the old format are
-                    # not worth preserving — just drop them.
-                    try:
-                        os.unlink(directory / name)
-                    except OSError:
-                        pass
-                    continue
-                self._quarantine(directory / name, count=False)
 
     # ------------------------------------------------------------------
     # Entry files
@@ -475,7 +410,7 @@ class SessionStore:
             raise
         os.replace(tmp, path)
 
-    def _quarantine(self, path: Path, count: bool = True) -> None:
+    def _quarantine(self, path: Path) -> None:
         """Move a suspect file out of the entry namespace (best effort:
         a racing process may already have moved or replaced it)."""
         target = self._dir("quarantine") / (
@@ -489,8 +424,7 @@ class SessionStore:
                 os.unlink(path)
             except OSError:
                 pass
-        if count:
-            self.counters.quarantined += 1
+        self.counters.quarantined += 1
 
     def _load(self, kind: str, key: Tuple):
         if not self._ensure_ready():
@@ -791,24 +725,17 @@ class SessionStore:
         return evicted
 
     def clear(self) -> int:
-        """Delete every entry (and quarantined file); returns how many
-        entry files were removed.  The manifest survives."""
-        if not self._ensure_ready():
-            return 0
+        """Delete every file under ``v<SCHEMA_VERSION>/``: the entries
+        and quarantined files of every code version, and what an older
+        layout left there; returns how many entry files were removed."""
         removed = 0
-        for kind in (*KINDS, "quarantine"):
-            directory = self._dir(kind)
+        for path in self.root.glob(f"v{SCHEMA_VERSION}/**/*"):
             try:
-                paths = list(directory.iterdir())
+                os.unlink(path)
             except OSError:
                 continue
-            for path in paths:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    continue
-                if kind != "quarantine" and self._is_entry_name(path.name):
-                    removed += 1
+            if path.parent.name in KINDS and self._is_entry_name(path.name):
+                removed += 1
         return removed
 
     def handle_stats(self) -> Dict:
@@ -824,21 +751,19 @@ class SessionStore:
         }
 
     def stats(self) -> Dict:
-        """Census + this process's counters, JSON-ready."""
+        """Census of this code's directory + this process's counters,
+        JSON-ready.  A missing directory counts as empty; nothing is
+        created."""
         entries = dict.fromkeys(KINDS, 0)
         entry_bytes = dict.fromkeys(KINDS, 0)
-        quarantine = 0
-        if self._ensure_ready():
-            for kind in KINDS:
-                for _mtime, _name, size, _path in self._entry_files(kind):
-                    entries[kind] += 1
-                    entry_bytes[kind] += size
-            try:
-                quarantine = sum(
-                    1 for _ in self._dir("quarantine").iterdir()
-                )
-            except OSError:
-                pass
+        for kind in KINDS:
+            for _mtime, _name, size, _path in self._entry_files(kind):
+                entries[kind] += 1
+                entry_bytes[kind] += size
+        try:
+            quarantine = sum(1 for _ in self._dir("quarantine").iterdir())
+        except OSError:
+            quarantine = 0
         return {
             **self.handle_stats(),
             **{f"{kind}_entries": entries[kind] for kind in KINDS},

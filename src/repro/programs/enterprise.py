@@ -55,6 +55,10 @@ def build_program() -> Program:
 
 
 def runtime_config(program: Program = None) -> RuntimeConfig:
+    """Routes, ACLs, the DNS sketch and the sourceguard Bloom preload.
+    ``program`` is never read (every build has the same Bloom fragment);
+    it stays because callers that build configs per program pass one,
+    the stack benchmark's ``opt_compile`` among them."""
     cfg = RuntimeConfig()
     cfg.add_entry("IPv4", [(ip_to_int("192.168.0.0"), 16)],
                   "ipv4_forward", [2])

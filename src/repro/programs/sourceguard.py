@@ -65,6 +65,10 @@ def bloom_fragment_of(program: Program) -> BloomFragment:
 
 
 def runtime_config(program: Program = None) -> RuntimeConfig:
+    """The FIB, the verdict table and the Bloom filter's preload.
+    ``program`` is never read (every build has the same Bloom fragment);
+    it stays because callers that build configs per program pass one,
+    the stack benchmark's ``opt_compile`` among them."""
     cfg = RuntimeConfig()
     cfg.add_entry("ipv4_fib", [(ip_to_int("10.0.0.0"), 8)], "fwd", [2])
     cfg.add_entry("ipv4_fib", [(0, 0)], "fwd", [1])

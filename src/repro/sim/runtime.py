@@ -33,16 +33,35 @@ from repro.p4.types import mask
 MatchSpec = Union[int, Tuple[int, int]]
 
 
+def _shaped(value: object, kind: type, where: str) -> object:
+    """``value`` when it is a ``kind`` (``dict``: a JSON object,
+    ``list``: an array); else a RuntimeConfigError naming ``where`` it
+    was read."""
+    if not isinstance(value, kind):
+        shape = "object" if kind is dict else "array"
+        raise RuntimeConfigError(
+            f"{where} must be a JSON {shape}, not a {type(value).__name__}"
+        )
+    return value
+
+
 def _required(item: object, key: str, where: str) -> object:
     """``item[key]`` of one JSON entry, or a RuntimeConfigError saying
     which entry lacks it."""
-    if not isinstance(item, dict):
-        raise RuntimeConfigError(
-            f"{where} must be a JSON object, not a {type(item).__name__}"
-        )
-    if key not in item:
+    if key not in _shaped(item, dict, where):
         raise RuntimeConfigError(f"{where} has no {key!r}")
     return item[key]
+
+
+def _rows(data: dict, key: str, fields: str) -> List[list]:
+    """The rows of a register-init section, each a ``[fields]`` array."""
+    rows = _shaped(data.get(key, []), list, repr(key))
+    for index, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != len(fields.split(",")):
+            raise RuntimeConfigError(
+                f"{key!r} item {index} must be [{fields}], not {row!r}"
+            )
+    return rows
 
 
 @dataclass(frozen=True)
@@ -285,15 +304,14 @@ class RuntimeConfig:
         """Inverse of :meth:`to_json`; every top-level key is optional.
 
         A malformed document raises :class:`RuntimeConfigError` naming
-        the table (and the entry's index) it could not read.
+        the key, the table (and the entry's index) or the register-init
+        row it could not read.
         """
-        if not isinstance(data, dict):
-            raise RuntimeConfigError(
-                "runtime config must be a JSON object, "
-                f"not a {type(data).__name__}"
-            )
+        _shaped(data, dict, "runtime config")
         config = cls()
-        for table, entries in data.get("entries", {}).items():
+        entries_of = _shaped(data.get("entries", {}), dict, "'entries'")
+        for table, entries in entries_of.items():
+            entries = _shaped(entries, list, f"table {table!r} entries")
             for index, entry in enumerate(entries):
                 where = f"table {table!r} entry {index}"
                 match = [
@@ -307,15 +325,20 @@ class RuntimeConfig:
                     entry.get("args", []),
                     entry.get("priority", 0),
                 )
-        for table, default in data.get("defaults", {}).items():
+        defaults = _shaped(data.get("defaults", {}), dict, "'defaults'")
+        for table, default in defaults.items():
             config.set_default(
                 table,
                 _required(default, "action", f"table {table!r} default"),
                 default.get("args", []),
             )
-        for register, index, value in data.get("register_inits", []):
+        for register, index, value in _rows(
+            data, "register_inits", "register, index, value"
+        ):
             config.init_register(register, index, value)
-        for register, algo, key, value in data.get("hashed_inits", []):
+        for register, algo, key, value in _rows(
+            data, "hashed_inits", "register, algorithm, key, value"
+        ):
             config.init_register_hashed(
                 register, algo, [tuple(k) for k in key], value
             )

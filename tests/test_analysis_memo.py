@@ -102,7 +102,7 @@ def test_session_analyses_equal_direct_ones_on_every_family(
 
     # Disk hits: with the compile entries gone every compile executes
     # again, and every analysis it needs is already stored.
-    shutil.rmtree(root / "v1" / "compile")
+    shutil.rmtree(SessionStore(root)._dir("compile"))
     _, recompiled = optimize(inputs, store=SessionStore(root))
     assert recompiled.compile_executions == counters.compile_executions
     assert recompiled.analysis_executions == 0

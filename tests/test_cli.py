@@ -155,6 +155,21 @@ class TestProfile:
             "error: table 'acl' default has no 'action'\n"
         )
 
+    def test_malformed_config_section_reports_error(
+        self, toy_files, capsys
+    ):
+        prog_path, config_path, trace_path = toy_files
+        config_path.write_text(json.dumps({"register_inits": [[1]]}))
+        command = [
+            "profile", str(prog_path),
+            "--config", str(config_path), "--trace", str(trace_path),
+        ]
+        assert main(command) == 1
+        assert capsys.readouterr().err == (
+            "error: 'register_inits' item 0 must be "
+            "[register, index, value], not [1]\n"
+        )
+
     def test_malformed_dsl_reports_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.p4"
         bad.write_text("table {")
@@ -312,6 +327,14 @@ class TestStore:
         out = capsys.readouterr().out
         assert "compile entries:   0 (0 B)" in out
         assert "profile entries:   0 (0 B)" in out
+
+    def test_store_stats_creates_no_store(self, tmp_path, capsys):
+        store = tmp_path / "nonexistent"
+        assert main(["store", "stats", "--store", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert "compile entries:   0 (0 B)" in out
+        assert "quarantined:       0" in out
+        assert not store.exists()
 
     def test_env_var_enables_store(
         self, toy_files, tmp_path, capsys, monkeypatch

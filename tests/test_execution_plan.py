@@ -73,7 +73,7 @@ from repro.programs import enterprise, example_firewall, nat_gre
 from repro.sim import BehavioralSwitch
 from repro.sim.runtime import RuntimeConfig, TableEntry
 from repro.sim.switch import ReplayTrace, StepSink
-from tests.test_profiling_engine import _fresh_config, _result_fingerprint
+from tests.test_profiling_engine import _result_fingerprint
 
 #: A UDP packet the bundled firewall config forwards.
 PACKET = udp_packet("10.0.0.1", "10.0.0.2", 1234, 4000)
@@ -730,7 +730,7 @@ def test_trusted_pack_equals_validating_pack_on_bundled_programs(module):
     instrumented = instrument(program)
     results = _assert_bytes_equal_the_reference(
         instrumented.program,
-        lambda: instrumented.adapt_config(_fresh_config(module, program)),
+        lambda: instrumented.adapt_config(module.runtime_config()),
         module.make_trace(300),
     )
     assert all(r.output_bytes is not r.input_bytes for r in results)
@@ -749,7 +749,7 @@ def test_output_bytes_equal_the_reference_deparse(name):
     module = BUNDLED[name]
     program = module.build_program()
     results = _assert_bytes_equal_the_reference(
-        program, lambda: _fresh_config(module, program),
+        program, module.runtime_config,
         module.make_trace(1500),
     )
     if module is example_firewall:
@@ -892,7 +892,7 @@ def test_no_emitted_tail_touches_a_header_dict(name):
     else:
         module = BUNDLED[name]
         program = module.build_program()
-        inputs = [(program, lambda: _fresh_config(module, program),
+        inputs = [(program, module.runtime_config,
                    module.make_trace(60))]
     for program, config, trace in list(inputs):
         instrumented = instrument(program)

@@ -91,16 +91,12 @@ class TestBuildFabric:
         self, monkeypatch
     ):
         """Regression: a TypeError raised *by* a family's
-        ``runtime_config(program)`` was mistaken for "takes no program"
-        and silently retried without one."""
+        ``runtime_config`` was once mistaken for "takes no program" and
+        silently retried without one."""
         from repro.programs import enterprise
 
-        real = enterprise.runtime_config
-
         def broken(program=None):
-            if program is not None:
-                raise TypeError("bad entry")
-            return real()
+            raise TypeError("bad entry")
 
         monkeypatch.setattr(enterprise, "runtime_config", broken)
         with pytest.raises(TypeError, match="bad entry"):

@@ -29,7 +29,7 @@ from repro.core.pipeline import P2GO
 from repro.fuzz.generator import generate_case
 from repro.programs import example_firewall as fw
 from repro.sim import BehavioralSwitch
-from tests.test_profiling_engine import BIT_IDENTITY_INPUTS, _fresh_config
+from tests.test_profiling_engine import BIT_IDENTITY_INPUTS
 
 #: The views compared by value; the dicts among them also by key order.
 VIEWS = (
@@ -122,7 +122,7 @@ def test_profile_pickles_as_per_packet_fold(name):
     program = module.build_program()
     _assert_profile_pickles_as_reference(
         program,
-        lambda: _fresh_config(module, program),
+        module.runtime_config,
         module.make_trace(600),
     )
 

@@ -70,15 +70,6 @@ PROGRAM_MODULES = {
 EQUIVALENCE_TRACE_SIZE = 1500
 
 
-def _fresh_config(module, program):
-    """Each call returns an independent config (sourceguard's and
-    enterprise's need the program for hashed register inits)."""
-    try:
-        return module.runtime_config(program)
-    except TypeError:
-        return module.runtime_config()
-
-
 def _reference(config):
     config.enable_compiled_tables = False
     return config
@@ -150,10 +141,10 @@ def test_cached_profile_same_behavior_as_uncached(name):
     program = module.build_program()
     trace = module.make_trace(EQUIVALENCE_TRACE_SIZE)
 
-    engine = Profiler(program, _fresh_config(module, program)).run(trace)
-    reference = Profiler(
-        program, _reference(_fresh_config(module, program))
-    ).run(trace)
+    engine = Profiler(program, module.runtime_config()).run(trace)
+    reference = Profiler(program, _reference(module.runtime_config())).run(
+        trace
+    )
 
     assert engine.same_behavior_as(reference), engine.behavior_diff(reference)
     assert reference.same_behavior_as(engine)
@@ -183,7 +174,7 @@ def test_cached_results_bit_identical_to_uncached(name):
     program = module.build_program()
     _assert_tiers_bit_identical(
         program,
-        lambda: _fresh_config(module, program),
+        module.runtime_config,
         module.make_trace(600),
     )
 
@@ -221,7 +212,7 @@ def test_step_log_profile_equals_instrumented_reference(name):
     program = module.build_program()
     _assert_fold_matches_reference(
         program,
-        lambda: _fresh_config(module, program),
+        module.runtime_config,
         module.make_trace(600),
     )
 

@@ -66,7 +66,6 @@ from repro.sim.parser_engine import deparse_packet, parse_packet
 from repro.sim.switch import ReplayTrace, StepSink
 from tests.test_profiling_engine import (
     BIT_IDENTITY_INPUTS,
-    _fresh_config,
     _result_fingerprint,
     ghost_write,
 )
@@ -130,7 +129,7 @@ def test_templates_equal_the_reference_parser(name):
     module = BIT_IDENTITY_INPUTS[name]
     program = module.build_program()
     _assert_templates_match_reference_parser(
-        program, _fresh_config(module, program), module.make_trace(600)
+        program, module.runtime_config(), module.make_trace(600)
     )
 
 
@@ -218,17 +217,17 @@ def test_replays_of_a_session_trace_equal_plain_replays(name):
     program = module.build_program()
     trace = module.make_trace(600)
     ctx = OptimizationContext(
-        program, _fresh_config(module, program), trace
+        program, module.runtime_config(), trace
     )
     shared = ctx.trace
     assert isinstance(shared, ReplayTrace)
     for _replay in range(2):
         got_switch = BehavioralSwitch(
-            program, _fresh_config(module, program)
+            program, module.runtime_config()
         )
         got = got_switch.process_many(shared)
         want_switch = BehavioralSwitch(
-            program, _fresh_config(module, program)
+            program, module.runtime_config()
         )
         want = want_switch.process_many(list(trace))
         assert [_result_fingerprint(r) for r in got] == [
@@ -351,7 +350,7 @@ def test_profiling_replays_leave_the_templates_intact(name):
     program = module.build_program()
     _assert_profiling_leaves_templates_intact(
         program,
-        lambda: _fresh_config(module, program),
+        module.runtime_config,
         module.make_trace(600),
     )
 

@@ -149,3 +149,35 @@ class TestFromJson:
         with pytest.raises(RuntimeConfigError) as info:
             RuntimeConfig.from_json(data)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"entries": []}, "'entries' must be a JSON object, not a list"),
+            ({"defaults": []}, "'defaults' must be a JSON object, not a list"),
+            (
+                {"entries": {"xlate": 7}},
+                "table 'xlate' entries must be a JSON array, not a int",
+            ),
+            (
+                {"register_inits": {}},
+                "'register_inits' must be a JSON array, not a dict",
+            ),
+            (
+                {"register_inits": [["r", 0, 1], [1]]},
+                "'register_inits' item 1 must be [register, index, value], "
+                "not [1]",
+            ),
+            (
+                {"hashed_inits": [["r"]]},
+                "'hashed_inits' item 0 must be [register, algorithm, key, "
+                "value], not ['r']",
+            ),
+        ],
+        ids=["entries", "defaults", "table", "inits", "init-row",
+             "hashed-row"],
+    )
+    def test_malformed_section_names_the_key(self, data, message):
+        with pytest.raises(RuntimeConfigError) as info:
+            RuntimeConfig.from_json(data)
+        assert str(info.value) == message

@@ -86,6 +86,30 @@ time.sleep(300)
 """
 
 
+#: Child process for the cross-version test: with code fingerprint
+#: ``argv[2]``, write every key tagged with it, say so, wait for the
+#: go line, then load and rewrite every key for 20 rounds; print how
+#: many loads returned another tag and how many were hits.
+_TAGGED_ROUNDS = """
+import sys
+from repro.core.store import SessionStore
+root, tag = sys.argv[1], sys.argv[2]
+store = SessionStore(root, code_fp=tag)
+keys = [("k%d" % index,) for index in range(8)]
+for key in keys:
+    store.store_compile(key, tag)
+print("wrote", flush=True)
+sys.stdin.readline()
+foreign = 0
+for _ in range(20):
+    for key in keys:
+        value = store.load_compile(key)
+        foreign += value is not None and value != tag
+        store.store_compile(key, tag)
+print(foreign, store.counters.compile_hits, flush=True)
+"""
+
+
 def pickled_modules(data):
     """Modules of every class a pickle names, read off its
     ``GLOBAL`` / ``STACK_GLOBAL`` opcodes (the latter takes module and
@@ -321,6 +345,37 @@ class TestEviction:
         assert stats["compile_entries"] == 0
         assert stats["profile_entries"] == 0
 
+    def test_clear_empties_every_code_version(self, tmp_path):
+        root = tmp_path / "store"
+        old = SessionStore(root, code_fp="old-code")
+        old.store_compile(("a",), 1)
+        old.store_compile(("bad",), 2)
+        old._entry_path("compile", ("bad",)).write_bytes(b"garbage")
+        assert old.load_compile(("bad",)) is None  # quarantined
+        store = SessionStore(root)
+        store.store_profile(("b",), "profile")
+        assert store.stats()["profile_entries"] == 1
+        assert old.stats()["compile_entries"] == 1  # census: own code only
+        # What the manifest layout left: one directory for every code.
+        (root / f"v{SCHEMA_VERSION}" / "manifest.json").write_text("{}")
+        (root / f"v{SCHEMA_VERSION}" / "compile").mkdir()
+        (root / f"v{SCHEMA_VERSION}" / "compile" / "old.pkl").write_bytes(
+            b"old"
+        )
+        assert store.clear() == 3
+        for handle in (old, store):
+            stats = handle.stats()
+            assert stats["total_bytes"] == stats["quarantine_entries"] == 0
+            assert all(stats[f"{kind}_entries"] == 0 for kind in KINDS)
+        assert not [path for path in root.rglob("*") if path.is_file()]
+
+    def test_stats_creates_nothing(self, tmp_path):
+        store = SessionStore(tmp_path / "missing")
+        stats = store.stats()
+        assert stats["total_bytes"] == stats["quarantine_entries"] == 0
+        assert store.clear() == 0
+        assert not (tmp_path / "missing").exists()
+
 
 class TestCensusCadence:
     """The census behind the cap stats every entry, so a handle takes it
@@ -431,30 +486,56 @@ class TestFaultInjection:
         assert stats["compile_entries"] == 1
         assert store.load_compile(("k",)) == 1
 
-    def test_schema_mismatch_forces_cold_start(self, tmp_path):
-        store = SessionStore(tmp_path / "store")
-        store.store_compile(("k",), 1)
-        manifest = store._manifest_path()
-        stale = json.loads(manifest.read_text())
-        stale["schema"] = SCHEMA_VERSION + 99
-        manifest.write_text(json.dumps(stale))
-        fresh = SessionStore(tmp_path / "store")
+    def test_schema_mismatch_forces_cold_start(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "store"
+        monkeypatch.setattr(store_module, "SCHEMA_VERSION", SCHEMA_VERSION + 9)
+        SessionStore(root).store_compile(("k",), 1)
+        monkeypatch.undo()
+        fresh = SessionStore(root)
         assert fresh.load_compile(("k",)) is None  # never unpickled
-        assert fresh.counters.resets == 1
-        # The store restarted cold and is fully usable again.
+        # The store starts cold beside the other schema's entry, which
+        # it neither reads nor moves.
         fresh.store_compile(("k",), 2)
         assert fresh.load_compile(("k",)) == 2
-        assert json.loads(fresh._manifest_path().read_text())[
-            "schema"
-        ] == SCHEMA_VERSION
+        assert fresh.base.parent.name == f"v{SCHEMA_VERSION}"
+        other = list(root.glob(f"v{SCHEMA_VERSION + 9}/*/compile/*.pkl"))
+        assert len(other) == 1
+        assert fresh.stats()["quarantine_entries"] == 0
 
     def test_code_fingerprint_mismatch_forces_cold_start(self, tmp_path):
-        old = SessionStore(tmp_path / "store", code_fp="written-by-old-code")
+        root = tmp_path / "store"
+        old = SessionStore(root, code_fp="written-by-old-code")
         old.store_compile(("k",), 1)
-        fresh = SessionStore(tmp_path / "store")
+        fresh = SessionStore(root)
         assert fresh.code_fp == code_fingerprint()
         assert fresh.load_compile(("k",)) is None
-        assert fresh.counters.resets == 1
+        fresh.store_compile(("k",), 2)
+        assert fresh.load_compile(("k",)) == 2
+        # The old code's entry stays where it was, loadable by old code.
+        assert old.load_compile(("k",)) == 1
+        again = SessionStore(root, code_fp="written-by-old-code")
+        assert again.load_compile(("k",)) == 1
+        assert fresh.stats()["quarantine_entries"] == 0
+        assert again.stats()["quarantine_entries"] == 0
+
+    def test_alternating_code_versions_run_warm(self, tmp_path):
+        """Runs with code A, B, A, B on one root: each version keeps
+        its own entries, so the third and fourth runs are warm."""
+        root = tmp_path / "store"
+        trace = fw.make_trace(600)
+        executed = []
+        for code_fp in ("A", "B", "A", "B"):
+            counters = P2GO(
+                fw.build_program(), fw.runtime_config(), trace, fw.TARGET,
+                store=SessionStore(root, code_fp=code_fp),
+            ).run().session_counters
+            executed.append(
+                (counters.compile_executions, counters.profile_executions)
+            )
+        assert executed[0] == executed[1] != (0, 0)
+        assert executed[2:] == [(0, 0), (0, 0)]
 
     def test_code_fingerprint_covers_every_pickled_module(self, tmp_path):
         """A class pickled into an entry whose module is not
@@ -505,49 +586,23 @@ class TestFaultInjection:
         assert "repro.sim.plan" in closure
         assert sorted(closure - set(_FINGERPRINTED_MODULES)) == []
 
-    def test_garbage_manifest_forces_cold_start(self, tmp_path):
-        store = SessionStore(tmp_path / "store")
-        store.store_compile(("k",), 1)
-        store._manifest_path().write_text("{ not json")
-        fresh = SessionStore(tmp_path / "store")
-        assert fresh.load_compile(("k",)) is None
-        assert fresh.counters.resets == 1
-
-    def test_missing_manifest_with_entries_forces_cold_start(
+    def test_peer_starting_on_a_fresh_root_keeps_its_entries(
         self, tmp_path
     ):
-        store = SessionStore(tmp_path / "store")
-        store.store_compile(("k",), 1)
-        store._manifest_path().unlink()
-        fresh = SessionStore(tmp_path / "store")
-        assert fresh.load_compile(("k",)) is None
-        assert fresh.counters.resets == 1
-
-    def test_peer_starting_on_a_fresh_root_keeps_its_entries(
-        self, tmp_path, monkeypatch
-    ):
-        """A fresh root, interleaved: this store reads no manifest, then
-        a peer writes its manifest, publishes an entry and claims a
-        probe, then this store scans and sees entries.  They are the
-        peer's, not survivors of a lost manifest: nothing is
-        quarantined and the peer's lease stands."""
+        """Two fresh handles on one fresh root, interleaved: each serves
+        the other's entries, neither quarantines anything, and each
+        one's lease stands against the other."""
         root = tmp_path / "store"
         late, peer = SessionStore(root), SessionStore(root)
-        leases = []
-        real_read = late._read_manifest
-
-        def read_then_peer_starts():
-            manifest = real_read()
-            if not leases:
-                peer.store_compile(("k",), 1)
-                leases.append(peer.claim_probe("compile", ("pending",)))
-            return manifest
-
-        monkeypatch.setattr(late, "_read_manifest", read_then_peer_starts)
+        peer.store_compile(("k",), 1)
+        peer_lease = peer.claim_probe("compile", ("pending",))
         assert late.load_compile(("k",)) == 1
-        assert late.counters.resets == 0
-        assert leases[0].path.exists()
+        late_lease = late.claim_probe("compile", ("other",))
+        assert not peer_lease.released and not late_lease.released
         assert late.claim_probe("compile", ("pending",)) is None
+        assert peer.claim_probe("compile", ("other",)) is None
+        assert peer_lease.path.exists() and late_lease.path.exists()
+        assert late.counters.quarantined == peer.counters.quarantined == 0
         assert late.stats()["quarantine_entries"] == 0
 
     def test_unusable_root_makes_store_inert(self, tmp_path):
@@ -585,6 +640,9 @@ class TestFaultInjection:
     def test_pipeline_survives_schema_mismatch_with_report_note(
         self, tmp_path
     ):
+        """Other code's entries on the root cost nothing and say
+        nothing: the run starts cold in its own directory, with no
+        note, and the other code's entry is left as it was."""
         program, config = build_toy_program(), toy_config()
         trace = make_trace()
         store_root = tmp_path / "store"
@@ -594,8 +652,14 @@ class TestFaultInjection:
             program, config, trace, DEFAULT_TARGET,
             store=SessionStore(store_root),
         ).run()
-        assert result.store_stats["counters"]["resets"] == 1
-        assert "store format mismatch" in render_report(result)
+        assert_equivalent(
+            result,
+            P2GO(program, config, trace, DEFAULT_TARGET, store=False).run(),
+        )
+        assert result.session_counters.compile_disk_hits == 0
+        assert result.store_stats["counters"]["quarantined"] == 0
+        assert "note:" not in render_report(result)
+        assert old.load_compile(("k",)) == 1
 
 
 class TestConcurrentInstances:
@@ -1156,16 +1220,16 @@ class TestProbeLeases:
         assert store.claim_probe("compile", ("pending",)) is not None
 
     def test_invalidate_sweeps_leases(self, tmp_path):
+        """A lease held by other code is on another path: it never
+        blocks a claim on the same key by this code."""
         root = tmp_path / "store"
-        old = SessionStore(root)
-        old.claim_probe("compile", ("k",))
-        # A code-fingerprint drift quarantines entries; leases must not
-        # survive into the fresh layout as ghost claims.
-        manifest = json.loads(old._manifest_path().read_text())
-        manifest["code"] = "f" * 64
-        old._manifest_path().write_text(json.dumps(manifest))
+        old = SessionStore(root, code_fp="f" * 40)
+        held = old.claim_probe("compile", ("k",))
         fresh = SessionStore(root)
-        assert fresh.claim_probe("compile", ("k",)) is not None
+        lease = fresh.claim_probe("compile", ("k",))
+        assert lease is not None and not lease.released
+        assert lease.path != held.path and not held.released
+        assert fresh.counters.lease_waits == fresh.counters.errors == 0
 
 
 # ----------------------------------------------------------------------
@@ -1270,6 +1334,41 @@ class TestMultiProcessStore:
             SessionStore(root).stats()["analysis_entries"]
             == solo.analysis_executions
         )
+
+    def test_two_processes_of_different_code_never_share_entries(
+        self, tmp_path
+    ):
+        """Two processes with different code fingerprints write the same
+        keys to one root, each value tagged with its writer's code, and
+        load them back while the other writes: no load ever returns the
+        other code's value, and every load is a hit on its own."""
+        root = str(tmp_path / "store")
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", _TAGGED_ROUNDS, root, tag],
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for tag in ("code-a", "code-b")
+        ]
+        try:
+            # Both have written every key before either loads one.
+            for child in children:
+                assert child.stdout.readline().strip() == "wrote"
+            for child in children:
+                child.stdin.write("go\n")
+                child.stdin.flush()
+            outcomes = [
+                child.communicate(timeout=60)[0].split()
+                for child in children
+            ]
+        finally:
+            for child in children:
+                child.kill()
+                child.wait(timeout=30)
+        assert outcomes == [["0", "160"], ["0", "160"]]
 
     def test_no_leases_left_behind_after_runs(self, tmp_path):
         root = str(tmp_path / "store")
