@@ -45,17 +45,16 @@ Commands:
 * ``serve [PROGRAM] [--config CFG] [--trace PCAP]
   [--feed generator|trace|lines|socket] [--max-packets N]
   [--duration S] [--window N] [--tolerance F] [--phases 2,3]
-  [--workers N] [--store PATH | --no-store] [--json FILE]
+  [--store PATH | --no-store] [--json FILE]
   [--report FILE]`` — the continuous-optimization daemon: optimize,
   serve packets from the feed, re-optimize warm on drift alerts, and
   atomically swap in each re-optimized program once the equivalence
   gate passes on the recent window.  Without ``PROGRAM`` it serves
   the built-in example firewall; ``--feed generator`` (the default)
   plays the scripted drift scenario (steady mix, then a DNS flood).
-  Packets are served on the command's own thread.  ``--workers 0``
-  re-optimizes inline (deterministic counters — the CI gate's mode);
-  ``--workers 1`` re-optimizes on one worker thread while traffic
-  keeps flowing; any other count is refused.
+  Packets are served, and each re-optimization runs between two of
+  them, on the command's own thread, so every counter is
+  deterministic.
 * ``demo NAME`` — run a built-in evaluation scenario end to end.
 * ``fuzz [--seed N] [--iterations N] [--time-budget S] [--axes a,b]
   [--shrink/--no-shrink] [--repro-dir DIR]`` — seeded differential
@@ -449,7 +448,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         window=args.window,
         hit_rate_tolerance=args.tolerance,
         store=store_choice(args),
-        workers=args.workers,
         log=print if not args.quiet else None,
     )
     result = optimizer.run(
@@ -820,12 +818,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--phases", default="2,3",
         help="phases each (re-)optimization runs (default 2,3: the "
         "strict promotion gate rejects phase-4 offloads by design)",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=1,
-        help="0 = inline, 1 = one background thread: re-optimize in "
-        "the ingest loop (deterministic counters) or while traffic "
-        "keeps flowing (default 1)",
     )
     p_serve.add_argument(
         "--seed", type=int, default=0,

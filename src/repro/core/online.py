@@ -72,6 +72,20 @@ class OnlineAlert:
 AlertCallback = Callable[[OnlineAlert], None]
 
 
+def check_monitor_settings(window: int, hit_rate_tolerance: float) -> None:
+    """Refuse a window or drift tolerance no monitor can use.
+
+    A negative tolerance would alert on every table as soon as the
+    window fills; ``not >= 0`` also catches NaN.
+    """
+    if window <= 0:
+        raise ValueError("window must be positive")
+    if not hit_rate_tolerance >= 0:
+        raise ValueError(
+            f"hit_rate_tolerance must be >= 0, got {hit_rate_tolerance}"
+        )
+
+
 class OnlineProfiler:
     """Live per-packet profiling with sliding-window drift alerts."""
 
@@ -85,8 +99,7 @@ class OnlineProfiler:
         alert_callback: Optional[AlertCallback] = None,
         session: Optional["OptimizationContext"] = None,
     ):
-        if window <= 0:
-            raise ValueError("window must be positive")
+        check_monitor_settings(window, hit_rate_tolerance)
         if baseline is None and session is not None:
             # Share the optimization run's compile/profile session: the
             # baseline is the (memoized) profile of this program/config

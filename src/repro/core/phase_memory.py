@@ -57,13 +57,6 @@ def _policy_highest_hit_rate(
     return sorted(candidates, key=lambda c: -c.hit_rate)
 
 
-def _policy_largest_memory_first(
-    candidates: List[MemoryReduction],
-) -> List[MemoryReduction]:
-    """Greedy-capacity order: try the biggest allocations first."""
-    return sorted(candidates, key=lambda c: -c.original_size)
-
-
 #: Named candidate-selection policies (all module-level functions, so a
 #: policy name can cross a process boundary and resolve to the same
 #: picklable callable in a pool worker).  ``None`` means "keep the
@@ -74,7 +67,6 @@ def _policy_largest_memory_first(
 CANDIDATE_POLICIES = {
     "lowest-hit-rate": None,
     "highest-hit-rate": _policy_highest_hit_rate,
-    "largest-memory-first": _policy_largest_memory_first,
 }
 
 

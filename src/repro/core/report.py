@@ -280,15 +280,6 @@ def render_serve_report(serve: "ServeResult") -> str:
             f"swap latency: {stats.swap_latency * 1e3:.2f} ms mean, "
             f"{max(stats.swap_seconds) * 1e3:.2f} ms max"
         )
-    if stats.under_reoptimize_pps:
-        mean_pps = sum(stats.under_reoptimize_pps) / len(
-            stats.under_reoptimize_pps
-        )
-        lines.append(
-            f"throughput while re-optimizing: {mean_pps:,.0f} packets/s "
-            f"({len(stats.under_reoptimize_pps)} cycle(s) — traffic "
-            "kept flowing)"
-        )
     if stats.events:
         lines.append("")
         lines.append("cycles:")

@@ -16,15 +16,12 @@ loop as a daemon:
   forward with different bytes, is a *misprocessed* packet
   (:func:`~repro.controller.equivalence.same_packet`); the counter must
   stay at zero.
-* **React** — a drift alert from the monitor triggers a warm
+* **React** — a drift alert from the monitor arms a warm
   :meth:`~repro.core.online.OnlineProfiler.reoptimize` over the recent
   packet window, through the shared
   :class:`~repro.core.session.OptimizationContext` (and its persistent
-  store, when attached).  With ``workers == 1`` the cycle runs on one
-  worker thread while the loop keeps serving traffic against the
-  current program, and the loop reaps it after a later packet;
-  ``workers == 0`` runs it inline in the loop (deterministic counts —
-  what the CI gate pins).
+  store, when attached).  The loop runs an armed cycle inline, between
+  one packet and the next, so every counter is deterministic.
 * **Promote** — the re-optimized program is promoted only if the strict
   equivalence checker (:func:`~repro.controller.equivalence.
   compare_behavior`) passes on a trace of the most recent window;
@@ -35,26 +32,23 @@ loop as a daemon:
   packets and would (correctly) never pass this gate.  That is the swap
   contract: only transformations invisible to the data plane are
   promotable while packets are in flight.
-* **Swap** — promotion is an atomic swap under the packet lock: the new
-  serving switch *and* a fresh monitor are built off to the side first
-  (switch construction, baseline profile, window reset), so the lock is
-  held only for the pointer flip.  The new monitor's
-  baseline is the original program's profile on the reoptimize window —
-  a session memo hit — so post-swap alerts compare live traffic against
-  the *new* optimization-time observations, not the stale ones.
+* **Swap** — promotion replaces the (serving, monitor) pair between two
+  packets: the new serving switch *and* a fresh monitor are built
+  first (switch construction, baseline profile, window reset), then
+  both references flip together.  The new monitor's baseline is the
+  original program's profile on the reoptimize window — a session memo
+  hit — so post-swap alerts compare live traffic against the *new*
+  optimization-time observations, not the stale ones.
 
-No packet is dropped or stalled by a swap: the serve loop processes
-each packet against whichever (serving, monitor) pair is installed when
-it acquires the lock, and both members of the pair always flip
+No packet is dropped by a swap: each packet is processed against one
+installed (serving, monitor) pair, and both members always flip
 together, so their register state stays in lockstep.
 """
 
 from __future__ import annotations
 
 import socket as socket_module
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -71,7 +65,12 @@ from typing import (
 )
 
 from repro.controller.equivalence import compare_behavior, same_packet
-from repro.core.online import AlertKind, OnlineAlert, OnlineProfiler
+from repro.core.online import (
+    AlertKind,
+    OnlineAlert,
+    OnlineProfiler,
+    check_monitor_settings,
+)
 from repro.core.pipeline import P2GO, P2GOResult
 from repro.core.session import OptimizationContext, SessionCounters
 from repro.core.store import resolve_store
@@ -121,7 +120,7 @@ class FeedSource:
     Implementations yield :data:`~repro.traffic.generators.TracePacket`
     items (bytes, or ``(bytes, ingress_port)``) and may block — the
     daemon consumes them on the thread that calls
-    :meth:`ContinuousOptimizer.run`, between cycles in sync mode.
+    :meth:`ContinuousOptimizer.run`, between cycles.
     """
 
     def packets(self) -> Iterator[TracePacket]:
@@ -248,9 +247,10 @@ class LineFeed(FeedSource):
 
         <hex packet bytes> [ingress_port]
 
-    Blank lines and ``#`` comments are skipped.  With a file-like
-    source (e.g. ``sys.stdin``) the feed blocks on the next line, which
-    is exactly what a piped live feed wants.
+    Blank lines and ``#`` comments are skipped; a malformed line is a
+    :class:`ValueError` that names its 1-based line number.  With a
+    file-like source (e.g. ``sys.stdin``) the feed blocks on the next
+    line, which is exactly what a piped live feed wants.
     """
 
     def __init__(self, source):
@@ -265,8 +265,11 @@ class LineFeed(FeedSource):
 
     @staticmethod
     def _parse_lines(lines: Iterable[str]) -> Iterator[TracePacket]:
-        for line in lines:
-            packet = parse_packet_line(line)
+        for number, line in enumerate(lines, 1):
+            try:
+                packet = parse_packet_line(line)
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
             if packet is not None:
                 yield packet
 
@@ -369,8 +372,8 @@ class SwapEvent:
 @dataclass
 class ServeStats:
     """Everything the daemon counts.  Counters (not timings) are
-    deterministic in sync mode (``workers == 0``) — what the bench
-    gate pins.  What the cycles did is read off :attr:`events`."""
+    deterministic — what the bench gate pins.  What the cycles did is
+    read off :attr:`events`."""
 
     packets_in: int = 0
     packets_processed: int = 0
@@ -383,13 +386,10 @@ class ServeStats:
     drift_alerts: int = 0
     combination_alerts: int = 0
     #: Alerts that arrived while a re-optimization was already pending
-    #: or in flight (the daemon runs one cycle at a time).
+    #: (the daemon runs one cycle at a time).
     alerts_coalesced: int = 0
     failed_reoptimizations: int = 0
     elapsed_seconds: float = 0.0
-    #: Ingest throughput measured while a re-optimization was in
-    #: flight (async mode only) — the "traffic keeps flowing" number.
-    under_reoptimize_pps: List[float] = dc_field(default_factory=list)
     #: One record per completed cycle (a failed re-optimization makes
     #: none), oldest first.
     events: List[SwapEvent] = dc_field(default_factory=list)
@@ -430,7 +430,7 @@ class ServeStats:
         return sum(swap_seconds) / len(swap_seconds)
 
     def counts(self) -> Dict[str, int]:
-        """The deterministic (sync-mode) counters, for bench gating."""
+        """The deterministic counters, for bench gating."""
         return {
             "packets_in": self.packets_in,
             "packets_processed": self.packets_processed,
@@ -453,9 +453,6 @@ class ServeStats:
         data["swap_seconds"] = [round(s, 6) for s in self.swap_seconds]
         data["reoptimize_seconds"] = [
             round(s, 3) for s in self.reoptimize_seconds
-        ]
-        data["under_reoptimize_pps"] = [
-            round(p, 1) for p in self.under_reoptimize_pps
         ]
         data["events"] = [event.as_dict() for event in self.events]
         return data
@@ -495,15 +492,14 @@ class ServeResult:
 class ContinuousOptimizer:
     """Serve, monitor, re-optimize, and atomically swap — forever.
 
-    :meth:`run` serves on the thread that calls it.  ``workers``
-    selects where a re-optimization cycle runs:
+    :meth:`run` serves on the thread that calls it and runs each armed
+    re-optimization cycle inline, between two packets (traffic pauses
+    for it), so every counter is deterministic.
 
-    * ``0`` — inline in the serve loop (traffic pauses for it).  Every
-      counter is deterministic; the CI gate and the regression tests
-      run this mode.
-    * ``1`` — on one ``p2go-serve-reopt`` worker thread while the loop
-      keeps serving.  A session probes serially, so a second worker
-      would have nothing to do; larger counts are refused.
+    ``workers`` accepts only ``0``, the inline loop; any other value is
+    a :class:`ValueError`.  It stays a keyword only because the stack
+    benchmark's serve workload (``benchmarks/stack/workloads.py``)
+    passes ``workers=0``; it goes when that file next changes.
 
     ``phases`` defaults to ``(2, 3)``: the promotion gate is the strict
     equivalence checker, and a phase-4 offload (which redirects packets
@@ -524,11 +520,12 @@ class ContinuousOptimizer:
         workers: int = 0,
         log: Optional[Log] = None,
     ):
-        if workers not in (0, 1):
+        if workers != 0:
             raise ValueError(
-                "workers must be 0 (inline) or 1 (one background "
-                f"thread), got {workers}"
+                "workers must be 0: serve re-optimizes inline, "
+                f"got {workers}"
             )
+        check_monitor_settings(window, hit_rate_tolerance)
         self.program = program
         self.config = config
         self.baseline_trace = list(baseline_trace)
@@ -537,22 +534,13 @@ class ContinuousOptimizer:
         self.window = window
         self.hit_rate_tolerance = hit_rate_tolerance
         self.store = store
-        self.workers = workers
         self.log = log
 
-        #: Guards the (serving, monitor) pair, the recent-packet ring,
-        #: and every counter the worker writes: per-packet processing
-        #: holds it, and a swap flips both switch references under it.
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
         self._serving: Optional[BehavioralSwitch] = None
         self._monitor: Optional[OnlineProfiler] = None
         self._ring: Deque[TracePacket] = deque(maxlen=window)
         self._session: Optional[OptimizationContext] = None
         self._reopt_pending = False
-        #: The cycle on the worker (``workers == 1``), until the serve
-        #: loop reaps it; only the loop's thread reads or writes it.
-        self._inflight: Optional[Future] = None
         self.stats = ServeStats()
         self.initial: Optional[P2GOResult] = None
         self.promotions: List[P2GOResult] = []
@@ -562,21 +550,16 @@ class ContinuousOptimizer:
         if self.log is not None:
             self.log(message)
 
-    def stop(self) -> None:
-        """Ask the serve loop to wind down after the current packet."""
-        self._stop.set()
-
     # ------------------------------------------------------------------
     # Alerts -> triggers
 
     def _on_alert(self, alert: OnlineAlert) -> None:
-        # Runs inside monitor.process(), i.e. on the serve loop's
-        # thread with the packet lock held.
+        # Runs inside monitor.process(), i.e. in the serve loop.
         if alert.kind is AlertKind.HIT_RATE_DRIFT:
             self.stats.drift_alerts += 1
         else:
             self.stats.combination_alerts += 1
-        if self._reopt_pending or self._inflight is not None:
+        if self._reopt_pending:
             self.stats.alerts_coalesced += 1
             return
         self._reopt_pending = True
@@ -585,105 +568,69 @@ class ContinuousOptimizer:
             f"{alert.details} (packet {alert.packet_index})"
         )
 
-    def _take_window(self) -> Optional[List[TracePacket]]:
-        """Claim the pending trigger if the window has filled; the
-        snapshot is the re-optimization's trace."""
-        with self._lock:
-            if not self._reopt_pending:
-                return None
-            if len(self._ring) < self.window:
-                # A combination alert can fire before the window fills;
-                # re-optimizing on a stub trace would be garbage in.
-                return None
-            self._reopt_pending = False
-            return list(self._ring)
-
-    def _react(
-        self, pool: Optional[ThreadPoolExecutor], wait: bool = False
-    ) -> None:
-        """Reap the cycle in flight once it is done (``wait``: block
-        until it is), then start the next one if a trigger's window is
-        full — inline without a ``pool``, else on its worker."""
-        if self._inflight is not None:
-            if not (wait or self._inflight.done()):
-                return
-            cycle, self._inflight = self._inflight, None
-            cycle.result()  # a cycle that raised ends the run
-        window = self._take_window()
-        if window is None:
+    def _react(self) -> None:
+        """Run the pending cycle once the window has filled; the
+        window's snapshot is the re-optimization's trace."""
+        if not self._reopt_pending or len(self._ring) < self.window:
+            # A combination alert can fire before the window fills;
+            # re-optimizing on a stub trace would be garbage in.
             return
-        if pool is None:
-            self._cycle(window)
-        else:
-            self._inflight = pool.submit(self._cycle, window)
+        self._reopt_pending = False
+        self._cycle(list(self._ring))
 
     # ------------------------------------------------------------------
     # Packet path
 
     def _process_packet(self, packet: TracePacket) -> None:
         data, port = packet if isinstance(packet, tuple) else (packet, 0)
-        with self._lock:
-            served = self._serving.process(data, port)
-            observed = self._monitor.process(data, port)
-            self._ring.append(packet)
-            self.stats.packets_processed += 1
-            if served.dropped:
-                self.stats.packets_dropped += 1
-            if not same_packet(served, observed):
-                self.stats.misprocessed += 1
+        served = self._serving.process(data, port)
+        observed = self._monitor.process(data, port)
+        self._ring.append(packet)
+        self.stats.packets_processed += 1
+        if served.dropped:
+            self.stats.packets_dropped += 1
+        if not same_packet(served, observed):
+            self.stats.misprocessed += 1
 
     # ------------------------------------------------------------------
     # Drift -> reoptimize -> gate -> swap
 
     def _cycle(self, window: List[TracePacket]) -> None:
         stats = self.stats
-        monitor = self._monitor
         self._note(
             f"reoptimizing on the recent {len(window)}-packet window"
         )
-        packets_before = stats.packets_processed
         t0 = time.perf_counter()
         try:
-            result = monitor.reoptimize(window, phases=self.phases)
+            result = self._monitor.reoptimize(window, phases=self.phases)
         except ReproError as exc:
-            with self._lock:
-                stats.failed_reoptimizations += 1
+            stats.failed_reoptimizations += 1
             self._note(f"reoptimize failed, still serving: {exc}")
             return
         reoptimize_seconds = time.perf_counter() - t0
-        if self.workers > 0 and reoptimize_seconds > 0:
-            processed = stats.packets_processed - packets_before
-            stats.under_reoptimize_pps.append(
-                processed / reoptimize_seconds
-            )
 
         # Promotion gate: the candidate must be behaviourally identical
-        # to the original program on the *most recent* window — in
-        # async mode traffic moved on while we re-optimized, so the
-        # gate re-snapshots instead of reusing the optimization trace.
-        with self._lock:
-            gate_trace = list(self._ring)
+        # to the original program on the window it was optimized for.
         report = compare_behavior(
             self.program,
             self.config,
             result.optimized_program,
             result.final_config,
-            gate_trace,
+            window,
         )
         swap_seconds = self._swap(result) if report.equivalent else 0.0
-        with self._lock:
-            stats.events.append(
-                SwapEvent(
-                    packet_index=stats.packets_processed,
-                    promoted=report.equivalent,
-                    reoptimize_seconds=reoptimize_seconds,
-                    swap_seconds=swap_seconds,
-                    gate_packets=report.total,
-                    gate_mismatches=len(report.mismatches),
-                    stages_before=result.stages_before,
-                    stages_after=result.stages_after,
-                )
+        stats.events.append(
+            SwapEvent(
+                packet_index=stats.packets_processed,
+                promoted=report.equivalent,
+                reoptimize_seconds=reoptimize_seconds,
+                swap_seconds=swap_seconds,
+                gate_packets=report.total,
+                gate_mismatches=len(report.mismatches),
+                stages_before=result.stages_before,
+                stages_after=result.stages_after,
             )
+        )
         if report.equivalent:
             self._note(
                 f"swapped in re-optimized program "
@@ -698,9 +645,9 @@ class ContinuousOptimizer:
             )
 
     def _swap(self, result: P2GOResult) -> float:
-        """Build the new (serving, monitor) pair off to the side, then
-        atomically flip both under the packet lock.  Returns seconds
-        from decision to flip — the promotion latency."""
+        """Build the new (serving, monitor) pair, then flip both between
+        two packets.  Returns seconds from decision to flip — the
+        promotion latency."""
         t0 = time.perf_counter()
         serving = BehavioralSwitch(
             result.optimized_program, result.final_config
@@ -719,11 +666,9 @@ class ContinuousOptimizer:
             alert_callback=self._on_alert,
             session=self._session,
         )
-        with self._lock:
-            self._serving = serving
-            self._monitor = monitor
-            self._ring.clear()  # fresh drift window for the new baseline
-            self.promotions.append(result)
+        self._serving, self._monitor = serving, monitor
+        self._ring.clear()  # fresh drift window for the new baseline
+        self.promotions.append(result)
         return time.perf_counter() - t0
 
     # ------------------------------------------------------------------
@@ -734,9 +679,7 @@ class ContinuousOptimizer:
         duration: Optional[float] = None,
     ) -> ServeResult:
         """Optimize, then serve ``feed`` on the calling thread until it
-        ends (or ``max_packets`` / ``duration`` / :meth:`stop`
-        intervenes).  A cycle still in flight when the feed ends is
-        waited for."""
+        ends (or ``max_packets`` / ``duration`` intervenes)."""
         session = OptimizationContext(
             self.program,
             self.config,
@@ -745,9 +688,6 @@ class ContinuousOptimizer:
             store=resolve_store(self.store),
         )
         self._session = session
-        pool = None
-        if self.workers:
-            pool = ThreadPoolExecutor(1, thread_name_prefix="p2go-serve-reopt")
         try:
             self._note(
                 f"initial optimization on "
@@ -785,21 +725,13 @@ class ContinuousOptimizer:
             t_start = time.perf_counter()
             for packet in feed.packets():
                 if (
-                    self._stop.is_set()
-                    or (
-                        max_packets is not None
-                        and self.stats.packets_in >= max_packets
-                    )
-                    or (deadline is not None and time.monotonic() >= deadline)
-                ):
+                    max_packets is not None
+                    and self.stats.packets_in >= max_packets
+                ) or (deadline is not None and time.monotonic() >= deadline):
                     break
                 self.stats.packets_in += 1
                 self._process_packet(packet)
-                self._react(pool)
-            # Drain: wait for the cycle in flight, which may be the one
-            # the feed's last packets armed.
-            while self._inflight is not None:
-                self._react(pool, wait=True)
+                self._react()
             self.stats.elapsed_seconds = time.perf_counter() - t_start
             return ServeResult(
                 stats=self.stats,
@@ -817,7 +749,5 @@ class ContinuousOptimizer:
                 ),
             )
         finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
             self._session = None
             session.close()

@@ -41,10 +41,12 @@ Durability and safety contract (DESIGN.md §10):
   concurrent writers at worst both pay for the same probe and the last
   rename wins — both files hold the identical content-addressed value.
   There is no global lock and no shared mutable index.
-* **LRU size cap.**  Loads refresh an entry's mtime; when the store
-  exceeds ``max_bytes`` after a write, the least-recently-used entries
-  are evicted (oldest mtime first, name as the deterministic
-  tie-break).  The census that finds the excess stats every entry, so
+* **LRU size cap.**  Loads refresh an entry's mtime; when the files
+  under ``<root>/v<SCHEMA_VERSION>/`` — every code version's entries
+  and quarantined files — exceed ``max_bytes`` after a write, the
+  least-recently-used ones are evicted (oldest mtime first, name as
+  the deterministic tie-break), so a stale code version's files go
+  first.  The census that finds the excess stats every file, so
   a handle takes it on its first write and then only once the bytes it
   has written since reach half the headroom its last census saw: one
   process never exceeds the cap, N concurrent ones by less than
@@ -308,7 +310,8 @@ class SessionStore:
     :func:`default_store_root`); entries live under its
     ``v<SCHEMA_VERSION>/<code_fp>/`` subdirectory (:attr:`base`), so
     another schema or other code never reads them.  ``max_bytes`` caps
-    the summed size of entry files; the least-recently-used entries are
+    the summed size of every code version's entry and quarantined files
+    under ``v<SCHEMA_VERSION>/``; the least-recently-used ones are
     evicted past it.  ``code_fp`` overrides the code fingerprint, and
     with it the entry directory (tests use this to simulate a store
     written by different code).
@@ -677,12 +680,14 @@ class SessionStore:
     # ------------------------------------------------------------------
     # Eviction / maintenance
 
-    def _entry_files(self, kind: str) -> List[Tuple[float, str, int, str]]:
-        """(mtime, name, size, path) for every entry file of ``kind``,
-        in directory order."""
+    def _entry_files(
+        self, directory: Path
+    ) -> List[Tuple[float, str, int, str]]:
+        """(mtime, name, size, path) for every entry file in
+        ``directory``, in directory order."""
         records = []
         try:
-            with os.scandir(self._dir(kind)) as scan:
+            with os.scandir(directory) as scan:
                 for item in scan:
                     if not self._is_entry_name(item.name):
                         continue
@@ -697,19 +702,33 @@ class SessionStore:
             pass
         return records
 
-    def _evict_over_cap(self) -> int:
-        """Take the census and drop least-recently-used entries until
-        under ``max_bytes``.  The next census is due once this handle
-        has written half the headroom left."""
-        records = [
-            record for kind in KINDS for record in self._entry_files(kind)
+    def _census(self) -> List[Tuple[float, str, int, str]]:
+        """Every file the store keeps under ``v<SCHEMA_VERSION>/``: each
+        code version's entries and quarantined files."""
+        try:
+            with os.scandir(self.root / f"v{SCHEMA_VERSION}") as scan:
+                codes = [Path(item.path) for item in scan if item.is_dir()]
+        except OSError:
+            return []
+        return [
+            record
+            for code in codes
+            for kind in (*KINDS, "quarantine")
+            for record in self._entry_files(code / kind)
         ]
+
+    def _evict_over_cap(self) -> int:
+        """Take the census and drop least-recently-used files until
+        under ``max_bytes``, whichever code version wrote them (stale
+        versions are the oldest, so they go first).  The next census is
+        due once this handle has written half the headroom left."""
+        records = self._census()
         total = sum(size for _mtime, _name, size, _path in records)
         evicted = 0
         if total > self.max_bytes:
-            # Oldest first, by (mtime, name): every process evicts in
-            # the same order (name is the tie-break for equal mtimes).
-            records.sort(key=lambda record: (record[0], record[1]))
+            # Oldest first, by (mtime, name, path): every process evicts
+            # in the same order (name, then path, break mtime ties).
+            records.sort(key=lambda record: (record[0], record[1], record[3]))
             for _mtime, _name, size, path in records:
                 if total <= self.max_bytes:
                     break
@@ -757,7 +776,9 @@ class SessionStore:
         entries = dict.fromkeys(KINDS, 0)
         entry_bytes = dict.fromkeys(KINDS, 0)
         for kind in KINDS:
-            for _mtime, _name, size, _path in self._entry_files(kind):
+            for _mtime, _name, size, _path in self._entry_files(
+                self._dir(kind)
+            ):
                 entries[kind] += 1
                 entry_bytes[kind] += size
         try:

@@ -6,9 +6,10 @@ import re
 import pytest
 
 from repro.cli import build_arg_parser, main
+from repro.core.serve import format_packet_line
 from repro.p4.dsl import print_program
 from repro.packets.pcap import write_pcap
-from repro.programs import nat_gre
+from repro.programs import example_firewall, nat_gre
 from tests.conftest import build_toy_program
 
 
@@ -517,12 +518,9 @@ class TestFleet:
             (["fleet", *FAST, "--workers", "0"], None, "workers must be"),
             (["explore", "--grid", "stages=6", "--packets", "120",
               "--workers", "0"], None, "workers must be"),
-            (["serve", "--max-packets", "1", "--workers", "-1"], None,
-             "workers must be"),
+            (["serve", "--max-packets", "1", "--tolerance", "-1"], None,
+             "hit_rate_tolerance must be >= 0"),
             (["fleet", *FAST], "abc", "P2GO_WORKERS must be an integer"),
-            # One background thread is all a serial session can use.
-            (["serve", "--max-packets", "1", "--workers", "2"], None,
-             "workers must be 0 (inline) or 1"),
         ],
     )
     def test_bad_fanout_argument_exits_with_usage_error(
@@ -633,7 +631,6 @@ class TestServe:
                 "--baseline-packets", "2000",
                 "--window", "300",
                 "--tolerance", "0.15",
-                "--workers", "0",
                 "--quiet",
                 "--json", str(stats_path),
             ]
@@ -662,7 +659,6 @@ class TestServe:
                 "--feed", "trace",
                 "--repeat", "4",
                 "--window", "6",
-                "--workers", "0",
                 "--quiet",
                 "-o", str(out_path),
             ]
@@ -689,3 +685,26 @@ class TestServe:
              "--trace", str(trace_path), "--feed", "generator"]
         ) == 2
         assert "feed generator" in capsys.readouterr().err
+
+    def test_workers_flag_is_gone(self, capsys):
+        """Serve re-optimizes inline; argparse refuses ``--workers``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--max-packets", "1", "--workers", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in (
+            capsys.readouterr().err
+        )
+
+    def test_malformed_feed_line_names_its_line(self, tmp_path, capsys):
+        lines = tmp_path / "feed.txt"
+        good = [
+            format_packet_line(p) for p in example_firewall.make_trace(100)[:3]
+        ]
+        lines.write_text("\n".join([*good, "zz 1", *good]) + "\n")
+        assert main(
+            ["serve", "--feed", "lines", "--lines", str(lines),
+             "--baseline-packets", "300", "--quiet", "--no-store"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: ")
+        assert len(err.splitlines()) == 1

@@ -223,6 +223,17 @@ class TestDesignSpace:
                 policies=("best-first",),
             )
 
+    def test_rejects_the_retired_largest_memory_first_policy(self):
+        with pytest.raises(
+            ValueError,
+            match="known policies: highest-hit-rate, lowest-hit-rate$",
+        ):
+            DesignSpace(
+                programs=("example_firewall",),
+                shapes=(TargetShape(4, 8, 4),),
+                policies=("largest-memory-first",),
+            )
+
     def test_rejects_unknown_phase(self):
         with pytest.raises(ValueError, match="unknown phases"):
             DesignSpace(

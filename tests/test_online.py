@@ -56,6 +56,24 @@ class TestBasics:
         with pytest.raises(ValueError):
             OnlineProfiler(firewall_program, firewall_config, window=0)
 
+    @pytest.mark.parametrize("tolerance", [-1.0, -0.01, float("nan")])
+    def test_invalid_tolerance_rejected(self, firewall_program,
+                                        firewall_config, tolerance):
+        """A negative tolerance would alert on every table once the
+        window fills; NaN compares false against everything."""
+        with pytest.raises(ValueError, match="hit_rate_tolerance"):
+            OnlineProfiler(
+                firewall_program, firewall_config,
+                hit_rate_tolerance=tolerance,
+            )
+
+    def test_zero_tolerance_accepted(self, firewall_program,
+                                     firewall_config):
+        online = OnlineProfiler(
+            firewall_program, firewall_config, hit_rate_tolerance=0.0
+        )
+        assert online.hit_rate_tolerance == 0.0
+
     def test_snapshot_covers_all_tables(self, online):
         online.process(udp_packet("10.0.0.1", "192.168.1.1", 1, 9999))
         snap = online.snapshot()

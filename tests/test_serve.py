@@ -237,34 +237,6 @@ class TestMisprocessed:
         assert result.stats.packets_dropped == 0
 
 
-class TestAsyncMode:
-    def test_traffic_flows_while_reoptimizing(self):
-        """workers >= 1: the feed keeps draining while the worker
-        re-optimizes, and the in-flight cycle is drained at feed end,
-        so the swap still lands."""
-        optimizer = ContinuousOptimizer(
-            fw.build_program(),
-            fw.runtime_config(),
-            fw.make_trace(2000, seed=0),
-            fw.TARGET,
-            window=300,
-            hit_rate_tolerance=TOLERANCE,
-            workers=1,
-        )
-        feed = GeneratorFeed.firewall_drift(
-            total=1600, seed=0, shift_at=0.4
-        )
-        result = optimizer.run(feed)
-        stats = result.stats
-        assert stats.packets_processed == 1600
-        assert stats.misprocessed == 0
-        assert stats.swaps >= 1
-        # The under-traffic throughput samples exist iff packets were
-        # processed while a cycle was in flight; either way the counts
-        # balance.
-        assert stats.packets_in == stats.packets_processed
-
-
 class RecordingFeed(FeedSource):
     """Replays packets and notes every thread they are pulled on."""
 
@@ -279,11 +251,11 @@ class RecordingFeed(FeedSource):
 
 
 class TestThreadPlacement:
-    @pytest.mark.parametrize("workers", [0, 1])
+    # ``workers=0`` is the only value the constructor still accepts.
+    @pytest.mark.parametrize("workers", [0])
     def test_the_loop_runs_on_the_callers_thread(self, workers, monkeypatch):
-        """The feed is consumed on the thread that calls run(), in both
-        modes; a cycle runs inline there (workers=0) or on the one
-        re-optimization worker (workers=1)."""
+        """The feed is consumed, and every cycle runs, on the thread
+        that calls run()."""
         cycle_threads = []
         real_cycle = ContinuousOptimizer._cycle
 
@@ -314,12 +286,7 @@ class TestThreadPlacement:
             result.stats.reoptimizations
             + result.stats.failed_reoptimizations
         )
-        for thread in cycle_threads:
-            if workers == 0:
-                assert thread is caller
-            else:
-                assert thread is not caller
-                assert thread.name.startswith("p2go-serve-reopt")
+        assert set(cycle_threads) == {caller}
 
 
 class TestServeStore:
@@ -381,8 +348,24 @@ class TestFeeds:
             window=300,
             workers=0,
         )
-        with pytest.raises(ValueError, match="ingress port -1 "):
+        with pytest.raises(ValueError, match="^line 601: ingress port -1 "):
             optimizer.run(LineFeed(iter(lines)))
+
+    @pytest.mark.parametrize(
+        "bad, complaint",
+        [
+            ("zz 1", "non-hexadecimal"),
+            ("00ff 4294967296", "ingress port 4294967296 "),
+            ("00ff port", "invalid literal"),
+        ],
+    )
+    def test_malformed_line_names_its_line_number(self, bad, complaint):
+        good = format_packet_line(udp_packet("10.0.0.1", "192.168.1.1", 1, 80))
+        lines = ["# header\n", good + "\n", "\n", bad + "\n", good + "\n"]
+        feed = LineFeed(iter(lines)).packets()
+        assert next(feed) == parse_packet_line(good)
+        with pytest.raises(ValueError, match=f"^line 4: .*{complaint}"):
+            next(feed)
 
     def test_trace_feed_repeats(self):
         trace = [udp_packet("10.0.0.1", "192.168.1.1", 1, 80)] * 3
@@ -476,12 +459,14 @@ class TestBounds:
             )
 
     def test_more_than_one_worker_is_refused(self):
-        """Every count >= 1 used to run the same one background thread."""
-        with pytest.raises(ValueError, match="workers must be 0 .* or 1"):
-            ContinuousOptimizer(
-                fw.build_program(),
-                fw.runtime_config(),
-                fw.make_trace(100, seed=0),
-                fw.TARGET,
-                workers=2,
-            )
+        """Serve re-optimizes inline; the background thread that
+        ``workers=1`` once started is gone."""
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="workers must be 0: "):
+                ContinuousOptimizer(
+                    fw.build_program(),
+                    fw.runtime_config(),
+                    fw.make_trace(100, seed=0),
+                    fw.TARGET,
+                    workers=workers,
+                )

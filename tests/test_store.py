@@ -369,6 +369,36 @@ class TestEviction:
             assert all(stats[f"{kind}_entries"] == 0 for kind in KINDS)
         assert not [path for path in root.rglob("*") if path.is_file()]
 
+    def test_cap_covers_every_code_version(self, tmp_path):
+        """The census spans the root: four code versions writing in turn
+        leave at most ``max_bytes`` under ``v1/``, not that per code
+        version (the per-directory cap left 15 424 bytes here)."""
+        root = tmp_path / "store"
+        for code in ("a", "b", "c", "d"):
+            store = SessionStore(root, max_bytes=4096, code_fp=f"code-{code}")
+            for index in range(40):
+                store.store_profile((f"{code}{index}",), b"x" * 200)
+        files = [
+            path
+            for path in (root / f"v{SCHEMA_VERSION}").rglob("*")
+            if path.is_file()
+        ]
+        assert sum(path.stat().st_size for path in files) <= 4096
+        assert store.counters.evictions > 0
+
+    def test_quarantined_files_count_toward_the_cap(self, tmp_path):
+        store = SessionStore(tmp_path / "store", max_bytes=10 ** 6)
+        store.store_compile(("bad",), b"x" * 64)
+        store._entry_path("compile", ("bad",)).write_bytes(b"g" * 500)
+        assert store.load_compile(("bad",)) is None  # quarantined
+        (quarantined,) = store._dir("quarantine").iterdir()
+        os.utime(quarantined, (100, 100))
+        self.write_sized(store, ("good",), 64)
+        store.max_bytes = 499  # the 500-byte quarantined file must go
+        assert store._evict_over_cap() == 1
+        assert not quarantined.exists()
+        assert store.load_compile(("good",)) is not None
+
     def test_stats_creates_nothing(self, tmp_path):
         store = SessionStore(tmp_path / "missing")
         stats = store.stats()
