@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 from repro.core.observations import Decision, Phase, Reason, Verdict
 from repro.core.phase_dependencies import _profile_refusal
-from repro.core.phase_memory import _resized
+from repro.core.phase_memory import _resized, installed
 from repro.core.phase_offload import DEFAULT_MAX_REDIRECT, _tables
 from repro.core.pipeline import P2GOResult
 from repro.core.profiler import Profiler
@@ -47,11 +47,21 @@ def recheck(
             reason = _profile_refusal(decision.candidate, fresh)
         elif decision.phase is Phase.REDUCE_MEMORY:
             resize = decision.candidate
-            resized = _resized(original, resize, resize.new_size)
-            evidence = tuple(
-                fresh.behavior_diff(Profiler(resized, config).run(trace))
-            )
-            reason = Reason.BEHAVIOUR_CHANGED if evidence else None
+            floor = installed(config, resize)
+            if floor > resize.new_size:
+                reason = Reason.ENTRIES_DO_NOT_FIT
+                evidence = (
+                    f"the config installs {floor}, the resize holds "
+                    f"{resize.new_size}",
+                )
+            else:
+                resized = _resized(original, resize, resize.new_size)
+                evidence = tuple(
+                    fresh.behavior_diff(
+                        Profiler(resized, config).run(trace)
+                    )
+                )
+                reason = Reason.BEHAVIOUR_CHANGED if evidence else None
         else:
             rate = fresh.traversal_rate(_tables(decision))
             reason = (

@@ -19,7 +19,11 @@ the two verbs used to spell separately lives here once:
   same fingerprinted probe;
 * blocks: consecutive runs with an equal ``key`` go to one worker as
   one task and run back to back, so runs that ask the same compile
-  keys do not race each other for their leases;
+  keys do not race each other for their leases.  Each run still has
+  its own session and store handle, but a block's handles share one
+  value cache (:attr:`~repro.core.store.SessionStore.block_cache`):
+  an entry one run read or wrote is not read again by the next, and
+  still counts as the disk hit it would have been;
 * always-close of the task's session, so its trace's parses are
   dropped even when the task raises;
 * cancel-on-first-error shutdown: a failed task surfaces at once
@@ -92,12 +96,18 @@ class FanOut:
     wall_seconds: float
 
 
-def _run_one(task: Callable, run, open_store: Optional[Callable]):
+def _run_one(
+    task: Callable, run, open_store: Optional[Callable], cache: Dict
+):
     """One run end to end (inside a pool worker, or inline when
-    serial): open this worker's handle on the shared store, give the
-    task a fresh session, close it whatever the task did."""
+    serial): open this run's handle on the shared store, sharing its
+    block's ``cache``, give the task a fresh session, close it whatever
+    the task did."""
     t0 = time.perf_counter()
-    store = open_store() if open_store is not None else None
+    store = None
+    if open_store is not None:
+        store = open_store()
+        store.block_cache = cache
     session = run.create_session(store=store)
     try:
         value = task(run, session)
@@ -110,8 +120,10 @@ def _run_block(
     task: Callable, block: Sequence, open_store: Optional[Callable]
 ):
     """One pool task: a block's runs in order, each through
-    :func:`_run_one`.  A raising run ends the block there."""
-    return [_run_one(task, run, open_store) for run in block]
+    :func:`_run_one`, their store handles sharing one value cache.  A
+    raising run ends the block there."""
+    cache: Dict = {}
+    return [_run_one(task, run, open_store, cache) for run in block]
 
 
 def run_many(
@@ -134,7 +146,9 @@ def run_many(
     ``key(run)`` (called here, never pickled) groups the runs: each
     maximal block of consecutive runs with an equal key is one pool
     task, whose runs execute in order in one worker, each still with
-    its own store handle, session and clock.  The pool has
+    its own store handle, session and clock (the handles share the
+    block's value cache; the serial path runs block by block too, so a
+    cache never outlives its block).  The pool has
     ``min(workers, blocks)`` workers; a single block runs inline.  The
     first run to raise skips the rest of its block, cancels every block
     still queued and re-raises here once the blocks already in flight
@@ -159,7 +173,11 @@ def run_many(
         blocks = [list(block) for _key, block in groupby(runs, key)]
     t0 = time.perf_counter()
     if workers == 1 or len(blocks) <= 1:
-        results = _run_block(task, runs, open_store)
+        results = [
+            each
+            for block in blocks
+            for each in _run_block(task, block, open_store)
+        ]
     else:
         pool = make_pool(min(workers, len(blocks)))
         try:

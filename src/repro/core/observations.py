@@ -63,6 +63,10 @@ class Reason(enum.Enum):
     NO_STAGE_SAVED = "no_stage_saved"
     #: Phase 3: the resized program's re-profile differs.
     BEHAVIOUR_CHANGED = "behaviour_changed"
+    #: Phase 3: only a size below what the runtime config installs
+    #: saves a stage; or the config installs more than an applied
+    #: resize holds.
+    ENTRIES_DO_NOT_FIT = "entries_do_not_fit"
     #: Phase 4: the segment redirects more than the controller budget.
     OVER_BUDGET = "over_budget"
     #: Phase 4: another qualifying segment redirects less traffic.

@@ -6,6 +6,8 @@ rejected at once.  Candidates are tried lowest-hit-rate-first (to minimize
 behavioural risk), the minimum sufficient reduction is found by binary
 search (no target memory map needed), and the resize is kept only if a
 re-profile of the resized program is identical to the original profile.
+No size below what the runtime config installs is ever tried: a table
+keeps room for its entries, a register for its initialized indices.
 """
 
 from __future__ import annotations
@@ -93,6 +95,22 @@ def _resized(program: Program, resize: MemoryReduction, size: int) -> Program:
     return program.with_register_size(resize.name, size)
 
 
+def installed(config: RuntimeConfig, resize: MemoryReduction) -> int:
+    """The smallest size of the resized resource ``config`` still fits
+    in: a table's entry count, one past a register's highest
+    initialized index."""
+    if resize.kind is ResourceKind.TABLE:
+        return config.entry_count(resize.name)
+    return max(
+        (
+            index + 1
+            for register, index, _value in config.register_inits
+            if register == resize.name
+        ),
+        default=0,
+    )
+
+
 def find_candidates(
     ctx: OptimizationContext,
     program: Program,
@@ -142,12 +160,22 @@ def minimal_reduction(
     program: Program,
     candidate: MemoryReduction,
     baseline_stages: int,
-) -> int:
+    floor: int = 0,
+) -> Optional[int]:
     """Binary-search the largest size that still saves a stage (§3.3:
     "binary search allows P2GO to find the minimum reduction without a
-    concrete description of the hardware")."""
+    concrete description of the hardware"), searching no lower than
+    ``floor`` (:func:`installed`).  None when the floor is above the
+    halving and saves no stage itself: only a size the config does not
+    fit in would save one."""
     lo = candidate.original_size // 2  # known to save
     hi = candidate.original_size  # known not to save
+    if lo < floor:
+        if ctx.compile(
+            _resized(program, candidate, floor)
+        ).stages_used >= baseline_stages:
+            return None
+        lo = floor
     while hi - lo > 1:
         mid = (lo + hi) // 2
         stages = ctx.compile(_resized(program, candidate, mid)).stages_used
@@ -192,12 +220,25 @@ def run_phase(
                 )
             )
             continue
-        resize = replace(
-            halving,
-            new_size=minimal_reduction(
-                ctx, program, halving, baseline_stages
-            ),
+        floor = installed(config, halving)
+        size = minimal_reduction(
+            ctx, program, halving, baseline_stages, floor
         )
+        if size is None:
+            decisions.append(
+                Decision(
+                    Phase.REDUCE_MEMORY, Verdict.REJECTED, halving,
+                    Reason.ENTRIES_DO_NOT_FIT,
+                    stages_before=baseline_stages,
+                    stages_after=halved[halving],
+                    evidence=(
+                        f"the config installs {floor}; no size from "
+                        f"{floor} up saves a stage",
+                    ),
+                )
+            )
+            continue
+        resize = replace(halving, new_size=size)
         resized = _resized(program, resize, resize.new_size)
         diff = tuple(profile.behavior_diff(ctx.profile(resized, config)))
         decisions.append(

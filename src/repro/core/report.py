@@ -68,6 +68,8 @@ _REASON_TEXT = {
     Reason.NO_STAGE_SAVED: "the change saves fewer stages than asked for",
     Reason.BEHAVIOUR_CHANGED:
         "the reduction changed the program's behaviour on the trace",
+    Reason.ENTRIES_DO_NOT_FIT:
+        "the runtime config installs more than the reduced size holds",
     Reason.OVER_BUDGET:
         "the segment redirects more than the controller-load budget",
     Reason.OUTRANKED: "another qualifying segment redirects less traffic",

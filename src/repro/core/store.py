@@ -30,10 +30,13 @@ Durability and safety contract (DESIGN.md §10):
   differs in schema or fingerprint never opens the other's files, so
   it starts cold beside them — never an exception, never a wrong result — and two
   code versions can share one root without resetting each other.
-* **Atomic writes.**  Every entry is written to a uniquely-named
-  (``O_EXCL``) temp file in the same directory and ``os.replace``\\d
-  into place, so readers — including concurrent ones in other
-  processes — only ever see complete entries.
+* **Atomic writes.**  Every entry is written into a file no reader
+  opens and ``os.replace``\\d into place, so readers — including
+  concurrent ones in other processes — only ever see complete
+  entries.  An executed probe's file is its lease file (below): the
+  write truncates it, fills it and renames it onto the entry, so the
+  probe creates one inode.  A write without a lease goes through a
+  uniquely-named (``O_EXCL``) temp file in the same directory.
 * **Corruption tolerance.**  A truncated, garbage, or wrong-key entry
   file is quarantined on load and counted; the caller sees a plain
   miss.
@@ -56,10 +59,14 @@ Durability and safety contract (DESIGN.md §10):
   (DESIGN.md §13: exactly-once across processes).  The lock, not the
   file, is the claim: the kernel drops it when its holder exits or
   dies, which wakes every waiter at once, and a lease file nobody has
-  locked is reaped by the next claimant.  At worst two processes
-  re-pay one probe; they never produce different content.  Lease
-  telemetry rides on :class:`StoreCounters`; lease files are invisible
-  to the census, the LRU sweep, and ``clear()``.
+  locked is reaped by the next claimant, whatever bytes a dead holder
+  left in it.  The holder's publish renames the file onto the entry
+  and only then drops the lock, so a waiter wakes on the entry; the
+  lease path is then free for the next claim, and the release leaves
+  it alone.  At worst two processes re-pay one probe; they never
+  produce different content.  Lease telemetry rides on
+  :class:`StoreCounters`; lease files are invisible to the census, the
+  LRU sweep, and ``clear()``'s count.
 
 One policy for every session with a store attached (DESIGN.md §10):
 :meth:`SessionStore.acquire` → execute → publish.
@@ -274,7 +281,8 @@ class ProbeLease:
     other processes see the entry instead of re-executing — or just
     :meth:`release` when the execution raised.  ``fd`` holds the lease
     file's ``flock``; a lease whose holder dies loses it with the
-    process and is reaped by the next claimant.
+    process and is reaped by the next claimant.  The published entry
+    is the lease file itself (:meth:`land`).
     """
 
     store: "SessionStore"
@@ -283,22 +291,40 @@ class ProbeLease:
     path: Path
     released: bool = False
     fd: Optional[int] = None
+    #: The file was renamed onto the entry (:meth:`land`).
+    landed: bool = False
 
     def publish(self, value) -> None:
         """Write the executed probe's entry, then release the claim."""
         self.store.publish(self.kind, self.key, value)
         self.release()
 
+    def land(self, data: bytes, entry: Path) -> None:
+        """Make the lease file the entry: ``data`` replaces whatever the
+        file holds (a dead holder's partial write, when reaped), then the
+        file is renamed onto ``entry``.  The lock is kept until
+        :meth:`release`, so waiters wake on a complete entry."""
+        with os.fdopen(self.fd, "wb", closefd=False) as handle:
+            handle.truncate(0)
+            handle.write(data)
+        os.replace(self.path, entry)
+        self.landed = True
+        self.store._leases.pop((self.kind, self.key), None)
+
     def release(self) -> None:
         if self.released:
             return
         self.released = True
+        self.store._leases.pop((self.kind, self.key), None)
         # Unlink before unlocking: a claimant that wins the lock after
         # the close finds the path gone or re-linked, never this file.
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
+        # A landed lease's path is no longer this file: it is free, or
+        # a newer claimant's lease.
+        if not self.landed:
+            try:
+                os.unlink(self.path)
+            except OSError:
+                pass
         os.close(self.fd)
         self.store.counters.lease_releases += 1
 
@@ -340,6 +366,16 @@ class SessionStore:
         #: written before the next (None: census on the next write).
         self._unscanned = 0
         self._scan_after: Optional[float] = None
+        #: The leases this handle holds and has not landed, by
+        #: ``(kind, key)``: a write of one of these probes lands in its
+        #: lease's file.
+        self._leases: Dict[Tuple[str, Tuple], ProbeLease] = {}
+        #: Values by ``(kind, key)`` that :func:`repro.core.fanout.run_many`
+        #: shares between the handles of one block's runs (None outside
+        #: a block): a load answers from it before reading the file, and
+        #: loads and writes fill it.  Entries never change once written,
+        #: so a value in it is never stale.
+        self.block_cache: Optional[Dict[Tuple[str, Tuple], object]] = None
 
     # ------------------------------------------------------------------
     # Layout
@@ -433,10 +469,29 @@ class SessionStore:
         if not self._ensure_ready():
             return None
         path = self._entry_path(kind, key)
+        cache = self.block_cache
+        value = None if cache is None else cache.get((kind, key))
+        if value is None:
+            value = self._read(path, key)
+            if value is None:
+                self.counters.misses += 1
+                return None
+            if cache is not None:
+                cache[kind, key] = value
+        try:
+            os.utime(path)  # refresh LRU recency
+        except OSError:
+            pass
+        hits = f"{kind}_hits"
+        setattr(self.counters, hits, getattr(self.counters, hits) + 1)
+        return value
+
+    def _read(self, path: Path, key: Tuple):
+        """The value of the entry file ``path`` holds for ``key``, or
+        None when there is none or it is unusable."""
         try:
             data = path.read_bytes()
         except OSError:
-            self.counters.misses += 1
             return None
         try:
             payload = pickle.loads(data)
@@ -447,34 +502,36 @@ class SessionStore:
             # all degrade to a miss; the file is sidelined so the cost
             # is paid once.
             self._quarantine(path)
-            self.counters.misses += 1
             return None
         if stored_key != key:
             # SHA-1 collision or a corrupted-but-unpicklable-detectably
             # entry: treat exactly like corruption.
             self._quarantine(path)
-            self.counters.misses += 1
             return None
-        try:
-            os.utime(path)  # refresh LRU recency
-        except OSError:
-            pass
-        hits = f"{kind}_hits"
-        setattr(self.counters, hits, getattr(self.counters, hits) + 1)
         return value
 
     def _store(self, kind: str, key: Tuple, value) -> None:
+        """Write one entry: into the probe's lease file when this handle
+        holds its lease (:meth:`ProbeLease.land`), else through a temp
+        file (:meth:`_atomic_write`)."""
         if not self._ensure_ready():
             return
+        path = self._entry_path(kind, key)
+        lease = self._leases.get((kind, key))
         try:
             data = pickle.dumps(
                 {"key": key, "value": value},
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
-            self._atomic_write(self._entry_path(kind, key), data)
+            if lease is None:
+                self._atomic_write(path, data)
+            else:
+                lease.land(data, path)
         except Exception:
             self.counters.errors += 1
             return
+        if self.block_cache is not None:
+            self.block_cache[kind, key] = value
         self.counters.writes += 1
         self._unscanned += len(data)
         if self._scan_after is None or self._unscanned >= self._scan_after:
@@ -496,7 +553,8 @@ class SessionStore:
         holder has it, ``(None, False)`` when the file went away or
         was replaced meanwhile (claim again)."""
         try:
-            fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
+            # Read-write: the reaper's entry is written into this file.
+            fd = os.open(path, os.O_RDWR | os.O_CLOEXEC)
         except FileNotFoundError:
             return None, False
         try:
@@ -569,7 +627,10 @@ class SessionStore:
             except OSError:
                 pass
         self.counters.lease_claims += 1
-        return ProbeLease(self, kind, key, path, fd=fd)
+        lease = self._leases[kind, key] = ProbeLease(
+            self, kind, key, path, fd=fd
+        )
+        return lease
 
     def wait_for_probe(self, kind: str, key: Tuple):
         """Wait for another process's in-flight probe to land.

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +236,53 @@ class TestOptimize:
         nat_apply = find_apply(optimized.ingress, "nat")
         assert nat_apply.on_miss is not None
         assert "removed dependency" in report_path.read_text()
+
+    def test_optimize_with_a_table_too_full_to_cut(self, tmp_path, capsys):
+        """Ex. 1 with ``IPv4`` padded to 150 of its 192 entries: the
+        128-entry resize that saves a stage cannot hold them, so phase 3
+        rejects it and the run exits 0 instead of failing on the
+        resized program's config."""
+        from dataclasses import asdict, replace
+
+        config = example_firewall.runtime_config()
+        entries = config.entries["IPv4"]
+        config.entries["IPv4"] = entries + [
+            replace(entries[0], match=(((10 << 24) | (250 << 16) | i, 32),))
+            for i in range(150 - len(entries))
+        ]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_json()))
+        trace_path = tmp_path / "trace.pcap"
+        write_pcap(
+            trace_path,
+            [
+                p[0] if isinstance(p, tuple) else p
+                for p in example_firewall.make_trace(1500)
+            ],
+        )
+        target_path = tmp_path / "target.json"
+        target_path.write_text(json.dumps(asdict(example_firewall.TARGET)))
+        report_path = tmp_path / "report.txt"
+        code = main(
+            [
+                "optimize",
+                str(
+                    Path(example_firewall.__file__).with_name(
+                        "example_firewall.p4"
+                    )
+                ),
+                "--config", str(config_path),
+                "--trace", str(trace_path),
+                "--target", str(target_path),
+                "--no-store",
+                "-o", str(tmp_path / "optimized.p4"),
+                "--report", str(report_path),
+            ]
+        )
+        assert code == 0, capsys.readouterr()
+        report = report_path.read_text()
+        assert "discarded resize of table IPv4 (192 -> 96)" in report
+        assert "the config installs 150" in report
 
     def test_optimize_workers_flag(self, toy_files, capsys):
         """A session probes serially: ``optimize`` has no ``--workers``."""

@@ -452,6 +452,37 @@ class TestSweep:
         ) in report
         assert "lease" not in json.dumps(sweep.as_dict())
 
+    def test_a_keyed_sweep_decides_what_a_storeless_one_does(
+        self, small_space, tmp_path, monkeypatch
+    ):
+        """The points of a shape's block share what their store handles
+        read and write, so fewer files are read than disk hits counted;
+        every outcome is still the storeless sweep's."""
+        reads, read = [], SessionStore._read
+
+        def counting_read(store, path, key):
+            value = read(store, path, key)
+            reads.append(value is not None)
+            return value
+
+        monkeypatch.setattr(SessionStore, "_read", counting_read)
+        keyed = Explorer(
+            small_space, packets=PACKETS, workers=1,
+            store=str(tmp_path / "s"),
+        ).run()
+        hits = sum(
+            outcome.store_stats["counters"][f"{kind}_hits"]
+            for outcome in keyed.outcomes
+            for kind in ("compile", "profile", "analysis")
+        )
+        assert 0 < sum(reads) < hits
+        storeless = Explorer(
+            small_space, packets=PACKETS, workers=1, store=False
+        ).run().as_dict()
+        shared = keyed.as_dict()
+        storeless.pop("aggregate"), shared.pop("aggregate")
+        assert shared == storeless
+
     def test_seed_space_runs_one_block_per_shape(self, monkeypatch):
         """The seed sweep's 40 points reach the fan-out as 10 blocks of
         4: each shape's orders and policies run in one task."""

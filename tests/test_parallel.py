@@ -13,10 +13,12 @@ from __future__ import annotations
 import copy
 import os
 import pickle
+from collections import Counter
 
 import pytest
 
 from repro.core import fanout
+from repro.core import store as store_module
 from repro.core.fanout import resolve_workers, run_many
 from repro.core.pipeline import P2GO, SwitchRun
 from repro.core.session import (
@@ -24,6 +26,7 @@ from repro.core.session import (
     config_fingerprint,
     program_fingerprint,
 )
+from repro.core.store import SessionStore
 from repro.programs import example_firewall as fw
 from repro.target.model import DEFAULT_TARGET
 
@@ -218,6 +221,57 @@ class TestKeyBlocks:
         assert session["compile_disk_hits"] == 1
         assert store["writes"] == 0 and store["compile_hits"] == 1
         assert third == second
+
+    def test_each_block_reads_an_entry_once(self, tmp_path, monkeypatch):
+        """A block's handles share what they read and write: two blocks
+        asking the same entries read each file once apiece, and every
+        run still counts its answers as disk hits."""
+        run_many(named_runs(1), store_task, workers=1, store=str(tmp_path))
+        reads, read = Counter(), SessionStore._read
+
+        def counting_read(store, path, key):
+            reads[path.name] += 1
+            return read(store, path, key)
+
+        monkeypatch.setattr(SessionStore, "_read", counting_read)
+        keys = ["a", "a", "b", "b"]
+        fan = run_many(
+            named_runs(4), store_task, workers=1, store=str(tmp_path),
+            key=lambda run: keys[int(run.name[len("run"):])],
+        )
+        # The compile entry and the profile entry, once per block.
+        assert sorted(reads.values()) == [2, 2]
+        for (session, store), _seconds in fan.results:
+            assert session["compile_disk_hits"] == 1
+            assert session["profile_disk_hits"] == 1
+            assert store["compile_hits"] == store["profile_hits"] == 1
+            assert store["misses"] == 0
+
+    def test_a_run_outside_a_block_reads_from_disk(
+        self, tmp_path, monkeypatch
+    ):
+        """A plain run has no block, so each of its disk hits unpickles
+        the stored entry."""
+
+        def run():
+            return P2GO(
+                build_toy_program(), toy_config(), make_trace(),
+                DEFAULT_TARGET, store=str(tmp_path),
+            ).run()
+
+        run()
+        loads, unpickle = [], store_module.pickle.loads
+
+        def counting_loads(data):
+            loads.append(len(data))
+            return unpickle(data)
+
+        monkeypatch.setattr(store_module.pickle, "loads", counting_loads)
+        counters = run().session_counters
+        assert counters.compile_executions == counters.profile_executions == 0
+        assert len(loads) == (
+            counters.compile_disk_hits + counters.profile_disk_hits
+        ) > 0
 
 
 class TestBatchSemantics:

@@ -6,9 +6,12 @@ sufficient reduction, and a resize that perturbs the profile (the CMS
 collision) is rejected.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.observations import Reason
+from repro.core.drift import recheck
+from repro.core.observations import Phase, Reason, Verdict
 from repro.core.phase_dependencies import run_phase as dep_phase
 from repro.core.phase_memory import (
     ResourceKind,
@@ -16,7 +19,9 @@ from repro.core.phase_memory import (
     minimal_reduction,
     run_phase,
 )
+from repro.core.pipeline import P2GO
 from repro.core.profiler import Profiler
+from repro.core.report import render_report
 from repro.core.session import OptimizationContext
 from repro.programs import example_firewall, sourceguard
 from repro.target import compile_program
@@ -222,3 +227,101 @@ class TestSourceguard:
         assert accepted.name in ("sg_array0", "sg_array1")
         assert 0.0 < accepted.reduction_fraction < 0.10
         assert outcome.accepted.stages_after == 4
+
+
+def padded_config(count):
+    """Ex. 1's config with ``IPv4`` padded to ``count`` /32 routes
+    (its declared size is 192; phase 3's stage-saving resize is 128)."""
+    config = example_firewall.runtime_config()
+    entries = config.entries["IPv4"]
+    config.entries["IPv4"] = entries + [
+        replace(entries[0], match=(((10 << 24) | (250 << 16) | i, 32),))
+        for i in range(count - len(entries))
+    ]
+    return config
+
+
+def optimize_padded(count, trace):
+    return P2GO(
+        example_firewall.build_program(), padded_config(count), trace,
+        example_firewall.TARGET, store=False,
+    ).run()
+
+
+def ipv4_resizes(result):
+    return [
+        decision
+        for decision in result.decisions
+        if decision.phase is Phase.REDUCE_MEMORY
+        and decision.candidate.name == "IPv4"
+    ]
+
+
+@pytest.fixture(scope="module")
+def trace_1500():
+    return example_firewall.make_trace(1500)
+
+
+class TestInstalledEntries:
+    """No size below what the runtime config installs is tried: a
+    table whose only stage-saving sizes cannot hold its entries is
+    rejected, never resized into a config error."""
+
+    def test_a_table_too_full_to_cut_is_rejected(self, trace_1500):
+        result = optimize_padded(150, trace_1500)
+        (ipv4,) = ipv4_resizes(result)
+        assert ipv4.verdict is Verdict.REJECTED
+        assert ipv4.reason is Reason.ENTRIES_DO_NOT_FIT
+        assert ipv4.stages_after < ipv4.stages_before  # the halving saves
+        assert "installs 150" in ipv4.evidence[0]
+        assert result.optimized_program.tables["IPv4"].size == 192
+        assert "ENTRIES" not in render_report(result)
+        assert "installs more than the reduced size holds" in (
+            render_report(result)
+        )
+
+    def test_a_table_with_room_is_still_cut(self, trace_1500):
+        (ipv4,) = ipv4_resizes(optimize_padded(100, trace_1500))
+        assert ipv4.verdict is Verdict.ACCEPTED
+        assert ipv4.candidate.new_size == 128
+
+    def test_the_search_starts_at_the_installed_count(self, ctx, after_phase2):
+        program, profile = after_phase2
+        baseline = ctx.compile(program).stages_used
+        ipv4 = next(
+            c for c in find_candidates(ctx, program, profile)
+            if c.name == "IPv4"
+        )
+        unbounded = minimal_reduction(ctx, program, ipv4, baseline)
+        assert unbounded == 128
+        assert minimal_reduction(ctx, program, ipv4, baseline, 100) == 128
+        assert minimal_reduction(ctx, program, ipv4, baseline, 128) == 128
+        assert minimal_reduction(ctx, program, ipv4, baseline, 129) is None
+
+    def test_a_register_keeps_room_for_its_initialized_cells(
+        self, ctx, after_phase2
+    ):
+        """A register's floor is one past its highest initialized
+        index: an init just past the sketch row's stage-saving size
+        turns that row's resize into a rejection."""
+        program, profile = after_phase2
+        config = example_firewall.runtime_config()
+        config.init_register(
+            "dns_cms_row0", example_firewall.REDUCED_SKETCH_CELLS, 1
+        )
+        outcome = run_phase(ctx, program, config, profile)
+        (row0,) = [
+            d for d in outcome.decisions if d.candidate.name == "dns_cms_row0"
+        ]
+        assert row0.reason is Reason.ENTRIES_DO_NOT_FIT
+        assert f"installs {example_firewall.REDUCED_SKETCH_CELLS + 1}" in (
+            row0.evidence[0]
+        )
+
+    def test_recheck_flags_a_config_that_outgrew_a_resize(self, trace_1500):
+        result = optimize_padded(100, trace_1500)
+        (violated,) = recheck(result, padded_config(150), trace_1500)
+        assert violated.verdict is Verdict.VIOLATED
+        assert violated.reason is Reason.ENTRIES_DO_NOT_FIT
+        assert violated.candidate.name == "IPv4"
+        assert recheck(result, padded_config(128), trace_1500) == ()

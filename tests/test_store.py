@@ -86,6 +86,22 @@ time.sleep(300)
 """
 
 
+#: Child process for the half-written-lease test: claim one probe,
+#: write the first half of a large entry into the lease file, say so,
+#: then hang until killed.
+_CLAIM_WRITE_HALF_AND_HANG = """
+import ast, os, pickle, sys, time
+from repro.core.store import SessionStore
+store = SessionStore(sys.argv[1])
+key = ast.literal_eval(sys.argv[2])
+lease = store.claim_probe("compile", key)
+data = pickle.dumps({"key": key, "value": "x" * 200000})
+os.write(lease.fd, data[: len(data) // 2])
+print("half", flush=True)
+time.sleep(300)
+"""
+
+
 #: Child process for the cross-version test: with code fingerprint
 #: ``argv[2]``, write every key tagged with it, say so, wait for the
 #: go line, then load and rewrite every key for 20 rounds; print how
@@ -1040,6 +1056,104 @@ class TestProbeLeases:
         assert counters.leases_reaped == 1
         assert counters.lease_waits == 0
         assert not list(root.rglob("*.lease"))
+
+    def test_half_written_lease_of_a_killed_holder_is_reaped(
+        self, tmp_path
+    ):
+        """A holder SIGKILLed halfway through writing its entry into the
+        lease file leaves those bytes behind: the reaper's publish
+        replaces them, and its entry loads intact."""
+        root = tmp_path / "store"
+        ctx = make_ctx(SessionStore(root))
+        key = (ctx.program_key(ctx.program), ctx.target.fingerprint())
+        holder = subprocess.Popen(
+            [
+                sys.executable, "-c", _CLAIM_WRITE_HALF_AND_HANG,
+                str(root), repr(key),
+            ],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert holder.stdout.readline().strip() == "half"
+        finally:
+            holder.kill()
+            holder.wait(timeout=30)
+            holder.stdout.close()
+        lease_path = ctx.store._lease_path("compile", key)
+        partial = lease_path.stat().st_size
+        assert partial > 100000
+        result = ctx.compile()
+        assert ctx.store.counters.leases_reaped == 1
+        assert ctx.counters.compile_executions == 1
+        entry = ctx.store._entry_path("compile", key)
+        assert entry.stat().st_size < partial  # truncated, not overlaid
+        loaded = SessionStore(root).load_compile(key)
+        assert loaded.stage_map() == result.stage_map()
+        assert not list(root.rglob("*.lease"))
+
+    def test_published_entry_is_the_lease_file(self, tmp_path):
+        """A leased publish writes into the lease's own inode and
+        renames it onto the entry: no temp file, no lease left."""
+        store = SessionStore(tmp_path / "store")
+        lease = store.claim_probe("compile", ("k",))
+        inode = os.fstat(lease.fd).st_ino
+        lease.publish("answer")
+        entry = store._entry_path("compile", ("k",))
+        assert entry.stat().st_ino == inode
+        assert sorted(path.name for path in entry.parent.iterdir()) == [
+            entry.name
+        ]
+        assert SessionStore(tmp_path / "store").load_compile(("k",)) == (
+            "answer"
+        )
+        assert store.counters.writes == store.counters.lease_releases == 1
+
+    def test_a_leased_probe_creates_one_inode(self, tmp_path, monkeypatch):
+        """Claim, publish and release create one file between them (the
+        lease's); an unleased write creates its temp file."""
+        store = SessionStore(tmp_path / "store")
+        assert store._ensure_ready()
+        real_open, creates = os.open, []
+
+        def counting_open(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                creates.append(Path(path).name)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", counting_open)
+        value, lease = store.acquire("compile", ("k",))
+        assert value is None and lease is not None
+        lease.publish("answer")
+        assert len(creates) == 1 and ".lease." in creates[0]
+        store.publish("compile", ("unleased",), "answer")
+        assert len(creates) == 2 and creates[1].endswith(".tmp")
+
+    def test_release_after_landing_keeps_a_newer_claimants_lease(
+        self, tmp_path
+    ):
+        """Once the lease file is the entry, the lease path is free: a
+        newer claimant's lease there survives the first holder's
+        release, and still excludes a third claimant."""
+        holder = SessionStore(tmp_path / "store")
+        newer = SessionStore(tmp_path / "store")
+        lease = holder.claim_probe("compile", ("k",))
+        holder.store_compile(("k",), "answer")  # lands, still locked
+        assert lease.landed and not lease.released
+        newer_lease = newer.claim_probe("compile", ("k",))
+        assert newer_lease is not None and not newer_lease.released
+        lease.release()
+        assert (
+            newer_lease.path.stat().st_ino
+            == os.fstat(newer_lease.fd).st_ino
+        )
+        assert SessionStore(tmp_path / "store").claim_probe(
+            "compile", ("k",)
+        ) is None
+        newer_lease.release()
+        assert not newer_lease.path.exists()
+        assert holder.load_compile(("k",)) == "answer"
 
     def test_a_held_lock_excludes_whatever_the_lease_file_holds(
         self, tmp_path
