@@ -18,7 +18,12 @@ observation:
 
 * a **new non-exclusive action combination** appears (e.g. the two ACL
   drops fire on one packet — a removed dependency just manifested),
-* a table's **windowed hit rate drifts** beyond tolerance.
+* a table's **windowed hit rate drifts** beyond tolerance.  A table's
+  rate moves only on a packet that adds it to the window or evicts it
+  (``evicted ^ hit_tables``), so once the window has filled — when every
+  table is checked — only those tables are re-checked, in
+  ``program.tables`` order: the same alerts, in the same order, as a
+  re-check of every table on every packet.
 
 Reacting is the caller's decision, mirroring the paper's cost trade-off
 discussion — but once taken, :meth:`OnlineProfiler.reoptimize` re-runs
@@ -53,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover — typing-only import, no cycle
 from repro.p4.program import Program
 from repro.sim.events import ExecutionStep
 from repro.sim.runtime import RuntimeConfig
-from repro.sim.switch import BehavioralSwitch, SwitchResult
+from repro.sim.switch import BehavioralSwitch, ParseTemplate, SwitchResult
 
 
 class AlertKind(enum.Enum):
@@ -140,9 +145,14 @@ class OnlineProfiler:
         if self.alert_callback is not None:
             self.alert_callback(alert)
 
-    def process(self, data: bytes, ingress_port: int = 0) -> SwitchResult:
-        """Forward one packet and update the live profile."""
-        result = self._switch.process(data, ingress_port)
+    def process(
+        self, data: bytes, ingress_port: int = 0,
+        template: Optional[ParseTemplate] = None,
+    ) -> SwitchResult:
+        """Forward one packet and update the live profile.  ``template``
+        is the packet's parse by the program's parser, or None to parse
+        it here (:meth:`BehavioralSwitch.process`)."""
+        result = self._switch.process(data, ingress_port, template)
         index = self._packets_seen
         self._packets_seen += 1
 
@@ -153,6 +163,7 @@ class OnlineProfiler:
         pairs, hit_tables, _applied = facts
 
         # Maintain the sliding window of hit sets.
+        evicted = None
         if len(self._window_hits) == self.window:
             evicted = self._window_hits[0]
             for table in evicted:
@@ -185,30 +196,44 @@ class OnlineProfiler:
                         )
                     )
 
-        # Windowed hit-rate drift, once the window is full.
+        # Windowed hit-rate drift, once the window is full: every table
+        # on the packet that fills it, then the tables whose count moved.
         if (
             self.baseline is not None
             and len(self._window_hits) == self.window
         ):
-            for table, base in self._baseline_rates.items():
-                live = self._hit_counts.get(table, 0) / self.window
-                if abs(live - base) > self.hit_rate_tolerance:
-                    if table not in self._drifting:
-                        self._drifting.add(table)
-                        self._emit(
-                            OnlineAlert(
-                                kind=AlertKind.HIT_RATE_DRIFT,
-                                subject=table,
-                                details=(
-                                    f"windowed hit rate {live:.1%} vs "
-                                    f"baseline {base:.1%}"
-                                ),
-                                packet_index=index,
-                            )
-                        )
-                else:
-                    self._drifting.discard(table)
+            moved = (
+                self._baseline_rates if evicted is None
+                else evicted ^ hit_tables
+            )
+            if moved:
+                self._recheck(moved, index)
         return result
+
+    def _recheck(self, moved, index: int) -> None:
+        """Re-check the windowed hit rate of each table in ``moved``, in
+        ``program.tables`` order, and alert on each that starts to
+        drift."""
+        for table, base in self._baseline_rates.items():
+            if table not in moved:
+                continue
+            live = self._hit_counts.get(table, 0) / self.window
+            if abs(live - base) > self.hit_rate_tolerance:
+                if table not in self._drifting:
+                    self._drifting.add(table)
+                    self._emit(
+                        OnlineAlert(
+                            kind=AlertKind.HIT_RATE_DRIFT,
+                            subject=table,
+                            details=(
+                                f"windowed hit rate {live:.1%} vs "
+                                f"baseline {base:.1%}"
+                            ),
+                            packet_index=index,
+                        )
+                    )
+            else:
+                self._drifting.discard(table)
 
     # ------------------------------------------------------------------
     def reoptimize(self, trace, **p2go_kwargs):

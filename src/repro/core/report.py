@@ -292,7 +292,8 @@ def render_serve_report(serve: "ServeResult") -> str:
                 f"stages {event.stages_before} -> {event.stages_after}, "
                 f"reoptimize {event.reoptimize_seconds:.2f}s, "
                 f"gate {event.gate_mismatches}/{event.gate_packets} "
-                f"mismatches, swap {event.swap_seconds * 1e3:.2f} ms"
+                f"mismatches in {event.gate_seconds * 1e3:.2f} ms, "
+                f"swap {event.swap_seconds * 1e3:.2f} ms"
             )
     lines.append("")
     lines.append(

@@ -12,10 +12,17 @@ loop as a daemon:
   **serving** switch (the currently promoted optimized program) and the
   **monitor** (an :class:`~repro.core.online.OnlineProfiler` running the
   *original* program — the semantic reference — and reading its step
-  log).  A packet the two give different forwarding decisions, or
-  forward with different bytes, is a *misprocessed* packet
-  (:func:`~repro.controller.equivalence.same_packet`); the counter must
-  stay at zero.
+  log).  Each packet is parsed once, by the original program's parser:
+  the template goes to the monitor, to the serving switch when its
+  parse key is the original's (checked once per swap), and into the
+  window ring, so a cycle's window is a
+  :class:`~repro.sim.switch.ReplayTrace` whose parses are already
+  filled and its profiles and gate replays parse nothing.  A packet the
+  parser rejects ends the run with an error naming its 1-based index in
+  the feed.  A packet the two switches give different forwarding
+  decisions, or forward with different bytes, is a *misprocessed*
+  packet (:func:`~repro.controller.equivalence.same_packet`); the
+  counter must stay at zero.
 * **React** — a drift alert from the monitor arms a warm
   :meth:`~repro.core.online.OnlineProfiler.reoptimize` over the recent
   packet window, through the shared
@@ -74,10 +81,11 @@ from repro.core.online import (
 from repro.core.pipeline import P2GO, P2GOResult
 from repro.core.session import OptimizationContext, SessionCounters
 from repro.core.store import resolve_store
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, SimulationError
 from repro.p4.program import Program
+from repro.sim.plan import build_parser
 from repro.sim.runtime import RuntimeConfig
-from repro.sim.switch import BehavioralSwitch
+from repro.sim.switch import BehavioralSwitch, ParseTemplate, ReplayTrace
 from repro.target.model import DEFAULT_TARGET, TargetModel
 from repro.traffic.generators import TracePacket
 
@@ -347,6 +355,8 @@ class SwapEvent:
     promoted: bool
     #: Wall time of the warm re-optimization run.
     reoptimize_seconds: float
+    #: Wall time of the equivalence gate's two replays.
+    gate_seconds: float
     #: Build-new-switches + pointer-flip time (0.0 when rejected).
     swap_seconds: float
     #: Packets the equivalence gate replayed / how many disagreed.
@@ -361,6 +371,7 @@ class SwapEvent:
             "packet_index": self.packet_index,
             "promoted": self.promoted,
             "reoptimize_seconds": round(self.reoptimize_seconds, 4),
+            "gate_seconds": round(self.gate_seconds, 6),
             "swap_seconds": round(self.swap_seconds, 6),
             "gate_packets": self.gate_packets,
             "gate_mismatches": self.gate_mismatches,
@@ -538,7 +549,15 @@ class ContinuousOptimizer:
 
         self._serving: Optional[BehavioralSwitch] = None
         self._monitor: Optional[OnlineProfiler] = None
-        self._ring: Deque[TracePacket] = deque(maxlen=window)
+        #: The original program's parser: each packet's one parse.
+        self._parser = build_parser(program)
+        #: Whether the serving switch's parse key is the original's, so
+        #: it runs on the one parse too.
+        self._shares_parse = False
+        #: The recent window: each packet with its template.
+        self._ring: Deque[Tuple[TracePacket, ParseTemplate]] = deque(
+            maxlen=window
+        )
         self._session: Optional[OptimizationContext] = None
         self._reopt_pending = False
         self.stats = ServeStats()
@@ -576,16 +595,34 @@ class ContinuousOptimizer:
             # re-optimizing on a stub trace would be garbage in.
             return
         self._reopt_pending = False
-        self._cycle(list(self._ring))
+        packets, templates = zip(*self._ring)
+        window = ReplayTrace(packets)
+        window.parses[self._parser.key] = list(templates)
+        self._cycle(window)
 
     # ------------------------------------------------------------------
     # Packet path
 
+    def _install(
+        self, serving: BehavioralSwitch, monitor: OnlineProfiler
+    ) -> None:
+        """Make ``(serving, monitor)`` the pair every packet goes through."""
+        self._serving, self._monitor = serving, monitor
+        self._shares_parse = serving._parser.key == self._parser.key
+
     def _process_packet(self, packet: TracePacket) -> None:
         data, port = packet if isinstance(packet, tuple) else (packet, 0)
-        served = self._serving.process(data, port)
-        observed = self._monitor.process(data, port)
-        self._ring.append(packet)
+        try:
+            template = self._parser.parse(data)
+        except SimulationError as exc:
+            raise SimulationError(
+                f"packet {self.stats.packets_in}: {exc}"
+            ) from None
+        served = self._serving.process(
+            data, port, template if self._shares_parse else None
+        )
+        observed = self._monitor.process(data, port, template)
+        self._ring.append((packet, template))
         self.stats.packets_processed += 1
         if served.dropped:
             self.stats.packets_dropped += 1
@@ -595,7 +632,7 @@ class ContinuousOptimizer:
     # ------------------------------------------------------------------
     # Drift -> reoptimize -> gate -> swap
 
-    def _cycle(self, window: List[TracePacket]) -> None:
+    def _cycle(self, window: ReplayTrace) -> None:
         stats = self.stats
         self._note(
             f"reoptimizing on the recent {len(window)}-packet window"
@@ -611,6 +648,7 @@ class ContinuousOptimizer:
 
         # Promotion gate: the candidate must be behaviourally identical
         # to the original program on the window it was optimized for.
+        t1 = time.perf_counter()
         report = compare_behavior(
             self.program,
             self.config,
@@ -618,12 +656,14 @@ class ContinuousOptimizer:
             result.final_config,
             window,
         )
+        gate_seconds = time.perf_counter() - t1
         swap_seconds = self._swap(result) if report.equivalent else 0.0
         stats.events.append(
             SwapEvent(
                 packet_index=stats.packets_processed,
                 promoted=report.equivalent,
                 reoptimize_seconds=reoptimize_seconds,
+                gate_seconds=gate_seconds,
                 swap_seconds=swap_seconds,
                 gate_packets=report.total,
                 gate_mismatches=len(report.mismatches),
@@ -666,7 +706,7 @@ class ContinuousOptimizer:
             alert_callback=self._on_alert,
             session=self._session,
         )
-        self._serving, self._monitor = serving, monitor
+        self._install(serving, monitor)
         self._ring.clear()  # fresh drift window for the new baseline
         self.promotions.append(result)
         return time.perf_counter() - t0
@@ -701,16 +741,18 @@ class ContinuousOptimizer:
                 session=session,
                 phases=self.phases,
             ).run()
-            self._serving = BehavioralSwitch(
-                self.initial.optimized_program, self.initial.final_config
-            )
-            self._monitor = OnlineProfiler(
-                self.program,
-                self.config,
-                window=self.window,
-                hit_rate_tolerance=self.hit_rate_tolerance,
-                alert_callback=self._on_alert,
-                session=session,
+            self._install(
+                BehavioralSwitch(
+                    self.initial.optimized_program, self.initial.final_config
+                ),
+                OnlineProfiler(
+                    self.program,
+                    self.config,
+                    window=self.window,
+                    hit_rate_tolerance=self.hit_rate_tolerance,
+                    alert_callback=self._on_alert,
+                    session=session,
+                ),
             )
             self._note(
                 f"serving {self.program.name} "

@@ -105,7 +105,6 @@ published or has raised.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -124,10 +123,9 @@ from typing import (
 from repro.analysis.structure import analyse, structure_key
 from repro.core.profiler import PerfCounters, Profile, Profiler
 from repro.core.store import KINDS, SessionStore
-from repro.p4.dsl.printer import print_program
+from repro.p4.dsl.printer import program_fingerprint
 from repro.p4.program import Program
-from repro.p4.types import pinned
-from repro.sim.runtime import RuntimeConfig
+from repro.sim.runtime import RuntimeConfig, config_fingerprint
 from repro.sim.switch import ReplayTrace, trace_fingerprint
 from repro.target.compiler import CompileResult, compile_program
 from repro.target.model import DEFAULT_TARGET, TargetModel
@@ -142,38 +140,6 @@ __all__ = [
     "program_fingerprint",
     "trace_fingerprint",
 ]
-
-
-def program_fingerprint(program: Program) -> str:
-    """Content key of a program: SHA-1 of its printed DSL, computed once
-    per value and pinned on it."""
-    return pinned(program, "_fingerprint", _print_digest)
-
-
-def _print_digest(program: Program) -> str:
-    return hashlib.sha1(print_program(program).encode()).hexdigest()
-
-
-def config_fingerprint(config: RuntimeConfig) -> Tuple:
-    """Canonical, hashable content key of a runtime config.
-
-    Deliberately excludes the ``mutations`` stamp (two equal-content
-    clones must share a cache line) and is recomputed on every use, so
-    in-place mutation between calls is observed.
-    """
-    return (
-        tuple(
-            sorted(
-                (table, tuple(entries))
-                for table, entries in config.entries.items()
-                if entries
-            )
-        ),
-        tuple(sorted(config.default_overrides.items())),
-        tuple(config.register_inits),
-        tuple(config.hashed_inits),
-        config.enable_compiled_tables,
-    )
 
 
 class Source(Enum):

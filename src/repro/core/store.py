@@ -168,6 +168,7 @@ _FINGERPRINTED_MODULES = (
     "repro.p4.expressions",
     "repro.p4.registers",
     "repro.p4.parser_spec",
+    "repro.p4.dsl.printer",
     "repro.p4.types",
     "repro.packets",
     "repro.packets.craft",

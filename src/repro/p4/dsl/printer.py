@@ -7,6 +7,7 @@ reviews (§2.2), so every rewritten program can be rendered back to source.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, List
 
 from repro.exceptions import ReproError
@@ -251,6 +252,16 @@ def _table_text(table: Table, lines: List[str]) -> None:
 _parser_text = _lines(_print_parser)
 #: A control root's body, one level in; "" when it prints no line.
 _root_text = _lines(lambda root, lines: _print_control(root, 1, lines))
+
+
+def program_fingerprint(program: Program) -> str:
+    """Content key of a program: SHA-1 of its printed DSL, computed once
+    per value and pinned on it."""
+    return pinned(program, "_fingerprint", _print_digest)
+
+
+def _print_digest(program: Program) -> str:
+    return hashlib.sha1(print_program(program).encode()).hexdigest()
 
 
 def print_program(program: Program) -> str:

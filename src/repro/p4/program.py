@@ -141,7 +141,7 @@ def standard_metadata_type() -> HeaderType:
 LEAF_MAPS = ("header_types", "headers", "registers", "actions", "tables")
 
 #: Content keys pinned on a :class:`Program` (DESIGN.md §16): the
-#: printed DSL's SHA-1 (``repro.core.session.program_fingerprint``) and
+#: printed DSL's SHA-1 (``repro.p4.dsl.printer.program_fingerprint``) and
 #: the analyses' key (``repro.analysis.structure.structure_key``).
 #: Unlike a leaf's pins they travel with the program in a pickle, so a
 #: pool worker does not print it again.

@@ -4,7 +4,7 @@ as Python.
 :func:`build_parser` emits a program's parser, whose template of a
 packet holds one integer (a *word*) per extracted header.
 :func:`build_plan` binds a switch to one generated function per sink
-kind (a *tail*), emitted on the kind's first batch: the batch loop with
+kind (a *tail*), bound on the kind's first batch: the batch loop with
 every table probe, action primitive, hash and register access of both
 control trees inside it.  Both tails run one body over the words: each
 metadata field, each packet field the program writes and each field of
@@ -12,16 +12,27 @@ a header it adds is a local, and every other field is read out of its
 word.  Only their last lines differ: the step tail keeps the step log
 and the decision, and the result tail also deparses, rebuilding each
 written header's word from its locals.
-What the config fixes (compiled tables, default actions) and the
-registers are bound as constants, never spelled in the source, so each
-distinct source is compiled once per process (a bounded memo) and
-registered with :mod:`linecache` as ``<plan DIGEST>`` for tracebacks.
-Names from the program enter the source only as ``repr()`` literals.
+
+A tail is emitted once per content key — program fingerprint, config
+fingerprint, sink kind and register shape (each register's name and
+length) — and kept in a bounded process-wide memo.  What the config
+fixes (compiled tables, default actions, miss steps) and what the shape
+fixes (register lengths) are content: bound as constants, shared by
+every switch on the key, and never spelled in the source.  What a
+switch owns is marked when emitted and read off each switch the tail is
+bound to: its parser's ``parse``, its ``_result``, its registers'
+arrays, ``read`` / ``write`` and ``register_size``.  Binding a switch
+to a memoized tail runs the shared code object in a namespace of its
+own, so two switches on one tail keep separate registers.  Each
+distinct source is compiled once per process (a second bounded memo)
+and registered with :mod:`linecache` as ``<plan DIGEST>`` for
+tracebacks, again whenever a switch is bound to it.  Names from the
+program enter the source only as ``repr()`` literals.
 The reference walk (``_reference_replay``, :mod:`repro.sim.action_interp`)
 and ``parse_packet`` / ``deparse_packet`` share no code with it and stay
 its oracles.  What is bound and what is looked up per packet: DESIGN.md
 §5, "Execution plan".  ``BehavioralSwitch.invalidate_caches`` drops a
-plan.
+switch's plan; its next batch binds the tail of the config's new key.
 """
 
 from __future__ import annotations
@@ -32,27 +43,43 @@ import linecache
 import threading
 import zlib
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, List, NamedTuple
+from operator import attrgetter
+from types import CodeType
+from typing import Callable, Dict, Hashable, List, NamedTuple, Tuple
 
 from repro.exceptions import SimulationError
 from repro.p4 import actions as act
 from repro.p4 import expressions as ex
 from repro.p4.control import Apply, If, Seq
+from repro.p4.dsl.printer import program_fingerprint
 from repro.p4.parser_spec import ACCEPT
 from repro.p4.types import CPU_PORT, DROP_PORT, bytes_for_bits, mask
 from repro.packets.packet import get_codec
 from repro.sim.events import ExecutionStep
 from repro.sim.hashing import ALGORITHMS, CRC_SEEDS, compute_hash, crc_start
 from repro.sim.match import compile_table
+from repro.sim.runtime import config_fingerprint
 
 #: Indentation past which a control subtree becomes a function of its
 #: own: CPython refuses source nested about 100 levels deep.
 MAX_DEPTH = 40
 
-#: Distinct sources kept compiled; the oldest is dropped first.
+#: Distinct sources kept compiled, and emitted tails kept by content
+#: key; the oldest of each is dropped first.
 _MEMO_SIZE = 64
-_memo: "OrderedDict[str, tuple]" = OrderedDict()
+_memo: "OrderedDict[str, Tuple[CodeType, List[str]]]" = OrderedDict()
+_plans: "OrderedDict[tuple, _Emitted]" = OrderedDict()
 _memo_lock = threading.Lock()
+
+#: What a tail reads off the switch it is bound to, by global name
+#: (:meth:`_Emitter.bind_own` marks the rest: register arrays and
+#: ``register_size``).
+_OWN = {
+    "parse": attrgetter("_parser.parse"),
+    "result": attrgetter("_result"),
+    "read_register": attrgetter("state.read"),
+    "write_register": attrgetter("state.write"),
+}
 
 
 def _fail(error: type, message: str):
@@ -67,38 +94,83 @@ def _too_short(length: int, state: str, width: int, header: str, offset):
     )
 
 
-def _compiled(source: str):
-    """``source``'s code object, compiled on its first ask."""
+def _register(code: CodeType, lines: List[str]) -> None:
+    """Show ``lines``, ``code``'s source, for its frames in tracebacks."""
+    linecache.cache[code.co_filename] = (
+        sum(map(len, lines)), None, lines, code.co_filename
+    )
+
+
+def _compiled(source: str) -> Tuple[CodeType, List[str]]:
+    """``source``'s code object and lines, compiled on its first ask."""
     with _memo_lock:
         found = _memo.get(source)
         if found is None:
             digest = hashlib.sha1(source.encode()).hexdigest()[:12]
-            filename = f"<plan {digest}>"
-            code = compile(source, filename, "exec")
-            found = _memo[source] = (code, filename)
+            found = _memo[source] = (
+                compile(source, f"<plan {digest}>", "exec"),
+                source.splitlines(True),
+            )
             if len(_memo) > _MEMO_SIZE:
-                linecache.cache.pop(_memo.popitem(last=False)[1][1], None)
+                evicted = _memo.popitem(last=False)[1][0]
+                linecache.cache.pop(evicted.co_filename, None)
         else:
             _memo.move_to_end(source)
-        code, filename = found
-        linecache.cache[filename] = (
-            len(source), None, source.splitlines(True), filename
-        )
-    return code
+        _register(*found)
+    return found
+
+
+class _Emitted(NamedTuple):
+    """One emitted tail, shared by every switch on its content key: the
+    code, its source lines, the content constants, and how each switch's
+    own constants are read off it."""
+
+    code: CodeType
+    lines: List[str]
+    shared: Dict[str, object]
+    own: Dict[str, Callable]
+
+    def bind(self, switch) -> Callable:
+        """The tail over ``switch``'s own parser, results and registers."""
+        namespace = dict(self.shared)
+        for name, own in self.own.items():
+            namespace[name] = own(switch)
+        exec(self.code, namespace)
+        return namespace["replay"]
 
 
 class Plan(dict):
     """A switch's emitted replays: ``plan[steps_only]`` is ``f(packets,
     templates, port, sink)``, the batch loop for a
     :class:`~repro.sim.switch.StepSink` (``steps_only``) or a list of
-    results, emitted on its first ask."""
+    results, bound on its first ask to the tail of its content key,
+    which is emitted when no switch had it."""
 
     def __init__(self, switch):
         super().__init__()
         self.switch = switch
 
     def __missing__(self, steps_only: bool) -> Callable:
-        tail = self[steps_only] = _Emitter(self.switch).function(steps_only)
+        switch = self.switch
+        key = (
+            program_fingerprint(switch.program),
+            config_fingerprint(switch.config),
+            steps_only,
+            tuple((name, len(array))
+                  for name, array in switch.state._arrays.items()),
+        )
+        with _memo_lock:
+            emitted = _plans.get(key)
+            if emitted is not None:
+                _plans.move_to_end(key)
+                _register(emitted.code, emitted.lines)
+        if emitted is None:
+            emitted = _Emitter(switch).function(steps_only)
+            with _memo_lock:
+                _plans[key] = emitted
+                if len(_plans) > _MEMO_SIZE:
+                    _plans.popitem(last=False)
+        tail = self[steps_only] = emitted.bind(switch)
         return tail
 
 
@@ -159,9 +231,13 @@ class _Source:
         self.functions: List[List[str]] = []
         self.depth = self.constants = 0
 
-    def bind(self, value) -> str:
+    def constant(self) -> str:
         name = f"_k{self.constants}"
         self.constants += 1
+        return name
+
+    def bind(self, value) -> str:
+        name = self.constant()
         self.namespace[name] = value
         return name
 
@@ -188,12 +264,14 @@ class _Source:
         lines, self.lines, self.depth = self.lines, outer, depth
         return lines
 
-    def load(self, *names: str) -> list:
-        source = "\n".join(
+    def source(self) -> str:
+        return "\n".join(
             line for function in [self.lines, *self.functions]
             for line in function
         ) + "\n"
-        exec(_compiled(source), self.namespace)
+
+    def load(self, *names: str) -> list:
+        exec(_compiled(self.source())[0], self.namespace)
         return [self.namespace[name] for name in names]
 
 
@@ -280,8 +358,9 @@ class _ParserEmitter(_Source):
 
 
 class _Emitter(_Source):
-    """One switch's tail source and its constants.  Generated names:
-    ``_k<n>`` constants, ``_t<n>`` temporaries, ``_m<n>`` per-packet
+    """One content key's tail source, its content constants and the
+    constants each switch gives its own value (:attr:`own`).  Generated
+    names: ``_k<n>`` constants, ``_t<n>`` temporaries, ``_m<n>`` per-packet
     locals (metadata fields, packet fields the program writes, every
     field of a header it adds), ``_w<n>`` header words, ``_o<n>`` a
     written header's rebuilt word, ``_f<n>`` subtrees."""
@@ -289,11 +368,10 @@ class _Emitter(_Source):
     def __init__(self, switch):
         parser = switch._parser
         super().__init__({
-            "parse": parser.parse, "result": switch._result, "fail": _fail,
-            "hash_error": compute_hash, "crc32": zlib.crc32,
-            "read_register": switch.state.read,
-            "write_register": switch.state.write, "join": b"".join,
+            "fail": _fail, "hash_error": compute_hash, "crc32": zlib.crc32,
+            "join": b"".join,
         })
+        self.own: Dict[str, Callable] = dict(_OWN)
         program = self.program = switch.program
         self.state, self.config = switch.state, switch.config
         self.slots = parser.slots
@@ -334,6 +412,13 @@ class _Emitter(_Source):
         self.temps += 1
         return f"_t{self.temps}"
 
+    def bind_own(self, own: Callable) -> str:
+        """A constant each switch the tail is bound to gives its own
+        value: ``own(switch)``."""
+        name = self.constant()
+        self.own[name] = own
+        return name
+
     # -- expressions ---------------------------------------------------
     def field(self, ref: ex.FieldRef, guarded: bool = False) -> str:
         """A read; invalid-header reads yield 0 (bmv2 convention)."""
@@ -366,7 +451,8 @@ class _Emitter(_Source):
         if isinstance(expr, ex.RegisterSize):
             if expr.register in self.state._arrays:
                 return self.bind(self.state.register_size(expr.register))
-            return f"{self.bind(self.state.register_size)}({expr.register!r})"
+            size = self.bind_own(attrgetter("state.register_size"))
+            return f"{size}({expr.register!r})"
         if isinstance(expr, ex.BinOp) and not expr.is_comparison:
             left = self.value(expr.left, params, args)
             return f"({left} {expr.op} {self.value(expr.right, params, args)})"
@@ -420,7 +506,8 @@ class _Emitter(_Source):
             self.emit(call)
             return ""
         self.emit(f"if not 0 <= {index} < {self.bind(len(array))}: {call}")
-        return f"{self.bind(array)}[{index}]"
+        cells = self.bind_own(lambda switch: switch.state._arrays[name])
+        return f"{cells}[{index}]"
 
     def digest(self, prim: act.HashFields, params, args) -> str:
         """``prim``'s hash, its inputs packed into one integer first: every
@@ -638,7 +725,7 @@ class _Emitter(_Source):
             self.choose(f"{found} is not None", on_hit, on_miss)
 
     # -- the batch loop ------------------------------------------------
-    def function(self, steps_only: bool) -> Callable:
+    def function(self, steps_only: bool) -> _Emitted:
         program = self.program
         self.depth = 2  # def, for
         self.control(program.ingress)
@@ -692,7 +779,7 @@ class _Emitter(_Source):
             self.deparse()
             self.emit(f"append(result(data, output, steps, {port}, "
                       f"{drop} != 0, {punt} != 0, {reason}))")
-        return self.load("replay")[0]
+        return _Emitted(*_compiled(self.source()), self.namespace, self.own)
 
     def deparse(self) -> None:
         """``output``: valid packet headers in program order, then the

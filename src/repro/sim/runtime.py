@@ -371,3 +371,25 @@ class RuntimeConfig:
             hashed_inits=list(self.hashed_inits),
             enable_compiled_tables=self.enable_compiled_tables,
         )
+
+
+def config_fingerprint(config: RuntimeConfig) -> Tuple:
+    """Canonical, hashable content key of a runtime config.
+
+    Deliberately excludes the ``mutations`` stamp (two equal-content
+    clones must share a cache line) and is recomputed on every use, so
+    in-place mutation between calls is observed.
+    """
+    return (
+        tuple(
+            sorted(
+                (table, tuple(entries))
+                for table, entries in config.entries.items()
+                if entries
+            )
+        ),
+        tuple(sorted(config.default_overrides.items())),
+        tuple(config.register_inits),
+        tuple(config.hashed_inits),
+        config.enable_compiled_tables,
+    )

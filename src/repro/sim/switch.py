@@ -16,7 +16,8 @@ switch is a *profiling engine* with one switch and one reference:
   header words) replaces the IR walk and deparses from the words: a
   packet none of whose words changed, on a parse path that deparses as
   it parsed, is output as its input.  The plan compiles the tables it
-  binds; it is built lazily, once per switch and config state.
+  binds; it is bound lazily, once per switch and config state, to a
+  tail emitted once per program, config and register shape.
 * the **reference interpreter** (the switch off): :meth:`walk`, which
   parses with ``parse_packet`` and runs ``_run_control`` /
   ``_apply_table`` over :mod:`repro.sim.action_interp`, then
@@ -171,8 +172,9 @@ class ReplayTrace(list):
 
     ``parses`` maps a switch's parse key — everything its parser reads —
     to one :class:`ParseTemplate` per packet, filled by the first replay
-    of the trace with that key; switches with equal keys parse every
-    packet identically.  The parses live and die with the trace object.
+    of the trace with that key, or by a caller that already parsed the
+    packets with that key's parser (serve's window); switches with equal
+    keys parse every packet identically.  The parses live and die with the trace object.
     :attr:`fingerprint` is hashed on the first ask, once per trace
     object.  A pickle (a pool task, a fleet or sweep spec) carries the
     packets and the fingerprint, never the parses; a slice is a plain
@@ -280,9 +282,22 @@ class BehavioralSwitch:
             self._plan = build_plan(self)
 
     # ------------------------------------------------------------------
-    def process(self, data: bytes, ingress_port: int = 0) -> SwitchResult:
-        """Push one packet through parse → ingress → deparse."""
-        return self._replay((data,), ingress_port, [])[0]
+    def process(
+        self, data: bytes, ingress_port: int = 0,
+        template: Optional[ParseTemplate] = None,
+    ) -> SwitchResult:
+        """Push one packet through parse → ingress → deparse.
+
+        ``template`` is the packet's parse by a parser with this switch's
+        parse key (``self._parser.key``), or None to parse it here; the
+        reference walk ignores it."""
+        self._prepare()
+        sink: List[SwitchResult] = []
+        if self.config.enable_compiled_tables:
+            self._plan[False]((data,), (template,), ingress_port, sink)
+        else:
+            self._reference_replay((data,), ingress_port, sink)
+        return sink[0]
 
     def process_many(
         self, packets: Sequence, ingress_port: int = 0, into=None
@@ -306,8 +321,9 @@ class BehavioralSwitch:
         )
 
     def _replay(self, packets: Sequence, ingress_port: int, sink):
-        """The one entry behind :meth:`process` and every kind of batch:
-        the plan's emitted loop for the sink's kind, over the trace's
+        """The one entry behind every kind of batch (:meth:`process`
+        calls the result tail itself): the plan's emitted loop for the
+        sink's kind, over the trace's
         shared parse when it is a :class:`ReplayTrace`, when
         ``enable_compiled_tables`` is on; else the reference loop."""
         self._prepare()

@@ -8,11 +8,14 @@ read-only.
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 
 import pytest
 
+import repro.sim.plan as plan_module
 from repro.core import P2GO
 from repro.core.profiler import Profiler
+from repro.core.session import config_fingerprint, program_fingerprint
 from repro.p4 import (
     Apply,
     Drop,
@@ -119,6 +122,26 @@ def toy_config() -> RuntimeConfig:
     cfg.add_entry("fib", [(0, 0)], "fwd", [1])
     cfg.add_entry("acl", [53], "deny")
     return cfg
+
+
+@pytest.fixture
+def emissions(monkeypatch):
+    """Each tail emitted from an empty plan memo, as its (program
+    fingerprint, config fingerprint, sink kind)."""
+    emitted = []
+    function = plan_module._Emitter.function
+
+    def counted(emitter, steps_only):
+        emitted.append((
+            program_fingerprint(emitter.program),
+            config_fingerprint(emitter.config),
+            steps_only,
+        ))
+        return function(emitter, steps_only)
+
+    monkeypatch.setattr(plan_module, "_plans", OrderedDict())
+    monkeypatch.setattr(plan_module._Emitter, "function", counted)
+    return emitted
 
 
 @pytest.fixture

@@ -756,3 +756,22 @@ class TestServe:
         err = capsys.readouterr().err
         assert err.startswith("error: line 4: ")
         assert len(err.splitlines()) == 1
+
+    def test_unparseable_packet_names_its_index(self, tmp_path, capsys):
+        """The index counts packets, not lines: the comment is line 1."""
+        lines = tmp_path / "feed.txt"
+        good = [
+            format_packet_line(p) for p in example_firewall.make_trace(100)[:3]
+        ]
+        lines.write_text(
+            "\n".join(["# feed", *good[:2], "00ff", *good]) + "\n"
+        )
+        assert main(
+            ["serve", "--feed", "lines", "--lines", str(lines),
+             "--baseline-packets", "300", "--quiet", "--no-store"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: packet 3: packet too short: state 'start' needs 14 "
+            "bytes for 'ethernet', 2 remain\n"
+        )

@@ -24,6 +24,10 @@ The bit-identity of whole replays lives in
   parser made them, and a traceback shows the emitted line;
 * the two paths are really separate: on the engine the walker's
   ``execute_action`` is never reached, on the reference no plan is built;
+* a tail is emitted once per content key: an equal-content clone binds
+  the same code, with registers of its own; ``add_entry`` and a changed
+  register shape emit afresh; and a traceback from a reused tail still
+  shows the emitted line;
 * the plan deparses from the header words: its output bytes equal the
   reference's validating ``deparse_packet`` on the nine bundled programs
   and the generated cases, plain and instrumented, and on crafted
@@ -353,6 +357,81 @@ def test_a_plan_traceback_shows_the_emitted_line():
     ]
     assert emitted
     assert "read_register('r', " in emitted[-1].line
+
+
+# ----------------------------------------------------------------------
+# One emission per content key.
+
+
+def test_an_equal_content_clone_shares_one_emission(emissions):
+    switches = [_firewall("compiled") for _ in range(2)]
+    assert switches[0].program is not switches[1].program
+    results = [switch.process(PACKET) for switch in switches]
+    assert len(emissions) == 1
+    first, second = (switch._plan[False] for switch in switches)
+    assert first is not second
+    assert first.__code__ is second.__code__
+    assert _result_fingerprint(results[0]) == _result_fingerprint(results[1])
+
+
+def test_two_switches_on_one_tail_keep_separate_registers(emissions):
+    trace = ReplayTrace(example_firewall.make_trace(300))
+    first, second = _firewall("compiled"), _firewall("compiled")
+    reference = _firewall("reference")
+    pristine = second.state.snapshot()
+    first.process_many(trace, into=StepSink())
+    assert first.state.snapshot() != pristine
+    assert second.state.snapshot() == pristine
+    second.process_many(trace, into=StepSink())
+    reference.process_many(trace, into=StepSink())
+    assert len(emissions) == 1
+    assert first.state.snapshot() == second.state.snapshot()
+    assert second.state.snapshot() == reference.state.snapshot()
+
+
+def test_add_entry_emits_afresh(emissions):
+    packet = udp_packet("10.0.0.1", "10.0.0.2", 1234, 9999)
+    switch = _firewall("compiled")
+    assert not switch.process(packet).dropped
+    switch.config.add_entry("ACL_UDP", [9999], "acl_udp_drop")
+    assert switch.process(packet).dropped
+    assert len(emissions) == 2
+    # The first config's tail is still in the memo.
+    assert not _firewall("compiled").process(packet).dropped
+    assert len(emissions) == 2
+
+
+@pytest.mark.parametrize("sink", [list, StepSink], ids=["results", "steps"])
+def test_a_changed_register_shape_is_emitted_afresh(emissions, sink):
+    """The ``unknown_register`` batch case still matches the walker when
+    the intact shape's tail is in the memo."""
+    program, _entry, _message = BATCH_ERROR_CASES["unknown_register"]()
+    BehavioralSwitch(program, RuntimeConfig()).process_many(
+        ReplayTrace(ERROR_TRACE[:3]), into=sink()
+    )
+    test_packet_triggered_errors_match_the_walker_in_a_batch(
+        "unknown_register", sink
+    )
+    assert len(emissions) == 2
+
+
+def test_a_reused_tail_traceback_shows_the_emitted_line(emissions):
+    """The second switch binds the first one's tail after its source
+    left :mod:`linecache`; binding registers it again."""
+    program, _entry, _message = ERROR_CASES["register_index_out_of_range"]()
+    for _ in range(2):
+        switch = BehavioralSwitch(program, RuntimeConfig())
+        with pytest.raises(SimulationError) as raised:
+            switch.process_many(ERROR_TRACE, into=StepSink())
+        emitted = [
+            frame
+            for frame in traceback.extract_tb(raised.value.__traceback__)
+            if frame.filename.startswith("<plan ")
+        ]
+        assert emitted
+        assert "read_register('r', " in emitted[-1].line
+        linecache.cache.pop(emitted[-1].filename)
+    assert len(emissions) == 1
 
 
 # ----------------------------------------------------------------------

@@ -310,3 +310,60 @@ class TestWindowAccountingProperties:
             table: online.window_hit_rate(table)
             for table in self.program.tables
         }
+
+    @given(
+        baseline=st.lists(
+            st.sampled_from(sorted(_ToyTraffic.PACKETS)), min_size=1,
+            max_size=8,
+        ),
+        kinds=st.lists(
+            st.sampled_from(sorted(_ToyTraffic.PACKETS)),
+            min_size=1,
+            max_size=60,
+        ),
+        window=st.integers(min_value=1, max_value=12),
+        tolerance=st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_drift_alerts_match_an_every_table_recheck(
+        self, baseline, kinds, window, tolerance
+    ):
+        """Re-checking only the tables whose windowed count moved raises
+        the alerts a re-check of every table on every packet raises, in
+        the same order."""
+        profile = profile_program(
+            self.program, self.config,
+            [_ToyTraffic.PACKETS[kind] for kind in baseline],
+        )
+        online = OnlineProfiler(
+            self.program, self.config, baseline=profile, window=window,
+            hit_rate_tolerance=tolerance,
+        )
+        for kind in kinds:
+            online.process(_ToyTraffic.PACKETS[kind])
+
+        expected, drifting = [], set()
+        for index in range(window - 1, len(kinds)):
+            recent = kinds[index + 1 - window:index + 1]
+            for table in self.program.tables:
+                live = sum(
+                    table in _ToyTraffic.HITS[kind] for kind in recent
+                ) / window
+                base = profile.hit_rate(table)
+                if abs(live - base) > tolerance:
+                    if table not in drifting:
+                        drifting.add(table)
+                        expected.append((
+                            table,
+                            f"windowed hit rate {live:.1%} vs "
+                            f"baseline {base:.1%}",
+                            index,
+                        ))
+                else:
+                    drifting.discard(table)
+        assert [
+            (alert.subject, alert.details, alert.packet_index)
+            for alert in online.alerts
+            if alert.kind is AlertKind.HIT_RATE_DRIFT
+        ] == expected
+        assert online._drifting == drifting

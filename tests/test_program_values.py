@@ -34,13 +34,16 @@ import dataclasses
 import hashlib
 import pickle
 import pkgutil
+from collections import OrderedDict
 from typing import Dict, Iterator, List, NamedTuple, Set
+from unittest import mock
 
 import pytest
 
 import repro.p4.program as program_module
 import repro.packets.packet as packet_module
 import repro.programs
+import repro.sim.plan as plan_module
 from repro.analysis.dependencies import Dependency, DependencyKind
 from repro.analysis.structure import structure_key
 from repro.controller.offload_runtime import segment_program
@@ -359,9 +362,12 @@ def test_deriving_builds_no_intrinsics(monkeypatch):
 
 def simulated_firewall(packets: int = 60) -> Program:
     """The firewall after a replay: every header type it parses carries
-    a memoized codec."""
+    a memoized codec.  The replay starts from an empty plan memo: a tail
+    another firewall switch emitted would bind it without reading this
+    program's header types."""
     program = fw.build_program()
-    Profiler(program, fw.runtime_config()).run(fw.make_trace(packets))
+    with mock.patch.object(plan_module, "_plans", OrderedDict()):
+        Profiler(program, fw.runtime_config()).run(fw.make_trace(packets))
     assert any(
         "_codec" in vars(htype) for htype in program.header_types.values()
     )

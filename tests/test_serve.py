@@ -22,6 +22,7 @@ from repro.core.serve import (
     format_packet_line,
     parse_packet_line,
 )
+from repro.exceptions import SimulationError
 from repro.p4 import Const, FieldRef, ModifyField
 from repro.packets.craft import udp_packet
 from repro.programs import example_firewall as fw
@@ -139,6 +140,17 @@ class TestDriftScenario:
             monitor._drifting
         )
 
+    def test_every_cycle_times_its_gate(self, drift_serve):
+        _optimizer, result = drift_serve
+        events = result.stats.events
+        assert events
+        assert all(event.gate_seconds > 0 for event in events)
+        assert all(
+            "gate_seconds" in event
+            for event in result.stats.as_dict()["events"]
+        )
+        assert " mismatches in " in render_serve_report(result)
+
     def test_report_renders(self, drift_serve):
         _optimizer, result = drift_serve
         report = render_serve_report(result)
@@ -154,6 +166,42 @@ class TestDriftScenario:
         assert data["misprocessed"] == 0
         assert len(data["events"]) == result.stats.reoptimizations
         assert data["events"][0]["promoted"] is True
+
+
+#: ``counts()`` of a run shaped like the stack benchmark's
+#: ``serve_drift`` (seed 12), as read while each switch still parsed
+#: every packet itself and emitted its own plan: a change to the packet
+#: path that moves when an alert fires moves these.
+BENCH_SHAPED_COUNTS = {
+    "packets_in": 8000,
+    "packets_processed": 8000,
+    "packets_dropped": 1793,
+    "misprocessed": 0,
+    "drift_alerts": 13,
+    "combination_alerts": 1,
+    "alerts_coalesced": 6,
+    "reoptimizations": 8,
+    "failed_reoptimizations": 0,
+    "swaps": 8,
+    "rejected_promotions": 0,
+}
+
+
+def test_a_benchmark_shaped_run_keeps_its_counts(emissions):
+    """The full counts are pinned, and from an empty plan memo the run
+    emits one tail per distinct (program, config, sink kind): 8 here,
+    where a tail per switch made 63."""
+    optimizer = ContinuousOptimizer(
+        fw.build_program(),
+        fw.runtime_config(),
+        fw.make_trace(3000, seed=12),
+        fw.TARGET,
+        window=400,
+        hit_rate_tolerance=0.15,
+    )
+    result = optimizer.run(GeneratorFeed.firewall_drift(total=8000, seed=12))
+    assert result.stats.counts() == BENCH_SHAPED_COUNTS
+    assert len(emissions) == len(set(emissions)) == 8
 
 
 class TestPromotionGate:
@@ -431,6 +479,26 @@ class TestFeeds:
         received = list(feed.packets())
         thread.join(timeout=5)
         assert received == packets
+
+
+class TestUnparseablePacket:
+    def test_the_error_names_the_packets_index_in_the_feed(self):
+        good = fw.make_trace(5, seed=1)
+        optimizer = ContinuousOptimizer(
+            fw.build_program(),
+            fw.runtime_config(),
+            fw.make_trace(300, seed=0),
+            fw.TARGET,
+            window=WINDOW,
+        )
+        feed = TraceFeed([*good[:2], bytes.fromhex("00ff"), *good[2:]])
+        with pytest.raises(SimulationError) as raised:
+            optimizer.run(feed)
+        assert str(raised.value) == (
+            "packet 3: packet too short: state 'start' needs 14 bytes "
+            "for 'ethernet', 2 remain"
+        )
+        assert optimizer.stats.packets_processed == 2
 
 
 class TestBounds:
