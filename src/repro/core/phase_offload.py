@@ -2,10 +2,14 @@
 
 P2GO enumerates self-contained code segments, generates a variant of the
 program per candidate where the segment is replaced by a table that
-redirects matching traffic to the controller, compiles and profiles each
-variant, and selects the one segment that saves at least one stage with
-the least traffic redirected — bounded by a controller-load budget so the
-data plane never drowns the controller.
+redirects matching traffic to the controller, compiles each variant,
+and selects the one segment that saves at least one stage with the
+least traffic redirected — bounded by a controller-load budget so the
+data plane never drowns the controller.  The paper profiles each
+variant for its redirected traffic; here that load is read off the
+program's own profile, which already holds it (see
+:func:`evaluate_candidates`), and a variant is replayed only for the
+one segment shape that profile cannot answer.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.p4.control import (
     Apply,
     ControlNode,
     If,
+    Seq,
     iter_nodes,
     replace_subtree,
     tables_applied,
@@ -48,11 +53,30 @@ OFFLOAD_REASON = 0x0F
 
 @dataclass(frozen=True)
 class SegmentCandidate:
-    """A self-contained subtree that could move to the controller."""
+    """A self-contained subtree that could move to the controller:
+    ``tables`` are those of the body its redirect replaces."""
 
     subtree: ControlNode
     tables: Tuple[str, ...]
     boundary_guard: Optional[str]  # printable condition kept in data plane
+
+
+def _body(subtree: ControlNode) -> ControlNode:
+    """What the redirect replaces: an If root's then-branch (its
+    condition and else-branch stay in the data plane), else all of it."""
+    return subtree.then_node if isinstance(subtree, If) else subtree
+
+
+def _applies_on_every_path(node: ControlNode) -> bool:
+    """Does every path through ``node`` apply a table?  Then a packet
+    enters ``node`` exactly when it applies one of its tables."""
+    if isinstance(node, Apply):
+        return True
+    if isinstance(node, Seq):
+        return any(_applies_on_every_path(child) for child in node.nodes)
+    return node.else_node is not None and all(
+        _applies_on_every_path(child) for child in node.children()
+    )
 
 
 @dataclass(frozen=True)
@@ -127,19 +151,17 @@ def is_self_contained(program: Program, subtree: ControlNode) -> bool:
     ingress port), and nothing downstream may consume what it produces
     (its metadata writes feed nothing outside; its registers are private).
     Writes to the standard metadata (forwarding decisions) are the
-    segment's *output* and always allowed.
+    segment's *output* and always allowed.  The segment is the body the
+    redirect replaces: a root If is the *boundary guard*, which stays in
+    the data plane, its condition's reads nobody's and its else-branch
+    outside.
     """
-    inside_tables = set(tables_applied(subtree))
+    inside_nodes = list(iter_nodes(_body(subtree)))
+    inside_tables = {n.table for n in inside_nodes if isinstance(n, Apply)}
     if not inside_tables:
         return False
-    inside_nodes = list(iter_nodes(subtree))
-    # A root If is the *boundary guard*: it stays in the data plane, so
-    # its condition's reads are nobody's.
-    reads, writes, registers = _reads_writes(
-        program,
-        (n for n in inside_nodes if not (n is subtree and isinstance(n, If))),
-    )
-    inside_ids = {id(n) for n in inside_nodes}
+    reads, writes, registers = _reads_writes(program, inside_nodes)
+    inside_ids = {id(n) for n in inside_nodes} | {id(subtree)}
     out_reads, out_writes, out_registers = _reads_writes(
         program,
         (
@@ -182,7 +204,7 @@ def enumerate_candidates(program: Program) -> List[SegmentCandidate]:
     for node in iter_nodes(program.ingress):
         if node is program.ingress:
             continue  # offloading the whole program is out of scope
-        tables = tuple(tables_applied(node))
+        tables = tuple(tables_applied(_body(node)))
         if not tables:
             continue
         key = frozenset(tables)
@@ -260,6 +282,15 @@ def make_offloaded_program(
     )
 
 
+def _without_segment(
+    config: RuntimeConfig, offloaded: Program, candidate: SegmentCandidate
+) -> RuntimeConfig:
+    """``config`` for ``offloaded``: the segment's entries go with it."""
+    return config.restricted_to(
+        [t for t in offloaded.tables if t not in candidate.tables]
+    )
+
+
 def evaluate_candidates(
     ctx: OptimizationContext,
     program: Program,
@@ -268,48 +299,53 @@ def evaluate_candidates(
     baseline_stages: Optional[int] = None,
     max_redirect_fraction: float = DEFAULT_MAX_REDIRECT,
 ) -> List[Decision]:
-    """Compile + profile the redirect variant of every candidate (§3.4:
-    "P2GO compiles and profiles a modified program for each candidate"):
-    one rejected decision per segment, its reason what keeps it from
-    qualifying (OUTRANKED when nothing does).
+    """Compile the redirect variant of every candidate and read the
+    traffic it would redirect: one rejected decision per segment, its
+    reason what keeps it from qualifying (OUTRANKED when nothing does).
 
-    Every variant compile/profile goes through ``ctx`` and is memoized —
-    the accepted variant's later re-profile by the orchestrator (and
-    repeat evaluations across re-runs on the same session) cost nothing.
+    §3.4 profiles each variant, but a variant's profile adds one fact,
+    the redirect table's apply rate, and ``program``'s own profile
+    already holds it.  The segment is self-contained, so the walk up to
+    it is the same in both programs, and each table is applied at most
+    once: the redirect applies on exactly the packets that enter the
+    body it replaces.  When every path through that body applies a
+    table, those are the packets that traverse one of its tables, and
+    the load is ``traversal_rate`` of them on ``program``'s profile
+    (the measure :func:`repro.core.drift.recheck` re-checks).  Only a
+    body that can be entered without applying a table, e.g. a nested If
+    with no else, has its variant replayed.  Every probe goes through
+    ``ctx`` and is memoized; the profile of ``program`` is asked for
+    only when some candidate needs it.
     """
     if baseline_stages is None:
         baseline_stages = ctx.compile(program).stages_used
 
-    # Build every redirect variant up front (pure rewriting), then
-    # probe: every compile, then every replay.
     redirect_table = unique_redirect_name(program)
-    variants: List[Tuple[Program, "RuntimeConfig"]] = []
+    profile = None
+    evaluated: List[Decision] = []
     for candidate in candidates:
         modified = make_offloaded_program(
             program, candidate, table_name=redirect_table
         )
-        remaining = [
-            t for t in modified.tables if t not in candidate.tables
-        ]
-        variants.append((modified, config.restricted_to(remaining)))
-
-    compiled = [ctx.compile(modified) for modified, _adapted in variants]
-    profiled = [ctx.profile(*variant) for variant in variants]
-    evaluated: List[Decision] = []
-    for candidate, result, profile in zip(
-        candidates, compiled, profiled
-    ):
-        load = profile.apply_rate(redirect_table)
+        stages_after = ctx.compile(modified).stages_used
+        if _applies_on_every_path(_body(candidate.subtree)):
+            if profile is None:
+                profile = ctx.profile(program, config)
+            load = profile.traversal_rate(candidate.tables)
+        else:
+            load = ctx.profile(
+                modified, _without_segment(config, modified, candidate)
+            ).apply_rate(redirect_table)
         evaluated.append(
             Decision(
                 Phase.OFFLOAD_CODE, Verdict.REJECTED,
                 Offload(candidate, redirect_table, load),
                 _refusal(
-                    baseline_stages - result.stages_used, load,
+                    baseline_stages - stages_after, load,
                     max_redirect_fraction,
                 ),
                 stages_before=baseline_stages,
-                stages_after=result.stages_used,
+                stages_after=stages_after,
             )
         )
     return evaluated
@@ -362,12 +398,7 @@ def run_phase(
     return PassResult(
         tuple(accepted if d is chosen else d for d in decisions),
         program=offloaded_program,
-        config=config.restricted_to(
-            [
-                t for t in offloaded_program.tables
-                if t not in offload.segment.tables
-            ]
-        ),
+        config=_without_segment(config, offloaded_program, offload.segment),
     )
 
 

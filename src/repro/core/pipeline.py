@@ -11,7 +11,8 @@ The loop itself lives in :class:`~repro.core.passes.PassManager`: each
 phase is an :class:`~repro.core.passes.OptimizationPass` over a shared
 :class:`~repro.core.session.OptimizationContext`, so all candidate
 probing — the halving binary search of phase 3, the per-segment redirect
-variants of phase 4, the re-profiles after each accepted change — goes
+variants of phase 4 and the profile their loads are read off, the
+re-profiles after each accepted change — goes
 through one content-keyed compile/profile memo cache.  The session's
 invocation counters ride along on :class:`P2GOResult` so callers can see
 exactly how many compiles and trace replays a run cost (and how many the

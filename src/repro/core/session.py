@@ -2,7 +2,8 @@
 
 Every P2GO phase probes candidate programs by compiling them and
 re-profiling them on the same trace — the halving binary search of
-phase 3 and the per-candidate redirect variants of phase 4 alone account
+phase 3 and the per-candidate redirect variants of phase 4 (compiled;
+their loads are read off the current program's profile) alone account
 for dozens of :func:`~repro.target.compiler.compile_program` and
 :class:`~repro.core.profiler.Profiler` invocations per run, and the seed
 orchestrator repeated several of them verbatim (the accepted resize was

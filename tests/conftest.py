@@ -126,8 +126,10 @@ def toy_config() -> RuntimeConfig:
 
 @pytest.fixture
 def emissions(monkeypatch):
-    """Each tail emitted from an empty plan memo, as its (program
-    fingerprint, config fingerprint, sink kind)."""
+    """Each tail emitted from empty plan and source memos, as its
+    (program fingerprint, config fingerprint, sink kind).  Both memos
+    are process-wide LRUs that evict independently, so a test that
+    reads either starts from fresh ones."""
     emitted = []
     function = plan_module._Emitter.function
 
@@ -140,6 +142,7 @@ def emissions(monkeypatch):
         return function(emitter, steps_only)
 
     monkeypatch.setattr(plan_module, "_plans", OrderedDict())
+    monkeypatch.setattr(plan_module, "_memo", OrderedDict())
     monkeypatch.setattr(plan_module._Emitter, "function", counted)
     return emitted
 

@@ -544,7 +544,9 @@ def test_deep_control_trees_replay_as_on_the_walker(chain, sink):
     assert outcomes["compiled"] == outcomes["reference"]
 
 
-def test_switches_differing_only_in_config_share_one_compiled_source():
+def test_switches_differing_only_in_config_share_one_compiled_source(
+    emissions,
+):
     program = example_firewall.build_program()
     other = example_firewall.runtime_config()
     other.set_default("ACL_UDP", "acl_udp_drop")
@@ -555,6 +557,7 @@ def test_switches_differing_only_in_config_share_one_compiled_source():
     for switch in replays:
         switch.process_many([PACKET], into=StepSink())
     first, second = (switch._plan[True] for switch in replays)
+    assert len(emissions) == 2
     assert first is not second
     assert first.__code__ is second.__code__
 

@@ -7,18 +7,21 @@ from repro.core.phase_offload import (
     Offload,
     SegmentCandidate,
     enumerate_candidates,
+    evaluate_candidates,
     is_self_contained,
     make_offloaded_program,
     run_phase,
     select_candidate,
 )
-from repro.controller.equivalence import check_result
+from repro.controller.equivalence import check_result, compare_with_offload
+from repro.core.drift import recheck
 from repro.core.fleet import family_inputs
 from repro.core.observations import Decision, Phase, Verdict
 from repro.core.pipeline import P2GO
 from repro.core.profiler import Profiler
-from repro.core.session import OptimizationContext
+from repro.core.session import OptimizationContext, Source
 from repro.exceptions import OffloadError
+from repro.fuzz.generator import generate_case
 from repro.p4 import (
     Apply,
     Const,
@@ -29,9 +32,14 @@ from repro.p4 import (
     Seq,
     iter_nodes,
 )
+from repro.p4.dsl import parse_program
 from repro import programs
-from repro.programs import enterprise, failure_detection, telemetry
+from repro.programs import cgnat, enterprise, failure_detection, telemetry
+from repro.programs.common import EXAMPLE_TARGET
+from repro.sim.runtime import RuntimeConfig
 from repro.target import compile_program
+
+FAMILIES = [n for n in programs.__all__ if n != "EXAMPLE_TARGET"]
 
 
 def find_subtree(program, table_set):
@@ -115,6 +123,88 @@ class TestEnumeration:
                                  "DNS_Drop"}
         )
         assert dns.boundary_guard == "valid(dns)"
+
+
+ELSE_SHARES_REGISTER = """
+header_type eth_t { fields { kind : 16; port : 16; } }
+header_type m_t { fields { seen : 32; } }
+header eth_t eth;
+metadata m_t m;
+register r { width : 32; instance_count : 1; }
+
+action fwd(port) { set_egress_port(port); }
+action count() {
+    register_read(m.seen, r, 0);
+    add_to_field(m.seen, 1);
+    register_write(r, 0, m.seen);
+}
+action check() { register_read(m.seen, r, 0); }
+action deny() { drop(); }
+
+table fib { reads { eth.kind : exact; } actions { fwd; } size : 16; }
+table counter { default_action : count; }
+table checker { default_action : check; }
+table gate { reads { m.seen : exact; } actions { deny; } size : 16; }
+
+parser start { extract(eth); return accept; }
+
+control ingress {
+    apply(fib);
+    if ((eth.port < 8)) {
+        apply(counter);
+    } else {
+        apply(checker);
+        apply(gate);
+    }
+}
+"""
+
+
+class TestIfElseSegment:
+    """cgnat's ``if (ingress_port < 8) {nat_inside} else {nat_outside}``:
+    the redirect replaces the then-branch only, so the segment's tables
+    are ``nat_inside`` alone and ``nat_outside`` keeps its entries."""
+
+    def test_else_branch_is_outside_the_segment(self):
+        """The else-branch stays on the switch: a register it shares
+        with the then-branch would be split between switch and
+        controller."""
+        program = parse_program(ELSE_SHARES_REGISTER, "else_shares_register")
+        guard = next(
+            n for n in iter_nodes(program.ingress) if isinstance(n, If)
+        )
+        assert not is_self_contained(program, guard)
+        assert [c.tables for c in enumerate_candidates(program)] == [
+            ("fib",)
+        ]
+
+    def test_segment_is_the_then_branch(self):
+        program = cgnat.build_program()
+        segments = {
+            c.tables: c.boundary_guard for c in enumerate_candidates(program)
+        }
+        assert segments == {
+            ("nat_inside",): "(standard_metadata.ingress_port < 8)",
+            ("nat_outside",): None,
+            ("ipv4_fib",): None,
+        }
+
+    def test_every_candidate_variant_is_equivalent(self):
+        program = cgnat.build_program()
+        config = cgnat.runtime_config()
+        trace = cgnat.make_trace(2000, seed=1)
+        for candidate in enumerate_candidates(program):
+            variant = make_offloaded_program(program, candidate)
+            variant_config = config.restricted_to(
+                [t for t in variant.tables if t not in candidate.tables]
+            )
+            report = compare_with_offload(
+                program, config, variant, variant_config, candidate, trace
+            )
+            assert report.equivalent, (
+                f"{candidate.tables}: {len(report.mismatches)} of "
+                f"{report.total} packets differ"
+            )
 
 
 class TestProgramGeneration:
@@ -300,9 +390,7 @@ class TestTelemetryProgram:
 REDIRECTED = {"enterprise": 150, "failure_detection": 45, "telemetry": 15}
 
 
-@pytest.mark.parametrize(
-    "family", [n for n in programs.__all__ if n != "EXAMPLE_TARGET"]
-)
+@pytest.mark.parametrize("family", FAMILIES)
 def test_every_bundled_program_behaves_as_its_original(family):
     """``check_result`` holds phases 2-4's output to the original:
     strictly when nothing was offloaded, switch + controller
@@ -321,3 +409,117 @@ def test_every_bundled_program_behaves_as_its_original(family):
     assert (report.total, report.redirected) == (
         1500, REDIRECTED.get(family, 0),
     )
+
+
+# ----------------------------------------------------------------------
+# Each candidate's load against a replay of its variant (§3.4's measure).
+
+
+def assert_loads_match_variant_replays(program, config, trace, target):
+    """Every load ``evaluate_candidates`` logs equals the redirect's
+    apply rate on a replay of the variant, under the config of the
+    tables the variant still applies."""
+    candidates = enumerate_candidates(program)
+    with OptimizationContext(program, config, trace, target) as ctx:
+        decisions = evaluate_candidates(ctx, program, config, candidates)
+    for candidate, decision in zip(candidates, decisions):
+        offload = decision.candidate
+        variant = make_offloaded_program(
+            program, candidate, table_name=offload.redirect_table
+        )
+        kept = config.restricted_to(variant.tables_in_control_order())
+        replayed = Profiler(variant, kept).run(trace)
+        assert offload.redirect_fraction == replayed.apply_rate(
+            offload.redirect_table
+        ), candidate.tables
+    return len(candidates)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bundled_loads_match_variant_replays(family):
+    program, config, trace, target = family_inputs(family, packets=1000)
+    assert assert_loads_match_variant_replays(program, config, trace, target)
+
+
+def test_fuzz_loads_match_variant_replays():
+    checked = 0
+    for seed in range(100):
+        case = generate_case(seed)
+        checked += assert_loads_match_variant_replays(
+            case.program, case.config, case.trace, case.target
+        )
+    assert checked == 315
+
+
+NESTED_GUARD = """
+header_type eth_t { fields { kind : 16; } }
+header_type udp_t { fields { dstPort : 16; } }
+header eth_t eth;
+header udp_t udp;
+
+action fwd(port) { set_egress_port(port); }
+action deny() { drop(); }
+
+table fib {
+    reads { eth.kind : exact; }
+    actions { fwd; }
+    size : 16;
+}
+table dns_acl {
+    reads { udp.dstPort : exact; }
+    actions { deny; }
+    size : 16;
+}
+
+parser start {
+    extract(eth);
+    return select(eth.kind) { 17 : parse_udp; default : accept; }
+}
+parser parse_udp { extract(udp); return accept; }
+
+control ingress {
+    apply(fib);
+    if (valid(udp)) {
+        if ((udp.dstPort == 53)) {
+            apply(dns_acl);
+        }
+    }
+}
+"""
+
+
+def test_a_body_entered_without_a_table_replays_its_variant():
+    """``if (valid(udp)) { if (udp.dstPort == 53) { apply(dns_acl); } }``:
+    the redirect takes every UDP packet, the body's table only DNS
+    ones, so this variant alone is replayed."""
+    program = parse_program(NESTED_GUARD, "nested_guard")
+    config = RuntimeConfig()
+    config.add_entry("fib", [17], "fwd", [1])
+    config.add_entry("dns_acl", [53], "deny")
+    trace = (
+        [bytes.fromhex("0011") + port.to_bytes(2, "big")
+         for port in (53, 53, 80, 443, 80)]
+        + [bytes.fromhex("08000000")] * 5
+    )
+    with OptimizationContext(program, config, trace, EXAMPLE_TARGET) as ctx:
+        profile = ctx.profile()
+        since = len(ctx.probes)
+        candidates = enumerate_candidates(program)
+        decisions = evaluate_candidates(ctx, program, config, candidates)
+        executed = [
+            record for record in ctx.probes[since:]
+            if record.kind == "profile" and record.source is Source.EXECUTED
+        ]
+    assert [c.tables for c in candidates] == [("fib",), ("dns_acl",)]
+    assert len(executed) == 1
+    loads = [d.candidate.redirect_fraction for d in decisions]
+    assert loads == [1.0, 0.5]
+    assert profile.traversal_rate(("dns_acl",)) == 0.2
+    assert_loads_match_variant_replays(program, config, trace, EXAMPLE_TARGET)
+
+
+def test_an_accepted_offload_holds_its_licence_on_its_own_trace(
+    firewall_result, firewall_config, firewall_trace
+):
+    assert firewall_result.offloaded is not None
+    assert recheck(firewall_result, firewall_config, firewall_trace) == ()
