@@ -8,6 +8,14 @@ search (no target memory map needed), and the resize is kept only if a
 re-profile of the resized program is identical to the original profile.
 No size below what the runtime config installs is ever tried: a table
 keeps room for its entries, a register for its initialized indices.
+
+Each probe pays only for the size it changes.  A resize carries its
+parent's size-free facts — structure key, register owners, each
+table's per-entry memory (``repro.p4.program.SIZE_FREE_PINS``) — so a
+compile re-derives nothing but the sizes; and no replay reads a table's
+capacity, so a table resize's "re-profile" is its parent's profile, a
+memo hit (``repro.p4.dsl.printer.profile_key``).  A register resize
+changes hashing and is replayed.
 """
 
 from __future__ import annotations

@@ -148,8 +148,9 @@ def is_self_contained(program: Program, subtree: ControlNode) -> bool:
 
     The segment must need no state produced elsewhere (its tables read
     only packet headers, metadata it writes itself, or the read-only
-    ingress port), and nothing downstream may consume what it produces
-    (its metadata writes feed nothing outside; its registers are private).
+    ingress port), and nothing outside may consume what it produces:
+    no metadata it writes is read outside, no packet header field it
+    writes is read after it, and its registers are private.
     Writes to the standard metadata (forwarding decisions) are the
     segment's *output* and always allowed.  The segment is the body the
     redirect replaces: a root If is the *boundary guard*, which stays in
@@ -162,16 +163,22 @@ def is_self_contained(program: Program, subtree: ControlNode) -> bool:
         return False
     reads, writes, registers = _reads_writes(program, inside_nodes)
     inside_ids = {id(n) for n in inside_nodes} | {id(subtree)}
+    # Outside nodes, split at the segment in pre-order: a node before it
+    # runs before it on every packet that reaches both (an ancestor, an
+    # earlier sibling) or never on the same packet (an earlier branch).
+    before: List[ControlNode] = []
+    after: List[ControlNode] = []
+    side = before
+    for control in (program.ingress, program.egress):
+        for node in iter_nodes(control):
+            if node is subtree:
+                side = after
+            elif id(node) not in inside_ids:
+                side.append(node)
     out_reads, out_writes, out_registers = _reads_writes(
-        program,
-        (
-            node
-            for control in (program.ingress, program.egress)
-            for node in iter_nodes(control)
-            if id(node) not in inside_ids
-            and not (isinstance(node, Apply) and node.table in inside_tables)
-        ),
+        program, before + after
     )
+    later_reads = _reads_writes(program, after)[0]
 
     if registers & out_registers:
         return False
@@ -189,10 +196,15 @@ def is_self_contained(program: Program, subtree: ControlNode) -> bool:
             # before the segment's own write.
             return False
     for ref in writes:
-        if not _is_metadata_field(program, ref) or _is_standard(ref):
+        if _is_standard(ref):
             continue
-        if ref in out_reads:
-            return False  # something downstream consumes our output
+        if ref in (out_reads if _is_metadata_field(program, ref)
+                   else later_reads):
+            # Something outside consumes our output.  A packet header
+            # field travels on with the packet, so a switch table after
+            # the segment would read it unwritten once the segment is
+            # offloaded.
+            return False
     return True
 
 

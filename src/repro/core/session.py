@@ -2,8 +2,9 @@
 
 Every P2GO phase probes candidate programs by compiling them and
 re-profiling them on the same trace — the halving binary search of
-phase 3 and the per-candidate redirect variants of phase 4 (compiled;
-their loads are read off the current program's profile) alone account
+phase 3 (its table resizes' profiles are their parent's) and the
+per-candidate redirect variants of phase 4 (compiled; their loads are
+read off the current program's profile) alone account
 for dozens of :func:`~repro.target.compiler.compile_program` and
 :class:`~repro.core.profiler.Profiler` invocations per run, and the seed
 orchestrator repeated several of them verbatim (the accepted resize was
@@ -44,11 +45,16 @@ Keying:
   default overrides, register inits, engine switches) — *not* by the
   ``mutations`` stamp, so two ``restricted_to`` results with equal
   content share one cache line.
-* **Profiles** are keyed by (program key, config key, trace key).  The
-  trace key is re-read whenever ``ctx.trace`` is assigned, so a
-  session whose trace is swapped (e.g. after an
-  :class:`~repro.core.online.OnlineProfiler` drift alert) never serves
-  profiles recorded on the old traffic.  In-place mutation of the trace
+* **Profiles** are keyed by (profile key, config key, trace key).  The
+  profile key (:func:`~repro.p4.dsl.printer.profile_key`) is the
+  program key without table sizes: no replay reads a table's capacity,
+  so phase 3's table resizes share their parent's profile, in the memo
+  and in the store.  A config that does not fit a program's sizes
+  still raises (:meth:`~repro.sim.runtime.RuntimeConfig.check_capacity`
+  runs before the lookup).  The trace key is re-read whenever
+  ``ctx.trace`` is assigned, so a session whose trace is swapped (e.g.
+  after an :class:`~repro.core.online.OnlineProfiler` drift alert)
+  never serves profiles recorded on the old traffic.  In-place mutation of the trace
   list bypasses the setter — assign a new trace instead.  The setter
   keeps a :class:`~repro.sim.switch.ReplayTrace` it is given (its
   fingerprint is hashed once per trace object, however many sessions
@@ -124,7 +130,7 @@ from typing import (
 from repro.analysis.structure import analyse, structure_key
 from repro.core.profiler import PerfCounters, Profile, Profiler
 from repro.core.store import KINDS, SessionStore
-from repro.p4.dsl.printer import program_fingerprint
+from repro.p4.dsl.printer import profile_key, program_fingerprint
 from repro.p4.program import Program
 from repro.sim.runtime import RuntimeConfig, config_fingerprint
 from repro.sim.switch import ReplayTrace, trace_fingerprint
@@ -296,7 +302,7 @@ class OptimizationContext:
         self, program: Program, config: RuntimeConfig
     ) -> Tuple[str, Tuple, str]:
         return (
-            self.program_key(program),
+            profile_key(program),
             config_fingerprint(config),
             self._trace_key,
         )
@@ -402,6 +408,9 @@ class OptimizationContext:
             program = self.program
         if config is None:
             config = self.config
+        # The key leaves table sizes out: an entry that shares it may
+        # have been replayed at sizes this config does not fit.
+        config.check_capacity(program)
         profile = self._probe(
             "profile",
             self._profile_key(program, config),

@@ -10,7 +10,7 @@ check (§3.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import P4SemanticsError
 from repro.p4.expressions import (
@@ -20,7 +20,7 @@ from repro.p4.expressions import (
     params_used,
     registers_referenced,
 )
-from repro.p4.types import KeepsPinsLocal
+from repro.p4.types import KeepsPinsLocal, pinned
 
 #: The intrinsic metadata header present in every program.
 STANDARD_METADATA = "standard_metadata"
@@ -342,29 +342,20 @@ class Action(KeepsPinsLocal):
             out |= prim.params()
         return out
 
+    # What the primitives read and write is unioned once per value and
+    # pinned on it (a local pin, DESIGN.md §16).
+
     def reads(self) -> FrozenSet[FieldRef]:
-        out: FrozenSet[FieldRef] = frozenset()
-        for prim in self.primitives:
-            out |= prim.reads()
-        return out
+        return pinned(self, "_access", _union_access).reads
 
     def writes(self) -> FrozenSet[FieldRef]:
-        out: FrozenSet[FieldRef] = frozenset()
-        for prim in self.primitives:
-            out |= prim.writes()
-        return out
+        return pinned(self, "_access", _union_access).writes
 
     def registers_read(self) -> FrozenSet[str]:
-        out: FrozenSet[str] = frozenset()
-        for prim in self.primitives:
-            out |= prim.registers_read()
-        return out
+        return pinned(self, "_access", _union_access).registers_read
 
     def registers_written(self) -> FrozenSet[str]:
-        out: FrozenSet[str] = frozenset()
-        for prim in self.primitives:
-            out |= prim.registers_written()
-        return out
+        return pinned(self, "_access", _union_access).registers_written
 
     def headers_added(self) -> FrozenSet[str]:
         out: FrozenSet[str] = frozenset()
@@ -392,3 +383,23 @@ class Action(KeepsPinsLocal):
         params = ", ".join(self.parameters)
         body = "; ".join(str(p) for p in self.primitives)
         return f"action {self.name}({params}) {{ {body} }}"
+
+
+class _Access(NamedTuple):
+    """An action's field and register accesses (:meth:`Action.reads` and
+    its siblings)."""
+
+    reads: FrozenSet[FieldRef]
+    writes: FrozenSet[FieldRef]
+    registers_read: FrozenSet[str]
+    registers_written: FrozenSet[str]
+
+
+def _union_access(action: Action) -> _Access:
+    prims = action.primitives
+    return _Access(
+        frozenset().union(*(prim.reads() for prim in prims)),
+        frozenset().union(*(prim.writes() for prim in prims)),
+        frozenset().union(*(prim.registers_read() for prim in prims)),
+        frozenset().union(*(prim.registers_written() for prim in prims)),
+    )

@@ -223,8 +223,7 @@ def _action_text(action: Action, lines: List[str]) -> None:
     lines.append("")
 
 
-@_lines
-def _table_text(table: Table, lines: List[str]) -> None:
+def _print_table(table: Table, lines: List[str], sized: bool = True) -> None:
     lines.append(f"table {table.name} {{")
     if table.keys:
         lines.append("    reads {")
@@ -244,9 +243,18 @@ def _table_text(table: Table, lines: List[str]) -> None:
             + ")"
         )
     lines.append(f"    default_action : {table.default_action}{args};")
-    lines.append(f"    size : {table.size};")
+    if sized:
+        lines.append(f"    size : {table.size};")
     lines.append("}")
     lines.append("")
+
+
+_table_text = _lines(_print_table)
+#: A table's text without its ``size`` line: what :func:`profile_key`
+#: hashes.
+_table_shape_text = _lines(
+    lambda table, lines: _print_table(table, lines, sized=False)
+)
 
 
 _parser_text = _lines(_print_parser)
@@ -260,8 +268,23 @@ def program_fingerprint(program: Program) -> str:
     return pinned(program, "_fingerprint", _print_digest)
 
 
+def profile_key(program: Program) -> str:
+    """Content key of what a replay of ``program`` can observe: SHA-1 of
+    its printed DSL without table sizes, computed once per value on the
+    first ask (most probes are compiled, never replayed) and pinned on
+    it.  No replay reads a table's capacity (only
+    ``RuntimeConfig.validate`` does, DESIGN.md §5), so a table resize
+    keeps it; a register's size changes hashing and stays in."""
+    return pinned(program, "_profile_key", _shape_digest)
+
+
 def _print_digest(program: Program) -> str:
     return hashlib.sha1(print_program(program).encode()).hexdigest()
+
+
+def _shape_digest(program: Program) -> str:
+    text = "\n".join(_pieces(program, sized=False))
+    return hashlib.sha1(text.encode()).hexdigest()
 
 
 def print_program(program: Program) -> str:
@@ -271,6 +294,12 @@ def print_program(program: Program) -> str:
     pinned on it (DESIGN.md §16), so a program derived by replacing one
     table renders one table.  Pins never travel in a pickle: an unpickled
     program renders from scratch, to the same text."""
+    return "\n".join(_pieces(program))
+
+
+def _pieces(program: Program, sized: bool = True) -> List[str]:
+    """The printed program's pieces; each table's without its ``size``
+    line unless ``sized``."""
     pieces: List[str] = [f"// program: {program.name}", ""]
     pieces += [
         pinned(htype, "_text", _header_type_text)
@@ -293,7 +322,8 @@ def print_program(program: Program) -> str:
         if action.name not in _INTRINSIC_ACTIONS
     ]
     pieces += [
-        pinned(table, "_text", _table_text)
+        pinned(table, "_text", _table_text) if sized
+        else pinned(table, "_shape_text", _table_shape_text)
         for table in program.tables.values()
     ]
     if program.parser is not None:
@@ -307,4 +337,4 @@ def print_program(program: Program) -> str:
         if body:
             pieces.append(body)
         pieces += ["}", ""]
-    return "\n".join(pieces)
+    return pieces

@@ -41,7 +41,7 @@ from repro.p4.expressions import (
 from repro.p4.parser_spec import ParserSpec
 from repro.p4.registers import RegisterArray
 from repro.p4.tables import Table
-from repro.p4.types import KeepsPinsLocal, bytes_for_bits
+from repro.p4.types import KeepsPinsLocal, bytes_for_bits, pinned
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,21 @@ def standard_metadata_type() -> HeaderType:
 LEAF_MAPS = ("header_types", "headers", "registers", "actions", "tables")
 
 #: Content keys pinned on a :class:`Program` (DESIGN.md §16): the
-#: printed DSL's SHA-1 (``repro.p4.dsl.printer.program_fingerprint``) and
-#: the analyses' key (``repro.analysis.structure.structure_key``).
-#: Unlike a leaf's pins they travel with the program in a pickle, so a
-#: pool worker does not print it again.
-PROGRAM_KEYS = ("_fingerprint", "_structure_key")
+#: printed DSL's SHA-1 (``repro.p4.dsl.printer.program_fingerprint``),
+#: the same text's SHA-1 without table sizes (``profile_key``, hashed
+#: only for a program that is profiled) and the analyses' key
+#: (``repro.analysis.structure.structure_key``).  Unlike a leaf's pins
+#: they travel with the program in a pickle, so a pool worker does not
+#: print it again.
+PROGRAM_KEYS = ("_fingerprint", "_profile_key", "_structure_key")
+
+#: What a resize or a rename carries over from its parent
+#: (:meth:`Program._unchecked`), pinned on the parent from what neither
+#: changes: the structure key, the register -> accessing tables map
+#: (:meth:`Program.tables_accessing_register`) and each table's
+#: size-free memory facts (``repro.target.resources.compute_footprints``).
+#: The last two are local: a pickle drops them.
+SIZE_FREE_PINS = ("_structure_key", "_register_tables", "_memory_facts")
 
 
 @dataclass(frozen=True)
@@ -383,30 +393,42 @@ class Program:
 
     def _unchecked(self, **changes) -> "Program":
         """A copy with ``changes`` and no validation: for a rename or a
-        resize, which change nothing :meth:`validate` or the structure
-        key reads.  So the parent's structure key carries over; its
-        fingerprint does not."""
+        resize, which change nothing :meth:`validate` reads.  So the
+        parent's :data:`SIZE_FREE_PINS` carry over; its fingerprint and
+        profile key do not."""
         fields = {name: getattr(self, name) for name in _FIELDS}
         fields.update(changes)
-        keys = {}
-        if "_structure_key" in self.__dict__:
-            keys["_structure_key"] = self.__dict__["_structure_key"]
+        keys = {
+            name: self.__dict__[name]
+            for name in SIZE_FREE_PINS
+            if name in self.__dict__
+        }
         return _rebuild(fields, keys)
 
     # ------------------------------------------------------------------
     # Convenience queries used across the analysis layer
 
     def tables_accessing_register(self, register_name: str) -> List[str]:
-        """Tables whose actions read or write the given register."""
-        out = []
-        for table in self.tables.values():
-            for action_name in table.all_action_names():
-                action = self.actions[action_name]
-                touched = action.registers_read() | action.registers_written()
-                if register_name in touched:
-                    out.append(table.name)
-                    break
-        return out
+        """Tables whose actions read or write the given register, in
+        declaration order: a lookup in a map built once per value."""
+        return list(
+            pinned(self, "_register_tables", _register_tables).get(
+                register_name, ()
+            )
+        )
+
+
+def _register_tables(program: Program) -> Dict[str, Tuple[str, ...]]:
+    """Each register any action touches -> the tables whose actions do."""
+    out: Dict[str, List[str]] = {}
+    for table in program.tables.values():
+        touched: Set[str] = set()
+        for action_name in table.all_action_names():
+            action = program.actions[action_name]
+            touched |= action.registers_read() | action.registers_written()
+        for register in touched:
+            out.setdefault(register, []).append(table.name)
+    return {register: tuple(names) for register, names in out.items()}
 
 
 _FIELDS = tuple(field.name for field in dc_fields(Program))

@@ -58,10 +58,12 @@ def bytes_for_bits(bits: int) -> int:
 # Derived state pinned on frozen IR values (DESIGN.md §16)
 
 #: Pins that stay with the object in this process — the packet codec
-#: ``repro.packets.get_codec`` pins on a header type, and the DSL text
-#: ``repro.p4.dsl.print_program`` pins on a leaf or a control root: a
-#: pickle or a deep copy of the value never carries them.
-LOCAL_PINS = ("_codec", "_text")
+#: ``repro.packets.get_codec`` pins on a header type, the DSL text
+#: ``repro.p4.dsl.print_program`` pins on a leaf or a control root (and a
+#: table's text without its size, ``_shape_text``), and an action's
+#: field and register accesses (``_access``): a pickle or a deep copy of
+#: the value never carries them.
+LOCAL_PINS = ("_codec", "_text", "_shape_text", "_access")
 
 
 def pinned(value, name: str, compute: Callable[[T], V]) -> V:

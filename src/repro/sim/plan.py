@@ -53,7 +53,7 @@ from repro.p4 import expressions as ex
 from repro.p4.control import Apply, If, Seq
 from repro.p4.dsl.printer import program_fingerprint
 from repro.p4.parser_spec import ACCEPT
-from repro.p4.types import CPU_PORT, DROP_PORT, bytes_for_bits, mask
+from repro.p4.types import CPU_PORT, DROP_PORT, bytes_for_bits, mask, pinned
 from repro.packets.packet import get_codec
 from repro.sim.events import ExecutionStep
 from repro.sim.hashing import ALGORITHMS, CRC_SEEDS, compute_hash, crc_start
@@ -197,7 +197,12 @@ class Parser(NamedTuple):
 
 
 def build_parser(program) -> Parser:
-    """``program``'s parser, emitted once per parse key per process."""
+    """``program``'s parser, emitted once per parse key per process and
+    pinned on the program value, so a switch does not rebuild the key."""
+    return pinned(program, "_parse", _build_parser)
+
+
+def _build_parser(program) -> Parser:
     parser = program.parser
     if parser is None:
         return Parser(functools.partial(_fail, SimulationError, (

@@ -165,19 +165,28 @@ class RuntimeConfig:
         return (table.default_action, table.default_action_args)
 
     # ------------------------------------------------------------------
+    def check_capacity(self, program: Program) -> None:
+        """Raise when a table holds more entries than ``program``
+        declares room for: the one check of :meth:`validate` that reads
+        a table's size."""
+        for table_name, entry_list in self.entries.items():
+            table = program.tables.get(table_name)
+            if table is not None and len(entry_list) > table.size:
+                raise RuntimeConfigError(
+                    f"table {table_name!r}: {len(entry_list)} entries exceed "
+                    f"declared size {table.size}"
+                )
+
     def validate(self, program: Program) -> None:
-        """Check all entries against the program's tables and actions."""
+        """Check all entries against the program's tables and actions,
+        capacity first."""
+        self.check_capacity(program)
         for table_name, entry_list in self.entries.items():
             table = program.tables.get(table_name)
             if table is None:
                 raise RuntimeConfigError(f"unknown table {table_name!r}")
             for entry in entry_list:
                 self._validate_entry(program, table, entry)
-            if len(entry_list) > table.size:
-                raise RuntimeConfigError(
-                    f"table {table_name!r}: {len(entry_list)} entries exceed "
-                    f"declared size {table.size}"
-                )
         for table_name, (action, args) in self.default_overrides.items():
             table = program.tables.get(table_name)
             if table is None:

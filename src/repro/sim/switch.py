@@ -44,6 +44,8 @@ punted packet's index, reason and bytes are on its :class:`SwitchResult`.
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from itertools import repeat
 from typing import (
     Callable,
@@ -65,13 +67,14 @@ from repro.p4.actions import (
     TO_CONTROLLER,
 )
 from repro.p4.control import Apply, ControlNode, If, Seq
+from repro.p4.dsl.printer import program_fingerprint
 from repro.p4.program import Program
 from repro.p4.types import mask
 from repro.sim.action_interp import Phv, eval_expr, execute_action
 from repro.sim.events import ExecutionStep
 from repro.sim.match import lookup
 from repro.sim.plan import Parser, Plan, build_parser, build_plan
-from repro.sim.runtime import RuntimeConfig
+from repro.sim.runtime import RuntimeConfig, config_fingerprint
 from repro.sim.parser_engine import ParsedPacket, deparse_packet, parse_packet
 from repro.sim.state import SwitchState
 
@@ -210,6 +213,28 @@ class ReplayTrace(list):
         return found
 
 
+#: (program fingerprint, config fingerprint) pairs this process has
+#: validated, the oldest dropped first past ``_VALIDATED_SIZE``.
+_VALIDATED_SIZE = 64
+_validated: "OrderedDict[tuple, None]" = OrderedDict()
+_validated_lock = threading.Lock()
+
+
+def _validate(program: Program, config: RuntimeConfig) -> None:
+    """``config.validate(program)``, once per content key in this
+    process; a pair that fails is not remembered, so it raises again."""
+    key = (program_fingerprint(program), config_fingerprint(config))
+    with _validated_lock:
+        if key in _validated:
+            _validated.move_to_end(key)
+            return
+    config.validate(program)
+    with _validated_lock:
+        _validated[key] = None
+        if len(_validated) > _VALIDATED_SIZE:
+            _validated.popitem(last=False)
+
+
 class BehavioralSwitch:
     """A software switch running one program with one runtime config.
 
@@ -220,7 +245,7 @@ class BehavioralSwitch:
     def __init__(self, program: Program, config: Optional[RuntimeConfig] = None):
         self.program = program
         self.config = config if config is not None else RuntimeConfig()
-        self.config.validate(program)
+        _validate(program, self.config)
         self.state = SwitchState(program)
         self._packet_count = 0
         # The config-mutation stamp the plan was built against.
@@ -269,7 +294,7 @@ class BehavioralSwitch:
         Re-validates the config, so a bad rule installed mid-run fails
         as :class:`RuntimeConfigError` before any packet is touched.
         """
-        self.config.validate(self.program)
+        _validate(self.program, self.config)
         self._plan = None
         self._config_mutations = self.config.mutations
 

@@ -19,12 +19,12 @@ The accounting model follows RMT conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.exceptions import CompilationError
 from repro.p4.program import Program
 from repro.p4.tables import Table
-from repro.p4.types import bytes_for_bits
+from repro.p4.types import bytes_for_bits, pinned
 from repro.target.model import TargetModel
 
 #: Per-entry overhead bits: action id + entry version/validity bits.
@@ -139,8 +139,43 @@ class TableFootprint:
         return total
 
 
+class _MemoryFacts(NamedTuple):
+    """What a table's memory is per entry, whatever its size: its
+    footprint is these times ``table.size``."""
+
+    is_ternary: bool
+    #: Match-key width: TCAM bits per entry of a ternary table.
+    key_bits: int
+    #: :func:`table_entry_bits`: SRAM bits per entry of an exact table.
+    entry_bits: int
+    #: SRAM bits per entry beside a ternary table's TCAM key.
+    side_bits: int
+
+
+def _memory_facts(program: Program) -> Dict[str, _MemoryFacts]:
+    facts: Dict[str, _MemoryFacts] = {}
+    for table in program.tables.values():
+        side_bits = 0
+        if table.is_ternary:  # never a keyless table
+            side_bits = (
+                table_action_data_bits(program, table) + ENTRY_OVERHEAD_BITS
+            )
+        facts[table.name] = _MemoryFacts(
+            table.is_ternary,
+            table_key_bits(program, table),
+            table_entry_bits(program, table),
+            side_bits,
+        )
+    return facts
+
+
 def compute_footprints(program: Program) -> Dict[str, TableFootprint]:
-    """Footprints for every table of the program, in declaration order."""
+    """Footprints for every table of the program, in declaration order.
+
+    Everything but the sizes is derived once per program value and
+    carried across a resize (``repro.p4.program.SIZE_FREE_PINS``), so
+    a phase-3 probe only multiplies: it derives no table's per-entry
+    facts and walks no action."""
     owners = register_owner_map(program)
     registers_of: Dict[str, List[Tuple[str, int]]] = {}
     for register_name, owner in owners.items():
@@ -148,14 +183,17 @@ def compute_footprints(program: Program) -> Dict[str, TableFootprint]:
         registers_of.setdefault(owner, []).append(
             (register_name, array.memory_bytes)
         )
+    facts = pinned(program, "_memory_facts", _memory_facts)
     footprints: Dict[str, TableFootprint] = {}
     for table in program.tables.values():
+        fact = facts[table.name]
+        match_bits = fact.key_bits if fact.is_ternary else fact.entry_bits
         footprints[table.name] = TableFootprint(
             table=table.name,
-            is_ternary=table.is_ternary,
-            entry_bits=table_entry_bits(program, table),
-            match_bytes=table_match_bytes(program, table),
-            overhead_bytes=table_overhead_bytes(program, table),
+            is_ternary=fact.is_ternary,
+            entry_bits=fact.entry_bits,
+            match_bytes=bytes_for_bits(match_bits) * table.size,
+            overhead_bytes=bytes_for_bits(fact.side_bits) * table.size,
             registers=tuple(registers_of.get(table.name, ())),
         )
     return footprints
