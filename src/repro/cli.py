@@ -560,7 +560,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             )
         print(
             f"behavior axis checked {result.exercised['offload_checked']} "
-            "offloading case(s)"
+            "offloading case(s), "
+            f"{result.exercised['offload_redirected']} packets redirected"
         )
     return 0 if result.ok else 1
 

@@ -12,6 +12,15 @@ Concretely, the consumer's guarded apply is relocated into the source
 table's miss branch — legal only when the parser proves the consumer's
 guard implies the source's guard (e.g. every DHCP packet is a UDP packet),
 so no packet is orphaned.
+
+A relocation the profile licenses replays nothing: no profiled packet
+hit the source while the consumer was applied, and the consumer's unit
+sits right after the source's, so on the profiled trace the rewritten
+program runs every packet through the same steps, in the same order,
+with the same register effects and decisions as its parent.
+:class:`DependencyRemovalPass` therefore adopts the round's profile as
+the rewritten program's (:meth:`~repro.core.session.\
+OptimizationContext.adopt_profile`; DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -291,4 +300,11 @@ class DependencyRemovalPass:
     def run(self, ctx: OptimizationContext) -> PassResult:
         # The round's two probes: compile, then replay, the current
         # program.
-        return run_phase(ctx.program, ctx.compile(), ctx.profile())
+        compiled = ctx.compile()
+        profile = ctx.profile()
+        result = run_phase(ctx.program, compiled, profile)
+        if result.program is not None:
+            # A licensed relocation replays step for step like its
+            # parent on this trace (module docstring).
+            ctx.adopt_profile(result.program, profile)
+        return result

@@ -18,8 +18,10 @@ pass manager's.  Two consumers:
 Every compile/profile goes through an ordinary
 :class:`~repro.core.session.OptimizationContext`: memo hits change no
 decision, and the counters' ``*_calls`` record the seed's true
-invocation counts.  Do not extend this module; new behaviour belongs in
-the pass framework.
+invocation counts.  It calls phase 2's ``run_phase``, not its pass, so
+it replays every accepted relocation on purpose: the ``order`` axis
+then compares the pass's adopted profile against a real replay.  Do
+not extend this module; new behaviour belongs in the pass framework.
 """
 
 from __future__ import annotations

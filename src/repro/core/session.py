@@ -51,10 +51,15 @@ Keying:
   so phase 3's table resizes share their parent's profile, in the memo
   and in the store.  A config that does not fit a program's sizes
   still raises (:meth:`~repro.sim.runtime.RuntimeConfig.check_capacity`
-  runs before the lookup).  The trace key is re-read whenever
-  ``ctx.trace`` is assigned, so a session whose trace is swapped (e.g.
-  after an :class:`~repro.core.online.OnlineProfiler` drift alert)
-  never serves profiles recorded on the old traffic.  In-place mutation of the trace
+  runs before the lookup).  Phase 2's licensed relocation replays
+  step for step like its parent, so its parent's profile is entered
+  under its own key by :meth:`~OptimizationContext.adopt_profile` — in
+  the memo only, and not as a probe: the probe log and the store never
+  see it, and the next probe of that program is a memo hit.  The trace
+  key is re-read whenever ``ctx.trace`` is assigned, so a session
+  whose trace is swapped (e.g. after an
+  :class:`~repro.core.online.OnlineProfiler` drift alert) never serves
+  profiles recorded on the old traffic.  In-place mutation of the trace
   list bypasses the setter — assign a new trace instead.  The setter
   keeps a :class:`~repro.sim.switch.ReplayTrace` it is given (its
   fingerprint is hashed once per trace object, however many sessions
@@ -417,6 +422,17 @@ class OptimizationContext:
             lambda: Profiler(program, config).run(self._trace),
         )
         return profile, PerfCounters.of([profile])
+
+    def adopt_profile(self, program: Program, profile: Profile) -> None:
+        """Enter ``profile`` as ``program``'s under the current config on
+        the session trace, in the memo tier under the key a replay would
+        be memoized under — for a caller that has proved the replay
+        would record exactly ``profile`` (phase 2's licensed
+        relocation).  An adoption is not a probe: it is not logged, not
+        written to the store, and an entry already present wins."""
+        self._memo["profile"].setdefault(
+            self._profile_key(program, self.config), profile
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -140,6 +140,7 @@ def _check_behavior(
         if phases == (2, 3, 4):
             tally_decisions(result, exercised)
         report = check_result(result, case.config.clone(), case.trace)
+        exercised["offload_redirected"] += report.redirected
         if not report.equivalent:
             return AxisFailure(
                 "behavior",
@@ -261,8 +262,10 @@ def run_axes(
     Returns the failures found (empty list = full agreement).  Unknown
     axis names raise ``ValueError`` up front.  ``exercised`` tallies,
     as ``offload_checked``, the offloading cases the behavior axis held
-    to the original with the controller in the loop, and what each
-    phase of its (2, 3, 4) run decided (:func:`tally_decisions`).
+    to the original with the controller in the loop, as
+    ``offload_redirected`` the packets those cases' switches redirected
+    (only these reach the controller), and what each phase of its
+    (2, 3, 4) run decided (:func:`tally_decisions`).
     """
     complaint = unknown_axes(axes)
     if complaint:

@@ -94,7 +94,9 @@ class CampaignResult:
     failures: List[FailureRecord] = dc_field(default_factory=list)
     elapsed_seconds: float = 0.0
     #: ``offload_checked``: offloading cases the behavior axis met (0:
-    #: no offload was ever compared); ``phase N ...``: what each phase
+    #: no offload was ever compared); ``offload_redirected``: packets
+    #: their switches redirected (0: the controller never ran);
+    #: ``phase N ...``: what each phase
     #: of its (2, 3, 4) runs decided
     #: (:func:`~repro.fuzz.differential.tally_decisions`).
     exercised: Counter[str] = dc_field(default_factory=Counter)

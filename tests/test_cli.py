@@ -425,7 +425,26 @@ class TestFuzz:
         assert main(["fuzz", "--seed", "0", "--iterations", "1"]) == 0
         out = capsys.readouterr().out
         assert "0 failure(s)" in out
-        assert "behavior axis checked 0 offloading case(s)" in out
+        assert (
+            "behavior axis checked 0 offloading case(s), "
+            "0 packets redirected"
+        ) in out
+
+    def test_an_offloading_case_reports_its_redirected_packets(
+        self, capsys
+    ):
+        """Seed 27's offload is checked with the controller in the
+        loop, yet its switch redirects none of its own trace: the line
+        says so, so a campaign cannot pass off an offloading case whose
+        controller never ran as a checked one."""
+        assert main(
+            ["fuzz", "--seed", "27", "--iterations", "1",
+             "--axes", "behavior"]
+        ) == 0
+        assert (
+            "behavior axis checked 1 offloading case(s), "
+            "0 packets redirected"
+        ) in capsys.readouterr().out
 
     def test_broken_optimizer_exits_nonzero(self, tmp_path, capsys):
         code = main(

@@ -214,7 +214,9 @@ def test_every_table_halving_shares_a_profile_equal_to_its_replay(family):
 
 def test_a_verified_table_resize_replays_nothing():
     """The firewall's accepted ``IPv4`` cut is verified on its parent's
-    profile: a cold run executes four profiles, not five."""
+    profile: a cold run executes three profiles.  (Four while phase 2
+    replayed its relocation; the relocation now adopts its parent's
+    profile, ``tests/test_relocation_profiles.py``.)"""
     result = P2GO(
         fw.build_program(), fw.runtime_config(), fw.make_trace(4000),
         fw.TARGET, store=False,
@@ -224,7 +226,7 @@ def test_a_verified_table_resize_replays_nothing():
         for d in result.applied
         if isinstance(d.candidate, MemoryReduction)
     ] == [("IPv4", 128)]
-    assert result.session_counters.profile_executions == 4
+    assert result.session_counters.profile_executions == 3
 
 
 def overfull(program, config):

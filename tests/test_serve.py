@@ -189,11 +189,12 @@ BENCH_SHAPED_COUNTS = {
 
 def test_a_benchmark_shaped_run_keeps_its_counts(emissions):
     """The full counts are pinned, and from an empty plan memo the run
-    emits one tail per distinct (program, config, sink kind): 7 here,
+    emits one tail per distinct (program, config, sink kind): 6 here,
     where a tail per switch made 63.  It was 8 while phase 3 replayed
-    its accepted table resize; that resize now shares its parent's
-    profile (no replay reads a table's size), so its tail is never
-    emitted."""
+    its accepted table resize, and 7 while phase 2 replayed its
+    relocation; both now share their parent's profile (no replay reads
+    a table's size, and a licensed relocation replays step for step
+    like its parent), so neither tail is emitted."""
     optimizer = ContinuousOptimizer(
         fw.build_program(),
         fw.runtime_config(),
@@ -204,7 +205,7 @@ def test_a_benchmark_shaped_run_keeps_its_counts(emissions):
     )
     result = optimizer.run(GeneratorFeed.firewall_drift(total=8000, seed=12))
     assert result.stats.counts() == BENCH_SHAPED_COUNTS
-    assert len(emissions) == len(set(emissions)) == 7
+    assert len(emissions) == len(set(emissions)) == 6
 
 
 class TestPromotionGate:
